@@ -10,7 +10,8 @@
 // the exit code stays 0, because absolute numbers from different
 // machines — a laptop vs a CI runner — are only indicative. Pass
 // -strict to turn regressions into a non-zero exit for same-machine
-// comparisons.
+// comparisons. A run in the new report with no counterpart in the old
+// one is a warning too: a gate that matched nothing compared nothing.
 //
 // Usage:
 //
@@ -164,12 +165,59 @@ func compare(w io.Writer, oldR, newR *report, threshold float64) []regression {
 	return regs
 }
 
+// unmatched returns the keys of newR's runs that oldR has no run for.
+func unmatched(oldR, newR *report) []string {
+	have := make(map[string]bool, len(oldR.Runs))
+	for _, r := range oldR.Runs {
+		have[r.key()] = true
+	}
+	var keys []string
+	for _, r := range newR.Runs {
+		if !have[r.key()] {
+			keys = append(keys, r.key())
+		}
+	}
+	return keys
+}
+
+// gate prints the comparison table to stdout, then every regression
+// and every unmatched run as a warning (::warning:: annotations on
+// stdout when annotate is set, plain lines on stderr otherwise), and
+// returns the process exit code: non-zero only under strict.
+func gate(stdout, stderr io.Writer, oldR, newR *report, threshold float64, strict, annotate bool) int {
+	var warnings []string
+	for _, r := range compare(stdout, oldR, newR, threshold) {
+		warnings = append(warnings, fmt.Sprintf("benchdiff: %s %s regressed %.1f%% (old %.1f → new %.1f)",
+			r.key, r.metric, (r.ratio-1)*100, r.oldVal, r.newVal))
+	}
+	for _, key := range unmatched(oldR, newR) {
+		warnings = append(warnings, fmt.Sprintf("benchdiff: %s has no matching run in the old report: not compared (regenerate the baseline)", key))
+	}
+	if len(warnings) == 0 {
+		fmt.Fprintf(stdout, "benchdiff: no regressions beyond %.0f%%\n", threshold*100)
+		return 0
+	}
+	for _, msg := range warnings {
+		if annotate {
+			fmt.Fprintf(stdout, "::warning title=bench regression::%s\n", msg)
+		} else {
+			fmt.Fprintln(stderr, "WARNING: "+msg)
+		}
+	}
+	if strict {
+		return 1
+	}
+	fmt.Fprintf(stdout, "benchdiff: %d warning(s) — regressions beyond %.0f%% or unmatched runs (warn-only; pass -strict to fail)\n",
+		len(warnings), threshold*100)
+	return 0
+}
+
 func main() {
 	var (
 		oldPath   = flag.String("old", "", "baseline prefetchbench -json report")
 		newPath   = flag.String("new", "", "candidate prefetchbench -json report")
 		threshold = flag.Float64("threshold", 0.10, "fractional regression that triggers a warning (0.10 = 10%)")
-		strict    = flag.Bool("strict", false, "exit non-zero on regressions instead of warn-only")
+		strict    = flag.Bool("strict", false, "exit non-zero on regressions or unmatched runs instead of warn-only")
 	)
 	flag.Parse()
 	if *oldPath == "" || *newPath == "" {
@@ -188,26 +236,7 @@ func main() {
 	if oldR.Mode != newR.Mode {
 		fatal(fmt.Errorf("mode mismatch: old %q vs new %q", oldR.Mode, newR.Mode))
 	}
-	regs := compare(os.Stdout, oldR, newR, *threshold)
-	if len(regs) == 0 {
-		fmt.Printf("benchdiff: no regressions beyond %.0f%%\n", *threshold*100)
-		return
-	}
-	annotate := os.Getenv("GITHUB_ACTIONS") == "true"
-	for _, r := range regs {
-		msg := fmt.Sprintf("benchdiff: %s %s regressed %.1f%% (old %.1f → new %.1f)",
-			r.key, r.metric, (r.ratio-1)*100, r.oldVal, r.newVal)
-		if annotate {
-			fmt.Printf("::warning title=bench regression::%s\n", msg)
-		} else {
-			fmt.Fprintln(os.Stderr, "WARNING: "+msg)
-		}
-	}
-	if *strict {
-		os.Exit(1)
-	}
-	fmt.Printf("benchdiff: %d regression(s) beyond %.0f%% (warn-only; pass -strict to fail)\n",
-		len(regs), *threshold*100)
+	os.Exit(gate(os.Stdout, os.Stderr, oldR, newR, *threshold, *strict, os.Getenv("GITHUB_ACTIONS") == "true"))
 }
 
 func fatal(err error) {

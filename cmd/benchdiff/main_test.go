@@ -181,3 +181,43 @@ func TestLoadReportRejectsEmpty(t *testing.T) {
 		t.Fatal("empty report accepted")
 	}
 }
+
+// TestGateWarnsOnUnmatchedRun: a new report whose run keys the old one
+// lacks (here backend_count 0 → 1) compared nothing, and must say so —
+// as a warning, and as a failure under -strict — not "no regressions".
+func TestGateWarnsOnUnmatchedRun(t *testing.T) {
+	dir := t.TempDir()
+	oldR, err := loadReport(writeReport(t, dir, "old.json", 100000, 1000, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	newR, err := loadReport(writeReport(t, dir, "new.json", 100000, 1000, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	newR.Runs[0].BackendCount = 1
+
+	var out, errOut strings.Builder
+	if code := gate(&out, &errOut, oldR, newR, 0.10, false, true); code != 0 {
+		t.Fatalf("warn-only gate exited %d", code)
+	}
+	if !strings.Contains(out.String(), "::warning") || !strings.Contains(out.String(), newR.Runs[0].key()) {
+		t.Fatalf("unmatched run not annotated:\n%s", out.String())
+	}
+	if strings.Contains(out.String(), "no regressions") {
+		t.Fatalf("gate that matched nothing reported success:\n%s", out.String())
+	}
+	out.Reset()
+	if code := gate(&out, &errOut, oldR, newR, 0.10, true, false); code == 0 {
+		t.Fatal("-strict gate exited 0 on an unmatched run")
+	}
+	if !strings.Contains(errOut.String(), "WARNING") {
+		t.Fatalf("unmatched run not warned on stderr:\n%s", errOut.String())
+	}
+
+	// Matching reports still pass cleanly.
+	out.Reset()
+	if code := gate(&out, &errOut, oldR, oldR, 0.10, true, false); code != 0 || !strings.Contains(out.String(), "no regressions") {
+		t.Fatalf("self-comparison: exit %d\n%s", code, out.String())
+	}
+}

@@ -59,8 +59,8 @@ type engineBenchConfig struct {
 	Shards []int
 	// Backends selects the multi-backend fabric mode: n >= 1 simulated
 	// heterogeneous backends (fast/fat to slow/thin, see simBackends)
-	// behind the engine's fetch fabric; 0 fetches directly with no
-	// fabric. With n >= 2 each shard count also runs a single-backend
+	// behind the engine's fetch fabric; 0 gives it one zero-latency
+	// in-process origin. With n >= 2 each shard count also runs a single-backend
 	// baseline so the fabric's aggregate throughput is compared
 	// against it in one invocation.
 	Backends int
@@ -327,7 +327,7 @@ func fabricOptions(cfg engineBenchConfig, backends int) []prefetcher.Option {
 
 // runEngineBenchOnce measures one engine configuration: shards is the
 // requested shard count (rounded up to a power of two), backends the
-// simulated backend count (0 = direct fetcher). A non-nil mmpp paces
+// simulated backend count (0 = one in-process origin). A non-nil mmpp paces
 // each client's arrivals on its own Markov-modulated Poisson clock.
 func runEngineBenchOnce(w io.Writer, cfg engineBenchConfig, mmpp *workload.MMPPConfig, shards, backends int, isBaseline, text bool) (engineRun, error) {
 	var (

@@ -57,7 +57,7 @@ func run() (retErr error) {
 		ecache    = flag.Int("cache", 256, "engine/trace mode: cache capacity (total, split across shards)")
 		eitems    = flag.Int("items", 2000, "engine mode: catalog size")
 		eshards   = flag.String("shards", "1,8", "engine/trace mode: comma-separated shard counts to sweep")
-		backends  = flag.Int("backends", 0, "engine/trace mode: simulated heterogeneous backends behind the fetch fabric (0 = direct fetcher; >= 2 in engine mode also runs a single-backend baseline)")
+		backends  = flag.Int("backends", 0, "engine/trace mode: simulated heterogeneous backends behind the fetch fabric (0 = one zero-latency in-process origin; >= 2 in engine mode also runs a single-backend baseline)")
 		session   = flag.Int("session", 0, "engine mode: batched session benchmark with this fan-out — each request becomes one GetMulti page-load session of N correlated keys, compared against a per-key Get loop over the same streams (0 = per-key mode)")
 		mmpp      = flag.String("mmpp", "", "engine mode: pace each client's arrivals by a two-state MMPP, given as 'rateHigh,rateLow,meanHigh,meanLow' (rates in arrivals/s, sojourns in s; empty = closed loop)")
 		valueb    = flag.Int("valuebytes", 0, "payload-store benchmark with this payload size: a hot-set GetBytes workload run over the boxed cache and again over the pointer-free slab store, diffing throughput and the GC bill (uses -cache as the resident entry budget)")

@@ -25,7 +25,8 @@ type traceBenchConfig struct {
 	Shards []int
 	// Backends selects multi-backend replay: n >= 1 simulated
 	// heterogeneous backends behind the fetch fabric serve the trace
-	// (item sizes still come from the records); 0 fetches directly.
+	// (item sizes still come from the records); 0 serves it from one
+	// zero-latency in-process origin.
 	Backends int
 	// JSON emits one machine-readable report instead of text.
 	JSON bool
@@ -144,9 +145,7 @@ func runTraceBenchOnce(w io.Writer, cfg traceBenchConfig, records int,
 		err error
 	)
 	if cfg.Backends > 0 {
-		backends := simBackends(cfg.Backends, cfg.Bandwidth, func(id fetch.ID) float64 {
-			return sizeOf(prefetcher.ID(id))
-		})
+		backends := simBackends(cfg.Backends, cfg.Bandwidth, sizeOf)
 		eng, shards, err = newBenchEngine("trace", nil, cfg.Bandwidth, cfg.Workers, cfg.CacheCap, shards,
 			prefetcher.WithBackends(backends...),
 			prefetcher.WithRouting(fetch.RouteLatency),

@@ -357,7 +357,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// engine's byte path; each record is then framed straight from its
 	// ByteRange — no per-item boxing, no per-item payload copy.
 	bp := bufPool.Get().(*[]byte)
-	buf, ranges, err := sp.engine.GetMultiBytes(r.Context(), toEngineIDs(ids), (*bp)[:0], nil)
+	buf, ranges, err := sp.engine.GetMultiBytes(r.Context(), ids, (*bp)[:0], nil)
 	*bp = buf[:0]
 	if err != nil {
 		putBuf(bp)
@@ -418,15 +418,6 @@ func (s *Server) closeEngines(ctx context.Context) {
 			s.logf("prefetchd: space %q: close: %v", name, err)
 		}
 	}
-}
-
-// toEngineIDs converts wire ids to engine ids (same underlying type).
-func toEngineIDs(ids []fetch.ID) []prefetcher.ID {
-	out := make([]prefetcher.ID, len(ids))
-	for i, id := range ids {
-		out[i] = prefetcher.ID(id)
-	}
-	return out
 }
 
 // writeFetchError maps an engine error onto an HTTP status: origin

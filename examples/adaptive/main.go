@@ -2,9 +2,10 @@
 // action, through the public engine. The engine watches the live
 // request stream while prefetching is running, estimates λ, s̄ and
 // (with the tagged-cache algorithm) the hypothetical no-prefetch hit
-// ratio h′, and keeps the prefetch threshold p_th = ρ̂′ current as the
-// workload shifts through three phases: quiet browsing, a traffic
-// surge, then a calm period with a warmed-up cache.
+// ratio h′, and keeps the prefetch threshold p_th = ρ̂′ — measured on
+// the origin link the fetches cross — current as the workload shifts
+// through three phases: quiet browsing, a traffic surge, then a calm
+// period with a warmed-up cache.
 //
 // Watch the same p=0.5 candidate flip from "prefetch" to "skip" and
 // back as the measured load moves — the behaviour that distinguishes
@@ -89,13 +90,16 @@ func main() {
 			}
 		}
 
+		// ρ̂′ is the controller's global estimate (1−ĥ′)λ̂ŝ̄/b; the cutoff
+		// in force is the origin link's own measured demand-only ρ̂′.
 		st := eng.Stats()
+		pth := st.Backends[0].RhoPrime
 		decision := "SKIP    "
-		if 0.5 > st.Threshold {
+		if 0.5 > pth {
 			decision = "PREFETCH"
 		}
-		fmt.Printf("%-42s  λ̂=%5.1f  ĥ′=%.2f  ρ̂′=%.2f  p_th=%.2f → p=0.5: %s\n",
-			ph.name, st.Lambda, st.HPrime, st.RhoPrime, st.Threshold, decision)
+		fmt.Printf("%-42s  λ̂=%5.1f  ĥ′=%.2f  ρ̂′=%.2f  link p_th=%.2f → p=0.5: %s\n",
+			ph.name, st.Lambda, st.HPrime, st.RhoPrime, pth, decision)
 	}
 
 	st := eng.Stats()

@@ -156,7 +156,7 @@ func (e *Engine) serveBytesFast(id ID, now float64, cands []predict.Prediction, 
 	e.ctrl.Estimator().OnHit(cache.ID(id))
 	e.ctrl.RecordRequest(now, size)
 	e.emit(Event{Type: EventHit, ID: id})
-	e.schedule(cands)
+	e.schedule(cands, now)
 	return out, true
 }
 
@@ -204,7 +204,7 @@ func (e *Engine) serveBytesLenFast(id ID, now float64, cands []predict.Predictio
 	e.ctrl.Estimator().OnHit(cache.ID(id))
 	e.ctrl.RecordRequest(now, size)
 	e.emit(Event{Type: EventHit, ID: id})
-	e.schedule(cands)
+	e.schedule(cands, now)
 	return n, true
 }
 
@@ -251,6 +251,7 @@ func (e *Engine) GetMultiBytes(ctx context.Context, ids []ID, buf []byte, ranges
 	misses := e.gatherMulti(ids, now, sc, &buf)
 	if misses > 0 {
 		e.fetchMultiMisses(ctx, ids, sc)
+		now = e.now() // the session waited on fetches
 	}
 	nerr := 0
 	states := sc.states
@@ -277,7 +278,7 @@ func (e *Engine) GetMultiBytes(ctx context.Context, ids []ID, buf []byte, ranges
 	if nerr > 0 {
 		err = buildMultiError(ids, states, nerr)
 	}
-	e.schedule(cands)
+	e.schedule(cands, now)
 	e.putMulti(sc)
 	e.putBufs(bufs)
 	return buf, ranges, err

@@ -116,17 +116,25 @@
 // wait-free snapshot: it reads no locks, never stalls a Get, and is
 // exact whenever traffic quiesces.
 //
-// The origin side can be a single Fetcher or a backend fetch fabric
-// (package repro/prefetcher/fetch, assembled with WithBackends): named
-// backends with static-weight or estimated-latency routing, failover
-// and hedged retries on the demand path (WithHedging — the next
-// backend is raced once the preferred one overruns its p95-derived
-// hedge delay, the loser cancelled via context), and batch coalescing
-// of adjacent speculative candidates for backends implementing
-// BatchFetcher. Each backend link carries its own latency, bandwidth
-// and utilisation estimators, and the admission threshold for a
-// candidate is evaluated against the ρ̂′ of the link its fetch would
-// actually use. WithIdleWatermark adds the paper's load-impedance
+// The origin side is always the fetch fabric (package
+// repro/prefetcher/fetch, whose ID, Item, Fetcher, FetcherFunc and
+// BatchFetcher this package aliases): the backends named with
+// WithBackends, or New's single Fetcher as the one backend "origin" on
+// the WithBandwidth link — the two constructions are the same engine.
+// The fabric gives named backends static-weight or estimated-latency
+// routing, failover and hedged retries on the demand path (WithHedging
+// — the next backend is raced once the preferred one overruns its
+// p95-derived hedge delay, the loser cancelled via context), and batch
+// coalescing of adjacent speculative candidates for backends
+// implementing BatchFetcher. Each backend link carries its own
+// latency, bandwidth and utilisation estimators, and the admission
+// threshold for a candidate is evaluated against the measured
+// demand-only ρ̂′ of the link its fetch would actually use — on every
+// engine, a single-Fetcher one included. That reading sits at or below
+// the controller's global estimate (1−ĥ′)λ̂ŝ̄/b which Stats.RhoPrime and
+// Threshold report, so an engine admits somewhat more than the global
+// figure alone suggests; Stats.Backends[i].RhoPrime is the number in
+// force. WithIdleWatermark adds the paper's load-impedance
 // result as a dispatch rule: speculative fetches for a link whose ρ̂
 // sits above the watermark are parked and dispatched only in that
 // link's idle periods (demand fetches are never gated). WithBreaker

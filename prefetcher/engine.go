@@ -60,9 +60,9 @@ func (f *flight) resolveLocked() {
 }
 
 // job is a queued speculative fetch. backend is the fabric backend the
-// candidate was routed to (unused without a fabric); batch, when
-// non-nil, carries a multi-candidate batch coalesced for one
-// batch-capable backend — id and f are then unused.
+// candidate was routed to; batch, when non-nil, carries a
+// multi-candidate batch coalesced for one batch-capable backend — id
+// and f are then unused.
 type job struct {
 	id      ID
 	f       *flight
@@ -76,13 +76,11 @@ type job struct {
 // (Engine.batchPool): dispatchRouted draws one, ownership moves to the
 // worker with the queue push, and whoever retires the job — the worker,
 // a failed push, or Close's drain — resets it back to the pool
-// (putBatch). fids is the worker-side staging buffer for the fabric
-// call, carried here so it is recycled with the job.
+// (putBatch).
 type batchJob struct {
 	backend int
 	ids     []ID
 	fs      []*flight
-	fids    []fetch.ID
 }
 
 // candBufs is the per-request scratch a Get borrows from the engine's
@@ -114,20 +112,12 @@ type candBufs struct {
 // Predictor plugins run under a compatibility mutex (see
 // Stats.PredictorLockFree).
 type Engine struct {
-	fetcher Fetcher
-	// fabric is the multi-backend fetch fabric (WithBackends, or a
-	// single fetcher wrapped for WithHedging/WithIdleWatermark/
-	// WithBreaker); nil for a plain single-fetcher engine. When set,
-	// fetcher is nil and every demand and speculative fetch goes
-	// through it.
-	fabric *fetch.Fabric
-	// batchFetcher is the plain engine's batch capability: the fetcher
-	// re-asserted once at New so GetMulti's demand batching does not
-	// type-assert per session. nil when the fetcher doesn't batch or
-	// when a fabric is set (the fabric carries its own batch seam).
-	batchFetcher BatchFetcher
-	pred         Predictor
-	predTop      TopPredictor // non-nil when pred supports bounded top-k prediction
+	// fabric is the fetch fabric every demand and speculative fetch
+	// goes through: the WithBackends links, or New's fetcher as the one
+	// backend "origin".
+	fabric  *fetch.Fabric
+	pred    Predictor
+	predTop TopPredictor // non-nil when pred supports bounded top-k prediction
 	// predTopInto is the zero-allocation variant for external
 	// predictors that implement it.
 	predTopInto TopIntoPredictor
@@ -213,8 +203,10 @@ type Engine struct {
 	idle        chan struct{}
 }
 
-// New assembles an Engine around the given origin fetcher. With no
-// options it uses a Markov-1 predictor, a 1024-item LRU cache
+// New assembles an Engine around the given origin fetcher, which
+// becomes the fetch fabric's one backend "origin" on the WithBandwidth
+// link (pass nil with WithBackends to name the backends yourself).
+// With no options it uses a Markov-1 predictor, a 1024-item LRU cache
 // partitioned across GOMAXPROCS-derived shards, the wall clock and the
 // paper's adaptive threshold policy under interaction model A — which
 // requires WithBandwidth, the one parameter with no sensible default.
@@ -249,7 +241,6 @@ func New(fetcher Fetcher, opts ...Option) (*Engine, error) {
 	//lint:allow ctxflow engine-owned lifecycle root, cancelled in Close
 	ctx, cancel := context.WithCancel(context.Background())
 	e := &Engine{
-		fetcher:     fetcher,
 		pred:        cfg.predictor,
 		clock:       cfg.clock,
 		policy:      cfg.policy.p,
@@ -353,26 +344,15 @@ func New(fetcher Fetcher, opts ...Option) (*Engine, error) {
 	// The fabric is built last: it starts idle-gate drainer goroutines,
 	// and every earlier construction failure returns without anything
 	// to tear down (cancel() alone suffices — no workers, no fabric).
-	fab, err := e.newFabric(fetcher, cfg)
-	if err != nil {
+	var err error
+	if e.fabric, err = e.newFabric(fetcher, cfg); err != nil {
 		cancel()
 		return nil, err
 	}
-	e.fabric = fab
-	if fab != nil {
-		e.fetcher = nil // every fetch goes through the fabric
-	}
-	if e.fetcher != nil {
-		e.batchFetcher, _ = e.fetcher.(BatchFetcher)
-	}
 	e.multiPool.New = func() any { return &multiScratch{} }
 	if cfg.mergeWindow > 0 {
-		nb := 1
-		if e.fabric != nil {
-			nb = e.fabric.NumBackends()
-		}
 		e.mergeWindow, e.mergeMax = cfg.mergeWindow, cfg.mergeMax
-		e.mergers = make([]*demandMerger, nb)
+		e.mergers = make([]*demandMerger, e.fabric.NumBackends())
 		for i := range e.mergers {
 			e.mergers[i] = &demandMerger{full: make(chan struct{}, 1)}
 		}
@@ -559,8 +539,9 @@ func (e *Engine) serveResident(sh *shard, id ID, now float64, v any, recordArriv
 		e.emit(Event{Type: EventHit, ID: id})
 	} else {
 		e.ctrl.RecordSize(size)
+		now = e.now() // the arrival reading predates the join wait
 	}
-	e.schedule(cands)
+	e.schedule(cands, now)
 	return Item{ID: id, Size: size, Data: v}
 }
 
@@ -687,30 +668,20 @@ func (e *Engine) finishJoined(sh *shard, id ID, item Item, cands []predict.Predi
 	}
 	e.ctrl.Estimator().OnHit(cache.ID(id))
 	e.ctrl.RecordSize(item.Size)
-	e.schedule(cands)
+	e.schedule(cands, e.now())
 	return Item{ID: id, Size: item.Size, Data: item.Data}
 }
 
 // demandFetch fetches id on the caller's goroutine; f is the flight the
 // caller registered for it. The arrival is already recorded.
 func (e *Engine) demandFetch(ctx context.Context, sh *shard, id ID, f *flight, cands []predict.Prediction) (Item, error) {
-	item, err := e.demandFetchOne(ctx, id)
+	item, err := e.fabric.Fetch(ctx, id)
 	item, err = e.completeDemand(sh, id, f, item, err)
 	if err != nil {
 		return Item{}, err
 	}
-	e.schedule(cands)
+	e.schedule(cands, e.now())
 	return item, nil
-}
-
-// demandFetchOne retrieves one id on the caller's goroutine through
-// whichever demand path the engine runs — the fetch fabric or the
-// plain fetcher.
-func (e *Engine) demandFetchOne(ctx context.Context, id ID) (Item, error) {
-	if e.fabric != nil {
-		return e.fabricDemandFetch(ctx, id)
-	}
-	return e.fetcher.Fetch(ctx, id)
 }
 
 // completeDemand lands one finished demand fetch for a flight this
@@ -753,38 +724,13 @@ func (e *Engine) completeDemand(sh *shard, id ID, f *flight, item Item, err erro
 	return item, nil
 }
 
-// schedule filters candidates through the policy at the current
-// estimates and dispatches the admitted ones to the worker pool. Each
-// candidate is registered under its own shard's lock; at most one shard
-// mutex is held at a time. With a fetch fabric the admission threshold
-// is evaluated per link instead (scheduleRouted).
-func (e *Engine) schedule(cands []predict.Prediction) {
-	if len(cands) == 0 {
-		return
-	}
-	if e.fabric != nil {
-		e.scheduleRouted(cands)
-		return
-	}
-	st := e.ctrl.State(e.occupancy())
-	sel := e.policy.Select(cands, st)
-	if len(sel) > e.maxPrefetch {
-		sel = sel[:e.maxPrefetch]
-	}
-	for _, c := range sel {
-		if !e.enqueue(ID(c.Item), 0) {
-			return
-		}
-	}
-}
-
 // enqueue registers a flight as id's in-flight fetch and hands the job
-// to the worker pool — the single-candidate dispatch shared by schedule
-// and the fabric's routed path. Dedup against the cache and in-flight
-// table, the closed re-check and the queue push all happen under the
-// shard lock, so Close's barrier covers them; the flight is drawn from
-// the pool only once dedup has decided a fetch is actually needed.
-// Returns false only when the engine is closed.
+// to the worker pool — the single-candidate dispatch. Dedup against
+// the cache and in-flight table, the closed re-check and the queue
+// push all happen under the shard lock, so Close's barrier covers
+// them; the flight is drawn from the pool only once dedup has decided
+// a fetch is actually needed. Returns false only when the engine is
+// closed.
 func (e *Engine) enqueue(id ID, backend int) bool {
 	sh := e.shardFor(id)
 	sh.mu.Lock()
@@ -846,14 +792,7 @@ func (e *Engine) runPrefetch(j job) {
 		e.runPrefetchBatch(j.batch)
 		return
 	}
-	var item Item
-	var err error
-	if e.fabric != nil {
-		fi, ferr := e.fabric.FetchSpeculative(e.baseCtx, j.backend, fetch.ID(j.id))
-		item, err = Item{ID: ID(fi.ID), Size: fi.Size, Data: fi.Data}, ferr
-	} else {
-		item, err = e.fetcher.Fetch(e.baseCtx, j.id)
-	}
+	item, err := e.fabric.FetchSpeculative(e.baseCtx, j.backend, j.id)
 	e.completePrefetch(j.id, j.f, item, err)
 	e.specDone()
 }
@@ -994,11 +933,9 @@ func (e *Engine) Stats() Stats {
 	s.MultiGets = e.multiGets.Load()
 	s.BatchedKeys = e.batchedKeys.Load()
 	s.MergedSessions = e.mergedSessions.Load()
-	if e.fabric != nil {
-		s.Backends = e.fabric.Stats(e.now())
-		for _, b := range s.Backends {
-			s.PrefetchDeferred += b.Deferred
-		}
+	s.Backends = e.fabric.Stats(e.now())
+	for _, b := range s.Backends {
+		s.PrefetchDeferred += b.Deferred
 	}
 	return s
 }
@@ -1082,11 +1019,8 @@ drain:
 			break drain
 		}
 	}
-	if e.fabric != nil {
-		// Stops the idle-gate drainers and sheds parked candidates.
-		// Releases racing the closed flag were rejected by enqueue's
-		// shard-locked re-check above.
-		return e.fabric.Close()
-	}
-	return nil
+	// Stops the idle-gate drainers and sheds parked candidates.
+	// Releases racing the closed flag were rejected by enqueue's
+	// shard-locked re-check above.
+	return e.fabric.Close()
 }

@@ -151,6 +151,10 @@ func TestHitMissAndStats(t *testing.T) {
 	if st.HitRatio() != 0.5 {
 		t.Fatalf("hit ratio = %v, want 0.5", st.HitRatio())
 	}
+	// New's fetcher is the fabric's one backend.
+	if len(st.Backends) != 1 || st.Backends[0].Name != "origin" || st.Backends[0].Demand != 1 {
+		t.Fatalf("Stats.Backends = %+v, want the one origin backend with 1 demand fetch", st.Backends)
+	}
 }
 
 // TestSpeculativePrefetch drives a perfectly predictable cyclic stream

@@ -1,79 +1,27 @@
 package prefetcher
 
 import (
-	"context"
 	"slices"
 
 	"repro/internal/predict"
 	"repro/prefetcher/fetch"
 )
 
-// This file wires the backend fetch fabric (package prefetcher/fetch)
-// into the engine: construction from the configured backends, the
-// routed speculative dispatch path with per-link admission thresholds,
-// batch coalescing, and the idle-gate release callback. The demand
-// side is one branch in demandFetch — the fabric sits entirely behind
-// the Fetcher seam.
-
-// fetcherAdapter lifts a public Fetcher to the fabric's vocabulary, so
-// a plain single-origin engine can still be given hedged retries and
-// the idle gate by wrapping its fetcher as one backend.
-type fetcherAdapter struct{ f Fetcher }
-
-func (a fetcherAdapter) Fetch(ctx context.Context, id fetch.ID) (fetch.Item, error) {
-	item, err := a.f.Fetch(ctx, ID(id))
-	return fetch.Item{ID: fetch.ID(item.ID), Size: item.Size, Data: item.Data}, err
-}
-
-// batchFetcherAdapter additionally forwards the batch capability.
-type batchFetcherAdapter struct {
-	fetcherAdapter
-	bf BatchFetcher
-}
-
-func (a batchFetcherAdapter) FetchBatch(ctx context.Context, ids []fetch.ID) ([]fetch.Item, error) {
-	pids := make([]ID, len(ids))
-	for i, id := range ids {
-		pids[i] = ID(id)
-	}
-	items, err := a.bf.FetchBatch(ctx, pids)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]fetch.Item, len(items))
-	for i, it := range items {
-		out[i] = fetch.Item{ID: fetch.ID(it.ID), Size: it.Size, Data: it.Data}
-	}
-	return out, nil
-}
-
-// adaptFetcher wraps a public Fetcher for use as a fabric backend,
-// preserving an implemented BatchFetcher.
-func adaptFetcher(f Fetcher) fetch.Fetcher {
-	if bf, ok := f.(BatchFetcher); ok {
-		return batchFetcherAdapter{fetcherAdapter{f}, bf}
-	}
-	return fetcherAdapter{f}
-}
+// This file wires the fetch fabric (package prefetcher/fetch) into the
+// engine: construction from the configured backends, the speculative
+// dispatch path with per-link admission thresholds, batch coalescing,
+// and the idle-gate release callback. The demand side is the
+// e.fabric.Fetch call in demandFetch.
 
 // newFabric assembles the engine's fetch fabric from the validated
-// config, or returns nil when the engine runs a plain fetcher with no
-// hedging and no idle gate. Called from New after e.epoch is set, so
-// the fabric's link estimates share the controller's timeline.
+// config: the WithBackends links, or fetcher as the one backend
+// "origin" on the engine's configured link. Called from New after
+// e.epoch is set, so the fabric's link estimates share the
+// controller's timeline.
 func (e *Engine) newFabric(fetcher Fetcher, cfg *config) (*fetch.Fabric, error) {
 	backends := cfg.backends
 	if len(backends) == 0 {
-		if cfg.hedging == nil && cfg.idleWatermark == 0 && cfg.breaker == nil {
-			return nil, nil
-		}
-		// Hedging/idle gating/circuit breaking on a single origin: wrap
-		// the fetcher as the fabric's one backend, on the engine's
-		// configured link.
-		backends = []fetch.Backend{{
-			Name:      "origin",
-			Fetcher:   adaptFetcher(fetcher),
-			Bandwidth: cfg.bandwidth,
-		}}
+		backends = []fetch.Backend{{Name: "origin", Fetcher: fetcher, Bandwidth: cfg.bandwidth}}
 	}
 	return fetch.New(fetch.Config{
 		Backends:      backends,
@@ -87,25 +35,17 @@ func (e *Engine) newFabric(fetcher Fetcher, cfg *config) (*fetch.Fabric, error) 
 	})
 }
 
-// fabricDemandFetch serves one demand fetch through the fabric.
-func (e *Engine) fabricDemandFetch(ctx context.Context, id ID) (Item, error) {
-	fi, err := e.fabric.Fetch(ctx, fetch.ID(id))
-	return Item{ID: ID(fi.ID), Size: fi.Size, Data: fi.Data}, err
-}
-
 // routeScratch is the pooled planning state for one routed dispatch
 // pass: the per-backend partition and selection tables, the flattened
-// global-cap sort buffer and keep set, and the id staging buffers.
-// Pooling it is what keeps the fabric's speculative planning
-// allocation-free in steady state (gated by
-// TestFabricBatchDispatchAllocFree).
+// global-cap sort buffer and keep set, and the id staging buffer.
+// Pooling it is what keeps speculative planning allocation-free in
+// steady state (gated by TestFabricBatchDispatchAllocFree).
 type routeScratch struct {
 	groups [][]predict.Prediction
 	sels   [][]predict.Prediction
 	flat   []predict.Prediction
 	keep   map[ID]bool
 	ids    []ID
-	fids   []fetch.ID
 }
 
 //prefetch:hotpath
@@ -123,7 +63,7 @@ func (e *Engine) getBatch() *batchJob { return e.batchPool.Get().(*batchJob) }
 //prefetch:hotpath
 func (e *Engine) putBatch(bj *batchJob) {
 	clear(bj.fs)
-	bj.ids, bj.fs, bj.fids = bj.ids[:0], bj.fs[:0], bj.fids[:0]
+	bj.ids, bj.fs = bj.ids[:0], bj.fs[:0]
 	e.batchPool.Put(bj)
 }
 
@@ -138,27 +78,32 @@ func compareByProb(a, b predict.Prediction) int {
 	}
 }
 
-// scheduleRouted is schedule's fabric-mode counterpart: candidates are
-// partitioned by the backend the router would fetch them from, each
-// group is admitted against the threshold computed from *that link's*
-// ρ̂′ — the load the candidate's own fetch would compete with — and
-// the admitted ones are dispatched per backend: parked when the link
-// sits above the idle watermark, coalesced into one batch call when
-// the backend supports it, individual jobs otherwise. All planning
-// state lives in a pooled routeScratch, so the pass allocates nothing
-// in steady state.
+// schedule filters a request's candidates through the policy and
+// dispatches the admitted ones: candidates are partitioned by the
+// backend the router would fetch them from, each group is admitted
+// against the threshold computed from *that link's* ρ̂′ — the load the
+// candidate's own fetch would compete with — and the admitted ones are
+// dispatched per backend: parked when the link sits above the idle
+// watermark, coalesced into one batch call when the backend supports
+// it, individual jobs otherwise. Each candidate is registered under
+// its own shard's lock; at most one shard mutex is held at a time. All
+// planning state lives in a pooled routeScratch, so the pass allocates
+// nothing in steady state. now is the time the link estimates are read
+// at: a hit passes its arrival reading (one clock read per hit), a path
+// that waited on a fetch reads the clock afresh.
 //
 //prefetch:hotpath
-func (e *Engine) scheduleRouted(cands []predict.Prediction) {
+func (e *Engine) schedule(cands []predict.Prediction, now float64) {
+	if len(cands) == 0 {
+		return
+	}
 	nb := e.fabric.NumBackends()
 	nc := e.occupancy()
-	now := e.now()
 
 	if nb == 1 {
-		// Single backend (the wrapped-origin case): no partitioning to
-		// do, and when the link is open and not batch-capable the
-		// dispatch loop below allocates nothing — the wrapped engine
-		// keeps the plain path's zero-allocation property.
+		// Single backend (every engine built from one Fetcher): no
+		// partitioning to do, and when the link is open and not
+		// batch-capable the dispatch loop below needs no scratch at all.
 		st := e.ctrl.StateForLink(e.fabric.Link(0), now, nc)
 		sel := e.policy.Select(cands, st)
 		if len(sel) > e.maxPrefetch {
@@ -201,7 +146,7 @@ func (e *Engine) scheduleRouted(cands []predict.Prediction) {
 		groups[b], sels[b] = groups[b][:0], sels[b][:0]
 	}
 	for _, c := range cands {
-		b := e.fabric.Route(fetch.ID(c.Item))
+		b := e.fabric.Route(ID(c.Item))
 		groups[b] = append(groups[b], c)
 	}
 	total := 0
@@ -277,10 +222,10 @@ func (e *Engine) deferOrDispatch(b int, ids []ID) {
 		// dedup dispatch applies), so the Deferred count and the
 		// bounded queue only carry work an idle period could
 		// actually use; the fabric additionally drops ids already
-		// parked. Defer copies the accepted ids into its park queue,
-		// so the staging buffer goes straight back to the pool.
-		sc := e.getRoute()
-		fids := sc.fids[:0]
+		// parked. The filter compacts ids in place — it is the caller's
+		// staging buffer, dead once this call returns — and Defer copies
+		// the accepted ids into its park queue.
+		park := ids[:0]
 		for _, id := range ids {
 			sh := e.shardFor(id)
 			sh.mu.Lock()
@@ -288,16 +233,14 @@ func (e *Engine) deferOrDispatch(b int, ids []ID) {
 			resident := sh.cache.Contains(id)
 			sh.mu.Unlock()
 			if !inflight && !resident {
-				fids = append(fids, fetch.ID(id))
+				park = append(park, id)
 			}
 		}
-		sc.fids = fids
-		if len(fids) > 0 {
-			for _, fid := range e.fabric.Defer(b, fids...) {
-				e.emit(Event{Type: EventPrefetchDeferred, ID: ID(fid)})
+		if len(park) > 0 {
+			for _, id := range e.fabric.Defer(b, park...) {
+				e.emit(Event{Type: EventPrefetchDeferred, ID: id})
 			}
 		}
-		e.putRoute(sc)
 		return
 	}
 	e.dispatchRouted(b, ids)
@@ -461,38 +404,23 @@ func (e *Engine) failBatch(bj *batchJob, err error) {
 // their link idles. Dedup against the cache and in-flight table
 // happens in dispatchRouted; the admission decision was made when the
 // candidate was planned and is not revisited.
-func (e *Engine) releaseDeferred(backend int, fids []fetch.ID) {
+func (e *Engine) releaseDeferred(backend int, ids []ID) {
 	if e.closed.Load() {
 		return // dispatchRouted re-checks under the shard locks
 	}
-	sc := e.getRoute()
-	ids := sc.ids[:0]
-	for _, id := range fids {
-		ids = append(ids, ID(id))
-	}
-	sc.ids = ids
-	// dispatchRouted consumes ids synchronously (copied into the batch
-	// job or the individual job structs), so the scratch goes straight
-	// back.
 	e.dispatchRouted(backend, ids)
-	e.putRoute(sc)
 }
 
 // runPrefetchBatch executes one coalesced speculative fetch and
 // completes every flight it carried, then retires the pooled job. The
 // fabric's batch call is synchronous (no hedge goroutine outlives it),
-// so the job's fid staging buffer is free to reuse once it returns.
+// so the job's id slice is free to recycle once it returns.
 func (e *Engine) runPrefetchBatch(bj *batchJob) {
-	fids := bj.fids[:0]
-	for _, id := range bj.ids {
-		fids = append(fids, fetch.ID(id))
-	}
-	bj.fids = fids
-	items, err := e.fabric.FetchSpeculativeBatch(e.baseCtx, bj.backend, fids)
+	items, err := e.fabric.FetchSpeculativeBatch(e.baseCtx, bj.backend, bj.ids)
 	for i, id := range bj.ids {
 		var item Item
 		if err == nil {
-			item = Item{ID: ID(items[i].ID), Size: items[i].Size, Data: items[i].Data}
+			item = items[i]
 		}
 		e.completePrefetch(id, bj.fs[i], item, err)
 		e.specDone()

@@ -3,6 +3,7 @@ package prefetcher
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -123,6 +124,83 @@ func TestSingleFetcherWrappedForIdleGate(t *testing.T) {
 	}
 	if calls.Load() == 0 {
 		t.Fatal("wrapped fetcher never called")
+	}
+}
+
+// TestNewFetcherIsOriginBackendSugar pins New(f, …) as sugar for
+// New(nil, WithBackends({"origin", f, b}), …): the same trace through
+// both constructions must leave identical Stats — engine counters,
+// estimates and the backend's own counters and link estimates.
+func TestNewFetcherIsOriginBackendSugar(t *testing.T) {
+	const bandwidth = 40
+	for _, tc := range []struct {
+		name string
+		mk   func() Fetcher
+		// maxPrefetch is 1 without batching: two single jobs from one plan
+		// would let the first one's landing (and its eviction) race the
+		// second one's dedup check, and the counts would stop being a
+		// function of the trace. A batch dedups the whole plan before its
+		// one job is pushed.
+		maxPrefetch int
+	}{
+		{"Fetcher", func() Fetcher { return &okBackend{} }, 1},
+		{"BatchFetcher", func() Fetcher { return &batchBackend{} }, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(fetcher Fetcher, construct ...Option) Stats {
+				t.Helper()
+				clock := NewManualClock(time.Unix(0, 0))
+				eng, err := New(fetcher, append(construct,
+					WithBandwidth(bandwidth),
+					WithClock(clock),
+					WithCache(NewLRUCache(4)),
+					WithWorkers(1),
+					WithMaxPrefetch(tc.maxPrefetch),
+				)...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer eng.Close()
+				ctx := context.Background()
+				step := func(err error) {
+					t.Helper()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := eng.Quiesce(ctx); err != nil {
+						t.Fatal(err)
+					}
+					clock.AdvanceSeconds(0.05)
+				}
+				// A branching cycle over more ids than the cache holds
+				// (hits, misses, prefetches used and wasted), with a
+				// session every ten requests for the demand-batch path.
+				for i := 0; i < 120; i++ {
+					id := ID(i % 6)
+					if i%4 == 3 {
+						id += 6
+					}
+					_, err := eng.Get(ctx, id)
+					step(err)
+					if i%10 == 9 {
+						_, err := eng.GetMulti(ctx, []ID{20, ID(21 + i%3), 22})
+						step(err)
+					}
+				}
+				return eng.Stats()
+			}
+			plain := run(tc.mk())
+			named := run(nil, WithBackends(fetch.Backend{Name: "origin", Fetcher: tc.mk(), Bandwidth: bandwidth}))
+			if !reflect.DeepEqual(plain, named) {
+				t.Fatalf("constructions diverge:\n New(f):        %+v\n WithBackends:  %+v", plain, named)
+			}
+			if plain.PrefetchUsed == 0 || plain.PrefetchWasted == 0 || plain.Backends[0].Speculative == 0 {
+				t.Fatalf("trace too tame to pin anything: %+v", plain)
+			}
+			if tc.maxPrefetch > 1 && (plain.Backends[0].BatchCalls == 0 || plain.Backends[0].DemandBatchCalls == 0) {
+				t.Fatalf("batch paths not exercised: %+v", plain.Backends[0])
+			}
+		})
 	}
 }
 
@@ -391,6 +469,69 @@ func TestEngineBatchesAdjacentCandidates(t *testing.T) {
 	}
 	if backend.items.Load() < 2 {
 		t.Fatalf("batched %d items, want >= 2", backend.items.Load())
+	}
+}
+
+// reversedBatchBackend answers batches with the items in reverse
+// order, each carrying its own id as payload.
+type reversedBatchBackend struct{}
+
+func (reversedBatchBackend) Fetch(ctx context.Context, id fetch.ID) (fetch.Item, error) {
+	return fetch.Item{ID: id, Size: 1, Data: id}, nil
+}
+
+func (reversedBatchBackend) FetchBatch(ctx context.Context, ids []fetch.ID) ([]fetch.Item, error) {
+	out := make([]fetch.Item, len(ids))
+	for i, id := range ids {
+		out[len(ids)-1-i] = fetch.Item{ID: id, Size: 1, Data: id}
+	}
+	return out, nil
+}
+
+// TestMisorderedSpeculativeBatchCachesNothing: a speculative batch whose
+// reply is out of request order must fail whole — filing items[i] under
+// ids[i] would serve 103's payload to a later Get(101) as a hit.
+func TestMisorderedSpeculativeBatchCachesNothing(t *testing.T) {
+	eng, err := New(nil,
+		WithBandwidth(1e6),
+		WithPolicy(TopK(2)),
+		WithMaxPrefetch(2),
+		WithCache(NewLRUCache(4)),
+		WithBackends(fetch.Backend{Name: "reversed", Fetcher: reversedBatchBackend{}}),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+
+	ctx := context.Background()
+	get := func(id ID) Item {
+		t.Helper()
+		item, err := eng.Get(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Quiesce(ctx); err != nil {
+			t.Fatal(err)
+		}
+		return item
+	}
+	// Learn 100→101 and 100→103, flush all three with four fillers, then
+	// revisit 100: both successors are candidates and neither is
+	// resident, so they travel as one speculative batch.
+	for _, id := range []ID{100, 101, 100, 103, 200, 201, 202, 203, 100} {
+		get(id)
+	}
+	st := eng.Stats()
+	if st.Backends[0].BatchCalls != 1 || st.Backends[0].Errors != 1 || st.PrefetchErrors != 2 {
+		t.Fatalf("batch calls=%d backend errors=%d prefetch errors=%d, want 1/1/2",
+			st.Backends[0].BatchCalls, st.Backends[0].Errors, st.PrefetchErrors)
+	}
+	if item := get(101); item.Data != fetch.ID(101) {
+		t.Fatalf("Get(101) served payload %v", item.Data)
+	}
+	if after := eng.Stats(); after.Hits != st.Hits {
+		t.Fatalf("Get(101) was a hit (%d → %d): the failed batch cached something", st.Hits, after.Hits)
 	}
 }
 

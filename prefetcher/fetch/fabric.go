@@ -616,8 +616,8 @@ func (f *Fabric) Fetch(ctx context.Context, id ID) (Item, error) {
 			if retry {
 				b.retries.Add(1)
 			}
-			b.link.RecordDemand(f.nowf())
 			start := f.nowf()
+			b.link.RecordDemand(start)
 			go func() {
 				actx, acancel := attemptCtx(wctx, b.cfg.DemandTimeout)
 				item, err := b.cfg.Fetcher.Fetch(actx, id)
@@ -730,8 +730,8 @@ func (f *Fabric) fetchSequential(ctx context.Context, id ID, attempts int, backo
 			b.retries.Add(1)
 		}
 		attempted++
-		b.link.RecordDemand(f.nowf())
 		start := f.nowf()
+		b.link.RecordDemand(start)
 		actx, acancel := attemptCtx(ctx, b.cfg.DemandTimeout)
 		item, err := b.cfg.Fetcher.Fetch(actx, id)
 		acancel()
@@ -798,36 +798,7 @@ func (f *Fabric) FetchDemandBatch(ctx context.Context, backend int, ids []ID, ou
 	b.demand.Add(int64(len(ids)))
 	b.demandBatchCalls.Add(1)
 	b.demandBatchedItems.Add(int64(len(ids)))
-	// One link dispatch for the whole batch: the coalesced keys travel
-	// in one backend round trip, which is the point of the demand batch.
-	b.link.RecordDemand(f.nowf())
-	start := f.nowf()
-	actx, acancel := attemptCtx(ctx, b.cfg.DemandTimeout)
-	items, err := b.batch.FetchBatch(actx, ids)
-	acancel()
-	if err == nil {
-		if len(items) != len(ids) {
-			err = fmt.Errorf("fetch: backend %q returned %d items for a %d-id demand batch", b.cfg.Name, len(items), len(ids))
-		} else {
-			for i, it := range items {
-				if it.ID != ids[i] {
-					err = fmt.Errorf("fetch: backend %q returned id %d at position %d of a demand batch (want %d)", b.cfg.Name, it.ID, i, ids[i])
-					break
-				}
-			}
-		}
-	}
-	var total Item
-	if err == nil {
-		for _, it := range items {
-			size := it.Size
-			if size <= 0 {
-				size = 1
-			}
-			total.Size += size
-		}
-	}
-	f.observe(b, start, total, err, true, probe)
+	items, err := f.fetchBatch(ctx, b, ids, true, probe)
 	if err != nil {
 		// Batch failure or contract violation: degrade to per-key
 		// fallback fetches so one bad reply cannot fail the session.
@@ -838,6 +809,49 @@ func (f *Fabric) FetchDemandBatch(ctx context.Context, backend int, ids []ID, ou
 	for i := range ids {
 		errs[i] = nil
 	}
+}
+
+// fetchBatch runs one FetchBatch round trip on backend b for either
+// traffic class and holds the reply to the contract — exactly one item
+// per requested id, in request order — before folding the outcome into
+// b's estimators: a short or misordered reply is a failed attempt like
+// any other, so no caller ever files items[i] under the wrong id.
+func (f *Fabric) fetchBatch(ctx context.Context, b *backendState, ids []ID, demand, probe bool) ([]Item, error) {
+	// One link dispatch for the whole batch: the items travel in one
+	// backend round trip, which is the point of coalescing.
+	start := f.nowf()
+	timeout := b.cfg.SpeculativeTimeout
+	if demand {
+		timeout = b.cfg.DemandTimeout
+		b.link.RecordDemand(start)
+	} else {
+		b.link.RecordSpeculative(start)
+	}
+	actx, acancel := attemptCtx(ctx, timeout)
+	items, err := b.batch.FetchBatch(actx, ids)
+	acancel()
+	if err == nil && len(items) != len(ids) {
+		err = fmt.Errorf("fetch: backend %q returned %d items for a %d-id batch", b.cfg.Name, len(items), len(ids))
+	}
+	var total Item
+	if err == nil {
+		for i, it := range items {
+			if it.ID != ids[i] {
+				err = fmt.Errorf("fetch: backend %q returned id %d at position %d of a batch (want %d)", b.cfg.Name, it.ID, i, ids[i])
+				break
+			}
+			size := it.Size
+			if size <= 0 {
+				size = 1
+			}
+			total.Size += size
+		}
+	}
+	f.observe(b, start, total, err, demand, probe)
+	if err != nil {
+		return nil, err
+	}
+	return items, nil
 }
 
 // demandFallback serves a demand batch key by key through the full
@@ -876,8 +890,8 @@ func (f *Fabric) FetchSpeculative(ctx context.Context, backend int, id ID) (Item
 		return Item{}, ErrBreakerOpen
 	}
 	b.speculative.Add(1)
-	b.link.RecordSpeculative(f.nowf())
 	start := f.nowf()
+	b.link.RecordSpeculative(start)
 	actx, acancel := attemptCtx(ctx, b.cfg.SpeculativeTimeout)
 	item, err := b.cfg.Fetcher.Fetch(actx, id)
 	acancel()
@@ -889,7 +903,8 @@ func (f *Fabric) FetchSpeculative(ctx context.Context, backend int, id ID) (Item
 // one backend as a single FetchBatch call when the backend supports
 // it, falling back to sequential single fetches otherwise. On success
 // the returned slice has exactly one Item per id, in id order; an
-// error fails the whole batch.
+// error — a short or misordered reply included — fails the whole batch
+// and is counted in the backend's Errors.
 func (f *Fabric) FetchSpeculativeBatch(ctx context.Context, backend int, ids []ID) ([]Item, error) {
 	if f.closed.Load() {
 		return nil, ErrClosed
@@ -913,31 +928,7 @@ func (f *Fabric) FetchSpeculativeBatch(ctx context.Context, backend int, ids []I
 	b.speculative.Add(int64(len(ids)))
 	b.batchCalls.Add(1)
 	b.batchedItems.Add(int64(len(ids)))
-	// One link dispatch for the whole batch: the items travel in one
-	// backend round trip, which is the point of coalescing.
-	b.link.RecordSpeculative(f.nowf())
-	start := f.nowf()
-	actx, acancel := attemptCtx(ctx, b.cfg.SpeculativeTimeout)
-	items, err := b.batch.FetchBatch(actx, ids)
-	acancel()
-	if err == nil && len(items) != len(ids) {
-		err = fmt.Errorf("fetch: backend %q returned %d items for a %d-id batch", b.cfg.Name, len(items), len(ids))
-	}
-	var total Item
-	if err == nil {
-		for _, it := range items {
-			size := it.Size
-			if size <= 0 {
-				size = 1
-			}
-			total.Size += size
-		}
-	}
-	f.observe(b, start, total, err, false, probe)
-	if err != nil {
-		return nil, err
-	}
-	return items, nil
+	return f.fetchBatch(ctx, b, ids, false, probe)
 }
 
 // --- idle-period dispatch gate -------------------------------------------

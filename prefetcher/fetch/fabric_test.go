@@ -343,6 +343,21 @@ func TestFetchSpeculativeBatchRejectsShortReply(t *testing.T) {
 	}
 }
 
+// A misordered reply must fail the speculative batch whole, like a short
+// one: the engine files items[i] under ids[i], so accepting it would
+// cache one id's payload under another.
+func TestFetchSpeculativeBatchRejectsMisorderedReply(t *testing.T) {
+	f := newTestFabric(t, Config{Backends: []Backend{
+		{Name: "misordered", Fetcher: &misorderedBatchFetcher{}},
+	}})
+	if items, err := f.FetchSpeculativeBatch(context.Background(), 0, []ID{101, 102, 103}); err == nil {
+		t.Fatalf("misordered batch reply must error, got %+v", items)
+	}
+	if st := f.Stats(0)[0]; st.Errors != 1 {
+		t.Fatalf("Errors = %d, want the violating batch counted once", st.Errors)
+	}
+}
+
 // manualNow is a hand-advanced time source for gate tests.
 type manualNow struct {
 	mu  sync.Mutex

@@ -9,13 +9,15 @@
 // periods (the load-impedance result: the same prefetch costs a
 // multiple under load of what it costs when the link is quiet).
 //
-// The package is deliberately self-contained: it defines its own ID,
-// Item and Fetcher vocabulary (same shapes as package prefetcher's)
-// so the engine can sit on top of it without an import cycle, exactly
-// as the engine already converts at the internal/cache boundary. Most
-// users never construct a Fabric directly — prefetcher.WithBackends
-// assembles one inside the engine — but the type is usable standalone
-// as a routing/hedging Fetcher for any client.
+// The package owns the fetch-side vocabulary: ID, Item, Fetcher,
+// FetcherFunc and BatchFetcher are defined here, below the engine in
+// the import graph, and package prefetcher aliases them — one set of
+// types, so ids and items cross the engine/fabric seam unconverted and
+// an adapter written against either package serves both. Most users
+// never construct a Fabric directly — every prefetcher.Engine
+// assembles one, from WithBackends or from New's single fetcher — but
+// the type is usable standalone as a routing/hedging Fetcher for any
+// client.
 package fetch
 
 import (
@@ -23,7 +25,7 @@ import (
 	"time"
 )
 
-// ID identifies a fetchable item (same id space as prefetcher.ID).
+// ID identifies a fetchable item (prefetcher.ID is this type).
 type ID int64
 
 // Item is a fetched object: its id, its size in the same units per
@@ -54,12 +56,12 @@ func (f FetcherFunc) Fetch(ctx context.Context, id ID) (Item, error) { return f(
 // coalesce several ids into one backend call. FetchBatch must return
 // exactly one Item per requested id, in request order. The fabric
 // batches two kinds of traffic through it: adjacent speculative
-// candidates (FetchSpeculativeBatch, where an error fails the whole
-// batch — a lost prefetch costs nothing) and a session's coalesced
-// demand misses (FetchDemandBatch, where a batch error or a short or
-// misordered reply degrades to per-key fallback fetches — demand keys
-// have callers waiting on each of them). Singleton demand fetches stay
-// single-item so they can be hedged and cancelled individually.
+// candidates (FetchSpeculativeBatch, where an error or a short or
+// misordered reply fails the whole batch — a lost prefetch costs
+// nothing) and a session's coalesced demand misses (FetchDemandBatch,
+// where the same faults degrade to per-key fallback fetches — demand
+// keys have callers waiting on each of them). Singleton demand fetches
+// stay single-item so they can be hedged and cancelled individually.
 type BatchFetcher interface {
 	FetchBatch(ctx context.Context, ids []ID) ([]Item, error)
 }

@@ -1,55 +1,45 @@
 package prefetcher
 
 import (
-	"context"
 	"time"
+
+	"repro/prefetcher/fetch"
 )
 
 // ID identifies a fetchable item. Applications with string keys should
 // intern them to dense integer ids; the predictors and caches all work
-// on integers.
-type ID int64
+// on integers. Like Item, Fetcher, FetcherFunc and BatchFetcher below it
+// is package fetch's type under a second name, so ids, items and
+// fetchers cross the engine/fabric seam without conversion.
+type ID = fetch.ID
 
 // Item is a fetched object: its id, its size in whatever unit the
 // engine's bandwidth is expressed in (a size of 0 is treated as 1), and
 // an opaque payload stored in the cache and handed back on hits.
-type Item struct {
-	ID   ID
-	Size float64
-	Data any
-}
+type Item = fetch.Item
 
 // Fetcher retrieves items from the origin. The engine calls it for
 // demand fetches (with the caller's context) and speculative fetches
 // (with the engine's context, cancelled on Close). Implementations must
 // be safe for concurrent use — the worker pool calls Fetch from
 // multiple goroutines.
-type Fetcher interface {
-	Fetch(ctx context.Context, id ID) (Item, error)
-}
+type Fetcher = fetch.Fetcher
 
 // FetcherFunc adapts a plain function to the Fetcher interface.
-type FetcherFunc func(ctx context.Context, id ID) (Item, error)
-
-// Fetch implements Fetcher.
-func (f FetcherFunc) Fetch(ctx context.Context, id ID) (Item, error) { return f(ctx, id) }
+type FetcherFunc = fetch.FetcherFunc
 
 // BatchFetcher is optionally implemented by a Fetcher to coalesce
 // several ids into one origin call. FetchBatch must return exactly one
 // Item per requested id, in request order. The engine batches two
 // kinds of traffic through it: adjacent speculative candidates (an
-// error fails the whole batch — a lost prefetch costs nothing a later
-// demand fetch won't recover), and the coalesced misses of a GetMulti
-// session (a batch error or a short/misordered reply degrades to
-// per-key fallback fetches, so one bad reply never fails the session).
-// Speculative batching requires a backend fetch fabric (WithBackends,
-// or a single fetcher wrapped by WithHedging/WithIdleWatermark/
-// WithBreaker); GetMulti's demand batching also works on a plain
-// single-fetcher engine. Singleton demand Gets stay single-item so
-// they can be hedged and cancelled individually.
-type BatchFetcher interface {
-	FetchBatch(ctx context.Context, ids []ID) ([]Item, error)
-}
+// error, or a short or misordered reply, fails the whole batch — a
+// lost prefetch costs nothing a later demand fetch won't recover), and
+// the coalesced misses of a GetMulti session (a batch error or a
+// short/misordered reply degrades to per-key fallback fetches, so one
+// bad reply never fails the session). Both apply to every engine,
+// however it was constructed. Singleton demand Gets stay single-item
+// so they can be hedged and cancelled individually.
+type BatchFetcher = fetch.BatchFetcher
 
 // Prediction is one candidate for an upcoming access.
 type Prediction struct {

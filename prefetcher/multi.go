@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/predict"
-	"repro/prefetcher/fetch"
 )
 
 // This file is the batched demand path: GetMulti serves a correlated
@@ -96,18 +95,14 @@ type multiKey struct {
 }
 
 // multiScratch is the pooled per-session state: the per-key
-// classification table and the staging buffers for batch dispatch and
-// the fabric's type conversion. Pooling it is what keeps GetMulti's
-// all-hit path allocation-free.
+// classification table and the staging buffers for batch dispatch.
+// Pooling it is what keeps GetMulti's all-hit path allocation-free.
 type multiScratch struct {
 	states []multiKey
 	gids   []ID  // one backend's share of the misses
 	gidx   []int // indices into states, aligned with gids
 	bout   []Item
 	berrs  []error
-	fids   []fetch.ID
-	fitems []fetch.Item
-	ferrs  []error
 	mids   []ID // a merge leader's taken batch
 	mfs    []*flight
 }
@@ -128,11 +123,6 @@ func (e *Engine) putMulti(sc *multiScratch) {
 	sc.bout = sc.bout[:0]
 	clear(sc.berrs)
 	sc.berrs = sc.berrs[:0]
-	sc.fids = sc.fids[:0]
-	clear(sc.fitems)
-	sc.fitems = sc.fitems[:0]
-	clear(sc.ferrs)
-	sc.ferrs = sc.ferrs[:0]
 	sc.mids = sc.mids[:0]
 	clear(sc.mfs)
 	sc.mfs = sc.mfs[:0]
@@ -182,6 +172,7 @@ func (e *Engine) GetMultiInto(ctx context.Context, ids []ID, dst []Item) ([]Item
 	misses := e.gatherMulti(ids, now, sc, nil)
 	if misses > 0 {
 		e.fetchMultiMisses(ctx, ids, sc)
+		now = e.now() // the session waited on fetches
 	}
 	nerr := 0
 	states := sc.states
@@ -195,7 +186,7 @@ func (e *Engine) GetMultiInto(ctx context.Context, ids []ID, dst []Item) ([]Item
 	if nerr > 0 {
 		err = buildMultiError(ids, states, nerr)
 	}
-	e.schedule(cands)
+	e.schedule(cands, now)
 	e.putMulti(sc)
 	e.putBufs(bufs)
 	return dst, err
@@ -371,14 +362,11 @@ func (e *Engine) gatherMulti(ids []ID, now float64, sc *multiScratch, bsink *[]b
 //prefetch:hotpath
 func (e *Engine) fetchMultiMisses(ctx context.Context, ids []ID, sc *multiScratch) {
 	states := sc.states
-	nb := 1
-	if e.fabric != nil {
-		nb = e.fabric.NumBackends()
-		if nb > 1 {
-			for i := range states {
-				if k := states[i].kind; k == mkOwner || k == mkMerged {
-					states[i].backend = e.fabric.Route(fetch.ID(ids[i]))
-				}
+	nb := e.fabric.NumBackends()
+	if nb > 1 {
+		for i := range states {
+			if k := states[i].kind; k == mkOwner || k == mkMerged {
+				states[i].backend = e.fabric.Route(ids[i])
 			}
 		}
 	}
@@ -431,17 +419,7 @@ func (e *Engine) dispatchMultiBackend(ctx context.Context, b int, ids []ID, sc *
 //
 //prefetch:hotpath
 func (e *Engine) runDemandBatch(ctx context.Context, b int, gids []ID, gidx []int, sc *multiScratch) {
-	out := sc.bout[:0]
-	errs := sc.berrs[:0]
-	for range gids {
-		out = append(out, Item{})
-		errs = append(errs, nil)
-	}
-	sc.bout, sc.berrs = out, errs
-	if len(gids) > 1 && e.batchCapable(b) {
-		e.batchedKeys.Add(int64(len(gids)))
-	}
-	e.demandBatch(ctx, b, gids, out, errs, sc)
+	out, errs := e.fetchDemandKeys(ctx, b, gids, sc)
 	states := sc.states
 	for i, id := range gids {
 		st := &states[gidx[i]]
@@ -450,75 +428,27 @@ func (e *Engine) runDemandBatch(ctx context.Context, b int, gids []ID, gidx []in
 	}
 }
 
-// batchCapable reports whether backend b can coalesce a demand batch.
+// fetchDemandKeys fetches one backend's share of a session's misses as a
+// single demand batch into the session's pooled out/errs staging
+// (len(gids), index-aligned). FetchDemandBatch owns the reply checks
+// and the per-key fallback — a batch error, a short reply or a
+// misordered reply degrades to per-key fetches, so one bad reply never
+// fails the session.
 //
 //prefetch:hotpath
-func (e *Engine) batchCapable(b int) bool {
-	if e.fabric != nil {
-		return e.fabric.BatchCapable(b)
+func (e *Engine) fetchDemandKeys(ctx context.Context, b int, gids []ID, sc *multiScratch) ([]Item, []error) {
+	out := sc.bout[:0]
+	errs := sc.berrs[:0]
+	for range gids {
+		out = append(out, Item{})
+		errs = append(errs, nil)
 	}
-	return e.batchFetcher != nil
-}
-
-// demandBatch fetches one backend's share of a session's misses as a
-// single demand batch, filling out/errs (len(gids), index-aligned).
-// On the fabric path FetchDemandBatch owns the contract checks and the
-// per-key fallback; on the plain path they are applied here — a batch
-// error, a short reply or a misordered reply degrades to per-key
-// fallback fetches, so one bad reply never fails the session.
-//
-//prefetch:hotpath
-func (e *Engine) demandBatch(ctx context.Context, b int, gids []ID, out []Item, errs []error, sc *multiScratch) {
-	if e.fabric != nil {
-		fids := sc.fids[:0]
-		fitems := sc.fitems[:0]
-		ferrs := sc.ferrs[:0]
-		for _, id := range gids {
-			fids = append(fids, fetch.ID(id))
-			fitems = append(fitems, fetch.Item{})
-			ferrs = append(ferrs, nil)
-		}
-		sc.fids, sc.fitems, sc.ferrs = fids, fitems, ferrs
-		e.fabric.FetchDemandBatch(ctx, b, fids, fitems, ferrs)
-		for i := range gids {
-			out[i] = Item{ID: ID(fitems[i].ID), Size: fitems[i].Size, Data: fitems[i].Data}
-			errs[i] = ferrs[i]
-		}
-		return
+	sc.bout, sc.berrs = out, errs
+	if len(gids) > 1 && e.fabric.BatchCapable(b) {
+		e.batchedKeys.Add(int64(len(gids)))
 	}
-	if e.batchFetcher != nil && len(gids) > 1 {
-		items, err := e.batchFetcher.FetchBatch(ctx, gids)
-		if err == nil {
-			ok := len(items) == len(gids)
-			if ok {
-				for i, it := range items {
-					if it.ID != gids[i] {
-						ok = false
-						break
-					}
-				}
-			}
-			if ok {
-				copy(out, items)
-				for i := range gids {
-					errs[i] = nil
-				}
-				return
-			}
-			// Short or misordered reply: contract violation — fall
-			// through to the per-key fallback rather than failing keys
-			// that individual fetches can still serve.
-		}
-	}
-	for i, id := range gids {
-		if err := ctx.Err(); err != nil {
-			for j := i; j < len(gids); j++ {
-				out[j], errs[j] = Item{}, err
-			}
-			return
-		}
-		out[i], errs[i] = e.fetcher.Fetch(ctx, id)
-	}
+	e.fabric.FetchDemandBatch(ctx, b, gids, out, errs)
+	return out, errs
 }
 
 // awaitJoined waits out one session key that attached to an in-flight
@@ -560,7 +490,7 @@ func (e *Engine) awaitJoined(ctx context.Context, id ID, f *flight, emitJoin boo
 		f, owner = sh.joinOrRegister(e, id)
 		sh.mu.Unlock()
 		if owner {
-			item, ferr := e.demandFetchOne(ctx, id)
+			item, ferr := e.fabric.Fetch(ctx, id)
 			return e.completeDemand(sh, id, f, item, ferr)
 		}
 		// From here on the key is a plain join, whatever it started as.
@@ -679,17 +609,7 @@ func (e *Engine) executeMergedBatch(ctx context.Context, b int, mids []ID, mfs [
 			end = len(mids)
 		}
 		chunk := mids[start:end]
-		out := sc.bout[:0]
-		errs := sc.berrs[:0]
-		for range chunk {
-			out = append(out, Item{})
-			errs = append(errs, nil)
-		}
-		sc.bout, sc.berrs = out, errs
-		if len(chunk) > 1 && e.batchCapable(b) {
-			e.batchedKeys.Add(int64(len(chunk)))
-		}
-		e.demandBatch(ctx, b, chunk, out, errs, sc)
+		out, errs := e.fetchDemandKeys(ctx, b, chunk, sc)
 		for i, id := range chunk {
 			f := mfs[start+i]
 			_, _ = e.completeDemand(e.shardFor(id), id, f, out[i], errs[i])

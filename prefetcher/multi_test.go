@@ -503,8 +503,8 @@ func TestGetMultiFabricPartialFailure(t *testing.T) {
 	}
 	eng, err := New(nil,
 		WithBackends(
-			fetch.Backend{Name: "a", Fetcher: adaptFetcher(mk("a"))},
-			fetch.Backend{Name: "b", Fetcher: adaptFetcher(mk("b"))},
+			fetch.Backend{Name: "a", Fetcher: mk("a")},
+			fetch.Backend{Name: "b", Fetcher: mk("b")},
 		),
 		WithBandwidth(1e6),
 		WithShards(2),

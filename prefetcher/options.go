@@ -30,7 +30,7 @@ type config struct {
 	mergeWindow time.Duration
 	mergeMax    int
 
-	// Backend fetch fabric (nil/zero = plain single-fetcher engine).
+	// Fetch fabric (no backends = New's fetcher is the one backend).
 	backends      []fetch.Backend
 	routing       fetch.Routing
 	hedging       *fetch.Hedging
@@ -146,9 +146,10 @@ func WithPolicy(p Policy) Option {
 }
 
 // WithBandwidth sets the link bandwidth b, in the same units per second
-// as item sizes. It anchors the utilisation estimate ρ̂′ = (1−ĥ′)λ̂ŝ̄/b
-// and is required by the adaptive policies (AdaptiveThreshold,
-// GreedyThreshold).
+// as item sizes. It anchors the global utilisation estimate
+// ρ̂′ = (1−ĥ′)λ̂ŝ̄/b that Stats and Threshold report, is the capacity of
+// the "origin" link when New is given a fetcher, and is required by the
+// adaptive policies (AdaptiveThreshold, GreedyThreshold).
 func WithBandwidth(b float64) Option {
 	return func(c *config) error {
 		if b <= 0 || math.IsNaN(b) || math.IsInf(b, 0) {
@@ -266,18 +267,19 @@ func WithDemandCoalescing(window time.Duration, maxBatch int) Option {
 	}
 }
 
-// WithBackends replaces the single origin Fetcher with a multi-backend
-// fetch fabric: demand and speculative fetches are routed across the
-// named backends (static weights under fetch.RouteWeighted, estimated
-// latency under fetch.RouteLatency — see WithRouting), a failed demand
-// fetch fails over to the next backend, speculative candidates routed
-// to one batch-capable backend are coalesced into a single FetchBatch
-// call, and each link's latency, bandwidth and utilisation are
-// estimated separately — the admission threshold is then evaluated
-// against the ρ̂′ of the link each candidate would actually use, not
-// the global average. Pass nil as New's fetcher when using backends
-// (supplying both is a construction error). Per-backend stats appear
-// in Stats.Backends.
+// WithBackends names the fetch fabric's backends in place of New's
+// single origin fetcher — which is itself shorthand for one backend
+// "origin" with the WithBandwidth capacity. Demand and speculative
+// fetches are routed across the backends (static weights under
+// fetch.RouteWeighted, estimated latency under fetch.RouteLatency —
+// see WithRouting), a failed demand fetch fails over to the next
+// backend, speculative candidates routed to one batch-capable backend
+// are coalesced into a single FetchBatch call, and each link's
+// latency, bandwidth and utilisation are estimated separately — the
+// admission threshold is evaluated against the demand-only ρ̂′ of the
+// link each candidate would actually use, not the global average.
+// Pass nil as New's fetcher when using backends (supplying both is a
+// construction error). Per-backend stats appear in Stats.Backends.
 func WithBackends(backends ...fetch.Backend) Option {
 	return func(c *config) error {
 		if len(backends) == 0 {
@@ -289,7 +291,8 @@ func WithBackends(backends ...fetch.Backend) Option {
 }
 
 // WithRouting selects how the fetch fabric spreads ids across backends
-// (default fetch.RouteWeighted). Only meaningful with WithBackends.
+// (default fetch.RouteWeighted). Requires WithBackends: a single origin
+// leaves nothing to route.
 func WithRouting(r fetch.Routing) Option {
 	return func(c *config) error {
 		if r != fetch.RouteWeighted && r != fetch.RouteLatency {
@@ -305,10 +308,9 @@ func WithRouting(r fetch.Routing) Option {
 // from that backend's observed p95 latency unless h.Delay is set), the
 // next backend in route order is raced against it; the first success
 // wins and the loser is cancelled through its context. Failed attempts
-// fail over with h.Backoff between retries. With a single backend (or
-// a plain fetcher, which the engine wraps as one backend named
-// "origin") hedging degrades to sequential retries when h.MaxAttempts
-// exceeds one.
+// fail over with h.Backoff between retries. With a single backend
+// (New's fetcher included) hedging degrades to sequential retries when
+// h.MaxAttempts exceeds one.
 func WithHedging(h fetch.Hedging) Option {
 	return func(c *config) error {
 		if h.Delay < 0 || h.MaxAttempts < 0 || h.Backoff < 0 || h.P95Multiple < 0 {
@@ -327,11 +329,10 @@ func WithHedging(h fetch.Hedging) Option {
 // fetch decides — success closes it, failure re-opens it and restarts
 // the cooldown. Demand traffic fails over to the remaining healthy
 // backends as usual, and only fails fast (fetch.ErrBreakerOpen) when
-// every backend's breaker is open. Without WithBackends the engine
-// wraps its fetcher as the single backend "origin", so the breaker
-// turns a dead origin into immediate errors instead of pile-ups.
-// Per-backend state appears in Stats.Backends (BreakerState,
-// BreakerOpens).
+// every backend's breaker is open — with a single backend (New's
+// fetcher included) that turns a dead origin into immediate errors
+// instead of pile-ups. Per-backend state appears in Stats.Backends
+// (BreakerState, BreakerOpens).
 func WithBreaker(b fetch.Breaker) Option {
 	return func(c *config) error {
 		if b.Threshold < 0 || b.Cooldown < 0 {
@@ -349,8 +350,7 @@ func WithBreaker(b fetch.Breaker) Option {
 // only once the link idles below it. Demand fetches are never gated.
 // w is the ρ̂ cutoff in (0,1]; parked and released candidates are
 // counted in Stats.Backends (Deferred/Released) and
-// Stats.PrefetchDeferred. Without WithBackends the engine wraps its
-// fetcher as the single backend "origin" so the gate still applies.
+// Stats.PrefetchDeferred.
 func WithIdleWatermark(w float64) Option {
 	return func(c *config) error {
 		if w <= 0 || w > 1 || math.IsNaN(w) {
@@ -381,10 +381,10 @@ func (c *config) validate() error {
 	if c.cache != nil && c.shards > 1 {
 		return fmt.Errorf("prefetcher: WithCache supplies a single instance but WithShards(%d) needs one cache per shard; use WithCacheFactory or WithShards(1)", c.shards)
 	}
-	if c.routing != fetch.RouteWeighted && len(c.backends) == 0 && c.hedging == nil && c.idleWatermark == 0 && c.breaker == nil {
-		// Without a fetch fabric there is nothing to route; dropping
-		// the option silently would let the caller believe latency
-		// routing is active.
+	if c.routing != fetch.RouteWeighted && len(c.backends) == 0 {
+		// A single origin leaves nothing to route; dropping the option
+		// silently would let the caller believe latency routing is
+		// active.
 		return fmt.Errorf("prefetcher: WithRouting requires WithBackends")
 	}
 	if c.policy.adaptive && c.bandwidth == 0 {

@@ -10,7 +10,9 @@ import (
 // estimates. The counters (Requests … PrefetchErrors, CacheLen,
 // InFlight) are maintained per shard on the hot path and summed here;
 // the estimates (Lambda … NF) and Threshold come from the engine's one
-// shared controller and are global regardless of the shard count.
+// shared controller and are global regardless of the shard count;
+// Backends carries each link's own estimates, which are what admission
+// runs on.
 type Stats struct {
 	// Requests counts Get calls; Hits and Misses partition them by
 	// cache outcome (a Get that joins an in-flight prefetch counts as a
@@ -28,11 +30,16 @@ type Stats struct {
 	PrefetchIssued, PrefetchUsed, PrefetchWasted, PrefetchDropped, PrefetchErrors int64
 	// Lambda is the estimated request rate λ̂; MeanSize the estimated
 	// mean item size ŝ̄; HPrime the Section-4 tagged-cache estimate ĥ′
-	// of the no-prefetch hit ratio; RhoPrime the estimated no-prefetch
-	// utilisation ρ̂′; NF the recent (EWMA) prefetches per request.
+	// of the no-prefetch hit ratio; RhoPrime the controller's global
+	// no-prefetch utilisation estimate ρ̂′ = (1−ĥ′)λ̂ŝ̄/b against the
+	// WithBandwidth capacity; NF the recent (EWMA) prefetches per
+	// request.
 	Lambda, MeanSize, HPrime, RhoPrime, NF float64
-	// Threshold is the paper's current cutoff p̂_th for the engine's
-	// interaction model: ρ̂′ (model A) plus ĥ′/n̄(C) (model B).
+	// Threshold is the paper's cutoff p̂_th for the engine's interaction
+	// model — ρ̂′ (model A) plus ĥ′/n̄(C) (model B) — at that global
+	// RhoPrime. The threshold in force for a candidate substitutes the
+	// measured demand-only ρ̂′ of the link it would be fetched over,
+	// Backends[i].RhoPrime, which reads at or below the global estimate.
 	Threshold float64
 	// CacheLen is the resident item count summed across shard caches;
 	// InFlight the number of fetches (demand and speculative) currently
@@ -58,14 +65,14 @@ type Stats struct {
 	// PrefetchDeferred counts speculative candidates the idle gate
 	// parked because their backend's ρ̂ sat above the watermark
 	// (WithIdleWatermark); they dispatch when the link idles. Summed
-	// across backends; 0 without a fetch fabric.
+	// across backends.
 	PrefetchDeferred int64
-	// Backends holds one entry per fetch-fabric backend (WithBackends,
-	// or the single wrapped "origin") with its traffic counters,
-	// hedging outcomes, idle-gate accounting and — the load-aware
-	// piece — that link's own ρ̂ and ρ̂′, which is the utilisation the
-	// admission threshold uses for candidates routed there. Nil
-	// without a fetch fabric.
+	// Backends holds one entry per fetch-fabric backend — always at
+	// least one: the WithBackends links, or "origin" for New's fetcher
+	// — with its traffic counters, hedging outcomes, idle-gate
+	// accounting and — the load-aware piece — that link's own ρ̂ and
+	// ρ̂′, which is the utilisation the admission threshold uses for
+	// candidates routed there.
 	Backends []fetch.BackendStats
 }
 
