@@ -447,8 +447,8 @@ func reportRun(w io.Writer, st prefetcher.Stats, rps float64, elapsed time.Durat
 		st.PrefetchDropped, st.PrefetchDeferred, st.PrefetchErrors, st.Accuracy())
 	fmt.Fprintf(w, "  joins            %d demand requests coalesced onto in-flight prefetches\n", st.Joins)
 	if st.MultiGets > 0 {
-		fmt.Fprintf(w, "  batched demand   %d GetMulti sessions, %d keys demand-batched, %d sessions merged\n",
-			st.MultiGets, st.BatchedKeys, st.MergedSessions)
+		fmt.Fprintf(w, "  batched demand   %d GetMulti sessions, %d keys demand-batched\n",
+			st.MultiGets, st.BatchedKeys)
 	}
 	for _, b := range st.Backends {
 		breaker := ""

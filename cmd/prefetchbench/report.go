@@ -84,7 +84,6 @@ type runReport struct {
 	SessionP95MS      float64         `json:"session_p95_ms,omitempty"`
 	MultiGets         int64           `json:"multi_gets,omitempty"`
 	BatchedKeys       int64           `json:"batched_keys,omitempty"`
-	MergedSessions    int64           `json:"merged_sessions,omitempty"`
 	Lambda            float64         `json:"lambda"`
 	MeanSize          float64         `json:"mean_size"`
 	HPrime            float64         `json:"h_prime"`
@@ -145,7 +144,6 @@ func newRunReport(st prefetcher.Stats, completed int, rps float64, elapsed time.
 		Joins:             st.Joins,
 		MultiGets:         st.MultiGets,
 		BatchedKeys:       st.BatchedKeys,
-		MergedSessions:    st.MergedSessions,
 		Lambda:            st.Lambda,
 		MeanSize:          st.MeanSize,
 		HPrime:            st.HPrime,

@@ -332,6 +332,13 @@ func (s *Server) handleObj(w http.ResponseWriter, r *http.Request) {
 	putBuf(bp)
 }
 
+// maxBatchIDs bounds one /batch request's id list. The engine batches
+// whatever it is handed, so the bound on outside input is set here,
+// well above any session the batch wire's callers build (a page of a
+// few dozen keys) and on the order of what the engine keeps pooled
+// scratch for.
+const maxBatchIDs = 1024
+
 // handleBatch serves GET /batch?ids=… and GET /batch/{space}?ids=…
 // through the engine's batched demand path, answering in the
 // httpfetch wire format. Per-key failures fail the whole reply — the
@@ -348,7 +355,15 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "unknown space", http.StatusNotFound)
 		return
 	}
-	ids, err := httpfetch.ParseIDs(r.URL.Query().Get("ids"))
+	raw := r.URL.Query().Get("ids")
+	// Counted before parsing: a request line can carry half a million
+	// ids, and each would become parser output, a session key and a
+	// demand fetch.
+	if strings.Count(raw, ",") >= maxBatchIDs {
+		http.Error(w, fmt.Sprintf("more than %d ids in one batch", maxBatchIDs), http.StatusBadRequest)
+		return
+	}
+	ids, err := httpfetch.ParseIDs(raw)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

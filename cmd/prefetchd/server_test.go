@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -241,6 +242,42 @@ func TestDaemonBatchEndpoint(t *testing.T) {
 	}
 	if st := stats.Spaces[DefaultSpace]; st.MultiGets != 1 || st.Requests != 3 {
 		t.Fatalf("multigets/requests = %d/%d, want 1/3", st.MultiGets, st.Requests)
+	}
+}
+
+// A /batch id list is outside input: one past the bound is refused
+// with 400 before anything is parsed, fetched or counted, and a list at
+// the bound is not refused for its size.
+func TestBatchRejectsOversizedIDList(t *testing.T) {
+	defer testutil.ExpectNoLeaks(t)
+	var originSingles, originBatches atomic.Int64
+	origin := newTestOrigin(t, &originSingles, &originBatches)
+	srv, err := NewServer(oneSpaceConfig(origin.URL), t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+	})
+	batch := func(n int) *httptest.ResponseRecorder {
+		ids := strings.TrimSuffix(strings.Repeat("7,", n), ",")
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/batch?ids="+ids, nil))
+		return rec
+	}
+	if rec := batch(maxBatchIDs + 1); rec.Code != http.StatusBadRequest {
+		t.Fatalf("%d ids: status %d, want 400", maxBatchIDs+1, rec.Code)
+	}
+	if n := originSingles.Load() + originBatches.Load(); n != 0 {
+		t.Fatalf("the refused batch reached the origin (%d requests)", n)
+	}
+	if st := srv.spaces[DefaultSpace].engine.Stats(); st.Requests != 0 || st.MultiGets != 0 {
+		t.Fatalf("the refused batch was counted: %+v", st)
+	}
+	if rec := batch(maxBatchIDs); rec.Code != http.StatusOK {
+		t.Fatalf("%d ids: status %d, want 200: %s", maxBatchIDs, rec.Code, rec.Body)
 	}
 }
 

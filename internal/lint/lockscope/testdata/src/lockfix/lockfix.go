@@ -153,8 +153,8 @@ func (s *shard) consumeLocked(id uint64) []byte {
 	return v
 }
 
-// UnlockInCallee releases a lock its caller took — the serveResident
-// handoff. Not flagged: unlocking an unheld lock is the caller-holds
+// UnlockInCallee releases a lock its caller took — a lock handoff.
+// Not flagged: unlocking an unheld lock is the caller-holds
 // convention.
 func (s *shard) UnlockInCallee(id uint64) []byte {
 	v := s.items[id]

@@ -73,6 +73,29 @@ func TestGetMultiAllocFree(t *testing.T) {
 	}
 }
 
+// TestOversizedSessionScratchNotPooled pins the other side of the
+// pooled scratch: a session is as large as its caller makes it, and the
+// scratch one oversized session grew must not sit in the pool for the
+// life of the process.
+func TestOversizedSessionScratchNotPooled(t *testing.T) {
+	eng, _ := newHitEngine(t)
+	defer eng.Close()
+	session := make([]ID, 4*maxPooledKeys)
+	for i := range session {
+		session[i] = ID(i % 64) // all resident: nothing to fetch
+	}
+	if _, err := eng.GetMultiInto(context.Background(), session, nil); err != nil {
+		t.Fatal(err)
+	}
+	// On one goroutine a Put is the next Get's result, so a pooled
+	// oversized scratch would come straight back.
+	sc := eng.getMulti()
+	defer eng.putMulti(sc)
+	if cap(sc.states) > maxPooledKeys {
+		t.Fatalf("pool handed back scratch sized for %d keys; putMulti must drop anything past %d", cap(sc.states), maxPooledKeys)
+	}
+}
+
 // TestFabricBatchDispatchAllocFree pins the routed-speculation
 // counterpart of TestGetHitAllocFree: with a multi-backend,
 // batch-capable fabric, a steady-state cache hit — prediction, backend

@@ -91,6 +91,39 @@ func BenchmarkGetHit(b *testing.B) {
 	}
 }
 
+// BenchmarkGetBytesHit is BenchmarkGetHit through the byte view the
+// daemon's GET /obj serves from: the same hit plus the payload append
+// into a reused buffer.
+func BenchmarkGetBytesHit(b *testing.B) {
+	eng, ids := newByteHitEngine(b)
+	defer eng.Close()
+	ctx := context.Background()
+	dst := make([]byte, 0, 256)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if dst, err = eng.GetBytes(ctx, ids[i%len(ids)], dst[:0]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkGetBytesLenHit is the length view behind HEAD /obj: the
+// same hit with no payload copy at all.
+func BenchmarkGetBytesLenHit(b *testing.B) {
+	eng, ids := newByteHitEngine(b)
+	defer eng.Close()
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.GetBytesLen(ctx, ids[i%len(ids)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkGetMultiHit measures the batched counterpart of
 // BenchmarkGetHit: an all-hit fan-out-8 session through GetMultiInto —
 // one gather across shards, one linearised observation sequence, one

@@ -88,7 +88,7 @@ func TestGetBytesServesHitsAndMisses(t *testing.T) {
 		!bytes.Equal(out[n0:], bytePayload(ids[1], 64+int(ids[1])%64)) {
 		t.Fatal("GetBytes did not append to the caller's buffer")
 	}
-	// A genuinely new id is a demand miss served through e.get.
+	// A genuinely new id is a demand miss.
 	st0 := eng.Stats()
 	fresh := ID(9000)
 	out, err = eng.GetBytes(ctx, fresh, dst[:0])

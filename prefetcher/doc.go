@@ -29,24 +29,35 @@
 // refetching. Stats returns a snapshot of the live estimates (ĥ′,
 // ρ̂′, p̂_th) and the prefetch hit/waste counters.
 //
-// Correlated lookups go through GetMulti / GetMultiInto, the batched
-// demand path: the session's keys are grouped by shard so each shard
-// lock is taken once, hits are served and in-flight fetches joined per
-// key, and the remaining misses are coalesced into one BatchFetcher
-// demand batch per backend (degrading to per-key fetches when the
-// backend cannot batch or returns a malformed reply). Results align
-// index-for-index with the requested ids; failures are per key — a
-// *MultiError carries one KeyError per failed id while successful keys
-// are still filled in, and duplicate ids within a session are fetched
-// once. The predictor observes the session in request order exactly as
-// the equivalent Get loop would, with one speculative plan issued from
-// the session's last key. WithDemandCoalescing opens a short merge
-// window in which misses from concurrent sessions bound for the same
-// backend share one batch — off by default; the first contributing
-// session leads the window on its own goroutine, so the option adds no
-// background goroutine and Close/Quiesce cannot strand a window.
-// Stats.MultiGets, Stats.BatchedKeys and Stats.MergedSessions account
-// for the path.
+// There is one read path. Get, GetBytes, GetBytesLen, GetMulti /
+// GetMultiInto and GetMultiBytes are five views over one core (read, in
+// multi.go) that serves a session of keys — a singleton is the session
+// of one — and differ only in the sink the outcome lands in: boxed
+// Items, bytes appended to a caller buffer with a ByteRange per key, or
+// a length. The core checks the context and the closed flag, reads the
+// clock once, feeds the predictor the session's ids in request order
+// (exactly the stream the equivalent Get loop would produce), then
+// gathers: the keys are grouped by shard so each shard lock is taken
+// once, under which hits are served and every miss either joins the
+// in-flight fetch for its key or registers its own. Counters and
+// estimators are folded on atomics after the locks drop, every key
+// counted in Requests/Hits/Misses/Joins the same way whichever view
+// asked. The owned misses are coalesced into one BatchFetcher demand
+// batch per backend (a one-key share, a backend that cannot batch and a
+// malformed reply all degrade to the hedged per-key Fetch), joined keys
+// wait out their flights — re-checking the cache and the in-flight
+// table, and finally fetching themselves, when a flight fails — and the
+// outcome lands in the sink. Results align index-for-index with the
+// requested ids; failures are per key — a *MultiError carries one
+// KeyError per failed id while successful keys are still filled in
+// (the singleton views return that one key's cause bare), and duplicate
+// ids within a session are fetched once.
+//
+// One speculative plan is made per request, predicted from its last
+// id, and it is dispatched iff that id was served: a request whose
+// planning key failed adds no speculative load to the origin that just
+// failed it. Stats.MultiGets and Stats.BatchedKeys account for the
+// session views.
 //
 // # Byte views and buffer ownership
 //
@@ -109,8 +120,9 @@
 // pooled per-request buffer.
 //
 // The demand hot path is allocation-free in steady state: prediction
-// candidates land in pooled buffers, in-flight fetches are pooled
-// flight objects whose completion channels are recycled when no joiner
+// candidates and per-key state live in one pooled scratch per request,
+// in-flight fetches are pooled flight objects whose completion
+// channels are recycled when no joiner
 // forced a close, and the per-shard counters are cache-line-padded
 // atomics bumped outside the shard mutexes — which also makes Stats a
 // wait-free snapshot: it reads no locks, never stalls a Get, and is
@@ -184,7 +196,7 @@
 //     and pads to whole 64-byte cache lines, so two shards' atomics
 //     never share a line; 64-bit atomic fields stay 8-aligned even on
 //     32-bit layouts (atomicalign).
-//   - Pooled objects — flights, prediction buffers, route scratch,
+//   - Pooled objects — flights, request scratch, route scratch,
 //     batch jobs — are returned to their pool on every path and never
 //     touched after the Put; ownership transfers (a batch job pushed
 //     to the worker queue) are documented at the transfer point
@@ -200,16 +212,14 @@
 //     tree permits is shard.mu → Engine.qmu: a shard may push a
 //     speculative candidate onto the engine's queue while holding its
 //     own mutex. Everything else — estimator stripes, the controller's
-//     history mutex, the fabric's queue and backend-state locks, the
-//     demand-merge window's demandMerger.mu — is a
+//     history mutex, the fabric's queue and backend-state locks — is a
 //     leaf: no code acquires any lock while holding one of them, and no
 //     code acquires a shard mutex while holding any other lock. The
-//     batch path observes the same order by construction: gatherMulti
+//     read core observes the same order by construction: gatherMulti
 //     holds at most one shard mutex at a time (keys are grouped so each
 //     shard's classification completes before the next lock), and batch
-//     completion re-locks each key's shard individually. Lock
-//     handoffs (serveResident unlocking the shard mutex its caller
-//     took) are modelled, not waived.
+//     completion re-locks each key's shard individually. Every shard
+//     lock is released by the function that took it.
 //   - A field accessed through sync/atomic is atomic everywhere
 //     (atomicmix). Ownership per hot struct: the per-shard counter
 //     block, the controller's EWMA and rate words, and the fabric's

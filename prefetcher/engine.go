@@ -83,8 +83,8 @@ type batchJob struct {
 	fs      []*flight
 }
 
-// candBufs is the per-request scratch a Get borrows from the engine's
-// buffer pool: prediction candidates land in cands, and pub stages the
+// candBufs is the prediction part of the per-request scratch (see
+// multiScratch): prediction candidates land in cands, and pub stages the
 // public-type conversion for external predictors. Pooling these is what
 // makes the predict step of the hot path allocation-free.
 type candBufs struct {
@@ -161,31 +161,21 @@ type Engine struct {
 	residents atomic.Int64
 
 	// flightPool recycles flight objects (and, when no joiner forced a
-	// close, their done channels); bufPool recycles the per-request
-	// candidate buffers; routePool recycles the fabric path's planning
-	// scratch and batchPool its coalesced batch jobs. Together they
-	// take the per-Get garbage on the hot paths to zero in steady
-	// state.
+	// close, their done channels); multiPool recycles the read core's
+	// per-request scratch — candidate buffers, per-key states, batch
+	// staging; routePool recycles the fabric path's planning scratch
+	// and batchPool its coalesced batch jobs. Together they take the
+	// per-request garbage on the hot paths to zero in steady state.
 	flightPool sync.Pool
-	bufPool    sync.Pool
+	multiPool  sync.Pool
 	routePool  sync.Pool
 	batchPool  sync.Pool
-	// multiPool recycles GetMulti's per-session gather/dispatch scratch.
-	multiPool sync.Pool
-
-	// mergers is the demand-dedup merge machinery (WithDemandCoalescing):
-	// one merge window per backend, nil when coalescing is off. Each
-	// merger's mutex is a leaf in the engine's lock order — see doc.go.
-	mergers     []*demandMerger
-	mergeWindow time.Duration
-	mergeMax    int
 
 	// Session counters for the batched demand path (Stats.MultiGets,
-	// Stats.BatchedKeys, Stats.MergedSessions). Global atomics, not
-	// per-shard: a session spans shards by design.
-	multiGets      atomic.Int64
-	batchedKeys    atomic.Int64
-	mergedSessions atomic.Int64
+	// Stats.BatchedKeys). Global atomics, not per-shard: a session
+	// spans shards by design.
+	multiGets   atomic.Int64
+	batchedKeys atomic.Int64
 
 	closed atomic.Bool
 
@@ -298,12 +288,13 @@ func New(fetcher Fetcher, opts ...Option) (*Engine, error) {
 		bufCap = 1
 	}
 	needPub := e.ipred == nil // only external predictors stage public predictions
-	e.bufPool.New = func() any {
-		b := &candBufs{cands: make([]predict.Prediction, 0, bufCap)}
+	e.multiPool.New = func() any {
+		sc := &multiScratch{}
+		sc.cands = make([]predict.Prediction, 0, bufCap)
 		if needPub {
-			b.pub = make([]Prediction, 0, bufCap)
+			sc.pub = make([]Prediction, 0, bufCap)
 		}
-		return b
+		return sc
 	}
 	for i := range e.shards {
 		var c Cache
@@ -349,14 +340,6 @@ func New(fetcher Fetcher, opts ...Option) (*Engine, error) {
 		cancel()
 		return nil, err
 	}
-	e.multiPool.New = func() any { return &multiScratch{} }
-	if cfg.mergeWindow > 0 {
-		e.mergeWindow, e.mergeMax = cfg.mergeWindow, cfg.mergeMax
-		e.mergers = make([]*demandMerger, e.fabric.NumBackends())
-		for i := range e.mergers {
-			e.mergers[i] = &demandMerger{full: make(chan struct{}, 1)}
-		}
-	}
 	for i := 0; i < cfg.workers; i++ {
 		e.wg.Add(1)
 		go e.worker()
@@ -398,151 +381,29 @@ func (e *Engine) releaseFlight(f *flight) {
 	e.flightPool.Put(f)
 }
 
-// getBufs borrows the per-request candidate scratch from the pool.
-func (e *Engine) getBufs() *candBufs { return e.bufPool.Get().(*candBufs) }
-
-func (e *Engine) putBufs(b *candBufs) { e.bufPool.Put(b) }
-
 // Get serves one demand request: it records the request with the online
 // estimators, returns the item from cache or fetches it (joining an
 // in-flight speculative fetch for the same id if one is pending), then
-// dispatches speculative fetches for every prediction the policy admits
-// at the current threshold. ctx bounds only this call's demand fetch or
-// join wait; speculative fetches run under the engine's own context.
+// — once the item is served — dispatches speculative fetches for every
+// prediction the policy admits at the current threshold. ctx bounds
+// only this call's demand fetch or join wait; speculative fetches run
+// under the engine's own context.
 //
-// The cache-hit path is allocation-free: prediction candidates land in
-// a pooled buffer, the critical section touches only the shard's maps,
-// and all counter bumps and estimator folds happen on atomics outside
-// it.
+// Get is the read core's fan-out-1 view (see read): the cache-hit path
+// is allocation-free — prediction candidates and the key's state live
+// in pooled scratch, the critical section touches only the shard's
+// maps, and all counter bumps and estimator folds happen on atomics
+// outside it.
 //
 //prefetch:hotpath
 func (e *Engine) Get(ctx context.Context, id ID) (Item, error) {
-	if err := ctx.Err(); err != nil {
-		return Item{}, err
+	ids := [1]ID{id}
+	var one [1]Item
+	out, _, err := e.read(ctx, ids[:], sink{items: one[:0]}, nil)
+	if err != nil {
+		return Item{}, soleKeyError(err)
 	}
-	if e.closed.Load() {
-		return Item{}, ErrClosed
-	}
-	now := e.now()
-	bufs := e.getBufs()
-	cands := e.observeAndPredict(id, bufs)
-	item, err := e.get(ctx, id, now, cands)
-	// Nothing retains cands past dispatch (jobs carry ids, not
-	// candidate slices), so the scratch goes straight back.
-	e.putBufs(bufs)
-	return item, err
-}
-
-// get runs the shard-level part of one request: hit fast path, miss
-// dedup (join or claim), and dispatch.
-func (e *Engine) get(ctx context.Context, id ID, now float64, cands []predict.Prediction) (Item, error) {
-	sh := e.shardFor(id)
-	sh.mu.Lock()
-	if e.closed.Load() {
-		sh.mu.Unlock()
-		return Item{}, ErrClosed
-	}
-
-	// Hit fast path.
-	if v, ok := sh.cache.Get(id); ok {
-		//lint:allow lockscope lock handoff: serveResident unlocks after the resident bookkeeping
-		return e.serveResident(sh, id, now, v, true, cands), nil
-	}
-
-	// Miss: join the in-flight fetch for id if one exists, else claim
-	// the demand fetch by registering our own flight — in the same
-	// critical section as the lookup, so dedup cannot race a
-	// completion.
-	f, owner := sh.joinOrRegister(e, id)
-	sh.mu.Unlock()
-
-	// Record the arrival immediately, before any fetch is attempted: a
-	// demand fetch that errors (or a joiner whose context expires) is
-	// still an arrival, and skipping it would let λ̂ and the
-	// controller's request count drift from Stats.Requests under origin
-	// failures. The size is unknown here; the fetch paths fold it into
-	// ŝ̄ via RecordSize once the origin responds.
-	sh.requests.Add(1)
-	sh.misses.Add(1)
-	e.ctrl.RecordRequest(now, 0)
-
-	if owner {
-		return e.demandFetch(ctx, sh, id, f, cands)
-	}
-	sh.joins.Add(1) // one count per request, however many flights it retries
-
-	// Join in-flight fetches for the same id until one resolves, the
-	// item lands in cache, or no flight remains (then demand-fetch).
-	// The loop matters: while a failed join waits to re-acquire the
-	// lock, another request may have cached the item or registered a
-	// fresh flight, and overwriting that flight would break dedup.
-	for {
-		e.emit(Event{Type: EventJoin, ID: id})
-		item, err, resolved := e.awaitFlight(ctx, f)
-		if resolved {
-			if err != nil {
-				return Item{}, err
-			}
-			// The prefetched item beat this demand request to the
-			// origin: account it exactly like a first hit on an
-			// untagged entry. The arrival was recorded when the miss
-			// was established.
-			return e.finishJoined(sh, id, item, cands), nil
-		}
-		// The joined fetch failed or was dropped: re-check under the
-		// lock before fetching ourselves.
-		sh.mu.Lock()
-		if e.closed.Load() {
-			sh.mu.Unlock()
-			return Item{}, ErrClosed
-		}
-		if v, ok := sh.cache.Get(id); ok {
-			// Another request cached it while we waited. Serve it; the
-			// request stays counted as the miss it was on arrival.
-			//lint:allow lockscope lock handoff: serveResident unlocks after the resident bookkeeping
-			return e.serveResident(sh, id, now, v, false, cands), nil
-		}
-		f, owner = sh.joinOrRegister(e, id)
-		sh.mu.Unlock()
-		if owner {
-			return e.demandFetch(ctx, sh, id, f, cands)
-		}
-	}
-}
-
-// serveResident finishes a request whose item is resident: the
-// critical section is exactly the size/unused map touches (sh.mu is
-// held on entry and released here); the counter bumps and every
-// estimator/controller fold happen on atomics after the unlock. (OnHit
-// racing a concurrent eviction of the same id can then observe the
-// entry as already gone — the estimator adopts unknown ids as tagged,
-// so the ĥ′ ratio stays well-formed; the window is a few instructions
-// and vanishes once traffic quiesces.) recordArrival distinguishes the
-// hit fast path (arrival not yet recorded: counts the hit, folds the
-// full arrival, emits EventHit) from the joined-retry path, whose
-// arrival was recorded when its miss was established (size-only fold,
-// no event).
-func (e *Engine) serveResident(sh *shard, id ID, now float64, v any, recordArrival bool, cands []predict.Prediction) Item {
-	size := sh.residentSize(id)
-	used := sh.consumeUnusedLocked(id)
-	sh.mu.Unlock()
-	if recordArrival {
-		sh.requests.Add(1)
-		sh.hits.Add(1)
-	}
-	if used {
-		sh.prefetchUsed.Add(1)
-	}
-	e.ctrl.Estimator().OnHit(cache.ID(id))
-	if recordArrival {
-		e.ctrl.RecordRequest(now, size)
-		e.emit(Event{Type: EventHit, ID: id})
-	} else {
-		e.ctrl.RecordSize(size)
-		now = e.now() // the arrival reading predates the join wait
-	}
-	e.schedule(cands, now)
-	return Item{ID: id, Size: size, Data: v}
+	return out.items[0], nil
 }
 
 // joinOrRegister returns the in-flight fetch for id (taking a joiner
@@ -558,33 +419,6 @@ func (sh *shard) joinOrRegister(e *Engine, id ID) (f *flight, owner bool) {
 	sh.inflight[id] = f
 	sh.inflightN.Add(1)
 	return f, true
-}
-
-// observeAndPredict feeds the request into the shared access model and
-// returns the candidate set for planning, staged in the request's
-// pooled buffers. A concurrent predictor (predFree) is called directly
-// — Gets on every shard observe and predict in parallel, and the model
-// itself linearises the stream it learns from — while a plain predictor
-// runs in one predMu critical section so it sees one globally
-// interleaved request stream, exactly as under the old single-mutex
-// engine. Candidates are only dispatched if the request ultimately
-// succeeds, matching the old plan-on-serve behaviour.
-func (e *Engine) observeAndPredict(id ID, bufs *candBufs) []predict.Prediction {
-	if e.predFree {
-		if e.ipredCoupled != nil {
-			// The built-in concurrent models predict as part of the
-			// observation, conditioned on id itself — so a racing Get
-			// moving the shared stream context between an Observe and a
-			// PredictTop cannot hand this request another request's
-			// candidates.
-			return e.ipredCoupled.ObserveAndPredictTopInto(cache.ID(id), e.maxPrefetch, bufs.cands[:0])
-		}
-		return e.observeAndPredictLocked(id, bufs)
-	}
-	e.predMu.Lock()
-	cands := e.observeAndPredictLocked(id, bufs)
-	e.predMu.Unlock()
-	return cands
 }
 
 // observeAndPredictLocked is the predictor dispatch shared by both
@@ -655,40 +489,11 @@ func (e *Engine) awaitFlight(ctx context.Context, f *flight) (Item, error, bool)
 	return item, nil, true
 }
 
-// finishJoined completes a request served by the speculative fetch it
-// joined: the one estimator access the request gets, the
-// prefetched-unused consumption, the size fold and speculative
-// planning. The join path already emitted its event.
-func (e *Engine) finishJoined(sh *shard, id ID, item Item, cands []predict.Prediction) Item {
-	sh.mu.Lock()
-	used := sh.consumeUnusedLocked(id)
-	sh.mu.Unlock()
-	if used {
-		sh.prefetchUsed.Add(1)
-	}
-	e.ctrl.Estimator().OnHit(cache.ID(id))
-	e.ctrl.RecordSize(item.Size)
-	e.schedule(cands, e.now())
-	return Item{ID: id, Size: item.Size, Data: item.Data}
-}
-
-// demandFetch fetches id on the caller's goroutine; f is the flight the
-// caller registered for it. The arrival is already recorded.
-func (e *Engine) demandFetch(ctx context.Context, sh *shard, id ID, f *flight, cands []predict.Prediction) (Item, error) {
-	item, err := e.fabric.Fetch(ctx, id)
-	item, err = e.completeDemand(sh, id, f, item, err)
-	if err != nil {
-		return Item{}, err
-	}
-	e.schedule(cands, e.now())
-	return item, nil
-}
-
 // completeDemand lands one finished demand fetch for a flight this
 // caller owns: the flight is deregistered and resolved, the item
 // cached and accounted (or the error recorded) and the miss event
-// emitted outside the shard lock. Shared by the singleton demand path
-// and GetMulti's batched one, so both land a miss identically.
+// emitted outside the shard lock. Shared by the read core's demand
+// batches and its join-retry fetch, so both land a miss identically.
 func (e *Engine) completeDemand(sh *shard, id ID, f *flight, item Item, err error) (Item, error) {
 	if err != nil {
 		sh.mu.Lock()
@@ -932,7 +737,6 @@ func (e *Engine) Stats() Stats {
 	s.CacheLen = int(e.residents.Load())
 	s.MultiGets = e.multiGets.Load()
 	s.BatchedKeys = e.batchedKeys.Load()
-	s.MergedSessions = e.mergedSessions.Load()
 	s.Backends = e.fabric.Stats(e.now())
 	for _, b := range s.Backends {
 		s.PrefetchDeferred += b.Deferred

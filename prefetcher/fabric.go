@@ -10,8 +10,9 @@ import (
 // This file wires the fetch fabric (package prefetcher/fetch) into the
 // engine: construction from the configured backends, the speculative
 // dispatch path with per-link admission thresholds, batch coalescing,
-// and the idle-gate release callback. The demand side is the
-// e.fabric.Fetch call in demandFetch.
+// and the idle-gate release callback. The demand side is the read
+// core's two calls (multi.go): FetchDemandBatch for a request's owned
+// misses, Fetch for a key whose joined flight failed.
 
 // newFabric assembles the engine's fetch fabric from the validated
 // config: the WithBackends links, or fetcher as the one backend

@@ -3,25 +3,26 @@ package prefetcher
 import (
 	"context"
 	"fmt"
-	"sync"
-	"time"
 
 	"repro/internal/cache"
 	"repro/internal/predict"
 )
 
-// This file is the batched demand path: GetMulti serves a correlated
-// multi-key "session" (a page load fanning out to N keys) in one pass
-// instead of N independent Gets. The work splits into four layers —
-// a shard gather that classifies every key hit/join/miss taking each
-// shard lock once, miss coalescing that hands each backend's share of
-// the misses to FetchBatch as a single demand batch, an optional
-// demand-dedup merge window that folds overlapping concurrent sessions
-// into one backend batch (WithDemandCoalescing), and accounting that
-// feeds the predictor one linearised observation sequence per session
-// so the Markov chain sees the same stream N singleton Gets would have
-// produced. All per-session scratch is pooled; the all-hit path
-// allocates nothing in steady state (gated by TestGetMultiAllocFree).
+// This file is the engine's one read core. Every public read — Get,
+// GetBytes, GetBytesLen, GetMulti/GetMultiInto and GetMultiBytes — is a
+// thin view over read, which serves a "session" of one or more keys in
+// a single pass: the predictor observes the ids as one linearised
+// sequence (the stream N singleton Gets would have produced, so the
+// Markov chain sees the same transitions), a shard gather classifies
+// every key hit/join/miss taking each shard lock once, the counters and
+// estimators are folded on atomics outside the locks, each backend's
+// share of the owned misses travels as one demand batch (a one-key
+// batch is the fabric's ordinary hedged Fetch), joined keys wait out
+// the flights they attached to, and the outcome is landed in the
+// caller's sink. A singleton Get is the fan-out-1 session: the views
+// differ only in the sink. All per-request scratch is pooled; the
+// all-hit path allocates nothing in steady state (gated by
+// TestGetHitAllocFree, TestGetMultiAllocFree and the byte-path gates).
 
 // KeyError reports the failure of one key of a GetMulti session.
 type KeyError struct {
@@ -68,14 +69,13 @@ func (m *MultiError) Unwrap() []error {
 }
 
 // multiKey classification states. A key moves mkPending → one of
-// hit/join/owner/merged in the gather, then → mkDone once its item or
-// error is final.
+// hit/join/owner in the gather, then → mkDone once its item or error is
+// final.
 const (
 	mkPending uint8 = iota
 	mkHit           // served from cache inside the gather's critical section
 	mkJoin          // attached to a flight another request owns
-	mkOwner         // this session owns the flight; fetched on the batch path
-	mkMerged        // owner handed to the merge window; awaited like a join
+	mkOwner         // this request owns the flight; fetched on the batch path
 	mkDone          // item/err final
 )
 
@@ -86,46 +86,74 @@ type multiKey struct {
 	item    Item
 	err     error
 	backend int
-	kind    uint8
-	used    bool // hit consumed a prefetched-unused entry
-	// Byte-mode (GetMultiBytes) outcome: inBuf marks a payload already
-	// appended to the session buffer at [off, off+blen).
+	// Byte sinks: inBuf marks a payload the cache's byte view already
+	// copied (or, for the length sink, measured) under the shard lock,
+	// located at [off, off+blen) of the sink buffer. Every other payload
+	// arrives boxed in item.Data and is unboxed when the read lands.
 	off, blen int
 	inBuf     bool
+	kind      uint8
+	used      bool // served from a prefetched entry no demand request had consumed yet
 }
 
-// multiScratch is the pooled per-session state: the per-key
-// classification table and the staging buffers for batch dispatch.
-// Pooling it is what keeps GetMulti's all-hit path allocation-free.
+// Sink modes: the closed set of shapes a read's outcome can take.
+const (
+	sinkItems uint8 = iota // one boxed Item per id (Get, GetMulti)
+	sinkBytes              // payloads appended to buf, one ByteRange per id (GetBytes, GetMultiBytes)
+	sinkLen                // one ByteRange per id carrying the payload length only (GetBytesLen)
+)
+
+// sink is where a read lands: the one parameter the public views differ
+// in. read appends one entry per id to items (sinkItems) or ranges
+// (byte modes) and hands the sink back; it travels by value, and the
+// byte buffer the ranges index travels beside it, not in it, because
+// the buffer crosses the ByteCache interface: a sink reached through a
+// pointer, or holding a field that escapes, would drag the singleton
+// views' stack-backed items/ranges to the heap with it.
+type sink struct {
+	mode uint8
+	// session marks a GetMulti/GetMultiBytes call, counted in
+	// Stats.MultiGets; the singleton views are sessions the counter
+	// never sees.
+	session bool
+	items   []Item
+	ranges  []ByteRange
+}
+
+// multiScratch is the pooled per-request state: the predictor's
+// candidate buffers, the per-key classification table and the staging
+// buffers for batch dispatch. Pooling it is what keeps the all-hit path
+// allocation-free.
 type multiScratch struct {
+	candBufs
 	states []multiKey
 	gids   []ID  // one backend's share of the misses
 	gidx   []int // indices into states, aligned with gids
 	bout   []Item
 	berrs  []error
-	mids   []ID // a merge leader's taken batch
-	mfs    []*flight
 }
+
+// maxPooledKeys bounds the session size whose scratch is worth keeping:
+// a request is as large as its caller makes it, and one oversized
+// session must not pin its scratch in the pool for the life of the
+// process. Larger scratch is left to the garbage collector.
+const maxPooledKeys = 1024
 
 //prefetch:hotpath
 func (e *Engine) getMulti() *multiScratch { return e.multiPool.Get().(*multiScratch) }
 
-// putMulti clears the payload, flight and error references a session
-// staged (pooled scratch must not pin cached data or resolved flights)
-// and returns the scratch to the pool.
+// putMulti zeroes the key states the request used and returns the
+// scratch to the pool: pooled scratch must not pin cached data or
+// resolved flights, and gatherMulti claims states on the understanding
+// that the whole table is zero. (The batch staging is cleared where it
+// is used.)
 //
 //prefetch:hotpath
 func (e *Engine) putMulti(sc *multiScratch) {
+	if cap(sc.states) > maxPooledKeys {
+		return
+	}
 	clear(sc.states)
-	sc.states = sc.states[:0]
-	sc.gids, sc.gidx = sc.gids[:0], sc.gidx[:0]
-	clear(sc.bout)
-	sc.bout = sc.bout[:0]
-	clear(sc.berrs)
-	sc.berrs = sc.berrs[:0]
-	sc.mids = sc.mids[:0]
-	clear(sc.mfs)
-	sc.mfs = sc.mfs[:0]
 	e.multiPool.Put(sc)
 }
 
@@ -139,7 +167,7 @@ func (e *Engine) putMulti(sc *multiScratch) {
 // the failed keys — whose Items are zero — while the rest of the
 // session is intact. The predictor observes the session's ids as one
 // linearised sequence and speculative planning happens once, from the
-// session's last id.
+// session's last id — and only if that id was served.
 func (e *Engine) GetMulti(ctx context.Context, ids []ID) ([]Item, error) {
 	if len(ids) == 0 {
 		return nil, nil
@@ -154,31 +182,79 @@ func (e *Engine) GetMulti(ctx context.Context, ids []ID) ([]Item, error) {
 //
 //prefetch:hotpath
 func (e *Engine) GetMultiInto(ctx context.Context, ids []ID, dst []Item) ([]Item, error) {
-	dst = dst[:0]
+	out, _, err := e.read(ctx, ids, sink{session: true, items: dst[:0]}, nil)
+	return out.items, err
+}
+
+// read is the read core behind every public view: it serves ids as one
+// session and lands one entry per id in out, appending byte-sink
+// payloads to buf (returned extended). The error is nil when every
+// key was served, the bare context error or ErrClosed when the request
+// was refused whole (nothing counted, nothing landed), else a
+// *MultiError with one KeyError per failed key.
+//
+// The speculative plan is predicted from the session's last id and
+// dispatched iff that id was served: a request whose planning key
+// failed — or that failed altogether — adds no speculative load to the
+// origin that just failed it. A payload the byte sinks refuse
+// (ErrNotBytes) was served and cached all the same, so it still plans.
+//
+//prefetch:hotpath
+func (e *Engine) read(ctx context.Context, ids []ID, out sink, buf []byte) (sink, []byte, error) {
 	if err := ctx.Err(); err != nil {
-		return dst, err
+		return out, buf, err
 	}
 	if e.closed.Load() {
-		return dst, ErrClosed
+		return out, buf, ErrClosed
 	}
 	if len(ids) == 0 {
-		return dst, nil
+		return out, buf, nil
 	}
-	e.multiGets.Add(1)
+	if out.session {
+		e.multiGets.Add(1)
+	}
 	now := e.now()
-	bufs := e.getBufs()
-	cands := e.observeMulti(ids, bufs)
 	sc := e.getMulti()
-	misses := e.gatherMulti(ids, now, sc, nil)
-	if misses > 0 {
-		e.fetchMultiMisses(ctx, ids, sc)
-		now = e.now() // the session waited on fetches
+	cands := e.observeMulti(ids, &sc.candBufs)
+	if e.gatherMulti(ids, now, sc, out.mode, &buf) {
+		e.fetchMultiMisses(ctx, ids, sc, out.mode, &buf)
+		now = e.now() // the arrival reading predates the wait on fetches
 	}
-	nerr := 0
 	states := sc.states
-	for i := range ids {
-		dst = append(dst, states[i].item)
-		if states[i].err != nil {
+	if states[len(ids)-1].err == nil {
+		e.schedule(cands, now)
+	}
+	// Land the outcome in the sink, one entry per id in session order.
+	// The byte sinks unbox here every payload the gather did not already
+	// copy under a shard lock — a boxed cache's resident, a joined
+	// flight's item, a demand fetch's reply: the reference in item.Data
+	// keeps the payload alive, so the copy needs no lock — and a payload
+	// that is not []byte fails its key with ErrNotBytes; the item stays
+	// cached and Get-servable. A failed key lands as the zero Item or
+	// ByteRange{-1, -1}.
+	nerr := 0
+	for i := range states {
+		st := &states[i]
+		if out.mode == sinkItems {
+			out.items = append(out.items, st.item)
+		} else {
+			if st.err == nil && !st.inBuf {
+				if b, ok := st.item.Data.([]byte); !ok {
+					st.err = ErrNotBytes
+				} else {
+					st.off, st.blen = len(buf), len(b)
+					if out.mode == sinkBytes {
+						buf = append(buf, b...)
+					}
+				}
+			}
+			r := ByteRange{Off: st.off, Len: st.blen}
+			if st.err != nil {
+				r = ByteRange{Off: -1, Len: -1}
+			}
+			out.ranges = append(out.ranges, r)
+		}
+		if st.err != nil {
 			nerr++
 		}
 	}
@@ -186,10 +262,20 @@ func (e *Engine) GetMultiInto(ctx context.Context, ids []ID, dst []Item) ([]Item
 	if nerr > 0 {
 		err = buildMultiError(ids, states, nerr)
 	}
-	e.schedule(cands, now)
+	// Nothing retains cands past dispatch (jobs carry ids, not candidate
+	// slices), so the scratch goes straight back.
 	e.putMulti(sc)
-	e.putBufs(bufs)
-	return dst, err
+	return out, buf, err
+}
+
+// soleKeyError reduces a fan-out-1 read's error to the plain error the
+// singleton views document: the one KeyError's cause. A request refused
+// whole already carries the bare error.
+func soleKeyError(err error) error {
+	if me, ok := err.(*MultiError); ok {
+		return me.Errors[0].Err
+	}
+	return err
 }
 
 // buildMultiError assembles the session's per-key error report. Only
@@ -208,21 +294,29 @@ func buildMultiError(ids []ID, states []multiKey, nerr int) error {
 	return &MultiError{Errors: errs}
 }
 
-// observeMulti feeds the session's ids into the shared access model as
+// observeMulti feeds the request's ids into the shared access model as
 // one linearised sequence — the same observation stream N singleton
-// Gets would produce — and returns the candidate set predicted from
-// the session's last id (the session's one speculative plan).
+// Gets would produce — and returns the candidate set predicted from the
+// last id (the request's one speculative plan), staged in the request's
+// pooled buffers. A concurrent predictor (predFree) is called directly
+// — requests on every shard observe and predict in parallel, and the
+// model itself linearises the stream it learns from — while a plain
+// predictor runs in one predMu critical section so it sees one globally
+// interleaved request stream.
 //
 //prefetch:hotpath
 func (e *Engine) observeMulti(ids []ID, bufs *candBufs) []predict.Prediction {
 	last := len(ids) - 1
 	if e.predFree {
 		if e.ipredCoupled != nil {
-			// k <= 0 observes without predicting: the intermediate ids
-			// extend the stream, only the last one plans. The coupled
-			// call keeps each observation atomic with respect to racing
-			// Gets, so chain conservation holds for the session exactly
-			// as it does per singleton request.
+			// The built-in concurrent models predict as part of the
+			// observation, conditioned on the id itself — so a racing
+			// request moving the shared stream context between an Observe
+			// and a PredictTop cannot hand this request another request's
+			// candidates. k <= 0 observes without predicting: the
+			// intermediate ids extend the stream, only the last one plans,
+			// and chain conservation holds for a session exactly as it
+			// does per singleton request.
 			for _, id := range ids[:last] {
 				e.ipredCoupled.ObserveAndPredictTopInto(cache.ID(id), 0, bufs.cands[:0])
 			}
@@ -257,78 +351,74 @@ func (e *Engine) observeOnly(id ID) {
 	e.pred.Observe(id)
 }
 
-// gatherMulti classifies the session's keys shard by shard: each pass
-// takes one shard's lock once and classifies every still-pending
-// session key living there — hits are served inside that single
-// critical section, misses either join the in-flight fetch for their
-// key or register this session's own flight (handed to the merge
-// window when one is configured). Counter bumps and estimator folds
-// happen after the locks drop, on atomics, each key bumping requests
-// before its outcome counter exactly like the singleton paths.
-// Returns how many keys still need the miss path.
-//
-// bsink selects the output mode: nil serves hits as boxed Items
-// (GetMulti); non-nil is GetMultiBytes' byte mode — hit payloads are
-// appended to *bsink inside the critical section (the slab view is
-// only stable under the shard lock) and located by off/blen in the
-// key's state.
+// gatherMulti classifies the request's keys shard by shard: each pass
+// takes one shard's lock once and classifies every still-pending key
+// living there — hits are served inside that single critical section,
+// misses either join the in-flight fetch for their key or register this
+// request's own flight, in the same critical section as the lookup, so
+// dedup cannot race a completion. (A duplicate id later in the session
+// joins the flight the first occurrence registered — intra-session
+// dedup falls out of the single-flight table.) Counter bumps and
+// estimator folds happen after the locks drop, on atomics, each key
+// bumping requests before its outcome counter. Reports whether any key
+// still needs the miss path.
 //
 //prefetch:hotpath
-func (e *Engine) gatherMulti(ids []ID, now float64, sc *multiScratch, bsink *[]byte) int {
-	states := sc.states[:0]
-	for _, id := range ids {
-		states = append(states, multiKey{sh: e.shardFor(id)})
+func (e *Engine) gatherMulti(ids []ID, now float64, sc *multiScratch, mode uint8, buf *[]byte) bool {
+	// The pooled table is zero up to its capacity — putMulti clears what
+	// a request used — so a key's state is claimed by naming its shard,
+	// and whole elements are only written the first time a request needs
+	// more of them than the table has.
+	states := sc.states[:cap(sc.states)]
+	for len(states) < len(ids) {
+		states = append(states, multiKey{})
+	}
+	states = states[:len(ids)]
+	for i, id := range ids {
+		states[i].sh = e.shardFor(id)
 	}
 	sc.states = states
-	merge := e.mergers != nil
 	for i := range states {
 		if states[i].kind != mkPending {
 			continue
 		}
 		sh := states[i].sh
 		sh.mu.Lock()
+		closed := e.closed.Load()
 		for j := i; j < len(states); j++ {
-			if states[j].kind != mkPending || states[j].sh != sh {
+			st := &states[j]
+			if st.kind != mkPending || st.sh != sh {
 				continue
 			}
-			id := ids[j]
-			if bsink != nil {
-				if e.classifyBytesLocked(sh, id, &states[j], bsink) {
-					continue
-				}
-			} else if v, ok := sh.cache.Get(id); ok {
-				states[j].kind = mkHit
-				states[j].item = Item{ID: id, Size: sh.residentSize(id), Data: v}
-				states[j].used = sh.consumeUnusedLocked(id)
-				continue
-			}
-			f, owner := sh.joinOrRegister(e, id)
-			k := mkJoin
-			if owner {
-				k = mkOwner
-				if merge {
-					// The merge window hands the fetch to whichever
-					// session leads the window, so this session awaits
-					// its own key like a joiner: it takes a joiner
-					// reference alongside the owner reference it just
-					// registered. (A duplicate id later in the session
-					// joins this same flight — intra-session dedup
-					// falls out of the single-flight table.)
-					f.waiters++
-					f.refs.Add(1)
-					k = mkMerged
+			switch {
+			case closed:
+				// Close won the race after read's own check: refused under
+				// the lock Close's barrier cycles, before anything is
+				// counted or registered.
+				st.kind, st.err = mkDone, ErrClosed
+			case e.classifyResidentLocked(sh, ids[j], st, mode, buf):
+				st.kind = mkHit
+			default:
+				var owner bool
+				st.f, owner = sh.joinOrRegister(e, ids[j])
+				st.kind = mkJoin
+				if owner {
+					st.kind = mkOwner
 				}
 			}
-			states[j].kind, states[j].f = k, f
 		}
 		sh.mu.Unlock()
 	}
-	misses := 0
+	pending := false
 	for i := range states {
 		st := &states[i]
 		sh := st.sh
 		switch st.kind {
 		case mkHit:
+			// OnHit racing a concurrent eviction of the same id can observe
+			// the entry as already gone — the estimator adopts unknown ids
+			// as tagged, so the ĥ′ ratio stays well-formed; the window is a
+			// few instructions and vanishes once traffic quiesces.
 			sh.requests.Add(1)
 			sh.hits.Add(1)
 			if st.used {
@@ -338,281 +428,173 @@ func (e *Engine) gatherMulti(ids []ID, now float64, sc *multiScratch, bsink *[]b
 			e.ctrl.RecordRequest(now, st.item.Size)
 			e.emit(Event{Type: EventHit, ID: ids[i]})
 			st.kind = mkDone
-		case mkJoin:
+		case mkJoin, mkOwner:
+			// Record the arrival immediately, before any fetch is
+			// attempted: a demand fetch that errors (or a joiner whose
+			// context expires) is still an arrival, and skipping it would
+			// let λ̂ and the controller's request count drift from
+			// Stats.Requests under origin failures. The size is unknown
+			// here; the fetch paths fold it into ŝ̄ via RecordSize once the
+			// origin responds.
 			sh.requests.Add(1)
 			sh.misses.Add(1)
-			sh.joins.Add(1)
+			if st.kind == mkJoin {
+				sh.joins.Add(1) // one count per request, however many flights it retries
+			}
 			e.ctrl.RecordRequest(now, 0)
-			misses++
-		default: // mkOwner, mkMerged
-			sh.requests.Add(1)
-			sh.misses.Add(1)
-			e.ctrl.RecordRequest(now, 0)
-			misses++
+			pending = true
 		}
 	}
-	return misses
+	return pending
+}
+
+// classifyResidentLocked is the one place a request is served from cache:
+// it reports whether id is resident and, if so, records the payload,
+// the recorded size and the prefetched-unused consumption in st. The
+// byte sinks read a ByteCache through its byte view — the copy (or the
+// length probe) happens here because the slab view is only stable under
+// the shard lock — and every other payload is handed on boxed. The
+// caller owns the accounting: a gather hit and a joined key that finds
+// its item cached after a failed wait fold differently. Called with
+// sh.mu held.
+//
+//prefetch:hotpath
+func (e *Engine) classifyResidentLocked(sh *shard, id ID, st *multiKey, mode uint8, buf *[]byte) bool {
+	if sh.bcache != nil && mode != sinkItems {
+		if mode == sinkLen {
+			st.blen, st.inBuf = sh.bcache.BytesLen(id)
+		} else {
+			st.off = len(*buf)
+			*buf, st.inBuf = sh.bcache.GetBytes(id, *buf)
+			st.blen = len(*buf) - st.off
+		}
+		// A byte-view miss is not a cache miss: the entry may be resident
+		// in the store's boxed overflow (an oversized []byte, or a
+		// non-[]byte payload) — the boxed lookup below decides.
+	}
+	if !st.inBuf {
+		v, ok := sh.cache.Get(id)
+		if !ok {
+			return false
+		}
+		st.item.Data = v
+	}
+	st.item.ID, st.item.Size = id, sh.residentSize(id)
+	st.used = sh.consumeUnusedLocked(id)
+	return true
 }
 
 // fetchMultiMisses serves the keys the gather could not: owned misses
-// travel to their routed backends as coalesced demand batches (through
-// the merge window when one is configured), then every joined and
-// merged key awaits the flight it attached to.
+// travel to their routed backends as coalesced demand batches, then
+// every joined key awaits the flight it attached to.
 //
 //prefetch:hotpath
-func (e *Engine) fetchMultiMisses(ctx context.Context, ids []ID, sc *multiScratch) {
+func (e *Engine) fetchMultiMisses(ctx context.Context, ids []ID, sc *multiScratch, mode uint8, buf *[]byte) {
 	states := sc.states
 	nb := e.fabric.NumBackends()
 	if nb > 1 {
 		for i := range states {
-			if k := states[i].kind; k == mkOwner || k == mkMerged {
+			if states[i].kind == mkOwner {
 				states[i].backend = e.fabric.Route(ids[i])
 			}
 		}
 	}
 	for b := 0; b < nb; b++ {
-		e.dispatchMultiBackend(ctx, b, ids, sc)
+		e.runDemandBatch(ctx, b, ids, sc)
 	}
 	for i := range states {
-		st := &states[i]
-		if st.kind == mkJoin || st.kind == mkMerged {
-			st.item, st.err = e.awaitJoined(ctx, ids[i], st.f, st.kind == mkJoin)
-			st.kind = mkDone
+		if states[i].kind == mkJoin {
+			e.awaitJoined(ctx, ids[i], &states[i], mode, buf)
+			states[i].kind = mkDone
 		}
 	}
 }
 
-// dispatchMultiBackend collects one backend's share of the session's
-// owned misses and either executes it as a demand batch or contributes
-// it to the backend's merge window.
+// runDemandBatch fetches one backend's share of the request's owned
+// misses as a single demand batch, staged in the pooled scratch, and
+// lands each key through completeDemand (cache fill, size and estimator
+// folds, flight resolution, per-key error). FetchDemandBatch owns the
+// reply checks and the per-key fallback — a one-key share, a batch
+// error, a short reply or a misordered reply degrades to the hedged,
+// failing-over Fetch per key, so one bad reply never fails the session.
 //
 //prefetch:hotpath
-func (e *Engine) dispatchMultiBackend(ctx context.Context, b int, ids []ID, sc *multiScratch) {
+func (e *Engine) runDemandBatch(ctx context.Context, b int, ids []ID, sc *multiScratch) {
 	states := sc.states
-	gids := sc.gids[:0]
-	gidx := sc.gidx[:0]
-	merged := false
+	gids, gidx := sc.gids[:0], sc.gidx[:0]
+	items, errs := sc.bout[:0], sc.berrs[:0]
 	for i := range states {
-		k := states[i].kind
-		if (k != mkOwner && k != mkMerged) || states[i].backend != b {
-			continue
+		if states[i].kind == mkOwner && states[i].backend == b {
+			gids, gidx = append(gids, ids[i]), append(gidx, i)
+			items, errs = append(items, Item{}), append(errs, nil)
 		}
-		merged = k == mkMerged
-		gids = append(gids, ids[i])
-		gidx = append(gidx, i)
 	}
-	sc.gids, sc.gidx = gids, gidx
+	sc.gids, sc.gidx, sc.bout, sc.berrs = gids, gidx, items, errs
 	if len(gids) == 0 {
 		return
 	}
-	if merged {
-		e.contributeMerge(ctx, b, gids, sc)
-		return
-	}
-	e.runDemandBatch(ctx, b, gids, gidx, sc)
-}
-
-// runDemandBatch executes one backend's share of the session's misses
-// as a single coalesced demand batch and lands each key exactly as a
-// singleton demand fetch would (completeDemand: cache fill, size and
-// estimator folds, flight resolution, per-key error).
-//
-//prefetch:hotpath
-func (e *Engine) runDemandBatch(ctx context.Context, b int, gids []ID, gidx []int, sc *multiScratch) {
-	out, errs := e.fetchDemandKeys(ctx, b, gids, sc)
-	states := sc.states
-	for i, id := range gids {
-		st := &states[gidx[i]]
-		st.item, st.err = e.completeDemand(st.sh, id, st.f, out[i], errs[i])
-		st.kind = mkDone
-	}
-}
-
-// fetchDemandKeys fetches one backend's share of a session's misses as a
-// single demand batch into the session's pooled out/errs staging
-// (len(gids), index-aligned). FetchDemandBatch owns the reply checks
-// and the per-key fallback — a batch error, a short reply or a
-// misordered reply degrades to per-key fetches, so one bad reply never
-// fails the session.
-//
-//prefetch:hotpath
-func (e *Engine) fetchDemandKeys(ctx context.Context, b int, gids []ID, sc *multiScratch) ([]Item, []error) {
-	out := sc.bout[:0]
-	errs := sc.berrs[:0]
-	for range gids {
-		out = append(out, Item{})
-		errs = append(errs, nil)
-	}
-	sc.bout, sc.berrs = out, errs
 	if len(gids) > 1 && e.fabric.BatchCapable(b) {
 		e.batchedKeys.Add(int64(len(gids)))
 	}
-	e.fabric.FetchDemandBatch(ctx, b, gids, out, errs)
-	return out, errs
+	e.fabric.FetchDemandBatch(ctx, b, gids, items, errs)
+	for i, id := range gids {
+		st := &states[gidx[i]]
+		st.item, st.err = e.completeDemand(st.sh, id, st.f, items[i], errs[i])
+		st.kind = mkDone
+	}
+	// The replies are landed: the pooled staging must not pin them.
+	clear(items)
+	clear(errs)
 }
 
-// awaitJoined waits out one session key that attached to an in-flight
-// fetch (another request's flight, or this session's own merged
-// flight), retrying exactly like the singleton join loop: when the
-// joined flight fails, the key re-checks the cache under the lock and
-// — if no other flight appeared — fetches individually under the
-// session's context.
-func (e *Engine) awaitJoined(ctx context.Context, id ID, f *flight, emitJoin bool) (Item, error) {
-	sh := e.shardFor(id)
+// awaitJoined waits out one key that attached to another request's
+// in-flight fetch. A flight that resolves serves the key: the prefetched
+// (or concurrently demanded) item beat this request to the origin, and
+// it is accounted exactly like a first hit on an untagged entry — the
+// arrival itself was recorded when the miss was established. When the
+// joined flight fails or is dropped, the key re-checks the shard under
+// the lock before fetching itself. The loop matters: while a failed
+// join waits to re-acquire the lock, another request may have cached the
+// item (serve it; the request stays counted as the miss it was on
+// arrival) or registered a fresh flight (join that one — overwriting it
+// would break dedup); only when neither happened does the key fetch
+// individually, under the caller's context.
+func (e *Engine) awaitJoined(ctx context.Context, id ID, st *multiKey, mode uint8, buf *[]byte) {
+	sh := st.sh
 	for {
-		if emitJoin {
-			e.emit(Event{Type: EventJoin, ID: id})
-		}
-		item, err, resolved := e.awaitFlight(ctx, f)
-		if resolved {
-			if err != nil {
-				return Item{}, err
-			}
-			return e.finishJoinedMulti(sh, id, item), nil
+		e.emit(Event{Type: EventJoin, ID: id})
+		item, err, resolved := e.awaitFlight(ctx, st.f)
+		if err != nil {
+			st.err = err // the caller's context expired mid-wait
+			return
 		}
 		sh.mu.Lock()
-		if e.closed.Load() {
+		switch {
+		case resolved:
+			st.item = Item{ID: id, Size: item.Size, Data: item.Data}
+			st.used = sh.consumeUnusedLocked(id)
+		case e.closed.Load():
 			sh.mu.Unlock()
-			return Item{}, ErrClosed
-		}
-		if v, ok := sh.cache.Get(id); ok {
-			size := sh.residentSize(id)
-			used := sh.consumeUnusedLocked(id)
+			st.err = ErrClosed
+			return
+		case e.classifyResidentLocked(sh, id, st, mode, buf):
+		default:
+			var owner bool
+			st.f, owner = sh.joinOrRegister(e, id)
 			sh.mu.Unlock()
-			if used {
-				sh.prefetchUsed.Add(1)
+			if owner {
+				item, err := e.fabric.Fetch(ctx, id)
+				st.item, st.err = e.completeDemand(sh, id, st.f, item, err)
+				return
 			}
-			e.ctrl.Estimator().OnHit(cache.ID(id))
-			e.ctrl.RecordSize(size)
-			return Item{ID: id, Size: size, Data: v}, nil
+			continue
 		}
-		var owner bool
-		f, owner = sh.joinOrRegister(e, id)
 		sh.mu.Unlock()
-		if owner {
-			item, ferr := e.fabric.Fetch(ctx, id)
-			return e.completeDemand(sh, id, f, item, ferr)
+		if st.used {
+			sh.prefetchUsed.Add(1)
 		}
-		// From here on the key is a plain join, whatever it started as.
-		emitJoin = true
-	}
-}
-
-// finishJoinedMulti lands a session key served by the flight it
-// joined: the same folds as the singleton finishJoined, minus the
-// speculative planning — the session plans once, from its last id.
-func (e *Engine) finishJoinedMulti(sh *shard, id ID, item Item) Item {
-	sh.mu.Lock()
-	used := sh.consumeUnusedLocked(id)
-	sh.mu.Unlock()
-	if used {
-		sh.prefetchUsed.Add(1)
-	}
-	e.ctrl.Estimator().OnHit(cache.ID(id))
-	e.ctrl.RecordSize(item.Size)
-	return Item{ID: id, Size: item.Size, Data: item.Data}
-}
-
-// demandMerger is one backend's demand-dedup merge window
-// (WithDemandCoalescing): sessions contribute their misses under mu
-// and the first contributor leads the open window on its own goroutine
-// — there is no background merger goroutine, so there is nothing to
-// leak at Close. mu is a leaf in the engine's lock order: nothing
-// acquires any other lock while holding it, and it is never taken
-// under a shard mutex.
-type demandMerger struct {
-	mu      sync.Mutex
-	ids     []ID
-	fs      []*flight // index-aligned with ids
-	leading bool
-	// full wakes the leader early when the accumulated batch reaches
-	// maxBatch (buffered: contributors never block on it). A stale
-	// token — a follower signalling just as the window expires — can
-	// cut the next window short by one signal; that is harmless, the
-	// leader just dispatches what has accumulated so far.
-	full chan struct{}
-}
-
-// contributeMerge adds one backend's share of the session's misses to
-// that backend's merge window. The first contributor becomes the
-// leader: it waits out the window (cut short by the maxBatch
-// high-water mark, engine close, or its own context), then drains
-// everything accumulated and executes it as coalesced demand batches,
-// completing every flight — its own keys included, which the caller
-// then awaits through fetchMultiMisses exactly like a follower's.
-// Every entry is drained by whichever session led when it was added,
-// so no flight is ever orphaned in the window.
-//
-//prefetch:hotpath
-func (e *Engine) contributeMerge(ctx context.Context, b int, gids []ID, sc *multiScratch) {
-	m := e.mergers[b]
-	m.mu.Lock()
-	m.ids = append(m.ids, gids...)
-	for _, i := range sc.gidx {
-		m.fs = append(m.fs, sc.states[i].f)
-	}
-	lead := !m.leading
-	if lead {
-		m.leading = true
-	}
-	n := len(m.ids)
-	m.mu.Unlock()
-	if !lead {
-		e.mergedSessions.Add(1)
-		if n >= e.mergeMax {
-			select {
-			case m.full <- struct{}{}:
-			default:
-			}
-		}
+		e.ctrl.Estimator().OnHit(cache.ID(id))
+		e.ctrl.RecordSize(st.item.Size)
 		return
-	}
-	if n < e.mergeMax {
-		timer := time.NewTimer(e.mergeWindow)
-		select {
-		case <-timer.C:
-		case <-m.full:
-			timer.Stop()
-		case <-e.baseCtx.Done():
-			timer.Stop()
-		case <-ctx.Done():
-			timer.Stop()
-		}
-	}
-	m.mu.Lock()
-	mids := append(sc.mids[:0], m.ids...)
-	mfs := append(sc.mfs[:0], m.fs...)
-	sc.mids, sc.mfs = mids, mfs
-	m.ids = m.ids[:0]
-	clear(m.fs) // drop the flight references before pooling-style reuse
-	m.fs = m.fs[:0]
-	m.leading = false
-	select {
-	case <-m.full: // absorb a high-water signal for entries just taken
-	default:
-	}
-	m.mu.Unlock()
-	e.executeMergedBatch(ctx, b, mids, mfs, sc)
-}
-
-// executeMergedBatch completes every flight of a drained merge window
-// in demand batches of at most mergeMax keys. Per-key failures (the
-// leader's context dying included) fail only the affected flights;
-// their sessions retry those keys individually under their own
-// contexts via the awaitJoined loop.
-//
-//prefetch:hotpath
-func (e *Engine) executeMergedBatch(ctx context.Context, b int, mids []ID, mfs []*flight, sc *multiScratch) {
-	for start := 0; start < len(mids); start += e.mergeMax {
-		end := start + e.mergeMax
-		if end > len(mids) {
-			end = len(mids)
-		}
-		chunk := mids[start:end]
-		out, errs := e.fetchDemandKeys(ctx, b, chunk, sc)
-		for i, id := range chunk {
-			f := mfs[start+i]
-			_, _ = e.completeDemand(e.shardFor(id), id, f, out[i], errs[i])
-		}
 	}
 }

@@ -320,118 +320,6 @@ func TestGetMultiVsSingletonRace(t *testing.T) {
 	}
 }
 
-// TestGetMultiMergeWindow exercises WithDemandCoalescing end to end:
-// concurrent sessions contributing inside one window are merged into
-// shared backend batches with per-key completion, nothing double-
-// fetches, and the merged-session counter moves.
-func TestGetMultiMergeWindow(t *testing.T) {
-	testutil.ExpectNoLeaks(t)
-	cf := newCountingFetcher(true)
-	eng := newMultiEngine(t, cf, WithDemandCoalescing(150*time.Millisecond, 8))
-	defer eng.Close()
-	ctx := context.Background()
-
-	var wg sync.WaitGroup
-	start := make(chan struct{})
-	sessions := [][]ID{{10, 11, 12, 13}, {20, 21, 22, 23}}
-	for _, ids := range sessions {
-		wg.Add(1)
-		go func(ids []ID) {
-			defer wg.Done()
-			<-start
-			items, err := eng.GetMulti(ctx, ids)
-			if err != nil {
-				t.Errorf("GetMulti(%v): %v", ids, err)
-				return
-			}
-			for i := range items {
-				if items[i].ID != ids[i] {
-					t.Errorf("merged session served wrong item at %d: %+v", i, items[i])
-					return
-				}
-			}
-		}(ids)
-	}
-	close(start)
-	wg.Wait()
-	for _, ids := range sessions {
-		for _, id := range ids {
-			if n := cf.count(id); n != 1 {
-				t.Fatalf("key %d fetched %d times through the merge window, want 1", id, n)
-			}
-		}
-	}
-	// Both sessions raced into the window: either one led and one was
-	// merged (a single 8-key batch) or they led successive windows. The
-	// merge machinery must never fetch more batches than sessions.
-	if b := cf.batches(); b < 1 || b > len(sessions) {
-		t.Fatalf("merge window dispatched %d batches for %d sessions", b, len(sessions))
-	}
-	if st := eng.Stats(); st.MergedSessions > int64(len(sessions)-1) {
-		t.Fatalf("Stats.MergedSessions = %d with %d sessions", st.MergedSessions, len(sessions))
-	}
-}
-
-// TestGetMultiCloseDuringMergeWindow opens a merge window and closes
-// the engine while the leader is still waiting in it: the leader must
-// wake on the engine's lifecycle context, every session key must get a
-// definite outcome, and no goroutine may leak.
-func TestGetMultiCloseDuringMergeWindow(t *testing.T) {
-	testutil.ExpectNoLeaks(t)
-	cf := newCountingFetcher(true)
-	eng := newMultiEngine(t, cf, WithDemandCoalescing(30*time.Second, 64))
-	ctx := context.Background()
-
-	done := make(chan error, 1)
-	go func() {
-		// The window is far longer than the test: without the close
-		// wake-up this session would hang until the timer fired.
-		_, err := eng.GetMulti(ctx, []ID{10, 11, 12})
-		done <- err
-	}()
-	time.Sleep(50 * time.Millisecond) // let the leader enter its window
-	if err := eng.Close(); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-done:
-		// The leader drains its window on close; the fetches themselves
-		// still run (demand fetches complete under their callers'
-		// contexts), so success and per-key ErrClosed are both sound.
-		var me *MultiError
-		if err != nil && !errors.As(err, &me) && !errors.Is(err, ErrClosed) {
-			t.Fatalf("session after close: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("GetMulti still blocked in the merge window after Close")
-	}
-}
-
-// TestGetMultiQuiesceDuringMergeWindow: Quiesce waits only speculative
-// work, so an open merge window (demand work) must not block it.
-func TestGetMultiQuiesceDuringMergeWindow(t *testing.T) {
-	testutil.ExpectNoLeaks(t)
-	cf := newCountingFetcher(true)
-	eng := newMultiEngine(t, cf, WithDemandCoalescing(300*time.Millisecond, 64))
-	defer eng.Close()
-	ctx := context.Background()
-
-	released := make(chan struct{})
-	go func() {
-		defer close(released)
-		if _, err := eng.GetMulti(ctx, []ID{10, 11}); err != nil {
-			t.Errorf("GetMulti: %v", err)
-		}
-	}()
-	time.Sleep(30 * time.Millisecond) // leader is now waiting in the window
-	qctx, cancel := context.WithTimeout(ctx, time.Second)
-	defer cancel()
-	if err := eng.Quiesce(qctx); err != nil {
-		t.Fatalf("Quiesce blocked on an open merge window: %v", err)
-	}
-	<-released
-}
-
 // recordingPredictor is a plain (mutex-path) predictor that records
 // the observation stream it sees.
 type recordingPredictor struct {
@@ -528,5 +416,83 @@ func TestGetMultiFabricPartialFailure(t *testing.T) {
 	}
 	if got := calls.Load(); got != int64(len(ids)) {
 		t.Fatalf("%d backend fetches for %d keys (no batch support: one each)", got, len(ids))
+	}
+}
+
+// TestFailedPlanningKeyDoesNotSpeculate pins the planning rule on every
+// view: the speculative plan is dispatched iff the key it was predicted
+// from was served. The Markov model knows 1→2, id 2 is not resident and
+// the origin fails id 1 — a request for 1 that went on to prefetch 2
+// would add speculative load to the origin that just failed it.
+func TestFailedPlanningKeyDoesNotSpeculate(t *testing.T) {
+	errOrigin := errors.New("origin down")
+	views := []struct {
+		name string
+		get  func(ctx context.Context, eng *Engine, id ID) error
+	}{
+		{"Get", func(ctx context.Context, eng *Engine, id ID) error {
+			_, err := eng.Get(ctx, id)
+			return err
+		}},
+		{"GetBytes", func(ctx context.Context, eng *Engine, id ID) error {
+			_, err := eng.GetBytes(ctx, id, nil)
+			return err
+		}},
+		{"GetMultiInto", func(ctx context.Context, eng *Engine, id ID) error {
+			_, err := eng.GetMultiInto(ctx, []ID{id}, nil)
+			return err
+		}},
+		{"GetMultiBytes", func(ctx context.Context, eng *Engine, id ID) error {
+			_, _, err := eng.GetMultiBytes(ctx, []ID{id}, nil, nil)
+			return err
+		}},
+	}
+	for _, v := range views {
+		t.Run(v.name, func(t *testing.T) {
+			var failing atomic.Bool
+			fetcher := FetcherFunc(func(ctx context.Context, id ID) (Item, error) {
+				if id == 1 && failing.Load() {
+					return Item{}, errOrigin
+				}
+				return Item{ID: id, Size: 1, Data: bytePayload(id, 8)}, nil
+			})
+			eng, err := New(fetcher,
+				WithBandwidth(1e6),
+				WithCache(NewLRUCache(2)),
+				WithWorkers(1),
+				WithMaxPrefetch(1),
+				WithPolicy(StaticThreshold(0)),
+			)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			ctx := context.Background()
+			// 4→1→2 trains the model; 5 and 6 then push 1 and 2 out of the
+			// two-entry cache (and predict nothing themselves).
+			for _, id := range []ID{4, 1, 2, 5, 6} {
+				if _, err := eng.Get(ctx, id); err != nil {
+					t.Fatal(err)
+				}
+				if err := eng.Quiesce(ctx); err != nil {
+					t.Fatal(err)
+				}
+			}
+			failing.Store(true)
+			before := eng.Stats()
+			if err := v.get(ctx, eng, 1); !errors.Is(err, errOrigin) {
+				t.Fatalf("request for the failing key: err = %v, want the origin's", err)
+			}
+			if err := eng.Quiesce(ctx); err != nil {
+				t.Fatal(err)
+			}
+			after := eng.Stats()
+			if d := after.PrefetchIssued - before.PrefetchIssued; d != 0 {
+				t.Fatalf("a request whose planning key failed issued %d speculative fetches, want 0", d)
+			}
+			if after.Misses != before.Misses+1 {
+				t.Fatalf("the failed request is still an arrival: misses %d -> %d", before.Misses, after.Misses)
+			}
+		})
 	}
 }

@@ -3,7 +3,6 @@ package prefetcher
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"repro/prefetcher/fetch"
 )
@@ -25,10 +24,6 @@ type config struct {
 	queueDepth   int
 	maxPrefetch  int
 	hook         func(Event)
-
-	// Demand-dedup merge window (0 = off, see WithDemandCoalescing).
-	mergeWindow time.Duration
-	mergeMax    int
 
 	// Fetch fabric (no backends = New's fetcher is the one backend).
 	backends      []fetch.Backend
@@ -236,33 +231,6 @@ func WithEventHook(fn func(Event)) Option {
 			return fmt.Errorf("prefetcher: nil event hook")
 		}
 		c.hook = fn
-		return nil
-	}
-}
-
-// WithDemandCoalescing enables the demand-dedup merge window on the
-// batched demand path (off by default): a GetMulti session's misses
-// wait up to window for overlapping concurrent sessions, and
-// everything accumulated travels to each backend as coalesced
-// FetchBatch calls of at most maxBatch keys. The window is led by the
-// first contributing session on its own goroutine — no background
-// timer goroutine exists to leak — so every session's misses pay up to
-// one window of extra latency in exchange for fewer, larger origin
-// calls; size the window well below the origin round trip it saves.
-// Merged sessions keep per-key partial-failure semantics, and
-// singleton Gets still join the merged flights (they are never
-// delayed by the window themselves). Sessions folded into another
-// session's window are counted in Stats.MergedSessions.
-func WithDemandCoalescing(window time.Duration, maxBatch int) Option {
-	return func(c *config) error {
-		if window <= 0 {
-			return fmt.Errorf("prefetcher: demand-coalescing window %v must be positive", window)
-		}
-		if maxBatch < 2 {
-			return fmt.Errorf("prefetcher: demand-coalescing max batch %d must be >= 2", maxBatch)
-		}
-		c.mergeWindow = window
-		c.mergeMax = maxBatch
 		return nil
 	}
 }

@@ -54,14 +54,13 @@ type Stats struct {
 	// regardless of the shard count.
 	Predictor         string
 	PredictorLockFree bool
-	// MultiGets counts GetMulti/GetMultiInto sessions; BatchedKeys the
-	// session misses dispatched through coalesced demand batches
-	// (FetchBatch on the demand path, 2+ keys at a time);
-	// MergedSessions the sessions whose misses were folded into another
-	// session's open merge window (WithDemandCoalescing). Each session
-	// also counts every one of its keys in Requests/Hits/Misses/Joins
-	// exactly as singleton Gets would.
-	MultiGets, BatchedKeys, MergedSessions int64
+	// MultiGets counts GetMulti/GetMultiInto/GetMultiBytes sessions
+	// (the singleton views run the same read core but are not counted
+	// here); BatchedKeys the session misses dispatched through coalesced
+	// demand batches (FetchBatch on the demand path, 2+ keys at a time).
+	// Each session also counts every one of its keys in
+	// Requests/Hits/Misses/Joins exactly as singleton Gets would.
+	MultiGets, BatchedKeys int64
 	// PrefetchDeferred counts speculative candidates the idle gate
 	// parked because their backend's ρ̂ sat above the watermark
 	// (WithIdleWatermark); they dispatch when the link idles. Summed
@@ -100,8 +99,7 @@ func (s Stats) String() string {
 		s.PrefetchIssued, s.PrefetchUsed, s.PrefetchWasted, s.PrefetchDropped,
 		s.PrefetchDeferred, s.PrefetchErrors)
 	if s.MultiGets > 0 {
-		out += fmt.Sprintf(" multi[sessions=%d batched=%d merged=%d]",
-			s.MultiGets, s.BatchedKeys, s.MergedSessions)
+		out += fmt.Sprintf(" multi[sessions=%d batched=%d]", s.MultiGets, s.BatchedKeys)
 	}
 	for _, b := range s.Backends {
 		out += fmt.Sprintf(" %s[ρ̂=%.3f ρ̂′=%.3f demand=%d spec=%d hedge=%d/%d deferred=%d]",
