@@ -29,14 +29,16 @@ import (
 // compensating for the tagged occupants model B assumes were displaced
 // by prefetched items.
 //
-// Estimator is safe for concurrent use: a live engine reports demand
-// hits, remote fetches, prefetch completions and evictions from
-// different goroutines. The tag state is striped across several
+// Estimator is safe for concurrent use: callers report demand hits,
+// remote fetches, prefetch completions and evictions from different
+// goroutines. The tag state is striped across several
 // independently-locked maps keyed by id, and the counters are atomics,
-// so a sharded engine's hot paths do not serialise on one estimator
-// lock. Each id's tag transitions stay ordered (one stripe owns each
-// id); the aggregate counters are only ever read as a ratio, for which
-// atomic adds suffice.
+// so concurrent callers do not serialise on one estimator lock. Each
+// id's tag transitions stay ordered (one stripe owns each id); the
+// aggregate counters are only ever read as a ratio, for which atomic
+// adds suffice. The live engine keeps each entry's tag bit in its own
+// shards and reports through CountAccess alone; the simulator and
+// core.Advisor use the id-keyed methods.
 type Estimator struct {
 	stripes [estimatorStripes]estimatorStripe
 	naccess atomic.Int64
@@ -94,19 +96,24 @@ func (e *Estimator) OnHit(id ID) (wasTagged bool) {
 	}
 	s.mu.Unlock()
 
+	// An entry that predates the estimator (e.g. warm-up admission
+	// before estimation started) counts as tagged: a no-prefetch cache
+	// would hold it too.
+	wasTagged = t || !known
+	e.CountAccess(wasTagged)
+	return wasTagged
+}
+
+// CountAccess is the estimator's counters alone, for a caller that keeps
+// the tag bit itself (the engine's shards do, under their own locks):
+// one user request, serviced by a tagged entry or not — a first hit on
+// an untagged entry and a remote access both pass false. naccess is
+// bumped before nhit, which is what EstimateA's load order relies on.
+func (e *Estimator) CountAccess(taggedHit bool) {
 	e.naccess.Add(1)
-	if !known {
-		// The entry predates the estimator (e.g. warm-up admission
-		// before estimation started). Treat it as tagged: a no-prefetch
-		// cache would hold it too.
+	if taggedHit {
 		e.nhit.Add(1)
-		return true
 	}
-	if t {
-		e.nhit.Add(1)
-		return true
-	}
-	return false
 }
 
 // OnRemoteAccess records a user request that missed the cache and was
@@ -119,7 +126,7 @@ func (e *Estimator) OnRemoteAccess(id ID, admitted bool) {
 		s.tagged[id] = true
 		s.mu.Unlock()
 	}
-	e.naccess.Add(1)
+	e.CountAccess(false)
 }
 
 // OnEvict forgets the tag state of an evicted entry.
@@ -158,7 +165,7 @@ func (e *Estimator) Resident() int {
 }
 
 // EstimateA returns the model-A estimate ĥ′ = nhit/naccess
-// (0 before any access). nhit is loaded before naccess: OnHit
+// (0 before any access). nhit is loaded before naccess: CountAccess
 // increments naccess first, so nhit ≤ naccess at every instant and
 // this load order keeps the concurrent snapshot's ratio within [0, 1].
 func (e *Estimator) EstimateA() float64 {

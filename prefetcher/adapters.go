@@ -9,114 +9,79 @@ import (
 	"repro/internal/predict"
 )
 
-// --- Predictor adapters over internal/predict ---------------------------
+// --- Predictor adapter over internal/predict ----------------------------
 
-// internalPredictor is how the engine unwraps built-in predictors at
-// construction: it talks to the internal model directly, so the wrapped
-// model's TopPredictor and ConcurrentPredictor capabilities survive the
-// public round trip with no per-call conversion.
-type internalPredictor interface {
-	internal() predict.Predictor
+// builtinModel is what every built-in access model is: internally
+// concurrent, and able to predict as part of an observation.
+type builtinModel interface {
+	predict.ConcurrentPredictor
+	predict.CoupledPredictor
 }
 
-// predictorAdapter lifts an internal predictor to the public interface.
-// The public methods exist for callers that use a built-in predictor
-// outside an Engine; the engine itself goes through internal().
-// staging pools the internal-type buffer PredictTopInto converts out
-// of, so the public Into path honours its zero-allocation contract.
+// internalPredictor is how the engine unwraps built-in predictors at
+// construction: its planner calls the internal model directly, with no
+// public-type conversion per call.
+type internalPredictor interface {
+	internal() builtinModel
+}
+
+// predictorAdapter lifts a built-in model to the public interfaces —
+// Predictor, TopPredictor, TopIntoPredictor and the ConcurrentPredictor
+// marker. The public methods exist for callers that use a built-in
+// predictor outside an Engine; the engine itself goes through
+// internal(). staging pools the internal-type buffer PredictTopInto
+// converts out of, so the public Into path honours its zero-allocation
+// contract.
 type predictorAdapter struct {
-	p       predict.Predictor
+	m       builtinModel
 	staging *sync.Pool // *[]predict.Prediction
 }
 
-func (a predictorAdapter) internal() predict.Predictor { return a.p }
+func (a predictorAdapter) internal() builtinModel { return a.m }
 
-func (a predictorAdapter) Observe(id ID) { a.p.Observe(cache.ID(id)) }
+func (a predictorAdapter) Observe(id ID) { a.m.Observe(cache.ID(id)) }
 
-func (a predictorAdapter) Name() string { return a.p.Name() }
+func (a predictorAdapter) Name() string { return a.m.Name() }
+
+// ConcurrentSafe implements ConcurrentPredictor.
+func (predictorAdapter) ConcurrentSafe() {}
 
 func (a predictorAdapter) Predict() []Prediction {
-	return publicPredictions(a.p.Predict())
+	return publicPredictions(a.m.Predict())
 }
 
-// PredictTop implements the public TopPredictor when the wrapped model
-// supports bounded top-k prediction, falling back to the Predict
-// prefix otherwise.
+// PredictTop implements the public TopPredictor.
 func (a predictorAdapter) PredictTop(k int) []Prediction {
 	if k <= 0 {
 		return nil
 	}
-	if tp, ok := a.p.(predict.TopPredictor); ok {
-		return publicPredictions(tp.PredictTop(k))
-	}
-	ps := a.Predict()
-	if k < len(ps) {
-		ps = ps[:k]
-	}
-	if len(ps) == 0 {
-		return nil
-	}
-	return ps
+	return publicPredictions(a.m.PredictTop(k))
 }
 
 // PredictTopInto implements the public TopIntoPredictor: the top-k
-// candidates are appended to dst. When the wrapped model supports the
-// internal Into form the conversion stages through a pooled buffer, so
-// the call is allocation-free in steady state; the engine itself never
-// takes this route for built-ins (it unwraps to the internal model),
-// so this exists for callers using a built-in predictor outside an
-// Engine.
+// candidates are appended to dst, converted out of a pooled staging
+// buffer, so the call is allocation-free in steady state.
 //
 //prefetch:hotpath
 func (a predictorAdapter) PredictTopInto(dst []Prediction, k int) []Prediction {
 	if k <= 0 {
 		return nil
 	}
-	var ps []predict.Prediction
-	var buf *[]predict.Prediction
-	if tp, ok := a.p.(predict.TopIntoPredictor); ok {
-		buf = a.staging.Get().(*[]predict.Prediction)
-		ps = tp.PredictTopInto((*buf)[:0], k)
-	} else if tp, ok := a.p.(predict.TopPredictor); ok {
-		ps = tp.PredictTop(k)
-	} else {
-		ps = a.p.Predict()
-		if k < len(ps) {
-			ps = ps[:k]
-		}
-	}
+	buf := a.staging.Get().(*[]predict.Prediction)
 	out := dst[:0]
-	for _, p := range ps {
+	for _, p := range a.m.PredictTopInto((*buf)[:0], k) {
 		out = append(out, Prediction{ID: ID(p.Item), Prob: p.Prob})
 	}
-	if buf != nil {
-		a.staging.Put(buf)
-	}
+	a.staging.Put(buf)
 	return out
 }
 
-// concurrentAdapter is the adapter for internally concurrent models: it
-// additionally carries the public ConcurrentPredictor marker, so a
-// built-in concurrent predictor type-asserts correctly outside an
-// Engine too.
-type concurrentAdapter struct {
-	predictorAdapter
-}
-
-// ConcurrentSafe implements ConcurrentPredictor.
-func (concurrentAdapter) ConcurrentSafe() {}
-
-// adaptPredictor wraps an internal predictor in the adapter matching
-// its concurrency contract.
-func adaptPredictor(p predict.Predictor) Predictor {
-	staging := &sync.Pool{New: func() any {
+// adaptPredictor wraps a built-in model in the public adapter.
+func adaptPredictor(m builtinModel) Predictor {
+	return predictorAdapter{m, &sync.Pool{New: func() any {
 		s := make([]predict.Prediction, 0, 16)
 		return &s
-	}}
-	if _, ok := p.(predict.ConcurrentPredictor); ok {
-		return concurrentAdapter{predictorAdapter{p, staging}}
-	}
-	return predictorAdapter{p, staging}
+	}}}
 }
 
 // publicPredictions converts internal predictions to the public type.

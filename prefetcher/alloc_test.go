@@ -30,6 +30,71 @@ func TestGetHitAllocFree(t *testing.T) {
 	}
 }
 
+// ringPredictor is an external TopIntoPredictor over newHitEngine's
+// catalog: after id it names the next ids of the ring. Goroutine-safe,
+// so it can also stand behind the ConcurrentPredictor marker.
+type ringPredictor struct{ last atomic.Int64 }
+
+func (p *ringPredictor) Observe(id ID)         { p.last.Store(int64(id)) }
+func (p *ringPredictor) Name() string          { return "ring" }
+func (p *ringPredictor) Predict() []Prediction { return p.PredictTopInto(nil, 3) }
+
+func (p *ringPredictor) PredictTop(k int) []Prediction { return p.PredictTopInto(nil, k) }
+
+func (p *ringPredictor) PredictTopInto(dst []Prediction, k int) []Prediction {
+	last := p.last.Load()
+	for i := int64(1); i <= int64(k); i++ {
+		dst = append(dst, Prediction{ID: ID((last + i) % 64), Prob: 1 / float64(1+i)})
+	}
+	return dst
+}
+
+type concurrentRingPredictor struct{ ringPredictor }
+
+func (*concurrentRingPredictor) ConcurrentSafe() {}
+
+// TestPluginPredictorHitAllocFree holds the promise interfaces.go makes
+// to plugin authors: behind an external TopIntoPredictor — on the
+// compatibility mutex or, with the ConcurrentPredictor marker, off it —
+// a cache hit still allocates nothing, because the plugin's answer is
+// staged and converted in the request's own pooled scratch.
+func TestPluginPredictorHitAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race runtime drops sync.Pool Puts by design; pooled steady state is unreachable (CI runs this gate without -race)")
+	}
+	for _, tc := range []struct {
+		name     string
+		pred     Predictor
+		lockFree bool
+	}{
+		{"plain", &ringPredictor{}, false},
+		{"concurrent", &concurrentRingPredictor{}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, ids := newHitEngine(t, WithPredictor(tc.pred), WithPolicy(StaticThreshold(0.1)))
+			defer eng.Close()
+			warm := eng.Stats()
+			if warm.PredictorLockFree != tc.lockFree {
+				t.Fatalf("PredictorLockFree = %v, want %v", warm.PredictorLockFree, tc.lockFree)
+			}
+			ctx := context.Background()
+			i := 0
+			allocs := testing.AllocsPerRun(1000, func() {
+				if _, err := eng.Get(ctx, ids[i%len(ids)]); err != nil {
+					t.Fatal(err)
+				}
+				i++
+			})
+			if allocs != 0 {
+				t.Fatalf("cache-hit Get behind a %s plugin allocated %v times per call; want 0", tc.name, allocs)
+			}
+			if st := eng.Stats(); st.Misses != warm.Misses || st.PrefetchIssued == 0 {
+				t.Fatalf("the gate must stay on the hit path of an engine whose plugin's candidates are admitted: %+v", st)
+			}
+		})
+	}
+}
+
 // TestGetMultiAllocFree pins the batched demand path's headline
 // property: an all-hit GetMultiInto session — the gather across
 // shards, the linearised predictor observation sequence, per-key

@@ -155,19 +155,19 @@ func BenchmarkGetMultiHit(b *testing.B) {
 // newHitEngine builds a single-shard engine whose whole catalog is
 // resident (and whose Markov rows predict only resident successors), so
 // driving it sequentially exercises the hit path exclusively.
-func newHitEngine(tb testing.TB) (*Engine, []ID) {
+func newHitEngine(tb testing.TB, extra ...Option) (*Engine, []ID) {
 	tb.Helper()
 	fetch := FetcherFunc(func(ctx context.Context, id ID) (Item, error) {
 		return Item{ID: id, Size: 1}, nil
 	})
 	const items = 64
-	eng, err := New(fetch,
+	eng, err := New(fetch, append([]Option{
 		WithBandwidth(1e6),
 		WithShards(1),
-		WithCache(NewLRUCache(4*items)),
+		WithCache(NewLRUCache(4 * items)),
 		WithWorkers(1),
 		WithMaxPrefetch(2),
-	)
+	}, extra...)...)
 	if err != nil {
 		tb.Fatal(err)
 	}

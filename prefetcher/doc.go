@@ -104,20 +104,28 @@
 // one globally consistent operating point at any shard count.
 //
 // The access model is shared across shards but is not a serialisation
-// point: a predictor implementing ConcurrentPredictor (every built-in
-// constructor) is called lock-free from all shards at once — internally
-// it linearises the request stream (an atomic swap chain for Markov and
+// point. Whatever WithPredictor received is normalised once, at New,
+// into one planner, and the read core calls it at one site: observe the
+// request's ids in order, return the top WithMaxPrefetch candidates
+// conditioned on the last. A built-in constructor's model is unwrapped
+// and called directly, lock-free from all shards at once — internally it
+// linearises the request stream (an atomic swap chain for Markov and
 // the LZ78 parse, a short history mutex for PPM and the dependency
-// graph) so cross-shard transitions are still learned, while its count
-// tables are striped and atomic (the LZ78 trie grows by CAS child
-// insertion). A plain Predictor plugin
-// instead runs under a compatibility mutex, one call at a time, and
-// caps throughput however many shards the engine has;
-// Stats.PredictorLockFree reports which path is active. Predictors
-// implementing TopPredictor serve the hot path with PredictTop(k) — the
-// bounded prefix the policies can actually admit — instead of the full
-// sorted distribution, and the TopIntoPredictor form appends into a
-// pooled per-request buffer.
+// graph) so cross-shard transitions are still learned, its count tables
+// are striped and atomic (the LZ78 trie grows by CAS child insertion),
+// and it predicts as part of the observation, conditioned on the
+// observed id. Any other Predictor is a plugin, and its planner owns
+// everything the engine knows about plugins: it asks for the bounded
+// prefix the policies can actually admit through the best form the
+// plugin offers — TopIntoPredictor appending into the request's pooled
+// buffer, else TopPredictor, else the full sorted Predict, truncated —
+// converts the answer, and, unless the plugin carries the
+// ConcurrentPredictor marker, holds a compatibility mutex across the
+// request's observations and prediction, so a plain plugin sees every
+// request (a whole GetMulti session included) as one contiguous stretch
+// of one globally interleaved stream, and caps throughput however many
+// shards the engine has; Stats.PredictorLockFree reports which path is
+// active.
 //
 // The demand hot path is allocation-free in steady state: prediction
 // candidates and per-key state live in one pooled scratch per request,
@@ -211,10 +219,15 @@
 //   - Lock order is acyclic (lockorder). The only compound edge the
 //     tree permits is shard.mu → Engine.qmu: a shard may push a
 //     speculative candidate onto the engine's queue while holding its
-//     own mutex. Everything else — estimator stripes, the controller's
-//     history mutex, the fabric's queue and backend-state locks — is a
-//     leaf: no code acquires any lock while holding one of them, and no
-//     code acquires a shard mutex while holding any other lock. The
+//     own mutex. Everything else — a plain plugin's compatibility
+//     mutex (held by its planner around the plugin's own calls only,
+//     before the gather takes any shard lock), the controller's history
+//     mutex, the fabric's queue and backend-state locks — is a leaf: no
+//     code acquires any lock while holding one of them, and no code
+//     acquires a shard mutex while holding any other lock. The
+//     Section-4 estimator's stripe mutexes are not reachable from the
+//     engine at all: a shard's unused marker is the tag, and the engine
+//     writes only the estimator's two atomic counters. The
 //     read core observes the same order by construction: gatherMulti
 //     holds at most one shard mutex at a time (keys are grouped so each
 //     shard's classification completes before the next lock), and batch

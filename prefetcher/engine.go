@@ -84,12 +84,117 @@ type batchJob struct {
 }
 
 // candBufs is the prediction part of the per-request scratch (see
-// multiScratch): prediction candidates land in cands, and pub stages the
-// public-type conversion for external predictors. Pooling these is what
-// makes the predict step of the hot path allocation-free.
+// multiScratch): a plan's candidates land in cands, and pub is where a
+// plugin's TopIntoPredictor stages its public-type answer on the way
+// there. Pooling these is what makes the predict step of the hot path
+// allocation-free.
 type candBufs struct {
 	cands []predict.Prediction
 	pub   []Prediction
+}
+
+// planner is the engine's one contract with its access model, whatever
+// WithPredictor received: plan observes ids, in order, as one
+// uninterrupted stretch of the request stream and returns the top-k
+// candidates conditioned on the last id, staged in bufs (k <= 0
+// observes only). The contract is a session, not an id, because a plain
+// plugin must see a GetMulti session as one critical section. It has
+// two implementations and New picks one: builtin set, the model of a
+// built-in constructor unwrapped, or plugin. (A struct and a branch
+// rather than an interface: arguments to an interface call escape, which
+// would move Get's stack-backed [1]ID to the heap.)
+type planner struct {
+	builtin predict.CoupledPredictor
+	plugin  *pluginPlanner
+}
+
+// plan on a built-in model calls it directly. The model predicts as
+// part of the observation, conditioned on the id itself — so a racing
+// request moving the shared stream context cannot hand this request
+// another request's candidates — and linearises the stream it learns
+// from internally, so requests on every shard plan in parallel. The
+// intermediate ids extend the stream, only the last one predicts, and
+// chain conservation holds for a session exactly as it does per
+// singleton request.
+//
+//prefetch:hotpath
+func (p planner) plan(ids []ID, k int, bufs *candBufs) []predict.Prediction {
+	if p.builtin == nil {
+		return p.plugin.plan(ids, k, bufs)
+	}
+	last := len(ids) - 1
+	for _, id := range ids[:last] {
+		p.builtin.ObserveAndPredictTopInto(cache.ID(id), 0, bufs.cands[:0])
+	}
+	return p.builtin.ObserveAndPredictTopInto(cache.ID(ids[last]), k, bufs.cands[:0])
+}
+
+// pluginPlanner plans on an external Predictor through the public
+// interfaces, and owns everything the engine knows about plugins: the
+// capability probe (made once, in newPluginPlanner), the truncation to
+// k, the conversion to internal predictions and the compatibility
+// mutex. mu is nil when the plugin carries the ConcurrentPredictor
+// marker; otherwise it is held across the whole session — observations,
+// prediction and the conversion out of whatever slice the plugin
+// returned — so a single-threaded model sees one globally interleaved
+// request stream with every session contiguous in it.
+type pluginPlanner struct {
+	p       Predictor
+	top     TopPredictor     // non-nil when p supports bounded top-k prediction
+	topInto TopIntoPredictor // its buffer-reusing form
+	mu      *sync.Mutex
+}
+
+func newPluginPlanner(p Predictor) *pluginPlanner {
+	pp := &pluginPlanner{p: p}
+	pp.top, _ = p.(TopPredictor)
+	pp.topInto, _ = p.(TopIntoPredictor)
+	if _, ok := p.(ConcurrentPredictor); !ok {
+		pp.mu = new(sync.Mutex)
+	}
+	return pp
+}
+
+//prefetch:hotpath
+func (p *pluginPlanner) plan(ids []ID, k int, bufs *candBufs) []predict.Prediction {
+	if p.mu == nil {
+		return p.planLocked(ids, k, bufs)
+	}
+	p.mu.Lock()
+	cands := p.planLocked(ids, k, bufs)
+	p.mu.Unlock()
+	return cands
+}
+
+// planLocked is plan with mu held, or with no mu to hold.
+func (p *pluginPlanner) planLocked(ids []ID, k int, bufs *candBufs) []predict.Prediction {
+	for _, id := range ids {
+		p.p.Observe(id)
+	}
+	cands := bufs.cands[:0]
+	if k > 0 {
+		// Every policy admits a prefix of the sorted candidates and the
+		// engine never dispatches more than k, so a predictor that can
+		// produce just its top k skips sorting its whole distribution —
+		// and whatever a plugin returns beyond k is dropped, which keeps
+		// the conversion inside the pooled buffer's capacity.
+		var preds []Prediction
+		switch {
+		case p.topInto != nil:
+			preds = p.topInto.PredictTopInto(bufs.pub[:0], k)
+		case p.top != nil:
+			preds = p.top.PredictTop(k)
+		default:
+			preds = p.p.Predict()
+		}
+		if len(preds) > k {
+			preds = preds[:k]
+		}
+		for _, c := range preds {
+			cands = append(cands, predict.Prediction{Item: cache.ID(c.ID), Prob: c.Prob})
+		}
+	}
+	return cands
 }
 
 // Engine is the concurrent prefetch engine. Create one with New; all
@@ -106,34 +211,25 @@ type candBufs struct {
 // prefetch.Controller built on atomic counters aggregates λ̂, ŝ̄, ĥ′
 // and n̄(F) across shards, so Threshold and Stats report the same
 // globally consistent operating point the paper's rule needs regardless
-// of the shard count. The shared access model is global too, but not
-// serialised: predictors implementing ConcurrentPredictor (every
-// built-in) are called lock-free from all shards at once, while plain
-// Predictor plugins run under a compatibility mutex (see
+// of the shard count. The shared access model is global too, reached
+// through one planner normalised from WithPredictor's argument at New,
+// and not serialised: a built-in model or a ConcurrentPredictor plugin
+// plans lock-free from all shards at once, while a plain Predictor
+// plugin runs under a compatibility mutex its planner owns (see
 // Stats.PredictorLockFree).
 type Engine struct {
 	// fabric is the fetch fabric every demand and speculative fetch
 	// goes through: the WithBackends links, or New's fetcher as the one
 	// backend "origin".
-	fabric  *fetch.Fabric
-	pred    Predictor
-	predTop TopPredictor // non-nil when pred supports bounded top-k prediction
-	// predTopInto is the zero-allocation variant for external
-	// predictors that implement it.
-	predTopInto TopIntoPredictor
-	ipred       predict.Predictor // non-nil fast path when pred wraps an internal predictor
-	// ipredCoupled couples observe+predict in one call on the lock-free
-	// path, so each request's candidates are conditioned on that request
-	// — not on whatever a racing Get observed in between.
-	ipredCoupled predict.CoupledPredictor
-	ipredTop     predict.TopPredictor // non-nil when ipred supports bounded top-k prediction
-	// ipredTopInto is ipredTop's buffer-reusing form (every concurrent
-	// built-in implements it).
-	ipredTopInto predict.TopIntoPredictor
-	predFree     bool // predictor is concurrent: predMu is never taken
-	// predName is captured at New: Name() on a plain Predictor is only
-	// guaranteed safe under predMu, and Stats must not take that lock.
+	fabric *fetch.Fabric
+	// planner is the access model; read calls it once per request.
+	planner planner
+	// predName and predFree are captured at New for Stats alone: Name()
+	// on a plain Predictor is only guaranteed safe under the planner's
+	// mutex, which Stats must not take, and predFree records that the
+	// planner has none.
 	predName    string
+	predFree    bool
 	clock       Clock
 	policy      prefetch.Policy
 	model       analytic.Model
@@ -143,15 +239,6 @@ type Engine struct {
 	hook        func(Event)
 
 	epoch time.Time // clock origin for the controller's float64 seconds
-
-	// predMu is the compatibility path for plain (single-threaded)
-	// Predictor plugins: Observe and the Predict that plans each request
-	// run in one critical section, so such a model sees one globally
-	// interleaved request stream. Predictors that implement the
-	// ConcurrentPredictor contract (every built-in) are
-	// called directly — predFree is set and this mutex is never taken,
-	// removing the engine's last global serialisation point.
-	predMu sync.Mutex
 
 	shards     []*shard
 	shardShift uint
@@ -231,7 +318,7 @@ func New(fetcher Fetcher, opts ...Option) (*Engine, error) {
 	//lint:allow ctxflow engine-owned lifecycle root, cancelled in Close
 	ctx, cancel := context.WithCancel(context.Background())
 	e := &Engine{
-		pred:        cfg.predictor,
+		predName:    cfg.predictor.Name(),
 		clock:       cfg.clock,
 		policy:      cfg.policy.p,
 		model:       cfg.policy.model.analytic(),
@@ -246,36 +333,12 @@ func New(fetcher Fetcher, opts ...Option) (*Engine, error) {
 		shards:      make([]*shard, cfg.shards),
 		shardShift:  uint(64 - bits.TrailingZeros(uint(cfg.shards))),
 	}
-	if pa, ok := cfg.predictor.(internalPredictor); ok {
-		// Skip the public-type round trip for the built-in predictors:
-		// their candidates are consumed as internal predictions anyway.
-		e.ipred = pa.internal()
-		// Every policy admits a prefix of the sorted candidates and the
-		// engine truncates to maxPrefetch, so candidates beyond the cap
-		// can never be dispatched — a predictor that can produce just
-		// the top maxPrefetch skips sorting its whole distribution. The
-		// same dispatch rule applies to external predictors through the
-		// public TopPredictor interface below.
-		if tp, ok := e.ipred.(predict.TopPredictor); ok {
-			e.ipredTop = tp
-		}
-		if tp, ok := e.ipred.(predict.TopIntoPredictor); ok {
-			e.ipredTopInto = tp
-		}
-		_, e.predFree = e.ipred.(predict.ConcurrentPredictor)
-		if e.predFree {
-			e.ipredCoupled, _ = e.ipred.(predict.CoupledPredictor)
-		}
+	if builtin, ok := cfg.predictor.(internalPredictor); ok {
+		e.planner.builtin, e.predFree = builtin.internal(), true
 	} else {
-		if tp, ok := cfg.predictor.(TopPredictor); ok {
-			e.predTop = tp
-		}
-		if tp, ok := cfg.predictor.(TopIntoPredictor); ok {
-			e.predTopInto = tp
-		}
-		_, e.predFree = cfg.predictor.(ConcurrentPredictor)
+		e.planner.plugin = newPluginPlanner(cfg.predictor)
+		e.predFree = e.planner.plugin.mu == nil
 	}
-	e.predName = cfg.predictor.Name()
 	e.flightPool.New = func() any {
 		f := &flight{}
 		f.refs.Store(1)
@@ -287,11 +350,10 @@ func New(fetcher Fetcher, opts ...Option) (*Engine, error) {
 	if bufCap < 1 {
 		bufCap = 1
 	}
-	needPub := e.ipred == nil // only external predictors stage public predictions
 	e.multiPool.New = func() any {
 		sc := &multiScratch{}
 		sc.cands = make([]predict.Prediction, 0, bufCap)
-		if needPub {
+		if e.planner.plugin != nil { // only plugins stage public predictions
 			sc.pub = make([]Prediction, 0, bufCap)
 		}
 		return sc
@@ -421,55 +483,6 @@ func (sh *shard) joinOrRegister(e *Engine, id ID) (f *flight, owner bool) {
 	return f, true
 }
 
-// observeAndPredictLocked is the predictor dispatch shared by both
-// paths: with predMu held for plain predictors, with no lock at all for
-// ConcurrentPredictors. Predictors that support bounded top-k get
-// PredictTop(maxPrefetch) — or its buffer-reusing PredictTopInto form —
-// since the engine never dispatches more than maxPrefetch candidates.
-func (e *Engine) observeAndPredictLocked(id ID, bufs *candBufs) []predict.Prediction {
-	if e.ipred != nil {
-		e.ipred.Observe(cache.ID(id))
-		if e.maxPrefetch == 0 {
-			return nil
-		}
-		if e.ipredTopInto != nil {
-			return e.ipredTopInto.PredictTopInto(bufs.cands[:0], e.maxPrefetch)
-		}
-		if e.ipredTop != nil {
-			return e.ipredTop.PredictTop(e.maxPrefetch)
-		}
-		return e.ipred.Predict()
-	}
-	e.pred.Observe(id)
-	if e.maxPrefetch == 0 {
-		return nil
-	}
-	var preds []Prediction
-	switch {
-	case e.predTopInto != nil:
-		preds = e.predTopInto.PredictTopInto(bufs.pub[:0], e.maxPrefetch)
-	case e.predTop != nil:
-		preds = e.predTop.PredictTop(e.maxPrefetch)
-	default:
-		preds = e.pred.Predict()
-	}
-	if len(preds) == 0 {
-		return nil
-	}
-	if len(preds) > e.maxPrefetch {
-		// Both the policies and the engine's cap only ever admit a
-		// prefix of the sorted candidates, so the tail can never be
-		// dispatched; dropping it here keeps the conversion inside the
-		// pooled buffer's capacity.
-		preds = preds[:e.maxPrefetch]
-	}
-	cands := bufs.cands[:0]
-	for _, p := range preds {
-		cands = append(cands, predict.Prediction{Item: cache.ID(p.ID), Prob: p.Prob})
-	}
-	return cands
-}
-
 // awaitFlight waits for an in-flight fetch this request joined,
 // releasing the joiner's reference once the outcome is read. resolved
 // is false when the flight failed or was dropped — the caller should
@@ -518,12 +531,12 @@ func (e *Engine) completeDemand(sh *shard, id ID, f *flight, item Item, err erro
 	}
 	sh.sizes[id] = item.Size
 	e.putCache(sh, id, item.Data)
-	e.ctrl.Estimator().OnRemoteAccess(cache.ID(id), true)
 	f.item = item
 	f.resolveLocked()
 	sh.mu.Unlock()
 	e.releaseFlight(f)
 
+	e.ctrl.Estimator().CountAccess(false)
 	e.ctrl.RecordSize(item.Size)
 	e.emit(Event{Type: EventMiss, ID: id})
 	return item, nil
@@ -631,7 +644,6 @@ func (e *Engine) completePrefetch(id ID, f *flight, item Item, err error) {
 		}
 		sh.sizes[id] = item.Size
 		e.putCache(sh, id, item.Data)
-		e.ctrl.Estimator().OnPrefetch(cache.ID(id))
 		sh.unused[id] = struct{}{}
 		f.item = item
 		f.resolveLocked()
@@ -701,17 +713,14 @@ func (e *Engine) Threshold() float64 {
 func (e *Engine) Stats() Stats {
 	st := e.ctrl.State(e.occupancy())
 	s := Stats{
-		Lambda:    e.ctrl.Lambda(),
-		MeanSize:  e.ctrl.MeanSize(),
-		HPrime:    st.HPrime,
-		RhoPrime:  st.RhoPrime,
-		NF:        st.NF,
-		Threshold: prefetch.ThresholdFor(e.model, st),
-		Shards:    len(e.shards),
-		Predictor: e.predName,
-		// Lock-free is decided once at New: either the predictor carries
-		// the ConcurrentPredictor marker or every call goes through the
-		// compatibility mutex.
+		Lambda:            e.ctrl.Lambda(),
+		MeanSize:          e.ctrl.MeanSize(),
+		HPrime:            st.HPrime,
+		RhoPrime:          st.RhoPrime,
+		NF:                st.NF,
+		Threshold:         prefetch.ThresholdFor(e.model, st),
+		Shards:            len(e.shards),
+		Predictor:         e.predName,
 		PredictorLockFree: e.predFree,
 	}
 	for _, sh := range e.shards {

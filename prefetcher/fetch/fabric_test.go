@@ -36,11 +36,15 @@ func (f *slowFetcher) Fetch(ctx context.Context, id ID) (Item, error) {
 	f.calls.Add(1)
 	select {
 	case <-time.After(f.delay):
-		return Item{ID: id, Size: 1}, nil
+		// A goroutine descheduled past both deadlines finds both arms
+		// ready and select picks at random; the cancellation wins.
+		if ctx.Err() == nil {
+			return Item{ID: id, Size: 1}, nil
+		}
 	case <-ctx.Done():
-		f.cancelled.Add(1)
-		return Item{}, ctx.Err()
 	}
+	f.cancelled.Add(1)
+	return Item{}, ctx.Err()
 }
 
 // failingFetcher always errors.

@@ -52,12 +52,15 @@ type Prediction struct {
 // Predictor is an online access model: it learns from each observed
 // request and can be queried for a probability-ranked candidate set.
 // The engine shares one predictor across all shards. A plain Predictor
-// need not be goroutine-safe: the engine serialises all its calls under
-// a dedicated compatibility mutex. A predictor that is internally
-// concurrent should implement ConcurrentPredictor instead — the engine
-// then drops that mutex entirely, which is what lets prediction scale
-// with the shard count. Predict must return candidates sorted by
-// decreasing probability.
+// need not be goroutine-safe: the engine wraps it, at New, in a planner
+// that holds a dedicated compatibility mutex across each request's
+// calls — the Observe of every id of the request, in order, then the
+// one prediction — so a request (a whole GetMulti session included) is
+// one critical section and its ids are adjacent in the stream the model
+// sees. A predictor that is internally concurrent should implement
+// ConcurrentPredictor instead — the planner then has no mutex at all,
+// which is what lets prediction scale with the shard count. Predict
+// must return candidates sorted by decreasing probability.
 type Predictor interface {
 	Observe(id ID)
 	Predict() []Prediction
@@ -70,8 +73,8 @@ type Predictor interface {
 // entries of Predict(). The engine only ever consumes a bounded prefix
 // of the candidate list (WithMaxPrefetch), so when a predictor
 // implements TopPredictor the hot path dispatches PredictTop instead of
-// Predict — this applies on both the lock-free and the mutex
-// compatibility paths.
+// Predict — with or without the compatibility mutex — and drops
+// whatever any of the three forms returns beyond that prefix.
 type TopPredictor interface {
 	PredictTop(k int) []Prediction
 }
@@ -87,22 +90,25 @@ type TopIntoPredictor interface {
 	PredictTopInto(dst []Prediction, k int) []Prediction
 }
 
-// ConcurrentPredictor marks a Predictor whose Observe, Predict and
-// PredictTop are all safe for concurrent use without external locking.
-// The engine detects the marker at construction and calls the predictor
-// directly from every Get, with no serialisation — the predictor itself
-// must linearise whatever stream state it keeps (see
+// ConcurrentPredictor marks a Predictor whose Observe, Predict,
+// PredictTop and PredictTopInto are all safe for concurrent use without
+// external locking. The engine detects the marker at construction and
+// builds the predictor's planner without the compatibility mutex: every
+// request calls the predictor directly, with no serialisation — the
+// predictor itself must linearise whatever stream state it keeps (see
 // internal/predict's concurrent models for the reference technique:
 // atomic-swap chains and short history mutexes for the stream, striped
-// tables with atomic counts for the model). Note that the engine then
-// calls Observe(id) and PredictTop/Predict back to back without
-// atomicity: a racing Get may observe in between, so an external
-// implementation whose prediction context is "the last observation"
-// should condition its answers on state it derives from the id stream
-// internally if that matters to it (the built-ins condition each
-// prediction on the observed id itself, so a racing observation cannot
-// redirect a request's candidates). All built-in constructors return
-// concurrent predictors; Stats reports which path the engine chose in
+// tables with atomic counts for the model). Note that a request's
+// Observe calls and its PredictTopInto/PredictTop/Predict then run back
+// to back without atomicity: a racing request may observe in between —
+// inside a GetMulti session too — so an external implementation whose
+// prediction context is "the last observation" should condition its
+// answers on state it derives from the id stream internally if that
+// matters to it (the built-ins, which the engine calls through a
+// coupled observe-and-predict, condition each prediction on the
+// observed id itself, so a racing observation cannot redirect a
+// request's candidates). All built-in constructors return concurrent
+// predictors; Stats reports which path the engine chose in
 // PredictorLockFree.
 type ConcurrentPredictor interface {
 	Predictor

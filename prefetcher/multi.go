@@ -3,9 +3,6 @@ package prefetcher
 import (
 	"context"
 	"fmt"
-
-	"repro/internal/cache"
-	"repro/internal/predict"
 )
 
 // This file is the engine's one read core. Every public read — Get,
@@ -215,7 +212,7 @@ func (e *Engine) read(ctx context.Context, ids []ID, out sink, buf []byte) (sink
 	}
 	now := e.now()
 	sc := e.getMulti()
-	cands := e.observeMulti(ids, &sc.candBufs)
+	cands := e.planner.plan(ids, e.maxPrefetch, &sc.candBufs)
 	if e.gatherMulti(ids, now, sc, out.mode, &buf) {
 		e.fetchMultiMisses(ctx, ids, sc, out.mode, &buf)
 		now = e.now() // the arrival reading predates the wait on fetches
@@ -294,63 +291,6 @@ func buildMultiError(ids []ID, states []multiKey, nerr int) error {
 	return &MultiError{Errors: errs}
 }
 
-// observeMulti feeds the request's ids into the shared access model as
-// one linearised sequence — the same observation stream N singleton
-// Gets would produce — and returns the candidate set predicted from the
-// last id (the request's one speculative plan), staged in the request's
-// pooled buffers. A concurrent predictor (predFree) is called directly
-// — requests on every shard observe and predict in parallel, and the
-// model itself linearises the stream it learns from — while a plain
-// predictor runs in one predMu critical section so it sees one globally
-// interleaved request stream.
-//
-//prefetch:hotpath
-func (e *Engine) observeMulti(ids []ID, bufs *candBufs) []predict.Prediction {
-	last := len(ids) - 1
-	if e.predFree {
-		if e.ipredCoupled != nil {
-			// The built-in concurrent models predict as part of the
-			// observation, conditioned on the id itself — so a racing
-			// request moving the shared stream context between an Observe
-			// and a PredictTop cannot hand this request another request's
-			// candidates. k <= 0 observes without predicting: the
-			// intermediate ids extend the stream, only the last one plans,
-			// and chain conservation holds for a session exactly as it
-			// does per singleton request.
-			for _, id := range ids[:last] {
-				e.ipredCoupled.ObserveAndPredictTopInto(cache.ID(id), 0, bufs.cands[:0])
-			}
-			return e.ipredCoupled.ObserveAndPredictTopInto(cache.ID(ids[last]), e.maxPrefetch, bufs.cands[:0])
-		}
-		for _, id := range ids[:last] {
-			e.observeOnly(id)
-		}
-		return e.observeAndPredictLocked(ids[last], bufs)
-	}
-	// Plain predictor: the whole session is one predMu critical
-	// section, so no concurrent request can interleave inside the
-	// session's observation sequence.
-	e.predMu.Lock()
-	for _, id := range ids[:last] {
-		e.observeOnly(id)
-	}
-	cands := e.observeAndPredictLocked(ids[last], bufs)
-	e.predMu.Unlock()
-	return cands
-}
-
-// observeOnly records one intermediate session id with the access
-// model without asking for candidates.
-//
-//prefetch:hotpath
-func (e *Engine) observeOnly(id ID) {
-	if e.ipred != nil {
-		e.ipred.Observe(cache.ID(id))
-		return
-	}
-	e.pred.Observe(id)
-}
-
 // gatherMulti classifies the request's keys shard by shard: each pass
 // takes one shard's lock once and classifies every still-pending key
 // living there — hits are served inside that single critical section,
@@ -415,16 +355,12 @@ func (e *Engine) gatherMulti(ids []ID, now float64, sc *multiScratch, mode uint8
 		sh := st.sh
 		switch st.kind {
 		case mkHit:
-			// OnHit racing a concurrent eviction of the same id can observe
-			// the entry as already gone — the estimator adopts unknown ids
-			// as tagged, so the ĥ′ ratio stays well-formed; the window is a
-			// few instructions and vanishes once traffic quiesces.
 			sh.requests.Add(1)
 			sh.hits.Add(1)
 			if st.used {
 				sh.prefetchUsed.Add(1)
 			}
-			e.ctrl.Estimator().OnHit(cache.ID(ids[i]))
+			e.ctrl.Estimator().CountAccess(!st.used)
 			e.ctrl.RecordRequest(now, st.item.Size)
 			e.emit(Event{Type: EventHit, ID: ids[i]})
 			st.kind = mkDone
@@ -593,7 +529,7 @@ func (e *Engine) awaitJoined(ctx context.Context, id ID, st *multiKey, mode uint
 		if st.used {
 			sh.prefetchUsed.Add(1)
 		}
-		e.ctrl.Estimator().OnHit(cache.ID(id))
+		e.ctrl.Estimator().CountAccess(!st.used)
 		e.ctrl.RecordSize(st.item.Size)
 		return
 	}

@@ -48,14 +48,17 @@ func defaultConfig() *config {
 }
 
 // WithPredictor sets the access model (default: NewMarkovPredictor).
-// The engine inspects the predictor once, at New: if it implements
-// ConcurrentPredictor (as every built-in constructor does),
-// Observe/Predict run lock-free from all shards
-// at once; otherwise every call is serialised on a compatibility mutex
-// and prediction becomes the throughput ceiling however many shards
-// the engine has. If it implements TopPredictor, the hot path asks for
-// only the top WithMaxPrefetch candidates instead of the full sorted
-// distribution. Stats.PredictorLockFree reports which path was chosen.
+// The engine inspects the predictor once, at New, and from then on
+// reaches it through one call per request — observe the request's ids,
+// return the top WithMaxPrefetch candidates for the last. A built-in
+// constructor's model is called directly; anything else is a plugin: if
+// it implements ConcurrentPredictor it runs lock-free from all shards at
+// once, otherwise each request's observations and prediction are one
+// critical section of a compatibility mutex and prediction becomes the
+// throughput ceiling however many shards the engine has. A plugin
+// implementing TopIntoPredictor or TopPredictor is asked for only that
+// bounded prefix instead of the full sorted distribution.
+// Stats.PredictorLockFree reports which path was chosen.
 func WithPredictor(p Predictor) Option {
 	return func(c *config) error {
 		if p == nil {

@@ -171,8 +171,7 @@ func TestExternalPredictorCompatibilityPath(t *testing.T) {
 // TestExternalTopPredictorFastPath checks the bounded-prefix dispatch
 // for external predictors: when the plugin implements the public
 // TopPredictor, the hot path must call PredictTop (never the full
-// Predict), mirroring the internal ipredTop fast path in
-// observeAndPredictLocked.
+// Predict), as the plugin planner's capability probe promises.
 func TestExternalTopPredictorFastPath(t *testing.T) {
 	fetcher := FetcherFunc(func(ctx context.Context, id ID) (Item, error) {
 		return Item{ID: id, Size: 1}, nil
@@ -276,5 +275,58 @@ func TestBuiltinPredictorPaths(t *testing.T) {
 				t.Fatalf("PredictorLockFree = %v, want %v", got, tc.lockFree)
 			}
 		})
+	}
+}
+
+// TestPlainPredictorSeesSessionsWhole: a plain predictor sees a GetMulti
+// session as one critical section. Eight goroutines issue sessions of
+// four consecutive ids, every session on ids of its own; however the
+// sessions interleave, the observation log must be a sequence of whole
+// sessions, each in order.
+func TestPlainPredictorSeesSessionsWhole(t *testing.T) {
+	fetcher := FetcherFunc(func(ctx context.Context, id ID) (Item, error) {
+		return Item{ID: id, Size: 1}, nil
+	})
+	pred := &recordingPredictor{}
+	eng, err := New(fetcher,
+		WithBandwidth(1e6),
+		WithPredictor(pred),
+		WithShards(4),
+		WithCacheFactory(func(i, n int) Cache { return NewLRUCache(64) }),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	const workers, sessions, fanout = 8, 100, 4
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			ids := make([]ID, fanout)
+			for s := 0; s < sessions; s++ {
+				for k := range ids {
+					ids[k] = ID((w*sessions+s)*fanout + k)
+				}
+				if _, err := eng.GetMulti(ctx, ids); err != nil {
+					t.Errorf("worker %d: %v", w, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	obs := pred.stream()
+	if len(obs) != workers*sessions*fanout {
+		t.Fatalf("observed %d ids, want %d", len(obs), workers*sessions*fanout)
+	}
+	for i := 0; i < len(obs); i += fanout {
+		for k := 0; k < fanout; k++ {
+			if obs[i]%fanout != 0 || obs[i+k] != obs[i]+ID(k) {
+				t.Fatalf("observations %d..%d = %v: not one whole session in order", i, i+fanout-1, obs[i:i+fanout])
+			}
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -247,5 +248,55 @@ func TestConcurrentShardedLifecycle(t *testing.T) {
 	}
 	if st.InFlight != 0 {
 		t.Fatalf("in-flight fetches leaked past Close: %+v", st)
+	}
+}
+
+// TestEstimatorTagsDoNotOutliveResidents: the Section-4 tag of an entry
+// must die with the entry. Eight goroutines hammer a two-entry cache
+// with hits that race evictions of the same id (each id is requested a
+// few times in a row while the working set of three keeps one key out,
+// then the window slides to fresh ids); a hit accounted after the shard
+// lock drops must not plant tag state for an id that was evicted in
+// between, since nothing would ever remove it.
+func TestEstimatorTagsDoNotOutliveResidents(t *testing.T) {
+	fetcher := FetcherFunc(func(ctx context.Context, id ID) (Item, error) {
+		return Item{ID: id, Size: 1}, nil
+	})
+	eng, err := New(fetcher,
+		WithBandwidth(1e6),
+		WithShards(1),
+		WithCache(NewLRUCache(2)),
+		WithPolicy(NoPrefetch()),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	requests := int64(400_000)
+	if raceEnabled || testing.Short() {
+		requests /= 5
+	}
+	ctx := context.Background()
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				k := next.Add(1)
+				if k > requests {
+					return
+				}
+				if _, err := eng.Get(ctx, ID((k/2)%3+(k/256)*3)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if tags, residents := eng.ctrl.Estimator().Resident(), eng.Stats().CacheLen; tags > residents {
+		t.Fatalf("estimator tracks %d tagged ids for %d residents: tags outlive their entries", tags, residents)
 	}
 }

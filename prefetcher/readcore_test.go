@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cache"
 	"repro/prefetcher"
 	"repro/prefetcher/bytestore"
 )
@@ -248,4 +249,134 @@ func singleton(err error) error {
 		return me.Errors[0].Err
 	}
 	return err
+}
+
+// evictTap is a Cache that reports each eviction to a second listener
+// before the engine's own.
+type evictTap struct {
+	prefetcher.Cache
+	tap func(prefetcher.ID)
+}
+
+func (c evictTap) OnEvict(fn func(prefetcher.ID)) {
+	c.Cache.OnEvict(func(id prefetcher.ID) {
+		c.tap(id)
+		fn(id)
+	})
+}
+
+// TestHPrimeMatchesReferenceEstimator holds Stats.HPrime to the paper's
+// Section-4 algorithm as internal/cache transcribes it: a reference
+// cache.Estimator is fed every cache event the engine reports — hits,
+// landed misses and landed prefetches from the event hook, evictions
+// from the cache's own callback — and after every quiesced step of a
+// trace that walks each tag transition (a prewarmed entry, plain misses
+// and hits, a prefetch that is used, one evicted unused, a demand
+// request joining a speculative flight) the engine's ĥ′ must equal the
+// reference's nhit/naccess exactly.
+func TestHPrimeMatchesReferenceEstimator(t *testing.T) {
+	const (
+		prewarmed = prefetcher.ID(100)
+		gated     = prefetcher.ID(11) // its speculative fetch waits to be joined
+	)
+	ref := cache.NewEstimator()
+	var mu sync.Mutex
+	var joined []prefetcher.ID // joins of the current step, settled once it quiesces
+	gate := make(chan struct{})
+	var open sync.Once
+	fetcher := prefetcher.FetcherFunc(func(ctx context.Context, id prefetcher.ID) (prefetcher.Item, error) {
+		if id == gated {
+			select {
+			case <-gate:
+			case <-ctx.Done():
+				return prefetcher.Item{}, ctx.Err()
+			}
+		}
+		return prefetcher.Item{ID: id, Size: 2}, nil
+	})
+	lru := evictTap{prefetcher.NewLRUCache(4), func(id prefetcher.ID) { ref.OnEvict(cache.ID(id)) }}
+	lru.Put(prewarmed, "warm")
+	clock := prefetcher.NewManualClock(time.Unix(0, 0))
+	eng, err := prefetcher.New(fetcher,
+		prefetcher.WithCache(lru),
+		prefetcher.WithShards(1),
+		prefetcher.WithPolicy(prefetcher.StaticThreshold(0.5)),
+		prefetcher.WithClock(clock),
+		prefetcher.WithPredictor(&tracePredictor{next: map[prefetcher.ID]prefetcher.ID{20: 21, 30: 31, 10: gated}}),
+		prefetcher.WithWorkers(1),
+		prefetcher.WithMaxPrefetch(1),
+		prefetcher.WithEventHook(func(ev prefetcher.Event) {
+			switch ev.Type {
+			case prefetcher.EventHit:
+				ref.OnHit(cache.ID(ev.ID))
+			case prefetcher.EventMiss:
+				ref.OnRemoteAccess(cache.ID(ev.ID), true)
+			case prefetcher.EventPrefetchDone:
+				ref.OnPrefetch(cache.ID(ev.ID))
+			case prefetcher.EventJoin:
+				// The joiner is served by the flight it waits on: a hit on
+				// the entry that flight lands, which the reference can only
+				// see once it has landed.
+				mu.Lock()
+				joined = append(joined, ev.ID)
+				mu.Unlock()
+				open.Do(func() { close(gate) })
+			}
+		}),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+
+	// Each step is one request; joins marks the one that must find its
+	// id's speculative fetch still in flight, so the step before it is
+	// not quiesced.
+	trace := []struct {
+		id    prefetcher.ID
+		joins bool
+		what  string
+	}{
+		{id: prewarmed, what: "a prewarmed entry counts as tagged"},
+		{id: 1, what: "miss"}, {id: 1, what: "tagged hit"},
+		{id: 20, what: "miss; 21 is prefetched"},
+		{id: 21, what: "first hit on an untagged entry"}, {id: 21, what: "now tagged"},
+		{id: 30, what: "miss; 31 is prefetched"},
+		{id: 2, what: "miss"}, {id: 3, what: "miss"}, {id: 4, what: "miss"},
+		{id: 5, what: "miss; evicts 31 unused"},
+		{id: 31, what: "the wasted prefetch is a miss again"},
+		{id: 10, what: "miss; 11's prefetch is held in flight"},
+		{id: gated, joins: true, what: "joins the speculative flight"},
+		{id: gated, what: "now tagged"},
+	}
+	ctx := context.Background()
+	for i, step := range trace {
+		if _, err := eng.Get(ctx, step.id); err != nil {
+			t.Fatal(err)
+		}
+		if next := i + 1; next < len(trace) && trace[next].joins {
+			continue
+		}
+		if err := eng.Quiesce(ctx); err != nil {
+			t.Fatal(err)
+		}
+		mu.Lock()
+		for _, id := range joined {
+			ref.OnHit(cache.ID(id))
+		}
+		joined = joined[:0]
+		mu.Unlock()
+		if got, want := eng.Stats().HPrime, ref.EstimateA(); got != want {
+			t.Fatalf("step %d (id %d: %s): ĥ′ = %v, reference %d/%d = %v",
+				i, step.id, step.what, got, ref.TaggedHits(), ref.Accesses(), want)
+		}
+		clock.AdvanceSeconds(0.05)
+	}
+	st := eng.Stats()
+	if st.Joins != 1 || st.PrefetchUsed != 2 || st.PrefetchWasted != 1 || st.PrefetchIssued != 3 {
+		t.Fatalf("trace does not exercise what it claims to: %+v", st)
+	}
+	if nh, na := ref.TaggedHits(), ref.Accesses(); nh != 4 || na != int64(len(trace)) {
+		t.Fatalf("reference counted %d/%d, want 4/%d", nh, na, len(trace))
+	}
 }

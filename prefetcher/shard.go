@@ -5,8 +5,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/cache"
 )
 
 // counter is an atomic counter padded out to its own cache line, so
@@ -33,13 +31,12 @@ type counter struct {
 // counters are contention-safe atomics.
 //
 // Lock ordering: a goroutine holds at most one shard mutex at a time.
-// While holding it, it may take the estimator's stripe locks and the
-// engine's quiesce lock (shard → stripe, shard → qmu); nothing ever
-// takes a shard mutex while holding either of those, so the order is
-// acyclic. The shard's cache eviction callback runs synchronously from
-// Put — i.e. under this shard's mutex — and only touches this shard's
-// state, which is what makes per-shard caches (rather than one shared
-// instance) load-bearing for deadlock freedom.
+// While holding it, it may take the engine's quiesce lock (shard →
+// qmu); nothing ever takes a shard mutex while holding that, so the
+// order is acyclic. The shard's cache eviction callback runs
+// synchronously from Put — i.e. under this shard's mutex — and only
+// touches this shard's state, which is what makes per-shard caches
+// (rather than one shared instance) load-bearing for deadlock freedom.
 type shard struct {
 	mu sync.Mutex
 
@@ -53,7 +50,12 @@ type shard struct {
 	// hits can report it without refetching.
 	sizes map[ID]float64
 	// unused marks resident prefetched items not yet consumed by a
-	// demand request — the basis of the used/wasted accounting.
+	// demand request — the basis of the used/wasted accounting, and the
+	// paper's Section-4 tag, inverted: a resident id is tagged iff it is
+	// not in unused. Set when a prefetch lands, cleared by the first
+	// demand hit and by eviction, exactly the tag's transitions, so a hit
+	// feeds ĥ′ from the bit it read here under mu (CountAccess(!used))
+	// and the engine keeps no second copy in the estimator.
 	unused map[ID]struct{}
 
 	// Hot-path counters: cache-line-padded atomics, bumped without the
@@ -166,15 +168,14 @@ func (sh *shard) residentSize(id ID) float64 {
 }
 
 // onEvict wires one shard's cache eviction stream into the engine: the
-// live resident count is debited, the Section-4 estimator forgets the
-// tag, the size memo is dropped, and a prefetched-but-never-used entry
-// is charged as wasted. The callback runs synchronously from whichever
-// cache call evicts — always under this shard's mutex, since every
-// cache call happens there.
+// live resident count is debited, the size memo is dropped, and a
+// prefetched-but-never-used entry is charged as wasted (which also
+// forgets its Section-4 tag: the unused marker is the tag). The
+// callback runs synchronously from whichever cache call evicts — always
+// under this shard's mutex, since every cache call happens there.
 func (e *Engine) onEvict(sh *shard) func(ID) {
 	return func(id ID) {
 		e.residents.Add(-1)
-		e.ctrl.Estimator().OnEvict(cache.ID(id))
 		delete(sh.sizes, id)
 		if _, ok := sh.unused[id]; ok {
 			delete(sh.unused, id)

@@ -49,9 +49,11 @@ type Stats struct {
 	Shards int
 	// Predictor names the engine's access model; PredictorLockFree
 	// reports whether it runs without the predictor compatibility mutex
-	// (it implements the ConcurrentPredictor contract) — false means
-	// every Get serialises on predMu and prediction caps throughput
-	// regardless of the shard count.
+	// (a built-in, or a plugin implementing the ConcurrentPredictor
+	// contract) — false means every request serialises on the mutex its
+	// plugin planner holds for the length of the request's observations
+	// and prediction, and prediction caps throughput regardless of the
+	// shard count.
 	Predictor         string
 	PredictorLockFree bool
 	// MultiGets counts GetMulti/GetMultiInto/GetMultiBytes sessions
