@@ -42,7 +42,7 @@ func main() {
 		cachePolicy = flag.String("cache-policy", "lru", "cache replacement policy: lru, lfu, fifo, clock, or slru (slab store only)")
 		cacheBytes  = flag.Int("cache-bytes", 0, "slab store byte budget; > 0 stores payloads in GC-immune pointer-free segments")
 		segBytes    = flag.Int("segment-bytes", 0, "slab segment size in bytes (0 = 1 MiB; needs -cache-bytes)")
-		predictor   = flag.String("predictor", "markov", "access model: markov, lz, ppm, depgraph, popularity or none")
+		predictor   = flag.String("predictor", "markov", "access model: markov (memory bounded at about 7 MiB), lz, ppm, depgraph, popularity (these four grow with the key space) or none")
 		policy      = flag.String("policy", "adaptive-a", "prefetch policy: adaptive-a, adaptive-b, greedy, static, topk or none")
 		policyArg   = flag.Float64("policy-arg", 0, "policy parameter (static threshold or topk k)")
 		bandwidth   = flag.Float64("bandwidth", 1e6, "origin link capacity in payload-size units per second; the adaptive threshold's rho-prime normalises against it")

@@ -339,6 +339,10 @@ func (s *Server) handleObj(w http.ResponseWriter, r *http.Request) {
 // scratch for.
 const maxBatchIDs = 1024
 
+// batchRecordHeaderLen is what httpfetch.WriteBatchItem puts in front of
+// each payload: an 8-byte id and a 4-byte length.
+const batchRecordHeaderLen = 12
+
 // handleBatch serves GET /batch?ids=… and GET /batch/{space}?ids=…
 // through the engine's batched demand path, answering in the
 // httpfetch wire format. Per-key failures fail the whole reply — the
@@ -379,7 +383,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeFetchError(w, err)
 		return
 	}
+	// The reply's size is known before its first byte, so it goes out
+	// with a Content-Length and not chunked.
+	size := 0
+	for _, rg := range ranges {
+		size += batchRecordHeaderLen + rg.Len
+	}
 	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.Itoa(size))
 	for i, rg := range ranges {
 		if err := httpfetch.WriteBatchItem(w, ids[i], buf[rg.Off:rg.Off+rg.Len]); err != nil {
 			putBuf(bp)

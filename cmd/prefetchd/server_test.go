@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -242,6 +243,56 @@ func TestDaemonBatchEndpoint(t *testing.T) {
 	}
 	if st := stats.Spaces[DefaultSpace]; st.MultiGets != 1 || st.Requests != 3 {
 		t.Fatalf("multigets/requests = %d/%d, want 1/3", st.MultiGets, st.Requests)
+	}
+}
+
+// A /batch reply's size is known before its first byte: it must carry a
+// Content-Length and not go out chunked, however many records it holds
+// (net/http adds the header itself only below 2 KiB), and the framed
+// body must still decode.
+func TestBatchReplyHasContentLength(t *testing.T) {
+	defer testutil.ExpectNoLeaks(t)
+	origin := newTestOrigin(t, nil, nil)
+	srv, err := NewServer(oneSpaceConfig(origin.URL), t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		front.Close()
+		srv.Shutdown(ctx)
+	})
+
+	ids := make([]fetch.ID, 200)
+	query := make([]string, len(ids))
+	want := 0
+	for i := range ids {
+		ids[i] = fetch.ID(1000 + i)
+		query[i] = strconv.Itoa(1000 + i)
+		want += batchRecordHeaderLen + len(originPayload(int64(ids[i])))
+	}
+	resp, err := http.Get(front.URL + "/batch?ids=" + strings.Join(query, ","))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	if resp.Header.Get("Content-Length") != strconv.Itoa(want) || len(resp.TransferEncoding) != 0 {
+		t.Fatalf("Content-Length %q (want %d), Transfer-Encoding %v (want none)",
+			resp.Header.Get("Content-Length"), want, resp.TransferEncoding)
+	}
+	items, err := httpfetch.ReadBatch(resp.Body, ids, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range ids {
+		if !bytes.Equal(items[i].Data.([]byte), originPayload(int64(id))) {
+			t.Fatalf("item %d = %+v", i, items[i])
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package predict
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -12,8 +11,9 @@ import (
 // This file holds the internally concurrent access models. The
 // sequential implementations in predict.go/ppm.go stay the reference
 // semantics (and the evaluation harness keeps using them); the types
-// here reproduce those semantics exactly when driven sequentially,
-// while allowing Observe and PredictTop to be called from many
+// here reproduce those semantics exactly when driven sequentially
+// (ConcurrentMarkov1, in markovtable.go, within its bounds), while
+// allowing Observe and PredictTop to be called from many
 // goroutines at once — which is what lets the prefetch engine drop its
 // global predictor mutex.
 //
@@ -24,8 +24,11 @@ import (
 // because every observation enters one total order no matter which
 // engine shard it came from. The *model* state (the transition and
 // context tables, which is where all the time goes) is striped by key
-// hash, with the counts themselves plain atomics, so concurrent
-// observers only contend when they touch the same row of the model.
+// hash, so concurrent observers only contend when they touch the same
+// stripe of the model: PPM and the dependency graph keep maps of rows
+// whose counts are plain atomics (and grow with the key space); the
+// Markov model, the engine's default, keeps the flat bounded table of
+// markovtable.go.
 
 // ConcurrentPredictor is a Predictor whose Observe, Predict,
 // PredictTop and PredictTopInto are all safe for concurrent use without
@@ -33,9 +36,11 @@ import (
 // (the Into form appends into a caller-pooled buffer, so prediction
 // itself allocates nothing); Predict remains the evaluation-facing full
 // distribution. A reader that overlaps writers sees some valid recent
-// state (counts are atomics; snapshots are taken per row, not
-// globally); once observers quiesce, Predict returns exactly what the
-// sequential reference model would for the same observation stream.
+// state (snapshots are taken per row, not globally); once observers
+// quiesce, Predict returns exactly what the sequential reference model
+// would for the same observation stream — for ConcurrentMarkov1, whose
+// table is bounded, within the exactness regime stated in
+// markovtable.go.
 type ConcurrentPredictor interface {
 	Predictor
 	TopPredictor
@@ -72,11 +77,16 @@ type CoupledPredictor interface {
 // hardware parallelism the engine shards across.
 const predStripes = 64
 
-// stripeOfID routes an id to a stripe (Fibonacci hash, same spread the
-// engine uses for its shards).
-func stripeOfID(id cache.ID) int {
-	return int((uint64(id) * 0x9E3779B97F4A7C15) >> 58) // top 6 bits → 0..63
-}
+// hashID is the Fibonacci hash the concurrent models spread ids with
+// (the same the engine uses for its shards); its best-mixed bits are
+// the top ones.
+func hashID(id cache.ID) uint64 { return uint64(id) * 0x9E3779B97F4A7C15 }
+
+// stripeOfHash routes a hashID to a stripe: its top 6 bits → 0..63.
+func stripeOfHash(h uint64) int { return int(h >> 58) }
+
+// stripeOfID routes an id to a stripe.
+func stripeOfID(id cache.ID) int { return stripeOfHash(hashID(id)) }
 
 // stripeOfKey routes a context key to a stripe (FNV-1a).
 func stripeOfKey(s string) int {
@@ -88,54 +98,19 @@ func stripeOfKey(s string) int {
 	return int(h & (predStripes - 1))
 }
 
-// rowTopK is the size of the cached top-candidate set a tracking row
-// maintains. PredictTop(k) for k <= rowTopK reads only those candidates
-// instead of scanning the whole row; the engine asks for at most its
-// per-request prefetch cap, which sits well inside this.
-const rowTopK = 8
-
-// topEntry is one cached top candidate: the id and a pointer to its
-// live counter (shared with the counts map, so member increments need
-// no set maintenance at all).
-type topEntry struct {
-	id cache.ID
-	c  *atomic.Int64
-}
-
-// worseCount reports whether count/id pair 1 ranks below pair 2 in
-// prediction order (decreasing count, ties by ascending id) — the
-// count-domain mirror of better(), valid whenever both share a
-// normalising total.
-func worseCount(v1 int64, id1 cache.ID, v2 int64, id2 cache.ID) bool {
-	if v1 != v2 {
-		return v1 < v2
-	}
-	return id1 > id2
-}
-
 // countRow is one row of a transition table: successor → atomic count,
 // plus the row total maintained alongside so prediction normalises in a
-// single pass. The RWMutex guards only the map structure and the top
-// set; increments on existing entries are lock-free atomic adds under
-// the read lock.
-//
-// Rows with trackTop additionally keep the rowTopK best candidates
-// cached (exactly — see promote). Counts are monotone, which is what
-// makes an exact incremental top-k cheap: a candidate's rank only
-// changes when *it* is incremented, so checking membership at each
-// increment preserves the invariant, and the set's worst key never
-// decreases.
+// single pass. The RWMutex guards only the map structure; increments on
+// existing entries are lock-free atomic adds under the read lock.
 type countRow struct {
-	mu       sync.RWMutex
-	counts   map[cache.ID]*atomic.Int64
-	topSet   []topEntry // exact top-rowTopK members, unordered; nil unless trackTop
-	total    atomic.Int64
-	trackTop bool
+	mu     sync.RWMutex
+	counts map[cache.ID]*atomic.Int64
+	total  atomic.Int64
 }
 
-func newCountRow(trackTop bool) *countRow {
+func newCountRow() *countRow {
 	//lint:allow hotpathalloc model growth: a row is created on first sight of its context, steady state allocates nothing
-	return &countRow{counts: make(map[cache.ID]*atomic.Int64), trackTop: trackTop}
+	return &countRow{counts: make(map[cache.ID]*atomic.Int64)}
 }
 
 // inc adds one to the counter for id, creating it if needed.
@@ -149,79 +124,19 @@ func (r *countRow) inc(id cache.ID) {
 			//lint:allow hotpathalloc model growth: one counter per new successor, steady state allocates nothing
 			c = new(atomic.Int64)
 			r.counts[id] = c
-			// While the row has spare candidate slots, every id is a
-			// member — so the "len(top) < rowTopK ⇒ top covers the whole
-			// row" invariant that the fast path relies on holds from
-			// creation onward.
-			if r.trackTop && len(r.topSet) < rowTopK {
-				r.topSet = append(r.topSet, topEntry{id, c})
-			}
 		}
 		r.mu.Unlock()
 	}
-	v := c.Add(1)
+	c.Add(1)
 	r.total.Add(1)
-	if r.trackTop {
-		r.promote(id, c, v)
-	}
-}
-
-// promote keeps the cached top set exact after id's counter reached v:
-// a non-member enters when its key now beats the worst member's. Keys
-// are monotone (counts only grow), so a non-member that fails here
-// cannot belong until its own next increment — no other event can
-// demote the set's worst key below a constant non-member key.
-func (r *countRow) promote(id cache.ID, c *atomic.Int64, v int64) {
-	r.mu.RLock()
-	if len(r.topSet) < rowTopK {
-		r.mu.RUnlock() // spare slots: creation already added every id
-		return
-	}
-	wI := -1
-	var wV int64
-	var wID cache.ID
-	for i := range r.topSet {
-		e := &r.topSet[i]
-		if e.c == c {
-			r.mu.RUnlock() // already a member; its counter is shared
-			return
-		}
-		ev := e.c.Load()
-		if wI < 0 || worseCount(ev, e.id, wV, wID) {
-			wI, wV, wID = i, ev, e.id
-		}
-	}
-	r.mu.RUnlock()
-	if !worseCount(wV, wID, v, id) {
-		return // the worst member still outranks us
-	}
-	// Beat the worst member: swap in under the write lock, rechecking
-	// against fresh counts (a racing promote may have got here first).
-	r.mu.Lock()
-	wI = -1
-	for i := range r.topSet {
-		e := &r.topSet[i]
-		if e.c == c {
-			r.mu.Unlock()
-			return
-		}
-		ev := e.c.Load()
-		if wI < 0 || worseCount(ev, e.id, wV, wID) {
-			wI, wV, wID = i, ev, e.id
-		}
-	}
-	if wI >= 0 && worseCount(wV, wID, c.Load(), id) {
-		r.topSet[wI] = topEntry{id, c}
-	}
-	r.mu.Unlock()
 }
 
 // snapshot copies the row into a plain map. The copy is per-row
 // consistent enough for prediction: each count is read once, and the
 // caller normalises by the sum of exactly the counts it read, so the
 // resulting distribution is always valid and equals the sequential
-// model's once observers quiesce. Predict-only: the hot path uses top,
-// which allocates nothing beyond its k-slot buffer.
+// model's once observers quiesce. Predict-only: the hot paths read the
+// row in place.
 func (r *countRow) snapshot() map[cache.ID]int64 {
 	r.mu.RLock()
 	out := make(map[cache.ID]int64, len(r.counts))
@@ -232,42 +147,6 @@ func (r *countRow) snapshot() map[cache.ID]int64 {
 	}
 	r.mu.RUnlock()
 	return out
-}
-
-// top collects the k most probable successors directly under the read
-// lock — no per-call map copy, just the k-slot result buffer, in one
-// pass normalised by the row total. On tracking rows with k inside the
-// cached candidate set, only the (at most rowTopK) candidates are read
-// — O(k), independent of how many successors the row accumulated. A
-// count racing ahead of the total can skew one probability momentarily
-// (clamped to 1); once observers quiesce the result equals the
-// sequential model's Predict()[:k] exactly.
-func (r *countRow) top(k int) []Prediction { return r.topInto(nil, k) }
-
-// topInto is top appending into dst — the zero-allocation hot path when
-// dst has capacity k.
-func (r *countRow) topInto(dst []Prediction, k int) []Prediction {
-	if k <= 0 {
-		return nil
-	}
-	total := r.total.Load()
-	if total == 0 {
-		return nil
-	}
-	ft := float64(total)
-	top := newTopPredictionsOn(dst, k)
-	r.mu.RLock()
-	if r.trackTop && k <= rowTopK {
-		for _, e := range r.topSet {
-			offerCount(&top, e.id, e.c.Load(), ft)
-		}
-	} else {
-		for id, c := range r.counts {
-			offerCount(&top, id, c.Load(), ft)
-		}
-	}
-	r.mu.RUnlock()
-	return top.buf
 }
 
 // offerCount feeds one counter into a top-k buffer as a clamped
@@ -283,21 +162,17 @@ func offerCount(top *topPredictions, id cache.ID, v int64, ft float64) {
 	top.offer(Prediction{Item: id, Prob: p})
 }
 
-// rowTable is a striped id → countRow map. trackTop is inherited by
-// every row it creates: the Markov table tracks top candidates (its
-// PredictTop ranks by count/total, the same order the cache maintains),
-// the dependency graph's does not (edge probabilities are clamped at 1,
-// which can reorder ties away from raw count order).
+// rowTable is a striped id → countRow map (the dependency graph's edge
+// table).
 type rowTable struct {
 	stripes [predStripes]struct {
 		mu   sync.RWMutex
 		rows map[cache.ID]*countRow
 	}
-	trackTop bool
 }
 
-func newRowTable(trackTop bool) *rowTable {
-	t := &rowTable{trackTop: trackTop}
+func newRowTable() *rowTable {
+	t := &rowTable{}
 	for i := range t.stripes {
 		t.stripes[i].rows = make(map[cache.ID]*countRow)
 	}
@@ -315,7 +190,7 @@ func (t *rowTable) row(id cache.ID, create bool) *countRow {
 	}
 	s.mu.Lock()
 	if r = s.rows[id]; r == nil {
-		r = newCountRow(t.trackTop)
+		r = newCountRow()
 		s.rows[id] = r
 	}
 	s.mu.Unlock()
@@ -344,107 +219,6 @@ func sumCounts(counts map[cache.ID]int64) float64 {
 	}
 	return float64(total)
 }
-
-// markovNoState marks "no request observed yet" in the atomic current
-// state. The one id equal to math.MinInt64 is therefore unusable as an
-// item id; real id spaces are dense non-negative integers.
-const markovNoState = math.MinInt64
-
-// ConcurrentMarkov1 is the concurrent first-order Markov model. The
-// current state is a single atomic: Observe swaps the new id in and
-// counts the transition from whatever it swapped out, so concurrent
-// observers each claim a unique predecessor and every observation
-// extends one global chain — the exact multiset of transitions a
-// sequential model would count for the same linearised stream.
-type ConcurrentMarkov1 struct {
-	rows *rowTable
-	cur  atomic.Int64
-}
-
-// NewConcurrentMarkov1 returns an empty concurrent first-order Markov
-// predictor.
-func NewConcurrentMarkov1() *ConcurrentMarkov1 {
-	m := &ConcurrentMarkov1{rows: newRowTable(true)}
-	m.cur.Store(markovNoState)
-	return m
-}
-
-// Observe implements Predictor. Safe for concurrent use.
-func (m *ConcurrentMarkov1) Observe(id cache.ID) {
-	prev := m.cur.Swap(int64(id))
-	if prev == markovNoState {
-		return
-	}
-	m.rows.row(cache.ID(prev), true).inc(id)
-}
-
-// currentRow snapshots the successor counts of the current state.
-func (m *ConcurrentMarkov1) currentRow() map[cache.ID]int64 {
-	cur := m.cur.Load()
-	if cur == markovNoState {
-		return nil
-	}
-	r := m.rows.row(cache.ID(cur), false)
-	if r == nil {
-		return nil
-	}
-	return r.snapshot()
-}
-
-// Predict implements Predictor.
-func (m *ConcurrentMarkov1) Predict() []Prediction {
-	counts := m.currentRow()
-	return predictionsFromCounts(counts, sumCounts(counts))
-}
-
-// PredictTop implements TopPredictor: the engine's hot path, free of
-// per-call map copies.
-func (m *ConcurrentMarkov1) PredictTop(k int) []Prediction {
-	return m.PredictTopInto(nil, k)
-}
-
-// PredictTopInto implements TopIntoPredictor.
-//
-//prefetch:hotpath
-func (m *ConcurrentMarkov1) PredictTopInto(dst []Prediction, k int) []Prediction {
-	cur := m.cur.Load()
-	if cur == markovNoState {
-		return nil
-	}
-	r := m.rows.row(cache.ID(cur), false)
-	if r == nil {
-		return nil
-	}
-	return r.topInto(dst, k)
-}
-
-// ObserveAndPredictTop implements CoupledPredictor: the candidates are
-// id's own successors, so a racing Observe moving cur cannot change
-// what this observation's request gets planned against.
-func (m *ConcurrentMarkov1) ObserveAndPredictTop(id cache.ID, k int) []Prediction {
-	return m.ObserveAndPredictTopInto(id, k, nil)
-}
-
-// ObserveAndPredictTopInto implements CoupledPredictor.
-//
-//prefetch:hotpath
-func (m *ConcurrentMarkov1) ObserveAndPredictTopInto(id cache.ID, k int, dst []Prediction) []Prediction {
-	m.Observe(id)
-	if k <= 0 {
-		return nil
-	}
-	r := m.rows.row(id, false)
-	if r == nil {
-		return nil
-	}
-	return r.topInto(dst, k)
-}
-
-// Name implements Predictor.
-func (m *ConcurrentMarkov1) Name() string { return "markov1" }
-
-// ConcurrentSafe implements ConcurrentPredictor.
-func (m *ConcurrentMarkov1) ConcurrentSafe() {}
 
 // ConcurrentPopularity is the concurrent global-frequency model: a
 // lock-free map of atomic counters (sync.Map, so reads and increments
@@ -579,7 +353,7 @@ func (t *ctxTable) row(key string, create bool) *countRow {
 	}
 	s.mu.Lock()
 	if r = s.tab[key]; r == nil {
-		r = newCountRow(false)
+		r = newCountRow()
 		s.tab[key] = r
 	}
 	s.mu.Unlock()
@@ -795,7 +569,7 @@ func NewConcurrentDependencyGraph(w int) *ConcurrentDependencyGraph {
 	if w < 1 {
 		panic(fmt.Sprintf("predict: window %d must be >= 1", w))
 	}
-	return &ConcurrentDependencyGraph{w: w, edges: newRowTable(false)}
+	return &ConcurrentDependencyGraph{w: w, edges: newRowTable()}
 }
 
 // depgraphStackWindow bounds the window copy Observe can stage on the

@@ -2,6 +2,7 @@ package predict
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -71,12 +72,34 @@ func samePredictions(t *testing.T, label string, got, want []Prediction) {
 	}
 }
 
+// capSuccessors rewrites stream so that no state is followed by more
+// than max distinct ids: a transition that would open one more is
+// redirected to the state's first successor. This is the regime in
+// which ConcurrentMarkov1's bounded rows are exact.
+func capSuccessors(stream []cache.ID, max int) []cache.ID {
+	succ := make(map[cache.ID][]cache.ID)
+	out := append([]cache.ID(nil), stream...)
+	for i := 1; i < len(out); i++ {
+		prev := out[i-1]
+		switch {
+		case slices.Contains(succ[prev], out[i]):
+		case len(succ[prev]) < max:
+			succ[prev] = append(succ[prev], out[i])
+		default:
+			out[i] = succ[prev][0]
+		}
+	}
+	return out
+}
+
 // TestConcurrentSequentialEquivalence drives each concurrent model and
 // its sequential reference with the same stream from one goroutine: the
 // full distributions must agree exactly at several checkpoints, since a
 // single-threaded caller linearises the stream identically for both.
+// The stream keeps every state within markovSlots successors — the
+// Markov model's exactness contract; the other models are indifferent.
 func TestConcurrentSequentialEquivalence(t *testing.T) {
-	stream := markovStream(4000, 31)
+	stream := capSuccessors(markovStream(4000, 31), markovSlots)
 	for _, pair := range concurrentPairs() {
 		t.Run(pair.name, func(t *testing.T) {
 			seq, conc := pair.seq(), pair.conc()
@@ -192,6 +215,12 @@ func TestConcurrentObserveUnderRace(t *testing.T) {
 			conc := pair.conc()
 			hammer(conc, stream, 8)
 			full := conc.Predict()
+			// LZ78's parse can come to rest on a trie leaf, which has no
+			// candidates by construction: step off it.
+			for i := 0; len(full) == 0 && i < len(stream); i++ {
+				conc.Observe(stream[i])
+				full = conc.Predict()
+			}
 			if len(full) == 0 {
 				t.Fatal("no predictions after concurrent training")
 			}
@@ -240,25 +269,25 @@ func TestConcurrentPopularityMultisetEquivalence(t *testing.T) {
 // TestConcurrentMarkov1ChainConservation checks the swap-chain
 // invariant that makes cross-shard transitions paper-faithful: however
 // the observations interleave, every observation after the first
-// extends the global chain exactly once, so the table holds exactly
-// n-1 transitions and each row is a valid conditional distribution.
+// extends the global chain exactly once, so — below the ceiling, where
+// no row is ever replaced — the row totals sum to exactly n-1, and
+// within each row the slot counts sum to no more than its total (less
+// by what replaced successors took with them).
 func TestConcurrentMarkov1ChainConservation(t *testing.T) {
 	stream := markovStream(20000, 35)
 	m := NewConcurrentMarkov1()
 	hammer(m, stream, 8)
 	var transitions int64
-	for s := range m.rows.stripes {
-		st := &m.rows.stripes[s]
-		st.mu.RLock()
-		for _, row := range st.rows {
-			row.mu.RLock()
-			for _, c := range row.counts {
-				transitions += c.Load()
-			}
-			row.mu.RUnlock()
+	eachMarkovRow(m, func(r *markovRow) {
+		var sum uint32
+		for _, c := range r.cnt[:r.n] {
+			sum += c
 		}
-		st.mu.RUnlock()
-	}
+		if sum > r.total {
+			t.Fatalf("row %d: slot counts sum to %d, above the total %d", r.key, sum, r.total)
+		}
+		transitions += int64(r.total)
+	})
 	if transitions != int64(len(stream)-1) {
 		t.Fatalf("chain recorded %d transitions, want %d (one per observation after the first)",
 			transitions, len(stream)-1)

@@ -1,0 +1,303 @@
+package predict
+
+import (
+	"math"
+	"sync"
+	"sync/atomic"
+
+	"repro/internal/cache"
+)
+
+// The concurrent Markov model keeps its transitions in one flat,
+// bounded table of fixed-width rows with no pointers in them: the
+// threshold rule only ever consumes the few most probable successors of
+// a state, so a row holds the markovSlots heaviest and the table holds
+// the heaviest rows, and the garbage collector has nothing to trace.
+//
+// Layout: predStripes stripes, each one plain mutex over a power-of-two
+// []markovRow read in windows of markovWays consecutive rows. A key
+// hashes to one stripe and one window and lives nowhere else, so every
+// operation is one lock, one window scan and one slot scan.
+//
+// Bounds and what gives way at them:
+//
+//   - A stripe doubles when a key finds its window full, up to
+//     markovStripeRows rows (predStripes·markovStripeRows = 65 536 rows
+//     of 112 B ≈ 7 MiB for the whole table, a constant). At that
+//     ceiling a new key takes over the row with the smallest total in
+//     its window: a key seen once (a scan) is the first to go, a trained
+//     row survives.
+//   - A row that already holds markovSlots successors gives a new one
+//     the slot with the smallest count, space-saving style, and the
+//     newcomer starts again from one. total still counts every
+//     transition, kept or dropped, so p̂ = cnt/total stays on the
+//     paper's scale and is never an overestimate: a successor heavy
+//     enough to clear a threshold is not the smallest for long and
+//     keeps its exact count, the light tail is under-reported.
+//
+// Exactness regime (the contract the equivalence tests hold): while no
+// state has shown more than markovSlots distinct successors and no
+// stripe has reached its ceiling, counts are exact and Predict equals
+// the sequential Markov1's for the same linearised stream.
+
+const (
+	// markovSlots is the number of successors one row keeps. The engine
+	// asks for at most its per-request prefetch cap, well inside this.
+	markovSlots = 8
+	// markovWays is the number of consecutive rows a key may live in.
+	markovWays = 8
+	// markovStripeRows caps one stripe; a power of two.
+	markovStripeRows = 1024
+	// markovSetShift places the window index in the hashID bits just
+	// below the six that pick the stripe.
+	markovSetShift = 64 - 6 - 7
+	// markovHalveAt is the row total at which the row's counts are
+	// halved, far enough below 1<<32 that no 32-bit counter wraps.
+	markovHalveAt = 1 << 31
+)
+
+// markovRow is one state's successor counts. total == 0 marks an unused
+// row (a used row has counted at least one transition).
+type markovRow struct {
+	key   cache.ID
+	total uint32
+	n     uint8 // succ[:n] and cnt[:n] are in use
+	succ  [markovSlots]cache.ID
+	cnt   [markovSlots]uint32
+}
+
+// count records one transition key → next.
+func (r *markovRow) count(next cache.ID) {
+	if r.total >= markovHalveAt {
+		r.halve()
+	}
+	r.total++
+	slot := 0
+	for i := 0; i < int(r.n); i++ {
+		if r.succ[i] == next {
+			r.cnt[i]++
+			return
+		}
+		if r.cnt[i] < r.cnt[slot] {
+			slot = i
+		}
+	}
+	if r.n < markovSlots {
+		slot = int(r.n)
+		r.n++
+	}
+	r.succ[slot] = next
+	r.cnt[slot] = 1
+}
+
+// halve ages the row: the total and every count are halved, which
+// leaves each p̂ where it was. It runs only when total reaches
+// markovHalveAt, to keep the 32-bit counters from wrapping, and is the
+// only ageing a row ever gets. A count of one drops to zero: that slot
+// is no longer predicted and is the next to be replaced.
+func (r *markovRow) halve() {
+	r.total /= 2
+	for i := 0; i < int(r.n); i++ {
+		r.cnt[i] /= 2
+	}
+}
+
+// topInto appends the row's k most probable successors to dst.
+func (r *markovRow) topInto(dst []Prediction, k int) []Prediction {
+	ft := float64(r.total)
+	top := newTopPredictionsOn(dst, k)
+	for i := 0; i < int(r.n); i++ {
+		offerCount(&top, r.succ[i], int64(r.cnt[i]), ft)
+	}
+	return top.buf
+}
+
+// markovStripe is one lock's share of the table, padded to a cache line
+// so neighbouring stripes' mutexes do not false-share.
+//
+//prefetch:cacheline
+type markovStripe struct {
+	mu   sync.Mutex
+	rows []markovRow // nil until the stripe's first key
+	_    [32]byte
+}
+
+// window returns the markovWays rows the key hashing to h may occupy.
+// Used rows are a prefix of it: a key always takes the first unused row
+// and rows are replaced, never vacated. s.rows must be non-empty.
+func (s *markovStripe) window(h uint64) []markovRow {
+	set := int(h>>markovSetShift) & (len(s.rows)/markovWays - 1)
+	return s.rows[set*markovWays : (set+1)*markovWays]
+}
+
+// find returns key's row, or nil.
+func (s *markovStripe) find(key cache.ID, h uint64) *markovRow {
+	if len(s.rows) == 0 {
+		return nil
+	}
+	w := s.window(h)
+	for i := range w {
+		if w[i].total == 0 {
+			return nil
+		}
+		if w[i].key == key {
+			return &w[i]
+		}
+	}
+	return nil
+}
+
+// row returns key's row, claiming one if it has none: the first unused
+// row of its window, else — once the stripe cannot grow — the row with
+// the smallest total. A claimed row is zero but for its key; the caller
+// counts a transition into it before unlocking.
+func (s *markovStripe) row(key cache.ID, h uint64) *markovRow {
+	if len(s.rows) == 0 {
+		s.grow()
+	}
+	for {
+		w := s.window(h)
+		victim := &w[0]
+		for i := range w {
+			r := &w[i]
+			if r.total == 0 {
+				r.key = key
+				return r
+			}
+			if r.key == key {
+				return r
+			}
+			if r.total < victim.total {
+				victim = r
+			}
+		}
+		if len(s.rows) < markovStripeRows {
+			s.grow()
+			continue
+		}
+		*victim = markovRow{key: key}
+		return victim
+	}
+}
+
+// grow doubles the stripe. The window index gains one high bit, so the
+// rows of one old window split between two new ones and always fit.
+func (s *markovStripe) grow() {
+	old := s.rows
+	//lint:allow hotpathalloc model growth: a stripe doubles at most seven times, to markovStripeRows, and never allocates again
+	s.rows = make([]markovRow, max(2*len(old), markovWays))
+	for i := range old {
+		if old[i].total == 0 {
+			continue
+		}
+		w := s.window(hashID(old[i].key))
+		for j := range w {
+			if w[j].total == 0 {
+				w[j] = old[i]
+				break
+			}
+		}
+	}
+}
+
+// markovNoState marks "no request observed yet" in the atomic current
+// state. The one id equal to math.MinInt64 is therefore unusable as an
+// item id; real id spaces are dense non-negative integers.
+const markovNoState = math.MinInt64
+
+// ConcurrentMarkov1 is the concurrent first-order Markov model. The
+// current state is a single atomic: Observe swaps the new id in and
+// counts the transition from whatever it swapped out, so concurrent
+// observers each claim a unique predecessor and every observation
+// extends one global chain — the exact multiset of transitions a
+// sequential model would count for the same linearised stream.
+//
+// Its memory is bounded: at most 65 536 rows of 8 successors each,
+// about 7 MiB, however many distinct ids it is shown, with no pointers
+// for the collector to follow (see the top of this file for the layout,
+// what is replaced at the bounds, and the regime in which it is exact).
+// The sequential Markov1 stays the unbounded reference.
+type ConcurrentMarkov1 struct {
+	stripes [predStripes]markovStripe
+	cur     atomic.Int64
+}
+
+// NewConcurrentMarkov1 returns an empty concurrent first-order Markov
+// predictor.
+func NewConcurrentMarkov1() *ConcurrentMarkov1 {
+	m := &ConcurrentMarkov1{}
+	m.cur.Store(markovNoState)
+	return m
+}
+
+// Observe implements Predictor. Safe for concurrent use.
+func (m *ConcurrentMarkov1) Observe(id cache.ID) {
+	swapped := m.cur.Swap(int64(id))
+	if swapped == markovNoState {
+		return
+	}
+	prev := cache.ID(swapped)
+	h := hashID(prev)
+	s := &m.stripes[stripeOfHash(h)]
+	s.mu.Lock()
+	s.row(prev, h).count(id)
+	s.mu.Unlock()
+}
+
+// topOf appends the k most probable successors of state id to dst. The
+// row is copied out under the stripe lock and ranked outside it.
+func (m *ConcurrentMarkov1) topOf(id cache.ID, dst []Prediction, k int) []Prediction {
+	if k <= 0 || id == markovNoState {
+		return nil
+	}
+	h := hashID(id)
+	s := &m.stripes[stripeOfHash(h)]
+	s.mu.Lock()
+	r := s.find(id, h)
+	if r == nil {
+		s.mu.Unlock()
+		return nil
+	}
+	row := *r
+	s.mu.Unlock()
+	return row.topInto(dst, k)
+}
+
+// Predict implements Predictor: every successor the current state's row
+// holds, at most markovSlots.
+func (m *ConcurrentMarkov1) Predict() []Prediction {
+	return m.topOf(cache.ID(m.cur.Load()), nil, markovSlots)
+}
+
+// PredictTop implements TopPredictor.
+func (m *ConcurrentMarkov1) PredictTop(k int) []Prediction {
+	return m.PredictTopInto(nil, k)
+}
+
+// PredictTopInto implements TopIntoPredictor.
+//
+//prefetch:hotpath
+func (m *ConcurrentMarkov1) PredictTopInto(dst []Prediction, k int) []Prediction {
+	return m.topOf(cache.ID(m.cur.Load()), dst, k)
+}
+
+// ObserveAndPredictTop implements CoupledPredictor: the candidates are
+// id's own successors, so a racing Observe moving cur cannot change
+// what this observation's request gets planned against.
+func (m *ConcurrentMarkov1) ObserveAndPredictTop(id cache.ID, k int) []Prediction {
+	return m.ObserveAndPredictTopInto(id, k, nil)
+}
+
+// ObserveAndPredictTopInto implements CoupledPredictor.
+//
+//prefetch:hotpath
+func (m *ConcurrentMarkov1) ObserveAndPredictTopInto(id cache.ID, k int, dst []Prediction) []Prediction {
+	m.Observe(id)
+	return m.topOf(id, dst, k)
+}
+
+// Name implements Predictor.
+func (m *ConcurrentMarkov1) Name() string { return "markov1" }
+
+// ConcurrentSafe implements ConcurrentPredictor.
+func (m *ConcurrentMarkov1) ConcurrentSafe() {}

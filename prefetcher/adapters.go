@@ -98,9 +98,23 @@ func publicPredictions(ps []predict.Prediction) []Prediction {
 
 // NewMarkovPredictor returns a first-order Markov access model (counts
 // of prev→next transitions) — the default predictor. It satisfies the
-// ConcurrentPredictor contract: transition rows are striped with atomic
-// counts and the current state is an atomic swap chain, so the engine
-// runs it lock-free.
+// ConcurrentPredictor contract: the current state is an atomic swap
+// chain and the transition table is striped by key, one short mutex per
+// stripe, so the engine runs it without a lock of its own.
+//
+// It is the one built-in whose memory is bounded: a flat, pointer-free
+// table of at most 65 536 states × 8 successors, about 7 MiB, however
+// many distinct ids it sees. At the ceiling a new state replaces the
+// least-visited state that hashes beside it (a once-seen scan id goes
+// first, a trained state stays); in a state that already holds 8
+// successors a new one takes over the slot with the smallest count and
+// counts again from one, so p̂ is never an overestimate. Counts — and so
+// p̂ — are exact while every state has at most 8 distinct successors and
+// the table is below its ceiling; beyond that the successors heavy
+// enough to clear a threshold keep their p̂ and the light tail is
+// approximate. The other built-ins (LZ, PPM, dependency graph,
+// popularity) keep everything they have seen and grow with the key
+// space.
 func NewMarkovPredictor() Predictor { return adaptPredictor(predict.NewConcurrentMarkov1()) }
 
 // NewLZPredictor returns the Vitter–Krishnan LZ78 predictor: the

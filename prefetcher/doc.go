@@ -112,9 +112,16 @@
 // linearises the request stream (an atomic swap chain for Markov and
 // the LZ78 parse, a short history mutex for PPM and the dependency
 // graph) so cross-shard transitions are still learned, its count tables
-// are striped and atomic (the LZ78 trie grows by CAS child insertion),
-// and it predicts as part of the observation, conditioned on the
-// observed id. Any other Predictor is a plugin, and its planner owns
+// are striped by key (the LZ78 trie grows by CAS child insertion), and
+// it predicts as part of the observation, conditioned on the observed
+// id. The default, NewMarkovPredictor, is also the one built-in with
+// bounded memory: a flat pointer-free table of at most 65 536 states ×
+// 8 successors (about 7 MiB) that replaces its least-visited state, and
+// a full state's smallest count, when a new one needs the room — exact
+// while states have at most 8 distinct successors and the table is
+// below its ceiling, approximate only in the light tail beyond; LZ, PPM,
+// the dependency graph and popularity grow with the key space. Any
+// other Predictor is a plugin, and its planner owns
 // everything the engine knows about plugins: it asks for the bounded
 // prefix the policies can actually admit through the best form the
 // plugin offers — TopIntoPredictor appending into the request's pooled
