@@ -14,7 +14,7 @@
 // /stats serves per-space engine snapshots as JSON; /healthz is a
 // liveness probe. On SIGINT/SIGTERM the daemon stops accepting
 // connections, drains in-flight requests, quiesces each engine's
-// speculative work and closes it.
+// speculative work, closes it and then its backends' idle connections.
 package main
 
 import (

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"strconv"
@@ -19,11 +20,12 @@ import (
 	"repro/prefetcher/fetch/httpfetch"
 )
 
-// space is one running key space: its engine plus the config it was
-// built from.
+// space is one running key space: its engine, the config it was built
+// from, and the backend fetchers that hold connections to close.
 type space struct {
-	cfg    SpaceConfig
-	engine *prefetcher.Engine
+	cfg      SpaceConfig
+	engine   *prefetcher.Engine
+	fetchers []io.Closer
 }
 
 // Server is the caching proxy: one engine per configured key space
@@ -59,12 +61,12 @@ func NewServer(cfg *Config, logf func(format string, args ...any)) (*Server, err
 		logf:    logf,
 	}
 	for _, sc := range cfg.Spaces {
-		eng, err := buildEngine(sc)
+		eng, fetchers, err := buildEngine(sc)
 		if err != nil {
 			s.closeEngines(context.Background())
 			return nil, fmt.Errorf("space %q: %w", sc.Name, err)
 		}
-		s.spaces[sc.Name] = &space{cfg: sc, engine: eng}
+		s.spaces[sc.Name] = &space{cfg: sc, engine: eng, fetchers: fetchers}
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/obj/", s.handleObj)
@@ -79,13 +81,19 @@ func NewServer(cfg *Config, logf func(format string, args ...any)) (*Server, err
 // Handler returns the server's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// buildEngine assembles one space's engine from its config.
-func buildEngine(sc SpaceConfig) (*prefetcher.Engine, error) {
+// buildEngine assembles one space's engine from its config, returning
+// with it the fetchers to close once the engine is closed. (On an error
+// none has fetched yet, so none holds a connection.)
+func buildEngine(sc SpaceConfig) (*prefetcher.Engine, []io.Closer, error) {
+	var fetchers []io.Closer
 	backends := make([]fetch.Backend, 0, len(sc.Backends))
 	for _, bc := range sc.Backends {
 		f, err := buildFetcher(bc)
 		if err != nil {
-			return nil, fmt.Errorf("backend %q: %w", bc.Name, err)
+			return nil, nil, fmt.Errorf("backend %q: %w", bc.Name, err)
+		}
+		if c, ok := f.(io.Closer); ok {
+			fetchers = append(fetchers, c)
 		}
 		backends = append(backends, fetch.Backend{
 			Name:               bc.Name,
@@ -113,7 +121,7 @@ func buildEngine(sc SpaceConfig) (*prefetcher.Engine, error) {
 			Policy:        sc.CachePolicy,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("cache: %w", err)
+			return nil, nil, fmt.Errorf("cache: %w", err)
 		}
 		opts = append(opts, prefetcher.WithCacheFactory(factory))
 	case sc.CacheCapacity > 0:
@@ -202,7 +210,8 @@ func buildEngine(sc SpaceConfig) (*prefetcher.Engine, error) {
 			Cooldown:  time.Duration(b.Cooldown),
 		}))
 	}
-	return prefetcher.New(nil, opts...)
+	eng, err := prefetcher.New(nil, opts...)
+	return eng, fetchers, err
 }
 
 // shardCapacity splits a space-wide cache capacity across shards,
@@ -310,7 +319,7 @@ func (s *Server) handleObj(w http.ResponseWriter, r *http.Request) {
 	if r.Method == http.MethodHead {
 		n, err := sp.engine.GetBytesLen(r.Context(), prefetcher.ID(key))
 		if err != nil {
-			writeFetchError(w, err)
+			s.writeFetchError(w, r, err)
 			return
 		}
 		w.Header().Set("Content-Type", "application/octet-stream")
@@ -322,7 +331,7 @@ func (s *Server) handleObj(w http.ResponseWriter, r *http.Request) {
 	data, err := sp.engine.GetBytes(r.Context(), prefetcher.ID(key), (*bp)[:0])
 	if err != nil {
 		putBuf(bp)
-		writeFetchError(w, err)
+		s.writeFetchError(w, r, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -380,7 +389,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	*bp = buf[:0]
 	if err != nil {
 		putBuf(bp)
-		writeFetchError(w, err)
+		s.writeFetchError(w, r, err)
 		return
 	}
 	// The reply's size is known before its first byte, so it goes out
@@ -443,20 +452,25 @@ func (s *Server) closeEngines(ctx context.Context) {
 		if err := sp.engine.Close(); err != nil {
 			s.logf("prefetchd: space %q: close: %v", name, err)
 		}
+		for _, f := range sp.fetchers {
+			f.Close() // idle origin connections; nothing to report
+		}
 	}
 }
 
 // writeFetchError maps an engine error onto an HTTP status: origin
-// 4xx/5xx pass through when the adapter surfaced one, cancellation
-// maps to 499-ish client-closed, everything else is a bad gateway.
-func writeFetchError(w http.ResponseWriter, err error) {
+// 4xx/5xx pass through when the adapter surfaced one, a dead context
+// is a gateway timeout, everything else a bad gateway. The client gets
+// the status text alone; the error, which names the origin, is logged.
+func (s *Server) writeFetchError(w http.ResponseWriter, r *http.Request, err error) {
+	code := http.StatusBadGateway
 	var se *httpfetch.StatusError
 	switch {
-	case errors.As(err, &se):
-		http.Error(w, se.Error(), se.Code)
+	case errors.As(err, &se) && se.Code >= 400:
+		code = se.Code
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		http.Error(w, err.Error(), http.StatusGatewayTimeout)
-	default:
-		http.Error(w, err.Error(), http.StatusBadGateway)
+		code = http.StatusGatewayTimeout
 	}
+	s.logf("prefetchd: %s %s: %v", r.Method, r.URL.RequestURI(), err)
+	http.Error(w, http.StatusText(code), code)
 }

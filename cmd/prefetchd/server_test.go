@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -420,36 +421,91 @@ func TestDaemonSpaces(t *testing.T) {
 	}
 }
 
-// A missing origin object maps to the origin's status code, not a
-// generic 502.
-func TestDaemonOriginErrorMapsStatus(t *testing.T) {
+// Origin failures map onto statuses — a missing object keeps the
+// origin's code, an unreachable origin is a 502, an attempt that
+// outlives its budget a 504 — on both endpoints, and the reply tells
+// the client the status and nothing else: the error's text, which
+// names the origin's address, goes to the log.
+func TestObjErrorMapping(t *testing.T) {
 	defer testutil.ExpectNoLeaks(t)
-	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		http.NotFound(w, r)
+	missing := httptest.NewServer(http.HandlerFunc(http.NotFound))
+	t.Cleanup(missing.Close)
+	redirecting := httptest.NewServer(http.RedirectHandler("/elsewhere", http.StatusFound))
+	t.Cleanup(redirecting.Close)
+	release := make(chan struct{})
+	wedged := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-release:
+		case <-r.Context().Done():
+		}
 	}))
-	t.Cleanup(origin.Close)
-	cfg := oneSpaceConfig(origin.URL)
-	cfg.Spaces[0].Policy = "none"
-	cfg.Spaces[0].Backends[0].BatchPath = ""
-	srv, err := NewServer(cfg, t.Logf)
+	t.Cleanup(func() { close(release); wedged.Close() })
+	ln, err := newLocalListener()
 	if err != nil {
 		t.Fatal(err)
 	}
-	front := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		front.Close()
-		srv.Shutdown(ctx)
-	})
-	resp, err := http.Get(front.URL + "/obj/1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("status = %d, want 404 passed through", resp.StatusCode)
+	down := "http://" + ln.Addr().String()
+	ln.Close() // nothing listens there now
+
+	for _, tc := range []struct {
+		name, origin string
+		want         int
+	}{
+		{"origin 404", missing.URL, http.StatusNotFound},
+		{"origin 302", redirecting.URL, http.StatusBadGateway}, // not followed, not passed on
+		{"origin down", down, http.StatusBadGateway},
+		{"attempt timeout", wedged.URL, http.StatusGatewayTimeout},
+	} {
+		for _, batchPath := range []string{"", "/batch"} {
+			tc, batchPath := tc, batchPath
+			t.Run(tc.name+" origin-batch="+batchPath, func(t *testing.T) {
+				var logged strings.Builder
+				var mu sync.Mutex
+				cfg := oneSpaceConfig(tc.origin)
+				cfg.Spaces[0].Policy = "none"
+				cfg.Spaces[0].Backends[0].BatchPath = batchPath
+				cfg.Spaces[0].Backends[0].DemandTimeout = Duration(50 * time.Millisecond)
+				srv, err := NewServer(cfg, func(format string, args ...any) {
+					mu.Lock()
+					defer mu.Unlock()
+					fmt.Fprintf(&logged, format+"\n", args...)
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				front := httptest.NewServer(srv.Handler())
+				defer func() {
+					ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+					defer cancel()
+					front.Close()
+					srv.Shutdown(ctx)
+				}()
+				originAddr := strings.TrimPrefix(tc.origin, "http://")
+				_, originPort, _ := net.SplitHostPort(originAddr)
+				for _, path := range []string{"/obj/1", "/batch?ids=1,2"} {
+					resp, err := http.Get(front.URL + path)
+					if err != nil {
+						t.Fatal(err)
+					}
+					body, _ := io.ReadAll(resp.Body)
+					resp.Body.Close()
+					if resp.StatusCode != tc.want {
+						t.Errorf("%s: status %d, want %d", path, resp.StatusCode, tc.want)
+					}
+					if want := http.StatusText(tc.want) + "\n"; string(body) != want {
+						t.Errorf("%s: body %q, want the status text %q alone", path, body, want)
+					}
+					if bytes.Contains(body, []byte(originPort)) || bytes.Contains(body, []byte("127.0.0.1")) {
+						t.Errorf("%s: body %q names the origin %s", path, body, originAddr)
+					}
+				}
+				mu.Lock()
+				defer mu.Unlock()
+				if !strings.Contains(logged.String(), "GET /obj/1: ") || !strings.Contains(logged.String(), "GET /batch?ids=1,2: ") {
+					t.Errorf("log does not carry both failures:\n%s", logged.String())
+				}
+			})
+		}
 	}
 }
 
@@ -553,7 +609,7 @@ func TestBuildEngineKnobs(t *testing.T) {
 		{Name: "e", Predictor: "none", Policy: "none",
 			Backends: []BackendConfig{{Name: "fs", Type: "fs", Root: dir}}},
 	} {
-		eng, err := buildEngine(sc)
+		eng, _, err := buildEngine(sc)
 		if err != nil {
 			t.Fatalf("space %q: %v", sc.Name, err)
 		}

@@ -179,10 +179,14 @@
 //
 // Two real-backend adapters satisfy the fabric's Fetcher/BatchFetcher
 // contract out of the box. Package repro/prefetcher/fetch/httpfetch
-// maps ids onto GET requests against an HTTP origin over a pooled,
-// HTTP/2-capable transport, with bounded single-allocation body
-// reads, and batches either through a framed wire endpoint or bounded
-// parallel fan-out; repro/prefetcher/fetch/fsfetch maps ids onto
+// maps ids onto GET requests against an HTTP origin over its own
+// pooled HTTP/1.1 wire — keep-alive connections on a bounded free
+// list, replies parsed by net/http's http.ReadResponse, no
+// http.Transport underneath and no goroutine per connection; by design
+// no HTTP/2, no redirects followed, no HTTP_PROXY, no Accept-Encoding —
+// with bounded single-allocation body reads, and batches either
+// through a framed wire endpoint or bounded parallel fan-out;
+// repro/prefetcher/fetch/fsfetch maps ids onto
 // bounded whole-file reads under a root directory. An adapter must
 // honour ctx cancellation promptly (hedge losers and expired attempt
 // budgets cancel through it), be safe for concurrent use from demand,

@@ -1,19 +1,18 @@
 // Package httpfetch is the real HTTP origin adapter behind the fetch
-// fabric: a Client implements fetch.Fetcher and fetch.BatchFetcher
-// over a pooled, HTTP/2-capable http.Transport, so the engine's
-// routing, hedging, circuit breaking and idle-watermark gating operate
-// over actual network links instead of simulated ones.
+// fabric: a Client implements fetch.Fetcher and fetch.BatchFetcher over
+// its own pooled HTTP/1.1 wire, so the engine's routing, hedging,
+// circuit breaking and idle-watermark gating operate over actual
+// network links instead of simulated ones.
 //
 // One Client wraps one origin (a base URL); a fabric mixes several
 // origins by giving each its own Client as a fetch.Backend. The
 // demand-vs-speculative budget split lives on the Backend
 // (Backend.DemandTimeout / Backend.SpeculativeTimeout): the fabric
 // layers the per-attempt deadline onto the context it hands the
-// adapter, and the adapter's only obligation — which http.Client
-// honours natively — is to abandon the request promptly when that
-// context dies. That promptness is what keeps hedged losers from
-// holding connections and lets the breaker see a wedged origin as fast
-// failures rather than a pile-up.
+// adapter, whose only obligation is to abandon the request promptly
+// when that context dies. That promptness is what keeps hedged losers
+// from holding connections and lets the breaker see a wedged origin as
+// fast failures rather than a pile-up.
 //
 // Object fetches are plain GETs: id 42 becomes GET {BaseURL}/obj/42
 // (the path template is configurable). Response bodies are bounded by
@@ -21,6 +20,20 @@
 // when the origin provides one — no intermediate buffer, no copy — and
 // that slice is the Item's payload as cached by the engine and served
 // to hits.
+//
+// # The origin wire
+//
+// A round trip should cost its two syscalls and little else, so there
+// is no net/http client or transport underneath. The Client keeps a
+// bounded free list of keep-alive connections (wire.go); the calling
+// goroutine writes the request in one Write, parses the reply's head
+// with net/http's own http.ReadResponse and reads the body (declared
+// or chunked, trailers included: still net/http's code) straight into
+// the payload. No goroutine, channel or timer exists per connection or
+// per fetch. Deliberately absent: HTTP/2 (an https origin is dialled
+// through crypto/tls and spoken to in HTTP/1.1), redirects (a 3xx is a
+// *StatusError like any other non-200), HTTP_PROXY, Accept-Encoding
+// (the payload cached is the bytes the origin sent), cookies.
 //
 // # The batch wire
 //
@@ -43,7 +56,9 @@
 package httpfetch
 
 import (
+	"bytes"
 	"context"
+	"crypto/tls"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -87,34 +102,12 @@ type Config struct {
 	// MaxParallel bounds the concurrent GETs of a fan-out FetchBatch
 	// (default DefaultMaxParallel). Ignored when BatchPath is set.
 	MaxParallel int
-	// Header is added to every request (Host, auth, accept-encoding).
+	// Header is added to every request (auth and the like; Host is
+	// always the base URL's). New renders it once.
 	Header http.Header
-	// Client overrides the HTTP client. Default: a client over
-	// NewTransport() with no client-level timeout — attempt budgets
-	// come from the fabric's per-backend DemandTimeout /
-	// SpeculativeTimeout through the request context, where demand and
-	// speculative traffic can be bounded differently.
-	Client *http.Client
-}
-
-// NewTransport returns the pooled transport the default client uses:
-// keep-alive connection reuse sized for a fabric backend (many
-// concurrent demand + speculative fetches against one host), HTTP/2
-// negotiated via ALPN on TLS origins.
-func NewTransport() *http.Transport {
-	return &http.Transport{
-		Proxy: http.ProxyFromEnvironment,
-		DialContext: (&net.Dialer{
-			Timeout:   10 * time.Second,
-			KeepAlive: 30 * time.Second,
-		}).DialContext,
-		ForceAttemptHTTP2:     true,
-		MaxIdleConns:          256,
-		MaxIdleConnsPerHost:   64,
-		IdleConnTimeout:       90 * time.Second,
-		TLSHandshakeTimeout:   10 * time.Second,
-		ExpectContinueTimeout: time.Second,
-	}
+	// TLS configures connections to an https origin — private roots,
+	// client certificates; nil means the system's. ALPN is "http/1.1".
+	TLS *tls.Config
 }
 
 // StatusError reports a non-200 origin reply.
@@ -130,33 +123,32 @@ func (e *StatusError) Error() string {
 
 // Client fetches objects from one HTTP origin. It implements
 // fetch.Fetcher and fetch.BatchFetcher and is safe for concurrent use
-// — the fabric calls it from demand goroutines, hedge goroutines and
-// the speculative worker pool at once, all multiplexed over the pooled
-// transport.
+// — the fabric calls it from demand, hedge and speculative goroutines
+// at once, each on a pooled connection of its own.
 type Client struct {
-	base        string
-	path        string
-	batchPath   string
+	origin      string // scheme://host, for StatusError.URL
 	maxBody     int64
 	maxParallel int
-	header      http.Header
-	hc          *http.Client
+	// A request is objPre id objTail, or batchPre id,id,… reqTail: "GET
+	// {path}" up to the id, then " HTTP/1.1\r\nHost: …\r\n…\r\n" (which
+	// objTail, the object path's end in front of it, ends with too).
+	objPre, objTail, batchPre, reqTail string // batchPre "": no batch endpoint
+	addr                               string // host:port dialled
+	dial                               func(ctx context.Context, network, addr string) (net.Conn, error)
+
+	mu     sync.Mutex
+	idle   []*conn // LIFO: the most recently used is taken first
+	closed bool
 }
 
 // New validates cfg and returns a Client for the origin.
 func New(cfg Config) (*Client, error) {
-	if cfg.BaseURL == "" {
-		return nil, fmt.Errorf("httpfetch: no base URL")
-	}
 	u, err := url.Parse(cfg.BaseURL)
 	if err != nil {
 		return nil, fmt.Errorf("httpfetch: base URL: %w", err)
 	}
-	if u.Scheme != "http" && u.Scheme != "https" {
-		return nil, fmt.Errorf("httpfetch: base URL %q: scheme must be http or https", cfg.BaseURL)
-	}
-	if u.Host == "" {
-		return nil, fmt.Errorf("httpfetch: base URL %q has no host", cfg.BaseURL)
+	if (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" || u.User != nil {
+		return nil, fmt.Errorf("httpfetch: base URL %q: want http(s)://host[:port][/path], credentials in Header", u.Redacted())
 	}
 	path := cfg.Path
 	if path == "" {
@@ -165,52 +157,53 @@ func New(cfg Config) (*Client, error) {
 	if strings.Count(path, "%") != 1 || !strings.Contains(path, "%d") {
 		return nil, fmt.Errorf("httpfetch: path template %q must contain exactly one %%d", path)
 	}
+	// Both paths go onto the request line as they are.
+	if strings.ContainsFunc(path+cfg.BatchPath, func(r rune) bool { return r <= ' ' || r == 0x7f }) {
+		return nil, fmt.Errorf("httpfetch: space or control character in path %q or batch path %q", path, cfg.BatchPath)
+	}
 	if cfg.MaxBodyBytes < 0 || cfg.MaxParallel < 0 {
 		return nil, fmt.Errorf("httpfetch: negative bound in config")
 	}
-	maxBody := cfg.MaxBodyBytes
-	if maxBody == 0 {
-		maxBody = DefaultMaxBodyBytes
+	c := &Client{
+		origin:      u.Scheme + "://" + u.Host,
+		maxBody:     cfg.MaxBodyBytes,
+		maxParallel: cfg.MaxParallel,
 	}
-	maxParallel := cfg.MaxParallel
-	if maxParallel == 0 {
-		maxParallel = DefaultMaxParallel
+	if c.maxBody == 0 {
+		c.maxBody = DefaultMaxBodyBytes
 	}
-	hc := cfg.Client
-	if hc == nil {
-		hc = &http.Client{Transport: NewTransport()}
+	if c.maxParallel == 0 {
+		c.maxParallel = DefaultMaxParallel
 	}
-	return &Client{
-		base:        strings.TrimRight(cfg.BaseURL, "/"),
-		path:        path,
-		batchPath:   cfg.BatchPath,
-		maxBody:     maxBody,
-		maxParallel: maxParallel,
-		header:      cfg.Header,
-		hc:          hc,
-	}, nil
-}
+	get := "GET " + strings.TrimRight(u.EscapedPath(), "/")
+	objPre, objSuf, _ := strings.Cut(get+path, "%d")
+	if cfg.BatchPath != "" {
+		c.batchPre = get + cfg.BatchPath + "?ids="
+	}
 
-// get issues one GET and returns the bounded body.
-func (c *Client) get(ctx context.Context, u string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return nil, err
+	// What follows the request line is the same every time: render it
+	// once. Header.WriteSubset drops invalid field names and flattens
+	// newlines in values, so nothing here can split a request.
+	var tail bytes.Buffer
+	fmt.Fprintf(&tail, " HTTP/1.1\r\nHost: %s\r\n", u.Host)
+	cfg.Header.WriteSubset(&tail, map[string]bool{"Host": true})
+	tail.WriteString("\r\n")
+	c.objPre, c.reqTail, c.objTail = objPre, tail.String(), objSuf+tail.String()
+
+	if c.addr = u.Host; u.Port() == "" {
+		c.addr = net.JoinHostPort(u.Hostname(), u.Scheme) // net resolves the scheme as a service name
 	}
-	for k, vs := range c.header {
-		req.Header[k] = vs
+	dialer := &net.Dialer{Timeout: 10 * time.Second, KeepAlive: 30 * time.Second}
+	c.dial = dialer.DialContext
+	if u.Scheme == "https" {
+		tc := cfg.TLS.Clone()
+		if tc == nil {
+			tc = &tls.Config{}
+		}
+		tc.NextProtos = []string{"http/1.1"}
+		c.dial = (&tls.Dialer{NetDialer: dialer, Config: tc}).DialContext // fills in ServerName
 	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		// Drain a bounded remainder so the connection can be reused.
-		_, _ = io.CopyN(io.Discard, resp.Body, 512)
-		return nil, &StatusError{URL: u, Code: resp.StatusCode}
-	}
-	return readBounded(resp.Body, resp.ContentLength, c.maxBody)
+	return c, nil
 }
 
 // readBounded reads at most maxBody payload bytes. With a declared
@@ -239,20 +232,18 @@ func readBounded(r io.Reader, declared, maxBody int64) ([]byte, error) {
 	return buf, nil
 }
 
-// objURL formats the single-object URL for id.
-func (c *Client) objURL(id fetch.ID) string {
-	return c.base + fmt.Sprintf(c.path, int64(id))
-}
-
 // Fetch implements fetch.Fetcher: one GET, body bytes as the payload,
 // Size = payload length in bytes (so configure Backend.Bandwidth in
-// bytes per second). Cancellation propagates through the request
-// context into the transport, which aborts the dial, the in-flight
-// request or the body read — whichever is current.
+// bytes per second). Cancellation reaches the dial, the request write,
+// the reply head or the body read — whichever is current.
 func (c *Client) Fetch(ctx context.Context, id fetch.ID) (fetch.Item, error) {
-	u := c.objURL(id)
-	data, err := c.get(ctx, u)
+	ids := [1]fetch.ID{id}
+	cn, err := c.start(ctx, c.objPre, ids[:], c.objTail)
 	if err != nil {
+		return fetch.Item{}, err
+	}
+	data, err := readBounded(cn, cn.resp.ContentLength, c.maxBody)
+	if err = c.finish(ctx, cn, err); err != nil {
 		return fetch.Item{}, err
 	}
 	return fetch.Item{ID: id, Size: float64(len(data)), Data: data}, nil
@@ -268,43 +259,18 @@ func (c *Client) FetchBatch(ctx context.Context, ids []fetch.ID) ([]fetch.Item, 
 	if len(ids) == 0 {
 		return nil, nil
 	}
-	if c.batchPath != "" {
-		return c.fetchBatchWire(ctx, ids)
+	if c.batchPre == "" {
+		return c.fetchBatchFanout(ctx, ids)
 	}
-	return c.fetchBatchFanout(ctx, ids)
-}
-
-// fetchBatchWire rides the whole batch on one request to the origin's
-// batch endpoint and decodes the framed reply.
-func (c *Client) fetchBatchWire(ctx context.Context, ids []fetch.ID) ([]fetch.Item, error) {
-	var sb strings.Builder
-	sb.WriteString(c.base)
-	sb.WriteString(c.batchPath)
-	sb.WriteString("?ids=")
-	for i, id := range ids {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		sb.WriteString(strconv.FormatInt(int64(id), 10))
-	}
-	u := sb.String()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
+	cn, err := c.start(ctx, c.batchPre, ids, c.reqTail)
 	if err != nil {
 		return nil, err
 	}
-	for k, vs := range c.header {
-		req.Header[k] = vs
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
+	items, err := ReadBatch(cn, ids, c.maxBody)
+	if err = c.finish(ctx, cn, err); err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		_, _ = io.CopyN(io.Discard, resp.Body, 512)
-		return nil, &StatusError{URL: u, Code: resp.StatusCode}
-	}
-	return ReadBatch(resp.Body, ids, c.maxBody)
+	return items, nil
 }
 
 // fetchBatchFanout serves the batch as parallel single GETs bounded by
@@ -337,8 +303,6 @@ func (c *Client) fetchBatchFanout(ctx context.Context, ids []fetch.ID) ([]fetch.
 	}
 	return items, nil
 }
-
-// --- batch wire codec ----------------------------------------------------
 
 // batchHeaderLen is the fixed record header: 8-byte id + 4-byte length.
 const batchHeaderLen = 12
@@ -399,15 +363,13 @@ func ReadBatch(r io.Reader, ids []fetch.ID, maxBody int64) ([]fetch.Item, error)
 // formats it) and the servers that answer it (cmd/prefetchd,
 // cmd/originsim).
 func ParseIDs(s string) ([]fetch.ID, error) {
-	if s == "" {
-		return nil, fmt.Errorf("httpfetch: empty id list")
-	}
-	parts := strings.Split(s, ",")
-	ids := make([]fetch.ID, 0, len(parts))
-	for _, p := range parts {
-		n, err := strconv.ParseInt(p, 10, 64)
+	ids := make([]fetch.ID, 0, strings.Count(s, ",")+1)
+	for more := true; more; {
+		var part string
+		part, s, more = strings.Cut(s, ",")
+		n, err := strconv.ParseInt(part, 10, 64)
 		if err != nil {
-			return nil, fmt.Errorf("httpfetch: bad id %q: %w", p, err)
+			return nil, fmt.Errorf("httpfetch: bad id %q: %w", part, err)
 		}
 		ids = append(ids, fetch.ID(n))
 	}

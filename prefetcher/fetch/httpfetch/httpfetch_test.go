@@ -21,10 +21,9 @@ func testPayload(id int64) []byte {
 	return []byte(fmt.Sprintf("object-%d-payload", id))
 }
 
-// newOrigin starts an httptest origin serving /obj/{id} and /batch
-// with the framed wire, counting single and batch requests.
-func newOrigin(t *testing.T, singles, batches *atomic.Int64) *httptest.Server {
-	t.Helper()
+// originMux serves /obj/{id} and /batch with the framed wire, counting
+// single and batch requests.
+func originMux(singles, batches *atomic.Int64) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/obj/", func(w http.ResponseWriter, r *http.Request) {
 		if singles != nil {
@@ -52,12 +51,18 @@ func newOrigin(t *testing.T, singles, batches *atomic.Int64) *httptest.Server {
 			}
 		}
 	})
-	srv := httptest.NewServer(mux)
+	return mux
+}
+
+// newOrigin starts an httptest origin over originMux.
+func newOrigin(t *testing.T, singles, batches *atomic.Int64) *httptest.Server {
+	t.Helper()
+	srv := httptest.NewServer(originMux(singles, batches))
 	t.Cleanup(srv.Close)
 	return srv
 }
 
-func newClient(t *testing.T, cfg Config) *Client {
+func newClient(t testing.TB, cfg Config) *Client {
 	t.Helper()
 	c, err := New(cfg)
 	if err != nil {
