@@ -392,7 +392,7 @@ func (c *checker) exprProv(prov map[types.Object]provenance, e ast.Expr) provena
 			}
 		}
 		// A same-package accessor that returns pool-derived values
-		// (getBufs, getRoute) propagates the pool discipline.
+		// (getMulti, getJob) propagates the pool discipline.
 		if fn, ok := c.calleeObj(e).(*types.Func); ok && fn.Pkg() == pass.Pkg {
 			if fd, ok := c.decls[types.Object(fn)]; ok && c.returnsPooled(fd) {
 				return provPooled
@@ -414,7 +414,7 @@ func (c *checker) exprProv(prov map[types.Object]provenance, e ast.Expr) provena
 }
 
 // returnsPooled reports whether every return path of fd yields
-// pool-derived values — the getBufs/getRoute accessor shape. Memoised;
+// pool-derived values — the getMulti/getJob accessor shape. Memoised;
 // recursion through mutually-calling accessors resolves conservatively
 // to false.
 func (c *checker) returnsPooled(fd *ast.FuncDecl) bool {

@@ -164,10 +164,10 @@ func TestOversizedSessionScratchNotPooled(t *testing.T) {
 // TestFabricBatchDispatchAllocFree pins the routed-speculation
 // counterpart of TestGetHitAllocFree: with a multi-backend,
 // batch-capable fabric, a steady-state cache hit — prediction, backend
-// partitioning, per-link admission, the global-cap trim and the pooled
-// batch-job dispatch (dedup finds every candidate resident and returns
-// the job to the pool) — allocates nothing. This is the gate the
-// routeScratch/batchJob pools exist for.
+// partitioning, per-link admission, the global-cap trim and dispatch
+// (dedup finds every candidate resident, so no job is drawn) —
+// allocates nothing: the planning tables ride in the request's own
+// pooled scratch.
 func TestFabricBatchDispatchAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime drops sync.Pool Puts by design; pooled steady state is unreachable (CI runs this gate without -race)")
@@ -413,4 +413,5 @@ func TestStatsWaitFreeMatchesEventLog(t *testing.T) {
 	if st.InFlight != 0 {
 		t.Fatalf("in-flight = %d after quiesce", st.InFlight)
 	}
+	checkRecords(t, eng)
 }

@@ -233,6 +233,61 @@ func BenchmarkGetMiss(b *testing.B) {
 	}
 }
 
+// BenchmarkGetPrefetching measures a request that actually prefetches —
+// dispatch, the worker's fetch, the landing and the first use — which
+// BenchmarkGetHit (every candidate resident) and BenchmarkGetMiss
+// (NoPrefetch) leave untimed: a 64-id cycle over an 8-entry cache, so
+// each request is served by the prefetch the previous one issued and
+// issues the next; Quiesce per iteration keeps the two in step (and is
+// the one allocation, the channel it waits on). single runs a plain
+// origin, batch a batch-capable one.
+func BenchmarkGetPrefetching(b *testing.B) {
+	plain := FetcherFunc(func(ctx context.Context, id ID) (Item, error) {
+		return Item{ID: id, Size: 1}, nil
+	})
+	for _, bc := range []struct {
+		name   string
+		origin Fetcher
+	}{{"single", plain}, {"batch", &batchBackend{}}} {
+		b.Run(bc.name, func(b *testing.B) {
+			eng, err := New(bc.origin,
+				WithBandwidth(1e6),
+				WithShards(1),
+				WithCache(NewLRUCache(8)),
+				WithPolicy(TopK(2)),
+				WithMaxPrefetch(2),
+				WithWorkers(1),
+			)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer eng.Close()
+			ctx := context.Background()
+			step := func(i int) {
+				if _, err := eng.Get(ctx, ID(i%64)); err != nil {
+					b.Fatal(err)
+				}
+				if err := eng.Quiesce(ctx); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for i := 0; i < 2*64; i++ {
+				step(i)
+			}
+			warm := eng.Stats()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				step(i)
+			}
+			b.StopTimer()
+			st := eng.Stats()
+			b.ReportMetric(float64(st.PrefetchIssued-warm.PrefetchIssued)/float64(b.N), "issued/req")
+			b.ReportMetric(float64(st.PrefetchUsed-warm.PrefetchUsed)/float64(b.N), "used/req")
+		})
+	}
+}
+
 // BenchmarkPredictTop measures the predictor hot path on its own: the
 // coupled observe+predict the engine issues per request, appending into
 // a reused buffer — the pooled PredictTopInto path.

@@ -278,4 +278,11 @@ func TestConcurrentSlabAccess(t *testing.T) {
 	if st.CacheLen > 64 {
 		t.Fatalf("CacheLen = %d exceeds the 64-entry budget", st.CacheLen)
 	}
+	// The public side of the books (the record map itself is audited on
+	// this same store by prefetcher's TestSlabEvictionStreamsKeepRecords,
+	// which can see it).
+	if st.InFlight != 0 || st.Hits+st.Misses != st.Requests ||
+		st.PrefetchUsed+st.PrefetchWasted+st.PrefetchErrors > st.PrefetchIssued {
+		t.Fatalf("books do not balance after Quiesce: %+v", st)
+	}
 }

@@ -209,17 +209,21 @@
 //     //lint:allow hotpathalloc waiver with a reason (hotpathalloc).
 //   - No blocking operation runs while a shard mutex is held, and
 //     every shard-mutex Lock pairs with an Unlock on all exit paths;
-//     the queue push in finishEnqueue happens under a shard lock via
-//     non-blocking select precisely to respect this (lockscope).
+//     the queue push in dispatch — the one send on the job queue —
+//     happens under a shard lock via non-blocking select precisely to
+//     respect this (lockscope).
 //   - The per-shard counter block is annotated //prefetch:cacheline
 //     and pads to whole 64-byte cache lines, so two shards' atomics
 //     never share a line; 64-bit atomic fields stay 8-aligned even on
 //     32-bit layouts (atomicalign).
-//   - Pooled objects — flights, request scratch, route scratch,
-//     batch jobs — are returned to their pool on every path and never
-//     touched after the Put; ownership transfers (a batch job pushed
-//     to the worker queue) are documented at the transfer point
-//     (poolhygiene).
+//   - Pooled objects — flights, request scratch, speculative jobs —
+//     are returned to their pool on every path and never touched
+//     after the Put (poolhygiene). A transfer of ownership counts as
+//     a Put: a pooled job pushed to the queue is the worker's, and
+//     the pusher reads nothing from it afterwards — what dispatch
+//     still needs it reads from its caller's id buffer. The analyzer
+//     cannot see a hand-off through a channel; the race detector can,
+//     and TestDispatchOwnsNothingAfterPush is where it looks.
 //   - Library code never mints context.Background()/TODO(): contexts
 //     flow in from the caller, and the engine's own lifecycle root is
 //     created once in New and cancelled in Close (ctxflow).
@@ -237,12 +241,14 @@
 //     code acquires any lock while holding one of them, and no code
 //     acquires a shard mutex while holding any other lock. The
 //     Section-4 estimator's stripe mutexes are not reachable from the
-//     engine at all: a shard's unused marker is the tag, and the engine
-//     writes only the estimator's two atomic counters. The
+//     engine at all: the unused mark of a shard's resident record is
+//     the tag, and the engine writes only the estimator's two atomic
+//     counters. The
 //     read core observes the same order by construction: gatherMulti
 //     holds at most one shard mutex at a time (keys are grouped so each
-//     shard's classification completes before the next lock), and batch
-//     completion re-locks each key's shard individually. Every shard
+//     shard's classification completes before the next lock), and the
+//     write core — dispatch registering candidates, land and failJob
+//     settling them — locks each key's shard individually. Every shard
 //     lock is released by the function that took it.
 //   - A field accessed through sync/atomic is atomic everywhere
 //     (atomicmix). Ownership per hot struct: the per-shard counter

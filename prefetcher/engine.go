@@ -48,36 +48,16 @@ type flight struct {
 	refs    atomic.Int32
 }
 
-// resolveLocked publishes the flight's outcome: joiners, if any are
-// waiting, are woken by closing done. Called with the owning shard's
-// mutex held, after the flight has been removed from the in-flight
-// table — no new joiner can appear afterwards, so waiters is final.
-func (f *flight) resolveLocked() {
-	if f.waiters > 0 {
-		f.closed = true
-		close(f.done)
-	}
-}
-
-// job is a queued speculative fetch. backend is the fabric backend the
-// candidate was routed to; batch, when non-nil, carries a
-// multi-candidate batch coalesced for one batch-capable backend — id
-// and f are then unused.
+// job is one queued speculative fetch: n ≥ 1 candidates routed to the
+// same backend, ids and fs index-aligned. A batch-capable backend gets a
+// dispatch's candidates as one job (one FetchBatch call); any other
+// backend gets one job per candidate, so its fetches spread over the
+// workers. Jobs are pooled (Engine.jobPool): dispatch draws one when its
+// first candidate needs fetching, and from the queue push on the job is
+// the worker's — the pusher reads nothing from it afterwards. Whoever
+// retires it (runPrefetch, or failJob for a push that failed and for
+// Close's drain) hands it back with putJob.
 type job struct {
-	id      ID
-	f       *flight
-	backend int
-	batch   *batchJob
-}
-
-// batchJob is one coalesced speculative fetch: several candidates
-// routed to the same batch-capable backend, dispatched as a single
-// FetchBatch call. ids and fs are index-aligned. Jobs are pooled
-// (Engine.batchPool): dispatchRouted draws one, ownership moves to the
-// worker with the queue push, and whoever retires the job — the worker,
-// a failed push, or Close's drain — resets it back to the pool
-// (putBatch).
-type batchJob struct {
 	backend int
 	ids     []ID
 	fs      []*flight
@@ -200,10 +180,13 @@ func (p *pluginPlanner) planLocked(ids []ID, k int, bufs *candBufs) []predict.Pr
 // Engine is the concurrent prefetch engine. Create one with New; all
 // methods are safe for concurrent use.
 //
-// Internally the keyed state (cache, in-flight dedup, size and
-// used/wasted accounting) is partitioned across power-of-two shards by a
-// hash of the ID, each behind its own mutex, so demand traffic on
-// disjoint keys proceeds in parallel (see WithShards). The per-shard
+// Internally the keyed state (cache, in-flight dedup and one record per
+// resident carrying its size and used/wasted mark) is partitioned across
+// power-of-two shards by a hash of the ID, each behind its own mutex, so
+// demand traffic on disjoint keys proceeds in parallel (see WithShards).
+// Every fetch that fills it goes through one write core: dispatch
+// registers and queues a speculative fetch, land lands it — and a
+// demand fetch — in cache and books. The per-shard
 // counters are cache-line-padded atomics bumped outside those mutexes,
 // which keeps each critical section down to the map/cache touches and
 // lets Stats snapshot the engine without taking a single lock. The
@@ -248,15 +231,14 @@ type Engine struct {
 	residents atomic.Int64
 
 	// flightPool recycles flight objects (and, when no joiner forced a
-	// close, their done channels); multiPool recycles the read core's
-	// per-request scratch — candidate buffers, per-key states, batch
-	// staging; routePool recycles the fabric path's planning scratch
-	// and batchPool its coalesced batch jobs. Together they take the
-	// per-request garbage on the hot paths to zero in steady state.
+	// close, their done channels); multiPool recycles the per-request
+	// scratch — candidate buffers, per-key states, batch staging and the
+	// speculative planning tables; jobPool recycles queued speculative
+	// jobs. Together they take the per-request garbage on the hot paths
+	// to zero in steady state.
 	flightPool sync.Pool
 	multiPool  sync.Pool
-	routePool  sync.Pool
-	batchPool  sync.Pool
+	jobPool    sync.Pool
 
 	// Session counters for the batched demand path (Stats.MultiGets,
 	// Stats.BatchedKeys). Global atomics, not per-shard: a session
@@ -268,7 +250,7 @@ type Engine struct {
 
 	baseCtx context.Context
 	cancel  context.CancelFunc
-	jobs    chan job
+	jobs    chan *job
 	wg      sync.WaitGroup
 
 	// qmu guards the speculative-fetch quiesce accounting. Lock order:
@@ -329,7 +311,7 @@ func New(fetcher Fetcher, opts ...Option) (*Engine, error) {
 		epoch:       cfg.clock.Now(),
 		baseCtx:     ctx,
 		cancel:      cancel,
-		jobs:        make(chan job, cfg.queueDepth),
+		jobs:        make(chan *job, cfg.queueDepth),
 		shards:      make([]*shard, cfg.shards),
 		shardShift:  uint(64 - bits.TrailingZeros(uint(cfg.shards))),
 	}
@@ -344,15 +326,28 @@ func New(fetcher Fetcher, opts ...Option) (*Engine, error) {
 		f.refs.Store(1)
 		return f
 	}
-	e.routePool.New = func() any { return &routeScratch{} }
-	e.batchPool.New = func() any { return &batchJob{} }
+	e.jobPool.New = func() any { return &job{} }
 	bufCap := maxPrefetch
 	if bufCap < 1 {
 		bufCap = 1
 	}
 	e.multiPool.New = func() any {
+		// A fresh scratch costs three allocations: this struct, cands
+		// and — grown by its first gather — states. Under -race
+		// sync.Pool drops one Put in four and testing.AllocsPerRun
+		// integer-divides, so the hit-path gates that run under -race
+		// (TestGetHitAllocFree and the byte-path ones) pass only while
+		// 3/4 truncates to 0: anything a single-backend hit needs
+		// besides those three is backed inline by the struct (gids0,
+		// tabs0), never by a fourth allocation.
 		sc := &multiScratch{}
 		sc.cands = make([]predict.Prediction, 0, bufCap)
+		sc.gids = sc.gids0[:0]
+		tabs := sc.tabs0[:]
+		if nb := e.fabric.NumBackends(); nb > 1 {
+			tabs = make([][]predict.Prediction, 2*nb)
+		}
+		sc.groups, sc.sels = tabs[:len(tabs)/2], tabs[len(tabs)/2:]
 		if e.planner.plugin != nil { // only plugins stage public predictions
 			sc.pub = make([]Prediction, 0, bufCap)
 		}
@@ -502,92 +497,50 @@ func (e *Engine) awaitFlight(ctx context.Context, f *flight) (Item, error, bool)
 	return item, nil, true
 }
 
-// completeDemand lands one finished demand fetch for a flight this
-// caller owns: the flight is deregistered and resolved, the item
-// cached and accounted (or the error recorded) and the miss event
-// emitted outside the shard lock. Shared by the read core's demand
-// batches and its join-retry fetch, so both land a miss identically.
-func (e *Engine) completeDemand(sh *shard, id ID, f *flight, item Item, err error) (Item, error) {
+// land lands one finished fetch for a flight the caller owns — the one
+// way an item enters the cache. Under one hold of the shard lock the
+// item is cached and its record written (after putCache: a Put may
+// report evictions, id's previous incarnation included, and onEvict
+// would drop a record written first), or nothing is; either way the
+// flight is deregistered and resolved. The books are told outside the
+// lock, and only there do the two classes of fetch differ: a
+// speculative landing leaves its record unused — the Section-4 tag is
+// withheld until a demand request consumes it — and counts toward n̄(F)
+// or the error counter; a demand landing is the miss its request
+// counted on arrival, so it folds the untagged access and the size the
+// arrival could not know, and a demand error is the caller's to report.
+func (e *Engine) land(sh *shard, id ID, f *flight, item Item, err error, speculative bool) (Item, error) {
 	if err != nil {
-		sh.mu.Lock()
-		if sh.inflight[id] == f {
-			delete(sh.inflight, id)
-			sh.inflightN.Add(-1)
+		item = Item{}
+	} else {
+		item.ID = id
+		if item.Size <= 0 {
+			item.Size = 1
 		}
-		f.err = err
-		f.resolveLocked()
-		sh.mu.Unlock()
-		e.releaseFlight(f)
-		return Item{}, err
-	}
-	item.ID = id
-	if item.Size <= 0 {
-		item.Size = 1
 	}
 	sh.mu.Lock()
-	if sh.inflight[id] == f {
-		delete(sh.inflight, id)
-		sh.inflightN.Add(-1)
+	if err == nil {
+		e.putCache(sh, id, item.Data)
+		sh.records[id] = resident{size: item.Size, unused: speculative}
+		f.item = item
 	}
-	sh.sizes[id] = item.Size
-	e.putCache(sh, id, item.Data)
-	f.item = item
-	f.resolveLocked()
+	sh.resolveLocked(id, f, err)
 	sh.mu.Unlock()
 	e.releaseFlight(f)
 
-	e.ctrl.Estimator().CountAccess(false)
-	e.ctrl.RecordSize(item.Size)
-	e.emit(Event{Type: EventMiss, ID: id})
-	return item, nil
-}
-
-// enqueue registers a flight as id's in-flight fetch and hands the job
-// to the worker pool — the single-candidate dispatch. Dedup against
-// the cache and in-flight table, the closed re-check and the queue
-// push all happen under the shard lock, so Close's barrier covers
-// them; the flight is drawn from the pool only once dedup has decided
-// a fetch is actually needed. Returns false only when the engine is
-// closed.
-func (e *Engine) enqueue(id ID, backend int) bool {
-	sh := e.shardFor(id)
-	sh.mu.Lock()
-	if e.closed.Load() {
-		sh.mu.Unlock()
-		return false
+	switch {
+	case speculative && err != nil:
+		sh.prefetchErrors.Add(1)
+		e.emit(Event{Type: EventPrefetchError, ID: id, Err: err})
+	case speculative:
+		e.ctrl.RecordPrefetch()
+		e.emit(Event{Type: EventPrefetchDone, ID: id})
+	case err == nil:
+		e.ctrl.Estimator().CountAccess(false)
+		e.ctrl.RecordSize(item.Size)
+		e.emit(Event{Type: EventMiss, ID: id})
 	}
-	if sh.cache.Contains(id) {
-		sh.mu.Unlock()
-		return true
-	}
-	if _, ok := sh.inflight[id]; ok {
-		sh.mu.Unlock()
-		return true
-	}
-	f := e.newFlight()
-	sh.inflight[id] = f
-	sh.inflightN.Add(1)
-	select {
-	case e.jobs <- job{id: id, f: f, backend: backend}:
-		// Issued is bumped before the unlock: the worker cannot
-		// complete this flight until it wins sh.mu, so a prefetchUsed
-		// bump for it can never precede its issued bump — which is
-		// what keeps Accuracy() ≤ 1 in mid-flight Stats snapshots.
-		sh.prefetchIssued.Add(1)
-		e.specAdd()
-		sh.mu.Unlock()
-		e.emit(Event{Type: EventPrefetchIssued, ID: id})
-	default: // queue full: shed, never block the demand path
-		delete(sh.inflight, id)
-		sh.inflightN.Add(-1)
-		f.err = errDropped
-		f.resolveLocked()
-		sh.mu.Unlock()
-		e.releaseFlight(f)
-		sh.prefetchDropped.Add(1)
-		e.emit(Event{Type: EventPrefetchDropped, ID: id})
-	}
-	return true
+	return item, err
 }
 
 // worker runs speculative fetches until the engine closes.
@@ -603,63 +556,35 @@ func (e *Engine) worker() {
 	}
 }
 
-// runPrefetch executes one speculative fetch (or one coalesced batch)
-// under the engine context.
-func (e *Engine) runPrefetch(j job) {
-	if j.batch != nil {
-		e.runPrefetchBatch(j.batch)
-		return
-	}
-	item, err := e.fabric.FetchSpeculative(e.baseCtx, j.backend, j.id)
-	e.completePrefetch(j.id, j.f, item, err)
-	e.specDone()
-}
-
-// completePrefetch lands one finished speculative fetch: the flight is
-// resolved, the item cached and accounted (or the error recorded), and
-// the event emitted outside the shard lock.
-func (e *Engine) completePrefetch(id ID, f *flight, item Item, err error) {
-	sh := e.shardFor(id)
-	var ev Event
-	if err != nil {
-		sh.mu.Lock()
-		if sh.inflight[id] == f {
-			delete(sh.inflight, id)
-			sh.inflightN.Add(-1)
-		}
-		f.err = err
-		f.resolveLocked()
-		sh.mu.Unlock()
-		sh.prefetchErrors.Add(1)
-		ev = Event{Type: EventPrefetchError, ID: id, Err: err}
+// runPrefetch executes one queued job under the engine context — a lone
+// candidate as a single fetch, several as one batch call, which is
+// synchronous, so the job's id slice is free to recycle once it returns
+// — lands every flight it carried and retires the job.
+func (e *Engine) runPrefetch(j *job) {
+	var one [1]Item
+	items := one[:]
+	var err error
+	if len(j.ids) == 1 {
+		items[0], err = e.fabric.FetchSpeculative(e.baseCtx, j.backend, j.ids[0])
 	} else {
-		item.ID = id
-		if item.Size <= 0 {
-			item.Size = 1
-		}
-		sh.mu.Lock()
-		if sh.inflight[id] == f {
-			delete(sh.inflight, id)
-			sh.inflightN.Add(-1)
-		}
-		sh.sizes[id] = item.Size
-		e.putCache(sh, id, item.Data)
-		sh.unused[id] = struct{}{}
-		f.item = item
-		f.resolveLocked()
-		sh.mu.Unlock()
-		e.ctrl.RecordPrefetch()
-		ev = Event{Type: EventPrefetchDone, ID: id}
+		items, err = e.fabric.FetchSpeculativeBatch(e.baseCtx, j.backend, j.ids)
 	}
-	e.releaseFlight(f)
-	e.emit(ev)
+	for i, id := range j.ids {
+		var item Item
+		if err == nil {
+			item = items[i]
+		}
+		e.land(e.shardFor(id), id, j.fs[i], item, err, true)
+		e.specDone()
+	}
+	e.putJob(j)
 }
 
-// specAdd registers one queued speculative fetch with the quiesce
-// accounting. May be called with a shard mutex held (shard → qmu).
-func (e *Engine) specAdd() {
+// specAdd registers n queued speculative fetches with the quiesce
+// accounting.
+func (e *Engine) specAdd(n int) {
 	e.qmu.Lock()
-	e.specPending++
+	e.specPending += n
 	e.qmu.Unlock()
 }
 
@@ -705,9 +630,10 @@ func (e *Engine) Threshold() float64 {
 // request bumps its shard's request counter before its outcome counter
 // and Stats reads the outcome counters first, so Hits+Misses ≤ Requests
 // and the derived ratios stay in [0,1] even mid-flight (sole exception:
-// the fabric's batch dispatch settles its issued counters after the
-// push, so Accuracy can transiently overshoot there); after Quiesce
-// (or any pause in traffic) the counts are exact.
+// a job spanning several shards has its issued counters settled after
+// the push for every shard but its anchor's, so Accuracy can
+// transiently overshoot there); after Quiesce (or any pause in traffic)
+// the counts are exact.
 //
 //prefetch:hotpath
 func (e *Engine) Stats() Stats {
@@ -728,10 +654,11 @@ func (e *Engine) Stats() Stats {
 		// counter (hits, used, errors) is always bumped after the
 		// counter it is a consequence of (requests, issued), so reading
 		// consequences first keeps Hits+Misses ≤ Requests and
-		// Used+Wasted ≤ Issued in mid-flight snapshots. (The fabric's
-		// multi-shard batch path is the one exception: its issued
-		// counters deliberately trail the push, so a mid-flight
-		// snapshot there can briefly lag Issued behind Used.)
+		// Used+Wasted ≤ Issued in mid-flight snapshots. (The one
+		// exception is the shards other than the anchor of a
+		// multi-shard job: dispatch bumps their issued counters after
+		// the push, so a mid-flight snapshot can briefly lag Issued
+		// behind Used there.)
 		s.Hits += sh.hits.Load()
 		s.Misses += sh.misses.Load()
 		s.Joins += sh.joins.Load()
@@ -789,12 +716,11 @@ func (e *Engine) Close() error {
 		return nil
 	}
 
-	// Barrier: every path that enqueues speculative work re-checks the
-	// closed flag under its shard mutex before pushing to the job
-	// queue. Cycling each shard's lock therefore waits out any
-	// goroutine that passed the check before the flag flipped — after
-	// this loop, no new job can enter the queue and the drain below
-	// cannot race a late producer.
+	// Barrier: dispatch, the one sender on the job queue, re-checks the
+	// closed flag under a shard mutex before pushing. Cycling each
+	// shard's lock therefore waits out any goroutine that passed the
+	// check before the flag flipped — after this loop, no new job can
+	// enter the queue and the drain below cannot race a late producer.
 	for _, sh := range e.shards {
 		sh.mu.Lock()
 		sh.mu.Unlock() //nolint:staticcheck // empty critical section is the barrier
@@ -808,32 +734,13 @@ drain:
 	for {
 		select {
 		case j := <-e.jobs:
-			ids, fs := []ID{j.id}, []*flight{j.f}
-			if j.batch != nil {
-				ids, fs = j.batch.ids, j.batch.fs
-			}
-			for i, id := range ids {
-				sh := e.shardFor(id)
-				sh.mu.Lock()
-				if sh.inflight[id] == fs[i] {
-					delete(sh.inflight, id)
-					sh.inflightN.Add(-1)
-				}
-				fs[i].err = ErrClosed
-				fs[i].resolveLocked()
-				sh.mu.Unlock()
-				e.releaseFlight(fs[i])
-				e.specDone()
-			}
-			if j.batch != nil {
-				e.putBatch(j.batch)
-			}
+			e.failJob(j, ErrClosed)
 		default:
 			break drain
 		}
 	}
 	// Stops the idle-gate drainers and sheds parked candidates.
-	// Releases racing the closed flag were rejected by enqueue's
-	// shard-locked re-check above.
+	// Releases racing the closed flag were refused by dispatch's
+	// shard-locked re-check.
 	return e.fabric.Close()
 }

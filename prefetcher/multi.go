@@ -3,6 +3,8 @@ package prefetcher
 import (
 	"context"
 	"fmt"
+
+	"repro/internal/predict"
 )
 
 // This file is the engine's one read core. Every public read — Get,
@@ -118,16 +120,28 @@ type sink struct {
 }
 
 // multiScratch is the pooled per-request state: the predictor's
-// candidate buffers, the per-key classification table and the staging
-// buffers for batch dispatch. Pooling it is what keeps the all-hit path
-// allocation-free.
+// candidate buffers, the per-key classification table, the staging
+// buffers for batch dispatch and the speculative planning tables.
+// Pooling it is what keeps the all-hit path allocation-free.
 type multiScratch struct {
 	candBufs
 	states []multiKey
-	gids   []ID  // one backend's share of the misses
+	gids   []ID  // one backend's share of the misses, then of the admitted candidates
 	gidx   []int // indices into states, aligned with gids
 	bout   []Item
 	berrs  []error
+	// schedule's planning state: the per-backend partition and
+	// selection tables (sized to the backend count when the scratch is
+	// built), and the flattened sort buffer and keep set of the
+	// global-cap trim.
+	groups, sels [][]predict.Prediction
+	flat         []predict.Prediction
+	keep         map[ID]bool
+	// Inline first backings for gids and, on a single backend, the two
+	// tables: see multiPool.New for why a fresh scratch must not cost
+	// an allocation for them.
+	gids0 [8]ID
+	tabs0 [2][]predict.Prediction
 }
 
 // maxPooledKeys bounds the session size whose scratch is worth keeping:
@@ -219,7 +233,7 @@ func (e *Engine) read(ctx context.Context, ids []ID, out sink, buf []byte) (sink
 	}
 	states := sc.states
 	if states[len(ids)-1].err == nil {
-		e.schedule(cands, now)
+		e.schedule(sc, cands, now)
 	}
 	// Land the outcome in the sink, one entry per id in session order.
 	// The byte sinks unbox here every payload the gather did not already
@@ -415,8 +429,8 @@ func (e *Engine) classifyResidentLocked(sh *shard, id ID, st *multiKey, mode uin
 		}
 		st.item.Data = v
 	}
-	st.item.ID, st.item.Size = id, sh.residentSize(id)
-	st.used = sh.consumeUnusedLocked(id)
+	st.item.ID = id
+	st.item.Size, st.used = sh.useLocked(id)
 	return true
 }
 
@@ -448,8 +462,8 @@ func (e *Engine) fetchMultiMisses(ctx context.Context, ids []ID, sc *multiScratc
 
 // runDemandBatch fetches one backend's share of the request's owned
 // misses as a single demand batch, staged in the pooled scratch, and
-// lands each key through completeDemand (cache fill, size and estimator
-// folds, flight resolution, per-key error). FetchDemandBatch owns the
+// lands each key through land (cache fill, size and estimator folds,
+// flight resolution, per-key error). FetchDemandBatch owns the
 // reply checks and the per-key fallback — a one-key share, a batch
 // error, a short reply or a misordered reply degrades to the hedged,
 // failing-over Fetch per key, so one bad reply never fails the session.
@@ -475,7 +489,7 @@ func (e *Engine) runDemandBatch(ctx context.Context, b int, ids []ID, sc *multiS
 	e.fabric.FetchDemandBatch(ctx, b, gids, items, errs)
 	for i, id := range gids {
 		st := &states[gidx[i]]
-		st.item, st.err = e.completeDemand(st.sh, id, st.f, items[i], errs[i])
+		st.item, st.err = e.land(st.sh, id, st.f, items[i], errs[i], false)
 		st.kind = mkDone
 	}
 	// The replies are landed: the pooled staging must not pin them.
@@ -508,7 +522,7 @@ func (e *Engine) awaitJoined(ctx context.Context, id ID, st *multiKey, mode uint
 		switch {
 		case resolved:
 			st.item = Item{ID: id, Size: item.Size, Data: item.Data}
-			st.used = sh.consumeUnusedLocked(id)
+			_, st.used = sh.useLocked(id)
 		case e.closed.Load():
 			sh.mu.Unlock()
 			st.err = ErrClosed
@@ -520,7 +534,7 @@ func (e *Engine) awaitJoined(ctx context.Context, id ID, st *multiKey, mode uint
 			sh.mu.Unlock()
 			if owner {
 				item, err := e.fabric.Fetch(ctx, id)
-				st.item, st.err = e.completeDemand(sh, id, st.f, item, err)
+				st.item, st.err = e.land(sh, id, st.f, item, err, false)
 				return
 			}
 			continue

@@ -78,9 +78,12 @@ func TestConcurrentGets(t *testing.T) {
 	if st.HPrime < 0 || st.HPrime > 1 {
 		t.Fatalf("ĥ′ = %v out of range", st.HPrime)
 	}
+	// Hiccups, expired joiners and prefetch errors all behind it, the
+	// books must balance (closing over in-flight speculative fetches is
+	// TestConcurrentShardedLifecycle's job).
+	quiesceAndCheck(t, eng)
 
-	// Close while late speculative fetches may still be in flight, then
-	// confirm the engine refuses further traffic.
+	// Close, then confirm the engine refuses further traffic.
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -150,6 +153,7 @@ func TestConcurrentSameKey(t *testing.T) {
 	if st.Joins == 0 {
 		t.Fatalf("no caller joined the in-flight fetch: %+v", st)
 	}
+	quiesceAndCheck(t, eng)
 }
 
 // TestConcurrentShardedLifecycle drives demand traffic, Quiesce, Stats
@@ -299,4 +303,5 @@ func TestEstimatorTagsDoNotOutliveResidents(t *testing.T) {
 	if tags, residents := eng.ctrl.Estimator().Resident(), eng.Stats().CacheLen; tags > residents {
 		t.Fatalf("estimator tracks %d tagged ids for %d residents: tags outlive their entries", tags, residents)
 	}
+	quiesceAndCheck(t, eng)
 }

@@ -380,3 +380,74 @@ func TestHPrimeMatchesReferenceEstimator(t *testing.T) {
 		t.Fatalf("reference counted %d/%d, want 4/%d", nh, na, len(trace))
 	}
 }
+
+// TestSlabEvictionStreamsKeepRecords audits the books of an engine on a
+// deliberately tiny slab store, where a landing's Put can displace other
+// residents through either of the store's two eviction streams — the
+// policy's count bound and the arena's segment rotation — both of which
+// must reach the record map through onEvict. Eight goroutines churn a
+// key space eight times the entry budget through both byte views while
+// four candidates per request are prefetched.
+func TestSlabEvictionStreamsKeepRecords(t *testing.T) {
+	factory, err := bytestore.Factory(bytestore.Config{CapacityBytes: 16 << 10, MaxEntries: 64, SegmentBytes: 2 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stores []*bytestore.Store
+	fetcher := prefetcher.FetcherFunc(func(_ context.Context, id prefetcher.ID) (prefetcher.Item, error) {
+		return prefetcher.Item{ID: id, Size: 1, Data: make([]byte, 64+int(id)%128)}, nil
+	})
+	eng, err := prefetcher.New(fetcher,
+		prefetcher.WithBandwidth(1e9),
+		prefetcher.WithShards(4),
+		prefetcher.WithCacheFactory(func(i, n int) prefetcher.Cache {
+			s := factory(i, n).(*bytestore.Store)
+			stores = append(stores, s)
+			return s
+		}),
+		prefetcher.WithPolicy(prefetcher.TopK(4)),
+		prefetcher.WithMaxPrefetch(4),
+		prefetcher.WithWorkers(2),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var buf []byte
+			var ranges []prefetcher.ByteRange
+			session := make([]prefetcher.ID, 4)
+			for i := 0; i < 500; i++ {
+				var err error
+				if buf, err = eng.GetBytes(ctx, prefetcher.ID((g*61+i)%500), buf[:0]); err != nil {
+					t.Error(err)
+					return
+				}
+				for k := range session {
+					session[k] = prefetcher.ID((g*61 + i + k*7) % 500)
+				}
+				if buf, ranges, err = eng.GetMultiBytes(ctx, session, buf[:0], ranges); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if err := eng.Quiesce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	prefetcher.CheckRecords(t, eng)
+	var rotated int64
+	for _, s := range stores {
+		rotated += s.SlabStats().RotateEvicted
+	}
+	if st := eng.Stats(); rotated == 0 || st.PrefetchWasted == 0 || st.PrefetchUsed == 0 {
+		t.Fatalf("the churn must evict by rotation (%d) as well as by count, and both use and waste prefetches: %+v", rotated, st)
+	}
+}

@@ -1,0 +1,164 @@
+package prefetcher
+
+import (
+	"context"
+	"sync"
+	"testing"
+
+	"repro/prefetcher/fetch"
+)
+
+// checkRecords holds a quiesced, not yet closed engine to the books the
+// write core keeps (ROADMAP item 6(a), first slice): no fetch is
+// registered, every record belongs to a resident, there is one record
+// per resident (the caller's caches were empty at New — a prewarmed
+// entry has none), the wait-free resident count equals the caches' own,
+// every issued prefetch ended used, wasted, errored or still
+// resident-unused, and every request ended a hit or a miss. The caller
+// must have stopped its demand traffic and returned from Quiesce;
+// candidates the idle gate still holds are outside that promise, so an
+// engine that deferred any is not checkable.
+func checkRecords(t testing.TB, e *Engine) {
+	t.Helper()
+	var records, unused, resident int
+	for i, sh := range e.shards {
+		sh.mu.Lock()
+		if n := len(sh.inflight); n != 0 {
+			t.Errorf("shard %d: %d fetches still registered after Quiesce", i, n)
+		}
+		for id, r := range sh.records {
+			if !sh.cache.Contains(id) {
+				t.Errorf("shard %d: record for %d outlives its resident", i, id)
+			}
+			if r.unused {
+				unused++
+			}
+		}
+		records += len(sh.records)
+		resident += sh.cache.Len()
+		sh.mu.Unlock()
+	}
+	st := e.Stats()
+	if records != resident {
+		t.Errorf("%d records for %d residents", records, resident)
+	}
+	if st.CacheLen != resident {
+		t.Errorf("Stats.CacheLen = %d, caches hold %d", st.CacheLen, resident)
+	}
+	if st.InFlight != 0 {
+		t.Errorf("Stats.InFlight = %d after Quiesce", st.InFlight)
+	}
+	if want := st.PrefetchIssued - st.PrefetchUsed - st.PrefetchWasted - st.PrefetchErrors; int64(unused) != want {
+		t.Errorf("%d unused records, but issued %d − used %d − wasted %d − errors %d = %d",
+			unused, st.PrefetchIssued, st.PrefetchUsed, st.PrefetchWasted, st.PrefetchErrors, want)
+	}
+	if st.Hits+st.Misses != st.Requests {
+		t.Errorf("hits %d + misses %d != requests %d", st.Hits, st.Misses, st.Requests)
+	}
+}
+
+// quiesceAndCheck is the tail of a concurrent test whose traffic has
+// stopped: wait out the speculative fetches, then audit the books.
+func quiesceAndCheck(t *testing.T, e *Engine) {
+	t.Helper()
+	if err := e.Quiesce(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	checkRecords(t, e)
+}
+
+// TestDispatchOwnsNothingAfterPush is the regression test for the read
+// of a pooled job after its queue push. Eight goroutines walk a small
+// id space whose every request admits four candidates over two-entry
+// shard caches, against zero-latency origins with eight workers: a
+// worker retires and pools a job, and the next dispatch refills it,
+// while the dispatcher that pushed it is still settling its issued
+// counters. Reading those ids from the job is a data race (the detector
+// reports it at the parent commit) that bumps prefetchIssued on
+// whatever shard the overwritten id hashes to and emits
+// EventPrefetchIssued for an id never issued — so besides the detector
+// the test holds the event log to the books, per id. A queue of depth 1
+// puts the shed arm on the same books.
+func TestDispatchOwnsNothingAfterPush(t *testing.T) {
+	plain := FetcherFunc(func(ctx context.Context, id ID) (Item, error) {
+		return Item{ID: id, Size: 1}, nil
+	})
+	for _, tc := range []struct {
+		name   string
+		origin fetch.Fetcher
+		depth  int
+	}{
+		{"batch", &batchBackend{}, 64},
+		{"batch-shedding", &batchBackend{}, 1},
+		{"single-shedding", plain, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const idSpace = 97
+			var mu sync.Mutex
+			var issued, settled [idSpace]int
+			eng, err := New(tc.origin,
+				WithBandwidth(1e9),
+				WithShards(8),
+				WithCacheFactory(func(i, n int) Cache { return NewLRUCache(2) }),
+				WithPolicy(TopK(4)),
+				WithMaxPrefetch(4),
+				WithWorkers(8),
+				WithQueueDepth(tc.depth),
+				WithEventHook(func(ev Event) {
+					switch ev.Type {
+					case EventPrefetchIssued, EventPrefetchDone, EventPrefetchError:
+						if ev.ID < 0 || ev.ID >= idSpace {
+							t.Errorf("event %v names id %d, which no request could have planned", ev.Type, ev.ID)
+							return
+						}
+						mu.Lock()
+						if ev.Type == EventPrefetchIssued {
+							issued[ev.ID]++
+						} else {
+							settled[ev.ID]++
+						}
+						mu.Unlock()
+					}
+				}),
+			)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			gets := 5000 // per goroutine; the parent commit fails five runs in five at this size
+			if testing.Short() {
+				gets /= 5
+			}
+			ctx := context.Background()
+			var wg sync.WaitGroup
+			for g := 0; g < 8; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for i := 0; i < gets; i++ {
+						if _, err := eng.Get(ctx, ID((g*13+i)%idSpace)); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+			quiesceAndCheck(t, eng)
+			var total int64
+			for id := range issued {
+				if issued[id] != settled[id] {
+					t.Errorf("id %d: %d issued events, %d done or error events", id, issued[id], settled[id])
+				}
+				total += int64(issued[id])
+			}
+			st := eng.Stats()
+			if total != st.PrefetchIssued {
+				t.Errorf("event log counted %d issued prefetches, Stats %d", total, st.PrefetchIssued)
+			}
+			if st.PrefetchIssued == 0 || (tc.depth == 1 && st.PrefetchDropped == 0) {
+				t.Fatalf("the run must prefetch, and shed when its queue holds one job: %+v", st)
+			}
+		})
+	}
+}

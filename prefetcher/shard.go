@@ -21,11 +21,11 @@ type counter struct {
 
 // shard is one partition of the engine's keyed hot-path state. Every ID
 // maps to exactly one shard (shardFor), and everything guarded by mu —
-// the cache, the in-flight table, the size and unused-prefetch maps —
-// is only ever touched while holding that shard's mutex, so requests
-// for keys in different shards never contend. The counters are padded
-// atomics bumped outside the mutex: a Get's critical section is just
-// the cache/in-flight/size-map touches. The estimates that must stay
+// the cache, the in-flight table, the resident records — is only ever
+// touched while holding that shard's mutex, so requests for keys in
+// different shards never contend. The counters are padded atomics
+// bumped outside the mutex: a Get's critical section is just the
+// cache/in-flight/record touches. The estimates that must stay
 // globally consistent (λ̂, ŝ̄, ĥ′, n̄(F) and hence the threshold) live
 // outside the shards, in the engine's shared prefetch.Controller, whose
 // counters are contention-safe atomics.
@@ -44,19 +44,15 @@ type shard struct {
 	// bcache is cache when it additionally implements ByteCache (the
 	// slab-backed byte store does), nil otherwise; the GetBytes fast
 	// path type-asserts once at construction instead of per request.
-	bcache   ByteCache
+	bcache ByteCache
+	// inflight holds pointers and is bounded by concurrent fetches; it
+	// stays its own map so that records, which grows with the cache, is
+	// one the collector never scans.
 	inflight map[ID]*flight
-	// sizes remembers the last fetched size of each resident item so
-	// hits can report it without refetching.
-	sizes map[ID]float64
-	// unused marks resident prefetched items not yet consumed by a
-	// demand request — the basis of the used/wasted accounting, and the
-	// paper's Section-4 tag, inverted: a resident id is tagged iff it is
-	// not in unused. Set when a prefetch lands, cleared by the first
-	// demand hit and by eviction, exactly the tag's transitions, so a hit
-	// feeds ĥ′ from the bit it read here under mu (CountAccess(!used))
-	// and the engine keeps no second copy in the estimator.
-	unused map[ID]struct{}
+	// records holds one record per resident the engine landed (a
+	// prewarmed cache's entries have none): written by land, read —
+	// and its unused mark consumed — by a hit, deleted by eviction.
+	records map[ID]resident
 
 	// Hot-path counters: cache-line-padded atomics, bumped without the
 	// shard mutex and summed wait-free by Stats. Each request bumps
@@ -71,10 +67,24 @@ type shard struct {
 	inflightN counter
 }
 
+// resident is what the engine remembers about one cached item. size is
+// its last fetched size, so hits can report it without refetching.
+// unused marks a prefetched item no demand request has consumed yet —
+// the basis of the used/wasted accounting, and the paper's Section-4
+// tag, inverted: a resident is tagged iff it is not unused. Set when a
+// prefetch lands, cleared by the first demand hit, gone with the record
+// at eviction — exactly the tag's transitions — so a hit feeds ĥ′ from
+// the bit it read under mu (CountAccess(!used)) and the engine keeps no
+// second copy in the estimator. Pointer-free by design.
+type resident struct {
+	size   float64
+	unused bool
+}
+
 // shardMapHint pre-sizes the per-shard maps so the first requests do
 // not pay incremental map growth: the in-flight table stays small (it
-// is bounded by concurrent fetches per shard), while sizes/unused grow
-// toward the shard's cache capacity and reach steady state quickly.
+// is bounded by concurrent fetches per shard), while records grows
+// toward the shard's cache capacity and reaches steady state quickly.
 const shardMapHint = 64
 
 func newShard(c Cache) *shard {
@@ -83,22 +93,47 @@ func newShard(c Cache) *shard {
 		cache:    c,
 		bcache:   bc,
 		inflight: make(map[ID]*flight, shardMapHint),
-		sizes:    make(map[ID]float64, shardMapHint),
-		unused:   make(map[ID]struct{}, shardMapHint),
+		records:  make(map[ID]resident, shardMapHint),
 	}
 }
 
-// consumeUnusedLocked clears id's prefetched-but-unused marker,
-// reporting whether it was set — the caller charges prefetchUsed after
-// releasing the lock. Called with sh.mu held.
+// useLocked reads id's record for a demand request about to be served:
+// its size — defaulting to 1, the same default land applies, for a
+// resident the engine never fetched itself, e.g. one already present in
+// a user-supplied prewarmed cache — and whether the request is the
+// first to use a prefetched item, in which case the mark is consumed
+// and the caller charges prefetchUsed after releasing the lock. It
+// never creates a record: a joiner served by its flight's own item may
+// arrive after eviction dropped the record, and nothing would ever
+// remove one planted then. Called with sh.mu held.
 //
 //prefetch:hotpath
-func (sh *shard) consumeUnusedLocked(id ID) bool {
-	if _, ok := sh.unused[id]; ok {
-		delete(sh.unused, id)
-		return true
+func (sh *shard) useLocked(id ID) (size float64, used bool) {
+	r, ok := sh.records[id]
+	if !ok {
+		return 1, false
 	}
-	return false
+	if r.unused {
+		sh.records[id] = resident{size: r.size}
+	}
+	return r.size, r.unused
+}
+
+// resolveLocked deregisters f as id's in-flight fetch and publishes its
+// outcome — the item a landing stored in it, or err: joiners, if any
+// are waiting, are woken by closing done. No new joiner can appear once
+// the flight is off the table, so waiters is final. Called with sh.mu
+// held; the caller drops its own reference after the unlock.
+func (sh *shard) resolveLocked(id ID, f *flight, err error) {
+	if sh.inflight[id] == f {
+		delete(sh.inflight, id)
+		sh.inflightN.Add(-1)
+	}
+	f.err = err
+	if f.waiters > 0 {
+		f.closed = true
+		close(f.done)
+	}
 }
 
 // shardFor routes an id to its owning shard. The multiplicative hash
@@ -151,35 +186,18 @@ func (e *Engine) putCache(sh *shard, id ID, data any) {
 	}
 }
 
-// residentSize returns the recorded size of a resident item, defaulting
-// to 1 — the same default the fetch paths apply — for entries the engine
-// never fetched itself, e.g. items already present in a user-supplied
-// prewarmed cache. The fallback is memoised so ŝ̄ and repeated hits see
-// a consistent value. Called with sh.mu held.
-//
-//prefetch:hotpath
-func (sh *shard) residentSize(id ID) float64 {
-	size, ok := sh.sizes[id]
-	if !ok {
-		size = 1
-		sh.sizes[id] = size
-	}
-	return size
-}
-
 // onEvict wires one shard's cache eviction stream into the engine: the
-// live resident count is debited, the size memo is dropped, and a
+// live resident count is debited, the record is dropped, and a
 // prefetched-but-never-used entry is charged as wasted (which also
-// forgets its Section-4 tag: the unused marker is the tag). The
+// forgets its Section-4 tag: the unused mark is the tag). The
 // callback runs synchronously from whichever cache call evicts — always
 // under this shard's mutex, since every cache call happens there.
 func (e *Engine) onEvict(sh *shard) func(ID) {
 	return func(id ID) {
 		e.residents.Add(-1)
-		delete(sh.sizes, id)
-		if _, ok := sh.unused[id]; ok {
-			delete(sh.unused, id)
+		if sh.records[id].unused {
 			sh.prefetchWasted.Add(1)
 		}
+		delete(sh.records, id)
 	}
 }
