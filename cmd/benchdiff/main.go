@@ -1,17 +1,18 @@
 // Command benchdiff compares two prefetchbench -json reports (old vs
 // new) and flags performance regressions — a benchstat-style gate for
-// CI. Runs are matched by configuration (mode, shard count, backend
-// count, baseline flag, and for values-mode reports the payload size
-// and slab/boxed split) and compared on throughput, ns/op, allocs/op
-// and the GC block (pause total, collection count, live heap objects).
+// CI. Runs are matched by mode, shard count and backend count and
+// compared on throughput, ns/op and allocs/op.
 //
 // By default the gate is warn-only: regressions are reported loudly
 // (as ::warning:: annotations when running under GitHub Actions) but
 // the exit code stays 0, because absolute numbers from different
 // machines — a laptop vs a CI runner — are only indicative. Pass
 // -strict to turn regressions into a non-zero exit for same-machine
-// comparisons. A run in the new report with no counterpart in the old
-// one is a warning too: a gate that matched nothing compared nothing.
+// comparisons. A run present in only one of the two reports is a
+// warning too — a gate that matched nothing compared nothing — and so
+// is any difference in the conditions the reports were taken under:
+// the config block (clients, requests, cache, …) and go_version /
+// gomaxprocs / num_cpu, both of which the header prints.
 //
 // Usage:
 //
@@ -25,45 +26,47 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 )
 
 // report mirrors the subset of prefetchbench's -json document the
 // comparison needs.
 type report struct {
-	Mode   string `json:"mode"`
-	Config struct {
-		Trace string `json:"trace"`
-	} `json:"config"`
-	Runs []run `json:"runs"`
+	Mode       string         `json:"mode"`
+	GoVersion  string         `json:"go_version"`
+	GOMAXPROCS int            `json:"gomaxprocs"`
+	NumCPU     int            `json:"num_cpu"`
+	Config     map[string]any `json:"config"`
+	Runs       []run          `json:"runs"`
 }
 
 type run struct {
 	Shards        int     `json:"shards"`
 	BackendCount  int     `json:"backend_count"`
-	Baseline      bool    `json:"baseline"`
-	ValueBytes    int     `json:"value_bytes"`
-	Slab          bool    `json:"slab"`
 	ThroughputRPS float64 `json:"throughput_rps"`
 	Perf          struct {
-		NsPerOp        float64 `json:"ns_per_op"`
-		AllocsPerOp    float64 `json:"allocs_per_op"`
-		BytesPerOp     float64 `json:"bytes_per_op"`
-		GCPauseTotalMS float64 `json:"gc_pause_total_ms"`
-		NumGC          float64 `json:"num_gc"`
-		GCCPUFraction  float64 `json:"gc_cpu_fraction"`
-		HeapObjects    float64 `json:"heap_objects"`
+		NsPerOp     float64 `json:"ns_per_op"`
+		AllocsPerOp float64 `json:"allocs_per_op"`
 	} `json:"perf"`
 }
 
-// key identifies a run within a report for old/new matching. The
-// values-mode fields only appear when set, so engine/trace/session
-// report keys are unchanged.
+// key identifies a run within a report for old/new matching.
 func (r run) key() string {
-	k := fmt.Sprintf("shards=%d/backends=%d/baseline=%t", r.Shards, r.BackendCount, r.Baseline)
-	if r.ValueBytes > 0 {
-		k += fmt.Sprintf("/valuebytes=%d/slab=%t", r.ValueBytes, r.Slab)
+	return fmt.Sprintf("shards=%d/backends=%d", r.Shards, r.BackendCount)
+}
+
+// conditions flattens what a report records about how it was taken —
+// the config block plus the runtime facts — into one comparable map.
+func (r *report) conditions() map[string]string {
+	c := map[string]string{
+		"go_version": r.GoVersion,
+		"gomaxprocs": fmt.Sprint(r.GOMAXPROCS),
+		"num_cpu":    fmt.Sprint(r.NumCPU),
 	}
-	return k
+	for k, v := range r.Config {
+		c["config."+k] = fmt.Sprint(v)
+	}
+	return c
 }
 
 func loadReport(path string) (*report, error) {
@@ -121,14 +124,6 @@ func compare(w io.Writer, oldR, newR *report, threshold float64) []regression {
 			{"throughput_rps", or.ThroughputRPS, nr.ThroughputRPS, false, 0},
 			{"ns_per_op", or.Perf.NsPerOp, nr.Perf.NsPerOp, true, 0},
 			{"allocs_per_op", or.Perf.AllocsPerOp, nr.Perf.AllocsPerOp, true, 0.5},
-			// The GC block rides machine load and GOGC pacing much harder
-			// than the per-op figures, so each metric carries an absolute
-			// floor wide enough to swallow scheduler jitter: only a
-			// structural shift — payloads moving back onto the boxed heap,
-			// a pause regression visible to the eye — clears it.
-			{"gc_pause_total_ms", or.Perf.GCPauseTotalMS, nr.Perf.GCPauseTotalMS, true, 5},
-			{"num_gc", or.Perf.NumGC, nr.Perf.NumGC, true, 5},
-			{"heap_objects", or.Perf.HeapObjects, nr.Perf.HeapObjects, true, 50000},
 		}
 		for _, m := range metrics {
 			if m.oldVal == 0 && m.newVal == 0 {
@@ -165,14 +160,15 @@ func compare(w io.Writer, oldR, newR *report, threshold float64) []regression {
 	return regs
 }
 
-// unmatched returns the keys of newR's runs that oldR has no run for.
-func unmatched(oldR, newR *report) []string {
-	have := make(map[string]bool, len(oldR.Runs))
-	for _, r := range oldR.Runs {
+// unmatched returns the keys of the runs in report `in` that report
+// `against` has no run for.
+func unmatched(in, against *report) []string {
+	have := make(map[string]bool, len(against.Runs))
+	for _, r := range against.Runs {
 		have[r.key()] = true
 	}
 	var keys []string
-	for _, r := range newR.Runs {
+	for _, r := range in.Runs {
 		if !have[r.key()] {
 			keys = append(keys, r.key())
 		}
@@ -180,18 +176,46 @@ func unmatched(oldR, newR *report) []string {
 	return keys
 }
 
-// gate prints the comparison table to stdout, then every regression
-// and every unmatched run as a warning (::warning:: annotations on
-// stdout when annotate is set, plain lines on stderr otherwise), and
-// returns the process exit code: non-zero only under strict.
+// differing returns, sorted, the condition keys on which the two
+// sides disagree; a key only one side records reads as "" on the other.
+func differing(oc, nc map[string]string) []string {
+	var keys []string
+	for k, ov := range oc {
+		if nc[k] != ov {
+			keys = append(keys, k)
+		}
+	}
+	for k := range nc {
+		if _, ok := oc[k]; !ok {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// gate prints both sides' conditions and the comparison table to
+// stdout, then every regression, every run only one side has and every
+// differing condition as a warning (::warning:: annotations on stdout
+// when annotate is set, plain lines on stderr otherwise), and returns
+// the process exit code: non-zero only under strict.
 func gate(stdout, stderr io.Writer, oldR, newR *report, threshold float64, strict, annotate bool) int {
+	fmt.Fprintf(stdout, "old: %s GOMAXPROCS=%d NumCPU=%d\n", oldR.GoVersion, oldR.GOMAXPROCS, oldR.NumCPU)
+	fmt.Fprintf(stdout, "new: %s GOMAXPROCS=%d NumCPU=%d\n", newR.GoVersion, newR.GOMAXPROCS, newR.NumCPU)
 	var warnings []string
 	for _, r := range compare(stdout, oldR, newR, threshold) {
 		warnings = append(warnings, fmt.Sprintf("benchdiff: %s %s regressed %.1f%% (old %.1f → new %.1f)",
 			r.key, r.metric, (r.ratio-1)*100, r.oldVal, r.newVal))
 	}
-	for _, key := range unmatched(oldR, newR) {
+	for _, key := range unmatched(newR, oldR) {
 		warnings = append(warnings, fmt.Sprintf("benchdiff: %s has no matching run in the old report: not compared (regenerate the baseline)", key))
+	}
+	for _, key := range unmatched(oldR, newR) {
+		warnings = append(warnings, fmt.Sprintf("benchdiff: %s is in the old report only: not compared (the new report dropped a run)", key))
+	}
+	oc, nc := oldR.conditions(), newR.conditions()
+	for _, key := range differing(oc, nc) {
+		warnings = append(warnings, fmt.Sprintf("benchdiff: %s differs (old %q, new %q): the two reports were not taken under the same conditions", key, oc[key], nc[key]))
 	}
 	if len(warnings) == 0 {
 		fmt.Fprintf(stdout, "benchdiff: no regressions beyond %.0f%%\n", threshold*100)
@@ -207,7 +231,7 @@ func gate(stdout, stderr io.Writer, oldR, newR *report, threshold float64, stric
 	if strict {
 		return 1
 	}
-	fmt.Fprintf(stdout, "benchdiff: %d warning(s) — regressions beyond %.0f%% or unmatched runs (warn-only; pass -strict to fail)\n",
+	fmt.Fprintf(stdout, "benchdiff: %d warning(s) — regressions beyond %.0f%%, unmatched runs or differing conditions (warn-only; pass -strict to fail)\n",
 		len(warnings), threshold*100)
 	return 0
 }
@@ -217,7 +241,7 @@ func main() {
 		oldPath   = flag.String("old", "", "baseline prefetchbench -json report")
 		newPath   = flag.String("new", "", "candidate prefetchbench -json report")
 		threshold = flag.Float64("threshold", 0.10, "fractional regression that triggers a warning (0.10 = 10%)")
-		strict    = flag.Bool("strict", false, "exit non-zero on regressions or unmatched runs instead of warn-only")
+		strict    = flag.Bool("strict", false, "exit non-zero on regressions, unmatched runs or differing conditions instead of warn-only")
 	)
 	flag.Parse()
 	if *oldPath == "" || *newPath == "" {

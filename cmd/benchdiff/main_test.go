@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -91,86 +92,6 @@ func TestCompareFlagsRegressions(t *testing.T) {
 	}
 }
 
-func writeValuesReport(t *testing.T, dir, name string, boxedObjs, slabObjs, slabPauseMS float64) string {
-	t.Helper()
-	r := report{Mode: "values"}
-	boxed := run{Shards: 8, ValueBytes: 1024, Slab: false, ThroughputRPS: 100000}
-	boxed.Perf.NsPerOp = 1000
-	boxed.Perf.HeapObjects = boxedObjs
-	boxed.Perf.GCPauseTotalMS = 40
-	slab := run{Shards: 8, ValueBytes: 1024, Slab: true, ThroughputRPS: 100000}
-	slab.Perf.NsPerOp = 1000
-	slab.Perf.HeapObjects = slabObjs
-	slab.Perf.GCPauseTotalMS = slabPauseMS
-	r.Runs = []run{boxed, slab}
-	data, err := json.Marshal(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, name)
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-func TestCompareValuesModeGCMetrics(t *testing.T) {
-	dir := t.TempDir()
-	oldR, err := loadReport(writeValuesReport(t, dir, "old.json", 66000, 1300, 15))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The slab and boxed runs share shards/backends/baseline; only the
-	// values-mode key suffix separates them. Identical reports must
-	// match cleanly and flag nothing.
-	var sb strings.Builder
-	if regs := compare(&sb, oldR, oldR, 0.10); len(regs) != 0 {
-		t.Fatalf("self-comparison flagged: %+v", regs)
-	}
-	if strings.Contains(sb.String(), "no matching run") {
-		t.Fatalf("values runs failed to match by key:\n%s", sb.String())
-	}
-
-	// Slab run's live heap blowing up past the absolute floor (payloads
-	// back on the boxed heap) is the structural regression the gate
-	// exists for; the boxed run is unchanged.
-	regressed, err := loadReport(writeValuesReport(t, dir, "regressed.json", 66000, 130000, 15))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb.Reset()
-	regs := compare(&sb, oldR, regressed, 0.10)
-	if len(regs) != 1 || regs[0].metric != "heap_objects" {
-		t.Fatalf("slab heap_objects regression not flagged: %+v", regs)
-	}
-	if !strings.Contains(regs[0].key, "slab=true") {
-		t.Fatalf("regression attributed to wrong run: %q", regs[0].key)
-	}
-
-	// GC pause wobble below the 5 ms absolute floor stays quiet even
-	// when the relative change is large.
-	wobble, err := loadReport(writeValuesReport(t, dir, "wobble.json", 66000, 1300, 19))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb.Reset()
-	if regs := compare(&sb, oldR, wobble, 0.10); len(regs) != 0 {
-		t.Fatalf("pause wobble below the floor flagged: %+v", regs)
-	}
-
-	// A pause regression past the floor fires.
-	paused, err := loadReport(writeValuesReport(t, dir, "paused.json", 66000, 1300, 45))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb.Reset()
-	regs = compare(&sb, oldR, paused, 0.10)
-	if len(regs) != 1 || regs[0].metric != "gc_pause_total_ms" {
-		t.Fatalf("pause regression not flagged: %+v", regs)
-	}
-}
-
 func TestLoadReportRejectsEmpty(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "empty.json")
@@ -182,42 +103,110 @@ func TestLoadReportRejectsEmpty(t *testing.T) {
 	}
 }
 
-// TestGateWarnsOnUnmatchedRun: a new report whose run keys the old one
-// lacks (here backend_count 0 → 1) compared nothing, and must say so —
-// as a warning, and as a failure under -strict — not "no regressions".
+// TestGateWarnsOnUnmatchedRun: a run only one of the two reports has
+// compared nothing, and the gate must say so — as a warning, and as a
+// failure under -strict — not "no regressions". Both directions: a new
+// report whose run key the old one lacks (backend_count 0 → 1), and an
+// old report with a run (shards=1) the new one dropped.
 func TestGateWarnsOnUnmatchedRun(t *testing.T) {
 	dir := t.TempDir()
-	oldR, err := loadReport(writeReport(t, dir, "old.json", 100000, 1000, 1))
-	if err != nil {
-		t.Fatal(err)
+	load := func(name string) *report {
+		r, err := loadReport(writeReport(t, dir, name, 100000, 1000, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
 	}
-	newR, err := loadReport(writeReport(t, dir, "new.json", 100000, 1000, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	newR.Runs[0].BackendCount = 1
+	base := load("base.json")
+	rekeyed := load("rekeyed.json")
+	rekeyed.Runs[0].BackendCount = 1
+	wider := load("wider.json")
+	wider.Runs = append(wider.Runs, run{Shards: 1, ThroughputRPS: 100000})
 
-	var out, errOut strings.Builder
-	if code := gate(&out, &errOut, oldR, newR, 0.10, false, true); code != 0 {
-		t.Fatalf("warn-only gate exited %d", code)
-	}
-	if !strings.Contains(out.String(), "::warning") || !strings.Contains(out.String(), newR.Runs[0].key()) {
-		t.Fatalf("unmatched run not annotated:\n%s", out.String())
-	}
-	if strings.Contains(out.String(), "no regressions") {
-		t.Fatalf("gate that matched nothing reported success:\n%s", out.String())
-	}
-	out.Reset()
-	if code := gate(&out, &errOut, oldR, newR, 0.10, true, false); code == 0 {
-		t.Fatal("-strict gate exited 0 on an unmatched run")
-	}
-	if !strings.Contains(errOut.String(), "WARNING") {
-		t.Fatalf("unmatched run not warned on stderr:\n%s", errOut.String())
+	for _, tc := range []struct {
+		name       string
+		oldR, newR *report
+		wantKey    string
+	}{
+		{"new-only run", base, rekeyed, rekeyed.Runs[0].key()},
+		{"old-only run", wider, base, wider.Runs[1].key()},
+	} {
+		var out, errOut strings.Builder
+		if code := gate(&out, &errOut, tc.oldR, tc.newR, 0.10, false, true); code != 0 {
+			t.Fatalf("%s: warn-only gate exited %d", tc.name, code)
+		}
+		if !strings.Contains(out.String(), "::warning") || !strings.Contains(out.String(), tc.wantKey) {
+			t.Fatalf("%s: unmatched run not annotated:\n%s", tc.name, out.String())
+		}
+		if strings.Contains(out.String(), "no regressions") {
+			t.Fatalf("%s: gate that skipped a run reported success:\n%s", tc.name, out.String())
+		}
+		out.Reset()
+		if code := gate(&out, &errOut, tc.oldR, tc.newR, 0.10, true, false); code == 0 {
+			t.Fatalf("%s: -strict gate exited 0 on an unmatched run", tc.name)
+		}
+		if !strings.Contains(errOut.String(), "WARNING") || !strings.Contains(errOut.String(), tc.wantKey) {
+			t.Fatalf("%s: unmatched run not warned on stderr:\n%s", tc.name, errOut.String())
+		}
 	}
 
 	// Matching reports still pass cleanly.
-	out.Reset()
-	if code := gate(&out, &errOut, oldR, oldR, 0.10, true, false); code != 0 || !strings.Contains(out.String(), "no regressions") {
+	var out, errOut strings.Builder
+	if code := gate(&out, &errOut, base, base, 0.10, true, false); code != 0 || !strings.Contains(out.String(), "no regressions") {
 		t.Fatalf("self-comparison: exit %d\n%s", code, out.String())
+	}
+}
+
+// TestGateWarnsOnDifferingConditions: two reports taken under different
+// conditions — another invocation (the config block) or another
+// runtime (go_version, gomaxprocs, num_cpu) — are not comparable, and
+// the gate names every key that differs.
+func TestGateWarnsOnDifferingConditions(t *testing.T) {
+	mk := func(goVersion string, procs int, config string) *report {
+		t.Helper()
+		var r report
+		doc := `{"mode":"engine","go_version":"` + goVersion + `","gomaxprocs":` + strconv.Itoa(procs) +
+			`,"num_cpu":2,"config":` + config + `,"runs":[{"shards":8,"throughput_rps":100000}]}`
+		if err := json.Unmarshal([]byte(doc), &r); err != nil {
+			t.Fatal(err)
+		}
+		return &r
+	}
+	const cfg = `{"clients":8,"requests_per_client":50000,"cache_capacity":256}`
+	base := mk("go1.24.0", 1, cfg)
+	for _, tc := range []struct {
+		name string
+		newR *report
+		want []string // condition keys the warnings must name; none = clean
+	}{
+		{"same conditions", mk("go1.24.0", 1, cfg), nil},
+		{"other invocation", mk("go1.24.0", 1, `{"clients":4,"requests_per_client":50000,"cache_capacity":1024}`),
+			[]string{"config.clients", "config.cache_capacity"}},
+		{"key on one side only", mk("go1.24.0", 1, `{"clients":8,"requests_per_client":50000,"cache_capacity":256,"trace":"t.jsonl"}`),
+			[]string{"config.trace"}},
+		{"other runtime", mk("go1.22.1", 2, cfg), []string{"go_version", "gomaxprocs"}},
+	} {
+		var out, errOut strings.Builder
+		code := gate(&out, &errOut, base, tc.newR, 0.10, true, false)
+		if !strings.Contains(out.String(), "new: "+tc.newR.GoVersion+" GOMAXPROCS=") {
+			t.Errorf("%s: header does not print the new side's conditions:\n%s", tc.name, out.String())
+		}
+		if len(tc.want) == 0 {
+			if code != 0 || errOut.Len() != 0 {
+				t.Errorf("%s: exit %d, warnings:\n%s", tc.name, code, errOut.String())
+			}
+			continue
+		}
+		if code == 0 {
+			t.Errorf("%s: -strict gate exited 0", tc.name)
+		}
+		for _, key := range tc.want {
+			if !strings.Contains(errOut.String(), key+" differs") {
+				t.Errorf("%s: no warning names %s:\n%s", tc.name, key, errOut.String())
+			}
+		}
+		if n := strings.Count(errOut.String(), "WARNING"); n != len(tc.want) {
+			t.Errorf("%s: %d warnings, want %d:\n%s", tc.name, n, len(tc.want), errOut.String())
+		}
 	}
 }

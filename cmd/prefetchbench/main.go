@@ -1,6 +1,8 @@
 // Command prefetchbench regenerates the paper's figures and the derived
-// validation tables (see DESIGN.md's experiment index and
-// EXPERIMENTS.md for recorded results).
+// validation tables (internal/experiments; -list prints the index),
+// sweeps the in-process engine across shard counts (-engine) and
+// replays a recorded trace through it (-trace). End-to-end performance
+// of the daemon is measured by bench/ against BENCHMARK.json, not here.
 //
 // Usage:
 //
@@ -9,16 +11,13 @@
 //	prefetchbench -run all -format csv # everything, CSV
 //	prefetchbench -run T7 -quick       # reduced simulation sizes
 //	prefetchbench -engine -clients 8   # throughput of the public engine
-//	prefetchbench -engine -backends 2 -hedge -watermark 0.5   # fetch fabric
-//	prefetchbench -engine -session 8   # GetMulti page-load sessions vs a per-key Get loop
-//	prefetchbench -engine -mmpp 2000,200,0.05,0.2   # bursty (MMPP-paced) arrivals
 //	prefetchbench -engine -json -o bench.json   # machine-readable results
 //	prefetchbench -engine -cpuprofile cpu.pprof -memprofile mem.pprof
 //	prefetchbench -trace t.jsonl       # replay a recorded trace through it
-//	prefetchbench -trace t.jsonl -backends 2   # multi-backend replay
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -30,9 +29,17 @@ import (
 	"repro/internal/stats"
 )
 
+// errUsage is the missing-mode error: main prints the flag summary and
+// exits 2 on it, after run's deferred profile writers have finished.
+var errUsage = errors.New("-run <id|all> or -list required")
+
 func main() {
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "prefetchbench:", err)
+		if errors.Is(err, errUsage) {
+			flag.Usage()
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 }
@@ -48,22 +55,16 @@ func run() (retErr error) {
 		seed   = flag.Uint64("seed", 1, "random seed for simulation-backed experiments")
 		out    = flag.String("o", "", "write output to file instead of stdout")
 
-		engine    = flag.Bool("engine", false, "benchmark the public prefetcher.Engine instead of running experiments")
-		trace     = flag.String("trace", "", "replay a recorded JSON-lines trace through the public engine (one concurrent client per trace user)")
-		clients   = flag.Int("clients", 8, "engine mode: concurrent client goroutines")
-		requests  = flag.Int("requests", 50000, "engine mode: requests per client")
-		ebw       = flag.Float64("b", 1e6, "engine/trace mode: link bandwidth for the adaptive threshold")
-		workers   = flag.Int("workers", 8, "engine/trace mode: speculative-fetch worker pool size")
-		ecache    = flag.Int("cache", 256, "engine/trace mode: cache capacity (total, split across shards)")
-		eitems    = flag.Int("items", 2000, "engine mode: catalog size")
-		eshards   = flag.String("shards", "1,8", "engine/trace mode: comma-separated shard counts to sweep")
-		backends  = flag.Int("backends", 0, "engine/trace mode: simulated heterogeneous backends behind the fetch fabric (0 = one zero-latency in-process origin; >= 2 in engine mode also runs a single-backend baseline)")
-		session   = flag.Int("session", 0, "engine mode: batched session benchmark with this fan-out — each request becomes one GetMulti page-load session of N correlated keys, compared against a per-key Get loop over the same streams (0 = per-key mode)")
-		mmpp      = flag.String("mmpp", "", "engine mode: pace each client's arrivals by a two-state MMPP, given as 'rateHigh,rateLow,meanHigh,meanLow' (rates in arrivals/s, sojourns in s; empty = closed loop)")
-		valueb    = flag.Int("valuebytes", 0, "payload-store benchmark with this payload size: a hot-set GetBytes workload run over the boxed cache and again over the pointer-free slab store, diffing throughput and the GC bill (uses -cache as the resident entry budget)")
-		hedge     = flag.Bool("hedge", false, "engine mode: hedged retries across backends (p95-derived delay; needs -backends)")
-		watermark = flag.Float64("watermark", 0, "engine mode: idle-gate ρ̂ watermark deferring speculative dispatch (0 = off; needs -backends)")
-		asJSON    = flag.Bool("json", false, "engine/trace mode: emit one machine-readable JSON report (honours -o)")
+		engine   = flag.Bool("engine", false, "benchmark the public prefetcher.Engine instead of running experiments")
+		trace    = flag.String("trace", "", "replay a recorded JSON-lines trace through the public engine (one concurrent client per trace user)")
+		clients  = flag.Int("clients", 8, "engine mode: concurrent client goroutines")
+		requests = flag.Int("requests", 50000, "engine mode: requests per client")
+		ebw      = flag.Float64("b", 1e6, "engine/trace mode: link bandwidth for the adaptive threshold")
+		workers  = flag.Int("workers", 8, "engine/trace mode: speculative-fetch worker pool size")
+		ecache   = flag.Int("cache", 256, "engine/trace mode: cache capacity (total, split across shards)")
+		eitems   = flag.Int("items", 2000, "engine mode: catalog size")
+		eshards  = flag.String("shards", "1,8", "engine/trace mode: comma-separated shard counts to sweep")
+		asJSON   = flag.Bool("json", false, "engine/trace mode: emit one machine-readable JSON report (honours -o)")
 
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile taken at the end of the run to this file")
@@ -117,27 +118,6 @@ func run() (retErr error) {
 		w = f
 	}
 
-	if *valueb > 0 {
-		if *engine || *trace != "" {
-			return fmt.Errorf("-valuebytes is its own mode; drop -engine/-trace")
-		}
-		shards, err := parseShardList(*eshards)
-		if err != nil {
-			return err
-		}
-		return runValuesBench(w, valuesBenchConfig{
-			Clients:    *clients,
-			Requests:   *requests,
-			Bandwidth:  *ebw,
-			Workers:    *workers,
-			CacheCap:   *ecache,
-			ValueBytes: *valueb,
-			Seed:       *seed,
-			Shards:     shards,
-			JSON:       *asJSON,
-		})
-	}
-
 	if *trace != "" {
 		shards, err := parseShardList(*eshards)
 		if err != nil {
@@ -149,7 +129,6 @@ func run() (retErr error) {
 			Workers:   *workers,
 			CacheCap:  *ecache,
 			Shards:    shards,
-			Backends:  *backends,
 			JSON:      *asJSON,
 		})
 	}
@@ -168,25 +147,18 @@ func run() (retErr error) {
 			Items:     *eitems,
 			Seed:      *seed,
 			Shards:    shards,
-			Backends:  *backends,
-			Hedge:     *hedge,
-			Watermark: *watermark,
-			Session:   *session,
-			MMPP:      *mmpp,
 			JSON:      *asJSON,
 		})
 	}
 
 	if *list {
 		for _, e := range experiments.All() {
-			fmt.Printf("%-4s %s\n", e.ID, e.Title)
+			fmt.Fprintf(w, "%-4s %s\n", e.ID, e.Title)
 		}
 		return nil
 	}
 	if *runID == "" {
-		fmt.Fprintln(os.Stderr, "prefetchbench: -run <id|all> or -list required")
-		flag.Usage()
-		os.Exit(2)
+		return errUsage
 	}
 
 	var targets []experiments.Experiment

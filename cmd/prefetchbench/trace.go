@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/workload"
 	"repro/prefetcher"
-	"repro/prefetcher/fetch"
 )
 
 // traceBenchConfig parameterises the trace-replay benchmark mode.
@@ -23,11 +22,6 @@ type traceBenchConfig struct {
 	CacheCap  int
 	// Shards lists the shard counts to sweep, as in -engine mode.
 	Shards []int
-	// Backends selects multi-backend replay: n >= 1 simulated
-	// heterogeneous backends behind the fetch fabric serve the trace
-	// (item sizes still come from the records); 0 serves it from one
-	// zero-latency in-process origin.
-	Backends int
 	// JSON emits one machine-readable report instead of text.
 	JSON bool
 }
@@ -40,10 +34,8 @@ type traceBenchConfig struct {
 // p the paper's model takes as inputs, so the throughput and the
 // ĥ′/used/wasted block are read off a real (or recorded-synthetic)
 // stream rather than the Zipf loop. Item sizes come from the trace
-// records, so ŝ̄ and ρ̂′ reflect the recorded catalog. With -backends n
-// the replay is served by the multi-backend fetch fabric over simulated
-// asymmetric links, exercising routing and per-link admission on
-// recorded traffic.
+// records, so ŝ̄ and ρ̂′ reflect the recorded catalog; they are served
+// by one zero-latency in-process origin.
 func runTraceBench(w io.Writer, cfg traceBenchConfig) error {
 	f, err := os.Open(cfg.Path)
 	if err != nil {
@@ -59,9 +51,6 @@ func runTraceBench(w io.Writer, cfg traceBenchConfig) error {
 	}
 	if cfg.CacheCap < 2 {
 		return fmt.Errorf("trace mode: -cache %d must be >= 2 (SLRU needs a protected segment)", cfg.CacheCap)
-	}
-	if cfg.Backends < 0 {
-		return fmt.Errorf("trace mode: -backends %d must be >= 0", cfg.Backends)
 	}
 	if len(cfg.Shards) == 0 {
 		cfg.Shards = []int{1}
@@ -96,18 +85,11 @@ func runTraceBench(w io.Writer, cfg traceBenchConfig) error {
 	if text {
 		fmt.Fprintf(w, "trace replay: %s — %d records, %d users (one client each), %d workers, b=%g\n",
 			cfg.Path, len(records), len(users), cfg.Workers, cfg.Bandwidth)
-		if cfg.Backends > 0 {
-			for _, b := range simBackends(cfg.Backends, cfg.Bandwidth, nil) {
-				sim := b.Fetcher.(*simBackend)
-				fmt.Fprintf(w, "  backend %-8s base latency %v, bandwidth %.3g (weight %.3f)\n",
-					b.Name, sim.base, b.Bandwidth, b.Weight)
-			}
-		}
 	}
-	report := &benchReport{Mode: "trace", Config: benchConfig{
+	report := newBenchReport("trace", benchConfig{
 		Trace: cfg.Path, Bandwidth: cfg.Bandwidth, Workers: cfg.Workers,
-		CacheCap: cfg.CacheCap, Backends: cfg.Backends,
-	}}
+		CacheCap: cfg.CacheCap,
+	})
 
 	var baseline float64
 	var baselineShards int
@@ -133,29 +115,14 @@ func runTraceBench(w io.Writer, cfg traceBenchConfig) error {
 // with the given shard count, rewinding the shared per-user replays.
 func runTraceBenchOnce(w io.Writer, cfg traceBenchConfig, records int,
 	users []int, sizes map[prefetcher.ID]float64, replays []*workload.Replay, shards int, text bool) (engineRun, error) {
-	sizeOf := func(id prefetcher.ID) float64 {
+	direct := prefetcher.FetcherFunc(func(ctx context.Context, id prefetcher.ID) (prefetcher.Item, error) {
 		size, ok := sizes[id]
 		if !ok {
-			return 1 // speculative fetch of an item the trace never requests
+			size = 1 // speculative fetch of an item the trace never requests
 		}
-		return size
-	}
-	var (
-		eng *prefetcher.Engine
-		err error
-	)
-	if cfg.Backends > 0 {
-		backends := simBackends(cfg.Backends, cfg.Bandwidth, sizeOf)
-		eng, shards, err = newBenchEngine("trace", nil, cfg.Bandwidth, cfg.Workers, cfg.CacheCap, shards,
-			prefetcher.WithBackends(backends...),
-			prefetcher.WithRouting(fetch.RouteLatency),
-		)
-	} else {
-		direct := prefetcher.FetcherFunc(func(ctx context.Context, id prefetcher.ID) (prefetcher.Item, error) {
-			return prefetcher.Item{ID: id, Size: sizeOf(id)}, nil
-		})
-		eng, shards, err = newBenchEngine("trace", direct, cfg.Bandwidth, cfg.Workers, cfg.CacheCap, shards)
-	}
+		return prefetcher.Item{ID: id, Size: size}, nil
+	})
+	eng, shards, err := newBenchEngine("trace", direct, cfg.Bandwidth, cfg.Workers, cfg.CacheCap, shards)
 	if err != nil {
 		return engineRun{}, err
 	}
@@ -211,13 +178,9 @@ func runTraceBenchOnce(w io.Writer, cfg traceBenchConfig, records int,
 	st := eng.Stats()
 	rps := float64(completed) / elapsed.Seconds()
 	if text {
-		label := fmt.Sprintf("shards=%d", st.Shards)
-		if cfg.Backends > 0 {
-			label += fmt.Sprintf(" backends=%d", cfg.Backends)
-		}
-		fmt.Fprintln(w, label)
+		fmt.Fprintf(w, "shards=%d\n", st.Shards)
 		fmt.Fprintf(w, "  replayed         %d/%d trace requests\n", completed, records)
 		reportRun(w, st, rps, elapsed, perf)
 	}
-	return engineRun{rps: rps, shards: shards, rep: newRunReport(st, completed, rps, elapsed, false, perf)}, nil
+	return engineRun{rps: rps, shards: shards, rep: newRunReport(st, completed, rps, elapsed, perf)}, nil
 }

@@ -16,8 +16,8 @@ import (
 // on the web. Because a page's key set is fixed, the stream has strong
 // first-order structure (requesting the page id makes its objects
 // near-certain followers) — which is what a batched demand path and
-// the Markov predictors can both exploit, and what the -session mode
-// of prefetchbench measures.
+// the Markov predictors can both exploit, and what bench/'s page-batch
+// workload measures.
 type Sessions struct {
 	pages   int
 	fanout  int

@@ -3,6 +3,7 @@ package bytestore
 import (
 	"bytes"
 	"context"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -284,5 +285,85 @@ func TestConcurrentSlabAccess(t *testing.T) {
 	if st.InFlight != 0 || st.Hits+st.Misses != st.Requests ||
 		st.PrefetchUsed+st.PrefetchWasted+st.PrefetchErrors > st.PrefetchIssued {
 		t.Fatalf("books do not balance after Quiesce: %+v", st)
+	}
+}
+
+// silentPredictor keeps no model: any real one's per-key state would sit
+// in the live heap of both fills below and blur the count under test.
+type silentPredictor struct{}
+
+func (silentPredictor) Observe(prefetcher.ID)            {}
+func (silentPredictor) Predict() []prefetcher.Prediction { return nil }
+func (silentPredictor) Name() string                     { return "none" }
+
+// TestSlabResidencyInvisibleToGC pins what the slab store is for: N
+// resident values cost the garbage collector a number of live heap
+// objects that does not grow with N, where the boxed cache costs at
+// least one per value. Both engines are filled with the same N 1 KiB
+// values through the clock policy (its ring keeps no per-entry node),
+// with no predictor state and no speculative traffic, and the growth
+// in HeapObjects across the fill is read after a forced collection.
+func TestSlabResidencyInvisibleToGC(t *testing.T) {
+	const n, valueBytes = 32768, 1024
+	slabFactory, err := Factory(Config{
+		CapacityBytes: n * (valueBytes + valueBytes/8 + 64),
+		MaxEntries:    n,
+		Policy:        "clock",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	boxedFactory := func(_, _ int) prefetcher.Cache {
+		c, err := prefetcher.NewCacheWithPolicy(n, "clock")
+		if err != nil {
+			panic(err) // "clock" is a known policy name
+		}
+		return c
+	}
+	// liveGrowth fills a fresh engine, checks all n values are resident
+	// (a store that shed them would pass the slab bound vacuously), and
+	// returns how many live heap objects the fill left behind.
+	liveGrowth := func(factory func(i, n int) prefetcher.Cache) int64 {
+		fetch := prefetcher.FetcherFunc(func(_ context.Context, id prefetcher.ID) (prefetcher.Item, error) {
+			return prefetcher.Item{ID: id, Size: valueBytes, Data: val(id, valueBytes)}, nil
+		})
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		eng, err := prefetcher.New(fetch,
+			prefetcher.WithBandwidth(1e6),
+			prefetcher.WithShards(1), // one shard holds exactly n: no hash imbalance to budget for
+			prefetcher.WithCacheFactory(factory),
+			prefetcher.WithPolicy(prefetcher.NoPrefetch()),
+			prefetcher.WithPredictor(silentPredictor{}),
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		ctx := context.Background()
+		dst := make([]byte, 0, valueBytes)
+		for pass := 0; pass < 2; pass++ {
+			for id := prefetcher.ID(0); id < n; id++ {
+				if dst, err = eng.GetBytes(ctx, id, dst[:0]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if st := eng.Stats(); st.Hits != n {
+			t.Fatalf("second pass over %d filled values hit %d times: the fill is not resident", n, st.Hits)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		return int64(after.HeapObjects) - int64(before.HeapObjects)
+	}
+
+	slab, boxed := liveGrowth(slabFactory), liveGrowth(boxedFactory)
+	t.Logf("live heap objects added by %d resident %d B values: slab %d, boxed %d", n, valueBytes, slab, boxed)
+	if slab > n/8 {
+		t.Errorf("slab fill added %d live heap objects, want <= %d (n/8): residency is visible to the GC", slab, n/8)
+	}
+	if boxed <= n {
+		t.Errorf("boxed fill added %d live heap objects, want > %d: the comparison no longer measures per-value boxing", boxed, n)
 	}
 }

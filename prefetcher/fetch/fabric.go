@@ -88,7 +88,8 @@ type backendState struct {
 	batchedItems atomic.Int64
 	// Demand-batch traffic (FetchDemandBatch) is counted apart from the
 	// speculative coalescing above: the two paths have different
-	// failure semantics and the split is what BENCH_session measures.
+	// failure semantics and the split is what bench/'s page-batch
+	// workload reads (fetch.demand_batch_items_per_call).
 	demandBatchCalls   atomic.Int64
 	demandBatchedItems atomic.Int64
 	hedgesLaunched     atomic.Int64
