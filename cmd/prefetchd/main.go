@@ -15,6 +15,22 @@
 // liveness probe. On SIGINT/SIGTERM the daemon stops accepting
 // connections, drains in-flight requests, quiesces each engine's
 // speculative work, closes it and then its backends' idle connections.
+//
+// The front end has two tiers and no switch between them. A connection
+// starts on the wire loop (wire.go): one goroutine that does one Read,
+// recognises the head, has the reply core (server.go) fill a pooled
+// buffer and does one Write. It serves GET|HEAD /obj/[{space}/]{key},
+// GET /batch[/{space}]?ids={list} and GET /healthz in canonical form:
+// HTTP/1.1, CRLF, a head of at most 4 KiB with exactly one Host and no
+// Connection, Content-Length, Transfer-Encoding, Expect, Upgrade or
+// Trailer, space, key and list of [A-Za-z0-9._-] (and ','). The first
+// head it does not recognise sends the connection, the bytes read so far
+// unconsumed, to an http.Server on Server.Handler() for good: /stats,
+// other methods and versions, bodies, escapes and everything malformed
+// are net/http's to answer, to the byte. The wire loop does not watch
+// the socket while it serves: a client hanging up mid-miss no longer
+// cancels its demand fetch, which lands in the cache, bounded by
+// -demand-timeout and by shutdown.
 package main
 
 import (
@@ -24,7 +40,6 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -169,10 +184,10 @@ func run(cfg *Config) error {
 		srv.Shutdown(context.Background())
 		return err
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	fe := newFrontEnd(srv, ln)
 
 	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
+	go func() { errc <- fe.Serve() }()
 	log.Printf("prefetchd: serving on %s (%d spaces)", ln.Addr(), len(cfg.Spaces))
 
 	sigc := make(chan os.Signal, 1)
@@ -191,7 +206,7 @@ func run(cfg *Config) error {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), budget)
 	defer cancel()
-	if err := hs.Shutdown(ctx); err != nil {
+	if err := fe.Shutdown(ctx); err != nil {
 		log.Printf("prefetchd: drain: %v", err)
 	}
 	srv.Shutdown(ctx)

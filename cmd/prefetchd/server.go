@@ -69,9 +69,9 @@ func NewServer(cfg *Config, logf func(format string, args ...any)) (*Server, err
 		s.spaces[sc.Name] = &space{cfg: sc, engine: eng, fetchers: fetchers}
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/obj/", s.handleObj)
-	mux.HandleFunc("/batch", s.handleBatch)
-	mux.HandleFunc("/batch/", s.handleBatch)
+	mux.HandleFunc("/obj/", s.handleCore)
+	mux.HandleFunc("/batch", s.handleCore)
+	mux.HandleFunc("/batch/", s.handleCore)
 	mux.HandleFunc("/stats", s.handleStats)
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux = mux
@@ -264,149 +264,170 @@ func (s *Server) resolve(spaceName string) (*space, bool) {
 	return sp, ok
 }
 
-// bufPool recycles response-assembly buffers across requests so the
-// steady-state object path allocates neither a payload box nor a
-// scratch buffer per hit. Pointers to slices, per staticcheck SA6002
-// (a bare []byte would box on every Put).
-var bufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 4096)
-		return &b
-	},
+// replyBuf is one reply being assembled: b[:headRoom] is room for its
+// head, b[headRoom:] its body. Either front end draws one per request
+// for the reply core (obj, batch) to fill; handleCore then passes the
+// body to net/http, the wire loop sends head and body in one Write.
+type replyBuf struct{ b []byte }
+
+// Write appends: httpfetch.WriteBatchItem frames records through it.
+func (rb *replyBuf) Write(p []byte) (int, error) {
+	rb.b = append(rb.b, p...)
+	return len(p), nil
 }
 
-// maxPooledBufBytes caps what putBuf returns to the pool: an outlier
-// response (one huge object, or a wide batch) must not pin a buffer of
-// that size per pool slot for the rest of the process.
+// headRoom fits the longest head the wire loop renders (an error reply
+// with a 31-byte status text: about 200 bytes).
+const headRoom = 256
+
+// bufPool recycles reply buffers, so the steady-state object path
+// allocates neither a payload box nor a scratch buffer per hit.
+var bufPool = sync.Pool{
+	New: func() any { return &replyBuf{b: make([]byte, headRoom, 4096)} },
+}
+
+// maxPooledBufBytes caps what putBuf returns to the pool: one huge
+// object or wide batch must not pin its buffer for the process's life.
 const maxPooledBufBytes = 1 << 20
 
-// putBuf recycles a response buffer, dropping ones that grew past the
-// pooling cap.
-func putBuf(bp *[]byte) {
-	if cap(*bp) > maxPooledBufBytes {
-		return
+func putBuf(rb *replyBuf) {
+	if cap(rb.b) <= maxPooledBufBytes {
+		rb.b = rb.b[:headRoom]
+		bufPool.Put(rb)
 	}
-	bufPool.Put(bp)
 }
 
-// handleObj serves GET and HEAD for /obj/{key} and /obj/{space}/{key}.
-// GET copies the payload through the engine's byte path into a pooled
-// buffer — on a slab-backed space a cache hit moves the bytes
-// arena→buffer→socket with no interface boxing and no per-hit
-// allocation. HEAD answers the Content-Length probe via GetBytesLen
-// without copying the payload at all (residency, recency and hit
-// accounting still behave as a GET hit).
-func (s *Server) handleObj(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet && r.Method != http.MethodHead {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
+// The reply core: obj and batch turn one request into one reply. They
+// append the body to rb and return the status and the Content-Length —
+// the body's length, except for a HEAD that found its object. What is
+// not a 200 carries http.Error's body, the message and a newline.
+// handleCore and the wire loop differ only in how that reaches the socket.
+
+func fail(rb *replyBuf, status int, msg string) (int, int) {
+	rb.b = append(append(rb.b[:headRoom], msg...), '\n')
+	return status, len(msg) + 1
+}
+
+// failFetch maps an engine error onto a status: origin 4xx/5xx pass
+// through, a dead context is a gateway timeout, everything else a bad
+// gateway. The client gets the status text alone; the error, which
+// names the origin, is logged.
+func (s *Server) failFetch(rb *replyBuf, request string, err error) (int, int) {
+	code := http.StatusBadGateway
+	var se *httpfetch.StatusError
+	switch {
+	case errors.As(err, &se) && se.Code >= 400:
+		code = se.Code
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		code = http.StatusGatewayTimeout
 	}
-	rest := strings.TrimPrefix(r.URL.Path, "/obj/")
-	spaceName, keyStr := "", rest
-	if i := strings.IndexByte(rest, '/'); i >= 0 {
-		spaceName, keyStr = rest[:i], rest[i+1:]
-	}
+	s.logf("prefetchd: %s: %v", request, err)
+	return fail(rb, code, http.StatusText(code))
+}
+
+// obj answers GET and HEAD for /obj/{key} and /obj/{space}/{key}. GET
+// copies the payload through the engine's byte path into rb — on a
+// slab-backed space a hit moves the bytes arena→buffer→socket with no
+// boxing and no allocation. HEAD is the Content-Length probe: no
+// payload copy, residency, recency and accounting as a GET's.
+func (s *Server) obj(ctx context.Context, rb *replyBuf, head bool, path string) (status, n int) {
+	rest := strings.TrimPrefix(path, "/obj/")
+	i := strings.IndexByte(rest, '/') + 1 // 0 for the bare form
+	spaceName, keyStr := strings.TrimSuffix(rest[:i], "/"), rest[i:]
 	key, err := strconv.ParseInt(keyStr, 10, 64)
 	if err != nil {
-		http.Error(w, "bad key", http.StatusBadRequest)
-		return
+		return fail(rb, http.StatusBadRequest, "bad key")
 	}
 	sp, ok := s.resolve(spaceName)
 	if !ok {
-		http.Error(w, "unknown space", http.StatusNotFound)
-		return
+		return fail(rb, http.StatusNotFound, "unknown space")
 	}
-	if r.Method == http.MethodHead {
-		n, err := sp.engine.GetBytesLen(r.Context(), prefetcher.ID(key))
-		if err != nil {
-			s.writeFetchError(w, r, err)
-			return
+	if head {
+		if n, err = sp.engine.GetBytesLen(ctx, prefetcher.ID(key)); err != nil {
+			return s.failFetch(rb, "HEAD "+path, err)
 		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("Content-Length", strconv.Itoa(n))
-		w.WriteHeader(http.StatusOK)
-		return
+		return http.StatusOK, n
 	}
-	bp := bufPool.Get().(*[]byte)
-	data, err := sp.engine.GetBytes(r.Context(), prefetcher.ID(key), (*bp)[:0])
-	if err != nil {
-		putBuf(bp)
-		s.writeFetchError(w, r, err)
-		return
+	if rb.b, err = sp.engine.GetBytes(ctx, prefetcher.ID(key), rb.b); err != nil {
+		return s.failFetch(rb, "GET "+path, err)
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
-	w.Write(data)
-	*bp = data[:0]
-	putBuf(bp)
+	return http.StatusOK, len(rb.b) - headRoom
 }
 
-// maxBatchIDs bounds one /batch request's id list. The engine batches
-// whatever it is handed, so the bound on outside input is set here,
-// well above any session the batch wire's callers build (a page of a
-// few dozen keys) and on the order of what the engine keeps pooled
-// scratch for.
+// maxBatchIDs bounds one /batch request's id list — outside input the
+// engine would batch whole — well above any session the wire's callers
+// build, on the order of what the engine keeps pooled scratch for.
 const maxBatchIDs = 1024
 
-// batchRecordHeaderLen is what httpfetch.WriteBatchItem puts in front of
-// each payload: an 8-byte id and a 4-byte length.
-const batchRecordHeaderLen = 12
-
-// handleBatch serves GET /batch?ids=… and GET /batch/{space}?ids=…
-// through the engine's batched demand path, answering in the
+// batch answers GET /batch?ids=… and GET /batch/{space}?ids=… (raw is
+// the ids parameter) through the engine's batched demand path, in the
 // httpfetch wire format. Per-key failures fail the whole reply — the
 // wire has no per-record error channel, and a batch-capable caller
 // (another prefetchd) falls back per key on any batch error.
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	spaceName := strings.TrimPrefix(strings.TrimPrefix(r.URL.Path, "/batch"), "/")
-	sp, ok := s.resolve(spaceName)
+func (s *Server) batch(ctx context.Context, rb *replyBuf, path, raw string) (status, n int) {
+	sp, ok := s.resolve(strings.TrimPrefix(strings.TrimPrefix(path, "/batch"), "/"))
 	if !ok {
-		http.Error(w, "unknown space", http.StatusNotFound)
-		return
+		return fail(rb, http.StatusNotFound, "unknown space")
 	}
-	raw := r.URL.Query().Get("ids")
 	// Counted before parsing: a request line can carry half a million
-	// ids, and each would become parser output, a session key and a
-	// demand fetch.
+	// ids, each to become a session key and a demand fetch.
 	if strings.Count(raw, ",") >= maxBatchIDs {
-		http.Error(w, fmt.Sprintf("more than %d ids in one batch", maxBatchIDs), http.StatusBadRequest)
-		return
+		return fail(rb, http.StatusBadRequest, fmt.Sprintf("more than %d ids in one batch", maxBatchIDs))
 	}
 	ids, err := httpfetch.ParseIDs(raw)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+		return fail(rb, http.StatusBadRequest, err.Error())
 	}
-	// The whole session's payloads pack into one pooled buffer via the
-	// engine's byte path; each record is then framed straight from its
-	// ByteRange — no per-item boxing, no per-item payload copy.
-	bp := bufPool.Get().(*[]byte)
-	buf, ranges, err := sp.engine.GetMultiBytes(r.Context(), ids, (*bp)[:0], nil)
-	*bp = buf[:0]
+	// The payloads pack into one pooled buffer via the engine's byte path
+	// and are framed from there into rb, whole before the head is written:
+	// a record the wire cannot carry makes a 502, not a 200 cut short.
+	payloads := bufPool.Get().(*replyBuf)
+	var ranges []prefetcher.ByteRange
+	if payloads.b, ranges, err = sp.engine.GetMultiBytes(ctx, ids, payloads.b, nil); err == nil {
+		err = frameBatch(rb, ids, payloads.b, ranges)
+	}
+	putBuf(payloads)
 	if err != nil {
-		putBuf(bp)
-		s.writeFetchError(w, r, err)
-		return
+		return s.failFetch(rb, "GET "+path+"?ids="+raw, err)
 	}
-	// The reply's size is known before its first byte, so it goes out
-	// with a Content-Length and not chunked.
-	size := 0
-	for _, rg := range ranges {
-		size += batchRecordHeaderLen + rg.Len
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(size))
+	return http.StatusOK, len(rb.b) - headRoom
+}
+
+// frameBatch appends to rb one record per id: its range of payloads.
+func frameBatch(rb *replyBuf, ids []prefetcher.ID, payloads []byte, ranges []prefetcher.ByteRange) error {
 	for i, rg := range ranges {
-		if err := httpfetch.WriteBatchItem(w, ids[i], buf[rg.Off:rg.Off+rg.Len]); err != nil {
-			putBuf(bp)
-			return // client went away mid-reply
+		if err := httpfetch.WriteBatchItem(rb, ids[i], payloads[rg.Off:rg.Off+rg.Len]); err != nil {
+			return err
 		}
 	}
-	putBuf(bp)
+	return nil
+}
+
+// handleCore is the reply core's mux adapter: it serves /obj/ and /batch
+// on connections the wire loop handed off.
+func (s *Server) handleCore(w http.ResponseWriter, r *http.Request) {
+	batch, head := strings.HasPrefix(r.URL.Path, "/batch"), r.Method == http.MethodHead
+	if r.Method != http.MethodGet && (batch || !head) {
+		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+		return
+	}
+	rb := bufPool.Get().(*replyBuf)
+	var status, n int
+	if batch {
+		status, n = s.batch(r.Context(), rb, r.URL.Path, r.URL.Query().Get("ids"))
+	} else {
+		status, n = s.obj(r.Context(), rb, head, r.URL.Path)
+	}
+	h := w.Header()
+	h.Set("Content-Type", payloadType)
+	if status != http.StatusOK {
+		h.Set("Content-Type", errorType)
+		h.Set("X-Content-Type-Options", "nosniff")
+	}
+	h.Set("Content-Length", strconv.Itoa(n))
+	w.WriteHeader(status)
+	w.Write(rb.b[headRoom:]) // net/http drops it for a HEAD; a client gone mid-reply is its to notice
+	putBuf(rb)
 }
 
 // statsReply is the /stats JSON shape: per-space engine snapshots
@@ -432,10 +453,18 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	enc.Encode(reply)
 }
 
-// handleHealthz serves GET /healthz.
+// What both tiers send: the Content-Type of a payload and of an error
+// (http.Error's, which goes with nosniff), and the /healthz reply.
+const (
+	payloadType, errorType   = "application/octet-stream", "text/plain; charset=utf-8"
+	healthzType, healthzBody = "text/plain", "ok\n"
+)
+
+// handleHealthz serves /healthz on connections the wire loop handed off.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain")
-	fmt.Fprintln(w, "ok")
+	w.Header().Set("Content-Type", healthzType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(healthzBody))) // set here, net/http puts it where the wire loop does
+	io.WriteString(w, healthzBody)
 }
 
 // Shutdown quiesces and closes every space's engine. Call it after
@@ -456,21 +485,4 @@ func (s *Server) closeEngines(ctx context.Context) {
 			f.Close() // idle origin connections; nothing to report
 		}
 	}
-}
-
-// writeFetchError maps an engine error onto an HTTP status: origin
-// 4xx/5xx pass through when the adapter surfaced one, a dead context
-// is a gateway timeout, everything else a bad gateway. The client gets
-// the status text alone; the error, which names the origin, is logged.
-func (s *Server) writeFetchError(w http.ResponseWriter, r *http.Request, err error) {
-	code := http.StatusBadGateway
-	var se *httpfetch.StatusError
-	switch {
-	case errors.As(err, &se) && se.Code >= 400:
-		code = se.Code
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		code = http.StatusGatewayTimeout
-	}
-	s.logf("prefetchd: %s %s: %v", r.Method, r.URL.RequestURI(), err)
-	http.Error(w, http.StatusText(code), code)
 }

@@ -28,6 +28,45 @@ func newLocalListener() (net.Listener, error) {
 	return net.Listen("tcp", "127.0.0.1:0")
 }
 
+// startFront serves srv on the daemon's front end (wire loop, handoff,
+// mux) over a loopback listener and returns its base URL.
+func startFront(t testing.TB, srv *Server) string {
+	t.Helper()
+	ln, err := newLocalListener()
+	if err != nil {
+		t.Fatal(err)
+	}
+	runFront(t, newFrontEnd(srv, ln), srv)
+	return "http://" + ln.Addr().String()
+}
+
+// runFront serves fe until the test ends: then the front end drains,
+// Serve returns, and the engines close — before the origins registered
+// earlier do.
+func runFront(t testing.TB, fe *frontEnd, srv *Server) {
+	served := make(chan error, 1)
+	go func() { served <- fe.Serve() }()
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := fe.Shutdown(ctx); err != nil {
+			t.Errorf("front end shutdown: %v", err)
+		}
+		if err := <-served; err != http.ErrServerClosed {
+			t.Errorf("Serve returned %v, want http.ErrServerClosed", err)
+		}
+		srv.Shutdown(ctx)
+	})
+}
+
+// viaMux is a client whose every request carries Connection: close,
+// which the wire loop hands to net/http: it reaches the mux adapters.
+var viaMux = &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+
+// batchRecordHeaderLen is what httpfetch.WriteBatchItem puts in front of
+// each payload: an 8-byte id and a 4-byte length.
+const batchRecordHeaderLen = 12
+
 func originPayload(id int64) []byte {
 	return []byte(fmt.Sprintf("origin-object-%d", id))
 }
@@ -103,19 +142,11 @@ func TestDaemonEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	front := httptest.NewServer(srv.Handler())
-	// The engine must quiesce before the origin's httptest.Server
-	// closes, so register teardown in reverse order of dependency.
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		front.Close()
-		srv.Shutdown(ctx)
-	})
+	front := startFront(t, srv)
 
 	get := func(key int64) []byte {
 		t.Helper()
-		resp, err := http.Get(fmt.Sprintf("%s/obj/%d", front.URL, key))
+		resp, err := http.Get(fmt.Sprintf("%s/obj/%d", front, key))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +183,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 		}
 	}
 
-	resp, err := http.Get(front.URL + "/stats")
+	resp, err := http.Get(front + "/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +218,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 
 	// Health endpoint answers while serving.
-	hz, err := http.Get(front.URL + "/healthz")
+	hz, err := http.Get(front + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,16 +240,10 @@ func TestDaemonBatchEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	front := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		front.Close()
-		srv.Shutdown(ctx)
-	})
+	front := startFront(t, srv)
 
 	// Consume the daemon through the adapter: prefetchd as origin.
-	tier, err := httpfetch.New(httpfetch.Config{BaseURL: front.URL, BatchPath: "/batch"})
+	tier, err := httpfetch.New(httpfetch.Config{BaseURL: front, BatchPath: "/batch"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +258,7 @@ func TestDaemonBatchEndpoint(t *testing.T) {
 	}
 
 	// The daemon's stats must account the keys as one multi-get.
-	resp, err := http.Get(front.URL + "/stats")
+	resp, err := http.Get(front + "/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,13 +283,7 @@ func TestBatchReplyHasContentLength(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	front := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		front.Close()
-		srv.Shutdown(ctx)
-	})
+	front := startFront(t, srv)
 
 	ids := make([]fetch.ID, 200)
 	query := make([]string, len(ids))
@@ -274,7 +293,7 @@ func TestBatchReplyHasContentLength(t *testing.T) {
 		query[i] = strconv.Itoa(1000 + i)
 		want += batchRecordHeaderLen + len(originPayload(int64(ids[i])))
 	}
-	resp, err := http.Get(front.URL + "/batch?ids=" + strings.Join(query, ","))
+	resp, err := http.Get(front + "/batch?ids=" + strings.Join(query, ","))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,15 +380,9 @@ func TestDaemonSpaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	front := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		front.Close()
-		srv.Shutdown(ctx)
-	})
+	front := startFront(t, srv)
 
-	resp, err := http.Get(front.URL + "/obj/disk/41")
+	resp, err := http.Get(front + "/obj/disk/41")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +391,7 @@ func TestDaemonSpaces(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || string(body) != "from-disk" {
 		t.Fatalf("disk space: %d %q", resp.StatusCode, body)
 	}
-	resp, err = http.Get(front.URL + "/obj/23")
+	resp, err = http.Get(front + "/obj/23")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +405,7 @@ func TestDaemonSpaces(t *testing.T) {
 		"/obj/nope/1": http.StatusNotFound,
 		"/obj/abc":    http.StatusBadRequest,
 	} {
-		resp, err := http.Get(front.URL + path)
+		resp, err := http.Get(front + path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -403,7 +416,7 @@ func TestDaemonSpaces(t *testing.T) {
 		}
 	}
 
-	resp, err = http.Get(front.URL + "/stats")
+	resp, err = http.Get(front + "/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,30 +486,26 @@ func TestObjErrorMapping(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				front := httptest.NewServer(srv.Handler())
-				defer func() {
-					ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-					defer cancel()
-					front.Close()
-					srv.Shutdown(ctx)
-				}()
+				front := startFront(t, srv)
 				originAddr := strings.TrimPrefix(tc.origin, "http://")
 				_, originPort, _ := net.SplitHostPort(originAddr)
-				for _, path := range []string{"/obj/1", "/batch?ids=1,2"} {
-					resp, err := http.Get(front.URL + path)
-					if err != nil {
-						t.Fatal(err)
-					}
-					body, _ := io.ReadAll(resp.Body)
-					resp.Body.Close()
-					if resp.StatusCode != tc.want {
-						t.Errorf("%s: status %d, want %d", path, resp.StatusCode, tc.want)
-					}
-					if want := http.StatusText(tc.want) + "\n"; string(body) != want {
-						t.Errorf("%s: body %q, want the status text %q alone", path, body, want)
-					}
-					if bytes.Contains(body, []byte(originPort)) || bytes.Contains(body, []byte("127.0.0.1")) {
-						t.Errorf("%s: body %q names the origin %s", path, body, originAddr)
+				for _, client := range []*http.Client{http.DefaultClient, viaMux} {
+					for _, path := range []string{"/obj/1", "/batch?ids=1,2"} {
+						resp, err := client.Get(front + path)
+						if err != nil {
+							t.Fatal(err)
+						}
+						body, _ := io.ReadAll(resp.Body)
+						resp.Body.Close()
+						if resp.StatusCode != tc.want {
+							t.Errorf("%s: status %d, want %d", path, resp.StatusCode, tc.want)
+						}
+						if want := http.StatusText(tc.want) + "\n"; string(body) != want {
+							t.Errorf("%s: body %q, want the status text %q alone", path, body, want)
+						}
+						if bytes.Contains(body, []byte(originPort)) || bytes.Contains(body, []byte("127.0.0.1")) {
+							t.Errorf("%s: body %q names the origin %s", path, body, originAddr)
+						}
 					}
 				}
 				mu.Lock()
@@ -509,9 +518,10 @@ func TestObjErrorMapping(t *testing.T) {
 	}
 }
 
-// Graceful shutdown drains: a request in flight when Shutdown begins
-// completes with its payload; the engines quiesce and close after the
-// drain, and nothing leaks.
+// Graceful shutdown drains: requests in flight when Shutdown begins, on
+// the wire loop and behind a handoff, complete with their payloads; idle
+// connections of both kinds are closed; Serve returns; the engines
+// quiesce and close after the drain, and nothing leaks.
 func TestDaemonShutdownDrains(t *testing.T) {
 	defer testutil.ExpectNoLeaks(t)
 	release := make(chan struct{})
@@ -526,49 +536,62 @@ func TestDaemonShutdownDrains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := &http.Server{Handler: srv.Handler()}
 	ln, err := newLocalListener()
 	if err != nil {
 		t.Fatal(err)
 	}
-	served := make(chan struct{})
-	go func() {
-		defer close(served)
-		hs.Serve(ln)
-	}()
+	fe := newFrontEnd(srv, ln)
+	served := make(chan error, 1)
+	go func() { served <- fe.Serve() }()
+	addr := ln.Addr().String()
 
-	got := make(chan string, 1)
-	go func() {
-		resp, err := http.Get(fmt.Sprintf("http://%s/obj/1", ln.Addr()))
-		if err != nil {
-			got <- "error: " + err.Error()
-			return
-		}
-		defer resp.Body.Close()
-		body, _ := io.ReadAll(resp.Body)
-		got <- string(body)
-	}()
-	time.Sleep(50 * time.Millisecond) // let the request reach the wedged origin
+	idleWire, idleMux := dialRaw(t, addr), dialRaw(t, addr)
+	idleWire.send("GET /healthz HTTP/1.1\r\n" + hostLine)
+	idleWire.reply("GET")
+	idleMux.send("GET /stats HTTP/1.1\r\n" + hostLine)
+	idleMux.reply("GET")
+
+	got := make(chan string, 2)
+	for i, client := range []*http.Client{http.DefaultClient, viaMux} {
+		go func(url string, client *http.Client) {
+			resp, err := client.Get(url)
+			if err != nil {
+				got <- "error: " + err.Error()
+				return
+			}
+			defer resp.Body.Close()
+			body, _ := io.ReadAll(resp.Body)
+			got <- string(body)
+		}(fmt.Sprintf("http://%s/obj/%d", addr, i+1), client)
+	}
+	time.Sleep(50 * time.Millisecond) // let the requests reach the wedged origin
 
 	shutdownDone := make(chan error, 1)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	go func() { shutdownDone <- hs.Shutdown(ctx) }()
+	go func() { shutdownDone <- fe.Shutdown(ctx) }()
 
-	// Shutdown must wait for the in-flight request, not abort it.
+	// Shutdown must wait for the in-flight requests, not abort them; the
+	// idle wire connection it closes at once.
 	select {
 	case err := <-shutdownDone:
-		t.Fatalf("Shutdown returned (%v) while a request was in flight", err)
+		t.Fatalf("Shutdown returned (%v) while requests were in flight", err)
 	case <-time.After(100 * time.Millisecond):
 	}
+	idleWire.expectClosed()
 	close(release)
-	if body := <-got; body != "slow-payload" {
-		t.Fatalf("in-flight request got %q", body)
+	for i := 0; i < 2; i++ {
+		if body := <-got; body != "slow-payload" {
+			t.Fatalf("in-flight request got %q", body)
+		}
 	}
 	if err := <-shutdownDone; err != nil {
 		t.Fatalf("Shutdown: %v", err)
 	}
-	<-served
+	idleMux.expectClosed()
+	if err := <-served; err != http.ErrServerClosed {
+		t.Fatalf("Serve returned %v, want http.ErrServerClosed", err)
+	}
 	srv.Shutdown(ctx)
 }
 
@@ -633,15 +656,9 @@ func TestDaemonHeadObj(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	front := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		front.Close()
-		srv.Shutdown(ctx)
-	})
+	front := startFront(t, srv)
 
-	resp, err := http.Head(front.URL + "/obj/12")
+	resp, err := http.Head(front + "/obj/12")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -659,7 +676,7 @@ func TestDaemonHeadObj(t *testing.T) {
 
 	// The probe counts as a request and leaves the object resident: a
 	// following GET is a cache hit.
-	resp2, err := http.Get(front.URL + "/obj/12")
+	resp2, err := http.Get(front + "/obj/12")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -668,7 +685,7 @@ func TestDaemonHeadObj(t *testing.T) {
 	if !bytes.Equal(got, originPayload(12)) {
 		t.Fatalf("GET after HEAD = %q", got)
 	}
-	sresp, err := http.Get(front.URL + "/stats")
+	sresp, err := http.Get(front + "/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -684,7 +701,7 @@ func TestDaemonHeadObj(t *testing.T) {
 	}
 
 	// HEAD of a missing key maps the origin's status, like GET.
-	resp3, err := http.Head(front.URL + "/obj/abc")
+	resp3, err := http.Head(front + "/obj/abc")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -719,18 +736,12 @@ func TestDaemonSlabOversizedObject(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	front := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		front.Close()
-		srv.Shutdown(ctx)
-	})
+	front := startFront(t, srv)
 
 	// Twice: the first round misses to the origin, the second must be
 	// served from the overflow-resident cache entry.
 	for round := 0; round < 2; round++ {
-		resp, err := http.Get(front.URL + "/batch?ids=7")
+		resp, err := http.Get(front + "/batch?ids=7")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -746,7 +757,7 @@ func TestDaemonSlabOversizedObject(t *testing.T) {
 		if !bytes.Equal(items[0].Data.([]byte), big) {
 			t.Fatalf("round %d: oversized payload mismatch", round)
 		}
-		resp, err = http.Get(front.URL + "/obj/7")
+		resp, err = http.Get(front + "/obj/7")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -755,7 +766,7 @@ func TestDaemonSlabOversizedObject(t *testing.T) {
 		if resp.StatusCode != http.StatusOK || !bytes.Equal(body, big) {
 			t.Fatalf("round %d: /obj = %d, %d bytes", round, resp.StatusCode, len(body))
 		}
-		resp, err = http.Head(front.URL + "/obj/7")
+		resp, err = http.Head(front + "/obj/7")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -785,17 +796,11 @@ func TestDaemonSlabSpace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	front := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		front.Close()
-		srv.Shutdown(ctx)
-	})
+	front := startFront(t, srv)
 
 	for lap := 0; lap < 3; lap++ {
 		for k := int64(1); k <= 20; k++ {
-			resp, err := http.Get(fmt.Sprintf("%s/obj/%d", front.URL, k))
+			resp, err := http.Get(fmt.Sprintf("%s/obj/%d", front, k))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -806,7 +811,7 @@ func TestDaemonSlabSpace(t *testing.T) {
 			}
 		}
 	}
-	resp, err := http.Head(front.URL + "/obj/5")
+	resp, err := http.Head(front + "/obj/5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -816,7 +821,7 @@ func TestDaemonSlabSpace(t *testing.T) {
 		t.Fatalf("slab HEAD Content-Length = %q, want %q", resp.Header.Get("Content-Length"), want)
 	}
 
-	tier, err := httpfetch.New(httpfetch.Config{BaseURL: front.URL, BatchPath: "/batch"})
+	tier, err := httpfetch.New(httpfetch.Config{BaseURL: front, BatchPath: "/batch"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -830,7 +835,7 @@ func TestDaemonSlabSpace(t *testing.T) {
 		}
 	}
 
-	sresp, err := http.Get(front.URL + "/stats")
+	sresp, err := http.Get(front + "/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
