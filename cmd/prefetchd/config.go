@@ -80,7 +80,7 @@ type BreakerConfig struct {
 }
 
 // SpaceConfig describes one key space: a named engine with its own
-// backends, cache, predictor and policy. Requests address a space as
+// backends, cache and policy. Requests address a space as
 // /obj/{space}/{key}; the space named "default" also serves the bare
 // /obj/{key} form.
 type SpaceConfig struct {
@@ -97,8 +97,6 @@ type SpaceConfig struct {
 	// SegmentBytes sizes the arena segments (0 = 1 MiB).
 	CacheBytes   int     `json:"cache_bytes,omitempty"`
 	SegmentBytes int     `json:"segment_bytes,omitempty"`
-	Predictor    string  `json:"predictor,omitempty"`
-	PredictorArg int     `json:"predictor_arg,omitempty"`
 	Policy       string  `json:"policy,omitempty"`
 	PolicyArg    float64 `json:"policy_arg,omitempty"`
 	Shards       int     `json:"shards,omitempty"`
@@ -129,7 +127,6 @@ const DefaultSpace = "default"
 // boot error, not a silently-default engine.
 var (
 	validBackendTypes = map[string]bool{"http": true, "fs": true}
-	validPredictors   = map[string]bool{"": true, "none": true, "markov": true, "lz": true, "ppm": true, "depgraph": true, "popularity": true}
 	validPolicies     = map[string]bool{"": true, "adaptive-a": true, "adaptive-b": true, "greedy": true, "static": true, "topk": true, "none": true}
 	validRoutings     = map[string]bool{"": true, "weighted": true, "latency": true}
 	validCachePols    = map[string]bool{"": true, "lru": true, "lfu": true, "fifo": true, "clock": true}
@@ -227,9 +224,6 @@ func (s *SpaceConfig) validate() error {
 			return fmt.Errorf("backend %q: timeouts must be >= 0", b.Name)
 		}
 	}
-	if !validPredictors[s.Predictor] {
-		return fmt.Errorf("unknown predictor %q", s.Predictor)
-	}
 	if !validPolicies[s.Policy] {
 		return fmt.Errorf("unknown policy %q", s.Policy)
 	}
@@ -247,9 +241,6 @@ func (s *SpaceConfig) validate() error {
 	}
 	if s.SegmentBytes > 0 && s.CacheBytes <= 0 {
 		return fmt.Errorf("segment_bytes needs cache_bytes > 0")
-	}
-	if s.Predictor == "ppm" && s.PredictorArg < 0 {
-		return fmt.Errorf("ppm predictor_arg (order) must be >= 0")
 	}
 	if s.Policy == "static" && (s.PolicyArg < 0 || s.PolicyArg > 1) {
 		return fmt.Errorf("static policy_arg (threshold) must be in [0,1]")

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -19,7 +20,6 @@ const sampleConfig = `{
         {"name": "disk", "type": "fs", "root": "/", "weight": 2}
       ],
       "cache_capacity": 1024,
-      "predictor": "markov",
       "policy": "adaptive-a",
       "bandwidth": 1000000,
       "routing": "latency",
@@ -82,7 +82,6 @@ func TestParseConfigRejects(t *testing.T) {
 		"mixed fields":            `{"spaces":[{"name":"a","backends":[{"name":"o","type":"http","url":"http://x","root":"/"}]}]}`,
 		"neg timeout":             `{"spaces":[{"name":"a","backends":[{"name":"o","type":"fs","root":"/","demand_timeout":-1}]}]}`,
 		"bad duration":            `{"spaces":[{"name":"a","backends":[{"name":"o","type":"fs","root":"/","demand_timeout":"fast"}]}]}`,
-		"bad predictor":           `{"spaces":[{"name":"a","predictor":"oracle","backends":[{"name":"o","type":"fs","root":"/"}]}]}`,
 		"bad policy":              `{"spaces":[{"name":"a","policy":"yolo","backends":[{"name":"o","type":"fs","root":"/"}]}]}`,
 		"bad routing":             `{"spaces":[{"name":"a","routing":"random","backends":[{"name":"o","type":"fs","root":"/"}]}]}`,
 		"bad cache pol":           `{"spaces":[{"name":"a","cache_policy":"arc","backends":[{"name":"o","type":"fs","root":"/"}]}]}`,
@@ -102,6 +101,23 @@ func TestParseConfigRejects(t *testing.T) {
 	}
 }
 
+// TestParseConfigRejectsPredictorKnob: the access model is not a knob
+// (ROADMAP item 6(d)), and a config that still names one — the old
+// default spelled out included — is refused as an unknown field, not
+// read past: "predictor": "none" used to be accepted and ignored.
+func TestParseConfigRejectsPredictorKnob(t *testing.T) {
+	const space = `{"spaces":[{"name":"a",%s"policy":"none","backends":[{"name":"o","type":"fs","root":"/"}]}]}`
+	if _, err := ParseConfig([]byte(fmt.Sprintf(space, ""))); err != nil {
+		t.Fatalf("the config without the knob: %v", err)
+	}
+	for _, knob := range []string{`"predictor":"markov",`, `"predictor":"none",`, `"predictor_arg":3,`} {
+		_, err := ParseConfig([]byte(fmt.Sprintf(space, knob)))
+		if err == nil || !strings.Contains(err.Error(), `unknown field "predictor`) {
+			t.Errorf("%s: err = %v, want an unknown-field error", knob, err)
+		}
+	}
+}
+
 // FuzzParseConfig asserts the parser's contract under arbitrary
 // input: no panics, and any accepted config re-validates and
 // re-parses from its own marshalled form.
@@ -111,6 +127,8 @@ func FuzzParseConfig(f *testing.F) {
 	f.Add([]byte(`{"spaces":[{"name":"a","backends":[{"name":"o","type":"fs","root":"/"}]}]}`))
 	f.Add([]byte(`{"spaces":[{"name":"a","backends":[{"name":"o","type":"http","url":"http://x","demand_timeout":"1h"}]}]}`))
 	f.Add([]byte(`{"spaces":[{"name":"a","cache_bytes":65536,"segment_bytes":4096,"cache_policy":"slru","backends":[{"name":"o","type":"fs","root":"/"}]}]}`))
+	f.Add([]byte(`{"spaces":[{"name":"a","predictor":"markov","policy":"none","backends":[{"name":"o","type":"fs","root":"/"}]}]}`))
+	f.Add([]byte(`{"spaces":[{"name":"a","predictor":"ppm","predictor_arg":3,"policy":"none","backends":[{"name":"o","type":"fs","root":"/"}]}]}`))
 	f.Add([]byte(`nope`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cfg, err := ParseConfig(data)
@@ -133,7 +151,7 @@ func FuzzParseConfig(f *testing.F) {
 func TestLoadConfigFlags(t *testing.T) {
 	base := flagConfig{
 		listen: ":0", cacheCap: 128, cachePolicy: "lru",
-		predictor: "markov", policy: "adaptive-a", bandwidth: 1e6,
+		policy: "adaptive-a", bandwidth: 1e6,
 		drainTO: 5 * time.Second,
 	}
 	if _, err := loadConfig("", base); err == nil {

@@ -11,6 +11,10 @@
 //
 // or with a JSON config file defining several key spaces, each with
 // its own backends and engine knobs (-config path; see ParseConfig).
+// Every space predicts with the engine's one access model, a Markov
+// table bounded at about 7 MiB, so the daemon's memory is its cache
+// budgets plus that and nothing grows with the key space; -policy none
+// (policy: "none") is the one way to run a space without speculation.
 // /stats serves per-space engine snapshots as JSON; /healthz is a
 // liveness probe. On SIGINT/SIGTERM the daemon stops accepting
 // connections, drains in-flight requests, quiesces each engine's
@@ -57,8 +61,7 @@ func main() {
 		cachePolicy = flag.String("cache-policy", "lru", "cache replacement policy: lru, lfu, fifo, clock, or slru (slab store only)")
 		cacheBytes  = flag.Int("cache-bytes", 0, "slab store byte budget; > 0 stores payloads in GC-immune pointer-free segments")
 		segBytes    = flag.Int("segment-bytes", 0, "slab segment size in bytes (0 = 1 MiB; needs -cache-bytes)")
-		predictor   = flag.String("predictor", "markov", "access model: markov (memory bounded at about 7 MiB), lz, ppm, depgraph, popularity (these four grow with the key space) or none")
-		policy      = flag.String("policy", "adaptive-a", "prefetch policy: adaptive-a, adaptive-b, greedy, static, topk or none")
+		policy      = flag.String("policy", "adaptive-a", "prefetch policy: adaptive-a, adaptive-b, greedy, static, topk or none (no speculation); the access model is always the Markov table bounded at about 7 MiB")
 		policyArg   = flag.Float64("policy-arg", 0, "policy parameter (static threshold or topk k)")
 		bandwidth   = flag.Float64("bandwidth", 1e6, "origin link capacity in payload-size units per second; the adaptive threshold's rho-prime normalises against it")
 		shards      = flag.Int("shards", 0, "engine shard count (0 = auto)")
@@ -76,7 +79,7 @@ func main() {
 		listen: *listen, origin: *origin, originBatch: *originBatch,
 		fsRoot: *fsRoot, cacheCap: *cacheCap, cachePolicy: *cachePolicy,
 		cacheBytes: *cacheBytes, segBytes: *segBytes,
-		predictor: *predictor, policy: *policy, policyArg: *policyArg,
+		policy: *policy, policyArg: *policyArg,
 		bandwidth: *bandwidth,
 		shards:    *shards, workers: *workers, watermark: *watermark,
 		hedgeMax: *hedgeMax, breakerN: *breakerN,
@@ -94,7 +97,7 @@ func main() {
 type flagConfig struct {
 	listen, origin, originBatch, fsRoot string
 	cacheCap, cacheBytes, segBytes      int
-	cachePolicy, predictor, policy      string
+	cachePolicy, policy                 string
 	policyArg, watermark, bandwidth     float64
 	shards, workers, hedgeMax, breakerN int
 	demandTO, specTO, drainTO           time.Duration
@@ -130,7 +133,6 @@ func loadConfig(path string, f flagConfig) (*Config, error) {
 		CachePolicy:   f.cachePolicy,
 		CacheBytes:    f.cacheBytes,
 		SegmentBytes:  f.segBytes,
-		Predictor:     f.predictor,
 		Policy:        f.policy,
 		PolicyArg:     f.policyArg,
 		Bandwidth:     f.bandwidth,

@@ -137,33 +137,6 @@ func buildEngine(sc SpaceConfig) (*prefetcher.Engine, []io.Closer, error) {
 			return c
 		}))
 	}
-	switch sc.Predictor {
-	case "", "markov":
-		opts = append(opts, prefetcher.WithPredictor(prefetcher.NewMarkovPredictor()))
-	case "lz":
-		opts = append(opts, prefetcher.WithPredictor(prefetcher.NewLZPredictor()))
-	case "ppm":
-		arg := sc.PredictorArg
-		if arg == 0 {
-			arg = 2
-		}
-		opts = append(opts, prefetcher.WithPredictor(prefetcher.NewPPMPredictor(arg)))
-	case "depgraph":
-		arg := sc.PredictorArg
-		if arg == 0 {
-			arg = 4
-		}
-		opts = append(opts, prefetcher.WithPredictor(prefetcher.NewDependencyGraphPredictor(arg)))
-	case "popularity":
-		arg := sc.PredictorArg
-		if arg == 0 {
-			arg = 16
-		}
-		opts = append(opts, prefetcher.WithPredictor(prefetcher.NewPopularityPredictor(arg)))
-	case "none":
-		// engine default predictor with the no-prefetch policy below is
-		// inert; nothing to wire.
-	}
 	switch sc.Policy {
 	case "", "adaptive-a":
 		opts = append(opts, prefetcher.WithPolicy(prefetcher.AdaptiveThreshold(prefetcher.ModelA())))

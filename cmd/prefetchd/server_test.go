@@ -123,7 +123,6 @@ func oneSpaceConfig(originURL string) *Config {
 			// measure prefetching, not mere residency.
 			CacheCapacity: 8,
 			Shards:        1,
-			Predictor:     "markov",
 			Policy:        "adaptive-a",
 			Bandwidth:     1e6,
 			Workers:       4,
@@ -226,6 +225,63 @@ func TestDaemonEndToEnd(t *testing.T) {
 	hz.Body.Close()
 	if hz.StatusCode != http.StatusOK {
 		t.Fatalf("healthz = %d", hz.StatusCode)
+	}
+}
+
+// policy: none is the one way to run a space without speculation (the
+// predictor: "none" spelling it replaces was accepted and then ignored:
+// the space prefetched anyway). The chain TestDaemonEndToEnd learns from
+// must here reach /stats with nothing issued and nothing speculative at
+// the origin.
+func TestDaemonPolicyNoneIssuesNoPrefetch(t *testing.T) {
+	defer testutil.ExpectNoLeaks(t)
+	var singles, batches atomic.Int64
+	origin := newTestOrigin(t, &singles, &batches)
+	cfg := oneSpaceConfig(origin.URL)
+	cfg.Spaces[0].Policy = "none"
+	srv, err := NewServer(cfg, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := startFront(t, srv)
+
+	const keys, laps = 32, 5
+	for lap := 0; lap < laps; lap++ {
+		for k := int64(1); k <= keys; k++ {
+			resp, err := http.Get(fmt.Sprintf("%s/obj/%d", front, k))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK || !bytes.Equal(body, originPayload(k)) {
+				t.Fatalf("key %d: %d %q", k, resp.StatusCode, body)
+			}
+		}
+	}
+
+	resp, err := http.Get(front + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var stats statsReply
+	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+		t.Fatal(err)
+	}
+	st := stats.Spaces[DefaultSpace]
+	if st.Requests != keys*laps {
+		t.Fatalf("requests = %d, want %d", st.Requests, keys*laps)
+	}
+	if st.PrefetchIssued != 0 || st.Backends[0].Speculative != 0 {
+		t.Fatalf("policy none issued %d prefetches, %d speculative fetches at the backend; want 0 (stats %+v)",
+			st.PrefetchIssued, st.Backends[0].Speculative, st)
+	}
+	// A cyclic stream four times the cache, nothing prefetched: every
+	// request is a miss the origin answered singly.
+	if st.Misses != keys*laps || singles.Load() != keys*laps || batches.Load() != 0 {
+		t.Fatalf("misses = %d, origin singles/batches = %d/%d; want %d/%d/0",
+			st.Misses, singles.Load(), batches.Load(), keys*laps, keys*laps)
 	}
 }
 
@@ -618,18 +674,18 @@ func TestBuildEngineKnobs(t *testing.T) {
 	defer testutil.ExpectNoLeaks(t)
 	dir := t.TempDir()
 	for _, sc := range []SpaceConfig{
-		{Name: "a", Predictor: "lz", Policy: "adaptive-b", CacheCapacity: 64, CachePolicy: "clock",
+		{Name: "a", Policy: "adaptive-b", CacheCapacity: 64, CachePolicy: "clock",
 			Shards: 4, Workers: 2, QueueDepth: 32, MaxPrefetch: 8, Bandwidth: 100,
 			Routing: "latency", IdleWatermark: 0.9,
 			Hedging: &HedgingConfig{MaxAttempts: 2}, Breaker: &BreakerConfig{Threshold: 3},
 			Backends: []BackendConfig{{Name: "fs", Type: "fs", Root: dir}}},
-		{Name: "b", Predictor: "ppm", PredictorArg: 3, Policy: "static", PolicyArg: 0.4,
+		{Name: "b", Policy: "static", PolicyArg: 0.4,
 			Backends: []BackendConfig{{Name: "fs", Type: "fs", Root: dir}}},
-		{Name: "c", Predictor: "depgraph", Policy: "topk", PolicyArg: 4,
+		{Name: "c", Policy: "topk", PolicyArg: 4,
 			Backends: []BackendConfig{{Name: "fs", Type: "fs", Root: dir}}},
-		{Name: "d", Predictor: "popularity", Policy: "greedy", Bandwidth: 100,
+		{Name: "d", Policy: "greedy", Bandwidth: 100,
 			Backends: []BackendConfig{{Name: "fs", Type: "fs", Root: dir}}},
-		{Name: "e", Predictor: "none", Policy: "none",
+		{Name: "e", Policy: "none",
 			Backends: []BackendConfig{{Name: "fs", Type: "fs", Root: dir}}},
 	} {
 		eng, _, err := buildEngine(sc)

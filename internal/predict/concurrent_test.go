@@ -12,37 +12,18 @@ import (
 	"repro/internal/workload"
 )
 
-// Compile-time contract checks.
-var (
-	_ ConcurrentPredictor = (*ConcurrentMarkov1)(nil)
-	_ ConcurrentPredictor = (*ConcurrentPopularity)(nil)
-	_ ConcurrentPredictor = (*ConcurrentPPM)(nil)
-	_ ConcurrentPredictor = (*ConcurrentDependencyGraph)(nil)
-	_ CoupledPredictor    = (*ConcurrentMarkov1)(nil)
-	_ CoupledPredictor    = (*ConcurrentPopularity)(nil)
-	_ CoupledPredictor    = (*ConcurrentPPM)(nil)
-	_ CoupledPredictor    = (*ConcurrentDependencyGraph)(nil)
-)
-
 // concurrentPair names a concurrent model and its sequential reference.
+// One row: the bounded Markov table is the one concurrent model the
+// engine ships (ROADMAP item 6(d)).
 type concurrentPair struct {
 	name string
 	seq  func() Predictor
-	conc func() ConcurrentPredictor
+	conc func() *ConcurrentMarkov1
 }
 
 func concurrentPairs() []concurrentPair {
 	return []concurrentPair{
-		{"markov1", func() Predictor { return NewMarkov1() },
-			func() ConcurrentPredictor { return NewConcurrentMarkov1() }},
-		{"popularity", func() Predictor { return NewPopularity(8) },
-			func() ConcurrentPredictor { return NewConcurrentPopularity(8) }},
-		{"ppm", func() Predictor { return NewPPM(3) },
-			func() ConcurrentPredictor { return NewConcurrentPPM(3) }},
-		{"depgraph", func() Predictor { return NewDependencyGraph(4) },
-			func() ConcurrentPredictor { return NewConcurrentDependencyGraph(4) }},
-		{"lz78", func() Predictor { return NewLZ78() },
-			func() ConcurrentPredictor { return NewConcurrentLZ78() }},
+		{"markov1", func() Predictor { return NewMarkov1() }, NewConcurrentMarkov1},
 	}
 }
 
@@ -97,7 +78,7 @@ func capSuccessors(stream []cache.ID, max int) []cache.ID {
 // full distributions must agree exactly at several checkpoints, since a
 // single-threaded caller linearises the stream identically for both.
 // The stream keeps every state within markovSlots successors — the
-// Markov model's exactness contract; the other models are indifferent.
+// Markov model's exactness contract.
 func TestConcurrentSequentialEquivalence(t *testing.T) {
 	stream := capSuccessors(markovStream(4000, 31), markovSlots)
 	for _, pair := range concurrentPairs() {
@@ -167,7 +148,7 @@ func TestCoupledObservePredictEquivalence(t *testing.T) {
 			coupled := pair.conc()
 			split := pair.conc()
 			for _, id := range stream {
-				got := coupled.(CoupledPredictor).ObserveAndPredictTop(id, 4)
+				got := coupled.ObserveAndPredictTop(id, 4)
 				split.Observe(id)
 				samePredictions(t, pair.name, got, split.PredictTop(4))
 			}
@@ -178,7 +159,7 @@ func TestCoupledObservePredictEquivalence(t *testing.T) {
 // hammer feeds stream to p from `workers` goroutines, interleaving
 // observations with predictions so readers overlap writers (the -race
 // payload), and returns once all observations landed.
-func hammer(p ConcurrentPredictor, stream []cache.ID, workers int) {
+func hammer(p *ConcurrentMarkov1, stream []cache.ID, workers int) {
 	var wg sync.WaitGroup
 	var next atomic.Int64
 	for w := 0; w < workers; w++ {
@@ -207,7 +188,7 @@ func hammer(p ConcurrentPredictor, stream []cache.ID, workers int) {
 // many goroutines and then checks the quiescent state: the distribution
 // must be a valid probability ranking and PredictTop must still be an
 // exact prefix of Predict. Under -race this is also the data-race probe
-// for the striped tables.
+// for the striped table.
 func TestConcurrentObserveUnderRace(t *testing.T) {
 	stream := markovStream(8000, 33)
 	for _, pair := range concurrentPairs() {
@@ -215,12 +196,6 @@ func TestConcurrentObserveUnderRace(t *testing.T) {
 			conc := pair.conc()
 			hammer(conc, stream, 8)
 			full := conc.Predict()
-			// LZ78's parse can come to rest on a trie leaf, which has no
-			// candidates by construction: step off it.
-			for i := 0; len(full) == 0 && i < len(stream); i++ {
-				conc.Observe(stream[i])
-				full = conc.Predict()
-			}
 			if len(full) == 0 {
 				t.Fatal("no predictions after concurrent training")
 			}
@@ -234,11 +209,8 @@ func TestConcurrentObserveUnderRace(t *testing.T) {
 				}
 				sum += pr.Prob
 			}
-			// Popularity and Markov rows are normalised distributions; PPM
-			// reserves escape mass; depgraph caps each edge at 1 but the
-			// row may exceed 1 in sum (it estimates "follows soon", not
-			// "is next") — so only check the sum where it is a law.
-			if pair.name != "depgraph" && sum > 1+1e-6 {
+			// A Markov row is a normalised distribution.
+			if sum > 1+1e-6 {
 				t.Fatalf("probabilities sum to %v > 1", sum)
 			}
 			top := conc.PredictTop(5)
@@ -249,21 +221,6 @@ func TestConcurrentObserveUnderRace(t *testing.T) {
 			samePredictions(t, "top-after-hammer", top, want)
 		})
 	}
-}
-
-// TestConcurrentPopularityMultisetEquivalence is the exact concurrency
-// property: popularity depends only on the observation *multiset*, so a
-// concurrently hammered model must equal the sequential reference fed
-// the same stream in any order.
-func TestConcurrentPopularityMultisetEquivalence(t *testing.T) {
-	stream := markovStream(20000, 34)
-	seq := NewPopularity(0)
-	for _, id := range stream {
-		seq.Observe(id)
-	}
-	conc := NewConcurrentPopularity(0)
-	hammer(conc, stream, 8)
-	samePredictions(t, "popularity-multiset", conc.Predict(), seq.Predict())
 }
 
 // TestConcurrentMarkov1ChainConservation checks the swap-chain
@@ -291,32 +248,6 @@ func TestConcurrentMarkov1ChainConservation(t *testing.T) {
 	if transitions != int64(len(stream)-1) {
 		t.Fatalf("chain recorded %d transitions, want %d (one per observation after the first)",
 			transitions, len(stream)-1)
-	}
-}
-
-// TestConcurrentPPMOrder1Conservation: the same conservation law for
-// PPM's order-1 table — the history mutex linearises the stream, so the
-// order-1 contexts partition the n-1 successive pairs.
-func TestConcurrentPPMOrder1Conservation(t *testing.T) {
-	stream := markovStream(10000, 36)
-	p := NewConcurrentPPM(2)
-	hammer(p, stream, 8)
-	var transitions int64
-	tab := p.tables[0]
-	for s := range tab.stripes {
-		st := &tab.stripes[s]
-		st.mu.RLock()
-		for _, row := range st.tab {
-			row.mu.RLock()
-			for _, c := range row.counts {
-				transitions += c.Load()
-			}
-			row.mu.RUnlock()
-		}
-		st.mu.RUnlock()
-	}
-	if transitions != int64(len(stream)-1) {
-		t.Fatalf("order-1 table holds %d transitions, want %d", transitions, len(stream)-1)
 	}
 }
 

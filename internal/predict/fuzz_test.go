@@ -6,8 +6,8 @@ import (
 	"repro/internal/cache"
 )
 
-// FuzzPredictorObserve drives Observe/Predict/PredictTop across all
-// five concurrent predictors with an arbitrary request stream. The
+// FuzzPredictorObserve drives Observe/Predict/PredictTop on the
+// concurrent Markov table with an arbitrary request stream. The
 // contract under fuzz: no panic on any stream (including empty ones and
 // pathological repetition), PredictTop returns at most k entries, and
 // top-k ⊆ the full prediction set — PredictTop is a view of Predict,
@@ -20,44 +20,29 @@ func FuzzPredictorObserve(f *testing.F) {
 	f.Add([]byte("abcabcabdabe"))
 
 	f.Fuzz(func(t *testing.T, stream []byte) {
-		predictors := []struct {
-			name string
-			p    interface {
-				Observe(cache.ID)
-				Predict() []Prediction
-				PredictTop(int) []Prediction
+		m := NewConcurrentMarkov1()
+		for i, b := range stream {
+			m.Observe(cache.ID(b))
+			// Interleave predictions with observations so the fuzz
+			// explores mid-stream states, not just the final one.
+			if i%7 == 3 {
+				_ = m.Predict()
 			}
-		}{
-			{"markov1", NewConcurrentMarkov1()},
-			{"popularity", NewConcurrentPopularity(8)},
-			{"ppm", NewConcurrentPPM(3)},
-			{"depgraph", NewConcurrentDependencyGraph(4)},
-			{"lz78", NewConcurrentLZ78()},
 		}
-		for _, tc := range predictors {
-			for i, b := range stream {
-				tc.p.Observe(cache.ID(b))
-				// Interleave predictions with observations so the fuzz
-				// explores mid-stream states, not just the final one.
-				if i%7 == 3 {
-					_ = tc.p.Predict()
-				}
-			}
-			k := 1 + len(stream)%8
-			top := tc.p.PredictTop(k)
-			if len(top) > k {
-				t.Fatalf("%s: PredictTop(%d) returned %d entries", tc.name, k, len(top))
-			}
-			full := tc.p.Predict()
-			inFull := make(map[cache.ID]bool, len(full))
-			for _, pr := range full {
-				inFull[pr.Item] = true
-			}
-			for _, pr := range top {
-				if !inFull[pr.Item] {
-					t.Fatalf("%s: PredictTop(%d) item %d not in the full prediction set (%d entries)",
-						tc.name, k, pr.Item, len(full))
-				}
+		k := 1 + len(stream)%8
+		top := m.PredictTop(k)
+		if len(top) > k {
+			t.Fatalf("PredictTop(%d) returned %d entries", k, len(top))
+		}
+		full := m.Predict()
+		inFull := make(map[cache.ID]bool, len(full))
+		for _, pr := range full {
+			inFull[pr.Item] = true
+		}
+		for _, pr := range top {
+			if !inFull[pr.Item] {
+				t.Fatalf("PredictTop(%d) item %d not in the full prediction set (%d entries)",
+					k, pr.Item, len(full))
 			}
 		}
 	})

@@ -8,11 +8,23 @@ import (
 	"repro/internal/cache"
 )
 
-// The concurrent Markov model keeps its transitions in one flat,
-// bounded table of fixed-width rows with no pointers in them: the
-// threshold rule only ever consumes the few most probable successors of
-// a state, so a row holds the markovSlots heaviest and the table holds
-// the heaviest rows, and the garbage collector has nothing to trace.
+// This file holds the one internally concurrent access model, the
+// engine's: Observe and PredictTop may be called from many goroutines
+// at once, which is what lets the prefetch engine run without a
+// predictor mutex. The sequential implementations in predict.go, ppm.go
+// and lz.go stay the reference semantics (and the evaluation harness
+// keeps using them); ConcurrentMarkov1 reproduces Markov1's exactly,
+// within the bounds below, when driven sequentially.
+//
+// The stream state — the current item — is one atomic swap, so every
+// observation enters one total order no matter which engine shard it
+// came from and cross-shard transitions are preserved. The model state
+// is one flat, bounded table of fixed-width rows with no pointers in
+// them, striped by key hash so concurrent observers only contend when
+// they touch the same stripe: the threshold rule only ever consumes the
+// few most probable successors of a state, so a row holds the
+// markovSlots heaviest and the table holds the heaviest rows, and the
+// garbage collector has nothing to trace.
 //
 // Layout: predStripes stripes, each one plain mutex over a power-of-two
 // []markovRow read in windows of markovWays consecutive rows. A key
@@ -41,6 +53,10 @@ import (
 // the sequential Markov1's for the same linearised stream.
 
 const (
+	// predStripes is the number of lock stripes the table is spread
+	// across. Power of two; 64 comfortably exceeds the hardware
+	// parallelism the engine shards across.
+	predStripes = 64
 	// markovSlots is the number of successors one row keeps. The engine
 	// asks for at most its per-request prefetch cap, well inside this.
 	markovSlots = 8
@@ -55,6 +71,13 @@ const (
 	// halved, far enough below 1<<32 that no 32-bit counter wraps.
 	markovHalveAt = 1 << 31
 )
+
+// hashID is the Fibonacci hash ids are spread with (the same the engine
+// uses for its shards); its best-mixed bits are the top ones.
+func hashID(id cache.ID) uint64 { return uint64(id) * 0x9E3779B97F4A7C15 }
+
+// stripeOfHash routes a hashID to a stripe: its top 6 bits → 0..63.
+func stripeOfHash(h uint64) int { return int(h >> 58) }
 
 // markovRow is one state's successor counts. total == 0 marks an unused
 // row (a used row has counted at least one transition).
@@ -100,6 +123,19 @@ func (r *markovRow) halve() {
 	for i := 0; i < int(r.n); i++ {
 		r.cnt[i] /= 2
 	}
+}
+
+// offerCount feeds one counter into a top-k buffer as a clamped
+// probability.
+func offerCount(top *topPredictions, id cache.ID, v int64, ft float64) {
+	if v <= 0 {
+		return
+	}
+	p := float64(v) / ft
+	if p > 1 {
+		p = 1
+	}
+	top.offer(Prediction{Item: id, Prob: p})
 }
 
 // topInto appends the row's k most probable successors to dst.
@@ -230,6 +266,20 @@ func NewConcurrentMarkov1() *ConcurrentMarkov1 {
 	return m
 }
 
+// Rows returns how many rows the table has allocated, used or not: at
+// most predStripes·markovStripeRows = 65 536, however many ids it has
+// been shown.
+func (m *ConcurrentMarkov1) Rows() int {
+	n := 0
+	for i := range m.stripes {
+		s := &m.stripes[i]
+		s.mu.Lock()
+		n += len(s.rows)
+		s.mu.Unlock()
+	}
+	return n
+}
+
 // Observe implements Predictor. Safe for concurrent use.
 func (m *ConcurrentMarkov1) Observe(id cache.ID) {
 	swapped := m.cur.Swap(int64(id))
@@ -281,14 +331,22 @@ func (m *ConcurrentMarkov1) PredictTopInto(dst []Prediction, k int) []Prediction
 	return m.topOf(cache.ID(m.cur.Load()), dst, k)
 }
 
-// ObserveAndPredictTop implements CoupledPredictor: the candidates are
-// id's own successors, so a racing Observe moving cur cannot change
-// what this observation's request gets planned against.
+// ObserveAndPredictTop observes id and returns the top-k candidates
+// conditioned on id being the request just served (k <= 0 observes
+// only). With separate Observe/PredictTop calls a racing observer can
+// move cur between the two, so a lock-free caller would sometimes plan
+// from another request's context; here the candidates are id's own
+// successors, which restores exactly the conditioning a global
+// observe+predict critical section would give.
 func (m *ConcurrentMarkov1) ObserveAndPredictTop(id cache.ID, k int) []Prediction {
 	return m.ObserveAndPredictTopInto(id, k, nil)
 }
 
-// ObserveAndPredictTopInto implements CoupledPredictor.
+// ObserveAndPredictTopInto is the engine's hot-path form of
+// ObserveAndPredictTop: the candidates are appended to dst (a pooled
+// buffer passed as buf[:0]), so the per-request prediction allocates
+// nothing. ObserveAndPredictTop(id, k) ≡ ObserveAndPredictTopInto(id,
+// k, nil).
 //
 //prefetch:hotpath
 func (m *ConcurrentMarkov1) ObserveAndPredictTopInto(id cache.ID, k int, dst []Prediction) []Prediction {
@@ -299,5 +357,10 @@ func (m *ConcurrentMarkov1) ObserveAndPredictTopInto(id cache.ID, k int, dst []P
 // Name implements Predictor.
 func (m *ConcurrentMarkov1) Name() string { return "markov1" }
 
-// ConcurrentSafe implements ConcurrentPredictor.
+// ConcurrentSafe marks the goroutine-safety contract: Observe, Predict,
+// PredictTop and PredictTopInto need no external locking. A reader that
+// overlaps writers sees some valid recent state (a row is copied out
+// under its stripe lock); once observers quiesce, Predict returns what
+// the sequential Markov1 would for the same observation stream, within
+// the exactness regime stated at the top of this file.
 func (m *ConcurrentMarkov1) ConcurrentSafe() {}

@@ -2,6 +2,7 @@ package predict
 
 import (
 	"math"
+	"os"
 	"reflect"
 	"runtime"
 	"sync/atomic"
@@ -16,13 +17,11 @@ import (
 // markovTableRows is the whole table's ceiling.
 const markovTableRows = predStripes * markovStripeRows
 
-// eachMarkovRow calls fn on every used row, each stripe under its lock,
-// and returns how many rows the table has allocated, used or not.
-func eachMarkovRow(m *ConcurrentMarkov1, fn func(*markovRow)) (allocated int) {
+// eachMarkovRow calls fn on every used row, each stripe under its lock.
+func eachMarkovRow(m *ConcurrentMarkov1, fn func(*markovRow)) {
 	for i := range m.stripes {
 		s := &m.stripes[i]
 		s.mu.Lock()
-		allocated += len(s.rows)
 		for j := range s.rows {
 			if s.rows[j].total != 0 {
 				fn(&s.rows[j])
@@ -30,7 +29,6 @@ func eachMarkovRow(m *ConcurrentMarkov1, fn func(*markovRow)) (allocated int) {
 		}
 		s.mu.Unlock()
 	}
-	return allocated
 }
 
 // seedMarkovRow plants key's row with the given successor counts, so a
@@ -99,7 +97,8 @@ func TestConcurrentMarkov1Bounded(t *testing.T) {
 	runtime.ReadMemStats(&after)
 
 	used := 0
-	allocated := eachMarkovRow(m, func(*markovRow) { used++ })
+	eachMarkovRow(m, func(*markovRow) { used++ })
+	allocated := m.Rows()
 	if allocated > markovTableRows {
 		t.Fatalf("table holds %d rows, ceiling %d", allocated, markovTableRows)
 	}
@@ -143,7 +142,7 @@ func TestConcurrentMarkov1ScanResistance(t *testing.T) {
 	wl := workload.NewMarkov(workload.MarkovConfig{N: 2000, Fanout: 2}, rng.New(7))
 	m := NewConcurrentMarkov1()
 	chainTop1(m, wl, 200_000)
-	if allocated := eachMarkovRow(m, func(*markovRow) {}); allocated > 8192 {
+	if allocated := m.Rows(); allocated > 8192 {
 		t.Fatalf("a 2000-state chain allocated %d rows, want <= 8192", allocated)
 	}
 	before := chainTop1(m, wl, 50_000)
@@ -255,4 +254,105 @@ func BenchmarkConcurrentMarkov1Scan(b *testing.B) {
 			buf = m.ObserveAndPredictTopInto(cache.ID(next.Add(1)), 2, buf[:0])
 		}
 	})
+}
+
+// top1Scorer wraps one model for TestNoReferenceBeatsMarkov: observe
+// returns the model's first candidate for the request after id.
+type top1Scorer struct {
+	name    string
+	observe func(id cache.ID) (cache.ID, bool)
+}
+
+// referenceScorer scores a sequential reference the way the engine would
+// drive it as a plugin: Observe, then the best form of top-1 it offers.
+func referenceScorer(p Predictor) top1Scorer {
+	return top1Scorer{p.Name(), func(id cache.ID) (cache.ID, bool) {
+		p.Observe(id)
+		var top []Prediction
+		if tp, ok := p.(TopPredictor); ok {
+			top = tp.PredictTop(1)
+		} else {
+			top = p.Predict()
+		}
+		if len(top) == 0 {
+			return 0, false
+		}
+		return top[0].Item, true
+	}}
+}
+
+// TestNoReferenceBeatsMarkov keeps ROADMAP item 6(d)'s decision
+// reproducible: the engine ships the bounded Markov table and no other
+// model because none predicts the next request better on the streams
+// the benchmark runs. It drives ConcurrentMarkov1 the planner's way
+// (ObserveAndPredictTopInto(id, 2)) and every sequential reference over
+// the chain-obj generator and one pass of the recorded trace1k fixture
+// (one pass: a recording replayed in a loop is exactly periodic, which
+// scores how well a model memorises the recording — a longer context
+// wins by construction — not how well it predicts), logs top-1 per
+// model, and fails if a reference beats markov by more
+// than 0.01 on either stream — the day someone improves a reference
+// enough to earn daemon surface, this says so.
+func TestNoReferenceBeatsMarkov(t *testing.T) {
+	if testing.Short() {
+		t.Skip("model comparison: eight models over a 20k-request stream")
+	}
+	const n = 20_000
+	chain := make([]cache.ID, n)
+	wl := workload.NewMarkov(workload.MarkovConfig{N: 2000, Fanout: 2, Decay: 0.15, Restart: 0.03},
+		rng.NewStream(1, "chain-obj"))
+	for i := range chain {
+		chain[i] = wl.Next()
+	}
+	f, err := os.Open("../../cmd/prefetchbench/testdata/trace1k.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	recs, err := workload.NewTraceReader(f).ReadAll()
+	if err != nil || len(recs) == 0 {
+		t.Fatalf("trace1k fixture: %d records, %v", len(recs), err)
+	}
+	trace := make([]cache.ID, len(recs))
+	for i, r := range recs {
+		trace[i] = r.Item
+	}
+
+	for _, stream := range []struct {
+		name string
+		ids  []cache.ID
+	}{{"chain-obj", chain}, {"trace1k", trace}} {
+		m := NewConcurrentMarkov1()
+		buf := make([]Prediction, 0, 2)
+		scorers := []top1Scorer{{"markov (concurrent, bounded)", func(id cache.ID) (cache.ID, bool) {
+			buf = m.ObserveAndPredictTopInto(id, 2, buf[:0])
+			if len(buf) == 0 {
+				return 0, false
+			}
+			return buf[0].Item, true
+		}}}
+		for _, ref := range []Predictor{NewMarkov1(), NewPPM(2), NewPPM(3),
+			NewDependencyGraph(2), NewDependencyGraph(4), NewLZ78(), NewPopularity(1)} {
+			scorers = append(scorers, referenceScorer(ref))
+		}
+		var markov float64
+		for i, sc := range scorers {
+			hits := 0
+			guess, ok := cache.ID(0), false
+			for _, id := range stream.ids {
+				if ok && guess == id {
+					hits++
+				}
+				guess, ok = sc.observe(id)
+			}
+			top1 := float64(hits) / float64(len(stream.ids))
+			t.Logf("%-9s %-28s top-1 %.4f", stream.name, sc.name, top1)
+			if i == 0 {
+				markov = top1
+			} else if top1 > markov+0.01 {
+				t.Errorf("%s: %s reads top-1 %.4f against markov's %.4f — a model that beats the bounded table by more than 0.01 has a claim to daemon surface (ROADMAP item 6(d))",
+					stream.name, sc.name, top1, markov)
+			}
+		}
+	}
 }

@@ -41,16 +41,13 @@ func NewPPM(k int) *PPM {
 // ctxKey serialises a context id slice. IDs are encoded in a compact
 // fixed-width form; contexts are short (≤ k items) so this is cheap.
 func ctxKey(ids []cache.ID) string {
-	//lint:allow hotpathalloc PPM is allocation-exempt by design: context keys are built per lookup
 	buf := make([]byte, 0, len(ids)*8)
 	for _, id := range ids {
 		v := uint64(id)
-		//lint:allow hotpathalloc appends into this call's own key buffer, sized above
 		buf = append(buf,
 			byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
 			byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
 	}
-	//lint:allow hotpathalloc PPM is allocation-exempt by design: the map key string is the point of this helper
 	return string(buf)
 }
 

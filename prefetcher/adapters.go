@@ -11,33 +11,18 @@ import (
 
 // --- Predictor adapter over internal/predict ----------------------------
 
-// builtinModel is what every built-in access model is: internally
-// concurrent, and able to predict as part of an observation.
-type builtinModel interface {
-	predict.ConcurrentPredictor
-	predict.CoupledPredictor
-}
-
-// internalPredictor is how the engine unwraps built-in predictors at
-// construction: its planner calls the internal model directly, with no
-// public-type conversion per call.
-type internalPredictor interface {
-	internal() builtinModel
-}
-
-// predictorAdapter lifts a built-in model to the public interfaces —
+// predictorAdapter lifts the built-in model to the public interfaces —
 // Predictor, TopPredictor, TopIntoPredictor and the ConcurrentPredictor
-// marker. The public methods exist for callers that use a built-in
-// predictor outside an Engine; the engine itself goes through
-// internal(). staging pools the internal-type buffer PredictTopInto
+// marker. The public methods exist for callers that use the built-in
+// predictor outside an Engine; the engine itself unwraps m at New and
+// its planner calls the model directly, with no public-type conversion
+// per call. staging pools the internal-type buffer PredictTopInto
 // converts out of, so the public Into path honours its zero-allocation
 // contract.
 type predictorAdapter struct {
-	m       builtinModel
+	m       *predict.ConcurrentMarkov1
 	staging *sync.Pool // *[]predict.Prediction
 }
-
-func (a predictorAdapter) internal() builtinModel { return a.m }
 
 func (a predictorAdapter) Observe(id ID) { a.m.Observe(cache.ID(id)) }
 
@@ -76,14 +61,6 @@ func (a predictorAdapter) PredictTopInto(dst []Prediction, k int) []Prediction {
 	return out
 }
 
-// adaptPredictor wraps a built-in model in the public adapter.
-func adaptPredictor(m builtinModel) Predictor {
-	return predictorAdapter{m, &sync.Pool{New: func() any {
-		s := make([]predict.Prediction, 0, 16)
-		return &s
-	}}}
-}
-
 // publicPredictions converts internal predictions to the public type.
 func publicPredictions(ps []predict.Prediction) []Prediction {
 	if len(ps) == 0 {
@@ -102,47 +79,24 @@ func publicPredictions(ps []predict.Prediction) []Prediction {
 // chain and the transition table is striped by key, one short mutex per
 // stripe, so the engine runs it without a lock of its own.
 //
-// It is the one built-in whose memory is bounded: a flat, pointer-free
-// table of at most 65 536 states × 8 successors, about 7 MiB, however
-// many distinct ids it sees. At the ceiling a new state replaces the
-// least-visited state that hashes beside it (a once-seen scan id goes
-// first, a trained state stays); in a state that already holds 8
+// Its memory is bounded: a flat, pointer-free table of at most 65 536
+// states × 8 successors, about 7 MiB, however many distinct ids it
+// sees. At the ceiling a new state replaces the least-visited state
+// that hashes beside it (a once-seen scan id goes first, a trained
+// state stays); in a state that already holds 8
 // successors a new one takes over the slot with the smallest count and
 // counts again from one, so p̂ is never an overestimate. Counts — and so
 // p̂ — are exact while every state has at most 8 distinct successors and
 // the table is below its ceiling; beyond that the successors heavy
 // enough to clear a threshold keep their p̂ and the light tail is
-// approximate. The other built-ins (LZ, PPM, dependency graph,
-// popularity) keep everything they have seen and grow with the key
-// space.
-func NewMarkovPredictor() Predictor { return adaptPredictor(predict.NewConcurrentMarkov1()) }
-
-// NewLZPredictor returns the Vitter–Krishnan LZ78 predictor: the
-// request stream is parsed into a phrase trie whose current node
-// conditions the next-access distribution. Concurrent: the parse
-// position is an atomic swap chain (so every observation extends one
-// global parse) and the trie grows by CAS child insertion, so the
-// engine runs it lock-free like the other built-ins.
-func NewLZPredictor() Predictor { return adaptPredictor(predict.NewConcurrentLZ78()) }
-
-// NewPPMPredictor returns an order-k prediction-by-partial-matching
-// model (k >= 1) with escape to shorter contexts. Concurrent: context
-// tables are striped, the bounded history sits behind a short mutex.
-func NewPPMPredictor(k int) Predictor { return adaptPredictor(predict.NewConcurrentPPM(k)) }
-
-// NewDependencyGraphPredictor returns the Padmanabhan–Mogul dependency
-// graph with lookahead window w (w >= 1). Concurrent: the edge table is
-// striped with atomic counts, the lookahead window sits behind a short
-// mutex.
-func NewDependencyGraphPredictor(w int) Predictor {
-	return adaptPredictor(predict.NewConcurrentDependencyGraph(w))
-}
-
-// NewPopularityPredictor returns a global-frequency predictor reporting
-// the topK most popular items (topK <= 0 means all). Concurrent: counts
-// live in a lock-free map of atomic counters.
-func NewPopularityPredictor(topK int) Predictor {
-	return adaptPredictor(predict.NewConcurrentPopularity(topK))
+// approximate. It is the one built-in model: any other (PPM, LZ78, a
+// dependency graph, popularity, a learned model) plugs in through the
+// Predictor interface.
+func NewMarkovPredictor() Predictor {
+	return predictorAdapter{predict.NewConcurrentMarkov1(), &sync.Pool{New: func() any {
+		s := make([]predict.Prediction, 0, 16)
+		return &s
+	}}}
 }
 
 // --- Cache adapters over internal/cache ---------------------------------

@@ -8,7 +8,7 @@
 // The Engine wires four small pluggable interfaces together:
 //
 //	Fetcher   — retrieves items from the origin (yours to implement)
-//	Predictor — online access model (Markov-1, LZ78, PPM, … provided)
+//	Predictor — online access model (a bounded Markov-1 table provided)
 //	Cache     — bounded client-side store (LRU, SLRU, … provided)
 //	Clock     — time source (wall clock by default, manual for tests)
 //
@@ -107,21 +107,17 @@
 // point. Whatever WithPredictor received is normalised once, at New,
 // into one planner, and the read core calls it at one site: observe the
 // request's ids in order, return the top WithMaxPrefetch candidates
-// conditioned on the last. A built-in constructor's model is unwrapped
-// and called directly, lock-free from all shards at once — internally it
-// linearises the request stream (an atomic swap chain for Markov and
-// the LZ78 parse, a short history mutex for PPM and the dependency
-// graph) so cross-shard transitions are still learned, its count tables
-// are striped by key (the LZ78 trie grows by CAS child insertion), and
-// it predicts as part of the observation, conditioned on the observed
-// id. The default, NewMarkovPredictor, is also the one built-in with
-// bounded memory: a flat pointer-free table of at most 65 536 states ×
-// 8 successors (about 7 MiB) that replaces its least-visited state, and
-// a full state's smallest count, when a new one needs the room — exact
-// while states have at most 8 distinct successors and the table is
-// below its ceiling, approximate only in the light tail beyond; LZ, PPM,
-// the dependency graph and popularity grow with the key space. Any
-// other Predictor is a plugin, and its planner owns
+// conditioned on the last. The built-in model, NewMarkovPredictor's, is
+// unwrapped and called directly, lock-free from all shards at once —
+// internally it linearises the request stream (an atomic swap chain) so
+// cross-shard transitions are still learned, its count table is striped
+// by key, and it predicts as part of the observation, conditioned on
+// the observed id. Its memory is bounded: a flat pointer-free table of
+// at most 65 536 states × 8 successors (about 7 MiB) that replaces its
+// least-visited state, and a full state's smallest count, when a new one
+// needs the room — exact while states have at most 8 distinct successors
+// and the table is below its ceiling, approximate only in the light tail
+// beyond. Any other Predictor is a plugin, and its planner owns
 // everything the engine knows about plugins: it asks for the bounded
 // prefix the policies can actually admit through the best form the
 // plugin offers — TopIntoPredictor appending into the request's pooled

@@ -79,16 +79,16 @@ type candBufs struct {
 // candidates conditioned on the last id, staged in bufs (k <= 0
 // observes only). The contract is a session, not an id, because a plain
 // plugin must see a GetMulti session as one critical section. It has
-// two implementations and New picks one: builtin set, the model of a
-// built-in constructor unwrapped, or plugin. (A struct and a branch
-// rather than an interface: arguments to an interface call escape, which
-// would move Get's stack-backed [1]ID to the heap.)
+// two implementations and New picks one: builtin set, NewMarkovPredictor's
+// model unwrapped, or plugin. (A struct and a branch rather than an
+// interface: arguments to an interface call escape, which would move
+// Get's stack-backed [1]ID to the heap.)
 type planner struct {
-	builtin predict.CoupledPredictor
+	builtin *predict.ConcurrentMarkov1
 	plugin  *pluginPlanner
 }
 
-// plan on a built-in model calls it directly. The model predicts as
+// plan on the built-in model calls it directly. The model predicts as
 // part of the observation, conditioned on the id itself — so a racing
 // request moving the shared stream context cannot hand this request
 // another request's candidates — and linearises the stream it learns
@@ -104,7 +104,7 @@ func (p planner) plan(ids []ID, k int, bufs *candBufs) []predict.Prediction {
 	}
 	last := len(ids) - 1
 	for _, id := range ids[:last] {
-		p.builtin.ObserveAndPredictTopInto(cache.ID(id), 0, bufs.cands[:0])
+		p.builtin.Observe(cache.ID(id))
 	}
 	return p.builtin.ObserveAndPredictTopInto(cache.ID(ids[last]), k, bufs.cands[:0])
 }
@@ -196,7 +196,7 @@ func (p *pluginPlanner) planLocked(ids []ID, k int, bufs *candBufs) []predict.Pr
 // globally consistent operating point the paper's rule needs regardless
 // of the shard count. The shared access model is global too, reached
 // through one planner normalised from WithPredictor's argument at New,
-// and not serialised: a built-in model or a ConcurrentPredictor plugin
+// and not serialised: the built-in model or a ConcurrentPredictor plugin
 // plans lock-free from all shards at once, while a plain Predictor
 // plugin runs under a compatibility mutex its planner owns (see
 // Stats.PredictorLockFree).
@@ -207,10 +207,11 @@ type Engine struct {
 	fabric *fetch.Fabric
 	// planner is the access model; read calls it once per request.
 	planner planner
-	// predName and predFree are captured at New for Stats alone: Name()
-	// on a plain Predictor is only guaranteed safe under the planner's
-	// mutex, which Stats must not take, and predFree records that the
-	// planner has none.
+	// predName and predFree are captured at New for Stats alone — for
+	// the built-in model they are constants of it; Name() on a plain
+	// Predictor is only guaranteed safe under the planner's mutex, which
+	// Stats must not take, and predFree records that the planner has
+	// none.
 	predName    string
 	predFree    bool
 	clock       Clock
@@ -300,7 +301,6 @@ func New(fetcher Fetcher, opts ...Option) (*Engine, error) {
 	//lint:allow ctxflow engine-owned lifecycle root, cancelled in Close
 	ctx, cancel := context.WithCancel(context.Background())
 	e := &Engine{
-		predName:    cfg.predictor.Name(),
 		clock:       cfg.clock,
 		policy:      cfg.policy.p,
 		model:       cfg.policy.model.analytic(),
@@ -315,11 +315,12 @@ func New(fetcher Fetcher, opts ...Option) (*Engine, error) {
 		shards:      make([]*shard, cfg.shards),
 		shardShift:  uint(64 - bits.TrailingZeros(uint(cfg.shards))),
 	}
-	if builtin, ok := cfg.predictor.(internalPredictor); ok {
-		e.planner.builtin, e.predFree = builtin.internal(), true
+	if builtin, ok := cfg.predictor.(predictorAdapter); ok {
+		e.planner.builtin = builtin.m
+		e.predName, e.predFree = builtin.m.Name(), true
 	} else {
 		e.planner.plugin = newPluginPlanner(cfg.predictor)
-		e.predFree = e.planner.plugin.mu == nil
+		e.predName, e.predFree = cfg.predictor.Name(), e.planner.plugin.mu == nil
 	}
 	e.flightPool.New = func() any {
 		f := &flight{}

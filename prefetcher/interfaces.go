@@ -84,7 +84,7 @@ type TopPredictor interface {
 // instead of allocating a fresh slice per call: PredictTopInto appends
 // to dst (the engine passes a pooled buffer as buf[:0]) and returns the
 // extended slice, whose contents must equal PredictTop(k). Implementing
-// it keeps the engine's per-request prediction allocation-free; every
+// it keeps the engine's per-request prediction allocation-free; the
 // built-in predictor does.
 type TopIntoPredictor interface {
 	PredictTopInto(dst []Prediction, k int) []Prediction
@@ -96,19 +96,19 @@ type TopIntoPredictor interface {
 // builds the predictor's planner without the compatibility mutex: every
 // request calls the predictor directly, with no serialisation — the
 // predictor itself must linearise whatever stream state it keeps (see
-// internal/predict's concurrent models for the reference technique:
-// atomic-swap chains and short history mutexes for the stream, striped
-// tables with atomic counts for the model). Note that a request's
+// internal/predict's concurrent Markov table for the reference
+// technique: an atomic-swap chain for the stream, a striped table with
+// one short mutex per stripe for the model). Note that a request's
 // Observe calls and its PredictTopInto/PredictTop/Predict then run back
 // to back without atomicity: a racing request may observe in between —
 // inside a GetMulti session too — so an external implementation whose
 // prediction context is "the last observation" should condition its
 // answers on state it derives from the id stream internally if that
-// matters to it (the built-ins, which the engine calls through a
-// coupled observe-and-predict, condition each prediction on the
+// matters to it (the built-in, which the engine calls through a
+// coupled observe-and-predict, conditions each prediction on the
 // observed id itself, so a racing observation cannot redirect a
-// request's candidates). All built-in constructors return concurrent
-// predictors; Stats reports which path the engine chose in
+// request's candidates). NewMarkovPredictor returns a concurrent
+// predictor; Stats reports which path the engine chose in
 // PredictorLockFree.
 type ConcurrentPredictor interface {
 	Predictor

@@ -50,8 +50,9 @@ func defaultConfig() *config {
 // WithPredictor sets the access model (default: NewMarkovPredictor).
 // The engine inspects the predictor once, at New, and from then on
 // reaches it through one call per request — observe the request's ids,
-// return the top WithMaxPrefetch candidates for the last. A built-in
-// constructor's model is called directly; anything else is a plugin: if
+// return the top WithMaxPrefetch candidates for the last. The built-in
+// model (NewMarkovPredictor's) is called directly; anything else is a
+// plugin: if
 // it implements ConcurrentPredictor it runs lock-free from all shards at
 // once, otherwise each request's observations and prediction are one
 // critical section of a compatibility mutex and prediction becomes the

@@ -239,10 +239,9 @@ func TestExternalConcurrentPredictorLockFree(t *testing.T) {
 	}
 }
 
-// TestBuiltinPredictorPaths pins which built-ins run lock-free: every
-// constructor satisfies ConcurrentPredictor (LZ78, the last holdout,
-// joined with the CAS-insertion trie), and the adapter preserves the
-// marker for use outside an Engine too.
+// TestBuiltinPredictorPaths pins that the built-in runs lock-free: the
+// constructor satisfies ConcurrentPredictor, and the adapter preserves
+// the marker for use outside an Engine too.
 func TestBuiltinPredictorPaths(t *testing.T) {
 	fetcher := FetcherFunc(func(ctx context.Context, id ID) (Item, error) {
 		return Item{ID: id, Size: 1}, nil
@@ -253,10 +252,6 @@ func TestBuiltinPredictorPaths(t *testing.T) {
 		lockFree bool
 	}{
 		{"markov", NewMarkovPredictor(), true},
-		{"popularity", NewPopularityPredictor(8), true},
-		{"ppm", NewPPMPredictor(2), true},
-		{"depgraph", NewDependencyGraphPredictor(3), true},
-		{"lz78", NewLZPredictor(), true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -14,10 +14,12 @@ import (
 // per resident (the caller's caches were empty at New — a prewarmed
 // entry has none), the wait-free resident count equals the caches' own,
 // every issued prefetch ended used, wasted, errored or still
-// resident-unused, and every request ended a hit or a miss. The caller
-// must have stopped its demand traffic and returned from Quiesce;
-// candidates the idle gate still holds are outside that promise, so an
-// engine that deferred any is not checkable.
+// resident-unused, every request ended a hit or a miss, and the built-in
+// access model's table is within its 65 536-row ceiling — with the
+// records bounded by the caches, nothing the engine keeps grows with the
+// key space. The caller must have stopped its demand traffic and
+// returned from Quiesce; candidates the idle gate still holds are
+// outside that promise, so an engine that deferred any is not checkable.
 func checkRecords(t testing.TB, e *Engine) {
 	t.Helper()
 	var records, unused, resident int
@@ -55,6 +57,11 @@ func checkRecords(t testing.TB, e *Engine) {
 	if st.Hits+st.Misses != st.Requests {
 		t.Errorf("hits %d + misses %d != requests %d", st.Hits, st.Misses, st.Requests)
 	}
+	if m := e.planner.builtin; m != nil {
+		if rows := m.Rows(); rows > 65536 {
+			t.Errorf("the Markov table holds %d rows, ceiling 65536", rows)
+		}
+	}
 }
 
 // quiesceAndCheck is the tail of a concurrent test whose traffic has
@@ -65,6 +72,52 @@ func quiesceAndCheck(t *testing.T, e *Engine) {
 		t.Fatal(err)
 	}
 	checkRecords(t, e)
+}
+
+// TestScanLeavesNothingBehind is the scan-miss shape on the engine
+// alone: ids that never repeat — four times the Markov table's ceiling
+// of them — through a 64-entry cache on a fetcher that returns at once.
+// Every row the model claims belongs to an id it will not see again
+// (the few hits are one scanner's request predicting the id a racing
+// scanner has just observed and is about to look up), and at the end
+// the books hold 64 residents, 64 records, a full table and nothing
+// else.
+func TestScanLeavesNothingBehind(t *testing.T) {
+	eng, err := New(FetcherFunc(func(ctx context.Context, id ID) (Item, error) {
+		return Item{ID: id, Size: 1}, nil
+	}),
+		WithBandwidth(1e9),
+		WithShards(4),
+		WithCacheFactory(func(i, n int) Cache { return NewLRUCache(16) }),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	const scanners, each = 4, 65536 // 262 144 ids in all
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	for g := 0; g < scanners; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if _, err := eng.Get(ctx, ID(g*each+i)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	quiesceAndCheck(t, eng)
+	st := eng.Stats()
+	if st.Requests != scanners*each || st.CacheLen != 64 {
+		t.Fatalf("requests/resident = %d/%d, want %d/64", st.Requests, st.CacheLen, scanners*each)
+	}
+	if rows := eng.planner.builtin.Rows(); rows != 65536 {
+		t.Fatalf("the Markov table holds %d rows after %d distinct ids, want it full at 65536", rows, scanners*each)
+	}
 }
 
 // TestDispatchOwnsNothingAfterPush is the regression test for the read

@@ -49,7 +49,7 @@ type Stats struct {
 	Shards int
 	// Predictor names the engine's access model; PredictorLockFree
 	// reports whether it runs without the predictor compatibility mutex
-	// (a built-in, or a plugin implementing the ConcurrentPredictor
+	// (the built-in, or a plugin implementing the ConcurrentPredictor
 	// contract) — false means every request serialises on the mutex its
 	// plugin planner holds for the length of the request's observations
 	// and prediction, and prediction caps throughput regardless of the
