@@ -133,6 +133,10 @@ func (s *Store) OnEvict(fn func(id int64)) { s.onEvict = fn }
 // Len returns the number of live entries.
 func (s *Store) Len() int { return s.live }
 
+// MaxSegments is the segment count the capacity allows: with
+// Stats.SegmentBytes, the ceiling on the arena's memory.
+func (s *Store) MaxSegments() int { return s.maxSegs }
+
 // Fits reports whether a payload of n bytes can be stored at all
 // (header included it must fit a single segment).
 func (s *Store) Fits(n int) bool { return n >= 0 && headerBytes+n <= s.segBytes }

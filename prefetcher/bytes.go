@@ -21,6 +21,19 @@ import (
 // and the caller gets back an extension of exactly the buffer it
 // passed — pooling it is safe. The payload is always a copy; no result
 // aliases cache or slab memory.
+//
+// A miss borrows that buffer when it can. If every shard's cache stores
+// by copy (BytesPutter) and the fabric lends (fetch.Fabric.Lends: every
+// backend an IntoFetcher, no hedged race), the fetch a GetBytes or
+// GetMultiBytes owns reads the origin's bytes straight in behind what
+// the buffer already holds — no payload slice, no box — and land copies
+// them once into the cache before the call returns; joiners of that
+// flight get a clone of their own. After the call nothing in the engine
+// points into the buffer. A fetch that fails after writing into it
+// leaves its length alone: on error dst comes back unchanged, and what
+// lies past len is never sent. Without either capability — and for Get,
+// GetMulti and GetBytesLen, which have no buffer to lend — the payload
+// arrives owned in Item.Data and is appended once the read lands.
 
 // ErrNotBytes reports that a requested item is (or was fetched as) a
 // non-[]byte payload, which the byte path cannot serve. The item

@@ -31,6 +31,7 @@
 package bytestore
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -81,8 +82,9 @@ type boxed struct {
 }
 
 var (
-	_ prefetcher.Cache     = (*Store)(nil)
-	_ prefetcher.ByteCache = (*Store)(nil)
+	_ prefetcher.Cache       = (*Store)(nil)
+	_ prefetcher.ByteCache   = (*Store)(nil)
+	_ prefetcher.BytesPutter = (*Store)(nil)
 )
 
 // newPolicy resolves a policy name, mapping the empty string to LRU
@@ -241,9 +243,7 @@ func (s *Store) BytesLen(id prefetcher.ID) (int, bool) {
 // the worst-case bound).
 func (s *Store) Put(id prefetcher.ID, value any) {
 	if b, ok := value.([]byte); ok && s.slab.Fits(len(b)) {
-		s.dropOverflow(id) // shape change: previous value may be boxed
-		s.slab.Put(int64(id), b)
-		s.store.Admit(cache.ID(id))
+		s.PutBytes(id, b)
 		return
 	}
 	size := 0
@@ -265,6 +265,23 @@ func (s *Store) Put(id prefetcher.ID, value any) {
 	s.store.Admit(cache.ID(id))
 }
 
+// PutBytes implements prefetcher.BytesPutter: Put for a payload the
+// caller only borrowed. The arena copies what fits a segment, as it
+// does for Put; an oversized payload, which Put would keep by
+// reference in the overflow map, is cloned first.
+//
+//prefetch:hotpath
+func (s *Store) PutBytes(id prefetcher.ID, b []byte) {
+	if !s.slab.Fits(len(b)) {
+		//lint:allow hotpathalloc a payload larger than a segment lives boxed in the overflow map, which must not alias the lender's buffer
+		s.Put(id, bytes.Clone(b))
+		return
+	}
+	s.dropOverflow(id) // shape change: previous value may be boxed
+	s.slab.Put(int64(id), b)
+	s.store.Admit(cache.ID(id))
+}
+
 // dropOverflow removes id's boxed entry, if any, debiting its charge
 // against the overflow byte budget.
 func (s *Store) dropOverflow(id prefetcher.ID) {
@@ -283,6 +300,20 @@ func (s *Store) Len() int { return s.store.Len() }
 // OnEvict implements prefetcher.Cache. The callback receives victims
 // of both eviction streams — policy and segment rotation.
 func (s *Store) OnEvict(fn func(prefetcher.ID)) { s.onEvict = fn }
+
+// Footprint reports the payload bytes the store holds and the ceiling
+// it holds each kind to (see Config.CapacityBytes): the arena's live
+// bytes, record headers included, against the segments rotation may
+// fill; the overflow map's []byte payloads against CapacityBytes, or
+// against the one payload Put lets exceed it alone.
+func (s *Store) Footprint() (arena, arenaMax, overflow, overflowMax int64) {
+	st := s.slab.Stats()
+	overflowMax = int64(s.capacityBytes)
+	if len(s.overflow) == 1 {
+		overflowMax = max(overflowMax, int64(s.overflowBytes))
+	}
+	return st.LiveBytes, int64(st.SegmentBytes) * int64(s.slab.MaxSegments()), int64(s.overflowBytes), overflowMax
+}
 
 // SlabStats exposes the arena's occupancy/churn counters.
 func (s *Store) SlabStats() slab.Stats { return s.slab.Stats() }

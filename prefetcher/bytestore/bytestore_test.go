@@ -346,3 +346,49 @@ func TestFactoryShardSplitNames(t *testing.T) {
 		})
 	}
 }
+
+// TestPutBytesCopies pins the BytesPutter contract the engine's borrowed
+// landings rely on: whatever its size, nothing the store keeps aliases
+// the slice it was handed — a payload that fits a segment is copied into
+// the arena, one that does not is cloned into the overflow map — and
+// residency, evictions and the byte budget are Put's.
+func TestPutBytesCopies(t *testing.T) {
+	const capacity = 8 << 10
+	s, err := New(Config{CapacityBytes: capacity, MaxEntries: 64, SegmentBytes: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, size := range []int{0, 100, 1000, 2 << 10, 3 << 10} {
+		id := prefetcher.ID(size)
+		lent := val(id, size)
+		s.PutBytes(id, lent)
+		for i := range lent {
+			lent[i] = 0xEE // the lender reuses its buffer
+		}
+		got, ok := s.GetBytes(id, nil)
+		if !ok {
+			var v any
+			if v, ok = s.Get(id); ok { // oversized: served boxed
+				got = v.([]byte)
+			}
+		}
+		if !ok || !bytes.Equal(got, val(id, size)) {
+			t.Fatalf("a %d-byte payload put by copy changed with the lender's buffer (resident %v)", size, ok)
+		}
+	}
+	arena, arenaMax, overflow, overflowMax := s.Footprint()
+	if overflow != 5<<10 || overflowMax != capacity || arena < 1100 || arena > arenaMax || arenaMax != capacity {
+		t.Fatalf("Footprint = %d/%d arena, %d/%d overflow", arena, arenaMax, overflow, overflowMax)
+	}
+	// A shape change through PutBytes moves the payload, as Put's does.
+	s.PutBytes(2<<10, val(7, 64))
+	if got, ok := s.GetBytes(2<<10, nil); !ok || !bytes.Equal(got, val(7, 64)) || s.overflowBytes != 3<<10 {
+		t.Fatalf("oversized → arena through PutBytes: served %v, %d overflow bytes left", ok, s.overflowBytes)
+	}
+	// The one payload allowed past the whole budget raises the ceiling it
+	// is held to, until the next overflow Put reclaims it.
+	s.PutBytes(999, val(999, 2*capacity))
+	if _, _, overflow, overflowMax = s.Footprint(); overflow != 2*capacity || overflowMax != overflow || s.Len() != 1 {
+		t.Fatalf("over-budget payload: %d/%d overflow bytes, %d resident", overflow, overflowMax, s.Len())
+	}
+}

@@ -70,7 +70,11 @@
 //   - The engine never retains dst or any slice derived from it. What
 //     GetBytes returns is the caller's buffer, safe to reuse, pool, or
 //     mutate freely — the copy happened under the shard lock, so the
-//     bytes cannot be torn by a concurrent eviction or overwrite.
+//     bytes cannot be torn by a concurrent eviction or overwrite. A
+//     miss may borrow dst for the length of the call: over a copying
+//     cache and lending backends (see bytes.go) the origin's bytes are
+//     read straight into it and copied once into the cache, and a
+//     fetch that fails leaves dst's length alone.
 //   - The caller, in turn, never receives a view into the engine's
 //     storage. There is no zero-copy read through the public API —
 //     internal arena views (slab.View) die inside the shard critical
@@ -180,10 +184,12 @@
 // list, replies parsed by net/http's http.ReadResponse, no
 // http.Transport underneath and no goroutine per connection; by design
 // no HTTP/2, no redirects followed, no HTTP_PROXY, no Accept-Encoding —
-// with bounded single-allocation body reads, and batches either
-// through a framed wire endpoint or bounded parallel fan-out;
-// repro/prefetcher/fetch/fsfetch maps ids onto
-// bounded whole-file reads under a root directory. An adapter must
+// with bounded body reads, and batches either through a framed wire
+// endpoint or bounded parallel fan-out; repro/prefetcher/fetch/fsfetch
+// maps ids onto bounded whole-file reads under a root directory. Both
+// also implement the optional fetch.IntoFetcher/BatchIntoFetcher: lent
+// a buffer, they read a body into it — the caller's own reply buffer
+// on a GetBytes miss — instead of into a slice of their own. An adapter must
 // honour ctx cancellation promptly (hedge losers and expired attempt
 // budgets cancel through it), be safe for concurrent use from demand,
 // hedge and speculative-worker goroutines at once, and return one

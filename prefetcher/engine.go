@@ -1,11 +1,13 @@
 package prefetcher
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"math/bits"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -226,6 +228,11 @@ type Engine struct {
 
 	shards     []*shard
 	shardShift uint
+	// lend records that every shard's cache stores a payload by copy
+	// (BytesPutter) and the fabric Lends: fetches are then handed a buffer
+	// to read into — the caller's own on the byte views, a worker's
+	// scratch for speculative fetches — and land borrowed (see land).
+	lend bool
 	// residents tracks Σ cache.Len() across shards so the hot path's
 	// occupancy estimate n̄(C) — and Stats.CacheLen — need no shard
 	// locks.
@@ -398,6 +405,7 @@ func New(fetcher Fetcher, opts ...Option) (*Engine, error) {
 		cancel()
 		return nil, err
 	}
+	e.lend = e.fabric.Lends() && !slices.ContainsFunc(e.shards, func(sh *shard) bool { return sh.pcache == nil })
 	for i := 0; i < cfg.workers; i++ {
 		e.wg.Add(1)
 		go e.worker()
@@ -510,7 +518,13 @@ func (e *Engine) awaitFlight(ctx context.Context, f *flight) (Item, error, bool)
 // or the error counter; a demand landing is the miss its request
 // counted on arrival, so it folds the untagged access and the size the
 // arrival could not know, and a demand error is the caller's to report.
-func (e *Engine) land(sh *shard, id ID, f *flight, item Item, err error, speculative bool) (Item, error) {
+//
+// A borrowed payload is lent: bytes in a buffer that is its lender's
+// again when land returns, item.Data nil. Nothing the engine keeps may
+// point into it: the cache copies it (BytesPutter), and the flight's
+// joiners — waiters is final under the lock that takes the flight off
+// the table — get a clone, made only when there are any.
+func (e *Engine) land(sh *shard, id ID, f *flight, item Item, lent []byte, borrowed bool, err error, speculative bool) (Item, error) {
 	if err != nil {
 		item = Item{}
 	} else {
@@ -521,9 +535,12 @@ func (e *Engine) land(sh *shard, id ID, f *flight, item Item, err error, specula
 	}
 	sh.mu.Lock()
 	if err == nil {
-		e.putCache(sh, id, item.Data)
+		e.putCache(sh, id, item.Data, lent, borrowed)
 		sh.records[id] = resident{size: item.Size, unused: speculative}
 		f.item = item
+		if borrowed && f.waiters > 0 {
+			f.item.Data = bytes.Clone(lent)
+		}
 	}
 	sh.resolveLocked(id, f, err)
 	sh.mu.Unlock()
@@ -544,39 +561,62 @@ func (e *Engine) land(sh *shard, id ID, f *flight, item Item, err error, specula
 	return item, err
 }
 
+// maxLentBufBytes caps the scratch a speculative worker keeps between
+// jobs: one huge object must not pin its buffer for the engine's life.
+const maxLentBufBytes = 1 << 20
+
+// workerScratch is what one speculative worker keeps across jobs: the
+// batch staging and, when the engine lends, the buffer (and its per-key
+// lengths) each job's payloads are read into on their way to the cache.
+type workerScratch struct {
+	items []Item
+	lens  []int
+	buf   []byte
+}
+
 // worker runs speculative fetches until the engine closes.
 func (e *Engine) worker() {
 	defer e.wg.Done()
+	var w workerScratch
 	for {
 		select {
 		case <-e.baseCtx.Done():
 			return
 		case j := <-e.jobs:
-			e.runPrefetch(j)
+			e.runPrefetch(j, &w)
 		}
 	}
 }
 
-// runPrefetch executes one queued job under the engine context — a lone
-// candidate as a single fetch, several as one batch call, which is
-// synchronous, so the job's id slice is free to recycle once it returns
-// — lands every flight it carried and retires the job.
-func (e *Engine) runPrefetch(j *job) {
-	var one [1]Item
-	items := one[:]
-	var err error
-	if len(j.ids) == 1 {
-		items[0], err = e.fabric.FetchSpeculative(e.baseCtx, j.backend, j.ids[0])
-	} else {
-		items, err = e.fabric.FetchSpeculativeBatch(e.baseCtx, j.backend, j.ids)
+// runPrefetch executes one queued job under the engine context — as one
+// fabric call, which is synchronous, so the job's id slice is free to
+// recycle once it returns — lands every flight it carried and retires
+// the job.
+func (e *Engine) runPrefetch(j *job, w *workerScratch) {
+	n := len(j.ids)
+	w.items = slices.Grow(w.items[:0], n)[:n]
+	var lens []int
+	if e.lend {
+		w.lens = slices.Grow(w.lens[:0], n)[:n]
+		lens = w.lens
 	}
+	buf, err := e.fabric.FetchSpeculativeBatch(e.baseCtx, j.backend, j.ids, w.items, w.buf[:0], lens)
+	off := 0
 	for i, id := range j.ids {
 		var item Item
+		var lent []byte
 		if err == nil {
-			item = items[i]
+			item = w.items[i]
+			if e.lend {
+				lent, off = buf[off:off+lens[i]], off+lens[i]
+			}
 		}
-		e.land(e.shardFor(id), id, j.fs[i], item, err, true)
+		e.land(e.shardFor(id), id, j.fs[i], item, lent, e.lend, err, true)
 		e.specDone()
+	}
+	clear(w.items) // the staging must not pin landed payloads
+	if w.buf = buf; cap(buf) > maxLentBufBytes {
+		w.buf = nil
 	}
 	e.putJob(j)
 }

@@ -164,7 +164,7 @@ func TestBreakerSpeculativeFailsFast(t *testing.T) {
 	if _, err := f.FetchSpeculative(ctx, 0, 10); !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("speculative err = %v, want ErrBreakerOpen", err)
 	}
-	if _, err := f.FetchSpeculativeBatch(ctx, 0, []ID{11, 12}); !errors.Is(err, ErrBreakerOpen) {
+	if _, err := specBatch(f, ctx, 0, []ID{11, 12}); !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("speculative batch err = %v, want ErrBreakerOpen", err)
 	}
 	if bad.calls.Load() != calls {

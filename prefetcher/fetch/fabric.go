@@ -20,6 +20,9 @@ var ErrClosed = errors.New("fetch: fabric closed")
 // every backend's breaker is open and none is due a half-open probe).
 var ErrBreakerOpen = errors.New("fetch: circuit breaker open")
 
+// errLentShrunk fails an IntoFetcher that broke the borrow rule.
+var errLentShrunk = errors.New("fetch: a backend's FetchInto returned less than it was lent")
+
 // releaseBurst bounds how many parked candidates one gate release
 // hands back at a time, so the drainer re-reads ρ̂ between bursts
 // instead of dumping a long queue onto a link that just went idle.
@@ -77,9 +80,13 @@ type backendState struct {
 	idx   int
 	cfg   Backend
 	batch BatchFetcher // non-nil when cfg.Fetcher supports batching
-	link  *prefetch.Link
-	est   *estimator
-	seed  uint64 // rendezvous-hash seed derived from the name
+	// into and batchInto are cfg.Fetcher's lent-buffer forms, when it has
+	// them (see IntoFetcher); called only on a fabric that Lends.
+	into      IntoFetcher
+	batchInto BatchIntoFetcher
+	link      *prefetch.Link
+	est       *estimator
+	seed      uint64 // rendezvous-hash seed derived from the name
 
 	demand       atomic.Int64
 	speculative  atomic.Int64
@@ -130,6 +137,7 @@ type Fabric struct {
 	}
 	nowf      func() float64
 	onRelease func(backend int, ids []ID)
+	lends     bool // see Lends
 
 	done   chan struct{}
 	wg     sync.WaitGroup
@@ -195,6 +203,7 @@ func New(cfg Config) (*Fabric, error) {
 	//lint:allow ctxflow fabric-owned lifecycle root, cancelled in Close
 	f.baseCtx, f.baseCancel = context.WithCancel(context.Background())
 	seen := make(map[string]bool, len(cfg.Backends))
+	f.lends = f.hedging == nil || len(cfg.Backends) == 1 || f.maxAttempts() == 1
 	for i, b := range cfg.Backends {
 		if b.Fetcher == nil {
 			return nil, fmt.Errorf("fetch: backend %d (%q) has a nil fetcher", i, b.Name)
@@ -225,6 +234,9 @@ func New(cfg Config) (*Fabric, error) {
 			poke:      make(chan struct{}, 1),
 		}
 		bs.batch, _ = b.Fetcher.(BatchFetcher)
+		bs.into, _ = b.Fetcher.(IntoFetcher)
+		bs.batchInto, _ = b.Fetcher.(BatchIntoFetcher)
+		f.lends = f.lends && bs.into != nil && (bs.batch == nil || bs.batchInto != nil)
 		f.backends = append(f.backends, bs)
 	}
 	if f.watermark > 0 {
@@ -244,6 +256,13 @@ func (f *Fabric) Name(i int) string { return f.backends[i].cfg.Name }
 
 // BatchCapable reports whether backend i's fetcher supports FetchBatch.
 func (f *Fabric) BatchCapable(i int) bool { return f.backends[i].batch != nil }
+
+// Lends reports whether the fabric's callers may lend it buffers
+// (FetchInto; a non-nil lens on the batch calls): every backend's fetcher
+// has the lent-buffer form of each call it offers, and demand attempts
+// run one at a time — a hedged race shares nothing, a buffer included.
+// Decided once, at New; without it every payload arrives owned.
+func (f *Fabric) Lends() bool { return f.lends }
 
 // Link exposes backend i's utilisation estimator, so the engine's
 // controller can evaluate the admission threshold against that link's
@@ -570,25 +589,42 @@ func (f *Fabric) observe(b *backendState, start float64, item Item, err error, d
 // their context. Without hedging the failover is purely sequential —
 // no goroutine, channel or context allocation on the demand hot path.
 func (f *Fabric) Fetch(ctx context.Context, id ID) (Item, error) {
+	item, _, err := f.fetch(ctx, id, nil, false)
+	return item, err
+}
+
+// FetchInto is Fetch on a fabric that Lends: the payload is appended to
+// dst, returned extended, and the item carries its id and size alone.
+// On error dst comes back as it went.
+func (f *Fabric) FetchInto(ctx context.Context, id ID, dst []byte) (Item, []byte, error) {
+	return f.fetch(ctx, id, dst, true)
+}
+
+// fetch is the demand fetch behind Fetch and FetchInto.
+func (f *Fabric) fetch(ctx context.Context, id ID, dst []byte, lend bool) (Item, []byte, error) {
 	if f.closed.Load() {
-		return Item{}, ErrClosed
+		return Item{}, dst, ErrClosed
 	}
 	if f.hedging == nil {
 		// One attempt per backend, no backoff.
-		return f.fetchSequential(ctx, id, 0, 0)
+		return f.fetchSequential(ctx, id, 0, 0, dst, lend)
 	}
-	if len(f.backends) == 1 {
-		// A hedge against the only backend would just be a concurrent
-		// duplicate on the same link; degrade to sequential retries
-		// with backoff, as WithHedging documents.
-		return f.fetchSequential(ctx, id, f.maxAttempts(), f.hedging.Backoff)
-	}
+	// A hedge against the only backend would just be a concurrent
+	// duplicate on the same link, and a single attempt can neither hedge
+	// nor retry: both degrade to sequential retries with backoff, as
+	// WithHedging documents, and skip the goroutine/channel/context
+	// machinery entirely.
 	attempts := f.maxAttempts()
-	if attempts == 1 {
-		// A single attempt can neither hedge nor retry: skip the
-		// goroutine/channel/context machinery entirely.
-		return f.fetchSequential(ctx, id, 1, 0)
+	if len(f.backends) == 1 || attempts == 1 {
+		return f.fetchSequential(ctx, id, attempts, f.hedging.Backoff, dst, lend)
 	}
+	item, err := f.fetchHedged(ctx, id, attempts) // lend is false: see Lends
+	return item, dst, err
+}
+
+// fetchHedged races up to attempts attempts (at least two, over at
+// least two backends) for id, each owning its payload.
+func (f *Fabric) fetchHedged(ctx context.Context, id ID, attempts int) (Item, error) {
 	order := f.routeOrder(id)
 
 	// One shared cancellable context covers every attempt: when Fetch
@@ -703,12 +739,32 @@ func (f *Fabric) Fetch(ctx context.Context, id ID) (Item, error) {
 	}
 }
 
+// fetchOne makes one single-id call on b: Fetch or, lending dst,
+// FetchInto, as the fabric's FetchInto describes.
+//
+//prefetch:hotpath
+func (b *backendState) fetchOne(ctx context.Context, id ID, dst []byte, lend bool) (Item, []byte, error) {
+	if !lend {
+		item, err := b.cfg.Fetcher.Fetch(ctx, id)
+		return item, dst, err
+	}
+	out, err := b.into.FetchInto(ctx, id, dst)
+	if err == nil && len(out) < len(dst) { // appends only: see IntoFetcher
+		err = errLentShrunk
+	}
+	if err != nil {
+		return Item{}, dst, err
+	}
+	return Item{ID: id, Size: float64(len(out) - len(dst))}, out, nil
+}
+
 // fetchSequential is the goroutine-free demand path: try backends in
 // route order on the caller's goroutine (wrapping around when attempts
 // exceeds the backend count) until one succeeds or the budget is
 // spent, backing off — doubling per retry — between failed attempts.
-// attempts <= 0 means one attempt per backend.
-func (f *Fabric) fetchSequential(ctx context.Context, id ID, attempts int, backoff time.Duration) (Item, error) {
+// attempts <= 0 means one attempt per backend. The attempts run one at
+// a time, so each may be lent dst.
+func (f *Fabric) fetchSequential(ctx context.Context, id ID, attempts int, backoff time.Duration, dst []byte, lend bool) (Item, []byte, error) {
 	var order []int
 	if len(f.backends) > 1 {
 		order = f.routeOrder(id)
@@ -734,14 +790,14 @@ func (f *Fabric) fetchSequential(ctx context.Context, id ID, attempts int, backo
 		start := f.nowf()
 		b.link.RecordDemand(start)
 		actx, acancel := attemptCtx(ctx, b.cfg.DemandTimeout)
-		item, err := b.cfg.Fetcher.Fetch(actx, id)
+		item, out, err := b.fetchOne(actx, id, dst, lend)
 		acancel()
 		f.observe(b, start, item, err, true, probe)
 		if err == nil {
-			return item, nil
+			return item, out, nil
 		}
 		if ctx.Err() != nil {
-			return Item{}, ctx.Err()
+			return Item{}, dst, ctx.Err()
 		}
 		lastErr = err
 		if backoff > 0 && n+1 < attempts {
@@ -750,14 +806,14 @@ func (f *Fabric) fetchSequential(ctx context.Context, id ID, attempts int, backo
 			case <-t.C:
 			case <-ctx.Done():
 				t.Stop()
-				return Item{}, ctx.Err()
+				return Item{}, dst, ctx.Err()
 			}
 		}
 	}
 	if attempted == 0 {
-		return Item{}, ErrBreakerOpen
+		lastErr = ErrBreakerOpen
 	}
-	return Item{}, lastErr
+	return Item{}, dst, lastErr
 }
 
 // --- demand batch path ---------------------------------------------------
@@ -769,6 +825,12 @@ func (f *Fabric) fetchSequential(ctx context.Context, id ID, attempts int, backo
 // semantics are per-key: errs[i] reports key i's outcome, and one bad
 // key never fails the batch.
 //
+// On a fabric that Lends a non-nil lens (len(ids) too) lends dst to the
+// batch: every served key's payload is appended to dst — returned
+// extended, payloads back to back in key order, a failed key adding
+// nothing — lens[i] is its length and out[i] carries id and size alone.
+// With lens nil dst is returned untouched.
+//
 // Unlike the speculative batch, a batch-level problem — the backend
 // erroring the whole call, or violating the FetchBatch contract with a
 // short or misordered reply — degrades to per-key fallback fetches
@@ -776,48 +838,43 @@ func (f *Fabric) fetchSequential(ctx context.Context, id ID, attempts int, backo
 // batch-wide error: demand keys have a caller waiting on each of them.
 // Backends without batch support, single-key batches and batches
 // refused by the breaker take the per-key path directly.
-func (f *Fabric) FetchDemandBatch(ctx context.Context, backend int, ids []ID, out []Item, errs []error) {
+func (f *Fabric) FetchDemandBatch(ctx context.Context, backend int, ids []ID, out []Item, errs []error, dst []byte, lens []int) []byte {
 	if f.closed.Load() {
 		for i := range ids {
 			out[i], errs[i] = Item{}, ErrClosed
 		}
-		return
+		return dst
 	}
 	b := f.backends[backend]
-	if b.batch == nil || len(ids) < 2 {
-		f.demandFallback(ctx, ids, out, errs)
-		return
+	// When the routed backend's breaker is open, the per-key demand path
+	// fails over across the remaining backends (or fails fast when every
+	// breaker is open), exactly as a singleton fetch would.
+	granted, probe := false, false
+	if b.batch != nil && len(ids) >= 2 {
+		granted, probe = f.acquire(b)
 	}
-	granted, probe := f.acquire(b)
-	if !granted {
-		// The routed backend's breaker is open: the per-key demand path
-		// fails over across the remaining backends (or fails fast when
-		// every breaker is open), exactly as a singleton fetch would.
-		f.demandFallback(ctx, ids, out, errs)
-		return
-	}
-	b.demand.Add(int64(len(ids)))
-	b.demandBatchCalls.Add(1)
-	b.demandBatchedItems.Add(int64(len(ids)))
-	items, err := f.fetchBatch(ctx, b, ids, true, probe)
-	if err != nil {
+	if granted {
+		b.demand.Add(int64(len(ids)))
+		b.demandBatchCalls.Add(1)
+		b.demandBatchedItems.Add(int64(len(ids)))
+		if grown, err := f.fetchBatch(ctx, b, ids, out, dst, lens, true, probe); err == nil {
+			clear(errs[:len(ids)])
+			return grown
+		}
 		// Batch failure or contract violation: degrade to per-key
 		// fallback fetches so one bad reply cannot fail the session.
-		f.demandFallback(ctx, ids, out, errs)
-		return
 	}
-	copy(out, items)
-	for i := range ids {
-		errs[i] = nil
-	}
+	return f.demandFallback(ctx, ids, out, errs, dst, lens)
 }
 
-// fetchBatch runs one FetchBatch round trip on backend b for either
-// traffic class and holds the reply to the contract — exactly one item
-// per requested id, in request order — before folding the outcome into
-// b's estimators: a short or misordered reply is a failed attempt like
-// any other, so no caller ever files items[i] under the wrong id.
-func (f *Fabric) fetchBatch(ctx context.Context, b *backendState, ids []ID, demand, probe bool) ([]Item, error) {
+// fetchBatch runs one batch round trip on backend b for either traffic
+// class, filling out (and lens, when it lends dst: see FetchDemandBatch)
+// and holding the reply to the contract — exactly one item per requested
+// id, in request order, or one length per id adding up to what was
+// appended — before folding the outcome into b's estimators: a short or
+// misordered reply is a failed attempt like any other, so no caller
+// ever files out[i] under the wrong id.
+func (f *Fabric) fetchBatch(ctx context.Context, b *backendState, ids []ID, out []Item, dst []byte, lens []int, demand, probe bool) ([]byte, error) {
 	// One link dispatch for the whole batch: the items travel in one
 	// backend round trip, which is the point of coalescing.
 	start := f.nowf()
@@ -829,46 +886,78 @@ func (f *Fabric) fetchBatch(ctx context.Context, b *backendState, ids []ID, dema
 		b.link.RecordSpeculative(start)
 	}
 	actx, acancel := attemptCtx(ctx, timeout)
-	items, err := b.batch.FetchBatch(actx, ids)
+	grown, err := b.callBatch(actx, ids, out, dst, lens)
 	acancel()
-	if err == nil && len(items) != len(ids) {
-		err = fmt.Errorf("fetch: backend %q returned %d items for a %d-id batch", b.cfg.Name, len(items), len(ids))
-	}
 	var total Item
 	if err == nil {
-		for i, it := range items {
-			if it.ID != ids[i] {
-				err = fmt.Errorf("fetch: backend %q returned id %d at position %d of a batch (want %d)", b.cfg.Name, it.ID, i, ids[i])
-				break
+		for _, it := range out[:len(ids)] {
+			if it.Size <= 0 {
+				it.Size = 1
 			}
-			size := it.Size
-			if size <= 0 {
-				size = 1
-			}
-			total.Size += size
+			total.Size += it.Size
 		}
 	}
 	f.observe(b, start, total, err, demand, probe)
-	if err != nil {
-		return nil, err
+	return grown, err
+}
+
+// callBatch makes fetchBatch's one backend call — FetchBatch or, lending
+// dst (lens non-nil), FetchBatchInto — and checks the reply; on error
+// dst comes back as it went.
+func (b *backendState) callBatch(ctx context.Context, ids []ID, out []Item, dst []byte, lens []int) ([]byte, error) {
+	if lens == nil {
+		items, err := b.batch.FetchBatch(ctx, ids)
+		if err != nil {
+			return dst, err
+		}
+		if len(items) != len(ids) {
+			return dst, fmt.Errorf("fetch: backend %q returned %d items for a %d-id batch", b.cfg.Name, len(items), len(ids))
+		}
+		for i, it := range items {
+			if it.ID != ids[i] {
+				return dst, fmt.Errorf("fetch: backend %q returned id %d at position %d of a batch (want %d)", b.cfg.Name, it.ID, i, ids[i])
+			}
+		}
+		copy(out, items)
+		return dst, nil
 	}
-	return items, nil
+	grown, ls, err := b.batchInto.FetchBatchInto(ctx, ids, dst, lens[:0])
+	if err != nil {
+		return dst, err
+	}
+	sum := len(dst)
+	for i, n := range ls {
+		if n < 0 || i >= len(ids) {
+			sum = -1
+			break
+		}
+		out[i], lens[i] = Item{ID: ids[i], Size: float64(n)}, n
+		sum += n
+	}
+	if len(ls) != len(ids) || sum != len(grown) {
+		return dst, fmt.Errorf("fetch: backend %q broke the FetchBatchInto contract for a %d-id batch (%d lengths, %d bytes appended)", b.cfg.Name, len(ids), len(ls), len(grown)-len(dst))
+	}
+	return grown, nil
 }
 
 // demandFallback serves a demand batch key by key through the full
 // demand path (routing, failover, hedging, breaker), recording each
-// key's own outcome. A dead context fails the remaining keys without
-// dispatching them.
-func (f *Fabric) demandFallback(ctx context.Context, ids []ID, out []Item, errs []error) {
+// key's own outcome and lending dst on as FetchDemandBatch describes. A
+// dead context fails the remaining keys without dispatching them.
+func (f *Fabric) demandFallback(ctx context.Context, ids []ID, out []Item, errs []error, dst []byte, lens []int) []byte {
 	for i, id := range ids {
 		if err := ctx.Err(); err != nil {
 			for j := i; j < len(ids); j++ {
 				out[j], errs[j] = Item{}, err
 			}
-			return
+			break
 		}
-		out[i], errs[i] = f.Fetch(ctx, id)
+		n := len(dst)
+		if out[i], dst, errs[i] = f.fetch(ctx, id, dst, lens != nil); lens != nil {
+			lens[i] = len(dst) - n
+		}
 	}
+	return dst
 }
 
 // --- speculative path ----------------------------------------------------
@@ -879,8 +968,14 @@ func (f *Fabric) demandFallback(ctx context.Context, ids []ID, out []Item, errs 
 // nothing a demand fetch won't recover later, and doubling speculative
 // traffic is exactly what the paper warns against.
 func (f *Fabric) FetchSpeculative(ctx context.Context, backend int, id ID) (Item, error) {
+	item, _, err := f.fetchSpeculative(ctx, backend, id, nil, false)
+	return item, err
+}
+
+// fetchSpeculative is FetchSpeculative, lending dst as FetchInto does.
+func (f *Fabric) fetchSpeculative(ctx context.Context, backend int, id ID, dst []byte, lend bool) (Item, []byte, error) {
 	if f.closed.Load() {
-		return Item{}, ErrClosed
+		return Item{}, dst, ErrClosed
 	}
 	b := f.backends[backend]
 	granted, probe := f.acquire(b)
@@ -888,48 +983,53 @@ func (f *Fabric) FetchSpeculative(ctx context.Context, backend int, id ID) (Item
 		// The breaker tripped after this candidate was routed (or
 		// every backend is open): fail fast rather than queue
 		// speculative work against a dead origin.
-		return Item{}, ErrBreakerOpen
+		return Item{}, dst, ErrBreakerOpen
 	}
 	b.speculative.Add(1)
 	start := f.nowf()
 	b.link.RecordSpeculative(start)
 	actx, acancel := attemptCtx(ctx, b.cfg.SpeculativeTimeout)
-	item, err := b.cfg.Fetcher.Fetch(actx, id)
+	item, out, err := b.fetchOne(actx, id, dst, lend)
 	acancel()
 	f.observe(b, start, item, err, false, probe)
-	return item, err
+	return item, out, err
 }
 
 // FetchSpeculativeBatch dispatches several speculative candidates to
 // one backend as a single FetchBatch call when the backend supports
-// it, falling back to sequential single fetches otherwise. On success
-// the returned slice has exactly one Item per id, in id order; an
-// error — a short or misordered reply included — fails the whole batch
-// and is counted in the backend's Errors.
-func (f *Fabric) FetchSpeculativeBatch(ctx context.Context, backend int, ids []ID) ([]Item, error) {
+// it, falling back to sequential single fetches otherwise, and fills
+// the caller-supplied out (len(ids)): on success exactly one Item per
+// id, in id order. An error — a short or misordered reply included —
+// fails the whole batch and is counted in the backend's Errors. dst and
+// lens lend a buffer exactly as FetchDemandBatch's do; on an error dst
+// is returned as it went.
+func (f *Fabric) FetchSpeculativeBatch(ctx context.Context, backend int, ids []ID, out []Item, dst []byte, lens []int) ([]byte, error) {
 	if f.closed.Load() {
-		return nil, ErrClosed
+		return dst, ErrClosed
 	}
 	b := f.backends[backend]
 	if b.batch == nil || len(ids) == 1 {
-		items := make([]Item, len(ids))
+		grown := dst
 		for i, id := range ids {
-			item, err := f.FetchSpeculative(ctx, backend, id)
-			if err != nil {
-				return nil, err
+			n := len(grown)
+			var err error
+			if out[i], grown, err = f.fetchSpeculative(ctx, backend, id, grown, lens != nil); err != nil {
+				return dst, err
 			}
-			items[i] = item
+			if lens != nil {
+				lens[i] = len(grown) - n
+			}
 		}
-		return items, nil
+		return grown, nil
 	}
 	granted, probe := f.acquire(b)
 	if !granted {
-		return nil, ErrBreakerOpen
+		return dst, ErrBreakerOpen
 	}
 	b.speculative.Add(int64(len(ids)))
 	b.batchCalls.Add(1)
 	b.batchedItems.Add(int64(len(ids)))
-	return f.fetchBatch(ctx, b, ids, false, probe)
+	return f.fetchBatch(ctx, b, ids, out, dst, lens, false, probe)
 }
 
 // --- idle-period dispatch gate -------------------------------------------
@@ -1063,7 +1163,7 @@ func (f *Fabric) release(backend int, ids []ID) {
 	}
 	if f.backends[backend].batch != nil && len(ids) > 1 {
 		// Batch-capable: one call, all-or-nothing by contract.
-		_, _ = f.FetchSpeculativeBatch(f.baseCtx, backend, ids)
+		_, _ = f.FetchSpeculativeBatch(f.baseCtx, backend, ids, make([]Item, len(ids)), nil, nil)
 		return
 	}
 	// Sequential fallback is best-effort per id: one transient failure

@@ -297,6 +297,16 @@ func TestSingleBackendHedgingDegradesToSequentialRetries(t *testing.T) {
 	}
 }
 
+// specBatch is FetchSpeculativeBatch with nothing lent, staging the
+// items as the engine's workers do.
+func specBatch(f *Fabric, ctx context.Context, backend int, ids []ID) ([]Item, error) {
+	out := make([]Item, len(ids))
+	if _, err := f.FetchSpeculativeBatch(ctx, backend, ids, out, nil, nil); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 func TestFetchSpeculativeBatchCoalesces(t *testing.T) {
 	bf := &batchFetcher{}
 	single := &instantFetcher{size: 1}
@@ -305,7 +315,7 @@ func TestFetchSpeculativeBatchCoalesces(t *testing.T) {
 		{Name: "single", Fetcher: single},
 	}})
 	ctx := context.Background()
-	items, err := f.FetchSpeculativeBatch(ctx, 0, []ID{1, 2, 3})
+	items, err := specBatch(f, ctx, 0, []ID{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +329,7 @@ func TestFetchSpeculativeBatchCoalesces(t *testing.T) {
 		t.Fatal("BatchCapable misreports")
 	}
 	// A non-batch backend falls back to sequential singles.
-	if _, err := f.FetchSpeculativeBatch(ctx, 1, []ID{4, 5}); err != nil {
+	if _, err := specBatch(f, ctx, 1, []ID{4, 5}); err != nil {
 		t.Fatal(err)
 	}
 	if single.calls.Load() != 2 {
@@ -342,7 +352,7 @@ func TestFetchSpeculativeBatchRejectsShortReply(t *testing.T) {
 	f := newTestFabric(t, Config{Backends: []Backend{
 		{Name: "short", Fetcher: &shortBatchFetcher{}},
 	}})
-	if _, err := f.FetchSpeculativeBatch(context.Background(), 0, []ID{1, 2}); err == nil {
+	if _, err := specBatch(f, context.Background(), 0, []ID{1, 2}); err == nil {
 		t.Fatal("short batch reply must error")
 	}
 }
@@ -354,7 +364,7 @@ func TestFetchSpeculativeBatchRejectsMisorderedReply(t *testing.T) {
 	f := newTestFabric(t, Config{Backends: []Backend{
 		{Name: "misordered", Fetcher: &misorderedBatchFetcher{}},
 	}})
-	if items, err := f.FetchSpeculativeBatch(context.Background(), 0, []ID{101, 102, 103}); err == nil {
+	if items, err := specBatch(f, context.Background(), 0, []ID{101, 102, 103}); err == nil {
 		t.Fatalf("misordered batch reply must error, got %+v", items)
 	}
 	if st := f.Stats(0)[0]; st.Errors != 1 {
@@ -528,7 +538,7 @@ func TestFabricConcurrentUse(t *testing.T) {
 					}
 				case 2:
 					b := f.Route(id)
-					if _, err := f.FetchSpeculativeBatch(ctx, b, []ID{id, id + 1}); err != nil {
+					if _, err := specBatch(f, ctx, b, []ID{id, id + 1}); err != nil {
 						t.Errorf("FetchSpeculativeBatch: %v", err)
 						return
 					}
@@ -597,7 +607,7 @@ func (f *pickyBatchFetcher) FetchBatch(ctx context.Context, ids []ID) ([]Item, e
 func demandBatch(f *Fabric, backend int, ids []ID) ([]Item, []error) {
 	out := make([]Item, len(ids))
 	errs := make([]error, len(ids))
-	f.FetchDemandBatch(context.Background(), backend, ids, out, errs)
+	f.FetchDemandBatch(context.Background(), backend, ids, out, errs, nil, nil)
 	return out, errs
 }
 
@@ -711,12 +721,12 @@ func TestFetchDemandBatchClosedAndDeadContext(t *testing.T) {
 	// A dead context on the fallback path fails the keys without
 	// dispatching them. (The batch path itself hands ctx to the
 	// backend, which decides.)
-	f.FetchDemandBatch(ctx, 0, []ID{1}, out[:1], errs[:1])
+	f.FetchDemandBatch(ctx, 0, []ID{1}, out[:1], errs[:1], nil, nil)
 	if !errors.Is(errs[0], context.Canceled) {
 		t.Fatalf("dead ctx: err = %v", errs[0])
 	}
 	f.Close()
-	f.FetchDemandBatch(context.Background(), 0, []ID{1, 2}, out, errs)
+	f.FetchDemandBatch(context.Background(), 0, []ID{1, 2}, out, errs, nil, nil)
 	for i := range errs {
 		if !errors.Is(errs[i], ErrClosed) {
 			t.Fatalf("key %d after Close: err = %v", i, errs[i])

@@ -66,6 +66,35 @@ type BatchFetcher interface {
 	FetchBatch(ctx context.Context, ids []ID) ([]Item, error)
 }
 
+// IntoFetcher and BatchIntoFetcher are optionally implemented by a
+// backend's Fetcher whose payloads are bytes it can read straight into
+// a buffer the caller lends, instead of into a slice of its own boxed
+// in Item.Data. The fabric probes for both once, at New (see
+// Fabric.Lends), and lends only to attempts that run one at a time on
+// the lending goroutine: sequential failover and the speculative
+// workers. A hedged race, or any backend without the capability, keeps
+// the whole fabric on the owned-payload calls.
+//
+// The borrow rule, for adapter authors: append, never keep. FetchInto
+// appends id's payload to dst and returns the extended slice;
+// FetchBatchInto appends the payloads of ids back to back, in request
+// order, and one length per id to lens. Neither retains a reference to
+// dst, touches dst[:len(dst)], or lets a goroutine write to it after
+// returning. On any error the lent slices are returned at their
+// original lengths — what lies past them is unspecified, and nothing
+// ever reads it — and every bound the owned calls enforce (payload
+// size, batch order and count) is enforced the same way.
+type IntoFetcher interface {
+	Fetcher
+	FetchInto(ctx context.Context, id ID, dst []byte) ([]byte, error)
+}
+
+// BatchIntoFetcher is IntoFetcher's batch form; see there.
+type BatchIntoFetcher interface {
+	BatchFetcher
+	FetchBatchInto(ctx context.Context, ids []ID, dst []byte, lens []int) ([]byte, []int, error)
+}
+
 // Backend names one origin link the fabric can fetch from.
 type Backend struct {
 	// Name identifies the backend in stats and reports. Backends of

@@ -1,8 +1,9 @@
 // Package fsfetch adapts a directory tree — a local disk cache, an
 // NFS mount, a FUSE-mounted object store — to the fetch fabric's
-// Fetcher and BatchFetcher interfaces. Each ID maps to one file under
-// a root directory through a printf-style pattern, and a fetch is a
-// bounded whole-file read returning the raw []byte payload.
+// Fetcher and BatchFetcher interfaces and their lent-buffer forms,
+// IntoFetcher and BatchIntoFetcher. Each ID maps to one file under a
+// root directory through a printf-style pattern, and a fetch is a
+// bounded whole-file read of the raw bytes.
 //
 // The adapter is deliberately synchronous: filesystem reads have no
 // cancellable wire to hang on, so ctx is honoured at the boundaries —
@@ -11,9 +12,14 @@
 // queueing further disk work while letting an in-progress read of one
 // file run to completion (they are short; the bound caps them).
 //
-// Reads are single-allocation: the file is stat'd first and its
-// payload read with one make + io.ReadFull, the same zero-copy shape
-// the HTTP adapter uses for Content-Length-bearing replies.
+// There is one file reader: the file is stat'd, the destination grown
+// once by its size, and the bytes read by one io.ReadFull into the grown
+// tail — kernel to destination, no buffer in between. With a buffer
+// lent (FetchInto, FetchBatchInto: the engine lends the request's own
+// reply buffer, or a speculative worker's scratch) that is the payload's
+// only slice and it is copied once more, into the cache; with none
+// (Fetch, FetchBatch) the destination is a fresh slice the Item keeps,
+// which a copying cache copies again and the byte views a third time.
 package fsfetch
 
 import (
@@ -23,6 +29,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"context"
@@ -108,22 +115,29 @@ func (s *Store) path(id fetch.ID) (string, error) {
 	return p, nil
 }
 
-// Fetch implements fetch.Fetcher: one bounded whole-file read. A
-// missing file surfaces as fs.ErrNotExist (wrapped), so callers can
+// Fetch implements fetch.Fetcher: one bounded whole-file read, into a
+// slice of its own that the Item keeps (FetchInto with no buffer lent).
+// A missing file surfaces as fs.ErrNotExist (wrapped), so callers can
 // errors.Is for it.
 func (s *Store) Fetch(ctx context.Context, id fetch.ID) (fetch.Item, error) {
-	if err := ctx.Err(); err != nil {
-		return fetch.Item{}, err
-	}
-	p, err := s.path(id)
-	if err != nil {
-		return fetch.Item{}, err
-	}
-	data, err := s.readBounded(p)
+	data, err := s.FetchInto(ctx, id, nil)
 	if err != nil {
 		return fetch.Item{}, err
 	}
 	return fetch.Item{ID: id, Size: float64(len(data)), Data: data}, nil
+}
+
+// FetchInto implements fetch.IntoFetcher: the file's bytes appended to
+// dst, which comes back at its original length on any error.
+func (s *Store) FetchInto(ctx context.Context, id fetch.ID, dst []byte) ([]byte, error) {
+	if err := ctx.Err(); err != nil {
+		return dst, err
+	}
+	p, err := s.path(id)
+	if err != nil {
+		return dst, err
+	}
+	return s.readBounded(p, dst)
 }
 
 // FetchBatch implements fetch.BatchFetcher: the ids are read
@@ -143,27 +157,43 @@ func (s *Store) FetchBatch(ctx context.Context, ids []fetch.ID) ([]fetch.Item, e
 	return out, nil
 }
 
-// readBounded reads one file with a single payload allocation.
-func (s *Store) readBounded(p string) ([]byte, error) {
+// FetchBatchInto implements fetch.BatchIntoFetcher: FetchBatch with the
+// files appended to dst back to back and one length per id to lens.
+func (s *Store) FetchBatchInto(ctx context.Context, ids []fetch.ID, dst []byte, lens []int) ([]byte, []int, error) {
+	out, ls := dst, lens
+	for _, id := range ids {
+		n := len(out)
+		var err error
+		if out, err = s.FetchInto(ctx, id, out); err != nil {
+			return dst, lens, fmt.Errorf("fsfetch: batch id %d: %w", id, err)
+		}
+		ls = append(ls, len(out)-n)
+	}
+	return out, ls, nil
+}
+
+// readBounded appends one file's bytes to dst: stat, grow dst once by
+// the file's size, read into the grown tail.
+func (s *Store) readBounded(p string, dst []byte) ([]byte, error) {
 	f, err := os.Open(p)
 	if err != nil {
-		return nil, fmt.Errorf("fsfetch: %w", err)
+		return dst, fmt.Errorf("fsfetch: %w", err)
 	}
 	defer f.Close()
 	info, err := f.Stat()
 	if err != nil {
-		return nil, fmt.Errorf("fsfetch: %w", err)
+		return dst, fmt.Errorf("fsfetch: %w", err)
 	}
 	if info.Mode()&fs.ModeType != 0 {
-		return nil, fmt.Errorf("fsfetch: %q is not a regular file", p)
+		return dst, fmt.Errorf("fsfetch: %q is not a regular file", p)
 	}
 	n := info.Size()
 	if n > s.maxFile {
-		return nil, fmt.Errorf("%w: %q is %d bytes (max %d)", ErrTooLarge, p, n, s.maxFile)
+		return dst, fmt.Errorf("%w: %q is %d bytes (max %d)", ErrTooLarge, p, n, s.maxFile)
 	}
-	data := make([]byte, n)
-	if _, err := io.ReadFull(f, data); err != nil {
-		return nil, fmt.Errorf("fsfetch: reading %q: %w", p, err)
+	out := slices.Grow(dst, int(n))[:len(dst)+int(n)]
+	if _, err := io.ReadFull(f, out[len(dst):]); err != nil {
+		return dst, fmt.Errorf("fsfetch: reading %q: %w", p, err)
 	}
-	return data, nil
+	return out, nil
 }

@@ -149,7 +149,8 @@ func TestStoreBehindFabric(t *testing.T) {
 	if !bytes.Equal(item.Data.([]byte), payload(10)) {
 		t.Fatalf("payload %q", item.Data)
 	}
-	items, err := f.FetchSpeculativeBatch(context.Background(), 0, []fetch.ID{11, 12})
+	items := make([]fetch.Item, 2)
+	_, err = f.FetchSpeculativeBatch(context.Background(), 0, []fetch.ID{11, 12}, items, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,5 +160,65 @@ func TestStoreBehindFabric(t *testing.T) {
 	st := f.Stats(0)
 	if st[0].Demand != 1 || st[0].Speculative != 2 || st[0].BatchCalls != 1 {
 		t.Fatalf("stats = %+v", st[0])
+	}
+}
+
+// The lent-buffer forms: files land behind the caller's prefix, in its
+// own backing array when there is room, one length per id; every way a
+// read is refused — missing, too large, not a regular file, a dead
+// context — hands dst and lens back as they came.
+func TestFetchInto(t *testing.T) {
+	s, dir := newStore(t, Config{MaxFileBytes: 16}, 1, 2, 3)
+	os.WriteFile(filepath.Join(dir, "4"), make([]byte, 17), 0o644)
+	os.Mkdir(filepath.Join(dir, "5"), 0o755)
+	ctx := context.Background()
+	dst := append(make([]byte, 0, 64), "head"...)
+
+	out, err := s.FetchInto(ctx, 2, dst)
+	if err != nil || string(out) != "head"+string(payload(2)) || &out[0] != &dst[0] {
+		t.Fatalf("FetchInto = %q, %v", out, err)
+	}
+	if out, err = s.FetchInto(ctx, 3, nil); err != nil || !bytes.Equal(out, payload(3)) {
+		t.Fatalf("FetchInto(nil) = %q, %v", out, err)
+	}
+	out, lens, err := s.FetchBatchInto(ctx, []fetch.ID{3, 1}, dst, []int{7})
+	if err != nil || string(out) != "head"+string(payload(3))+string(payload(1)) || len(lens) != 3 || lens[1] != len(payload(3)) || lens[2] != len(payload(1)) {
+		t.Fatalf("FetchBatchInto = %q, %v, %v", out, lens, err)
+	}
+
+	dead, cancel := context.WithCancel(ctx)
+	cancel()
+	for name, tc := range map[string]struct {
+		ctx  context.Context
+		id   fetch.ID
+		want error
+	}{
+		"missing":      {ctx, 99, fs.ErrNotExist},
+		"too large":    {ctx, 4, ErrTooLarge},
+		"not a file":   {ctx, 5, nil},
+		"dead context": {dead, 1, context.Canceled},
+	} {
+		out, err := s.FetchInto(tc.ctx, tc.id, dst)
+		if err == nil || (tc.want != nil && !errors.Is(err, tc.want)) || len(out) != 4 || &out[0] != &dst[0] {
+			t.Errorf("%s: FetchInto = %d bytes, %v", name, len(out), err)
+		}
+		// Second of a batch: the first file is already behind dst.
+		out, lens, err := s.FetchBatchInto(tc.ctx, []fetch.ID{1, tc.id}, dst, []int{7})
+		if err == nil || len(out) != 4 || &out[0] != &dst[0] || len(lens) != 1 || lens[0] != 7 {
+			t.Errorf("%s: FetchBatchInto = %d bytes, lens %v, %v", name, len(out), lens, err)
+		}
+	}
+
+	// Behind a fabric the store's capabilities make it lend.
+	f, err := fetch.New(fetch.Config{Backends: []fetch.Backend{{Name: "disk", Fetcher: s}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if !f.Lends() {
+		t.Fatal("a fabric over an fs store must lend")
+	}
+	if _, out, err = f.FetchInto(ctx, 1, dst); err != nil || string(out) != "head"+string(payload(1)) {
+		t.Fatalf("fabric FetchInto = %q, %v", out, err)
 	}
 }

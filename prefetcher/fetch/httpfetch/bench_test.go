@@ -65,6 +65,26 @@ func benchFetch(b *testing.B, size int) {
 func BenchmarkFetch1K(b *testing.B)  { benchFetch(b, 1<<10) }
 func BenchmarkFetch16K(b *testing.B) { benchFetch(b, 16<<10) }
 
+// BenchmarkFetchInto16K is BenchmarkFetch16K reading into a buffer the
+// caller keeps: no payload slice, no box.
+func BenchmarkFetchInto16K(b *testing.B) {
+	const size = 16 << 10
+	srv := newSizedOrigin(b, size)
+	c := newClient(b, Config{BaseURL: srv.URL})
+	defer c.Close()
+	ctx := attemptContext(b)
+	var buf []byte
+	b.ReportAllocs()
+	b.SetBytes(size)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if buf, err = c.FetchInto(ctx, fetch.ID(i), buf[:0]); err != nil || len(buf) != size {
+			b.Fatal(len(buf), err)
+		}
+	}
+}
+
 func BenchmarkFetchBatch8(b *testing.B) {
 	srv := newSizedOrigin(b, 1<<10)
 	c := newClient(b, Config{BaseURL: srv.URL, BatchPath: "/batch"})
@@ -83,6 +103,30 @@ func BenchmarkFetchBatch8(b *testing.B) {
 	}
 }
 
+// BenchmarkFetchBatchInto8 is BenchmarkFetchBatch8 with the eight
+// records landing back to back in a kept buffer: no slice and no box per
+// record, no []Item.
+func BenchmarkFetchBatchInto8(b *testing.B) {
+	srv := newSizedOrigin(b, 1<<10)
+	c := newClient(b, Config{BaseURL: srv.URL, BatchPath: "/batch"})
+	defer c.Close()
+	ctx := attemptContext(b)
+	ids := make([]fetch.ID, 8)
+	var buf []byte
+	var lens []int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range ids {
+			ids[j] = fetch.ID(8*i + j)
+		}
+		var err error
+		if buf, lens, err = c.FetchBatchInto(ctx, ids, buf[:0], lens[:0]); err != nil || len(buf) != 8<<10 || len(lens) != 8 {
+			b.Fatal(len(buf), lens, err)
+		}
+	}
+}
+
 // fetchAllocCeiling is what one steady-state 1 KiB Fetch may allocate:
 // the payload and its boxing into Item.Data (2), the abort hook's
 // registration on the context (2) and what http.ReadResponse builds for
@@ -94,9 +138,17 @@ func BenchmarkFetchBatch8(b *testing.B) {
 // this wire reads 13.
 const fetchAllocCeiling = 16
 
-func TestFetchAllocCeiling(t *testing.T) {
+// fetchIntoAllocCeiling is fetchAllocCeiling less the two allocations
+// FetchInto does not make: the payload goes into the caller's buffer,
+// and nothing is boxed. It reads 11 where Fetch reads 13; what is left
+// is the abort hook's and http.ReadResponse's.
+const fetchIntoAllocCeiling = fetchAllocCeiling - 2
+
+// newKiBOrigin answers every request with one 1 KiB object and
+// allocates nothing per request, so a count is the client's alone.
+func newKiBOrigin(t *testing.T) *scriptedOrigin {
 	reply := append([]byte("HTTP/1.1 200 OK\r\nContent-Type: application/octet-stream\r\nContent-Length: 1024\r\n\r\n"), make([]byte, 1024)...)
-	o := newScriptedOrigin(t, 1, func(n int, c *originConn) {
+	return newScriptedOrigin(t, 1, func(n int, c *originConn) {
 		buf := make([]byte, 4096)
 		for have := 0; ; {
 			m, err := c.Read(buf[have:])
@@ -111,6 +163,10 @@ func TestFetchAllocCeiling(t *testing.T) {
 			}
 		}
 	})
+}
+
+func TestFetchAllocCeiling(t *testing.T) {
+	o := newKiBOrigin(t)
 	c := newClient(t, Config{BaseURL: o.url})
 	defer c.Close()
 	ctx := attemptContext(t)
@@ -124,5 +180,24 @@ func TestFetchAllocCeiling(t *testing.T) {
 	t.Logf("1 KiB Fetch: %.0f allocs", got)
 	if got > fetchAllocCeiling {
 		t.Fatalf("1 KiB Fetch allocates %.0f times, ceiling %d", got, fetchAllocCeiling)
+	}
+}
+
+func TestFetchIntoAllocCeiling(t *testing.T) {
+	o := newKiBOrigin(t)
+	c := newClient(t, Config{BaseURL: o.url})
+	defer c.Close()
+	ctx := attemptContext(t)
+	var id fetch.ID
+	buf := make([]byte, 0, 2048)
+	got := testing.AllocsPerRun(500, func() {
+		id++
+		if out, err := c.FetchInto(ctx, id, buf); err != nil || len(out) != 1024 || &out[0] != &buf[:1][0] {
+			t.Fatalf("FetchInto: %d bytes in the lent buffer: %v, err %v", len(out), &out[0] == &buf[:1][0], err)
+		}
+	})
+	t.Logf("1 KiB FetchInto: %.0f allocs", got)
+	if got > fetchIntoAllocCeiling {
+		t.Fatalf("1 KiB FetchInto allocates %.0f times, ceiling %d", got, fetchIntoAllocCeiling)
 	}
 }

@@ -28,7 +28,11 @@ func fuzzIDs(raw []byte) []fetch.ID {
 // ReadBatch on arbitrary bytes for an arbitrary id list: never panics,
 // never hands back a payload over maxBody, and returns items only for
 // a stream that is exactly the framing of those ids in that order —
-// which re-encoding the items must reproduce byte for byte.
+// which re-encoding the items must reproduce byte for byte. The
+// lent-buffer form of the same reader agrees with it: the same verdict,
+// the same payloads back to back behind the caller's untouched prefix
+// with one length each, and on any error both lent slices back at their
+// original lengths.
 func FuzzReadBatch(f *testing.F) {
 	frame := func(ids ...fetch.ID) []byte {
 		var buf bytes.Buffer
@@ -57,11 +61,35 @@ func FuzzReadBatch(f *testing.F) {
 	f.Fuzz(func(t *testing.T, stream, rawIDs []byte) {
 		ids := fuzzIDs(rawIDs)
 		items, err := ReadBatch(bytes.NewReader(stream), ids, maxBody)
+		dst, lens := append(make([]byte, 0, 32), "head"...), append(make([]int, 0, 4), 7)
+		out, ls, ierr := readBatch(bytes.NewReader(stream), ids, maxBody, nil, dst, lens)
+		if (err == nil) != (ierr == nil) {
+			t.Fatalf("ReadBatch says %v, its lent-buffer form %v", err, ierr)
+		}
+		if string(out[:4]) != "head" || string(dst[:4]) != "head" || ls[0] != 7 {
+			t.Fatalf("the lent prefix was modified: %q, %v", out[:4], ls[0])
+		}
 		if err != nil {
 			if items != nil {
 				t.Fatalf("items returned beside error %v", err)
 			}
+			if len(out) != 4 || len(ls) != 1 {
+				t.Fatalf("after %v the lent slices came back %d and %d long, want 4 and 1", ierr, len(out), len(ls))
+			}
 			return
+		}
+		if len(ls) != 1+len(ids) {
+			t.Fatalf("%d lengths for %d ids", len(ls)-1, len(ids))
+		}
+		for i, it := range items {
+			n := ls[1+i]
+			if n > maxBody || n > len(out)-4 || !bytes.Equal(out[4:4+n], it.Data.([]byte)) {
+				t.Fatalf("record %d: %d lent bytes are not the item's %d", i, n, len(it.Data.([]byte)))
+			}
+			out = append(out[:4], out[4+n:]...)
+		}
+		if len(out) != 4 {
+			t.Fatalf("%d bytes appended beyond what lens accounts for", len(out)-4)
 		}
 		if len(items) != len(ids) {
 			t.Fatalf("%d items for %d ids", len(items), len(ids))
@@ -151,8 +179,11 @@ func FuzzParseIDs(f *testing.F) {
 }
 
 // Arbitrary bytes as the origin's reply, over net.Pipe: Fetch and
-// FetchBatch return — never hang past their context — and never hand
-// back more than MaxBodyBytes per payload.
+// FetchBatch, and FetchInto and FetchBatchInto after them, return —
+// never hang past their context — and never hand back more than
+// MaxBodyBytes per payload; the lent-buffer forms reach the verdict the
+// owned ones did, append exactly the owned payloads behind an untouched
+// prefix, and on an error return what they were lent at its length.
 func FuzzWireReply(f *testing.F) {
 	for _, s := range []string{
 		"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello",
@@ -176,43 +207,82 @@ func FuzzWireReply(f *testing.F) {
 	}
 	const maxBody = 1 << 10
 	f.Fuzz(func(t *testing.T, reply []byte, batch bool) {
-		c, err := New(Config{BaseURL: "http://origin.invalid", BatchPath: "/batch", MaxBodyBytes: maxBody})
-		if err != nil {
-			t.Fatal(err)
-		}
-		originDone := make(chan struct{})
-		c.dial = func(context.Context, string, string) (net.Conn, error) {
-			near, far := net.Pipe()
-			go func() { // the origin: swallow the request, say the fuzzed bytes, hang up
-				defer close(originDone)
-				defer far.Close()
-				go io.Copy(io.Discard, far) // ends when either end closes
-				far.Write(reply)            // returns early if the client hangs up first
-			}()
-			return near, nil
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		returned := make(chan struct{})
-		go func() {
-			defer close(returned)
-			if batch {
-				items, _ := c.FetchBatch(ctx, []fetch.ID{1, 2})
-				for _, it := range items {
-					if n := len(it.Data.([]byte)); n > maxBody {
-						t.Errorf("batch payload of %d bytes past the %d bound", n, maxBody)
+		var owned []byte // the owned forms' payloads back to back, nil if they failed
+		for _, into := range []bool{false, true} {
+			c, err := New(Config{BaseURL: "http://origin.invalid", BatchPath: "/batch", MaxBodyBytes: maxBody})
+			if err != nil {
+				t.Fatal(err)
+			}
+			originDone := make(chan struct{})
+			c.dial = func(context.Context, string, string) (net.Conn, error) {
+				near, far := net.Pipe()
+				go func() { // the origin: swallow the request, say the fuzzed bytes, hang up
+					defer close(originDone)
+					defer far.Close()
+					go io.Copy(io.Discard, far) // ends when either end closes
+					far.Write(reply)            // returns early if the client hangs up first
+				}()
+				return near, nil
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			defer cancel()
+			returned := make(chan struct{})
+			go func() {
+				defer close(returned)
+				if !into {
+					var items []fetch.Item
+					if batch {
+						items, _ = c.FetchBatch(ctx, []fetch.ID{1, 2})
+					} else if item, err := c.Fetch(ctx, 1); err == nil {
+						items = []fetch.Item{item}
+					}
+					for _, it := range items {
+						if n := len(it.Data.([]byte)); n > maxBody {
+							t.Errorf("payload of %d bytes past the %d bound", n, maxBody)
+						}
+						owned = append(owned, it.Data.([]byte)...)
+					}
+					if items != nil && owned == nil {
+						owned = []byte{}
+					}
+					return
+				}
+				dst, lens := append(make([]byte, 0, 16), "head"...), append(make([]int, 0, 4), 7)
+				out, ls, err := dst, lens, error(nil)
+				if batch {
+					out, ls, err = c.FetchBatchInto(ctx, []fetch.ID{1, 2}, dst, lens)
+				} else if out, err = c.FetchInto(ctx, 1, dst); err == nil {
+					ls = append(ls, len(out)-4)
+				}
+				if string(out[:4]) != "head" || string(dst[:4]) != "head" || ls[0] != 7 {
+					t.Errorf("the lent prefix was modified: %q, %v", out[:4], ls[0])
+				}
+				if (err == nil) != (owned != nil) {
+					t.Errorf("the lent-buffer fetch returned %v where the owned one's payloads were %v", err, owned != nil)
+				}
+				if err != nil {
+					if len(out) != 4 || len(ls) != 1 {
+						t.Errorf("after %v the lent slices came back %d and %d long, want 4 and 1", err, len(out), len(ls))
+					}
+					return
+				}
+				sum := 0
+				for _, n := range ls[1:] {
+					if sum += n; n > maxBody {
+						t.Errorf("%d bytes appended for one payload, past the %d bound", n, maxBody)
 					}
 				}
-			} else if item, err := c.Fetch(ctx, 1); err == nil && len(item.Data.([]byte)) > maxBody {
-				t.Errorf("payload of %d bytes past the %d bound", len(item.Data.([]byte)), maxBody)
+				if sum != len(out)-4 || !bytes.Equal(out[4:], owned) {
+					t.Errorf("lens %v for %d appended bytes, which are the owned payloads: %v", ls[1:], len(out)-4, bytes.Equal(out[4:], owned))
+				}
+			}()
+			select {
+			case <-returned:
+			case <-time.After(10 * time.Second):
+				t.Fatal("fetch hung past its context")
 			}
-		}()
-		select {
-		case <-returned:
-		case <-time.After(10 * time.Second):
-			t.Fatal("fetch hung past its context")
+			c.Close() // hangs up a pooled connection, which lets a blocked origin Write return
+			<-originDone
 		}
-		c.Close() // hangs up a pooled connection, which lets a blocked origin Write return
-		<-originDone
 	})
 }

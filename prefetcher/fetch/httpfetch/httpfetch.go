@@ -16,10 +16,17 @@
 //
 // Object fetches are plain GETs: id 42 becomes GET {BaseURL}/obj/42
 // (the path template is configurable). Response bodies are bounded by
-// MaxBodyBytes and land in a single []byte sized from Content-Length
-// when the origin provides one — no intermediate buffer, no copy — and
-// that slice is the Item's payload as cached by the engine and served
-// to hits.
+// MaxBodyBytes and go through one reader (readBounded), which appends
+// to its destination, grown once from Content-Length when the origin
+// provides one. The bytes are copied bufio buffer → destination (a body
+// larger than the connection's 4 KiB read buffer skips it: socket →
+// destination). Lent a buffer — FetchInto, FetchBatchInto: the engine
+// lends a GetBytes caller's own reply buffer, or a speculative worker's
+// scratch — the destination is that buffer and the payload is copied
+// once more, into the cache. Fetch and FetchBatch are the same reads
+// with nothing lent: the destination is a fresh slice the Item keeps,
+// which a copying cache (bytestore) copies in and a byte view copies
+// out again.
 //
 // # The origin wire
 //
@@ -28,8 +35,8 @@
 // bounded free list of keep-alive connections (wire.go); the calling
 // goroutine writes the request in one Write, parses the reply's head
 // with net/http's own http.ReadResponse and reads the body (declared
-// or chunked, trailers included: still net/http's code) straight into
-// the payload. No goroutine, channel or timer exists per connection or
+// or chunked, trailers included: still net/http's code) into the
+// destination. No goroutine, channel or timer exists per connection or
 // per fetch. Deliberately absent: HTTP/2 (an https origin is dialled
 // through crypto/tls and spoken to in HTTP/1.1), redirects (a 3xx is a
 // *StatusError like any other non-200), HTTP_PROXY, Accept-Encoding
@@ -65,6 +72,7 @@ import (
 	"net"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -206,80 +214,126 @@ func New(cfg Config) (*Client, error) {
 	return c, nil
 }
 
-// readBounded reads at most maxBody payload bytes. With a declared
-// Content-Length the payload lands in one exactly-sized allocation and
-// is returned without copying; chunked replies fall back to a growing
-// read capped one byte past the bound so overflow is detected, not
-// truncated.
-func readBounded(r io.Reader, declared, maxBody int64) ([]byte, error) {
+// readBounded appends at most maxBody payload bytes to dst — the one
+// body reader every fetch goes through. With a declared length dst is
+// grown once, exactly, and filled from r; a chunked reply is read in
+// growing steps capped one byte past the bound so overflow is detected,
+// not truncated. On any error dst is returned at its original length.
+func readBounded(r io.Reader, declared, maxBody int64, dst []byte) ([]byte, error) {
 	if declared > maxBody {
-		return nil, fmt.Errorf("httpfetch: body %d bytes exceeds bound %d", declared, maxBody)
+		return dst, fmt.Errorf("httpfetch: body %d bytes exceeds bound %d", declared, maxBody)
 	}
+	n := len(dst)
 	if declared >= 0 {
-		buf := make([]byte, declared)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, err
+		dst = slices.Grow(dst, int(declared))[:n+int(declared)]
+		if _, err := io.ReadFull(r, dst[n:]); err != nil {
+			return dst[:n], err
 		}
-		return buf, nil
+		return dst, nil
 	}
-	buf, err := io.ReadAll(io.LimitReader(r, maxBody+1))
-	if err != nil {
-		return nil, err
+	for {
+		dst = slices.Grow(dst, 512)
+		free := dst[len(dst):cap(dst)]
+		if room := maxBody - int64(len(dst)-n); int64(len(free)) > room {
+			free = free[:room+1]
+		}
+		m, err := r.Read(free)
+		dst = dst[:len(dst)+m]
+		switch {
+		case int64(len(dst)-n) > maxBody:
+			return dst[:n], fmt.Errorf("httpfetch: body exceeds bound %d", maxBody)
+		case err == io.EOF:
+			return dst, nil
+		case err != nil:
+			return dst[:n], err
+		}
 	}
-	if int64(len(buf)) > maxBody {
-		return nil, fmt.Errorf("httpfetch: body exceeds bound %d", maxBody)
-	}
-	return buf, nil
 }
 
 // Fetch implements fetch.Fetcher: one GET, body bytes as the payload,
 // Size = payload length in bytes (so configure Backend.Bandwidth in
-// bytes per second). Cancellation reaches the dial, the request write,
-// the reply head or the body read — whichever is current.
+// bytes per second). It is FetchInto with no buffer lent: the payload
+// lands in a slice of its own, which the Item keeps.
 func (c *Client) Fetch(ctx context.Context, id fetch.ID) (fetch.Item, error) {
-	ids := [1]fetch.ID{id}
-	cn, err := c.start(ctx, c.objPre, ids[:], c.objTail)
+	data, err := c.FetchInto(ctx, id, nil)
 	if err != nil {
-		return fetch.Item{}, err
-	}
-	data, err := readBounded(cn, cn.resp.ContentLength, c.maxBody)
-	if err = c.finish(ctx, cn, err); err != nil {
 		return fetch.Item{}, err
 	}
 	return fetch.Item{ID: id, Size: float64(len(data)), Data: data}, nil
 }
 
+// FetchInto implements fetch.IntoFetcher: one GET, the body appended to
+// dst. Cancellation reaches the dial, the request write, the reply head
+// or the body read — whichever is current.
+func (c *Client) FetchInto(ctx context.Context, id fetch.ID, dst []byte) ([]byte, error) {
+	ids := [1]fetch.ID{id}
+	cn, err := c.start(ctx, c.objPre, ids[:], c.objTail)
+	if err != nil {
+		return dst, err
+	}
+	out, err := readBounded(cn, cn.resp.ContentLength, c.maxBody, dst)
+	if err = c.finish(ctx, cn, err); err != nil {
+		return dst, err
+	}
+	return out, nil
+}
+
 // FetchBatch implements fetch.BatchFetcher: one wire-framed request
 // when the origin has a batch endpoint, bounded parallel GETs
 // otherwise. Either way the reply is one Item per id in request order,
-// and any failure fails the whole batch (the fabric's speculative
-// batches accept that; its demand batches degrade to per-key
-// fallback).
+// each owning its payload, and any failure fails the whole batch (the
+// fabric's speculative batches accept that; its demand batches degrade
+// to per-key fallback).
 func (c *Client) FetchBatch(ctx context.Context, ids []fetch.ID) ([]fetch.Item, error) {
-	if len(ids) == 0 {
-		return nil, nil
-	}
-	if c.batchPre == "" {
-		return c.fetchBatchFanout(ctx, ids)
-	}
-	cn, err := c.start(ctx, c.batchPre, ids, c.reqTail)
-	if err != nil {
-		return nil, err
-	}
-	items, err := ReadBatch(cn, ids, c.maxBody)
-	if err = c.finish(ctx, cn, err); err != nil {
+	items := make([]fetch.Item, len(ids))
+	if _, _, err := c.fetchBatch(ctx, ids, items, nil, nil); err != nil {
 		return nil, err
 	}
 	return items, nil
 }
 
+// FetchBatchInto implements fetch.BatchIntoFetcher: FetchBatch with the
+// payloads appended to dst back to back and one length per id appended
+// to lens. Without a batch endpoint the parallel GETs cannot share a
+// lent buffer: each owns its payload, which is copied in afterwards.
+func (c *Client) FetchBatchInto(ctx context.Context, ids []fetch.ID, dst []byte, lens []int) ([]byte, []int, error) {
+	if c.batchPre != "" {
+		return c.fetchBatch(ctx, ids, nil, dst, lens)
+	}
+	items, err := c.FetchBatch(ctx, ids)
+	for _, it := range items {
+		b := it.Data.([]byte)
+		dst, lens = append(dst, b...), append(lens, len(b))
+	}
+	return dst, lens, err
+}
+
+// fetchBatch is the batch round trip behind both forms: records go to
+// items when it is non-nil, to dst and lens otherwise (see readBatch).
+func (c *Client) fetchBatch(ctx context.Context, ids []fetch.ID, items []fetch.Item, dst []byte, lens []int) ([]byte, []int, error) {
+	if len(ids) == 0 {
+		return dst, lens, nil
+	}
+	if c.batchPre == "" {
+		return dst, lens, c.fetchBatchFanout(ctx, ids, items)
+	}
+	cn, err := c.start(ctx, c.batchPre, ids, c.reqTail)
+	if err != nil {
+		return dst, lens, err
+	}
+	out, ls, err := readBatch(cn, ids, c.maxBody, items, dst, lens)
+	if err = c.finish(ctx, cn, err); err != nil {
+		return dst, lens, err
+	}
+	return out, ls, nil
+}
+
 // fetchBatchFanout serves the batch as parallel single GETs bounded by
-// MaxParallel. The first failure cancels the stragglers — a batch that
-// already failed should stop spending origin capacity.
-func (c *Client) fetchBatchFanout(ctx context.Context, ids []fetch.ID) ([]fetch.Item, error) {
+// MaxParallel, filling items. The first failure cancels the stragglers
+// — a batch that already failed should stop spending origin capacity.
+func (c *Client) fetchBatchFanout(ctx context.Context, ids []fetch.ID, items []fetch.Item) error {
 	wctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	items := make([]fetch.Item, len(ids))
 	errs := make([]error, len(ids))
 	sem := make(chan struct{}, c.maxParallel)
 	var wg sync.WaitGroup
@@ -298,10 +352,10 @@ func (c *Client) fetchBatchFanout(ctx context.Context, ids []fetch.ID) ([]fetch.
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return items, nil
+	return nil
 }
 
 // batchHeaderLen is the fixed record header: 8-byte id + 4-byte length.
@@ -331,31 +385,51 @@ func WriteBatchItem(w io.Writer, id fetch.ID, data []byte) error {
 // whole-batch failure (speculative) or falls back per key (demand),
 // and a lenient parse here would mask origin bugs as cache content.
 func ReadBatch(r io.Reader, ids []fetch.ID, maxBody int64) ([]fetch.Item, error) {
-	items := make([]fetch.Item, 0, len(ids))
+	items := make([]fetch.Item, len(ids))
+	if _, _, err := readBatch(r, ids, maxBody, items, nil, nil); err != nil {
+		return nil, err
+	}
+	return items, nil
+}
+
+// readBatch is the one batch decoder. With items non-nil (len(ids))
+// each record's payload lands in a slice of its own, kept by items[i];
+// with items nil the payloads are appended to dst back to back and one
+// length per id to lens, both returned as they came on any error.
+func readBatch(r io.Reader, ids []fetch.ID, maxBody int64, items []fetch.Item, dst []byte, lens []int) ([]byte, []int, error) {
+	out, ls := dst, lens
 	var hdr [batchHeaderLen]byte
 	for i, want := range ids {
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return nil, fmt.Errorf("httpfetch: batch record %d/%d: %w", i, len(ids), err)
+			return dst, lens, fmt.Errorf("httpfetch: batch record %d/%d: %w", i, len(ids), err)
 		}
 		id := fetch.ID(binary.BigEndian.Uint64(hdr[:8]))
 		n := int64(binary.BigEndian.Uint32(hdr[8:]))
 		if id != want {
-			return nil, fmt.Errorf("httpfetch: batch record %d has id %d, want %d", i, id, want)
+			return dst, lens, fmt.Errorf("httpfetch: batch record %d has id %d, want %d", i, id, want)
 		}
 		if n > maxBody {
-			return nil, fmt.Errorf("httpfetch: batch record %d: %d bytes exceeds bound %d", i, n, maxBody)
+			return dst, lens, fmt.Errorf("httpfetch: batch record %d: %d bytes exceeds bound %d", i, n, maxBody)
 		}
-		data := make([]byte, n)
-		if _, err := io.ReadFull(r, data); err != nil {
-			return nil, fmt.Errorf("httpfetch: batch record %d payload: %w", i, err)
+		rec := out
+		if items != nil {
+			rec = nil
 		}
-		items = append(items, fetch.Item{ID: id, Size: float64(n), Data: data})
+		rec, err := readBounded(r, n, maxBody, rec)
+		if err != nil {
+			return dst, lens, fmt.Errorf("httpfetch: batch record %d payload: %w", i, err)
+		}
+		if items != nil {
+			items[i] = fetch.Item{ID: id, Size: float64(n), Data: rec}
+		} else {
+			out, ls = rec, append(ls, int(n))
+		}
 	}
-	var trail [1]byte
-	if _, err := r.Read(trail[:]); err != io.EOF {
-		return nil, fmt.Errorf("httpfetch: trailing bytes after %d batch records", len(ids))
+	// A reader may hand over its last byte and io.EOF together.
+	if n, err := r.Read(hdr[:1]); n != 0 || err != io.EOF {
+		return dst, lens, fmt.Errorf("httpfetch: trailing bytes after %d batch records", len(ids))
 	}
-	return items, nil
+	return out, ls, nil
 }
 
 // ParseIDs parses a comma-separated id list ("1,2,3") — the ?ids=

@@ -285,7 +285,8 @@ func TestClientBehindFabric(t *testing.T) {
 	if _, err := f.Fetch(context.Background(), 11); err != nil {
 		t.Fatal(err)
 	}
-	items, err := f.FetchSpeculativeBatch(context.Background(), 0, []fetch.ID{20, 21, 22})
+	items := make([]fetch.Item, 3)
+	_, err = f.FetchSpeculativeBatch(context.Background(), 0, []fetch.ID{20, 21, 22}, items, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -714,5 +715,128 @@ func TestWireBatchChunkedReuse(t *testing.T) {
 	}
 	if n := conns.Load(); n != 1 {
 		t.Fatalf("20 chunked batches and 20 fetches used %d connections, want 1", n)
+	}
+}
+
+// frameRecords is the batch wire's framing of the given payloads under
+// ids 1, 2, ….
+func frameRecords(payloads ...string) string {
+	var buf bytes.Buffer
+	for i, p := range payloads {
+		WriteBatchItem(&buf, fetch.ID(i+1), []byte(p))
+	}
+	return buf.String()
+}
+
+// The borrow rule on the wire: whatever way a reply fails after bytes
+// of it were read into the lent buffer — a body cut short, a 5xx, a
+// payload past MaxBodyBytes declared or chunked, a batch cut short,
+// misordered or with bytes to spare, the context dying mid-body —
+// FetchInto and FetchBatchInto hand the caller's buffer back at its
+// original length, prefix untouched, lens as it came; and the fetch
+// after it, on a good reply, lands behind that same prefix.
+func TestFetchIntoErrorsRestoreDst(t *testing.T) {
+	const maxBody = 64
+	ok := func(body string) string {
+		return fmt.Sprintf("HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s", len(body), body)
+	}
+	chunked := func(body string) string {
+		return fmt.Sprintf("HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n%x\r\n%s\r\n0\r\n\r\n", len(body), body)
+	}
+	long := strings.Repeat("x", maxBody+1)
+	cases := map[string]struct {
+		reply  string
+		batch  bool
+		hangUp bool // the origin closes after the reply; else it holds the connection open
+	}{
+		"body cut short":          {reply: "HTTP/1.1 200 OK\r\nContent-Length: 40\r\n\r\ntwenty bytes of forty", hangUp: true},
+		"chunked body cut short":  {reply: "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n28\r\ntwenty bytes of forty", hangUp: true},
+		"5xx":                     {reply: "HTTP/1.1 503 Busy\r\nContent-Length: 4\r\n\r\nbusy"},
+		"declared past the bound": {reply: ok(long)},
+		"chunked past the bound":  {reply: chunked(long)},
+		"stalls mid-body":         {reply: "HTTP/1.1 200 OK\r\nContent-Length: 40\r\n\r\ntwenty bytes of forty"},
+		"batch cut short":         {reply: ok(frameRecords("first", "second")[:30]), batch: true},
+		"batch misordered":        {reply: chunked(frameRecords("first")) /* id 1 where 2 … */, batch: true},
+		"batch trailing bytes":    {reply: ok(frameRecords("first", "second") + "x"), batch: true},
+		"batch record too long":   {reply: ok(frameRecords("first", long)), batch: true},
+	}
+	for name, tc := range cases {
+		tc := tc
+		t.Run(name, func(t *testing.T) {
+			o := newScriptedOrigin(t, 2, func(n int, c *originConn) {
+				if n == 0 {
+					c.request()
+					c.send(tc.reply)
+					if !tc.hangUp {
+						c.request() // hold the connection open until the client closes it
+					}
+					return
+				}
+				for line := c.request(); line != ""; line = c.request() {
+					if strings.Contains(line, "/batch") {
+						c.reply(frameRecords("first", "second"))
+					} else {
+						c.reply("good")
+					}
+				}
+			})
+			c := newClient(t, Config{BaseURL: o.url, BatchPath: "/batch", MaxBodyBytes: maxBody})
+			defer c.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+			defer cancel()
+			dst := append(make([]byte, 0, 16), "head"...)
+			lens := append(make([]int, 0, 4), 7)
+			ids := []fetch.ID{1, 2}
+			if name == "batch misordered" {
+				ids = []fetch.ID{2}
+			}
+			fetchInto := func(ctx context.Context) ([]byte, []int, error) {
+				if tc.batch {
+					return c.FetchBatchInto(ctx, ids, dst, lens)
+				}
+				out, err := c.FetchInto(ctx, 1, dst)
+				return out, lens, err
+			}
+			out, ls, err := fetchInto(ctx)
+			if err == nil {
+				t.Fatal("the fetch succeeded")
+			}
+			if name == "stalls mid-body" && !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("err = %v, want the context's", err)
+			}
+			if len(out) != 4 || string(out) != "head" || &out[0] != &dst[0] || len(ls) != 1 || ls[0] != 7 {
+				t.Fatalf("after %v the lent slices came back as %q and %v, want the caller's own at their original lengths", err, out, ls)
+			}
+			ids = []fetch.ID{1, 2}
+			out, ls, err = fetchInto(context.Background())
+			want, wantLens := "headgood", []int{7}
+			if tc.batch {
+				want, wantLens = "headfirstsecond", []int{7, 5, 6}
+			}
+			if err != nil || string(out) != want || !slices.Equal(ls, wantLens) {
+				t.Fatalf("the next fetch landed %q with lens %v (err %v), want %q %v", out, ls, err, want, wantLens)
+			}
+		})
+	}
+}
+
+// Without a batch endpoint FetchBatchInto fans out owned fetches and
+// copies them in, in request order; an empty object appends nothing and
+// still has its length.
+func TestFetchBatchIntoFanout(t *testing.T) {
+	o := newScriptedOrigin(t, 4, func(n int, c *originConn) {
+		for line := c.request(); line != ""; line = c.request() {
+			if target := strings.Fields(line)[1]; target == "/obj/2" {
+				c.reply("")
+			} else {
+				c.reply(target)
+			}
+		}
+	})
+	c := newClient(t, Config{BaseURL: o.url})
+	defer c.Close()
+	out, lens, err := c.FetchBatchInto(context.Background(), []fetch.ID{1, 2, 3}, []byte("head"), nil)
+	if err != nil || string(out) != "head/obj/1/obj/3" || !slices.Equal(lens, []int{6, 0, 6}) {
+		t.Fatalf("FetchBatchInto = %q, %v, %v", out, lens, err)
 	}
 }

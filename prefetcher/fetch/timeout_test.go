@@ -166,7 +166,7 @@ func TestSpeculativeBatchTimeout(t *testing.T) {
 		{Name: "slow", Fetcher: slow, SpeculativeTimeout: 10 * time.Millisecond},
 	}})
 	start := time.Now()
-	_, err := f.FetchSpeculativeBatch(context.Background(), 0, []ID{1, 2, 3})
+	_, err := specBatch(f, context.Background(), 0, []ID{1, 2, 3})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("batch err = %v, want DeadlineExceeded", err)
 	}
@@ -187,7 +187,7 @@ func TestDemandBatchTimeoutFallsBackPerKey(t *testing.T) {
 	ids := []ID{1, 2, 3}
 	out := make([]Item, len(ids))
 	errs := make([]error, len(ids))
-	f.FetchDemandBatch(context.Background(), 0, ids, out, errs)
+	f.FetchDemandBatch(context.Background(), 0, ids, out, errs, nil, nil)
 	for i := range ids {
 		if errs[i] != nil {
 			t.Fatalf("key %d: %v (fallback should have served it)", ids[i], errs[i])

@@ -162,6 +162,18 @@ type ByteCache interface {
 	BytesLen(id ID) (int, bool)
 }
 
+// BytesPutter is optionally implemented by a Cache that can take a byte
+// payload by copy: PutBytes stores b under id exactly as Put(id, b)
+// would — same residency, same evictions reported — except that nothing
+// the cache keeps may alias b once it returns. It is what lets the
+// engine land a fetch read into a buffer it only borrowed (see bytes.go):
+// when every shard's cache has it, misses and prefetches are lent one;
+// otherwise payloads arrive owned and go through Put. bytestore's slab
+// store implements it. Called only under the owning shard's lock.
+type BytesPutter interface {
+	PutBytes(id ID, b []byte)
+}
+
 // Clock supplies the engine's notion of time. The default is the wall
 // clock; simulations and tests inject a ManualClock.
 type Clock interface {

@@ -85,10 +85,12 @@ type multiKey struct {
 	item    Item
 	err     error
 	backend int
-	// Byte sinks: inBuf marks a payload the cache's byte view already
-	// copied (or, for the length sink, measured) under the shard lock,
-	// located at [off, off+blen) of the sink buffer. Every other payload
-	// arrives boxed in item.Data and is unboxed when the read lands.
+	// Byte sinks: inBuf marks a payload already located at [off,
+	// off+blen) of the sink buffer — copied there (or, for the length
+	// sink, measured) by the cache's byte view under the shard lock, or
+	// read there from the origin by a fetch the buffer was lent to. Every
+	// other payload arrives boxed in item.Data and is unboxed when the
+	// read lands.
 	off, blen int
 	inBuf     bool
 	kind      uint8
@@ -130,6 +132,7 @@ type multiScratch struct {
 	gidx   []int // indices into states, aligned with gids
 	bout   []Item
 	berrs  []error
+	blens  []int // per staged miss, its payload's length in a lent buffer
 	// schedule's planning state: the per-backend partition and
 	// selection tables (sized to the backend count when the scratch is
 	// built), and the flattened sort buffer and keep set of the
@@ -450,7 +453,7 @@ func (e *Engine) fetchMultiMisses(ctx context.Context, ids []ID, sc *multiScratc
 		}
 	}
 	for b := 0; b < nb; b++ {
-		e.runDemandBatch(ctx, b, ids, sc)
+		e.runDemandBatch(ctx, b, ids, sc, mode, buf)
 	}
 	for i := range states {
 		if states[i].kind == mkJoin {
@@ -467,29 +470,41 @@ func (e *Engine) fetchMultiMisses(ctx context.Context, ids []ID, sc *multiScratc
 // reply checks and the per-key fallback — a one-key share, a batch
 // error, a short reply or a misordered reply degrades to the hedged,
 // failing-over Fetch per key, so one bad reply never fails the session.
+// A byte sink over copying caches lends the fetch the caller's buffer:
+// payloads read straight into it are in the sink already (inBuf) and
+// land borrowed.
 //
 //prefetch:hotpath
-func (e *Engine) runDemandBatch(ctx context.Context, b int, ids []ID, sc *multiScratch) {
+func (e *Engine) runDemandBatch(ctx context.Context, b int, ids []ID, sc *multiScratch, mode uint8, buf *[]byte) {
 	states := sc.states
 	gids, gidx := sc.gids[:0], sc.gidx[:0]
 	items, errs := sc.bout[:0], sc.berrs[:0]
+	lend, lens := e.lend && mode == sinkBytes, sc.blens[:0]
 	for i := range states {
 		if states[i].kind == mkOwner && states[i].backend == b {
 			gids, gidx = append(gids, ids[i]), append(gidx, i)
-			items, errs = append(items, Item{}), append(errs, nil)
+			items, errs, lens = append(items, Item{}), append(errs, nil), append(lens, 0)
 		}
 	}
-	sc.gids, sc.gidx, sc.bout, sc.berrs = gids, gidx, items, errs
+	sc.gids, sc.gidx, sc.bout, sc.berrs, sc.blens = gids, gidx, items, errs, lens
 	if len(gids) == 0 {
 		return
+	}
+	if !lend {
+		lens = nil // nothing is lent: each item owns its payload
 	}
 	if len(gids) > 1 && e.fabric.BatchCapable(b) {
 		e.batchedKeys.Add(int64(len(gids)))
 	}
-	e.fabric.FetchDemandBatch(ctx, b, gids, items, errs)
+	off := len(*buf)
+	*buf = e.fabric.FetchDemandBatch(ctx, b, gids, items, errs, *buf, lens)
 	for i, id := range gids {
 		st := &states[gidx[i]]
-		st.item, st.err = e.land(st.sh, id, st.f, items[i], errs[i], false)
+		if lend && errs[i] == nil {
+			st.off, st.blen, st.inBuf = off, lens[i], true
+			off += lens[i]
+		}
+		st.item, st.err = e.land(st.sh, id, st.f, items[i], (*buf)[st.off:st.off+st.blen], st.inBuf, errs[i], false)
 		st.kind = mkDone
 	}
 	// The replies are landed: the pooled staging must not pin them.
@@ -533,8 +548,15 @@ func (e *Engine) awaitJoined(ctx context.Context, id ID, st *multiKey, mode uint
 			st.f, owner = sh.joinOrRegister(e, id)
 			sh.mu.Unlock()
 			if owner {
-				item, err := e.fabric.Fetch(ctx, id)
-				st.item, st.err = e.land(sh, id, st.f, item, err, false)
+				var item Item
+				var err error
+				if st.off = len(*buf); e.lend && mode == sinkBytes {
+					item, *buf, err = e.fabric.FetchInto(ctx, id, *buf)
+					st.blen, st.inBuf = len(*buf)-st.off, err == nil
+				} else {
+					item, err = e.fabric.Fetch(ctx, id)
+				}
+				st.item, st.err = e.land(sh, id, st.f, item, (*buf)[st.off:], st.inBuf, err, false)
 				return
 			}
 			continue

@@ -14,7 +14,8 @@ import (
 // per resident (the caller's caches were empty at New — a prewarmed
 // entry has none), the wait-free resident count equals the caches' own,
 // every issued prefetch ended used, wasted, errored or still
-// resident-unused, every request ended a hit or a miss, and the built-in
+// resident-unused, every request ended a hit or a miss, a byte store's
+// arena and overflow bytes are each within its budget, and the built-in
 // access model's table is within its 65 536-row ceiling — with the
 // records bounded by the caches, nothing the engine keeps grows with the
 // key space. The caller must have stopped its demand traffic and
@@ -38,6 +39,15 @@ func checkRecords(t testing.TB, e *Engine) {
 		}
 		records += len(sh.records)
 		resident += sh.cache.Len()
+		// A byte store keeps its payload bytes under its budget, arena and
+		// overflow each (bytestore.Store, which this package cannot name).
+		if bs, ok := sh.cache.(interface {
+			Footprint() (arena, arenaMax, overflow, overflowMax int64)
+		}); ok {
+			if a, amax, o, omax := bs.Footprint(); a > amax || o > omax {
+				t.Errorf("shard %d: store holds %d arena bytes (ceiling %d) and %d overflow bytes (ceiling %d)", i, a, amax, o, omax)
+			}
+		}
 		sh.mu.Unlock()
 	}
 	st := e.Stats()
@@ -66,7 +76,7 @@ func checkRecords(t testing.TB, e *Engine) {
 
 // quiesceAndCheck is the tail of a concurrent test whose traffic has
 // stopped: wait out the speculative fetches, then audit the books.
-func quiesceAndCheck(t *testing.T, e *Engine) {
+func quiesceAndCheck(t testing.TB, e *Engine) {
 	t.Helper()
 	if err := e.Quiesce(context.Background()); err != nil {
 		t.Fatal(err)

@@ -45,6 +45,9 @@ type shard struct {
 	// slab-backed byte store does), nil otherwise; the GetBytes fast
 	// path type-asserts once at construction instead of per request.
 	bcache ByteCache
+	// pcache is cache when it can store a borrowed payload by copy
+	// (BytesPutter), nil otherwise; probed once, like bcache.
+	pcache BytesPutter
 	// inflight holds pointers and is bounded by concurrent fetches; it
 	// stays its own map so that records, which grows with the cache, is
 	// one the collector never scans.
@@ -89,9 +92,11 @@ const shardMapHint = 64
 
 func newShard(c Cache) *shard {
 	bc, _ := c.(ByteCache)
+	pc, _ := c.(BytesPutter)
 	return &shard{
 		cache:    c,
 		bcache:   bc,
+		pcache:   pc,
 		inflight: make(map[ID]*flight, shardMapHint),
 		records:  make(map[ID]resident, shardMapHint),
 	}
@@ -170,17 +175,22 @@ func defaultShards() int {
 	return nextPow2(n)
 }
 
-// putCache inserts data under id in the shard's cache and keeps the
-// engine's live resident count in step: +1 when the id is newly
-// admitted, and every eviction — whether triggered by this Put or by
-// any other cache call — is debited by the shard's eviction callback
-// (onEvict), so the counter stays correct for any Cache that reports
-// its evictions. Called with sh.mu held.
+// putCache inserts a payload under id in the shard's cache — data, or
+// by copy the borrowed bytes lent — and keeps the engine's live resident
+// count in step: +1 when the id is newly admitted, and every eviction —
+// whether triggered by this Put or by any other cache call — is debited
+// by the shard's eviction callback (onEvict), so the counter stays
+// correct for any Cache that reports its evictions. Called with sh.mu
+// held.
 //
 //prefetch:hotpath
-func (e *Engine) putCache(sh *shard, id ID, data any) {
+func (e *Engine) putCache(sh *shard, id ID, data any, lent []byte, borrowed bool) {
 	fresh := !sh.cache.Contains(id)
-	sh.cache.Put(id, data)
+	if borrowed {
+		sh.pcache.PutBytes(id, lent)
+	} else {
+		sh.cache.Put(id, data)
+	}
 	if fresh {
 		e.residents.Add(1)
 	}
