@@ -11,6 +11,7 @@ import (
 
 // breakerFetcher fails while broken is set.
 type breakerFetcher struct {
+	tripCount
 	broken atomic.Bool
 	calls  atomic.Int64
 }
@@ -18,6 +19,7 @@ type breakerFetcher struct {
 var errOrigin = errors.New("origin down")
 
 func (f *breakerFetcher) Fetch(ctx context.Context, id ID) (Item, error) {
+	f.trip()
 	f.calls.Add(1)
 	if f.broken.Load() {
 		return Item{}, errOrigin
@@ -27,16 +29,11 @@ func (f *breakerFetcher) Fetch(ctx context.Context, id ID) (Item, error) {
 
 func newBreakerFabric(t *testing.T, now *manualNow, backends ...Backend) *Fabric {
 	t.Helper()
-	f, err := New(Config{
+	return newTestFabric(t, Config{
 		Backends: backends,
 		Breaker:  &Breaker{Threshold: 3, Cooldown: time.Second},
 		Now:      now.Now,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { f.Close() })
-	return f
 }
 
 // TestBreakerOpensAndRoutesAround trips one of two backends and checks

@@ -15,11 +15,13 @@ import (
 
 // instantFetcher returns items immediately with the given size.
 type instantFetcher struct {
+	tripCount
 	size  float64
 	calls atomic.Int64
 }
 
 func (f *instantFetcher) Fetch(ctx context.Context, id ID) (Item, error) {
+	f.trip()
 	f.calls.Add(1)
 	return Item{ID: id, Size: f.size}, nil
 }
@@ -27,12 +29,14 @@ func (f *instantFetcher) Fetch(ctx context.Context, id ID) (Item, error) {
 // slowFetcher blocks for its delay (or until ctx is cancelled) before
 // answering; it records how many invocations saw a cancellation.
 type slowFetcher struct {
+	tripCount
 	delay     time.Duration
 	calls     atomic.Int64
 	cancelled atomic.Int64
 }
 
 func (f *slowFetcher) Fetch(ctx context.Context, id ID) (Item, error) {
+	f.trip()
 	f.calls.Add(1)
 	select {
 	case <-time.After(f.delay):
@@ -49,10 +53,12 @@ func (f *slowFetcher) Fetch(ctx context.Context, id ID) (Item, error) {
 
 // failingFetcher always errors.
 type failingFetcher struct {
+	tripCount
 	calls atomic.Int64
 }
 
 func (f *failingFetcher) Fetch(ctx context.Context, id ID) (Item, error) {
+	f.trip()
 	f.calls.Add(1)
 	return Item{}, errors.New("origin down")
 }
@@ -65,6 +71,7 @@ type batchFetcher struct {
 }
 
 func (f *batchFetcher) FetchBatch(ctx context.Context, ids []ID) ([]Item, error) {
+	f.trip()
 	f.batches.Add(1)
 	f.items.Add(int64(len(ids)))
 	out := make([]Item, len(ids))
@@ -74,13 +81,19 @@ func (f *batchFetcher) FetchBatch(ctx context.Context, ids []ID) ([]Item, error)
 	return out, nil
 }
 
+// newTestFabric builds a fabric that is closed when the test ends, its
+// books audited (see checkBooks) on either side of the Close.
 func newTestFabric(t *testing.T, cfg Config) *Fabric {
 	t.Helper()
 	f, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { f.Close() })
+	t.Cleanup(func() {
+		checkBooks(t, f)
+		f.Close()
+		checkBooks(t, f)
+	})
 	return f
 }
 
@@ -251,12 +264,14 @@ func TestHedgeDelayDerivedFromP95(t *testing.T) {
 // flakyFetcher fails its first call, then succeeds; it tracks the
 // maximum concurrent invocations it ever saw.
 type flakyFetcher struct {
+	tripCount
 	calls   atomic.Int64
 	active  atomic.Int64
 	maxSeen atomic.Int64
 }
 
 func (f *flakyFetcher) Fetch(ctx context.Context, id ID) (Item, error) {
+	f.trip()
 	n := f.active.Add(1)
 	defer f.active.Add(-1)
 	for {
@@ -345,6 +360,7 @@ func TestFetchSpeculativeBatchCoalesces(t *testing.T) {
 type shortBatchFetcher struct{ instantFetcher }
 
 func (f *shortBatchFetcher) FetchBatch(ctx context.Context, ids []ID) ([]Item, error) {
+	f.trip()
 	return []Item{{ID: ids[0], Size: 1}}, nil
 }
 
@@ -577,6 +593,7 @@ func TestRoutingString(t *testing.T) {
 type misorderedBatchFetcher struct{ instantFetcher }
 
 func (f *misorderedBatchFetcher) FetchBatch(ctx context.Context, ids []ID) ([]Item, error) {
+	f.trip()
 	out := make([]Item, len(ids))
 	for i, id := range ids {
 		out[len(ids)-1-i] = Item{ID: id, Size: 1}
@@ -588,11 +605,13 @@ func (f *misorderedBatchFetcher) FetchBatch(ctx context.Context, ids []ID) ([]It
 // path works except for the one poisoned id — the shape that exercises
 // per-key partial failure through the fallback.
 type pickyBatchFetcher struct {
+	tripCount
 	bad   ID
 	calls atomic.Int64
 }
 
 func (f *pickyBatchFetcher) Fetch(ctx context.Context, id ID) (Item, error) {
+	f.trip()
 	f.calls.Add(1)
 	if id == f.bad {
 		return Item{}, errors.New("poisoned id")
@@ -601,6 +620,7 @@ func (f *pickyBatchFetcher) Fetch(ctx context.Context, id ID) (Item, error) {
 }
 
 func (f *pickyBatchFetcher) FetchBatch(ctx context.Context, ids []ID) ([]Item, error) {
+	f.trip()
 	return nil, errors.New("batch refused")
 }
 
@@ -710,10 +730,7 @@ func TestFetchDemandBatchPartialFailure(t *testing.T) {
 
 func TestFetchDemandBatchClosedAndDeadContext(t *testing.T) {
 	bf := &batchFetcher{}
-	f, err := New(Config{Backends: []Backend{{Name: "batch", Fetcher: bf}}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := newTestFabric(t, Config{Backends: []Backend{{Name: "batch", Fetcher: bf}}})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	out := make([]Item, 2)

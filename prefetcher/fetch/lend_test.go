@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync/atomic"
 	"testing"
 )
 
@@ -14,6 +15,7 @@ import (
 // past len(dst), as a wire that died mid-body has; lie makes the batch
 // form break its contract.
 type intoFetcher struct {
+	tripCount
 	fail func(ID) bool
 	lie  func(dst []byte, lens []int) ([]byte, []int)
 	into int // FetchInto and FetchBatchInto calls
@@ -33,11 +35,13 @@ func (f *intoFetcher) appendTo(id ID, dst []byte) ([]byte, error) {
 }
 
 func (f *intoFetcher) FetchInto(ctx context.Context, id ID, dst []byte) ([]byte, error) {
+	f.trip()
 	f.into++
 	return f.appendTo(id, dst)
 }
 
 func (f *intoFetcher) Fetch(ctx context.Context, id ID) (Item, error) {
+	f.trip()
 	b, err := f.appendTo(id, nil)
 	if err != nil {
 		return Item{}, err
@@ -46,6 +50,7 @@ func (f *intoFetcher) Fetch(ctx context.Context, id ID) (Item, error) {
 }
 
 func (f *intoFetcher) FetchBatchInto(ctx context.Context, ids []ID, dst []byte, lens []int) ([]byte, []int, error) {
+	f.trip()
 	f.into++
 	out, ls := dst, lens
 	for _, id := range ids {
@@ -63,12 +68,14 @@ func (f *intoFetcher) FetchBatchInto(ctx context.Context, ids []ID, dst []byte, 
 }
 
 func (f *intoFetcher) FetchBatch(ctx context.Context, ids []ID) ([]Item, error) {
+	f.trip()
 	items := make([]Item, len(ids))
 	for i, id := range ids {
-		var err error
-		if items[i], err = f.Fetch(ctx, id); err != nil {
+		b, err := f.appendTo(id, nil)
+		if err != nil {
 			return nil, err
 		}
+		items[i] = Item{ID: id, Size: float64(len(b)), Data: b}
 	}
 	return items, nil
 }
@@ -76,6 +83,7 @@ func (f *intoFetcher) FetchBatch(ctx context.Context, ids []ID) ([]Item, error) 
 // intoOnly hides the batch forms.
 type intoOnly struct{ f *intoFetcher }
 
+func (w intoOnly) tripCounter() *atomic.Int64                     { return w.f.tripCounter() }
 func (w intoOnly) Fetch(ctx context.Context, id ID) (Item, error) { return w.f.Fetch(ctx, id) }
 func (w intoOnly) FetchInto(ctx context.Context, id ID, dst []byte) ([]byte, error) {
 	return w.f.FetchInto(ctx, id, dst)

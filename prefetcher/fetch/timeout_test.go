@@ -14,6 +14,7 @@ type slowBatchFetcher struct {
 }
 
 func (f *slowBatchFetcher) FetchBatch(ctx context.Context, ids []ID) ([]Item, error) {
+	f.trip()
 	select {
 	case <-time.After(f.delay):
 		out := make([]Item, len(ids))
@@ -35,6 +36,7 @@ type stuckBatchFetcher struct {
 }
 
 func (f *stuckBatchFetcher) FetchBatch(ctx context.Context, ids []ID) ([]Item, error) {
+	f.trip()
 	<-ctx.Done()
 	return nil, ctx.Err()
 }
