@@ -161,10 +161,14 @@
 // the controller's global estimate (1−ĥ′)λ̂ŝ̄/b which Stats.RhoPrime and
 // Threshold report, so an engine admits somewhat more than the global
 // figure alone suggests; Stats.Backends[i].RhoPrime is the number in
-// force. WithIdleWatermark adds the paper's load-impedance
-// result as a dispatch rule: speculative fetches for a link whose ρ̂
-// sits above the watermark are parked and dispatched only in that
-// link's idle periods (demand fetches are never gated). WithBreaker
+// force, and what feeds it is written once: every backend call the
+// fabric makes, whatever its entry point, is admitted, counted and
+// recorded on its link by one function and settled by another.
+// WithIdleWatermark adds the paper's load-impedance result as a
+// dispatch rule: speculative fetches for a link whose ρ̂ sits above the
+// watermark are parked (at most 256 per link, the rest shed) and
+// dispatched only in that link's idle periods (demand fetches are
+// never gated). WithBreaker
 // trips persistently failing backends open — routing steers around
 // them, fetches already routed there fail fast, and a half-open probe
 // after the cooldown re-admits a healed backend. Per-backend counters,

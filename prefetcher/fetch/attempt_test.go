@@ -42,8 +42,8 @@ func (c *tripCount) tripCounter() *atomic.Int64 { return &c.n }
 // holds nothing parked. A hedge loser may still be on its way to its
 // fake when the winner returns, and the drainer counts a burst released
 // just after unparking it, so the audit polls briefly before it fails.
-// newTestFabric and newBreakerFabric run it at the end of every test,
-// before and after Close.
+// newTestFabric, which every test in the package builds its fabrics
+// through, runs it when the test ends, before and after Close.
 func checkBooks(t testing.TB, f *Fabric) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
@@ -837,13 +837,17 @@ func TestHedgedBackoff(t *testing.T) {
 			trips:   [2]int64{1, 1}, retries: [2]int64{0, 1},
 		},
 		{
-			// Until PR 22 the pause after a failed attempt was deaf to the
-			// hedge timer; this row pins what that tree did.
-			name:    "a hedge falling due during the backoff waits for it",
-			hedging: Hedging{Delay: 50 * time.Millisecond, MaxAttempts: 2, Backoff: time.Second},
+			// BEHAVIOUR CHANGE (PR 22), the one row edited between the
+			// characterization commit and the collapse: the pause after a
+			// failed attempt used to be deaf to the hedge timer — this
+			// fetch took the full backoff and counted a retry; hedges
+			// launch without backoff, as Hedging's doc always said.
+			name:    "a hedge falling due during the backoff launches then",
+			hedging: Hedging{Delay: 50 * time.Millisecond, MaxAttempts: 2, Backoff: 30 * time.Second},
 			first:   side{failures: always},
-			atLeast: time.Second,
-			trips:   [2]int64{1, 1}, retries: [2]int64{0, 1},
+			atLeast: 50 * time.Millisecond,
+			less:    15 * time.Second,
+			trips:   [2]int64{1, 1}, hedges: [2]int64{0, 1}, won: [2]int64{0, 1},
 		},
 	} {
 		tc := tc

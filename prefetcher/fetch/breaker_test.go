@@ -218,23 +218,23 @@ func TestBreakerStragglerCancellationKeepsProbe(t *testing.T) {
 		t.Fatalf("probe not granted after cooldown (granted=%t probe=%t)", granted, probe)
 	}
 	// A straggler's cancellation arrives while the probe is in flight.
-	f.observe(b, now.Now(), Item{}, context.Canceled, true, false)
+	f.settle(ticket{b: b, start: now.Now()}, 0, context.Canceled)
 	if st := f.breakerState(b); st != "half-open" {
 		t.Fatalf("straggler cancellation demoted the breaker to %q, want half-open", st)
 	}
 	// A straggler's *failure* must not re-open/re-arm either.
-	f.observe(b, now.Now(), Item{}, errOrigin, true, false)
+	f.settle(ticket{b: b, start: now.Now()}, 0, errOrigin)
 	if st := f.breakerState(b); st != "half-open" {
 		t.Fatalf("straggler failure demoted the breaker to %q, want half-open", st)
 	}
 	// Nor may a straggler's *success* close the breaker — recovery goes
 	// through the probe's own verdict.
-	f.observe(b, now.Now(), Item{ID: 1, Size: 1}, nil, true, false)
+	f.settle(ticket{b: b, start: now.Now()}, 1, nil)
 	if st := f.breakerState(b); st != "half-open" {
 		t.Fatalf("straggler success closed the breaker (%q), want half-open", st)
 	}
 	// The probe's own cancellation releases the slot back to open.
-	f.observe(b, now.Now(), Item{}, context.Canceled, true, true)
+	f.settle(ticket{b: b, start: now.Now(), probe: true}, 0, context.Canceled)
 	if st := f.breakerState(b); st != "open" {
 		t.Fatalf("cancelled probe left the breaker %q, want open", st)
 	}

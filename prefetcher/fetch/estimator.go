@@ -1,7 +1,7 @@
 package fetch
 
 import (
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -94,9 +94,9 @@ func (e *estimator) p95Latency() float64 {
 		return 0
 	}
 	if e.p95 == 0 || e.stale >= latRecompute {
-		buf := make([]float64, e.ringLen)
-		copy(buf, e.ring[:e.ringLen])
-		sort.Float64s(buf)
+		ring := e.ring // a copy, on the stack: Stats calls this on every /stats
+		buf := ring[:e.ringLen]
+		slices.Sort(buf)
 		idx := (len(buf) * 95) / 100
 		if idx >= len(buf) {
 			idx = len(buf) - 1

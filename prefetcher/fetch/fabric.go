@@ -39,6 +39,10 @@ const maxGateWait = 5 * time.Millisecond
 // wait rounds to ~zero while ρ̂ still reads above the watermark.
 const minGateWait = 100 * time.Microsecond
 
+// deferDepth bounds each backend's parked-candidate queue; candidates
+// beyond it are shed and counted.
+const deferDepth = 256
+
 // Config assembles a Fabric. Backends is the only required field.
 type Config struct {
 	// Backends are the named links; at least one, names distinct.
@@ -55,9 +59,6 @@ type Config struct {
 	IdleWatermark float64
 	// Breaker enables per-backend circuit breaking; nil disables it.
 	Breaker *Breaker
-	// DeferDepth bounds each backend's parked-candidate queue
-	// (default 256); candidates beyond it are shed and counted.
-	DeferDepth int
 	// Alpha is the EWMA weight for the link and latency estimators
 	// (default 0.05, matching the engine's controller).
 	Alpha float64
@@ -65,14 +66,31 @@ type Config struct {
 	// to the wall clock measured from construction. The engine injects
 	// its own clock so link estimates share the controller's timeline.
 	Now func() float64
-	// OnRelease, when set, receives parked speculative candidates the
-	// idle gate releases, called from a drainer goroutine. The engine
-	// uses it to re-enter released candidates into its dispatch path.
-	// When nil, released candidates are fetched by the fabric itself
-	// (fire-and-forget warms nothing — standalone users almost always
-	// want the callback).
+	// OnRelease receives the parked speculative candidates the idle gate
+	// releases, called from a drainer goroutine (the engine re-enters
+	// them into its dispatch path). Required with an IdleWatermark: the
+	// fabric fetches nothing on its own behalf.
 	OnRelease func(backend int, ids []ID)
 }
+
+type (
+	// class is a traffic class: it indexes a backend's sent counters and
+	// picks the link flow and the per-attempt timeout.
+	class uint8
+	// how says what launched an attempt, for the counters.
+	how uint8
+)
+
+const (
+	demand class = iota
+	speculative
+)
+
+const (
+	first how = iota
+	retry     // follows a failed attempt
+	hedge     // races a slow one
+)
 
 // backendState is one backend plus everything the fabric tracks for
 // it.
@@ -88,23 +106,20 @@ type backendState struct {
 	est       *estimator
 	seed      uint64 // rendezvous-hash seed derived from the name
 
-	demand       atomic.Int64
-	speculative  atomic.Int64
-	errorsN      atomic.Int64
-	batchCalls   atomic.Int64
-	batchedItems atomic.Int64
-	// Demand-batch traffic (FetchDemandBatch) is counted apart from the
-	// speculative coalescing above: the two paths have different
-	// failure semantics and the split is what bench/'s page-batch
-	// workload reads (fetch.demand_batch_items_per_call).
-	demandBatchCalls   atomic.Int64
-	demandBatchedItems atomic.Int64
-	hedgesLaunched     atomic.Int64
-	hedgesWon          atomic.Int64
-	retries            atomic.Int64
-	deferredN          atomic.Int64
-	released           atomic.Int64
-	deferDropped       atomic.Int64
+	// sent counts, per class, the ids dispatched (per attempt: hedges and
+	// retries included) and the batch round trips that carried some of
+	// them — bench/'s page-batch workload reads the split. Indexed by
+	// class, never pointed at: atomicmix rejects an atomic field's address.
+	sent [2]struct {
+		ids, batchCalls, batchedItems atomic.Int64
+	}
+	errorsN        atomic.Int64
+	hedgesLaunched atomic.Int64
+	hedgesWon      atomic.Int64
+	retries        atomic.Int64
+	deferredN      atomic.Int64
+	released       atomic.Int64
+	deferDropped   atomic.Int64
 
 	// Circuit-breaker state (unused when no Breaker is configured):
 	// consecutive non-cancelled failures, the tri-state breaker, when it
@@ -128,7 +143,6 @@ type Fabric struct {
 	routing   Routing
 	hedging   *Hedging
 	watermark float64
-	deferCap  int
 	// breaker is the validated circuit-breaker config (thresh in
 	// failures, cooldown in fabric-time seconds); nil when disabled.
 	breaker *struct {
@@ -142,10 +156,6 @@ type Fabric struct {
 	done   chan struct{}
 	wg     sync.WaitGroup
 	closed atomic.Bool
-	// baseCtx is cancelled at Close; it bounds the fetches the fabric
-	// runs on its own behalf (standalone gate releases).
-	baseCtx    context.Context
-	baseCancel context.CancelFunc
 }
 
 // New validates cfg and assembles a Fabric, starting one idle-gate
@@ -157,17 +167,13 @@ func New(cfg Config) (*Fabric, error) {
 	if cfg.IdleWatermark < 0 || cfg.IdleWatermark > 1 || math.IsNaN(cfg.IdleWatermark) {
 		return nil, fmt.Errorf("fetch: idle watermark %v must be in [0,1]", cfg.IdleWatermark)
 	}
+	if cfg.IdleWatermark > 0 && cfg.OnRelease == nil {
+		return nil, fmt.Errorf("fetch: an idle watermark needs OnRelease to hand released candidates to")
+	}
 	if cfg.Hedging != nil {
 		if cfg.Hedging.Delay < 0 || cfg.Hedging.MaxAttempts < 0 || cfg.Hedging.Backoff < 0 || cfg.Hedging.P95Multiple < 0 {
 			return nil, fmt.Errorf("fetch: negative hedging parameter")
 		}
-	}
-	deferCap := cfg.DeferDepth
-	if deferCap == 0 {
-		deferCap = 256
-	}
-	if deferCap < 1 {
-		return nil, fmt.Errorf("fetch: defer depth %d must be >= 1", cfg.DeferDepth)
 	}
 	nowf := cfg.Now
 	if nowf == nil {
@@ -178,7 +184,6 @@ func New(cfg Config) (*Fabric, error) {
 		routing:   cfg.Routing,
 		hedging:   cfg.Hedging,
 		watermark: cfg.IdleWatermark,
-		deferCap:  deferCap,
 		nowf:      nowf,
 		onRelease: cfg.OnRelease,
 		done:      make(chan struct{}),
@@ -200,8 +205,6 @@ func New(cfg Config) (*Fabric, error) {
 			cooldown  float64
 		}{threshold: thresh, cooldown: cooldown}
 	}
-	//lint:allow ctxflow fabric-owned lifecycle root, cancelled in Close
-	f.baseCtx, f.baseCancel = context.WithCancel(context.Background())
 	seen := make(map[string]bool, len(cfg.Backends))
 	f.lends = f.hedging == nil || len(cfg.Backends) == 1 || f.maxAttempts() == 1
 	for i, b := range cfg.Backends {
@@ -250,9 +253,6 @@ func New(cfg Config) (*Fabric, error) {
 
 // NumBackends returns how many backends the fabric routes across.
 func (f *Fabric) NumBackends() int { return len(f.backends) }
-
-// Name returns backend i's configured name.
-func (f *Fabric) Name(i int) string { return f.backends[i].cfg.Name }
 
 // BatchCapable reports whether backend i's fetcher supports FetchBatch.
 func (f *Fabric) BatchCapable(i int) bool { return f.backends[i].batch != nil }
@@ -424,486 +424,203 @@ func (f *Fabric) score(b *backendState, id ID) float64 {
 	}
 }
 
-// Route returns the backend the fabric would dispatch id to right now.
-// Backends whose circuit breaker is open (and not yet due a probe) are
-// skipped as long as any routable backend remains; with every breaker
-// tripped the pure score order decides, and the dispatch itself fails
-// fast.
+// before is the one routing order: backend a is preferred to b for id
+// when it is routable and b's breaker is tripped, else by the lower
+// score; on a tie the earlier backend stays ahead.
+func (f *Fabric) before(a, b *backendState, id ID) bool {
+	if ra, rb := f.routable(a), f.routable(b); ra != rb {
+		return ra
+	}
+	return f.score(a, id) < f.score(b, id)
+}
+
+// Route returns the backend the fabric would dispatch id to right now,
+// the first of the routing order. With every breaker tripped the pure
+// score order decides, and the dispatch itself fails fast.
 func (f *Fabric) Route(id ID) int {
-	if len(f.backends) == 1 {
-		return 0
-	}
-	best := -1
-	var bestScore float64
-	for i, b := range f.backends {
-		if !f.routable(b) {
-			continue
-		}
-		if s := f.score(b, id); best < 0 || s < bestScore {
-			best, bestScore = i, s
-		}
-	}
-	if best >= 0 {
-		return best
-	}
-	best = 0
-	bestScore = f.score(f.backends[0], id)
+	best := 0
 	for i := 1; i < len(f.backends); i++ {
-		if s := f.score(f.backends[i], id); s < bestScore {
-			best, bestScore = i, s
+		if f.before(f.backends[i], f.backends[best], id) {
+			best = i
 		}
 	}
 	return best
 }
 
-// routeOrder returns all backends for id in preference order — the
-// hedge/failover sequence. Backends with a tripped breaker sort after
-// every routable one (score order within each class), so failover
-// naturally prefers healthy links but can still reach a tripped one as
-// the last resort.
+// routeOrder returns all backends for id in the routing order — the
+// hedge/failover sequence: failover prefers healthy links but can
+// still reach a tripped one as the last resort.
 func (f *Fabric) routeOrder(id ID) []int {
-	n := len(f.backends)
-	order := make([]int, n)
-	if n == 1 {
-		return order
-	}
-	scores := make([]float64, n)
-	tripped := make([]bool, n)
-	for i, b := range f.backends {
+	order := make([]int, len(f.backends))
+	for i := range order { // insertion sort: the backend count is single digits
 		order[i] = i
-		scores[i] = f.score(b, id)
-		tripped[i] = !f.routable(b)
-	}
-	before := func(a, b int) bool {
-		if tripped[a] != tripped[b] {
-			return tripped[b]
-		}
-		return scores[a] < scores[b]
-	}
-	// Insertion sort: n is the backend count, single digits.
-	for i := 1; i < n; i++ {
-		for j := i; j > 0 && before(order[j], order[j-1]); j-- {
+		for j := i; j > 0 && f.before(f.backends[order[j]], f.backends[order[j-1]], id); j-- {
 			order[j], order[j-1] = order[j-1], order[j]
 		}
 	}
 	return order
 }
 
-// --- per-attempt timeouts ------------------------------------------------
+// --- the attempt bracket -------------------------------------------------
+//
+// Every backend call the fabric makes runs between admit (the breaker's
+// leave, the counters, the dispatch on the link) and settle (the
+// outcome into breaker, estimator and link), bounded by ticket.ctx. Two
+// call shapes sit between them: batch, which admits for itself, and one,
+// handed its ticket by fetchSequential, fetchHedged's launcher (it admits
+// on the caller's goroutine and runs one on its own) or
+// FetchSpeculativeBatch. What a fetch costs the link is written here only.
 
-// nopCancel is the shared no-op returned when a backend has no timeout
-// configured, so every dispatch site can defer the cancel uniformly.
+// ticket is one admitted attempt, from admit to settle.
+type ticket struct {
+	b     *backendState
+	class class
+	how   how
+	probe bool    // the attempt carries the breaker's half-open probe
+	start float64 // dispatch time, fabric clock
+}
+
+// admit opens the bracket for one round trip carrying n ids of class c
+// to b, or says why nothing may go out: ErrClosed, or ErrBreakerOpen
+// from b's breaker. A hedge or a retry counts its id again, under its
+// label; n > 1 is a batch call and one link dispatch — the items travel
+// together, the point of coalescing.
+//
+//prefetch:hotpath
+func (f *Fabric) admit(b *backendState, c class, n int, h how) (ticket, error) {
+	if f.closed.Load() {
+		return ticket{}, ErrClosed
+	}
+	granted, probe := f.acquire(b)
+	if !granted {
+		return ticket{}, ErrBreakerOpen
+	}
+	b.sent[c].ids.Add(int64(n))
+	if n > 1 {
+		b.sent[c].batchCalls.Add(1)
+		b.sent[c].batchedItems.Add(int64(n))
+	}
+	switch h {
+	case retry:
+		b.retries.Add(1)
+	case hedge:
+		b.hedgesLaunched.Add(1)
+	}
+	t := ticket{b: b, class: c, how: h, probe: probe, start: f.nowf()}
+	if c == demand {
+		b.link.RecordDemand(t.start)
+	} else {
+		b.link.RecordSpeculative(t.start)
+	}
+	return t, nil
+}
+
+// nopCancel is ticket.ctx's cancel when the backend sets no timeout.
 func nopCancel() {}
 
-// attemptCtx layers one backend's per-attempt timeout under ctx: with
-// d > 0 the attempt gets its own deadline (a timed-out attempt reads as
-// a failure — it feeds failover and the breaker, unlike a caller
-// cancellation); with d == 0 ctx passes through untouched. The returned
-// cancel must be called when the attempt finishes so the timer is
-// released.
-func attemptCtx(ctx context.Context, d time.Duration) (context.Context, context.CancelFunc) {
+// ctx layers the backend's timeout for the ticket's class under ctx: a
+// timed-out attempt reads as a failure — it feeds failover and the
+// breaker, unlike a caller cancellation. With none configured ctx passes
+// through; the cancel releases the timer when the attempt finishes.
+func (t ticket) ctx(ctx context.Context) (context.Context, context.CancelFunc) {
+	d := t.b.cfg.DemandTimeout
+	if t.class == speculative {
+		d = t.b.cfg.SpeculativeTimeout
+	}
 	if d <= 0 {
 		return ctx, nopCancel
 	}
 	return context.WithTimeout(ctx, d)
 }
 
-// --- demand path: hedged, failing-over fetch -----------------------------
-
-type attemptResult struct {
-	item   Item
-	err    error
-	idx    int
-	hedged bool
-}
-
-// hedgeDelay returns how long to wait before racing a hedge after an
-// attempt on backend idx, or -1 when no hedge should be armed (no
-// hedging configured, or no p95 estimate yet to derive the delay
-// from).
-func (f *Fabric) hedgeDelay(idx int) time.Duration {
-	h := f.hedging
-	if h == nil {
-		return -1
-	}
-	if h.Delay > 0 {
-		return h.Delay
-	}
-	p95 := f.backends[idx].est.p95Latency()
-	if p95 <= 0 {
-		return -1
-	}
-	mult := h.P95Multiple
-	if mult == 0 {
-		mult = 1
-	}
-	return time.Duration(p95 * mult * float64(time.Second))
-}
-
-// maxAttempts returns the attempt budget for one demand fetch.
-func (f *Fabric) maxAttempts() int {
-	if f.hedging != nil && f.hedging.MaxAttempts > 0 {
-		return f.hedging.MaxAttempts
-	}
-	return len(f.backends)
-}
-
-// observe folds one finished attempt into backend b's estimators.
-// Cancelled losers are neither latency samples nor errors.
-func (f *Fabric) observe(b *backendState, start float64, item Item, err error, demand, probe bool) {
+// settle closes the bracket: the breaker's verdict, by the attempt's own
+// outcome and probe ownership, and for a success a latency sample, the
+// goodput estimate behind an unconfigured bandwidth, and the size
+// delivered on the link. A cancelled attempt (hedge loser, caller gave
+// up) is neither sample nor error, but a cancelled probe frees its slot.
+//
+//prefetch:hotpath
+func (f *Fabric) settle(t ticket, size float64, err error) {
+	b := t.b
 	if err != nil {
-		if !errors.Is(err, context.Canceled) {
-			b.errorsN.Add(1)
-			f.breakerFailure(b, probe)
+		if errors.Is(err, context.Canceled) {
+			f.breakerCancelled(b, t.probe)
 		} else {
-			// Neither a success nor a failure — but a cancelled
-			// half-open probe must release its slot.
-			f.breakerCancelled(b, probe)
+			b.errorsN.Add(1)
+			f.breakerFailure(b, t.probe)
 		}
 		return
 	}
-	f.breakerSuccess(b, probe)
-	lat := f.nowf() - start
-	size := item.Size
+	f.breakerSuccess(b, t.probe)
 	if size <= 0 {
 		size = 1
 	}
-	b.est.observe(lat, size)
+	b.est.observe(f.nowf()-t.start, size)
 	if b.cfg.Bandwidth == 0 {
 		if bw := b.est.bandwidth(); bw > 0 {
 			b.link.SetBandwidth(bw)
 		}
 	}
-	if demand {
+	if t.class == demand {
 		b.link.RecordDemandSize(size)
 	} else {
 		b.link.RecordSpeculativeSize(size)
 	}
 }
 
-// Fetch serves one demand fetch: the id is routed to its preferred
-// backend; if hedging is configured, a second backend is raced after
-// the primary's p95-derived hedge delay; a failed attempt fails over
-// to the next backend (with backoff) until the attempt budget is
-// spent. The first success wins and the losers are cancelled through
-// their context. Without hedging the failover is purely sequential —
-// no goroutine, channel or context allocation on the demand hot path.
-func (f *Fabric) Fetch(ctx context.Context, id ID) (Item, error) {
-	item, _, err := f.fetch(ctx, id, nil, false)
-	return item, err
-}
-
-// FetchInto is Fetch on a fabric that Lends: the payload is appended to
-// dst, returned extended, and the item carries its id and size alone.
-// On error dst comes back as it went.
-func (f *Fabric) FetchInto(ctx context.Context, id ID, dst []byte) (Item, []byte, error) {
-	return f.fetch(ctx, id, dst, true)
-}
-
-// fetch is the demand fetch behind Fetch and FetchInto.
-func (f *Fabric) fetch(ctx context.Context, id ID, dst []byte, lend bool) (Item, []byte, error) {
-	if f.closed.Load() {
-		return Item{}, dst, ErrClosed
-	}
-	if f.hedging == nil {
-		// One attempt per backend, no backoff.
-		return f.fetchSequential(ctx, id, 0, 0, dst, lend)
-	}
-	// A hedge against the only backend would just be a concurrent
-	// duplicate on the same link, and a single attempt can neither hedge
-	// nor retry: both degrade to sequential retries with backoff, as
-	// WithHedging documents, and skip the goroutine/channel/context
-	// machinery entirely.
-	attempts := f.maxAttempts()
-	if len(f.backends) == 1 || attempts == 1 {
-		return f.fetchSequential(ctx, id, attempts, f.hedging.Backoff, dst, lend)
-	}
-	item, err := f.fetchHedged(ctx, id, attempts) // lend is false: see Lends
-	return item, dst, err
-}
-
-// fetchHedged races up to attempts attempts (at least two, over at
-// least two backends) for id, each owning its payload.
-func (f *Fabric) fetchHedged(ctx context.Context, id ID, attempts int) (Item, error) {
-	order := f.routeOrder(id)
-
-	// One shared cancellable context covers every attempt: when Fetch
-	// returns, the deferred cancel reaps whichever losers still run.
-	wctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	results := make(chan attemptResult, attempts) // buffered: losers never block
-	launched, outstanding := 0, 0
-	// launch dispatches the next attempt slot whose backend's breaker
-	// admits it, reporting whether anything was actually launched —
-	// slots on tripped backends are consumed and skipped.
-	launch := func(hedged, retry bool) bool {
-		for launched < attempts {
-			b := f.backends[order[launched%len(order)]]
-			launched++
-			granted, probe := f.acquire(b)
-			if !granted {
-				continue
-			}
-			outstanding++
-			b.demand.Add(1)
-			if hedged {
-				b.hedgesLaunched.Add(1)
-			}
-			if retry {
-				b.retries.Add(1)
-			}
-			start := f.nowf()
-			b.link.RecordDemand(start)
-			go func() {
-				actx, acancel := attemptCtx(wctx, b.cfg.DemandTimeout)
-				item, err := b.cfg.Fetcher.Fetch(actx, id)
-				acancel()
-				f.observe(b, start, item, err, true, probe)
-				results <- attemptResult{item: item, err: err, idx: b.idx, hedged: hedged}
-			}()
-			return true
-		}
-		return false
-	}
-
-	if !launch(false, false) {
-		return Item{}, ErrBreakerOpen
-	}
-	var hedgeC <-chan time.Time
-	if launched < attempts {
-		if d := f.hedgeDelay(order[0]); d >= 0 {
-			hedgeC = time.After(d)
-		}
-	}
-
-	var lastErr error
-	nretries := 0
-	for {
-		select {
-		case <-ctx.Done():
-			return Item{}, ctx.Err()
-		case <-hedgeC:
-			hedgeC = nil
-			if launched < attempts {
-				launch(true, false)
-			}
-		case r := <-results:
-			outstanding--
-			if r.err == nil {
-				if r.hedged {
-					f.backends[r.idx].hedgesWon.Add(1)
-				}
-				return r.item, nil
-			}
-			if ctx.Err() != nil {
-				return Item{}, ctx.Err()
-			}
-			lastErr = r.err
-			if launched < attempts {
-				if f.hedging.Backoff > 0 {
-					// The backoff still listens for the other
-					// outstanding attempts: a hedge succeeding
-					// mid-backoff wins immediately instead of idling
-					// unread while a needless retry launches.
-					timer := time.NewTimer(f.hedging.Backoff << nretries)
-				backoff:
-					for {
-						select {
-						case <-timer.C:
-							break backoff
-						case r2 := <-results:
-							outstanding--
-							if r2.err == nil {
-								timer.Stop()
-								if r2.hedged {
-									f.backends[r2.idx].hedgesWon.Add(1)
-								}
-								return r2.item, nil
-							}
-							lastErr = r2.err
-						case <-ctx.Done():
-							timer.Stop()
-							return Item{}, ctx.Err()
-						}
-					}
-				}
-				nretries++
-				if !launch(false, true) && outstanding == 0 {
-					return Item{}, lastErr
-				}
-			} else if outstanding == 0 {
-				return Item{}, lastErr
-			}
-		}
-	}
-}
-
-// fetchOne makes one single-id call on b: Fetch or, lending dst,
-// FetchInto, as the fabric's FetchInto describes.
+// one runs an admitted single-id attempt to its settlement: Fetch or,
+// lending dst, FetchInto, as the fabric's FetchInto describes. On error
+// dst comes back as it went.
 //
 //prefetch:hotpath
-func (b *backendState) fetchOne(ctx context.Context, id ID, dst []byte, lend bool) (Item, []byte, error) {
+func (f *Fabric) one(ctx context.Context, t ticket, id ID, dst []byte, lend bool) (Item, []byte, error) {
+	actx, cancel := t.ctx(ctx)
+	var item Item
+	var err error
+	out := dst
 	if !lend {
-		item, err := b.cfg.Fetcher.Fetch(ctx, id)
-		return item, dst, err
+		item, err = t.b.cfg.Fetcher.Fetch(actx, id)
+	} else {
+		if out, err = t.b.into.FetchInto(actx, id, dst); err == nil && len(out) < len(dst) {
+			err = errLentShrunk // appends only: see IntoFetcher
+		}
+		item = Item{ID: id, Size: float64(len(out) - len(dst))}
 	}
-	out, err := b.into.FetchInto(ctx, id, dst)
-	if err == nil && len(out) < len(dst) { // appends only: see IntoFetcher
-		err = errLentShrunk
-	}
+	cancel()
+	f.settle(t, item.Size, err)
 	if err != nil {
 		return Item{}, dst, err
 	}
-	return Item{ID: id, Size: float64(len(out) - len(dst))}, out, nil
+	return item, out, nil
 }
 
-// fetchSequential is the goroutine-free demand path: try backends in
-// route order on the caller's goroutine (wrapping around when attempts
-// exceeds the backend count) until one succeeds or the budget is
-// spent, backing off — doubling per retry — between failed attempts.
-// attempts <= 0 means one attempt per backend. The attempts run one at
-// a time, so each may be lent dst.
-func (f *Fabric) fetchSequential(ctx context.Context, id ID, attempts int, backoff time.Duration, dst []byte, lend bool) (Item, []byte, error) {
-	var order []int
-	if len(f.backends) > 1 {
-		order = f.routeOrder(id)
-	} else {
-		order = []int{0}
+// batch is one's batch form for either class, admission included: one
+// round trip on b filling out (and lens, when it lends dst: see
+// FetchDemandBatch), held to its contract before it is settled — a short
+// or misordered reply is a failed attempt like any other, so no caller
+// files out[i] under the wrong id. On error dst comes back as it went.
+func (f *Fabric) batch(ctx context.Context, b *backendState, c class, ids []ID, out []Item, dst []byte, lens []int) ([]byte, error) {
+	t, err := f.admit(b, c, len(ids), first)
+	if err != nil {
+		return dst, err
 	}
-	if attempts <= 0 {
-		attempts = len(order)
-	}
-	var lastErr error
-	attempted := 0
-	for n := 0; n < attempts; n++ {
-		b := f.backends[order[n%len(order)]]
-		granted, probe := f.acquire(b)
-		if !granted {
-			continue // breaker open: skip the slot, keep failing over
-		}
-		b.demand.Add(1)
-		if attempted > 0 {
-			b.retries.Add(1)
-		}
-		attempted++
-		start := f.nowf()
-		b.link.RecordDemand(start)
-		actx, acancel := attemptCtx(ctx, b.cfg.DemandTimeout)
-		item, out, err := b.fetchOne(actx, id, dst, lend)
-		acancel()
-		f.observe(b, start, item, err, true, probe)
-		if err == nil {
-			return item, out, nil
-		}
-		if ctx.Err() != nil {
-			return Item{}, dst, ctx.Err()
-		}
-		lastErr = err
-		if backoff > 0 && n+1 < attempts {
-			t := time.NewTimer(backoff << n)
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-				t.Stop()
-				return Item{}, dst, ctx.Err()
-			}
-		}
-	}
-	if attempted == 0 {
-		lastErr = ErrBreakerOpen
-	}
-	return Item{}, dst, lastErr
-}
-
-// --- demand batch path ---------------------------------------------------
-
-// FetchDemandBatch dispatches one session's misses routed to a single
-// backend as one demand-priority FetchBatch call, filling the
-// caller-supplied out and errs slices (len(ids) each, index-aligned
-// with ids) so the engine's batched demand path allocates nothing. The
-// semantics are per-key: errs[i] reports key i's outcome, and one bad
-// key never fails the batch.
-//
-// On a fabric that Lends a non-nil lens (len(ids) too) lends dst to the
-// batch: every served key's payload is appended to dst — returned
-// extended, payloads back to back in key order, a failed key adding
-// nothing — lens[i] is its length and out[i] carries id and size alone.
-// With lens nil dst is returned untouched.
-//
-// Unlike the speculative batch, a batch-level problem — the backend
-// erroring the whole call, or violating the FetchBatch contract with a
-// short or misordered reply — degrades to per-key fallback fetches
-// through the full demand path (failover, hedging, breaker), not to a
-// batch-wide error: demand keys have a caller waiting on each of them.
-// Backends without batch support, single-key batches and batches
-// refused by the breaker take the per-key path directly.
-func (f *Fabric) FetchDemandBatch(ctx context.Context, backend int, ids []ID, out []Item, errs []error, dst []byte, lens []int) []byte {
-	if f.closed.Load() {
-		for i := range ids {
-			out[i], errs[i] = Item{}, ErrClosed
-		}
-		return dst
-	}
-	b := f.backends[backend]
-	// When the routed backend's breaker is open, the per-key demand path
-	// fails over across the remaining backends (or fails fast when every
-	// breaker is open), exactly as a singleton fetch would.
-	granted, probe := false, false
-	if b.batch != nil && len(ids) >= 2 {
-		granted, probe = f.acquire(b)
-	}
-	if granted {
-		b.demand.Add(int64(len(ids)))
-		b.demandBatchCalls.Add(1)
-		b.demandBatchedItems.Add(int64(len(ids)))
-		if grown, err := f.fetchBatch(ctx, b, ids, out, dst, lens, true, probe); err == nil {
-			clear(errs[:len(ids)])
-			return grown
-		}
-		// Batch failure or contract violation: degrade to per-key
-		// fallback fetches so one bad reply cannot fail the session.
-	}
-	return f.demandFallback(ctx, ids, out, errs, dst, lens)
-}
-
-// fetchBatch runs one batch round trip on backend b for either traffic
-// class, filling out (and lens, when it lends dst: see FetchDemandBatch)
-// and holding the reply to the contract — exactly one item per requested
-// id, in request order, or one length per id adding up to what was
-// appended — before folding the outcome into b's estimators: a short or
-// misordered reply is a failed attempt like any other, so no caller
-// ever files out[i] under the wrong id.
-func (f *Fabric) fetchBatch(ctx context.Context, b *backendState, ids []ID, out []Item, dst []byte, lens []int, demand, probe bool) ([]byte, error) {
-	// One link dispatch for the whole batch: the items travel in one
-	// backend round trip, which is the point of coalescing.
-	start := f.nowf()
-	timeout := b.cfg.SpeculativeTimeout
-	if demand {
-		timeout = b.cfg.DemandTimeout
-		b.link.RecordDemand(start)
-	} else {
-		b.link.RecordSpeculative(start)
-	}
-	actx, acancel := attemptCtx(ctx, timeout)
+	actx, cancel := t.ctx(ctx)
 	grown, err := b.callBatch(actx, ids, out, dst, lens)
-	acancel()
-	var total Item
+	cancel()
+	var size float64
 	if err == nil {
 		for _, it := range out[:len(ids)] {
-			if it.Size <= 0 {
-				it.Size = 1
-			}
-			total.Size += it.Size
+			size += max(it.Size, 1) // each item floored at 1, as a single fetch's is
 		}
 	}
-	f.observe(b, start, total, err, demand, probe)
+	f.settle(t, size, err)
 	return grown, err
 }
 
-// callBatch makes fetchBatch's one backend call — FetchBatch or, lending
-// dst (lens non-nil), FetchBatchInto — and checks the reply; on error
-// dst comes back as it went.
+// callBatch makes batch's one backend call — FetchBatch or, lending dst
+// (lens non-nil), FetchBatchInto — and checks the reply: exactly one
+// item per requested id, in request order, or one length per id adding
+// up to what was appended. On error dst comes back as it went.
 func (b *backendState) callBatch(ctx context.Context, ids []ID, out []Item, dst []byte, lens []int) ([]byte, error) {
 	if lens == nil {
 		items, err := b.batch.FetchBatch(ctx, ids)
@@ -940,17 +657,242 @@ func (b *backendState) callBatch(ctx context.Context, ids []ID, out []Item, dst 
 	return grown, nil
 }
 
-// demandFallback serves a demand batch key by key through the full
-// demand path (routing, failover, hedging, breaker), recording each
-// key's own outcome and lending dst on as FetchDemandBatch describes. A
-// dead context fails the remaining keys without dispatching them.
-func (f *Fabric) demandFallback(ctx context.Context, ids []ID, out []Item, errs []error, dst []byte, lens []int) []byte {
+// --- demand path: hedged, failing-over fetch -----------------------------
+
+// hedgeTimer fires when fetchHedged should race a hedge against its
+// attempt on backend idx: after the configured delay, else the backend's
+// p95 scaled by P95Multiple — never, while there is no p95 estimate yet.
+func (f *Fabric) hedgeTimer(idx int) <-chan time.Time {
+	h := f.hedging
+	if h.Delay > 0 {
+		return time.After(h.Delay)
+	}
+	mult := h.P95Multiple
+	if mult == 0 {
+		mult = 1
+	}
+	if p95 := f.backends[idx].est.p95Latency(); p95 > 0 {
+		return time.After(time.Duration(p95 * mult * float64(time.Second)))
+	}
+	return nil
+}
+
+// maxAttempts returns the attempt budget for one demand fetch.
+func (f *Fabric) maxAttempts() int {
+	if f.hedging != nil && f.hedging.MaxAttempts > 0 {
+		return f.hedging.MaxAttempts
+	}
+	return len(f.backends)
+}
+
+// Fetch serves one demand fetch: the id is routed to its preferred
+// backend; if hedging is configured, a second backend is raced after
+// the primary's p95-derived hedge delay; a failed attempt fails over
+// to the next backend (with backoff) until the attempt budget is
+// spent. The first success wins and the losers are cancelled through
+// their context. Without hedging the failover is purely sequential —
+// no goroutine, channel or context allocation on the demand hot path.
+func (f *Fabric) Fetch(ctx context.Context, id ID) (Item, error) {
+	item, _, err := f.fetch(ctx, id, nil, false)
+	return item, err
+}
+
+// FetchInto is Fetch on a fabric that Lends: the payload is appended to
+// dst, returned extended, and the item carries its id and size alone.
+// On error dst comes back as it went.
+func (f *Fabric) FetchInto(ctx context.Context, id ID, dst []byte) (Item, []byte, error) {
+	return f.fetch(ctx, id, dst, true)
+}
+
+// fetch is Fetch, FetchInto and a demand batch's per-key fallback.
+func (f *Fabric) fetch(ctx context.Context, id ID, dst []byte, lend bool) (Item, []byte, error) {
+	// A hedge against the only backend would just be a concurrent
+	// duplicate on the same link, and a single attempt can neither hedge
+	// nor retry: both degrade to sequential retries with backoff, as
+	// WithHedging documents, and skip the race's machinery entirely.
+	attempts := f.maxAttempts()
+	if f.hedging == nil || len(f.backends) == 1 || attempts == 1 {
+		return f.fetchSequential(ctx, id, attempts, dst, lend)
+	}
+	item, err := f.fetchHedged(ctx, id, attempts) // lend is false: see Lends
+	return item, dst, err
+}
+
+// attemptResult is what a raced attempt reports back.
+type attemptResult struct {
+	item Item
+	err  error
+	t    ticket
+}
+
+// fetchHedged races up to attempts attempts (at least two, over at
+// least two backends) for id, each owning its payload: one loop, woken
+// by a result, the caller giving up, the hedge falling due or a retry's
+// backoff ending. A failure with budget left arms that backoff —
+// doubling per retry — unless one is already running; a success or the
+// hedge timer arriving meanwhile is served at once.
+func (f *Fabric) fetchHedged(ctx context.Context, id ID, attempts int) (Item, error) {
+	order := f.routeOrder(id)
+
+	// One shared cancellable context covers every attempt: when Fetch
+	// returns, the deferred cancel reaps whichever losers still run.
+	wctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+
+	results := make(chan attemptResult, attempts) // buffered: losers never block
+	launched, outstanding := 0, 0
+	var refused error
+	// launch dispatches the next attempt slot admit lets out; slots on
+	// tripped backends are consumed and skipped.
+	launch := func(h how) {
+		for launched < attempts {
+			t, err := f.admit(f.backends[order[launched%len(order)]], demand, 1, h)
+			launched++
+			if err != nil {
+				refused = err
+				continue
+			}
+			outstanding++
+			go func() {
+				item, _, err := f.one(wctx, t, id, nil, false)
+				results <- attemptResult{item: item, err: err, t: t}
+			}()
+			return
+		}
+	}
+
+	if launch(first); outstanding == 0 {
+		return Item{}, refused // nothing was attempted
+	}
+	hedgeC := f.hedgeTimer(order[0])
+	var retryC <-chan time.Time // non-nil while a retry waits out its backoff
+	backoff := f.hedging.Backoff
+	var lastErr error
+	for {
+		next := first // what to launch this round, if anything
+		select {
+		case <-ctx.Done():
+			return Item{}, ctx.Err()
+		case <-hedgeC:
+			hedgeC, next = nil, hedge
+		case <-retryC:
+			retryC, next = nil, retry
+		case r := <-results:
+			outstanding--
+			if r.err == nil {
+				if r.t.how == hedge {
+					r.t.b.hedgesWon.Add(1)
+				}
+				return r.item, nil
+			}
+			if ctx.Err() != nil {
+				return Item{}, ctx.Err()
+			}
+			lastErr = r.err
+			switch {
+			case launched == attempts || retryC != nil:
+				// Budget spent, or a retry already due: nothing to launch.
+			case backoff > 0:
+				retryC, backoff = time.After(backoff), 2*backoff
+			default:
+				next = retry
+			}
+		}
+		if next != first {
+			launch(next)
+		}
+		if outstanding == 0 && retryC == nil {
+			return Item{}, lastErr
+		}
+	}
+}
+
+// fetchSequential is the goroutine-free demand path: try backends in
+// route order on the caller's goroutine (wrapping around when attempts
+// exceeds the backend count) until one succeeds or the budget is spent,
+// pausing hedging's backoff — doubling per retry — between failed
+// attempts. They run one at a time, so each may be lent dst.
+func (f *Fabric) fetchSequential(ctx context.Context, id ID, attempts int, dst []byte, lend bool) (Item, []byte, error) {
+	order := []int{0}
+	if len(f.backends) > 1 {
+		order = f.routeOrder(id)
+	}
+	var backoff time.Duration
+	if f.hedging != nil {
+		backoff = f.hedging.Backoff
+	}
+	var lastErr, refused error
+	for n := 0; n < attempts; n++ {
+		h := first
+		if lastErr != nil {
+			h = retry
+		}
+		t, err := f.admit(f.backends[order[n%len(order)]], demand, 1, h)
+		if err != nil {
+			refused = err
+			continue // breaker open: skip the slot, keep failing over
+		}
+		item, out, err := f.one(ctx, t, id, dst, lend)
+		if err == nil {
+			return item, out, nil
+		}
+		if ctx.Err() != nil {
+			return Item{}, dst, ctx.Err()
+		}
+		lastErr = err
+		if backoff > 0 && n+1 < attempts {
+			pause := time.NewTimer(backoff << n)
+			select {
+			case <-pause.C:
+			case <-ctx.Done():
+				pause.Stop()
+				return Item{}, dst, ctx.Err()
+			}
+		}
+	}
+	if lastErr == nil {
+		lastErr = refused // nothing was attempted
+	}
+	return Item{}, dst, lastErr
+}
+
+// --- demand batch path ---------------------------------------------------
+
+// FetchDemandBatch dispatches one session's misses routed to a single
+// backend as one demand-priority FetchBatch call, filling the
+// caller-supplied out and errs slices (len(ids) each, index-aligned
+// with ids) so the engine's batched demand path allocates nothing. The
+// semantics are per-key: errs[i] reports key i's outcome, and one bad
+// key never fails the batch.
+//
+// On a fabric that Lends a non-nil lens (len(ids) too) lends dst to the
+// batch: every served key's payload is appended to dst — returned
+// extended, payloads back to back in key order, a failed key adding
+// nothing — lens[i] is its length and out[i] carries id and size alone.
+// With lens nil dst is returned untouched.
+//
+// Unlike the speculative batch, a batch-level problem — the backend
+// erroring the whole call, or violating the FetchBatch contract with a
+// short or misordered reply — degrades to per-key fallback fetches
+// through the full demand path (failover, hedging, breaker), not to a
+// batch-wide error: demand keys have a caller waiting on each of them.
+// Backends without batch support, single-key batches and batches
+// refused by the breaker take the per-key path directly.
+func (f *Fabric) FetchDemandBatch(ctx context.Context, backend int, ids []ID, out []Item, errs []error, dst []byte, lens []int) []byte {
+	if b := f.backends[backend]; b.batch != nil && len(ids) >= 2 {
+		if grown, err := f.batch(ctx, b, demand, ids, out, dst, lens); err == nil {
+			clear(errs[:len(ids)])
+			return grown
+		}
+		// Refused, failed or in breach of the contract: one bad reply
+		// cannot fail the session, so each key takes a singleton's path.
+	}
+	// Key by key through the full demand path, each key's own outcome
+	// recorded and dst lent on; a dead context dispatches nothing more.
 	for i, id := range ids {
 		if err := ctx.Err(); err != nil {
-			for j := i; j < len(ids); j++ {
-				out[j], errs[j] = Item{}, err
-			}
-			break
+			out[i], errs[i] = Item{}, err
+			continue
 		}
 		n := len(dst)
 		if out[i], dst, errs[i] = f.fetch(ctx, id, dst, lens != nil); lens != nil {
@@ -968,31 +910,9 @@ func (f *Fabric) demandFallback(ctx context.Context, ids []ID, out []Item, errs 
 // nothing a demand fetch won't recover later, and doubling speculative
 // traffic is exactly what the paper warns against.
 func (f *Fabric) FetchSpeculative(ctx context.Context, backend int, id ID) (Item, error) {
-	item, _, err := f.fetchSpeculative(ctx, backend, id, nil, false)
-	return item, err
-}
-
-// fetchSpeculative is FetchSpeculative, lending dst as FetchInto does.
-func (f *Fabric) fetchSpeculative(ctx context.Context, backend int, id ID, dst []byte, lend bool) (Item, []byte, error) {
-	if f.closed.Load() {
-		return Item{}, dst, ErrClosed
-	}
-	b := f.backends[backend]
-	granted, probe := f.acquire(b)
-	if !granted {
-		// The breaker tripped after this candidate was routed (or
-		// every backend is open): fail fast rather than queue
-		// speculative work against a dead origin.
-		return Item{}, dst, ErrBreakerOpen
-	}
-	b.speculative.Add(1)
-	start := f.nowf()
-	b.link.RecordSpeculative(start)
-	actx, acancel := attemptCtx(ctx, b.cfg.SpeculativeTimeout)
-	item, out, err := b.fetchOne(actx, id, dst, lend)
-	acancel()
-	f.observe(b, start, item, err, false, probe)
-	return item, out, err
+	var out [1]Item
+	_, err := f.FetchSpeculativeBatch(ctx, backend, []ID{id}, out[:], nil, nil)
+	return out[0], err
 }
 
 // FetchSpeculativeBatch dispatches several speculative candidates to
@@ -1004,32 +924,27 @@ func (f *Fabric) fetchSpeculative(ctx context.Context, backend int, id ID, dst [
 // lens lend a buffer exactly as FetchDemandBatch's do; on an error dst
 // is returned as it went.
 func (f *Fabric) FetchSpeculativeBatch(ctx context.Context, backend int, ids []ID, out []Item, dst []byte, lens []int) ([]byte, error) {
-	if f.closed.Load() {
-		return dst, ErrClosed
-	}
 	b := f.backends[backend]
-	if b.batch == nil || len(ids) == 1 {
-		grown := dst
-		for i, id := range ids {
-			n := len(grown)
-			var err error
-			if out[i], grown, err = f.fetchSpeculative(ctx, backend, id, grown, lens != nil); err != nil {
-				return dst, err
-			}
-			if lens != nil {
-				lens[i] = len(grown) - n
-			}
+	if b.batch != nil && len(ids) >= 2 {
+		return f.batch(ctx, b, speculative, ids, out, dst, lens)
+	}
+	grown := dst
+	for i, id := range ids {
+		t, err := f.admit(b, speculative, 1, first)
+		if err != nil {
+			// The breaker tripped after this candidate was routed (or the
+			// fabric closed): fail fast, queue nothing against a dead origin.
+			return dst, err
 		}
-		return grown, nil
+		n := len(grown)
+		if out[i], grown, err = f.one(ctx, t, id, grown, lens != nil); err != nil {
+			return dst, err
+		}
+		if lens != nil {
+			lens[i] = len(grown) - n
+		}
 	}
-	granted, probe := f.acquire(b)
-	if !granted {
-		return dst, ErrBreakerOpen
-	}
-	b.speculative.Add(int64(len(ids)))
-	b.batchCalls.Add(1)
-	b.batchedItems.Add(int64(len(ids)))
-	return f.fetchBatch(ctx, b, ids, out, dst, lens, false, probe)
+	return grown, nil
 }
 
 // --- idle-period dispatch gate -------------------------------------------
@@ -1050,7 +965,9 @@ func (f *Fabric) Busy(i int) bool {
 // (bursty traffic re-admits the same hot candidates every request, and
 // duplicates would both inflate the Deferred count and crowd genuinely
 // new work out of the bounded queue); candidates beyond the queue
-// depth are shed and counted. Returns the ids actually parked.
+// depth, or offered to a closed fabric (read under the lock Close sweeps
+// under: nothing parks where no drainer will look), are shed and
+// counted. Returns the ids actually parked.
 func (f *Fabric) Defer(i int, ids ...ID) []ID {
 	b := f.backends[i]
 	var parked []ID
@@ -1059,7 +976,7 @@ func (f *Fabric) Defer(i int, ids ...ID) []ID {
 		if _, dup := b.parkedSet[id]; dup {
 			continue
 		}
-		if len(b.parked) >= f.deferCap {
+		if len(b.parked) >= deferDepth || f.closed.Load() {
 			b.deferDropped.Add(1)
 			continue
 		}
@@ -1078,16 +995,6 @@ func (f *Fabric) Defer(i int, ids ...ID) []ID {
 	return parked
 }
 
-// Pending returns how many speculative candidates are currently parked
-// for backend i.
-func (f *Fabric) Pending(i int) int {
-	b := f.backends[i]
-	b.mu.Lock()
-	n := len(b.parked)
-	b.mu.Unlock()
-	return n
-}
-
 // gateWait returns how long the drainer should sleep before re-reading
 // backend b's ρ̂, using the link's exact decay time clamped into
 // [minGateWait, maxGateWait].
@@ -1103,9 +1010,9 @@ func (f *Fabric) gateWait(b *backendState) time.Duration {
 }
 
 // drain is backend b's idle-gate goroutine: it sleeps until candidates
-// park, then releases them in bursts whenever the link's ρ̂ sits below
-// the watermark, re-checking between bursts so a release that re-busies
-// the link pauses the queue again.
+// park, then hands them to OnRelease in bursts whenever the link's ρ̂
+// sits below the watermark, re-checking between bursts so a release
+// that re-busies the link pauses the queue again.
 func (f *Fabric) drain(b *backendState) {
 	defer f.wg.Done()
 	for {
@@ -1146,34 +1053,8 @@ func (f *Fabric) drain(b *backendState) {
 				break
 			}
 			b.released.Add(int64(take))
-			f.release(b.idx, ids)
+			f.onRelease(b.idx, ids)
 		}
-	}
-}
-
-// release hands a burst of parked candidates back for dispatch: to the
-// OnRelease callback when configured (the engine's path), else fetched
-// directly — under the fabric's own context, cancelled at Close — so a
-// standalone fabric still warms whatever its caller observes through
-// the backend.
-func (f *Fabric) release(backend int, ids []ID) {
-	if f.onRelease != nil {
-		f.onRelease(backend, ids)
-		return
-	}
-	if f.backends[backend].batch != nil && len(ids) > 1 {
-		// Batch-capable: one call, all-or-nothing by contract.
-		_, _ = f.FetchSpeculativeBatch(f.baseCtx, backend, ids, make([]Item, len(ids)), nil, nil)
-		return
-	}
-	// Sequential fallback is best-effort per id: one transient failure
-	// must not silently swallow the rest of the burst (each error is
-	// counted by the estimator either way).
-	for _, id := range ids {
-		if f.baseCtx.Err() != nil {
-			return
-		}
-		_, _ = f.FetchSpeculative(f.baseCtx, backend, id)
 	}
 }
 
@@ -1190,13 +1071,13 @@ func (f *Fabric) Stats(now float64) []BackendStats {
 		b.mu.Unlock()
 		out[i] = BackendStats{
 			Name:               b.cfg.Name,
-			Demand:             b.demand.Load(),
-			Speculative:        b.speculative.Load(),
+			Demand:             b.sent[demand].ids.Load(),
+			Speculative:        b.sent[speculative].ids.Load(),
 			Errors:             b.errorsN.Load(),
-			BatchCalls:         b.batchCalls.Load(),
-			BatchedItems:       b.batchedItems.Load(),
-			DemandBatchCalls:   b.demandBatchCalls.Load(),
-			DemandBatchedItems: b.demandBatchedItems.Load(),
+			BatchCalls:         b.sent[speculative].batchCalls.Load(),
+			BatchedItems:       b.sent[speculative].batchedItems.Load(),
+			DemandBatchCalls:   b.sent[demand].batchCalls.Load(),
+			DemandBatchedItems: b.sent[demand].batchedItems.Load(),
 			HedgesLaunched:     b.hedgesLaunched.Load(),
 			HedgesWon:          b.hedgesWon.Load(),
 			Retries:            b.retries.Load(),
@@ -1216,16 +1097,15 @@ func (f *Fabric) Stats(now float64) []BackendStats {
 	return out
 }
 
-// Close stops the idle-gate drainers and sheds whatever candidates
-// are still parked (counted as DeferredDropped). In-flight fetches are
-// not cancelled here — they run under their callers' contexts, which
-// the engine cancels on its own Close. Close is idempotent.
+// Close stops the idle-gate drainers and sheds whatever candidates are
+// still parked (counted as DeferredDropped; a later Defer sheds its own).
+// In-flight fetches are not cancelled here — they run under their callers'
+// contexts, which the engine cancels on its own Close. Close is idempotent.
 func (f *Fabric) Close() error {
 	if f.closed.Swap(true) {
 		return nil
 	}
 	close(f.done)
-	f.baseCancel()
 	f.wg.Wait()
 	for _, b := range f.backends {
 		b.mu.Lock()

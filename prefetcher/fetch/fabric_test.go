@@ -106,7 +106,7 @@ func TestNewValidation(t *testing.T) {
 		{Backends: []Backend{good, good}},
 		{Backends: []Backend{good}, IdleWatermark: 2},
 		{Backends: []Backend{good}, IdleWatermark: math.NaN()},
-		{Backends: []Backend{good}, DeferDepth: -1},
+		{Backends: []Backend{good}, IdleWatermark: 0.5}, // no OnRelease to release to
 		{Backends: []Backend{good}, Hedging: &Hedging{Delay: -time.Second}},
 		{Backends: []Backend{{Name: "a", Fetcher: good.Fetcher, Weight: -1}}},
 	}
@@ -160,7 +160,7 @@ func TestLatencyRoutingPrefersFastBackend(t *testing.T) {
 	}
 	for id := ID(100); id < 120; id++ {
 		if got := f.Route(id); got != 1 {
-			t.Fatalf("id %d routed to %q, want the fast backend", id, f.Name(got))
+			t.Fatalf("id %d routed to backend %d, want the fast backend", id, got)
 		}
 	}
 }
@@ -438,7 +438,7 @@ func TestIdleGateDefersAndReleases(t *testing.T) {
 	if n := len(f.Defer(0, 101, 103)); n != 1 {
 		t.Fatalf("Defer re-parked a duplicate: parked %d, want 1 (103 only)", n)
 	}
-	if f.Pending(0) == 0 {
+	if f.Stats(clk.Now())[0].Pending == 0 {
 		t.Fatal("no candidates pending after Defer")
 	}
 	// While the link stays busy nothing is released.
@@ -477,7 +477,6 @@ func TestIdleGateQueueBoundsAndCloseSheds(t *testing.T) {
 	f := newTestFabric(t, Config{
 		Backends:      []Backend{{Name: "origin", Fetcher: &instantFetcher{size: 1}, Bandwidth: 1}},
 		IdleWatermark: 0.5,
-		DeferDepth:    2,
 		Alpha:         0.5,
 		Now:           clk.Now,
 		OnRelease:     func(int, []ID) {},
@@ -488,20 +487,96 @@ func TestIdleGateQueueBoundsAndCloseSheds(t *testing.T) {
 		f.Link(0).RecordSpeculativeSize(5)
 		clk.Advance(0.001)
 	}
-	if got := len(f.Defer(0, 1, 2, 3, 4)); got != 2 {
-		t.Fatalf("Defer parked %d, want the depth-2 bound", got)
+	ids := make([]ID, deferDepth+2)
+	for i := range ids {
+		ids[i] = ID(i + 1)
+	}
+	if got := len(f.Defer(0, ids...)); got != deferDepth {
+		t.Fatalf("Defer parked %d, want the depth-%d bound", got, deferDepth)
 	}
 	st := f.Stats(clk.Now())
-	if st[0].Deferred != 2 || st[0].DeferredDropped != 2 {
-		t.Fatalf("stats = %+v, want 2 parked and 2 shed", st[0])
+	if st[0].Deferred != deferDepth || st[0].DeferredDropped != 2 {
+		t.Fatalf("stats = %+v, want %d parked and 2 shed", st[0], deferDepth)
 	}
 	f.Close()
 	st = f.Stats(clk.Now())
-	if st[0].DeferredDropped != 4 || st[0].Pending != 0 {
+	if st[0].DeferredDropped != deferDepth+2 || st[0].Pending != 0 {
 		t.Fatalf("after Close: %+v, want parked candidates shed", st[0])
 	}
 	if _, err := f.Fetch(context.Background(), 9); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Fetch after Close = %v, want ErrClosed", err)
+	}
+}
+
+// Defer racing Close: whichever takes a backend's lock first, nothing
+// is left parked where no drainer will look — a candidate either parked
+// before the sweep and was shed by it, or found the fabric closed and
+// was shed on the spot.
+func TestDeferRacingClose(t *testing.T) {
+	testutil.ExpectNoLeaks(t)
+	for round := 0; round < 50; round++ {
+		clk := &manualNow{}
+		f := newTestFabric(t, Config{
+			Backends:      []Backend{{Name: "origin", Fetcher: &instantFetcher{size: 1}, Bandwidth: 1}},
+			IdleWatermark: 0.5,
+			Now:           clk.Now,
+			OnRelease:     func(int, []ID) {},
+		})
+		// A saturated link: nothing drains, so every candidate is either
+		// still parked at Close or arrives after it.
+		for i := 0; i < 50; i++ {
+			f.Link(0).RecordSpeculative(clk.Now())
+			f.Link(0).RecordSpeculativeSize(5)
+			clk.Advance(0.001)
+		}
+		const deferrers, each = 4, 16
+		var wg sync.WaitGroup
+		for g := 0; g < deferrers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < each; i++ {
+					f.Defer(0, ID(g*each+i))
+				}
+			}(g)
+		}
+		f.Close()
+		wg.Wait()
+		if st := f.Stats(clk.Now())[0]; st.Pending != 0 || st.Released != 0 || st.DeferredDropped != deferrers*each {
+			t.Fatalf("round %d: %+v; want all %d candidates shed and none parked", round, st, deferrers*each)
+		}
+	}
+	// And with no race at all: a closed fabric parks nothing.
+	f := newTestFabric(t, Config{
+		Backends:      []Backend{{Name: "origin", Fetcher: &instantFetcher{size: 1}}},
+		IdleWatermark: 0.5,
+		OnRelease:     func(int, []ID) {},
+	})
+	f.Close()
+	if parked := f.Defer(0, 1, 2, 3); len(parked) != 0 {
+		t.Fatalf("Defer on a closed fabric parked %v", parked)
+	}
+	if st := f.Stats(0)[0]; st.Pending != 0 || st.Deferred != 0 || st.DeferredDropped != 3 {
+		t.Fatalf("after Defer on a closed fabric: %+v, want 3 shed", st)
+	}
+}
+
+// Stats reads each backend's p95, which re-sorts the latency ring once
+// latRecompute samples have gone by: on a copy it keeps on the stack.
+// What a snapshot allocates is the slice it returns.
+func TestStatsAllocCeiling(t *testing.T) {
+	f := newTestFabric(t, Config{Backends: []Backend{{Name: "origin", Fetcher: &instantFetcher{size: 1}}}})
+	est := f.backends[0].est
+	got := testing.AllocsPerRun(100, func() {
+		for i := 0; i < latRecompute; i++ {
+			est.observe(0.001*float64(i+1), 1)
+		}
+		if f.Stats(0)[0].LatencyP95Seconds == 0 {
+			t.Fatal("no p95 after a ring of samples")
+		}
+	})
+	if got > 1 {
+		t.Fatalf("Stats with a stale p95 allocates %.0f times, ceiling 1 (the snapshot)", got)
 	}
 }
 

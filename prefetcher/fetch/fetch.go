@@ -17,7 +17,8 @@
 // never construct a Fabric directly — every prefetcher.Engine
 // assembles one, from WithBackends or from New's single fetcher — but
 // the type is usable standalone as a routing/hedging Fetcher for any
-// client.
+// client (one that sets an idle watermark supplies Config.OnRelease:
+// the fabric fetches nothing on its own behalf).
 package fetch
 
 import (
@@ -226,8 +227,8 @@ type BackendStats struct {
 	// Deferred counts speculative candidates parked by the idle gate
 	// because this link's ρ̂ sat above the watermark; Released counts
 	// the parked candidates later dispatched in an idle period;
-	// DeferredDropped counts parked candidates shed (queue full, or
-	// still parked at Close). Pending is the current parked count.
+	// DeferredDropped counts candidates shed (queue full, still parked
+	// at Close, or offered after it). Pending is the current parked count.
 	Deferred, Released, DeferredDropped int64
 	Pending                             int
 	// LatencySeconds is the EWMA fetch latency; LatencyP95Seconds the

@@ -141,19 +141,28 @@ func TestScanLeavesNothingBehind(t *testing.T) {
 // whatever shard the overwritten id hashes to and emits
 // EventPrefetchIssued for an id never issued — so besides the detector
 // the test holds the event log to the books, per id. A queue of depth 1
-// puts the shed arm on the same books.
+// puts the shed arm on the same books; the plain origin's run makes
+// that arm certain before the traffic starts (with eight idle workers a
+// send to a depth-1 queue is handed straight to a parked one, and a
+// whole run could pass without a shed): its origin holds every call at
+// a gate while twelve single-id jobs are dispatched — eight park a
+// worker each, one fills the queue, the rest are shed — then the gate
+// opens for good.
 func TestDispatchOwnsNothingAfterPush(t *testing.T) {
+	gate := make(chan struct{})
 	plain := FetcherFunc(func(ctx context.Context, id ID) (Item, error) {
+		<-gate
 		return Item{ID: id, Size: 1}, nil
 	})
 	for _, tc := range []struct {
 		name   string
 		origin fetch.Fetcher
 		depth  int
+		gate   chan struct{} // holds origin until the shed arm has run
 	}{
-		{"batch", &batchBackend{}, 64},
-		{"batch-shedding", &batchBackend{}, 1},
-		{"single-shedding", plain, 1},
+		{"batch", &batchBackend{}, 64, nil},
+		{"batch-shedding", &batchBackend{}, 1, nil},
+		{"single-shedding", plain, 1, gate},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const idSpace = 97
@@ -188,6 +197,15 @@ func TestDispatchOwnsNothingAfterPush(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer eng.Close()
+			if tc.gate != nil {
+				for id := ID(0); id < 12; id++ {
+					eng.dispatch(0, []ID{id})
+				}
+				if shed := eng.Stats().PrefetchDropped; shed < 3 {
+					t.Fatalf("twelve jobs for eight held workers and a one-slot queue shed %d, want at least 3", shed)
+				}
+				close(tc.gate)
+			}
 			gets := 5000 // per goroutine; the parent commit fails five runs in five at this size
 			if testing.Short() {
 				gets /= 5
