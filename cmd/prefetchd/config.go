@@ -87,23 +87,23 @@ type SpaceConfig struct {
 	Name     string          `json:"name"`
 	Backends []BackendConfig `json:"backends"`
 
-	// Engine knobs; zero values keep the engine defaults.
-	CacheCapacity int    `json:"cache_capacity,omitempty"`
-	CachePolicy   string `json:"cache_policy,omitempty"`
-	// CacheBytes > 0 switches the space to the slab-backed byte store
-	// (prefetcher/bytestore): payloads live in pointer-free segments the
-	// GC never scans, bounded by this byte budget; CacheCapacity then
-	// bounds the entry count and CachePolicy may also be "slru".
+	// The cache is the slab-backed byte store (prefetcher/bytestore):
+	// payloads live in pointer-free segments the GC never scans, bounded
+	// by CacheBytes (0 = 64 MiB), least recently used out first;
+	// CacheCapacity bounds the entry count (0 = CacheBytes/64) and
 	// SegmentBytes sizes the arena segments (0 = 1 MiB).
-	CacheBytes   int     `json:"cache_bytes,omitempty"`
-	SegmentBytes int     `json:"segment_bytes,omitempty"`
-	Policy       string  `json:"policy,omitempty"`
-	PolicyArg    float64 `json:"policy_arg,omitempty"`
-	Shards       int     `json:"shards,omitempty"`
-	Workers      int     `json:"workers,omitempty"`
-	QueueDepth   int     `json:"queue_depth,omitempty"`
-	MaxPrefetch  int     `json:"max_prefetch,omitempty"`
-	Bandwidth    float64 `json:"bandwidth,omitempty"`
+	CacheCapacity int `json:"cache_capacity,omitempty"`
+	CacheBytes    int `json:"cache_bytes,omitempty"`
+	SegmentBytes  int `json:"segment_bytes,omitempty"`
+
+	// Engine knobs; zero values keep the engine defaults.
+	Policy      string  `json:"policy,omitempty"`
+	PolicyArg   float64 `json:"policy_arg,omitempty"`
+	Shards      int     `json:"shards,omitempty"`
+	Workers     int     `json:"workers,omitempty"`
+	QueueDepth  int     `json:"queue_depth,omitempty"`
+	MaxPrefetch int     `json:"max_prefetch,omitempty"`
+	Bandwidth   float64 `json:"bandwidth,omitempty"`
 
 	// Fabric knobs.
 	Routing       string         `json:"routing,omitempty"`
@@ -129,10 +129,6 @@ var (
 	validBackendTypes = map[string]bool{"http": true, "fs": true}
 	validPolicies     = map[string]bool{"": true, "adaptive-a": true, "adaptive-b": true, "greedy": true, "static": true, "topk": true, "none": true}
 	validRoutings     = map[string]bool{"": true, "weighted": true, "latency": true}
-	validCachePols    = map[string]bool{"": true, "lru": true, "lfu": true, "fifo": true, "clock": true}
-	// slru's protected segment lives in the policy layer of the slab
-	// store only; the boxed caches don't implement it.
-	slabOnlyCachePols = map[string]bool{"slru": true}
 )
 
 // ParseConfig decodes and validates a JSON config. It is the fuzz
@@ -230,17 +226,8 @@ func (s *SpaceConfig) validate() error {
 	if !validRoutings[s.Routing] {
 		return fmt.Errorf("unknown routing %q", s.Routing)
 	}
-	if !validCachePols[s.CachePolicy] && !slabOnlyCachePols[s.CachePolicy] {
-		return fmt.Errorf("unknown cache_policy %q", s.CachePolicy)
-	}
-	if slabOnlyCachePols[s.CachePolicy] && s.CacheBytes <= 0 {
-		return fmt.Errorf("cache_policy %q requires cache_bytes > 0 (slab store only)", s.CachePolicy)
-	}
 	if s.CacheBytes < 0 || s.SegmentBytes < 0 {
 		return fmt.Errorf("cache_bytes and segment_bytes must be >= 0")
-	}
-	if s.SegmentBytes > 0 && s.CacheBytes <= 0 {
-		return fmt.Errorf("segment_bytes needs cache_bytes > 0")
 	}
 	if s.Policy == "static" && (s.PolicyArg < 0 || s.PolicyArg > 1) {
 		return fmt.Errorf("static policy_arg (threshold) must be in [0,1]")

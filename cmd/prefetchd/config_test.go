@@ -2,10 +2,14 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/prefetcher/bytestore"
 )
 
 const sampleConfig = `{
@@ -84,15 +88,12 @@ func TestParseConfigRejects(t *testing.T) {
 		"bad duration":            `{"spaces":[{"name":"a","backends":[{"name":"o","type":"fs","root":"/","demand_timeout":"fast"}]}]}`,
 		"bad policy":              `{"spaces":[{"name":"a","policy":"yolo","backends":[{"name":"o","type":"fs","root":"/"}]}]}`,
 		"bad routing":             `{"spaces":[{"name":"a","routing":"random","backends":[{"name":"o","type":"fs","root":"/"}]}]}`,
-		"bad cache pol":           `{"spaces":[{"name":"a","cache_policy":"arc","backends":[{"name":"o","type":"fs","root":"/"}]}]}`,
 		"bad watermark":           `{"spaces":[{"name":"a","idle_watermark":1.5,"backends":[{"name":"o","type":"fs","root":"/"}]}]}`,
 		"bad static arg":          `{"spaces":[{"name":"a","policy":"static","policy_arg":2,"backends":[{"name":"o","type":"fs","root":"/"}]}]}`,
 		"bad topk arg":            `{"spaces":[{"name":"a","policy":"topk","policy_arg":1.5,"backends":[{"name":"o","type":"fs","root":"/"}]}]}`,
 		"adaptive sans bandwidth": `{"spaces":[{"name":"a","policy":"adaptive-a","backends":[{"name":"o","type":"fs","root":"/"}]}]}`,
 		"neg cache bytes":         `{"spaces":[{"name":"a","cache_bytes":-1,"backends":[{"name":"o","type":"fs","root":"/"}]}]}`,
 		"neg segment bytes":       `{"spaces":[{"name":"a","cache_bytes":1024,"segment_bytes":-1,"backends":[{"name":"o","type":"fs","root":"/"}]}]}`,
-		"segment sans bytes":      `{"spaces":[{"name":"a","segment_bytes":1024,"backends":[{"name":"o","type":"fs","root":"/"}]}]}`,
-		"slru sans bytes":         `{"spaces":[{"name":"a","cache_policy":"slru","backends":[{"name":"o","type":"fs","root":"/"}]}]}`,
 	}
 	for name, data := range cases {
 		if _, err := ParseConfig([]byte(data)); err == nil {
@@ -118,6 +119,27 @@ func TestParseConfigRejectsPredictorKnob(t *testing.T) {
 	}
 }
 
+// TestParseConfigRejectsCachePolicyKnob: every space caches in the one
+// slab store, least recently used out first, so a config that still
+// names a replacement policy — the old default spelled out included — is
+// refused as an unknown field, not read past. The two rules that went
+// with the boxed modes went too: segment_bytes no longer needs
+// cache_bytes beside it.
+func TestParseConfigRejectsCachePolicyKnob(t *testing.T) {
+	const space = `{"spaces":[{"name":"a",%s"policy":"none","backends":[{"name":"o","type":"fs","root":"/"}]}]}`
+	for _, ok := range []string{``, `"segment_bytes":1024,`, `"cache_capacity":64,"cache_bytes":65536,"segment_bytes":4096,`} {
+		if _, err := ParseConfig([]byte(fmt.Sprintf(space, ok))); err != nil {
+			t.Errorf("%s: %v", ok, err)
+		}
+	}
+	for _, knob := range []string{`"cache_policy":"lru",`, `"cache_policy":"slru","cache_bytes":65536,`, `"cache_policy":"arc",`} {
+		_, err := ParseConfig([]byte(fmt.Sprintf(space, knob)))
+		if err == nil || !strings.Contains(err.Error(), `unknown field "cache_policy"`) {
+			t.Errorf("%s: err = %v, want an unknown-field error", knob, err)
+		}
+	}
+}
+
 // FuzzParseConfig asserts the parser's contract under arbitrary
 // input: no panics, and any accepted config re-validates and
 // re-parses from its own marshalled form.
@@ -126,7 +148,8 @@ func FuzzParseConfig(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"spaces":[{"name":"a","backends":[{"name":"o","type":"fs","root":"/"}]}]}`))
 	f.Add([]byte(`{"spaces":[{"name":"a","backends":[{"name":"o","type":"http","url":"http://x","demand_timeout":"1h"}]}]}`))
-	f.Add([]byte(`{"spaces":[{"name":"a","cache_bytes":65536,"segment_bytes":4096,"cache_policy":"slru","backends":[{"name":"o","type":"fs","root":"/"}]}]}`))
+	f.Add([]byte(`{"spaces":[{"name":"a","cache_bytes":65536,"segment_bytes":4096,"cache_capacity":64,"backends":[{"name":"o","type":"fs","root":"/"}]}]}`))
+	f.Add([]byte(`{"spaces":[{"name":"a","cache_bytes":65536,"cache_policy":"slru","backends":[{"name":"o","type":"fs","root":"/"}]}]}`))
 	f.Add([]byte(`{"spaces":[{"name":"a","predictor":"markov","policy":"none","backends":[{"name":"o","type":"fs","root":"/"}]}]}`))
 	f.Add([]byte(`{"spaces":[{"name":"a","predictor":"ppm","predictor_arg":3,"policy":"none","backends":[{"name":"o","type":"fs","root":"/"}]}]}`))
 	f.Add([]byte(`nope`))
@@ -148,9 +171,38 @@ func FuzzParseConfig(f *testing.F) {
 	})
 }
 
+// TestFlagsRejectRetiredKnobs: -cache-policy went with cache_policy and
+// -predictor with predictor; either on the command line stops the boot
+// instead of being read past, and the flags that remain build the one
+// space on the one store.
+func TestFlagsRejectRetiredKnobs(t *testing.T) {
+	newSet := func() *flag.FlagSet {
+		fs := flag.NewFlagSet("prefetchd", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		return fs
+	}
+	for _, args := range [][]string{{"-cache-policy", "lru"}, {"-cache-policy=slru", "-cache-bytes", "1024"}, {"-predictor", "markov"}} {
+		_, err := configFromArgs(newSet(), append(args, "-origin", "http://origin:9000"))
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+strings.SplitN(args[0], "=", 2)[0]) {
+			t.Errorf("%v: err = %v, want flag provided but not defined", args, err)
+		}
+	}
+	cfg, err := configFromArgs(newSet(), []string{"-origin", "http://origin:9000", "-cache", "512", "-segment-bytes", "65536", "-demand-timeout", "2s"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := cfg.Spaces[0]
+	if cfg.Listen != ":8080" || sp.Policy != "adaptive-a" || sp.Backends[0].DemandTimeout != Duration(2*time.Second) {
+		t.Fatalf("the flag-built config = %+v", cfg)
+	}
+	if got := sp.store(); got != (bytestore.Config{CapacityBytes: defaultCacheBytes, MaxEntries: 512, SegmentBytes: 65536}) {
+		t.Fatalf("the flag-built space mounts %+v", got)
+	}
+}
+
 func TestLoadConfigFlags(t *testing.T) {
 	base := flagConfig{
-		listen: ":0", cacheCap: 128, cachePolicy: "lru",
+		listen: ":0", cacheCap: 128,
 		policy: "adaptive-a", bandwidth: 1e6,
 		drainTO: 5 * time.Second,
 	}

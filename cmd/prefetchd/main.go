@@ -12,9 +12,11 @@
 // or with a JSON config file defining several key spaces, each with
 // its own backends and engine knobs (-config path; see ParseConfig).
 // Every space predicts with the engine's one access model, a Markov
-// table bounded at about 7 MiB, so the daemon's memory is its cache
-// budgets plus that and nothing grows with the key space; -policy none
-// (policy: "none") is the one way to run a space without speculation.
+// table bounded at about 7 MiB, and caches in one store, the slab byte
+// store bounded by -cache-bytes (64 MiB unless set) and -cache entries,
+// so the daemon's memory is its cache budgets plus that table and
+// nothing grows with the key space; -policy none (policy: "none") is the
+// one way to run a space without speculation.
 // /stats serves per-space engine snapshots as JSON; /healthz is a
 // liveness probe. On SIGINT/SIGTERM the daemon stops accepting
 // connections, drains in-flight requests, quiesces each engine's
@@ -51,40 +53,7 @@ import (
 )
 
 func main() {
-	var (
-		listen      = flag.String("listen", ":8080", "address to serve on")
-		configPath  = flag.String("config", "", "JSON config file (overrides the single-space flags)")
-		origin      = flag.String("origin", "", "HTTP origin base URL for the flag-built space")
-		originBatch = flag.String("origin-batch-path", "", "origin batch endpoint speaking the httpfetch wire (e.g. /batch)")
-		fsRoot      = flag.String("fs-root", "", "filesystem backend root for the flag-built space")
-		cacheCap    = flag.Int("cache", 4096, "cache capacity in items")
-		cachePolicy = flag.String("cache-policy", "lru", "cache replacement policy: lru, lfu, fifo, clock, or slru (slab store only)")
-		cacheBytes  = flag.Int("cache-bytes", 0, "slab store byte budget; > 0 stores payloads in GC-immune pointer-free segments")
-		segBytes    = flag.Int("segment-bytes", 0, "slab segment size in bytes (0 = 1 MiB; needs -cache-bytes)")
-		policy      = flag.String("policy", "adaptive-a", "prefetch policy: adaptive-a, adaptive-b, greedy, static, topk or none (no speculation); the access model is always the Markov table bounded at about 7 MiB")
-		policyArg   = flag.Float64("policy-arg", 0, "policy parameter (static threshold or topk k)")
-		bandwidth   = flag.Float64("bandwidth", 1e6, "origin link capacity in payload-size units per second; the adaptive threshold's rho-prime normalises against it")
-		shards      = flag.Int("shards", 0, "engine shard count (0 = auto)")
-		workers     = flag.Int("workers", 0, "speculative worker count (0 = default)")
-		watermark   = flag.Float64("idle-watermark", 0, "park speculative fetches while link utilisation >= this (0 = off)")
-		hedgeMax    = flag.Int("hedge-attempts", 0, "max demand attempts incl. hedges (0 = no hedging)")
-		breakerN    = flag.Int("breaker-threshold", 0, "consecutive failures that open the breaker (0 = no breaker)")
-		demandTO    = flag.Duration("demand-timeout", 0, "per-attempt demand timeout on the flag-built backend (0 = none)")
-		specTO      = flag.Duration("speculative-timeout", 0, "per-attempt speculative timeout on the flag-built backend (0 = none)")
-		drainTO     = flag.Duration("shutdown-timeout", 10*time.Second, "graceful shutdown budget")
-	)
-	flag.Parse()
-
-	cfg, err := loadConfig(*configPath, flagConfig{
-		listen: *listen, origin: *origin, originBatch: *originBatch,
-		fsRoot: *fsRoot, cacheCap: *cacheCap, cachePolicy: *cachePolicy,
-		cacheBytes: *cacheBytes, segBytes: *segBytes,
-		policy: *policy, policyArg: *policyArg,
-		bandwidth: *bandwidth,
-		shards:    *shards, workers: *workers, watermark: *watermark,
-		hedgeMax: *hedgeMax, breakerN: *breakerN,
-		demandTO: *demandTO, specTO: *specTO, drainTO: *drainTO,
-	})
+	cfg, err := configFromArgs(flag.CommandLine, os.Args[1:]) // a flag error exits 2 from inside
 	if err != nil {
 		log.Fatalf("prefetchd: %v", err)
 	}
@@ -97,10 +66,40 @@ func main() {
 type flagConfig struct {
 	listen, origin, originBatch, fsRoot string
 	cacheCap, cacheBytes, segBytes      int
-	cachePolicy, policy                 string
+	policy                              string
 	policyArg, watermark, bandwidth     float64
 	shards, workers, hedgeMax, breakerN int
 	demandTO, specTO, drainTO           time.Duration
+}
+
+// configFromArgs defines the daemon's flags on fs, parses args with them
+// — a flag it does not define is fs's error to report — and resolves the
+// config they name.
+func configFromArgs(fs *flag.FlagSet, args []string) (*Config, error) {
+	var f flagConfig
+	configPath := fs.String("config", "", "JSON config file (overrides the single-space flags)")
+	fs.StringVar(&f.listen, "listen", ":8080", "address to serve on")
+	fs.StringVar(&f.origin, "origin", "", "HTTP origin base URL for the flag-built space")
+	fs.StringVar(&f.originBatch, "origin-batch-path", "", "origin batch endpoint speaking the httpfetch wire (e.g. /batch)")
+	fs.StringVar(&f.fsRoot, "fs-root", "", "filesystem backend root for the flag-built space")
+	fs.IntVar(&f.cacheCap, "cache", 4096, "cache capacity in items; the least recently used goes first")
+	fs.IntVar(&f.cacheBytes, "cache-bytes", 0, "cache byte budget (0 = 64 MiB); payloads live in GC-immune pointer-free segments")
+	fs.IntVar(&f.segBytes, "segment-bytes", 0, "cache segment size in bytes (0 = 1 MiB)")
+	fs.StringVar(&f.policy, "policy", "adaptive-a", "prefetch policy: adaptive-a, adaptive-b, greedy, static, topk or none (no speculation); the access model is always the Markov table bounded at about 7 MiB")
+	fs.Float64Var(&f.policyArg, "policy-arg", 0, "policy parameter (static threshold or topk k)")
+	fs.Float64Var(&f.bandwidth, "bandwidth", 1e6, "origin link capacity in payload-size units per second; the adaptive threshold's rho-prime normalises against it")
+	fs.IntVar(&f.shards, "shards", 0, "engine shard count (0 = auto)")
+	fs.IntVar(&f.workers, "workers", 0, "speculative worker count (0 = default)")
+	fs.Float64Var(&f.watermark, "idle-watermark", 0, "park speculative fetches while link utilisation >= this (0 = off)")
+	fs.IntVar(&f.hedgeMax, "hedge-attempts", 0, "max demand attempts incl. hedges (0 = no hedging)")
+	fs.IntVar(&f.breakerN, "breaker-threshold", 0, "consecutive failures that open the breaker (0 = no breaker)")
+	fs.DurationVar(&f.demandTO, "demand-timeout", 0, "per-attempt demand timeout on the flag-built backend (0 = none)")
+	fs.DurationVar(&f.specTO, "speculative-timeout", 0, "per-attempt speculative timeout on the flag-built backend (0 = none)")
+	fs.DurationVar(&f.drainTO, "shutdown-timeout", 10*time.Second, "graceful shutdown budget")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	return loadConfig(*configPath, f)
 }
 
 // loadConfig resolves the daemon config: a -config file wins wholesale
@@ -130,7 +129,6 @@ func loadConfig(path string, f flagConfig) (*Config, error) {
 	sp := SpaceConfig{
 		Name:          DefaultSpace,
 		CacheCapacity: f.cacheCap,
-		CachePolicy:   f.cachePolicy,
 		CacheBytes:    f.cacheBytes,
 		SegmentBytes:  f.segBytes,
 		Policy:        f.policy,

@@ -109,34 +109,11 @@ func buildEngine(sc SpaceConfig) (*prefetcher.Engine, []io.Closer, error) {
 	if sc.Routing == "latency" {
 		opts = append(opts, prefetcher.WithRouting(fetch.RouteLatency))
 	}
-	switch {
-	case sc.CacheBytes > 0:
-		// Slab store: payloads in pointer-free segments under a byte
-		// budget, entry count bounded by CacheCapacity when set. The
-		// factory ceil-splits both budgets across shards.
-		factory, err := bytestore.Factory(bytestore.Config{
-			CapacityBytes: sc.CacheBytes,
-			MaxEntries:    sc.CacheCapacity,
-			SegmentBytes:  sc.SegmentBytes,
-			Policy:        sc.CachePolicy,
-		})
-		if err != nil {
-			return nil, nil, fmt.Errorf("cache: %w", err)
-		}
-		opts = append(opts, prefetcher.WithCacheFactory(factory))
-	case sc.CacheCapacity > 0:
-		capacity, policy := sc.CacheCapacity, sc.CachePolicy
-		if policy == "" {
-			policy = "lru"
-		}
-		opts = append(opts, prefetcher.WithCacheFactory(func(shard, shards int) prefetcher.Cache {
-			c, err := prefetcher.NewCacheWithPolicy(shardCapacity(capacity, shards), policy)
-			if err != nil {
-				panic(err) // policy name was validated at parse time
-			}
-			return c
-		}))
+	factory, err := bytestore.Factory(sc.store())
+	if err != nil {
+		return nil, nil, fmt.Errorf("cache: %w", err)
 	}
+	opts = append(opts, prefetcher.WithCacheFactory(factory))
 	switch sc.Policy {
 	case "", "adaptive-a":
 		opts = append(opts, prefetcher.WithPolicy(prefetcher.AdaptiveThreshold(prefetcher.ModelA())))
@@ -187,14 +164,20 @@ func buildEngine(sc SpaceConfig) (*prefetcher.Engine, []io.Closer, error) {
 	return eng, fetchers, err
 }
 
-// shardCapacity splits a space-wide cache capacity across shards,
-// rounding up so the total never shrinks below the configured value.
-func shardCapacity(total, shards int) int {
-	per := (total + shards - 1) / shards
-	if per < 1 {
-		per = 1
+// defaultCacheBytes is a space's byte budget when its config names none.
+const defaultCacheBytes = 64 << 20
+
+// store is the one cache every space mounts: the slab store, payloads in
+// pointer-free segments under a byte budget, least recently used out
+// first, entry count bounded by CacheCapacity when set (else by the
+// store's own default, a 64th of the budget). The factory ceil-splits
+// both budgets across shards.
+func (sc SpaceConfig) store() bytestore.Config {
+	cfg := bytestore.Config{CapacityBytes: sc.CacheBytes, MaxEntries: sc.CacheCapacity, SegmentBytes: sc.SegmentBytes}
+	if cfg.CapacityBytes == 0 {
+		cfg.CapacityBytes = defaultCacheBytes
 	}
-	return per
+	return cfg
 }
 
 // buildFetcher constructs the adapter a BackendConfig names.

@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/testutil"
 	"repro/prefetcher"
+	"repro/prefetcher/bytestore"
 	"repro/prefetcher/fetch"
 	"repro/prefetcher/fetch/httpfetch"
 )
@@ -674,7 +675,7 @@ func TestBuildEngineKnobs(t *testing.T) {
 	defer testutil.ExpectNoLeaks(t)
 	dir := t.TempDir()
 	for _, sc := range []SpaceConfig{
-		{Name: "a", Policy: "adaptive-b", CacheCapacity: 64, CachePolicy: "clock",
+		{Name: "a", Policy: "adaptive-b", CacheCapacity: 64, CacheBytes: 1 << 20, SegmentBytes: 64 << 10,
 			Shards: 4, Workers: 2, QueueDepth: 32, MaxPrefetch: 8, Bandwidth: 100,
 			Routing: "latency", IdleWatermark: 0.9,
 			Hedging: &HedgingConfig{MaxAttempts: 2}, Breaker: &BreakerConfig{Threshold: 3},
@@ -834,19 +835,39 @@ func TestDaemonSlabOversizedObject(t *testing.T) {
 	}
 }
 
-// A slab-backed space (cache_bytes set) serves the same wire as a
-// boxed one: GET, HEAD and the framed /batch all round-trip, and the
-// payload path stays byte-for-byte correct under the arena store.
+// Every space mounts the slab store — one with explicit budgets and one
+// whose config names no cache key at all, which gets the 64 MiB default
+// byte bound and the store's own entry bound — and serves the same
+// wire: GET, HEAD and the framed /batch all round-trip, and the payload
+// path stays byte-for-byte correct under the arena store.
 func TestDaemonSlabSpace(t *testing.T) {
+	for name, tc := range map[string]struct {
+		set  func(*SpaceConfig)
+		want bytestore.Config
+	}{
+		"explicit budget": {
+			func(sc *SpaceConfig) { sc.CacheBytes, sc.SegmentBytes, sc.CacheCapacity = 1<<20, 64<<10, 256 },
+			bytestore.Config{CapacityBytes: 1 << 20, MaxEntries: 256, SegmentBytes: 64 << 10},
+		},
+		"no cache keys": {
+			func(sc *SpaceConfig) { sc.CacheBytes, sc.SegmentBytes, sc.CacheCapacity = 0, 0, 0 },
+			bytestore.Config{CapacityBytes: 64 << 20},
+		},
+	} {
+		t.Run(name, func(t *testing.T) { testDaemonSlabSpace(t, tc.set, tc.want) })
+	}
+}
+
+func testDaemonSlabSpace(t *testing.T, set func(*SpaceConfig), want bytestore.Config) {
 	defer testutil.ExpectNoLeaks(t)
 	origin := newTestOrigin(t, nil, nil)
 	cfg := oneSpaceConfig(origin.URL)
-	cfg.Spaces[0].CacheBytes = 1 << 20
-	cfg.Spaces[0].SegmentBytes = 64 << 10
-	cfg.Spaces[0].CacheCapacity = 256
-	cfg.Spaces[0].CachePolicy = "slru"
+	set(&cfg.Spaces[0])
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
+	}
+	if got := cfg.Spaces[0].store(); got != want {
+		t.Fatalf("the space mounts %+v, want %+v", got, want)
 	}
 	srv, err := NewServer(cfg, t.Logf)
 	if err != nil {

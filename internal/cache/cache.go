@@ -147,15 +147,6 @@ func (s *Store) removeInternal(id ID) {
 	s.policy.Removed(id)
 }
 
-// EvictVictim forces one policy-chosen eviction (used by interaction
-// model B where a prefetch displaces an average-value occupant even when
-// the heap has room). It is a no-op on an empty store.
-func (s *Store) EvictVictim() {
-	if len(s.resident) > 0 {
-		s.evictOne()
-	}
-}
-
 // Hits returns the number of Access calls that found the item resident.
 func (s *Store) Hits() int64 { return s.hits }
 

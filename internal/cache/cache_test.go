@@ -182,18 +182,6 @@ func TestStoreOnEvictCallback(t *testing.T) {
 	}
 }
 
-func TestStoreEvictVictim(t *testing.T) {
-	s := NewStore(5, NewLRU())
-	s.Admit(1)
-	s.Admit(2)
-	s.EvictVictim() // evicts 1 even though there is room
-	if s.Contains(1) || s.Len() != 1 {
-		t.Error("EvictVictim should force out the LRU item")
-	}
-	empty := NewStore(2, NewLRU())
-	empty.EvictVictim() // no-op, must not panic
-}
-
 func TestStoreResetStats(t *testing.T) {
 	s := NewStore(2, NewLRU())
 	s.Admit(1)

@@ -7,15 +7,22 @@
 // O(#entries) boxed values — residency becomes GC-free no matter how
 // many objects the store holds.
 //
-// Reclamation is segment rotation: Put appends at a write cursor, and
-// when every segment is full the cursor wraps onto the oldest segment,
-// evicts whatever entries still live there (reporting each id through
-// the OnEvict callback so an external policy/accounting layer can keep
-// itself consistent) and resets it. Rotation always makes progress —
-// there is no free-list fragmentation state in which a Put can wedge —
-// and approximates FIFO-by-write-age eviction for the byte budget,
-// while the caller's count-bounded policy layer (LRU/SLRU/…) drives
-// recency-based eviction through Delete.
+// The index is also the recency order: two more flat columns link the
+// live slots into a list, most recently used first, so the one table
+// that says where a value is also says which value goes next. Get,
+// BytesLen and Put move an entry to the head; Has peeks. There is no
+// second residency table and no per-entry node to keep in step.
+//
+// Every entry that leaves without the caller naming it (Delete) is
+// reported through the one OnEvict callback. Segment rotation bounds the
+// bytes: Put appends at a write cursor, and when every segment is full
+// the cursor wraps onto the oldest segment, evicts whatever entries
+// still live there and resets it — rotation always makes progress, there
+// is no free-list fragmentation state in which a Put can wedge, and it
+// approximates FIFO-by-write-age. The entry bound (SetMaxEntries), when
+// set, bounds the count: a Put that leaves more live entries evicts from
+// the tail of the list, after any rotation it caused. EvictOldest evicts
+// the tail on demand.
 //
 // A Store is not safe for concurrent use; in the prefetch engine each
 // shard owns one behind its shard mutex.
@@ -56,6 +63,14 @@ const (
 
 	// minIndexSlots is the initial open-addressing table size.
 	minIndexSlots = 64
+
+	// maxIndexSlots is the largest table the int32 slot numbers of the
+	// recency links are trusted with; rehash refuses to grow past it.
+	maxIndexSlots = 1 << 30
+
+	// none ends the recency list, on either side, and is both ends of
+	// an empty one.
+	none = -1
 )
 
 // Stats is a point-in-time snapshot of a Store's occupancy and churn.
@@ -85,6 +100,14 @@ type Store struct {
 	live int // live entries
 	used int // live + tombstoned slots (drives rehash)
 
+	// The recency list over the live slots, as slot numbers: prev[i] is
+	// the slot used more recently than i, next[i] less recently. Linear
+	// probing with tombstones never moves a live slot, so the links hold
+	// from one rehash to the next.
+	prev, next []int32
+	head, tail int32 // most and least recently used; none when empty
+	maxEntries int   // 0 = bounded by bytes alone
+
 	liveBytes     int64
 	rotations     int64
 	rotateEvicted int64
@@ -101,33 +124,32 @@ func New(capacityBytes, segBytes int) *Store {
 	if segBytes <= 0 {
 		segBytes = DefaultSegmentBytes
 	}
-	if segBytes < minSegmentBytes {
-		segBytes = minSegmentBytes
-	}
-	if segBytes > maxSegmentBytes {
-		segBytes = maxSegmentBytes
-	}
-	if capacityBytes < segBytes {
-		capacityBytes = segBytes
-	}
-	maxSegs := capacityBytes / segBytes
-	if capacityBytes%segBytes != 0 {
-		maxSegs++
-	}
-	if maxSegs > maxSegments {
-		maxSegs = maxSegments
-	}
+	segBytes = min(max(segBytes, minSegmentBytes), maxSegmentBytes)
+	capacityBytes = max(capacityBytes, segBytes)
+	maxSegs := min((capacityBytes+segBytes-1)/segBytes, maxSegments)
 	return &Store{
 		segBytes: segBytes,
 		maxSegs:  maxSegs,
 		keys:     make([]int64, minIndexSlots),
 		refs:     make([]uint64, minIndexSlots),
+		prev:     make([]int32, minIndexSlots),
+		next:     make([]int32, minIndexSlots),
+		head:     none,
+		tail:     none,
 	}
 }
 
-// OnEvict registers the callback rotation invokes, synchronously from
-// inside Put, once per live entry it displaces. The callback must not
-// call back into the Store.
+// SetMaxEntries bounds the live entry count at n: from now on a Put that
+// ends with more evicts the least recently used until it holds (n <= 0
+// lifts the bound). n is clamped to 2²⁸, which keeps the index at or
+// under the 2³⁰ slots its int32 links can number.
+func (s *Store) SetMaxEntries(n int) {
+	s.maxEntries = max(0, min(n, maxIndexSlots/4))
+}
+
+// OnEvict registers the callback that rotation, the entry bound and
+// EvictOldest invoke, synchronously from inside Put or EvictOldest, once
+// per live entry they displace. It must not call back into the Store.
 func (s *Store) OnEvict(fn func(id int64)) { s.onEvict = fn }
 
 // Len returns the number of live entries.
@@ -194,9 +216,49 @@ func (s *Store) findSlot(id int64) (int, bool) {
 	}
 }
 
+// link puts live slot i at the head of the recency list.
+//
+//prefetch:hotpath
+func (s *Store) link(i int32) {
+	s.prev[i], s.next[i] = none, s.head
+	if s.head != none {
+		s.prev[s.head] = i
+	} else {
+		s.tail = i
+	}
+	s.head = i
+}
+
+// unlink takes slot i out of the recency list.
+//
+//prefetch:hotpath
+func (s *Store) unlink(i int32) {
+	p, n := s.prev[i], s.next[i]
+	if p != none {
+		s.next[p] = n
+	} else {
+		s.head = n
+	}
+	if n != none {
+		s.prev[n] = p
+	} else {
+		s.tail = p
+	}
+}
+
+// touch marks slot i most recently used.
+//
+//prefetch:hotpath
+func (s *Store) touch(i int) {
+	if s.head != int32(i) {
+		s.unlink(int32(i))
+		s.link(int32(i))
+	}
+}
+
 // insert adds a reference for an id that is NOT currently indexed
 // (callers drop any existing entry first), reusing the first tombstone
-// on the probe path.
+// on the probe path, and links it in as most recently used.
 func (s *Store) insert(id int64, ref uint64) {
 	if (s.used+1)*4 >= len(s.refs)*3 {
 		s.rehash()
@@ -211,6 +273,7 @@ func (s *Store) insert(id int64, ref uint64) {
 		case refTomb:
 			s.keys[i], s.refs[i] = id, ref
 			s.live++
+			s.link(int32(i))
 			return
 		}
 		i = (i + 1) & mask
@@ -218,41 +281,59 @@ func (s *Store) insert(id int64, ref uint64) {
 }
 
 // rehash rebuilds the index — doubling it when live entries genuinely
-// crowd the table, or at the same size when tombstones do.
+// crowd the table, or at the same size when tombstones do — by walking
+// the old recency list from its tail and linking each entry in at the
+// new head, which visits exactly the live slots and leaves them in the
+// order they had.
 func (s *Store) rehash() {
 	size := len(s.refs)
 	if (s.live+1)*2 >= size {
 		size *= 2
 	}
-	oldKeys, oldRefs := s.keys, s.refs
+	if size > maxIndexSlots {
+		// Unreachable under SetMaxEntries; without, 2²⁹ live entries away.
+		panic("slab: index would outgrow its int32 slot numbers")
+	}
+	oldKeys, oldRefs, oldPrev, j := s.keys, s.refs, s.prev, s.tail
 	s.keys = make([]int64, size)
 	s.refs = make([]uint64, size)
+	s.prev = make([]int32, size)
+	s.next = make([]int32, size)
+	s.head, s.tail = none, none
 	s.used = s.live
 	mask := uint64(size - 1)
-	for j, ref := range oldRefs {
-		if ref == refEmpty || ref == refTomb {
-			continue
-		}
+	for ; j != none; j = oldPrev[j] {
 		i := s.slot(oldKeys[j])
 		for s.refs[i] != refEmpty {
 			i = (i + 1) & mask
 		}
-		s.keys[i], s.refs[i] = oldKeys[j], ref
+		s.keys[i], s.refs[i] = oldKeys[j], oldRefs[j]
+		s.link(int32(i))
 	}
 }
 
-// dropSlot tombstones index slot i and debits the segment accounting
-// for its reference.
+// dropSlot tombstones index slot i, unlinks it and debits the segment
+// accounting for its reference.
 func (s *Store) dropSlot(i int) {
 	seg, _, n := unpack(s.refs[i])
 	s.refs[i] = refTomb
+	s.unlink(int32(i))
 	s.live--
 	s.liveSeg[seg]--
 	s.liveBytes -= int64(headerBytes + n)
 }
 
-// Delete removes id if present. No eviction callback fires — this is
-// the path the external policy layer drives, and it already knows.
+// evict drops live slot i and reports its id.
+func (s *Store) evict(i int) {
+	id := s.keys[i]
+	s.dropSlot(i)
+	if s.onEvict != nil {
+		s.onEvict(id)
+	}
+}
+
+// Delete removes id if present. No eviction callback fires — the caller
+// named the entry, so it already knows.
 func (s *Store) Delete(id int64) bool {
 	i, ok := s.findSlot(id)
 	if !ok {
@@ -262,12 +343,22 @@ func (s *Store) Delete(id int64) bool {
 	return true
 }
 
-// Put stores a copy of v under id, overwriting any previous value.
-// It returns false — storing nothing — only when the payload can never
-// fit a segment (see Fits). Rotation may evict other entries to make
-// room; the id being written is immune (its stale copy is dropped from
-// the index before space is claimed, so the rotation walk cannot
-// surface it).
+// EvictOldest evicts the least recently used entry, if there is one,
+// reporting it through OnEvict.
+func (s *Store) EvictOldest() {
+	if s.tail != none {
+		s.evict(int(s.tail))
+	}
+}
+
+// Put stores a copy of v under id, overwriting any previous value, and
+// makes id the most recently used. It returns false — storing nothing —
+// only when the payload can never fit a segment (see Fits). Rotation may
+// evict other entries to make room, and then the entry bound the least
+// recently used ones; the id being written is immune to both (its stale
+// copy is dropped from the index before space is claimed, so the
+// rotation walk cannot surface it, and it is at the head of the list
+// the bound evicts from the tail of).
 func (s *Store) Put(id int64, v []byte) bool {
 	need := headerBytes + len(v)
 	if len(v) > maxSegmentBytes || need > s.segBytes {
@@ -286,6 +377,9 @@ func (s *Store) Put(id int64, v []byte) bool {
 	s.insert(id, pack(seg, off+headerBytes, len(v)))
 	s.liveSeg[seg]++
 	s.liveBytes += int64(need)
+	for s.maxEntries > 0 && s.live > s.maxEntries {
+		s.evict(int(s.tail))
+	}
 	return true
 }
 
@@ -341,10 +435,11 @@ func (s *Store) rotate(seg int) {
 	s.liveSeg[seg] = 0
 }
 
-// Get appends id's payload to dst and reports whether id was present.
-// The payload is copied out under the caller's lock discipline; dst is
-// the caller's buffer (typically pooled), so a hit allocates nothing
-// once dst has grown to working size.
+// Get appends id's payload to dst, marks id most recently used and
+// reports whether it was present. The payload is copied out under the
+// caller's lock discipline; dst is the caller's buffer (typically
+// pooled), so a hit allocates nothing once dst has grown to working
+// size.
 //
 //prefetch:hotpath
 func (s *Store) Get(id int64, dst []byte) ([]byte, bool) {
@@ -352,26 +447,13 @@ func (s *Store) Get(id int64, dst []byte) ([]byte, bool) {
 	if !ok {
 		return dst, false
 	}
+	s.touch(i)
 	seg, off, n := unpack(s.refs[i])
 	return append(dst, s.segs[seg][off:off+n]...), true
 }
 
-// View returns a zero-copy window onto id's payload. The slice aliases
-// the arena: it is valid only until the next Put or Delete, and the
-// caller must not retain or mutate it. The three-index form keeps an
-// append through the view from clobbering a neighbouring entry.
-//
-//prefetch:hotpath
-func (s *Store) View(id int64) ([]byte, bool) {
-	i, ok := s.findSlot(id)
-	if !ok {
-		return nil, false
-	}
-	seg, off, n := unpack(s.refs[i])
-	return s.segs[seg][off : off+n : off+n], true
-}
-
-// BytesLen returns the stored payload length for id.
+// BytesLen returns the stored payload length for id, marking it most
+// recently used like the Get it stands in for.
 //
 //prefetch:hotpath
 func (s *Store) BytesLen(id int64) (int, bool) {
@@ -379,6 +461,15 @@ func (s *Store) BytesLen(id int64) (int, bool) {
 	if !ok {
 		return 0, false
 	}
+	s.touch(i)
 	_, _, n := unpack(s.refs[i])
 	return n, true
+}
+
+// Has reports whether id is present without touching its recency.
+//
+//prefetch:hotpath
+func (s *Store) Has(id int64) bool {
+	_, ok := s.findSlot(id)
+	return ok
 }

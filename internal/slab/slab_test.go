@@ -3,6 +3,7 @@ package slab
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -38,10 +39,6 @@ func TestPutGetRoundTrip(t *testing.T) {
 		n, ok := s.BytesLen(id)
 		if !ok || n != int(id)%257 {
 			t.Fatalf("BytesLen(%d) = %d,%t; want %d,true", id, n, ok, int(id)%257)
-		}
-		view, ok := s.View(id)
-		if !ok || !bytes.Equal(view, payload(id, int(id)%257)) {
-			t.Fatalf("View(%d) mismatch", id)
 		}
 	}
 	if _, ok := s.Get(999, nil); ok {
@@ -243,106 +240,180 @@ func TestIndexChurnRehash(t *testing.T) {
 	}
 }
 
-// FuzzSlabStore interleaves put/get/delete (with rotation-driven
-// eviction folded in through the callback) against a map reference
-// model: after every op the store and model agree on membership,
-// payloads and length, and at the end the full live set round-trips.
+// fuzzSeeds are FuzzSlabStore's seed corpus, three bytes an op (see
+// fuzzOps): between them they force a growing rehash, a tombstone-only
+// rehash, rotation, the entry bound and EvictOldest, with reads in
+// between to shuffle the recency order each has to carry across.
+func fuzzSeeds() [][]byte {
+	var grow, tombs, rotate, bound []byte
+	for i := byte(0); i < 60; i++ {
+		grow = append(grow, 0, i, 0, 2, i/2, 0) // 60 empty values: the 64-slot table doubles on the way
+		if i < 3 {
+			tombs = append(tombs, 0, i, 5) // three survivors for the list to keep
+		} else {
+			tombs = append(tombs, 0, i, 5, 3, i, 0, 4, i%3, 0) // put, delete: a tombstone each; touch a survivor
+		}
+		rotate = append(rotate, 0, i, 199, 2, i-3, 0) // one value a segment: the ninth Put wraps
+		bound = append(bound, 7, 5, 0, 0, i, 9, 4, i-2, 0, 6, 0, 0, 5, i, 0)
+	}
+	return [][]byte{
+		{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11},
+		{1, 200, 1, 2, 200, 0, 0, 31, 255, 6, 0, 0, 2, 31, 0},
+		grow, tombs, rotate, bound,
+	}
+}
+
+// FuzzSlabStore interleaves Put, Get, Delete, BytesLen, Has,
+// EvictOldest and SetMaxEntries against a reference model — a map for
+// the payloads and a slice, least recently used first, for the order —
+// on an arena small enough that rotation fires constantly. After every
+// op the store and the model agree on the answer, on every victim (a
+// rotation victim may be any live id; a bound or EvictOldest victim
+// must be the model's oldest), on the length, and — auditLinks — on the
+// whole recency list, link by link.
 func FuzzSlabStore(f *testing.F) {
-	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
-	f.Add([]byte{1, 200, 1, 200, 2, 1, 0, 31, 255})
-	f.Add(bytes.Repeat([]byte{0, 255}, 64))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		s := New(2048, 256) // tiny: rotation fires constantly
-		model := map[int64][]byte{}
-		s.OnEvict(func(id int64) {
-			if _, ok := model[id]; !ok {
-				t.Fatalf("evicted id %d not in model", id)
-			}
-			delete(model, id)
-		})
-		for i := 0; i+1 < len(data); i += 2 {
-			op, arg := data[i], data[i+1]
-			id := int64(arg % 37) // small space: collisions and overwrites
-			switch op % 4 {
-			case 0, 1: // put, length from arg (kept under the segment size)
-				v := payload(id, int(arg)%200)
-				if !s.Put(id, v) {
-					t.Fatalf("Put(%d, %dB) refused", id, len(v))
-				}
-				model[id] = v
-			case 2:
-				got, ok := s.Get(id, nil)
-				want, wok := model[id]
-				if ok != wok {
-					t.Fatalf("Get(%d) presence %t, model %t", id, ok, wok)
-				}
-				if ok && !bytes.Equal(got, want) {
-					t.Fatalf("Get(%d) = %x, model %x", id, got, want)
-				}
-			case 3:
-				_, wok := model[id]
-				if s.Delete(id) != wok {
-					t.Fatalf("Delete(%d) disagreed with model presence %t", id, wok)
-				}
-				delete(model, id)
-			}
-			if s.Len() != len(model) {
-				t.Fatalf("Len = %d, model %d", s.Len(), len(model))
-			}
-		}
-		for id, want := range model {
-			got, ok := s.Get(id, nil)
-			if !ok || !bytes.Equal(got, want) {
-				t.Fatalf("final check id %d: %x,%t want %x", id, got, ok, want)
-			}
-			n, ok := s.BytesLen(id)
-			if !ok || n != len(want) {
-				t.Fatalf("final BytesLen(%d) = %d,%t want %d", id, n, ok, len(want))
-			}
-		}
-	})
+	for _, seed := range fuzzSeeds() {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) { fuzzOps(t, data) })
 }
 
 // TestFuzzSeedsDirect runs the seed corpus through the fuzz body so a
-// plain `go test` exercises it without the fuzzing engine.
+// plain `go test` exercises it without the fuzzing engine, and checks
+// the seeds reach what they are there to force.
 func TestFuzzSeedsDirect(t *testing.T) {
-	seeds := [][]byte{
-		{0, 1, 2, 3, 4, 5, 6, 7, 8, 9},
-		{1, 200, 1, 200, 2, 1, 0, 31, 255},
-		bytes.Repeat([]byte{0, 255}, 64),
-	}
-	for i, seed := range seeds {
+	var grew, rotated bool
+	for i, seed := range fuzzSeeds() {
 		t.Run(fmt.Sprint(i), func(t *testing.T) {
-			runRef(t, seed)
+			s := fuzzOps(t, seed)
+			grew = grew || len(s.refs) > minIndexSlots
+			rotated = rotated || s.rotateEvicted > 0
 		})
+	}
+	if !grew || !rotated {
+		t.Fatalf("the seeds forced a growing rehash: %t, a rotation that evicts: %t; want both", grew, rotated)
 	}
 }
 
-// runRef mirrors the FuzzSlabStore body for direct seed execution.
-func runRef(t *testing.T, data []byte) {
-	s := New(2048, 256)
-	model := map[int64][]byte{}
-	s.OnEvict(func(id int64) { delete(model, id) })
-	for i := 0; i+1 < len(data); i += 2 {
-		op, arg := data[i], data[i+1]
-		id := int64(arg % 37)
-		switch op % 4 {
+func fuzzOps(t *testing.T, data []byte) *Store {
+	s := New(2048, 256) // tiny: rotation fires constantly
+	vals := map[int64][]byte{}
+	var order []int64 // least recently used first
+	forget := func(id int64) {
+		i := slices.Index(order, id)
+		if i < 0 {
+			t.Fatalf("id %d left the store but was not in the model", id)
+		}
+		order = slices.Delete(order, i, i+1)
+		delete(vals, id)
+	}
+	use := func(id int64) {
+		if i := slices.Index(order, id); i >= 0 {
+			order = append(slices.Delete(order, i, i+1), id)
+		}
+	}
+	var victims []int64
+	s.OnEvict(func(id int64) { victims = append(victims, id) })
+	bound := 0
+
+	for i := 0; i+2 < len(data); i += 3 {
+		op, id, arg := data[i]%8, int64(data[i+1]%61), data[i+2]
+		rotatedBefore := s.rotateEvicted
+		switch op {
 		case 0, 1:
-			v := payload(id, int(arg)%200)
-			s.Put(id, v)
-			model[id] = v
+			v := payload(id, int(arg)%200) // always under the segment size
+			if _, ok := vals[id]; ok {
+				forget(id) // neither bound can pick the id being written; it is re-entered below
+			}
+			if !s.Put(id, v) {
+				t.Fatalf("Put(%d, %dB) refused", id, len(v))
+			}
 		case 2:
 			got, ok := s.Get(id, nil)
-			want, wok := model[id]
-			if ok != wok || (ok && !bytes.Equal(got, want)) {
-				t.Fatalf("Get(%d) diverged from model", id)
+			if want, wok := vals[id]; ok != wok || !bytes.Equal(got, want) {
+				t.Fatalf("Get(%d) = %x,%t; model %x,%t", id, got, ok, want, wok)
 			}
+			use(id)
 		case 3:
-			s.Delete(id)
-			delete(model, id)
+			_, wok := vals[id]
+			if s.Delete(id) != wok {
+				t.Fatalf("Delete(%d) disagreed with model presence %t", id, wok)
+			}
+			if wok {
+				forget(id)
+			}
+		case 4:
+			n, ok := s.BytesLen(id)
+			if want, wok := vals[id]; ok != wok || n != len(want) {
+				t.Fatalf("BytesLen(%d) = %d,%t; model %d,%t", id, n, ok, len(want), wok)
+			}
+			use(id)
+		case 5:
+			if _, wok := vals[id]; s.Has(id) != wok {
+				t.Fatalf("Has(%d) disagreed with model presence %t", id, wok)
+			}
+		case 6:
+			s.EvictOldest()
+			if want := min(len(order), 1); len(victims) != want {
+				t.Fatalf("EvictOldest reported %v with %d live", victims, len(order))
+			}
+		case 7:
+			bound = int(arg % 8) // 0 lifts it; it bites at the next Put
+			s.SetMaxEntries(bound)
 		}
-		if s.Len() != len(model) {
-			t.Fatalf("Len = %d, model %d", s.Len(), len(model))
+		// Victims arrive rotation's first, then the recency list's.
+		rotated := int(s.rotateEvicted - rotatedBefore)
+		for k, v := range victims {
+			if k >= rotated && (len(order) == 0 || v != order[0]) {
+				t.Fatalf("op %d evicted %d (victims %v) while the model, oldest first, held %v", op, v, victims, order)
+			}
+			forget(v)
 		}
+		victims = victims[:0]
+		if op <= 1 {
+			vals[id] = payload(id, int(arg)%200)
+			order = append(order, id)
+			if bound > 0 && len(order) > bound {
+				t.Fatalf("Put left %d live past the bound of %d", len(order), bound)
+			}
+		}
+		if s.Len() != len(order) {
+			t.Fatalf("Len = %d, model %d", s.Len(), len(order))
+		}
+		auditLinks(t, s, order)
+	}
+	for id, want := range vals {
+		if got, ok := s.Get(id, nil); !ok || !bytes.Equal(got, want) {
+			t.Fatalf("final check id %d: %x,%t want %x", id, got, ok, want)
+		}
+	}
+	return s
+}
+
+// auditLinks walks the recency list both ways: head to tail it must
+// visit exactly the live slots, each holding a live reference, in the
+// model's order reversed; prev must invert next; and the ends must be
+// none on both sides.
+func auditLinks(t *testing.T, s *Store, order []int64) {
+	t.Helper()
+	back := int32(none)
+	n := 0
+	for i := s.head; i != none; back, i = i, s.next[i] {
+		if n == len(order) {
+			t.Fatalf("the list runs past its %d live entries", len(order))
+		}
+		if ref := s.refs[i]; ref == refEmpty || ref == refTomb {
+			t.Fatalf("slot %d on the list holds no live reference (%d)", i, ref)
+		}
+		if s.prev[i] != back {
+			t.Fatalf("prev[%d] = %d, but the list reached it from %d", i, s.prev[i], back)
+		}
+		if want := order[len(order)-1-n]; s.keys[i] != want {
+			t.Fatalf("position %d from the head holds id %d, model %d (model order, oldest first: %v)", n, s.keys[i], want, order)
+		}
+		n++
+	}
+	if n != len(order) || s.tail != back {
+		t.Fatalf("walked %d slots ending at %d; want %d ending at tail %d", n, back, len(order), s.tail)
 	}
 }

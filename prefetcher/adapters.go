@@ -1,7 +1,6 @@
 package prefetcher
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -153,19 +152,6 @@ func NewLRUCache(capacity int) Cache { return newStoreCache(capacity, cache.NewL
 // protectedCap < 1.
 func NewSLRUCache(capacity, protectedCap int) Cache {
 	return newStoreCache(capacity, cache.NewSLRU(protectedCap))
-}
-
-// NewFIFOCache returns a first-in-first-out cache of the given capacity.
-func NewFIFOCache(capacity int) Cache { return newStoreCache(capacity, cache.NewFIFO()) }
-
-// NewCacheWithPolicy returns a cache of the given capacity using a
-// replacement policy selected by name: "lru", "lfu", "fifo" or "clock".
-func NewCacheWithPolicy(capacity int, policy string) (Cache, error) {
-	p, err := cache.NewPolicy(policy)
-	if err != nil {
-		return nil, fmt.Errorf("prefetcher: %w", err)
-	}
-	return newStoreCache(capacity, p), nil
 }
 
 // --- Clocks -------------------------------------------------------------

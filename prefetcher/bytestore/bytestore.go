@@ -1,29 +1,34 @@
 // Package bytestore provides the slab-backed prefetcher.Cache: payload
-// bytes live in internal/slab's pointer-free segment arena while
-// residency, the replacement policy (LRU/SLRU/LFU/FIFO/clock) and hit
-// accounting stay in internal/cache.Store — so the engine's estimator
-// and policy layers behave exactly as they do over the boxed caches,
-// but the garbage collector no longer scans one pointer per cached
-// value. A Store implements prefetcher.ByteCache, which is what lets
-// Engine.GetBytes/GetMultiBytes serve hits by copying straight from
-// the arena into a caller-owned buffer: no interface boxing, no
+// bytes live in internal/slab's pointer-free segment arena, and the
+// arena's flat index is the store's one table — it says where a value
+// is, whether it is resident at all, and, through the recency links it
+// carries, which resident goes next (least recently used first). The
+// garbage collector scans neither a pointer per cached value nor a node
+// per cached key. A Store implements prefetcher.ByteCache, which is what
+// lets Engine.GetBytes/GetMultiBytes serve hits by copying straight
+// from the arena into a caller-owned buffer: no interface boxing, no
 // per-hit allocation.
 //
-// Two eviction streams feed the one OnEvict callback the engine
-// installs: the policy layer's count-bound victims (an Admit past
-// capacity), and the slab's byte-bound rotation victims (the write
-// cursor reclaiming the oldest segment). Both remove the entry from
-// the other layer before reporting it, so the store's residency,
-// payload and the engine's ĥ′/used/wasted accounting never diverge.
+// There is one eviction stream: the slab reports every entry it
+// displaces — the write cursor reclaiming the oldest segment (the byte
+// bound), a Put past MaxEntries evicting from the tail of the recency
+// list (the entry bound, after any rotation the same Put caused), the
+// overflow budget loop below — through one callback, which drops the
+// victim's boxed value if it had one and forwards the id to the OnEvict
+// callback the engine installs. Recency is touched by Get, GetBytes and
+// BytesLen on a hit and by every Put; Contains peeks.
 //
 // Values that cannot live in the arena — payloads larger than a
-// segment, or non-[]byte Data — fall back to a boxed overflow map so
+// segment, or non-[]byte Data — are boxed in an overflow map so
 // Cache.Put never silently drops (the engine's resident accounting
-// assumes an admitted entry is resident). They miss GetBytes/BytesLen
-// and are served through the compatibility Get path instead — the
-// engine's byte paths fall back to it under the same shard lock, so an
-// oversized []byte is still a byte hit. Overflow []byte usage is
-// charged against CapacityBytes (see Config).
+// assumes an admitted entry is resident). A boxed value still holds its
+// place in the arena, as an empty 12-byte record, so the slab stays the
+// only authority on residency and recency: rotation or the entry bound
+// can evict a boxed value like any other. Boxed values miss
+// GetBytes/BytesLen and are served through the compatibility Get path
+// instead — the engine's byte paths fall back to it under the same
+// shard lock, so an oversized []byte is still a byte hit. Overflow
+// []byte usage is charged against CapacityBytes (see Config).
 //
 // A Store is not goroutine-safe; the engine gives each shard its own
 // instance (use Factory with prefetcher.WithCacheFactory) and
@@ -33,9 +38,7 @@ package bytestore
 import (
 	"bytes"
 	"errors"
-	"fmt"
 
-	"repro/internal/cache"
 	"repro/internal/slab"
 	"repro/prefetcher"
 )
@@ -45,27 +48,24 @@ type Config struct {
 	// CapacityBytes bounds the arena's memory. Required. Oversized
 	// []byte payloads (larger than a segment) bypass the arena into the
 	// boxed overflow map but are charged against the same budget: a Put
-	// that would push overflow bytes past CapacityBytes first evicts
-	// policy victims. Worst case the store holds CapacityBytes of arena
-	// plus CapacityBytes of overflow, plus one payload beyond that when
-	// a single value exceeds the whole budget (Put never drops the
-	// entry being inserted). Non-[]byte overflow values have no
-	// measurable size and are bounded only by MaxEntries.
+	// that would push overflow bytes past CapacityBytes first evicts the
+	// least recently used residents. Worst case the store holds
+	// CapacityBytes of arena plus CapacityBytes of overflow, plus one
+	// payload beyond that when a single value exceeds the whole budget
+	// (Put never drops the entry being inserted). Non-[]byte overflow
+	// values have no measurable size and are bounded only by MaxEntries.
 	CapacityBytes int
-	// MaxEntries bounds the resident count (the policy layer's
-	// capacity). Defaults to CapacityBytes/64, at least 16.
+	// MaxEntries bounds the resident count; past it the least recently
+	// used resident goes. Defaults to CapacityBytes/64, at least 16, and
+	// is clamped to 2²⁸ (see slab.Store.SetMaxEntries).
 	MaxEntries int
 	// SegmentBytes is the arena segment size; 0 means the slab default
 	// (1 MiB).
 	SegmentBytes int
-	// Policy selects replacement: "lru" (default), "slru", "lfu",
-	// "fifo" or "clock".
-	Policy string
 }
 
 // Store is the slab-backed cache. Construct with New or Factory.
 type Store struct {
-	store         *cache.Store
 	slab          *slab.Store
 	overflow      map[prefetcher.ID]boxed
 	overflowBytes int
@@ -87,23 +87,6 @@ var (
 	_ prefetcher.BytesPutter = (*Store)(nil)
 )
 
-// newPolicy resolves a policy name, mapping the empty string to LRU
-// and sizing SLRU's protected segment to half the entry budget.
-func newPolicy(name string, maxEntries int) (cache.Policy, error) {
-	switch name {
-	case "", "lru":
-		return cache.NewLRU(), nil
-	case "slru":
-		protected := maxEntries / 2
-		if protected < 1 {
-			protected = 1
-		}
-		return cache.NewSLRU(protected), nil
-	default:
-		return cache.NewPolicy(name)
-	}
-}
-
 // New builds one Store from cfg.
 func New(cfg Config) (*Store, error) {
 	if cfg.CapacityBytes <= 0 {
@@ -111,36 +94,18 @@ func New(cfg Config) (*Store, error) {
 	}
 	maxEntries := cfg.MaxEntries
 	if maxEntries <= 0 {
-		maxEntries = cfg.CapacityBytes / 64
-		if maxEntries < 16 {
-			maxEntries = 16
-		}
-	}
-	policy, err := newPolicy(cfg.Policy, maxEntries)
-	if err != nil {
-		return nil, fmt.Errorf("bytestore: %w", err)
+		maxEntries = max(cfg.CapacityBytes/64, 16)
 	}
 	s := &Store{
-		store:         cache.NewStore(maxEntries, policy),
 		slab:          slab.New(cfg.CapacityBytes, cfg.SegmentBytes),
 		overflow:      make(map[prefetcher.ID]boxed),
 		capacityBytes: cfg.CapacityBytes,
 	}
-	// Count-bound (policy) evictions: drop the payload wherever it
-	// lives, then report. Fires from store.Admit and from the overflow
-	// byte-budget loop, i.e. from Put.
-	s.store.OnEvict(func(id cache.ID) {
-		s.slab.Delete(int64(id))
-		s.dropOverflow(prefetcher.ID(id))
-		if s.onEvict != nil {
-			s.onEvict(prefetcher.ID(id))
-		}
-	})
-	// Byte-bound (rotation) evictions: drop residency — Remove is the
-	// no-callback form, the report below is the only one — then
-	// forward. Fires from slab.Put, i.e. from Put.
+	s.slab.SetMaxEntries(maxEntries)
+	// The one eviction stream: rotation, the entry bound and the overflow
+	// budget loop all report here, from inside Put.
 	s.slab.OnEvict(func(id int64) {
-		s.store.Remove(cache.ID(id))
+		s.dropOverflow(prefetcher.ID(id))
 		if s.onEvict != nil {
 			s.onEvict(prefetcher.ID(id))
 		}
@@ -152,7 +117,7 @@ func New(cfg Config) (*Store, error) {
 // function producing one Store per shard, with the byte and entry
 // budgets ceil-split across the shard count.
 func Factory(cfg Config) (func(shard, shards int) prefetcher.Cache, error) {
-	if _, err := New(probeConfig(cfg)); err != nil {
+	if _, err := New(cfg); err != nil { // an empty Store costs its 64-slot index
 		return nil, err
 	}
 	return func(_, shards int) prefetcher.Cache {
@@ -163,23 +128,12 @@ func Factory(cfg Config) (func(shard, shards int) prefetcher.Cache, error) {
 		}
 		s, err := New(per)
 		if err != nil {
-			// Unreachable: the probe validated the config and the
-			// per-shard split only shrinks positive budgets.
+			// Unreachable: the per-shard split only shrinks positive
+			// budgets, and never to zero.
 			panic(err)
 		}
 		return s
 	}, nil
-}
-
-// probeConfig is the throwaway validation config: tiny budgets so the
-// probe Store costs nothing, same policy so name errors surface.
-func probeConfig(cfg Config) Config {
-	if cfg.CapacityBytes > 0 {
-		cfg.CapacityBytes = 1024
-	}
-	cfg.MaxEntries = 16
-	cfg.SegmentBytes = 1024
-	return cfg
 }
 
 func ceilDiv(a, b int) int {
@@ -194,19 +148,28 @@ func ceilDiv(a, b int) int {
 // allocates per hit; byte-path callers (the engine's GetBytes and
 // GetMultiBytes) use GetBytes instead.
 func (s *Store) Get(id prefetcher.ID) (any, bool) {
-	if !s.store.Access(cache.ID(id)) {
-		return nil, false
-	}
 	if e, ok := s.overflow[id]; ok {
+		s.slab.BytesLen(int64(id)) // a hit: refresh the placeholder's recency
 		return e.val, true
 	}
 	b, ok := s.slab.Get(int64(id), nil)
 	if !ok {
-		// Resident per the policy layer but in neither payload store —
-		// the sync invariant makes this unreachable.
 		return nil, false
 	}
 	return b, true
+}
+
+// isBoxed reports whether id's arena record is only the placeholder of
+// a boxed value. The length guard keeps the byte path off the map while
+// nothing is boxed — the usual case.
+//
+//prefetch:hotpath
+func (s *Store) isBoxed(id prefetcher.ID) bool {
+	if len(s.overflow) == 0 {
+		return false
+	}
+	_, ok := s.overflow[id]
+	return ok
 }
 
 // GetBytes implements prefetcher.ByteCache: a slab hit is appended to
@@ -214,55 +177,47 @@ func (s *Store) Get(id prefetcher.ID) (any, bool) {
 //
 //prefetch:hotpath
 func (s *Store) GetBytes(id prefetcher.ID, dst []byte) ([]byte, bool) {
-	out, ok := s.slab.Get(int64(id), dst)
-	if !ok {
+	if s.isBoxed(id) {
 		return dst, false
 	}
-	s.store.Access(cache.ID(id))
-	return out, true
+	return s.slab.Get(int64(id), dst)
 }
 
 // BytesLen implements prefetcher.ByteCache.
 //
 //prefetch:hotpath
 func (s *Store) BytesLen(id prefetcher.ID) (int, bool) {
-	n, ok := s.slab.BytesLen(int64(id))
-	if !ok {
+	if s.isBoxed(id) {
 		return 0, false
 	}
-	s.store.Access(cache.ID(id))
-	return n, true
+	return s.slab.BytesLen(int64(id))
 }
 
 // Put implements prefetcher.Cache. []byte payloads that fit a segment
-// go to the arena; everything else goes to the boxed overflow map, so
-// an admitted entry is always resident whatever its payload shape.
-// Overflow bytes bypass the arena's budget, so they are charged
-// against CapacityBytes here: victims are evicted through the policy
-// layer until the incoming payload fits (see Config.CapacityBytes for
-// the worst-case bound).
+// go to the arena; everything else goes to the boxed overflow map with
+// an empty arena record in its place, so an admitted entry is always
+// resident whatever its payload shape. Overflow bytes bypass the arena's
+// budget, so they are charged against CapacityBytes here: the least
+// recently used residents are evicted until the incoming payload fits
+// (see Config.CapacityBytes for the worst-case bound).
 func (s *Store) Put(id prefetcher.ID, value any) {
-	if b, ok := value.([]byte); ok && s.slab.Fits(len(b)) {
+	b, isBytes := value.([]byte)
+	if isBytes && s.slab.Fits(len(b)) {
 		s.PutBytes(id, b)
 		return
 	}
-	size := 0
-	if b, ok := value.([]byte); ok {
-		size = len(b)
-	}
-	// Clear id's previous incarnation before making room (Remove is the
-	// no-callback form — an overwrite is not an eviction), so the budget
-	// loop can never choose the entry being inserted as its victim and
-	// Put never silently drops.
-	s.store.Remove(cache.ID(id))
+	// Clear id's previous incarnation before making room (Delete reports
+	// nothing — an overwrite is not an eviction), so the budget loop can
+	// never choose the entry being inserted as its victim and Put never
+	// silently drops.
 	s.slab.Delete(int64(id))
 	s.dropOverflow(id)
-	for s.overflowBytes+size > s.capacityBytes && s.store.Len() > 0 {
-		s.store.EvictVictim()
+	for s.overflowBytes+len(b) > s.capacityBytes && s.slab.Len() > 0 {
+		s.slab.EvictOldest()
 	}
-	s.overflow[id] = boxed{val: value, size: size}
-	s.overflowBytes += size
-	s.store.Admit(cache.ID(id))
+	s.overflow[id] = boxed{val: value, size: len(b)}
+	s.overflowBytes += len(b)
+	s.slab.Put(int64(id), nil)
 }
 
 // PutBytes implements prefetcher.BytesPutter: Put for a payload the
@@ -279,7 +234,6 @@ func (s *Store) PutBytes(id prefetcher.ID, b []byte) {
 	}
 	s.dropOverflow(id) // shape change: previous value may be boxed
 	s.slab.Put(int64(id), b)
-	s.store.Admit(cache.ID(id))
 }
 
 // dropOverflow removes id's boxed entry, if any, debiting its charge
@@ -292,20 +246,21 @@ func (s *Store) dropOverflow(id prefetcher.ID) {
 }
 
 // Contains implements prefetcher.Cache (a peek: no recency refresh).
-func (s *Store) Contains(id prefetcher.ID) bool { return s.store.Contains(cache.ID(id)) }
+func (s *Store) Contains(id prefetcher.ID) bool { return s.slab.Has(int64(id)) }
 
 // Len implements prefetcher.Cache.
-func (s *Store) Len() int { return s.store.Len() }
+func (s *Store) Len() int { return s.slab.Len() }
 
-// OnEvict implements prefetcher.Cache. The callback receives victims
-// of both eviction streams — policy and segment rotation.
+// OnEvict implements prefetcher.Cache. The callback receives every
+// victim, whichever bound displaced it.
 func (s *Store) OnEvict(fn func(prefetcher.ID)) { s.onEvict = fn }
 
 // Footprint reports the payload bytes the store holds and the ceiling
 // it holds each kind to (see Config.CapacityBytes): the arena's live
-// bytes, record headers included, against the segments rotation may
-// fill; the overflow map's []byte payloads against CapacityBytes, or
-// against the one payload Put lets exceed it alone.
+// bytes, record headers (a boxed value's placeholder is one) included,
+// against the segments rotation may fill; the overflow map's []byte
+// payloads against CapacityBytes, or against the one payload Put lets
+// exceed it alone.
 func (s *Store) Footprint() (arena, arenaMax, overflow, overflowMax int64) {
 	st := s.slab.Stats()
 	overflowMax = int64(s.capacityBytes)

@@ -227,22 +227,15 @@ func TestGetBytesAppends(t *testing.T) {
 }
 
 func TestPolicies(t *testing.T) {
-	for _, pol := range []string{"", "lru", "slru", "lfu", "fifo", "clock"} {
-		t.Run("pol="+pol, func(t *testing.T) {
-			s, err := New(Config{CapacityBytes: 1 << 16, MaxEntries: 8, Policy: pol})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for id := prefetcher.ID(0); id < 20; id++ {
-				s.Put(id, val(id, 16))
-			}
-			if s.Len() != 8 {
-				t.Fatalf("Len = %d, want 8", s.Len())
-			}
-		})
+	s, err := New(Config{CapacityBytes: 1 << 16, MaxEntries: 8})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := New(Config{CapacityBytes: 1024, Policy: "nope"}); err == nil {
-		t.Fatal("bad policy accepted")
+	for id := prefetcher.ID(0); id < 20; id++ {
+		s.Put(id, val(id, 16))
+	}
+	if s.Len() != 8 {
+		t.Fatalf("Len = %d, want 8", s.Len())
 	}
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("zero CapacityBytes accepted")
@@ -250,7 +243,7 @@ func TestPolicies(t *testing.T) {
 }
 
 func TestFactory(t *testing.T) {
-	fn, err := Factory(Config{CapacityBytes: 1 << 20, MaxEntries: 64, Policy: "slru"})
+	fn, err := Factory(Config{CapacityBytes: 1 << 20, MaxEntries: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,9 +263,6 @@ func TestFactory(t *testing.T) {
 	}
 	if _, err := Factory(Config{CapacityBytes: 0}); err == nil {
 		t.Fatal("factory accepted zero capacity")
-	}
-	if _, err := Factory(Config{CapacityBytes: 1024, Policy: "nope"}); err == nil {
-		t.Fatal("factory accepted bad policy")
 	}
 }
 

@@ -300,26 +300,20 @@ func (silentPredictor) Name() string                     { return "none" }
 // resident values cost the garbage collector a number of live heap
 // objects that does not grow with N, where the boxed cache costs at
 // least one per value. Both engines are filled with the same N 1 KiB
-// values through the clock policy (its ring keeps no per-entry node),
-// with no predictor state and no speculative traffic, and the growth
-// in HeapObjects across the fill is read after a forced collection.
+// values under the policy both ship with, LRU (Factory's store, and
+// NewLRUCache on the boxed side), with no predictor state and no
+// speculative traffic, and the growth in HeapObjects across the fill is
+// read after a forced collection.
 func TestSlabResidencyInvisibleToGC(t *testing.T) {
 	const n, valueBytes = 32768, 1024
 	slabFactory, err := Factory(Config{
 		CapacityBytes: n * (valueBytes + valueBytes/8 + 64),
 		MaxEntries:    n,
-		Policy:        "clock",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	boxedFactory := func(_, _ int) prefetcher.Cache {
-		c, err := prefetcher.NewCacheWithPolicy(n, "clock")
-		if err != nil {
-			panic(err) // "clock" is a known policy name
-		}
-		return c
-	}
+	boxedFactory := func(_, _ int) prefetcher.Cache { return prefetcher.NewLRUCache(n) }
 	// liveGrowth fills a fresh engine, checks all n values are resident
 	// (a store that shed them would pass the slab bound vacuously), and
 	// returns how many live heap objects the fill left behind.

@@ -9,7 +9,7 @@
 //
 //	Fetcher   — retrieves items from the origin (yours to implement)
 //	Predictor — online access model (a bounded Markov-1 table provided)
-//	Cache     — bounded client-side store (LRU, SLRU, … provided)
+//	Cache     — bounded client-side store (LRU, SLRU, slab byte store provided)
 //	Clock     — time source (wall clock by default, manual for tests)
 //
 // Construction uses functional options:
@@ -91,13 +91,14 @@
 //
 // By default payloads live in the boxed per-shard cache. For large
 // resident sets, WithCacheFactory can mount repro/prefetcher/bytestore
-// instead: a pointer-free slab arena (repro/internal/slab) that packs
-// payloads into large segments and indexes them through flat integer
-// tables, so the garbage collector scans O(#segments) words instead of
-// O(#entries) boxed values. Byte-budgeted eviction happens by segment
-// rotation with per-id callbacks that keep the engine's size and waste
-// accounting exact; the entry-count policy layer (LRU/SLRU/clock/…)
-// keeps driving recency eviction on top.
+// instead (prefetchd always does): a pointer-free slab arena
+// (repro/internal/slab) that packs payloads into large segments and
+// indexes them through one flat integer table, which also carries the
+// LRU order, so the garbage collector scans O(#segments) words instead
+// of O(#entries) boxed values and policy nodes. The byte budget evicts
+// by segment rotation and the entry bound from the tail of that order,
+// both through one per-id callback that keeps the engine's size and
+// waste accounting exact.
 //
 // Internally the keyed state — cache, in-flight dedup, size and
 // used/wasted accounting — is partitioned across power-of-two shards
