@@ -1,203 +1,66 @@
-// Command prefetchvet is the repo's multichecker: it runs the nine
-// internal/lint analyzers (hotpathalloc, lockscope, atomicalign,
-// poolhygiene, ctxflow, lockorder, atomicmix, goroutinelife, chanlife)
-// over the module.
+// Command prefetchvet runs the repo's three analyzers (hotpathalloc,
+// lockorder, lockscope — see internal/lint) over the module packages
+// matching its arguments, "./..." when there are none:
 //
-// Two modes:
+//	go run ./cmd/prefetchvet ./...
 //
-//   - Standalone: "prefetchvet ./..." loads the matched module packages
-//     and prints findings. Exit status 2 if any finding survives its
-//     //lint:allow waivers.
-//
-//   - Vet tool: "go vet -vettool=$(which prefetchvet) ./..." — cmd/go
-//     drives prefetchvet through the unitchecker protocol (-V=full,
-//     -flags, then one invocation per compilation unit with a *.cfg
-//     file). This is what CI runs: it gets cmd/go's package graph,
-//     caching and per-package parallelism for free.
-//
-// With -json, findings are emitted to stdout as
-// {"package": {"analyzer": [{"posn": ..., "message": ...}]}} for CI
-// annotation tooling; the exit status is unchanged.
+// Every finding that survives its //lint:allow waivers is printed, and
+// so is every waiver that suppressed nothing or names no analyzer in
+// the suite; the exit status is 2 when anything was printed. It takes
+// no flags. TestTreeClean runs the same check over the whole module in
+// tier-1.
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
-	"path/filepath"
-	"strings"
 
 	"repro/internal/lint"
-	"repro/internal/lint/atomicalign"
-	"repro/internal/lint/atomicmix"
-	"repro/internal/lint/chanlife"
-	"repro/internal/lint/ctxflow"
-	"repro/internal/lint/goroutinelife"
 	"repro/internal/lint/hotpathalloc"
 	"repro/internal/lint/lockorder"
 	"repro/internal/lint/lockscope"
-	"repro/internal/lint/poolhygiene"
 )
 
-const progname = "prefetchvet"
-
-// analyzers is the fixed suite; prefetchvet has no per-analyzer enable
-// flags because the whole point is that the suite is the contract.
+// analyzers is the fixed suite; the whole point is that the suite is
+// the contract, so none can be switched off.
 var analyzers = []*lint.Analyzer{
-	atomicalign.Analyzer,
-	atomicmix.Analyzer,
-	chanlife.Analyzer,
-	ctxflow.Analyzer,
-	goroutinelife.Analyzer,
 	hotpathalloc.Analyzer,
 	lockorder.Analyzer,
 	lockscope.Analyzer,
-	poolhygiene.Analyzer,
-}
-
-var (
-	jsonFlag   = flag.Bool("json", false, "emit findings as JSON on stdout instead of plain text on stderr")
-	strictFlag = flag.Bool("strict-waivers", false, "fail when a //lint:allow waiver suppressed nothing (stale-waiver enforcement)")
-	vFlag      = flag.String("V", "", "print version and exit (cmd/go tool protocol)")
-	flagsFlag  = flag.Bool("flags", false, "print analyzer flags in JSON (cmd/go tool protocol)")
-)
-
-func usage() {
-	fmt.Fprintf(os.Stderr, "usage: %s [-json] [package pattern ...]\n", progname)
-	fmt.Fprintf(os.Stderr, "   or: go vet -vettool=$(command -v %s) ./...\n\nanalyzers:\n", progname)
-	for _, a := range analyzers {
-		fmt.Fprintf(os.Stderr, "  %-14s %s\n", a.Name, a.Doc)
-	}
 }
 
 func main() {
 	log.SetFlags(0)
-	log.SetPrefix(progname + ": ")
-	flag.Usage = usage
+	log.SetPrefix("prefetchvet: ")
+	flag.Usage = func() {
+		fmt.Fprintf(os.Stderr, "usage: prefetchvet [package pattern ...]\n\nanalyzers:\n")
+		for _, a := range analyzers {
+			fmt.Fprintf(os.Stderr, "  %-14s %s\n", a.Name, a.Doc)
+		}
+	}
 	flag.Parse()
-
-	switch {
-	case *vFlag != "":
-		if *vFlag != "full" {
-			log.Fatalf("unsupported flag -V=%q", *vFlag)
-		}
-		printVersion()
-	case *flagsFlag:
-		printFlagDefs()
-	default:
-		args := flag.Args()
-		if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-			os.Exit(unitcheck(args[0]))
-		}
-		os.Exit(standalone(args))
-	}
-}
-
-// printVersion implements -V=full: cmd/go hashes this line into its
-// build cache key, so it must change when the tool's binary changes.
-func printVersion() {
-	var h [sha256.Size]byte
-	if exe, err := os.Executable(); err == nil {
-		if data, err := os.ReadFile(exe); err == nil {
-			h = sha256.Sum256(data)
-		}
-	}
-	fmt.Printf("%s version devel comments-go-here buildID=%02x\n", progname, h[:16])
-}
-
-// printFlagDefs implements -flags: the JSON flag inventory cmd/go reads
-// to validate pass-through vet flags.
-func printFlagDefs() {
-	type jsonFlagDef struct {
-		Name  string
-		Bool  bool
-		Usage string
-	}
-	defs := []jsonFlagDef{
-		{Name: "json", Bool: true, Usage: "emit findings as JSON on stdout"},
-		{Name: "strict-waivers", Bool: true, Usage: "fail when a //lint:allow waiver suppressed nothing"},
-	}
-	data, err := json.Marshal(defs)
+	wd, err := os.Getwd()
 	if err != nil {
 		log.Fatal(err)
 	}
-	os.Stdout.Write(append(data, '\n'))
-}
-
-// --- shared output -------------------------------------------------------
-
-// pkgDiags is one package's surviving findings.
-type pkgDiags struct {
-	path  string
-	diags []lint.Diagnostic
-}
-
-// jsonDiag mirrors the x/tools vet -json diagnostic shape.
-type jsonDiag struct {
-	Posn    string `json:"posn"`
-	Message string `json:"message"`
-}
-
-// emit prints the findings and returns the process exit status: 0 when
-// clean, 2 when any finding survived.
-func emit(w io.Writer, groups []pkgDiags) int {
-	n := 0
-	if *jsonFlag {
-		out := make(map[string]map[string][]jsonDiag)
-		for _, g := range groups {
-			if len(g.diags) == 0 {
-				continue
-			}
-			byAnalyzer := make(map[string][]jsonDiag)
-			for _, d := range g.diags {
-				byAnalyzer[d.Analyzer] = append(byAnalyzer[d.Analyzer], jsonDiag{Posn: d.Pos.String(), Message: d.Message})
-				n++
-			}
-			out[g.path] = byAnalyzer
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "\t")
-		if err := enc.Encode(out); err != nil {
-			log.Fatal(err)
-		}
-	} else {
-		for _, g := range groups {
-			for _, d := range g.diags {
-				fmt.Fprintln(w, d.String())
-				n++
-			}
-		}
-	}
-	if n > 0 {
-		return 2
-	}
-	return 0
-}
-
-// --- standalone mode -----------------------------------------------------
-
-func standalone(patterns []string) int {
-	wd, err := os.Getwd()
+	diags, err := check(wd, flag.Args())
 	if err != nil {
-		log.Print(err)
-		return 1
+		log.Fatal(err)
 	}
-	groups, err := checkPatterns(wd, patterns)
-	if err != nil {
-		log.Print(err)
-		return 1
+	for _, d := range diags {
+		fmt.Fprintln(os.Stderr, d)
 	}
-	return emit(os.Stderr, groups)
+	if len(diags) > 0 {
+		os.Exit(2)
+	}
 }
 
-// checkPatterns loads every module package matching the patterns and
-// runs the suite; the loader (and its type-checked stdlib cache) is
-// shared across packages.
-func checkPatterns(dir string, patterns []string) ([]pkgDiags, error) {
+// check loads every package of the module around dir that matches the
+// patterns and runs the suite on each; the loader (and its type-checked
+// stdlib cache) is shared across packages.
+func check(dir string, patterns []string) ([]lint.Diagnostic, error) {
 	loader, err := lint.NewLoader(dir)
 	if err != nil {
 		return nil, err
@@ -206,116 +69,17 @@ func checkPatterns(dir string, patterns []string) ([]pkgDiags, error) {
 	if err != nil {
 		return nil, err
 	}
-	var groups []pkgDiags
+	var out []lint.Diagnostic
 	for _, p := range paths {
 		pkg, err := loader.LoadWithTests(p)
 		if err != nil {
 			return nil, err
 		}
-		ds, err := runSuite(pkg)
+		ds, err := lint.RunSuite(pkg, analyzers)
 		if err != nil {
 			return nil, err
 		}
-		groups = append(groups, pkgDiags{path: p, diags: ds})
+		out = append(out, ds...)
 	}
-	return groups, nil
-}
-
-// --- go vet -vettool mode ------------------------------------------------
-
-// vetConfig is the unitchecker *.cfg payload cmd/go writes for each
-// compilation unit. Fields we do not consult (export data, fact files)
-// are still listed so the decode is documented.
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	NonGoFiles                []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	Standard                  map[string]bool
-	PackageVetx               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-func unitcheck(cfgPath string) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		log.Print(err)
-		return 1
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		log.Printf("%s: %v", cfgPath, err)
-		return 1
-	}
-	// cmd/go requires the facts file to exist after every successful
-	// run. The suite exchanges no facts, so an empty file marks the
-	// unit done — including for VetxOnly dependency passes, which need
-	// nothing else.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
-			log.Print(err)
-			return 1
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-	path := cfg.ImportPath
-	if strings.HasSuffix(path, ".test") {
-		return 0 // generated test-main package
-	}
-	if i := strings.Index(path, " ["); i >= 0 {
-		// Test variant ("p [p.test]"): the analyzers skip _test.go by
-		// design, and the remaining files are exactly the plain
-		// package, which cmd/go vets separately — nothing to add.
-		return 0
-	}
-	var files []string
-	for _, f := range cfg.GoFiles {
-		if strings.HasSuffix(f, "_test.go") {
-			continue
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		return 0
-	}
-	dir := cfg.Dir
-	if dir == "" {
-		dir = filepath.Dir(files[0])
-	}
-	loader, err := lint.NewLoader(dir)
-	if err != nil {
-		log.Print(err)
-		return 1
-	}
-	pkg, err := loader.TypecheckFiles(path, files)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		log.Print(err)
-		return 1
-	}
-	ds, err := runSuite(pkg)
-	if err != nil {
-		log.Print(err)
-		return 1
-	}
-	return emit(os.Stderr, []pkgDiags{{path: path, diags: ds}})
-}
-
-// runSuite applies the full analyzer suite to one package, with
-// stale-waiver enforcement when -strict-waivers is on.
-func runSuite(pkg *lint.Package) ([]lint.Diagnostic, error) {
-	if *strictFlag {
-		return lint.RunAnalyzersStrict(pkg, analyzers)
-	}
-	return lint.RunAnalyzers(pkg, analyzers)
+	return out, nil
 }

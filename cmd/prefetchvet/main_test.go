@@ -1,15 +1,17 @@
 package main
 
 import (
-	"encoding/json"
+	"bytes"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
 )
 
-// TestTreeClean is the in-test mirror of CI's
-// "go vet -vettool=prefetchvet ./..." gate: the whole module must be
-// free of unwaived findings.
+// TestTreeClean is the tree's analyzer gate: the whole module must be
+// free of unwaived findings and of waivers that suppress nothing.
 func TestTreeClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the whole module from source")
@@ -18,82 +20,86 @@ func TestTreeClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	groups, err := checkPatterns(wd, []string{"./..."})
+	diags, err := check(wd, []string{"./..."})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, g := range groups {
-		for _, d := range g.diags {
-			t.Errorf("%s: %s", g.path, d)
+	for _, d := range diags {
+		t.Error(d)
+	}
+}
+
+// TestWaiverNames runs the suite over a module whose only content is two
+// waivers that suppress nothing: one naming an analyzer of the suite and
+// one misspelling it. Each must be a finding — a misspelled name waives
+// nothing, so it is exactly as stale as a waiver whose finding was fixed.
+func TestWaiverNames(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"go.mod": "module waivers\n\ngo 1.22\n",
+		"w.go": "package waivers\n\n" +
+			"//lint:allow hotpathalloc nothing here allocates\n\n" +
+			"//lint:allow hotpathaloc typo\n\n" +
+			"func F() {}\n",
+	}
+	for name, src := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o666); err != nil {
+			t.Fatal(err)
+		}
+	}
+	diags, err := check(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []struct {
+		line int
+		msg  string
+	}{
+		{3, "stale //lint:allow hotpathalloc"},
+		{5, "//lint:allow hotpathaloc names no analyzer in the suite"},
+	}
+	if len(diags) != len(want) {
+		t.Fatalf("got %d findings, want %d: %v", len(diags), len(want), diags)
+	}
+	for i, d := range diags {
+		if d.Pos.Line != want[i].line || !strings.HasPrefix(d.Message, want[i].msg) {
+			t.Errorf("finding %d = %v, want line %d, message %q…", i, d, want[i].line, want[i].msg)
 		}
 	}
 }
 
-// TestUnitcheckVetxOnly checks the cmd/go dependency pass: a VetxOnly
-// unit must produce its (empty) facts file and succeed without loading
-// anything.
-func TestUnitcheckVetxOnly(t *testing.T) {
-	dir := t.TempDir()
-	vetx := filepath.Join(dir, "unit.vetx")
-	cfg, err := json.Marshal(vetConfig{
-		ID:         "fmt",
-		ImportPath: "fmt",
-		VetxOnly:   true,
-		VetxOutput: vetx,
+// TestTypedAtomicsOnly holds the tree to typed 64-bit atomics
+// (atomic.Int64, atomic.Uint64), which the compiler keeps 8-aligned on
+// every platform. A function-style call on a plain int64 or uint64 field
+// panics on a 32-bit platform whenever the field's offset is not a
+// multiple of 8 — a bug no test on a 64-bit machine can observe.
+func TestTypedAtomicsOnly(t *testing.T) {
+	call := regexp.MustCompile(`\batomic\.(Add|Load|Store|Swap|CompareAndSwap)(Int64|Uint64)\(`)
+	root := filepath.Join("..", "..")
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != root && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, loc := range call.FindAllIndex(src, -1) {
+			line := 1 + bytes.Count(src[:loc[0]], []byte("\n"))
+			t.Errorf("%s:%d: %s…) on a plain field: use atomic.Int64 or atomic.Uint64", path, line, src[loc[0]:loc[1]])
+		}
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	cfgPath := filepath.Join(dir, "vet.cfg")
-	if err := os.WriteFile(cfgPath, cfg, 0o666); err != nil {
-		t.Fatal(err)
-	}
-	if code := unitcheck(cfgPath); code != 0 {
-		t.Fatalf("unitcheck(VetxOnly) exit = %d, want 0", code)
-	}
-	if _, err := os.Stat(vetx); err != nil {
-		t.Fatalf("VetxOutput not written: %v", err)
-	}
-}
-
-// TestUnitcheckFindsViolation drives the unitchecker path end to end on
-// a tiny synthetic library package with a ctxflow violation.
-func TestUnitcheckFindsViolation(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks context from source")
-	}
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "go.mod"), []byte("module unitfix\n\ngo 1.21\n"), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	libDir := filepath.Join(dir, "internal", "lib")
-	if err := os.MkdirAll(libDir, 0o777); err != nil {
-		t.Fatal(err)
-	}
-	src := filepath.Join(libDir, "lib.go")
-	code := "package lib\n\nimport \"context\"\n\nfunc Root() context.Context { return context.Background() }\n"
-	if err := os.WriteFile(src, []byte(code), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	vetx := filepath.Join(dir, "unit.vetx")
-	cfg, err := json.Marshal(vetConfig{
-		ID:         "unitfix/internal/lib",
-		ImportPath: "unitfix/internal/lib",
-		Dir:        libDir,
-		GoFiles:    []string{src},
-		VetxOutput: vetx,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgPath := filepath.Join(dir, "vet.cfg")
-	if err := os.WriteFile(cfgPath, cfg, 0o666); err != nil {
-		t.Fatal(err)
-	}
-	if code := unitcheck(cfgPath); code != 2 {
-		t.Fatalf("unitcheck exit = %d, want 2 (one ctxflow finding)", code)
-	}
-	if _, err := os.Stat(vetx); err != nil {
-		t.Fatalf("VetxOutput not written: %v", err)
 	}
 }

@@ -1,38 +1,26 @@
 // Package lint is the repo's static-analysis kit: a small, dependency-free
 // reimplementation of the golang.org/x/tools/go/analysis vocabulary
-// (Analyzer, Pass, Diagnostic) plus the loading and annotation machinery
-// the prefetchvet analyzers share.
+// (Analyzer, Pass, Diagnostic) plus the loading and waiver machinery the
+// prefetchvet analyzers share.
 //
-// The nine analyzers under internal/lint/* encode the engine's
-// concurrency and allocation invariants as build-time checks:
+// The three analyzers under internal/lint/* encode the engine invariants
+// that no test observes — for each, a bug planted in its class passed
+// tier-1, go vet, the race detector and the alloc gates:
 //
 //   - hotpathalloc: //prefetch:hotpath functions must not allocate
-//   - lockscope: no blocking operation under a shard/stripe mutex, and
-//     every Lock is paired with an Unlock on all exit paths
-//   - atomicalign: atomically-accessed 64-bit fields stay 8-aligned and
-//     //prefetch:cacheline structs pad to whole 64-byte lines
-//   - poolhygiene: sync.Pool Get/Put pairing and no use-after-Put
-//   - ctxflow: no context.Background/TODO inside library packages
+//   - lockscope: no blocking operation under a mutex, and every Lock is
+//     paired with an Unlock on all exit paths
 //   - lockorder: the cross-function lock-acquisition graph must stay
 //     acyclic (cycles are potential deadlocks, reported with the
 //     witnessing call paths)
-//   - atomicmix: a field accessed through sync/atomic anywhere must
-//     never be read or written plainly elsewhere
-//   - goroutinelife: every go statement in library packages is tied to
-//     a lifecycle (WaitGroup, close barrier, or ctx.Done select)
-//   - chanlife: no send on a channel another function may close, and no
-//     unconditional blocking send in library code
-//
-// The first five are per-function and lexical; the last four consume the
-// package-level dataflow facts layer in facts.go (per-function lock
-// events, call edges, atomic touches, spawns and channel closes),
-// computed once per package and shared through Pass.Facts.
 //
 // Deliberate exceptions are waived in source with
 //
 //	//lint:allow <analyzer> <reason>
 //
 // on (or immediately above) the offending line; the reason is mandatory.
+// A run of the whole suite (RunSuite) also reports every waiver that
+// suppressed nothing, including one naming no analyzer in the suite.
 // The kit is stdlib-only so the tree builds with no module downloads —
 // x/tools is deliberately not a dependency.
 package lint
@@ -66,20 +54,15 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-	// Sizes gives the target layout (gc/amd64) for alignment checks.
-	Sizes types.Sizes
-	// Facts is the package-level concurrency-facts layer (see facts.go),
-	// computed once per package and shared by every analyzer in the run.
-	Facts *Facts
 
 	diags *[]Diagnostic
 }
 
 // A Diagnostic is one finding, positioned and attributed.
 type Diagnostic struct {
-	Analyzer string         `json:"analyzer"`
-	Pos      token.Position `json:"pos"`
-	Message  string         `json:"message"`
+	Analyzer string
+	Pos      token.Position
+	Message  string
 }
 
 func (d Diagnostic) String() string {
@@ -97,8 +80,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // InTestFile reports whether pos lies in a _test.go file. The analyzers
 // skip test files: the invariants guard the production hot path, and
-// tests legitimately use context.Background, ad-hoc locking and
-// allocation-heavy helpers.
+// tests legitimately use ad-hoc locking and allocation-heavy helpers.
 func (p *Pass) InTestFile(pos token.Pos) bool {
 	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
 }
@@ -109,10 +91,6 @@ func (p *Pass) InTestFile(pos token.Pos) bool {
 // hotpathalloc check. It is a directive comment (no space after //), so
 // gofmt preserves it verbatim and go doc hides it.
 const HotpathDirective = "//prefetch:hotpath"
-
-// CachelineDirective is the comment that opts a struct type into the
-// atomicalign whole-cache-line padding check.
-const CachelineDirective = "//prefetch:cacheline"
 
 // HasDirective reports whether the doc comment group carries the given
 // directive on a line of its own.
@@ -140,10 +118,10 @@ type allowKey struct {
 	name string
 }
 
-// Waivers indexes every //lint:allow comment in a package: which
+// waivers indexes every //lint:allow comment in a package: which
 // (file, line, analyzer) triples are waived, and which waiver comments
 // are malformed (no reason given).
-type Waivers struct {
+type waivers struct {
 	// allowed maps each waiver to the position of its comment, so stale
 	// waivers can be reported where they sit.
 	allowed map[allowKey]token.Position
@@ -153,11 +131,11 @@ type Waivers struct {
 	malformed []Diagnostic
 }
 
-// CollectWaivers scans the files' comments for //lint:allow directives.
+// collectWaivers scans the files' comments for //lint:allow directives.
 // A waiver on line N covers diagnostics on lines N and N+1 — i.e. it can
 // trail the offending statement or sit on its own line above it.
-func CollectWaivers(fset *token.FileSet, files []*ast.File) *Waivers {
-	w := &Waivers{allowed: make(map[allowKey]token.Position), used: make(map[allowKey]bool)}
+func collectWaivers(fset *token.FileSet, files []*ast.File) *waivers {
+	w := &waivers{allowed: make(map[allowKey]token.Position), used: make(map[allowKey]bool)}
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -183,9 +161,9 @@ func CollectWaivers(fset *token.FileSet, files []*ast.File) *Waivers {
 	return w
 }
 
-// Filter drops the diagnostics covered by a waiver and appends any
-// malformed-waiver findings, returning the survivors sorted by position.
-func (w *Waivers) Filter(diags []Diagnostic) []Diagnostic {
+// filter drops the diagnostics covered by a waiver, marking the waiver
+// used, and appends any malformed-waiver findings.
+func (w *waivers) filter(diags []Diagnostic) []Diagnostic {
 	out := diags[:0]
 	for _, d := range diags {
 		waived := false
@@ -201,7 +179,77 @@ func (w *Waivers) Filter(diags []Diagnostic) []Diagnostic {
 			out = append(out, d)
 		}
 	}
-	out = append(out, w.malformed...)
+	return append(out, w.malformed...)
+}
+
+// stale reports every waiver that suppressed nothing in this run: a
+// //lint:allow whose finding has been fixed, or whose name is no analyzer
+// in names — a typo, or an analyzer since deleted. Only a run of the
+// whole suite can judge a waiver; a run of a subset (the fixture tests)
+// must not call this.
+func (w *waivers) stale(names map[string]bool) []Diagnostic {
+	var out []Diagnostic
+	for k, pos := range w.allowed {
+		if w.used[k] {
+			continue
+		}
+		msg := fmt.Sprintf("stale //lint:allow %s: it suppressed nothing — delete it", k.name)
+		if !names[k.name] {
+			msg = fmt.Sprintf("//lint:allow %s names no analyzer in the suite — fix the name or delete the waiver", k.name)
+		}
+		out = append(out, Diagnostic{Analyzer: "lint", Pos: pos, Message: msg})
+	}
+	return out
+}
+
+// --- driver --------------------------------------------------------------
+
+// RunAnalyzers applies each analyzer to the package and returns the
+// surviving diagnostics, sorted by position (waivers applied, test files
+// already skipped by the analyzers themselves).
+func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
+	out, _, err := run(pkg, analyzers)
+	sortDiags(out)
+	return out, err
+}
+
+// RunSuite is RunAnalyzers for a run of the whole suite: every waiver
+// that suppressed nothing is a finding too (see waivers.stale).
+func RunSuite(pkg *Package, suite []*Analyzer) ([]Diagnostic, error) {
+	out, w, err := run(pkg, suite)
+	if err != nil {
+		return nil, err
+	}
+	names := make(map[string]bool, len(suite))
+	for _, a := range suite {
+		names[a.Name] = true
+	}
+	out = append(out, w.stale(names)...)
+	sortDiags(out)
+	return out, nil
+}
+
+func run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, *waivers, error) {
+	var diags []Diagnostic
+	for _, a := range analyzers {
+		pass := &Pass{
+			Analyzer:  a,
+			Fset:      pkg.Fset,
+			Files:     pkg.Files,
+			Pkg:       pkg.Types,
+			TypesInfo: pkg.Info,
+			diags:     &diags,
+		}
+		if err := a.Run(pass); err != nil {
+			return nil, nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)
+		}
+	}
+	w := collectWaivers(pkg.Fset, pkg.Files)
+	return w.filter(diags), w, nil
+}
+
+// sortDiags orders diagnostics by file, line and analyzer.
+func sortDiags(out []Diagnostic) {
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i].Pos, out[j].Pos
 		if a.Filename != b.Filename {
@@ -212,89 +260,4 @@ func (w *Waivers) Filter(diags []Diagnostic) []Diagnostic {
 		}
 		return out[i].Analyzer < out[j].Analyzer
 	})
-	return out
-}
-
-// Stale reports every waiver for one of the named analyzers that
-// suppressed nothing in this run — a //lint:allow whose finding has been
-// fixed (or whose analyzer name is misspelled) and should be deleted.
-// Only waivers naming an analyzer in names are reported: a run of a
-// subset of the analyzers (fixture tests, a filtered prefetchvet
-// invocation) cannot judge the others' waivers.
-func (w *Waivers) Stale(names map[string]bool) []Diagnostic {
-	var out []Diagnostic
-	for k, pos := range w.allowed {
-		if !names[k.name] || w.used[k] {
-			continue
-		}
-		out = append(out, Diagnostic{
-			Analyzer: "lint",
-			Pos:      pos,
-			Message:  fmt.Sprintf("stale //lint:allow %s: it suppressed nothing — delete it (or fix the analyzer name)", k.name),
-		})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].Pos, out[j].Pos
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		return a.Line < b.Line
-	})
-	return out
-}
-
-// --- driver --------------------------------------------------------------
-
-// RunAnalyzers applies each analyzer to the package and returns the
-// surviving diagnostics (waivers applied, test files already skipped by
-// the analyzers themselves).
-func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return runAnalyzers(pkg, analyzers, false)
-}
-
-// RunAnalyzersStrict is RunAnalyzers with stale-waiver enforcement: a
-// //lint:allow naming one of the analyzers in this run that suppressed
-// no diagnostic becomes a finding itself (prefetchvet -strict-waivers).
-func RunAnalyzersStrict(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return runAnalyzers(pkg, analyzers, true)
-}
-
-func runAnalyzers(pkg *Package, analyzers []*Analyzer, strict bool) ([]Diagnostic, error) {
-	var diags []Diagnostic
-	facts := PackageFacts(pkg)
-	for _, a := range analyzers {
-		pass := &Pass{
-			Analyzer:  a,
-			Fset:      pkg.Fset,
-			Files:     pkg.Files,
-			Pkg:       pkg.Types,
-			TypesInfo: pkg.Info,
-			Sizes:     pkg.Sizes,
-			Facts:     facts,
-			diags:     &diags,
-		}
-		if err := a.Run(pass); err != nil {
-			return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)
-		}
-	}
-	w := CollectWaivers(pkg.Fset, pkg.Files)
-	out := w.Filter(diags)
-	if strict {
-		names := make(map[string]bool, len(analyzers))
-		for _, a := range analyzers {
-			names[a.Name] = true
-		}
-		out = append(out, w.Stale(names)...)
-		sort.Slice(out, func(i, j int) bool {
-			a, b := out[i].Pos, out[j].Pos
-			if a.Filename != b.Filename {
-				return a.Filename < b.Filename
-			}
-			if a.Line != b.Line {
-				return a.Line < b.Line
-			}
-			return out[i].Analyzer < out[j].Analyzer
-		})
-	}
-	return out, nil
 }

@@ -18,7 +18,7 @@ import (
 	"go/token"
 	"path/filepath"
 	"regexp"
-	"strings"
+	"strconv"
 	"testing"
 
 	"repro/internal/lint"
@@ -102,28 +102,5 @@ func check(t *testing.T, pkg *lint.Package, diags []lint.Diagnostic) {
 }
 
 func posKey(file string, line int) string {
-	return filepath.Clean(file) + ":" + itoa(line)
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [12]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
-}
-
-// Strings is a helper for asserting diagnostics in driver-level tests.
-func Strings(diags []lint.Diagnostic) []string {
-	out := make([]string, len(diags))
-	for i, d := range diags {
-		out[i] = strings.TrimSpace(d.String())
-	}
-	return out
+	return filepath.Clean(file) + ":" + strconv.Itoa(line)
 }

@@ -23,7 +23,6 @@ type Package struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
-	Sizes types.Sizes
 }
 
 // Loader resolves and type-checks packages from source: the enclosing
@@ -42,9 +41,7 @@ type Loader struct {
 	ctxt       build.Context
 	moduleDir  string
 	modulePath string
-	sizes      types.Sizes
 	pkgs       map[string]*loadEntry
-	testFiles  map[string]bool // import paths whose _test.go files are included
 }
 
 type loadEntry struct {
@@ -62,13 +59,9 @@ func NewLoader(dir string) (*Loader, error) {
 	ctxt := build.Default
 	ctxt.CgoEnabled = false
 	l := &Loader{
-		Fset:  token.NewFileSet(),
-		ctxt:  ctxt,
-		sizes: types.SizesFor("gc", ctxt.GOARCH),
-		pkgs:  make(map[string]*loadEntry),
-	}
-	if l.sizes == nil {
-		l.sizes = types.SizesFor("gc", "amd64")
+		Fset: token.NewFileSet(),
+		ctxt: ctxt,
+		pkgs: make(map[string]*loadEntry),
 	}
 	abs, err := filepath.Abs(dir)
 	if err != nil {
@@ -282,12 +275,6 @@ func (l *Loader) typecheck(path string, withTests bool) (*Package, error) {
 			}
 			return p.Types, nil
 		}),
-		Sizes: l.sizes,
-		// The runtime package (reached through any stdlib import chain)
-		// uses compiler intrinsics and linkname tricks that are valid
-		// for the real build; tolerate its quirks rather than failing
-		// the whole load.
-		Error: nil,
 	}
 	tpkg, err := conf.Check(path, l.Fset, files, info)
 	if err != nil {
@@ -300,63 +287,9 @@ func (l *Loader) typecheck(path string, withTests bool) (*Package, error) {
 		Files: files,
 		Types: tpkg,
 		Info:  info,
-		Sizes: l.sizes,
 	}, nil
 }
 
 type importerFunc func(path string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
-
-// TypecheckFiles type-checks an explicit file list as one package —
-// the entry point for unitchecker mode, where cmd/go hands prefetchvet
-// the exact compilation unit. Imports resolve through the loader as
-// usual.
-func (l *Loader) TypecheckFiles(path string, filenames []string) (*Package, error) {
-	files := make([]*ast.File, 0, len(filenames))
-	for _, name := range filenames {
-		f, err := parser.ParseFile(l.Fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
-		Scopes:     make(map[ast.Node]*types.Scope),
-	}
-	conf := types.Config{
-		Importer: importerFunc(func(ipath string) (*types.Package, error) {
-			if ipath == "unsafe" {
-				return types.Unsafe, nil
-			}
-			p, err := l.load(ipath, false)
-			if err != nil {
-				return nil, err
-			}
-			return p.Types, nil
-		}),
-		Sizes: l.sizes,
-	}
-	tpkg, err := conf.Check(path, l.Fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("lint: typecheck %s: %w", path, err)
-	}
-	dir := ""
-	if len(filenames) > 0 {
-		dir = filepath.Dir(filenames[0])
-	}
-	return &Package{
-		Path:  path,
-		Dir:   dir,
-		Fset:  l.Fset,
-		Files: files,
-		Types: tpkg,
-		Info:  info,
-		Sizes: l.sizes,
-	}, nil
-}

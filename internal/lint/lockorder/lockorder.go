@@ -43,7 +43,7 @@ var Analyzer = &lint.Analyzer{
 
 // edge is one ordered pair: to was acquired while from was held.
 type edge struct {
-	from, to lint.LockClass
+	from, to lockClass
 }
 
 // witness records how an edge was first observed: the call path from
@@ -56,30 +56,32 @@ type witness struct {
 
 type graph struct {
 	pass  *lint.Pass
+	facts *facts
 	edges map[edge]*witness
 	// visited memoizes (function, held-class-set) pairs so recursive
 	// and converging call paths terminate.
-	visited map[*lint.FuncFacts]map[string]bool
+	visited map[*funcFacts]map[string]bool
 }
 
 func run(pass *lint.Pass) error {
 	g := &graph{
 		pass:    pass,
+		facts:   packageFacts(pass),
 		edges:   make(map[edge]*witness),
-		visited: make(map[*lint.FuncFacts]map[string]bool),
+		visited: make(map[*funcFacts]map[string]bool),
 	}
-	for _, ff := range pass.Facts.Funcs {
-		if ff.TestFile() {
+	for _, ff := range g.facts.funcs {
+		if ff.testFile {
 			continue
 		}
-		g.walk(ff, nil, []string{ff.Display})
+		g.walk(ff, nil, []string{ff.display})
 	}
 	g.report()
 	return nil
 }
 
 // heldKey canonicalises the held multiset for memoization.
-func heldKey(h []lint.LockClass) string {
+func heldKey(h []lockClass) string {
 	if len(h) == 0 {
 		return ""
 	}
@@ -94,7 +96,7 @@ func heldKey(h []lint.LockClass) string {
 // walk processes one function's events in source order with the given
 // inherited held set, recording edges and descending into same-package
 // callees.
-func (g *graph) walk(ff *lint.FuncFacts, heldIn []lint.LockClass, path []string) {
+func (g *graph) walk(ff *funcFacts, heldIn []lockClass, path []string) {
 	key := heldKey(heldIn)
 	if seen := g.visited[ff]; seen != nil && seen[key] {
 		return
@@ -104,42 +106,39 @@ func (g *graph) walk(ff *lint.FuncFacts, heldIn []lint.LockClass, path []string)
 	}
 	g.visited[ff][key] = true
 
-	hs := append([]lint.LockClass(nil), heldIn...)
-	for _, ev := range ff.Events {
-		switch ev.Kind {
-		case lint.EvAcquire:
+	hs := append([]lockClass(nil), heldIn...)
+	for _, ev := range ff.events {
+		switch ev.kind {
+		case evAcquire:
 			for _, h := range hs {
-				e := edge{from: h, to: ev.Lock}
+				e := edge{from: h, to: ev.lock}
 				if _, ok := g.edges[e]; !ok {
 					g.edges[e] = &witness{
 						path: append([]string(nil), path...),
-						pos:  ev.Pos,
+						pos:  ev.pos,
 					}
 				}
 			}
-			hs = append(hs, ev.Lock)
-		case lint.EvRelease:
+			hs = append(hs, ev.lock)
+		case evRelease:
 			// Release the most recent acquisition of this class — which
 			// may be one inherited from the caller (a lock-handoff
 			// helper unlocking on the caller's behalf).
 			for i := len(hs) - 1; i >= 0; i-- {
-				if hs[i] == ev.Lock {
+				if hs[i] == ev.lock {
 					hs = append(hs[:i], hs[i+1:]...)
 					break
 				}
 			}
-		case lint.EvCall:
+		case evCall:
 			if len(hs) == 0 {
 				// Nothing held: the callee's own acquisitions generate
 				// their edges when it is walked as a root.
 				continue
 			}
-			if callee, ok := g.pass.Facts.ByObj[ev.Callee]; ok && !callee.TestFile() {
-				g.walk(callee, hs, append(append([]string(nil), path...), callee.Display))
+			if callee, ok := g.facts.byObj[ev.callee]; ok && !callee.testFile {
+				g.walk(callee, hs, append(append([]string(nil), path...), callee.display))
 			}
-		case lint.EvSpawn:
-			// A goroutine inherits no locks; its body is walked as a
-			// root via Facts.Funcs.
 		}
 	}
 }
@@ -159,7 +158,7 @@ func (g *graph) report() {
 		return keys[i].to < keys[j].to
 	})
 	pkgPath := g.pass.Pkg.Path()
-	adj := make(map[lint.LockClass][]lint.LockClass)
+	adj := make(map[lockClass][]lockClass)
 	for _, e := range keys {
 		if e.from == e.to {
 			// Acquiring a class already held: sync mutexes are not
@@ -168,25 +167,25 @@ func (g *graph) report() {
 			w := g.edges[e]
 			g.pass.Reportf(w.pos,
 				"lock %s acquired while an instance of %s is already held (path %s): sync mutexes are not reentrant — potential self-deadlock",
-				e.to.Short(pkgPath), e.from.Short(pkgPath), strings.Join(w.path, " → "))
+				e.to.short(pkgPath), e.from.short(pkgPath), strings.Join(w.path, " → "))
 			continue
 		}
 		adj[e.from] = append(adj[e.from], e.to)
 	}
-	var nodes []lint.LockClass
+	var nodes []lockClass
 	for n := range adj {
 		nodes = append(nodes, n)
 	}
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
 	reported := map[string]bool{}
 	for _, start := range nodes {
-		g.findCycles(start, start, []lint.LockClass{start}, adj, reported, pkgPath)
+		g.findCycles(start, start, []lockClass{start}, adj, reported, pkgPath)
 	}
 }
 
 // findCycles walks simple paths from start (the canonically smallest
 // node of any cycle it reports) looking for a return to start.
-func (g *graph) findCycles(start, cur lint.LockClass, path []lint.LockClass, adj map[lint.LockClass][]lint.LockClass, reported map[string]bool, pkgPath string) {
+func (g *graph) findCycles(start, cur lockClass, path []lockClass, adj map[lockClass][]lockClass, reported map[string]bool, pkgPath string) {
 	for _, next := range adj[cur] {
 		if next == start && len(path) > 1 {
 			canon := canonicalCycle(path)
@@ -205,7 +204,7 @@ func (g *graph) findCycles(start, cur lint.LockClass, path []lint.LockClass, adj
 	}
 }
 
-func containsClass(path []lint.LockClass, c lint.LockClass) bool {
+func containsClass(path []lockClass, c lockClass) bool {
 	for _, p := range path {
 		if p == c {
 			return true
@@ -214,7 +213,7 @@ func containsClass(path []lint.LockClass, c lint.LockClass) bool {
 	return false
 }
 
-func canonicalCycle(cyc []lint.LockClass) string {
+func canonicalCycle(cyc []lockClass) string {
 	s := make([]string, len(cyc))
 	for i, c := range cyc {
 		s[i] = string(c)
@@ -225,7 +224,7 @@ func canonicalCycle(cyc []lint.LockClass) string {
 
 // reportCycle emits one diagnostic for the cycle a→b→…→a, anchored at
 // the first edge's acquisition site, with every edge's witness path.
-func (g *graph) reportCycle(cyc []lint.LockClass, pkgPath string) {
+func (g *graph) reportCycle(cyc []lockClass, pkgPath string) {
 	n := len(cyc)
 	var order []string
 	var wits []string
@@ -240,11 +239,11 @@ func (g *graph) reportCycle(cyc []lint.LockClass, pkgPath string) {
 			anchor = w
 		}
 		pos := g.pass.Fset.Position(w.pos)
-		order = append(order, e.from.Short(pkgPath))
+		order = append(order, e.from.short(pkgPath))
 		wits = append(wits, fmt.Sprintf("%s acquired while %s held at %s:%d (path %s)",
-			e.to.Short(pkgPath), e.from.Short(pkgPath), shortFile(pos.Filename), pos.Line, strings.Join(w.path, " → ")))
+			e.to.short(pkgPath), e.from.short(pkgPath), shortFile(pos.Filename), pos.Line, strings.Join(w.path, " → ")))
 	}
-	order = append(order, cyc[0].Short(pkgPath))
+	order = append(order, cyc[0].short(pkgPath))
 	g.pass.Reportf(anchor.pos, "potential deadlock: lock-order cycle %s — %s",
 		strings.Join(order, " → "), strings.Join(wits, "; "))
 }

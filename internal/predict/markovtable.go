@@ -149,9 +149,8 @@ func (r *markovRow) topInto(dst []Prediction, k int) []Prediction {
 }
 
 // markovStripe is one lock's share of the table, padded to a cache line
-// so neighbouring stripes' mutexes do not false-share.
-//
-//prefetch:cacheline
+// so neighbouring stripes' mutexes do not false-share
+// (TestMarkovStripeLayout holds the padding to whole lines).
 type markovStripe struct {
 	mu   sync.Mutex
 	rows []markovRow // nil until the stripe's first key

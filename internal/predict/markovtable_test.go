@@ -80,6 +80,15 @@ func TestMarkovRowLayout(t *testing.T) {
 	}
 }
 
+// TestMarkovStripeLayout pins the padding that keeps each stripe's mutex
+// on cache lines of its own, so neighbouring stripes locked from
+// different goroutines do not false-share.
+func TestMarkovStripeLayout(t *testing.T) {
+	if size := unsafe.Sizeof(markovStripe{}); size%64 != 0 {
+		t.Fatalf("markovStripe is %d bytes, not a whole number of 64-byte cache lines: adjust its padding", size)
+	}
+}
+
 // TestConcurrentMarkov1Bounded shows the model a million distinct ids:
 // the table stops at its ceiling, the heap grows by no more than the
 // table, and once there a new id allocates nothing.

@@ -205,76 +205,78 @@
 //
 // # Invariants
 //
-// The package maintains a set of concurrency and allocation invariants
-// that the repo's own static analyzers (cmd/prefetchvet, built from
-// internal/lint) enforce on every build:
+// The package keeps the concurrency and allocation invariants below.
+// Each names the gate that holds it: one of the repo's three static
+// analyzers (cmd/prefetchvet, built from internal/lint, run over the
+// module by its TestTreeClean), go vet, a -race test, a goroutine-leak
+// check, an alloc gate or a layout test.
 //
 //   - Hot-path functions are annotated //prefetch:hotpath and must not
 //     allocate — neither directly nor through any same-package callee.
 //     Buffers on these paths are caller-supplied or drawn from a
 //     sync.Pool; deliberate cold-branch allocations carry a
-//     //lint:allow hotpathalloc waiver with a reason (hotpathalloc).
+//     //lint:allow hotpathalloc waiver with a reason (hotpathalloc; the
+//     AllocFree gates, run without -race, measure the hit, miss and
+//     speculative-landing paths they drive).
 //   - No blocking operation runs while a shard mutex is held, and
 //     every shard-mutex Lock pairs with an Unlock on all exit paths;
 //     the queue push in dispatch — the one send on the job queue —
 //     happens under a shard lock via non-blocking select precisely to
 //     respect this (lockscope).
-//   - The per-shard counter block is annotated //prefetch:cacheline
-//     and pads to whole 64-byte cache lines, so two shards' atomics
-//     never share a line; 64-bit atomic fields stay 8-aligned even on
-//     32-bit layouts (atomicalign).
+//   - Lock order is acyclic (lockorder). No path holds two locks at
+//     once: a shard mutex, the engine's quiesce lock, a plain plugin's
+//     compatibility mutex (held by its planner around the plugin's own
+//     calls only, before the gather takes any shard lock) and the
+//     fabric's backend and estimator locks are all leaves. If a nesting
+//     is ever needed, the one the design leaves room for is shard.mu →
+//     Engine.qmu, never the reverse. The Section-4 estimator's stripe
+//     mutexes are not reachable from the engine at all: the unused
+//     mark of a shard's resident record is the tag, and the engine
+//     writes only the estimator's two atomic counters. The read core
+//     holds at most one shard mutex at a time (gatherMulti groups keys
+//     so each shard's classification completes before the next lock),
+//     and the write core — dispatch registering candidates, land and
+//     failJob settling them — locks each key's shard individually.
+//     Every shard lock is released by the function that took it.
+//   - The per-shard counter pads to whole 64-byte cache lines, so two
+//     shards' counters never share a line (TestCounterFillsCacheLine).
+//   - A word accessed atomically is never accessed plainly: every
+//     atomic is a typed atomic.Int64/Uint64/Int32/Bool, which stays
+//     8-aligned on 32-bit platforms too (TestTypedAtomicsOnly), whose
+//     copy go vet's copylocks refuses, and whose plain write beside an
+//     atomic one the race detector reports in the concurrent tests
+//     (TestConcurrentGets, TestBreakerConcurrentOutcomes among them).
+//     Fields a struct's mutex serialises are plain-only.
 //   - Pooled objects — flights, request scratch, speculative jobs —
 //     are returned to their pool on every path and never touched
-//     after the Put (poolhygiene). A transfer of ownership counts as
-//     a Put: a pooled job pushed to the queue is the worker's, and
-//     the pusher reads nothing from it afterwards — what dispatch
-//     still needs it reads from its caller's id buffer. The analyzer
-//     cannot see a hand-off through a channel; the race detector can,
-//     and TestDispatchOwnsNothingAfterPush is where it looks.
+//     after the Put. A transfer of ownership counts as a Put: a pooled
+//     job pushed to the queue is the worker's, and the pusher reads
+//     nothing from it afterwards — what dispatch still needs it reads
+//     from its caller's id buffer. A pooled object that is not returned
+//     shows as an allocation in the AllocFree gates; one touched after
+//     its Put or its push is a data race, which
+//     TestDispatchOwnsNothingAfterPush and the concurrent tests find
+//     under -race.
 //   - Library code never mints context.Background()/TODO(): contexts
 //     flow in from the caller, and the engine's own lifecycle root is
-//     created once in New and cancelled in Close (ctxflow).
-//
-// Four package-level dataflow analyzers guard the cross-function
-// concurrency contracts on top of those lexical rules:
-//
-//   - Lock order is acyclic (lockorder). The only compound edge the
-//     tree permits is shard.mu → Engine.qmu: a shard may push a
-//     speculative candidate onto the engine's queue while holding its
-//     own mutex. Everything else — a plain plugin's compatibility
-//     mutex (held by its planner around the plugin's own calls only,
-//     before the gather takes any shard lock), the controller's history
-//     mutex, the fabric's queue and backend-state locks — is a leaf: no
-//     code acquires any lock while holding one of them, and no code
-//     acquires a shard mutex while holding any other lock. The
-//     Section-4 estimator's stripe mutexes are not reachable from the
-//     engine at all: the unused mark of a shard's resident record is
-//     the tag, and the engine writes only the estimator's two atomic
-//     counters. The
-//     read core observes the same order by construction: gatherMulti
-//     holds at most one shard mutex at a time (keys are grouped so each
-//     shard's classification completes before the next lock), and the
-//     write core — dispatch registering candidates, land and failJob
-//     settling them — locks each key's shard individually. Every shard
-//     lock is released by the function that took it.
-//   - A field accessed through sync/atomic is atomic everywhere
-//     (atomicmix). Ownership per hot struct: the per-shard counter
-//     block, the controller's EWMA and rate words, and the fabric's
-//     per-backend in-flight/latency words are atomic-only — no plain
-//     access, no lock. Fields that a struct's mutex serialises are
-//     plain-only. The one sanctioned mix — a plain reset of an
-//     atomic-written word inside a section that holds the struct's
-//     write lock and has excluded all atomic writers — carries a
-//     //lint:allow atomicmix waiver naming that lock.
-//   - Every goroutine has a lifecycle tie (goroutinelife): workers are
-//     WaitGroup-accounted, drainers select on a close barrier or
-//     ctx.Done(), hedged fetches run under a deferred-cancel context.
-//     Close reaps them all; the lifecycle tests assert the reap with
-//     testutil.ExpectNoLeaks.
-//   - Channel ownership is single-writer (chanlife): nothing sends on
-//     a channel another function may close, and library-code sends are
-//     never unconditional — each runs in a select with an escape arm
-//     or on a channel whose buffer provably bounds it.
+//     created once in New and cancelled in Close. A fetch cut off from
+//     its caller's context outlives the cancellation that should end it
+//     (TestContextCancellation and the fabric's cancel tests time out);
+//     one cut off from the engine's outlives Close
+//     (TestCloseCancelsSpeculativeFetch).
+//   - Every goroutine has a lifecycle tie: workers are
+//     WaitGroup-accounted, drainers select on a close barrier, hedged
+//     fetches run under a deferred-cancel context. Close reaps them
+//     all; the lifecycle tests assert the reap with
+//     testutil.ExpectNoLeaks (TestRepeatedDeferWhileBusy for the idle
+//     gate's wake-ups), and TestHedgeRacesSecondBackendAndCancelsLoser
+//     that a hedge's loser is cancelled.
+//   - Channel ownership is single-writer: nothing sends on a channel
+//     another function may close, and library-code sends are never
+//     unconditional — each runs in a select with an escape arm or on a
+//     channel whose buffer bounds it. A violation panics ("send on
+//     closed channel") or parks a goroutine for good, which the hedging
+//     and idle-gate tests, their leak checks and their timeouts see.
 //
 // For offline capacity planning — what threshold, what gain, what
 // cost, from known parameters instead of live estimates — use Planner.

@@ -305,7 +305,7 @@ func New(fetcher Fetcher, opts ...Option) (*Engine, error) {
 		maxPrefetch = 0
 	}
 
-	//lint:allow ctxflow engine-owned lifecycle root, cancelled in Close
+	// The engine's lifecycle root, cancelled in Close.
 	ctx, cancel := context.WithCancel(context.Background())
 	e := &Engine{
 		clock:       cfg.clock,

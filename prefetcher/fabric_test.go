@@ -663,3 +663,71 @@ func TestEngineBreakerFailsFastAndRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// armedHangBackend serves every id at once until armed; armed, it holds
+// a fetch of id hang until the fetch's context ends.
+type armedHangBackend struct {
+	hang      fetch.ID
+	armed     atomic.Bool
+	entered   atomic.Int64
+	cancelled atomic.Int64
+}
+
+func (b *armedHangBackend) Fetch(ctx context.Context, id fetch.ID) (fetch.Item, error) {
+	if id == b.hang && b.armed.Load() {
+		b.entered.Add(1)
+		<-ctx.Done()
+		b.cancelled.Add(1)
+		return fetch.Item{}, ctx.Err()
+	}
+	return fetch.Item{ID: id, Size: 1}, nil
+}
+
+// TestCloseCancelsSpeculativeFetch hangs one speculative fetch in its
+// backend and closes the engine: the workers fetch under the engine's
+// own context, which Close cancels, so Close returns promptly, the
+// backend sees the cancellation and no goroutine outlives the engine.
+func TestCloseCancelsSpeculativeFetch(t *testing.T) {
+	testutil.ExpectNoLeaks(t)
+	b := &armedHangBackend{hang: 1}
+	eng, err := New(b, WithBandwidth(1e6), WithPolicy(StaticThreshold(0)),
+		WithShards(1), WithCache(NewLRUCache(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Teach the model 0 → 1 and leave 1 out of the one-slot cache, then
+	// arm the backend: the next Get(0) plans a speculative fetch of 1.
+	ctx := context.Background()
+	for _, id := range []ID{0, 1, 2} {
+		if _, err := eng.Get(ctx, id); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Quiesce(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b.armed.Store(true)
+	if _, err := eng.Get(ctx, 0); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for b.entered.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the speculative fetch of 1 never reached the backend")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- eng.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return with a speculative fetch hung in the backend")
+	}
+	if b.cancelled.Load() != b.entered.Load() {
+		t.Fatalf("%d speculative fetches entered the backend, %d saw their context end", b.entered.Load(), b.cancelled.Load())
+	}
+}

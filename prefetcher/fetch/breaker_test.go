@@ -309,3 +309,49 @@ func TestBreakerHalfOpenSingleProbeRace(t *testing.T) {
 		t.Fatalf("fetch after recovery: %v", err)
 	}
 }
+
+// oddFailFetcher fails every odd id and serves every even one.
+type oddFailFetcher struct{ tripCount }
+
+func (f *oddFailFetcher) Fetch(ctx context.Context, id ID) (Item, error) {
+	f.trip()
+	if id%2 == 1 {
+		return Item{}, errOrigin
+	}
+	return Item{ID: id, Size: 1}, nil
+}
+
+// TestBreakerConcurrentOutcomes drives one breaker-guarded backend from
+// many goroutines at once, half the fetches failing and half succeeding,
+// so breakerSuccess resets the failure run while breakerFailure extends
+// it. Meant to run under -race: any plain access to the breaker's words
+// races the others. A threshold no run reaches keeps the breaker closed,
+// so every fetch reaches the origin and every failure is counted.
+func TestBreakerConcurrentOutcomes(t *testing.T) {
+	now := &manualNow{}
+	f := newTestFabric(t, Config{
+		Backends: []Backend{{Name: "solo", Fetcher: &oddFailFetcher{}, Bandwidth: 100}},
+		Breaker:  &Breaker{Threshold: 1 << 20, Cooldown: time.Second},
+		Now:      now.Now,
+	})
+	const goroutines, each = 8, 200
+	var wg sync.WaitGroup
+	var failed atomic.Int64
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if _, err := f.Fetch(context.Background(), ID(g*each+i)); err != nil {
+					failed.Add(1)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	st := f.Stats(now.Now())[0]
+	if st.Errors != goroutines*each/2 || failed.Load() != st.Errors || st.BreakerState != "closed" {
+		t.Fatalf("errors %d, failed fetches %d, breaker %q; want %d, %d, closed",
+			st.Errors, failed.Load(), st.BreakerState, goroutines*each/2, goroutines*each/2)
+	}
+}

@@ -109,7 +109,7 @@ type backendState struct {
 	// sent counts, per class, the ids dispatched (per attempt: hedges and
 	// retries included) and the batch round trips that carried some of
 	// them — bench/'s page-batch workload reads the split. Indexed by
-	// class, never pointed at: atomicmix rejects an atomic field's address.
+	// class.
 	sent [2]struct {
 		ids, batchCalls, batchedItems atomic.Int64
 	}

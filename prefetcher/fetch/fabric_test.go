@@ -508,6 +508,44 @@ func TestIdleGateQueueBoundsAndCloseSheds(t *testing.T) {
 	}
 }
 
+// TestRepeatedDeferWhileBusy parks candidates three times on a link
+// that stays busy — the drainer takes the first wake-up and then waits
+// on the link, so the later wake-ups find its one-slot channel full —
+// and closes the fabric. Defer must neither block nor leave anything
+// behind waiting to wake a drainer that is gone.
+func TestRepeatedDeferWhileBusy(t *testing.T) {
+	testutil.ExpectNoLeaks(t)
+	clk := &manualNow{}
+	f := newTestFabric(t, Config{
+		Backends:      []Backend{{Name: "origin", Fetcher: &instantFetcher{size: 1}, Bandwidth: 1}},
+		IdleWatermark: 0.5,
+		Alpha:         0.5,
+		Now:           clk.Now,
+		OnRelease:     func(int, []ID) {},
+	})
+	for i := 0; i < 50; i++ {
+		f.Link(0).RecordSpeculative(clk.Now())
+		f.Link(0).RecordSpeculativeSize(5)
+		clk.Advance(0.001)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for id := ID(1); id <= 3; id++ {
+			f.Defer(0, id)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Defer blocked on a busy link")
+	}
+	f.Close()
+	if st := f.Stats(clk.Now())[0]; st.Deferred != 3 || st.DeferredDropped != 3 || st.Pending != 0 {
+		t.Fatalf("stats = %+v, want 3 parked and 3 shed at Close", st)
+	}
+}
+
 // Defer racing Close: whichever takes a backend's lock first, nothing
 // is left parked where no drainer will look — a candidate either parked
 // before the sweep and was shed by it, or found the fabric closed and

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/testutil"
 	"repro/prefetcher/fetch"
 )
 
@@ -191,6 +192,7 @@ func TestFetchBatchWire(t *testing.T) {
 }
 
 func TestFetchBatchFanout(t *testing.T) {
+	testutil.ExpectNoLeaks(t)
 	var singles atomic.Int64
 	srv := newOrigin(t, &singles, nil)
 	c := newClient(t, Config{BaseURL: srv.URL, MaxParallel: 2}) // no BatchPath
@@ -210,6 +212,7 @@ func TestFetchBatchFanout(t *testing.T) {
 }
 
 func TestFetchBatchFanoutError(t *testing.T) {
+	testutil.ExpectNoLeaks(t)
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if strings.HasSuffix(r.URL.Path, "/3") {
 			http.Error(w, "gone", http.StatusInternalServerError)

@@ -824,6 +824,7 @@ func TestFetchIntoErrorsRestoreDst(t *testing.T) {
 // copies them in, in request order; an empty object appends nothing and
 // still has its length.
 func TestFetchBatchIntoFanout(t *testing.T) {
+	testutil.ExpectNoLeaks(t)
 	o := newScriptedOrigin(t, 4, func(n int, c *originConn) {
 		for line := c.request(); line != ""; line = c.request() {
 			if target := strings.Fields(line)[1]; target == "/obj/2" {

@@ -12,8 +12,7 @@ import (
 // The per-shard counters below are counter values: a bump is one atomic
 // add that needs no shard mutex, which keeps accounting off the shard's
 // critical sections entirely and makes Stats a wait-free snapshot.
-//
-//prefetch:cacheline
+// TestCounterFillsCacheLine holds the padding to whole lines.
 type counter struct {
 	atomic.Int64
 	_ [56]byte // 64-byte line minus the 8-byte count
