@@ -29,6 +29,42 @@ func TestTreeClean(t *testing.T) {
 	}
 }
 
+// TestCheckFindsViolation drives the driver end to end on a module with
+// one hot-path function holding two allocations: the unwaived one is the
+// only finding, and the waiver on the other suppresses it, so it is not
+// reported as stale either.
+func TestCheckFindsViolation(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"go.mod": "module hot\n\ngo 1.22\n",
+		"hot.go": "package hot\n\n" +
+			"//prefetch:hotpath\n" +
+			"func Hot(n int) []byte {\n" +
+			"\tif n < 0 {\n" +
+			"\t\t//lint:allow hotpathalloc cold branch\n" +
+			"\t\treturn new([1]byte)[:]\n" +
+			"\t}\n" +
+			"\treturn make([]byte, n)\n" +
+			"}\n",
+	}
+	for name, src := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o666); err != nil {
+			t.Fatal(err)
+		}
+	}
+	diags, err := check(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(diags) != 1 {
+		t.Fatalf("got %d findings, want 1: %v", len(diags), diags)
+	}
+	d := diags[0]
+	if d.Analyzer != "hotpathalloc" || d.Pos.Line != 9 || !strings.HasPrefix(d.Message, "make in hot path Hot") {
+		t.Errorf("finding = %v, want hotpathalloc's make at line 9", d)
+	}
+}
+
 // TestWaiverNames runs the suite over a module whose only content is two
 // waivers that suppress nothing: one naming an analyzer of the suite and
 // one misspelling it. Each must be a finding — a misspelled name waives
