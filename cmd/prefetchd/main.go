@@ -83,7 +83,7 @@ func configFromArgs(fs *flag.FlagSet, args []string) (*Config, error) {
 	fs.StringVar(&f.originBatch, "origin-batch-path", "", "origin batch endpoint speaking the httpfetch wire (e.g. /batch)")
 	fs.StringVar(&f.fsRoot, "fs-root", "", "filesystem backend root for the flag-built space")
 	fs.IntVar(&f.cacheCap, "cache", 4096, "cache capacity in items; the least recently used goes first")
-	fs.IntVar(&f.cacheBytes, "cache-bytes", 0, "cache byte budget (0 = 64 MiB); payloads live in GC-immune pointer-free segments")
+	fs.IntVar(&f.cacheBytes, "cache-bytes", 0, "cache byte budget (0 = 64 MiB), a ceiling: the arena holds at most about twice the peak live bytes; payloads live in GC-immune pointer-free segments")
 	fs.IntVar(&f.segBytes, "segment-bytes", 0, "cache segment size in bytes (0 = 1 MiB)")
 	fs.StringVar(&f.policy, "policy", "adaptive-a", "prefetch policy: adaptive-a, adaptive-b, greedy, static, topk or none (no speculation); the access model is always the Markov table bounded at about 7 MiB")
 	fs.Float64Var(&f.policyArg, "policy-arg", 0, "policy parameter (static threshold or topk k)")

@@ -14,15 +14,21 @@
 // second residency table and no per-entry node to keep in step.
 //
 // Every entry that leaves without the caller naming it (Delete) is
-// reported through the one OnEvict callback. Segment rotation bounds the
-// bytes: Put appends at a write cursor, and when every segment is full
-// the cursor wraps onto the oldest segment, evicts whatever entries
-// still live there and resets it — rotation always makes progress, there
-// is no free-list fragmentation state in which a Put can wedge, and it
-// approximates FIFO-by-write-age. The entry bound (SetMaxEntries), when
-// set, bounds the count: a Put that leaves more live entries evicts from
-// the tail of the list, after any rotation it caused. EvictOldest evicts
-// the tail on demand.
+// reported through the one OnEvict callback. Put appends at a write
+// cursor; when the cursor's segment is full it moves. Compact before you
+// grow, and grow before you evict: if the segment with the fewest live
+// bytes is at most half live, its survivors slide to the front and the
+// cursor writes behind them — no entry leaves; otherwise a new segment,
+// while the capacity allows one; otherwise rotation evicts whatever
+// still lives in the segment the cursor entered longest ago and resets
+// it. The arena grows only while every segment is more than half live,
+// so it stays within about twice the peak live bytes, plus a segment,
+// whatever the capacity. Rotation always makes progress, there is no
+// free-list fragmentation state in which a Put can wedge, and under byte
+// pressure the store is FIFO by write. The entry bound (SetMaxEntries),
+// when set, bounds the count: a Put that leaves more live entries evicts
+// from the tail of the list, after any rotation it caused. EvictOldest
+// evicts the tail on demand.
 //
 // A Store is not safe for concurrent use; in the prefetch engine each
 // shard owns one behind its shard mutex.
@@ -33,7 +39,7 @@ import "encoding/binary"
 const (
 	// headerBytes precedes every payload inside a segment:
 	// [id int64 LE][payload length uint32 LE]. The header lets rotation
-	// walk a segment and name the entries it is about to evict.
+	// and compaction walk a segment and name the entries they find.
 	headerBytes = 12
 
 	// DefaultSegmentBytes is the segment size used when New is given a
@@ -75,12 +81,14 @@ const (
 
 // Stats is a point-in-time snapshot of a Store's occupancy and churn.
 type Stats struct {
-	Entries       int   // live entries
-	Segments      int   // segments allocated (≤ the capacity-derived max)
-	SegmentBytes  int   // size of each segment
-	LiveBytes     int64 // bytes referenced by live entries, headers included
-	Rotations     int64 // segments recycled by the write cursor wrapping
-	RotateEvicted int64 // live entries evicted by rotation
+	Entries        int   // live entries
+	Segments       int   // segments allocated (≤ the capacity-derived max)
+	SegmentBytes   int   // size of each segment
+	LiveBytes      int64 // bytes referenced by live entries, headers included
+	Rotations      int64 // segments recycled by evicting what lived there
+	RotateEvicted  int64 // live entries evicted by rotation
+	Compactions    int64 // segments reclaimed in place, nothing evicted
+	CompactedBytes int64 // live bytes compaction moved
 }
 
 // Store is the arena. The zero value is not usable; call New.
@@ -90,8 +98,10 @@ type Store struct {
 
 	segs    [][]byte // the pointer-free payload arena
 	fill    []int    // write offset per segment
-	liveSeg []int    // live-entry count per segment
-	cur     int      // segment the write cursor is on
+	liveSeg []int    // live bytes per segment, headers included
+	entered []int64  // per segment, the move that last put the cursor on it
+	moves   int64
+	cur     int // segment the write cursor is on
 
 	// Open-addressing index: keys[i] is meaningful iff refs[i] is a
 	// live packed reference. Flat int slices — no pointers for GC.
@@ -108,9 +118,11 @@ type Store struct {
 	head, tail int32 // most and least recently used; none when empty
 	maxEntries int   // 0 = bounded by bytes alone
 
-	liveBytes     int64
-	rotations     int64
-	rotateEvicted int64
+	liveBytes      int64
+	rotations      int64
+	rotateEvicted  int64
+	compactions    int64
+	compactedBytes int64
 
 	onEvict func(id int64)
 }
@@ -118,8 +130,9 @@ type Store struct {
 // New sizes a Store for roughly capacityBytes of payload split into
 // segBytes segments (both clamped to sane ranges; pass 0 for the
 // defaults). The capacity is a ceiling on allocated arena memory, not a
-// guarantee: rotation may evict before the ceiling is reached when
-// entries skew large.
+// guarantee and not the expected size: the arena grows only when
+// compaction cannot make room, and rotation may evict before the ceiling
+// is reached when entries skew large.
 func New(capacityBytes, segBytes int) *Store {
 	if segBytes <= 0 {
 		segBytes = DefaultSegmentBytes
@@ -166,12 +179,14 @@ func (s *Store) Fits(n int) bool { return n >= 0 && headerBytes+n <= s.segBytes 
 // Stats returns an occupancy/churn snapshot.
 func (s *Store) Stats() Stats {
 	return Stats{
-		Entries:       s.live,
-		Segments:      len(s.segs),
-		SegmentBytes:  s.segBytes,
-		LiveBytes:     s.liveBytes,
-		Rotations:     s.rotations,
-		RotateEvicted: s.rotateEvicted,
+		Entries:        s.live,
+		Segments:       len(s.segs),
+		SegmentBytes:   s.segBytes,
+		LiveBytes:      s.liveBytes,
+		Rotations:      s.rotations,
+		RotateEvicted:  s.rotateEvicted,
+		Compactions:    s.compactions,
+		CompactedBytes: s.compactedBytes,
 	}
 }
 
@@ -319,7 +334,7 @@ func (s *Store) dropSlot(i int) {
 	s.refs[i] = refTomb
 	s.unlink(int32(i))
 	s.live--
-	s.liveSeg[seg]--
+	s.liveSeg[seg] -= headerBytes + n
 	s.liveBytes -= int64(headerBytes + n)
 }
 
@@ -356,9 +371,9 @@ func (s *Store) EvictOldest() {
 // only when the payload can never fit a segment (see Fits). Rotation may
 // evict other entries to make room, and then the entry bound the least
 // recently used ones; the id being written is immune to both (its stale
-// copy is dropped from the index before space is claimed, so the
-// rotation walk cannot surface it, and it is at the head of the list
-// the bound evicts from the tail of).
+// copy is dropped from the index before space is claimed, so no segment
+// walk can surface it, and it is at the head of the list the bound
+// evicts from the tail of).
 func (s *Store) Put(id int64, v []byte) bool {
 	need := headerBytes + len(v)
 	if len(v) > maxSegmentBytes || need > s.segBytes {
@@ -375,7 +390,7 @@ func (s *Store) Put(id int64, v []byte) bool {
 	copy(buf[off+headerBytes:], v)
 	s.fill[seg] = off + need
 	s.insert(id, pack(seg, off+headerBytes, len(v)))
-	s.liveSeg[seg]++
+	s.liveSeg[seg] += need
 	s.liveBytes += int64(need)
 	for s.maxEntries > 0 && s.live > s.maxEntries {
 		s.evict(int(s.tail))
@@ -384,55 +399,88 @@ func (s *Store) Put(id int64, v []byte) bool {
 }
 
 // ensure positions the write cursor on a segment with room for need
-// bytes: the current one, a freshly allocated one while under the
-// capacity ceiling, or — once all segments exist — the next segment in
-// the ring, evicted and reset.
+// bytes: the current one while it has room, else the one with the fewest
+// live bytes, compacted if at most half of what was written there is
+// live and need fits behind the survivors — at most one byte moved per
+// byte reclaimed — else a fresh one while under the ceiling, else the
+// one the cursor entered longest ago, rotated.
 func (s *Store) ensure(need int) {
 	if len(s.segs) > 0 && s.fill[s.cur]+need <= s.segBytes {
 		return
 	}
-	if len(s.segs) < s.maxSegs {
+	seg, old := 0, 0 // fewest live bytes, entered longest ago
+	for i, e := range s.entered {
+		if s.liveSeg[i] < s.liveSeg[seg] {
+			seg = i
+		}
+		if e < s.entered[old] {
+			old = i
+		}
+	}
+	switch {
+	case len(s.segs) > 0 && 2*s.liveSeg[seg] <= s.fill[seg] && s.liveSeg[seg]+need <= s.segBytes:
+		s.compact(seg)
+	case len(s.segs) < s.maxSegs:
+		seg = len(s.segs)
 		s.segs = append(s.segs, make([]byte, s.segBytes))
 		s.fill = append(s.fill, 0)
 		s.liveSeg = append(s.liveSeg, 0)
-		s.cur = len(s.segs) - 1
-		return
+		s.entered = append(s.entered, 0)
+	default:
+		seg = old
+		s.rotate(seg)
 	}
-	next := s.cur + 1
-	if next >= len(s.segs) {
-		next = 0
-	}
-	s.rotate(next)
-	s.cur = next
+	s.cur = seg
+	s.moves++
+	s.entered[seg] = s.moves
 }
 
-// rotate evicts every entry still live in segment seg — walking its
-// headers and tombstoning the index slots that still reference it —
-// and resets it for reuse. Each displaced id is reported through the
-// OnEvict callback.
+// walk calls fn with the index slot and payload offset and length of
+// every record in segment seg that is still live, in write order,
+// stopping at the last of them (with nothing live it reads no header).
+// Only an entry's CURRENT slot counts: an id overwritten or deleted
+// since left a stale record here whose packed reference no longer
+// matches.
+func (s *Store) walk(seg int, fn func(i, off, n int)) {
+	buf := s.segs[seg]
+	for off, left := 0, s.liveSeg[seg]; left > 0 && off < s.fill[seg]; {
+		id := int64(binary.LittleEndian.Uint64(buf[off:]))
+		n := int(binary.LittleEndian.Uint32(buf[off+8:]))
+		if i, ok := s.findSlot(id); ok && s.refs[i] == pack(seg, off+headerBytes, n) {
+			left -= headerBytes + n
+			fn(i, off, n)
+		}
+		off += headerBytes + n
+	}
+}
+
+// rotate evicts every entry still live in segment seg, reporting each
+// through OnEvict, and resets the segment for reuse.
 func (s *Store) rotate(seg int) {
 	s.rotations++
-	if s.liveSeg[seg] > 0 {
-		buf := s.segs[seg]
-		for off, end := 0, s.fill[seg]; off < end; {
-			id := int64(binary.LittleEndian.Uint64(buf[off:]))
-			n := int(binary.LittleEndian.Uint32(buf[off+8:]))
-			poff := off + headerBytes
-			// Only the entry's CURRENT index slot counts: an id
-			// overwritten into a later segment left a stale record here
-			// whose packed reference no longer matches.
-			if i, ok := s.findSlot(id); ok && s.refs[i] == pack(seg, poff, n) {
-				s.dropSlot(i)
-				s.rotateEvicted++
-				if s.onEvict != nil {
-					s.onEvict(id)
-				}
-			}
-			off = poff + n
-		}
-	}
+	s.walk(seg, func(i, _, _ int) {
+		s.rotateEvicted++
+		s.evict(i)
+	})
 	s.fill[seg] = 0
-	s.liveSeg[seg] = 0
+}
+
+// compact slides every record still live in segment seg to the front,
+// repointing its index slot, and leaves the fill behind the last of
+// them. Slot numbers and the recency links do not move, and nothing is
+// evicted.
+func (s *Store) compact(seg int) {
+	s.compactions++
+	w := 0
+	s.walk(seg, func(i, off, n int) {
+		if off != w {
+			copy(s.segs[seg][w:], s.segs[seg][off:off+headerBytes+n])
+			s.refs[i] = pack(seg, w+headerBytes, n)
+			s.compactedBytes += int64(headerBytes + n)
+		}
+		w += headerBytes + n
+	})
+	s.fill[seg] = w
 }
 
 // Get appends id's payload to dst, marks id most recently used and

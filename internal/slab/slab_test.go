@@ -2,9 +2,14 @@ package slab
 
 import (
 	"bytes"
+	"container/list"
 	"fmt"
 	"slices"
 	"testing"
+
+	"repro/internal/cache"
+	"repro/internal/rng"
+	"repro/internal/workload"
 )
 
 // payload builds a deterministic value for (id, n) so cross-checks can
@@ -186,6 +191,175 @@ func TestRotationSkipsOverwrittenStaleRecords(t *testing.T) {
 	}
 }
 
+// TestRotationTakesOldestAfterCompaction pins the victim rule across a
+// compaction: rotation takes the segment the cursor entered longest ago,
+// which after a compaction has re-entered a lower-numbered segment is not
+// the next one by slice index.
+func TestRotationTakesOldestAfterCompaction(t *testing.T) {
+	s := New(768, 256) // 3 segments of 256 B; a 20 B value is a 32 B record, 8 to a segment
+	var evicted []int64
+	s.OnEvict(func(id int64) { evicted = append(evicted, id) })
+	put := func(from, to int64) {
+		for id := from; id < to; id++ {
+			s.Put(id, payload(id, 20))
+		}
+	}
+	put(0, 8)   // seg 0 full
+	put(10, 18) // seg 0 all live: seg 1 is allocated
+	for id := int64(0); id < 6; id++ {
+		s.Delete(id) // seg 0 keeps 6 and 7: a quarter live
+	}
+	put(20, 26) // compacts seg 0 — 6 and 7 slide to its front — and fills it behind them
+	if st := s.Stats(); st.Compactions != 1 || st.CompactedBytes != 64 || st.Segments != 2 {
+		t.Fatalf("after the compaction: %+v; want 1 compaction moving 64 B over 2 segments", st)
+	}
+	put(30, 38) // seg 1, entered before seg 0 was re-entered, is all live: seg 2 is allocated
+	if len(evicted) != 0 || s.Stats().Segments != 3 {
+		t.Fatalf("evicted %v over %d segments before the arena was full", evicted, s.Stats().Segments)
+	}
+	put(40, 41) // rotation: seg 1, not seg 0 at index cur+1
+	if want := []int64{10, 11, 12, 13, 14, 15, 16, 17}; !slices.Equal(evicted, want) {
+		t.Fatalf("rotation evicted %v, want the oldest-entered segment's %v", evicted, want)
+	}
+	for _, id := range []int64{6, 7, 20, 25, 30, 37, 40} {
+		if got, ok := s.Get(id, nil); !ok || !bytes.Equal(got, payload(id, 20)) {
+			t.Fatalf("survivor %d: %x,%t", id, got, ok)
+		}
+	}
+}
+
+// TestCompactionSparesPinnedHotSegment writes a hot set first and from
+// then on only hits it, while cold values churn through the entry bound.
+// The hot set's segment stays all live and the cursor never re-enters
+// it, so it is the oldest-entered segment for good: the cursor must
+// reclaim the cold segment's dead space rather than grow until rotation
+// takes the hot set.
+func TestCompactionSparesPinnedHotSegment(t *testing.T) {
+	s := New(2048, 256) // 8 segments of 256 B; a 20 B value is a 32 B record, 8 to a segment
+	s.SetMaxEntries(10) // the 8 hot values and the 2 newest cold ones
+	for id := int64(0); id < 8; id++ {
+		s.Put(id, payload(id, 20))
+	}
+	for id := int64(100); id < 400; id++ {
+		for hot := int64(0); hot < 8; hot++ {
+			if _, ok := s.BytesLen(hot); !ok {
+				t.Fatalf("hot value %d gone before cold Put %d: %+v", hot, id, s.Stats())
+			}
+		}
+		s.Put(id, payload(id, 20))
+	}
+	if st := s.Stats(); st.Segments != 2 || st.Rotations != 0 || st.Compactions == 0 {
+		t.Fatalf("%+v; want 2 segments, no rotation, compactions", st)
+	}
+}
+
+// lruModel is a plain LRU cache of ids — the hit count a store evicting
+// only through its entry bound must reproduce.
+type lruModel struct {
+	cap   int
+	order *list.List // front = most recently used
+	at    map[int64]*list.Element
+}
+
+func newLRUModel(n int) *lruModel {
+	return &lruModel{cap: n, order: list.New(), at: map[int64]*list.Element{}}
+}
+
+// access reports a hit, or admits id, evicting the least recently used.
+func (m *lruModel) access(id int64) bool {
+	if e, ok := m.at[id]; ok {
+		m.order.MoveToFront(e)
+		return true
+	}
+	m.at[id] = m.order.PushFront(id)
+	if m.order.Len() > m.cap {
+		delete(m.at, m.order.Remove(m.order.Back()).(int64))
+	}
+	return false
+}
+
+// getOrPut replays one request on s: a hit, or a miss that puts the
+// value, as the engine lands one. It reports the hit.
+func getOrPut(t *testing.T, s *Store, id int64, size int, dst []byte) ([]byte, bool) {
+	t.Helper()
+	got, ok := s.Get(id, dst[:0])
+	if ok && !bytes.Equal(got, payload(id, size)) {
+		t.Fatalf("id %d corrupted", id)
+	}
+	if !ok && !s.Put(id, payload(id, size)) {
+		t.Fatalf("Put(%d) refused", id)
+	}
+	return got, ok
+}
+
+// TestCompactionKeepsArenaNearLive replays the page-batch workload's
+// store on a Store — 8-key sessions over 400 pages and 1,600 shared
+// objects, 1 KiB values, a 512-entry bound in an 8 MiB budget — where the
+// entry bound does all the evicting. The arena must stay within two
+// segments of the ~0.5 MiB live, rotation must evict nothing, and the
+// hits must be exactly a pure LRU's.
+func TestCompactionKeepsArenaNearLive(t *testing.T) {
+	const entries, size = 512, 1024
+	s := New(8<<20, 0)
+	s.SetMaxEntries(entries)
+	model := newLRUModel(entries)
+	sessions := workload.NewSessions(workload.SessionConfig{Pages: 400, Fanout: 8, Objects: 1600},
+		rng.NewStream(1, "page-batch"))
+	var keys []cache.ID
+	dst := make([]byte, 0, size)
+	hits, want := 0, 0
+	for n := 0; n < 20_000; n++ {
+		keys = sessions.NextInto(keys[:0])
+		for _, k := range keys {
+			var ok bool
+			if dst, ok = getOrPut(t, s, int64(k), size, dst); ok {
+				hits++
+			}
+			if model.access(int64(k)) {
+				want++
+			}
+		}
+	}
+	st := s.Stats()
+	t.Logf("%d hits; %+v", hits, st)
+	if st.Segments > 2 || st.RotateEvicted != 0 || st.Compactions == 0 || hits != want {
+		t.Fatalf("%d segments, %d evicted by rotation, %d compactions, %d hits; want ≤ 2, 0, > 0 and the LRU model's %d",
+			st.Segments, st.RotateEvicted, st.Compactions, hits, want)
+	}
+}
+
+// TestNoCompactionWhereNothingDies replays the two workloads whose store
+// the compaction rule must leave as it was: scan-miss (16 KiB values
+// never requested twice, 4,096 entries in 8 MiB: every record is live
+// until rotation takes it) and hot-obj (1,000 Zipf-hot 256 B values and a
+// 1-in-128 cold tail, 4,096 entries in 8 MiB: one segment that never
+// fills). Neither may compact, and scan-miss must still rotate.
+func TestNoCompactionWhereNothingDies(t *testing.T) {
+	dst := make([]byte, 0, 16<<10)
+	scan := New(8<<20, 0)
+	scan.SetMaxEntries(4096)
+	for id := int64(0); id < 4096; id++ {
+		dst, _ = getOrPut(t, scan, id*7919, 16<<10, dst)
+	}
+	hot := New(8<<20, 0)
+	hot.SetMaxEntries(4096)
+	zipf, src := rng.NewZipf(1000, 0.9), rng.NewStream(1, "hot-obj")
+	for n := int64(0); n < 100_000; n++ {
+		id := int64(zipf.Sample(src))
+		switch {
+		case n < 1000:
+			id = n
+		case n%128 == 0:
+			id = 1_000_000 + n
+		}
+		dst, _ = getOrPut(t, hot, id, 256, dst)
+	}
+	sc, ho := scan.Stats(), hot.Stats()
+	if sc.Compactions != 0 || sc.RotateEvicted == 0 || ho.Compactions != 0 || ho.Rotations != 0 {
+		t.Fatalf("scan-miss %+v, hot-obj %+v: want no compaction on either, and rotation on scan-miss alone", sc, ho)
+	}
+}
+
 func TestStatsLiveBytes(t *testing.T) {
 	s := New(1<<20, 4096)
 	s.Put(1, make([]byte, 100))
@@ -242,10 +416,20 @@ func TestIndexChurnRehash(t *testing.T) {
 
 // fuzzSeeds are FuzzSlabStore's seed corpus, three bytes an op (see
 // fuzzOps): between them they force a growing rehash, a tombstone-only
-// rehash, rotation, the entry bound and EvictOldest, with reads in
-// between to shuffle the recency order each has to carry across.
+// rehash, rotation, a compaction that moves survivors, the entry bound
+// and EvictOldest, with reads in between to shuffle the recency order
+// each has to carry across.
 func fuzzSeeds() [][]byte {
-	var grow, tombs, rotate, bound []byte
+	var grow, tombs, rotate, bound, compact []byte
+	for i := byte(0); i < 8; i++ {
+		compact = append(compact, 0, i, 20) // eight 32 B records fill the first segment
+	}
+	for i := byte(0); i < 5; i++ {
+		compact = append(compact, 3, i, 0, 2, 7-i%2, 0) // delete five, touch a survivor
+	}
+	for i := byte(8); i < 30; i++ {
+		compact = append(compact, 0, i, 20, 4, i-2, 0) // the ninth Put compacts 5–7 to the front
+	}
 	for i := byte(0); i < 60; i++ {
 		grow = append(grow, 0, i, 0, 2, i/2, 0) // 60 empty values: the 64-slot table doubles on the way
 		if i < 3 {
@@ -259,18 +443,18 @@ func fuzzSeeds() [][]byte {
 	return [][]byte{
 		{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11},
 		{1, 200, 1, 2, 200, 0, 0, 31, 255, 6, 0, 0, 2, 31, 0},
-		grow, tombs, rotate, bound,
+		grow, tombs, rotate, bound, compact,
 	}
 }
 
 // FuzzSlabStore interleaves Put, Get, Delete, BytesLen, Has,
 // EvictOldest and SetMaxEntries against a reference model — a map for
 // the payloads and a slice, least recently used first, for the order —
-// on an arena small enough that rotation fires constantly. After every
-// op the store and the model agree on the answer, on every victim (a
-// rotation victim may be any live id; a bound or EvictOldest victim
-// must be the model's oldest), on the length, and — auditLinks — on the
-// whole recency list, link by link.
+// on an arena small enough that compaction and rotation fire constantly.
+// After every op the store and the model agree on the answer, on every
+// victim (a rotation victim may be any live id; a bound or EvictOldest
+// victim must be the model's oldest; compaction has none), on the
+// length, and — auditLinks — on the whole recency list, link by link.
 func FuzzSlabStore(f *testing.F) {
 	for _, seed := range fuzzSeeds() {
 		f.Add(seed)
@@ -282,16 +466,18 @@ func FuzzSlabStore(f *testing.F) {
 // plain `go test` exercises it without the fuzzing engine, and checks
 // the seeds reach what they are there to force.
 func TestFuzzSeedsDirect(t *testing.T) {
-	var grew, rotated bool
+	var grew, rotated, moved bool
 	for i, seed := range fuzzSeeds() {
 		t.Run(fmt.Sprint(i), func(t *testing.T) {
 			s := fuzzOps(t, seed)
 			grew = grew || len(s.refs) > minIndexSlots
 			rotated = rotated || s.rotateEvicted > 0
+			moved = moved || s.compactedBytes > 0
 		})
 	}
-	if !grew || !rotated {
-		t.Fatalf("the seeds forced a growing rehash: %t, a rotation that evicts: %t; want both", grew, rotated)
+	if !grew || !rotated || !moved {
+		t.Fatalf("the seeds forced a growing rehash: %t, a rotation that evicts: %t, a compaction that moves: %t; want all three",
+			grew, rotated, moved)
 	}
 }
 

@@ -10,10 +10,11 @@
 // per-hit allocation.
 //
 // There is one eviction stream: the slab reports every entry it
-// displaces — the write cursor reclaiming the oldest segment (the byte
-// bound), a Put past MaxEntries evicting from the tail of the recency
-// list (the entry bound, after any rotation the same Put caused), the
-// overflow budget loop below — through one callback, which drops the
+// displaces — the write cursor rotating the oldest segment when
+// compaction cannot reclaim it (the byte bound), a Put past MaxEntries
+// evicting from the tail of the recency list (the entry bound, after
+// any rotation the same Put caused), the overflow budget loop below —
+// through one callback, which drops the
 // victim's boxed value if it had one and forwards the id to the OnEvict
 // callback the engine installs. Recency is touched by Get, GetBytes and
 // BytesLen on a hit and by every Put; Contains peeks.
@@ -258,9 +259,11 @@ func (s *Store) OnEvict(fn func(prefetcher.ID)) { s.onEvict = fn }
 // Footprint reports the payload bytes the store holds and the ceiling
 // it holds each kind to (see Config.CapacityBytes): the arena's live
 // bytes, record headers (a boxed value's placeholder is one) included,
-// against the segments rotation may fill; the overflow map's []byte
-// payloads against CapacityBytes, or against the one payload Put lets
-// exceed it alone.
+// against arenaMax, the segments the arena may grow to — a ceiling, not
+// the expected size, since the slab compacts before it grows and grows
+// only while every segment is more than half live; the overflow map's
+// []byte payloads against CapacityBytes, or against the one payload Put
+// lets exceed it alone.
 func (s *Store) Footprint() (arena, arenaMax, overflow, overflowMax int64) {
 	st := s.slab.Stats()
 	overflowMax = int64(s.capacityBytes)

@@ -337,6 +337,36 @@ func TestFactoryShardSplitNames(t *testing.T) {
 	}
 }
 
+// TestSlabPutCompactionAllocFree gates the landing of a miss on a store
+// whose entry bound does the evicting (chain-obj's and page-batch's
+// shape: 1 KiB values, 512 entries, 8 MiB): never-repeating PutBytes
+// churn reclaims the arena by compacting segments in place, over and
+// over, and allocates nothing per Put while doing it.
+func TestSlabPutCompactionAllocFree(t *testing.T) {
+	s, err := New(Config{CapacityBytes: 8 << 20, MaxEntries: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := val(1, 1<<10)
+	id := prefetcher.ID(0)
+	for ; id < 4096; id++ { // both segments allocated, the index at its working size
+		s.PutBytes(id, v)
+	}
+	before := s.SlabStats()
+	allocs := testing.AllocsPerRun(20_000, func() {
+		s.PutBytes(id, v)
+		id++
+	})
+	st := s.SlabStats()
+	if allocs != 0 {
+		t.Fatalf("PutBytes through the entry bound allocated %v times per call; want 0", allocs)
+	}
+	if st.Compactions-before.Compactions < 10 || st.Segments > 2 || st.Rotations != 0 {
+		t.Fatalf("the churn compacted %d times over %d segments with %d rotations; want ≥ 10, ≤ 2 and 0",
+			st.Compactions-before.Compactions, st.Segments, st.Rotations)
+	}
+}
+
 // TestPutBytesCopies pins the BytesPutter contract the engine's borrowed
 // landings rely on: whatever its size, nothing the store keeps aliases
 // the slice it was handed — a payload that fits a segment is copied into

@@ -132,13 +132,14 @@ func (r *reference) Len() int                       { return r.store.Len() }
 // exactly; across that line it may not be compared, because how a boxed
 // value is booked against the arena is the Store's own business.
 type diffRegime struct {
-	name         string
-	cfg          Config
-	ids          int  // id space
-	maxFit       int  // largest arena-fitting payload
-	boxed        bool // oversized and non-[]byte Puts in the mix
-	mostlyBoxed  bool // and they are most of the Puts: drives the overflow budget loop
-	wantRotation bool
+	name           string
+	cfg            Config
+	ids            int  // id space
+	maxFit         int  // largest arena-fitting payload
+	boxed          bool // oversized and non-[]byte Puts in the mix
+	mostlyBoxed    bool // and they are most of the Puts: drives the overflow budget loop
+	wantRotation   bool
+	wantCompaction bool
 }
 
 var diffRegimes = []diffRegime{
@@ -151,14 +152,21 @@ var diffRegimes = []diffRegime{
 	{name: "rotating", cfg: Config{CapacityBytes: 4 << 10, MaxEntries: 1 << 16, SegmentBytes: 512},
 		ids: 160, maxFit: 120, wantRotation: true},
 	// Both streams at once: a Put regularly evicts through rotation and
-	// then through the bound, in that order.
-	{name: "both-streams", cfg: Config{CapacityBytes: 4 << 10, MaxEntries: 40, SegmentBytes: 512},
+	// then through the bound, in that order. The arena is small enough
+	// (four segments for up to 40 live values) that compaction, which
+	// runs here too, cannot reclaim what rotation takes.
+	{name: "both-streams", cfg: Config{CapacityBytes: 2 << 10, MaxEntries: 40, SegmentBytes: 512},
 		ids: 160, maxFit: 60, wantRotation: true},
 	// Boxed payloads past the byte budget: the overflow loop evicts the
 	// least recently used residents, boxed or not, before the entry bound
 	// is consulted.
 	{name: "overflow-budget", cfg: Config{CapacityBytes: 2 << 20, MaxEntries: 1 << 12, SegmentBytes: 1 << 10},
 		ids: 2000, maxFit: 40, boxed: true, mostlyBoxed: true},
+	// The entry bound binds on an arena at least 8× the live bytes: the
+	// write cursor reclaims dead space by compacting in place, and the
+	// arena never wraps.
+	{name: "compacting", cfg: Config{CapacityBytes: 64 << 10, MaxEntries: 32, SegmentBytes: 512},
+		ids: 160, maxFit: 60, wantCompaction: true},
 }
 
 // boxedStrings are the non-[]byte payloads the mix draws from.
@@ -171,9 +179,14 @@ var boxedStrings = []string{"", "a", "not bytes", "still not bytes"}
 // from every call, the same victims in the same order from every call,
 // the same Len, and a Footprint inside its own ceilings, op by op.
 func TestStoreMatchesReferenceComposition(t *testing.T) {
-	const seeds, ops = 20, 200_000
+	// Five seeds a regime: seeds 0–19 take the first four regimes in
+	// turn, 20–24 the fifth.
+	const seeds, ops = 25, 200_000
 	for seed := 0; seed < seeds; seed++ {
-		rg := diffRegimes[seed%len(diffRegimes)]
+		rg := diffRegimes[seed%4]
+		if seed >= 20 {
+			rg = diffRegimes[4]
+		}
 		t.Run(fmt.Sprintf("seed=%d/%s", seed, rg.name), func(t *testing.T) {
 			runDifferential(t, rg, int64(seed), ops)
 		})
@@ -286,8 +299,9 @@ func runDifferential(t *testing.T, rg diffRegime, seed int64, ops int) {
 	if evicted == 0 {
 		t.Fatal("the run evicted nothing")
 	}
-	if rot := st.SlabStats().Rotations; (rot > 0) != rg.wantRotation {
-		t.Fatalf("the regime's premise does not hold: %d rotations, want rotation %t", rot, rg.wantRotation)
+	if ss := st.SlabStats(); (ss.Rotations > 0) != rg.wantRotation || rg.wantCompaction && ss.Compactions == 0 {
+		t.Fatalf("the regime's premise does not hold: %d rotations, %d compactions; want rotation %t, compaction %t",
+			ss.Rotations, ss.Compactions, rg.wantRotation, rg.wantCompaction)
 	}
 	if rg.mostlyBoxed && int64(ref.overflowBytes) < int64(rg.cfg.CapacityBytes)/2 {
 		t.Fatalf("the overflow budget was never near: %d of %d bytes", ref.overflowBytes, rg.cfg.CapacityBytes)

@@ -33,14 +33,19 @@ func (b *downBackend) Fetch(ctx context.Context, id fetch.ID) (fetch.Item, error
 	return fetch.Item{}, errors.New("backend down")
 }
 
-// hangBackend blocks until its context is cancelled, counting entries
-// and observed cancellations.
+// hangBackend answers at once until armed; armed, it blocks every call
+// until its context is cancelled, counting entries and observed
+// cancellations.
 type hangBackend struct {
+	armed     atomic.Bool
 	entered   atomic.Int64
 	cancelled atomic.Int64
 }
 
 func (b *hangBackend) Fetch(ctx context.Context, id fetch.ID) (fetch.Item, error) {
+	if !b.armed.Load() {
+		return fetch.Item{ID: id, Size: 1}, nil
+	}
 	b.entered.Add(1)
 	<-ctx.Done()
 	b.cancelled.Add(1)
@@ -62,6 +67,23 @@ func (b *batchBackend) FetchBatch(ctx context.Context, ids []fetch.ID) ([]fetch.
 		out[i] = fetch.Item{ID: id, Size: 1}
 	}
 	return out, nil
+}
+
+// gatedBatchBackend is a batchBackend whose every call, single or batch,
+// first waits for gate to close.
+type gatedBatchBackend struct {
+	batchBackend
+	gate <-chan struct{}
+}
+
+func (b *gatedBatchBackend) Fetch(ctx context.Context, id fetch.ID) (fetch.Item, error) {
+	<-b.gate
+	return b.batchBackend.Fetch(ctx, id)
+}
+
+func (b *gatedBatchBackend) FetchBatch(ctx context.Context, ids []fetch.ID) ([]fetch.Item, error) {
+	<-b.gate
+	return b.batchBackend.FetchBatch(ctx, ids)
 }
 
 func TestWithBackendsValidation(t *testing.T) {
@@ -249,11 +271,26 @@ func TestBackendFailoverUnderLoad(t *testing.T) {
 	}
 }
 
-// TestCloseCancelsHedgedSpeculativeFetches checks the lifecycle
-// promise: speculative fetches hung inside backends are cancelled
-// promptly by Close, every backend invocation observes its context
-// ending, and no goroutine leaks.
-func TestCloseCancelsHedgedSpeculativeFetches(t *testing.T) {
+// freshPredictor names, with certainty, an id no request asks for — a
+// new one on every call — so every request plans a speculative fetch.
+type freshPredictor struct{ last atomic.Int64 }
+
+func (p *freshPredictor) Observe(ID)   {}
+func (p *freshPredictor) Name() string { return "fresh" }
+func (p *freshPredictor) Predict() []Prediction {
+	return []Prediction{{ID: ID(1_000_000 + p.last.Add(1)), Prob: 1}}
+}
+
+// TestCloseCancelsSpeculativeFetchesAcrossBackends checks the lifecycle
+// promise on a two-backend fabric with many speculative fetches hung at
+// once: Close cancels them promptly, every backend invocation observes
+// its context ending, and no goroutine leaks. The backends answer a
+// warm-up, so the ids it asks for are resident; armed, they hang, and
+// the Gets that follow hit — no demand fetch reaches a backend — and
+// each plans a speculative fetch of an id not resident. (Hedging is
+// demand-only, and a demand fetch runs under its caller's context, not
+// the engine's, so Close has no hedged attempt to cancel.)
+func TestCloseCancelsSpeculativeFetchesAcrossBackends(t *testing.T) {
 	testutil.ExpectNoLeaks(t)
 
 	hangA := &hangBackend{}
@@ -261,7 +298,7 @@ func TestCloseCancelsHedgedSpeculativeFetches(t *testing.T) {
 	eng, err := New(nil,
 		WithBandwidth(1e6),
 		WithPolicy(StaticThreshold(0)),
-		WithHedging(fetch.Hedging{Delay: time.Millisecond}),
+		WithPredictor(&freshPredictor{}),
 		WithBackends(
 			fetch.Backend{Name: "a", Fetcher: hangA},
 			fetch.Backend{Name: "b", Fetcher: hangB},
@@ -271,35 +308,46 @@ func TestCloseCancelsHedgedSpeculativeFetches(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Demand Gets run under a caller context we cancel; their hedged
-	// attempts hang in the backends until then. A couple of sequential
-	// requests also plant predictions so speculative fetches hang too.
-	ctx, cancelGets := context.WithCancel(context.Background())
+	ctx := context.Background()
+	for id := ID(0); id < 4; id++ {
+		if _, err := eng.Get(ctx, id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := eng.Quiesce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	hangA.armed.Store(true)
+	hangB.armed.Store(true)
+	before := eng.Stats()
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 3; i++ {
-				_, err := eng.Get(ctx, ID(i%2)) // tight loop: 0,1,0 → predictions exist
-				if err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, ErrClosed) {
+				if _, err := eng.Get(ctx, ID((g+i)%4)); err != nil {
 					t.Errorf("Get: %v", err)
 					return
 				}
 			}
 		}(g)
 	}
+	wg.Wait()
 	// Wait until fetches are actually hanging inside the backends.
 	deadline := time.Now().Add(2 * time.Second)
 	for hangA.entered.Load()+hangB.entered.Load() == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("no backend fetch ever started")
+			t.Fatal("no speculative fetch ever reached a backend")
 		}
 		time.Sleep(time.Millisecond)
 	}
-
-	cancelGets() // demand fetches (and their hedges) unblock via the caller ctx
-	wg.Wait()
+	st := eng.Stats()
+	spec := func(st Stats) int64 { return st.Backends[0].Speculative + st.Backends[1].Speculative }
+	if st.Misses != before.Misses || spec(st) == spec(before) {
+		t.Fatalf("armed: %d demand misses and %d speculative calls; want 0 and at least one",
+			st.Misses-before.Misses, spec(st)-spec(before))
+	}
 	start := time.Now()
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)

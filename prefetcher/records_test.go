@@ -141,34 +141,34 @@ func TestScanLeavesNothingBehind(t *testing.T) {
 // whatever shard the overwritten id hashes to and emits
 // EventPrefetchIssued for an id never issued — so besides the detector
 // the test holds the event log to the books, per id. A queue of depth 1
-// puts the shed arm on the same books; the plain origin's run makes
-// that arm certain before the traffic starts (with eight idle workers a
-// send to a depth-1 queue is handed straight to a parked one, and a
-// whole run could pass without a shed): its origin holds every call at
-// a gate while twelve single-id jobs are dispatched — eight park a
-// worker each, one fills the queue, the rest are shed — then the gate
-// opens for good.
+// puts the shed arm on the same books, and both shedding runs make that
+// arm certain before the traffic starts (with eight idle workers a send
+// to a depth-1 queue is handed straight to a parked one, and a whole run
+// could pass without a shed): their origin holds every call at a gate
+// while twelve single-id jobs are dispatched — eight park a worker each,
+// one fills the queue, the rest are shed — then the gate opens for good.
 func TestDispatchOwnsNothingAfterPush(t *testing.T) {
-	gate := make(chan struct{})
-	plain := FetcherFunc(func(ctx context.Context, id ID) (Item, error) {
-		<-gate
-		return Item{ID: id, Size: 1}, nil
-	})
+	batch := func(g <-chan struct{}) fetch.Fetcher { return &gatedBatchBackend{gate: g} }
 	for _, tc := range []struct {
 		name   string
-		origin fetch.Fetcher
+		origin func(gate <-chan struct{}) fetch.Fetcher // every call waits for gate
 		depth  int
-		gate   chan struct{} // holds origin until the shed arm has run
 	}{
-		{"batch", &batchBackend{}, 64, nil},
-		{"batch-shedding", &batchBackend{}, 1, nil},
-		{"single-shedding", plain, 1, gate},
+		{"batch", batch, 64},
+		{"batch-shedding", batch, 1},
+		{"single-shedding", func(g <-chan struct{}) fetch.Fetcher {
+			return FetcherFunc(func(ctx context.Context, id ID) (Item, error) {
+				<-g
+				return Item{ID: id, Size: 1}, nil
+			})
+		}, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const idSpace = 97
 			var mu sync.Mutex
 			var issued, settled [idSpace]int
-			eng, err := New(tc.origin,
+			gate := make(chan struct{})
+			eng, err := New(tc.origin(gate),
 				WithBandwidth(1e9),
 				WithShards(8),
 				WithCacheFactory(func(i, n int) Cache { return NewLRUCache(2) }),
@@ -197,15 +197,15 @@ func TestDispatchOwnsNothingAfterPush(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer eng.Close()
-			if tc.gate != nil {
+			if tc.depth == 1 {
 				for id := ID(0); id < 12; id++ {
 					eng.dispatch(0, []ID{id})
 				}
 				if shed := eng.Stats().PrefetchDropped; shed < 3 {
-					t.Fatalf("twelve jobs for eight held workers and a one-slot queue shed %d, want at least 3", shed)
+					t.Errorf("twelve jobs for eight held workers and a one-slot queue shed %d, want at least 3", shed)
 				}
-				close(tc.gate)
 			}
+			close(gate)
 			gets := 5000 // per goroutine; the parent commit fails five runs in five at this size
 			if testing.Short() {
 				gets /= 5
