@@ -2,18 +2,19 @@ package repro_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
+	"time"
 
 	"repro/internal/analytic"
-	"repro/internal/cache"
-	"repro/internal/core"
 	"repro/internal/predict"
 	"repro/internal/prefetch"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workload"
+	"repro/prefetcher"
 )
 
 // TestPipelineTraceToSimulation exercises the full tooling path a user
@@ -92,65 +93,99 @@ func TestPipelineTraceToSimulation(t *testing.T) {
 	}
 }
 
-// TestAdvisorAgreesWithPlanner drives the online Advisor with a
-// stationary synthetic stream and checks its converged decisions match
-// the offline Planner's for the same (known) parameters.
-func TestAdvisorAgreesWithPlanner(t *testing.T) {
+// TestEngineThresholdAgreesWithPlanner drives a live engine with a
+// stationary synthetic stream and checks that its converged threshold
+// matches the offline Planner's for the same (known) parameters, under
+// each interaction model; then the request rate halves and the
+// threshold must follow the planner to the new operating point. It
+// checks the engine's global controller — Engine.Threshold, from the
+// engine-wide λ̂, ŝ̄ and ĥ′. Admission runs against each backend link's
+// own ρ̂′ instead, which this test does not look at.
+func TestEngineThresholdAgreesWithPlanner(t *testing.T) {
 	const (
 		bandwidth = 50.0
-		lambda    = 30.0
 		hTrue     = 0.4
+		nc        = 2.0 // pinned n̄(C): B and AB sit 0.2 and 0.1 above A
 	)
-	advisor, err := core.NewAdvisor(bandwidth, analytic.ModelA{}, 0, 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srcHit := rng.NewStream(77, "hits")
-	srcArr := rng.NewStream(77, "arr")
-	inter := rng.Exponential{Rate: lambda}
-	now := 0.0
-	nextID := cache.ID(0)
-	resident := make([]cache.ID, 0, 4096)
-	for i := 0; i < 30000; i++ {
-		now += inter.Sample(srcArr)
-		advisor.OnRequest(now, 1)
-		if len(resident) > 10 && rng.Bernoulli(srcHit, hTrue) {
-			advisor.OnCacheHit(resident[srcHit.Intn(len(resident))])
-		} else {
-			advisor.OnRemoteFetch(nextID, true)
-			resident = append(resident, nextID)
-			nextID++
-		}
-	}
-	planner, err := core.NewPlanner(analytic.ModelA{},
-		analytic.Params{Lambda: lambda, B: bandwidth, SBar: 1, HPrime: hTrue})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantPth, err := planner.Threshold()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(advisor.Threshold()-wantPth) > 0.05 {
-		t.Errorf("online threshold %v, offline %v", advisor.Threshold(), wantPth)
-	}
-	// Decisions agree across a probability ladder away from the
-	// (noisy) boundary.
-	for _, p := range []float64{0.1, 0.25, 0.55, 0.7, 0.9} {
-		if math.Abs(p-wantPth) < 0.07 {
-			continue
-		}
-		want, err := planner.ShouldPrefetch(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := len(advisor.Filter([]predict.Prediction{{Item: 1, Prob: p}})) > 0
-		if got != want {
-			t.Errorf("p=%v: advisor %v, planner %v (p_th online %v, offline %v)",
-				p, got, want, advisor.Threshold(), wantPth)
-		}
+	for _, tc := range []struct {
+		name  string
+		model prefetcher.Model
+	}{
+		{"model A", prefetcher.ModelA()},
+		{"model B", prefetcher.ModelB()},
+		{"model AB", prefetcher.ModelAB(0.5)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clock := prefetcher.NewManualClock(time.Unix(0, 0))
+			eng, err := prefetcher.New(
+				prefetcher.FetcherFunc(func(ctx context.Context, id prefetcher.ID) (prefetcher.Item, error) {
+					return prefetcher.Item{ID: id, Size: 1}, nil
+				}),
+				prefetcher.WithClock(clock),
+				prefetcher.WithBandwidth(bandwidth),
+				prefetcher.WithEWMAAlpha(0.01),
+				prefetcher.WithPolicy(prefetcher.AdaptiveThreshold(tc.model)),
+				prefetcher.WithCacheOccupancy(nc),
+				prefetcher.WithCache(prefetcher.NewLRUCache(1<<15)),
+				// Nothing is ever predicted, so nothing is prefetched
+				// and ĥ′ is the stream's real hit ratio.
+				prefetcher.WithPredictor(silentPredictor{}),
+			)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			srcHit := rng.NewStream(77, "hits")
+			srcArr := rng.NewStream(77, "arr")
+			ctx := context.Background()
+			nextID := prefetcher.ID(0)
+			for _, phase := range []struct {
+				lambda   float64
+				requests int
+			}{{30, 15000}, {15, 3000}} {
+				// Poisson arrivals of size-1 items: with probability
+				// hTrue a request re-reads a resident id, otherwise it
+				// fetches a fresh one.
+				inter := rng.Exponential{Rate: phase.lambda}
+				for i := 0; i < phase.requests; i++ {
+					clock.AdvanceSeconds(inter.Sample(srcArr))
+					id := nextID
+					if nextID > 10 && rng.Bernoulli(srcHit, hTrue) {
+						id = prefetcher.ID(srcHit.Intn(int(nextID)))
+					} else {
+						nextID++
+					}
+					if _, err := eng.Get(ctx, id); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if st := eng.Stats(); st.Misses != int64(nextID) {
+					t.Fatalf("%d misses for %d distinct ids: a re-read was not a hit", st.Misses, nextID)
+				}
+				planner, err := prefetcher.NewPlanner(tc.model, prefetcher.PlanParams{
+					Lambda: phase.lambda, Bandwidth: bandwidth, MeanSize: 1, HPrime: hTrue, NC: nc,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := planner.Threshold()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := eng.Threshold(); math.Abs(got-want) > 0.05 {
+					t.Errorf("λ = %v: engine threshold %v, planner %v", phase.lambda, got, want)
+				}
+			}
+		})
 	}
 }
+
+// silentPredictor learns nothing and predicts nothing.
+type silentPredictor struct{}
+
+func (silentPredictor) Observe(prefetcher.ID)            {}
+func (silentPredictor) Predict() []prefetcher.Prediction { return nil }
+func (silentPredictor) Name() string                     { return "silent" }
 
 // TestModelBEstimatorCorrection validates the paper's Section-4 model-B
 // correction factor n̄(C)/(n̄(C)−n̄(F)) end to end: under model-B

@@ -37,8 +37,8 @@ import (
 // id's tag transitions stay ordered (one stripe owns each id); the
 // aggregate counters are only ever read as a ratio, for which atomic
 // adds suffice. The live engine keeps each entry's tag bit in its own
-// shards and reports through CountAccess alone; the simulator and
-// core.Advisor use the id-keyed methods.
+// shards and reports through CountAccess alone; the simulator uses the
+// id-keyed methods.
 type Estimator struct {
 	stripes [estimatorStripes]estimatorStripe
 	naccess atomic.Int64

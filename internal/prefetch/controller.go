@@ -61,8 +61,8 @@ func (e *ewma) fold(sample, alpha float64) {
 // lives in an atomic word, so the sharded engine's hot paths can record
 // requests and prefetch completions from many shards without contending
 // on a controller lock, while Lambda/State/Stats readers still observe
-// globally consistent aggregates. The embedded Estimator carries its own
-// striped locks, so wiring cache events directly to it remains safe too.
+// globally consistent aggregates. The engine reports accesses to the
+// embedded Estimator through CountAccess alone.
 type Controller struct {
 	bandwidth float64
 	alpha     float64 // EWMA weight for new observations
@@ -76,9 +76,7 @@ type Controller struct {
 
 	// nfPending counts prefetches recorded since the last request; each
 	// arrival folds it into nfEWMA as one sample.
-	nfPending  atomic.Int64
-	requests   atomic.Int64
-	prefetches atomic.Int64
+	nfPending atomic.Int64
 }
 
 // NewController creates a controller for a link of the given bandwidth.
@@ -114,11 +112,10 @@ func (c *Controller) Estimator() *cache.Estimator { return c.est }
 func (c *Controller) Bandwidth() float64 { return c.bandwidth }
 
 // RecordRequest notes a user request at time now. Call once per request,
-// as soon as the request arrives — before any fetch, so that λ̂ and the
-// request count stay consistent even when the origin later fails. size
-// is the requested item's size if already known; pass 0 (skipped by the
-// size estimator) when it is not, and report it via RecordSize once the
-// fetch resolves.
+// as soon as the request arrives — before any fetch, so that λ̂ counts
+// the request even when the origin later fails. size is the requested
+// item's size if already known; pass 0 (skipped by the size estimator)
+// when it is not, and report it via RecordSize once the fetch resolves.
 func (c *Controller) RecordRequest(now, size float64) {
 	prev := math.Float64frombits(c.lastArrival.Swap(math.Float64bits(now)))
 	if !math.IsNaN(prev) {
@@ -132,7 +129,6 @@ func (c *Controller) RecordRequest(now, size float64) {
 		c.sizeEWMA.fold(size, c.alpha)
 	}
 	c.nfEWMA.fold(float64(c.nfPending.Swap(0)), c.alpha)
-	c.requests.Add(1)
 }
 
 // RecordSize folds one observed item size into ŝ̄ for a request whose
@@ -148,16 +144,7 @@ func (c *Controller) RecordSize(size float64) {
 // a request.
 func (c *Controller) RecordPrefetch() {
 	c.nfPending.Add(1)
-	c.prefetches.Add(1)
 }
-
-// Requests returns the number of arrivals recorded. It matches the
-// engine-level request count (minus requests rejected before admission),
-// including requests whose fetch subsequently failed.
-func (c *Controller) Requests() int64 { return c.requests.Load() }
-
-// Prefetches returns the lifetime number of prefetches recorded.
-func (c *Controller) Prefetches() int64 { return c.prefetches.Load() }
 
 // Lambda returns the estimated request rate λ̂ (0 until two requests
 // have been seen).

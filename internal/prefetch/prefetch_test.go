@@ -341,9 +341,6 @@ func TestControllerNF(t *testing.T) {
 	if math.Abs(c.NF()-3) > 1e-12 {
 		t.Errorf("n̄(F) = %v, want 3", c.NF())
 	}
-	if c.Requests() != 2 || c.Prefetches() != 3 {
-		t.Errorf("lifetime counters = %d/%d, want 2/3", c.Requests(), c.Prefetches())
-	}
 }
 
 // TestControllerNFConverges drives a steady two-prefetches-per-request
@@ -370,9 +367,6 @@ func TestControllerNFConverges(t *testing.T) {
 	}
 	if c.NF() > 0.01 {
 		t.Fatalf("n̄(F) = %v after prefetching stopped, want ~0", c.NF())
-	}
-	if lifetime := float64(c.Prefetches()) / float64(c.Requests()); lifetime < 0.9 {
-		t.Fatalf("lifetime ratio = %v, expected ~1 (sanity: shift really happened)", lifetime)
 	}
 }
 

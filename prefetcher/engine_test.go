@@ -417,9 +417,6 @@ func TestFailedFetchAccounting(t *testing.T) {
 	if st.Requests != 20 {
 		t.Fatalf("requests = %d, want 20", st.Requests)
 	}
-	if got := eng.ctrl.Requests(); got != st.Requests {
-		t.Fatalf("controller recorded %d arrivals, Stats.Requests = %d — failed fetches lost", got, st.Requests)
-	}
 	// All 20 arrivals were evenly spaced, so λ̂ must estimate ~10/s; had
 	// the failing half been dropped the estimate would sit near 5/s.
 	if lam := st.Lambda; lam < 9 || lam > 11 {

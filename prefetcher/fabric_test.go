@@ -779,3 +779,44 @@ func TestCloseCancelsSpeculativeFetch(t *testing.T) {
 		t.Fatalf("%d speculative fetches entered the backend, %d saw their context end", b.entered.Load(), b.cancelled.Load())
 	}
 }
+
+// TestDispatchOnClosedEngineReleasesShardLocks pins dispatch's
+// closed-engine arm: a release racing Close finds the flag set under
+// the id's shard lock and must drop that lock before it gives up. Ids
+// on two shards are dispatched to a closed engine, one job per id on a
+// plain backend and one job for all of them on a batch-capable one;
+// afterwards every shard's lock is free and no flight was registered.
+func TestDispatchOnClosedEngineReleasesShardLocks(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		fetcher Fetcher
+	}{
+		{"Fetcher", &okBackend{}},
+		{"BatchFetcher", &batchBackend{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, err := New(tc.fetcher, WithBandwidth(1e6), WithShards(4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng.Close()
+			ids := []ID{0}
+			for id := ID(1); len(ids) < 2; id++ {
+				if eng.shardFor(id) != eng.shardFor(ids[0]) {
+					ids = append(ids, id)
+				}
+			}
+			eng.dispatch(0, ids)
+			for i, sh := range eng.shards {
+				if !sh.mu.TryLock() {
+					t.Errorf("shard %d: lock still held after dispatch on a closed engine", i)
+					continue
+				}
+				if n := len(sh.inflight); n != 0 {
+					t.Errorf("shard %d: %d flights registered on a closed engine", i, n)
+				}
+				sh.mu.Unlock()
+			}
+		})
+	}
+}

@@ -1,9 +1,6 @@
 package prefetcher
 
-import (
-	"repro/internal/analytic"
-	"repro/internal/core"
-)
+import "repro/internal/analytic"
 
 // PlanParams are the known operating-point parameters for offline
 // capacity planning (the engine estimates these online instead).
@@ -70,34 +67,45 @@ type SizedClass struct {
 // parameters: what is the threshold, what gain does a policy buy, what
 // does it cost in network load.
 type Planner struct {
-	p     *core.Planner
 	model Model
+	par   analytic.Params
 }
 
 // NewPlanner validates the parameters and returns a Planner for the
 // given interaction model.
 func NewPlanner(m Model, par PlanParams) (*Planner, error) {
-	p, err := core.NewPlanner(m.analytic(), par.analytic())
-	if err != nil {
+	ap := par.analytic()
+	if err := ap.Validate(); err != nil {
 		return nil, err
 	}
-	return &Planner{p: p, model: m}, nil
+	// Surface model/parameter mismatches (e.g. model B without n̄(C))
+	// at construction instead of first use.
+	if _, err := m.analytic().Displacement(ap); err != nil {
+		return nil, err
+	}
+	return &Planner{model: m, par: ap}, nil
 }
 
 // Threshold returns p_th: prefetch exactly the items whose access
 // probability exceeds this value (eq. 13 / 21).
-func (p *Planner) Threshold() (float64, error) { return p.p.Threshold() }
+func (p *Planner) Threshold() (float64, error) {
+	return analytic.Threshold(p.model.analytic(), p.par)
+}
 
 // ShouldPrefetch reports whether an item with the given access
 // probability is worth prefetching — the paper's decision rule.
 func (p *Planner) ShouldPrefetch(prob float64) (bool, error) {
-	return p.p.ShouldPrefetch(prob)
+	pth, err := p.Threshold()
+	if err != nil {
+		return false, err
+	}
+	return prob > pth, nil
 }
 
 // Evaluate returns the steady state for prefetching nF items of
 // probability prob per request.
 func (p *Planner) Evaluate(nF, prob float64) (Eval, error) {
-	e, err := p.p.Evaluate(nF, prob)
+	e, err := analytic.Evaluate(p.model.analytic(), p.par, nF, prob)
 	if err != nil {
 		return Eval{}, err
 	}
@@ -107,20 +115,20 @@ func (p *Planner) Evaluate(nF, prob float64) (Eval, error) {
 // AccessTimeNoPrefetch returns the demand-fetch baseline access time
 // t̄′ (eq. 5).
 func (p *Planner) AccessTimeNoPrefetch() (float64, error) {
-	return p.p.Params().AccessTimeNoPrefetch()
+	return p.par.AccessTimeNoPrefetch()
 }
 
 // MaxPrefetchable returns max(np) = f′/p (eq. 6), the consistency
 // bound on how many items can carry probability ≥ prob.
 func (p *Planner) MaxPrefetchable(prob float64) float64 {
-	return p.p.MaxPrefetchable(prob)
+	return p.par.MaxPrefetchable(prob)
 }
 
 // ThresholdSized returns the size-aware threshold for items of the
 // given size (the heterogeneous-size extension; under model A the
 // threshold is size-independent).
 func (p *Planner) ThresholdSized(size float64) (float64, error) {
-	return analytic.ThresholdSized(p.model.analytic(), p.p.Params(), size)
+	return analytic.ThresholdSized(p.model.analytic(), p.par, size)
 }
 
 // EvaluateSized returns the steady state when prefetching a mix of
@@ -130,7 +138,7 @@ func (p *Planner) EvaluateSized(classes []SizedClass) (Eval, error) {
 	for i, c := range classes {
 		cs[i] = analytic.SizedClass{NF: c.NF, P: c.Prob, Size: c.Size}
 	}
-	e, err := analytic.EvaluateSized(p.model.analytic(), p.p.Params(), cs)
+	e, err := analytic.EvaluateSized(p.model.analytic(), p.par, cs)
 	if err != nil {
 		return Eval{}, err
 	}
