@@ -17,10 +17,13 @@
 // so the daemon's memory is its cache budgets plus that table and
 // nothing grows with the key space; -policy none (policy: "none") is the
 // one way to run a space without speculation.
-// /stats serves per-space engine snapshots as JSON; /healthz is a
-// liveness probe. On SIGINT/SIGTERM the daemon stops accepting
-// connections, drains in-flight requests, quiesces each engine's
-// speculative work, closes it and then its backends' idle connections.
+// /stats serves per-space engine snapshots as JSON, with a memory block
+// that splits the process's RSS: the store's segments and the Markov rows
+// live off the Go heap (offheap_bytes), beside the heap's live bytes, its
+// goal and the GC cycles run; /healthz is a liveness probe. On
+// SIGINT/SIGTERM the daemon stops accepting connections, drains
+// in-flight requests, quiesces each engine's speculative work, closes it
+// and then its backends' idle connections.
 //
 // The front end has two tiers and no switch between them. A connection
 // starts on the wire loop (wire.go): one goroutine that does one Read,
@@ -83,7 +86,7 @@ func configFromArgs(fs *flag.FlagSet, args []string) (*Config, error) {
 	fs.StringVar(&f.originBatch, "origin-batch-path", "", "origin batch endpoint speaking the httpfetch wire (e.g. /batch)")
 	fs.StringVar(&f.fsRoot, "fs-root", "", "filesystem backend root for the flag-built space")
 	fs.IntVar(&f.cacheCap, "cache", 4096, "cache capacity in items; the least recently used goes first")
-	fs.IntVar(&f.cacheBytes, "cache-bytes", 0, "cache byte budget (0 = 64 MiB), a ceiling: the arena holds at most about twice the peak live bytes; payloads live in GC-immune pointer-free segments")
+	fs.IntVar(&f.cacheBytes, "cache-bytes", 0, "cache byte budget (0 = 64 MiB), a ceiling: the arena holds at most about twice the peak live bytes; payloads live in segments mapped off the Go heap")
 	fs.IntVar(&f.segBytes, "segment-bytes", 0, "cache segment size in bytes (0 = 1 MiB)")
 	fs.StringVar(&f.policy, "policy", "adaptive-a", "prefetch policy: adaptive-a, adaptive-b, greedy, static, topk or none (no speculation); the access model is always the Markov table bounded at about 7 MiB")
 	fs.Float64Var(&f.policyArg, "policy-arg", 0, "policy parameter (static threshold or topk k)")

@@ -8,11 +8,13 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"runtime/metrics"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
+	"repro/internal/offheap"
 	"repro/prefetcher"
 	"repro/prefetcher/bytestore"
 	"repro/prefetcher/fetch"
@@ -36,7 +38,7 @@ type space struct {
 //	HEAD /obj/…               — Content-Length probe, no body copy
 //	GET /batch?ids=1,2,3      — default space, batched (framed wire)
 //	GET /batch/{space}?ids=…  — named space, batched
-//	GET /stats                — JSON engine stats per space
+//	GET /stats                — JSON engine stats per space, process memory
 //	GET /healthz              — liveness
 //
 // The batch endpoint speaks the httpfetch wire format, so one
@@ -390,7 +392,26 @@ func (s *Server) handleCore(w http.ResponseWriter, r *http.Request) {
 // plus process-level fields.
 type statsReply struct {
 	UptimeSeconds float64                     `json:"uptime_seconds"`
+	Memory        memoryStats                 `json:"memory"`
 	Spaces        map[string]prefetcher.Stats `json:"spaces"`
+}
+
+// memoryStats splits the process's memory without a debugger: the cache
+// tables mapped off the Go heap (slab segments, Markov rows), the heap's
+// live bytes, the heap size the collector lets it reach before its next
+// cycle, and the cycles run so far. The runtime figures come from
+// runtime/metrics, which, unlike ReadMemStats, does not stop the world.
+type memoryStats struct {
+	OffheapBytes  int64  `json:"offheap_bytes"`
+	HeapLiveBytes uint64 `json:"heap_live_bytes"`
+	HeapGoalBytes uint64 `json:"heap_goal_bytes"`
+	GCCycles      uint64 `json:"gc_cycles"`
+}
+
+func readMemory() memoryStats {
+	s := []metrics.Sample{{Name: "/gc/heap/live:bytes"}, {Name: "/gc/heap/goal:bytes"}, {Name: "/gc/cycles/total:gc-cycles"}}
+	metrics.Read(s)
+	return memoryStats{offheap.Mapped(), s[0].Value.Uint64(), s[1].Value.Uint64(), s[2].Value.Uint64()}
 }
 
 // handleStats serves GET /stats. Stats() is wait-free, so this
@@ -398,6 +419,7 @@ type statsReply struct {
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	reply := statsReply{
 		UptimeSeconds: time.Since(s.started).Seconds(),
+		Memory:        readMemory(),
 		Spaces:        make(map[string]prefetcher.Stats, len(s.spaces)),
 	}
 	for name, sp := range s.spaces {

@@ -925,4 +925,7 @@ func testDaemonSlabSpace(t *testing.T, set func(*SpaceConfig), want bytestore.Co
 	if st := stats.Spaces[DefaultSpace]; st.Hits == 0 {
 		t.Fatalf("no hits through the slab space (stats %+v)", st)
 	}
+	if m := stats.Memory; m.OffheapBytes <= 0 || m.HeapGoalBytes == 0 {
+		t.Fatalf("/stats memory after a fill = %+v, want the slab's segments in offheap_bytes and the collector's heap goal", m)
+	}
 }

@@ -2,10 +2,13 @@ package predict
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/cache"
+	"repro/internal/offheap"
 )
 
 // This file holds the one internally concurrent access model, the
@@ -23,8 +26,9 @@ import (
 // them, striped by key hash so concurrent observers only contend when
 // they touch the same stripe: the threshold rule only ever consumes the
 // few most probable successors of a state, so a row holds the
-// markovSlots heaviest and the table holds the heaviest rows, and the
-// garbage collector has nothing to trace.
+// markovSlots heaviest and the table holds the heaviest rows. The rows
+// live outside the Go heap (internal/offheap), so the garbage collector
+// neither traces them nor sizes its heap goal from them.
 //
 // Layout: predStripes stripes, each one plain mutex over a power-of-two
 // []markovRow read in windows of markovWays consecutive rows. A key
@@ -153,7 +157,7 @@ func (r *markovRow) topInto(dst []Prediction, k int) []Prediction {
 // (TestMarkovStripeLayout holds the padding to whole lines).
 type markovStripe struct {
 	mu   sync.Mutex
-	rows []markovRow // nil until the stripe's first key
+	rows []markovRow // off the Go heap (allocRows); nil until the stripe's first key
 	_    [32]byte
 }
 
@@ -215,12 +219,12 @@ func (s *markovStripe) row(key cache.ID, h uint64) *markovRow {
 	}
 }
 
-// grow doubles the stripe. The window index gains one high bit, so the
-// rows of one old window split between two new ones and always fit.
+// grow doubles the stripe and frees its old rows. The window index gains
+// one high bit, so the rows of one old window split between two new ones
+// and always fit.
 func (s *markovStripe) grow() {
 	old := s.rows
-	//lint:allow hotpathalloc model growth: a stripe doubles at most seven times, to markovStripeRows, and never allocates again
-	s.rows = make([]markovRow, max(2*len(old), markovWays))
+	s.rows = allocRows(max(2*len(old), markovWays))
 	for i := range old {
 		if old[i].total == 0 {
 			continue
@@ -232,6 +236,23 @@ func (s *markovStripe) grow() {
 				break
 			}
 		}
+	}
+	freeRows(old)
+}
+
+// rowBytes is the size of one markovRow.
+const rowBytes = int(unsafe.Sizeof(markovRow{}))
+
+// allocRows maps n unused (zero) rows outside the Go heap: a markovRow
+// holds no pointer, which is what makes that sound.
+func allocRows(n int) []markovRow {
+	return unsafe.Slice((*markovRow)(unsafe.Pointer(unsafe.SliceData(offheap.Alloc(n*rowBytes)))), n)
+}
+
+// freeRows gives back rows allocRows returned; nil is a no-op.
+func freeRows(rows []markovRow) {
+	if len(rows) > 0 {
+		offheap.Free(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(rows))), len(rows)*rowBytes))
 	}
 }
 
@@ -248,10 +269,14 @@ const markovNoState = math.MinInt64
 // sequential model would count for the same linearised stream.
 //
 // Its memory is bounded: at most 65 536 rows of 8 successors each,
-// about 7 MiB, however many distinct ids it is shown, with no pointers
-// for the collector to follow (see the top of this file for the layout,
-// what is replaced at the bounds, and the regime in which it is exact).
-// The sequential Markov1 stays the unbounded reference.
+// about 7 MiB, however many distinct ids it is shown. The rows are mapped
+// off the Go heap, so the table costs its own size in RSS and not, as on
+// the heap at GOGC=100, up to as much again in garbage headroom. A
+// stripe frees its old rows when it grows, and a finalizer frees the rest
+// once the model is unreachable: it points at nothing on the heap, so it
+// is in no cycle and is its own holder. See the top of this file for the
+// layout, what is replaced at the bounds, and the regime in which it is
+// exact. The sequential Markov1 stays the unbounded reference.
 type ConcurrentMarkov1 struct {
 	stripes [predStripes]markovStripe
 	cur     atomic.Int64
@@ -262,7 +287,15 @@ type ConcurrentMarkov1 struct {
 func NewConcurrentMarkov1() *ConcurrentMarkov1 {
 	m := &ConcurrentMarkov1{}
 	m.cur.Store(markovNoState)
+	runtime.SetFinalizer(m, (*ConcurrentMarkov1).free)
 	return m
+}
+
+// free gives back every stripe's rows; only the finalizer calls it.
+func (m *ConcurrentMarkov1) free() {
+	for i := range m.stripes {
+		freeRows(m.stripes[i].rows)
+	}
 }
 
 // Rows returns how many rows the table has allocated, used or not: at

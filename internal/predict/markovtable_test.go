@@ -10,7 +10,9 @@ import (
 	"unsafe"
 
 	"repro/internal/cache"
+	"repro/internal/offheap"
 	"repro/internal/rng"
+	"repro/internal/testutil"
 	"repro/internal/workload"
 )
 
@@ -90,13 +92,16 @@ func TestMarkovStripeLayout(t *testing.T) {
 }
 
 // TestConcurrentMarkov1Bounded shows the model a million distinct ids:
-// the table stops at its ceiling, the heap grows by no more than the
-// table, and once there a new id allocates nothing.
+// the table stops at its ceiling; what it maps is exactly the rows its
+// stripes hold, so every growth unmapped the rows it replaced; the heap
+// grows by less than 512 KiB, since the rows live off it; and once at
+// the ceiling a new id allocates nothing.
 func TestConcurrentMarkov1Bounded(t *testing.T) {
 	const ids = 1_000_000
 	var before, after runtime.MemStats
-	runtime.GC()
+	testutil.RunFinalizers(t) // no earlier test's table is unmapped in between
 	runtime.ReadMemStats(&before)
+	mapped := offheap.Mapped()
 	m := NewConcurrentMarkov1()
 	buf := make([]Prediction, 0, 4)
 	for i := 0; i < ids; i++ {
@@ -114,8 +119,11 @@ func TestConcurrentMarkov1Bounded(t *testing.T) {
 	if used < markovTableRows/2 {
 		t.Fatalf("only %d of %d rows in use after %d distinct ids", used, allocated, ids)
 	}
-	if growth := int64(after.HeapAlloc) - int64(before.HeapAlloc); growth > 8<<20 {
-		t.Fatalf("heap grew %d bytes over %d distinct ids, want <= 8 MiB", growth, ids)
+	if got, want := offheap.Mapped()-mapped, int64(allocated*rowBytes); got != want {
+		t.Fatalf("the table maps %d bytes for %d rows of %d B (%d bytes): growth left old rows mapped", got, allocated, rowBytes, want)
+	}
+	if growth := int64(after.HeapAlloc) - int64(before.HeapAlloc); !raceEnabled && growth > 512<<10 {
+		t.Fatalf("heap grew %d bytes over %d distinct ids, want <= 512 KiB: the rows belong off the heap", growth, ids)
 	}
 	next := ids
 	allocs := testing.AllocsPerRun(1000, func() {

@@ -1,11 +1,11 @@
 // Package slab implements a pointer-free segmented value arena in the
-// bigcache/fastcache mould: payloads are packed into a small number of
-// large []byte segments and located through an open-addressing
-// int64 → packed(segment, offset, length) index held in flat integer
-// slices. Neither the segments nor the index contain pointers, so the
-// garbage collector's mark phase scans O(#segments) words instead of
-// O(#entries) boxed values — residency becomes GC-free no matter how
-// many objects the store holds.
+// bigcache/fastcache mould: payloads are packed into a few large
+// segments and located through an open-addressing int64 →
+// packed(segment, offset, length) index in flat integer slices. The
+// segments are mapped outside the Go heap (internal/offheap; under -race
+// they are heap slices, so the race detector sees every access) and go
+// back to the OS once their Store is unreachable. The collector neither
+// scans the cached bytes nor sizes its heap goal from them.
 //
 // The index is also the recency order: two more flat columns link the
 // live slots into a list, most recently used first, so the one table
@@ -34,25 +34,28 @@
 // shard owns one behind its shard mutex.
 package slab
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"runtime"
+
+	"repro/internal/offheap"
+)
 
 const (
-	// headerBytes precedes every payload inside a segment:
-	// [id int64 LE][payload length uint32 LE]. The header lets rotation
-	// and compaction walk a segment and name the entries they find.
+	// headerBytes precedes every payload in a segment, [id int64 LE][length
+	// uint32 LE], so rotation and compaction can name the entries they walk.
 	headerBytes = 12
 
 	// DefaultSegmentBytes is the segment size used when New is given a
-	// non-positive one — large enough that GC scan cost is negligible,
-	// small enough that one rotation evicts a modest slice of the cache.
+	// non-positive one: few mappings, and one rotation evicts a modest
+	// slice of the cache.
 	DefaultSegmentBytes = 1 << 20
 
 	// maxSegmentBytes bounds segBytes so a payload offset and length
 	// always fit the 24-bit fields of a packed reference.
 	maxSegmentBytes = 1<<24 - 1
 
-	// minSegmentBytes keeps degenerate segment sizes (tests aside,
-	// nobody wants 64-byte segments) from making every value oversized.
+	// minSegmentBytes keeps degenerate sizes from making every value oversized.
 	minSegmentBytes = 64
 
 	// maxSegments bounds the segment count so a segment number fits the
@@ -60,10 +63,8 @@ const (
 	maxSegments = 1 << 16
 
 	// Index slot states. A live reference's offset field (bits 24–47)
-	// is always ≥ headerBytes, which keeps the whole packed word
-	// disjoint from these sentinels; the low 24 bits hold the payload
-	// length and CAN be 0 or 1, so the invariant rests on the offset
-	// field alone.
+	// is always ≥ headerBytes, which keeps the packed word disjoint from
+	// these sentinels even when its length (the low 24 bits) is 0 or 1.
 	refEmpty = 0
 	refTomb  = 1
 
@@ -74,8 +75,7 @@ const (
 	// recency links are trusted with; rehash refuses to grow past it.
 	maxIndexSlots = 1 << 30
 
-	// none ends the recency list, on either side, and is both ends of
-	// an empty one.
+	// none ends the recency list on either side, and is both ends of an empty one.
 	none = -1
 )
 
@@ -96,10 +96,10 @@ type Store struct {
 	segBytes int
 	maxSegs  int
 
-	segs    [][]byte // the pointer-free payload arena
-	fill    []int    // write offset per segment
-	liveSeg []int    // live bytes per segment, headers included
-	entered []int64  // per segment, the move that last put the cursor on it
+	mem     *arena  // the segments
+	fill    []int   // write offset per segment
+	liveSeg []int   // live bytes per segment, headers included
+	entered []int64 // per segment, the move that last put the cursor on it
 	moves   int64
 	cur     int // segment the write cursor is on
 
@@ -112,8 +112,7 @@ type Store struct {
 
 	// The recency list over the live slots, as slot numbers: prev[i] is
 	// the slot used more recently than i, next[i] less recently. Linear
-	// probing with tombstones never moves a live slot, so the links hold
-	// from one rehash to the next.
+	// probing with tombstones never moves a live slot between rehashes.
 	prev, next []int32
 	head, tail int32 // most and least recently used; none when empty
 	maxEntries int   // 0 = bounded by bytes alone
@@ -129,10 +128,9 @@ type Store struct {
 
 // New sizes a Store for roughly capacityBytes of payload split into
 // segBytes segments (both clamped to sane ranges; pass 0 for the
-// defaults). The capacity is a ceiling on allocated arena memory, not a
-// guarantee and not the expected size: the arena grows only when
-// compaction cannot make room, and rotation may evict before the ceiling
-// is reached when entries skew large.
+// defaults). The capacity is a ceiling on the arena's memory, not its
+// expected size: the arena grows only when compaction cannot make room,
+// and rotation may evict before the ceiling when entries skew large.
 func New(capacityBytes, segBytes int) *Store {
 	if segBytes <= 0 {
 		segBytes = DefaultSegmentBytes
@@ -140,9 +138,10 @@ func New(capacityBytes, segBytes int) *Store {
 	segBytes = min(max(segBytes, minSegmentBytes), maxSegmentBytes)
 	capacityBytes = max(capacityBytes, segBytes)
 	maxSegs := min((capacityBytes+segBytes-1)/segBytes, maxSegments)
-	return &Store{
+	s := &Store{
 		segBytes: segBytes,
 		maxSegs:  maxSegs,
+		mem:      &arena{},
 		keys:     make([]int64, minIndexSlots),
 		refs:     make([]uint64, minIndexSlots),
 		prev:     make([]int32, minIndexSlots),
@@ -150,12 +149,25 @@ func New(capacityBytes, segBytes int) *Store {
 		head:     none,
 		tail:     none,
 	}
+	runtime.SetFinalizer(s.mem, (*arena).free)
+	return s
+}
+
+// arena owns the segments. It is an object apart from the Store, which
+// an OnEvict closure often puts in a cycle, because a finalizer in a
+// cycle never runs; the arena points at nothing on the heap.
+type arena struct{ segs [][]byte }
+
+func (a *arena) free() {
+	for _, b := range a.segs {
+		offheap.Free(b)
+	}
 }
 
 // SetMaxEntries bounds the live entry count at n: from now on a Put that
 // ends with more evicts the least recently used until it holds (n <= 0
-// lifts the bound). n is clamped to 2²⁸, which keeps the index at or
-// under the 2³⁰ slots its int32 links can number.
+// lifts the bound). n is clamped to 2²⁸, keeping the index within the
+// 2³⁰ slots its int32 links can number.
 func (s *Store) SetMaxEntries(n int) {
 	s.maxEntries = max(0, min(n, maxIndexSlots/4))
 }
@@ -172,15 +184,14 @@ func (s *Store) Len() int { return s.live }
 // Stats.SegmentBytes, the ceiling on the arena's memory.
 func (s *Store) MaxSegments() int { return s.maxSegs }
 
-// Fits reports whether a payload of n bytes can be stored at all
-// (header included it must fit a single segment).
+// Fits reports whether an n-byte payload, with its header, fits a segment.
 func (s *Store) Fits(n int) bool { return n >= 0 && headerBytes+n <= s.segBytes }
 
 // Stats returns an occupancy/churn snapshot.
 func (s *Store) Stats() Stats {
 	return Stats{
 		Entries:        s.live,
-		Segments:       len(s.segs),
+		Segments:       len(s.mem.segs),
 		SegmentBytes:   s.segBytes,
 		LiveBytes:      s.liveBytes,
 		Rotations:      s.rotations,
@@ -195,9 +206,7 @@ func (s *Store) Stats() Stats {
 // invariant: off ≥ headerBytes makes every live word ≥ headerBytes<<24,
 // disjoint from refEmpty/refTomb even when len is 0 or 1. A layout
 // change that moves or shrinks the offset field must re-derive this.
-func pack(seg, off, n int) uint64 {
-	return uint64(seg)<<48 | uint64(off)<<24 | uint64(n)
-}
+func pack(seg, off, n int) uint64 { return uint64(seg)<<48 | uint64(off)<<24 | uint64(n) }
 
 //prefetch:hotpath
 func unpack(ref uint64) (seg, off, n int) {
@@ -295,11 +304,10 @@ func (s *Store) insert(id int64, ref uint64) {
 	}
 }
 
-// rehash rebuilds the index — doubling it when live entries genuinely
-// crowd the table, or at the same size when tombstones do — by walking
-// the old recency list from its tail and linking each entry in at the
-// new head, which visits exactly the live slots and leaves them in the
-// order they had.
+// rehash rebuilds the index — doubling it when live entries crowd the
+// table, at the same size when tombstones do — by walking the old recency
+// list from its tail and linking each entry in at the new head: exactly
+// the live slots, left in the order they had.
 func (s *Store) rehash() {
 	size := len(s.refs)
 	if (s.live+1)*2 >= size {
@@ -327,8 +335,7 @@ func (s *Store) rehash() {
 	}
 }
 
-// dropSlot tombstones index slot i, unlinks it and debits the segment
-// accounting for its reference.
+// dropSlot tombstones and unlinks slot i, debiting its segment's bytes.
 func (s *Store) dropSlot(i int) {
 	seg, _, n := unpack(s.refs[i])
 	s.refs[i] = refTomb
@@ -358,8 +365,7 @@ func (s *Store) Delete(id int64) bool {
 	return true
 }
 
-// EvictOldest evicts the least recently used entry, if there is one,
-// reporting it through OnEvict.
+// EvictOldest evicts the least recently used entry, if any, via OnEvict.
 func (s *Store) EvictOldest() {
 	if s.tail != none {
 		s.evict(int(s.tail))
@@ -368,12 +374,10 @@ func (s *Store) EvictOldest() {
 
 // Put stores a copy of v under id, overwriting any previous value, and
 // makes id the most recently used. It returns false — storing nothing —
-// only when the payload can never fit a segment (see Fits). Rotation may
-// evict other entries to make room, and then the entry bound the least
-// recently used ones; the id being written is immune to both (its stale
-// copy is dropped from the index before space is claimed, so no segment
-// walk can surface it, and it is at the head of the list the bound
-// evicts from the tail of).
+// only when the payload can never fit a segment (see Fits). Rotation and
+// then the entry bound may evict other entries; never id itself (its
+// stale copy leaves the index before space is claimed, and it is at the
+// head of the list the bound evicts from the tail of).
 func (s *Store) Put(id int64, v []byte) bool {
 	need := headerBytes + len(v)
 	if len(v) > maxSegmentBytes || need > s.segBytes {
@@ -384,7 +388,7 @@ func (s *Store) Put(id int64, v []byte) bool {
 	}
 	s.ensure(need)
 	seg, off := s.cur, s.fill[s.cur]
-	buf := s.segs[seg]
+	buf := s.mem.segs[seg]
 	binary.LittleEndian.PutUint64(buf[off:], uint64(id))
 	binary.LittleEndian.PutUint32(buf[off+8:], uint32(len(v)))
 	copy(buf[off+headerBytes:], v)
@@ -400,12 +404,12 @@ func (s *Store) Put(id int64, v []byte) bool {
 
 // ensure positions the write cursor on a segment with room for need
 // bytes: the current one while it has room, else the one with the fewest
-// live bytes, compacted if at most half of what was written there is
-// live and need fits behind the survivors — at most one byte moved per
-// byte reclaimed — else a fresh one while under the ceiling, else the
-// one the cursor entered longest ago, rotated.
+// live bytes, compacted if at most half of what was written there is live
+// and need fits behind the survivors (at most one byte moved per byte
+// reclaimed), else a fresh one under the ceiling, else the one the cursor
+// entered longest ago, rotated.
 func (s *Store) ensure(need int) {
-	if len(s.segs) > 0 && s.fill[s.cur]+need <= s.segBytes {
+	if len(s.mem.segs) > 0 && s.fill[s.cur]+need <= s.segBytes {
 		return
 	}
 	seg, old := 0, 0 // fewest live bytes, entered longest ago
@@ -418,11 +422,11 @@ func (s *Store) ensure(need int) {
 		}
 	}
 	switch {
-	case len(s.segs) > 0 && 2*s.liveSeg[seg] <= s.fill[seg] && s.liveSeg[seg]+need <= s.segBytes:
+	case len(s.mem.segs) > 0 && 2*s.liveSeg[seg] <= s.fill[seg] && s.liveSeg[seg]+need <= s.segBytes:
 		s.compact(seg)
-	case len(s.segs) < s.maxSegs:
-		seg = len(s.segs)
-		s.segs = append(s.segs, make([]byte, s.segBytes))
+	case len(s.mem.segs) < s.maxSegs:
+		seg = len(s.mem.segs)
+		s.mem.segs = append(s.mem.segs, offheap.Alloc(s.segBytes))
 		s.fill = append(s.fill, 0)
 		s.liveSeg = append(s.liveSeg, 0)
 		s.entered = append(s.entered, 0)
@@ -438,11 +442,10 @@ func (s *Store) ensure(need int) {
 // walk calls fn with the index slot and payload offset and length of
 // every record in segment seg that is still live, in write order,
 // stopping at the last of them (with nothing live it reads no header).
-// Only an entry's CURRENT slot counts: an id overwritten or deleted
-// since left a stale record here whose packed reference no longer
-// matches.
+// A record an id left behind when overwritten or deleted is not live:
+// its packed reference no longer matches the id's slot.
 func (s *Store) walk(seg int, fn func(i, off, n int)) {
-	buf := s.segs[seg]
+	buf := s.mem.segs[seg]
 	for off, left := 0, s.liveSeg[seg]; left > 0 && off < s.fill[seg]; {
 		id := int64(binary.LittleEndian.Uint64(buf[off:]))
 		n := int(binary.LittleEndian.Uint32(buf[off+8:]))
@@ -466,15 +469,14 @@ func (s *Store) rotate(seg int) {
 }
 
 // compact slides every record still live in segment seg to the front,
-// repointing its index slot, and leaves the fill behind the last of
-// them. Slot numbers and the recency links do not move, and nothing is
-// evicted.
+// repointing its index slot, and leaves the fill behind the last of them.
+// Slot numbers and recency links do not move; nothing is evicted.
 func (s *Store) compact(seg int) {
 	s.compactions++
 	w := 0
 	s.walk(seg, func(i, off, n int) {
 		if off != w {
-			copy(s.segs[seg][w:], s.segs[seg][off:off+headerBytes+n])
+			copy(s.mem.segs[seg][w:], s.mem.segs[seg][off:off+headerBytes+n])
 			s.refs[i] = pack(seg, w+headerBytes, n)
 			s.compactedBytes += int64(headerBytes + n)
 		}
@@ -484,10 +486,8 @@ func (s *Store) compact(seg int) {
 }
 
 // Get appends id's payload to dst, marks id most recently used and
-// reports whether it was present. The payload is copied out under the
-// caller's lock discipline; dst is the caller's buffer (typically
-// pooled), so a hit allocates nothing once dst has grown to working
-// size.
+// reports whether it was present. dst is the caller's buffer (typically
+// pooled), so a hit allocates nothing once dst has grown to working size.
 //
 //prefetch:hotpath
 func (s *Store) Get(id int64, dst []byte) ([]byte, bool) {
@@ -497,7 +497,9 @@ func (s *Store) Get(id int64, dst []byte) ([]byte, bool) {
 	}
 	s.touch(i)
 	seg, off, n := unpack(s.refs[i])
-	return append(dst, s.segs[seg][off:off+n]...), true
+	dst = append(dst, s.mem.segs[seg][off:off+n]...)
+	runtime.KeepAlive(s) // the segment is unmapped once s is collected
+	return dst, true
 }
 
 // BytesLen returns the stored payload length for id, marking it most

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"container/list"
 	"fmt"
+	"runtime"
 	"slices"
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/offheap"
 	"repro/internal/rng"
+	"repro/internal/testutil"
 	"repro/internal/workload"
 )
 
@@ -358,6 +361,38 @@ func TestNoCompactionWhereNothingDies(t *testing.T) {
 	if sc.Compactions != 0 || sc.RotateEvicted == 0 || ho.Compactions != 0 || ho.Rotations != 0 {
 		t.Fatalf("scan-miss %+v, hot-obj %+v: want no compaction on either, and rotation on scan-miss alone", sc, ho)
 	}
+}
+
+// TestSegmentsLiveOffHeap fills an 8 MiB store through rotation in the
+// scan-miss shape — 16 KiB payloads, none repeated — and demands that the
+// payload sit in mappings, not on the heap: offheap maps all 8 MiB while
+// the heap grows by less than 256 KiB, the index and the segment table.
+func TestSegmentsLiveOffHeap(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under -race the segments are heap slices")
+	}
+	const capacity, value = 8 << 20, 16 << 10
+	v := make([]byte, value)
+	var before, after runtime.MemStats
+	testutil.RunFinalizers(t) // no earlier test's store is unmapped in between
+	runtime.ReadMemStats(&before)
+	mapped := offheap.Mapped()
+	s := New(capacity, 0)
+	for id := int64(0); id < 4*capacity/value; id++ {
+		s.Put(id, v)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if st := s.Stats(); st.Rotations == 0 || st.Segments != s.MaxSegments() {
+		t.Fatalf("the fill never rotated a full arena: %+v", st)
+	}
+	if got := offheap.Mapped() - mapped; got < capacity {
+		t.Fatalf("offheap maps %d bytes for a full %d-byte arena", got, capacity)
+	}
+	if growth := int64(after.HeapAlloc) - int64(before.HeapAlloc); growth >= 256<<10 {
+		t.Fatalf("the heap grew %d bytes filling an 8 MiB arena, want < 256 KiB: the segments belong off the heap", growth)
+	}
+	runtime.KeepAlive(s)
 }
 
 func TestStatsLiveBytes(t *testing.T) {

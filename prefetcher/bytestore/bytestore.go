@@ -1,6 +1,6 @@
 // Package bytestore provides the slab-backed prefetcher.Cache: payload
-// bytes live in internal/slab's pointer-free segment arena, and the
-// arena's flat index is the store's one table — it says where a value
+// bytes live in internal/slab's segment arena, mapped off the Go heap, and
+// the arena's flat index is the store's one table — it says where a value
 // is, whether it is resident at all, and, through the recency links it
 // carries, which resident goes next (least recently used first). The
 // garbage collector scans neither a pointer per cached value nor a node
