@@ -339,30 +339,14 @@ func TestNoReferenceBeatsMarkov(t *testing.T) {
 		name string
 		ids  []cache.ID
 	}{{"chain-obj", chain}, {"trace1k", trace}} {
-		m := NewConcurrentMarkov1()
-		buf := make([]Prediction, 0, 2)
-		scorers := []top1Scorer{{"markov (concurrent, bounded)", func(id cache.ID) (cache.ID, bool) {
-			buf = m.ObserveAndPredictTopInto(id, 2, buf[:0])
-			if len(buf) == 0 {
-				return 0, false
-			}
-			return buf[0].Item, true
-		}}}
+		scorers := []top1Scorer{tableScorer(NewConcurrentMarkov1())}
 		for _, ref := range []Predictor{NewMarkov1(), NewPPM(2), NewPPM(3),
 			NewDependencyGraph(2), NewDependencyGraph(4), NewLZ78(), NewPopularity(1)} {
 			scorers = append(scorers, referenceScorer(ref))
 		}
 		var markov float64
 		for i, sc := range scorers {
-			hits := 0
-			guess, ok := cache.ID(0), false
-			for _, id := range stream.ids {
-				if ok && guess == id {
-					hits++
-				}
-				guess, ok = sc.observe(id)
-			}
-			top1 := float64(hits) / float64(len(stream.ids))
+			top1 := top1Of(sc, stream.ids)
 			t.Logf("%-9s %-28s top-1 %.4f", stream.name, sc.name, top1)
 			if i == 0 {
 				markov = top1
@@ -371,5 +355,120 @@ func TestNoReferenceBeatsMarkov(t *testing.T) {
 					stream.name, sc.name, top1, markov)
 			}
 		}
+	}
+}
+
+// benchShapes rebuilds, for seed 1, the request streams of the four
+// benchmark workloads from the generators the benchmark draws them from
+// (bench/workloads.go), each as the sequence of ids the daemon's table
+// observes: scan-miss's affine walk over 10⁶ keys, hot-obj's Zipf(0.9)
+// over 1000 keys with a never-seen key every 128th request, chain-obj's
+// chain and page-batch's 8-key sessions, key by key.
+func benchShapes() []struct {
+	name string
+	ids  []cache.ID
+} {
+	const scanKeys = 1_000_000
+	src := rng.NewStream(1, "scan-miss")
+	mul, off := int64(src.Intn(scanKeys/10))*10+3, int64(src.Intn(scanKeys))
+	scan := make([]cache.ID, 1<<18)
+	for n := range scan {
+		scan[n] = cache.ID((mul*int64(n) + off) % scanKeys)
+	}
+
+	zipf, src := rng.NewZipf(1000, 0.9), rng.NewStream(1, "hot-obj")
+	hot := make([]cache.ID, 500_000)
+	for n := range hot {
+		switch {
+		case n < 1000:
+			hot[n] = cache.ID(n)
+		case n%128 == 0:
+			hot[n] = cache.ID(1_000_000 + n)
+		default:
+			hot[n] = cache.ID(zipf.Sample(src))
+		}
+	}
+
+	wl := workload.NewMarkov(workload.MarkovConfig{N: 2000, Fanout: 2, Decay: 0.15, Restart: 0.03},
+		rng.NewStream(1, "chain-obj"))
+	chain := make([]cache.ID, 100_000)
+	for n := range chain {
+		chain[n] = wl.Next()
+	}
+
+	sessions := workload.NewSessions(workload.SessionConfig{Pages: 400, Fanout: 8, Objects: 1600},
+		rng.NewStream(1, "page-batch"))
+	var pages []cache.ID
+	for len(pages) < 160_000 {
+		pages = sessions.NextInto(pages)
+	}
+
+	return []struct {
+		name string
+		ids  []cache.ID
+	}{{"scan-miss", scan}, {"hot-obj", hot}, {"chain-obj", chain}, {"page-batch", pages}}
+}
+
+// top1Of is the share of ids whose id was the scorer's first candidate
+// going in.
+func top1Of(sc top1Scorer, ids []cache.ID) float64 {
+	hits := 0
+	guess, ok := cache.ID(0), false
+	for _, id := range ids {
+		if ok && guess == id {
+			hits++
+		}
+		guess, ok = sc.observe(id)
+	}
+	return float64(hits) / float64(len(ids))
+}
+
+// tableScorer drives m the planner's way: ObserveAndPredictTopInto(id, 2).
+func tableScorer(m *ConcurrentMarkov1) top1Scorer {
+	buf := make([]Prediction, 0, 2)
+	return top1Scorer{"markov (concurrent, bounded)", func(id cache.ID) (cache.ID, bool) {
+		buf = m.ObserveAndPredictTopInto(id, 2, buf[:0])
+		if len(buf) == 0 {
+			return 0, false
+		}
+		return buf[0].Item, true
+	}}
+}
+
+// TestMarkovTableGrowsWithTraining keeps the table's growth decision
+// reproducible. It feeds each benchmark stream shape to a fresh table
+// and to the sequential Markov1, logs the table's rows and both top-1
+// readings, and holds the table's top-1 on the learnable shapes
+// (chain-obj, page-batch) within 0.002 of Markov1's. It also walks a
+// 5 000-key loop pass by pass: a loop's first pass looks like a scan,
+// and the loop must still be learned (top-1 ≥ 0.95) within five passes.
+func TestMarkovTableGrowsWithTraining(t *testing.T) {
+	if testing.Short() {
+		t.Skip("four benchmark stream shapes, about a million requests")
+	}
+	for _, shape := range benchShapes() {
+		m := NewConcurrentMarkov1()
+		table, ref := top1Of(tableScorer(m), shape.ids), top1Of(referenceScorer(NewMarkov1()), shape.ids)
+		t.Logf("%-10s %7d requests: %6d rows, top-1 %.4f (Markov1 %.4f)", shape.name, len(shape.ids), m.Rows(), table, ref)
+		if learnable := shape.name == "chain-obj" || shape.name == "page-batch"; learnable && math.Abs(table-ref) > 0.002 {
+			t.Errorf("%s: the table reads top-1 %.4f against Markov1's %.4f; want within 0.002", shape.name, table, ref)
+		}
+	}
+
+	const loopKeys, passes = 5000, 5
+	loop := make([]cache.ID, loopKeys)
+	for i := range loop {
+		loop[i] = cache.ID(i)
+	}
+	sc, learned := tableScorer(NewConcurrentMarkov1()), 0
+	for pass := 1; pass <= passes; pass++ {
+		top1 := top1Of(sc, loop)
+		t.Logf("%d-key loop, pass %d: top-1 %.4f", loopKeys, pass, top1)
+		if learned == 0 && top1 >= 0.95 {
+			learned = pass
+		}
+	}
+	if learned == 0 {
+		t.Errorf("a %d-key loop is not learned (top-1 ≥ 0.95) within %d passes", loopKeys, passes)
 	}
 }
