@@ -12,7 +12,8 @@
 // or with a JSON config file defining several key spaces, each with
 // its own backends and engine knobs (-config path; see ParseConfig).
 // Every space predicts with the engine's one access model, a Markov
-// table bounded at about 7 MiB, and caches in one store, the slab byte
+// table that grows only with what it has learned (512 rows after a scan,
+// never past about 7 MiB), and caches in one store, the slab byte
 // store bounded by -cache-bytes (64 MiB unless set) and -cache entries,
 // so the daemon's memory is its cache budgets plus that table and
 // nothing grows with the key space; -policy none (policy: "none") is the
@@ -88,7 +89,7 @@ func configFromArgs(fs *flag.FlagSet, args []string) (*Config, error) {
 	fs.IntVar(&f.cacheCap, "cache", 4096, "cache capacity in items; the least recently used goes first")
 	fs.IntVar(&f.cacheBytes, "cache-bytes", 0, "cache byte budget (0 = 64 MiB), a ceiling: the arena holds at most about twice the peak live bytes; payloads live in segments mapped off the Go heap")
 	fs.IntVar(&f.segBytes, "segment-bytes", 0, "cache segment size in bytes (0 = 1 MiB)")
-	fs.StringVar(&f.policy, "policy", "adaptive-a", "prefetch policy: adaptive-a, adaptive-b, greedy, static, topk or none (no speculation); the access model is always the Markov table bounded at about 7 MiB")
+	fs.StringVar(&f.policy, "policy", "adaptive-a", "prefetch policy: adaptive-a, adaptive-b, greedy, static, topk or none (no speculation); the access model is always the Markov table, which grows only with states seen twice and never past about 7 MiB")
 	fs.Float64Var(&f.policyArg, "policy-arg", 0, "policy parameter (static threshold or topk k)")
 	fs.Float64Var(&f.bandwidth, "bandwidth", 1e6, "origin link capacity in payload-size units per second; the adaptive threshold's rho-prime normalises against it")
 	fs.IntVar(&f.shards, "shards", 0, "engine shard count (0 = auto)")

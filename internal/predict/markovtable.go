@@ -37,12 +37,14 @@ import (
 //
 // Bounds and what gives way at them:
 //
-//   - A stripe doubles when a key finds its window full, up to
-//     markovStripeRows rows (predStripes·markovStripeRows = 65 536 rows
-//     of 112 B ≈ 7 MiB for the whole table, a constant). At that
-//     ceiling a new key takes over the row with the smallest total in
-//     its window: a key seen once (a scan) is the first to go, a trained
-//     row survives.
+//   - A key that finds its window full takes the row with the smallest
+//     total: a once-seen row (a scan's, whose p̂ is one count over one)
+//     goes first, a trained row — two transitions or more — survives.
+//     Below markovStripeRows rows (65 536 rows of 112 B ≈ 7 MiB for the
+//     table) the stripe doubles instead while that row is trained (so
+//     all eight are) or a quarter of its rows are. A key earns memory by
+//     coming back: a scan leaves 512 rows, and a loop of W keys is
+//     learned in about log₄(W/512) + 2 passes.
 //   - A row that already holds markovSlots successors gives a new one
 //     the slot with the smallest count, space-saving style, and the
 //     newcomer starts again from one. total still counts every
@@ -52,9 +54,10 @@ import (
 //     keeps its exact count, the light tail is under-reported.
 //
 // Exactness regime (the contract the equivalence tests hold): while no
-// state has shown more than markovSlots distinct successors and no
-// stripe has reached its ceiling, counts are exact and Predict equals
-// the sequential Markov1's for the same linearised stream.
+// state has shown more than markovSlots distinct successors, no stripe
+// is at its ceiling and no once-seen row was displaced (which happens
+// only in a stripe less than a quarter trained), counts are exact and
+// Predict equals the sequential Markov1's for the same linearised stream.
 
 const (
 	// predStripes is the number of lock stripes the table is spread
@@ -156,9 +159,10 @@ func (r *markovRow) topInto(dst []Prediction, k int) []Prediction {
 // so neighbouring stripes' mutexes do not false-share
 // (TestMarkovStripeLayout holds the padding to whole lines).
 type markovStripe struct {
-	mu   sync.Mutex
-	rows []markovRow // off the Go heap (allocRows); nil until the stripe's first key
-	_    [32]byte
+	mu      sync.Mutex
+	rows    []markovRow // off the Go heap (allocRows); nil until the stripe's first key
+	trained int         // rows with total >= 2
+	_       [24]byte
 }
 
 // window returns the markovWays rows the key hashing to h may occupy.
@@ -187,9 +191,9 @@ func (s *markovStripe) find(key cache.ID, h uint64) *markovRow {
 }
 
 // row returns key's row, claiming one if it has none: the first unused
-// row of its window, else — once the stripe cannot grow — the row with
-// the smallest total. A claimed row is zero but for its key; the caller
-// counts a transition into it before unlocking.
+// row of its window, else — unless the stripe grows first (see Bounds)
+// — the row with the smallest total. A claimed row is zero but for its
+// key; the caller counts a transition into it before unlocking.
 func (s *markovStripe) row(key cache.ID, h uint64) *markovRow {
 	if len(s.rows) == 0 {
 		s.grow()
@@ -210,9 +214,13 @@ func (s *markovStripe) row(key cache.ID, h uint64) *markovRow {
 				victim = r
 			}
 		}
-		if len(s.rows) < markovStripeRows {
+		trained := victim.total >= 2
+		if len(s.rows) < markovStripeRows && (trained || 4*s.trained >= len(s.rows)) {
 			s.grow()
 			continue
+		}
+		if trained {
+			s.trained--
 		}
 		*victim = markovRow{key: key}
 		return victim
@@ -268,7 +276,8 @@ const markovNoState = math.MinInt64
 // extends one global chain — the exact multiset of transitions a
 // sequential model would count for the same linearised stream.
 //
-// Its memory is bounded: at most 65 536 rows of 8 successors each,
+// Its memory follows what it has learned: ids seen once leave it at 512
+// rows, and no stream takes it past 65 536 rows of 8 successors each,
 // about 7 MiB, however many distinct ids it is shown. The rows are mapped
 // off the Go heap, so the table costs its own size in RSS and not, as on
 // the heap at GOGC=100, up to as much again in garbage headroom. A
@@ -298,9 +307,9 @@ func (m *ConcurrentMarkov1) free() {
 	}
 }
 
-// Rows returns how many rows the table has allocated, used or not: at
-// most predStripes·markovStripeRows = 65 536, however many ids it has
-// been shown.
+// Rows returns how many rows the table has allocated, used or not: 512
+// (one window per stripe) while nothing is trained, at most 65 536
+// however many ids it has been shown.
 func (m *ConcurrentMarkov1) Rows() int {
 	n := 0
 	for i := range m.stripes {
@@ -322,7 +331,11 @@ func (m *ConcurrentMarkov1) Observe(id cache.ID) {
 	h := hashID(prev)
 	s := &m.stripes[stripeOfHash(h)]
 	s.mu.Lock()
-	s.row(prev, h).count(id)
+	r := s.row(prev, h)
+	r.count(id)
+	if r.total == 2 {
+		s.trained++
+	}
 	s.mu.Unlock()
 }
 

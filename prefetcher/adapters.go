@@ -78,15 +78,17 @@ func publicPredictions(ps []predict.Prediction) []Prediction {
 // chain and the transition table is striped by key, one short mutex per
 // stripe, so the engine runs it without a lock of its own.
 //
-// Its memory is bounded: a flat, pointer-free table of at most 65 536
-// states × 8 successors, about 7 MiB, however many distinct ids it
-// sees. At the ceiling a new state replaces the least-visited state
-// that hashes beside it (a once-seen scan id goes first, a trained
-// state stays); in a state that already holds 8
-// successors a new one takes over the slot with the smallest count and
-// counts again from one, so p̂ is never an overestimate. Counts — and so
-// p̂ — are exact while every state has at most 8 distinct successors and
-// the table is below its ceiling; beyond that the successors heavy
+// Its memory follows what it has learned: a flat, pointer-free table of
+// states × 8 successors that grows only while its states are trained
+// (seen twice), so ids seen once — a scan — leave it at 512 states, and
+// never past 65 536, about 7 MiB, however many distinct ids it sees. A
+// new state replaces the least-visited state that hashes beside it (a
+// once-seen scan id goes first, a trained state stays); in a state that
+// already holds 8 successors a new one takes over the slot with the
+// smallest count and counts again from one, so p̂ is never an
+// overestimate. Counts — and so p̂ — are exact while every state has at
+// most 8 distinct successors and no once-seen state has been displaced;
+// beyond that the successors heavy
 // enough to clear a threshold keep their p̂ and the light tail is
 // approximate. It is the one built-in model: any other (PPM, LZ78, a
 // dependency graph, popularity, a learned model) plugs in through the

@@ -117,12 +117,14 @@
 // internally it linearises the request stream (an atomic swap chain) so
 // cross-shard transitions are still learned, its count table is striped
 // by key, and it predicts as part of the observation, conditioned on
-// the observed id. Its memory is bounded: a flat pointer-free table of
-// at most 65 536 states × 8 successors (about 7 MiB) that replaces its
-// least-visited state, and a full state's smallest count, when a new one
-// needs the room — exact while states have at most 8 distinct successors
-// and the table is below its ceiling, approximate only in the light tail
-// beyond. Any other Predictor is a plugin, and its planner owns
+// the observed id. Its memory follows what it has learned: a flat
+// pointer-free table of 8-successor rows that grows only while its rows
+// are trained (seen twice), so a scan leaves it at 512 rows, and never
+// past 65 536 (about 7 MiB). A new state takes the least-visited row
+// beside it, and a full state's smallest count gives way to a new
+// successor — exact while states have at most 8 distinct successors and
+// no once-seen row has been displaced, approximate only in the light
+// tail beyond. Any other Predictor is a plugin, and its planner owns
 // everything the engine knows about plugins: it asks for the bounded
 // prefix the policies can actually admit through the best form the
 // plugin offers — TopIntoPredictor appending into the request's pooled

@@ -16,9 +16,10 @@ import (
 // every issued prefetch ended used, wasted, errored or still
 // resident-unused, every request ended a hit or a miss, a byte store's
 // arena and overflow bytes are each within its budget, and the built-in
-// access model's table is within its 65 536-row ceiling — with the
-// records bounded by the caches, nothing the engine keeps grows with the
-// key space. The caller must have stopped its demand traffic and
+// access model's table is within its 65 536-row ceiling. The records are
+// bounded by the caches, and the table grows only with rows trained by
+// a key that came back, never with a scan: nothing the engine keeps
+// grows with the key space. The caller must have stopped its demand traffic and
 // returned from Quiesce; candidates the idle gate still holds are
 // outside that promise, so an engine that deferred any is not checkable.
 func checkRecords(t testing.TB, e *Engine) {
@@ -89,9 +90,10 @@ func quiesceAndCheck(t testing.TB, e *Engine) {
 // of them — through a 64-entry cache on a fetcher that returns at once.
 // Every row the model claims belongs to an id it will not see again
 // (the few hits are one scanner's request predicting the id a racing
-// scanner has just observed and is about to look up), and at the end
-// the books hold 64 residents, 64 records, a full table and nothing
-// else.
+// scanner has just observed and is about to look up), so no row is
+// trained and the table never grows past one 8-row window per stripe:
+// at the end the books hold 64 residents, 64 records, a 512-row table
+// and nothing else.
 func TestScanLeavesNothingBehind(t *testing.T) {
 	eng, err := New(FetcherFunc(func(ctx context.Context, id ID) (Item, error) {
 		return Item{ID: id, Size: 1}, nil
@@ -125,8 +127,8 @@ func TestScanLeavesNothingBehind(t *testing.T) {
 	if st.Requests != scanners*each || st.CacheLen != 64 {
 		t.Fatalf("requests/resident = %d/%d, want %d/64", st.Requests, st.CacheLen, scanners*each)
 	}
-	if rows := eng.planner.builtin.Rows(); rows != 65536 {
-		t.Fatalf("the Markov table holds %d rows after %d distinct ids, want it full at 65536", rows, scanners*each)
+	if rows := eng.planner.builtin.Rows(); rows != 64*8 {
+		t.Fatalf("the Markov table holds %d rows after %d distinct ids, want one 8-row window per stripe (512)", rows, scanners*each)
 	}
 }
 
