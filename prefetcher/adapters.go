@@ -88,11 +88,10 @@ func publicPredictions(ps []predict.Prediction) []Prediction {
 // smallest count and counts again from one, so p̂ is never an
 // overestimate. Counts — and so p̂ — are exact while every state has at
 // most 8 distinct successors and no once-seen state has been displaced;
-// beyond that the successors heavy
-// enough to clear a threshold keep their p̂ and the light tail is
-// approximate. It is the one built-in model: any other (PPM, LZ78, a
-// dependency graph, popularity, a learned model) plugs in through the
-// Predictor interface.
+// beyond that the successors heavy enough to clear a threshold keep
+// their p̂ and the light tail is approximate. It is the one built-in
+// model: any other (PPM, LZ78, a dependency graph, popularity, a learned
+// model) plugs in through the Predictor interface.
 func NewMarkovPredictor() Predictor {
 	return predictorAdapter{predict.NewConcurrentMarkov1(), &sync.Pool{New: func() any {
 		s := make([]predict.Prediction, 0, 16)

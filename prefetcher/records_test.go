@@ -19,9 +19,10 @@ import (
 // access model's table is within its 65 536-row ceiling. The records are
 // bounded by the caches, and the table grows only with rows trained by
 // a key that came back, never with a scan: nothing the engine keeps
-// grows with the key space. The caller must have stopped its demand traffic and
-// returned from Quiesce; candidates the idle gate still holds are
-// outside that promise, so an engine that deferred any is not checkable.
+// grows with the key space. The caller must have stopped its demand
+// traffic and returned from Quiesce; candidates the idle gate still
+// holds are outside that promise, so an engine that deferred any is not
+// checkable.
 func checkRecords(t testing.TB, e *Engine) {
 	t.Helper()
 	var records, unused, resident int
