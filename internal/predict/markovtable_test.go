@@ -324,10 +324,11 @@ func TestMarkovRowHalving(t *testing.T) {
 	checkMarkovTable(t, m)
 }
 
-// BenchmarkConcurrentMarkov1Scan is the table at its ceiling under ids
-// that never repeat: every call replaces a row and finds none for the
-// id it predicts from. The table is filled before the timer starts, so
-// B/op reads the steady state: 0.
+// BenchmarkConcurrentMarkov1Scan is the table under ids that never
+// repeat: nothing is trained, so it stays at one window per stripe and
+// every call replaces a once-seen row and finds none for the id it
+// predicts from. The table is filled before the timer starts, so B/op
+// reads the steady state: 0.
 func BenchmarkConcurrentMarkov1Scan(b *testing.B) {
 	m := NewConcurrentMarkov1()
 	var next atomic.Int64
