@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -228,12 +229,6 @@ func (s *Server) resolve(spaceName string) (*space, bool) {
 // body to net/http, the wire loop sends head and body in one Write.
 type replyBuf struct{ b []byte }
 
-// Write appends: httpfetch.WriteBatchItem frames records through it.
-func (rb *replyBuf) Write(p []byte) (int, error) {
-	rb.b = append(rb.b, p...)
-	return len(p), nil
-}
-
 // headRoom fits the longest head the wire loop renders (an error reply
 // with a 31-byte status text: about 200 bytes).
 const headRoom = 256
@@ -254,6 +249,16 @@ func putBuf(rb *replyBuf) {
 		bufPool.Put(rb)
 	}
 }
+
+// batchScratch is what one /batch needs beside its reply: the parsed
+// ids, and the payloads the engine packs with one range per id.
+type batchScratch struct {
+	ids      []prefetcher.ID
+	ranges   []prefetcher.ByteRange
+	payloads []byte
+}
+
+var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
 // The reply core: obj and batch turn one request into one reply. They
 // append the body to rb and return the status and the Content-Length —
@@ -322,39 +327,44 @@ const maxBatchIDs = 1024
 // httpfetch wire format. Per-key failures fail the whole reply — the
 // wire has no per-record error channel, and a batch-capable caller
 // (another prefetchd) falls back per key on any batch error.
-func (s *Server) batch(ctx context.Context, rb *replyBuf, path, raw string) (status, n int) {
+func (s *Server) batch(ctx context.Context, rb *replyBuf, path string, raw []byte) (status, n int) {
 	sp, ok := s.resolve(strings.TrimPrefix(strings.TrimPrefix(path, "/batch"), "/"))
 	if !ok {
 		return fail(rb, http.StatusNotFound, "unknown space")
 	}
 	// Counted before parsing: a request line can carry half a million
 	// ids, each to become a session key and a demand fetch.
-	if strings.Count(raw, ",") >= maxBatchIDs {
+	if bytes.Count(raw, []byte(",")) >= maxBatchIDs {
 		return fail(rb, http.StatusBadRequest, fmt.Sprintf("more than %d ids in one batch", maxBatchIDs))
 	}
-	ids, err := httpfetch.ParseIDs(raw)
-	if err != nil {
+	sc := batchPool.Get().(*batchScratch)
+	defer putBatch(sc)
+	var err error
+	if sc.ids, err = httpfetch.AppendIDs(sc.ids[:0], raw); err != nil {
 		return fail(rb, http.StatusBadRequest, err.Error())
 	}
-	// The payloads pack into one pooled buffer via the engine's byte path
+	// The payloads pack into pooled scratch via the engine's byte path
 	// and are framed from there into rb, whole before the head is written:
 	// a record the wire cannot carry makes a 502, not a 200 cut short.
-	payloads := bufPool.Get().(*replyBuf)
-	var ranges []prefetcher.ByteRange
-	if payloads.b, ranges, err = sp.engine.GetMultiBytes(ctx, ids, payloads.b, nil); err == nil {
-		err = frameBatch(rb, ids, payloads.b, ranges)
+	if sc.payloads, sc.ranges, err = sp.engine.GetMultiBytes(ctx, sc.ids, sc.payloads, sc.ranges); err == nil {
+		err = frameBatch(rb, sc.ids, sc.payloads, sc.ranges)
 	}
-	putBuf(payloads)
 	if err != nil {
-		return s.failFetch(rb, "GET "+path+"?ids="+raw, err)
+		return s.failFetch(rb, "GET "+path+"?ids="+string(raw), err)
 	}
 	return http.StatusOK, len(rb.b) - headRoom
 }
 
+func putBatch(sc *batchScratch) {
+	if cap(sc.payloads) <= maxPooledBufBytes {
+		batchPool.Put(sc)
+	}
+}
+
 // frameBatch appends to rb one record per id: its range of payloads.
-func frameBatch(rb *replyBuf, ids []prefetcher.ID, payloads []byte, ranges []prefetcher.ByteRange) error {
+func frameBatch(rb *replyBuf, ids []prefetcher.ID, payloads []byte, ranges []prefetcher.ByteRange) (err error) {
 	for i, rg := range ranges {
-		if err := httpfetch.WriteBatchItem(rb, ids[i], payloads[rg.Off:rg.Off+rg.Len]); err != nil {
+		if rb.b, err = httpfetch.AppendBatchItem(rb.b, ids[i], payloads[rg.Off:rg.Off+rg.Len]); err != nil {
 			return err
 		}
 	}
@@ -372,7 +382,7 @@ func (s *Server) handleCore(w http.ResponseWriter, r *http.Request) {
 	rb := bufPool.Get().(*replyBuf)
 	var status, n int
 	if batch {
-		status, n = s.batch(r.Context(), rb, r.URL.Path, r.URL.Query().Get("ids"))
+		status, n = s.batch(r.Context(), rb, r.URL.Path, []byte(r.URL.Query().Get("ids")))
 	} else {
 		status, n = s.obj(r.Context(), rb, head, r.URL.Path)
 	}
@@ -399,19 +409,23 @@ type statsReply struct {
 // memoryStats splits the process's memory without a debugger: the cache
 // tables mapped off the Go heap (slab segments, Markov rows), the heap's
 // live bytes, the heap size the collector lets it reach before its next
-// cycle, and the cycles run so far. The runtime figures come from
-// runtime/metrics, which, unlike ReadMemStats, does not stop the world.
+// cycle, the cycles run so far, and the bytes allocated on the heap since
+// the process started — read twice, their difference over the requests
+// served between is the garbage a request makes. The runtime figures
+// come from runtime/metrics, which, unlike ReadMemStats, does not stop
+// the world.
 type memoryStats struct {
-	OffheapBytes  int64  `json:"offheap_bytes"`
-	HeapLiveBytes uint64 `json:"heap_live_bytes"`
-	HeapGoalBytes uint64 `json:"heap_goal_bytes"`
-	GCCycles      uint64 `json:"gc_cycles"`
+	OffheapBytes    int64  `json:"offheap_bytes"`
+	HeapLiveBytes   uint64 `json:"heap_live_bytes"`
+	HeapGoalBytes   uint64 `json:"heap_goal_bytes"`
+	GCCycles        uint64 `json:"gc_cycles"`
+	HeapAllocsBytes uint64 `json:"heap_allocs_bytes"`
 }
 
 func readMemory() memoryStats {
-	s := []metrics.Sample{{Name: "/gc/heap/live:bytes"}, {Name: "/gc/heap/goal:bytes"}, {Name: "/gc/cycles/total:gc-cycles"}}
+	s := []metrics.Sample{{Name: "/gc/heap/live:bytes"}, {Name: "/gc/heap/goal:bytes"}, {Name: "/gc/cycles/total:gc-cycles"}, {Name: "/gc/heap/allocs:bytes"}}
 	metrics.Read(s)
-	return memoryStats{offheap.Mapped(), s[0].Value.Uint64(), s[1].Value.Uint64(), s[2].Value.Uint64()}
+	return memoryStats{offheap.Mapped(), s[0].Value.Uint64(), s[1].Value.Uint64(), s[2].Value.Uint64(), s[3].Value.Uint64()}
 }
 
 // handleStats serves GET /stats. Stats() is wait-free, so this

@@ -912,20 +912,30 @@ func testDaemonSlabSpace(t *testing.T, set func(*SpaceConfig), want bytestore.Co
 		}
 	}
 
-	sresp, err := http.Get(front + "/stats")
-	if err != nil {
-		t.Fatal(err)
+	readStats := func() statsReply {
+		sresp, err := http.Get(front + "/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stats statsReply
+		err = json.NewDecoder(sresp.Body).Decode(&stats)
+		sresp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stats
 	}
-	var stats statsReply
-	err = json.NewDecoder(sresp.Body).Decode(&stats)
-	sresp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+	stats := readStats()
 	if st := stats.Spaces[DefaultSpace]; st.Hits == 0 {
 		t.Fatalf("no hits through the slab space (stats %+v)", st)
 	}
-	if m := stats.Memory; m.OffheapBytes <= 0 || m.HeapGoalBytes == 0 {
-		t.Fatalf("/stats memory after a fill = %+v, want the slab's segments in offheap_bytes and the collector's heap goal", m)
+	m := stats.Memory
+	if m.OffheapBytes <= 0 || m.HeapGoalBytes == 0 || m.HeapAllocsBytes == 0 {
+		t.Fatalf("/stats memory after a fill = %+v, want the slab's segments in offheap_bytes, the collector's heap goal and the bytes allocated so far", m)
+	}
+	// heap_allocs_bytes is cumulative: a second reading, after one more
+	// /stats reply was built, is no smaller.
+	if again := readStats().Memory; again.HeapAllocsBytes < m.HeapAllocsBytes {
+		t.Fatalf("heap_allocs_bytes fell from %d to %d", m.HeapAllocsBytes, again.HeapAllocsBytes)
 	}
 }

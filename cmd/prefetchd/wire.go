@@ -8,11 +8,12 @@ import (
 	"net/http"
 	"runtime/debug"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
+
+	"repro/internal/httphead"
 )
 
 // The wire loop, first tier of the front end (see the package comment).
@@ -33,26 +34,15 @@ type wireReq struct {
 	ids  []byte // /batch's ids parameter
 }
 
-// The bytes a recognised head is made of.
+// The bytes a recognised path and Host are made of.
 const (
-	alnumBytes   = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
-	segmentBytes = alnumBytes + "._-"             // a space, a key, an id list: nothing net/http would unescape or split on
-	hostBytes    = segmentBytes + ":[]"           // a Host value net/http's validHostHeader passes
-	tokenBytes   = alnumBytes + "!#$%&'*+-.^_`|~" // a header name (RFC 9110 token)
+	segmentBytes = httphead.AlnumBytes + "._-" // a space, a key, an id list: nothing net/http would unescape or split on
+	hostBytes    = segmentBytes + ":[]"        // a Host value net/http's validHostHeader passes
 )
-
-func only(b []byte, set string) bool {
-	for _, c := range b {
-		if strings.IndexByte(set, c) < 0 {
-			return false
-		}
-	}
-	return true
-}
 
 // segment reports whether b is a path segment the wire loop reads: not
 // empty, and not one ServeMux would clean away ("." and "..").
-func segment(b []byte) bool { return len(b) > 0 && b[0] != '.' && only(b, segmentBytes) }
+func segment(b []byte) bool { return len(b) > 0 && b[0] != '.' && httphead.Only(b, segmentBytes) }
 
 // recognise reads b as the start of a connection's unserved bytes. It
 // ends lines where net/http does, at LF, and decides line by line: it
@@ -61,15 +51,14 @@ func segment(b []byte) bool { return len(b) > 0 && b[0] != '.' && only(b, segmen
 // head) and never looks past the head, whose length n is on accept.
 func recognise(b []byte) (req wireReq, n, verdict int) {
 	for line, hosts := 0, 0; ; line++ {
-		eol := bytes.IndexByte(b[n:], '\n')
-		if eol < 0 && len(b) < maxWireHead {
+		text, m, crlf := httphead.Line(b[n:])
+		if m == 0 && len(b) < maxWireHead {
 			return req, 0, needMore
 		}
-		if eol < 1 || b[n+eol-1] != '\r' || n+eol >= maxWireHead {
+		if !crlf || n+m > maxWireHead {
 			return req, 0, handOff
 		}
-		text := b[n : n+eol-1]
-		n += eol + 1
+		n += m
 		switch {
 		case line == 0 && req.requestLine(text), line > 0 && len(text) > 0 && headerLine(text, &hosts):
 		case line > 0 && len(text) == 0 && hosts == 1:
@@ -101,7 +90,7 @@ func (req *wireReq) requestLine(line []byte) bool {
 		return !ok
 	case string(req.path) == "/batch" || bytes.HasPrefix(req.path, []byte("/batch/")) && segment(req.path[len("/batch/"):]):
 		req.kind = 'b'
-		return ok && only(req.ids, segmentBytes+",")
+		return ok && httphead.Only(req.ids, segmentBytes+",")
 	}
 	return false
 }
@@ -110,18 +99,13 @@ func (req *wireReq) requestLine(line []byte) bool {
 // ignore — those that change how net/http reads a request or frames its
 // reply are not — and counts the Hosts.
 func headerLine(line []byte, hosts *int) bool {
-	name, value, ok := bytes.Cut(line, []byte(":"))
-	if !ok || len(name) == 0 || !only(name, tokenBytes) {
+	name, value, ok := httphead.Field(line)
+	if !ok {
 		return false
-	}
-	for _, c := range value {
-		if c < ' ' || c == 0x7f {
-			return false
-		}
 	}
 	if bytes.EqualFold(name, []byte("Host")) {
 		*hosts++
-		return only(bytes.Trim(value, " "), hostBytes)
+		return httphead.Only(value, hostBytes)
 	}
 	for _, special := range [...]string{"Connection", "Content-Length", "Transfer-Encoding", "Expect", "Upgrade", "Trailer"} {
 		if bytes.EqualFold(name, []byte(special)) {
@@ -179,7 +163,7 @@ func (c *wireConn) exchange(req wireReq) error {
 	case 'o':
 		status, n = c.f.srv.obj(c.ctx, rb, req.head, string(req.path))
 	case 'b':
-		status, n = c.f.srv.batch(c.ctx, rb, string(req.path), string(req.ids))
+		status, n = c.f.srv.batch(c.ctx, rb, string(req.path), req.ids)
 	default:
 		ctype, rb.b = healthzType, append(rb.b, healthzBody...)
 	}

@@ -62,17 +62,16 @@ const (
 	// 16-bit field of a packed reference.
 	maxSegments = 1 << 16
 
-	// Index slot states. A live reference's offset field (bits 24–47)
+	// An empty index slot. A live reference's offset field (bits 24–47)
 	// is always ≥ headerBytes, which keeps the packed word disjoint from
-	// these sentinels even when its length (the low 24 bits) is 0 or 1.
+	// it even when its length (the low 24 bits) is 0.
 	refEmpty = 0
-	refTomb  = 1
 
 	// minIndexSlots is the initial open-addressing table size.
 	minIndexSlots = 64
 
 	// maxIndexSlots is the largest table the int32 slot numbers of the
-	// recency links are trusted with; rehash refuses to grow past it.
+	// recency links are trusted with; resize refuses to pass it.
 	maxIndexSlots = 1 << 30
 
 	// none ends the recency list on either side, and is both ends of an empty one.
@@ -108,11 +107,10 @@ type Store struct {
 	keys []int64
 	refs []uint64
 	live int // live entries
-	used int // live + tombstoned slots (drives rehash)
 
 	// The recency list over the live slots, as slot numbers: prev[i] is
-	// the slot used more recently than i, next[i] less recently. Linear
-	// probing with tombstones never moves a live slot between rehashes.
+	// the slot used more recently than i, next[i] less recently. An entry
+	// a deletion shifts takes its links with it (move).
 	prev, next []int32
 	head, tail int32 // most and least recently used; none when empty
 	maxEntries int   // 0 = bounded by bytes alone
@@ -138,17 +136,8 @@ func New(capacityBytes, segBytes int) *Store {
 	segBytes = min(max(segBytes, minSegmentBytes), maxSegmentBytes)
 	capacityBytes = max(capacityBytes, segBytes)
 	maxSegs := min((capacityBytes+segBytes-1)/segBytes, maxSegments)
-	s := &Store{
-		segBytes: segBytes,
-		maxSegs:  maxSegs,
-		mem:      &arena{},
-		keys:     make([]int64, minIndexSlots),
-		refs:     make([]uint64, minIndexSlots),
-		prev:     make([]int32, minIndexSlots),
-		next:     make([]int32, minIndexSlots),
-		head:     none,
-		tail:     none,
-	}
+	s := &Store{segBytes: segBytes, maxSegs: maxSegs, mem: &arena{}, head: none, tail: none}
+	s.resize(minIndexSlots)
 	runtime.SetFinalizer(s.mem, (*arena).free)
 	return s
 }
@@ -204,7 +193,7 @@ func (s *Store) Stats() Stats {
 // pack encodes (segment, payload offset, payload length) into one
 // word: seg<<48 | off<<24 | len. The offset field carries the sentinel
 // invariant: off ≥ headerBytes makes every live word ≥ headerBytes<<24,
-// disjoint from refEmpty/refTomb even when len is 0 or 1. A layout
+// disjoint from refEmpty even when len is 0. A layout
 // change that moves or shrinks the offset field must re-derive this.
 func pack(seg, off, n int) uint64 { return uint64(seg)<<48 | uint64(off)<<24 | uint64(n) }
 
@@ -222,22 +211,18 @@ func (s *Store) slot(id int64) uint64 {
 	return (h ^ h>>32) & uint64(len(s.refs)-1)
 }
 
-// findSlot locates id's index slot. Rehash keeps used < ¾ of the
-// table, so an empty slot always terminates the probe.
+// findSlot locates id's index slot. Growth keeps the live entries under
+// ¾ of the table, so an empty slot always terminates the probe.
 //
 //prefetch:hotpath
 func (s *Store) findSlot(id int64) (int, bool) {
 	mask := uint64(len(s.refs) - 1)
-	i := s.slot(id)
-	for {
-		switch ref := s.refs[i]; {
-		case ref == refEmpty:
-			return 0, false
-		case ref != refTomb && s.keys[i] == id:
+	for i := s.slot(id); s.refs[i] != refEmpty; i = (i + 1) & mask {
+		if s.keys[i] == id {
 			return int(i), true
 		}
-		i = (i + 1) & mask
 	}
+	return 0, false
 }
 
 // link puts live slot i at the head of the recency list.
@@ -281,38 +266,31 @@ func (s *Store) touch(i int) {
 }
 
 // insert adds a reference for an id that is NOT currently indexed
-// (callers drop any existing entry first), reusing the first tombstone
-// on the probe path, and links it in as most recently used.
+// (callers drop any existing entry first).
 func (s *Store) insert(id int64, ref uint64) {
-	if (s.used+1)*4 >= len(s.refs)*3 {
-		s.rehash()
+	if (s.live+1)*4 >= len(s.refs)*3 {
+		s.resize(2 * len(s.refs))
 	}
-	mask := uint64(len(s.refs) - 1)
-	i := s.slot(id)
-	for {
-		switch s.refs[i] {
-		case refEmpty:
-			s.used++
-			fallthrough
-		case refTomb:
-			s.keys[i], s.refs[i] = id, ref
-			s.live++
-			s.link(int32(i))
-			return
-		}
-		i = (i + 1) & mask
-	}
+	s.place(id, ref)
+	s.live++
 }
 
-// rehash rebuilds the index — doubling it when live entries crowd the
-// table, at the same size when tombstones do — by walking the old recency
-// list from its tail and linking each entry in at the new head: exactly
-// the live slots, left in the order they had.
-func (s *Store) rehash() {
-	size := len(s.refs)
-	if (s.live+1)*2 >= size {
-		size *= 2
+// place puts id in the first empty slot of its probe run and links it
+// in as most recently used.
+func (s *Store) place(id int64, ref uint64) {
+	i, mask := s.slot(id), uint64(len(s.refs)-1)
+	for s.refs[i] != refEmpty {
+		i = (i + 1) & mask
 	}
+	s.keys[i], s.refs[i] = id, ref
+	s.link(int32(i))
+}
+
+// resize rebuilds the index at size slots by walking the old recency
+// list from its tail and linking each entry in at the new head: the live
+// slots, left in the order they had. Deletion leaves no tombstone
+// (dropSlot), so the index is rebuilt only to grow.
+func (s *Store) resize(size int) {
 	if size > maxIndexSlots {
 		// Unreachable under SetMaxEntries; without, 2²⁹ live entries away.
 		panic("slab: index would outgrow its int32 slot numbers")
@@ -323,26 +301,45 @@ func (s *Store) rehash() {
 	s.prev = make([]int32, size)
 	s.next = make([]int32, size)
 	s.head, s.tail = none, none
-	s.used = s.live
-	mask := uint64(size - 1)
 	for ; j != none; j = oldPrev[j] {
-		i := s.slot(oldKeys[j])
-		for s.refs[i] != refEmpty {
-			i = (i + 1) & mask
-		}
-		s.keys[i], s.refs[i] = oldKeys[j], oldRefs[j]
-		s.link(int32(i))
+		s.place(oldKeys[j], oldRefs[j])
 	}
 }
 
-// dropSlot tombstones and unlinks slot i, debiting its segment's bytes.
+// dropSlot empties and unlinks slot i, debiting its segment's bytes.
+// Each later entry of the probe run whose home slot does not lie between
+// the hole and itself moves back into the hole, which moves on to where
+// it was: no probe ever has to step over a deleted slot.
 func (s *Store) dropSlot(i int) {
 	seg, _, n := unpack(s.refs[i])
-	s.refs[i] = refTomb
 	s.unlink(int32(i))
 	s.live--
 	s.liveSeg[seg] -= headerBytes + n
 	s.liveBytes -= int64(headerBytes + n)
+	mask := len(s.refs) - 1
+	for j := (i + 1) & mask; s.refs[j] != refEmpty; j = (j + 1) & mask {
+		if home := int(s.slot(s.keys[j])); (j-home)&mask >= (j-i)&mask {
+			s.move(j, i)
+			i = j
+		}
+	}
+	s.refs[i] = refEmpty
+}
+
+// move puts live slot j's entry into empty slot i, links included.
+func (s *Store) move(j, i int) {
+	p, n := s.prev[j], s.next[j]
+	s.keys[i], s.refs[i], s.prev[i], s.next[i] = s.keys[j], s.refs[j], p, n
+	if p != none {
+		s.next[p] = int32(i)
+	} else {
+		s.head = int32(i)
+	}
+	if n != none {
+		s.prev[n] = int32(i)
+	} else {
+		s.tail = int32(i)
+	}
 }
 
 // evict drops live slot i and reports its id.

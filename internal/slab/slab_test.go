@@ -423,8 +423,8 @@ func TestZeroLengthValue(t *testing.T) {
 	}
 }
 
-// TestIndexChurnRehash hammers put/delete cycles over a small id space
-// so tombstones accumulate and the same-size rehash purge path runs.
+// TestIndexChurnRehash hammers put/delete cycles over a small id space,
+// so deletions shift probe runs back all through the churn.
 func TestIndexChurnRehash(t *testing.T) {
 	s := New(1<<20, 1<<16)
 	for round := 0; round < 2000; round++ {
@@ -449,9 +449,36 @@ func TestIndexChurnRehash(t *testing.T) {
 	}
 }
 
+// Insert/delete churn at a fixed live count rebuilds nothing: a deletion
+// shifts its probe run back instead of leaving a tombstone that would
+// one day force a same-size rehash, so the index, once grown, allocates
+// nothing however long the churn runs.
+func TestRehashAllocFree(t *testing.T) {
+	s := New(1<<20, 1<<16)
+	v := payload(1, 16)
+	for id := int64(0); id < 40; id++ { // 40 live in a 64-slot index
+		s.Put(id, v)
+	}
+	next := int64(40)
+	churn := func() { // a hundred deletes and inserts: a tombstone-driven rehash every few dozen would show
+		for k := 0; k < 100; k++ {
+			s.Delete(next - 40)
+			s.Put(next, v)
+			next++
+		}
+	}
+	churn()
+	if allocs := testing.AllocsPerRun(100, churn); allocs != 0 {
+		t.Fatalf("a hundred deletes and inserts at %d live allocated %v times; want 0", s.Len(), allocs)
+	}
+	if s.Len() != 40 || len(s.refs) != minIndexSlots {
+		t.Fatalf("%d live in %d slots; want 40 in %d", s.Len(), len(s.refs), minIndexSlots)
+	}
+}
+
 // fuzzSeeds are FuzzSlabStore's seed corpus, three bytes an op (see
-// fuzzOps): between them they force a growing rehash, a tombstone-only
-// rehash, rotation, a compaction that moves survivors, the entry bound
+// fuzzOps): between them they force a growing rehash, deletions that
+// shift probe runs back, rotation, a compaction that moves survivors, the entry bound
 // and EvictOldest, with reads in between to shuffle the recency order
 // each has to carry across.
 func fuzzSeeds() [][]byte {
@@ -470,7 +497,7 @@ func fuzzSeeds() [][]byte {
 		if i < 3 {
 			tombs = append(tombs, 0, i, 5) // three survivors for the list to keep
 		} else {
-			tombs = append(tombs, 0, i, 5, 3, i, 0, 4, i%3, 0) // put, delete: a tombstone each; touch a survivor
+			tombs = append(tombs, 0, i, 5, 3, i, 0, 4, i%3, 0) // put, delete: a run shifted back each; touch a survivor
 		}
 		rotate = append(rotate, 0, i, 199, 2, i-3, 0) // one value a segment: the ninth Put wraps
 		bound = append(bound, 7, 5, 0, 0, i, 9, 4, i-2, 0, 6, 0, 0, 5, i, 0)
@@ -612,9 +639,9 @@ func fuzzOps(t *testing.T, data []byte) *Store {
 }
 
 // auditLinks walks the recency list both ways: head to tail it must
-// visit exactly the live slots, each holding a live reference, in the
-// model's order reversed; prev must invert next; and the ends must be
-// none on both sides.
+// visit exactly the live slots, each holding a live reference that a
+// probe from its id's home slot reaches, in the model's order reversed;
+// prev must invert next; and the ends must be none on both sides.
 func auditLinks(t *testing.T, s *Store, order []int64) {
 	t.Helper()
 	back := int32(none)
@@ -623,8 +650,11 @@ func auditLinks(t *testing.T, s *Store, order []int64) {
 		if n == len(order) {
 			t.Fatalf("the list runs past its %d live entries", len(order))
 		}
-		if ref := s.refs[i]; ref == refEmpty || ref == refTomb {
-			t.Fatalf("slot %d on the list holds no live reference (%d)", i, ref)
+		if ref := s.refs[i]; ref == refEmpty {
+			t.Fatalf("slot %d on the list holds no live reference", i)
+		}
+		if j, ok := s.findSlot(s.keys[i]); !ok || j != int(i) {
+			t.Fatalf("id %d lives in slot %d, but its probe finds %d, %t", s.keys[i], i, j, ok)
 		}
 		if s.prev[i] != back {
 			t.Fatalf("prev[%d] = %d, but the list reached it from %d", i, s.prev[i], back)

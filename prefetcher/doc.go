@@ -188,8 +188,9 @@
 // contract out of the box. Package repro/prefetcher/fetch/httpfetch
 // maps ids onto GET requests against an HTTP origin over its own
 // pooled HTTP/1.1 wire — keep-alive connections on a bounded free
-// list, replies parsed by net/http's http.ReadResponse, no
-// http.Transport underneath and no goroutine per connection; by design
+// list, a canonical 200's head read in place and any other handed to
+// net/http's http.ReadResponse, no http.Transport underneath, no
+// goroutine per connection and no allocation per fetch; by design
 // no HTTP/2, no redirects followed, no HTTP_PROXY, no Accept-Encoding —
 // with bounded body reads, and batches either through a framed wire
 // endpoint or bounded parallel fan-out; repro/prefetcher/fetch/fsfetch

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"net/http"
 	"strconv"
 	"strings"
 	"testing"
@@ -62,7 +63,7 @@ func FuzzReadBatch(f *testing.F) {
 		ids := fuzzIDs(rawIDs)
 		items, err := ReadBatch(bytes.NewReader(stream), ids, maxBody)
 		dst, lens := append(make([]byte, 0, 32), "head"...), append(make([]int, 0, 4), 7)
-		out, ls, ierr := readBatch(bytes.NewReader(stream), ids, maxBody, nil, dst, lens)
+		out, ls, ierr := readBatch(bytes.NewReader(stream), make([]byte, batchHeaderLen), ids, maxBody, nil, dst, lens)
 		if (err == nil) != (ierr == nil) {
 			t.Fatalf("ReadBatch says %v, its lent-buffer form %v", err, ierr)
 		}
@@ -178,6 +179,37 @@ func FuzzParseIDs(f *testing.F) {
 	})
 }
 
+// wireReplies are origin replies, canonical and not, that seed both
+// FuzzWireReply and FuzzReplyHead (the first four are FuzzWireReply's
+// corpus files under testdata).
+var wireReplies = []string{
+	"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n401\r\n",
+	"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n0\r\nX: y\r\n",
+	"HTTP/1.1 200 OK\r\nContent-Length: 5\r\nContent-Length: 6\r\n\r\nhello!",
+	"HTTP/1.1 200 OK\r\nContent-Length: 30\r\n\r\n\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x03abc\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\x03def",
+	"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello",
+	"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n",
+	"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nTrailer: X\r\n\r\n5\r\nhello\r\n0\r\nX: y\r\n\r\n",
+	"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\nshort",
+	"HTTP/1.1 200 OK\r\nContent-Length: 99999999999\r\n\r\n",
+	"HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\n",
+	"HTTP/1.1 200 OK\r\n\r\nuntil close",
+	"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nffffffffffffffff\r\n",
+	"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5;" + strings.Repeat("e", 5000) + "\r\nhello\r\n0\r\n\r\n",
+	"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok",
+	"HTTP/1.1 404 Not Found\r\nContent-Length: 4\r\n\r\ngone",
+	"HTTP/1.1 301 Moved\r\nLocation: http://elsewhere/\r\n\r\n",
+	"HTTP/1.1 200 OK\r\nContent-Length: 24\r\n\r\n\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x01a\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\x01", // a batch reply cut short
+	"HTTP/1.1 200 OK\r\nX: " + strings.Repeat("h", 70000) + "\r\n\r\n",
+	"HTTP/0.9 200\r\n\r\n", "HTTP/1.1 99999 X\r\n\r\n", "\r\n\r\n", "", "\x16\x03\x01\x02\x00",
+	"HTTP/1.1 200 OK\r\nContent-Type: application/octet-stream\r\nTransfer-Encoding: chunked\r\nDate: Mon, 02 Jan 2006 15:04:05 GMT\r\n\r\n5;ext=1\r\nhello\r\n3\r\n, w\r\n0\r\nX-Sum: 1\r\nY: 2\r\n\r\n",
+	"HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 2\r\n\r\nok",
+	"HTTP/1.1 200 OK\r\nConnection: keep-alive\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\nok",
+	"HTTP/1.1 200\r\ncontent-length: 007\r\n\r\n1234567",
+	"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n1\r\na\r\n0\r\n",
+	"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n1 \t\r\na\r\n10000000000000000\r\n",
+}
+
 // Arbitrary bytes as the origin's reply, over net.Pipe: Fetch and
 // FetchBatch, and FetchInto and FetchBatchInto after them, return —
 // never hang past their context — and never hand back more than
@@ -185,23 +217,7 @@ func FuzzParseIDs(f *testing.F) {
 // owned ones did, append exactly the owned payloads behind an untouched
 // prefix, and on an error return what they were lent at its length.
 func FuzzWireReply(f *testing.F) {
-	for _, s := range []string{
-		"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello",
-		"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n",
-		"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nTrailer: X\r\n\r\n5\r\nhello\r\n0\r\nX: y\r\n\r\n",
-		"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\nshort",
-		"HTTP/1.1 200 OK\r\nContent-Length: 99999999999\r\n\r\n",
-		"HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\n",
-		"HTTP/1.1 200 OK\r\n\r\nuntil close",
-		"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nffffffffffffffff\r\n",
-		"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5;" + strings.Repeat("e", 5000) + "\r\nhello\r\n0\r\n\r\n",
-		"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok",
-		"HTTP/1.1 404 Not Found\r\nContent-Length: 4\r\n\r\ngone",
-		"HTTP/1.1 301 Moved\r\nLocation: http://elsewhere/\r\n\r\n",
-		"HTTP/1.1 200 OK\r\nContent-Length: 24\r\n\r\n\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x01a\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\x01", // a batch reply cut short
-		"HTTP/1.1 200 OK\r\nX: " + strings.Repeat("h", 70000) + "\r\n\r\n",
-		"HTTP/0.9 200\r\n\r\n", "HTTP/1.1 99999 X\r\n\r\n", "\r\n\r\n", "", "\x16\x03\x01\x02\x00",
-	} {
+	for _, s := range wireReplies {
 		f.Add([]byte(s), false)
 		f.Add([]byte(s), true)
 	}
@@ -283,6 +299,74 @@ func FuzzWireReply(f *testing.F) {
 			}
 			c.Close() // hangs up a pooled connection, which lets a blocked origin Write return
 			<-originDone
+		}
+	})
+}
+
+// FuzzReplyHead holds the origin wire's in-place reader to net/http's.
+// Whatever head recogniseReply accepts, http.ReadResponse reads as a 200
+// with the same Content-Length, chunked flag and Close, leaving its
+// reader where the recogniser says the head ends; the verdict ignores
+// the bytes behind the head; and a head it waits on is one ReadResponse
+// fails on too. The bytes behind the first blank line, read as a chunked
+// body by the connection's decoder, come out as the same bytes with the
+// same failure or success as through net/http's own chunked body — the
+// reader httputil.NewChunkedReader exposes, then the trailer read — and,
+// on success, both stop at the same byte.
+func FuzzReplyHead(f *testing.F) {
+	for _, s := range wireReplies {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, reply []byte) {
+		h, n, v := recogniseReply(reply)
+		rd := bytes.NewReader(reply)
+		br := bufio.NewReader(rd)
+		resp, err := http.ReadResponse(br, nil)
+		switch v {
+		case accept:
+			if err != nil {
+				t.Fatalf("accepted a head http.ReadResponse refuses: %v", err)
+			}
+			chunked := len(resp.TransferEncoding) == 1 && resp.TransferEncoding[0] == "chunked"
+			if resp.StatusCode != http.StatusOK || resp.ContentLength != h.length || chunked != (h.length < 0) || resp.Close != h.close {
+				t.Fatalf("recognised length %d close %t; ReadResponse says status %d, length %d, chunked %t, close %t",
+					h.length, h.close, resp.StatusCode, resp.ContentLength, chunked, resp.Close)
+			}
+			if end := len(reply) - rd.Len() - br.Buffered(); end != n {
+				t.Fatalf("the head ends at %d, ReadResponse stopped at %d", n, end)
+			}
+			if h2, n2, v2 := recogniseReply(reply[:n]); v2 != accept || n2 != n || h2 != h {
+				t.Fatalf("without the bytes behind it the head reads %v, %d, %v", h2, n2, v2)
+			}
+		case needMore:
+			if err == nil {
+				t.Fatalf("waits for more where ReadResponse read a whole head")
+			}
+		}
+
+		body := reply
+		if _, rest, ok := bytes.Cut(reply, []byte("\r\n\r\n")); ok {
+			body = rest
+		}
+		crd := bytes.NewReader(body)
+		cn := &conn{br: bufio.NewReader(crd), length: -1}
+		cn.chunk.Reset(cn.br)
+		got, gerr := io.ReadAll(cn)
+		ord := bytes.NewReader(append([]byte("HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"), body...))
+		obr := bufio.NewReader(ord)
+		oresp, err := http.ReadResponse(obr, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, werr := io.ReadAll(oresp.Body)
+		if (gerr == nil) != (werr == nil) || !bytes.Equal(got, want) {
+			t.Fatalf("decoded %q, %v; net/http decoded %q, %v", got, gerr, want, werr)
+		}
+		if left, oleft := crd.Len()+cn.br.Buffered(), ord.Len()+obr.Buffered(); gerr == nil && left != oleft {
+			t.Fatalf("the body ends with %d bytes left behind it; net/http's with %d", left, oleft)
+		}
+		if gerr == nil != cn.eof {
+			t.Fatalf("the body read %v, but the connection's end-of-body flag is %t", gerr, cn.eof)
 		}
 	})
 }

@@ -33,14 +33,22 @@
 // A round trip should cost its two syscalls and little else, so there
 // is no net/http client or transport underneath. The Client keeps a
 // bounded free list of keep-alive connections (wire.go); the calling
-// goroutine writes the request in one Write, parses the reply's head
-// with net/http's own http.ReadResponse and reads the body (declared
-// or chunked, trailers included: still net/http's code) into the
-// destination. No goroutine, channel or timer exists per connection or
-// per fetch. Deliberately absent: HTTP/2 (an https origin is dialled
-// through crypto/tls and spoken to in HTTP/1.1), redirects (a 3xx is a
-// *StatusError like any other non-200), HTTP_PROXY, Accept-Encoding
-// (the payload cached is the bytes the origin sent), cookies.
+// goroutine writes the request in one Write and reads the reply's head
+// in place from the connection's read buffer when it is the canonical
+// head of a 200 (reply.go: one Content-Length or chunked framing, CRLF
+// lines); any other head — a non-200, a 1xx, a close-delimited body, a
+// bare LF — goes, unread, to net/http's own http.ReadResponse, which
+// FuzzReplyHead also holds the in-place reader to. The body, declared
+// or chunked (decoded as net/http decodes it, trailers included), goes
+// into the destination. The abort hook that fails a blocked Read or
+// Write when the fetch's context dies is registered once per connection
+// and context Done channel, not per fetch, so a steady-state fetch into
+// a lent buffer allocates nothing. No goroutine, channel or timer
+// exists per connection or per fetch. Deliberately absent: HTTP/2 (an
+// https origin is dialled through crypto/tls and spoken to in
+// HTTP/1.1), redirects (a 3xx is a *StatusError like any other
+// non-200), HTTP_PROXY, Accept-Encoding (the payload cached is the
+// bytes the origin sent), cookies.
 //
 // # The batch wire
 //
@@ -53,9 +61,10 @@
 //	4 bytes  big-endian uint32  payload length n
 //	n bytes                     payload
 //
-// WriteBatchItem and ReadBatch implement the two ends. cmd/prefetchd
-// serves exactly this wire on its own /batch endpoint, so one
-// prefetchd can front another as a cache tier. Against an origin with
+// WriteBatchItem (AppendBatchItem for a reply assembled in a buffer)
+// and ReadBatch implement the two ends. cmd/prefetchd serves exactly
+// this wire on its own /batch endpoint, so one prefetchd can front
+// another as a cache tier. Against an origin with
 // no batch endpoint, FetchBatch degrades to bounded-concurrency
 // parallel GETs over the shared connection pool (MaxParallel), still
 // returning one item per id in request order — the fabric's batch
@@ -271,7 +280,7 @@ func (c *Client) FetchInto(ctx context.Context, id fetch.ID, dst []byte) ([]byte
 	if err != nil {
 		return dst, err
 	}
-	out, err := readBounded(cn, cn.resp.ContentLength, c.maxBody, dst)
+	out, err := readBounded(cn, cn.length, c.maxBody, dst)
 	if err = c.finish(ctx, cn, err); err != nil {
 		return dst, err
 	}
@@ -321,7 +330,7 @@ func (c *Client) fetchBatch(ctx context.Context, ids []fetch.ID, items []fetch.I
 	if err != nil {
 		return dst, lens, err
 	}
-	out, ls, err := readBatch(cn, ids, c.maxBody, items, dst, lens)
+	out, ls, err := readBatch(cn, cn.hdr[:], ids, c.maxBody, items, dst, lens)
 	if err = c.finish(ctx, cn, err); err != nil {
 		return dst, lens, err
 	}
@@ -361,21 +370,36 @@ func (c *Client) fetchBatchFanout(ctx context.Context, ids []fetch.ID, items []f
 // batchHeaderLen is the fixed record header: 8-byte id + 4-byte length.
 const batchHeaderLen = 12
 
-// WriteBatchItem appends one framed record to w — the server half of
-// the batch wire. cmd/prefetchd and cmd/originsim use it to answer
-// /batch requests.
+// WriteBatchItem writes one framed record to w — the server half of
+// the batch wire. cmd/originsim uses it to answer /batch requests.
 func WriteBatchItem(w io.Writer, id fetch.ID, data []byte) error {
-	if int64(len(data)) > int64(^uint32(0)) {
-		return fmt.Errorf("httpfetch: batch payload %d bytes exceeds the wire's uint32 length", len(data))
-	}
-	var hdr [batchHeaderLen]byte
-	binary.BigEndian.PutUint64(hdr[:8], uint64(id))
-	binary.BigEndian.PutUint32(hdr[8:], uint32(len(data)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	hdr, err := appendBatchHeader(make([]byte, 0, batchHeaderLen), id, len(data))
+	if err != nil {
 		return err
 	}
-	_, err := w.Write(data)
+	if _, err := w.Write(hdr); err != nil {
+		return err
+	}
+	_, err = w.Write(data)
 	return err
+}
+
+// AppendBatchItem appends one framed record to dst: WriteBatchItem for
+// a server that assembles its reply in a buffer it keeps, as
+// cmd/prefetchd does. On an error dst comes back as it was.
+func AppendBatchItem(dst []byte, id fetch.ID, data []byte) ([]byte, error) {
+	dst, err := appendBatchHeader(dst, id, len(data))
+	if err != nil {
+		return dst, err
+	}
+	return append(dst, data...), nil
+}
+
+func appendBatchHeader(dst []byte, id fetch.ID, n int) ([]byte, error) {
+	if int64(n) > int64(^uint32(0)) {
+		return dst, fmt.Errorf("httpfetch: batch payload %d bytes exceeds the wire's uint32 length", n)
+	}
+	return binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint64(dst, uint64(id)), uint32(n)), nil
 }
 
 // ReadBatch decodes a framed batch reply, requiring exactly one record
@@ -386,7 +410,7 @@ func WriteBatchItem(w io.Writer, id fetch.ID, data []byte) error {
 // and a lenient parse here would mask origin bugs as cache content.
 func ReadBatch(r io.Reader, ids []fetch.ID, maxBody int64) ([]fetch.Item, error) {
 	items := make([]fetch.Item, len(ids))
-	if _, _, err := readBatch(r, ids, maxBody, items, nil, nil); err != nil {
+	if _, _, err := readBatch(r, make([]byte, batchHeaderLen), ids, maxBody, items, nil, nil); err != nil {
 		return nil, err
 	}
 	return items, nil
@@ -395,12 +419,12 @@ func ReadBatch(r io.Reader, ids []fetch.ID, maxBody int64) ([]fetch.Item, error)
 // readBatch is the one batch decoder. With items non-nil (len(ids))
 // each record's payload lands in a slice of its own, kept by items[i];
 // with items nil the payloads are appended to dst back to back and one
-// length per id to lens, both returned as they came on any error.
-func readBatch(r io.Reader, ids []fetch.ID, maxBody int64, items []fetch.Item, dst []byte, lens []int) ([]byte, []int, error) {
+// length per id to lens, both returned as they came on any error. hdr
+// is batchHeaderLen bytes of scratch for the record headers.
+func readBatch(r io.Reader, hdr []byte, ids []fetch.ID, maxBody int64, items []fetch.Item, dst []byte, lens []int) ([]byte, []int, error) {
 	out, ls := dst, lens
-	var hdr [batchHeaderLen]byte
 	for i, want := range ids {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		if _, err := io.ReadFull(r, hdr); err != nil {
 			return dst, lens, fmt.Errorf("httpfetch: batch record %d/%d: %w", i, len(ids), err)
 		}
 		id := fetch.ID(binary.BigEndian.Uint64(hdr[:8]))
@@ -434,18 +458,35 @@ func readBatch(r io.Reader, ids []fetch.ID, maxBody int64, items []fetch.Item, d
 
 // ParseIDs parses a comma-separated id list ("1,2,3") — the ?ids=
 // query parameter of the batch wire. Shared by the client (which
-// formats it) and the servers that answer it (cmd/prefetchd,
-// cmd/originsim).
+// formats it) and the servers that answer it (cmd/originsim; the
+// daemon parses in place, through AppendIDs).
 func ParseIDs(s string) ([]fetch.ID, error) {
-	ids := make([]fetch.ID, 0, strings.Count(s, ",")+1)
-	for more := true; more; {
-		var part string
-		part, s, more = strings.Cut(s, ",")
-		n, err := strconv.ParseInt(part, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("httpfetch: bad id %q: %w", part, err)
-		}
-		ids = append(ids, fetch.ID(n))
+	ids, err := appendIDs(make([]fetch.ID, 0, strings.Count(s, ",")+1), s)
+	if err != nil {
+		return nil, err
 	}
 	return ids, nil
+}
+
+// AppendIDs parses list as ParseIDs does and appends the ids to dst,
+// which comes back as it was on an error: ParseIDs for a server that
+// reads the request line in place into scratch it keeps.
+func AppendIDs(dst []fetch.ID, list []byte) ([]fetch.ID, error) { return appendIDs(dst, list) }
+
+func appendIDs[T string | []byte](dst []fetch.ID, s T) ([]fetch.ID, error) {
+	n := len(dst)
+	for {
+		i := 0
+		for i < len(s) && s[i] != ',' {
+			i++
+		}
+		v, err := strconv.ParseInt(string(s[:i]), 10, 64)
+		if err != nil {
+			return dst[:n], fmt.Errorf("httpfetch: bad id %q: %w", s[:i], err)
+		}
+		if dst = append(dst, fetch.ID(v)); i == len(s) {
+			return dst, nil
+		}
+		s = s[i+1:]
+	}
 }
