@@ -212,7 +212,7 @@ func (s *Store) slot(id int64) uint64 {
 }
 
 // findSlot locates id's index slot. Growth keeps the live entries under
-// ¾ of the table, so an empty slot always terminates the probe.
+// half the table, so an empty slot always terminates the probe.
 //
 //prefetch:hotpath
 func (s *Store) findSlot(id int64) (int, bool) {
@@ -266,9 +266,10 @@ func (s *Store) touch(i int) {
 }
 
 // insert adds a reference for an id that is NOT currently indexed
-// (callers drop any existing entry first).
+// (callers drop any existing entry first). The index doubles once live
+// entries would fill half of it, which keeps probe runs short on a hit.
 func (s *Store) insert(id int64, ref uint64) {
-	if (s.live+1)*4 >= len(s.refs)*3 {
+	if (s.live+1)*2 >= len(s.refs) {
 		s.resize(2 * len(s.refs))
 	}
 	s.place(id, ref)

@@ -456,13 +456,13 @@ func TestIndexChurnRehash(t *testing.T) {
 func TestRehashAllocFree(t *testing.T) {
 	s := New(1<<20, 1<<16)
 	v := payload(1, 16)
-	for id := int64(0); id < 40; id++ { // 40 live in a 64-slot index
+	for id := int64(0); id < 30; id++ { // 30 live in a 64-slot index
 		s.Put(id, v)
 	}
-	next := int64(40)
+	next := int64(30)
 	churn := func() { // a hundred deletes and inserts: a tombstone-driven rehash every few dozen would show
 		for k := 0; k < 100; k++ {
-			s.Delete(next - 40)
+			s.Delete(next - 30)
 			s.Put(next, v)
 			next++
 		}
@@ -471,8 +471,8 @@ func TestRehashAllocFree(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, churn); allocs != 0 {
 		t.Fatalf("a hundred deletes and inserts at %d live allocated %v times; want 0", s.Len(), allocs)
 	}
-	if s.Len() != 40 || len(s.refs) != minIndexSlots {
-		t.Fatalf("%d live in %d slots; want 40 in %d", s.Len(), len(s.refs), minIndexSlots)
+	if s.Len() != 30 || len(s.refs) != minIndexSlots {
+		t.Fatalf("%d live in %d slots; want 30 in %d", s.Len(), len(s.refs), minIndexSlots)
 	}
 }
 

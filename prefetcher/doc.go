@@ -190,7 +190,8 @@
 // pooled HTTP/1.1 wire — keep-alive connections on a bounded free
 // list, a canonical 200's head read in place and any other handed to
 // net/http's http.ReadResponse, no http.Transport underneath, no
-// goroutine per connection and no allocation per fetch; by design
+// goroutine per connection and no allocation per fetch into a lent
+// buffer while consecutive fetches on a connection share a context; by design
 // no HTTP/2, no redirects followed, no HTTP_PROXY, no Accept-Encoding —
 // with bounded body reads, and batches either through a framed wire
 // endpoint or bounded parallel fan-out; repro/prefetcher/fetch/fsfetch

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"sync"
 	"testing"
 
 	"repro/prefetcher/fetch"
@@ -206,6 +207,66 @@ func TestFetchIntoAllocCeiling(t *testing.T) {
 	t.Logf("1 KiB FetchInto: %.0f allocs", got)
 	if got > fetchIntoAllocCeiling {
 		t.Fatalf("1 KiB FetchInto allocates %.0f times, ceiling %d", got, fetchIntoAllocCeiling)
+	}
+}
+
+// Callers under contexts of their own, taking turns on one Client, each
+// keep the connection their abort hook is registered on, so alternating
+// fetches register nothing anew and allocate nothing. Taking the most
+// recently used connection instead would hand each caller the other's,
+// and every fetch would register its hook again.
+func TestFetchIntoAllocFreeAcrossContexts(t *testing.T) {
+	reply := append([]byte("HTTP/1.1 200 OK\r\nContent-Length: 1024\r\n\r\n"), make([]byte, 1024)...)
+	var both sync.WaitGroup // the first replies wait for both requests: two connections
+	both.Add(2)
+	o := newScriptedOrigin(t, 2, func(n int, c *originConn) {
+		buf := make([]byte, 4096)
+		for have, first := 0, true; ; {
+			m, err := c.Read(buf[have:])
+			if err != nil {
+				return
+			}
+			if have += m; bytes.HasSuffix(buf[:have], []byte("\r\n\r\n")) {
+				if have = 0; first {
+					both.Done()
+					both.Wait()
+					first = false
+				}
+				if _, err := c.Write(reply); err != nil {
+					return
+				}
+			}
+		}
+	})
+	c := newClient(t, Config{BaseURL: o.url})
+	defer c.Close()
+	ctxs := []context.Context{attemptContext(t), attemptContext(t)}
+	bufs := [][]byte{make([]byte, 0, 2048), make([]byte, 0, 2048)}
+	var warm sync.WaitGroup
+	for i := range ctxs {
+		warm.Add(1)
+		go func(i int) {
+			defer warm.Done()
+			if _, err := c.FetchInto(ctxs[i], fetch.ID(i), bufs[i]); err != nil {
+				t.Errorf("FetchInto: %v", err)
+			}
+		}(i)
+	}
+	warm.Wait()
+	var id fetch.ID
+	got := testing.AllocsPerRun(500, func() {
+		for i, ctx := range ctxs {
+			id++
+			if out, err := c.FetchInto(ctx, id, bufs[i]); err != nil || len(out) != 1024 {
+				t.Fatalf("FetchInto: %d bytes, err %v", len(out), err)
+			}
+		}
+	})
+	if got != 0 {
+		t.Fatalf("two contexts taking turns allocate %.0f times a round; want 0", got)
+	}
+	if n := o.accepts.Load(); n != 2 {
+		t.Fatalf("%d connections for two contexts; want 2", n)
 	}
 }
 

@@ -42,13 +42,14 @@
 // or chunked (decoded as net/http decodes it, trailers included), goes
 // into the destination. The abort hook that fails a blocked Read or
 // Write when the fetch's context dies is registered once per connection
-// and context Done channel, not per fetch, so a steady-state fetch into
-// a lent buffer allocates nothing. No goroutine, channel or timer
-// exists per connection or per fetch. Deliberately absent: HTTP/2 (an
-// https origin is dialled through crypto/tls and spoken to in
-// HTTP/1.1), redirects (a 3xx is a *StatusError like any other
-// non-200), HTTP_PROXY, Accept-Encoding (the payload cached is the
-// bytes the origin sent), cookies.
+// and context Done channel, not per fetch, and the free list hands a
+// fetch the idle connection its context's hook is on, so a fetch into a
+// lent buffer allocates nothing unless its context is new to the pool.
+// No goroutine, channel or timer exists per connection or per fetch.
+// Deliberately absent: HTTP/2 (an https origin is dialled through
+// crypto/tls and spoken to in HTTP/1.1), redirects (a 3xx is a
+// *StatusError like any other non-200), HTTP_PROXY, Accept-Encoding
+// (the payload cached is the bytes the origin sent), cookies.
 //
 // # The batch wire
 //

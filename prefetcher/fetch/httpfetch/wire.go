@@ -160,18 +160,28 @@ func (cn *conn) readHead() error {
 }
 
 // take returns a connection for one fetch: the most recently used idle
-// one or, failing that or when fresh is set, a newly dialled one.
+// one whose abort hook is on ctx's Done channel already (else callers
+// under contexts of their own swap connections and register anew), else
+// the most recently used idle one or, failing that or when fresh is
+// set, a newly dialled one.
 func (c *Client) take(ctx context.Context, fresh bool) (*conn, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		return nil, errClosed
 	}
+	for j, done := len(c.idle)-1, ctx.Done(); j >= 0 && done != nil && !fresh; j-- {
+		if cn := c.idle[j]; cn.done == done { // to the top, the rest keeping their order
+			copy(c.idle[j:], c.idle[j+1:])
+			c.idle[len(c.idle)-1] = cn
+			break
+		}
+	}
 	var cn *conn
 	for n := len(c.idle) - 1; n >= 0 && !fresh && cn == nil; n-- {
 		cn, c.idle[n] = c.idle[n], nil
 		c.idle = c.idle[:n]
-		if time.Since(cn.idleAt) > idleTimeout { // as is, the list being LIFO, every one below
+		if time.Since(cn.idleAt) > idleTimeout { // shut: one idle too long, then the next
 			cn.shut()
 			cn = nil
 		}
