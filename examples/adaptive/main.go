@@ -43,7 +43,6 @@ func main() {
 		prefetcher.WithBandwidth(50),
 		prefetcher.WithCache(prefetcher.NewLRUCache(200)),
 		prefetcher.WithClock(clock),
-		prefetcher.WithEWMAAlpha(0.05),
 	)
 	if err != nil {
 		log.Fatal(err)

@@ -123,7 +123,6 @@ func TestEngineThresholdAgreesWithPlanner(t *testing.T) {
 				}),
 				prefetcher.WithClock(clock),
 				prefetcher.WithBandwidth(bandwidth),
-				prefetcher.WithEWMAAlpha(0.01),
 				prefetcher.WithPolicy(prefetcher.AdaptiveThreshold(tc.model)),
 				prefetcher.WithCacheOccupancy(nc),
 				prefetcher.WithCache(prefetcher.NewLRUCache(1<<15)),

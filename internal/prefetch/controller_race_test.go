@@ -10,11 +10,11 @@ import (
 )
 
 // TestControllerConcurrent hammers every Controller entry point from
-// multiple goroutines; run under -race it proves the EWMA state and the
+// multiple goroutines; run under -race it proves the window and the
 // tagged-cache estimator are properly synchronised (the concurrent
 // engine calls them from its demand path and its prefetch workers).
 func TestControllerConcurrent(t *testing.T) {
-	ctrl := NewController(50, 0.05)
+	ctrl := NewController(50, 0)
 	pol := Threshold{Model: analytic.ModelA{}}
 	cands := []predict.Prediction{
 		{Item: 1, Prob: 0.9}, {Item: 2, Prob: 0.5}, {Item: 3, Prob: 0.1},
@@ -44,11 +44,11 @@ func TestControllerConcurrent(t *testing.T) {
 				}
 				st := ctrl.State(0)
 				pol.Select(cands, st)
-				_ = ctrl.RhoPrime()
-				_ = ctrl.Lambda()
-				_ = ctrl.MeanSize()
-				_ = ctrl.NF()
-				_ = ctrl.HPrime()
+				_ = ctrl.State(0).RhoPrime
+				_ = ctrl.State(0).Lambda
+				_ = ctrl.State(0).MeanSize
+				_ = ctrl.State(0).NF
+				_ = ctrl.State(0).HPrime
 			}
 		}(w)
 	}
@@ -57,7 +57,7 @@ func TestControllerConcurrent(t *testing.T) {
 	if got := ctrl.Estimator().Accesses(); got != workers*iters/2 {
 		t.Fatalf("accesses = %d, want %d", got, workers*iters/2)
 	}
-	if rho := ctrl.RhoPrime(); rho < 0 || rho > 1 {
+	if rho := ctrl.State(0).RhoPrime; rho < 0 || rho > 1 {
 		t.Fatalf("ρ̂′ = %v out of [0,1]", rho)
 	}
 }

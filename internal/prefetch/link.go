@@ -4,116 +4,43 @@ import (
 	"fmt"
 	"math"
 	"sync/atomic"
+
+	"repro/internal/window"
 )
 
-// linkFlow is one traffic stream on a link: the dispatch rate (EWMA of
-// inter-dispatch gaps, same fold as the controller's λ̂) and the mean
-// item size, both lock-free. Unlike the controller's global λ̂, the
-// rate a flow reports is evaluated *at* a point in time: once the link
-// goes quiet, the elapsed gap since the last dispatch bounds the
-// current rate, so utilisation decays toward zero during idle periods
-// instead of holding the last busy-period estimate forever — which is
-// what lets an idle-period dispatch gate ever reopen.
-type linkFlow struct {
-	last  atomic.Uint64 // float64 bits of the last dispatch time; NaN = none
-	inter ewma          // smoothed inter-dispatch gap
-	size  ewma          // smoothed item size
-}
-
-func (f *linkFlow) init() {
-	f.last.Store(unsetBits)
-	f.inter.init()
-	f.size.init()
-}
-
-// record notes one dispatch on the flow at time now.
-func (f *linkFlow) record(now, alpha float64) {
-	prev := math.Float64frombits(f.last.Swap(math.Float64bits(now)))
-	if !math.IsNaN(prev) {
-		// Concurrent dispatches can swap out of order; a negative gap
-		// carries no rate information, so skip it (as RecordRequest does).
-		if inter := now - prev; inter >= 0 {
-			f.inter.fold(inter, alpha)
-		}
-	}
-}
-
-// recordSize folds one observed item size (sizes become known only when
-// the backend responds, after the dispatch was recorded).
-func (f *linkFlow) recordSize(size, alpha float64) {
-	if size > 0 {
-		f.size.fold(size, alpha)
-	}
-}
-
-// offered returns the flow's offered load in size units per second as
-// of time now: ŝ̄ times the current rate, where the rate estimate is
-// the smoothed inter-dispatch gap *bounded below by the elapsed gap
-// since the last dispatch* — so it decays as the link idles.
-func (f *linkFlow) offered(now float64) float64 {
-	last := math.Float64frombits(f.last.Load())
-	if math.IsNaN(last) {
-		return 0
-	}
-	inter := f.inter.value()
-	if gap := now - last; gap > inter {
-		inter = gap
-	}
-	if inter <= 0 {
-		return 0 // a single dispatch with no elapsed time: no rate estimate yet
-	}
-	return f.size.value() / inter
-}
-
-// sinceLast returns the elapsed time since the flow's last dispatch,
-// or -1 before any dispatch.
-func (f *linkFlow) sinceLast(now float64) float64 {
-	last := math.Float64frombits(f.last.Load())
-	if math.IsNaN(last) {
-		return -1
-	}
-	return now - last
-}
-
-// Link tracks the online utilisation of one backend link, so a
-// multi-backend fetch fabric can feed a *separate* ρ̂′ per link into
-// the threshold rule — the admission decision then reflects the link a
-// candidate's fetch would actually compete with, not a global average.
-//
-// Two flows are kept: demand (miss fetches only — the link's
-// no-prefetch traffic, giving ρ̂′) and total (demand plus speculative,
-// giving ρ̂, the quantity an idle-period dispatch gate compares against
-// its watermark). Demand fetches are observed directly, so per-link
-// ρ̂′ needs no (1−h′) correction — the cache has already absorbed the
-// hits before traffic reaches the link.
-//
-// All methods are safe for concurrent use; the counters are the same
-// lock-free EWMA words the Controller uses.
+// Link tracks the online utilisation of one backend link, so a fetch
+// fabric can feed each link's own ρ̂′ into the threshold rule. It
+// counts two streams over one sliding window (package window): demand
+// (miss fetches — the link's no-prefetch traffic, giving ρ̂′; the cache
+// has already absorbed the hits, so no (1−h′) correction) and total
+// (demand plus speculative, giving ρ̂, which an idle gate compares with
+// its watermark), each as dispatches per second times their mean size,
+// over b. A dispatch counts at its time, its size — known when the
+// fetch completes — in the newest bucket. Once the link goes quiet its
+// dispatches leave the window and ρ̂ decays to zero, which is what lets
+// an idle gate reopen. Safe for concurrent use.
 type Link struct {
-	alpha  float64
-	bw     atomic.Uint64 // float64 bits: configured or estimated bandwidth
-	demand linkFlow
-	total  linkFlow
+	bw atomic.Uint64 // float64 bits: configured or estimated bandwidth
+	w  *window.Window
 }
+
+// The window fields a Link sums: per stream, its dispatches, the
+// completed fetches with a size, and those sizes.
+const (
+	demandStream, totalStream             = 0, 3
+	streamCalls, streamSized, streamBytes = 0, 1, 2
+)
 
 // NewLink creates a link estimator. bandwidth is the link capacity in
 // size units per second; pass 0 when unknown — utilisation then reads
-// 0 until SetBandwidth supplies an online estimate. alpha is the EWMA
-// weight in (0,1]; 0 selects the controller's default 0.05.
-func NewLink(bandwidth, alpha float64) *Link {
+// 0 until SetBandwidth supplies an online estimate. Its rates cover
+// span seconds; span 0 selects window.DefaultSpan.
+func NewLink(bandwidth, span float64) *Link {
 	if bandwidth < 0 || math.IsNaN(bandwidth) {
 		panic(fmt.Sprintf("prefetch: link bandwidth %v must be non-negative", bandwidth))
 	}
-	if alpha == 0 {
-		alpha = 0.05
-	}
-	if alpha < 0 || alpha > 1 {
-		panic(fmt.Sprintf("prefetch: EWMA weight %v must be in (0,1]", alpha))
-	}
-	l := &Link{alpha: alpha}
+	l := &Link{w: window.New(span)}
 	l.bw.Store(math.Float64bits(bandwidth))
-	l.demand.init()
-	l.total.init()
 	return l
 }
 
@@ -129,90 +56,107 @@ func (l *Link) SetBandwidth(b float64) {
 // 0 means no estimate yet.
 func (l *Link) Bandwidth() float64 { return math.Float64frombits(l.bw.Load()) }
 
-// RecordDemand notes one demand (miss) fetch dispatched on the link at
-// time now. Demand traffic contributes to both ρ̂′ and ρ̂.
-func (l *Link) RecordDemand(now float64) {
-	l.demand.record(now, l.alpha)
-	l.total.record(now, l.alpha)
-}
+// RecordDemand notes one demand (miss) fetch dispatched at time now.
+//
+//prefetch:hotpath
+func (l *Link) RecordDemand(now float64) { l.dispatched(now, true) }
 
-// RecordDemandSize folds the size of a completed demand fetch.
-func (l *Link) RecordDemandSize(size float64) {
-	l.demand.recordSize(size, l.alpha)
-	l.total.recordSize(size, l.alpha)
-}
+// RecordSpeculative notes one speculative fetch dispatched at time now:
+// it counts toward ρ̂ only, ρ̂′ being by definition the utilisation
+// prefetching would leave behind.
+//
+//prefetch:hotpath
+func (l *Link) RecordSpeculative(now float64) { l.dispatched(now, false) }
 
-// RecordSpeculative notes one speculative fetch dispatched on the link
-// at time now. Speculative traffic contributes to ρ̂ only — ρ̂′ is by
-// definition the utilisation prefetching would leave behind.
-func (l *Link) RecordSpeculative(now float64) {
-	l.total.record(now, l.alpha)
-}
+// RecordDemandSize counts the size of a completed demand fetch.
+//
+//prefetch:hotpath
+func (l *Link) RecordDemandSize(size float64) { l.sized(size, true) }
 
-// RecordSpeculativeSize folds the size of a completed speculative
+// RecordSpeculativeSize counts the size of a completed speculative
 // fetch.
-func (l *Link) RecordSpeculativeSize(size float64) {
-	l.total.recordSize(size, l.alpha)
+//
+//prefetch:hotpath
+func (l *Link) RecordSpeculativeSize(size float64) { l.sized(size, false) }
+
+//prefetch:hotpath
+func (l *Link) dispatched(now float64, demand bool) {
+	cell := l.w.At(now)
+	cell.Add(totalStream+streamCalls, 1)
+	if demand {
+		cell.Add(demandStream+streamCalls, 1)
+	}
 }
 
-// RhoPrime returns the link's estimated demand-only utilisation ρ̂′ at
-// time now, clamped to [0, 1]. 0 when the bandwidth is still unknown.
-func (l *Link) RhoPrime(now float64) float64 {
-	return clampRho(l.demand.offered(now), l.Bandwidth())
+//prefetch:hotpath
+func (l *Link) sized(size float64, demand bool) {
+	if size <= 0 {
+		return
+	}
+	cell := l.w.Latest()
+	cell.Add(totalStream+streamSized, 1)
+	cell.Add(totalStream+streamBytes, size)
+	if demand {
+		cell.Add(demandStream+streamSized, 1)
+		cell.Add(demandStream+streamBytes, size)
+	}
 }
 
-// Rho returns the link's estimated total utilisation ρ̂ (demand plus
-// speculative traffic) at time now, clamped to [0, 1].
-func (l *Link) Rho(now float64) float64 {
-	return clampRho(l.total.offered(now), l.Bandwidth())
-}
-
-// IdleWait returns how many seconds past now the link's ρ̂ needs, with
-// no further dispatches, to decay below watermark — 0 when it is
-// already below (or no estimate exists). An idle-period gate can sleep
-// exactly this long instead of polling.
-func (l *Link) IdleWait(now, watermark float64) float64 {
-	b := l.Bandwidth()
-	if b <= 0 || watermark <= 0 {
-		return 0
-	}
-	s := l.total.size.value()
-	if s <= 0 {
-		return 0
-	}
-	since := l.total.sinceLast(now)
-	if since < 0 {
-		return 0
-	}
-	// ρ̂(t) = ŝ̄ / (gap(t)·b) once the elapsed gap dominates the EWMA;
-	// it crosses the watermark when gap > ŝ̄/(watermark·b).
-	if wait := s/(watermark*b) - since; wait > 0 {
-		return wait
+// offered returns a stream's size units dispatched over the window:
+// its dispatches times their mean size, 0 until a size is known.
+func offered(sums *[window.Fields]float64, stream int) float64 {
+	if sized := sums[stream+streamSized]; sized > 0 {
+		return sums[stream+streamCalls] * sums[stream+streamBytes] / sized
 	}
 	return 0
 }
 
-func clampRho(offered, bandwidth float64) float64 {
-	if bandwidth <= 0 || offered <= 0 {
+// RhoPrime returns the link's estimated demand-only utilisation ρ̂′ at
+// time now, clamped to [0, 1]. 0 when the bandwidth is still unknown.
+func (l *Link) RhoPrime(now float64) float64 { return l.rho(now, demandStream) }
+
+// Rho returns the link's estimated total utilisation ρ̂ (demand plus
+// speculative traffic) at time now, clamped to [0, 1].
+func (l *Link) Rho(now float64) float64 { return l.rho(now, totalStream) }
+
+func (l *Link) rho(now float64, stream int) float64 {
+	b := l.Bandwidth()
+	sums, span := l.w.Sum(now)
+	if b <= 0 || span <= 0 {
 		return 0
 	}
-	rho := offered / bandwidth
-	if rho > 1 {
-		return 1
+	return min(offered(&sums, stream)/(b*span), 1)
+}
+
+// IdleWait returns how many seconds past now the link's ρ̂ needs, with
+// no further traffic, to fall below watermark — 0 when it already is
+// (or no estimate exists), so an idle gate can sleep exactly this long.
+// Between bucket boundaries the window holds the same dispatches over
+// a growing span, so ρ̂ crosses the watermark once the span passes
+// offered/(watermark·b); each boundary drops the oldest bucket.
+func (l *Link) IdleWait(now, watermark float64) float64 {
+	limit, width := watermark*l.Bandwidth(), l.w.Width()
+	e := math.Floor(now / width)
+	for i := 0.0; limit > 0 && i <= window.K; i++ {
+		from, next := max(now, (e+i)*width), (e+i+1)*width
+		mid := (from + next) / 2 // read inside the bucket, clear of its edges
+		sums, span := l.w.Sum(mid)
+		if cross := mid + offered(&sums, totalStream)/limit - span; cross < next {
+			return max(cross, from) - now
+		}
 	}
-	return rho
+	return 0
 }
 
 // StateForLink snapshots a policy State whose utilisation term is the
-// given link's ρ̂′ at time now instead of the global estimate — the
-// cache-side quantities (ĥ′, n̄(F)) stay global, because hits and
-// prefetch volume are properties of the client cache, not of any one
-// link. nc is the caller's cache-occupancy estimate, as in State.
+// given link's ρ̂′ at time now — the cache-side quantities (ĥ′, n̄(F))
+// stay global, because hits and prefetch volume are properties of the
+// client cache, not of any one link; λ̂ and ŝ̄ are left out. nc is the
+// caller's cache-occupancy estimate, as in State.
 func (c *Controller) StateForLink(l *Link, now, nc float64) State {
-	return State{
-		RhoPrime: l.RhoPrime(now),
-		HPrime:   c.est.EstimateA(),
-		NC:       nc,
-		NF:       c.NF(),
+	st := State{RhoPrime: l.RhoPrime(now), HPrime: c.est.EstimateA(), NC: nc}
+	if sums, _ := c.w.Sum(now); sums[fRequests] > 0 {
+		st.NF = sums[fPrefetches] / sums[fRequests]
 	}
+	return st
 }

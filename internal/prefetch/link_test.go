@@ -1,6 +1,7 @@
 package prefetch
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -20,7 +21,7 @@ func driveLink(l *Link, t0, dt, size float64, n int) float64 {
 
 func TestLinkRhoPrimeSteadyState(t *testing.T) {
 	// 10 fetches/s of size 2 on a b=100 link: ρ′ = 10·2/100 = 0.2.
-	l := NewLink(100, 0.5) // fast alpha so the EWMA converges in-test
+	l := NewLink(100, 0)
 	last := driveLink(l, 0, 0.1, 2, 200)
 	got := l.RhoPrime(last)
 	if math.Abs(got-0.2) > 0.01 {
@@ -32,20 +33,19 @@ func TestLinkRhoPrimeSteadyState(t *testing.T) {
 }
 
 func TestLinkRhoDecaysWhenIdle(t *testing.T) {
-	l := NewLink(10, 0.5)
+	l := NewLink(10, 0)
 	last := driveLink(l, 0, 0.01, 1, 100) // 100/s of size 1 on b=10: saturated
 	if rho := l.Rho(last); rho != 1 {
 		t.Fatalf("Rho under overload = %v, want clamp at 1", rho)
 	}
-	// After 10 idle seconds the elapsed gap bounds the rate: ρ̂ =
-	// 1/(10·10) = 0.01.
-	if rho := l.Rho(last + 10); math.Abs(rho-0.01) > 0.005 {
-		t.Fatalf("Rho after 10s idle = %v, want ≈ 0.01", rho)
+	// After 10 idle seconds the burst has left the 10 s window.
+	if rho := l.Rho(last + 10); rho > 0.01 {
+		t.Fatalf("Rho after 10s idle = %v, want ≤ 0.01", rho)
 	}
 }
 
 func TestLinkSpeculativeTrafficSplitsRhoFromRhoPrime(t *testing.T) {
-	l := NewLink(100, 0.5)
+	l := NewLink(100, 0)
 	t0 := 0.0
 	for i := 0; i < 200; i++ {
 		l.RecordDemand(t0)
@@ -70,7 +70,7 @@ func TestLinkSpeculativeTrafficSplitsRhoFromRhoPrime(t *testing.T) {
 }
 
 func TestLinkUnknownBandwidthReadsZeroUntilSet(t *testing.T) {
-	l := NewLink(0, 0.5)
+	l := NewLink(0, 0)
 	last := driveLink(l, 0, 0.1, 5, 50)
 	if rho := l.RhoPrime(last); rho != 0 {
 		t.Fatalf("RhoPrime with unknown bandwidth = %v, want 0", rho)
@@ -87,7 +87,7 @@ func TestLinkUnknownBandwidthReadsZeroUntilSet(t *testing.T) {
 }
 
 func TestLinkIdleWait(t *testing.T) {
-	l := NewLink(10, 0.5)
+	l := NewLink(10, 0)
 	last := driveLink(l, 0, 0.01, 1, 100) // saturated: ρ̂ = 1
 	const wm = 0.5
 	wait := l.IdleWait(last, wm)
@@ -107,14 +107,57 @@ func TestLinkIdleWait(t *testing.T) {
 	}
 }
 
+// TestLinkIdleWaitIsExact checks the advertised wait against ρ̂ read on
+// either side of it, for traffic of several shapes: dispatches leave
+// the window a bucket at a time, and between two boundaries ρ̂ falls as
+// the span grows.
+func TestLinkIdleWaitIsExact(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		times, sizes []float64
+		wm           float64
+	}{
+		{"one burst", []float64{0.1, 0.2, 0.3}, []float64{10, 10, 10}, 0.2},
+		{"spread", []float64{1, 3, 5, 7, 9, 11}, []float64{4, 1, 4, 1, 4, 1}, 0.08},
+		{"heavy tail first", []float64{2, 2.5, 9.9}, []float64{50, 1, 1}, 0.05},
+		{"low watermark", []float64{0.5, 4, 8.2}, []float64{1, 1, 1}, 0.001},
+	} {
+		// The default span's bucket edges are exact in binary; 500/30 s,
+		// internal/sim's span at λ = 30, puts them between floats.
+		for _, span := range []float64{0, 500.0 / 30} {
+			t.Run(fmt.Sprintf("%s/span=%g", tc.name, span), func(t *testing.T) {
+				l := NewLink(10, span)
+				for i, at := range tc.times {
+					l.RecordDemand(at)
+					l.RecordDemandSize(tc.sizes[i])
+				}
+				now := tc.times[len(tc.times)-1]
+				wait := l.IdleWait(now, tc.wm)
+				if l.Rho(now) < tc.wm {
+					t.Fatalf("ρ̂ %v already below %v", l.Rho(now), tc.wm)
+				}
+				if rho := l.Rho(now + wait + 1e-9); rho >= tc.wm {
+					t.Errorf("ρ̂ %v at now + IdleWait = %v, want below %v", rho, wait, tc.wm)
+				}
+				if rho := l.Rho(now + wait - 1e-6); rho < tc.wm {
+					t.Errorf("ρ̂ %v just before now + IdleWait = %v already below %v", rho, wait, tc.wm)
+				}
+				if w := l.IdleWait(now+wait+1e-6, tc.wm); w != 0 {
+					t.Errorf("IdleWait once below the watermark = %v, want 0", w)
+				}
+			})
+		}
+	}
+}
+
 func TestStateForLinkUsesLinkUtilisation(t *testing.T) {
-	c := NewController(1000, 0.5)
+	c := NewController(1000, 0)
 	// Global traffic is heavy…
 	for i := 0; i < 100; i++ {
 		c.RecordRequest(float64(i)*0.001, 5)
 	}
 	// …but this link sees a trickle.
-	l := NewLink(1000, 0.5)
+	l := NewLink(1000, 0)
 	last := driveLink(l, 0, 1, 1, 20)
 
 	st := c.StateForLink(l, last, 3)

@@ -30,6 +30,9 @@ type State struct {
 	NC float64
 	// NF is the recent average number of prefetches per request n̄(F).
 	NF float64
+	// Lambda and MeanSize are the request rate λ̂ and mean item size ŝ̄
+	// behind the controller's RhoPrime.
+	Lambda, MeanSize float64
 }
 
 // Policy selects which predicted items to prefetch after a request.
@@ -186,17 +189,7 @@ func (g Greedy) Select(cands []predict.Prediction, st State) []predict.Predictio
 	if w <= 0 {
 		w = 0.25
 	}
-	d := 0.0
-	switch m := g.Model.(type) {
-	case analytic.ModelB:
-		if st.NC > 0 {
-			d = st.HPrime / st.NC
-		}
-	case analytic.ModelAB:
-		if st.NC > 0 {
-			d = m.Alpha * st.HPrime / st.NC
-		}
-	}
+	d := ThresholdFor(g.Model, State{HPrime: st.HPrime, NC: st.NC}) // the displacement alone
 	if st.HPrime >= 1 || st.RhoPrime <= 0 {
 		// Degenerate estimates: fall back to the paper's rule, which
 		// handles them conservatively.

@@ -273,22 +273,22 @@ func TestGreedyName(t *testing.T) {
 }
 
 func TestControllerLambdaEstimate(t *testing.T) {
-	c := NewController(50, 0.5)
+	c := NewController(50, 0)
 	now := 0.0
 	for i := 0; i < 200; i++ {
 		now += 1.0 / 30 // deterministic rate 30
 		c.RecordRequest(now, 1)
 	}
-	if math.Abs(c.Lambda()-30)/30 > 0.01 {
-		t.Errorf("λ̂ = %v, want ~30", c.Lambda())
+	if math.Abs(c.State(0).Lambda-30)/30 > 0.01 {
+		t.Errorf("λ̂ = %v, want ~30", c.State(0).Lambda)
 	}
-	if math.Abs(c.MeanSize()-1) > 1e-9 {
-		t.Errorf("ŝ̄ = %v, want 1", c.MeanSize())
+	if math.Abs(c.State(0).MeanSize-1) > 1e-9 {
+		t.Errorf("ŝ̄ = %v, want 1", c.State(0).MeanSize)
 	}
 }
 
 func TestControllerLambdaPoisson(t *testing.T) {
-	c := NewController(50, 0.02)
+	c := NewController(50, 0)
 	src := rng.New(41)
 	inter := rng.Exponential{Rate: 30}
 	now := 0.0
@@ -296,21 +296,21 @@ func TestControllerLambdaPoisson(t *testing.T) {
 		now += inter.Sample(src)
 		c.RecordRequest(now, 1)
 	}
-	if math.Abs(c.Lambda()-30)/30 > 0.15 {
-		t.Errorf("λ̂ = %v, want ~30", c.Lambda())
+	if math.Abs(c.State(0).Lambda-30)/30 > 0.15 {
+		t.Errorf("λ̂ = %v, want ~30", c.State(0).Lambda)
 	}
 }
 
 func TestControllerRhoPrime(t *testing.T) {
-	c := NewController(50, 1) // alpha=1: use latest observation directly
+	c := NewController(50, 0)
 	now := 0.0
 	for i := 0; i < 100; i++ {
 		now += 1.0 / 30
 		c.RecordRequest(now, 1)
 	}
 	// h′ estimate is 0 (no cache events yet) → ρ̂′ = 1·30·1/50 = 0.6.
-	if math.Abs(c.RhoPrime()-0.6) > 0.01 {
-		t.Errorf("ρ̂′ = %v, want 0.6", c.RhoPrime())
+	if math.Abs(c.State(0).RhoPrime-0.6) > 0.01 {
+		t.Errorf("ρ̂′ = %v, want 0.6", c.State(0).RhoPrime)
 	}
 	// Now report cache hits raising ĥ′ to 0.5: ρ̂′ halves.
 	est := c.Estimator()
@@ -318,37 +318,40 @@ func TestControllerRhoPrime(t *testing.T) {
 		est.OnRemoteAccess(cache.ID(i), true)
 		est.OnHit(cache.ID(i))
 	}
-	if math.Abs(c.HPrime()-0.5) > 1e-12 {
-		t.Fatalf("ĥ′ = %v, want 0.5", c.HPrime())
+	if math.Abs(c.State(0).HPrime-0.5) > 1e-12 {
+		t.Fatalf("ĥ′ = %v, want 0.5", c.State(0).HPrime)
 	}
-	if math.Abs(c.RhoPrime()-0.3) > 0.01 {
-		t.Errorf("ρ̂′ = %v, want 0.3", c.RhoPrime())
+	if math.Abs(c.State(0).RhoPrime-0.3) > 0.01 {
+		t.Errorf("ρ̂′ = %v, want 0.3", c.State(0).RhoPrime)
 	}
 }
 
 func TestControllerNF(t *testing.T) {
-	// alpha=1: n̄(F) is exactly the prefetch count folded at the latest
-	// arrival, so the EWMA semantics are directly observable.
-	c := NewController(50, 1)
-	c.RecordRequest(1, 1) // folds the 0 prefetches seen so far
-	c.RecordPrefetch()
-	c.RecordPrefetch()
-	c.RecordPrefetch()
-	if c.NF() != 0 {
-		t.Errorf("n̄(F) = %v before the next arrival folds, want 0", c.NF())
+	// n̄(F) is the window's prefetches over its requests, counted as
+	// they happen.
+	c := NewController(50, 0)
+	if c.State(0).NF != 0 {
+		t.Errorf("n̄(F) = %v before any request, want 0", c.State(0).NF)
 	}
-	c.RecordRequest(2, 1) // folds the 3 pending prefetches
-	if math.Abs(c.NF()-3) > 1e-12 {
-		t.Errorf("n̄(F) = %v, want 3", c.NF())
+	c.RecordRequest(1, 1)
+	c.RecordPrefetch()
+	c.RecordPrefetch()
+	c.RecordPrefetch()
+	if math.Abs(c.State(0).NF-3) > 1e-12 {
+		t.Errorf("n̄(F) = %v after 3 prefetches for one request, want 3", c.State(0).NF)
+	}
+	c.RecordRequest(2, 1)
+	if math.Abs(c.State(0).NF-1.5) > 1e-12 {
+		t.Errorf("n̄(F) = %v after 3 prefetches for two requests, want 1.5", c.State(0).NF)
 	}
 }
 
 // TestControllerNFConverges drives a steady two-prefetches-per-request
-// pattern and checks the EWMA converges to 2 — then shuts prefetching
-// off and checks n̄(F) decays toward 0, the adaptivity the lifetime
-// ratio prefetches/requests could never show.
+// pattern and checks n̄(F) reads 2 — then shuts prefetching off and
+// checks n̄(F) decays toward 0 once the window has passed, the
+// adaptivity the lifetime ratio prefetches/requests could never show.
 func TestControllerNFConverges(t *testing.T) {
-	c := NewController(50, 0.2)
+	c := NewController(50, 5)
 	now := 0.0
 	for i := 0; i < 200; i++ {
 		now += 0.1
@@ -356,17 +359,17 @@ func TestControllerNFConverges(t *testing.T) {
 		c.RecordPrefetch()
 		c.RecordPrefetch()
 	}
-	if math.Abs(c.NF()-2) > 0.01 {
-		t.Fatalf("n̄(F) = %v after steady 2/request, want ~2", c.NF())
+	if math.Abs(c.State(0).NF-2) > 0.01 {
+		t.Fatalf("n̄(F) = %v after steady 2/request, want ~2", c.State(0).NF)
 	}
 	// Prefetch volume collapses; the lifetime ratio would stay pinned
-	// near 2 but the EWMA must track the shift.
+	// near 2 but the window must track the shift.
 	for i := 0; i < 200; i++ {
 		now += 0.1
 		c.RecordRequest(now, 1)
 	}
-	if c.NF() > 0.01 {
-		t.Fatalf("n̄(F) = %v after prefetching stopped, want ~0", c.NF())
+	if c.State(0).NF > 0.01 {
+		t.Fatalf("n̄(F) = %v after prefetching stopped, want ~0", c.State(0).NF)
 	}
 }
 
@@ -387,20 +390,20 @@ func TestControllerState(t *testing.T) {
 }
 
 func TestControllerClamps(t *testing.T) {
-	c := NewController(1, 1) // tiny bandwidth → huge ρ′
+	c := NewController(1, 0) // tiny bandwidth → huge ρ′
 	now := 0.0
 	for i := 0; i < 10; i++ {
 		now += 0.001
 		c.RecordRequest(now, 5)
 	}
-	if c.RhoPrime() != 1 {
-		t.Errorf("ρ̂′ should clamp to 1, got %v", c.RhoPrime())
+	if c.State(0).RhoPrime != 1 {
+		t.Errorf("ρ̂′ should clamp to 1, got %v", c.State(0).RhoPrime)
 	}
 }
 
 func TestControllerEmpty(t *testing.T) {
 	c := NewController(10, 0)
-	if c.Lambda() != 0 || c.MeanSize() != 0 || c.RhoPrime() != 0 || c.NF() != 0 {
+	if c.State(0).Lambda != 0 || c.State(0).MeanSize != 0 || c.State(0).RhoPrime != 0 || c.State(0).NF != 0 {
 		t.Error("fresh controller should report zeros")
 	}
 }
@@ -412,15 +415,15 @@ func TestControllerPanics(t *testing.T) {
 				t.Error("bandwidth 0 should panic")
 			}
 		}()
-		NewController(0, 0.1)
+		NewController(0, 0)
 	}()
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Error("alpha > 1 should panic")
+				t.Error("a negative span should panic")
 			}
 		}()
-		NewController(10, 1.5)
+		NewController(10, -1)
 	}()
 }
 
@@ -428,7 +431,7 @@ func TestControllerPanics(t *testing.T) {
 // rises, and the paper policy stops prefetching items it previously
 // accepted — the behaviour a static threshold cannot reproduce.
 func TestThresholdAdaptsToLoad(t *testing.T) {
-	c := NewController(50, 0.2)
+	c := NewController(50, 0)
 	pol := Threshold{Model: analytic.ModelA{}}
 	candidates := cands(0.5)
 
@@ -438,7 +441,7 @@ func TestThresholdAdaptsToLoad(t *testing.T) {
 		c.RecordRequest(now, 1)
 	}
 	if got := pol.Select(candidates, c.State(0)); len(got) != 1 {
-		t.Fatalf("at ρ′≈0.3 a p=0.5 item should be prefetched (ρ̂′=%v)", c.RhoPrime())
+		t.Fatalf("at ρ′≈0.3 a p=0.5 item should be prefetched (ρ̂′=%v)", c.State(0).RhoPrime)
 	}
 
 	for i := 0; i < 600; i++ {
@@ -446,6 +449,6 @@ func TestThresholdAdaptsToLoad(t *testing.T) {
 		c.RecordRequest(now, 1)
 	}
 	if got := pol.Select(candidates, c.State(0)); len(got) != 0 {
-		t.Fatalf("at ρ′≈0.7 a p=0.5 item must not be prefetched (ρ̂′=%v)", c.RhoPrime())
+		t.Fatalf("at ρ′≈0.7 a p=0.5 item must not be prefetched (ρ̂′=%v)", c.State(0).RhoPrime)
 	}
 }

@@ -79,9 +79,6 @@ type SystemConfig struct {
 	Warmup int
 	// Seed drives all randomness.
 	Seed uint64
-	// ControllerAlpha is the EWMA weight for the online estimates
-	// (0 = default).
-	ControllerAlpha float64
 	// Trace, when non-nil, drives the simulation from recorded request
 	// epochs instead of synthetic Poisson arrivals: each record fires
 	// at Time×TimeScale for client (User mod Users) requesting Item.
@@ -117,6 +114,11 @@ func (c SystemConfig) validate() error {
 	}
 	return nil
 }
+
+// windowRequests is how many requests, at the configured λ, the
+// controller's estimates average over: its window spans
+// windowRequests/λ seconds of simulated time.
+const windowRequests = 500
 
 // SystemResult carries the measured quantities of one full-system run.
 type SystemResult struct {
@@ -245,7 +247,7 @@ func RunSystem(cfg SystemConfig) (SystemResult, error) {
 
 	sim := des.New()
 	srv := queue.NewPSServer(sim, cfg.Bandwidth)
-	ctrl := prefetch.NewController(cfg.Bandwidth, cfg.ControllerAlpha)
+	ctrl := prefetch.NewController(cfg.Bandwidth, windowRequests/cfg.Lambda)
 	est := ctrl.Estimator()
 
 	// The estimator is shared across clients, so cache ids are
@@ -506,8 +508,8 @@ func RunSystem(cfg SystemConfig) (SystemResult, error) {
 		res.Utilisation = (srv.BusyTime() - busyAtStart) / res.Duration
 	}
 	res.NFObserved = float64(issuedMeasured) / float64(total)
-	res.HPrimeEstimate = ctrl.HPrime()
-	res.RhoPrimeEstimate = ctrl.RhoPrime()
+	st := ctrl.State(0)
+	res.HPrimeEstimate, res.RhoPrimeEstimate = st.HPrime, st.RhoPrime
 	res.MeanOccupancy = occupancy.Mean()
 	return res, nil
 }

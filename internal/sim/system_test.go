@@ -234,9 +234,6 @@ func TestSystemTraceReplay(t *testing.T) {
 	cfg.Trace = trace
 	cfg.Requests = len(trace)
 	cfg.Warmup = len(trace) / 4
-	// A slow EWMA keeps the end-of-run λ̂ snapshot close to the true
-	// mean (the default weight trades accuracy for adaptation speed).
-	cfg.ControllerAlpha = 0.005
 	res, err := RunSystem(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -104,9 +104,11 @@
 // used/wasted accounting — is partitioned across power-of-two shards
 // (WithShards, default GOMAXPROCS-derived), each behind its own mutex,
 // so concurrent Gets on disjoint keys do not contend. The adaptive
-// policy's estimates stay global: one shared controller aggregates λ̂,
-// ŝ̄, ĥ′ and n̄(F) with atomic counters, so Threshold and Stats report
-// one globally consistent operating point at any shard count.
+// policy's estimates stay global: one shared controller reads λ̂, ŝ̄
+// and n̄(F) as rates over the last 10 s of the engine's clock, from
+// striped atomic counters, and ĥ′ from the tagged-cache counts, so
+// Threshold and Stats report one globally consistent operating point
+// at any shard count.
 //
 // The access model is shared across shards but is not a serialisation
 // point. Whatever WithPredictor received is normalised once, at New,
@@ -168,7 +170,8 @@
 // fabric makes, whatever its entry point, is admitted, counted and
 // recorded on its link by one function and settled by another.
 // WithIdleWatermark adds the paper's load-impedance result as a
-// dispatch rule: speculative fetches for a link whose ρ̂ sits above the
+// dispatch rule: speculative fetches for a link whose ρ̂ — what it
+// carried over the last 10 s, over its bandwidth — sits above the
 // watermark are parked (at most 256 per link, the rest shed) and
 // dispatched only in that link's idle periods (demand fetches are
 // never gated). WithBreaker

@@ -311,7 +311,7 @@ func New(fetcher Fetcher, opts ...Option) (*Engine, error) {
 		clock:       cfg.clock,
 		policy:      cfg.policy.p,
 		model:       cfg.policy.model.analytic(),
-		ctrl:        prefetch.NewController(cfg.bandwidth, cfg.alpha),
+		ctrl:        prefetch.NewController(cfg.bandwidth, 0),
 		nc:          cfg.nc,
 		maxPrefetch: maxPrefetch,
 		hook:        cfg.hook,
@@ -680,8 +680,8 @@ func (e *Engine) Threshold() float64 {
 func (e *Engine) Stats() Stats {
 	st := e.ctrl.State(e.occupancy())
 	s := Stats{
-		Lambda:            e.ctrl.Lambda(),
-		MeanSize:          e.ctrl.MeanSize(),
+		Lambda:            st.Lambda,
+		MeanSize:          st.MeanSize,
 		HPrime:            st.HPrime,
 		RhoPrime:          st.RhoPrime,
 		NF:                st.NF,

@@ -62,7 +62,6 @@ func TestOptionValidation(t *testing.T) {
 		{"negative bandwidth", fetcher, []Option{WithBandwidth(-1)}, "must be positive"},
 		{"zero workers", fetcher, []Option{WithBandwidth(50), WithWorkers(0)}, ">= 1"},
 		{"negative max prefetch", fetcher, []Option{WithBandwidth(50), WithMaxPrefetch(-1)}, ">= 0"},
-		{"bad alpha", fetcher, []Option{WithBandwidth(50), WithEWMAAlpha(1.5)}, "(0,1]"},
 		{"zero queue", fetcher, []Option{WithBandwidth(50), WithQueueDepth(0)}, ">= 1"},
 		{"nil predictor", fetcher, []Option{WithBandwidth(50), WithPredictor(nil)}, "nil predictor"},
 		{"nil cache", fetcher, []Option{WithBandwidth(50), WithCache(nil)}, "nil cache"},
@@ -76,7 +75,7 @@ func TestOptionValidation(t *testing.T) {
 			WithBandwidth(50), WithWorkers(2), WithMaxPrefetch(3),
 			WithCache(NewSLRUCache(64, 32)), WithPredictor(NewMarkovPredictor()),
 			WithPolicy(GreedyThreshold(ModelB())), WithCacheOccupancy(64),
-			WithEWMAAlpha(0.1), WithQueueDepth(8),
+			WithQueueDepth(8),
 			WithClock(NewManualClock(time.Unix(0, 0))),
 		}, ""},
 	}

@@ -33,7 +33,6 @@ func (e *Engine) newFabric(fetcher Fetcher, cfg *config) (*fetch.Fabric, error) 
 		Hedging:       cfg.hedging,
 		IdleWatermark: cfg.idleWatermark,
 		Breaker:       cfg.breaker,
-		Alpha:         cfg.alpha,
 		Now:           e.now,
 		OnRelease:     e.dispatch,
 	})

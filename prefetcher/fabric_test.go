@@ -381,7 +381,6 @@ func TestPerBackendRhoPrimeDistinct(t *testing.T) {
 	eng, err := New(nil,
 		WithBandwidth(1e6),
 		WithClock(clock),
-		WithEWMAAlpha(0.5),
 		WithPolicy(NoPrefetch()),
 		WithBackends(
 			// Same capacity, 4:1 routing weight: the heavy link must
@@ -427,7 +426,6 @@ func TestIdleWatermarkDefersAndReleases(t *testing.T) {
 	eng, err := New(nil,
 		WithBandwidth(1e6),
 		WithClock(clock),
-		WithEWMAAlpha(0.5),
 		WithPolicy(StaticThreshold(0)), // admit every prediction: the gate does the load control
 		WithIdleWatermark(0.5),
 		// A 4-item cache keeps predicted candidates evictable, so

@@ -208,7 +208,7 @@ const (
 )
 
 func (e attemptEntry) String() string {
-	return [...]string{"Fetch", "FetchInto", "FetchDemandBatch", "FetchSpeculative", "FetchSpeculativeBatch"}[e]
+	return [...]string{"Fetch", "FetchInto", "FetchDemandBatch", "FetchSpeculativeBatch(one id)", "FetchSpeculativeBatch"}[e]
 }
 
 type attemptBreaker int
@@ -494,7 +494,7 @@ func TestAttemptBracket(t *testing.T) {
 				out[0], got, errs[0] = f.FetchInto(ctx, ids[0], dst)
 				lens[0] = len(got) - len(dst)
 			case viaSpeculative:
-				out[0], errs[0] = f.FetchSpeculative(ctx, 0, ids[0])
+				_, errs[0] = f.FetchSpeculativeBatch(ctx, 0, ids[:1], out[:1], nil, nil)
 			case viaDemandBatch:
 				got = f.FetchDemandBatch(ctx, 0, ids, out, errs, dst, lens)
 			case viaSpeculativeBatch:
@@ -594,8 +594,8 @@ func TestAttemptClosedFabric(t *testing.T) {
 	check("Fetch", dst, err)
 	_, got, err := f.FetchInto(ctx, 1, dst)
 	check("FetchInto", got, err)
-	_, err = f.FetchSpeculative(ctx, 0, 1)
-	check("FetchSpeculative", dst, err)
+	_, err = f.FetchSpeculativeBatch(ctx, 0, ids[:1], out[:1], nil, nil)
+	check("FetchSpeculativeBatch(one id)", dst, err)
 	got, err = f.FetchSpeculativeBatch(ctx, 0, ids, out, dst, lens)
 	check("FetchSpeculativeBatch", got, err)
 	check("FetchDemandBatch", f.FetchDemandBatch(ctx, 0, ids, out, errs, dst, lens), errs...)

@@ -155,10 +155,10 @@ func TestBreakerSpeculativeFailsFast(t *testing.T) {
 	)
 	ctx := context.Background()
 	for i := 0; i < 3; i++ {
-		f.FetchSpeculative(ctx, 0, ID(i)) //nolint:errcheck // driving the breaker open
+		specBatch(f, ctx, 0, []ID{ID(i)}) //nolint:errcheck // driving the breaker open
 	}
 	calls := bad.calls.Load()
-	if _, err := f.FetchSpeculative(ctx, 0, 10); !errors.Is(err, ErrBreakerOpen) {
+	if _, err := specBatch(f, ctx, 0, []ID{10}); !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("speculative err = %v, want ErrBreakerOpen", err)
 	}
 	if _, err := specBatch(f, ctx, 0, []ID{11, 12}); !errors.Is(err, ErrBreakerOpen) {
@@ -179,7 +179,7 @@ func TestBreakerHalfOpenSingleProbe(t *testing.T) {
 		Backend{Name: "solo", Fetcher: bad, Bandwidth: 100},
 	)
 	for i := 0; i < 3; i++ {
-		f.FetchSpeculative(context.Background(), 0, ID(i)) //nolint:errcheck
+		specBatch(f, context.Background(), 0, []ID{ID(i)}) //nolint:errcheck
 	}
 	now.Advance(2)
 	grantedN, probes := 0, 0
@@ -210,7 +210,7 @@ func TestBreakerStragglerCancellationKeepsProbe(t *testing.T) {
 		Backend{Name: "solo", Fetcher: bad, Bandwidth: 100},
 	)
 	for i := 0; i < 3; i++ {
-		f.FetchSpeculative(context.Background(), 0, ID(i)) //nolint:errcheck
+		specBatch(f, context.Background(), 0, []ID{ID(i)}) //nolint:errcheck
 	}
 	now.Advance(2)
 	b := f.backends[0]
@@ -254,7 +254,7 @@ func TestBreakerHalfOpenSingleProbeRace(t *testing.T) {
 		Backend{Name: "solo", Fetcher: bad, Bandwidth: 100},
 	)
 	for i := 0; i < 3; i++ {
-		f.FetchSpeculative(context.Background(), 0, ID(i)) //nolint:errcheck
+		specBatch(f, context.Background(), 0, []ID{ID(i)}) //nolint:errcheck
 	}
 	if st := f.breakerState(f.backends[0]); st != "open" {
 		t.Fatalf("breaker %q after threshold failures, want open", st)

@@ -29,15 +29,11 @@ type estimator struct {
 	p95     float64
 	stale   int     // samples since p95 was computed
 	bw      float64 // smoothed size/latency; 0 = no sample
-	alpha   float64
 }
 
-func newEstimator(alpha float64) *estimator {
-	if alpha <= 0 || alpha > 1 {
-		alpha = 0.05
-	}
-	return &estimator{alpha: alpha}
-}
+// ewmaWeight is the weight a new sample gets in the latency and
+// throughput averages.
+const ewmaWeight = 0.05
 
 // observe folds one successful fetch: its wall latency in seconds and
 // the size it delivered.
@@ -49,7 +45,7 @@ func (e *estimator) observe(latency, size float64) {
 	if e.ewma == 0 {
 		e.ewma = latency
 	} else {
-		e.ewma = (1-e.alpha)*e.ewma + e.alpha*latency
+		e.ewma = (1-ewmaWeight)*e.ewma + ewmaWeight*latency
 	}
 	e.ring[e.ringPos] = latency
 	e.ringPos = (e.ringPos + 1) % latRingSize
@@ -62,7 +58,7 @@ func (e *estimator) observe(latency, size float64) {
 			if e.bw == 0 {
 				e.bw = thr
 			} else {
-				e.bw = (1-e.alpha)*e.bw + e.alpha*thr
+				e.bw = (1-ewmaWeight)*e.bw + ewmaWeight*thr
 			}
 		}
 	}

@@ -59,9 +59,6 @@ type Config struct {
 	IdleWatermark float64
 	// Breaker enables per-backend circuit breaking; nil disables it.
 	Breaker *Breaker
-	// Alpha is the EWMA weight for the link and latency estimators
-	// (default 0.05, matching the engine's controller).
-	Alpha float64
 	// Now supplies time in seconds for the link estimators. Defaults
 	// to the wall clock measured from construction. The engine injects
 	// its own clock so link estimates share the controller's timeline.
@@ -230,8 +227,8 @@ func New(cfg Config) (*Fabric, error) {
 		bs := &backendState{
 			idx:       i,
 			cfg:       b,
-			link:      prefetch.NewLink(b.Bandwidth, cfg.Alpha),
-			est:       newEstimator(cfg.Alpha),
+			link:      prefetch.NewLink(b.Bandwidth, 0),
+			est:       &estimator{},
 			seed:      nameSeed(b.Name),
 			parkedSet: make(map[ID]struct{}),
 			poke:      make(chan struct{}, 1),
@@ -904,25 +901,18 @@ func (f *Fabric) FetchDemandBatch(ctx context.Context, backend int, ids []ID, ou
 
 // --- speculative path ----------------------------------------------------
 
-// FetchSpeculative runs one speculative fetch on the given backend
-// (already chosen by Route at planning time). Speculative fetches are
-// single-attempt — no hedge, no failover: a lost prefetch costs
-// nothing a demand fetch won't recover later, and doubling speculative
-// traffic is exactly what the paper warns against.
-func (f *Fabric) FetchSpeculative(ctx context.Context, backend int, id ID) (Item, error) {
-	var out [1]Item
-	_, err := f.FetchSpeculativeBatch(ctx, backend, []ID{id}, out[:], nil, nil)
-	return out[0], err
-}
-
-// FetchSpeculativeBatch dispatches several speculative candidates to
-// one backend as a single FetchBatch call when the backend supports
-// it, falling back to sequential single fetches otherwise, and fills
+// FetchSpeculativeBatch dispatches speculative candidates to one
+// backend (already chosen by Route at planning time) as a single
+// FetchBatch call when the backend supports it and there are several,
+// falling back to sequential single fetches otherwise, and fills
 // the caller-supplied out (len(ids)): on success exactly one Item per
 // id, in id order. An error — a short or misordered reply included —
 // fails the whole batch and is counted in the backend's Errors. dst and
 // lens lend a buffer exactly as FetchDemandBatch's do; on an error dst
-// is returned as it went.
+// is returned as it went. Speculative fetches are single-attempt — no
+// hedge, no failover: a lost prefetch costs nothing a demand fetch won't
+// recover later, and doubling speculative traffic is exactly what the
+// paper warns against.
 func (f *Fabric) FetchSpeculativeBatch(ctx context.Context, backend int, ids []ID, out []Item, dst []byte, lens []int) ([]byte, error) {
 	b := f.backends[backend]
 	if b.batch != nil && len(ids) >= 2 {

@@ -151,10 +151,10 @@ func TestLatencyRoutingPrefersFastBackend(t *testing.T) {
 	ctx := context.Background()
 	// Unmeasured backends are explored first; seed both with samples.
 	for i := 0; i < 4; i++ {
-		if _, err := f.FetchSpeculative(ctx, 0, ID(i)); err != nil {
+		if _, err := specBatch(f, ctx, 0, []ID{ID(i)}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := f.FetchSpeculative(ctx, 1, ID(i)); err != nil {
+		if _, err := specBatch(f, ctx, 1, []ID{ID(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -413,7 +413,6 @@ func TestIdleGateDefersAndReleases(t *testing.T) {
 	f := newTestFabric(t, Config{
 		Backends:      []Backend{{Name: "origin", Fetcher: &instantFetcher{size: 1}, Bandwidth: 10}},
 		IdleWatermark: 0.5,
-		Alpha:         0.5,
 		Now:           clk.Now,
 		OnRelease: func(backend int, ids []ID) {
 			mu.Lock()
@@ -424,7 +423,7 @@ func TestIdleGateDefersAndReleases(t *testing.T) {
 	// Saturate the link: 100 size-1 fetches/s against b=10.
 	ctx := context.Background()
 	for i := 0; i < 50; i++ {
-		if _, err := f.FetchSpeculative(ctx, 0, ID(i)); err != nil {
+		if _, err := specBatch(f, ctx, 0, []ID{ID(i)}); err != nil {
 			t.Fatal(err)
 		}
 		clk.Advance(0.01)
@@ -477,7 +476,6 @@ func TestIdleGateQueueBoundsAndCloseSheds(t *testing.T) {
 	f := newTestFabric(t, Config{
 		Backends:      []Backend{{Name: "origin", Fetcher: &instantFetcher{size: 1}, Bandwidth: 1}},
 		IdleWatermark: 0.5,
-		Alpha:         0.5,
 		Now:           clk.Now,
 		OnRelease:     func(int, []ID) {},
 	})
@@ -519,7 +517,6 @@ func TestRepeatedDeferWhileBusy(t *testing.T) {
 	f := newTestFabric(t, Config{
 		Backends:      []Backend{{Name: "origin", Fetcher: &instantFetcher{size: 1}, Bandwidth: 1}},
 		IdleWatermark: 0.5,
-		Alpha:         0.5,
 		Now:           clk.Now,
 		OnRelease:     func(int, []ID) {},
 	})
@@ -661,8 +658,8 @@ func TestFabricConcurrentUse(t *testing.T) {
 					}
 				case 1:
 					b := f.Route(id)
-					if _, err := f.FetchSpeculative(ctx, b, id); err != nil {
-						t.Errorf("FetchSpeculative: %v", err)
+					if _, err := specBatch(f, ctx, b, []ID{id}); err != nil {
+						t.Errorf("FetchSpeculativeBatch: %v", err)
 						return
 					}
 				case 2:

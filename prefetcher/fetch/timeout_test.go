@@ -148,7 +148,7 @@ func TestSpeculativeTimeoutIndependentOfDemand(t *testing.T) {
 	f := newTestFabric(t, Config{Backends: []Backend{
 		{Name: "slow", Fetcher: slow, SpeculativeTimeout: 5 * time.Millisecond},
 	}})
-	if _, err := f.FetchSpeculative(context.Background(), 0, 1); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := specBatch(f, context.Background(), 0, []ID{1}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("speculative err = %v, want DeadlineExceeded", err)
 	}
 	if _, err := f.Fetch(context.Background(), 2); err != nil {

@@ -18,7 +18,6 @@ type config struct {
 	policy       Policy
 	bandwidth    float64
 	nc           float64
-	alpha        float64
 	shards       int // 0 = derive from GOMAXPROCS (or 1 with WithCache)
 	workers      int
 	queueDepth   int
@@ -168,18 +167,6 @@ func WithCacheOccupancy(nc float64) Option {
 			return fmt.Errorf("prefetcher: cache occupancy %v must be non-negative", nc)
 		}
 		c.nc = nc
-		return nil
-	}
-}
-
-// WithEWMAAlpha sets the estimator's EWMA weight for new observations,
-// in (0,1] (default 0.05: slow, stable adaptation).
-func WithEWMAAlpha(a float64) Option {
-	return func(c *config) error {
-		if a <= 0 || a > 1 || math.IsNaN(a) {
-			return fmt.Errorf("prefetcher: EWMA weight %v must be in (0,1]", a)
-		}
-		c.alpha = a
 		return nil
 	}
 }

@@ -32,8 +32,8 @@ type Stats struct {
 	// mean item size ŝ̄; HPrime the Section-4 tagged-cache estimate ĥ′
 	// of the no-prefetch hit ratio; RhoPrime the controller's global
 	// no-prefetch utilisation estimate ρ̂′ = (1−ĥ′)λ̂ŝ̄/b against the
-	// WithBandwidth capacity; NF the recent (EWMA) prefetches per
-	// request.
+	// WithBandwidth capacity; NF the prefetches per request. λ̂, ŝ̄ and
+	// n̄(F) are rates over the last 10 s of the engine's clock.
 	Lambda, MeanSize, HPrime, RhoPrime, NF float64
 	// Threshold is the paper's cutoff p̂_th for the engine's interaction
 	// model — ρ̂′ (model A) plus ĥ′/n̄(C) (model B) — at that global
