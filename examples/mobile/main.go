@@ -101,9 +101,7 @@ func idleGateDemo() error {
 			return fetch.Item{}, ctx.Err()
 		}
 	})
-	clock := prefetcher.NewManualClock(time.Unix(0, 0))
 	eng, err := prefetcher.New(nil,
-		prefetcher.WithClock(clock),
 		prefetcher.WithBackends(fetch.Backend{Name: "wireless", Fetcher: wireless, Bandwidth: 60}),
 		prefetcher.WithIdleWatermark(0.5),
 		prefetcher.WithBandwidth(60),
@@ -117,17 +115,14 @@ func idleGateDemo() error {
 	defer eng.Close()
 
 	ctx := context.Background()
-	// Busy burst: 500 app reads a second, far above the link's capacity.
+	// Busy burst: sequential app reads far above the link's capacity.
 	for i := 0; i < 400; i++ {
-		clock.AdvanceSeconds(0.002)
 		if _, err := eng.Get(ctx, prefetcher.ID(i%40)); err != nil {
 			return err
 		}
 	}
 	busy := eng.Stats()
-	// Idle period: once the burst has left the link's window (10 s) ρ̂
-	// reads below the watermark and the gate releases.
-	clock.AdvanceSeconds(10)
+	// Idle period: ρ̂ decays below the watermark and the gate releases.
 	time.Sleep(80 * time.Millisecond)
 	qctx, cancel := context.WithTimeout(ctx, 5*time.Second)
 	defer cancel()

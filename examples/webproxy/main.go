@@ -193,11 +193,9 @@ func driveFabric() error {
 	}
 	defer eng.Close()
 
-	// Browse in bursts with short gaps, in wall time: the bursts push
-	// the origin's ρ̂ over the watermark and speculation is parked. ρ̂
-	// is read over the link's 10 s window, so gaps this short do not
-	// bring it back down and the parked candidates wait out the run
-	// (examples/mobile shows a gate reopening once its link idles).
+	// Browse in bursts with idle gaps, in wall time: the busy halves
+	// push the origin's ρ̂ over the watermark (speculation is parked),
+	// the gaps let it decay (the parked candidates dispatch).
 	src := rng.New(11)
 	site := workload.NewMarkov(workload.MarkovConfig{
 		N: 500, Fanout: 2, Decay: 0.15, Restart: 0.03,
@@ -209,7 +207,7 @@ func driveFabric() error {
 				return err
 			}
 		}
-		time.Sleep(200 * time.Millisecond)
+		time.Sleep(200 * time.Millisecond) // idle period: the gate reopens
 	}
 	qctx, cancel := context.WithTimeout(ctx, 5*time.Second)
 	defer cancel()
@@ -226,7 +224,7 @@ func driveFabric() error {
 			b.Name, b.RhoPrime, b.Rho, b.Demand, b.Speculative,
 			b.HedgesWon, b.HedgesLaunched, b.Deferred, b.Released)
 	}
-	fmt.Println("→ each link carries its own ρ̂′, the mirror absorbs hedged tails, and speculation is parked while the origin is busy")
+	fmt.Println("→ each link carries its own ρ̂′, the mirror absorbs hedged tails, and speculation waits for idle periods")
 	return nil
 }
 

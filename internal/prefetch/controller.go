@@ -15,7 +15,7 @@ import (
 // model-B correction. λ̂, ŝ̄ and n̄(F) are ratios of sums over one
 // sliding window of time (package window), so the threshold follows a
 // shift in load — what distinguishes the paper's rule from a static
-// cutoff — and a record is a few atomic adds on a striped cell. Safe
+// cutoff — and a record is a few atomic adds. Safe
 // for concurrent use.
 type Controller struct {
 	bandwidth float64
@@ -48,11 +48,11 @@ func (c *Controller) Estimator() *cache.Estimator { return c.est }
 //
 //prefetch:hotpath
 func (c *Controller) RecordRequest(now, size float64) {
-	cell := c.w.At(now)
-	cell.Add(fRequests, 1)
+	c.w.At(now)
+	c.w.Add(fRequests, 1)
 	if size > 0 {
-		cell.Add(fSized, 1)
-		cell.Add(fBytes, size)
+		c.w.Add(fSized, 1)
+		c.w.Add(fBytes, size)
 	}
 }
 
@@ -63,9 +63,8 @@ func (c *Controller) RecordRequest(now, size float64) {
 //prefetch:hotpath
 func (c *Controller) RecordSize(size float64) {
 	if size > 0 {
-		cell := c.w.Latest()
-		cell.Add(fSized, 1)
-		cell.Add(fBytes, size)
+		c.w.Add(fSized, 1)
+		c.w.Add(fBytes, size)
 	}
 }
 
@@ -73,7 +72,7 @@ func (c *Controller) RecordSize(size float64) {
 // a request.
 //
 //prefetch:hotpath
-func (c *Controller) RecordPrefetch() { c.w.Latest().Add(fPrefetches, 1) }
+func (c *Controller) RecordPrefetch() { c.w.Add(fPrefetches, 1) }
 
 // State snapshots the current estimates for a Policy decision, read at
 // the latest request's time: ĥ′ (model A), λ̂, ŝ̄ and n̄(F) — each 0

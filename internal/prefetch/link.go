@@ -16,9 +16,10 @@ import (
 // (demand plus speculative, giving ρ̂, which an idle gate compares with
 // its watermark), each as dispatches per second times their mean size,
 // over b. A dispatch counts at its time, its size — known when the
-// fetch completes — in the newest bucket. Once the link goes quiet its
-// dispatches leave the window and ρ̂ decays to zero, which is what lets
-// an idle gate reopen. Safe for concurrent use.
+// fetch completes — in the newest bucket. ρ̂ also counts no more than
+// one dispatch per gap since the last one: the window alone would hold
+// a busy spell for up to its span, and the bound is what lets an idle
+// gate reopen as soon as the link goes quiet. Safe for concurrent use.
 type Link struct {
 	bw atomic.Uint64 // float64 bits: configured or estimated bandwidth
 	w  *window.Window
@@ -81,10 +82,10 @@ func (l *Link) RecordSpeculativeSize(size float64) { l.sized(size, false) }
 
 //prefetch:hotpath
 func (l *Link) dispatched(now float64, demand bool) {
-	cell := l.w.At(now)
-	cell.Add(totalStream+streamCalls, 1)
+	l.w.At(now)
+	l.w.Add(totalStream+streamCalls, 1)
 	if demand {
-		cell.Add(demandStream+streamCalls, 1)
+		l.w.Add(demandStream+streamCalls, 1)
 	}
 }
 
@@ -93,55 +94,63 @@ func (l *Link) sized(size float64, demand bool) {
 	if size <= 0 {
 		return
 	}
-	cell := l.w.Latest()
-	cell.Add(totalStream+streamSized, 1)
-	cell.Add(totalStream+streamBytes, size)
+	l.w.Add(totalStream+streamSized, 1)
+	l.w.Add(totalStream+streamBytes, size)
 	if demand {
-		cell.Add(demandStream+streamSized, 1)
-		cell.Add(demandStream+streamBytes, size)
+		l.w.Add(demandStream+streamSized, 1)
+		l.w.Add(demandStream+streamBytes, size)
 	}
 }
 
-// offered returns a stream's size units dispatched over the window:
-// its dispatches times their mean size, 0 until a size is known.
-func offered(sums *[window.Fields]float64, stream int) float64 {
+// mean returns a stream's mean fetch size over the window, 0 until a
+// size is known.
+func mean(sums *[window.Fields]float64, stream int) float64 {
 	if sized := sums[stream+streamSized]; sized > 0 {
-		return sums[stream+streamCalls] * sums[stream+streamBytes] / sized
+		return sums[stream+streamBytes] / sized
 	}
 	return 0
 }
 
 // RhoPrime returns the link's estimated demand-only utilisation ρ̂′ at
 // time now, clamped to [0, 1]. 0 when the bandwidth is still unknown.
-func (l *Link) RhoPrime(now float64) float64 { return l.rho(now, demandStream) }
+func (l *Link) RhoPrime(now float64) float64 { return l.rho(now, demandStream, math.Inf(1)) }
 
 // Rho returns the link's estimated total utilisation ρ̂ (demand plus
-// speculative traffic) at time now, clamped to [0, 1].
-func (l *Link) Rho(now float64) float64 { return l.rho(now, totalStream) }
+// speculative traffic) at time now, clamped to [0, 1]: its window's
+// dispatch rate, at most one per second of the gap since the last
+// dispatch.
+func (l *Link) Rho(now float64) float64 {
+	return l.rho(now, totalStream, 1/max(now-l.w.Now(), 0))
+}
 
-func (l *Link) rho(now float64, stream int) float64 {
+// rho returns a stream's dispatches per second over the window, capped
+// at most, times their mean size, over b.
+func (l *Link) rho(now float64, stream int, most float64) float64 {
 	b := l.Bandwidth()
 	sums, span := l.w.Sum(now)
 	if b <= 0 || span <= 0 {
 		return 0
 	}
-	return min(offered(&sums, stream)/(b*span), 1)
+	rate := min(sums[stream+streamCalls]/span, most)
+	return min(max(rate*mean(&sums, stream)/b, 0), 1)
 }
 
 // IdleWait returns how many seconds past now the link's ρ̂ needs, with
 // no further traffic, to fall below watermark — 0 when it already is
 // (or no estimate exists), so an idle gate can sleep exactly this long.
-// Between bucket boundaries the window holds the same dispatches over
-// a growing span, so ρ̂ crosses the watermark once the span passes
-// offered/(watermark·b); each boundary drops the oldest bucket.
+// Between bucket boundaries the window holds the same dispatches, so ρ̂
+// crosses the watermark once either the window's span passes
+// dispatches·size/(watermark·b) or the gap since the last dispatch
+// passes size/(watermark·b); each boundary drops the oldest bucket.
 func (l *Link) IdleWait(now, watermark float64) float64 {
-	limit, width := watermark*l.Bandwidth(), l.w.Width()
+	limit, width, last := watermark*l.Bandwidth(), l.w.Width(), l.w.Now()
 	e := math.Floor(now / width)
 	for i := 0.0; limit > 0 && i <= window.K; i++ {
 		from, next := max(now, (e+i)*width), (e+i+1)*width
 		mid := (from + next) / 2 // read inside the bucket, clear of its edges
 		sums, span := l.w.Sum(mid)
-		if cross := mid + offered(&sums, totalStream)/limit - span; cross < next {
+		size := mean(&sums, totalStream)
+		if cross := min(mid-span+sums[totalStream+streamCalls]*size/limit, last+size/limit); cross < next {
 			return max(cross, from) - now
 		}
 	}

@@ -38,9 +38,14 @@ func TestLinkRhoDecaysWhenIdle(t *testing.T) {
 	if rho := l.Rho(last); rho != 1 {
 		t.Fatalf("Rho under overload = %v, want clamp at 1", rho)
 	}
-	// After 10 idle seconds the burst has left the 10 s window.
-	if rho := l.Rho(last + 10); rho > 0.01 {
-		t.Fatalf("Rho after 10s idle = %v, want ≤ 0.01", rho)
+	// 5 s into the idle period the burst is still inside the 10 s
+	// window, and the elapsed gap bounds the rate: ρ̂ = 1/(5·10) = 0.02.
+	// After 10 s the burst has left the window.
+	if rho := l.Rho(last + 5); math.Abs(rho-0.02) > 1e-9 {
+		t.Fatalf("Rho after 5s idle = %v, want 0.02", rho)
+	}
+	if rho := l.Rho(last + 10); rho != 0 {
+		t.Fatalf("Rho after 10s idle = %v, want 0", rho)
 	}
 }
 

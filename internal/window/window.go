@@ -2,57 +2,44 @@
 // rate primitive behind the controller's λ̂, ŝ̄ and n̄(F) and each
 // link's ρ̂ and ρ̂′.
 //
-// A Window keeps running totals in one cache-line cell per stripe. A
-// writer takes a random stripe's cell, so concurrent writers rarely
-// share a line, and bumps it with plain atomic adds; nothing is ever
-// reset. Time is the caller's: when At(now) enters one of the span's K
-// buckets, the stripes' totals are summed, under a mutex, into a ring
-// of K snapshots of the totals at each bucket's start — so a manual
-// clock drives a window as a wall clock does. A read sums the stripes
-// and subtracts the snapshot at the start of the oldest bucket still
-// inside the span.
+// A Window keeps one running total per field, bumped with plain atomic
+// adds and never reset. Time is the caller's: when At(now) enters one
+// of the span's K buckets, the totals are copied, under a mutex, into a
+// ring of K snapshots of the totals at each bucket's start — so a
+// manual clock drives a window as a wall clock does. A read subtracts
+// the snapshot at the start of the oldest bucket still inside the span
+// from the totals; a sequence count makes it retry if the ring moved
+// under it.
 package window
 
 import (
 	"math"
-	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
 )
 
-// K is the number of buckets, Fields the number of sums a cell holds,
-// DefaultSpan the seconds a window built with span 0 covers.
+// K is the number of buckets, Fields the number of totals a window
+// keeps, DefaultSpan the seconds a window built with span 0 covers.
 const (
 	K           = 4
 	Fields      = 7
 	DefaultSpan = 10
 
-	scale      = 1 << 16 // totals are fixed-point, in 1/65536ths; they wrap, and differences stay exact
-	maxStripes = 16
-	noHead     = math.MinInt64 // no At yet
+	scale  = 1 << 16       // totals are fixed-point, in 1/65536ths; they wrap, and differences stay exact
+	noHead = math.MinInt64 // no At yet
 )
-
-// Cell is one stripe's running totals and the latest time At handed it
-// out for: one 64-byte line in all.
-type Cell struct {
-	v    [Fields]atomic.Int64
-	last atomic.Uint64 // float64 bits
-}
-
-// Add adds v to field f.
-//
-//prefetch:hotpath
-func (c *Cell) Add(f int, v float64) { c.v[f].Add(int64(math.Round(v * scale))) }
 
 // Window is a sliding-span event counter, safe for concurrent use. A
 // read covers between K−1 and K bucket widths.
 type Window struct {
 	width  float64       // seconds per bucket
 	first  atomic.Uint64 // float64 bits: the time of the first At
+	last   atomic.Uint64 // float64 bits: the time of the latest At
 	head   atomic.Int64  // the newest bucket At has entered
+	seq    atomic.Uint64 // odd while advance rewrites the ring
 	mu     sync.Mutex    // serialises advance
-	cells  []Cell        // one per stripe: a power of two following GOMAXPROCS
+	totals [Fields]atomic.Int64
 	starts [K][Fields]atomic.Int64
 }
 
@@ -65,11 +52,7 @@ func New(span float64) *Window {
 	if !(span > 0) || math.IsInf(span, 0) {
 		panic("window: span must be positive and finite")
 	}
-	s := 1
-	for s < runtime.GOMAXPROCS(0) && s < maxStripes {
-		s *= 2
-	}
-	w := &Window{width: span / K, cells: make([]Cell, s)}
+	w := &Window{width: span / K}
 	w.head.Store(noHead)
 	return w
 }
@@ -77,30 +60,23 @@ func New(span float64) *Window {
 // Width returns the seconds one bucket covers.
 func (w *Window) Width() float64 { return w.width }
 
-// Latest returns a stripe's cell for an event that carries no time of
-// its own (a size learned when a fetch completes): it counts in the
-// newest bucket.
+// Add adds v ≥ 0 to field f, in the newest bucket: an event that
+// carries no time of its own (a size learned when a fetch completes)
+// needs no At.
 //
 //prefetch:hotpath
-func (w *Window) Latest() *Cell {
-	if len(w.cells) == 1 {
-		return &w.cells[0]
-	}
-	return &w.cells[int(rand.Uint32())&(len(w.cells)-1)]
-}
+func (w *Window) Add(f int, v float64) { w.totals[f].Add(int64(math.Round(v * scale))) }
 
-// At returns the cell an event at time now counts in, first moving the
-// ring forward if now has entered a new bucket. An event older than the
-// newest bucket counts in it.
+// At moves the ring forward if now has entered a new bucket, so the
+// Adds that follow count at time now. An event older than the newest
+// bucket counts in it.
 //
 //prefetch:hotpath
-func (w *Window) At(now float64) *Cell {
+func (w *Window) At(now float64) {
 	if e := int64(math.Floor(now / w.width)); e > w.head.Load() {
 		w.advance(e, now)
 	}
-	c := w.Latest()
-	c.last.Store(math.Float64bits(now))
-	return c
+	w.last.Store(math.Float64bits(now))
 }
 
 // advance records the totals as the start of every bucket up to e. An
@@ -112,54 +88,55 @@ func (w *Window) advance(e int64, now float64) {
 	if e <= h {
 		return
 	}
+	w.seq.Add(1)
 	if h == noHead {
 		w.first.Store(math.Float64bits(now))
 	}
-	total := w.total()
 	for n := max(h, e-K) + 1; n <= e; n++ {
-		for f, v := range total {
-			w.starts[uint64(n)%K][f].Store(v)
+		for f := range w.totals {
+			w.starts[uint64(n)%K][f].Store(w.totals[f].Load())
 		}
 	}
 	w.head.Store(e)
-}
-
-func (w *Window) total() (t [Fields]int64) {
-	for i := range w.cells {
-		for f := range t {
-			t[f] += w.cells[i].v[f].Load()
-		}
-	}
-	return t
+	w.seq.Add(1)
 }
 
 // Now returns the latest time At has been given, 0 before any (times
 // are non-negative): where a reader without a clock of its own reads
 // the window.
-func (w *Window) Now() float64 {
-	latest := 0.0
-	for i := range w.cells {
-		latest = max(latest, math.Float64frombits(w.cells[i].last.Load()))
-	}
-	return latest
-}
+func (w *Window) Now() float64 { return math.Float64frombits(w.last.Load()) }
 
 // Sum returns every field's sum over the window ending at now, and the
 // seconds it covers: from the start of its oldest bucket, or from the
 // first event if that is later, to now. Both are zero before any event,
 // and a read at a time before the newest bucket reads at its start.
+// Each sum lies between 0 and its field's total.
 func (w *Window) Sum(now float64) (sums [Fields]float64, span float64) {
-	h := w.head.Load()
-	if h == noHead {
-		return sums, 0
-	}
-	now = max(now, float64(h)*w.width)
-	lo := int64(math.Floor(now/w.width)) - K + 1
-	if lo <= h { // else every bucket with events has left the window
-		total, start := w.total(), &w.starts[uint64(lo)%K]
-		for f := range sums {
-			sums[f] = float64(total[f]-start[f].Load()) / scale
+	for {
+		seq := w.seq.Load()
+		if seq&1 != 0 {
+			runtime.Gosched() // advance holds the ring: let it finish
+			continue
 		}
+		h := w.head.Load()
+		if h == noHead {
+			return sums, 0
+		}
+		at := max(now, float64(h)*w.width)
+		lo := int64(math.Floor(at/w.width)) - K + 1
+		if lo <= h { // else every bucket with events has left the window
+			// The snapshot before the totals: a total read later is no smaller.
+			var start [Fields]int64
+			for f := range start {
+				start[f] = w.starts[uint64(lo)%K][f].Load()
+			}
+			for f := range sums {
+				sums[f] = float64(w.totals[f].Load()-start[f]) / scale
+			}
+		}
+		if w.seq.Load() == seq {
+			return sums, max(at-max(float64(lo)*w.width, math.Float64frombits(w.first.Load())), 0)
+		}
+		sums = [Fields]float64{}
 	}
-	return sums, max(now-max(float64(lo)*w.width, math.Float64frombits(w.first.Load())), 0)
 }

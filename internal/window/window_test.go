@@ -3,17 +3,9 @@ package window
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
-	"unsafe"
 )
-
-// TestCellFillsCacheLine pins the padding that keeps each stripe's cell
-// on a cache line of its own.
-func TestCellFillsCacheLine(t *testing.T) {
-	if size := unsafe.Sizeof(Cell{}); size != 64 {
-		t.Fatalf("Cell is %d bytes, want one 64-byte line", size)
-	}
-}
 
 func TestSumCoversTheSpan(t *testing.T) {
 	w := New(8) // 2 s buckets
@@ -22,9 +14,9 @@ func TestSumCoversTheSpan(t *testing.T) {
 	}
 	for i := 0; i < 200; i++ { // 10 events a second from t = 0.05, weighing 0.25 each
 		now := 0.05 + float64(i)/10
-		c := w.At(now)
-		c.Add(0, 1)
-		c.Add(1, 0.25)
+		w.At(now)
+		w.Add(0, 1)
+		w.Add(1, 0.25)
 	}
 	if now := w.Now(); now != 19.95 {
 		t.Fatalf("Now = %v, want the last event's 19.95", now)
@@ -36,8 +28,10 @@ func TestSumCoversTheSpan(t *testing.T) {
 	}
 	// Early on the window starts at the first event, not before it.
 	w2 := New(8)
-	w2.At(3.5).Add(0, 1)
-	w2.At(5.5).Add(0, 1)
+	w2.At(3.5)
+	w2.Add(0, 1)
+	w2.At(5.5)
+	w2.Add(0, 1)
 	if sums, span := w2.Sum(5.5); sums[0] != 2 || span != 2 {
 		t.Fatalf("Sum(5.5) = %v over %v s, want 2 events over the 2 s since the first", sums[0], span)
 	}
@@ -49,18 +43,23 @@ func TestSumCoversTheSpan(t *testing.T) {
 
 func TestStaleAndTimelessEvents(t *testing.T) {
 	w := New(8)
-	w.Latest().Add(0, 5) // before any At: zeroed by the first advance
-	w.At(100).Add(0, 1)
-	w.At(50).Add(0, 1) // older than the ring: counts in the newest bucket
-	w.Latest().Add(1, 3)
-	w.At(120).Add(0, 1) // skips more than a ring: every bucket is reused
+	w.Add(0, 5) // before any At: zeroed by the first advance
+	w.At(100)
+	w.Add(0, 1)
+	w.At(50)
+	w.Add(0, 1) // older than the ring: counts in the newest bucket
+	w.Add(1, 3)
+	w.At(120)
+	w.Add(0, 1) // skips more than a ring: every bucket is reused
 	if sums, _ := w.Sum(120); sums[0] != 1 || sums[1] != 0 {
 		t.Fatalf("after a jump past the ring: %v, want only the last event", sums[:2])
 	}
 	w = New(8)
-	w.At(100).Add(0, 1)
-	w.At(50).Add(0, 1)
-	w.Latest().Add(1, 3)
+	w.At(100)
+	w.Add(0, 1)
+	w.At(50)
+	w.Add(0, 1)
+	w.Add(1, 3)
 	if sums, _ := w.Sum(100); sums[0] != 2 || sums[1] != 3 {
 		t.Fatalf("stale and timeless events: %v, want 2 and 3 in the newest bucket", sums[:2])
 	}
@@ -75,8 +74,9 @@ func TestConcurrentAdds(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				w.At(0.5).Add(0, 1)
-				w.Latest().Add(1, 0.5)
+				w.At(0.5)
+				w.Add(0, 1)
+				w.Add(1, 0.5)
 				_, _ = w.Sum(0.5)
 			}
 		}()
@@ -87,10 +87,60 @@ func TestConcurrentAdds(t *testing.T) {
 	}
 }
 
+// TestSumsStayInRangeAcrossBoundaries reads the window while writers
+// carry it across thousands of bucket boundaries: a read that met the
+// ring mid-advance would subtract the newest bucket's snapshot, about
+// the current totals, and read about nothing. Every sum must lie
+// between 0 and the events added so far, and once the ring is full no
+// lower than the three whole buckets a read covers, less the events
+// still between their At and their Add.
+func TestSumsStayInRangeAcrossBoundaries(t *testing.T) {
+	w := New(1) // 0.25 s buckets
+	const writers, readers, each = 4, 4, 5000
+	var ticks, issued atomic.Int64
+	var stop atomic.Bool
+	var wg, rg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				w.At(float64(ticks.Add(1)) * w.Width() / 16) // a boundary every 16 events
+				issued.Add(1)
+				w.Add(0, 1)
+				w.Add(1, 0.5)
+			}
+		}()
+	}
+	for g := 0; g < readers; g++ {
+		rg.Add(1)
+		go func() {
+			defer rg.Done()
+			for reads := 0; !stop.Load() || reads == 0; reads++ {
+				before := issued.Load()
+				sums, span := w.Sum(w.Now())
+				n := float64(issued.Load())
+				least := 0.0
+				if before >= 5*16 { // the head is past bucket 4: buckets h−3..h−1 hold 16 ticks each
+					least = 3*16 - writers
+				}
+				if sums[0] < least || sums[0] > n || sums[1] < least/2 || sums[1] > n/2 || span < 0 || span > 1 {
+					t.Errorf("read %v over %v s with %v events added, want at least %v", sums[:2], span, n, least)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	stop.Store(true)
+	rg.Wait()
+}
+
 func BenchmarkSum(b *testing.B) {
 	w := New(0)
 	for i := 0; i < 1000; i++ {
-		w.At(float64(i)*0.01).Add(0, 1)
+		w.At(float64(i) * 0.01)
+		w.Add(0, 1)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

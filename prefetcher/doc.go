@@ -106,7 +106,7 @@
 // so concurrent Gets on disjoint keys do not contend. The adaptive
 // policy's estimates stay global: one shared controller reads λ̂, ŝ̄
 // and n̄(F) as rates over the last 10 s of the engine's clock, from
-// striped atomic counters, and ĥ′ from the tagged-cache counts, so
+// atomic counters, and ĥ′ from the tagged-cache counts, so
 // Threshold and Stats report one globally consistent operating point
 // at any shard count.
 //
@@ -171,8 +171,8 @@
 // recorded on its link by one function and settled by another.
 // WithIdleWatermark adds the paper's load-impedance result as a
 // dispatch rule: speculative fetches for a link whose ρ̂ — what it
-// carried over the last 10 s, over its bandwidth — sits above the
-// watermark are parked (at most 256 per link, the rest shed) and
+// carried over the last 10 s, at most one fetch per gap since the
+// last, over its bandwidth — sits above the watermark are parked (at most 256 per link, the rest shed) and
 // dispatched only in that link's idle periods (demand fetches are
 // never gated). WithBreaker
 // trips persistently failing backends open — routing steers around
