@@ -23,7 +23,7 @@ import (
 // keeps, DefaultSpan the seconds a window built with span 0 covers.
 const (
 	K           = 4
-	Fields      = 7
+	Fields      = 6
 	DefaultSpan = 10
 
 	scale  = 1 << 16       // totals are fixed-point, in 1/65536ths; they wrap, and differences stay exact
@@ -125,13 +125,10 @@ func (w *Window) Sum(now float64) (sums [Fields]float64, span float64) {
 		at := max(now, float64(h)*w.width)
 		lo := int64(math.Floor(at/w.width)) - K + 1
 		if lo <= h { // else every bucket with events has left the window
-			// The snapshot before the totals: a total read later is no smaller.
-			var start [Fields]int64
-			for f := range start {
-				start[f] = w.starts[uint64(lo)%K][f].Load()
-			}
+			start := &w.starts[uint64(lo)%K]
 			for f := range sums {
-				sums[f] = float64(w.totals[f].Load()-start[f]) / scale
+				s := start[f].Load() // before the total: a total read later is no smaller
+				sums[f] = float64(w.totals[f].Load()-s) / scale
 			}
 		}
 		if w.seq.Load() == seq {
