@@ -15,8 +15,7 @@ import (
 // model-B correction. λ̂, ŝ̄ and n̄(F) are ratios of sums over one
 // sliding window of time (package window), so the threshold follows a
 // shift in load — what distinguishes the paper's rule from a static
-// cutoff — and a record is a few atomic adds. Safe
-// for concurrent use.
+// cutoff — and a record is a few atomic adds. Safe for concurrent use.
 type Controller struct {
 	bandwidth float64
 	est       *cache.Estimator

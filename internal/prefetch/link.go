@@ -19,7 +19,9 @@ import (
 // fetch completes — in the newest bucket. ρ̂ also counts no more than
 // one dispatch per gap since the last one: the window alone would hold
 // a busy spell for up to its span, and the bound is what lets an idle
-// gate reopen as soon as the link goes quiet. Safe for concurrent use.
+// gate reopen as soon as the link goes quiet (so a quiet link's ρ̂ can
+// read below its ρ̂′, which stays the window's average for the
+// threshold). Safe for concurrent use.
 type Link struct {
 	bw atomic.Uint64 // float64 bits: configured or estimated bandwidth
 	w  *window.Window
