@@ -91,7 +91,7 @@ type prefetchReport struct {
 }
 
 // backendReport is the link block of the engine's one backend: traffic
-// and the per-link estimates admission runs on.
+// and the link estimates, whose ρ̂′ is the one admission runs on.
 type backendReport struct {
 	Name         string  `json:"name"`
 	Demand       int64   `json:"demand"`

@@ -7,9 +7,9 @@
 // through one of several prefetch policies. The paper's threshold
 // policy recomputes its cutoff from live load estimates; the baselines
 // do not. The ρ̂′/p̂_th columns are the controller's global no-prefetch
-// estimate; the cutoff in force is the origin link's measured
-// demand-only ρ̂′ (the "link ρ̂′" column), and every prefetch that lands
-// a hit takes a demand fetch off that link — so on this link the
+// estimate; the cutoff in force is the fabric's measured demand-only
+// ρ̂′ — here the one origin link's (the "link ρ̂′" column) — and every
+// prefetch that lands a hit takes a demand fetch off that link, so the
 // adaptive policies' cutoff sinks as they succeed and they end up next
 // to top2, while static(θ=0.5) shows the selective end of the trade.
 //
@@ -18,8 +18,9 @@
 // fast one and a slower mirror) through the httpfetch adapter, demand
 // fetches are hedged against the mirror when the origin's p95 stalls,
 // speculative candidates coalesce into framed /batch requests, and the
-// idle watermark defers speculative traffic out of busy periods — each
-// link reporting its own ρ̂′.
+// idle watermark defers speculative traffic out of busy periods. Each
+// link reports its own ρ̂′; candidates are admitted once, against their
+// bandwidth-weighted mean, and routed after.
 //
 // Run:
 //
@@ -83,7 +84,7 @@ func main() {
 			fmt.Sprintf("%d", st.PrefetchWasted),
 			fmt.Sprintf("%.3f", st.Accuracy()))
 	}
-	tb.AddNote("the adaptive policies admit against link ρ̂′ — the origin link's measured demand-only load, which their own hits lower — not the global no-prefetch estimate in the ρ̂′/p̂_th columns; static/top-k ignore load altogether")
+	tb.AddNote("the adaptive policies admit against the fabric's ρ̂′ — on this one backend the origin link's measured demand-only load (link ρ̂′), which their own hits lower — not the global no-prefetch estimate in the ρ̂′/p̂_th columns; static/top-k ignore load altogether")
 	fmt.Print(tb.Text())
 
 	if err := driveFabric(); err != nil {
@@ -224,7 +225,7 @@ func driveFabric() error {
 			b.Name, b.RhoPrime, b.Rho, b.Demand, b.Speculative,
 			b.HedgesWon, b.HedgesLaunched, b.Deferred, b.Released)
 	}
-	fmt.Println("→ each link carries its own ρ̂′, the mirror absorbs hedged tails, and speculation waits for idle periods")
+	fmt.Println("→ each link reports its own ρ̂′, candidates are admitted once against their bandwidth-weighted mean, the mirror absorbs hedged tails, and speculation waits for idle periods")
 	return nil
 }
 

@@ -93,3 +93,11 @@ func (c *Controller) State(nc float64) State {
 	st.RhoPrime = min(max((1-st.HPrime)*st.Lambda*st.MeanSize/c.bandwidth, 0), 1)
 	return st
 }
+
+// StateWith returns the State a policy decides on around a ρ̂′ the
+// caller measured (the fetch fabric's) with the client cache's ĥ′ and
+// nc, the caller's occupancy estimate, as in State. The rates behind
+// the controller's own ρ̂′, and n̄(F), which no policy reads, are unset.
+func (c *Controller) StateWith(rhoPrime, nc float64) State {
+	return State{RhoPrime: rhoPrime, HPrime: c.est.EstimateA(), NC: nc}
+}

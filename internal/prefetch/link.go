@@ -9,7 +9,7 @@ import (
 )
 
 // Link tracks the online utilisation of one backend link, so a fetch
-// fabric can feed each link's own ρ̂′ into the threshold rule. It
+// fabric can feed its links' bandwidth-weighted ρ̂′ to the rule. It
 // counts two streams over one sliding window (package window): demand
 // (miss fetches — the link's no-prefetch traffic, giving ρ̂′; the cache
 // has already absorbed the hits, so no (1−h′) correction) and total
@@ -157,17 +157,4 @@ func (l *Link) IdleWait(now, watermark float64) float64 {
 		}
 	}
 	return 0
-}
-
-// StateForLink snapshots a policy State whose utilisation term is the
-// given link's ρ̂′ at time now — the cache-side quantities (ĥ′, n̄(F))
-// stay global, because hits and prefetch volume are properties of the
-// client cache, not of any one link; λ̂ and ŝ̄ are left out. nc is the
-// caller's cache-occupancy estimate, as in State.
-func (c *Controller) StateForLink(l *Link, now, nc float64) State {
-	st := State{RhoPrime: l.RhoPrime(now), HPrime: c.est.EstimateA(), NC: nc}
-	if sums, _ := c.w.Sum(now); sums[fRequests] > 0 {
-		st.NF = sums[fPrefetches] / sums[fRequests]
-	}
-	return st
 }

@@ -155,7 +155,7 @@ func TestLinkIdleWaitIsExact(t *testing.T) {
 	}
 }
 
-func TestStateForLinkUsesLinkUtilisation(t *testing.T) {
+func TestStateWithUsesGivenUtilisation(t *testing.T) {
 	c := NewController(1000, 0)
 	// Global traffic is heavy…
 	for i := 0; i < 100; i++ {
@@ -165,13 +165,13 @@ func TestStateForLinkUsesLinkUtilisation(t *testing.T) {
 	l := NewLink(1000, 0)
 	last := driveLink(l, 0, 1, 1, 20)
 
-	st := c.StateForLink(l, last, 3)
+	st := c.StateWith(l.RhoPrime(last), 3)
 	global := c.State(3)
-	if st.RhoPrime >= global.RhoPrime {
-		t.Fatalf("link ρ̂′ %v must sit below the global %v", st.RhoPrime, global.RhoPrime)
+	if st.RhoPrime != l.RhoPrime(last) || st.RhoPrime >= global.RhoPrime {
+		t.Fatalf("ρ̂′ %v must be the link's %v, below the global %v", st.RhoPrime, l.RhoPrime(last), global.RhoPrime)
 	}
-	if st.HPrime != global.HPrime || st.NF != global.NF || st.NC != 3 {
-		t.Fatalf("cache-side estimates must stay global: link %+v vs global %+v", st, global)
+	if st.HPrime != global.HPrime || st.NC != 3 {
+		t.Fatalf("ĥ′ must stay global: given %+v vs global %+v", st, global)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -24,9 +25,11 @@ const chainAdmissionDigest = "0e593eb020930aa2"
 // runs in three phases: 400 requests at 20/s, 400 at 100/s, then 1000
 // at one instant, which lift the link's ρ̂′ past the less likely
 // successors and its ρ̂ past the idle watermark, so that what is
-// admitted is parked. The clock stands still for the whole burst, so ρ̂ never
-// falls back below the watermark while a candidate is parked: the gate
-// releases nothing, and every event is one a request emitted.
+// admitted is parked. The clock stands still for the whole burst, so ρ̂
+// never falls back below the watermark while a candidate is parked: the
+// gate releases nothing, and every event is one a request emitted. The
+// fetcher must batch: a plan is then one job, deduplicated whole before
+// it is pushed, so no landing races the plan's own dedup.
 func chainAdmissionTrace(t *testing.T, fetcher Fetcher, construct ...Option) (digest string, issued, deferred int) {
 	t.Helper()
 	const (
@@ -125,5 +128,151 @@ func TestChainAdmissionDigest(t *testing.T) {
 	}
 	if plain != chainAdmissionDigest {
 		t.Fatalf("digest %s, want %s", plain, chainAdmissionDigest)
+	}
+}
+
+// fixedPredictor answers every request with the candidates the test
+// set last, so that a test can place p exactly against the threshold.
+type fixedPredictor struct{ preds []Prediction }
+
+func (p *fixedPredictor) Observe(ID)            {}
+func (p *fixedPredictor) Name() string          { return "fixed" }
+func (p *fixedPredictor) Predict() []Prediction { return p.preds }
+
+// TestAdmissionEdgeAtFabricRhoPrime places candidates a hair either side
+// of the fabric's demand-only ρ̂′ on a ManualClock at a configured b: the
+// one just above is dispatched, the one just below is not. With two
+// backends the fabric's ρ̂′ is the bandwidth-weighted mean of two links
+// that read on either side of it, and each candidate is routed to the
+// link whose own ρ̂′ would have decided it the other way. A plan with
+// more candidates than maxPrefetch then keeps the two most probable,
+// across both links.
+func TestAdmissionEdgeAtFabricRhoPrime(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		backends []fetch.Backend
+	}{
+		{"one", []fetch.Backend{{Name: "origin", Fetcher: &okBackend{}, Bandwidth: 1000}}},
+		// 4:1 routing onto 1:3 bandwidth: 200 misses/s read ρ̂′ ≈ 0.16 on
+		// heavy, ≈ 0.013 on light, ≈ 0.05 for the fabric.
+		{"two", []fetch.Backend{
+			{Name: "heavy", Fetcher: &okBackend{}, Weight: 4, Bandwidth: 1000},
+			{Name: "light", Fetcher: &okBackend{}, Weight: 1, Bandwidth: 3000},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clock := NewManualClock(time.Unix(0, 0))
+			pred := &fixedPredictor{}
+			var (
+				mu     sync.Mutex
+				issued []ID
+			)
+			eng, err := New(nil,
+				WithBandwidth(1000),
+				WithClock(clock),
+				WithPredictor(pred),
+				WithMaxPrefetch(2),
+				WithCache(NewLRUCache(1024)),
+				WithBackends(tc.backends...),
+				WithEventHook(func(ev Event) {
+					if ev.Type == EventPrefetchIssued {
+						mu.Lock()
+						issued = append(issued, ev.ID)
+						mu.Unlock()
+					}
+				}),
+			)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			ctx := context.Background()
+			for i := 0; i < 400; i++ { // demand misses only: the predictor is silent
+				clock.AdvanceSeconds(0.005)
+				if _, err := eng.Get(ctx, ID(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			// The clock stands still from here on and every request hits,
+			// so no link's ρ̂′ moves: what Stats reads is what the pass reads.
+			before := eng.Stats()
+			var load, bw float64
+			for _, b := range before.Backends {
+				load += b.Bandwidth * b.RhoPrime
+				bw += b.Bandwidth
+			}
+			rho := load / bw
+			const eps = 1e-9
+			if rho < 0.01 {
+				t.Fatalf("fabric ρ̂′ %v: the warm-up left the rule nothing to decide", rho)
+			}
+			last := len(before.Backends) - 1
+			if len(before.Backends) > 1 && (before.Backends[0].RhoPrime <= rho+eps || before.Backends[last].RhoPrime >= rho-eps) {
+				t.Fatalf("links must read either side of the fabric's ρ̂′ %v: %+v", rho, before.Backends)
+			}
+			// fresh returns the next id past from that is resident nowhere
+			// and routed to backend b.
+			fresh := func(from ID, b int) ID {
+				for id := from; ; id++ {
+					if eng.fabric.Route(id) == b {
+						return id
+					}
+				}
+			}
+			// request serves a resident id with the predictor answering
+			// preds and returns the ids the pass issued and each backend's
+			// speculative fetches.
+			request := func(id ID, preds ...Prediction) ([]ID, []int64) {
+				t.Helper()
+				pred.preds = preds
+				base := eng.Stats()
+				mu.Lock()
+				issued = issued[:0]
+				mu.Unlock()
+				if _, err := eng.Get(ctx, id); err != nil {
+					t.Fatal(err)
+				}
+				if err := eng.Quiesce(ctx); err != nil {
+					t.Fatal(err)
+				}
+				st := eng.Stats()
+				if st.Hits != base.Hits+1 {
+					t.Fatalf("Get(%d) missed", id)
+				}
+				spec := make([]int64, len(st.Backends))
+				for i, b := range st.Backends {
+					spec[i] = b.Speculative - base.Backends[i].Speculative
+				}
+				mu.Lock()
+				defer mu.Unlock()
+				return append([]ID(nil), issued...), spec
+			}
+
+			// Just above on the most loaded link, just below on the least.
+			above, below := fresh(1_000_000, 0), fresh(2_000_000, last)
+			got, spec := request(399, Prediction{ID: above, Prob: rho + eps}, Prediction{ID: below, Prob: rho - eps})
+			want := make([]int64, len(spec))
+			want[0]++
+			if len(got) != 1 || got[0] != above || !slices.Equal(spec, want) {
+				t.Fatalf("fabric ρ̂′ %v: issued %v (speculative per backend %v), want only %d (p just above) on backend 0, not %d (p just below)",
+					rho, got, spec, above, below)
+			}
+
+			// Four candidates over the threshold, the likeliest two on
+			// different links: one pass keeps those two.
+			top := []ID{fresh(3_000_000, 0), fresh(4_000_000, last), fresh(5_000_000, 0), fresh(6_000_000, last)}
+			got, spec = request(398,
+				Prediction{ID: top[0], Prob: 0.9}, Prediction{ID: top[1], Prob: 0.8},
+				Prediction{ID: top[2], Prob: 0.7}, Prediction{ID: top[3], Prob: 0.6})
+			if len(got) != 2 || got[0] != top[0] || got[1] != top[1] {
+				t.Fatalf("issued %v, want the two most probable %v", got, top[:2])
+			}
+			want[last]++
+			if !slices.Equal(spec, want) {
+				t.Fatalf("speculative fetches per backend %v, want %v", spec, want)
+			}
+			quiesceAndCheck(t, eng)
+		})
 	}
 }

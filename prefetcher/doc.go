@@ -160,13 +160,13 @@
 // coalescing of adjacent speculative candidates for backends
 // implementing BatchFetcher. Each backend link carries its own
 // latency, bandwidth and utilisation estimators, and the admission
-// threshold for a candidate is evaluated against the measured
-// demand-only ρ̂′ of the link its fetch would actually use — on every
-// engine, a single-Fetcher one included. That reading sits at or below
+// threshold is evaluated once per plan against the links' measured
+// demand-only ρ̂′, weighted by bandwidth (on one link, its own), before
+// the admitted candidates are routed. That reading sits at or below
 // the controller's global estimate (1−ĥ′)λ̂ŝ̄/b which Stats.RhoPrime and
 // Threshold report, so an engine admits somewhat more than the global
-// figure alone suggests; Stats.Backends[i].RhoPrime is the number in
-// force, and what feeds it is written once: every backend call the
+// figure alone suggests; Stats.Backends[i].RhoPrime are the numbers in
+// force, and what feeds them is written once: every backend call the
 // fabric makes, whatever its entry point, is admitted, counted and
 // recorded on its link by one function and settled by another.
 // WithIdleWatermark adds the paper's load-impedance result as a

@@ -345,17 +345,12 @@ func New(fetcher Fetcher, opts ...Option) (*Engine, error) {
 		// sync.Pool drops one Put in four and testing.AllocsPerRun
 		// integer-divides, so the hit-path gates that run under -race
 		// (TestGetHitAllocFree and the byte-path ones) pass only while
-		// 3/4 truncates to 0: anything a single-backend hit needs
-		// besides those three is backed inline by the struct (gids0,
-		// tabs0), never by a fourth allocation.
+		// 3/4 truncates to 0: anything a hit needs besides those three
+		// is backed inline by the struct (gids0, gidx0), never by a
+		// fourth allocation.
 		sc := &multiScratch{}
 		sc.cands = make([]predict.Prediction, 0, bufCap)
-		sc.gids = sc.gids0[:0]
-		tabs := sc.tabs0[:]
-		if nb := e.fabric.NumBackends(); nb > 1 {
-			tabs = make([][]predict.Prediction, 2*nb)
-		}
-		sc.groups, sc.sels = tabs[:len(tabs)/2], tabs[len(tabs)/2:]
+		sc.gids, sc.gidx = sc.gids0[:0], sc.gidx0[:0]
 		if e.planner.plugin != nil { // only plugins stage public predictions
 			sc.pub = make([]Prediction, 0, bufCap)
 		}

@@ -1,21 +1,19 @@
 package prefetcher
 
 import (
-	"slices"
-
 	"repro/internal/predict"
 	"repro/prefetcher/fetch"
 )
 
 // This file wires the fetch fabric (package prefetcher/fetch) into the
 // engine: construction from the configured backends, speculative
-// planning with per-link admission thresholds, and dispatch — the one
-// path that registers, queues and, when the queue refuses, fails a
-// speculative fetch, for a request's plan and an idle-gate release
-// alike. The demand side is the read core's two calls (multi.go):
-// FetchDemandBatch for a request's owned misses, Fetch for a key whose
-// joined flight failed; both land through land (engine.go), as the
-// workers' speculative fetches do.
+// planning (one admission pass against the fabric's ρ̂′, then routing)
+// and dispatch, the one path that registers, queues and, when the queue
+// refuses, fails a speculative fetch, for a request's plan and an
+// idle-gate release alike. The demand side is the read core's two
+// calls (multi.go): FetchDemandBatch for a request's owned misses,
+// Fetch for a key whose joined flight failed; both land through land
+// (engine.go), as the workers' speculative fetches do.
 
 // newFabric assembles the engine's fetch fabric from the validated
 // config: the WithBackends links, or fetcher as the one backend
@@ -51,104 +49,69 @@ func (e *Engine) putJob(j *job) {
 	e.jobPool.Put(j)
 }
 
-// compareByProb orders predictions most-probable first (ties by id).
-// Package-level so the hot sort does not allocate a closure.
-func compareByProb(a, b predict.Prediction) int {
-	switch {
-	case a.Prob > b.Prob || (a.Prob == b.Prob && a.Item < b.Item):
-		return -1
-	default:
-		return 1
+// rhoPrime is the one utilisation a plan is admitted against: the
+// fabric's demand-only ρ̂′ at time now, its links' ρ̂′ weighted by
+// bandwidth — on one link, as every engine built from a Fetcher has,
+// that link's own, exactly. A link whose bandwidth is still unknown
+// weighs nothing.
+//
+//prefetch:hotpath
+func (e *Engine) rhoPrime(now float64) float64 {
+	n := e.fabric.NumBackends()
+	if n == 1 {
+		return e.fabric.Link(0).RhoPrime(now)
 	}
+	var load, bw float64
+	for b := 0; b < n; b++ {
+		l := e.fabric.Link(b)
+		w := l.Bandwidth()
+		load += w * l.RhoPrime(now)
+		bw += w
+	}
+	if bw <= 0 {
+		return 0
+	}
+	return load / bw
 }
 
 // schedule filters a request's candidates through the policy and
-// dispatches the admitted ones: candidates are partitioned by the
-// backend the router would fetch them from, each group is admitted
-// against the threshold computed from *that link's* ρ̂′ — the load the
-// candidate's own fetch would compete with — and each backend's
-// admitted ids go to deferOrDispatch. All planning state lives in the
-// request's own scratch, so the pass allocates nothing in steady state.
-// now is the time the link estimates are read at: a hit passes its
-// arrival reading (one clock read per hit), a path that waited on a
-// fetch reads the clock afresh.
+// dispatches the admitted ones. The policy runs once, against the
+// fabric's ρ̂′ (rhoPrime); only then is each admitted id routed, and
+// each backend's share goes, in order, to deferOrDispatch. The cap needs
+// no code here: the planner hands over at most maxPrefetch candidates,
+// most probable first, and every policy admits a prefix of them, so the
+// pass keeps the maxPrefetch most probable across all backends. All
+// planning state lives in the request's own scratch, so the pass
+// allocates nothing in steady state. now is the time the link estimates
+// are read at: a hit passes its arrival reading (one clock read per
+// hit), a path that waited on a fetch reads the clock afresh.
 //
 //prefetch:hotpath
 func (e *Engine) schedule(sc *multiScratch, cands []predict.Prediction, now float64) {
 	if len(cands) == 0 {
 		return
 	}
-	nc := e.occupancy()
-	groups, sels := sc.groups, sc.sels
-	if len(groups) == 1 {
-		// Single backend (every engine built from one Fetcher): nothing
-		// to partition, the candidates are the group.
-		groups[0] = cands
-	} else {
-		for b := range groups {
-			groups[b] = groups[b][:0]
-		}
-		for _, c := range cands {
-			b := e.fabric.Route(ID(c.Item))
-			groups[b] = append(groups[b], c)
-		}
+	sel := e.policy.Select(cands, e.ctrl.StateWith(e.rhoPrime(now), e.occupancy()))
+	routes := sc.gidx[:0]
+	for _, c := range sel {
+		routes = append(routes, e.fabric.Route(ID(c.Item)))
 	}
-	total := 0
-	for b, g := range groups {
-		sels[b] = nil
-		if len(g) == 0 {
-			continue
-		}
-		st := e.ctrl.StateForLink(e.fabric.Link(b), now, nc)
-		sel := e.policy.Select(g, st)
-		if len(sel) > e.maxPrefetch {
-			sel = sel[:e.maxPrefetch]
-		}
-		sels[b] = sel
-		total += len(sel)
-	}
-	// The per-request cap is global: when per-link admission together
-	// exceeds it, keep the most probable candidates across links.
-	if total > e.maxPrefetch {
-		flat := sc.flat[:0]
-		for _, sel := range sels {
-			flat = append(flat, sel...)
-		}
-		sc.flat = flat
-		slices.SortFunc(flat, compareByProb)
-		if sc.keep == nil {
-			//lint:allow hotpathalloc keep set created once per scratch, cleared and reused across passes
-			sc.keep = make(map[ID]bool, e.maxPrefetch)
-		}
-		keep := sc.keep
-		clear(keep)
-		for _, c := range flat[:e.maxPrefetch] {
-			keep[ID(c.Item)] = true
-		}
-		for b, sel := range sels {
-			kept := sel[:0]
-			for _, c := range sel {
-				if keep[ID(c.Item)] {
-					kept = append(kept, c)
-				}
-			}
-			sels[b] = kept
-		}
-	}
-	for b, sel := range sels {
-		if len(sel) == 0 {
-			continue
-		}
+	sc.gidx = routes
+	for b := 0; b < e.fabric.NumBackends(); b++ {
 		// One staging buffer serves every backend in turn:
 		// deferOrDispatch consumes the ids synchronously (they are
 		// copied into the park queue or the job) so the buffer is free
 		// again by the next iteration.
 		ids := sc.gids[:0]
-		for _, c := range sel {
-			ids = append(ids, ID(c.Item))
+		for i, c := range sel {
+			if routes[i] == b {
+				ids = append(ids, ID(c.Item))
+			}
 		}
 		sc.gids = ids
-		e.deferOrDispatch(b, ids)
+		if len(ids) > 0 {
+			e.deferOrDispatch(b, ids)
+		}
 	}
 }
 
@@ -159,17 +122,17 @@ func (e *Engine) schedule(sc *multiScratch, cands []predict.Prediction, now floa
 //prefetch:hotpath
 func (e *Engine) deferOrDispatch(b int, ids []ID) {
 	if e.fabric.Busy(b) {
-		// The link is in a busy period: park the candidates with
-		// the fabric's idle gate instead of adding speculative
-		// traffic on top of demand load. No flight is registered —
-		// a demand Get for a parked id simply fetches it. Resident
-		// and in-flight candidates are filtered first (the same
-		// dedup dispatch applies), so the Deferred count and the
-		// bounded queue only carry work an idle period could
-		// actually use; the fabric additionally drops ids already
-		// parked. The filter compacts ids in place — it is the caller's
-		// staging buffer, dead once this call returns — and Defer copies
-		// the accepted ids into its park queue.
+		// The link is in a busy period: park the candidates with the
+		// fabric's idle gate instead of adding speculative traffic on
+		// top of demand load. No flight is registered — a demand Get
+		// for a parked id simply fetches it. Resident and in-flight
+		// candidates are filtered first (the same dedup dispatch
+		// applies), so the Deferred count and the bounded queue only
+		// carry work an idle period could actually use; the fabric
+		// additionally drops ids already parked. The filter compacts ids
+		// in place — it is the caller's staging buffer, dead once this
+		// call returns — and Defer copies the accepted ids into its
+		// park queue.
 		park := ids[:0]
 		for _, id := range ids {
 			sh := e.shardFor(id)

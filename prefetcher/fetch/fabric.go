@@ -261,9 +261,9 @@ func (f *Fabric) BatchCapable(i int) bool { return f.backends[i].batch != nil }
 // Decided once, at New; without it every payload arrives owned.
 func (f *Fabric) Lends() bool { return f.lends }
 
-// Link exposes backend i's utilisation estimator, so the engine's
-// controller can evaluate the admission threshold against that link's
-// ρ̂′ (Controller.StateForLink).
+// Link exposes backend i's utilisation estimator, so the engine can
+// admit against the fabric's ρ̂′, its links' ρ̂′ weighted by bandwidth
+// (Controller.StateWith).
 func (f *Fabric) Link(i int) *prefetch.Link { return f.backends[i].link }
 
 // --- circuit breaker -----------------------------------------------------

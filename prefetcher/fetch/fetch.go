@@ -4,8 +4,8 @@
 // candidates into batch calls, races hedged retries against slow
 // backends, and estimates each link's latency, bandwidth and
 // utilisation separately — so the paper's admission threshold can be
-// evaluated against the ρ̂′ of the link a candidate would actually
-// use, and speculative dispatch can be deferred into that link's idle
+// evaluated against the links' demand-only ρ̂′, weighted by bandwidth,
+// and speculative dispatch can be deferred into each link's idle
 // periods (the load-impedance result: the same prefetch costs a
 // multiple under load of what it costs when the link is quiet).
 //

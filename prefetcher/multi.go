@@ -3,8 +3,6 @@ package prefetcher
 import (
 	"context"
 	"fmt"
-
-	"repro/internal/predict"
 )
 
 // This file is the engine's one read core. Every public read — Get,
@@ -122,29 +120,21 @@ type sink struct {
 }
 
 // multiScratch is the pooled per-request state: the predictor's
-// candidate buffers, the per-key classification table, the staging
-// buffers for batch dispatch and the speculative planning tables.
-// Pooling it is what keeps the all-hit path allocation-free.
+// candidate buffers, the per-key classification table and the staging
+// buffers for batch dispatch and speculative planning. Pooling it is
+// what keeps the all-hit path allocation-free.
 type multiScratch struct {
 	candBufs
 	states []multiKey
 	gids   []ID  // one backend's share of the misses, then of the admitted candidates
-	gidx   []int // indices into states, aligned with gids
+	gidx   []int // indices into states, aligned with gids; then the admitted candidates' routes
 	bout   []Item
 	berrs  []error
 	blens  []int // per staged miss, its payload's length in a lent buffer
-	// schedule's planning state: the per-backend partition and
-	// selection tables (sized to the backend count when the scratch is
-	// built), and the flattened sort buffer and keep set of the
-	// global-cap trim.
-	groups, sels [][]predict.Prediction
-	flat         []predict.Prediction
-	keep         map[ID]bool
-	// Inline first backings for gids and, on a single backend, the two
-	// tables: see multiPool.New for why a fresh scratch must not cost
-	// an allocation for them.
+	// Inline first backings for gids and gidx: see multiPool.New for
+	// why a fresh scratch must not cost an allocation for them.
 	gids0 [8]ID
-	tabs0 [2][]predict.Prediction
+	gidx0 [8]int
 }
 
 // maxPooledKeys bounds the session size whose scratch is worth keeping:

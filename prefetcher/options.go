@@ -234,9 +234,9 @@ func WithEventHook(fn func(Event)) Option {
 // see WithRouting), a failed demand fetch fails over to the next
 // backend, speculative candidates routed to one batch-capable backend
 // are coalesced into a single FetchBatch call, and each link's
-// latency, bandwidth and utilisation are estimated separately — the
-// admission threshold is evaluated against the demand-only ρ̂′ of the
-// link each candidate would actually use, not the global average.
+// latency, bandwidth and utilisation are estimated separately; a plan
+// is admitted once, against the links' demand-only ρ̂′ weighted by
+// bandwidth, and only the admitted candidates are routed.
 // Pass nil as New's fetcher when using backends (supplying both is a
 // construction error). Per-backend stats appear in Stats.Backends.
 func WithBackends(backends ...fetch.Backend) Option {

@@ -11,8 +11,8 @@ import (
 // InFlight) are maintained per shard on the hot path and summed here;
 // the estimates (Lambda … NF) and Threshold come from the engine's one
 // shared controller and are global regardless of the shard count;
-// Backends carries each link's own estimates, which are what admission
-// runs on.
+// Backends carries each link's own, and admission reads their ρ̂′
+// weighted by bandwidth.
 type Stats struct {
 	// Requests counts Get calls; Hits and Misses partition them by
 	// cache outcome (a Get that joins an in-flight prefetch counts as a
@@ -37,9 +37,8 @@ type Stats struct {
 	Lambda, MeanSize, HPrime, RhoPrime, NF float64
 	// Threshold is the paper's cutoff p̂_th for the engine's interaction
 	// model — ρ̂′ (model A) plus ĥ′/n̄(C) (model B) — at that global
-	// RhoPrime. The threshold in force for a candidate substitutes the
-	// measured demand-only ρ̂′ of the link it would be fetched over,
-	// Backends[i].RhoPrime, which reads at or below the global estimate.
+	// RhoPrime. The threshold in force substitutes the Backends[i].RhoPrime
+	// weighted by bandwidth, which reads at or below the global estimate.
 	Threshold float64
 	// CacheLen is the resident item count summed across shard caches;
 	// InFlight the number of fetches (demand and speculative) currently
