@@ -275,7 +275,6 @@ func TestQuickStoreInvariants(t *testing.T) {
 		func() Policy { return NewLFU() },
 		func() Policy { return NewClock() },
 		func() Policy { return NewRandomPolicy(rng.New(99)) },
-		func() Policy { return NewSLRU(3) },
 	}
 	f := func(ops []uint16, capRaw uint8) bool {
 		capacity := int(capRaw%10) + 1

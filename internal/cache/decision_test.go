@@ -2,12 +2,14 @@ package cache_test
 
 import (
 	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/cache"
 	"repro/internal/predict"
 	"repro/internal/rng"
 	"repro/internal/workload"
+	"repro/prefetcher"
 )
 
 // decisionStreams are the key streams the replacement-policy decision
@@ -72,19 +74,45 @@ type decisionStream struct {
 	capacity int
 }
 
-// missRatio replays ids through a Store of the given policy. With k > 0
-// it speculates after each request: the bounded Markov table observes
-// the id and its top k successors are admitted if they are not resident
-// (on these streams the link's ρ̂′ sits below the successors' p̂, so the
-// threshold rule admits them). That approximates the daemon, not more:
-// the engine caps a request's plan at 4 (WithMaxPrefetch's default),
-// and /batch plans once per session, from its last id.
-func missRatio(ids []cache.ID, capacity int, policy cache.Policy, k int) float64 {
-	store := cache.NewStore(capacity, policy)
+// replayer is what missRatio drives: a Store under one of this
+// package's policies, or slruStore.
+type replayer interface {
+	Access(id cache.ID) bool
+	Admit(id cache.ID) bool
+	Contains(id cache.ID) bool
+}
+
+// slruStore drives the segmented-LRU order, which lives in the store
+// prefetcher builds (NewSLRUCache), through replayer.
+type slruStore struct{ c prefetcher.Cache }
+
+func (s slruStore) Access(id cache.ID) bool {
+	_, ok := s.c.Get(prefetcher.ID(id))
+	return ok
+}
+
+func (s slruStore) Admit(id cache.ID) bool {
+	s.c.Put(prefetcher.ID(id), []byte(nil))
+	return true
+}
+
+func (s slruStore) Contains(id cache.ID) bool { return s.c.Contains(prefetcher.ID(id)) }
+
+// missRatio replays ids through store. With k > 0 it speculates after
+// each request: the bounded Markov table observes the id and its top k
+// successors are admitted if they are not resident (on these streams the
+// link's ρ̂′ sits below the successors' p̂, so the threshold rule admits
+// them). That approximates the daemon, not more: the engine caps a
+// request's plan at 4 (WithMaxPrefetch's default), and /batch plans once
+// per session, from its last id.
+func missRatio(ids []cache.ID, store replayer, k int) float64 {
 	model := predict.NewConcurrentMarkov1()
 	buf := make([]predict.Prediction, 0, k)
+	hits := 0
 	for _, id := range ids {
-		if !store.Access(id) {
+		if store.Access(id) {
+			hits++
+		} else {
 			store.Admit(id)
 		}
 		if k == 0 {
@@ -97,7 +125,7 @@ func missRatio(ids []cache.ID, capacity int, policy cache.Policy, k int) float64
 			}
 		}
 	}
-	return 1 - store.HitRatio()
+	return 1 - float64(hits)/float64(len(ids))
 }
 
 // TestNoPolicyBeatsLRUWithSpeculationOn keeps ROADMAP item 4(i)'s
@@ -105,36 +133,55 @@ func missRatio(ids []cache.ID, capacity int, policy cache.Policy, k int) float64
 // replacement policy because, with speculation on — the configuration
 // prefetchd and every benchmark workload run — none misses less on the
 // streams the benchmark runs. It replays each stream through every
-// policy in this package three times: with the Markov top 2 prefetched
-// into the store after every request, with the top 4 (the engine's
-// default cap), and demand-only. It logs all three columns and fails if
-// any policy beats LRU by more than 0.01 miss_ratio in the top-2 column.
-// The top-4 column is logged, not gated (on trace1k/8 FIFO, Clock and
-// SLRU beat LRU there); so is the demand-only column, what a
-// `policy: none` space gives up (LFU does beat LRU there).
+// policy in this package, and through NewSLRUCache's segmented LRU with
+// half the entries protected, three times: with the Markov top 2
+// prefetched into the store after every request, with the top 4 (the
+// engine's default cap), and demand-only. It logs all three columns and
+// fails if any policy beats LRU by more than 0.01 miss_ratio in the
+// top-2 column, or in the top-4 column on the four BENCHMARK.json
+// streams (on trace1k/8 FIFO, Clock and SLRU beat LRU there, so its
+// top-4 column is logged, not gated). So is the demand-only column, what
+// a `policy: none` space gives up (LFU does beat LRU there).
 func TestNoPolicyBeatsLRUWithSpeculationOn(t *testing.T) {
+	policy := func(p func() cache.Policy) func(int) (string, replayer) {
+		return func(capacity int) (string, replayer) {
+			s := cache.NewStore(capacity, p())
+			return s.PolicyName(), s
+		}
+	}
 	// lru first: the others are read against it.
-	policies := []func(capacity int) cache.Policy{
-		func(int) cache.Policy { return cache.NewLRU() },
-		func(int) cache.Policy { return cache.NewFIFO() },
-		func(int) cache.Policy { return cache.NewLFU() },
-		func(int) cache.Policy { return cache.NewClock() },
-		func(capacity int) cache.Policy { return cache.NewSLRU(capacity / 2) },
-		func(int) cache.Policy { return cache.NewRandomPolicy(rng.NewStream(1, "random-policy")) },
+	stores := []func(capacity int) (string, replayer){
+		policy(func() cache.Policy { return cache.NewLRU() }),
+		policy(func() cache.Policy { return cache.NewFIFO() }),
+		policy(func() cache.Policy { return cache.NewLFU() }),
+		policy(func() cache.Policy { return cache.NewClock() }),
+		func(capacity int) (string, replayer) {
+			return "slru", slruStore{prefetcher.NewSLRUCache(capacity, capacity/2)}
+		},
+		policy(func() cache.Policy { return cache.NewRandomPolicy(rng.NewStream(1, "random-policy")) }),
 	}
 	for _, st := range decisionStreams(t) {
-		var lru float64
-		for i, mk := range policies {
-			name := mk(st.capacity).Name()
-			on := missRatio(st.ids, st.capacity, mk(st.capacity), 2)
-			top4 := missRatio(st.ids, st.capacity, mk(st.capacity), 4)
-			off := missRatio(st.ids, st.capacity, mk(st.capacity), 0)
+		gateTop4 := !strings.HasPrefix(st.name, "trace1k/")
+		var lru, lru4 float64
+		for i, mk := range stores {
+			name, s := mk(st.capacity)
+			on := missRatio(st.ids, s, 2)
+			_, s = mk(st.capacity)
+			top4 := missRatio(st.ids, s, 4)
+			_, s = mk(st.capacity)
+			off := missRatio(st.ids, s, 0)
 			t.Logf("%-15s %-6s miss_ratio %.4f speculating top 2, %.4f top 4, %.4f demand-only", st.name, name, on, top4, off)
 			if i == 0 {
-				lru = on
-			} else if on < lru-0.01 {
-				t.Errorf("%s: %s misses %.4f of requests with speculation on against lru's %.4f — a policy that beats LRU by more than 0.01 on the shipped configuration has a claim to the byte store (ROADMAP item 4)",
+				lru, lru4 = on, top4
+				continue
+			}
+			if on < lru-0.01 {
+				t.Errorf("%s: %s misses %.4f of requests speculating top 2 against lru's %.4f — a policy that beats LRU by more than 0.01 on the shipped configuration has a claim to the byte store (ROADMAP item 4)",
 					st.name, name, on, lru)
+			}
+			if gateTop4 && top4 < lru4-0.01 {
+				t.Errorf("%s: %s misses %.4f of requests speculating top 4 against lru's %.4f — a policy that beats LRU by more than 0.01 on the shipped configuration has a claim to the byte store (ROADMAP item 4)",
+					st.name, name, top4, lru4)
 			}
 		}
 	}

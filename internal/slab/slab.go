@@ -12,6 +12,9 @@
 // that says where a value is also says which value goes next. Get,
 // BytesLen and Put move an entry to the head; Has peeks. There is no
 // second residency table and no per-entry node to keep in step.
+// SetProtected makes the order segmented LRU: the same two columns then
+// carry two lists, probation and protected, and one more byte per slot
+// says which list a slot is on.
 //
 // Every entry that leaves without the caller naming it (Delete) is
 // reported through the one OnEvict callback. Put appends at a write
@@ -27,8 +30,8 @@
 // free-list fragmentation state in which a Put can wedge, and under byte
 // pressure the store is FIFO by write. The entry bound (SetMaxEntries),
 // when set, bounds the count: a Put that leaves more live entries evicts
-// from the tail of the list, after any rotation it caused. EvictOldest
-// evicts the tail on demand.
+// from the tail of the list, after any rotation it caused, never the
+// entry it placed. EvictOldest evicts the tail on demand.
 //
 // A Store is not safe for concurrent use; in the prefetch engine each
 // shard owns one behind its shard mutex.
@@ -74,9 +77,24 @@ const (
 	// recency links are trusted with; resize refuses to pass it.
 	maxIndexSlots = 1 << 30
 
-	// none ends the recency list on either side, and is both ends of an empty one.
+	// none ends a recency list on either side, and is both ends of an empty one.
 	none = -1
+
+	// The recency lists: every entry of a plain LRU order is on
+	// probation; segmented LRU adds the protected list.
+	probation = 0
+	protected = 1
 )
+
+// recency is one recency list: its most and least recently used slots
+// (none when empty) and its length.
+type recency struct {
+	head, tail int32
+	len        int
+}
+
+// noLists is an empty store's recency lists.
+var noLists = [2]recency{{none, none, 0}, {none, none, 0}}
 
 // Stats is a point-in-time snapshot of a Store's occupancy and churn.
 type Stats struct {
@@ -108,12 +126,15 @@ type Store struct {
 	refs []uint64
 	live int // live entries
 
-	// The recency list over the live slots, as slot numbers: prev[i] is
-	// the slot used more recently than i, next[i] less recently. An entry
-	// a deletion shifts takes its links with it (move).
-	prev, next []int32
-	head, tail int32 // most and least recently used; none when empty
-	maxEntries int   // 0 = bounded by bytes alone
+	// The recency lists over the live slots, as slot numbers: on[i] is
+	// the list slot i is on, prev[i] the slot used more recently than i
+	// on it, next[i] the one less recently. An entry a deletion shifts
+	// takes its links with it (move).
+	prev, next   []int32
+	on           []uint8
+	lists        [2]recency
+	protectedCap int // 0 = plain LRU: nothing is ever protected
+	maxEntries   int // 0 = bounded by bytes alone
 
 	liveBytes      int64
 	rotations      int64
@@ -135,8 +156,8 @@ func New(capacityBytes, segBytes int) *Store {
 	}
 	segBytes = min(max(segBytes, minSegmentBytes), maxSegmentBytes)
 	capacityBytes = max(capacityBytes, segBytes)
-	maxSegs := min((capacityBytes+segBytes-1)/segBytes, maxSegments)
-	s := &Store{segBytes: segBytes, maxSegs: maxSegs, mem: &arena{}, head: none, tail: none}
+	maxSegs := min((capacityBytes-1)/segBytes+1, maxSegments)
+	s := &Store{segBytes: segBytes, maxSegs: maxSegs, mem: &arena{}, lists: noLists}
 	s.resize(minIndexSlots)
 	runtime.SetFinalizer(s.mem, (*arena).free)
 	return s
@@ -160,6 +181,17 @@ func (a *arena) free() {
 func (s *Store) SetMaxEntries(n int) {
 	s.maxEntries = max(0, min(n, maxIndexSlots/4))
 }
+
+// SetProtected makes the recency order segmented LRU with at most p
+// entries on the protected list (p <= 0: plain LRU, the default). A new
+// entry starts at the head of probation. A use — Get, BytesLen, or a Put
+// that overwrites — moves a probationer to the head of the protected
+// list, whose least recently used entry goes back to the head of
+// probation once it holds more than p; a protected entry it moves to
+// that list's head. The entry bound and EvictOldest take probation's
+// least recently used entry, the protected list's only when probation
+// holds nothing but the entry a Put placed. Call it on an empty Store.
+func (s *Store) SetProtected(p int) { s.protectedCap = max(0, p) }
 
 // OnEvict registers the callback that rotation, the entry bound and
 // EvictOldest invoke, synchronously from inside Put or EvictOldest, once
@@ -225,43 +257,58 @@ func (s *Store) findSlot(id int64) (int, bool) {
 	return 0, false
 }
 
-// link puts live slot i at the head of the recency list.
+// link puts live slot i at the head of list l.
 //
 //prefetch:hotpath
-func (s *Store) link(i int32) {
-	s.prev[i], s.next[i] = none, s.head
-	if s.head != none {
-		s.prev[s.head] = i
+func (s *Store) link(i int32, l uint8) {
+	ls := &s.lists[l]
+	s.on[i], s.prev[i], s.next[i] = l, none, ls.head
+	if ls.head != none {
+		s.prev[ls.head] = i
 	} else {
-		s.tail = i
+		ls.tail = i
 	}
-	s.head = i
+	ls.head = i
+	ls.len++
 }
 
-// unlink takes slot i out of the recency list.
+// unlink takes slot i off its list.
 //
 //prefetch:hotpath
 func (s *Store) unlink(i int32) {
+	ls := &s.lists[s.on[i]]
 	p, n := s.prev[i], s.next[i]
 	if p != none {
 		s.next[p] = n
 	} else {
-		s.head = n
+		ls.head = n
 	}
 	if n != none {
 		s.prev[n] = p
 	} else {
-		s.tail = p
+		ls.tail = p
 	}
+	ls.len--
 }
 
-// touch marks slot i most recently used.
+// touch marks slot i used (see SetProtected): it moves to the head of
+// its list, or of the protected list under segmented LRU, demoting that
+// list's least recently used entry if it overflows.
 //
 //prefetch:hotpath
 func (s *Store) touch(i int) {
-	if s.head != int32(i) {
+	l := uint8(probation)
+	if s.protectedCap > 0 {
+		l = protected
+	}
+	if s.lists[l].head != int32(i) {
 		s.unlink(int32(i))
-		s.link(int32(i))
+		s.link(int32(i), l)
+		if s.lists[protected].len > s.protectedCap {
+			d := s.lists[protected].tail
+			s.unlink(d)
+			s.link(d, probation)
+		}
 	}
 }
 
@@ -272,38 +319,42 @@ func (s *Store) insert(id int64, ref uint64) {
 	if (s.live+1)*2 >= len(s.refs) {
 		s.resize(2 * len(s.refs))
 	}
-	s.place(id, ref)
+	s.place(id, ref, probation)
 	s.live++
 }
 
 // place puts id in the first empty slot of its probe run and links it
-// in as most recently used.
-func (s *Store) place(id int64, ref uint64) {
+// in at the head of list l.
+func (s *Store) place(id int64, ref uint64, l uint8) {
 	i, mask := s.slot(id), uint64(len(s.refs)-1)
 	for s.refs[i] != refEmpty {
 		i = (i + 1) & mask
 	}
 	s.keys[i], s.refs[i] = id, ref
-	s.link(int32(i))
+	s.link(int32(i), l)
 }
 
-// resize rebuilds the index at size slots by walking the old recency
-// list from its tail and linking each entry in at the new head: the live
-// slots, left in the order they had. Deletion leaves no tombstone
-// (dropSlot), so the index is rebuilt only to grow.
+// resize rebuilds the index at size slots by walking each old recency
+// list from its tail and linking each entry in at the head of the same
+// new list: the live slots, left on the lists and in the order they had.
+// Deletion leaves no tombstone (dropSlot), so the index is rebuilt only
+// to grow.
 func (s *Store) resize(size int) {
 	if size > maxIndexSlots {
 		// Unreachable under SetMaxEntries; without, 2²⁹ live entries away.
 		panic("slab: index would outgrow its int32 slot numbers")
 	}
-	oldKeys, oldRefs, oldPrev, j := s.keys, s.refs, s.prev, s.tail
+	oldKeys, oldRefs, oldPrev, old := s.keys, s.refs, s.prev, s.lists
 	s.keys = make([]int64, size)
 	s.refs = make([]uint64, size)
 	s.prev = make([]int32, size)
 	s.next = make([]int32, size)
-	s.head, s.tail = none, none
-	for ; j != none; j = oldPrev[j] {
-		s.place(oldKeys[j], oldRefs[j])
+	s.on = make([]uint8, size)
+	s.lists = noLists
+	for l := range old {
+		for j := old[l].tail; j != none; j = oldPrev[j] {
+			s.place(oldKeys[j], oldRefs[j], uint8(l))
+		}
 	}
 }
 
@@ -329,17 +380,17 @@ func (s *Store) dropSlot(i int) {
 
 // move puts live slot j's entry into empty slot i, links included.
 func (s *Store) move(j, i int) {
-	p, n := s.prev[j], s.next[j]
-	s.keys[i], s.refs[i], s.prev[i], s.next[i] = s.keys[j], s.refs[j], p, n
+	p, n, ls := s.prev[j], s.next[j], &s.lists[s.on[j]]
+	s.keys[i], s.refs[i], s.prev[i], s.next[i], s.on[i] = s.keys[j], s.refs[j], p, n, s.on[j]
 	if p != none {
 		s.next[p] = int32(i)
 	} else {
-		s.head = int32(i)
+		ls.head = int32(i)
 	}
 	if n != none {
 		s.prev[n] = int32(i)
 	} else {
-		s.tail = int32(i)
+		ls.tail = int32(i)
 	}
 }
 
@@ -363,25 +414,31 @@ func (s *Store) Delete(id int64) bool {
 	return true
 }
 
-// EvictOldest evicts the least recently used entry, if any, via OnEvict.
+// EvictOldest evicts the least recently used entry, if any, via OnEvict:
+// probation's, or the protected list's while probation is empty.
 func (s *Store) EvictOldest() {
-	if s.tail != none {
-		s.evict(int(s.tail))
+	for _, l := range s.lists {
+		if l.tail != none {
+			s.evict(int(l.tail))
+			return
+		}
 	}
 }
 
 // Put stores a copy of v under id, overwriting any previous value, and
-// makes id the most recently used. It returns false — storing nothing —
-// only when the payload can never fit a segment (see Fits). Rotation and
-// then the entry bound may evict other entries; never id itself (its
-// stale copy leaves the index before space is claimed, and it is at the
-// head of the list the bound evicts from the tail of).
+// makes id the most recently used — an overwrite is a use (see
+// SetProtected). It returns false — storing nothing — only when the
+// payload can never fit a segment (see Fits). Rotation and then the
+// entry bound may evict other entries; never id itself (its stale copy
+// leaves the index before space is claimed, and the bound passes over
+// it).
 func (s *Store) Put(id int64, v []byte) bool {
 	need := headerBytes + len(v)
 	if len(v) > maxSegmentBytes || need > s.segBytes {
 		return false
 	}
-	if i, ok := s.findSlot(id); ok {
+	i, hit := s.findSlot(id)
+	if hit {
 		s.dropSlot(i)
 	}
 	s.ensure(need)
@@ -395,7 +452,15 @@ func (s *Store) Put(id int64, v []byte) bool {
 	s.liveSeg[seg] += need
 	s.liveBytes += int64(need)
 	for s.maxEntries > 0 && s.live > s.maxEntries {
-		s.evict(int(s.tail))
+		j := s.lists[probation].tail
+		if s.keys[j] == id { // probation holds nothing else
+			j = s.lists[protected].tail
+		}
+		s.evict(int(j))
+	}
+	if hit && s.protectedCap > 0 { // under plain LRU id is already the head
+		i, _ = s.findSlot(id)
+		s.touch(i)
 	}
 	return true
 }

@@ -511,54 +511,103 @@ func fuzzSeeds() [][]byte {
 
 // FuzzSlabStore interleaves Put, Get, Delete, BytesLen, Has,
 // EvictOldest and SetMaxEntries against a reference model — a map for
-// the payloads and a slice, least recently used first, for the order —
-// on an arena small enough that compaction and rotation fire constantly.
-// After every op the store and the model agree on the answer, on every
-// victim (a rotation victim may be any live id; a bound or EvictOldest
-// victim must be the model's oldest; compaction has none), on the
-// length, and — auditLinks — on the whole recency list, link by link.
+// the payloads and two slices, least recently used first, for the
+// probation and protected lists — on an arena small enough that
+// compaction and rotation fire constantly. Each input runs twice: under
+// plain LRU, and under segmented LRU with a protected bound of 1–8 taken
+// from its first byte. After every op the store and the model agree on
+// the answer, on every victim (a rotation victim may be any live id; a
+// bound or EvictOldest victim must be the model's oldest; compaction has
+// none), on the length, and — auditLinks — on both lists, link by link.
 func FuzzSlabStore(f *testing.F) {
 	for _, seed := range fuzzSeeds() {
 		f.Add(seed)
 	}
-	f.Fuzz(func(t *testing.T, data []byte) { fuzzOps(t, data) })
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, p := range fuzzProtected(data) {
+			fuzzOps(t, data, p)
+		}
+	})
+}
+
+// fuzzProtected is the protected bounds an input runs under: 0 (plain
+// LRU), then one from its first byte.
+func fuzzProtected(data []byte) []int {
+	if len(data) == 0 {
+		return []int{0}
+	}
+	return []int{0, 1 + int(data[0])%8}
 }
 
 // TestFuzzSeedsDirect runs the seed corpus through the fuzz body so a
 // plain `go test` exercises it without the fuzzing engine, and checks
 // the seeds reach what they are there to force.
 func TestFuzzSeedsDirect(t *testing.T) {
-	var grew, rotated, moved bool
+	var grew, rotated, moved, full bool
 	for i, seed := range fuzzSeeds() {
-		t.Run(fmt.Sprint(i), func(t *testing.T) {
-			s := fuzzOps(t, seed)
-			grew = grew || len(s.refs) > minIndexSlots
-			rotated = rotated || s.rotateEvicted > 0
-			moved = moved || s.compactedBytes > 0
-		})
+		for _, p := range fuzzProtected(seed) {
+			t.Run(fmt.Sprint(i, "/p=", p), func(t *testing.T) {
+				s, demoted := fuzzOps(t, seed, p)
+				grew = grew || len(s.refs) > minIndexSlots
+				rotated = rotated || s.rotateEvicted > 0
+				moved = moved || s.compactedBytes > 0
+				full = full || demoted > 0
+			})
+		}
 	}
-	if !grew || !rotated || !moved {
-		t.Fatalf("the seeds forced a growing rehash: %t, a rotation that evicts: %t, a compaction that moves: %t; want all three",
-			grew, rotated, moved)
+	if !grew || !rotated || !moved || !full {
+		t.Fatalf("the seeds forced a growing rehash: %t, a rotation that evicts: %t, a compaction that moves: %t, a demotion from the protected list: %t; want all four",
+			grew, rotated, moved, full)
 	}
 }
 
-func fuzzOps(t *testing.T, data []byte) *Store {
+// fuzzOps runs data's ops on a Store under protected bound p and
+// returns it with the number of demotions from the protected list.
+func fuzzOps(t *testing.T, data []byte, p int) (*Store, int) {
 	s := New(2048, 256) // tiny: rotation fires constantly
+	s.SetProtected(p)
 	vals := map[int64][]byte{}
-	var order []int64 // least recently used first
+	var lists [2][]int64 // probation, protected; least recently used first
+	demoted := 0
+	find := func(id int64) (int, int) {
+		for l := range lists {
+			if i := slices.Index(lists[l], id); i >= 0 {
+				return l, i
+			}
+		}
+		return 0, -1
+	}
 	forget := func(id int64) {
-		i := slices.Index(order, id)
+		l, i := find(id)
 		if i < 0 {
 			t.Fatalf("id %d left the store but was not in the model", id)
 		}
-		order = slices.Delete(order, i, i+1)
+		lists[l] = slices.Delete(lists[l], i, i+1)
 		delete(vals, id)
 	}
 	use := func(id int64) {
-		if i := slices.Index(order, id); i >= 0 {
-			order = append(slices.Delete(order, i, i+1), id)
+		l, i := find(id)
+		if i < 0 {
+			return
 		}
+		lists[l] = slices.Delete(lists[l], i, i+1)
+		if p > 0 {
+			l = protected
+		}
+		lists[l] = append(lists[l], id)
+		for len(lists[protected]) > p {
+			lists[probation] = append(lists[probation], lists[protected][0])
+			lists[protected] = lists[protected][1:]
+			demoted++
+		}
+	}
+	oldest := func() (int64, bool) {
+		for _, l := range lists {
+			if len(l) > 0 {
+				return l[0], true
+			}
+		}
+		return 0, false
 	}
 	var victims []int64
 	s.OnEvict(func(id int64) { victims = append(victims, id) })
@@ -567,10 +616,11 @@ func fuzzOps(t *testing.T, data []byte) *Store {
 	for i := 0; i+2 < len(data); i += 3 {
 		op, id, arg := data[i]%8, int64(data[i+1]%61), data[i+2]
 		rotatedBefore := s.rotateEvicted
+		_, hit := vals[id]
 		switch op {
 		case 0, 1:
 			v := payload(id, int(arg)%200) // always under the segment size
-			if _, ok := vals[id]; ok {
+			if hit {
 				forget(id) // neither bound can pick the id being written; it is re-entered below
 			}
 			if !s.Put(id, v) {
@@ -578,93 +628,118 @@ func fuzzOps(t *testing.T, data []byte) *Store {
 			}
 		case 2:
 			got, ok := s.Get(id, nil)
-			if want, wok := vals[id]; ok != wok || !bytes.Equal(got, want) {
-				t.Fatalf("Get(%d) = %x,%t; model %x,%t", id, got, ok, want, wok)
+			if want := vals[id]; ok != hit || !bytes.Equal(got, want) {
+				t.Fatalf("Get(%d) = %x,%t; model %x,%t", id, got, ok, want, hit)
 			}
 			use(id)
 		case 3:
-			_, wok := vals[id]
-			if s.Delete(id) != wok {
-				t.Fatalf("Delete(%d) disagreed with model presence %t", id, wok)
+			if s.Delete(id) != hit {
+				t.Fatalf("Delete(%d) disagreed with model presence %t", id, hit)
 			}
-			if wok {
+			if hit {
 				forget(id)
 			}
 		case 4:
 			n, ok := s.BytesLen(id)
-			if want, wok := vals[id]; ok != wok || n != len(want) {
-				t.Fatalf("BytesLen(%d) = %d,%t; model %d,%t", id, n, ok, len(want), wok)
+			if want := vals[id]; ok != hit || n != len(want) {
+				t.Fatalf("BytesLen(%d) = %d,%t; model %d,%t", id, n, ok, len(want), hit)
 			}
 			use(id)
 		case 5:
-			if _, wok := vals[id]; s.Has(id) != wok {
-				t.Fatalf("Has(%d) disagreed with model presence %t", id, wok)
+			if s.Has(id) != hit {
+				t.Fatalf("Has(%d) disagreed with model presence %t", id, hit)
 			}
 		case 6:
 			s.EvictOldest()
-			if want := min(len(order), 1); len(victims) != want {
-				t.Fatalf("EvictOldest reported %v with %d live", victims, len(order))
+			if want := min(len(vals), 1); len(victims) != want {
+				t.Fatalf("EvictOldest reported %v with %d live", victims, len(vals))
 			}
 		case 7:
 			bound = int(arg % 8) // 0 lifts it; it bites at the next Put
 			s.SetMaxEntries(bound)
 		}
-		// Victims arrive rotation's first, then the recency list's.
+		// Victims arrive rotation's first, then the recency lists'.
 		rotated := int(s.rotateEvicted - rotatedBefore)
 		for k, v := range victims {
-			if k >= rotated && (len(order) == 0 || v != order[0]) {
-				t.Fatalf("op %d evicted %d (victims %v) while the model, oldest first, held %v", op, v, victims, order)
+			if want, ok := oldest(); k >= rotated && (!ok || v != want) {
+				t.Fatalf("op %d evicted %d (victims %v) while the model, oldest first, held %v", op, v, victims, lists)
 			}
 			forget(v)
 		}
 		victims = victims[:0]
 		if op <= 1 {
 			vals[id] = payload(id, int(arg)%200)
-			order = append(order, id)
-			if bound > 0 && len(order) > bound {
-				t.Fatalf("Put left %d live past the bound of %d", len(order), bound)
+			lists[probation] = append(lists[probation], id)
+			if hit {
+				use(id) // an overwrite is a use
+			}
+			if bound > 0 && len(vals) > bound {
+				t.Fatalf("Put left %d live past the bound of %d", len(vals), bound)
 			}
 		}
-		if s.Len() != len(order) {
-			t.Fatalf("Len = %d, model %d", s.Len(), len(order))
+		if s.Len() != len(vals) {
+			t.Fatalf("Len = %d, model %d", s.Len(), len(vals))
 		}
-		auditLinks(t, s, order)
+		auditLinks(t, s, lists, p)
 	}
 	for id, want := range vals {
 		if got, ok := s.Get(id, nil); !ok || !bytes.Equal(got, want) {
 			t.Fatalf("final check id %d: %x,%t want %x", id, got, ok, want)
 		}
 	}
-	return s
+	return s, demoted
 }
 
-// auditLinks walks the recency list both ways: head to tail it must
-// visit exactly the live slots, each holding a live reference that a
-// probe from its id's home slot reaches, in the model's order reversed;
-// prev must invert next; and the ends must be none on both sides.
-func auditLinks(t *testing.T, s *Store, order []int64) {
+// auditLinks walks both recency lists head to tail: each must visit
+// slots marked as on it, each holding a live reference that a probe from
+// its id's home slot reaches, in its model list's order reversed; prev
+// must invert next; the ends must be none on both sides and the length
+// the walk's. Together the walks must cover every live slot of the
+// index — so each live slot is on exactly one list — and the protected
+// list must hold at most p.
+func auditLinks(t *testing.T, s *Store, lists [2][]int64, p int) {
 	t.Helper()
-	back := int32(none)
-	n := 0
-	for i := s.head; i != none; back, i = i, s.next[i] {
-		if n == len(order) {
-			t.Fatalf("the list runs past its %d live entries", len(order))
+	total := 0
+	for l, order := range lists {
+		back := int32(none)
+		n := 0
+		for i := s.lists[l].head; i != none; back, i = i, s.next[i] {
+			if n == len(order) {
+				t.Fatalf("list %d runs past its %d live entries", l, len(order))
+			}
+			if s.on[i] != uint8(l) {
+				t.Fatalf("slot %d is on list %d but marked for %d", i, l, s.on[i])
+			}
+			if ref := s.refs[i]; ref == refEmpty {
+				t.Fatalf("slot %d on list %d holds no live reference", i, l)
+			}
+			if j, ok := s.findSlot(s.keys[i]); !ok || j != int(i) {
+				t.Fatalf("id %d lives in slot %d, but its probe finds %d, %t", s.keys[i], i, j, ok)
+			}
+			if s.prev[i] != back {
+				t.Fatalf("prev[%d] = %d, but list %d reached it from %d", i, s.prev[i], l, back)
+			}
+			if want := order[len(order)-1-n]; s.keys[i] != want {
+				t.Fatalf("position %d from the head of list %d holds id %d, model %d (model lists, oldest first: %v)", n, l, s.keys[i], want, lists)
+			}
+			n++
 		}
-		if ref := s.refs[i]; ref == refEmpty {
-			t.Fatalf("slot %d on the list holds no live reference", i)
+		if n != len(order) || s.lists[l].tail != back || s.lists[l].len != n {
+			t.Fatalf("list %d: walked %d slots ending at %d; want %d ending at tail %d, length %d",
+				l, n, back, len(order), s.lists[l].tail, s.lists[l].len)
 		}
-		if j, ok := s.findSlot(s.keys[i]); !ok || j != int(i) {
-			t.Fatalf("id %d lives in slot %d, but its probe finds %d, %t", s.keys[i], i, j, ok)
-		}
-		if s.prev[i] != back {
-			t.Fatalf("prev[%d] = %d, but the list reached it from %d", i, s.prev[i], back)
-		}
-		if want := order[len(order)-1-n]; s.keys[i] != want {
-			t.Fatalf("position %d from the head holds id %d, model %d (model order, oldest first: %v)", n, s.keys[i], want, order)
-		}
-		n++
+		total += n
 	}
-	if n != len(order) || s.tail != back {
-		t.Fatalf("walked %d slots ending at %d; want %d ending at tail %d", n, back, len(order), s.tail)
+	live := 0
+	for _, ref := range s.refs {
+		if ref != refEmpty {
+			live++
+		}
+	}
+	if live != total || live != s.live {
+		t.Fatalf("%d live slots in the index, %d on the lists, Len %d", live, total, s.live)
+	}
+	if s.lists[protected].len > p {
+		t.Fatalf("protected list holds %d, past its bound of %d", s.lists[protected].len, p)
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/predict"
+	"repro/prefetcher/internal/store"
 )
 
 // --- Predictor adapter over internal/predict ----------------------------
@@ -99,61 +100,24 @@ func NewMarkovPredictor() Predictor {
 	}}}
 }
 
-// --- Cache adapters over internal/cache ---------------------------------
-
-// storeCache pairs the internal residency store (capacity + replacement
-// policy + hit accounting) with a payload map.
-type storeCache struct {
-	store   *cache.Store
-	values  map[ID]any
-	onEvict func(ID)
-}
-
-func newStoreCache(capacity int, policy cache.Policy) *storeCache {
-	c := &storeCache{
-		store:  cache.NewStore(capacity, policy),
-		values: make(map[ID]any, capacity),
-	}
-	c.store.OnEvict(func(id cache.ID) {
-		delete(c.values, ID(id))
-		if c.onEvict != nil {
-			c.onEvict(ID(id))
-		}
-	})
-	return c
-}
-
-func (c *storeCache) Get(id ID) (any, bool) {
-	if !c.store.Access(cache.ID(id)) {
-		return nil, false
-	}
-	return c.values[id], true
-}
-
-func (c *storeCache) Put(id ID, value any) {
-	c.values[id] = value
-	c.store.Admit(cache.ID(id))
-}
-
-func (c *storeCache) Contains(id ID) bool { return c.store.Contains(cache.ID(id)) }
-
-func (c *storeCache) Len() int { return c.store.Len() }
-
-func (c *storeCache) OnEvict(fn func(ID)) { c.onEvict = fn }
+// --- The built-in caches -----------------------------------------------
 
 // NewLRUCache returns a least-recently-used cache holding at most
-// capacity items. It panics if capacity < 1.
-func NewLRUCache(capacity int) Cache { return newStoreCache(capacity, cache.NewLRU()) }
+// capacity items, with no byte bound. It is the slab-indexed store
+// prefetchd runs (repro/prefetcher/bytestore, there bounded by bytes
+// too): a []byte payload of up to 64 KiB is copied into an arena off the
+// Go heap, so Get hands back an equal copy, and GetBytes serves it with
+// no allocation; a larger []byte, or any other value, is held by
+// reference. It panics if capacity < 1.
+func NewLRUCache(capacity int) Cache { return store.NewLRU(capacity) }
 
-// NewSLRUCache returns a segmented-LRU cache: new entries start on
-// probation and are promoted on re-reference, so speculative prefetches
-// that never get used churn through probation without displacing the
-// protected working set. protectedCap bounds the protected segment
-// (capacity/2 is a reasonable default). It panics if capacity < 1 or
-// protectedCap < 1.
-func NewSLRUCache(capacity, protectedCap int) Cache {
-	return newStoreCache(capacity, cache.NewSLRU(protectedCap))
-}
+// NewSLRUCache returns NewLRUCache's store in segmented-LRU order: an
+// entry starts on probation and moves to a protected list of at most
+// protectedCap entries on re-reference (a Get, or a Put of a resident
+// id); victims come from probation first, so prefetches never used churn
+// through it without displacing the protected working set (capacity/2
+// is a reasonable protectedCap). It panics if either bound is < 1.
+func NewSLRUCache(capacity, protectedCap int) Cache { return store.NewSLRU(capacity, protectedCap) }
 
 // --- Clocks -------------------------------------------------------------
 

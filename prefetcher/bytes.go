@@ -9,13 +9,13 @@ import (
 // GetBytes, GetBytesLen and GetMultiBytes serve []byte payloads by
 // appending into caller-owned buffers instead of boxing them through
 // Item.Data — the same read as Get/GetMulti landed in a byte sink. On a
-// cache backed by a ByteCache (prefetcher/bytestore's slab store) a
-// hit copies straight from the pointer-free arena into the caller's
-// buffer while the shard lock protects the slab view — no interface
-// boxing, no per-hit allocation once the buffer has grown to working
-// size (gated by TestGetBytesAllocFree/TestGetMultiBytesAllocFree).
-// Boxed caches work too: a resident []byte is appended once the read
-// lands, so benchmarks compare boxed vs slab storage on one API.
+// cache backed by a ByteCache (every built-in cache is one) a hit copies
+// straight from the pointer-free arena into the caller's buffer while
+// the shard lock protects the slab view — no interface boxing, no
+// per-hit allocation once the buffer has grown to working size (gated
+// by TestGetBytesAllocFree/TestGetMultiBytesAllocFree). A Cache of your
+// own that is not one works too: a resident []byte is appended once the
+// read lands.
 //
 // Ownership contract: the engine never retains the caller's buffer,
 // and the caller gets back an extension of exactly the buffer it

@@ -9,6 +9,12 @@ import (
 	"repro/prefetcher"
 )
 
+// overflowBytes is the []byte payload the store holds boxed.
+func overflowBytes(s *Store) int {
+	_, _, overflow, _ := s.Footprint()
+	return int(overflow)
+}
+
 func val(id prefetcher.ID, n int) []byte {
 	b := make([]byte, n)
 	for i := range b {
@@ -170,8 +176,8 @@ func TestOverflowByteBudget(t *testing.T) {
 	for id := prefetcher.ID(0); id < 64; id++ {
 		s.Put(id, val(id, payload))
 	}
-	if s.overflowBytes > capacity {
-		t.Fatalf("overflowBytes = %d exceeds CapacityBytes %d", s.overflowBytes, capacity)
+	if overflowBytes(s) > capacity {
+		t.Fatalf("overflowBytes = %d exceeds CapacityBytes %d", overflowBytes(s), capacity)
 	}
 	if want := capacity / payload; s.Len() != want || evicted != 64-want {
 		t.Fatalf("Len/evicted = %d/%d, want %d/%d", s.Len(), evicted, want, 64-want)
@@ -184,15 +190,15 @@ func TestOverflowByteBudget(t *testing.T) {
 		}
 	}
 	// Overwriting an overflow entry must not double-charge the budget.
-	before := s.overflowBytes
+	before := overflowBytes(s)
 	s.Put(63, val(63, payload))
-	if s.overflowBytes != before {
-		t.Fatalf("overwrite changed overflowBytes %d -> %d", before, s.overflowBytes)
+	if overflowBytes(s) != before {
+		t.Fatalf("overwrite changed overflowBytes %d -> %d", before, overflowBytes(s))
 	}
 	// A shape change back to the slab debits the overflow charge.
 	s.Put(63, val(63, 64))
-	if s.overflowBytes != before-payload {
-		t.Fatalf("shape change left overflowBytes = %d, want %d", s.overflowBytes, before-payload)
+	if overflowBytes(s) != before-payload {
+		t.Fatalf("shape change left overflowBytes = %d, want %d", overflowBytes(s), before-payload)
 	}
 	// One payload larger than the whole budget is still admitted — Put
 	// never drops — and the next overflow Put reclaims it.
@@ -205,8 +211,8 @@ func TestOverflowByteBudget(t *testing.T) {
 	if s.Contains(999) {
 		t.Fatal("over-budget payload survived the next overflow Put")
 	}
-	if s.overflowBytes > capacity {
-		t.Fatalf("overflowBytes = %d after reclaim, want <= %d", s.overflowBytes, capacity)
+	if overflowBytes(s) > capacity {
+		t.Fatalf("overflowBytes = %d after reclaim, want <= %d", overflowBytes(s), capacity)
 	}
 }
 
@@ -402,8 +408,8 @@ func TestPutBytesCopies(t *testing.T) {
 	}
 	// A shape change through PutBytes moves the payload, as Put's does.
 	s.PutBytes(2<<10, val(7, 64))
-	if got, ok := s.GetBytes(2<<10, nil); !ok || !bytes.Equal(got, val(7, 64)) || s.overflowBytes != 3<<10 {
-		t.Fatalf("oversized → arena through PutBytes: served %v, %d overflow bytes left", ok, s.overflowBytes)
+	if got, ok := s.GetBytes(2<<10, nil); !ok || !bytes.Equal(got, val(7, 64)) || overflowBytes(s) != 3<<10 {
+		t.Fatalf("oversized → arena through PutBytes: served %v, %d overflow bytes left", ok, overflowBytes(s))
 	}
 	// The one payload allowed past the whole budget raises the ceiling it
 	// is held to, until the next overflow Put reclaims it.

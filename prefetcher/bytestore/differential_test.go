@@ -27,6 +27,13 @@ type reference struct {
 	onEvict       func(prefetcher.ID)
 }
 
+// boxed is one entry of the reference's overflow map, as the Store
+// keeps it: the value and the bytes it charges against CapacityBytes.
+type boxed struct {
+	val  any
+	size int
+}
+
 func newReference(cfg Config) *reference {
 	r := &reference{
 		lru:           cache.NewLRU(),

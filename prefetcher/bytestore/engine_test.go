@@ -2,6 +2,7 @@ package bytestore
 
 import (
 	"bytes"
+	"container/list"
 	"context"
 	"runtime"
 	"sync"
@@ -296,14 +297,56 @@ func (silentPredictor) Observe(prefetcher.ID)            {}
 func (silentPredictor) Predict() []prefetcher.Prediction { return nil }
 func (silentPredictor) Name() string                     { return "none" }
 
+// boxedLRU is a map-and-list LRU that holds every payload by reference
+// — a node and a boxed value per entry, as the library's caches did
+// before they moved onto the slab: the yardstick for what per-value
+// boxing costs the collector.
+type boxedLRU struct {
+	n       int
+	order   *list.List // front = most recently used; values are *boxedEntry
+	at      map[prefetcher.ID]*list.Element
+	onEvict func(prefetcher.ID)
+}
+
+type boxedEntry struct {
+	id  prefetcher.ID
+	val any
+}
+
+func (c *boxedLRU) Get(id prefetcher.ID) (any, bool) {
+	e, ok := c.at[id]
+	if !ok {
+		return nil, false
+	}
+	c.order.MoveToFront(e)
+	return e.Value.(*boxedEntry).val, true
+}
+
+func (c *boxedLRU) Put(id prefetcher.ID, v any) {
+	if e, ok := c.at[id]; ok {
+		e.Value.(*boxedEntry).val = v
+		c.order.MoveToFront(e)
+		return
+	}
+	if c.order.Len() == c.n {
+		victim := c.order.Remove(c.order.Back()).(*boxedEntry).id
+		delete(c.at, victim)
+		c.onEvict(victim)
+	}
+	c.at[id] = c.order.PushFront(&boxedEntry{id, v})
+}
+
+func (c *boxedLRU) Contains(id prefetcher.ID) bool    { _, ok := c.at[id]; return ok }
+func (c *boxedLRU) Len() int                          { return c.order.Len() }
+func (c *boxedLRU) OnEvict(fn func(id prefetcher.ID)) { c.onEvict = fn }
+
 // TestSlabResidencyInvisibleToGC pins what the slab store is for: N
 // resident values cost the garbage collector a number of live heap
-// objects that does not grow with N, where the boxed cache costs at
-// least one per value. Both engines are filled with the same N 1 KiB
-// values under the policy both ship with, LRU (Factory's store, and
-// NewLRUCache on the boxed side), with no predictor state and no
-// speculative traffic, and the growth in HeapObjects across the fill is
-// read after a forced collection.
+// objects that does not grow with N, where a boxed cache costs at least
+// one per value. Both engines are filled with the same N 1 KiB values
+// under LRU (Factory's store, and the test's boxedLRU), with no
+// predictor state and no speculative traffic, and the growth in
+// HeapObjects across the fill is read after a forced collection.
 func TestSlabResidencyInvisibleToGC(t *testing.T) {
 	const n, valueBytes = 32768, 1024
 	slabFactory, err := Factory(Config{
@@ -313,7 +356,9 @@ func TestSlabResidencyInvisibleToGC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	boxedFactory := func(_, _ int) prefetcher.Cache { return prefetcher.NewLRUCache(n) }
+	boxedFactory := func(_, _ int) prefetcher.Cache {
+		return &boxedLRU{n: n, order: list.New(), at: map[prefetcher.ID]*list.Element{}}
+	}
 	// liveGrowth fills a fresh engine, checks all n values are resident
 	// (a store that shed them would pass the slab bound vacuously), and
 	// returns how many live heap objects the fill left behind.

@@ -9,7 +9,7 @@
 //
 //	Fetcher   — retrieves items from the origin (yours to implement)
 //	Predictor — online access model (a bounded Markov-1 table provided)
-//	Cache     — bounded client-side store (LRU, SLRU, slab byte store provided)
+//	Cache     — bounded client-side store (one slab-indexed store, LRU or SLRU)
 //	Clock     — time source (wall clock by default, manual for tests)
 //
 // Construction uses functional options:
@@ -89,16 +89,16 @@
 // — hit classification, copy, accounting, speculative planning — is
 // allocation-free in steady state, gated by TestGetBytesAllocFree.
 //
-// By default payloads live in the boxed per-shard cache. For large
-// resident sets, WithCacheFactory can mount repro/prefetcher/bytestore
-// instead (prefetchd always does): a pointer-free slab arena
-// (repro/internal/slab) that packs payloads into large segments and
-// indexes them through one flat integer table, which also carries the
-// LRU order, so the garbage collector scans O(#segments) words instead
-// of O(#entries) boxed values and policy nodes. The byte budget evicts
-// by segment rotation and the entry bound from the tail of that order,
-// both through one per-id callback that keeps the engine's size and
-// waste accounting exact.
+// Every cache the package builds is one store: NewLRUCache, NewSLRUCache
+// and the default are bounded by entries, repro/prefetcher/bytestore's
+// (which prefetchd mounts) by bytes as well. It packs []byte payloads
+// into large segments off the Go heap (repro/internal/slab) and indexes
+// them through one flat integer table that also carries the LRU or
+// segmented-LRU order, so the garbage collector scans neither a value
+// nor a policy node per entry; any other payload is held by reference
+// beside it. The byte budget evicts by segment rotation and the entry
+// bound from the tail of that order, both through one per-id callback
+// that keeps the engine's size and waste accounting exact.
 //
 // Internally the keyed state — cache, in-flight dedup, size and
 // used/wasted accounting — is partitioned across power-of-two shards

@@ -273,8 +273,8 @@ type Engine struct {
 // New assembles an Engine around the given origin fetcher, which
 // becomes the fetch fabric's one backend "origin" on the WithBandwidth
 // link (pass nil with WithBackends to name the backends yourself).
-// With no options it uses a Markov-1 predictor, a 1024-item LRU cache
-// partitioned across GOMAXPROCS-derived shards, the wall clock and the
+// With no options it uses a Markov-1 predictor, NewLRUCache's store of
+// 1024 entries partitioned across GOMAXPROCS-derived shards, the wall clock and the
 // paper's adaptive threshold policy under interaction model A — which
 // requires WithBandwidth, the one parameter with no sensible default.
 func New(fetcher Fetcher, opts ...Option) (*Engine, error) {

@@ -135,7 +135,7 @@ type Cache interface {
 	Len() int
 	// OnEvict registers a callback that must be invoked with each id
 	// the cache evicts, synchronously from within whichever Cache call
-	// evicts it (Put for the built-in caches; a TTL cache may also
+	// evicts it (Put for the built-in store; a TTL cache may also
 	// evict during Get). The engine relies on it for the tagged h′
 	// estimator, its prefetch-waste accounting and its live resident
 	// count — a cache that drops entries without reporting them skews
@@ -146,9 +146,8 @@ type Cache interface {
 // ByteCache is optionally implemented by a Cache whose payloads are
 // raw bytes servable without boxing through the any-typed Get — the
 // seam Engine.GetBytes/GetMultiBytes use to stay allocation-free on
-// hits (repro/prefetcher/bytestore provides the slab-backed
-// implementation). Like every Cache method, both extensions are called
-// only under the owning shard's lock.
+// hits (the built-in store implements it). Like every Cache method,
+// both extensions are called only under the owning shard's lock.
 type ByteCache interface {
 	Cache
 	// GetBytes appends id's payload to dst and returns the extended
@@ -168,7 +167,7 @@ type ByteCache interface {
 // the cache keeps may alias b once it returns. It is what lets the
 // engine land a fetch read into a buffer it only borrowed (see bytes.go):
 // when every shard's cache has it, misses and prefetches are lent one;
-// otherwise payloads arrive owned and go through Put. bytestore's slab
+// otherwise payloads arrive owned and go through Put. The built-in
 // store implements it. Called only under the owning shard's lock.
 type BytesPutter interface {
 	PutBytes(id ID, b []byte)

@@ -69,8 +69,8 @@ func WithPredictor(p Predictor) Option {
 	}
 }
 
-// WithCache sets the client-side store (default: a 1024-item LRU split
-// across shards). A single Cache instance can only serve a single-shard
+// WithCache sets the client-side store (default: NewLRUCache's store,
+// 1024 entries split across shards). A single Cache instance can only serve a single-shard
 // engine: combining WithCache with WithShards(n > 1) is a construction
 // error, and without WithShards a supplied cache pins the shard count to
 // one. Sharded engines wanting a custom cache use WithCacheFactory. A

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/prefetcher/fetch"
+	"repro/prefetcher/internal/store"
 )
 
 // checkRecords holds a quiesced, not yet closed engine to the books the
@@ -41,11 +42,9 @@ func checkRecords(t testing.TB, e *Engine) {
 		}
 		records += len(sh.records)
 		resident += sh.cache.Len()
-		// A byte store keeps its payload bytes under its budget, arena and
-		// overflow each (bytestore.Store, which this package cannot name).
-		if bs, ok := sh.cache.(interface {
-			Footprint() (arena, arenaMax, overflow, overflowMax int64)
-		}); ok {
+		// The built-in store keeps its payload bytes under its budget,
+		// arena and overflow each.
+		if bs, ok := sh.cache.(*store.Store); ok {
 			if a, amax, o, omax := bs.Footprint(); a > amax || o > omax {
 				t.Errorf("shard %d: store holds %d arena bytes (ceiling %d) and %d overflow bytes (ceiling %d)", i, a, amax, o, omax)
 			}
