@@ -1,10 +1,9 @@
-// Package cache implements the client-side caching substrate: a
-// capacity-bounded store parameterised by replacement policy (LRU, LFU,
-// FIFO, Clock, Random), an unbounded store for the paper's "cache large
-// enough" assumption, and — central to the reproduction — the
-// tagged/untagged bookkeeping of the paper's Section 4 that estimates
-// h′ (the hit ratio that *would* be observed without prefetching) while
-// prefetching is actually running.
+// Package cache implements the simulator's client-side caching
+// substrate: a capacity-bounded store parameterised by replacement
+// policy (LRU, LFU, FIFO, Clock, Random), and — central to the
+// reproduction — the paper's Section-4 estimator of h′ (the hit ratio
+// that *would* be observed without prefetching) while prefetching is
+// actually running.
 package cache
 
 import (
@@ -47,11 +46,6 @@ type Store struct {
 	policy   Policy
 	resident map[ID]struct{}
 	onEvict  EvictionCallback
-
-	hits     int64
-	misses   int64
-	evicted  int64
-	inserted int64
 }
 
 // NewStore creates a store with the given capacity and policy. It panics
@@ -90,15 +84,13 @@ func (s *Store) Contains(id ID) bool {
 }
 
 // Access references id: on a hit it refreshes policy metadata and
-// returns true; on a miss it returns false and records nothing else
+// returns true; on a miss it returns false and changes nothing
 // (admission is the caller's decision, via Admit).
 func (s *Store) Access(id ID) bool {
 	if _, ok := s.resident[id]; ok {
-		s.hits++
 		s.policy.Accessed(id)
 		return true
 	}
-	s.misses++
 	return false
 }
 
@@ -114,7 +106,6 @@ func (s *Store) Admit(id ID) bool {
 	}
 	s.resident[id] = struct{}{}
 	s.policy.Inserted(id)
-	s.inserted++
 	return true
 }
 
@@ -126,14 +117,13 @@ func (s *Store) evictOne() {
 			s.policy.Name(), victim))
 	}
 	s.removeInternal(victim)
-	s.evicted++
 	if s.onEvict != nil {
 		s.onEvict(victim)
 	}
 }
 
-// Remove ejects id if resident (external invalidation; does not count as
-// an eviction). It reports whether the item was resident.
+// Remove ejects id if resident (external invalidation: not an eviction,
+// so OnEvict is not called). It reports whether the item was resident.
 func (s *Store) Remove(id ID) bool {
 	if _, ok := s.resident[id]; !ok {
 		return false
@@ -145,88 +135,6 @@ func (s *Store) Remove(id ID) bool {
 func (s *Store) removeInternal(id ID) {
 	delete(s.resident, id)
 	s.policy.Removed(id)
-}
-
-// Hits returns the number of Access calls that found the item resident.
-func (s *Store) Hits() int64 { return s.hits }
-
-// Misses returns the number of Access calls that missed.
-func (s *Store) Misses() int64 { return s.misses }
-
-// Evictions returns the number of policy-driven evictions.
-func (s *Store) Evictions() int64 { return s.evicted }
-
-// Insertions returns the number of successful Admit insertions.
-func (s *Store) Insertions() int64 { return s.inserted }
-
-// HitRatio returns hits/(hits+misses), or 0 before any access.
-func (s *Store) HitRatio() float64 {
-	total := s.hits + s.misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.hits) / float64(total)
-}
-
-// ResetStats zeroes the hit/miss/eviction counters without touching the
-// resident set — used to discard simulation warm-up.
-func (s *Store) ResetStats() {
-	s.hits, s.misses, s.evicted, s.inserted = 0, 0, 0, 0
-}
-
-// Each calls f for every resident id in unspecified order.
-func (s *Store) Each(f func(ID)) {
-	for id := range s.resident {
-		f(id)
-	}
-}
-
-// Infinite is an unbounded resident set implementing the paper's
-// Section-2.2 assumption that "the cache size n̄(C) is large enough to
-// accommodate an arbitrary number of prefetched items".
-type Infinite struct {
-	resident map[ID]struct{}
-	hits     int64
-	misses   int64
-}
-
-// NewInfinite creates an unbounded cache.
-func NewInfinite() *Infinite {
-	return &Infinite{resident: make(map[ID]struct{})}
-}
-
-// Access references id and reports residency.
-func (c *Infinite) Access(id ID) bool {
-	if _, ok := c.resident[id]; ok {
-		c.hits++
-		return true
-	}
-	c.misses++
-	return false
-}
-
-// Contains reports residency without accounting.
-func (c *Infinite) Contains(id ID) bool {
-	_, ok := c.resident[id]
-	return ok
-}
-
-// Admit inserts id.
-func (c *Infinite) Admit(id ID) { c.resident[id] = struct{}{} }
-
-// Remove ejects id.
-func (c *Infinite) Remove(id ID) { delete(c.resident, id) }
-
-// Len returns the resident count.
-func (c *Infinite) Len() int { return len(c.resident) }
-
-// HitRatio returns hits/(hits+misses), or 0 before any access.
-func (c *Infinite) HitRatio() float64 {
-	total := c.hits + c.misses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.hits) / float64(total)
 }
 
 // NewRandomPolicy returns a policy that evicts a uniformly random

@@ -1,9 +1,6 @@
 package cache
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "container/heap"
 
 // node is a doubly-linked-list element used by the LRU/FIFO policies.
 // A hand-rolled list avoids container/list's interface{} boxing on this
@@ -239,15 +236,6 @@ func (p *LFU) Removed(id ID) {
 	delete(p.entries, id)
 }
 
-// Frequency reports the recorded reference count of a resident id
-// (0 if unknown); exposed for tests.
-func (p *LFU) Frequency(id ID) int64 {
-	if e, ok := p.entries[id]; ok {
-		return e.freq
-	}
-	return 0
-}
-
 // Clock is the classic second-chance approximation of LRU: items sit on
 // a ring with a referenced bit; the hand sweeps, clearing bits, and
 // evicts the first unreferenced item it finds.
@@ -315,23 +303,5 @@ func (p *Clock) Removed(id ID) {
 	delete(p.ref, id)
 	if p.hand > last {
 		p.hand = 0
-	}
-}
-
-// NewPolicy constructs a policy by name: "lru", "fifo", "lfu" or
-// "clock". (The "random" policy needs an RNG; construct it with
-// NewRandomPolicy.) Unknown names return an error listing the options.
-func NewPolicy(name string) (Policy, error) {
-	switch name {
-	case "lru":
-		return NewLRU(), nil
-	case "fifo":
-		return NewFIFO(), nil
-	case "lfu":
-		return NewLFU(), nil
-	case "clock":
-		return NewClock(), nil
-	default:
-		return nil, fmt.Errorf("cache: unknown policy %q (want lru, fifo, lfu or clock)", name)
 	}
 }

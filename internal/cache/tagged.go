@@ -29,72 +29,51 @@ import (
 // compensating for the tagged occupants model B assumes were displaced
 // by prefetched items.
 //
-// Estimator is safe for concurrent use: callers report demand hits,
-// remote fetches, prefetch completions and evictions from different
-// goroutines. The tag state is striped across several
-// independently-locked maps keyed by id, and the counters are atomics,
-// so concurrent callers do not serialise on one estimator lock. Each
-// id's tag transitions stay ordered (one stripe owns each id); the
-// aggregate counters are only ever read as a ratio, for which atomic
-// adds suffice. The live engine keeps each entry's tag bit in its own
-// shards and reports through CountAccess alone; the simulator uses the
-// id-keyed methods.
+// Counting rule: naccess counts each user request that reached an
+// outcome exactly once — a hit, a miss, or a wait on an in-flight fetch
+// — and nhit counts the hits that were not the first use of a
+// prefetched entry. A request that claims a prefetch still in flight is
+// a miss: it is counted when it arrives, and the landing it waited for
+// counts nothing. With prefetching off every entry is tagged, so ĥ′
+// equals the plain hit ratio.
+//
+// The tag lives in exactly one place per cache. The live engine keeps
+// it as each entry's unused bit in its own shards, and the simulator
+// keeps it beside each client's entries; both report through
+// CountAccess alone. The
+// id-keyed methods keep the tags here instead, in one map under one
+// mutex, for callers that have no cache of their own to keep them in.
+// The counters are atomics, so CountAccess never takes the lock, and
+// they are only ever read as a ratio.
 type Estimator struct {
-	stripes [estimatorStripes]estimatorStripe
+	mu      sync.Mutex
+	tagged  map[ID]bool // resident → tagged?
 	naccess atomic.Int64
 	nhit    atomic.Int64
 }
 
-// estimatorStripeBits sets the number of independently-locked tag maps
-// (2^bits). 16 stripes is plenty to keep engine shards from colliding
-// without bloating the zero-traffic footprint.
-const (
-	estimatorStripeBits = 4
-	estimatorStripes    = 1 << estimatorStripeBits
-)
-
-type estimatorStripe struct {
-	mu     sync.Mutex
-	tagged map[ID]bool // resident → tagged?
-}
-
-// NewEstimator returns an empty estimator. It must observe every cache
-// event; the simulator wires it to the client's cache.
+// NewEstimator returns an empty estimator.
 func NewEstimator() *Estimator {
-	e := &Estimator{}
-	for i := range e.stripes {
-		e.stripes[i].tagged = make(map[ID]bool)
-	}
-	return e
-}
-
-// stripe returns the stripe owning id. The multiplicative hash spreads
-// sequential ids (the common dense-interned case) across stripes even
-// when the caller's own sharding already used the low bits.
-func (e *Estimator) stripe(id ID) *estimatorStripe {
-	h := uint64(id) * 0x9E3779B97F4A7C15
-	return &e.stripes[h>>(64-estimatorStripeBits)]
+	return &Estimator{tagged: make(map[ID]bool)}
 }
 
 // OnPrefetch records that id entered the cache via prefetch (untagged).
 func (e *Estimator) OnPrefetch(id ID) {
-	s := e.stripe(id)
-	s.mu.Lock()
-	s.tagged[id] = false
-	s.mu.Unlock()
+	e.mu.Lock()
+	e.tagged[id] = false
+	e.mu.Unlock()
 }
 
 // OnHit records a user request that hit the cache. It updates the
 // counters per the paper's algorithm and reports whether the entry was
 // tagged at the time of access.
 func (e *Estimator) OnHit(id ID) (wasTagged bool) {
-	s := e.stripe(id)
-	s.mu.Lock()
-	t, known := s.tagged[id]
+	e.mu.Lock()
+	t, known := e.tagged[id]
 	if !known || !t {
-		s.tagged[id] = true // promote untagged → tagged (or adopt unknown)
+		e.tagged[id] = true // promote untagged → tagged (or adopt unknown)
 	}
-	s.mu.Unlock()
+	e.mu.Unlock()
 
 	// An entry that predates the estimator (e.g. warm-up admission
 	// before estimation started) counts as tagged: a no-prefetch cache
@@ -105,10 +84,11 @@ func (e *Estimator) OnHit(id ID) (wasTagged bool) {
 }
 
 // CountAccess is the estimator's counters alone, for a caller that keeps
-// the tag bit itself (the engine's shards do, under their own locks):
-// one user request, serviced by a tagged entry or not — a first hit on
-// an untagged entry and a remote access both pass false. naccess is
-// bumped before nhit, which is what EstimateA's load order relies on.
+// the tag bit itself (the engine's shards and the simulator's clients
+// do): one user request, serviced by a tagged entry or not — a first hit
+// on an untagged entry, a miss and a wait on an in-flight fetch all pass
+// false. naccess is bumped before nhit, which is what EstimateA's load
+// order relies on.
 func (e *Estimator) CountAccess(taggedHit bool) {
 	e.naccess.Add(1)
 	if taggedHit {
@@ -121,20 +101,18 @@ func (e *Estimator) CountAccess(taggedHit bool) {
 // the cache (tagged if so).
 func (e *Estimator) OnRemoteAccess(id ID, admitted bool) {
 	if admitted {
-		s := e.stripe(id)
-		s.mu.Lock()
-		s.tagged[id] = true
-		s.mu.Unlock()
+		e.mu.Lock()
+		e.tagged[id] = true
+		e.mu.Unlock()
 	}
 	e.CountAccess(false)
 }
 
 // OnEvict forgets the tag state of an evicted entry.
 func (e *Estimator) OnEvict(id ID) {
-	s := e.stripe(id)
-	s.mu.Lock()
-	delete(s.tagged, id)
-	s.mu.Unlock()
+	e.mu.Lock()
+	delete(e.tagged, id)
+	e.mu.Unlock()
 }
 
 // Accesses returns naccess, the total number of user requests observed.
@@ -146,22 +124,16 @@ func (e *Estimator) TaggedHits() int64 { return e.nhit.Load() }
 
 // Tagged reports whether id is currently resident-and-tagged.
 func (e *Estimator) Tagged(id ID) bool {
-	s := e.stripe(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.tagged[id]
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.tagged[id]
 }
 
 // Resident returns the number of entries the estimator is tracking.
 func (e *Estimator) Resident() int {
-	n := 0
-	for i := range e.stripes {
-		s := &e.stripes[i]
-		s.mu.Lock()
-		n += len(s.tagged)
-		s.mu.Unlock()
-	}
-	return n
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return len(e.tagged)
 }
 
 // EstimateA returns the model-A estimate ĥ′ = nhit/naccess

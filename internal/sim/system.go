@@ -168,9 +168,12 @@ type client struct {
 	source workload.Source
 	pred   predict.Predictor
 
-	// untagged is a FIFO of prefetched-never-used entries (model A's
-	// zero-value candidates); isUntagged is the authoritative set, the
-	// FIFO may carry stale ids that are skipped on pop.
+	// isUntagged is the client's Section-4 tag, inverted, kept beside
+	// its entries as the engine keeps its unused bit: the set of
+	// resident entries that were prefetched and not yet requested. A hit
+	// reports !isUntagged[id] to the estimator and clears it. untagged
+	// is the same set as a FIFO (model A's zero-value candidates); it may
+	// carry stale ids, which are skipped on pop.
 	untagged   []cache.ID
 	isUntagged map[cache.ID]bool
 
@@ -233,8 +236,8 @@ func (c *client) popUntagged() cache.ID {
 
 // RunSystem executes a full-system simulation: per-client LRU caches and
 // predictors, a shared processor-sharing server, a prefetch policy fed
-// by online load estimates, and the Section-4 h′ estimator observing
-// every cache event.
+// by online load estimates, and the Section-4 h′ estimator counting
+// every request once.
 func RunSystem(cfg SystemConfig) (SystemResult, error) {
 	var res SystemResult
 	if err := cfg.validate(); err != nil {
@@ -250,14 +253,8 @@ func RunSystem(cfg SystemConfig) (SystemResult, error) {
 	ctrl := prefetch.NewController(cfg.Bandwidth, windowRequests/cfg.Lambda)
 	est := ctrl.Estimator()
 
-	// The estimator is shared across clients, so cache ids are
-	// namespaced per user to keep tag states independent.
-	stride := cache.ID(cfg.Catalog.Len())
-	ns := func(u int, id cache.ID) cache.ID { return cache.ID(u)*stride + id }
-
 	clients := make([]*client, cfg.Users)
 	for u := range clients {
-		u := u
 		cl := &client{
 			store:      cache.NewStore(cfg.CacheCapacity, cache.NewLRU()),
 			isUntagged: make(map[cache.ID]bool),
@@ -272,7 +269,6 @@ func RunSystem(cfg SystemConfig) (SystemResult, error) {
 			cl.pred = cfg.NewPredictor()
 		}
 		cl.store.OnEvict(func(id cache.ID) {
-			est.OnEvict(ns(u, id))
 			cl.dropUntagged(id)
 			cl.untrackResident(id)
 		})
@@ -293,7 +289,7 @@ func RunSystem(cfg SystemConfig) (SystemResult, error) {
 
 	// admitPrefetched inserts a completed prefetch into the client
 	// cache under the configured interaction model.
-	admitPrefetched := func(u int, cl *client, id cache.ID) {
+	admitPrefetched := func(cl *client, id cache.ID) {
 		if cl.store.Contains(id) {
 			return
 		}
@@ -305,7 +301,6 @@ func RunSystem(cfg SystemConfig) (SystemResult, error) {
 				// evict the LRU tail (the closest thing to worthless).
 				if v := cl.popUntagged(); v >= 0 && cl.store.Contains(v) {
 					cl.store.Remove(v)
-					est.OnEvict(ns(u, v))
 					cl.untrackResident(v)
 				}
 			case InteractionB:
@@ -313,20 +308,17 @@ func RunSystem(cfg SystemConfig) (SystemResult, error) {
 				if len(cl.residents) > 0 {
 					v := cl.residents[victimSrc.Intn(len(cl.residents))]
 					cl.store.Remove(v)
-					est.OnEvict(ns(u, v))
 					cl.dropUntagged(v)
 					cl.untrackResident(v)
 				}
 			}
 		}
 		cl.store.Admit(id)
-		est.OnPrefetch(ns(u, id))
 		cl.trackResident(id)
 		cl.pushUntagged(id)
 	}
 
-	var handleRequest func(u int, cl *client, id cache.ID, measured bool)
-	handleRequest = func(u int, cl *client, id cache.ID, measured bool) {
+	handleRequest := func(cl *client, id cache.ID, measured bool) {
 		now := sim.Now()
 		item := cfg.Catalog.Item(id)
 		ctrl.RecordRequest(now, item.Size)
@@ -336,11 +328,13 @@ func RunSystem(cfg SystemConfig) (SystemResult, error) {
 
 		switch {
 		case cl.store.Access(id):
-			// Cache hit: zero access time.
-			if cl.isUntagged[id] {
+			// Cache hit: zero access time. The first hit on a prefetched
+			// entry would have missed without prefetching.
+			untagged := cl.isUntagged[id]
+			est.CountAccess(!untagged)
+			if untagged {
 				res.PrefetchUseful++
 			}
-			est.OnHit(ns(u, id))
 			cl.dropUntagged(id)
 			if measured {
 				hits++
@@ -348,9 +342,10 @@ func RunSystem(cfg SystemConfig) (SystemResult, error) {
 			}
 		case cl.inflight[id] != nil:
 			// Already being fetched (demand or prefetch): wait for the
-			// remaining transfer time.
+			// remaining transfer time. Without prefetching this would
+			// have been a miss either way.
 			fl := cl.inflight[id]
-			est.OnRemoteAccess(ns(u, id), true)
+			est.CountAccess(false)
 			if cl.pfPending[id] {
 				res.PrefetchUseful++ // prefetch claimed while in flight
 				delete(cl.pfPending, id)
@@ -362,7 +357,7 @@ func RunSystem(cfg SystemConfig) (SystemResult, error) {
 			})
 		default:
 			// Demand fetch through the shared server.
-			est.OnRemoteAccess(ns(u, id), true)
+			est.CountAccess(false)
 			fl := &flight{}
 			cl.inflight[id] = fl
 			srv.Submit(&queue.Job{Size: item.Size, Done: func(resp float64) {
@@ -417,13 +412,12 @@ func RunSystem(cfg SystemConfig) (SystemResult, error) {
 					retrieval += resp
 				}
 				if stillSpeculative {
-					admitPrefetched(u, cl, pid)
+					admitPrefetched(cl, pid)
 				} else {
-					// A demand request claimed it mid-flight; admit as a
-					// normal (tagged) entry.
+					// A demand request claimed it mid-flight and was
+					// counted then; admit as a normal (tagged) entry.
 					cl.store.Admit(pid)
 					cl.trackResident(pid)
-					est.OnRemoteAccess(ns(u, pid), true)
 				}
 				for _, w := range fl.waiters {
 					w()
@@ -434,7 +428,7 @@ func RunSystem(cfg SystemConfig) (SystemResult, error) {
 
 	// dispatch performs the shared per-request bookkeeping around
 	// handleRequest: warm-up windowing and occupancy sampling.
-	dispatch := func(u int, cl *client, id cache.ID) {
+	dispatch := func(cl *client, id cache.ID) {
 		reqIdx := issuedReqs
 		issuedReqs++
 		measured := reqIdx >= cfg.Warmup
@@ -443,7 +437,7 @@ func RunSystem(cfg SystemConfig) (SystemResult, error) {
 			busyAtStart = srv.BusyTime()
 			est.Reset()
 		}
-		handleRequest(u, cl, id, measured)
+		handleRequest(cl, id, measured)
 		if measured {
 			occ := 0.0
 			for _, c := range clients {
@@ -471,7 +465,7 @@ func RunSystem(cfg SystemConfig) (SystemResult, error) {
 			}
 			cl := clients[u]
 			id := rec.Item
-			sim.Schedule(rec.Time*scale, func() { dispatch(u, cl, id) })
+			sim.Schedule(rec.Time*scale, func() { dispatch(cl, id) })
 		}
 	} else {
 		// Per-client Poisson arrival processes sharing a global request
@@ -479,7 +473,6 @@ func RunSystem(cfg SystemConfig) (SystemResult, error) {
 		perClient := cfg.Lambda / float64(cfg.Users)
 		inter := rng.Exponential{Rate: perClient}
 		for u := range clients {
-			u := u
 			cl := clients[u]
 			arrSrc := rng.NewStream(cfg.Seed, fmt.Sprintf("arrivals-%d", u))
 			var arrive func()
@@ -487,7 +480,7 @@ func RunSystem(cfg SystemConfig) (SystemResult, error) {
 				if issuedReqs >= cfg.Requests {
 					return
 				}
-				dispatch(u, cl, cl.source.Next())
+				dispatch(cl, cl.source.Next())
 				sim.After(inter.Sample(arrSrc), arrive)
 			}
 			sim.After(inter.Sample(arrSrc), arrive)

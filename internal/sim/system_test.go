@@ -126,19 +126,26 @@ func TestSystemThresholdPolicyImproves(t *testing.T) {
 }
 
 // The estimator's job: ĥ′ measured *while prefetching* must recover the
-// no-prefetch hit ratio (interaction model A).
+// no-prefetch hit ratio (interaction model A), under the paper's policy
+// and under top2, whose prefetches are claimed in flight far more often.
+// Each request is counted once, so the only error left is the
+// estimator's own.
 func TestSystemEstimatorRecoversHPrime(t *testing.T) {
 	base, err := RunSystem(markovSystem(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pf, err := RunSystem(markovSystem(prefetch.Threshold{Model: analytic.ModelA{}}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(pf.HPrimeEstimate-base.HitRatio) > 0.06 {
-		t.Errorf("ĥ′ while prefetching = %v, true h′ = %v",
-			pf.HPrimeEstimate, base.HitRatio)
+	for _, pol := range []prefetch.Policy{prefetch.Threshold{Model: analytic.ModelA{}}, prefetch.TopK{K: 2}} {
+		pf, err := RunSystem(markovSystem(pol))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%s: ĥ′ = %.4f, true h′ = %.4f, abs err %.4f",
+			pol.Name(), pf.HPrimeEstimate, base.HitRatio, math.Abs(pf.HPrimeEstimate-base.HitRatio))
+		if math.Abs(pf.HPrimeEstimate-base.HitRatio) > 0.01 {
+			t.Errorf("%s: ĥ′ while prefetching = %v, true h′ = %v",
+				pol.Name(), pf.HPrimeEstimate, base.HitRatio)
+		}
 	}
 }
 

@@ -236,10 +236,10 @@
 //     calls only, before the gather takes any shard lock) and the
 //     fabric's backend and estimator locks are all leaves. If a nesting
 //     is ever needed, the one the design leaves room for is shard.mu →
-//     Engine.qmu, never the reverse. The Section-4 estimator's stripe
-//     mutexes are not reachable from the engine at all: the unused
-//     mark of a shard's resident record is the tag, and the engine
-//     writes only the estimator's two atomic counters. The read core
+//     Engine.qmu, never the reverse. The Section-4 estimator's mutex
+//     is not reachable from the engine at all: the unused mark of a
+//     shard's resident record is the tag, and the engine writes only
+//     the estimator's two atomic counters. The read core
 //     holds at most one shard mutex at a time (gatherMulti groups keys
 //     so each shard's classification completes before the next lock),
 //     and the write core — dispatch registering candidates, land and

@@ -277,6 +277,96 @@ func TestJoinDeterministic(t *testing.T) {
 	}
 }
 
+// TestHPrimeCountsJoinsOnce holds the Section-4 estimator to one count
+// per request when several requests wait on one flight. Every joiner was
+// a miss on arrival, so each counts once, untagged, whoever owns the
+// flight: with prefetching off ĥ′ must equal the hit ratio, and a
+// speculative flight's joiners add nothing to nhit either, while the
+// first of them still consumes the prefetch.
+func TestHPrimeCountsJoinsOnce(t *testing.T) {
+	const (
+		key     = ID(2)
+		joiners = 4
+	)
+	for _, tc := range []struct {
+		name        string
+		speculative bool
+		used        int64 // PrefetchUsed: the first joiner consumes a prefetch
+	}{{"demand", false, 0}, {"speculative", true, 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			gate := make(chan struct{})
+			fetcher := FetcherFunc(func(ctx context.Context, id ID) (Item, error) {
+				if id == key {
+					select {
+					case <-gate:
+					case <-ctx.Done():
+						return Item{}, ctx.Err()
+					}
+				}
+				return Item{ID: id, Size: 1}, nil
+			})
+			opts := []Option{WithBandwidth(1e6), WithCache(NewLRUCache(8)), WithPolicy(NoPrefetch())}
+			if tc.speculative {
+				opts = append(opts, WithWorkers(1), WithMaxPrefetch(1), WithPolicy(StaticThreshold(0.5)),
+					WithPredictor(&fixedPredictor{preds: []Prediction{{ID: key, Prob: 0.9}}}))
+			}
+			eng, err := New(fetcher, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			ctx := context.Background()
+
+			var first int64 // requests that are not joiners
+			if tc.speculative {
+				// A miss on 1 issues the prefetch of key, held on the gate.
+				if _, err := eng.Get(ctx, 1); err != nil {
+					t.Fatal(err)
+				}
+				waitUntil(t, func() bool { return eng.Stats().InFlight >= 1 })
+				first = 1
+			}
+			n := joiners
+			if !tc.speculative {
+				n++ // one owns the demand flight, the rest join it
+			}
+			errs := make(chan error, n)
+			for i := 0; i < n; i++ {
+				go func() { _, err := eng.Get(ctx, key); errs <- err }()
+			}
+			waitUntil(t, func() bool { return eng.Stats().Joins == joiners })
+			close(gate)
+			for i := 0; i < n; i++ {
+				if err := <-errs; err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := eng.Quiesce(ctx); err != nil {
+				t.Fatal(err)
+			}
+
+			st := eng.Stats()
+			if st.Requests != first+int64(n) || st.Hits != 0 {
+				t.Fatalf("requests %d, hits %d: want %d misses", st.Requests, st.Hits, first+int64(n))
+			}
+			if st.HPrime != st.HitRatio() {
+				t.Fatalf("ĥ′ = %v after %d joins, hit ratio %v: each join must count once, untagged",
+					st.HPrime, st.Joins, st.HitRatio())
+			}
+			if st.PrefetchUsed != tc.used {
+				t.Fatalf("PrefetchUsed = %d, want %d", st.PrefetchUsed, tc.used)
+			}
+			// A hit on the landed key is tagged in either case.
+			if _, err := eng.Get(ctx, key); err != nil {
+				t.Fatal(err)
+			}
+			if st := eng.Stats(); st.HPrime != st.HitRatio() {
+				t.Fatalf("ĥ′ = %v after a tagged hit, hit ratio %v", st.HPrime, st.HitRatio())
+			}
+		})
+	}
+}
+
 // TestContextCancellation covers a caller abandoning a join mid-flight
 // and Close cancelling speculative fetches.
 func TestContextCancellation(t *testing.T) {

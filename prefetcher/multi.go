@@ -505,15 +505,15 @@ func (e *Engine) runDemandBatch(ctx context.Context, b int, ids []ID, sc *multiS
 // awaitJoined waits out one key that attached to another request's
 // in-flight fetch. A flight that resolves serves the key: the prefetched
 // (or concurrently demanded) item beat this request to the origin, and
-// it is accounted exactly like a first hit on an untagged entry — the
-// arrival itself was recorded when the miss was established. When the
-// joined flight fails or is dropped, the key re-checks the shard under
-// the lock before fetching itself. The loop matters: while a failed
-// join waits to re-acquire the lock, another request may have cached the
-// item (serve it; the request stays counted as the miss it was on
-// arrival) or registered a fresh flight (join that one — overwriting it
-// would break dedup); only when neither happened does the key fetch
-// individually, under the caller's context.
+// it is accounted exactly like a first hit on an untagged entry — one
+// untagged access, whichever flight served it, since the arrival was
+// recorded as a miss — so with prefetching off ĥ′ stays the hit ratio.
+// A failed or dropped flight makes the key re-check the shard under the
+// lock: while it waits to re-acquire it, another request may have cached
+// the item (serve it; the request stays the miss it was on arrival) or
+// registered a fresh flight (join that one — overwriting it would break
+// dedup); only when neither happened does the key fetch individually,
+// under the caller's context.
 func (e *Engine) awaitJoined(ctx context.Context, id ID, st *multiKey, mode uint8, buf *[]byte) {
 	sh := st.sh
 	for {
@@ -555,7 +555,7 @@ func (e *Engine) awaitJoined(ctx context.Context, id ID, st *multiKey, mode uint
 		if st.used {
 			sh.prefetchUsed.Add(1)
 		}
-		e.ctrl.Estimator().CountAccess(!st.used)
+		e.ctrl.Estimator().CountAccess(false)
 		e.ctrl.RecordSize(st.item.Size)
 		return
 	}

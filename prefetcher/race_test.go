@@ -159,7 +159,7 @@ func TestConcurrentSameKey(t *testing.T) {
 // TestConcurrentShardedLifecycle drives demand traffic, Quiesce, Stats
 // and Threshold across shard boundaries while the engine is closed
 // mid-flight. Under -race this exercises the per-shard mutexes, the
-// shared controller's atomics, the estimator stripes, the quiesce
+// shared controller's atomics, the estimator's counters, the quiesce
 // accounting and the close barrier together.
 func TestConcurrentShardedLifecycle(t *testing.T) {
 	testutil.ExpectNoLeaks(t)
