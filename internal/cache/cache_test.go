@@ -221,6 +221,52 @@ func TestQuickStoreInvariants(t *testing.T) {
 	}
 }
 
+// Property: every Admit of a non-resident id is one insertion and Admit
+// reports it, every eviction is reported once through OnEvict, and the
+// resident count is insertions minus evictions, for every policy.
+func TestQuickStoreAccounting(t *testing.T) {
+	policies := []func() Policy{
+		func() Policy { return NewLRU() },
+		func() Policy { return NewFIFO() },
+		func() Policy { return NewLFU() },
+		func() Policy { return NewClock() },
+		func() Policy { return NewRandomPolicy(rng.New(7)) },
+	}
+	f := func(ops []uint16) bool {
+		for _, mk := range policies {
+			s := NewStore(4, mk())
+			insertions, evictions := 0, 0
+			s.OnEvict(func(id ID) {
+				evictions++
+				if s.Contains(id) {
+					t.Errorf("%s: evicted id %d still resident", s.PolicyName(), id)
+				}
+			})
+			for _, op := range ops {
+				id := ID(op % 20)
+				if op%3 == 0 {
+					fresh := !s.Contains(id)
+					if s.Admit(id) != fresh {
+						return false
+					}
+					if fresh {
+						insertions++
+					}
+				} else {
+					s.Access(id)
+				}
+				if s.Len() != insertions-evictions {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
 func BenchmarkLRUStoreChurn(b *testing.B) {
 	s := NewStore(1024, NewLRU())
 	src := rng.New(1)

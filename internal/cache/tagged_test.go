@@ -128,6 +128,61 @@ func TestEstimatorReset(t *testing.T) {
 	}
 }
 
+// The counting rule for callers that keep the tag themselves: each
+// request is one CountAccess, only a tagged hit bumps nhit, and the
+// id-keyed half feeds the same two counters.
+func TestEstimatorCountAccess(t *testing.T) {
+	t.Run("tagged-hit", func(t *testing.T) {
+		e := NewEstimator()
+		e.CountAccess(true)
+		if e.Accesses() != 1 || e.TaggedHits() != 1 {
+			t.Errorf("counters = %d/%d, want 1/1", e.Accesses(), e.TaggedHits())
+		}
+		if e.Resident() != 0 {
+			t.Error("CountAccess must not track ids")
+		}
+	})
+	t.Run("untagged-miss-or-join", func(t *testing.T) {
+		e := NewEstimator()
+		e.CountAccess(false)
+		if e.Accesses() != 1 || e.TaggedHits() != 0 {
+			t.Errorf("counters = %d/%d, want 1/0", e.Accesses(), e.TaggedHits())
+		}
+	})
+	t.Run("shares-counters-with-id-keyed-half", func(t *testing.T) {
+		e := NewEstimator()
+		e.OnRemoteAccess(1, true)
+		e.CountAccess(true)
+		e.OnHit(1)
+		e.CountAccess(false)
+		if e.Accesses() != 4 || e.TaggedHits() != 2 {
+			t.Errorf("counters = %d/%d, want 4/2", e.Accesses(), e.TaggedHits())
+		}
+	})
+	t.Run("no-prefetch-equals-hit-ratio", func(t *testing.T) {
+		// With prefetching off every entry is tagged, so counting each
+		// request once with its hit outcome makes ĥ′ the hit ratio.
+		e := NewEstimator()
+		s := NewStore(16, NewLRU())
+		src := rng.New(3)
+		hits, requests := 0, 0
+		for i := 0; i < 2000; i++ {
+			id := ID(src.Intn(40))
+			hit := s.Access(id)
+			if !hit {
+				s.Admit(id)
+			} else {
+				hits++
+			}
+			requests++
+			e.CountAccess(hit)
+		}
+		if want := float64(hits) / float64(requests); e.EstimateA() != want {
+			t.Errorf("EstimateA = %v, want hit ratio %v", e.EstimateA(), want)
+		}
+	})
+}
+
 // zeroValueFirst is a test policy realising interaction model A: it
 // evicts zero-value items (ids >= threshold, which the driver never
 // requests) before touching useful entries; within each class it is LRU.
