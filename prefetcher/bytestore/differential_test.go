@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/cache"
@@ -13,12 +14,13 @@ import (
 
 // reference is the composition the Store was first built as, kept here
 // as the yardstick for whatever the Store is built on now: residency and
-// LRU recency in a cache.Store, payload bytes in a slab with no entry
-// bound of its own, a boxed overflow map, and the two eviction callbacks
-// that keep the layers in step — policy victims leave the slab, rotation
-// victims leave the policy layer, and each is reported once.
+// recency in a cache.Store under a segmented-LRU policy, payload bytes in
+// a slab with no entry bound of its own, a boxed overflow map, and the
+// two eviction callbacks that keep the layers in step — policy victims
+// leave the slab, rotation victims leave the policy layer, and each is
+// reported once.
 type reference struct {
-	lru           *cache.LRU
+	policy        *slru
 	store         *cache.Store
 	slab          *slab.Store
 	overflow      map[prefetcher.ID]boxed
@@ -34,14 +36,65 @@ type boxed struct {
 	size int
 }
 
-func newReference(cfg Config) *reference {
+// slru is segmented LRU as a cache.Policy, written with plain slices,
+// least recently used first (prefetcher's listModel, as a policy). A new
+// entry starts on probation (lists[0]). A use moves a probationer to the
+// most recent end of the protected list (lists[1]), whose least recent
+// entry goes back to the most recent end of probation once the list
+// holds more than p; a protected entry it refreshes there. The victim is
+// probation's least recent entry, or protected's while probation is
+// empty. With p == 0 nothing is protected: plain LRU.
+type slru struct {
+	p     int
+	lists [2][]cache.ID
+}
+
+func (q *slru) Name() string { return fmt.Sprintf("slru(p=%d)", q.p) }
+
+func (q *slru) Inserted(id cache.ID) { q.lists[0] = append(q.lists[0], id) }
+
+func (q *slru) Accessed(id cache.ID) {
+	if q.take(id) == 0 && q.p == 0 {
+		q.lists[0] = append(q.lists[0], id)
+		return
+	}
+	q.lists[1] = append(q.lists[1], id)
+	if len(q.lists[1]) > q.p {
+		q.lists[0] = append(q.lists[0], q.lists[1][0])
+		q.lists[1] = q.lists[1][1:]
+	}
+}
+
+func (q *slru) Victim() cache.ID {
+	if len(q.lists[0]) == 0 {
+		return q.lists[1][0]
+	}
+	return q.lists[0][0]
+}
+
+func (q *slru) Removed(id cache.ID) { q.take(id) }
+
+// take removes id from whichever list holds it and reports which.
+func (q *slru) take(id cache.ID) int {
+	for l := range q.lists {
+		if i := slices.Index(q.lists[l], id); i >= 0 {
+			q.lists[l] = slices.Delete(q.lists[l], i, i+1)
+			return l
+		}
+	}
+	panic(fmt.Sprintf("id %d is on no list", id))
+}
+
+// newReference builds the composition for cfg with at most p entries
+// protected.
+func newReference(cfg Config, p int) *reference {
 	r := &reference{
-		lru:           cache.NewLRU(),
+		policy:        &slru{p: p},
 		slab:          slab.New(cfg.CapacityBytes, cfg.SegmentBytes),
 		overflow:      make(map[prefetcher.ID]boxed),
 		capacityBytes: cfg.CapacityBytes,
 	}
-	r.store = cache.NewStore(cfg.MaxEntries, r.lru)
+	r.store = cache.NewStore(cfg.MaxEntries, r.policy)
 	r.store.OnEvict(r.policyEvicted)
 	r.slab.OnEvict(func(id int64) {
 		r.store.Remove(cache.ID(id))
@@ -108,8 +161,8 @@ func (r *reference) Put(id prefetcher.ID, value any) {
 	r.slab.Delete(int64(id))
 	r.dropOverflow(id)
 	for r.overflowBytes+size > r.capacityBytes && r.store.Len() > 0 {
-		// One forced policy eviction: the least recently used resident.
-		victim := r.lru.Victim()
+		// One forced policy eviction: the policy's victim.
+		victim := r.policy.Victim()
 		r.store.Remove(victim)
 		r.policyEvicted(victim)
 	}
@@ -205,7 +258,7 @@ func runDifferential(t *testing.T, rg diffRegime, seed int64, ops int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := newReference(rg.cfg)
+	ref := newReference(rg.cfg, 0)
 	var gotEv, wantEv []prefetcher.ID
 	st.OnEvict(func(id prefetcher.ID) { gotEv = append(gotEv, id) })
 	ref.onEvict = func(id prefetcher.ID) { wantEv = append(wantEv, id) }
