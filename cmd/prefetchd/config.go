@@ -89,8 +89,9 @@ type SpaceConfig struct {
 
 	// The cache is the slab-backed byte store (prefetcher/bytestore):
 	// payloads live in pointer-free segments the GC never scans, bounded
-	// by CacheBytes (0 = 64 MiB), least recently used out first;
-	// CacheCapacity bounds the entry count (0 = CacheBytes/64) and
+	// by CacheBytes (0 = 64 MiB), probation's tail out first;
+	// CacheCapacity bounds the entry count (0 = CacheBytes/64), half of
+	// it protected (segmented LRU), and
 	// SegmentBytes sizes the arena segments (0 = 1 MiB).
 	CacheCapacity int `json:"cache_capacity,omitempty"`
 	CacheBytes    int `json:"cache_bytes,omitempty"`

@@ -120,7 +120,7 @@ func TestParseConfigRejectsPredictorKnob(t *testing.T) {
 }
 
 // TestParseConfigRejectsCachePolicyKnob: every space caches in the one
-// slab store, least recently used out first, so a config that still
+// slab store, in segmented-LRU order, so a config that still
 // names a replacement policy — the old default spelled out included — is
 // refused as an unknown field, not read past. The two rules that went
 // with the boxed modes went too: segment_bytes no longer needs

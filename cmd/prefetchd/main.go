@@ -14,7 +14,12 @@
 // Every space predicts with the engine's one access model, a Markov
 // table that grows only with what it has learned (512 rows after a scan,
 // never past about 7 MiB), and caches in one store, the slab byte
-// store bounded by -cache-bytes (64 MiB unless set) and -cache entries,
+// store bounded by -cache-bytes (64 MiB unless set) and -cache entries
+// in segmented-LRU order: a key read twice moves to a protected list
+// of half the entries, and a one-shot miss or an unused prefetch waits
+// on probation and goes first (internal/cache's
+// TestShippedOrderHasLeastRegret replays the benchmark's streams the way
+// the daemon plans them to choose that split),
 // so the daemon's memory is its cache budgets plus that table and
 // nothing grows with the key space; -policy none (policy: "none") is the
 // one way to run a space without speculation.
@@ -86,7 +91,7 @@ func configFromArgs(fs *flag.FlagSet, args []string) (*Config, error) {
 	fs.StringVar(&f.origin, "origin", "", "HTTP origin base URL for the flag-built space")
 	fs.StringVar(&f.originBatch, "origin-batch-path", "", "origin batch endpoint speaking the httpfetch wire (e.g. /batch)")
 	fs.StringVar(&f.fsRoot, "fs-root", "", "filesystem backend root for the flag-built space")
-	fs.IntVar(&f.cacheCap, "cache", 4096, "cache capacity in items; the least recently used goes first")
+	fs.IntVar(&f.cacheCap, "cache", 4096, "cache capacity in items, half of them protected: a key read twice outlives one-shot keys")
 	fs.IntVar(&f.cacheBytes, "cache-bytes", 0, "cache byte budget (0 = 64 MiB), a ceiling: the arena holds at most about twice the peak live bytes; payloads live in segments mapped off the Go heap")
 	fs.IntVar(&f.segBytes, "segment-bytes", 0, "cache segment size in bytes (0 = 1 MiB)")
 	fs.StringVar(&f.policy, "policy", "adaptive-a", "prefetch policy: adaptive-a, adaptive-b, greedy, static, topk or none (no speculation); the access model is always the Markov table, which grows only with states seen twice and never past about 7 MiB")

@@ -171,10 +171,11 @@ func buildEngine(sc SpaceConfig) (*prefetcher.Engine, []io.Closer, error) {
 const defaultCacheBytes = 64 << 20
 
 // store is the one cache every space mounts: the slab store, payloads in
-// pointer-free segments under a byte budget, least recently used out
-// first, entry count bounded by CacheCapacity when set (else by the
-// store's own default, a 64th of the budget). The factory ceil-splits
-// both budgets across shards.
+// pointer-free segments under a byte budget, in segmented-LRU order with
+// half the entries protected (probation's tail out first), entry count
+// bounded by CacheCapacity when set (else by the store's own default, a
+// 64th of the budget). The factory ceil-splits both budgets across
+// shards.
 func (sc SpaceConfig) store() bytestore.Config {
 	cfg := bytestore.Config{CapacityBytes: sc.CacheBytes, MaxEntries: sc.CacheCapacity, SegmentBytes: sc.SegmentBytes}
 	if cfg.CapacityBytes == 0 {

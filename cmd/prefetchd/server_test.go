@@ -858,6 +858,64 @@ func TestDaemonSlabSpace(t *testing.T) {
 	}
 }
 
+// TestDaemonStoreKeepsReReadKey holds the order a space's store evicts
+// in: segmented LRU, half the entry bound protected. A key read twice is
+// protected, so a burst of one-shot keys as long as the whole 8-entry
+// bound churns through probation and leaves it resident. Under plain
+// LRU the burst evicts it, and its next read goes to the origin.
+func TestDaemonStoreKeepsReReadKey(t *testing.T) {
+	defer testutil.ExpectNoLeaks(t)
+	var singles, batches atomic.Int64
+	origin := newTestOrigin(t, &singles, &batches)
+	cfg := oneSpaceConfig(origin.URL)
+	cfg.Spaces[0].Policy = "none" // no speculation: the store alone decides
+	srv, err := NewServer(cfg, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := startFront(t, srv)
+	get := func(k int64) {
+		t.Helper()
+		resp, err := http.Get(fmt.Sprintf("%s/obj/%d", front, k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || !bytes.Equal(body, originPayload(k)) {
+			t.Fatalf("key %d: %d %q", k, resp.StatusCode, body)
+		}
+	}
+	hits := func() int64 {
+		t.Helper()
+		resp, err := http.Get(front + "/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var stats statsReply
+		if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+			t.Fatal(err)
+		}
+		return stats.Spaces[DefaultSpace].Hits
+	}
+
+	const a = 1
+	get(a)
+	get(a) // a use: a moves to the protected list
+	for k := int64(100); k < 108; k++ {
+		get(k)
+	}
+	trips, before := singles.Load()+batches.Load(), hits()
+	get(a)
+	if trips := singles.Load() + batches.Load() - trips; trips != 0 {
+		t.Fatalf("key %d went to the origin %d time(s) after eight one-shot keys; want it still resident", a, trips)
+	}
+	if got := hits() - before; got != 1 {
+		t.Fatalf("/stats hits rose by %d on the re-read of key %d; want 1", got, a)
+	}
+}
+
 func testDaemonSlabSpace(t *testing.T, set func(*SpaceConfig), want bytestore.Config) {
 	defer testutil.ExpectNoLeaks(t)
 	origin := newTestOrigin(t, nil, nil)

@@ -1,7 +1,8 @@
 // Package bytestore mounts the library's one cache store
 // (repro/prefetcher/internal/store, which NewLRUCache and NewSLRUCache
-// also return) bounded by bytes as well as entries, LRU, one per engine
-// shard (Factory, for prefetcher.WithCacheFactory): what prefetchd runs.
+// also return) bounded by bytes as well as entries, one per engine shard
+// (Factory, for prefetcher.WithCacheFactory): what prefetchd runs, in
+// segmented-LRU order with half of each shard's entries protected.
 package bytestore
 
 import (
@@ -36,8 +37,7 @@ func Factory(cfg Config) (func(shard, shards int) prefetcher.Cache, error) {
 		}
 		s, err := New(per)
 		if err != nil {
-			// Unreachable: the per-shard split only shrinks positive
-			// budgets, and never to zero.
+			// Unreachable: the split shrinks positive budgets, never to 0.
 			panic(err)
 		}
 		return s

@@ -157,7 +157,7 @@ func (r *reference) Put(id prefetcher.ID, value any) {
 	if isBytes {
 		size = len(b)
 	}
-	r.store.Remove(cache.ID(id))
+	resident := r.store.Remove(cache.ID(id))
 	r.slab.Delete(int64(id))
 	r.dropOverflow(id)
 	for r.overflowBytes+size > r.capacityBytes && r.store.Len() > 0 {
@@ -169,6 +169,9 @@ func (r *reference) Put(id prefetcher.ID, value any) {
 	r.overflow[id] = boxed{val: value, size: size}
 	r.overflowBytes += size
 	r.store.Admit(cache.ID(id))
+	if resident { // an overwrite is a use, whatever the payload's shape
+		r.store.Access(cache.ID(id))
+	}
 }
 
 func (r *reference) PutBytes(id prefetcher.ID, b []byte) {
@@ -217,9 +220,9 @@ var diffRegimes = []diffRegime{
 	// runs here too, cannot reclaim what rotation takes.
 	{name: "both-streams", cfg: Config{CapacityBytes: 2 << 10, MaxEntries: 40, SegmentBytes: 512},
 		ids: 160, maxFit: 60, wantRotation: true},
-	// Boxed payloads past the byte budget: the overflow loop evicts the
-	// least recently used residents, boxed or not, before the entry bound
-	// is consulted.
+	// Boxed payloads past the byte budget: the overflow loop evicts
+	// residents, boxed or not, probation's tail first, before the entry
+	// bound is consulted.
 	{name: "overflow-budget", cfg: Config{CapacityBytes: 2 << 20, MaxEntries: 1 << 12, SegmentBytes: 1 << 10},
 		ids: 2000, maxFit: 40, boxed: true, mostlyBoxed: true},
 	// The entry bound binds on an arena at least 8× the live bytes: the
@@ -258,7 +261,7 @@ func runDifferential(t *testing.T, rg diffRegime, seed int64, ops int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := newReference(rg.cfg, 0)
+	ref := newReference(rg.cfg, rg.cfg.MaxEntries/2)
 	var gotEv, wantEv []prefetcher.ID
 	st.OnEvict(func(id prefetcher.ID) { gotEv = append(gotEv, id) })
 	ref.onEvict = func(id prefetcher.ID) { wantEv = append(wantEv, id) }

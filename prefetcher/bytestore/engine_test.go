@@ -344,7 +344,7 @@ func (c *boxedLRU) OnEvict(fn func(id prefetcher.ID)) { c.onEvict = fn }
 // resident values cost the garbage collector a number of live heap
 // objects that does not grow with N, where a boxed cache costs at least
 // one per value. Both engines are filled with the same N 1 KiB values
-// under LRU (Factory's store, and the test's boxedLRU), with no
+// (Factory's segmented-LRU store, and the test's boxedLRU), with no
 // predictor state and no speculative traffic, and the growth in
 // HeapObjects across the fill is read after a forced collection.
 func TestSlabResidencyInvisibleToGC(t *testing.T) {

@@ -9,7 +9,7 @@
 //
 //	Fetcher   — retrieves items from the origin (yours to implement)
 //	Predictor — online access model (a bounded Markov-1 table provided)
-//	Cache     — bounded client-side store (one slab-indexed store, LRU or SLRU)
+//	Cache     — bounded client-side store (one slab-indexed store, SLRU by default)
 //	Clock     — time source (wall clock by default, manual for tests)
 //
 // Construction uses functional options:
@@ -97,7 +97,7 @@
 // segmented-LRU order, so the garbage collector scans neither a value
 // nor a policy node per entry; any other payload is held by reference
 // beside it. The byte budget evicts by segment rotation and the entry
-// bound from the tail of that order, both through one per-id callback
+// bound from probation's tail first, both through one per-id callback
 // that keeps the engine's size and waste accounting exact.
 //
 // Internally the keyed state — cache, in-flight dedup, size and

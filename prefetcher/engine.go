@@ -273,10 +273,10 @@ type Engine struct {
 // New assembles an Engine around the given origin fetcher, which
 // becomes the fetch fabric's one backend "origin" on the WithBandwidth
 // link (pass nil with WithBackends to name the backends yourself).
-// With no options it uses a Markov-1 predictor, NewLRUCache's store of
-// 1024 entries partitioned across GOMAXPROCS-derived shards, the wall clock and the
-// paper's adaptive threshold policy under interaction model A — which
-// requires WithBandwidth, the one parameter with no sensible default.
+// With no options it uses a Markov-1 predictor, NewSLRUCache's store of
+// 1024 entries (half of each shard protected) across GOMAXPROCS-derived
+// shards, the wall clock and the paper's adaptive threshold policy under
+// interaction model A — which requires WithBandwidth, the one parameter with no sensible default.
 func New(fetcher Fetcher, opts ...Option) (*Engine, error) {
 	cfg := defaultConfig()
 	for _, opt := range opts {
@@ -381,11 +381,11 @@ func New(fetcher Fetcher, opts ...Option) (*Engine, error) {
 				}
 			}
 		default:
-			per := defaultCacheCapacity / cfg.shards
-			if per < 1 {
-				per = 1
+			if per := defaultCacheCapacity / cfg.shards; per < 2 {
+				c = NewLRUCache(1)
+			} else {
+				c = NewSLRUCache(per, per/2)
 			}
-			c = NewLRUCache(per)
 		}
 		sh := newShard(c)
 		c.OnEvict(e.onEvict(sh))

@@ -48,19 +48,18 @@ type Config struct {
 	// CapacityBytes bounds the arena's memory. Required. Oversized
 	// []byte payloads (larger than a segment) bypass the arena into the
 	// boxed overflow map but are charged against the same budget: a Put
-	// that would push overflow bytes past CapacityBytes first evicts the
-	// least recently used residents. Worst case the store holds
+	// that would push overflow bytes past CapacityBytes first evicts
+	// residents, probation's tail first. Worst case the store holds
 	// CapacityBytes of arena plus CapacityBytes of overflow, plus one
 	// payload beyond that when a single value exceeds the whole budget
 	// (Put never drops the entry being inserted). Non-[]byte overflow
 	// values have no measurable size and are bounded only by MaxEntries.
 	CapacityBytes int
-	// MaxEntries bounds the resident count; past it the least recently
-	// used resident goes. Defaults to CapacityBytes/64, at least 16, and
-	// is clamped to 2²⁸ (see slab.Store.SetMaxEntries).
+	// MaxEntries bounds the resident count, half of it protected; past
+	// it a resident goes, probation's tail first. Defaults to
+	// CapacityBytes/64, at least 16, clamped to 2²⁸ (slab.Store.SetMaxEntries).
 	MaxEntries int
-	// SegmentBytes is the arena segment size; 0 means the slab default
-	// (1 MiB).
+	// SegmentBytes is the arena segment size; 0 means the slab's 1 MiB.
 	SegmentBytes int
 }
 
@@ -81,7 +80,9 @@ type boxed struct {
 	size int
 }
 
-// New builds one Store from cfg: LRU, bounded by bytes and entries.
+// New builds one Store from cfg, bounded by bytes and entries, in
+// segmented-LRU order with MaxEntries/2 protected (1 entry: plain LRU):
+// one-shot keys and unused prefetches go before a key read twice.
 func New(cfg Config) (*Store, error) {
 	if cfg.CapacityBytes <= 0 {
 		return nil, errors.New("bytestore: CapacityBytes must be > 0")
@@ -90,7 +91,7 @@ func New(cfg Config) (*Store, error) {
 	if maxEntries <= 0 {
 		maxEntries = max(cfg.CapacityBytes/64, 16)
 	}
-	return newStore(cfg.CapacityBytes, cfg.SegmentBytes, maxEntries), nil
+	return newStore(cfg.CapacityBytes, cfg.SegmentBytes, maxEntries, maxEntries/2), nil
 }
 
 // NewLRU returns a Store holding at most n entries, least recently used
@@ -99,28 +100,28 @@ func NewLRU(n int) *Store {
 	if n < 1 {
 		panic(fmt.Sprintf("store: capacity %d must be >= 1", n))
 	}
-	return newStore(math.MaxInt, entrySegmentBytes, n)
+	return newStore(math.MaxInt, entrySegmentBytes, n, 0)
 }
 
 // NewSLRU returns a Store holding at most n entries in segmented-LRU
 // order, at most p of them protected (see slab.Store.SetProtected), with
 // no byte bound. It panics if n < 1 or p < 1.
 func NewSLRU(n, p int) *Store {
-	if p < 1 {
-		panic(fmt.Sprintf("store: SLRU protected capacity %d must be >= 1", p))
+	if n < 1 || p < 1 {
+		panic(fmt.Sprintf("store: capacity %d and SLRU protected capacity %d must be >= 1", n, p))
 	}
-	s := NewLRU(n)
-	s.slab.SetProtected(p)
-	return s
+	return newStore(math.MaxInt, entrySegmentBytes, n, p)
 }
 
-func newStore(capacityBytes, segmentBytes, maxEntries int) *Store {
+// newStore is every constructor's: protected 0 is plain LRU.
+func newStore(capacityBytes, segmentBytes, maxEntries, protected int) *Store {
 	s := &Store{
 		slab:          slab.New(capacityBytes, segmentBytes),
 		overflow:      make(map[fetch.ID]boxed),
 		capacityBytes: capacityBytes,
 	}
 	s.slab.SetMaxEntries(maxEntries)
+	s.slab.SetProtected(protected)
 	// The one eviction stream: rotation, the entry bound and the overflow
 	// budget loop all report here, from inside Put.
 	s.slab.OnEvict(func(id int64) {
@@ -132,10 +133,9 @@ func newStore(capacityBytes, segmentBytes, maxEntries int) *Store {
 	return s
 }
 
-// Get implements prefetcher.Cache. For slab-resident values it copies
-// the payload into a fresh slice — the boxing compatibility path, which
-// allocates per hit; byte-path callers (the engine's GetBytes and
-// GetMultiBytes) use GetBytes instead.
+// Get implements prefetcher.Cache. A slab-resident value is copied into
+// a fresh slice — the boxing path, an allocation per hit; the engine's
+// GetBytes and GetMultiBytes call GetBytes instead.
 func (s *Store) Get(id fetch.ID) (any, bool) {
 	if e, ok := s.overflow[id]; ok {
 		s.slab.BytesLen(int64(id)) // a hit: refresh the placeholder's recency
@@ -186,9 +186,9 @@ func (s *Store) BytesLen(id fetch.ID) (int, bool) {
 // go to the arena; everything else goes to the boxed overflow map with
 // an empty arena record in its place, so an admitted entry is always
 // resident whatever its payload shape. Overflow bytes bypass the arena's
-// budget, so they are charged against CapacityBytes here: the least
-// recently used residents are evicted until the incoming payload fits
-// (see Config.CapacityBytes for the worst-case bound).
+// budget, so they are charged against CapacityBytes here: residents are
+// evicted, probation's tail first, until the incoming payload fits (see
+// Config.CapacityBytes for the worst-case bound).
 func (s *Store) Put(id fetch.ID, value any) {
 	b, isBytes := value.([]byte)
 	if isBytes && s.slab.Fits(len(b)) {

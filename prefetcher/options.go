@@ -32,8 +32,8 @@ type config struct {
 	breaker       *fetch.Breaker
 }
 
-// defaultCacheCapacity is the total capacity of the default LRU cache,
-// split evenly across shards.
+// defaultCacheCapacity is the total capacity of the default cache, split
+// evenly across shards: SLRU, half of each shard protected (1 entry: LRU).
 const defaultCacheCapacity = 1024
 
 func defaultConfig() *config {
@@ -69,8 +69,8 @@ func WithPredictor(p Predictor) Option {
 	}
 }
 
-// WithCache sets the client-side store (default: NewLRUCache's store,
-// 1024 entries split across shards). A single Cache instance can only serve a single-shard
+// WithCache sets the client-side store (default: NewSLRUCache's store,
+// 1024 entries split across shards, half of each shard protected). A single Cache instance can only serve a single-shard
 // engine: combining WithCache with WithShards(n > 1) is a construction
 // error, and without WithShards a supplied cache pins the shard count to
 // one. Sharded engines wanting a custom cache use WithCacheFactory. A
