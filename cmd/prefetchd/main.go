@@ -14,15 +14,13 @@
 // Every space predicts with the engine's one access model, a Markov
 // table that grows only with what it has learned (512 rows after a scan,
 // never past about 7 MiB), and caches in one store, the slab byte
-// store bounded by -cache-bytes (64 MiB unless set) and -cache entries
-// in segmented-LRU order: a key read twice moves to a protected list
-// of half the entries, and a one-shot miss or an unused prefetch waits
-// on probation and goes first (internal/cache's
-// TestShippedOrderHasLeastRegret replays the benchmark's streams the way
-// the daemon plans them to choose that split),
+// store bounded by -cache-bytes (64 MiB unless set) and -cache entries,
 // so the daemon's memory is its cache budgets plus that table and
-// nothing grows with the key space; -policy none (policy: "none") is the
-// one way to run a space without speculation.
+// nothing grows with the key space. The store evicts in segmented-LRU
+// order: a key read twice moves to a protected list of half the
+// entries, and a one-shot miss or an unused prefetch waits on probation
+// and goes first. -policy none (policy: "none") is the one way to run a
+// space without speculation.
 // /stats serves per-space engine snapshots as JSON, with a memory block
 // that splits the process's RSS: the store's segments and the Markov rows
 // live off the Go heap (offheap_bytes), beside the heap's live bytes, its

@@ -168,7 +168,7 @@ func TestShippedOrderHasLeastRegret(t *testing.T) {
 	}
 	slru := func(name string, num, den int) func(int) (string, replayer) {
 		return func(capacity int) (string, replayer) {
-			return name, slruStore{prefetcher.NewSLRUCache(capacity, max(1, capacity*num/den))}
+			return name, slruStore{prefetcher.NewSLRUCache(capacity, capacity*num/den)}
 		}
 	}
 	// lru first and slru ½ second: the gates read both by index.
