@@ -128,7 +128,7 @@ const DefaultSpace = "default"
 // boot error, not a silently-default engine.
 var (
 	validBackendTypes = map[string]bool{"http": true, "fs": true}
-	validPolicies     = map[string]bool{"": true, "adaptive-a": true, "adaptive-b": true, "greedy": true, "static": true, "topk": true, "none": true}
+	validPolicies     = map[string]bool{"": true, "adaptive-a": true, "static": true, "topk": true, "none": true}
 	validRoutings     = map[string]bool{"": true, "weighted": true, "latency": true}
 )
 
@@ -236,13 +236,10 @@ func (s *SpaceConfig) validate() error {
 	if s.Policy == "topk" && (s.PolicyArg < 1 || s.PolicyArg != float64(int(s.PolicyArg))) {
 		return fmt.Errorf("topk policy_arg must be a positive integer")
 	}
-	switch s.Policy {
-	case "", "adaptive-a", "adaptive-b", "greedy":
-		// These policies compute their threshold from ρ̂′ = λ̂·ŝ̄/B, so
+	if (s.Policy == "" || s.Policy == "adaptive-a") && s.Bandwidth <= 0 {
+		// The paper's rule computes its threshold from ρ̂′ = λ̂·ŝ̄/B, so
 		// the space needs a link capacity to normalise against.
-		if s.Bandwidth <= 0 {
-			return fmt.Errorf("policy %q adapts to load and needs a positive bandwidth", s.Policy)
-		}
+		return fmt.Errorf("policy %q adapts to load and needs a positive bandwidth", s.Policy)
 	}
 	if s.CacheCapacity < 0 || s.Shards < 0 || s.Workers < 0 || s.QueueDepth < 0 || s.MaxPrefetch < 0 || s.Bandwidth < 0 {
 		return fmt.Errorf("engine knobs must be >= 0")

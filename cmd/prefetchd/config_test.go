@@ -119,6 +119,24 @@ func TestParseConfigRejectsPredictorKnob(t *testing.T) {
 	}
 }
 
+// TestParseConfigRejectsRetiredPolicies: adaptive-b (model B's
+// threshold) and greedy went when internal/vlink's TestRuleSweep found
+// neither beating adaptive-a at any load; a config that still names one
+// is refused as an unknown policy, bandwidth and all, while adaptive-a
+// with the same fields boots.
+func TestParseConfigRejectsRetiredPolicies(t *testing.T) {
+	const space = `{"spaces":[{"name":"a","policy":%q,"bandwidth":100,"backends":[{"name":"o","type":"fs","root":"/"}]}]}`
+	if _, err := ParseConfig([]byte(fmt.Sprintf(space, "adaptive-a"))); err != nil {
+		t.Fatalf("adaptive-a: %v", err)
+	}
+	for _, policy := range []string{"adaptive-b", "greedy"} {
+		_, err := ParseConfig([]byte(fmt.Sprintf(space, policy)))
+		if err == nil || !strings.Contains(err.Error(), "unknown policy") {
+			t.Errorf("%s: err = %v, want an unknown-policy error", policy, err)
+		}
+	}
+}
+
 // TestParseConfigRejectsCachePolicyKnob: every space caches in the one
 // slab store, in segmented-LRU order, so a config that still
 // names a replacement policy — the old default spelled out included — is

@@ -19,8 +19,11 @@
 // nothing grows with the key space. The store evicts in segmented-LRU
 // order: a key read twice moves to a protected list of half the
 // entries, and a one-shot miss or an unused prefetch waits on probation
-// and goes first. -policy none (policy: "none") is the one way to run a
-// space without speculation.
+// and goes first. A space's policy is adaptive-a, the paper's rule under
+// model A and the default, static (a fixed cutoff), topk, or none, the
+// one way to run a space without speculation; model B's threshold and
+// the greedy rule went when the virtual-time sweep in internal/vlink
+// found neither beating adaptive-a at any load.
 // /stats serves per-space engine snapshots as JSON, with a memory block
 // that splits the process's RSS: the store's segments and the Markov rows
 // live off the Go heap (offheap_bytes), beside the heap's live bytes, its
@@ -92,7 +95,7 @@ func configFromArgs(fs *flag.FlagSet, args []string) (*Config, error) {
 	fs.IntVar(&f.cacheCap, "cache", 4096, "cache capacity in items, half of them protected: a key read twice outlives one-shot keys")
 	fs.IntVar(&f.cacheBytes, "cache-bytes", 0, "cache byte budget (0 = 64 MiB), a ceiling: the arena holds at most about twice the peak live bytes; payloads live in segments mapped off the Go heap")
 	fs.IntVar(&f.segBytes, "segment-bytes", 0, "cache segment size in bytes (0 = 1 MiB)")
-	fs.StringVar(&f.policy, "policy", "adaptive-a", "prefetch policy: adaptive-a, adaptive-b, greedy, static, topk or none (no speculation); the access model is always the Markov table, which grows only with states seen twice and never past about 7 MiB")
+	fs.StringVar(&f.policy, "policy", "adaptive-a", "prefetch policy: adaptive-a (the paper's rule, model A), static, topk or none (no speculation); the access model is always the Markov table, which grows only with states seen twice and never past about 7 MiB")
 	fs.Float64Var(&f.policyArg, "policy-arg", 0, "policy parameter (static threshold or topk k)")
 	fs.Float64Var(&f.bandwidth, "bandwidth", 1e6, "origin link capacity in payload-size units per second; the adaptive threshold's rho-prime normalises against it")
 	fs.IntVar(&f.shards, "shards", 0, "engine shard count (0 = auto)")

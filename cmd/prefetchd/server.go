@@ -120,10 +120,6 @@ func buildEngine(sc SpaceConfig) (*prefetcher.Engine, []io.Closer, error) {
 	switch sc.Policy {
 	case "", "adaptive-a":
 		opts = append(opts, prefetcher.WithPolicy(prefetcher.AdaptiveThreshold(prefetcher.ModelA())))
-	case "adaptive-b":
-		opts = append(opts, prefetcher.WithPolicy(prefetcher.AdaptiveThreshold(prefetcher.ModelB())))
-	case "greedy":
-		opts = append(opts, prefetcher.WithPolicy(prefetcher.GreedyThreshold(prefetcher.ModelA())))
 	case "static":
 		opts = append(opts, prefetcher.WithPolicy(prefetcher.StaticThreshold(sc.PolicyArg)))
 	case "topk":

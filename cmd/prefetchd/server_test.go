@@ -675,7 +675,7 @@ func TestBuildEngineKnobs(t *testing.T) {
 	defer testutil.ExpectNoLeaks(t)
 	dir := t.TempDir()
 	for _, sc := range []SpaceConfig{
-		{Name: "a", Policy: "adaptive-b", CacheCapacity: 64, CacheBytes: 1 << 20, SegmentBytes: 64 << 10,
+		{Name: "a", Policy: "adaptive-a", CacheCapacity: 64, CacheBytes: 1 << 20, SegmentBytes: 64 << 10,
 			Shards: 4, Workers: 2, QueueDepth: 32, MaxPrefetch: 8, Bandwidth: 100,
 			Routing: "latency", IdleWatermark: 0.9,
 			Hedging: &HedgingConfig{MaxAttempts: 2}, Breaker: &BreakerConfig{Threshold: 3},
@@ -684,7 +684,7 @@ func TestBuildEngineKnobs(t *testing.T) {
 			Backends: []BackendConfig{{Name: "fs", Type: "fs", Root: dir}}},
 		{Name: "c", Policy: "topk", PolicyArg: 4,
 			Backends: []BackendConfig{{Name: "fs", Type: "fs", Root: dir}}},
-		{Name: "d", Policy: "greedy", Bandwidth: 100,
+		{Name: "d", Policy: "", Bandwidth: 100,
 			Backends: []BackendConfig{{Name: "fs", Type: "fs", Root: dir}}},
 		{Name: "e", Policy: "none",
 			Backends: []BackendConfig{{Name: "fs", Type: "fs", Root: dir}}},

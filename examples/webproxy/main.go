@@ -10,8 +10,8 @@
 // estimate; the cutoff in force is the fabric's measured demand-only
 // ρ̂′ — here the one origin link's (the "link ρ̂′" column) — and every
 // prefetch that lands a hit takes a demand fetch off that link, so the
-// adaptive policies' cutoff sinks as they succeed and they end up next
-// to top2, while static(θ=0.5) shows the selective end of the trade.
+// paper threshold's cutoff sinks as it succeeds and it ends up next to
+// top2, while static(θ=0.5) shows the selective end of the trade.
 //
 // The second half runs the same proxy on the backend fetch fabric over
 // real HTTP: the site is served by two live in-process HTTP origins (a
@@ -58,7 +58,6 @@ func main() {
 	}{
 		{"none", prefetcher.NoPrefetch()},
 		{"paper-threshold(A)", prefetcher.AdaptiveThreshold(prefetcher.ModelA())},
-		{"greedy-threshold(A)", prefetcher.GreedyThreshold(prefetcher.ModelA())},
 		{"static(θ=0.05)", prefetcher.StaticThreshold(0.05)},
 		{"static(θ=0.5)", prefetcher.StaticThreshold(0.5)},
 		{"top2", prefetcher.TopK(2)},
@@ -84,7 +83,7 @@ func main() {
 			fmt.Sprintf("%d", st.PrefetchWasted),
 			fmt.Sprintf("%.3f", st.Accuracy()))
 	}
-	tb.AddNote("the adaptive policies admit against the fabric's ρ̂′ — on this one backend the origin link's measured demand-only load (link ρ̂′), which their own hits lower — not the global no-prefetch estimate in the ρ̂′/p̂_th columns; static/top-k ignore load altogether")
+	tb.AddNote("the paper's threshold admits against the fabric's ρ̂′ — on this one backend the origin link's measured demand-only load (link ρ̂′), which its own hits lower — not the global no-prefetch estimate in the ρ̂′/p̂_th columns; static/top-k ignore load altogether")
 	fmt.Print(tb.Text())
 
 	if err := driveFabric(); err != nil {

@@ -102,9 +102,6 @@ type Threshold struct {
 	// Model chooses the interaction model used for the threshold
 	// (analytic.ModelA{}, analytic.ModelB{} or analytic.ModelAB{...}).
 	Model analytic.Model
-	// Margin is an optional additive safety margin on the threshold
-	// (0 reproduces the paper exactly).
-	Margin float64
 }
 
 // Name implements Policy.
@@ -114,7 +111,7 @@ func (t Threshold) Name() string {
 
 // Select implements Policy.
 func (t Threshold) Select(cands []predict.Prediction, st State) []predict.Prediction {
-	pth := ThresholdFor(t.Model, st) + t.Margin
+	pth := ThresholdFor(t.Model, st)
 	if pth >= 1 {
 		return nil // no admissible probability can beat the threshold
 	}
@@ -168,15 +165,15 @@ func takeAbove(cands []predict.Prediction, cut float64) []predict.Prediction {
 type Greedy struct {
 	// Model chooses the interaction model for the displacement term.
 	Model analytic.Model
-	// Weight is the steady-state n̄(F) contribution projected per
-	// admitted candidate — roughly, how many extra prefetched items per
-	// request committing to this candidate class implies. In deployed
-	// systems most selected candidates are already cached, so the
-	// effective weight is well below 1; 0 selects the default 0.25
-	// (calibrated against the full-system simulator's observed
-	// n̄(F)/selection ratios).
-	Weight float64
 }
+
+// greedyWeight is the steady-state n̄(F) contribution Greedy projects per
+// admitted candidate — roughly, how many extra prefetched items per
+// request committing to this candidate class implies. Most selected
+// candidates are already cached, so it is well below 1; 0.25 was
+// calibrated against the full-system simulator's observed
+// n̄(F)/selection ratios.
+const greedyWeight = 0.25
 
 // Name implements Policy.
 func (g Greedy) Name() string {
@@ -185,10 +182,6 @@ func (g Greedy) Name() string {
 
 // Select implements Policy.
 func (g Greedy) Select(cands []predict.Prediction, st State) []predict.Prediction {
-	w := g.Weight
-	if w <= 0 {
-		w = 0.25
-	}
 	d := ThresholdFor(g.Model, State{HPrime: st.HPrime, NC: st.NC}) // the displacement alone
 	if st.HPrime >= 1 || st.RhoPrime <= 0 {
 		// Degenerate estimates: fall back to the paper's rule, which
@@ -214,14 +207,14 @@ func (g Greedy) Select(cands []predict.Prediction, st State) []predict.Predictio
 			break // descending order: no later candidate qualifies
 		}
 		// Project the operating point with this candidate class
-		// contributing w items per request. Beyond h=1 the projection
-		// is inconsistent (more hit gain than there are misses, eq. 6),
-		// so stop.
-		if st.HPrime+dh+w*(c.Prob-d) > 1 {
+		// contributing greedyWeight items per request. Beyond h=1 the
+		// projection is inconsistent (more hit gain than there are
+		// misses, eq. 6), so stop.
+		if st.HPrime+dh+greedyWeight*(c.Prob-d) > 1 {
 			break
 		}
-		dh += w * (c.Prob - d)
-		nF += w
+		dh += greedyWeight * (c.Prob - d)
+		nF += greedyWeight
 		n++
 	}
 	if n == 0 {

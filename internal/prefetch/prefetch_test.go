@@ -89,11 +89,12 @@ func TestThresholdPolicyModelAB(t *testing.T) {
 	}
 }
 
-func TestThresholdPolicyMargin(t *testing.T) {
-	p := Threshold{Model: analytic.ModelA{}, Margin: 0.1}
-	got := p.Select(cands(0.75, 0.65), State{RhoPrime: 0.6})
+// The rule is strict: a candidate at exactly p_th = ρ′ is not admitted.
+func TestThresholdPolicyStrictAtThreshold(t *testing.T) {
+	p := Threshold{Model: analytic.ModelA{}}
+	got := p.Select(cands(0.75, 0.6, 0.55), State{RhoPrime: 0.6})
 	if len(got) != 1 || got[0].Prob != 0.75 {
-		t.Errorf("margin not applied: %v", got)
+		t.Errorf("selection at p_th = 0.6: %v, want only 0.75", got)
 	}
 }
 
@@ -228,28 +229,23 @@ func TestGreedyConsistencyGuard(t *testing.T) {
 	}
 }
 
-func TestGreedyVanishingWeightIsPaperRule(t *testing.T) {
-	// As the per-candidate weight vanishes, the local threshold never
-	// moves and the greedy rule degenerates to the paper's fixed
-	// threshold — the correct continuum between the two.
+// The greedy rule's first admission is the paper's: a candidate set the
+// paper refuses whole, greedy refuses too (a candidate exactly at
+// p_th = 0.42 included), and a lone candidate gets the same verdict from
+// both.
+func TestGreedyFirstAdmissionIsPaperRule(t *testing.T) {
 	st := State{RhoPrime: 0.42, HPrime: 0.3}
 	paper := Threshold{Model: analytic.ModelA{}}
-	greedy := Greedy{Model: analytic.ModelA{}, Weight: 1e-9}
-	// Inputs avoid candidates exactly at p_th = 0.42: for any positive
-	// weight the local threshold falls *strictly* below p_th after one
-	// admission, so an exactly-at-threshold candidate is (correctly)
-	// admitted by greedy while the strict paper rule rejects it.
+	greedy := Greedy{Model: analytic.ModelA{}}
 	inputs := [][]predict.Prediction{
-		cands(0.9, 0.8, 0.3, 0.25, 0.2),
-		cands(0.5, 0.43, 0.41, 0.1),
+		cands(0.42, 0.41, 0.1),
 		cands(0.41),
-		cands(0.99, 0.98, 0.97),
+		cands(0.42),
+		cands(0.43),
 	}
 	for i, in := range inputs {
-		p := paper.Select(in, st)
-		g := greedy.Select(in, st)
-		if len(p) != len(g) {
-			t.Errorf("input %d: paper %d vs vanishing-weight greedy %d", i, len(p), len(g))
+		if p, g := paper.Select(in, st), greedy.Select(in, st); len(p) != len(g) {
+			t.Errorf("input %d: paper %d vs greedy %d", i, len(p), len(g))
 		}
 	}
 }

@@ -5,6 +5,7 @@ package vlink
 import (
 	"os"
 	"os/exec"
+	"strings"
 	"testing"
 )
 
@@ -27,7 +28,7 @@ func inBubble(t *testing.T) {
 	cmd := exec.Command("go", append(args, ".")...)
 	cmd.Env = append(os.Environ(), "GOEXPERIMENT=synctest")
 	out, err := cmd.CombinedOutput()
-	t.Logf("GOEXPERIMENT=synctest go %v .\n%s", args, out)
+	t.Logf("GOEXPERIMENT=synctest go %s .\n%s", strings.Join(args, " "), out)
 	if err != nil {
 		t.Fatalf("virtual-time run: %v", err)
 	}

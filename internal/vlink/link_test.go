@@ -190,7 +190,7 @@ func (r run) measure(t *testing.T) result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkBooks(t, res.Final)
+	checkBooks(t, res)
 	return res
 }
 
@@ -213,11 +213,15 @@ func (r run) bubble() (res result, err error) {
 		access         = make([]time.Duration, r.n)
 		done           = make(chan struct{}, r.n)
 		from, to       prefetcher.Stats
-		sent           int64
+		d0, a0, d1, a1 int64 // items sent, demand and all, at t0 and t1
 		t0, t1         time.Time
 		rhos, linkRhos stats.Running
 		failed         atomic.Int64
 	)
+	sent := func() (demandItems, allItems int64) {
+		d := l.sent[demand].Load()
+		return d, d + l.sent[speculative].Load()
+	}
 	start := time.Now()
 	for i := 0; i < r.n; i++ {
 		at := start.Add(time.Duration(arrivals.Next() * 1e9))
@@ -225,12 +229,10 @@ func (r run) bubble() (res result, err error) {
 		switch {
 		case i == r.warm:
 			from, t0 = eng.Stats(), at
-			sent = l.sent[demand].Load()
-			res.Utilisation = -float64(sent + l.sent[speculative].Load())
+			d0, a0 = sent()
 		case i == r.n-1:
 			to, t1 = eng.Stats(), at
-			res.Utilisation += float64(l.sent[demand].Load() + l.sent[speculative].Load())
-			res.DemandUtilisation = float64(l.sent[demand].Load() - sent)
+			d1, a1 = sent()
 		case i > r.warm && i%64 == 0:
 			st := eng.Stats()
 			rhos.Add(st.RhoPrime)
@@ -254,8 +256,8 @@ func (r run) bubble() (res result, err error) {
 
 	res.Failed = failed.Load()
 	res.Duration = t1.Sub(t0).Seconds()
-	res.Utilisation /= r.b * res.Duration
-	res.DemandUtilisation /= r.b * res.Duration
+	res.Utilisation = float64(a1-a0) / (r.b * res.Duration)
+	res.DemandUtilisation = float64(d1-d0) / (r.b * res.Duration)
 	res.Requests = to.Requests - from.Requests
 	res.HitRatio = float64(to.Hits-from.Hits) / float64(res.Requests)
 	res.NFObserved = float64(to.PrefetchIssued-from.PrefetchIssued) / float64(res.Requests)
@@ -269,12 +271,17 @@ func (r run) bubble() (res result, err error) {
 	return res, err
 }
 
-// checkBooks holds a quiesced engine's public counters to the identities
-// its write core keeps: every request a hit or a miss, nothing in flight,
-// every issued prefetch at most once used, wasted or failed (the rest are
-// still resident, unused), and the store within its entry bound.
-func checkBooks(t *testing.T, st prefetcher.Stats) {
+// checkBooks holds a run to no failed Get, and its quiesced engine's
+// public counters to the identities its write core keeps: every request
+// a hit or a miss, nothing in flight, every issued prefetch at most once
+// used, wasted or failed (the rest are still resident, unused), and the
+// store within its entry bound.
+func checkBooks(t *testing.T, res result) {
 	t.Helper()
+	st := res.Final
+	if res.Failed != 0 {
+		t.Errorf("%d Gets failed", res.Failed)
+	}
 	if st.Requests != st.Hits+st.Misses {
 		t.Errorf("Requests %d != Hits %d + Misses %d", st.Requests, st.Hits, st.Misses)
 	}

@@ -42,8 +42,8 @@ func TestVirtualLinkMatchesPS(t *testing.T) {
 		if r := res.RhoPrimeEstimate / res.DemandUtilisation; math.Abs(r-1) > 0.10 {
 			t.Errorf("ρ′ %.1f: controller ρ̂′ %.4f against measured %.4f, want within 10 %%", rho, res.RhoPrimeEstimate, res.DemandUtilisation)
 		}
-		if res.Failed != 0 || res.Utilisation != res.DemandUtilisation {
-			t.Errorf("ρ′ %.1f: %d failed Gets; utilisation %.4f, demand %.4f: want no failures and no speculative traffic", rho, res.Failed, res.Utilisation, res.DemandUtilisation)
+		if res.Utilisation != res.DemandUtilisation {
+			t.Errorf("ρ′ %.1f: utilisation %.4f, demand %.4f: want no speculative traffic", rho, res.Utilisation, res.DemandUtilisation)
 		}
 	}
 	// ĥ′ on a trace with hits, at the same three loads, against a shadow
@@ -85,7 +85,10 @@ func chain(src *rng.Source) func() fetch.ID {
 // size 1, 30,000 requests per cell, the first 10,000 warm-up, seed 1).
 // A rule beside adaptive-a, prefetchd's default, keeps its place only if
 // it wins somewhere: its t̄ below adaptive-a's by more than the two CI95
-// half-widths together. The table also carries what the open choices of
+// half-widths together. Model B's threshold (adaptive-b) and the greedy
+// local-threshold rule won nowhere, and prefetchd offers neither; the
+// sweep still times model B, which the library keeps, and fails if it
+// comes to win. The table also carries what the open choices of
 // admission's ρ̂′ and prefetchd's default need: the controller's and the
 // link's ρ̂′, and ĥ′ against the no-prefetch run's hit ratio on the same
 // trace.
@@ -102,7 +105,6 @@ func TestRuleSweep(t *testing.T) {
 		{"static 0.7", prefetcher.StaticThreshold(0.7)},
 		{"adaptive-a", prefetcher.AdaptiveThreshold(prefetcher.ModelA())},
 		{"adaptive-b", prefetcher.AdaptiveThreshold(prefetcher.ModelB())},
-		{"greedy", prefetcher.GreedyThreshold(prefetcher.ModelA())},
 	}
 	cell := func(lambda float64, p prefetcher.Policy) result {
 		return run{policy: p, lambda: lambda, b: b, n: 30000, warm: 10000, seed: 1, ids: chain}.measure(t)
@@ -118,11 +120,9 @@ func TestRuleSweep(t *testing.T) {
 		}
 		a, none := res["adaptive-a"], res["none"]
 		t.Logf("λ %2.0f: ρ′ %.3f; adaptive-a against none %+.1f %%", lambda, none.DemandUtilisation, 100*(a.AccessTime/none.AccessTime-1))
-		for _, name := range []string{"adaptive-b", "greedy"} {
-			if x := res[name]; x.AccessTime < a.AccessTime-(a.AccessTimeCI+x.AccessTimeCI) {
-				t.Errorf("λ %.0f: %s t̄ %.2f ms wins over adaptive-a's %.2f ms (CI95 %.2f + %.2f)",
-					lambda, name, 1e3*x.AccessTime, 1e3*a.AccessTime, 1e3*x.AccessTimeCI, 1e3*a.AccessTimeCI)
-			}
+		if x := res["adaptive-b"]; x.AccessTime < a.AccessTime-(a.AccessTimeCI+x.AccessTimeCI) {
+			t.Errorf("λ %.0f: adaptive-b t̄ %.2f ms wins over adaptive-a's %.2f ms (CI95 %.2f + %.2f)",
+				lambda, 1e3*x.AccessTime, 1e3*a.AccessTime, 1e3*x.AccessTimeCI, 1e3*a.AccessTimeCI)
 		}
 		if lambda == 53 {
 			if again := cell(lambda, prefetcher.AdaptiveThreshold(prefetcher.ModelA())); !reflect.DeepEqual(again, a) {

@@ -74,7 +74,7 @@ func TestOptionValidation(t *testing.T) {
 		{"ok full", fetcher, []Option{
 			WithBandwidth(50), WithWorkers(2), WithMaxPrefetch(3),
 			WithCache(NewSLRUCache(64, 32)), WithPredictor(NewMarkovPredictor()),
-			WithPolicy(GreedyThreshold(ModelB())), WithCacheOccupancy(64),
+			WithPolicy(AdaptiveThreshold(ModelB())), WithCacheOccupancy(64),
 			WithQueueDepth(8),
 			WithClock(NewManualClock(time.Unix(0, 0))),
 		}, ""},

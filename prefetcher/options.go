@@ -147,7 +147,7 @@ func WithPolicy(p Policy) Option {
 // as item sizes. It anchors the global utilisation estimate
 // ρ̂′ = (1−ĥ′)λ̂ŝ̄/b that Stats and Threshold report, is the capacity of
 // the "origin" link when New is given a fetcher, and is required by the
-// adaptive policies (AdaptiveThreshold, GreedyThreshold).
+// adaptive policy (AdaptiveThreshold).
 func WithBandwidth(b float64) Option {
 	return func(c *config) error {
 		if b <= 0 || math.IsNaN(b) || math.IsInf(b, 0) {

@@ -59,18 +59,6 @@ func AdaptiveThreshold(m Model) Policy {
 	}
 }
 
-// GreedyThreshold is the corrected mixed-probability rule: candidates
-// are admitted in descending probability order against a marginal
-// threshold that relaxes as each admitted prefetch relieves demand
-// load. The first admission uses exactly the paper's p_th.
-func GreedyThreshold(m Model) Policy {
-	return Policy{
-		p:        prefetch.Greedy{Model: m.analytic()},
-		adaptive: true,
-		model:    m,
-	}
-}
-
 // StaticThreshold prefetches every candidate above a fixed probability
 // cutoff theta — the load-blind heuristic the paper argues against.
 func StaticThreshold(theta float64) Policy {
