@@ -278,11 +278,12 @@ func TestJoinDeterministic(t *testing.T) {
 }
 
 // TestHPrimeCountsJoinsOnce holds the Section-4 estimator to one count
-// per request when several requests wait on one flight. Every joiner was
-// a miss on arrival, so each counts once, untagged, whoever owns the
-// flight: with prefetching off ĥ′ must equal the hit ratio, and a
-// speculative flight's joiners add nothing to nhit either, while the
-// first of them still consumes the prefetch.
+// per request when several requests wait on one flight. Each joiner
+// counts as a hit on the entry the flight lands: tagged on a demand
+// flight, whose item the cache would hold without prefetching too, and
+// on a speculative flight untagged for the first joiner, which consumes
+// the prefetch, and tagged for the rest. Stats still counts every joiner
+// a miss.
 func TestHPrimeCountsJoinsOnce(t *testing.T) {
 	const (
 		key     = ID(2)
@@ -292,7 +293,8 @@ func TestHPrimeCountsJoinsOnce(t *testing.T) {
 		name        string
 		speculative bool
 		used        int64 // PrefetchUsed: the first joiner consumes a prefetch
-	}{{"demand", false, 0}, {"speculative", true, 1}} {
+		tagged      int64 // joiners that are tagged hits
+	}{{"demand", false, 0, joiners}, {"speculative", true, 1, joiners - 1}} {
 		t.Run(tc.name, func(t *testing.T) {
 			gate := make(chan struct{})
 			fetcher := FetcherFunc(func(ctx context.Context, id ID) (Item, error) {
@@ -349,9 +351,9 @@ func TestHPrimeCountsJoinsOnce(t *testing.T) {
 			if st.Requests != first+int64(n) || st.Hits != 0 {
 				t.Fatalf("requests %d, hits %d: want %d misses", st.Requests, st.Hits, first+int64(n))
 			}
-			if st.HPrime != st.HitRatio() {
-				t.Fatalf("ĥ′ = %v after %d joins, hit ratio %v: each join must count once, untagged",
-					st.HPrime, st.Joins, st.HitRatio())
+			if want := float64(tc.tagged) / float64(st.Requests); st.HPrime != want {
+				t.Fatalf("ĥ′ = %v after %d joins, want %d tagged of %d requests (%v)",
+					st.HPrime, st.Joins, tc.tagged, st.Requests, want)
 			}
 			if st.PrefetchUsed != tc.used {
 				t.Fatalf("PrefetchUsed = %d, want %d", st.PrefetchUsed, tc.used)
@@ -360,8 +362,8 @@ func TestHPrimeCountsJoinsOnce(t *testing.T) {
 			if _, err := eng.Get(ctx, key); err != nil {
 				t.Fatal(err)
 			}
-			if st := eng.Stats(); st.HPrime != st.HitRatio() {
-				t.Fatalf("ĥ′ = %v after a tagged hit, hit ratio %v", st.HPrime, st.HitRatio())
+			if st, want := eng.Stats(), float64(tc.tagged+1)/float64(first+int64(n)+1); st.HPrime != want {
+				t.Fatalf("ĥ′ = %v after a tagged hit, want %v", st.HPrime, want)
 			}
 		})
 	}

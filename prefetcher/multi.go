@@ -503,11 +503,12 @@ func (e *Engine) runDemandBatch(ctx context.Context, b int, ids []ID, sc *multiS
 }
 
 // awaitJoined waits out one key that attached to another request's
-// in-flight fetch. A flight that resolves serves the key: the prefetched
-// (or concurrently demanded) item beat this request to the origin, and
-// it is accounted exactly like a first hit on an untagged entry — one
-// untagged access, whichever flight served it, since the arrival was
-// recorded as a miss — so with prefetching off ĥ′ stays the hit ratio.
+// in-flight fetch. A flight that resolves serves the key, and ĥ′ counts
+// it exactly like a hit on the entry the flight lands: untagged if it
+// is the first to use a prefetch, tagged otherwise. Without prefetching
+// the owner's demand fetch would have brought the item all the same, so
+// the joiner would hit in the load-free cache h′ describes, and it puts
+// no traffic on the link; Stats still counts it a miss, as it arrived.
 // A failed or dropped flight makes the key re-check the shard under the
 // lock: while it waits to re-acquire it, another request may have cached
 // the item (serve it; the request stays the miss it was on arrival) or
@@ -555,7 +556,7 @@ func (e *Engine) awaitJoined(ctx context.Context, id ID, st *multiKey, mode uint
 		if st.used {
 			sh.prefetchUsed.Add(1)
 		}
-		e.ctrl.Estimator().CountAccess(false)
+		e.ctrl.Estimator().CountAccess(resolved && !st.used)
 		e.ctrl.RecordSize(st.item.Size)
 		return
 	}
