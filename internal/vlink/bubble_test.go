@@ -20,6 +20,8 @@ func TestVirtualLinkMatchesPS(t *testing.T) { inBubble(t) }
 
 func TestRuleSweep(t *testing.T) { inBubble(t) }
 
+func TestIdleGateSweep(t *testing.T) { inBubble(t) }
+
 func inBubble(t *testing.T) {
 	args := []string{"test", "-count=1", "-v", "-run", "^" + t.Name() + "$"}
 	if raceEnabled {

@@ -6,6 +6,8 @@ package vlink
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
 	"sync/atomic"
 	"testing"
@@ -37,11 +39,16 @@ const (
 // goroutine with one timer serves it. The timer is rounded up to the
 // nanosecond: rounded down, it fires a hair before the transfer is done
 // and re-arms at the same instant, and the bubble's clock never moves.
+// A transfer whose context ends leaves the link at once, so a cancelled
+// hedge or a timed-out attempt stops taking its share.
 type link struct {
-	b      float64
-	arrive chan *transfer
-	stop   chan struct{}
-	sent   [2]atomic.Int64 // items delivered, per class
+	b             float64
+	fault         fault
+	calls         atomic.Int64 // calls so far, in arrival order
+	epoch         time.Time
+	arrive, leave chan *transfer
+	stop          chan struct{}
+	sent          [2]atomic.Int64 // items delivered, per class
 }
 
 type transfer struct {
@@ -49,8 +56,8 @@ type transfer struct {
 	done chan struct{}
 }
 
-func newLink(b float64) *link {
-	l := &link{b: b, arrive: make(chan *transfer), stop: make(chan struct{})}
+func newLink(b float64, f fault) *link {
+	l := &link{b: b, fault: f, epoch: time.Now(), arrive: make(chan *transfer), leave: make(chan *transfer), stop: make(chan struct{})}
 	go l.run()
 	return l
 }
@@ -93,6 +100,14 @@ func (l *link) run() {
 		case t := <-l.arrive:
 			advance()
 			active = append(active, t)
+		case t := <-l.leave:
+			advance()
+			for i, a := range active {
+				if a == t {
+					active = append(active[:i], active[i+1:]...)
+					break
+				}
+			}
 		case <-fire:
 			advance()
 		case <-l.stop:
@@ -103,13 +118,17 @@ func (l *link) run() {
 
 // Fetch sends one item of size 1.
 func (l *link) Fetch(ctx context.Context, id fetch.ID) (fetch.Item, error) {
-	l.transfer(ctx, 1)
+	if err := l.transfer(ctx, 1); err != nil {
+		return fetch.Item{}, err
+	}
 	return fetch.Item{ID: id, Size: 1}, nil
 }
 
 // FetchBatch sends the items as one transfer.
 func (l *link) FetchBatch(ctx context.Context, ids []fetch.ID) ([]fetch.Item, error) {
-	l.transfer(ctx, len(ids))
+	if err := l.transfer(ctx, len(ids)); err != nil {
+		return nil, err
+	}
 	items := make([]fetch.Item, len(ids))
 	for i, id := range ids {
 		items[i] = fetch.Item{ID: id, Size: 1}
@@ -117,29 +136,82 @@ func (l *link) FetchBatch(ctx context.Context, ids []fetch.ID) ([]fetch.Item, er
 	return items, nil
 }
 
-// transfer sends n items and returns once they have drained. It does not
-// watch ctx: nothing in these runs cancels a fetch.
-func (l *link) transfer(ctx context.Context, n int) {
+// transfer sends n items and returns once they have drained, or once ctx
+// ends, or at once with the link's fault.
+func (l *link) transfer(ctx context.Context, n int) error {
+	switch l.fault.at(l.calls.Add(1), time.Since(l.epoch)) {
+	case fail:
+		return errFault
+	case hang:
+		<-ctx.Done()
+		return ctx.Err()
+	}
 	t := &transfer{work: float64(n), done: make(chan struct{})}
 	l.arrive <- t
-	<-t.done
+	select {
+	case <-t.done:
+	case <-ctx.Done():
+		l.leave <- t
+		return ctx.Err()
+	}
 	class := speculative
 	if ctx.Value(demandKey{}) != nil {
 		class = demand
 	}
 	l.sent[class].Add(int64(n))
+	return nil
+}
+
+// errFault is what a faulty link's failing call returns.
+var errFault = errors.New("vlink: injected fault")
+
+// What a fault does to one call.
+const (
+	pass = iota
+	fail // at once
+	hang // until the call's context is done
+)
+
+// fault is a link's deterministic failure mode; the zero fault never
+// fails. Calls are numbered from 1 in arrival order, and a spell is
+// placed by the call's offset from the link's start.
+type fault struct {
+	every int           // every every-th call fails
+	dark  bool          // calls hang during the last 10 s of every 60 s
+	burst time.Duration // calls fail during the first burst of every second
+}
+
+func (f fault) at(call int64, since time.Duration) int {
+	switch {
+	case f.every > 0 && call%int64(f.every) == 0:
+		return fail
+	case f.dark && since%time.Minute >= 50*time.Second:
+		return hang
+	case f.burst > 0 && since%time.Second < f.burst:
+		return fail
+	}
+	return pass
+}
+
+// origin is one backend of a run: a link of capacity b with its fault,
+// its routing weight, and a per-attempt bound on both classes (0: none).
+type origin struct {
+	b, weight float64
+	fault     fault
+	timeout   time.Duration
 }
 
 // cacheEntries is every run's store: segmented LRU with half protected,
 // the order prefetchd's spaces and New's default cache run.
 const cacheEntries = 20
 
-// run is one engine on one link of capacity b, built as prefetchd builds
-// a space (WithBandwidth(b), a backend with no Bandwidth of its own). Its
-// source is open loop: arrivals are Poisson at rate lambda, each starts
-// its own Get, and its access time runs from the arrival instant, so a
-// slow reply never holds the next request back. The first warm requests
-// warm the cache and the estimators; the rest are measured.
+// run is one engine on its links, built as prefetchd builds a space
+// (WithBandwidth(b), backends with no Bandwidth of their own). Its
+// source is open loop: arrivals are Poisson at rate lambda, or the mmpp
+// process when set; each starts its own Get, and its access time runs
+// from the arrival instant, so a slow reply never holds the next request
+// back. The first warm requests warm the cache and the estimators; the
+// rest are measured.
 type run struct {
 	policy    prefetcher.Policy
 	lambda, b float64
@@ -147,6 +219,29 @@ type run struct {
 	seed      uint64
 	// ids makes the id stream from its own random source.
 	ids func(*rng.Source) func() fetch.ID
+	// links are the backends; nil is one fault-free link of capacity b.
+	links []origin
+	mmpp  *workload.MMPPConfig
+	// opts configure the fabric: routing, hedging, breaker, idle gate.
+	opts []prefetcher.Option
+}
+
+// origins returns r's backends.
+func (r run) origins() []origin {
+	if r.links == nil {
+		return []origin{{b: r.b}}
+	}
+	return r.links
+}
+
+// faulty reports whether any of r's links fails calls.
+func (r run) faulty() bool {
+	for _, o := range r.origins() {
+		if o.fault != (fault{}) {
+			return true
+		}
+	}
+	return false
 }
 
 // result is one run's measurement, its fields named as sim.SystemResult
@@ -168,8 +263,10 @@ type result struct {
 	// Requests and Duration are the measured window's.
 	Requests int64
 	Duration float64
-	// Final is the engine's Stats once quiesced; Failed counts Gets that
-	// returned an error.
+	// P99 is the 99th percentile of the measured access times.
+	P99 float64
+	// Final is the engine's Stats once quiesced; Failed counts measured
+	// Gets that returned an error.
 	Final  prefetcher.Stats
 	Failed int64
 }
@@ -190,25 +287,37 @@ func (r run) measure(t *testing.T) result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkBooks(t, res)
+	checkBooks(t, res, r.faulty())
 	return res
 }
 
 // bubble runs r inside the caller's synctest bubble.
 func (r run) bubble() (res result, err error) {
-	l := newLink(r.b)
-	defer close(l.stop)
-	eng, err := prefetcher.New(nil,
-		prefetcher.WithBackends(fetch.Backend{Name: "vlink", Fetcher: l}),
+	origins := r.origins()
+	links := make([]*link, len(origins))
+	backends := make([]fetch.Backend, len(origins))
+	for i, o := range origins {
+		links[i] = newLink(o.b, o.fault)
+		defer close(links[i].stop)
+		backends[i] = fetch.Backend{Name: fmt.Sprintf("vlink%d", i), Fetcher: links[i], Weight: o.weight,
+			DemandTimeout: o.timeout, SpeculativeTimeout: o.timeout}
+	}
+	eng, err := prefetcher.New(nil, append([]prefetcher.Option{
+		prefetcher.WithBackends(backends...),
 		prefetcher.WithPolicy(r.policy),
 		prefetcher.WithBandwidth(r.b),
-		prefetcher.WithCache(prefetcher.NewSLRUCache(cacheEntries, cacheEntries/2)))
+		prefetcher.WithCache(prefetcher.NewSLRUCache(cacheEntries, cacheEntries/2))}, r.opts...)...)
 	if err != nil {
 		return res, err
 	}
+	var arrivals interface{ Next() float64 }
+	if r.mmpp != nil {
+		arrivals = workload.NewMMPP(*r.mmpp, rng.NewStream(r.seed, "arrivals"))
+	} else {
+		arrivals = workload.NewArrivals(r.lambda, rng.NewStream(r.seed, "arrivals"))
+	}
 	var (
 		ctx            = context.WithValue(context.Background(), demandKey{}, true)
-		arrivals       = workload.NewArrivals(r.lambda, rng.NewStream(r.seed, "arrivals"))
 		next           = r.ids(rng.NewStream(r.seed, "ids"))
 		access         = make([]time.Duration, r.n)
 		done           = make(chan struct{}, r.n)
@@ -219,8 +328,11 @@ func (r run) bubble() (res result, err error) {
 		failed         atomic.Int64
 	)
 	sent := func() (demandItems, allItems int64) {
-		d := l.sent[demand].Load()
-		return d, d + l.sent[speculative].Load()
+		for _, l := range links {
+			d := l.sent[demand].Load()
+			demandItems, allItems = demandItems+d, allItems+d+l.sent[speculative].Load()
+		}
+		return demandItems, allItems
 	}
 	start := time.Now()
 	for i := 0; i < r.n; i++ {
@@ -240,7 +352,7 @@ func (r run) bubble() (res result, err error) {
 		}
 		id := next()
 		go func(i int) {
-			if _, err := eng.Get(ctx, id); err != nil {
+			if _, err := eng.Get(ctx, id); err != nil && i >= r.warm {
 				failed.Add(1)
 			}
 			access[i] = time.Since(at)
@@ -264,22 +376,25 @@ func (r run) bubble() (res result, err error) {
 	res.HPrimeEstimate = res.Final.HPrime
 	res.RhoPrimeEstimate, res.LinkRhoPrime = rhos.Mean(), linkRhos.Mean()
 	bm := stats.NewBatchMeans((r.n - r.warm) / 20)
+	secs := make([]float64, 0, r.n-r.warm)
 	for _, d := range access[r.warm:] {
 		bm.Add(d.Seconds())
+		secs = append(secs, d.Seconds())
 	}
 	res.AccessTime, res.AccessTimeCI = bm.Mean(), bm.CI95()
+	res.P99 = stats.Quantiles(secs, 0.99)[0]
 	return res, err
 }
 
-// checkBooks holds a run to no failed Get, and its quiesced engine's
-// public counters to the identities its write core keeps: every request
-// a hit or a miss, nothing in flight, every issued prefetch at most once
-// used, wasted or failed (the rest are still resident, unused), and the
-// store within its entry bound.
-func checkBooks(t *testing.T, res result) {
+// checkBooks holds a run on fault-free links to no failed Get, and every
+// run's quiesced engine's public counters to the identities its write
+// core keeps: every request a hit or a miss, nothing in flight, every
+// issued prefetch at most once used, wasted or failed (the rest are
+// still resident, unused), and the store within its entry bound.
+func checkBooks(t *testing.T, res result, faulty bool) {
 	t.Helper()
 	st := res.Final
-	if res.Failed != 0 {
+	if res.Failed != 0 && !faulty {
 		t.Errorf("%d Gets failed", res.Failed)
 	}
 	if st.Requests != st.Hits+st.Misses {
