@@ -22,6 +22,18 @@ func TestRuleSweep(t *testing.T) { inBubble(t) }
 
 func TestIdleGateSweep(t *testing.T) { inBubble(t) }
 
+func TestRoutingDecision(t *testing.T) { inBubble(t) }
+
+func TestWeightDecision(t *testing.T) { inBubble(t) }
+
+func TestHedgingDecision(t *testing.T) { inBubble(t) }
+
+func TestBreakerDecision(t *testing.T) { inBubble(t) }
+
+func TestMaxAttemptsDecision(t *testing.T) { inBubble(t) }
+
+func TestBackoffDecision(t *testing.T) { inBubble(t) }
+
 func inBubble(t *testing.T) {
 	args := []string{"test", "-count=1", "-v", "-run", "^" + t.Name() + "$"}
 	if raceEnabled {

@@ -222,7 +222,7 @@ type run struct {
 	// links are the backends; nil is one fault-free link of capacity b.
 	links []origin
 	mmpp  *workload.MMPPConfig
-	// opts configure the fabric: routing, hedging, breaker, idle gate.
+	// opts configure the fabric: routing, hedging, breaker.
 	opts []prefetcher.Option
 }
 
@@ -273,9 +273,19 @@ type result struct {
 
 func (r run) measure(t *testing.T) result {
 	t.Helper()
-	// The bubble hands its result out over a channel: the race detector
-	// sees no ordering between the bubble's goroutines and synctest.Run's
-	// return.
+	res, err := r.time()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkBooks(t, res, r.faulty())
+	return res
+}
+
+// time runs r in a synctest bubble of its own, so runs on several
+// goroutines keep separate clocks. The bubble hands its result out over
+// a channel: the race detector sees no ordering between the bubble's
+// goroutines and synctest.Run's return.
+func (r run) time() (result, error) {
 	out := make(chan result, 1)
 	errc := make(chan error, 1)
 	synctest.Run(func() {
@@ -283,12 +293,7 @@ func (r run) measure(t *testing.T) result {
 		out <- res
 		errc <- err
 	})
-	res, err := <-out, <-errc
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkBooks(t, res, r.faulty())
-	return res
+	return <-out, <-errc
 }
 
 // bubble runs r inside the caller's synctest bubble.
