@@ -67,8 +67,6 @@ type BackendConfig struct {
 
 // HedgingConfig maps onto fetch.Hedging.
 type HedgingConfig struct {
-	Delay       Duration `json:"delay,omitempty"`
-	P95Multiple float64  `json:"p95_multiple,omitempty"`
 	MaxAttempts int      `json:"max_attempts,omitempty"`
 	Backoff     Duration `json:"backoff,omitempty"`
 }
@@ -107,10 +105,9 @@ type SpaceConfig struct {
 	Bandwidth   float64 `json:"bandwidth,omitempty"`
 
 	// Fabric knobs.
-	Routing       string         `json:"routing,omitempty"`
-	IdleWatermark float64        `json:"idle_watermark,omitempty"`
-	Hedging       *HedgingConfig `json:"hedging,omitempty"`
-	Breaker       *BreakerConfig `json:"breaker,omitempty"`
+	Routing string         `json:"routing,omitempty"`
+	Hedging *HedgingConfig `json:"hedging,omitempty"`
+	Breaker *BreakerConfig `json:"breaker,omitempty"`
 }
 
 // Config is prefetchd's whole configuration: the listen address and
@@ -244,11 +241,8 @@ func (s *SpaceConfig) validate() error {
 	if s.CacheCapacity < 0 || s.Shards < 0 || s.Workers < 0 || s.QueueDepth < 0 || s.MaxPrefetch < 0 || s.Bandwidth < 0 {
 		return fmt.Errorf("engine knobs must be >= 0")
 	}
-	if s.IdleWatermark < 0 || s.IdleWatermark > 1 {
-		return fmt.Errorf("idle_watermark must be in [0,1]")
-	}
 	if h := s.Hedging; h != nil {
-		if h.Delay < 0 || h.P95Multiple < 0 || h.MaxAttempts < 0 || h.Backoff < 0 {
+		if h.MaxAttempts < 0 || h.Backoff < 0 {
 			return fmt.Errorf("hedging fields must be >= 0")
 		}
 	}

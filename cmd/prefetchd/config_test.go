@@ -27,7 +27,6 @@ const sampleConfig = `{
       "policy": "adaptive-a",
       "bandwidth": 1000000,
       "routing": "latency",
-      "idle_watermark": 0.8,
       "hedging": {"max_attempts": 2, "backoff": "10ms"},
       "breaker": {"threshold": 5, "cooldown": "1s"}
     },
@@ -88,7 +87,6 @@ func TestParseConfigRejects(t *testing.T) {
 		"bad duration":            `{"spaces":[{"name":"a","backends":[{"name":"o","type":"fs","root":"/","demand_timeout":"fast"}]}]}`,
 		"bad policy":              `{"spaces":[{"name":"a","policy":"yolo","backends":[{"name":"o","type":"fs","root":"/"}]}]}`,
 		"bad routing":             `{"spaces":[{"name":"a","routing":"random","backends":[{"name":"o","type":"fs","root":"/"}]}]}`,
-		"bad watermark":           `{"spaces":[{"name":"a","idle_watermark":1.5,"backends":[{"name":"o","type":"fs","root":"/"}]}]}`,
 		"bad static arg":          `{"spaces":[{"name":"a","policy":"static","policy_arg":2,"backends":[{"name":"o","type":"fs","root":"/"}]}]}`,
 		"bad topk arg":            `{"spaces":[{"name":"a","policy":"topk","policy_arg":1.5,"backends":[{"name":"o","type":"fs","root":"/"}]}]}`,
 		"adaptive sans bandwidth": `{"spaces":[{"name":"a","policy":"adaptive-a","backends":[{"name":"o","type":"fs","root":"/"}]}]}`,
@@ -115,6 +113,28 @@ func TestParseConfigRejectsPredictorKnob(t *testing.T) {
 		_, err := ParseConfig([]byte(fmt.Sprintf(space, knob)))
 		if err == nil || !strings.Contains(err.Error(), `unknown field "predictor`) {
 			t.Errorf("%s: err = %v, want an unknown-field error", knob, err)
+		}
+	}
+}
+
+// TestParseConfigRejectsRetiredFabricKnobs: the idle gate went when
+// internal/vlink's TestIdleGateSweep found no gated cell winning a row,
+// and a hedge now always launches at the primary's p95; a config that
+// still names the gate's watermark or a hedge delay is refused as an
+// unknown field, while the same space without the key boots.
+func TestParseConfigRejectsRetiredFabricKnobs(t *testing.T) {
+	const space = `{"spaces":[{"name":"a",%s"hedging":{%s"max_attempts":2},"policy":"none","backends":[{"name":"o","type":"fs","root":"/"}]}]}`
+	if _, err := ParseConfig([]byte(fmt.Sprintf(space, "", ""))); err != nil {
+		t.Fatalf("the config without the keys: %v", err)
+	}
+	for _, tc := range []struct{ space, hedging, field string }{
+		{`"idle_watermark":0.8,`, "", "idle_watermark"},
+		{"", `"delay":"5ms",`, "delay"},
+		{"", `"p95_multiple":0.5,`, "p95_multiple"},
+	} {
+		_, err := ParseConfig([]byte(fmt.Sprintf(space, tc.space, tc.hedging)))
+		if err == nil || !strings.Contains(err.Error(), `unknown field "`+tc.field+`"`) {
+			t.Errorf("%s: err = %v, want an unknown-field error", tc.field, err)
 		}
 	}
 }
@@ -199,7 +219,7 @@ func TestFlagsRejectRetiredKnobs(t *testing.T) {
 		fs.SetOutput(io.Discard)
 		return fs
 	}
-	for _, args := range [][]string{{"-cache-policy", "lru"}, {"-cache-policy=slru", "-cache-bytes", "1024"}, {"-predictor", "markov"}} {
+	for _, args := range [][]string{{"-cache-policy", "lru"}, {"-cache-policy=slru", "-cache-bytes", "1024"}, {"-predictor", "markov"}, {"-idle-watermark", "0.8"}} {
 		_, err := configFromArgs(newSet(), append(args, "-origin", "http://origin:9000"))
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+strings.SplitN(args[0], "=", 2)[0]) {
 			t.Errorf("%v: err = %v, want flag provided but not defined", args, err)

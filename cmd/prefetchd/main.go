@@ -1,9 +1,9 @@
 // Command prefetchd is a runnable caching proxy built on the prefetch
 // engine: it serves GET /obj/{key} (and the batched GET /batch?ids=…)
 // out of a per-space engine whose speculative prefetches, hedged
-// retries, circuit breakers and idle-watermark gating all run against
-// real backends — HTTP origins via prefetcher/fetch/httpfetch and
-// directory trees via prefetcher/fetch/fsfetch.
+// retries and circuit breakers all run against real backends — HTTP
+// origins via prefetcher/fetch/httpfetch and directory trees via
+// prefetcher/fetch/fsfetch.
 //
 // Configure it either with flags (one space, one backend):
 //
@@ -77,7 +77,7 @@ type flagConfig struct {
 	listen, origin, originBatch, fsRoot string
 	cacheCap, cacheBytes, segBytes      int
 	policy                              string
-	policyArg, watermark, bandwidth     float64
+	policyArg, bandwidth                float64
 	shards, workers, hedgeMax, breakerN int
 	demandTO, specTO, drainTO           time.Duration
 }
@@ -100,7 +100,6 @@ func configFromArgs(fs *flag.FlagSet, args []string) (*Config, error) {
 	fs.Float64Var(&f.bandwidth, "bandwidth", 1e6, "origin link capacity in payload-size units per second; the adaptive threshold's rho-prime normalises against it")
 	fs.IntVar(&f.shards, "shards", 0, "engine shard count (0 = auto)")
 	fs.IntVar(&f.workers, "workers", 0, "speculative worker count (0 = default)")
-	fs.Float64Var(&f.watermark, "idle-watermark", 0, "park speculative fetches while link utilisation >= this (0 = off)")
 	fs.IntVar(&f.hedgeMax, "hedge-attempts", 0, "max demand attempts incl. hedges (0 = no hedging)")
 	fs.IntVar(&f.breakerN, "breaker-threshold", 0, "consecutive failures that open the breaker (0 = no breaker)")
 	fs.DurationVar(&f.demandTO, "demand-timeout", 0, "per-attempt demand timeout on the flag-built backend (0 = none)")
@@ -146,7 +145,6 @@ func loadConfig(path string, f flagConfig) (*Config, error) {
 		Bandwidth:     f.bandwidth,
 		Shards:        f.shards,
 		Workers:       f.workers,
-		IdleWatermark: f.watermark,
 	}
 	if f.origin != "" {
 		sp.Backends = append(sp.Backends, BackendConfig{

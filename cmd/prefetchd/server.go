@@ -142,13 +142,8 @@ func buildEngine(sc SpaceConfig) (*prefetcher.Engine, []io.Closer, error) {
 	if sc.Bandwidth > 0 {
 		opts = append(opts, prefetcher.WithBandwidth(sc.Bandwidth))
 	}
-	if sc.IdleWatermark > 0 {
-		opts = append(opts, prefetcher.WithIdleWatermark(sc.IdleWatermark))
-	}
 	if h := sc.Hedging; h != nil {
 		opts = append(opts, prefetcher.WithHedging(fetch.Hedging{
-			Delay:       time.Duration(h.Delay),
-			P95Multiple: h.P95Multiple,
 			MaxAttempts: h.MaxAttempts,
 			Backoff:     time.Duration(h.Backoff),
 		}))

@@ -677,8 +677,8 @@ func TestBuildEngineKnobs(t *testing.T) {
 	for _, sc := range []SpaceConfig{
 		{Name: "a", Policy: "adaptive-a", CacheCapacity: 64, CacheBytes: 1 << 20, SegmentBytes: 64 << 10,
 			Shards: 4, Workers: 2, QueueDepth: 32, MaxPrefetch: 8, Bandwidth: 100,
-			Routing: "latency", IdleWatermark: 0.9,
-			Hedging: &HedgingConfig{MaxAttempts: 2}, Breaker: &BreakerConfig{Threshold: 3},
+			Routing: "latency",
+			Hedging: &HedgingConfig{MaxAttempts: 2, Backoff: Duration(time.Millisecond)}, Breaker: &BreakerConfig{Threshold: 3, Cooldown: Duration(time.Second)},
 			Backends: []BackendConfig{{Name: "fs", Type: "fs", Root: dir}}},
 		{Name: "b", Policy: "static", PolicyArg: 0.4,
 			Backends: []BackendConfig{{Name: "fs", Type: "fs", Root: dir}}},

@@ -10,25 +10,17 @@
 // load-impedance effect: prefetching during a busy period costs a
 // multiple of what the same prefetch costs when idle.
 //
-// The closing section runs the conclusion live: a thin wireless link
-// behind the engine's fetch fabric with WithIdleWatermark — during a
-// busy burst the admitted prefetches are parked instead of competing
-// with demand traffic, and they dispatch in the idle gap that follows.
-//
 // Run:
 //
 //	go run ./examples/mobile
 package main
 
 import (
-	"context"
 	"fmt"
 	"log"
-	"time"
 
 	"repro/internal/stats"
 	"repro/prefetcher"
-	"repro/prefetcher/fetch"
 )
 
 func main() {
@@ -80,65 +72,7 @@ func main() {
 		}
 		fmt.Printf("  background ρ′=%.2f → C = %.5f\n", rhoPrime, c)
 	}
-	fmt.Println("→ schedule speculative transfers into idle periods; the same bytes cost several times more under load")
-
-	if err := idleGateDemo(); err != nil {
-		log.Fatal(err)
-	}
-}
-
-// idleGateDemo drives a burst of app requests over a thin wireless
-// link gated by WithIdleWatermark, then idles: the parked prefetches
-// dispatch only once the link's ρ̂ decays below the watermark.
-func idleGateDemo() error {
-	wireless := fetch.FetcherFunc(func(ctx context.Context, id fetch.ID) (fetch.Item, error) {
-		t := time.NewTimer(300 * time.Microsecond) // thin-link round trip
-		defer t.Stop()
-		select {
-		case <-t.C:
-			return fetch.Item{ID: id, Size: 1}, nil
-		case <-ctx.Done():
-			return fetch.Item{}, ctx.Err()
-		}
-	})
-	eng, err := prefetcher.New(nil,
-		prefetcher.WithBackends(fetch.Backend{Name: "wireless", Fetcher: wireless, Bandwidth: 60}),
-		prefetcher.WithIdleWatermark(0.5),
-		prefetcher.WithBandwidth(60),
-		prefetcher.WithCache(prefetcher.NewLRUCache(8)), // a handheld's cache is small
-		prefetcher.WithPolicy(prefetcher.StaticThreshold(0.1)),
-		prefetcher.WithMaxPrefetch(1),
-	)
-	if err != nil {
-		return err
-	}
-	defer eng.Close()
-
-	ctx := context.Background()
-	// Busy burst: sequential app reads far above the link's capacity.
-	for i := 0; i < 400; i++ {
-		if _, err := eng.Get(ctx, prefetcher.ID(i%40)); err != nil {
-			return err
-		}
-	}
-	busy := eng.Stats()
-	// Idle period: ρ̂ decays below the watermark and the gate releases.
-	time.Sleep(80 * time.Millisecond)
-	qctx, cancel := context.WithTimeout(ctx, 5*time.Second)
-	defer cancel()
-	if err := eng.Quiesce(qctx); err != nil {
-		return err
-	}
-	idle := eng.Stats()
-
-	fmt.Printf("\nidle-watermark gate on the wireless link (watermark ρ̂=0.5):\n")
-	b, a := busy.Backends[0], idle.Backends[0]
-	fmt.Printf("  during the burst:  ρ̂=%.3f deferred=%d released=%d speculative=%d\n",
-		b.Rho, b.Deferred, b.Released, b.Speculative)
-	fmt.Printf("  after idling:      ρ̂=%.3f deferred=%d released=%d speculative=%d\n",
-		a.Rho, a.Deferred, a.Released, a.Speculative)
-	fmt.Println("→ the prefetches the burst admitted were parked, then dispatched in the idle period — eq. 27's cheap slot")
-	return nil
+	fmt.Println("→ the same speculative bytes cost several times more under load than on an idle link")
 }
 
 func min(a, b float64) float64 {

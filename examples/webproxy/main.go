@@ -17,8 +17,7 @@
 // real HTTP: the site is served by two live in-process HTTP origins (a
 // fast one and a slower mirror) through the httpfetch adapter, demand
 // fetches are hedged against the mirror when the origin's p95 stalls,
-// speculative candidates coalesce into framed /batch requests, and the
-// idle watermark defers speculative traffic out of busy periods. Each
+// and speculative candidates coalesce into framed /batch requests. Each
 // link reports its own ρ̂′; candidates are admitted once, against their
 // bandwidth-weighted mean, and routed after.
 //
@@ -151,8 +150,7 @@ func newSite(latency time.Duration) *httptest.Server {
 
 // driveFabric runs the proxy on a two-backend fetch fabric over live
 // HTTP: origin + slower mirror behind the httpfetch adapter, hedged
-// demand fetches, per-path attempt timeouts, and the idle watermark
-// deferring speculative traffic out of busy periods.
+// demand fetches and per-path attempt timeouts.
 func driveFabric() error {
 	origin := newSite(500 * time.Microsecond)
 	defer origin.Close()
@@ -180,9 +178,8 @@ func driveFabric() error {
 				DemandTimeout: 2 * time.Second, SpeculativeTimeout: 500 * time.Millisecond},
 		),
 		prefetcher.WithRouting(fetch.RouteLatency),
-		prefetcher.WithHedging(fetch.Hedging{}), // hedge delay from the origin's live p95
-		prefetcher.WithIdleWatermark(0.6),
-		prefetcher.WithBandwidth(60*pageBytes), // aggregate, for the global estimate
+		prefetcher.WithHedging(fetch.Hedging{}), // hedge at the origin's live p95
+		prefetcher.WithBandwidth(60*pageBytes),  // aggregate, for the global estimate
 		prefetcher.WithCache(prefetcher.NewLRUCache(80)),
 		prefetcher.WithPolicy(prefetcher.StaticThreshold(0.05)),
 		prefetcher.WithMaxPrefetch(2),
@@ -193,9 +190,8 @@ func driveFabric() error {
 	}
 	defer eng.Close()
 
-	// Browse in bursts with idle gaps, in wall time: the busy halves
-	// push the origin's ρ̂ over the watermark (speculation is parked),
-	// the gaps let it decay (the parked candidates dispatch).
+	// Browse in bursts with idle gaps, in wall time: the bursts load the
+	// links, the gaps let their ρ̂′ decay.
 	src := rng.New(11)
 	site := workload.NewMarkov(workload.MarkovConfig{
 		N: 500, Fanout: 2, Decay: 0.15, Restart: 0.03,
@@ -207,7 +203,7 @@ func driveFabric() error {
 				return err
 			}
 		}
-		time.Sleep(200 * time.Millisecond) // idle period: the gate reopens
+		time.Sleep(200 * time.Millisecond) // idle period
 	}
 	qctx, cancel := context.WithTimeout(ctx, 5*time.Second)
 	defer cancel()
@@ -216,15 +212,15 @@ func driveFabric() error {
 	}
 
 	st := eng.Stats()
-	fmt.Printf("\ntwo-backend fetch fabric over live HTTP (origin + mirror, hedged, idle watermark 0.6):\n")
-	fmt.Printf("  requests=%d hit=%.3f prefetch[issued=%d used=%d deferred=%d]\n",
-		st.Requests, st.HitRatio(), st.PrefetchIssued, st.PrefetchUsed, st.PrefetchDeferred)
+	fmt.Printf("\ntwo-backend fetch fabric over live HTTP (origin + mirror, hedged):\n")
+	fmt.Printf("  requests=%d hit=%.3f prefetch[issued=%d used=%d]\n",
+		st.Requests, st.HitRatio(), st.PrefetchIssued, st.PrefetchUsed)
 	for _, b := range st.Backends {
-		fmt.Printf("  %-7s ρ̂′=%.3f ρ̂=%.3f demand=%d spec=%d hedges won/launched=%d/%d deferred=%d released=%d\n",
+		fmt.Printf("  %-7s ρ̂′=%.3f ρ̂=%.3f demand=%d spec=%d hedges won/launched=%d/%d\n",
 			b.Name, b.RhoPrime, b.Rho, b.Demand, b.Speculative,
-			b.HedgesWon, b.HedgesLaunched, b.Deferred, b.Released)
+			b.HedgesWon, b.HedgesLaunched)
 	}
-	fmt.Println("→ each link reports its own ρ̂′, candidates are admitted once against their bandwidth-weighted mean, the mirror absorbs hedged tails, and speculation waits for idle periods")
+	fmt.Println("→ each link reports its own ρ̂′, candidates are admitted once against their bandwidth-weighted mean, and the mirror absorbs hedged tails")
 	return nil
 }
 

@@ -3,8 +3,8 @@
 //   - no blocking operation while a mutex is held: channel send or
 //     receive, select without a default, time.Sleep,
 //     sync.WaitGroup.Wait / sync.Cond.Wait, and dynamic Fetch /
-//     FetchBatch / IdleWait interface calls (a backend's fetch is
-//     arbitrary user I/O). A select with a default clause is
+//     FetchBatch interface calls (a backend's fetch is arbitrary user
+//     I/O). A select with a default clause is
 //     non-blocking by construction — the engine's shed-on-full queue
 //     push — and is allowed.
 //   - every Lock/RLock is paired with an Unlock/RUnlock (or a deferred
@@ -176,10 +176,10 @@ func blockingCall(pass *lint.Pass, call *ast.CallExpr) string {
 	if fn.Pkg().Path() == "sync" && fn.Name() == "Wait" && sig.Recv() != nil {
 		return "sync." + recvTypeName(sig) + ".Wait"
 	}
-	// Dynamic fetch-shaped calls: an interface Fetch/FetchBatch/IdleWait
+	// Dynamic fetch-shaped calls: an interface Fetch/FetchBatch
 	// dispatches to arbitrary backend I/O.
 	switch fn.Name() {
-	case "Fetch", "FetchBatch", "IdleWait":
+	case "Fetch", "FetchBatch":
 		if selection, ok := pass.TypesInfo.Selections[sel]; ok && types.IsInterface(selection.Recv()) {
 			return "interface " + fn.Name() + " call"
 		}

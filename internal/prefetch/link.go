@@ -13,15 +13,14 @@ import (
 // counts two streams over one sliding window (package window): demand
 // (miss fetches — the link's no-prefetch traffic, giving ρ̂′; the cache
 // has already absorbed the hits, so no (1−h′) correction) and total
-// (demand plus speculative, giving ρ̂, which an idle gate compares with
-// its watermark), each as dispatches per second times their mean size,
-// over b. A dispatch counts at its time, its size — known when the
-// fetch completes — in the newest bucket. ρ̂ also counts no more than
-// one dispatch per gap since the last one: the window alone would hold
-// a busy spell for up to its span, and the bound is what lets an idle
-// gate reopen as soon as the link goes quiet (so a quiet link's ρ̂ can
-// read below its ρ̂′, which stays the window's average for the
-// threshold). Safe for concurrent use.
+// (demand plus speculative, giving ρ̂, the link's whole load), each as
+// dispatches per second times their mean size, over b. A dispatch
+// counts at its time, its size — known when the fetch completes — in
+// the newest bucket. ρ̂ also counts no more than one dispatch per gap
+// since the last one: the window alone would hold a busy spell for up
+// to its span, and the bound lets ρ̂ fall as soon as the link goes quiet
+// (so a quiet link's ρ̂ can read below its ρ̂′, which stays the window's
+// average for the threshold). Safe for concurrent use.
 type Link struct {
 	bw atomic.Uint64 // float64 bits: configured or estimated bandwidth
 	w  *window.Window
@@ -135,26 +134,4 @@ func (l *Link) rho(now float64, stream int, most float64) float64 {
 	}
 	rate := min(sums[stream+streamCalls]/span, most)
 	return min(max(rate*mean(&sums, stream)/b, 0), 1)
-}
-
-// IdleWait returns how many seconds past now the link's ρ̂ needs, with
-// no further traffic, to fall below watermark — 0 when it already is
-// (or no estimate exists), so an idle gate can sleep exactly this long.
-// Between bucket boundaries the window holds the same dispatches, so ρ̂
-// crosses the watermark once either the window's span passes
-// dispatches·size/(watermark·b) or the gap since the last dispatch
-// passes size/(watermark·b); each boundary drops the oldest bucket.
-func (l *Link) IdleWait(now, watermark float64) float64 {
-	limit, width, last := watermark*l.Bandwidth(), l.w.Width(), l.w.Now()
-	e := math.Floor(now / width)
-	for i := 0.0; limit > 0 && i <= window.K; i++ {
-		from, next := max(now, (e+i)*width), (e+i+1)*width
-		mid := (from + next) / 2 // read inside the bucket, clear of its edges
-		sums, span := l.w.Sum(mid)
-		size := mean(&sums, totalStream)
-		if cross := min(mid-span+sums[totalStream+streamCalls]*size/limit, last+size/limit); cross < next {
-			return max(cross, from) - now
-		}
-	}
-	return 0
 }

@@ -1,7 +1,6 @@
 package prefetch
 
 import (
-	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -91,70 +90,6 @@ func TestLinkUnknownBandwidthReadsZeroUntilSet(t *testing.T) {
 	}
 }
 
-func TestLinkIdleWait(t *testing.T) {
-	l := NewLink(10, 0)
-	last := driveLink(l, 0, 0.01, 1, 100) // saturated: ρ̂ = 1
-	const wm = 0.5
-	wait := l.IdleWait(last, wm)
-	if wait <= 0 {
-		t.Fatalf("IdleWait under saturation = %v, want > 0", wait)
-	}
-	// Sleeping the advertised wait must bring ρ̂ to (or below) the
-	// watermark; a hair before it must not.
-	if rho := l.Rho(last + wait + 1e-9); rho > wm {
-		t.Fatalf("Rho after advertised wait = %v, want <= %v", rho, wm)
-	}
-	if rho := l.Rho(last + wait/2); rho <= wm {
-		t.Fatalf("Rho halfway through the wait = %v, want > %v", rho, wm)
-	}
-	if w := l.IdleWait(last+wait+1, wm); w != 0 {
-		t.Fatalf("IdleWait once idle = %v, want 0", w)
-	}
-}
-
-// TestLinkIdleWaitIsExact checks the advertised wait against ρ̂ read on
-// either side of it, for traffic of several shapes: dispatches leave
-// the window a bucket at a time, and between two boundaries ρ̂ falls as
-// the span grows.
-func TestLinkIdleWaitIsExact(t *testing.T) {
-	for _, tc := range []struct {
-		name         string
-		times, sizes []float64
-		wm           float64
-	}{
-		{"one burst", []float64{0.1, 0.2, 0.3}, []float64{10, 10, 10}, 0.2},
-		{"spread", []float64{1, 3, 5, 7, 9, 11}, []float64{4, 1, 4, 1, 4, 1}, 0.08},
-		{"heavy tail first", []float64{2, 2.5, 9.9}, []float64{50, 1, 1}, 0.05},
-		{"low watermark", []float64{0.5, 4, 8.2}, []float64{1, 1, 1}, 0.001},
-	} {
-		// The default span's bucket edges are exact in binary; 500/30 s,
-		// internal/sim's span at λ = 30, puts them between floats.
-		for _, span := range []float64{0, 500.0 / 30} {
-			t.Run(fmt.Sprintf("%s/span=%g", tc.name, span), func(t *testing.T) {
-				l := NewLink(10, span)
-				for i, at := range tc.times {
-					l.RecordDemand(at)
-					l.RecordDemandSize(tc.sizes[i])
-				}
-				now := tc.times[len(tc.times)-1]
-				wait := l.IdleWait(now, tc.wm)
-				if l.Rho(now) < tc.wm {
-					t.Fatalf("ρ̂ %v already below %v", l.Rho(now), tc.wm)
-				}
-				if rho := l.Rho(now + wait + 1e-9); rho >= tc.wm {
-					t.Errorf("ρ̂ %v at now + IdleWait = %v, want below %v", rho, wait, tc.wm)
-				}
-				if rho := l.Rho(now + wait - 1e-6); rho < tc.wm {
-					t.Errorf("ρ̂ %v just before now + IdleWait = %v already below %v", rho, wait, tc.wm)
-				}
-				if w := l.IdleWait(now+wait+1e-6, tc.wm); w != 0 {
-					t.Errorf("IdleWait once below the watermark = %v, want 0", w)
-				}
-			})
-		}
-	}
-}
-
 func TestStateWithUsesGivenUtilisation(t *testing.T) {
 	c := NewController(1000, 0)
 	// Global traffic is heavy…
@@ -194,7 +129,6 @@ func TestLinkConcurrentRecording(t *testing.T) {
 				}
 				_ = l.Rho(now)
 				_ = l.RhoPrime(now)
-				_ = l.IdleWait(now, 0.5)
 			}
 		}(g)
 	}

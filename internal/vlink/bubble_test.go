@@ -20,8 +20,6 @@ func TestVirtualLinkMatchesPS(t *testing.T) { inBubble(t) }
 
 func TestRuleSweep(t *testing.T) { inBubble(t) }
 
-func TestIdleGateSweep(t *testing.T) { inBubble(t) }
-
 func TestRoutingDecision(t *testing.T) { inBubble(t) }
 
 func TestWeightDecision(t *testing.T) { inBubble(t) }

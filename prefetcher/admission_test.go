@@ -14,23 +14,20 @@ import (
 )
 
 // chainAdmissionDigest is the digest chainAdmissionTrace leaves, with
-// either construction of its one backend.
-const chainAdmissionDigest = "0e593eb020930aa2"
+// either construction of its one backend. It is the digest the trace
+// left before the idle gate was deleted, run without the gate.
+const chainAdmissionDigest = "f1069673272f3c91"
 
 // chainAdmissionTrace replays a seeded Markov chain through an engine
-// on a ManualClock and returns a digest of each request's issued and
-// deferred ids, in event order, with the counts behind it. Every node
-// has two successors, the likelier drawn from [0.7, 0.98), so the
-// adaptive rule's p > ρ̂′ admits both or one as ρ̂′ moves. The trace
-// runs in three phases: 400 requests at 20/s, 400 at 100/s, then 1000
-// at one instant, which lift the link's ρ̂′ past the less likely
-// successors and its ρ̂ past the idle watermark, so that what is
-// admitted is parked. The clock stands still for the whole burst, so ρ̂
-// never falls back below the watermark while a candidate is parked: the
-// gate releases nothing, and every event is one a request emitted. The
-// fetcher must batch: a plan is then one job, deduplicated whole before
-// it is pushed, so no landing races the plan's own dedup.
-func chainAdmissionTrace(t *testing.T, fetcher Fetcher, construct ...Option) (digest string, issued, deferred int) {
+// on a ManualClock and returns a digest of each request's issued ids, in
+// event order, with their count. Every node has two successors, the
+// likelier drawn from [0.7, 0.98), so the adaptive rule's p > ρ̂′ admits
+// both or one as ρ̂′ moves. The trace runs in three phases: 400 requests
+// at 20/s, 400 at 100/s, then 1000 at one instant, which lift the
+// link's ρ̂′ past the less likely successors. The fetcher must batch: a
+// plan is then one job, deduplicated whole before it is pushed, so no
+// landing races the plan's own dedup.
+func chainAdmissionTrace(t *testing.T, fetcher Fetcher, construct ...Option) (digest string, issued int) {
 	t.Helper()
 	const (
 		nodes, seed = 48, 7
@@ -56,9 +53,8 @@ func chainAdmissionTrace(t *testing.T, fetcher Fetcher, construct ...Option) (di
 		WithClock(clock),
 		WithCache(NewLRUCache(16)),
 		WithWorkers(1),
-		WithIdleWatermark(0.5),
 		WithEventHook(func(ev Event) {
-			if ev.Type == EventPrefetchIssued || ev.Type == EventPrefetchDeferred {
+			if ev.Type == EventPrefetchIssued {
 				mu.Lock()
 				events = append(events, ev)
 				mu.Unlock()
@@ -88,13 +84,8 @@ func chainAdmissionTrace(t *testing.T, fetcher Fetcher, construct ...Option) (di
 		mu.Lock()
 		fmt.Fprintf(h, "%d:", i)
 		for _, ev := range events {
-			if ev.Type == EventPrefetchIssued {
-				issued++
-				fmt.Fprintf(h, "i%d,", ev.ID)
-			} else {
-				deferred++
-				fmt.Fprintf(h, "d%d,", ev.ID)
-			}
+			issued++
+			fmt.Fprintf(h, "i%d,", ev.ID)
 		}
 		events = events[:0]
 		mu.Unlock()
@@ -110,21 +101,21 @@ func chainAdmissionTrace(t *testing.T, fetcher Fetcher, construct ...Option) (di
 			id = s.next[1]
 		}
 	}
-	return fmt.Sprintf("%016x", h.Sum64()), issued, deferred
+	return fmt.Sprintf("%016x", h.Sum64()), issued
 }
 
 // TestChainAdmissionDigest pins what the admission pass decides on a
-// seeded chain, request by request: the ids each request issued and
-// parked, in event order, through New(fetcher) and through WithBackends
-// with the same one backend.
+// seeded chain, request by request: the ids each request issued, in
+// event order, through New(fetcher) and through WithBackends with the
+// same one backend.
 func TestChainAdmissionDigest(t *testing.T) {
-	plain, issued, deferred := chainAdmissionTrace(t, &batchBackend{})
-	named, _, _ := chainAdmissionTrace(t, nil, WithBackends(fetch.Backend{Name: "origin", Fetcher: &batchBackend{}, Bandwidth: 200}))
+	plain, issued := chainAdmissionTrace(t, &batchBackend{})
+	named, _ := chainAdmissionTrace(t, nil, WithBackends(fetch.Backend{Name: "origin", Fetcher: &batchBackend{}, Bandwidth: 200}))
 	if plain != named {
 		t.Fatalf("constructions diverge: New(f) %s, WithBackends %s", plain, named)
 	}
-	if issued == 0 || deferred == 0 {
-		t.Fatalf("trace too tame to pin anything: %d issued, %d deferred", issued, deferred)
+	if issued == 0 {
+		t.Fatalf("trace too tame to pin anything: %d issued", issued)
 	}
 	if plain != chainAdmissionDigest {
 		t.Fatalf("digest %s, want %s", plain, chainAdmissionDigest)

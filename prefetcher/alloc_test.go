@@ -281,8 +281,8 @@ func TestPredictTopIntoMatchesPredictTop(t *testing.T) {
 // aggregation the padded atomic counters replaced.
 func TestStatsWaitFreeMatchesEventLog(t *testing.T) {
 	var tally struct {
-		hits, misses, joins                   atomic.Int64
-		issued, done, dropped, errors, defer_ atomic.Int64
+		hits, misses, joins           atomic.Int64
+		issued, done, dropped, errors atomic.Int64
 	}
 	fetcher := FetcherFunc(func(ctx context.Context, id ID) (Item, error) {
 		return Item{ID: id, Size: 2}, nil
@@ -309,8 +309,6 @@ func TestStatsWaitFreeMatchesEventLog(t *testing.T) {
 				tally.dropped.Add(1)
 			case EventPrefetchError:
 				tally.errors.Add(1)
-			case EventPrefetchDeferred:
-				tally.defer_.Add(1)
 			}
 		}),
 	)

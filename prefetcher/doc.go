@@ -156,7 +156,7 @@
 // The fabric gives named backends static-weight or estimated-latency
 // routing, failover and hedged retries on the demand path (WithHedging
 // — the next backend is raced once the preferred one overruns its
-// p95-derived hedge delay, the loser cancelled via context), and batch
+// observed p95 latency, the loser cancelled via context), and batch
 // coalescing of adjacent speculative candidates for backends
 // implementing BatchFetcher. Each backend link carries its own
 // latency, bandwidth and utilisation estimators, and the admission
@@ -169,14 +169,8 @@
 // force, and what feeds them is written once: every backend call the
 // fabric makes, whatever its entry point, is admitted, counted and
 // recorded on its link by one function and settled by another.
-// WithIdleWatermark adds the paper's load-impedance result as a
-// dispatch rule: speculative fetches for a link whose ρ̂ — what it
-// carried over the last 10 s, at most one fetch per gap since the
-// last, over its bandwidth — sits above the watermark are parked (at most 256 per link, the rest shed) and
-// dispatched only in that link's idle periods (demand fetches are
-// never gated). WithBreaker
-// trips persistently failing backends open — routing steers around
-// them, fetches already routed there fail fast, and a half-open probe
+// WithBreaker trips persistently failing backends open — routing steers
+// around them, fetches already routed there fail fast, and a half-open probe
 // after the cooldown re-admits a healed backend. Per-backend counters,
 // link estimates and breaker state appear in Stats.Backends. Each
 // fetch.Backend can additionally bound its attempts: DemandTimeout
@@ -272,18 +266,17 @@
 //     one cut off from the engine's outlives Close
 //     (TestCloseCancelsSpeculativeFetch).
 //   - Every goroutine has a lifecycle tie: workers are
-//     WaitGroup-accounted, drainers select on a close barrier, hedged
-//     fetches run under a deferred-cancel context. Close reaps them
-//     all; the lifecycle tests assert the reap with
-//     testutil.ExpectNoLeaks (TestRepeatedDeferWhileBusy for the idle
-//     gate's wake-ups), and TestHedgeRacesSecondBackendAndCancelsLoser
-//     that a hedge's loser is cancelled.
+//     WaitGroup-accounted and hedged fetches run under a deferred-cancel
+//     context. Close reaps them all; the lifecycle tests assert the reap
+//     with testutil.ExpectNoLeaks, and
+//     TestHedgeRacesSecondBackendAndCancelsLoser that a hedge's loser is
+//     cancelled.
 //   - Channel ownership is single-writer: nothing sends on a channel
 //     another function may close, and library-code sends are never
 //     unconditional — each runs in a select with an escape arm or on a
 //     channel whose buffer bounds it. A violation panics ("send on
 //     closed channel") or parks a goroutine for good, which the hedging
-//     and idle-gate tests, their leak checks and their timeouts see.
+//     tests, their leak checks and their timeouts see.
 //
 // For offline capacity planning — what threshold, what gain, what
 // cost, from known parameters instead of live estimates — use Planner.

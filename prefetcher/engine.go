@@ -392,9 +392,9 @@ func New(fetcher Fetcher, opts ...Option) (*Engine, error) {
 		e.shards[i] = sh
 		e.residents.Add(int64(c.Len())) // prewarmed caches start non-empty
 	}
-	// The fabric is built last: it starts idle-gate drainer goroutines,
-	// and every earlier construction failure returns without anything
-	// to tear down (cancel() alone suffices — no workers, no fabric).
+	// The fabric is built last, so every earlier construction failure
+	// returns without anything to tear down (cancel() alone suffices —
+	// no workers, no fabric).
 	var err error
 	if e.fabric, err = e.newFabric(fetcher, cfg); err != nil {
 		cancel()
@@ -710,20 +710,12 @@ func (e *Engine) Stats() Stats {
 	s.MultiGets = e.multiGets.Load()
 	s.BatchedKeys = e.batchedKeys.Load()
 	s.Backends = e.fabric.Stats(e.now())
-	for _, b := range s.Backends {
-		s.PrefetchDeferred += b.Deferred
-	}
 	return s
 }
 
 // Quiesce blocks until no speculative fetches are queued or in flight,
 // or ctx expires. Demand fetches are not waited for — they complete
-// under their callers' contexts. Candidates parked by the idle gate
-// (WithIdleWatermark) are intentions, not fetches: Quiesce does not
-// wait for them — under sustained load they may stay parked
-// indefinitely — and the gate may dispatch them after Quiesce returns
-// once their link idles (Stats.Backends reports Pending per backend;
-// Close sheds whatever is still parked).
+// under their callers' contexts.
 func (e *Engine) Quiesce(ctx context.Context) error {
 	for {
 		e.qmu.Lock()
@@ -775,8 +767,5 @@ drain:
 			break drain
 		}
 	}
-	// Stops the idle-gate drainers and sheds parked candidates.
-	// Releases racing the closed flag were refused by dispatch's
-	// shard-locked re-check.
 	return e.fabric.Close()
 }

@@ -9,8 +9,7 @@ import (
 // engine: construction from the configured backends, speculative
 // planning (one admission pass against the fabric's ρ̂′, then routing)
 // and dispatch, the one path that registers, queues and, when the queue
-// refuses, fails a speculative fetch, for a request's plan and an
-// idle-gate release alike. The demand side is the read core's two
+// refuses, fails a speculative fetch. The demand side is the read core's two
 // calls (multi.go): FetchDemandBatch for a request's owned misses,
 // Fetch for a key whose joined flight failed; both land through land
 // (engine.go), as the workers' speculative fetches do.
@@ -26,13 +25,11 @@ func (e *Engine) newFabric(fetcher Fetcher, cfg *config) (*fetch.Fabric, error) 
 		backends = []fetch.Backend{{Name: "origin", Fetcher: fetcher, Bandwidth: cfg.bandwidth}}
 	}
 	return fetch.New(fetch.Config{
-		Backends:      backends,
-		Routing:       cfg.routing,
-		Hedging:       cfg.hedging,
-		IdleWatermark: cfg.idleWatermark,
-		Breaker:       cfg.breaker,
-		Now:           e.now,
-		OnRelease:     e.dispatch,
+		Backends: backends,
+		Routing:  cfg.routing,
+		Hedging:  cfg.hedging,
+		Breaker:  cfg.breaker,
+		Now:      e.now,
 	})
 }
 
@@ -77,7 +74,7 @@ func (e *Engine) rhoPrime(now float64) float64 {
 // schedule filters a request's candidates through the policy and
 // dispatches the admitted ones. The policy runs once, against the
 // fabric's ρ̂′ (rhoPrime); only then is each admitted id routed, and
-// each backend's share goes, in order, to deferOrDispatch. The cap needs
+// each backend's share goes, in order, to dispatch. The cap needs
 // no code here: the planner hands over at most maxPrefetch candidates,
 // most probable first, and every policy admits a prefix of them, so the
 // pass keeps the maxPrefetch most probable across all backends. All
@@ -98,10 +95,9 @@ func (e *Engine) schedule(sc *multiScratch, cands []predict.Prediction, now floa
 	}
 	sc.gidx = routes
 	for b := 0; b < e.fabric.NumBackends(); b++ {
-		// One staging buffer serves every backend in turn:
-		// deferOrDispatch consumes the ids synchronously (they are
-		// copied into the park queue or the job) so the buffer is free
-		// again by the next iteration.
+		// One staging buffer serves every backend in turn: dispatch
+		// consumes the ids synchronously (they are copied into the job)
+		// so the buffer is free again by the next iteration.
 		ids := sc.gids[:0]
 		for i, c := range sel {
 			if routes[i] == b {
@@ -110,53 +106,13 @@ func (e *Engine) schedule(sc *multiScratch, cands []predict.Prediction, now floa
 		}
 		sc.gids = ids
 		if len(ids) > 0 {
-			e.deferOrDispatch(b, ids)
+			e.dispatch(b, ids)
 		}
 	}
-}
-
-// deferOrDispatch lands one backend's admitted candidates: parked with
-// the idle gate while the link is in a busy period, dispatched to the
-// worker pool otherwise.
-//
-//prefetch:hotpath
-func (e *Engine) deferOrDispatch(b int, ids []ID) {
-	if e.fabric.Busy(b) {
-		// The link is in a busy period: park the candidates with the
-		// fabric's idle gate instead of adding speculative traffic on
-		// top of demand load. No flight is registered — a demand Get
-		// for a parked id simply fetches it. Resident and in-flight
-		// candidates are filtered first (the same dedup dispatch
-		// applies), so the Deferred count and the bounded queue only
-		// carry work an idle period could actually use; the fabric
-		// additionally drops ids already parked. The filter compacts ids
-		// in place — it is the caller's staging buffer, dead once this
-		// call returns — and Defer copies the accepted ids into its
-		// park queue.
-		park := ids[:0]
-		for _, id := range ids {
-			sh := e.shardFor(id)
-			sh.mu.Lock()
-			_, inflight := sh.inflight[id]
-			resident := sh.cache.Contains(id)
-			sh.mu.Unlock()
-			if !inflight && !resident {
-				park = append(park, id)
-			}
-		}
-		if len(park) > 0 {
-			for _, id := range e.fabric.Defer(b, park...) {
-				e.emit(Event{Type: EventPrefetchDeferred, ID: id})
-			}
-		}
-		return
-	}
-	e.dispatch(b, ids)
 }
 
 // dispatch is the one way a speculative fetch starts, for a request's
-// plan and an idle-gate release (the fabric's OnRelease) alike: each
-// candidate is deduplicated against the cache and the in-flight table
+// plan: each candidate is deduplicated against the cache and the in-flight table
 // and registered under its own shard's lock — one shard mutex at a
 // time — and the registered flights are queued: as one job when the
 // backend is batch-capable, one job per candidate otherwise, so a plain

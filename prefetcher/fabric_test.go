@@ -100,9 +100,6 @@ func TestWithBackendsValidation(t *testing.T) {
 	if _, err := New(nil, WithBackends()); err == nil {
 		t.Fatal("WithBackends() with no backends must error")
 	}
-	if _, err := New(nil, WithBackends(ok), WithIdleWatermark(2)); err == nil {
-		t.Fatal("out-of-range watermark must error")
-	}
 	if _, err := New(nil, WithBackends(ok), WithHedging(fetch.Hedging{MaxAttempts: -1})); err == nil {
 		t.Fatal("negative hedging must error")
 	}
@@ -126,13 +123,15 @@ func TestWithBackendsValidation(t *testing.T) {
 	}
 }
 
-func TestSingleFetcherWrappedForIdleGate(t *testing.T) {
+// TestSingleFetcherWrappedAsOriginBackend: New's fetcher is the
+// fabric's one backend, "origin", and every fetch goes through it.
+func TestSingleFetcherWrappedAsOriginBackend(t *testing.T) {
 	var calls atomic.Int64
 	fetcher := FetcherFunc(func(ctx context.Context, id ID) (Item, error) {
 		calls.Add(1)
 		return Item{ID: id, Size: 1}, nil
 	})
-	eng, err := New(fetcher, WithBandwidth(100), WithIdleWatermark(0.9))
+	eng, err := New(fetcher, WithBandwidth(100))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,70 +416,6 @@ func TestPerBackendRhoPrimeDistinct(t *testing.T) {
 	}
 }
 
-// TestIdleWatermarkDefersAndReleases drives the engine into a busy
-// period on a thin link, sees admitted candidates parked instead of
-// dispatched, then idles the link and sees them released and fetched.
-func TestIdleWatermarkDefersAndReleases(t *testing.T) {
-	clock := NewManualClock(time.Unix(0, 0))
-	backend := &okBackend{}
-	eng, err := New(nil,
-		WithBandwidth(1e6),
-		WithClock(clock),
-		WithPolicy(StaticThreshold(0)), // admit every prediction: the gate does the load control
-		WithIdleWatermark(0.5),
-		// A 4-item cache keeps predicted candidates evictable, so
-		// released ids are still worth fetching when the link idles.
-		WithCache(NewLRUCache(4)),
-		WithBackends(fetch.Backend{Name: "thin", Fetcher: backend, Bandwidth: 10}),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-
-	ctx := context.Background()
-	// Alternate a two-page loop (so the Markov model always has
-	// predictions) with fresh ids (so demand misses keep the link
-	// saturated): 200 fetches/s of size 1 against b=10 pins ρ̂ at 1.
-	for i := 0; i < 200; i++ {
-		clock.AdvanceSeconds(0.01)
-		if _, err := eng.Get(ctx, ID(i%2)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := eng.Get(ctx, ID(100+i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := eng.Stats()
-	if st.PrefetchDeferred == 0 {
-		t.Fatalf("no candidates deferred under saturation: %+v", st.Backends[0])
-	}
-	if st.Backends[0].Speculative != 0 {
-		t.Fatalf("speculative traffic dispatched through a saturated gate: %+v", st.Backends[0])
-	}
-
-	// Idle period: with the clock advancing and no demand traffic, ρ̂
-	// decays and the drainer (bounded wall-time polls) releases parked
-	// candidates, which now dispatch as speculative fetches.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		clock.AdvanceSeconds(10)
-		st = eng.Stats()
-		if st.Backends[0].Released > 0 && st.Backends[0].Speculative > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("parked candidates never released and fetched: %+v", st.Backends[0])
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	qctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := eng.Quiesce(qctx); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestEngineBatchesAdjacentCandidates checks that several candidates
 // admitted for one batch-capable backend travel as one FetchBatch call.
 func TestEngineBatchesAdjacentCandidates(t *testing.T) {
@@ -582,8 +517,8 @@ func TestMisorderedSpeculativeBatchCachesNothing(t *testing.T) {
 }
 
 // TestFabricEngineLifecycleRace hammers Get/Stats/Quiesce across
-// shards while backends hedge and the gate defers, then closes — the
-// -race lifecycle test for the fabric path.
+// shards while backends hedge, then closes — the -race lifecycle test
+// for the fabric path.
 func TestFabricEngineLifecycleRace(t *testing.T) {
 	testutil.ExpectNoLeaks(t)
 	eng, err := New(nil,
@@ -591,8 +526,7 @@ func TestFabricEngineLifecycleRace(t *testing.T) {
 		WithShards(4),
 		WithCacheFactory(func(i, n int) Cache { return NewLRUCache(64) }),
 		WithPolicy(StaticThreshold(0)),
-		WithHedging(fetch.Hedging{Delay: 500 * time.Microsecond}),
-		WithIdleWatermark(0.8),
+		WithHedging(fetch.Hedging{}),
 		WithRouting(fetch.RouteLatency),
 		WithBackends(
 			fetch.Backend{Name: "a", Fetcher: &okBackend{}, Bandwidth: 1e5},
@@ -627,11 +561,10 @@ func TestFabricEngineLifecycleRace(t *testing.T) {
 	wg.Wait()
 	qctx, cancel := context.WithTimeout(ctx, 5*time.Second)
 	defer cancel()
-	// Quiesce does not wait for candidates the idle gate still holds, so
-	// the books are only auditable when the run parked none.
-	if err := eng.Quiesce(qctx); err == nil && eng.Stats().PrefetchDeferred == 0 {
-		checkRecords(t, eng)
+	if err := eng.Quiesce(qctx); err != nil {
+		t.Fatal(err)
 	}
+	checkRecords(t, eng)
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -779,8 +712,8 @@ func TestCloseCancelsSpeculativeFetch(t *testing.T) {
 }
 
 // TestDispatchOnClosedEngineReleasesShardLocks pins dispatch's
-// closed-engine arm: a release racing Close finds the flag set under
-// the id's shard lock and must drop that lock before it gives up. Ids
+// closed-engine arm: a plan's dispatch racing Close finds the flag set
+// under the id's shard lock and must drop that lock before it gives up. Ids
 // on two shards are dispatched to a closed engine, one job per id on a
 // plain backend and one job for all of them on a batch-capable one;
 // afterwards every shard's lock is free and no flight was registered.

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -23,26 +22,6 @@ var ErrBreakerOpen = errors.New("fetch: circuit breaker open")
 // errLentShrunk fails an IntoFetcher that broke the borrow rule.
 var errLentShrunk = errors.New("fetch: a backend's FetchInto returned less than it was lent")
 
-// releaseBurst bounds how many parked candidates one gate release
-// hands back at a time, so the drainer re-reads ρ̂ between bursts
-// instead of dumping a long queue onto a link that just went idle.
-const releaseBurst = 8
-
-// maxGateWait caps the drainer's sleep between ρ̂ re-checks. The wait
-// is normally computed exactly from the link's decay (Link.IdleWait),
-// but that computation is in *estimator* time — a caller driving the
-// fabric from a manual clock would otherwise sleep forever in wall
-// time.
-const maxGateWait = 5 * time.Millisecond
-
-// minGateWait keeps the drainer from spinning when the computed decay
-// wait rounds to ~zero while ρ̂ still reads above the watermark.
-const minGateWait = 100 * time.Microsecond
-
-// deferDepth bounds each backend's parked-candidate queue; candidates
-// beyond it are shed and counted.
-const deferDepth = 256
-
 // Config assembles a Fabric. Backends is the only required field.
 type Config struct {
 	// Backends are the named links; at least one, names distinct.
@@ -52,22 +31,12 @@ type Config struct {
 	// Hedging enables hedged retries on the demand path; nil disables
 	// hedging (failover on error still happens).
 	Hedging *Hedging
-	// IdleWatermark gates speculative dispatch: a speculative fetch
-	// routed to a backend whose ρ̂ is at or above the watermark is
-	// parked and released only when the link idles below it. 0
-	// disables the gate.
-	IdleWatermark float64
 	// Breaker enables per-backend circuit breaking; nil disables it.
 	Breaker *Breaker
 	// Now supplies time in seconds for the link estimators. Defaults
 	// to the wall clock measured from construction. The engine injects
 	// its own clock so link estimates share the controller's timeline.
 	Now func() float64
-	// OnRelease receives the parked speculative candidates the idle gate
-	// releases, called from a drainer goroutine (the engine re-enters
-	// them into its dispatch path). Required with an IdleWatermark: the
-	// fabric fetches nothing on its own behalf.
-	OnRelease func(backend int, ids []ID)
 }
 
 type (
@@ -92,7 +61,6 @@ const (
 // backendState is one backend plus everything the fabric tracks for
 // it.
 type backendState struct {
-	idx   int
 	cfg   Backend
 	batch BatchFetcher // non-nil when cfg.Fetcher supports batching
 	// into and batchInto are cfg.Fetcher's lent-buffer forms, when it has
@@ -114,9 +82,6 @@ type backendState struct {
 	hedgesLaunched atomic.Int64
 	hedgesWon      atomic.Int64
 	retries        atomic.Int64
-	deferredN      atomic.Int64
-	released       atomic.Int64
-	deferDropped   atomic.Int64
 
 	// Circuit-breaker state (unused when no Breaker is configured):
 	// consecutive non-cancelled failures, the tri-state breaker, when it
@@ -125,66 +90,40 @@ type backendState struct {
 	brState     atomic.Int32
 	brOpenedAt  atomic.Uint64
 	brOpens     atomic.Int64
-
-	mu        sync.Mutex
-	parked    []ID
-	parkedSet map[ID]struct{} // dedup: ids currently in parked
-	poke      chan struct{}   // wakes the drainer when candidates park
 }
 
 // Fabric routes fetches across the configured backends. All methods
-// are safe for concurrent use. Create one with New and release its
-// drainer goroutines with Close.
+// are safe for concurrent use. Create one with New; after Close it
+// fetches nothing more.
 type Fabric struct {
-	backends  []*backendState
-	routing   Routing
-	hedging   *Hedging
-	watermark float64
+	backends []*backendState
+	routing  Routing
+	hedging  *Hedging
 	// breaker is the validated circuit-breaker config (thresh in
 	// failures, cooldown in fabric-time seconds); nil when disabled.
 	breaker *struct {
 		threshold int64
 		cooldown  float64
 	}
-	nowf      func() float64
-	onRelease func(backend int, ids []ID)
-	lends     bool // see Lends
-
-	done   chan struct{}
-	wg     sync.WaitGroup
+	nowf   func() float64
+	lends  bool // see Lends
 	closed atomic.Bool
 }
 
-// New validates cfg and assembles a Fabric, starting one idle-gate
-// drainer goroutine per backend when a watermark is configured.
+// New validates cfg and assembles a Fabric.
 func New(cfg Config) (*Fabric, error) {
 	if len(cfg.Backends) == 0 {
 		return nil, fmt.Errorf("fetch: no backends")
 	}
-	if cfg.IdleWatermark < 0 || cfg.IdleWatermark > 1 || math.IsNaN(cfg.IdleWatermark) {
-		return nil, fmt.Errorf("fetch: idle watermark %v must be in [0,1]", cfg.IdleWatermark)
-	}
-	if cfg.IdleWatermark > 0 && cfg.OnRelease == nil {
-		return nil, fmt.Errorf("fetch: an idle watermark needs OnRelease to hand released candidates to")
-	}
-	if cfg.Hedging != nil {
-		if cfg.Hedging.Delay < 0 || cfg.Hedging.MaxAttempts < 0 || cfg.Hedging.Backoff < 0 || cfg.Hedging.P95Multiple < 0 {
-			return nil, fmt.Errorf("fetch: negative hedging parameter")
-		}
+	if cfg.Hedging != nil && (cfg.Hedging.MaxAttempts < 0 || cfg.Hedging.Backoff < 0) {
+		return nil, fmt.Errorf("fetch: negative hedging parameter")
 	}
 	nowf := cfg.Now
 	if nowf == nil {
 		epoch := time.Now()
 		nowf = func() float64 { return time.Since(epoch).Seconds() }
 	}
-	f := &Fabric{
-		routing:   cfg.Routing,
-		hedging:   cfg.Hedging,
-		watermark: cfg.IdleWatermark,
-		nowf:      nowf,
-		onRelease: cfg.OnRelease,
-		done:      make(chan struct{}),
-	}
+	f := &Fabric{routing: cfg.Routing, hedging: cfg.Hedging, nowf: nowf}
 	if cfg.Breaker != nil {
 		if cfg.Breaker.Threshold < 0 || cfg.Breaker.Cooldown < 0 {
 			return nil, fmt.Errorf("fetch: negative breaker parameter %+v", *cfg.Breaker)
@@ -225,25 +164,16 @@ func New(cfg Config) (*Fabric, error) {
 			b.Weight = 1
 		}
 		bs := &backendState{
-			idx:       i,
-			cfg:       b,
-			link:      prefetch.NewLink(b.Bandwidth, 0),
-			est:       &estimator{},
-			seed:      nameSeed(b.Name),
-			parkedSet: make(map[ID]struct{}),
-			poke:      make(chan struct{}, 1),
+			cfg:  b,
+			link: prefetch.NewLink(b.Bandwidth, 0),
+			est:  &estimator{},
+			seed: nameSeed(b.Name),
 		}
 		bs.batch, _ = b.Fetcher.(BatchFetcher)
 		bs.into, _ = b.Fetcher.(IntoFetcher)
 		bs.batchInto, _ = b.Fetcher.(BatchIntoFetcher)
 		f.lends = f.lends && bs.into != nil && (bs.batch == nil || bs.batchInto != nil)
 		f.backends = append(f.backends, bs)
-	}
-	if f.watermark > 0 {
-		for _, bs := range f.backends {
-			f.wg.Add(1)
-			go f.drain(bs)
-		}
 	}
 	return f, nil
 }
@@ -657,19 +587,11 @@ func (b *backendState) callBatch(ctx context.Context, ids []ID, out []Item, dst 
 // --- demand path: hedged, failing-over fetch -----------------------------
 
 // hedgeTimer fires when fetchHedged should race a hedge against its
-// attempt on backend idx: after the configured delay, else the backend's
-// p95 scaled by P95Multiple — never, while there is no p95 estimate yet.
+// attempt on backend idx: once the attempt has run the backend's p95
+// latency — never, while there is no p95 estimate yet.
 func (f *Fabric) hedgeTimer(idx int) <-chan time.Time {
-	h := f.hedging
-	if h.Delay > 0 {
-		return time.After(h.Delay)
-	}
-	mult := h.P95Multiple
-	if mult == 0 {
-		mult = 1
-	}
 	if p95 := f.backends[idx].est.p95Latency(); p95 > 0 {
-		return time.After(time.Duration(p95 * mult * float64(time.Second)))
+		return time.After(time.Duration(p95 * float64(time.Second)))
 	}
 	return nil
 }
@@ -937,117 +859,6 @@ func (f *Fabric) FetchSpeculativeBatch(ctx context.Context, backend int, ids []I
 	return grown, nil
 }
 
-// --- idle-period dispatch gate -------------------------------------------
-
-// Busy reports whether backend i's link currently sits at or above the
-// idle watermark — i.e. whether a speculative candidate routed there
-// should be parked instead of dispatched. Always false when no
-// watermark is configured.
-func (f *Fabric) Busy(i int) bool {
-	if f.watermark <= 0 {
-		return false
-	}
-	return f.backends[i].link.Rho(f.nowf()) >= f.watermark
-}
-
-// Defer parks speculative candidates for backend i until its link
-// idles below the watermark. An id already parked is skipped silently
-// (bursty traffic re-admits the same hot candidates every request, and
-// duplicates would both inflate the Deferred count and crowd genuinely
-// new work out of the bounded queue); candidates beyond the queue
-// depth, or offered to a closed fabric (read under the lock Close sweeps
-// under: nothing parks where no drainer will look), are shed and
-// counted. Returns the ids actually parked.
-func (f *Fabric) Defer(i int, ids ...ID) []ID {
-	b := f.backends[i]
-	var parked []ID
-	b.mu.Lock()
-	for _, id := range ids {
-		if _, dup := b.parkedSet[id]; dup {
-			continue
-		}
-		if len(b.parked) >= deferDepth || f.closed.Load() {
-			b.deferDropped.Add(1)
-			continue
-		}
-		b.parked = append(b.parked, id)
-		b.parkedSet[id] = struct{}{}
-		b.deferredN.Add(1)
-		parked = append(parked, id)
-	}
-	b.mu.Unlock()
-	if len(parked) > 0 {
-		select {
-		case b.poke <- struct{}{}:
-		default:
-		}
-	}
-	return parked
-}
-
-// gateWait returns how long the drainer should sleep before re-reading
-// backend b's ρ̂, using the link's exact decay time clamped into
-// [minGateWait, maxGateWait].
-func (f *Fabric) gateWait(b *backendState) time.Duration {
-	wait := time.Duration(b.link.IdleWait(f.nowf(), f.watermark) * float64(time.Second))
-	if wait > maxGateWait {
-		return maxGateWait
-	}
-	if wait < minGateWait {
-		return minGateWait
-	}
-	return wait
-}
-
-// drain is backend b's idle-gate goroutine: it sleeps until candidates
-// park, then hands them to OnRelease in bursts whenever the link's ρ̂
-// sits below the watermark, re-checking between bursts so a release
-// that re-busies the link pauses the queue again.
-func (f *Fabric) drain(b *backendState) {
-	defer f.wg.Done()
-	for {
-		select {
-		case <-f.done:
-			return
-		case <-b.poke:
-		}
-		for {
-			b.mu.Lock()
-			n := len(b.parked)
-			b.mu.Unlock()
-			if n == 0 {
-				break
-			}
-			if b.link.Rho(f.nowf()) >= f.watermark {
-				select {
-				case <-f.done:
-					return
-				case <-time.After(f.gateWait(b)):
-				}
-				continue
-			}
-			b.mu.Lock()
-			take := len(b.parked)
-			if take > releaseBurst {
-				take = releaseBurst
-			}
-			ids := make([]ID, take)
-			copy(ids, b.parked[:take])
-			for _, id := range ids {
-				delete(b.parkedSet, id)
-			}
-			rest := copy(b.parked, b.parked[take:])
-			b.parked = b.parked[:rest]
-			b.mu.Unlock()
-			if take == 0 {
-				break
-			}
-			b.released.Add(int64(take))
-			f.onRelease(b.idx, ids)
-		}
-	}
-}
-
 // --- stats and lifecycle -------------------------------------------------
 
 // Stats snapshots every backend's counters and link estimates as of
@@ -1056,9 +867,6 @@ func (f *Fabric) drain(b *backendState) {
 func (f *Fabric) Stats(now float64) []BackendStats {
 	out := make([]BackendStats, len(f.backends))
 	for i, b := range f.backends {
-		b.mu.Lock()
-		pending := len(b.parked)
-		b.mu.Unlock()
 		out[i] = BackendStats{
 			Name:               b.cfg.Name,
 			Demand:             b.sent[demand].ids.Load(),
@@ -1071,10 +879,6 @@ func (f *Fabric) Stats(now float64) []BackendStats {
 			HedgesLaunched:     b.hedgesLaunched.Load(),
 			HedgesWon:          b.hedgesWon.Load(),
 			Retries:            b.retries.Load(),
-			Deferred:           b.deferredN.Load(),
-			Released:           b.released.Load(),
-			DeferredDropped:    b.deferDropped.Load(),
-			Pending:            pending,
 			LatencySeconds:     b.est.latency(),
 			LatencyP95Seconds:  b.est.p95Latency(),
 			Bandwidth:          b.link.Bandwidth(),
@@ -1087,22 +891,10 @@ func (f *Fabric) Stats(now float64) []BackendStats {
 	return out
 }
 
-// Close stops the idle-gate drainers and sheds whatever candidates are
-// still parked (counted as DeferredDropped; a later Defer sheds its own).
-// In-flight fetches are not cancelled here — they run under their callers'
-// contexts, which the engine cancels on its own Close. Close is idempotent.
+// Close refuses every later attempt with ErrClosed. In-flight fetches are
+// not cancelled here — they run under their callers' contexts, which the
+// engine cancels on its own Close. Close is idempotent.
 func (f *Fabric) Close() error {
-	if f.closed.Swap(true) {
-		return nil
-	}
-	close(f.done)
-	f.wg.Wait()
-	for _, b := range f.backends {
-		b.mu.Lock()
-		b.deferDropped.Add(int64(len(b.parked)))
-		b.parked = nil
-		b.parkedSet = make(map[ID]struct{})
-		b.mu.Unlock()
-	}
+	f.closed.Store(true)
 	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -104,10 +103,8 @@ func TestNewValidation(t *testing.T) {
 		{Backends: []Backend{{Name: "a"}}},
 		{Backends: []Backend{{Fetcher: good.Fetcher}}},
 		{Backends: []Backend{good, good}},
-		{Backends: []Backend{good}, IdleWatermark: 2},
-		{Backends: []Backend{good}, IdleWatermark: math.NaN()},
-		{Backends: []Backend{good}, IdleWatermark: 0.5}, // no OnRelease to release to
-		{Backends: []Backend{good}, Hedging: &Hedging{Delay: -time.Second}},
+		{Backends: []Backend{good}, Hedging: &Hedging{Backoff: -time.Second}},
+		{Backends: []Backend{good}, Hedging: &Hedging{MaxAttempts: -1}},
 		{Backends: []Backend{{Name: "a", Fetcher: good.Fetcher, Weight: -1}}},
 	}
 	for i, cfg := range cases {
@@ -198,12 +195,13 @@ func TestHedgeRacesSecondBackendAndCancelsLoser(t *testing.T) {
 	slow := &slowFetcher{delay: 500 * time.Millisecond}
 	fast := &slowFetcher{delay: 1 * time.Millisecond}
 	f := newTestFabric(t, Config{
-		Hedging: &Hedging{Delay: 5 * time.Millisecond},
+		Hedging: &Hedging{},
 		Backends: []Backend{
 			{Name: "slow", Fetcher: slow, Weight: 1e9}, // rendezvous pins the primary
 			{Name: "fast", Fetcher: fast, Weight: 1e-9},
 		},
 	})
+	hedgeAfter(f, 0, 5*time.Millisecond)
 	start := time.Now()
 	item, err := f.Fetch(context.Background(), 3)
 	if err != nil {
@@ -232,13 +230,15 @@ func TestHedgeRacesSecondBackendAndCancelsLoser(t *testing.T) {
 	}
 }
 
+// hedgeAfter gives backend i a p95 latency of d, so a hedged race whose
+// primary it is launches its hedge once the primary has run d.
+func hedgeAfter(f *Fabric, i int, d time.Duration) { f.backends[i].est.observe(d.Seconds(), 1) }
+
 func TestHedgeDelayDerivedFromP95(t *testing.T) {
-	slow := &slowFetcher{delay: 30 * time.Millisecond}
+	slow := &slowFetcher{delay: 5 * time.Millisecond}
 	fast := &slowFetcher{delay: time.Millisecond}
 	f := newTestFabric(t, Config{
-		// p95-derived delay, halved so the hedge launches (and its
-		// 1ms backend finishes) well before the ~30ms primary does.
-		Hedging: &Hedging{P95Multiple: 0.5},
+		Hedging: &Hedging{},
 		Backends: []Backend{
 			{Name: "slow", Fetcher: slow, Weight: 1e9},
 			{Name: "fast", Fetcher: fast, Weight: 1e-9},
@@ -252,7 +252,10 @@ func TestHedgeDelayDerivedFromP95(t *testing.T) {
 	if st := f.Stats(0); st[1].HedgesLaunched != 0 {
 		t.Fatalf("hedge launched with no p95 estimate: %+v", st[1])
 	}
-	// Once the primary has a p95, the hedge arms and wins.
+	// Once the primary has a p95 (its one sample, ~5ms), the hedge arms
+	// then, and its 1ms backend finishes well before the primary, now
+	// slowed to half a second, does.
+	slow.delay = 500 * time.Millisecond
 	if _, err := f.Fetch(ctx, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +296,7 @@ func (f *flakyFetcher) Fetch(ctx context.Context, id ID) (Item, error) {
 func TestSingleBackendHedgingDegradesToSequentialRetries(t *testing.T) {
 	flaky := &flakyFetcher{}
 	f := newTestFabric(t, Config{
-		Hedging:  &Hedging{Delay: 100 * time.Microsecond, MaxAttempts: 2},
+		Hedging:  &Hedging{MaxAttempts: 2},
 		Backends: []Backend{{Name: "only", Fetcher: flaky}},
 	})
 	item, err := f.Fetch(context.Background(), 5)
@@ -406,196 +409,6 @@ func (m *manualNow) Advance(s float64) {
 	m.mu.Unlock()
 }
 
-func TestIdleGateDefersAndReleases(t *testing.T) {
-	clk := &manualNow{}
-	var mu sync.Mutex
-	var released []ID
-	f := newTestFabric(t, Config{
-		Backends:      []Backend{{Name: "origin", Fetcher: &instantFetcher{size: 1}, Bandwidth: 10}},
-		IdleWatermark: 0.5,
-		Now:           clk.Now,
-		OnRelease: func(backend int, ids []ID) {
-			mu.Lock()
-			released = append(released, ids...)
-			mu.Unlock()
-		},
-	})
-	// Saturate the link: 100 size-1 fetches/s against b=10.
-	ctx := context.Background()
-	for i := 0; i < 50; i++ {
-		if _, err := specBatch(f, ctx, 0, []ID{ID(i)}); err != nil {
-			t.Fatal(err)
-		}
-		clk.Advance(0.01)
-	}
-	if !f.Busy(0) {
-		t.Fatalf("link must be busy: ρ̂ = %v", f.Link(0).Rho(clk.Now()))
-	}
-	if n := len(f.Defer(0, 100, 101, 102)); n != 3 {
-		t.Fatalf("Defer parked %d, want 3", n)
-	}
-	if n := len(f.Defer(0, 101, 103)); n != 1 {
-		t.Fatalf("Defer re-parked a duplicate: parked %d, want 1 (103 only)", n)
-	}
-	if f.Stats(clk.Now())[0].Pending == 0 {
-		t.Fatal("no candidates pending after Defer")
-	}
-	// While the link stays busy nothing is released.
-	time.Sleep(20 * time.Millisecond)
-	mu.Lock()
-	n := len(released)
-	mu.Unlock()
-	if n != 0 {
-		t.Fatalf("%d candidates released while the link was busy", n)
-	}
-	// An idle period lets ρ̂ decay below the watermark; the drainer
-	// (polling in wall time, bounded by maxGateWait) must release.
-	clk.Advance(10)
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		mu.Lock()
-		n = len(released)
-		mu.Unlock()
-		if n == 4 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d/4 candidates released after the link idled", n)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	st := f.Stats(clk.Now())
-	if st[0].Deferred != 4 || st[0].Released != 4 || st[0].Pending != 0 {
-		t.Fatalf("gate stats = %+v", st[0])
-	}
-}
-
-func TestIdleGateQueueBoundsAndCloseSheds(t *testing.T) {
-	testutil.ExpectNoLeaks(t)
-	clk := &manualNow{}
-	f := newTestFabric(t, Config{
-		Backends:      []Backend{{Name: "origin", Fetcher: &instantFetcher{size: 1}, Bandwidth: 1}},
-		IdleWatermark: 0.5,
-		Now:           clk.Now,
-		OnRelease:     func(int, []ID) {},
-	})
-	// Keep the link saturated so nothing drains mid-test.
-	for i := 0; i < 50; i++ {
-		f.Link(0).RecordSpeculative(clk.Now())
-		f.Link(0).RecordSpeculativeSize(5)
-		clk.Advance(0.001)
-	}
-	ids := make([]ID, deferDepth+2)
-	for i := range ids {
-		ids[i] = ID(i + 1)
-	}
-	if got := len(f.Defer(0, ids...)); got != deferDepth {
-		t.Fatalf("Defer parked %d, want the depth-%d bound", got, deferDepth)
-	}
-	st := f.Stats(clk.Now())
-	if st[0].Deferred != deferDepth || st[0].DeferredDropped != 2 {
-		t.Fatalf("stats = %+v, want %d parked and 2 shed", st[0], deferDepth)
-	}
-	f.Close()
-	st = f.Stats(clk.Now())
-	if st[0].DeferredDropped != deferDepth+2 || st[0].Pending != 0 {
-		t.Fatalf("after Close: %+v, want parked candidates shed", st[0])
-	}
-	if _, err := f.Fetch(context.Background(), 9); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Fetch after Close = %v, want ErrClosed", err)
-	}
-}
-
-// TestRepeatedDeferWhileBusy parks candidates three times on a link
-// that stays busy — the drainer takes the first wake-up and then waits
-// on the link, so the later wake-ups find its one-slot channel full —
-// and closes the fabric. Defer must neither block nor leave anything
-// behind waiting to wake a drainer that is gone.
-func TestRepeatedDeferWhileBusy(t *testing.T) {
-	testutil.ExpectNoLeaks(t)
-	clk := &manualNow{}
-	f := newTestFabric(t, Config{
-		Backends:      []Backend{{Name: "origin", Fetcher: &instantFetcher{size: 1}, Bandwidth: 1}},
-		IdleWatermark: 0.5,
-		Now:           clk.Now,
-		OnRelease:     func(int, []ID) {},
-	})
-	for i := 0; i < 50; i++ {
-		f.Link(0).RecordSpeculative(clk.Now())
-		f.Link(0).RecordSpeculativeSize(5)
-		clk.Advance(0.001)
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for id := ID(1); id <= 3; id++ {
-			f.Defer(0, id)
-		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Defer blocked on a busy link")
-	}
-	f.Close()
-	if st := f.Stats(clk.Now())[0]; st.Deferred != 3 || st.DeferredDropped != 3 || st.Pending != 0 {
-		t.Fatalf("stats = %+v, want 3 parked and 3 shed at Close", st)
-	}
-}
-
-// Defer racing Close: whichever takes a backend's lock first, nothing
-// is left parked where no drainer will look — a candidate either parked
-// before the sweep and was shed by it, or found the fabric closed and
-// was shed on the spot.
-func TestDeferRacingClose(t *testing.T) {
-	testutil.ExpectNoLeaks(t)
-	for round := 0; round < 50; round++ {
-		clk := &manualNow{}
-		f := newTestFabric(t, Config{
-			Backends:      []Backend{{Name: "origin", Fetcher: &instantFetcher{size: 1}, Bandwidth: 1}},
-			IdleWatermark: 0.5,
-			Now:           clk.Now,
-			OnRelease:     func(int, []ID) {},
-		})
-		// A saturated link: nothing drains, so every candidate is either
-		// still parked at Close or arrives after it.
-		for i := 0; i < 50; i++ {
-			f.Link(0).RecordSpeculative(clk.Now())
-			f.Link(0).RecordSpeculativeSize(5)
-			clk.Advance(0.001)
-		}
-		const deferrers, each = 4, 16
-		var wg sync.WaitGroup
-		for g := 0; g < deferrers; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				for i := 0; i < each; i++ {
-					f.Defer(0, ID(g*each+i))
-				}
-			}(g)
-		}
-		f.Close()
-		wg.Wait()
-		if st := f.Stats(clk.Now())[0]; st.Pending != 0 || st.Released != 0 || st.DeferredDropped != deferrers*each {
-			t.Fatalf("round %d: %+v; want all %d candidates shed and none parked", round, st, deferrers*each)
-		}
-	}
-	// And with no race at all: a closed fabric parks nothing.
-	f := newTestFabric(t, Config{
-		Backends:      []Backend{{Name: "origin", Fetcher: &instantFetcher{size: 1}}},
-		IdleWatermark: 0.5,
-		OnRelease:     func(int, []ID) {},
-	})
-	f.Close()
-	if parked := f.Defer(0, 1, 2, 3); len(parked) != 0 {
-		t.Fatalf("Defer on a closed fabric parked %v", parked)
-	}
-	if st := f.Stats(0)[0]; st.Pending != 0 || st.Deferred != 0 || st.DeferredDropped != 3 {
-		t.Fatalf("after Defer on a closed fabric: %+v, want 3 shed", st)
-	}
-}
-
 // Stats reads each backend's p95, which re-sorts the latency ring once
 // latRecompute samples have gone by: on a copy it keeps on the stack.
 // What a snapshot allocates is the slice it returns.
@@ -636,12 +449,7 @@ func TestFabricConcurrentUse(t *testing.T) {
 		{Name: "b", Fetcher: &batchFetcher{}, Weight: 1},
 		{Name: "c", Fetcher: &slowFetcher{delay: 100 * time.Microsecond}},
 	}
-	f := newTestFabric(t, Config{
-		Backends:      backends,
-		Hedging:       &Hedging{Delay: time.Millisecond},
-		IdleWatermark: 0.9,
-		OnRelease:     func(int, []ID) {},
-	})
+	f := newTestFabric(t, Config{Backends: backends, Hedging: &Hedging{}})
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -669,9 +477,6 @@ func TestFabricConcurrentUse(t *testing.T) {
 						return
 					}
 				default:
-					if f.Busy(0) {
-						f.Defer(0, id)
-					}
 					_ = f.Stats(0)
 				}
 			}

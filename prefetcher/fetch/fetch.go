@@ -4,10 +4,7 @@
 // candidates into batch calls, races hedged retries against slow
 // backends, and estimates each link's latency, bandwidth and
 // utilisation separately — so the paper's admission threshold can be
-// evaluated against the links' demand-only ρ̂′, weighted by bandwidth,
-// and speculative dispatch can be deferred into each link's idle
-// periods (the load-impedance result: the same prefetch costs a
-// multiple under load of what it costs when the link is quiet).
+// evaluated against the links' demand-only ρ̂′, weighted by bandwidth.
 //
 // The package owns the fetch-side vocabulary: ID, Item, Fetcher,
 // FetcherFunc and BatchFetcher are defined here, below the engine in
@@ -17,8 +14,7 @@
 // never construct a Fabric directly — every prefetcher.Engine
 // assembles one, from WithBackends or from New's single fetcher — but
 // the type is usable standalone as a routing/hedging Fetcher for any
-// client (one that sets an idle watermark supplies Config.OnRelease:
-// the fabric fetches nothing on its own behalf).
+// client.
 package fetch
 
 import (
@@ -182,15 +178,10 @@ const (
 
 // Hedging configures hedged retries on the demand path. Failover on
 // error happens regardless — hedging adds racing a second backend
-// *before* the first has failed, after a per-backend delay.
+// *before* the first has failed, once the primary's attempt has run the
+// primary backend's observed p95 latency (no hedge is launched until a
+// p95 estimate exists).
 type Hedging struct {
-	// Delay before launching a hedge on the next backend in route
-	// order. 0 derives the delay from the primary backend's observed
-	// p95 latency (no hedge is launched until a p95 estimate exists).
-	Delay time.Duration
-	// P95Multiple scales the p95-derived delay (0 means 1). Ignored
-	// when Delay is set explicitly.
-	P95Multiple float64
 	// MaxAttempts caps the total attempts (primary + hedges +
 	// retries) per demand fetch. 0 means one attempt per backend;
 	// values larger than the backend count wrap around the route
@@ -224,13 +215,6 @@ type BackendStats struct {
 	HedgesLaunched, HedgesWon int64
 	// Retries counts failover attempts launched after an error.
 	Retries int64
-	// Deferred counts speculative candidates parked by the idle gate
-	// because this link's ρ̂ sat above the watermark; Released counts
-	// the parked candidates later dispatched in an idle period;
-	// DeferredDropped counts candidates shed (queue full, still parked
-	// at Close, or offered after it). Pending is the current parked count.
-	Deferred, Released, DeferredDropped int64
-	Pending                             int
 	// LatencySeconds is the EWMA fetch latency; LatencyP95Seconds the
 	// ring-buffer p95 estimate hedge delays derive from.
 	LatencySeconds, LatencyP95Seconds float64

@@ -1,8 +1,8 @@
 // Package httpfetch is the real HTTP origin adapter behind the fetch
 // fabric: a Client implements fetch.Fetcher and fetch.BatchFetcher over
-// its own pooled HTTP/1.1 wire, so the engine's routing, hedging,
-// circuit breaking and idle-watermark gating operate over actual
-// network links instead of simulated ones.
+// its own pooled HTTP/1.1 wire, so the engine's routing, hedging and
+// circuit breaking operate over actual network links instead of
+// simulated ones.
 //
 // One Client wraps one origin (a base URL); a fabric mixes several
 // origins by giving each its own Client as a fetch.Backend. The

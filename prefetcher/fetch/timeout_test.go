@@ -116,9 +116,9 @@ func TestDemandTimeoutHedgedPath(t *testing.T) {
 	fast := &instantFetcher{size: 1}
 	f := newTestFabric(t, Config{
 		Routing: RouteLatency,
-		// A far-future hedge delay isolates the timeout: only the
-		// attempt budget, not a hedge, may unblock the fetch.
-		Hedging: &Hedging{Delay: time.Hour, MaxAttempts: 2},
+		// No p95 estimate yet, so no hedge: only the attempt budget may
+		// unblock the fetch.
+		Hedging: &Hedging{MaxAttempts: 2},
 		Backends: []Backend{
 			{Name: "slow", Fetcher: slow, DemandTimeout: 20 * time.Millisecond},
 			{Name: "fast", Fetcher: fast},

@@ -656,18 +656,27 @@ func TestBorrowedLandingErrorsLeaveNothing(t *testing.T) {
 // callers at once.
 func TestHedgedGetBytesOwnsPayloads(t *testing.T) {
 	size := func(id prefetcher.ID) int { return 900 + int(id) }
-	after := func(d time.Duration) *byteOrigin {
+	after := func(d func() time.Duration) *byteOrigin {
 		return &byteOrigin{size: size, before: func(ctx context.Context, _ prefetcher.ID, _ []byte) error {
 			select {
-			case <-time.After(d):
+			case <-time.After(d()):
 				return nil
 			case <-ctx.Done():
 				return ctx.Err()
 			}
 		}}
 	}
-	// The heavy backend is every id's primary and slow: the hedge wins.
-	slow, fast := after(20*time.Millisecond), after(time.Millisecond)
+	// The heavy backend is every id's primary. Its first four answers take
+	// 2ms, the p95 its hedges then launch at; from then on it takes 50ms,
+	// and the hedge wins.
+	var calls atomic.Int64
+	slow := after(func() time.Duration {
+		if calls.Add(1) <= 4 {
+			return 2 * time.Millisecond
+		}
+		return 50 * time.Millisecond
+	})
+	fast := after(func() time.Duration { return time.Millisecond })
 	factory, err := bytestore.Factory(bytestore.Config{CapacityBytes: 256 << 10, SegmentBytes: 16 << 10})
 	if err != nil {
 		t.Fatal(err)
@@ -677,7 +686,7 @@ func TestHedgedGetBytesOwnsPayloads(t *testing.T) {
 			fetch.Backend{Name: "slow", Fetcher: slow, Bandwidth: 1e6, Weight: 1000},
 			fetch.Backend{Name: "fast", Fetcher: fast, Bandwidth: 1e6, Weight: 0.001},
 		),
-		prefetcher.WithHedging(fetch.Hedging{Delay: 2 * time.Millisecond}),
+		prefetcher.WithHedging(fetch.Hedging{}),
 		prefetcher.WithCacheFactory(factory),
 		prefetcher.WithShards(2),
 		prefetcher.WithBandwidth(1e6),

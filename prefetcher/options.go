@@ -25,11 +25,10 @@ type config struct {
 	hook         func(Event)
 
 	// Fetch fabric (no backends = New's fetcher is the one backend).
-	backends      []fetch.Backend
-	routing       fetch.Routing
-	hedging       *fetch.Hedging
-	idleWatermark float64
-	breaker       *fetch.Breaker
+	backends []fetch.Backend
+	routing  fetch.Routing
+	hedging  *fetch.Hedging
+	breaker  *fetch.Breaker
 }
 
 // defaultCacheCapacity is the total capacity of the default cache, split
@@ -263,16 +262,15 @@ func WithRouting(r fetch.Routing) Option {
 }
 
 // WithHedging enables hedged retries on the demand path: when the
-// preferred backend has not answered within the hedge delay (derived
-// from that backend's observed p95 latency unless h.Delay is set), the
-// next backend in route order is raced against it; the first success
-// wins and the loser is cancelled through its context. Failed attempts
-// fail over with h.Backoff between retries. With a single backend
-// (New's fetcher included) hedging degrades to sequential retries when
-// h.MaxAttempts exceeds one.
+// preferred backend has not answered within its observed p95 latency,
+// the next backend in route order is raced against it; the first
+// success wins and the loser is cancelled through its context. Failed
+// attempts fail over with h.Backoff between retries. With a single
+// backend (New's fetcher included) hedging degrades to sequential
+// retries when h.MaxAttempts exceeds one.
 func WithHedging(h fetch.Hedging) Option {
 	return func(c *config) error {
-		if h.Delay < 0 || h.MaxAttempts < 0 || h.Backoff < 0 || h.P95Multiple < 0 {
+		if h.MaxAttempts < 0 || h.Backoff < 0 {
 			return fmt.Errorf("prefetcher: negative hedging parameter %+v", h)
 		}
 		c.hedging = &h
@@ -298,24 +296,6 @@ func WithBreaker(b fetch.Breaker) Option {
 			return fmt.Errorf("prefetcher: negative breaker parameter %+v", b)
 		}
 		c.breaker = &b
-		return nil
-	}
-}
-
-// WithIdleWatermark schedules speculative dispatch into idle periods —
-// the paper's load-impedance result made operational: a speculative
-// fetch routed to a backend whose total utilisation ρ̂ sits at or
-// above the watermark is parked in that backend's queue and dispatched
-// only once the link idles below it. Demand fetches are never gated.
-// w is the ρ̂ cutoff in (0,1]; parked and released candidates are
-// counted in Stats.Backends (Deferred/Released) and
-// Stats.PrefetchDeferred.
-func WithIdleWatermark(w float64) Option {
-	return func(c *config) error {
-		if w <= 0 || w > 1 || math.IsNaN(w) {
-			return fmt.Errorf("prefetcher: idle watermark %v must be in (0,1]", w)
-		}
-		c.idleWatermark = w
 		return nil
 	}
 }

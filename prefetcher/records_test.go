@@ -21,9 +21,7 @@ import (
 // bounded by the caches, and the table grows only with rows trained by
 // a key that came back, never with a scan: nothing the engine keeps
 // grows with the key space. The caller must have stopped its demand
-// traffic and returned from Quiesce; candidates the idle gate still
-// holds are outside that promise, so an engine that deferred any is not
-// checkable.
+// traffic and returned from Quiesce.
 func checkRecords(t testing.TB, e *Engine) {
 	t.Helper()
 	var records, unused, resident int

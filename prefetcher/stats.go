@@ -62,17 +62,11 @@ type Stats struct {
 	// Each session also counts every one of its keys in
 	// Requests/Hits/Misses/Joins exactly as singleton Gets would.
 	MultiGets, BatchedKeys int64
-	// PrefetchDeferred counts speculative candidates the idle gate
-	// parked because their backend's ρ̂ sat above the watermark
-	// (WithIdleWatermark); they dispatch when the link idles. Summed
-	// across backends.
-	PrefetchDeferred int64
 	// Backends holds one entry per fetch-fabric backend — always at
 	// least one: the WithBackends links, or "origin" for New's fetcher
-	// — with its traffic counters, hedging outcomes, idle-gate
-	// accounting and — the load-aware piece — that link's own ρ̂ and
-	// ρ̂′, which is the utilisation the admission threshold uses for
-	// candidates routed there.
+	// — with its traffic counters, hedging and breaker outcomes and —
+	// the load-aware piece — that link's own ρ̂ and ρ̂′, which admission
+	// weighs by bandwidth into the fabric's ρ̂′.
 	Backends []fetch.BackendStats
 }
 
@@ -95,17 +89,17 @@ func (s Stats) Accuracy() float64 {
 
 func (s Stats) String() string {
 	out := fmt.Sprintf(
-		"requests=%d hit=%.3f λ̂=%.3g ĥ′=%.3f ρ̂′=%.3f p̂_th=%.3f prefetch[issued=%d used=%d wasted=%d dropped=%d deferred=%d err=%d]",
+		"requests=%d hit=%.3f λ̂=%.3g ĥ′=%.3f ρ̂′=%.3f p̂_th=%.3f prefetch[issued=%d used=%d wasted=%d dropped=%d err=%d]",
 		s.Requests, s.HitRatio(), s.Lambda, s.HPrime, s.RhoPrime, s.Threshold,
 		s.PrefetchIssued, s.PrefetchUsed, s.PrefetchWasted, s.PrefetchDropped,
-		s.PrefetchDeferred, s.PrefetchErrors)
+		s.PrefetchErrors)
 	if s.MultiGets > 0 {
 		out += fmt.Sprintf(" multi[sessions=%d batched=%d]", s.MultiGets, s.BatchedKeys)
 	}
 	for _, b := range s.Backends {
-		out += fmt.Sprintf(" %s[ρ̂=%.3f ρ̂′=%.3f demand=%d spec=%d hedge=%d/%d deferred=%d]",
+		out += fmt.Sprintf(" %s[ρ̂=%.3f ρ̂′=%.3f demand=%d spec=%d hedge=%d/%d]",
 			b.Name, b.Rho, b.RhoPrime, b.Demand, b.Speculative,
-			b.HedgesWon, b.HedgesLaunched, b.Deferred)
+			b.HedgesWon, b.HedgesLaunched)
 	}
 	return out
 }
@@ -129,10 +123,6 @@ const (
 	EventPrefetchDropped
 	// EventPrefetchError: a speculative fetch failed (Err is set).
 	EventPrefetchError
-	// EventPrefetchDeferred: the idle gate parked an admitted
-	// candidate because its backend's ρ̂ sat above the watermark; it
-	// dispatches (as a fresh EventPrefetchIssued) once the link idles.
-	EventPrefetchDeferred
 )
 
 // String names the event type.
@@ -152,8 +142,6 @@ func (t EventType) String() string {
 		return "prefetch-dropped"
 	case EventPrefetchError:
 		return "prefetch-error"
-	case EventPrefetchDeferred:
-		return "prefetch-deferred"
 	default:
 		return fmt.Sprintf("event(%d)", int(t))
 	}
