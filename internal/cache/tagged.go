@@ -85,8 +85,8 @@ func (e *Estimator) OnHit(id ID) (wasTagged bool) {
 
 // CountAccess is the estimator's counters alone, for a caller that keeps
 // the tag bit itself (the engine's shards and the simulator's clients
-// do): one user request, serviced by a tagged entry or not — a first hit
-// on an untagged entry, a miss and a wait on an in-flight fetch all pass
+// do): one user request, serviced by a tagged entry or not — a miss and
+// a prefetch's first use, a hit on it or a wait on it in flight, pass
 // false. naccess is bumped before nhit, which is what EstimateA's load
 // order relies on.
 func (e *Estimator) CountAccess(taggedHit bool) {

@@ -342,10 +342,13 @@ func RunSystem(cfg SystemConfig) (SystemResult, error) {
 			}
 		case cl.inflight[id] != nil:
 			// Already being fetched (demand or prefetch): wait for the
-			// remaining transfer time. Without prefetching this would
-			// have been a miss either way.
+			// remaining transfer time. As the engine counts a join, the
+			// wait is untagged only when it is a prefetch's first use:
+			// without prefetching, a wait on a demand fetch (or on a
+			// prefetch already claimed) would have put no demand on the
+			// link either.
 			fl := cl.inflight[id]
-			est.CountAccess(false)
+			est.CountAccess(!cl.pfPending[id])
 			if cl.pfPending[id] {
 				res.PrefetchUseful++ // prefetch claimed while in flight
 				delete(cl.pfPending, id)
