@@ -1,8 +1,8 @@
 // Package testutil holds shared test helpers. Its first resident is the
 // goroutine-leak check: it proves that every goroutine a test's code
 // spawned is gone when the test ends — that Close really reaps the
-// workers, drainers and hedgers it promises to, and that a fan-out
-// returns only after its last goroutine has.
+// workers and hedgers it promises to, and that a fan-out returns only
+// after its last goroutine has.
 package testutil
 
 import (

@@ -13,8 +13,8 @@ import (
 	"repro/prefetcher/fetch"
 )
 
-// The fetch fabric's knobs are decided here by PR 20's rule: a setting
-// stays only if it wins somewhere. A row is one configuration of links
+// The fetch fabric's knobs are decided here: a setting stays only if it
+// wins somewhere. A row is one configuration of links
 // and load; its cells are the settings timed on it. On each row the best
 // cell that uses the knob is set against the best cell that does not,
 // "best" meaning fewest failed Gets, then lowest t̄.

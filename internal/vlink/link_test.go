@@ -147,11 +147,18 @@ func (l *link) transfer(ctx context.Context, n int) error {
 		return ctx.Err()
 	}
 	t := &transfer{work: float64(n), done: make(chan struct{})}
-	l.arrive <- t
+	select {
+	case l.arrive <- t:
+	case <-l.stop: // a hedge loser may outlive the run
+		return errFault
+	}
 	select {
 	case <-t.done:
 	case <-ctx.Done():
-		l.leave <- t
+		select {
+		case l.leave <- t:
+		case <-l.stop:
+		}
 		return ctx.Err()
 	}
 	class := speculative

@@ -9,8 +9,8 @@ import (
 // engine: construction from the configured backends, speculative
 // planning (one admission pass against the fabric's ρ̂′, then routing)
 // and dispatch, the one path that registers, queues and, when the queue
-// refuses, fails a speculative fetch. The demand side is the read core's two
-// calls (multi.go): FetchDemandBatch for a request's owned misses,
+// refuses, fails a speculative fetch. The demand side is the read core's
+// two calls (multi.go): FetchDemandBatch for a request's owned misses,
 // Fetch for a key whose joined flight failed; both land through land
 // (engine.go), as the workers' speculative fetches do.
 
@@ -112,9 +112,9 @@ func (e *Engine) schedule(sc *multiScratch, cands []predict.Prediction, now floa
 }
 
 // dispatch is the one way a speculative fetch starts, for a request's
-// plan: each candidate is deduplicated against the cache and the in-flight table
-// and registered under its own shard's lock — one shard mutex at a
-// time — and the registered flights are queued: as one job when the
+// plan: each candidate is deduplicated against the cache and the
+// in-flight table and registered under its own shard's lock — one shard
+// mutex at a time — and the registered flights are queued: as one job when the
 // backend is batch-capable, one job per candidate otherwise, so a plain
 // backend's fetches still spread over the workers. A job is drawn from
 // the pool only when a candidate actually needs fetching. The admission
