@@ -132,10 +132,12 @@ func TestParseConfigRejectsRetiredFabricKnobs(t *testing.T) {
 		{"", `"delay":"5ms",`, "delay"},
 		{"", `"p95_multiple":0.5,`, "p95_multiple"},
 	} {
-		_, err := ParseConfig([]byte(fmt.Sprintf(space, tc.space, tc.hedging)))
-		if err == nil || !strings.Contains(err.Error(), `unknown field "`+tc.field+`"`) {
-			t.Errorf("%s: err = %v, want an unknown-field error", tc.field, err)
-		}
+		t.Run(tc.field, func(t *testing.T) {
+			_, err := ParseConfig([]byte(fmt.Sprintf(space, tc.space, tc.hedging)))
+			if err == nil || !strings.Contains(err.Error(), `unknown field "`+tc.field+`"`) {
+				t.Errorf("err = %v, want an unknown-field error", err)
+			}
+		})
 	}
 }
 

@@ -33,34 +33,6 @@ type cell struct {
 	set  func(*run)
 }
 
-// better reports whether a is the better of two runs: fewer failed Gets,
-// then lower t̄.
-func better(a, b result) bool {
-	if a.Failed != b.Failed {
-		return a.Failed < b.Failed
-	}
-	return a.AccessTime < b.AccessTime
-}
-
-// wins names the way the best run with a knob setting beats the best run
-// without it, or returns "" if it does not: fewer failed Gets; with as
-// many, t̄ lower by more than the two CI95 half-widths together, or p99
-// at least 10 % lower with t̄ no worse than those half-widths allow.
-func wins(with, without result) string {
-	ci := with.AccessTimeCI + without.AccessTimeCI
-	switch {
-	case with.Failed != without.Failed:
-		if with.Failed < without.Failed {
-			return "fewer failed Gets"
-		}
-	case with.AccessTime < without.AccessTime-ci:
-		return "t̄"
-	case with.P99 <= 0.9*without.P99 && with.AccessTime <= without.AccessTime+ci:
-		return "p99"
-	}
-	return ""
-}
-
 // decide times every cell on every row, logs the table, and returns the
 // rows on which the knob's best cell wins. The runs go GOMAXPROCS at a
 // time, each in a bubble of its own.

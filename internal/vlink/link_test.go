@@ -172,34 +172,6 @@ func (l *link) transfer(ctx context.Context, n int) error {
 // errFault is what a faulty link's failing call returns.
 var errFault = errors.New("vlink: injected fault")
 
-// What a fault does to one call.
-const (
-	pass = iota
-	fail // at once
-	hang // until the call's context is done
-)
-
-// fault is a link's deterministic failure mode; the zero fault never
-// fails. Calls are numbered from 1 in arrival order, and a spell is
-// placed by the call's offset from the link's start.
-type fault struct {
-	every int           // every every-th call fails
-	dark  bool          // calls hang during the last 10 s of every 60 s
-	burst time.Duration // calls fail during the first burst of every second
-}
-
-func (f fault) at(call int64, since time.Duration) int {
-	switch {
-	case f.every > 0 && call%int64(f.every) == 0:
-		return fail
-	case f.dark && since%time.Minute >= 50*time.Second:
-		return hang
-	case f.burst > 0 && since%time.Second < f.burst:
-		return fail
-	}
-	return pass
-}
-
 // origin is one backend of a run: a link of capacity b with its fault,
 // its routing weight, and a per-attempt bound on both classes (0: none).
 type origin struct {
@@ -249,33 +221,6 @@ func (r run) faulty() bool {
 		}
 	}
 	return false
-}
-
-// result is one run's measurement, its fields named as sim.SystemResult
-// names them.
-type result struct {
-	// AccessTime is t̄ in seconds over the measured requests (a hit costs
-	// 0), AccessTimeCI its CI95 half-width by batch means.
-	AccessTime, AccessTimeCI float64
-	// HitRatio, NFObserved (prefetches issued per request), and the
-	// link's busy fraction — all traffic, and demand alone (ρ′) — over
-	// the measured window.
-	HitRatio, NFObserved, Utilisation, DemandUtilisation float64
-	// HPrimeEstimate is the controller's ĥ′ at the end of the run, over
-	// every request. RhoPrimeEstimate (the controller's ρ̂′, Stats.RhoPrime)
-	// and LinkRhoPrime (the link's, Stats.Backends[0].RhoPrime) are means
-	// of readings taken every 64th measured arrival: each is a 10 s
-	// window.
-	HPrimeEstimate, RhoPrimeEstimate, LinkRhoPrime float64
-	// Requests and Duration are the measured window's.
-	Requests int64
-	Duration float64
-	// P99 is the 99th percentile of the measured access times.
-	P99 float64
-	// Final is the engine's Stats once quiesced; Failed counts measured
-	// Gets that returned an error.
-	Final  prefetcher.Stats
-	Failed int64
 }
 
 func (r run) measure(t *testing.T) result {
