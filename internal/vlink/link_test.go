@@ -186,11 +186,10 @@ const cacheEntries = 20
 
 // run is one engine on its links, built as prefetchd builds a space
 // (WithBandwidth(b), backends with no Bandwidth of their own). Its
-// source is open loop: arrivals are Poisson at rate lambda, or the mmpp
-// process when set; each starts its own Get, and its access time runs
-// from the arrival instant, so a slow reply never holds the next request
-// back. The first warm requests warm the cache and the estimators; the
-// rest are measured.
+// source is open loop: arrivals are Poisson at rate lambda; each starts
+// its own Get, and its access time runs from the arrival instant, so a
+// slow reply never holds the next request back. The first warm requests
+// warm the cache and the estimators; the rest are measured.
 type run struct {
 	policy    prefetcher.Policy
 	lambda, b float64
@@ -200,7 +199,6 @@ type run struct {
 	ids func(*rng.Source) func() fetch.ID
 	// links are the backends; nil is one fault-free link of capacity b.
 	links []origin
-	mmpp  *workload.MMPPConfig
 	// opts configure the fabric: routing, hedging, breaker.
 	opts []prefetcher.Option
 }
@@ -267,13 +265,8 @@ func (r run) bubble() (res result, err error) {
 	if err != nil {
 		return res, err
 	}
-	var arrivals interface{ Next() float64 }
-	if r.mmpp != nil {
-		arrivals = workload.NewMMPP(*r.mmpp, rng.NewStream(r.seed, "arrivals"))
-	} else {
-		arrivals = workload.NewArrivals(r.lambda, rng.NewStream(r.seed, "arrivals"))
-	}
 	var (
+		arrivals       = workload.NewArrivals(r.lambda, rng.NewStream(r.seed, "arrivals"))
 		ctx            = context.WithValue(context.Background(), demandKey{}, true)
 		next           = r.ids(rng.NewStream(r.seed, "ids"))
 		access         = make([]time.Duration, r.n)
@@ -282,7 +275,7 @@ func (r run) bubble() (res result, err error) {
 		d0, a0, d1, a1 int64 // items sent, demand and all, at t0 and t1
 		t0, t1         time.Time
 		rhos, linkRhos stats.Running
-		failed         atomic.Int64
+		failed         [2]atomic.Int64 // failed Gets: all, and measured
 	)
 	sent := func() (demandItems, allItems int64) {
 		for _, l := range links {
@@ -309,8 +302,11 @@ func (r run) bubble() (res result, err error) {
 		}
 		id := next()
 		go func(i int) {
-			if _, err := eng.Get(ctx, id); err != nil && i >= r.warm {
-				failed.Add(1)
+			if _, err := eng.Get(ctx, id); err != nil {
+				failed[0].Add(1)
+				if i >= r.warm {
+					failed[1].Add(1)
+				}
 			}
 			access[i] = time.Since(at)
 			done <- struct{}{}
@@ -323,7 +319,7 @@ func (r run) bubble() (res result, err error) {
 	res.Final = eng.Stats()
 	eng.Close()
 
-	res.Failed = failed.Load()
+	res.FailedAll, res.Failed = failed[0].Load(), failed[1].Load()
 	res.Duration = t1.Sub(t0).Seconds()
 	res.Utilisation = float64(a1-a0) / (r.b * res.Duration)
 	res.DemandUtilisation = float64(d1-d0) / (r.b * res.Duration)
@@ -343,16 +339,17 @@ func (r run) bubble() (res result, err error) {
 	return res, err
 }
 
-// checkBooks holds a run on fault-free links to no failed Get, and every
-// run's quiesced engine's public counters to the identities its write
-// core keeps: every request a hit or a miss, nothing in flight, every
-// issued prefetch at most once used, wasted or failed (the rest are
-// still resident, unused), and the store within its entry bound.
+// checkBooks holds a run on fault-free links to no failed Get, warm-up
+// included, and every run's quiesced engine's public counters to the
+// identities its write core keeps: every request a hit or a miss,
+// nothing in flight, every issued prefetch at most once used, wasted or
+// failed (the rest are still resident, unused), and the store within
+// its entry bound.
 func checkBooks(t *testing.T, res result, faulty bool) {
 	t.Helper()
 	st := res.Final
-	if res.Failed != 0 && !faulty {
-		t.Errorf("%d Gets failed", res.Failed)
+	if res.FailedAll != 0 && !faulty {
+		t.Errorf("%d Gets failed", res.FailedAll)
 	}
 	if st.Requests != st.Hits+st.Misses {
 		t.Errorf("Requests %d != Hits %d + Misses %d", st.Requests, st.Hits, st.Misses)

@@ -33,10 +33,10 @@ type result struct {
 	Duration float64
 	// P99 is the 99th percentile of the measured access times.
 	P99 float64
-	// Final is the engine's Stats once quiesced; Failed counts measured
-	// Gets that returned an error.
-	Final  prefetcher.Stats
-	Failed int64
+	// Final is the engine's Stats once quiesced. FailedAll counts the
+	// Gets that returned an error, Failed those of them measured.
+	Final             prefetcher.Stats
+	FailedAll, Failed int64
 }
 
 // better reports whether a is the better of two runs: fewer failed Gets,
