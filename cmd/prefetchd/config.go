@@ -71,12 +71,6 @@ type HedgingConfig struct {
 	Backoff     Duration `json:"backoff,omitempty"`
 }
 
-// BreakerConfig maps onto fetch.Breaker.
-type BreakerConfig struct {
-	Threshold int      `json:"threshold,omitempty"`
-	Cooldown  Duration `json:"cooldown,omitempty"`
-}
-
 // SpaceConfig describes one key space: a named engine with its own
 // backends, cache and policy. Requests address a space as
 // /obj/{space}/{key}; the space named "default" also serves the bare
@@ -104,10 +98,10 @@ type SpaceConfig struct {
 	MaxPrefetch int     `json:"max_prefetch,omitempty"`
 	Bandwidth   float64 `json:"bandwidth,omitempty"`
 
-	// Fabric knobs.
+	// Fabric knobs; Breaker turns on prefetcher.WithBreaker.
 	Routing string         `json:"routing,omitempty"`
 	Hedging *HedgingConfig `json:"hedging,omitempty"`
-	Breaker *BreakerConfig `json:"breaker,omitempty"`
+	Breaker bool           `json:"breaker,omitempty"`
 }
 
 // Config is prefetchd's whole configuration: the listen address and
@@ -244,11 +238,6 @@ func (s *SpaceConfig) validate() error {
 	if h := s.Hedging; h != nil {
 		if h.MaxAttempts < 0 || h.Backoff < 0 {
 			return fmt.Errorf("hedging fields must be >= 0")
-		}
-	}
-	if b := s.Breaker; b != nil {
-		if b.Threshold < 0 || b.Cooldown < 0 {
-			return fmt.Errorf("breaker fields must be >= 0")
 		}
 	}
 	return nil

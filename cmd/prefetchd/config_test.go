@@ -28,7 +28,7 @@ const sampleConfig = `{
       "bandwidth": 1000000,
       "routing": "latency",
       "hedging": {"max_attempts": 2, "backoff": "10ms"},
-      "breaker": {"threshold": 5, "cooldown": "1s"}
+      "breaker": true
     },
     {
       "name": "cold",
@@ -56,8 +56,8 @@ func TestParseConfig(t *testing.T) {
 	if d.Hedging == nil || d.Hedging.MaxAttempts != 2 {
 		t.Fatalf("hedging = %+v", d.Hedging)
 	}
-	if d.Breaker == nil || d.Breaker.Cooldown != Duration(time.Second) {
-		t.Fatalf("breaker = %+v", d.Breaker)
+	if !d.Breaker {
+		t.Fatal("breaker off")
 	}
 	// Duration round-trips through its string form.
 	out, err := json.Marshal(cfg.Spaces[0].Backends[0])
@@ -119,23 +119,28 @@ func TestParseConfigRejectsPredictorKnob(t *testing.T) {
 
 // TestParseConfigRejectsRetiredFabricKnobs: the idle gate went when
 // internal/vlink's TestIdleGateSweep found no gated cell winning a row,
-// and a hedge now always launches at the primary's p95; a config that
-// still names the gate's watermark or a hedge delay is refused as an
-// unknown field, while the same space without the key boots.
+// a hedge now always launches at the primary's p95, and the breaker's
+// threshold and cooldown are fixed; a config that still names the
+// gate's watermark or a hedge delay is refused as an unknown field, and
+// one that still gives the breaker an object of settings is refused as
+// the wrong type, while the same space without them boots.
 func TestParseConfigRejectsRetiredFabricKnobs(t *testing.T) {
 	const space = `{"spaces":[{"name":"a",%s"hedging":{%s"max_attempts":2},"policy":"none","backends":[{"name":"o","type":"fs","root":"/"}]}]}`
-	if _, err := ParseConfig([]byte(fmt.Sprintf(space, "", ""))); err != nil {
+	if _, err := ParseConfig([]byte(fmt.Sprintf(space, `"breaker":true,`, ""))); err != nil {
 		t.Fatalf("the config without the keys: %v", err)
 	}
-	for _, tc := range []struct{ space, hedging, field string }{
-		{`"idle_watermark":0.8,`, "", "idle_watermark"},
-		{"", `"delay":"5ms",`, "delay"},
-		{"", `"p95_multiple":0.5,`, "p95_multiple"},
+	const notBool = "breaker of type bool"
+	for _, tc := range []struct{ name, space, hedging, want string }{
+		{"idle_watermark", `"idle_watermark":0.8,`, "", `unknown field "idle_watermark"`},
+		{"delay", "", `"delay":"5ms",`, `unknown field "delay"`},
+		{"p95_multiple", "", `"p95_multiple":0.5,`, `unknown field "p95_multiple"`},
+		{"breaker.threshold", `"breaker":{"threshold":5},`, "", notBool},
+		{"breaker.cooldown", `"breaker":{"cooldown":"1s"},`, "", notBool},
 	} {
-		t.Run(tc.field, func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			_, err := ParseConfig([]byte(fmt.Sprintf(space, tc.space, tc.hedging)))
-			if err == nil || !strings.Contains(err.Error(), `unknown field "`+tc.field+`"`) {
-				t.Errorf("err = %v, want an unknown-field error", err)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("err = %v, want %q", err, tc.want)
 			}
 		})
 	}
@@ -221,7 +226,7 @@ func TestFlagsRejectRetiredKnobs(t *testing.T) {
 		fs.SetOutput(io.Discard)
 		return fs
 	}
-	for _, args := range [][]string{{"-cache-policy", "lru"}, {"-cache-policy=slru", "-cache-bytes", "1024"}, {"-predictor", "markov"}, {"-idle-watermark", "0.8"}} {
+	for _, args := range [][]string{{"-cache-policy", "lru"}, {"-cache-policy=slru", "-cache-bytes", "1024"}, {"-predictor", "markov"}, {"-idle-watermark", "0.8"}, {"-breaker-threshold", "5"}} {
 		_, err := configFromArgs(newSet(), append(args, "-origin", "http://origin:9000"))
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+strings.SplitN(args[0], "=", 2)[0]) {
 			t.Errorf("%v: err = %v, want flag provided but not defined", args, err)
@@ -253,7 +258,7 @@ func TestLoadConfigFlags(t *testing.T) {
 	f.origin = "http://origin:9000"
 	f.originBatch = "/batch"
 	f.hedgeMax = 2
-	f.breakerN = 5
+	f.breaker = true
 	f.demandTO = 2 * time.Second
 	cfg, err := loadConfig("", f)
 	if err != nil {
@@ -266,8 +271,8 @@ func TestLoadConfigFlags(t *testing.T) {
 	if sp.Backends[0].DemandTimeout != Duration(2*time.Second) {
 		t.Fatalf("demand timeout = %v", sp.Backends[0].DemandTimeout)
 	}
-	if sp.Hedging == nil || sp.Breaker == nil {
-		t.Fatalf("hedging/breaker = %+v/%+v", sp.Hedging, sp.Breaker)
+	if sp.Hedging == nil || !sp.Breaker {
+		t.Fatalf("hedging/breaker = %+v/%v", sp.Hedging, sp.Breaker)
 	}
 	f2 := base
 	f2.fsRoot = t.TempDir()

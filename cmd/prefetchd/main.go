@@ -78,7 +78,8 @@ type flagConfig struct {
 	cacheCap, cacheBytes, segBytes      int
 	policy                              string
 	policyArg, bandwidth                float64
-	shards, workers, hedgeMax, breakerN int
+	shards, workers, hedgeMax           int
+	breaker                             bool
 	demandTO, specTO, drainTO           time.Duration
 }
 
@@ -101,7 +102,7 @@ func configFromArgs(fs *flag.FlagSet, args []string) (*Config, error) {
 	fs.IntVar(&f.shards, "shards", 0, "engine shard count (0 = auto)")
 	fs.IntVar(&f.workers, "workers", 0, "speculative worker count (0 = default)")
 	fs.IntVar(&f.hedgeMax, "hedge-attempts", 0, "max demand attempts incl. hedges (0 = no hedging)")
-	fs.IntVar(&f.breakerN, "breaker-threshold", 0, "consecutive failures that open the breaker (0 = no breaker)")
+	fs.BoolVar(&f.breaker, "breaker", false, "open a backend's circuit breaker after 5 consecutive failures, probing it a second later")
 	fs.DurationVar(&f.demandTO, "demand-timeout", 0, "per-attempt demand timeout on the flag-built backend (0 = none)")
 	fs.DurationVar(&f.specTO, "speculative-timeout", 0, "per-attempt speculative timeout on the flag-built backend (0 = none)")
 	fs.DurationVar(&f.drainTO, "shutdown-timeout", 10*time.Second, "graceful shutdown budget")
@@ -164,9 +165,7 @@ func loadConfig(path string, f flagConfig) (*Config, error) {
 	if f.hedgeMax > 0 {
 		sp.Hedging = &HedgingConfig{MaxAttempts: f.hedgeMax}
 	}
-	if f.breakerN > 0 {
-		sp.Breaker = &BreakerConfig{Threshold: f.breakerN}
-	}
+	sp.Breaker = f.breaker
 	cfg := &Config{
 		Listen:          f.listen,
 		ShutdownTimeout: Duration(f.drainTO),

@@ -148,11 +148,8 @@ func buildEngine(sc SpaceConfig) (*prefetcher.Engine, []io.Closer, error) {
 			Backoff:     time.Duration(h.Backoff),
 		}))
 	}
-	if b := sc.Breaker; b != nil {
-		opts = append(opts, prefetcher.WithBreaker(fetch.Breaker{
-			Threshold: b.Threshold,
-			Cooldown:  time.Duration(b.Cooldown),
-		}))
+	if sc.Breaker {
+		opts = append(opts, prefetcher.WithBreaker())
 	}
 	eng, err := prefetcher.New(nil, opts...)
 	return eng, fetchers, err

@@ -678,7 +678,7 @@ func TestBuildEngineKnobs(t *testing.T) {
 		{Name: "a", Policy: "adaptive-a", CacheCapacity: 64, CacheBytes: 1 << 20, SegmentBytes: 64 << 10,
 			Shards: 4, Workers: 2, QueueDepth: 32, MaxPrefetch: 8, Bandwidth: 100,
 			Routing: "latency",
-			Hedging: &HedgingConfig{MaxAttempts: 2, Backoff: Duration(time.Millisecond)}, Breaker: &BreakerConfig{Threshold: 3, Cooldown: Duration(time.Second)},
+			Hedging: &HedgingConfig{MaxAttempts: 2, Backoff: Duration(time.Millisecond)}, Breaker: true,
 			Backends: []BackendConfig{{Name: "fs", Type: "fs", Root: dir}}},
 		{Name: "b", Policy: "static", PolicyArg: 0.4,
 			Backends: []BackendConfig{{Name: "fs", Type: "fs", Root: dir}}},

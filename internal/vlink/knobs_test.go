@@ -149,7 +149,7 @@ func latency(r *run) { r.opts = append(r.opts, prefetcher.WithRouting(fetch.Rout
 
 func hedged(r *run) { r.opts = append(r.opts, prefetcher.WithHedging(fetch.Hedging{})) }
 
-func broken(r *run) { r.opts = append(r.opts, prefetcher.WithBreaker(fetch.Breaker{})) }
+func broken(r *run) { r.opts = append(r.opts, prefetcher.WithBreaker()) }
 
 // TestRoutingDecision keeps RouteLatency beside the default weighted
 // rendezvous only while it wins a row against weighted routing, at equal

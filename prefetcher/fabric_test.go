@@ -598,7 +598,7 @@ func TestEngineBreakerFailsFastAndRecovers(t *testing.T) {
 		WithBandwidth(1e6),
 		WithShards(1),
 		WithClock(clk),
-		WithBreaker(fetch.Breaker{Threshold: 3, Cooldown: time.Second}),
+		WithBreaker(),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -606,7 +606,7 @@ func TestEngineBreakerFailsFastAndRecovers(t *testing.T) {
 	defer eng.Close()
 	ctx := context.Background()
 
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 5; i++ { // WithBreaker's threshold
 		if _, err := eng.Get(ctx, ID(i)); err == nil {
 			t.Fatalf("Get %d succeeded against a broken origin", i)
 		}

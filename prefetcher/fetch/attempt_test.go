@@ -447,7 +447,7 @@ func TestAttemptBracket(t *testing.T) {
 			}
 			cfg := Config{Backends: []Backend{backend}, Now: clk.Now}
 			if row.breaker != brkOff {
-				cfg.Breaker = &Breaker{Threshold: 100, Cooldown: 1000 * time.Second}
+				cfg.Breaker = true
 			}
 			f := newTestFabric(t, cfg)
 			if !f.Lends() {
@@ -688,7 +688,7 @@ func TestFailoverOrder(t *testing.T) {
 				f := newTestFabric(t, Config{
 					Backends: pinned(first, second),
 					Hedging:  mode.hedging,
-					Breaker:  &Breaker{Threshold: 100, Cooldown: time.Hour},
+					Breaker:  true,
 					Now:      clk.Now,
 				})
 				for _, i := range tc.tripped {

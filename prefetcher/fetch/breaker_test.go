@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // breakerFetcher fails while broken is set.
@@ -31,7 +30,7 @@ func newBreakerFabric(t *testing.T, now *manualNow, backends ...Backend) *Fabric
 	t.Helper()
 	return newTestFabric(t, Config{
 		Backends: backends,
-		Breaker:  &Breaker{Threshold: 3, Cooldown: time.Second},
+		Breaker:  true,
 		Now:      now.Now,
 	})
 }
@@ -57,8 +56,8 @@ func TestBreakerOpensAndRoutesAround(t *testing.T) {
 	}
 	st := f.Stats(now.Now())
 	if st[0].BreakerState != "open" {
-		t.Fatalf("bad backend breaker = %q after %d errors (threshold 3), want open; stats %+v",
-			st[0].BreakerState, st[0].Errors, st[0])
+		t.Fatalf("bad backend breaker = %q after %d errors (threshold %d), want open; stats %+v",
+			st[0].BreakerState, st[0].Errors, breakerThreshold, st[0])
 	}
 	if st[0].BreakerOpens == 0 {
 		t.Fatal("BreakerOpens not counted")
@@ -97,7 +96,7 @@ func TestBreakerHalfOpenProbe(t *testing.T) {
 	)
 	ctx := context.Background()
 
-	for i := 0; i < 3; i++ {
+	for i := 0; i < breakerThreshold; i++ {
 		if _, err := f.Fetch(ctx, ID(i)); !errors.Is(err, errOrigin) {
 			t.Fatalf("fetch %d: err = %v, want origin error", i, err)
 		}
@@ -154,7 +153,7 @@ func TestBreakerSpeculativeFailsFast(t *testing.T) {
 		Backend{Name: "solo", Fetcher: bad, Bandwidth: 100},
 	)
 	ctx := context.Background()
-	for i := 0; i < 3; i++ {
+	for i := 0; i < breakerThreshold; i++ {
 		specBatch(f, ctx, 0, []ID{ID(i)}) //nolint:errcheck // driving the breaker open
 	}
 	calls := bad.calls.Load()
@@ -178,7 +177,7 @@ func TestBreakerHalfOpenSingleProbe(t *testing.T) {
 	f := newBreakerFabric(t, now,
 		Backend{Name: "solo", Fetcher: bad, Bandwidth: 100},
 	)
-	for i := 0; i < 3; i++ {
+	for i := 0; i < breakerThreshold; i++ {
 		specBatch(f, context.Background(), 0, []ID{ID(i)}) //nolint:errcheck
 	}
 	now.Advance(2)
@@ -209,7 +208,7 @@ func TestBreakerStragglerCancellationKeepsProbe(t *testing.T) {
 	f := newBreakerFabric(t, now,
 		Backend{Name: "solo", Fetcher: bad, Bandwidth: 100},
 	)
-	for i := 0; i < 3; i++ {
+	for i := 0; i < breakerThreshold; i++ {
 		specBatch(f, context.Background(), 0, []ID{ID(i)}) //nolint:errcheck
 	}
 	now.Advance(2)
@@ -253,7 +252,7 @@ func TestBreakerHalfOpenSingleProbeRace(t *testing.T) {
 	f := newBreakerFabric(t, now,
 		Backend{Name: "solo", Fetcher: bad, Bandwidth: 100},
 	)
-	for i := 0; i < 3; i++ {
+	for i := 0; i < breakerThreshold; i++ {
 		specBatch(f, context.Background(), 0, []ID{ID(i)}) //nolint:errcheck
 	}
 	if st := f.breakerState(f.backends[0]); st != "open" {
@@ -331,9 +330,10 @@ func TestBreakerConcurrentOutcomes(t *testing.T) {
 	now := &manualNow{}
 	f := newTestFabric(t, Config{
 		Backends: []Backend{{Name: "solo", Fetcher: &oddFailFetcher{}, Bandwidth: 100}},
-		Breaker:  &Breaker{Threshold: 1 << 20, Cooldown: time.Second},
+		Breaker:  true,
 		Now:      now.Now,
 	})
+	f.breaker.threshold = 1 << 20
 	const goroutines, each = 8, 200
 	var wg sync.WaitGroup
 	var failed atomic.Int64

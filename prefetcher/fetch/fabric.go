@@ -31,8 +31,17 @@ type Config struct {
 	// Hedging enables hedged retries on the demand path; nil disables
 	// hedging (failover on error still happens).
 	Hedging *Hedging
-	// Breaker enables per-backend circuit breaking; nil disables it.
-	Breaker *Breaker
+	// Breaker enables per-backend circuit breaking. Each backend trips
+	// independently: 5 consecutive failures open its breaker (any
+	// success resets the run), after which routing skips the backend
+	// and fetches dispatched to it fail fast with ErrBreakerOpen. A
+	// second later the breaker half-opens: exactly one probe fetch is
+	// let through — a success closes the breaker, a failure re-opens it
+	// and restarts the cooldown. Demand traffic falls over to the
+	// remaining healthy backends; when every backend is open and none is
+	// due a probe, demand fails fast instead of queueing against
+	// known-dead origins.
+	Breaker bool
 	// Now supplies time in seconds for the link estimators. Defaults
 	// to the wall clock measured from construction. The engine injects
 	// its own clock so link estimates share the controller's timeline.
@@ -83,7 +92,7 @@ type backendState struct {
 	hedgesWon      atomic.Int64
 	retries        atomic.Int64
 
-	// Circuit-breaker state (unused when no Breaker is configured):
+	// Circuit-breaker state (unused while Config.Breaker is off):
 	// consecutive non-cancelled failures, the tri-state breaker, when it
 	// last opened (float64 bits, fabric time) and how often it tripped.
 	consecFails atomic.Int64
@@ -99,8 +108,8 @@ type Fabric struct {
 	backends []*backendState
 	routing  Routing
 	hedging  *Hedging
-	// breaker is the validated circuit-breaker config (thresh in
-	// failures, cooldown in fabric-time seconds); nil when disabled.
+	// breaker holds the circuit breaker's threshold in failures and
+	// cooldown in fabric-time seconds; nil when disabled.
 	breaker *struct {
 		threshold int64
 		cooldown  float64
@@ -124,22 +133,11 @@ func New(cfg Config) (*Fabric, error) {
 		nowf = func() float64 { return time.Since(epoch).Seconds() }
 	}
 	f := &Fabric{routing: cfg.Routing, hedging: cfg.Hedging, nowf: nowf}
-	if cfg.Breaker != nil {
-		if cfg.Breaker.Threshold < 0 || cfg.Breaker.Cooldown < 0 {
-			return nil, fmt.Errorf("fetch: negative breaker parameter %+v", *cfg.Breaker)
-		}
-		thresh := int64(cfg.Breaker.Threshold)
-		if thresh == 0 {
-			thresh = 5
-		}
-		cooldown := cfg.Breaker.Cooldown.Seconds()
-		if cooldown == 0 {
-			cooldown = 1
-		}
+	if cfg.Breaker {
 		f.breaker = &struct {
 			threshold int64
 			cooldown  float64
-		}{threshold: thresh, cooldown: cooldown}
+		}{breakerThreshold, breakerCooldown}
 	}
 	seen := make(map[string]bool, len(cfg.Backends))
 	f.lends = f.hedging == nil || len(cfg.Backends) == 1 || f.maxAttempts() == 1

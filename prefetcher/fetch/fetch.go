@@ -151,23 +151,13 @@ func (r Routing) String() string {
 	}
 }
 
-// Breaker configures per-backend circuit breaking. Each backend trips
-// independently: Threshold consecutive failures open its breaker, after
-// which routing skips the backend and fetches dispatched to it fail
-// fast with ErrBreakerOpen. Once Cooldown has elapsed the breaker
-// half-opens: exactly one probe fetch is let through — a success closes
-// the breaker, a failure re-opens it and restarts the cooldown. Demand
-// traffic falls over to the remaining healthy backends; when every
-// backend is open and none is due a probe, demand fails fast instead of
-// queueing against known-dead origins.
-type Breaker struct {
-	// Threshold is the consecutive-failure count that opens the
-	// breaker (0 means the default 5). Any success resets the run.
-	Threshold int
-	// Cooldown is how long an open breaker waits before allowing a
-	// half-open probe (0 means the default 1s).
-	Cooldown time.Duration
-}
+// The circuit breaker's parameters (Config.Breaker): breakerThreshold
+// consecutive failures open a backend's breaker, and it half-opens
+// breakerCooldown seconds later.
+const (
+	breakerThreshold = 5
+	breakerCooldown  = 1.0
+)
 
 // Breaker states, reported in BackendStats.BreakerState.
 const (

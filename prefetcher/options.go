@@ -28,7 +28,7 @@ type config struct {
 	backends []fetch.Backend
 	routing  fetch.Routing
 	hedging  *fetch.Hedging
-	breaker  *fetch.Breaker
+	breaker  bool
 }
 
 // defaultCacheCapacity is the total capacity of the default cache, split
@@ -279,23 +279,19 @@ func WithHedging(h fetch.Hedging) Option {
 }
 
 // WithBreaker trips a per-backend circuit breaker on persistently
-// failing backends: b.Threshold consecutive failures (default 5) open
-// the breaker, after which routing steers new candidates away from the
-// backend and fetches already routed there fail fast; once b.Cooldown
-// (default 1s) has elapsed the breaker half-opens and exactly one probe
-// fetch decides — success closes it, failure re-opens it and restarts
-// the cooldown. Demand traffic fails over to the remaining healthy
-// backends as usual, and only fails fast (fetch.ErrBreakerOpen) when
-// every backend's breaker is open — with a single backend (New's
-// fetcher included) that turns a dead origin into immediate errors
-// instead of pile-ups. Per-backend state appears in Stats.Backends
-// (BreakerState, BreakerOpens).
-func WithBreaker(b fetch.Breaker) Option {
+// failing backends: 5 consecutive failures open the breaker, after
+// which routing steers new candidates away from the backend and fetches
+// already routed there fail fast; a second later the breaker half-opens
+// and exactly one probe fetch decides — success closes it, failure
+// re-opens it and restarts the cooldown. Demand traffic fails over to
+// the remaining healthy backends as usual, and only fails fast
+// (fetch.ErrBreakerOpen) when every backend's breaker is open — with a
+// single backend (New's fetcher included) that turns a dead origin into
+// immediate errors instead of pile-ups. Per-backend state appears in
+// Stats.Backends (BreakerState, BreakerOpens).
+func WithBreaker() Option {
 	return func(c *config) error {
-		if b.Threshold < 0 || b.Cooldown < 0 {
-			return fmt.Errorf("prefetcher: negative breaker parameter %+v", b)
-		}
-		c.breaker = &b
+		c.breaker = true
 		return nil
 	}
 }
