@@ -145,6 +145,15 @@ func weighted(r *run) {
 	}
 }
 
+// configured gives each backend its link's b as its Bandwidth, where
+// the default leaves the fabric to measure it.
+func configured(r *run) {
+	r.links = append([]origin(nil), r.links...)
+	for i := range r.links {
+		r.links[i].bandwidth = r.links[i].b
+	}
+}
+
 func latency(r *run) { r.opts = append(r.opts, prefetcher.WithRouting(fetch.RouteLatency)) }
 
 func hedged(r *run) { r.opts = append(r.opts, prefetcher.WithHedging(fetch.Hedging{})) }
@@ -164,15 +173,18 @@ func TestRoutingDecision(t *testing.T) {
 	}
 }
 
-// TestWeightDecision keeps Backend.Weight only while weights in
-// proportion to b win a row against equal weights and latency routing.
+// TestWeightDecision decides Backend.Weight against the default, which
+// weighs each link by its measured b: it fails if weights set to b win a
+// row against the default, the default with each b configured, or
+// latency routing.
 func TestWeightDecision(t *testing.T) {
 	if won := decide(t, slowRows, []cell{
 		{name: "weighted", set: nil},
+		{name: "Bandwidth = b", set: configured},
 		{name: "latency", set: latency},
 		{name: "weighted ∝ b", uses: true, set: weighted},
-	}); len(won) == 0 {
-		t.Error("Weight wins no row")
+	}); len(won) != 0 {
+		t.Errorf("Weight wins %v against the weight the fabric works out from b", won)
 	}
 }
 

@@ -173,11 +173,12 @@ func (l *link) transfer(ctx context.Context, n int) error {
 var errFault = errors.New("vlink: injected fault")
 
 // origin is one backend of a run: a link of capacity b with its fault,
-// its routing weight, and a per-attempt bound on both classes (0: none).
+// its routing weight, the Bandwidth its backend is configured with (0:
+// measured online) and a per-attempt bound on both classes (0: none).
 type origin struct {
-	b, weight float64
-	fault     fault
-	timeout   time.Duration
+	b, weight, bandwidth float64
+	fault                fault
+	timeout              time.Duration
 }
 
 // cacheEntries is every run's store: segmented LRU with half protected,
@@ -255,7 +256,7 @@ func (r run) bubble() (res result, err error) {
 		links[i] = newLink(o.b, o.fault)
 		defer close(links[i].stop)
 		backends[i] = fetch.Backend{Name: fmt.Sprintf("vlink%d", i), Fetcher: links[i], Weight: o.weight,
-			DemandTimeout: o.timeout, SpeculativeTimeout: o.timeout}
+			Bandwidth: o.bandwidth, DemandTimeout: o.timeout, SpeculativeTimeout: o.timeout}
 	}
 	eng, err := prefetcher.New(nil, append([]prefetcher.Option{
 		prefetcher.WithBackends(backends...),

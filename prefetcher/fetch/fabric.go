@@ -158,9 +158,6 @@ func New(cfg Config) (*Fabric, error) {
 		if b.DemandTimeout < 0 || b.SpeculativeTimeout < 0 {
 			return nil, fmt.Errorf("fetch: backend %q has a negative timeout", b.Name)
 		}
-		if b.Weight == 0 {
-			b.Weight = 1
-		}
 		bs := &backendState{
 			cfg:  b,
 			link: prefetch.NewLink(b.Bandwidth, 0),
@@ -331,21 +328,41 @@ func mix(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
+// weight is backend b's share of RouteWeighted's traffic: its link's
+// bandwidth, configured or estimated — the paper's b. Until every link
+// has one, each weighs 1, so no link is starved of the samples that
+// would measure it.
+func (f *Fabric) weight(b *backendState) float64 {
+	for _, o := range f.backends {
+		if o.link.Bandwidth() <= 0 {
+			return 1
+		}
+	}
+	return b.link.Bandwidth()
+}
+
 // score returns backend b's routing score for id — lower is better.
 func (f *Fabric) score(b *backendState, id ID) float64 {
+	w := b.cfg.Weight
 	switch f.routing {
 	case RouteLatency:
 		lat := b.est.latency()
 		if lat == 0 {
 			return -1 // unmeasured: try it before any measured backend
 		}
-		return lat / b.cfg.Weight
+		if w == 0 {
+			w = 1
+		}
+		return lat / w
 	default:
 		// Weighted rendezvous: u uniform in (0,1), score −ln(u)/w is
 		// exponential with rate w; the minimum lands on backend i with
 		// probability w_i/Σw, stably per id.
+		if w == 0 {
+			w = f.weight(b)
+		}
 		u := (float64(mix(uint64(id)^b.seed)>>11) + 1) / (1 << 53)
-		return -math.Log(u) / b.cfg.Weight
+		return -math.Log(u) / w
 	}
 }
 
