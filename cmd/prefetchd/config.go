@@ -58,8 +58,10 @@ type BackendConfig struct {
 	Pattern      string `json:"pattern,omitempty"`
 	MaxFileBytes int64  `json:"max_file_bytes,omitempty"`
 
-	// Fabric knobs, mapped onto fetch.Backend.
-	Weight             float64  `json:"weight,omitempty"`
+	// Fabric knobs, mapped onto fetch.Backend. Bandwidth is the link's
+	// b (0: measured online). Under the default routing each backend of
+	// a space is sent ids in proportion to its b, so a link with a tenth
+	// of its peer's b gets a tenth of its peer's ids.
 	Bandwidth          float64  `json:"bandwidth,omitempty"`
 	DemandTimeout      Duration `json:"demand_timeout,omitempty"`
 	SpeculativeTimeout Duration `json:"speculative_timeout,omitempty"`
@@ -205,8 +207,8 @@ func (s *SpaceConfig) validate() error {
 				return fmt.Errorf("backend %q: http fields set on an fs backend", b.Name)
 			}
 		}
-		if b.Weight < 0 || b.Bandwidth < 0 {
-			return fmt.Errorf("backend %q: weight and bandwidth must be >= 0", b.Name)
+		if b.Bandwidth < 0 {
+			return fmt.Errorf("backend %q: bandwidth must be >= 0", b.Name)
 		}
 		if b.DemandTimeout < 0 || b.SpeculativeTimeout < 0 {
 			return fmt.Errorf("backend %q: timeouts must be >= 0", b.Name)

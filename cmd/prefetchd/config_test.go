@@ -21,7 +21,7 @@ const sampleConfig = `{
       "backends": [
         {"name": "origin", "type": "http", "url": "http://origin:9000",
          "batch_path": "/batch", "demand_timeout": "2s", "speculative_timeout": "500ms"},
-        {"name": "disk", "type": "fs", "root": "/", "weight": 2}
+        {"name": "disk", "type": "fs", "root": "/"}
       ],
       "cache_capacity": 1024,
       "policy": "adaptive-a",
@@ -119,26 +119,28 @@ func TestParseConfigRejectsPredictorKnob(t *testing.T) {
 
 // TestParseConfigRejectsRetiredFabricKnobs: the idle gate went when
 // internal/vlink's TestIdleGateSweep found no gated cell winning a row,
-// a hedge now always launches at the primary's p95, and the breaker's
-// threshold and cooldown are fixed; a config that still names the
-// gate's watermark or a hedge delay is refused as an unknown field, and
+// a hedge now always launches at the primary's p95, the breaker's
+// threshold and cooldown are fixed, and a backend's routing weight is
+// its bandwidth; a config that still names the gate's watermark, a
+// hedge delay or a backend weight is refused as an unknown field, and
 // one that still gives the breaker an object of settings is refused as
 // the wrong type, while the same space without them boots.
 func TestParseConfigRejectsRetiredFabricKnobs(t *testing.T) {
-	const space = `{"spaces":[{"name":"a",%s"hedging":{%s"max_attempts":2},"policy":"none","backends":[{"name":"o","type":"fs","root":"/"}]}]}`
-	if _, err := ParseConfig([]byte(fmt.Sprintf(space, `"breaker":true,`, ""))); err != nil {
+	const space = `{"spaces":[{"name":"a",%s"hedging":{%s"max_attempts":2},"policy":"none","backends":[{"name":"o","type":"fs",%s"root":"/"}]}]}`
+	if _, err := ParseConfig([]byte(fmt.Sprintf(space, `"breaker":true,`, "", `"bandwidth":100,`))); err != nil {
 		t.Fatalf("the config without the keys: %v", err)
 	}
 	const notBool = "breaker of type bool"
-	for _, tc := range []struct{ name, space, hedging, want string }{
-		{"idle_watermark", `"idle_watermark":0.8,`, "", `unknown field "idle_watermark"`},
-		{"delay", "", `"delay":"5ms",`, `unknown field "delay"`},
-		{"p95_multiple", "", `"p95_multiple":0.5,`, `unknown field "p95_multiple"`},
-		{"breaker.threshold", `"breaker":{"threshold":5},`, "", notBool},
-		{"breaker.cooldown", `"breaker":{"cooldown":"1s"},`, "", notBool},
+	for _, tc := range []struct{ name, space, hedging, backend, want string }{
+		{"idle_watermark", `"idle_watermark":0.8,`, "", "", `unknown field "idle_watermark"`},
+		{"delay", "", `"delay":"5ms",`, "", `unknown field "delay"`},
+		{"p95_multiple", "", `"p95_multiple":0.5,`, "", `unknown field "p95_multiple"`},
+		{"breaker.threshold", `"breaker":{"threshold":5},`, "", "", notBool},
+		{"breaker.cooldown", `"breaker":{"cooldown":"1s"},`, "", "", notBool},
+		{"weight", "", "", `"weight":2,`, `unknown field "weight"`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := ParseConfig([]byte(fmt.Sprintf(space, tc.space, tc.hedging)))
+			_, err := ParseConfig([]byte(fmt.Sprintf(space, tc.space, tc.hedging, tc.backend)))
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("err = %v, want %q", err, tc.want)
 			}

@@ -101,7 +101,6 @@ func buildEngine(sc SpaceConfig) (*prefetcher.Engine, []io.Closer, error) {
 		backends = append(backends, fetch.Backend{
 			Name:               bc.Name,
 			Fetcher:            f,
-			Weight:             bc.Weight,
 			Bandwidth:          bc.Bandwidth,
 			DemandTimeout:      time.Duration(bc.DemandTimeout),
 			SpeculativeTimeout: time.Duration(bc.SpeculativeTimeout),

@@ -19,7 +19,9 @@
 // fetches are hedged against the mirror when the origin's p95 stalls,
 // and speculative candidates coalesce into framed /batch requests. Each
 // link reports its own ρ̂′; candidates are admitted once, against their
-// bandwidth-weighted mean, and routed after.
+// mean weighted by each link's bandwidth, and routed after. The demo
+// routes by latency, which sends nearly all demand to the faster
+// origin; the default would split ids 2:1, as the links' bandwidths.
 //
 // Run:
 //

@@ -22,8 +22,6 @@ func TestRuleSweep(t *testing.T) { inBubble(t) }
 
 func TestRoutingDecision(t *testing.T) { inBubble(t) }
 
-func TestWeightDecision(t *testing.T) { inBubble(t) }
-
 func TestHedgingDecision(t *testing.T) { inBubble(t) }
 
 func TestBreakerDecision(t *testing.T) { inBubble(t) }

@@ -4,6 +4,7 @@ package vlink
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -34,9 +35,10 @@ type cell struct {
 }
 
 // decide times every cell on every row, logs the table, and returns the
-// rows on which the knob's best cell wins. The runs go GOMAXPROCS at a
-// time, each in a bubble of its own.
-func decide(t *testing.T, rows []row, cells []cell) (won []string) {
+// rows on which the knob's best cell wins and every run's result, by
+// row and cell. The runs go GOMAXPROCS at a time, each in a bubble of
+// its own.
+func decide(t *testing.T, rows []row, cells []cell) (won []string, res [][]result) {
 	t.Helper()
 	type timed struct {
 		res result
@@ -63,22 +65,25 @@ func decide(t *testing.T, rows []row, cells []cell) (won []string) {
 		}
 	}
 	wg.Wait()
+	res = make([][]result, len(rows))
 	for i, rw := range rows {
+		res[i] = make([]result, len(cells))
 		var with, without *result
 		var withName, withoutName string
 		for j, c := range cells {
-			res, err := out[i][j].res, out[i][j].err
+			r, err := out[i][j].res, out[i][j].err
 			if err != nil {
 				t.Fatalf("%s, %s: %v", rw.name, c.name, err)
 			}
-			checkBooks(t, res, rw.run.faulty())
+			res[i][j] = r
+			checkBooks(t, r, rw.run.faulty())
 			t.Logf("%-26s %-28s t̄ %8.2f ± %6.2f ms  p99 %8.2f ms  failed %4d  h %.3f  issued/req %.3f  util %.3f",
-				rw.name, c.name, 1e3*res.AccessTime, 1e3*res.AccessTimeCI, 1e3*res.P99, res.Failed, res.HitRatio, res.NFObserved, res.Utilisation)
+				rw.name, c.name, 1e3*r.AccessTime, 1e3*r.AccessTimeCI, 1e3*r.P99, r.Failed, r.HitRatio, r.NFObserved, r.Utilisation)
 			best, name := &without, &withoutName
 			if c.uses {
 				best, name = &with, &withName
 			}
-			if *best == nil || better(res, **best) {
+			if *best == nil || better(r, **best) {
 				*best, *name = &out[i][j].res, c.name
 			}
 		}
@@ -92,7 +97,7 @@ func decide(t *testing.T, rows []row, cells []cell) (won []string) {
 		}
 		t.Logf("%-26s best with: %s; best without: %s; %s", rw.name, withName, withoutName, verdict)
 	}
-	return won
+	return won, res
 }
 
 // loads makes one row of base at each offered load, a load being the
@@ -137,14 +142,6 @@ var (
 	burstRows = loads("burst", on(origin{b: 100, fault: fault{burst: 50 * time.Millisecond}}), 0.3, 0.6)
 )
 
-// weighted sets each link's weight to its b.
-func weighted(r *run) {
-	r.links = append([]origin(nil), r.links...)
-	for i := range r.links {
-		r.links[i].weight = r.links[i].b
-	}
-}
-
 // configured gives each backend its link's b as its Bandwidth, where
 // the default leaves the fabric to measure it.
 func configured(r *run) {
@@ -161,30 +158,33 @@ func hedged(r *run) { r.opts = append(r.opts, prefetcher.WithHedging(fetch.Hedgi
 func broken(r *run) { r.opts = append(r.opts, prefetcher.WithBreaker()) }
 
 // TestRoutingDecision keeps RouteLatency beside the default weighted
-// rendezvous only while it wins a row against weighted routing, at equal
-// weights or at weights in proportion to b.
+// rendezvous only while it wins a row against the default, which
+// weighs each link by the b the fabric measures, or against the default
+// with each b configured. It also re-runs the measurement behind the
+// removal of a per-backend routing weight: on no row may the default's
+// t̄ be worse than the configured-b cell's by more than the two CI95
+// half-widths together. And the default on the 10×-slower row must
+// read the same when run again.
 func TestRoutingDecision(t *testing.T) {
-	if won := decide(t, slowRows, []cell{
-		{name: "weighted", set: nil},
-		{name: "weighted ∝ b", set: weighted},
+	const def, conf = 0, 1 // the cells below
+	cells := []cell{
+		{name: "weighted (default)"},
+		{name: "Bandwidth = b", set: configured},
 		{name: "latency", uses: true, set: latency},
-	}); len(won) == 0 {
+	}
+	won, res := decide(t, slowRows, cells)
+	if len(won) == 0 {
 		t.Error("latency routing wins no row")
 	}
-}
-
-// TestWeightDecision decides Backend.Weight against the default, which
-// weighs each link by its measured b: it fails if weights set to b win a
-// row against the default, the default with each b configured, or
-// latency routing.
-func TestWeightDecision(t *testing.T) {
-	if won := decide(t, slowRows, []cell{
-		{name: "weighted", set: nil},
-		{name: "Bandwidth = b", set: configured},
-		{name: "latency", set: latency},
-		{name: "weighted ∝ b", uses: true, set: weighted},
-	}); len(won) != 0 {
-		t.Errorf("Weight wins %v against the weight the fabric works out from b", won)
+	for i, rw := range slowRows {
+		d, c := res[i][def], res[i][conf]
+		if d.AccessTime > c.AccessTime+d.AccessTimeCI+c.AccessTimeCI {
+			t.Errorf("%s: the default's t̄ %.2f ± %.2f ms is worse than %.2f ± %.2f ms with b configured",
+				rw.name, 1e3*d.AccessTime, 1e3*d.AccessTimeCI, 1e3*c.AccessTime, 1e3*c.AccessTimeCI)
+		}
+	}
+	if again, err := slowRows[0].run.time(); err != nil || !reflect.DeepEqual(again, res[0][def]) {
+		t.Errorf("%s, default re-run: %+v (%v), first run %+v", slowRows[0].name, again, err, res[0][def])
 	}
 }
 
@@ -192,7 +192,7 @@ func TestWeightDecision(t *testing.T) {
 // the primary passes its p95) only while it wins a row, with or without
 // the breaker beside it.
 func TestHedgingDecision(t *testing.T) {
-	if won := decide(t, darkRows, []cell{
+	if won, _ := decide(t, darkRows, []cell{
 		{name: "neither"},
 		{name: "breaker", set: broken},
 		{name: "hedging", uses: true, set: hedged},
@@ -205,7 +205,7 @@ func TestHedgingDecision(t *testing.T) {
 // TestBreakerDecision keeps the circuit breaker only while it wins a
 // row, with or without hedging beside it.
 func TestBreakerDecision(t *testing.T) {
-	if won := decide(t, darkRows, []cell{
+	if won, _ := decide(t, darkRows, []cell{
 		{name: "neither"},
 		{name: "hedging", set: hedged},
 		{name: "breaker", uses: true, set: broken},
@@ -218,7 +218,7 @@ func TestBreakerDecision(t *testing.T) {
 // TestMaxAttemptsDecision keeps Hedging.MaxAttempts only while a retry
 // budget beyond one attempt per backend wins a row.
 func TestMaxAttemptsDecision(t *testing.T) {
-	if won := decide(t, everyRows, []cell{
+	if won, _ := decide(t, everyRows, []cell{
 		{name: "one attempt"},
 		{name: "MaxAttempts 2", uses: true, set: func(r *run) {
 			r.opts = append(r.opts, prefetcher.WithHedging(fetch.Hedging{MaxAttempts: 2}))
@@ -231,7 +231,7 @@ func TestMaxAttemptsDecision(t *testing.T) {
 // TestBackoffDecision keeps Hedging.Backoff only while pausing before a
 // retry wins a row against retrying at once.
 func TestBackoffDecision(t *testing.T) {
-	if won := decide(t, burstRows, []cell{
+	if won, _ := decide(t, burstRows, []cell{
 		{name: "one attempt"},
 		{name: "MaxAttempts 2", set: func(r *run) {
 			r.opts = append(r.opts, prefetcher.WithHedging(fetch.Hedging{MaxAttempts: 2}))

@@ -173,12 +173,12 @@ func (l *link) transfer(ctx context.Context, n int) error {
 var errFault = errors.New("vlink: injected fault")
 
 // origin is one backend of a run: a link of capacity b with its fault,
-// its routing weight, the Bandwidth its backend is configured with (0:
-// measured online) and a per-attempt bound on both classes (0: none).
+// the Bandwidth its backend is configured with (0: measured online) and
+// a per-attempt bound on both classes (0: none).
 type origin struct {
-	b, weight, bandwidth float64
-	fault                fault
-	timeout              time.Duration
+	b, bandwidth float64
+	fault        fault
+	timeout      time.Duration
 }
 
 // cacheEntries is every run's store: segmented LRU with half protected,
@@ -255,8 +255,8 @@ func (r run) bubble() (res result, err error) {
 	for i, o := range origins {
 		links[i] = newLink(o.b, o.fault)
 		defer close(links[i].stop)
-		backends[i] = fetch.Backend{Name: fmt.Sprintf("vlink%d", i), Fetcher: links[i], Weight: o.weight,
-			Bandwidth: o.bandwidth, DemandTimeout: o.timeout, SpeculativeTimeout: o.timeout}
+		backends[i] = fetch.Backend{Name: fmt.Sprintf("vlink%d", i), Fetcher: links[i], Bandwidth: o.bandwidth,
+			DemandTimeout: o.timeout, SpeculativeTimeout: o.timeout}
 	}
 	eng, err := prefetcher.New(nil, append([]prefetcher.Option{
 		prefetcher.WithBackends(backends...),

@@ -144,11 +144,12 @@ func TestAdmissionEdgeAtFabricRhoPrime(t *testing.T) {
 		backends []fetch.Backend
 	}{
 		{"one", []fetch.Backend{{Name: "origin", Fetcher: &okBackend{}, Bandwidth: 1000}}},
-		// 4:1 routing onto 1:3 bandwidth: 200 misses/s read ρ̂′ ≈ 0.16 on
-		// heavy, ≈ 0.013 on light, ≈ 0.05 for the fabric.
+		// 1:3 bandwidth routes 1:3, and heavy's items are four times the
+		// size: 200 misses/s read ρ̂′ ≈ 0.2 on heavy, ≈ 0.05 on light,
+		// ≈ 0.09 for the fabric.
 		{"two", []fetch.Backend{
-			{Name: "heavy", Fetcher: &okBackend{}, Weight: 4, Bandwidth: 1000},
-			{Name: "light", Fetcher: &okBackend{}, Weight: 1, Bandwidth: 3000},
+			{Name: "heavy", Fetcher: &okBackend{size: 4}, Bandwidth: 1000},
+			{Name: "light", Fetcher: &okBackend{}, Bandwidth: 3000},
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -153,16 +153,18 @@
 // BatchFetcher this package aliases): the backends named with
 // WithBackends, or New's single Fetcher as the one backend "origin" on
 // the WithBandwidth link — the two constructions are the same engine.
-// The fabric gives named backends static-weight or estimated-latency
-// routing, failover and hedged retries on the demand path (WithHedging
+// The fabric routes ids across named backends in proportion to each
+// link's bandwidth b, configured or estimated (or, under RouteLatency,
+// to the backend with the lowest estimated latency), with failover and
+// hedged retries on the demand path (WithHedging
 // — the next backend is raced once the preferred one overruns its
 // observed p95 latency, the loser cancelled via context), and batch
 // coalescing of adjacent speculative candidates for backends
 // implementing BatchFetcher. Each backend link carries its own
 // latency, bandwidth and utilisation estimators, and the admission
 // threshold is evaluated once per plan against the links' measured
-// demand-only ρ̂′, weighted by bandwidth (on one link, its own), before
-// the admitted candidates are routed. That reading sits at or below
+// demand-only ρ̂′, weighted by the same b (Fabric.RhoPrime; on one link,
+// its own), before the admitted candidates are routed. That reading sits at or below
 // the controller's global estimate (1−ĥ′)λ̂ŝ̄/b which Stats.RhoPrime and
 // Threshold report, so an engine admits somewhat more than the global
 // figure alone suggests; Stats.Backends[i].RhoPrime are the numbers in

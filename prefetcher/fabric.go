@@ -46,35 +46,10 @@ func (e *Engine) putJob(j *job) {
 	e.jobPool.Put(j)
 }
 
-// rhoPrime is the one utilisation a plan is admitted against: the
-// fabric's demand-only ρ̂′ at time now, its links' ρ̂′ weighted by
-// bandwidth — on one link, as every engine built from a Fetcher has,
-// that link's own, exactly. A link whose bandwidth is still unknown
-// weighs nothing.
-//
-//prefetch:hotpath
-func (e *Engine) rhoPrime(now float64) float64 {
-	n := e.fabric.NumBackends()
-	if n == 1 {
-		return e.fabric.Link(0).RhoPrime(now)
-	}
-	var load, bw float64
-	for b := 0; b < n; b++ {
-		l := e.fabric.Link(b)
-		w := l.Bandwidth()
-		load += w * l.RhoPrime(now)
-		bw += w
-	}
-	if bw <= 0 {
-		return 0
-	}
-	return load / bw
-}
-
 // schedule filters a request's candidates through the policy and
 // dispatches the admitted ones. The policy runs once, against the
-// fabric's ρ̂′ (rhoPrime); only then is each admitted id routed, and
-// each backend's share goes, in order, to dispatch. The cap needs
+// fabric's ρ̂′ (Fabric.RhoPrime); only then is each admitted id routed,
+// and each backend's share goes, in order, to dispatch. The cap needs
 // no code here: the planner hands over at most maxPrefetch candidates,
 // most probable first, and every policy admits a prefix of them, so the
 // pass keeps the maxPrefetch most probable across all backends. All
@@ -88,7 +63,7 @@ func (e *Engine) schedule(sc *multiScratch, cands []predict.Prediction, now floa
 	if len(cands) == 0 {
 		return
 	}
-	sel := e.policy.Select(cands, e.ctrl.StateWith(e.rhoPrime(now), e.occupancy()))
+	sel := e.policy.Select(cands, e.ctrl.StateWith(e.fabric.RhoPrime(now), e.occupancy()))
 	routes := sc.gidx[:0]
 	for _, c := range sel {
 		routes = append(routes, e.fabric.Route(ID(c.Item)))

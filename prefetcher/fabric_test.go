@@ -16,11 +16,12 @@ import (
 // okBackend answers immediately with size-1 items.
 type okBackend struct {
 	calls atomic.Int64
+	size  float64 // every item's; 0 is 1
 }
 
 func (b *okBackend) Fetch(ctx context.Context, id fetch.ID) (fetch.Item, error) {
 	b.calls.Add(1)
-	return fetch.Item{ID: id, Size: 1}, nil
+	return fetch.Item{ID: id, Size: max(b.size, 1)}, nil
 }
 
 // downBackend always errors.
@@ -234,8 +235,8 @@ func TestBackendFailoverUnderLoad(t *testing.T) {
 	eng, err := New(nil,
 		WithBandwidth(1e6),
 		WithBackends(
-			fetch.Backend{Name: "bad", Fetcher: bad, Weight: 1e9},
-			fetch.Backend{Name: "good", Fetcher: good, Weight: 1e-9},
+			fetch.Backend{Name: "bad", Fetcher: bad, Bandwidth: 1e9}, // rendezvous pins the primary
+			fetch.Backend{Name: "good", Fetcher: good, Bandwidth: 1e-9},
 		),
 	)
 	if err != nil {
@@ -382,10 +383,10 @@ func TestPerBackendRhoPrimeDistinct(t *testing.T) {
 		WithClock(clock),
 		WithPolicy(NoPrefetch()),
 		WithBackends(
-			// Same capacity, 4:1 routing weight: the heavy link must
-			// end up with the higher demand utilisation.
-			fetch.Backend{Name: "heavy", Fetcher: &okBackend{}, Weight: 4, Bandwidth: 1000},
-			fetch.Backend{Name: "light", Fetcher: &okBackend{}, Weight: 1, Bandwidth: 1000},
+			// 4:1 capacity routes 4:1, and heavy's items are twice the
+			// size: 1,000 misses/s read ρ̂′ ≈ 0.4 on heavy, ≈ 0.2 on light.
+			fetch.Backend{Name: "heavy", Fetcher: &okBackend{size: 2}, Bandwidth: 4000},
+			fetch.Backend{Name: "light", Fetcher: &okBackend{}, Bandwidth: 1000},
 		),
 	)
 	if err != nil {
@@ -406,7 +407,7 @@ func TestPerBackendRhoPrimeDistinct(t *testing.T) {
 	}
 	heavy, light := st.Backends[0], st.Backends[1]
 	if heavy.Demand <= light.Demand {
-		t.Fatalf("weighted routing: heavy=%d light=%d demand fetches", heavy.Demand, light.Demand)
+		t.Fatalf("routing by b: heavy=%d light=%d demand fetches", heavy.Demand, light.Demand)
 	}
 	if heavy.RhoPrime <= 0 || light.RhoPrime <= 0 {
 		t.Fatalf("both links need a live ρ̂′: heavy=%v light=%v", heavy.RhoPrime, light.RhoPrime)

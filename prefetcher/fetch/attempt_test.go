@@ -548,8 +548,9 @@ func TestAttemptBracket(t *testing.T) {
 			if (st.Rho > 0) != m.totalSize || (st.RhoPrime > 0) != m.demandSize {
 				t.Errorf("ρ̂ %v ρ̂′ %v, want sized dispatches on total %v, on demand %v", st.Rho, st.RhoPrime, m.totalSize, m.demandSize)
 			}
-			f.Link(0).RecordDemandSize(1)
-			if rho, rhoPrime := f.Link(0).Rho(clk.Now()), f.Link(0).RhoPrime(clk.Now()); (rho > 0) != m.totalDispatch || (rhoPrime > 0) != m.demandDispatch {
+			link := f.backends[0].link
+			link.RecordDemandSize(1)
+			if rho, rhoPrime := link.Rho(clk.Now()), link.RhoPrime(clk.Now()); (rho > 0) != m.totalDispatch || (rhoPrime > 0) != m.demandDispatch {
 				t.Errorf("with a size folded in ρ̂ %v ρ̂′ %v, want dispatches on total %v, on demand %v", rho, rhoPrime, m.totalDispatch, m.demandDispatch)
 			}
 		})
@@ -647,12 +648,12 @@ func (f *timedFetcher) began() []time.Time {
 
 const always = 1 << 30 // a timedFetcher that never recovers
 
-// pinned gives two backends weights that fix the route order: first,
+// pinned gives two backends bandwidths that fix the route order: first,
 // then second, for every id.
 func pinned(first, second Fetcher) []Backend {
 	return []Backend{
-		{Name: "first", Fetcher: first, Weight: 1e9},
-		{Name: "second", Fetcher: second, Weight: 1e-9},
+		{Name: "first", Fetcher: first, Bandwidth: 1e9},
+		{Name: "second", Fetcher: second, Bandwidth: 1e-9},
 	}
 }
 

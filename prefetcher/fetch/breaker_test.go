@@ -42,8 +42,8 @@ func TestBreakerOpensAndRoutesAround(t *testing.T) {
 	bad, good := &breakerFetcher{}, &breakerFetcher{}
 	bad.broken.Store(true)
 	f := newBreakerFabric(t, now,
-		Backend{Name: "bad", Fetcher: bad, Weight: 100, Bandwidth: 100},
-		Backend{Name: "good", Fetcher: good, Weight: 1, Bandwidth: 100},
+		Backend{Name: "bad", Fetcher: bad, Bandwidth: 1e9},
+		Backend{Name: "good", Fetcher: good, Bandwidth: 1e-9},
 	)
 	ctx := context.Background()
 
@@ -67,7 +67,7 @@ func TestBreakerOpensAndRoutesAround(t *testing.T) {
 	}
 
 	// While open, routing must not send new ids to the tripped backend
-	// even though its weight dominates.
+	// even though its bandwidth dominates.
 	for i := 100; i < 120; i++ {
 		if b := f.Route(ID(i)); b != 1 {
 			t.Fatalf("Route(%d) = %d while backend 0 is open", i, b)
@@ -333,7 +333,7 @@ func TestBreakerConcurrentOutcomes(t *testing.T) {
 		Breaker:  true,
 		Now:      now.Now,
 	})
-	f.breaker.threshold = 1 << 20
+	f.breakerAt = 1 << 20
 	const goroutines, each = 8, 200
 	var wg sync.WaitGroup
 	var failed atomic.Int64

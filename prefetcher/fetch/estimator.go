@@ -93,11 +93,7 @@ func (e *estimator) p95Latency() float64 {
 		ring := e.ring // a copy, on the stack: Stats calls this on every /stats
 		buf := ring[:e.ringLen]
 		slices.Sort(buf)
-		idx := (len(buf) * 95) / 100
-		if idx >= len(buf) {
-			idx = len(buf) - 1
-		}
-		e.p95 = buf[idx]
+		e.p95 = buf[len(buf)*95/100] // < len(buf) for any len ≥ 1
 		e.stale = 0
 	}
 	return e.p95

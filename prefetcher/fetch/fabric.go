@@ -108,15 +108,12 @@ type Fabric struct {
 	backends []*backendState
 	routing  Routing
 	hedging  *Hedging
-	// breaker holds the circuit breaker's threshold in failures and
-	// cooldown in fabric-time seconds; nil when disabled.
-	breaker *struct {
-		threshold int64
-		cooldown  float64
-	}
-	nowf   func() float64
-	lends  bool // see Lends
-	closed atomic.Bool
+	// breakerAt is the run of failures that opens a backend's circuit
+	// breaker (breakerThreshold); 0 when breaking is off.
+	breakerAt int64
+	nowf      func() float64
+	lends     bool // see Lends
+	closed    atomic.Bool
 }
 
 // New validates cfg and assembles a Fabric.
@@ -134,10 +131,7 @@ func New(cfg Config) (*Fabric, error) {
 	}
 	f := &Fabric{routing: cfg.Routing, hedging: cfg.Hedging, nowf: nowf}
 	if cfg.Breaker {
-		f.breaker = &struct {
-			threshold int64
-			cooldown  float64
-		}{breakerThreshold, breakerCooldown}
+		f.breakerAt = breakerThreshold
 	}
 	seen := make(map[string]bool, len(cfg.Backends))
 	f.lends = f.hedging == nil || len(cfg.Backends) == 1 || f.maxAttempts() == 1
@@ -152,8 +146,8 @@ func New(cfg Config) (*Fabric, error) {
 			return nil, fmt.Errorf("fetch: duplicate backend name %q", b.Name)
 		}
 		seen[b.Name] = true
-		if b.Weight < 0 || math.IsNaN(b.Weight) || b.Bandwidth < 0 || math.IsNaN(b.Bandwidth) {
-			return nil, fmt.Errorf("fetch: backend %q has a negative weight or bandwidth", b.Name)
+		if b.Bandwidth < 0 || math.IsNaN(b.Bandwidth) {
+			return nil, fmt.Errorf("fetch: backend %q has a negative bandwidth", b.Name)
 		}
 		if b.DemandTimeout < 0 || b.SpeculativeTimeout < 0 {
 			return nil, fmt.Errorf("fetch: backend %q has a negative timeout", b.Name)
@@ -186,10 +180,25 @@ func (f *Fabric) BatchCapable(i int) bool { return f.backends[i].batch != nil }
 // Decided once, at New; without it every payload arrives owned.
 func (f *Fabric) Lends() bool { return f.lends }
 
-// Link exposes backend i's utilisation estimator, so the engine can
-// admit against the fabric's ρ̂′, its links' ρ̂′ weighted by bandwidth
-// (Controller.StateWith).
-func (f *Fabric) Link(i int) *prefetch.Link { return f.backends[i].link }
+// RhoPrime is the demand-only utilisation ρ̂′ a plan is admitted
+// against, at time now: the links' ρ̂′, each weighted by its link's b
+// (see weight) — on one link, that link's own, exactly.
+//
+//prefetch:hotpath
+func (f *Fabric) RhoPrime(now float64) float64 {
+	if len(f.backends) == 1 {
+		return f.backends[0].link.RhoPrime(now)
+	}
+	var load, bw float64
+	for _, b := range f.backends {
+		w := b.weight()
+		load, bw = load+w*b.link.RhoPrime(now), bw+w
+	}
+	if bw <= 0 {
+		return 0
+	}
+	return load / bw
+}
 
 // --- circuit breaker -----------------------------------------------------
 
@@ -198,7 +207,7 @@ func (f *Fabric) Link(i int) *prefetch.Link { return f.backends[i].link }
 // a half-open probe is due. Routing and planning use this to steer
 // candidates away from tripped backends.
 func (f *Fabric) routable(b *backendState) bool {
-	if f.breaker == nil {
+	if f.breakerAt == 0 {
 		return true
 	}
 	switch b.brState.Load() {
@@ -208,7 +217,7 @@ func (f *Fabric) routable(b *backendState) bool {
 		return false // the probe is out; wait for its verdict
 	default:
 		opened := math.Float64frombits(b.brOpenedAt.Load())
-		return f.nowf()-opened >= f.breaker.cooldown
+		return f.nowf()-opened >= breakerCooldown
 	}
 }
 
@@ -220,7 +229,7 @@ func (f *Fabric) routable(b *backendState) bool {
 // breakerFailure/breakerCancelled. Callers that are refused skip the
 // backend.
 func (f *Fabric) acquire(b *backendState) (granted, probe bool) {
-	if f.breaker == nil {
+	if f.breakerAt == 0 {
 		return true, false
 	}
 	switch b.brState.Load() {
@@ -230,7 +239,7 @@ func (f *Fabric) acquire(b *backendState) (granted, probe bool) {
 		return false, false
 	default:
 		opened := math.Float64frombits(b.brOpenedAt.Load())
-		if f.nowf()-opened < f.breaker.cooldown {
+		if f.nowf()-opened < breakerCooldown {
 			return false, false
 		}
 		won := b.brState.CompareAndSwap(breakerOpen, breakerHalfOpen)
@@ -244,7 +253,7 @@ func (f *Fabric) acquire(b *backendState) (granted, probe bool) {
 // re-close an open breaker — recovery goes through the documented
 // cooldown-then-probe discipline, same as failures and cancellations.
 func (f *Fabric) breakerSuccess(b *backendState, probe bool) {
-	if f.breaker == nil {
+	if f.breakerAt == 0 {
 		return
 	}
 	b.consecFails.Store(0)
@@ -259,22 +268,19 @@ func (f *Fabric) breakerSuccess(b *backendState, probe bool) {
 // decide the probe's verdict); otherwise a closed breaker opens once
 // the consecutive failure run reaches the threshold.
 func (f *Fabric) breakerFailure(b *backendState, probe bool) {
-	if f.breaker == nil {
+	if f.breakerAt == 0 {
 		return
 	}
-	n := b.consecFails.Add(1)
-	if probe {
-		if b.brState.CompareAndSwap(breakerHalfOpen, breakerOpen) {
-			b.brOpenedAt.Store(math.Float64bits(f.nowf()))
-			b.brOpens.Add(1)
+	from := breakerHalfOpen
+	if n := b.consecFails.Add(1); !probe {
+		if n < f.breakerAt {
+			return
 		}
-		return
+		from = breakerClosed
 	}
-	if b.brState.Load() == breakerClosed && n >= f.breaker.threshold {
-		if b.brState.CompareAndSwap(breakerClosed, breakerOpen) {
-			b.brOpenedAt.Store(math.Float64bits(f.nowf()))
-			b.brOpens.Add(1)
-		}
+	if b.brState.CompareAndSwap(from, breakerOpen) {
+		b.brOpenedAt.Store(math.Float64bits(f.nowf()))
+		b.brOpens.Add(1)
 	}
 }
 
@@ -284,7 +290,7 @@ func (f *Fabric) breakerFailure(b *backendState, probe bool) {
 // breaker returns to open with a fresh cooldown, and the next elapsed
 // cooldown grants a new probe.
 func (f *Fabric) breakerCancelled(b *backendState, probe bool) {
-	if f.breaker == nil || !probe {
+	if f.breakerAt == 0 || !probe {
 		return
 	}
 	if b.brState.CompareAndSwap(breakerHalfOpen, breakerOpen) {
@@ -294,7 +300,7 @@ func (f *Fabric) breakerCancelled(b *backendState, probe bool) {
 
 // breakerState names backend b's current breaker state for stats.
 func (f *Fabric) breakerState(b *backendState) string {
-	if f.breaker == nil {
+	if f.breakerAt == 0 {
 		return ""
 	}
 	switch b.brState.Load() {
@@ -328,42 +334,31 @@ func mix(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// weight is backend b's share of RouteWeighted's traffic: its link's
-// bandwidth, configured or estimated — the paper's b. Until every link
-// has one, each weighs 1, so no link is starved of the samples that
-// would measure it.
-func (f *Fabric) weight(b *backendState) float64 {
-	for _, o := range f.backends {
-		if o.link.Bandwidth() <= 0 {
-			return 1
-		}
-	}
-	return b.link.Bandwidth()
-}
+// weight is backend b's link's b, configured or estimated (0 while
+// unknown): RhoPrime weighs each link's ρ̂′ by it, and weighted routing
+// spreads ids in proportion to it once every link has one — evenly
+// until then, so no link is starved of the samples that measure it.
+func (b *backendState) weight() float64 { return b.link.Bandwidth() }
 
 // score returns backend b's routing score for id — lower is better.
 func (f *Fabric) score(b *backendState, id ID) float64 {
-	w := b.cfg.Weight
-	switch f.routing {
-	case RouteLatency:
-		lat := b.est.latency()
-		if lat == 0 {
-			return -1 // unmeasured: try it before any measured backend
+	if f.routing == RouteLatency {
+		if lat := b.est.latency(); lat > 0 {
+			return lat
 		}
-		if w == 0 {
+		return -1 // unmeasured: try it before any measured backend
+	}
+	// Weighted rendezvous: u uniform in (0,1), score −ln(u)/w is
+	// exponential with rate w; the minimum lands on backend i with
+	// probability w_i/Σw, stably per id while the weights hold.
+	w := b.weight()
+	for _, o := range f.backends {
+		if o.weight() <= 0 {
 			w = 1
 		}
-		return lat / w
-	default:
-		// Weighted rendezvous: u uniform in (0,1), score −ln(u)/w is
-		// exponential with rate w; the minimum lands on backend i with
-		// probability w_i/Σw, stably per id.
-		if w == 0 {
-			w = f.weight(b)
-		}
-		u := (float64(mix(uint64(id)^b.seed)>>11) + 1) / (1 << 53)
-		return -math.Log(u) / w
 	}
+	u := (float64(mix(uint64(id)^b.seed)>>11) + 1) / (1 << 53)
+	return -math.Log(u) / w
 }
 
 // before is the one routing order: backend a is preferred to b for id

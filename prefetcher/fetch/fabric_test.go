@@ -3,7 +3,6 @@ package fetch
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -105,7 +104,7 @@ func TestNewValidation(t *testing.T) {
 		{Backends: []Backend{good, good}},
 		{Backends: []Backend{good}, Hedging: &Hedging{Backoff: -time.Second}},
 		{Backends: []Backend{good}, Hedging: &Hedging{MaxAttempts: -1}},
-		{Backends: []Backend{{Name: "a", Fetcher: good.Fetcher, Weight: -1}}},
+		{Backends: []Backend{{Name: "a", Fetcher: good.Fetcher, Bandwidth: -1}}},
 	}
 	for i, cfg := range cases {
 		if _, err := New(cfg); err == nil {
@@ -114,10 +113,10 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func TestWeightedRoutingSplitsByWeight(t *testing.T) {
+func TestWeightedRoutingSplitsByConfiguredBandwidth(t *testing.T) {
 	f := newTestFabric(t, Config{Backends: []Backend{
-		{Name: "heavy", Fetcher: &instantFetcher{size: 1}, Weight: 3},
-		{Name: "light", Fetcher: &instantFetcher{size: 1}, Weight: 1},
+		{Name: "heavy", Fetcher: &instantFetcher{size: 1}, Bandwidth: 3},
+		{Name: "light", Fetcher: &instantFetcher{size: 1}, Bandwidth: 1},
 	}})
 	counts := [2]int{}
 	for id := ID(0); id < 4000; id++ {
@@ -166,8 +165,8 @@ func TestFailoverOnError(t *testing.T) {
 	bad := &failingFetcher{}
 	good := &instantFetcher{size: 1}
 	f := newTestFabric(t, Config{Backends: []Backend{
-		{Name: "bad", Fetcher: bad, Weight: 100}, // routing prefers the failing link
-		{Name: "good", Fetcher: good, Weight: 1e-9},
+		{Name: "bad", Fetcher: bad, Bandwidth: 1e9}, // routing prefers the failing link
+		{Name: "good", Fetcher: good, Bandwidth: 1e-9},
 	}})
 	item, err := f.Fetch(context.Background(), 7)
 	if err != nil {
@@ -197,8 +196,8 @@ func TestHedgeRacesSecondBackendAndCancelsLoser(t *testing.T) {
 	f := newTestFabric(t, Config{
 		Hedging: &Hedging{},
 		Backends: []Backend{
-			{Name: "slow", Fetcher: slow, Weight: 1e9}, // rendezvous pins the primary
-			{Name: "fast", Fetcher: fast, Weight: 1e-9},
+			{Name: "slow", Fetcher: slow, Bandwidth: 1e9}, // rendezvous pins the primary
+			{Name: "fast", Fetcher: fast, Bandwidth: 1e-9},
 		},
 	})
 	hedgeAfter(f, 0, 5*time.Millisecond)
@@ -240,8 +239,8 @@ func TestHedgeDelayDerivedFromP95(t *testing.T) {
 	f := newTestFabric(t, Config{
 		Hedging: &Hedging{},
 		Backends: []Backend{
-			{Name: "slow", Fetcher: slow, Weight: 1e9},
-			{Name: "fast", Fetcher: fast, Weight: 1e-9},
+			{Name: "slow", Fetcher: slow, Bandwidth: 1e9}, // rendezvous pins the primary
+			{Name: "fast", Fetcher: fast, Bandwidth: 1e-9},
 		},
 	})
 	ctx := context.Background()
@@ -445,8 +444,8 @@ func TestFetchRespectsCallerContext(t *testing.T) {
 
 func TestFabricConcurrentUse(t *testing.T) {
 	backends := []Backend{
-		{Name: "a", Fetcher: &instantFetcher{size: 1}, Weight: 2},
-		{Name: "b", Fetcher: &batchFetcher{}, Weight: 1},
+		{Name: "a", Fetcher: &instantFetcher{size: 1}, Bandwidth: 2000},
+		{Name: "b", Fetcher: &batchFetcher{}, Bandwidth: 1000},
 		{Name: "c", Fetcher: &slowFetcher{delay: 100 * time.Microsecond}},
 	}
 	f := newTestFabric(t, Config{Backends: backends, Hedging: &Hedging{}})
@@ -492,12 +491,6 @@ func TestFabricConcurrentUse(t *testing.T) {
 	}
 	if total == 0 {
 		t.Fatal("no traffic recorded")
-	}
-}
-
-func TestRoutingString(t *testing.T) {
-	if fmt.Sprint(RouteWeighted) != "weighted" || fmt.Sprint(RouteLatency) != "latency" {
-		t.Fatal("Routing.String misnames strategies")
 	}
 }
 

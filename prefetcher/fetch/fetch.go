@@ -101,14 +101,11 @@ type Backend struct {
 	// BatchFetcher, adjacent speculative candidates routed here are
 	// dispatched as one FetchBatch call.
 	Fetcher Fetcher
-	// Weight is the backend's static routing weight (0 means 1).
-	// Under RouteWeighted, ids are spread proportionally to weight;
-	// under RouteLatency, the estimated latency is divided by it, so a
-	// heavier backend wins ties.
-	Weight float64
-	// Bandwidth is the link's capacity in size units per second. 0
-	// means unknown: the fabric then estimates it online from observed
-	// size/latency, so ρ̂ and ρ̂′ still converge.
+	// Bandwidth is the link's capacity b in size units per second; 0
+	// means unknown, and the fabric estimates it from observed
+	// size/latency. Either way b is the link's weight in RhoPrime and
+	// in RouteWeighted: a link with a tenth of its peer's b gets a
+	// tenth of its peer's ids.
 	Bandwidth float64
 	// DemandTimeout bounds each demand attempt dispatched to this
 	// backend — every hedge, retry and demand batch gets its own
@@ -130,26 +127,17 @@ type Routing int
 
 const (
 	// RouteWeighted spreads ids by weighted rendezvous hashing: each
-	// id has a stable backend affinity, and backends receive traffic
-	// proportional to their weights. The default.
+	// id has a stable backend affinity, and each backend receives ids
+	// in proportion to its link's b (Backend.Bandwidth, configured or
+	// estimated; evenly until every link has one). The default.
 	RouteWeighted Routing = iota
 	// RouteLatency prefers the backend with the lowest estimated
-	// latency (scaled down by its weight); backends with no latency
-	// sample yet are tried first so every link gets measured.
+	// latency, trying unmeasured ones first. It sends nearly all demand
+	// to the fastest link: it wins where one link is far slower, and
+	// loses with links of b 100 and 50 at 0.6 of Σb (t̄ 35.50 ms
+	// against RouteWeighted's 23.23 ms in virtual time).
 	RouteLatency
 )
-
-// String names the routing strategy.
-func (r Routing) String() string {
-	switch r {
-	case RouteWeighted:
-		return "weighted"
-	case RouteLatency:
-		return "latency"
-	default:
-		return "routing(?)"
-	}
-}
 
 // The circuit breaker's parameters (Config.Breaker): breakerThreshold
 // consecutive failures open a backend's breaker, and it half-opens

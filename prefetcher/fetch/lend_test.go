@@ -127,8 +127,8 @@ func TestFetchIntoLendsAcrossFailover(t *testing.T) {
 	bad := &intoFetcher{fail: func(ID) bool { return true }}
 	good := &intoFetcher{}
 	f := newTestFabric(t, Config{Backends: []Backend{
-		{Name: "bad", Fetcher: bad, Weight: 1000},
-		{Name: "good", Fetcher: good, Weight: 0.001},
+		{Name: "bad", Fetcher: bad, Bandwidth: 1e9}, // rendezvous pins the primary
+		{Name: "good", Fetcher: good, Bandwidth: 1e-9},
 	}})
 	if !f.Lends() {
 		t.Fatal("the fabric must lend")

@@ -683,8 +683,8 @@ func TestHedgedGetBytesOwnsPayloads(t *testing.T) {
 	}
 	eng, err := prefetcher.New(nil,
 		prefetcher.WithBackends(
-			fetch.Backend{Name: "slow", Fetcher: slow, Bandwidth: 1e6, Weight: 1000},
-			fetch.Backend{Name: "fast", Fetcher: fast, Bandwidth: 1e6, Weight: 0.001},
+			fetch.Backend{Name: "slow", Fetcher: slow, Bandwidth: 1e9}, // rendezvous pins the primary
+			fetch.Backend{Name: "fast", Fetcher: fast, Bandwidth: 1e-9},
 		),
 		prefetcher.WithHedging(fetch.Hedging{}),
 		prefetcher.WithCacheFactory(factory),
