@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"log"
 	"net/http"
 	"runtime/metrics"
@@ -260,15 +261,18 @@ func fail(rb *replyBuf, status int, msg string) (int, int) {
 }
 
 // failFetch maps an engine error onto a status: origin 4xx/5xx pass
-// through, a dead context is a gateway timeout, everything else a bad
-// gateway. The client gets the status text alone; the error, which
-// names the origin, is logged.
+// through, a key the origin does not have (an fs backend's missing
+// file) is a not found, a dead context is a gateway timeout, everything
+// else a bad gateway. The client gets the status text alone; the error,
+// which names the origin, is logged.
 func (s *Server) failFetch(rb *replyBuf, request string, err error) (int, int) {
 	code := http.StatusBadGateway
 	var se *httpfetch.StatusError
 	switch {
 	case errors.As(err, &se) && se.Code >= 400:
 		code = se.Code
+	case errors.Is(err, fs.ErrNotExist):
+		code = http.StatusNotFound
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		code = http.StatusGatewayTimeout
 	}

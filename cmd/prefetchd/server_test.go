@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"net"
@@ -488,6 +489,44 @@ func TestDaemonSpaces(t *testing.T) {
 	}
 	if st := stats.Spaces["disk"]; st.Requests != 1 || len(st.Backends) != 1 {
 		t.Fatalf("disk stats = %+v", st)
+	}
+}
+
+// A key the origin does not have is an answer, not a failure: a
+// -breaker space on an fs root answers five missing keys in a row — the
+// breaker's threshold — with 404, and its origin stays open, so a key
+// the root has is then served.
+func TestMissingKeysLeaveBreakerClosed(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "12"), []byte("twelve"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fset := flag.NewFlagSet("prefetchd", flag.ContinueOnError)
+	cfg, err := configFromArgs(fset, []string{"-fs-root", dir, "-breaker", "-policy", "none"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(cfg, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := startFront(t, srv)
+	get := func(path string) (int, string) {
+		resp, err := http.Get(front + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(body)
+	}
+	for key := 1; key <= 5; key++ {
+		if code, _ := get("/obj/" + strconv.Itoa(key)); code != http.StatusNotFound {
+			t.Errorf("/obj/%d: status %d, want 404", key, code)
+		}
+	}
+	if code, body := get("/obj/12"); code != http.StatusOK || body != "twelve" {
+		t.Errorf("/obj/12 after five missing keys: %d %q, want 200 \"twelve\"", code, body)
 	}
 }
 

@@ -3,16 +3,19 @@ package fetch
 import (
 	"context"
 	"errors"
+	"fmt"
+	"io/fs"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
 
-// breakerFetcher fails while broken is set.
+// breakerFetcher fails while broken is set; while missing is set it has
+// no key but 12, as a directory with one file would.
 type breakerFetcher struct {
 	tripCount
-	broken atomic.Bool
-	calls  atomic.Int64
+	broken, missing atomic.Bool
+	calls           atomic.Int64
 }
 
 var errOrigin = errors.New("origin down")
@@ -22,6 +25,9 @@ func (f *breakerFetcher) Fetch(ctx context.Context, id ID) (Item, error) {
 	f.calls.Add(1)
 	if f.broken.Load() {
 		return Item{}, errOrigin
+	}
+	if f.missing.Load() && id != 12 {
+		return Item{}, fmt.Errorf("open %d: %w", id, fs.ErrNotExist)
 	}
 	return Item{ID: id, Size: 1}, nil
 }
@@ -138,6 +144,45 @@ func TestBreakerHalfOpenProbe(t *testing.T) {
 		if _, err := f.Fetch(ctx, ID(i)); err != nil {
 			t.Fatalf("fetch %d after close: %v", i, err)
 		}
+	}
+}
+
+// TestBreakerMissingKeyIsAnAnswer: an origin that has no such key has
+// answered. A not-found error ends the failure run without adding to it,
+// so failures either side of one stay below the threshold, and five
+// not-found errors in a row leave the breaker closed and a key the
+// origin has is then served.
+func TestBreakerMissingKeyIsAnAnswer(t *testing.T) {
+	now := &manualNow{}
+	origin := &breakerFetcher{}
+	f := newBreakerFabric(t, now, Backend{Name: "solo", Fetcher: origin, Bandwidth: 100})
+	ctx := context.Background()
+	get := func(id ID, want error) {
+		t.Helper()
+		if _, err := f.Fetch(ctx, id); !errors.Is(err, want) {
+			t.Fatalf("fetch %d: err = %v, want %v", id, err, want)
+		}
+	}
+	origin.broken.Store(true)
+	for i := 0; i < breakerThreshold-1; i++ {
+		get(ID(i), errOrigin)
+	}
+	origin.broken.Store(false)
+	origin.missing.Store(true)
+	get(20, fs.ErrNotExist)
+	origin.broken.Store(true)
+	for i := 0; i < breakerThreshold-1; i++ {
+		get(ID(30+i), errOrigin)
+	}
+	origin.broken.Store(false)
+	for i := 0; i < breakerThreshold; i++ {
+		get(ID(40+i), fs.ErrNotExist)
+	}
+	if st := f.Stats(now.Now()); st[0].BreakerState != "closed" || st[0].BreakerOpens != 0 {
+		t.Fatalf("breaker %q, %d opens after not-found errors, want closed, 0", st[0].BreakerState, st[0].BreakerOpens)
+	}
+	if item, err := f.Fetch(ctx, 12); err != nil || item.ID != 12 {
+		t.Fatalf("fetch 12 = %+v, %v; want it served", item, err)
 	}
 }
 

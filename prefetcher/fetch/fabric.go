@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
 	"math"
 	"sync/atomic"
 	"time"
@@ -32,15 +33,15 @@ type Config struct {
 	// hedging (failover on error still happens).
 	Hedging *Hedging
 	// Breaker enables per-backend circuit breaking. Each backend trips
-	// independently: 5 consecutive failures open its breaker (any
-	// success resets the run), after which routing skips the backend
-	// and fetches dispatched to it fail fast with ErrBreakerOpen. A
-	// second later the breaker half-opens: exactly one probe fetch is
-	// let through — a success closes the breaker, a failure re-opens it
-	// and restarts the cooldown. Demand traffic falls over to the
-	// remaining healthy backends; when every backend is open and none is
-	// due a probe, demand fails fast instead of queueing against
-	// known-dead origins.
+	// independently: 5 consecutive failures open its breaker (a success
+	// or an error matching fs.ErrNotExist ends the run), after which
+	// routing skips the backend and fetches dispatched to it fail fast
+	// with ErrBreakerOpen. A second later the breaker half-opens: one
+	// probe fetch is let through — a success closes the breaker, a
+	// failure re-opens it and restarts the cooldown. Demand traffic falls
+	// over to the remaining healthy backends; when every backend is open
+	// and none is due a probe, demand fails fast instead of queueing
+	// against known-dead origins.
 	Breaker bool
 	// Now supplies time in seconds for the link estimators. Defaults
 	// to the wall clock measured from construction. The engine injects
@@ -475,6 +476,7 @@ func (t ticket) ctx(ctx context.Context) (context.Context, context.CancelFunc) {
 // goodput estimate behind an unconfigured bandwidth, and the size
 // delivered on the link. A cancelled attempt (hedge loser, caller gave
 // up) is neither sample nor error, but a cancelled probe frees its slot.
+// To the breaker, fs.ErrNotExist (the origin has no such key) is an answer.
 //
 //prefetch:hotpath
 func (f *Fabric) settle(t ticket, size float64, err error) {
@@ -482,8 +484,9 @@ func (f *Fabric) settle(t ticket, size float64, err error) {
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
 			f.breakerCancelled(b, t.probe)
+		} else if b.errorsN.Add(1); errors.Is(err, fs.ErrNotExist) {
+			f.breakerSuccess(b, t.probe)
 		} else {
-			b.errorsN.Add(1)
 			f.breakerFailure(b, t.probe)
 		}
 		return

@@ -79,6 +79,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"io/fs"
 	"net"
 	"net/http"
 	"net/url"
@@ -137,6 +138,12 @@ type StatusError struct {
 // Error implements error.
 func (e *StatusError) Error() string {
 	return fmt.Sprintf("httpfetch: GET %s: status %d", e.URL, e.Code)
+}
+
+// Is makes a 404 match fs.ErrNotExist, as a missing file does from
+// fsfetch: the origin answered that it has no such key.
+func (e *StatusError) Is(target error) bool {
+	return target == fs.ErrNotExist && e.Code == http.StatusNotFound
 }
 
 // Client fetches objects from one HTTP origin. It implements

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -115,6 +116,14 @@ func TestFetchStatusError(t *testing.T) {
 	var se *StatusError
 	if !errors.As(err, &se) || se.Code != http.StatusNotFound {
 		t.Fatalf("err = %v, want StatusError 404", err)
+	}
+	// A 404 says the origin has no such key, as fsfetch's missing file
+	// does; no other status does.
+	if !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("err = %v does not match fs.ErrNotExist", err)
+	}
+	if errors.Is(&StatusError{Code: http.StatusGone}, fs.ErrNotExist) {
+		t.Fatal("a 410 matches fs.ErrNotExist")
 	}
 }
 
