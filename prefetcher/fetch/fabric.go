@@ -36,7 +36,7 @@ type Config struct {
 	// independently: 5 consecutive failures open its breaker (a success
 	// or an error matching fs.ErrNotExist ends the run), after which
 	// routing skips the backend and fetches dispatched to it fail fast
-	// with ErrBreakerOpen. A second later the breaker half-opens: one
+	// with ErrBreakerOpen. A second later it half-opens: exactly one
 	// probe fetch is let through — a success closes the breaker, a
 	// failure re-opens it and restarts the cooldown. Demand traffic falls
 	// over to the remaining healthy backends; when every backend is open
