@@ -1,10 +1,10 @@
 // Package fetch is the backend fetch fabric behind the prefetch
 // engine's Fetcher seam: it spreads demand and speculative fetches
-// across multiple named backends, coalesces adjacent prefetch
-// candidates into batch calls, races hedged retries against slow
-// backends, and estimates each link's latency, bandwidth and
-// utilisation separately — so the paper's admission threshold can be
-// evaluated against the links' demand-only ρ̂′, weighted by bandwidth.
+// across named backends in proportion to each link's bandwidth b,
+// coalesces adjacent prefetch candidates into batch calls, races hedged
+// retries against slow backends, and estimates each link's latency, b
+// and utilisation separately — so the paper's admission threshold can
+// be evaluated against the links' demand-only ρ̂′, weighted by the same b.
 //
 // The package owns the fetch-side vocabulary: ID, Item, Fetcher,
 // FetcherFunc and BatchFetcher are defined here, below the engine in
