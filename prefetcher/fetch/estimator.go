@@ -1,8 +1,10 @@
 package fetch
 
 import (
+	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 // latRingSize is the sample window the p95 estimate is computed over.
@@ -16,10 +18,10 @@ const latRingSize = 64
 const latRecompute = 16
 
 // estimator tracks one backend's observed fetch latency (EWMA + ring
-// p95) and throughput (EWMA of size/latency — the online bandwidth
-// estimate for links with no configured capacity). Guarded by one
-// short mutex: it is touched once per completed fetch, never on a
-// per-candidate hot path.
+// p95) and throughput (EWMA of size/latency, the bandwidth behind an
+// unconfigured link's ρ̂′, and its decaying peak, its routing weight).
+// Guarded by one short mutex: it is touched once per completed fetch,
+// never on a per-candidate hot path, where routing reads peak alone.
 type estimator struct {
 	mu      sync.Mutex
 	ewma    float64 // smoothed latency, seconds; 0 = no sample
@@ -29,40 +31,43 @@ type estimator struct {
 	p95     float64
 	stale   int     // samples since p95 was computed
 	bw      float64 // smoothed size/latency; 0 = no sample
+	// peak is the largest size/latency of late, decaying by ewmaWeight a
+	// sample (float64 bits): a fetch that had the link to itself reads
+	// its capacity, where bw also reads its load — and a link whose calls
+	// hang, holding its bw while its busier peer's falls, would draw most
+	// new ids if routing weighed bw.
+	peak atomic.Uint64
 }
 
 // ewmaWeight is the weight a new sample gets in the latency and
 // throughput averages.
 const ewmaWeight = 0.05
 
-// observe folds one successful fetch: its wall latency in seconds and
-// the size it delivered.
-func (e *estimator) observe(latency, size float64) {
+// observe folds one successful fetch — its wall latency in seconds and
+// the size it delivered (at least 1: see settle) — and returns the
+// smoothed size/latency, or 0 when a zero latency leaves no sample.
+func (e *estimator) observe(latency, size float64) (bw float64) {
 	if latency <= 0 {
-		return
+		return 0
 	}
+	thr := size / latency
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	if e.ewma == 0 {
 		e.ewma = latency
+		e.bw = thr
 	} else {
 		e.ewma = (1-ewmaWeight)*e.ewma + ewmaWeight*latency
+		e.bw = (1-ewmaWeight)*e.bw + ewmaWeight*thr
 	}
+	e.peak.Store(math.Float64bits(max(thr, (1-ewmaWeight)*e.peakBandwidth())))
 	e.ring[e.ringPos] = latency
 	e.ringPos = (e.ringPos + 1) % latRingSize
 	if e.ringLen < latRingSize {
 		e.ringLen++
 	}
 	e.stale++
-	if size > 0 {
-		if thr := size / latency; thr > 0 {
-			if e.bw == 0 {
-				e.bw = thr
-			} else {
-				e.bw = (1-ewmaWeight)*e.bw + ewmaWeight*thr
-			}
-		}
-	}
-	e.mu.Unlock()
+	return e.bw
 }
 
 // latency returns the smoothed fetch latency in seconds (0 before any
@@ -73,13 +78,9 @@ func (e *estimator) latency() float64 {
 	return e.ewma
 }
 
-// bandwidth returns the smoothed size/latency throughput estimate (0
-// before any sized sample).
-func (e *estimator) bandwidth() float64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.bw
-}
+// peakBandwidth returns the decaying peak of size/latency (0 before any
+// sample).
+func (e *estimator) peakBandwidth() float64 { return math.Float64frombits(e.peak.Load()) }
 
 // p95Latency returns the 95th-percentile latency over the sample ring,
 // recomputing lazily every latRecompute samples. 0 before any sample.

@@ -193,7 +193,8 @@ func (f *Fabric) RhoPrime(now float64) float64 {
 	var load, bw float64
 	for _, b := range f.backends {
 		w := b.weight()
-		load, bw = load+w*b.link.RhoPrime(now), bw+w
+		load += w * b.link.RhoPrime(now)
+		bw += w
 	}
 	if bw <= 0 {
 		return 0
@@ -230,22 +231,14 @@ func (f *Fabric) routable(b *backendState) bool {
 // breakerFailure/breakerCancelled. Callers that are refused skip the
 // backend.
 func (f *Fabric) acquire(b *backendState) (granted, probe bool) {
-	if f.breakerAt == 0 {
+	if f.breakerAt == 0 || b.brState.Load() == breakerClosed {
 		return true, false
 	}
-	switch b.brState.Load() {
-	case breakerClosed:
-		return true, false
-	case breakerHalfOpen:
+	if !f.routable(b) {
 		return false, false
-	default:
-		opened := math.Float64frombits(b.brOpenedAt.Load())
-		if f.nowf()-opened < breakerCooldown {
-			return false, false
-		}
-		won := b.brState.CompareAndSwap(breakerOpen, breakerHalfOpen)
-		return won, won
 	}
+	won := b.brState.CompareAndSwap(breakerOpen, breakerHalfOpen)
+	return won, won
 }
 
 // breakerSuccess records a successful fetch: the failure run ends and,
@@ -299,19 +292,15 @@ func (f *Fabric) breakerCancelled(b *backendState, probe bool) {
 	}
 }
 
+// breakerNames names the breaker states for stats.
+var breakerNames = [...]string{breakerClosed: "closed", breakerOpen: "open", breakerHalfOpen: "half-open"}
+
 // breakerState names backend b's current breaker state for stats.
 func (f *Fabric) breakerState(b *backendState) string {
 	if f.breakerAt == 0 {
 		return ""
 	}
-	switch b.brState.Load() {
-	case breakerOpen:
-		return "open"
-	case breakerHalfOpen:
-		return "half-open"
-	default:
-		return "closed"
-	}
+	return breakerNames[b.brState.Load()]
 }
 
 // --- routing -------------------------------------------------------------
@@ -335,11 +324,17 @@ func mix(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// weight is backend b's link's b, configured or estimated (0 while
-// unknown): RhoPrime weighs each link's ρ̂′ by it, and weighted routing
-// spreads ids in proportion to it once every link has one — evenly
-// until then, so no link is starved of the samples that measure it.
-func (b *backendState) weight() float64 { return b.link.Bandwidth() }
+// weight is backend b's link's b: its configured Bandwidth, or else its
+// peak per-fetch goodput (estimator.peak; 0 before its first success).
+// RhoPrime weighs each link's ρ̂′ by it, and weighted routing spreads ids
+// in proportion to it once every link has one — evenly until then, so
+// no link is starved of the samples that measure it.
+func (b *backendState) weight() float64 {
+	if b.cfg.Bandwidth > 0 {
+		return b.cfg.Bandwidth
+	}
+	return b.est.peakBandwidth()
+}
 
 // score returns backend b's routing score for id — lower is better.
 func (f *Fabric) score(b *backendState, id ID) float64 {
@@ -484,7 +479,10 @@ func (f *Fabric) settle(t ticket, size float64, err error) {
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
 			f.breakerCancelled(b, t.probe)
-		} else if b.errorsN.Add(1); errors.Is(err, fs.ErrNotExist) {
+			return
+		}
+		b.errorsN.Add(1)
+		if errors.Is(err, fs.ErrNotExist) {
 			f.breakerSuccess(b, t.probe)
 		} else {
 			f.breakerFailure(b, t.probe)
@@ -495,11 +493,9 @@ func (f *Fabric) settle(t ticket, size float64, err error) {
 	if size <= 0 {
 		size = 1
 	}
-	b.est.observe(f.nowf()-t.start, size)
+	bw := b.est.observe(f.nowf()-t.start, size)
 	if b.cfg.Bandwidth == 0 {
-		if bw := b.est.bandwidth(); bw > 0 {
-			b.link.SetBandwidth(bw)
-		}
+		b.link.SetBandwidth(bw) // 0, no sample: ignored
 	}
 	if t.class == demand {
 		b.link.RecordDemandSize(size)

@@ -134,6 +134,47 @@ func TestWeightedRoutingSplitsByConfiguredBandwidth(t *testing.T) {
 	}
 }
 
+// An unconfigured link weighs the peak of its per-fetch goodput, not
+// the smoothed mean its ρ̂′ reads: "busy" is timed alone one fetch in
+// four and shares its link with three others otherwise, so its mean
+// falls to about 44/s while its peak stays above 85/s, near the 100/s
+// that "idle", silent after one fetch (as a link whose calls hang is),
+// keeps. They split ids about evenly, where the means would send "idle"
+// 70 % of them.
+func TestWeightIsPeakGoodput(t *testing.T) {
+	f := newTestFabric(t, Config{Backends: []Backend{
+		{Name: "idle", Fetcher: &instantFetcher{size: 1}},
+		{Name: "busy", Fetcher: &instantFetcher{size: 1}},
+	}})
+	idle, busy := f.backends[0], f.backends[1]
+	idle.est.observe(0.01, 1)
+	for i := 0; i < 200; i++ {
+		latency := 0.04 // sharing the link with three others
+		if i%4 == 0 {
+			latency = 0.01 // alone on it
+		}
+		busy.est.observe(latency, 1)
+	}
+	if bw := busy.est.bw; bw > 50 {
+		t.Fatalf("busy link's smoothed goodput %.1f/s, want it to have fallen below 50", bw)
+	}
+	if w := busy.weight(); w < 80 || w > 100 {
+		t.Fatalf("busy link weighs %.1f, want its peak goodput, 80–100", w)
+	}
+	counts := [2]int{}
+	for id := ID(0); id < 4000; id++ {
+		counts[f.Route(id)]++
+	}
+	if frac := float64(counts[0]) / 4000; frac < 0.45 || frac > 0.6 {
+		t.Fatalf("the idle link got %.3f of ids, want ≈ 0.5–0.55", frac)
+	}
+	configured := newTestFabric(t, Config{Backends: []Backend{{Name: "a", Fetcher: &instantFetcher{size: 1}, Bandwidth: 7}}})
+	configured.backends[0].est.observe(0.01, 1)
+	if w := configured.backends[0].weight(); w != 7 {
+		t.Fatalf("a link configured with Bandwidth 7 weighs %v", w)
+	}
+}
+
 func TestLatencyRoutingPrefersFastBackend(t *testing.T) {
 	fast := &slowFetcher{delay: 1 * time.Millisecond}
 	slow := &slowFetcher{delay: 20 * time.Millisecond}

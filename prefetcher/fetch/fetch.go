@@ -101,11 +101,12 @@ type Backend struct {
 	// BatchFetcher, adjacent speculative candidates routed here are
 	// dispatched as one FetchBatch call.
 	Fetcher Fetcher
-	// Bandwidth is the link's capacity b in size units per second; 0
-	// means unknown, and the fabric estimates it from observed
-	// size/latency. Either way b is the link's weight in RhoPrime and
-	// in RouteWeighted: a link with a tenth of its peer's b gets a
-	// tenth of its peer's ids.
+	// Bandwidth is the link's capacity b in size units per second, its
+	// weight in RhoPrime and RouteWeighted: a link with a tenth of its
+	// peer's b gets a tenth of its peer's ids. 0 means unknown: the link's
+	// ρ̂′ then reads its smoothed per-fetch goodput (size/latency) as b,
+	// and its weight that goodput's recent peak, which moves with every
+	// fetch and, where round trips dominate, reads nearer size over RTT.
 	Bandwidth float64
 	// DemandTimeout bounds each demand attempt dispatched to this
 	// backend — every hedge, retry and demand batch gets its own
@@ -127,9 +128,10 @@ type Routing int
 
 const (
 	// RouteWeighted spreads ids by weighted rendezvous hashing: each
-	// id has a stable backend affinity, and each backend receives ids
-	// in proportion to its link's b (Backend.Bandwidth, configured or
-	// estimated; evenly until every link has one). The default.
+	// backend receives ids in proportion to its link's b
+	// (Backend.Bandwidth, configured or measured; evenly until every
+	// link has one), and an id keeps its backend while the weights hold
+	// — always, when every Bandwidth is configured. The default.
 	RouteWeighted Routing = iota
 	// RouteLatency prefers the backend with the lowest estimated
 	// latency, trying unmeasured ones first. It sends nearly all demand
@@ -196,7 +198,7 @@ type BackendStats struct {
 	// LatencySeconds is the EWMA fetch latency; LatencyP95Seconds the
 	// ring-buffer p95 estimate hedge delays derive from.
 	LatencySeconds, LatencyP95Seconds float64
-	// Bandwidth is the link capacity in use (configured, or the online
+	// Bandwidth is the link capacity in use (configured, or the smoothed
 	// size/latency estimate); Rho the link's total utilisation ρ̂ and
 	// RhoPrime its demand-only utilisation ρ̂′, both at snapshot time.
 	Bandwidth, Rho, RhoPrime float64
