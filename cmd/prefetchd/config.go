@@ -59,9 +59,11 @@ type BackendConfig struct {
 	MaxFileBytes int64  `json:"max_file_bytes,omitempty"`
 
 	// Fabric knobs, mapped onto fetch.Backend. Bandwidth is the link's
-	// b (0: measured online). Under the default routing each backend of
-	// a space is sent ids in proportion to its b, so a link with a tenth
-	// of its peer's b gets a tenth of its peer's ids.
+	// b. Under the default routing each backend of a space is sent ids
+	// in proportion to its b: set, a link with a tenth of its peer's b
+	// gets a tenth of its peer's ids; left 0, the b measured online is
+	// the peak per-fetch goodput, which round trips dominate for small
+	// objects, so set it where the split matters.
 	Bandwidth          float64  `json:"bandwidth,omitempty"`
 	DemandTimeout      Duration `json:"demand_timeout,omitempty"`
 	SpeculativeTimeout Duration `json:"speculative_timeout,omitempty"`

@@ -154,7 +154,7 @@
 // WithBackends, or New's single Fetcher as the one backend "origin" on
 // the WithBandwidth link — the two constructions are the same engine.
 // The fabric routes ids across named backends in proportion to each
-// link's bandwidth b, configured or estimated (or, under RouteLatency,
+// link's bandwidth b, configured or measured (or, under RouteLatency,
 // to the backend with the lowest estimated latency), with failover and
 // hedged retries on the demand path (WithHedging
 // — the next backend is raced once the preferred one overruns its

@@ -230,9 +230,10 @@ func WithEventHook(fn func(Event)) Option {
 // "origin" with the WithBandwidth capacity. Demand and speculative
 // fetches are routed across the backends — under the default
 // fetch.RouteWeighted in proportion to each link's b, its
-// fetch.Backend.Bandwidth or, left 0, the fabric's estimate of it, so a
-// link with a tenth of its peer's b gets a tenth of its peer's ids
-// (evenly until every link has a b); see WithRouting for the other —
+// fetch.Backend.Bandwidth (a link configured with a tenth of its peer's
+// b gets a tenth of its peer's ids) or, left 0, the peak per-fetch
+// goodput the fabric measures (evenly until every link has a b); see
+// WithRouting for the other —
 // a failed demand fetch fails over to the next backend, speculative
 // candidates routed to one batch-capable backend are coalesced into a
 // single FetchBatch call, and each link's latency, bandwidth and
