@@ -90,19 +90,17 @@ func chain(src *rng.Source) func() fetch.ID {
 	}
 }
 
-// TestRuleSweep times the adaptive rules prefetchd offers against each
-// other, against no prefetching and against a static cutoff, on the
-// chain at no-prefetch utilisations ρ′ ≈ 0.25, 0.45 and 0.6 (b = 100,
-// size 1, 30,000 requests per cell, the first 10,000 warm-up, seed 1).
-// A rule beside adaptive-a, prefetchd's default, keeps its place only if
-// it wins somewhere: its t̄ below adaptive-a's by more than the two CI95
-// half-widths together. Model B's threshold (adaptive-b) and the greedy
-// local-threshold rule won nowhere, and prefetchd offers neither; the
-// sweep still times model B, which the library keeps, and fails if it
-// comes to win. The table also carries what the open choices of
-// admission's ρ̂′ and prefetchd's default need: the controller's and the
-// link's ρ̂′, and ĥ′ against the no-prefetch run's hit ratio on the same
-// trace.
+// TestRuleSweep times the rules against each other, against no
+// prefetching and against load-blind cutoffs, on the chain at
+// no-prefetch utilisations ρ′ ≈ 0.25, 0.45 and 0.6 (b = 100, size 1,
+// 30,000 requests per cell, the first 10,000 warm-up, seed 1).
+// prefetchd offers adaptive-a, its default, and none; a rule beside
+// them would earn its place only by winning somewhere: its t̄ below
+// adaptive-a's by more than the two CI95 half-widths together. Model B's
+// threshold (adaptive-b), the static cutoffs and top-k won nowhere, and
+// the test fails if one comes to. The table also logs the controller's
+// and the link's ρ̂′ (admission reads the link's), and ĥ′ against the
+// no-prefetch run's hit ratio on the same trace.
 func TestRuleSweep(t *testing.T) {
 	const b = 100
 	policies := []struct {
@@ -116,7 +114,11 @@ func TestRuleSweep(t *testing.T) {
 		{"static 0.7", prefetcher.StaticThreshold(0.7)},
 		{"adaptive-a", prefetcher.AdaptiveThreshold(prefetcher.ModelA())},
 		{"adaptive-b", prefetcher.AdaptiveThreshold(prefetcher.ModelB())},
+		{"topk 1", prefetcher.TopK(1)},
+		{"topk 2", prefetcher.TopK(2)},
 	}
+	// The rules prefetchd does not offer, each of which must lose.
+	retired := []string{"static 0.1", "static 0.3", "static 0.5", "static 0.7", "adaptive-b", "topk 1", "topk 2"}
 	cell := func(lambda float64, p prefetcher.Policy) result {
 		return run{policy: p, lambda: lambda, b: b, n: 30000, warm: 10000, seed: 1, ids: chain}.measure(t)
 	}
@@ -131,9 +133,11 @@ func TestRuleSweep(t *testing.T) {
 		}
 		a, none := res["adaptive-a"], res["none"]
 		t.Logf("λ %2.0f: ρ′ %.3f; adaptive-a against none %+.1f %%", lambda, none.DemandUtilisation, 100*(a.AccessTime/none.AccessTime-1))
-		if x := res["adaptive-b"]; x.AccessTime < a.AccessTime-(a.AccessTimeCI+x.AccessTimeCI) {
-			t.Errorf("λ %.0f: adaptive-b t̄ %.2f ms wins over adaptive-a's %.2f ms (CI95 %.2f + %.2f)",
-				lambda, 1e3*x.AccessTime, 1e3*a.AccessTime, 1e3*x.AccessTimeCI, 1e3*a.AccessTimeCI)
+		for _, name := range retired {
+			if x := res[name]; x.AccessTime < a.AccessTime-(a.AccessTimeCI+x.AccessTimeCI) {
+				t.Errorf("λ %.0f: %s t̄ %.2f ms wins over adaptive-a's %.2f ms (CI95 %.2f + %.2f)",
+					lambda, name, 1e3*x.AccessTime, 1e3*a.AccessTime, 1e3*x.AccessTimeCI, 1e3*a.AccessTimeCI)
+			}
 		}
 		if lambda == 53 {
 			if again := cell(lambda, prefetcher.AdaptiveThreshold(prefetcher.ModelA())); !reflect.DeepEqual(again, a) {
