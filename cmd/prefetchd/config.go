@@ -93,14 +93,13 @@ type SpaceConfig struct {
 	CacheBytes    int `json:"cache_bytes,omitempty"`
 	SegmentBytes  int `json:"segment_bytes,omitempty"`
 
-	// Engine knobs; zero values keep the engine defaults.
-	Policy      string  `json:"policy,omitempty"`
-	PolicyArg   float64 `json:"policy_arg,omitempty"`
-	Shards      int     `json:"shards,omitempty"`
-	Workers     int     `json:"workers,omitempty"`
-	QueueDepth  int     `json:"queue_depth,omitempty"`
-	MaxPrefetch int     `json:"max_prefetch,omitempty"`
-	Bandwidth   float64 `json:"bandwidth,omitempty"`
+	// Engine knobs; zero values keep the engine defaults. Policy is
+	// adaptive-a (the default) or none. Bandwidth is the b the engine's
+	// reported ρ̂′ and threshold are read against; admission divides
+	// by each backend link's own b, configured or measured.
+	Policy    string  `json:"policy,omitempty"`
+	Shards    int     `json:"shards,omitempty"`
+	Bandwidth float64 `json:"bandwidth,omitempty"`
 
 	// Fabric knobs; Breaker turns on prefetcher.WithBreaker.
 	Routing string         `json:"routing,omitempty"`
@@ -123,7 +122,7 @@ const DefaultSpace = "default"
 // boot error, not a silently-default engine.
 var (
 	validBackendTypes = map[string]bool{"http": true, "fs": true}
-	validPolicies     = map[string]bool{"": true, "adaptive-a": true, "static": true, "topk": true, "none": true}
+	validPolicies     = map[string]bool{"": true, "adaptive-a": true, "none": true}
 	validRoutings     = map[string]bool{"": true, "weighted": true, "latency": true}
 )
 
@@ -217,7 +216,7 @@ func (s *SpaceConfig) validate() error {
 		}
 	}
 	if !validPolicies[s.Policy] {
-		return fmt.Errorf("unknown policy %q", s.Policy)
+		return fmt.Errorf("unknown policy %q (want adaptive-a or none)", s.Policy)
 	}
 	if !validRoutings[s.Routing] {
 		return fmt.Errorf("unknown routing %q", s.Routing)
@@ -225,18 +224,12 @@ func (s *SpaceConfig) validate() error {
 	if s.CacheBytes < 0 || s.SegmentBytes < 0 {
 		return fmt.Errorf("cache_bytes and segment_bytes must be >= 0")
 	}
-	if s.Policy == "static" && (s.PolicyArg < 0 || s.PolicyArg > 1) {
-		return fmt.Errorf("static policy_arg (threshold) must be in [0,1]")
-	}
-	if s.Policy == "topk" && (s.PolicyArg < 1 || s.PolicyArg != float64(int(s.PolicyArg))) {
-		return fmt.Errorf("topk policy_arg must be a positive integer")
-	}
-	if (s.Policy == "" || s.Policy == "adaptive-a") && s.Bandwidth <= 0 {
-		// The paper's rule computes its threshold from ρ̂′ = λ̂·ŝ̄/B, so
-		// the space needs a link capacity to normalise against.
+	if s.Policy != "none" && s.Bandwidth <= 0 {
+		// The engine reports its threshold at ρ̂′ = (1−ĥ′)·λ̂·ŝ̄/b
+		// against this b, and refuses an adaptive policy without one.
 		return fmt.Errorf("policy %q adapts to load and needs a positive bandwidth", s.Policy)
 	}
-	if s.CacheCapacity < 0 || s.Shards < 0 || s.Workers < 0 || s.QueueDepth < 0 || s.MaxPrefetch < 0 || s.Bandwidth < 0 {
+	if s.CacheCapacity < 0 || s.Shards < 0 || s.Bandwidth < 0 {
 		return fmt.Errorf("engine knobs must be >= 0")
 	}
 	if h := s.Hedging; h != nil {

@@ -87,8 +87,6 @@ func TestParseConfigRejects(t *testing.T) {
 		"bad duration":            `{"spaces":[{"name":"a","backends":[{"name":"o","type":"fs","root":"/","demand_timeout":"fast"}]}]}`,
 		"bad policy":              `{"spaces":[{"name":"a","policy":"yolo","backends":[{"name":"o","type":"fs","root":"/"}]}]}`,
 		"bad routing":             `{"spaces":[{"name":"a","routing":"random","backends":[{"name":"o","type":"fs","root":"/"}]}]}`,
-		"bad static arg":          `{"spaces":[{"name":"a","policy":"static","policy_arg":2,"backends":[{"name":"o","type":"fs","root":"/"}]}]}`,
-		"bad topk arg":            `{"spaces":[{"name":"a","policy":"topk","policy_arg":1.5,"backends":[{"name":"o","type":"fs","root":"/"}]}]}`,
 		"adaptive sans bandwidth": `{"spaces":[{"name":"a","policy":"adaptive-a","backends":[{"name":"o","type":"fs","root":"/"}]}]}`,
 		"neg cache bytes":         `{"spaces":[{"name":"a","cache_bytes":-1,"backends":[{"name":"o","type":"fs","root":"/"}]}]}`,
 		"neg segment bytes":       `{"spaces":[{"name":"a","cache_bytes":1024,"segment_bytes":-1,"backends":[{"name":"o","type":"fs","root":"/"}]}]}`,
@@ -117,18 +115,24 @@ func TestParseConfigRejectsPredictorKnob(t *testing.T) {
 	}
 }
 
-// TestParseConfigRejectsRetiredFabricKnobs: the idle gate went when
+// TestParseConfigRejectsRetiredKnobs: the idle gate went when
 // internal/vlink's TestIdleGateSweep found no gated cell winning a row,
 // a hedge now always launches at the primary's p95, the breaker's
-// threshold and cooldown are fixed, and a backend's routing weight is
-// its bandwidth; a config that still names the gate's watermark, a
-// hedge delay or a backend weight is refused as an unknown field, and
-// one that still gives the breaker an object of settings is refused as
-// the wrong type, while the same space without them boots.
-func TestParseConfigRejectsRetiredFabricKnobs(t *testing.T) {
-	const space = `{"spaces":[{"name":"a",%s"hedging":{%s"max_attempts":2},"policy":"none","backends":[{"name":"o","type":"fs",%s"root":"/"}]}]}`
-	if _, err := ParseConfig([]byte(fmt.Sprintf(space, `"breaker":true,`, "", `"bandwidth":100,`))); err != nil {
-		t.Fatalf("the config without the keys: %v", err)
+// threshold and cooldown are fixed, a backend's routing weight is its
+// bandwidth, and a space's policy is adaptive-a or none, since
+// TestRuleSweep found no other rule beating adaptive-a at any load.
+// A config that still names the gate's watermark, a hedge delay, a
+// backend weight, a policy's argument or an engine knob nothing set
+// (workers, queue_depth, max_prefetch) is refused as an unknown field;
+// one that gives the breaker an object of settings is refused as the
+// wrong type, and one naming a retired policy as an unknown policy;
+// the same space without them boots.
+func TestParseConfigRejectsRetiredKnobs(t *testing.T) {
+	const space = `{"spaces":[{"name":"a",%s"hedging":{%s"max_attempts":2},"bandwidth":100,"backends":[{"name":"o","type":"fs",%s"root":"/"}]}]}`
+	for _, policy := range []string{`"policy":"none",`, `"policy":"adaptive-a",`, ""} {
+		if _, err := ParseConfig([]byte(fmt.Sprintf(space, `"breaker":true,`+policy, "", `"bandwidth":100,`))); err != nil {
+			t.Fatalf("the config without the keys, %s: %v", policy, err)
+		}
 	}
 	const notBool = "breaker of type bool"
 	for _, tc := range []struct{ name, space, hedging, backend, want string }{
@@ -138,6 +142,14 @@ func TestParseConfigRejectsRetiredFabricKnobs(t *testing.T) {
 		{"breaker.threshold", `"breaker":{"threshold":5},`, "", "", notBool},
 		{"breaker.cooldown", `"breaker":{"cooldown":"1s"},`, "", "", notBool},
 		{"weight", "", "", `"weight":2,`, `unknown field "weight"`},
+		{"policy static", `"policy":"static",`, "", "", `unknown policy "static"`},
+		{"policy topk", `"policy":"topk",`, "", "", `unknown policy "topk"`},
+		{"policy adaptive-b", `"policy":"adaptive-b",`, "", "", `unknown policy "adaptive-b"`},
+		{"policy greedy", `"policy":"greedy",`, "", "", `unknown policy "greedy"`},
+		{"policy_arg", `"policy":"none","policy_arg":0.5,`, "", "", `unknown field "policy_arg"`},
+		{"queue_depth", `"queue_depth":64,`, "", "", `unknown field "queue_depth"`},
+		{"max_prefetch", `"max_prefetch":4,`, "", "", `unknown field "max_prefetch"`},
+		{"workers", `"workers":4,`, "", "", `unknown field "workers"`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := ParseConfig([]byte(fmt.Sprintf(space, tc.space, tc.hedging, tc.backend)))
@@ -145,24 +157,6 @@ func TestParseConfigRejectsRetiredFabricKnobs(t *testing.T) {
 				t.Errorf("err = %v, want %q", err, tc.want)
 			}
 		})
-	}
-}
-
-// TestParseConfigRejectsRetiredPolicies: adaptive-b (model B's
-// threshold) and greedy went when internal/vlink's TestRuleSweep found
-// neither beating adaptive-a at any load; a config that still names one
-// is refused as an unknown policy, bandwidth and all, while adaptive-a
-// with the same fields boots.
-func TestParseConfigRejectsRetiredPolicies(t *testing.T) {
-	const space = `{"spaces":[{"name":"a","policy":%q,"bandwidth":100,"backends":[{"name":"o","type":"fs","root":"/"}]}]}`
-	if _, err := ParseConfig([]byte(fmt.Sprintf(space, "adaptive-a"))); err != nil {
-		t.Fatalf("adaptive-a: %v", err)
-	}
-	for _, policy := range []string{"adaptive-b", "greedy"} {
-		_, err := ParseConfig([]byte(fmt.Sprintf(space, policy)))
-		if err == nil || !strings.Contains(err.Error(), "unknown policy") {
-			t.Errorf("%s: err = %v, want an unknown-policy error", policy, err)
-		}
 	}
 }
 
@@ -218,8 +212,9 @@ func FuzzParseConfig(f *testing.F) {
 	})
 }
 
-// TestFlagsRejectRetiredKnobs: -cache-policy went with cache_policy and
-// -predictor with predictor; either on the command line stops the boot
+// TestFlagsRejectRetiredKnobs: -cache-policy went with cache_policy,
+// -predictor with predictor, -policy-arg with the policies that read it
+// and -workers with workers; each on the command line stops the boot
 // instead of being read past, and the flags that remain build the one
 // space on the one store.
 func TestFlagsRejectRetiredKnobs(t *testing.T) {
@@ -228,7 +223,7 @@ func TestFlagsRejectRetiredKnobs(t *testing.T) {
 		fs.SetOutput(io.Discard)
 		return fs
 	}
-	for _, args := range [][]string{{"-cache-policy", "lru"}, {"-cache-policy=slru", "-cache-bytes", "1024"}, {"-predictor", "markov"}, {"-idle-watermark", "0.8"}, {"-breaker-threshold", "5"}} {
+	for _, args := range [][]string{{"-cache-policy", "lru"}, {"-cache-policy=slru", "-cache-bytes", "1024"}, {"-predictor", "markov"}, {"-idle-watermark", "0.8"}, {"-breaker-threshold", "5"}, {"-policy-arg", "0.5"}, {"-workers", "4"}} {
 		_, err := configFromArgs(newSet(), append(args, "-origin", "http://origin:9000"))
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+strings.SplitN(args[0], "=", 2)[0]) {
 			t.Errorf("%v: err = %v, want flag provided but not defined", args, err)

@@ -20,10 +20,10 @@
 // order: a key read twice moves to a protected list of half the
 // entries, and a one-shot miss or an unused prefetch waits on probation
 // and goes first. A space's policy is adaptive-a, the paper's rule under
-// model A and the default, static (a fixed cutoff), topk, or none, the
-// one way to run a space without speculation; model B's threshold and
-// the greedy rule went when the virtual-time sweep in internal/vlink
-// found neither beating adaptive-a at any load.
+// model A and the default, or none, the one way to run a space without
+// speculation; model B's threshold, the greedy rule, the static cutoffs
+// and top-k went when the virtual-time sweep in internal/vlink found
+// none of them beating adaptive-a at any load.
 // /stats serves per-space engine snapshots as JSON, with a memory block
 // that splits the process's RSS: the store's segments and the Markov rows
 // live off the Go heap (offheap_bytes), beside the heap's live bytes, its
@@ -77,8 +77,8 @@ type flagConfig struct {
 	listen, origin, originBatch, fsRoot string
 	cacheCap, cacheBytes, segBytes      int
 	policy                              string
-	policyArg, bandwidth                float64
-	shards, workers, hedgeMax           int
+	bandwidth                           float64
+	shards, hedgeMax                    int
 	breaker                             bool
 	demandTO, specTO, drainTO           time.Duration
 }
@@ -96,11 +96,9 @@ func configFromArgs(fs *flag.FlagSet, args []string) (*Config, error) {
 	fs.IntVar(&f.cacheCap, "cache", 4096, "cache capacity in items, half of them protected: a key read twice outlives one-shot keys")
 	fs.IntVar(&f.cacheBytes, "cache-bytes", 0, "cache byte budget (0 = 64 MiB), a ceiling: the arena holds at most about twice the peak live bytes; payloads live in segments mapped off the Go heap")
 	fs.IntVar(&f.segBytes, "segment-bytes", 0, "cache segment size in bytes (0 = 1 MiB)")
-	fs.StringVar(&f.policy, "policy", "adaptive-a", "prefetch policy: adaptive-a (the paper's rule, model A), static, topk or none (no speculation); the access model is always the Markov table, which grows only with states seen twice and never past about 7 MiB")
-	fs.Float64Var(&f.policyArg, "policy-arg", 0, "policy parameter (static threshold or topk k)")
-	fs.Float64Var(&f.bandwidth, "bandwidth", 1e6, "origin link capacity in payload-size units per second; the adaptive threshold's rho-prime normalises against it")
+	fs.StringVar(&f.policy, "policy", "adaptive-a", "prefetch policy: adaptive-a (the paper's rule, model A) or none (no speculation); the access model is always the Markov table, which grows only with states seen twice and never past about 7 MiB")
+	fs.Float64Var(&f.bandwidth, "bandwidth", 1e6, "link capacity in payload-size units per second that /stats reports rho-prime and the threshold against; admission divides by the origin link's own b, measured")
 	fs.IntVar(&f.shards, "shards", 0, "engine shard count (0 = auto)")
-	fs.IntVar(&f.workers, "workers", 0, "speculative worker count (0 = default)")
 	fs.IntVar(&f.hedgeMax, "hedge-attempts", 0, "max demand attempts incl. hedges (0 = no hedging)")
 	fs.BoolVar(&f.breaker, "breaker", false, "open a backend's circuit breaker after 5 consecutive failures, probing it a second later")
 	fs.DurationVar(&f.demandTO, "demand-timeout", 0, "per-attempt demand timeout on the flag-built backend (0 = none)")
@@ -142,10 +140,8 @@ func loadConfig(path string, f flagConfig) (*Config, error) {
 		CacheBytes:    f.cacheBytes,
 		SegmentBytes:  f.segBytes,
 		Policy:        f.policy,
-		PolicyArg:     f.policyArg,
 		Bandwidth:     f.bandwidth,
 		Shards:        f.shards,
-		Workers:       f.workers,
 	}
 	if f.origin != "" {
 		sp.Backends = append(sp.Backends, BackendConfig{

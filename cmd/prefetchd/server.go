@@ -117,27 +117,13 @@ func buildEngine(sc SpaceConfig) (*prefetcher.Engine, []io.Closer, error) {
 		return nil, nil, fmt.Errorf("cache: %w", err)
 	}
 	opts = append(opts, prefetcher.WithCacheFactory(factory))
-	switch sc.Policy {
-	case "", "adaptive-a":
-		opts = append(opts, prefetcher.WithPolicy(prefetcher.AdaptiveThreshold(prefetcher.ModelA())))
-	case "static":
-		opts = append(opts, prefetcher.WithPolicy(prefetcher.StaticThreshold(sc.PolicyArg)))
-	case "topk":
-		opts = append(opts, prefetcher.WithPolicy(prefetcher.TopK(int(sc.PolicyArg))))
-	case "none":
-		opts = append(opts, prefetcher.WithPolicy(prefetcher.NoPrefetch()))
+	policy := prefetcher.AdaptiveThreshold(prefetcher.ModelA())
+	if sc.Policy == "none" {
+		policy = prefetcher.NoPrefetch()
 	}
+	opts = append(opts, prefetcher.WithPolicy(policy))
 	if sc.Shards > 0 {
 		opts = append(opts, prefetcher.WithShards(sc.Shards))
-	}
-	if sc.Workers > 0 {
-		opts = append(opts, prefetcher.WithWorkers(sc.Workers))
-	}
-	if sc.QueueDepth > 0 {
-		opts = append(opts, prefetcher.WithQueueDepth(sc.QueueDepth))
-	}
-	if sc.MaxPrefetch > 0 {
-		opts = append(opts, prefetcher.WithMaxPrefetch(sc.MaxPrefetch))
 	}
 	if sc.Bandwidth > 0 {
 		opts = append(opts, prefetcher.WithBandwidth(sc.Bandwidth))

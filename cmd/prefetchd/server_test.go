@@ -127,7 +127,6 @@ func oneSpaceConfig(originURL string) *Config {
 			Shards:        1,
 			Policy:        "adaptive-a",
 			Bandwidth:     1e6,
-			Workers:       4,
 		}},
 	}
 }
@@ -715,17 +714,13 @@ func TestBuildEngineKnobs(t *testing.T) {
 	dir := t.TempDir()
 	for _, sc := range []SpaceConfig{
 		{Name: "a", Policy: "adaptive-a", CacheCapacity: 64, CacheBytes: 1 << 20, SegmentBytes: 64 << 10,
-			Shards: 4, Workers: 2, QueueDepth: 32, MaxPrefetch: 8, Bandwidth: 100,
+			Shards: 4, Bandwidth: 100,
 			Routing: "latency",
 			Hedging: &HedgingConfig{MaxAttempts: 2, Backoff: Duration(time.Millisecond)}, Breaker: true,
 			Backends: []BackendConfig{{Name: "fs", Type: "fs", Root: dir}}},
-		{Name: "b", Policy: "static", PolicyArg: 0.4,
+		{Name: "b", Policy: "", Bandwidth: 100,
 			Backends: []BackendConfig{{Name: "fs", Type: "fs", Root: dir}}},
-		{Name: "c", Policy: "topk", PolicyArg: 4,
-			Backends: []BackendConfig{{Name: "fs", Type: "fs", Root: dir}}},
-		{Name: "d", Policy: "", Bandwidth: 100,
-			Backends: []BackendConfig{{Name: "fs", Type: "fs", Root: dir}}},
-		{Name: "e", Policy: "none",
+		{Name: "c", Policy: "none",
 			Backends: []BackendConfig{{Name: "fs", Type: "fs", Root: dir}}},
 	} {
 		eng, _, err := buildEngine(sc)

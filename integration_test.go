@@ -105,7 +105,7 @@ func TestEngineThresholdAgreesWithPlanner(t *testing.T) {
 	const (
 		bandwidth = 50.0
 		hTrue     = 0.4
-		nc        = 2.0 // pinned n̄(C): B and AB sit 0.2 and 0.1 above A
+		nc        = 2.0 // pinned n̄(C): B sits 0.2 above A
 	)
 	for _, tc := range []struct {
 		name  string
@@ -113,7 +113,6 @@ func TestEngineThresholdAgreesWithPlanner(t *testing.T) {
 	}{
 		{"model A", prefetcher.ModelA()},
 		{"model B", prefetcher.ModelB()},
-		{"model AB", prefetcher.ModelAB(0.5)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			clock := prefetcher.NewManualClock(time.Unix(0, 0))

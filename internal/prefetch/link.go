@@ -16,11 +16,7 @@ import (
 // (demand plus speculative, giving ρ̂, the link's whole load), each as
 // dispatches per second times their mean size, over b. A dispatch
 // counts at its time, its size — known when the fetch completes — in
-// the newest bucket. ρ̂ also counts no more than one dispatch per gap
-// since the last one: the window alone would hold a busy spell for up
-// to its span, and the bound lets ρ̂ fall as soon as the link goes quiet
-// (so a quiet link's ρ̂ can read below its ρ̂′, which stays the window's
-// average for the threshold). Safe for concurrent use.
+// the newest bucket. Safe for concurrent use.
 type Link struct {
 	bw atomic.Uint64 // float64 bits: configured or estimated bandwidth
 	w  *window.Window
@@ -114,24 +110,19 @@ func mean(sums *[window.Fields]float64, stream int) float64 {
 
 // RhoPrime returns the link's estimated demand-only utilisation ρ̂′ at
 // time now, clamped to [0, 1]. 0 when the bandwidth is still unknown.
-func (l *Link) RhoPrime(now float64) float64 { return l.rho(now, demandStream, math.Inf(1)) }
+func (l *Link) RhoPrime(now float64) float64 { return l.rho(now, demandStream) }
 
 // Rho returns the link's estimated total utilisation ρ̂ (demand plus
-// speculative traffic) at time now, clamped to [0, 1]: its window's
-// dispatch rate, at most one per second of the gap since the last
-// dispatch.
-func (l *Link) Rho(now float64) float64 {
-	return l.rho(now, totalStream, 1/max(now-l.w.Now(), 0))
-}
+// speculative traffic) at time now, clamped to [0, 1].
+func (l *Link) Rho(now float64) float64 { return l.rho(now, totalStream) }
 
-// rho returns a stream's dispatches per second over the window, capped
-// at most, times their mean size, over b.
-func (l *Link) rho(now float64, stream int, most float64) float64 {
+// rho returns a stream's dispatches per second over the window times
+// their mean size, over b.
+func (l *Link) rho(now float64, stream int) float64 {
 	b := l.Bandwidth()
 	sums, span := l.w.Sum(now)
 	if b <= 0 || span <= 0 {
 		return 0
 	}
-	rate := min(sums[stream+streamCalls]/span, most)
-	return min(max(rate*mean(&sums, stream)/b, 0), 1)
+	return min(max(sums[stream+streamCalls]/span*mean(&sums, stream)/b, 0), 1)
 }

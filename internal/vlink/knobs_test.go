@@ -131,15 +131,16 @@ func on(links ...origin) run {
 // The rows. A slow origin has a tenth or a half of its peer's b; a
 // faulty one fails every 20th call, goes dark for 10 s a minute (each
 // attempt bounded at 500 ms, about 10× the clean mean), or fails every
-// call for 50 ms of each second.
+// call for 50 ms of each second, alone or beside a healthy peer.
 var (
 	slowRows = append(loads("10× slower origin", on(origin{b: 100}, origin{b: 10}), 0.3),
 		loads("half-b origin", on(origin{b: 100}, origin{b: 50}), 0.3, 0.6)...)
 	darkRows = append(loads("dark spell", on(origin{b: 100, fault: fault{dark: true}, timeout: 500 * time.Millisecond},
 		origin{b: 100, timeout: 500 * time.Millisecond}), 0.3),
 		loads("every 20th, two links", on(origin{b: 100, fault: fault{every: 20}}, origin{b: 100}), 0.3, 0.6)...)
-	everyRows = loads("every 20th, one link", on(origin{b: 100, fault: fault{every: 20}}), 0.3, 0.6)
-	burstRows = loads("burst", on(origin{b: 100, fault: fault{burst: 50 * time.Millisecond}}), 0.3, 0.6)
+	everyRows    = loads("every 20th, one link", on(origin{b: 100, fault: fault{every: 20}}), 0.3, 0.6)
+	burstRows    = loads("burst", on(origin{b: 100, fault: fault{burst: 50 * time.Millisecond}}), 0.3, 0.6)
+	burstTwoRows = loads("burst, two links", on(origin{b: 100, fault: fault{burst: 50 * time.Millisecond}}, origin{b: 100}), 0.3, 0.6)
 )
 
 // configured gives each backend its link's b as its Bandwidth, where
@@ -203,9 +204,10 @@ func TestHedgingDecision(t *testing.T) {
 }
 
 // TestBreakerDecision keeps the circuit breaker only while it wins a
-// row, with or without hedging beside it.
+// row, with or without hedging beside it. Beside the dark spell it times
+// the burst on one of two links, which failover absorbs without it.
 func TestBreakerDecision(t *testing.T) {
-	if won, _ := decide(t, darkRows, []cell{
+	if won, _ := decide(t, append(append([]row(nil), darkRows...), burstTwoRows...), []cell{
 		{name: "neither"},
 		{name: "hedging", set: hedged},
 		{name: "breaker", uses: true, set: broken},

@@ -164,10 +164,11 @@
 // latency, bandwidth and utilisation estimators, and the admission
 // threshold is evaluated once per plan against the links' measured
 // demand-only ρ̂′, weighted by the same b (Fabric.RhoPrime; on one link,
-// its own), before the admitted candidates are routed. That reading sits at or below
-// the controller's global estimate (1−ĥ′)λ̂ŝ̄/b which Stats.RhoPrime and
-// Threshold report, so an engine admits somewhat more than the global
-// figure alone suggests; Stats.Backends[i].RhoPrime are the numbers in
+// its own), before the admitted candidates are routed. An unconfigured
+// link divides by its measured goodput, which falls with load, so it reads
+// above the global (1−ĥ′)λ̂ŝ̄/b of Stats.RhoPrime and Threshold on a
+// loaded link and below it on an idle one; truer readings won no load on
+// internal/vlink's TestRuleSweep. Stats.Backends[i].RhoPrime are the numbers in
 // force, and what feeds them is written once: every backend call the
 // fabric makes, whatever its entry point, is admitted, counted and
 // recorded on its link by one function and settled by another.
@@ -204,7 +205,9 @@
 // Item per requested id in request order from FetchBatch — a short,
 // misordered or failed batch fails whole, which the demand path then
 // degrades to per-key fallback fetches. Command cmd/prefetchd wires
-// these adapters into a runnable caching-proxy daemon.
+// these adapters into a runnable caching-proxy daemon, whose spaces run
+// AdaptiveThreshold(ModelA()) or NoPrefetch: on TestRuleSweep no other
+// rule beats the former at any load.
 //
 // # Invariants
 //

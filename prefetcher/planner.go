@@ -13,8 +13,8 @@ type PlanParams struct {
 	MeanSize float64
 	// HPrime is the cache hit ratio h′ without prefetching.
 	HPrime float64
-	// NC is the steady cache occupancy n̄(C) in items (models B/AB
-	// only; leave 0 for model A).
+	// NC is the steady cache occupancy n̄(C) in items (model B only;
+	// leave 0 for model A).
 	NC float64
 }
 

@@ -21,7 +21,6 @@ func TestPlannerIsAnalytic(t *testing.T) {
 	}{
 		{"model A", ModelA(), analytic.ModelA{}},
 		{"model B", ModelB(), analytic.ModelB{}},
-		{"model AB", ModelAB(0.5), analytic.ModelAB{Alpha: 0.5}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p, err := NewPlanner(tc.model, par)

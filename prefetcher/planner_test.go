@@ -17,8 +17,6 @@ func TestPlannerThresholds(t *testing.T) {
 		{"model A", ModelA(), 0.42},
 		// Model B adds h′/n̄(C) = 0.3/100.
 		{"model B", ModelB(), 0.42 + 0.003},
-		// AB at α=0.5 adds half the displacement.
-		{"model AB", ModelAB(0.5), 0.42 + 0.0015},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {

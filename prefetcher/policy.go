@@ -19,10 +19,6 @@ func ModelA() Model { return Model{analytic.ModelA{}} }
 // average-value occupant, so p_th = ρ′ + h′/n̄(C) (eq. 21).
 func ModelB() Model { return Model{analytic.ModelB{}} }
 
-// ModelAB interpolates between A and B: the displacement term is scaled
-// by alpha in [0,1] (0 = model A, 1 = model B).
-func ModelAB(alpha float64) Model { return Model{analytic.ModelAB{Alpha: alpha}} }
-
 // Name identifies the model in reports.
 func (m Model) Name() string {
 	if m.m == nil {

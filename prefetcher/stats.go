@@ -38,7 +38,7 @@ type Stats struct {
 	// Threshold is the paper's cutoff p̂_th for the engine's interaction
 	// model — ρ̂′ (model A) plus ĥ′/n̄(C) (model B) — at that global
 	// RhoPrime. The threshold in force substitutes the Backends[i].RhoPrime
-	// weighted by bandwidth, which reads at or below the global estimate.
+	// weighted by bandwidth; an unconfigured link's reads high under load.
 	Threshold float64
 	// CacheLen is the resident item count summed across shard caches;
 	// InFlight the number of fetches (demand and speculative) currently
