@@ -138,6 +138,7 @@ var (
 	darkRows = append(loads("dark spell", on(origin{b: 100, fault: fault{dark: true}, timeout: 500 * time.Millisecond},
 		origin{b: 100, timeout: 500 * time.Millisecond}), 0.3),
 		loads("every 20th, two links", on(origin{b: 100, fault: fault{every: 20}}, origin{b: 100}), 0.3, 0.6)...)
+	darkOneRows  = loads("dark spell, one link", on(origin{b: 100, fault: fault{dark: true}, timeout: 500 * time.Millisecond}), 0.3)
 	everyRows    = loads("every 20th, one link", on(origin{b: 100, fault: fault{every: 20}}), 0.3, 0.6)
 	burstRows    = loads("burst", on(origin{b: 100, fault: fault{burst: 50 * time.Millisecond}}), 0.3, 0.6)
 	burstTwoRows = loads("burst, two links", on(origin{b: 100, fault: fault{burst: 50 * time.Millisecond}}, origin{b: 100}), 0.3, 0.6)
@@ -154,6 +155,8 @@ func configured(r *run) {
 
 func latency(r *run) { r.opts = append(r.opts, prefetcher.WithRouting(fetch.RouteLatency)) }
 
+func shortest(r *run) { r.opts = append(r.opts, prefetcher.WithRouting(fetch.RouteSED)) }
+
 func hedged(r *run) { r.opts = append(r.opts, prefetcher.WithHedging(fetch.Hedging{})) }
 
 func broken(r *run) { r.opts = append(r.opts, prefetcher.WithBreaker()) }
@@ -166,14 +169,20 @@ func broken(r *run) { r.opts = append(r.opts, prefetcher.WithBreaker()) }
 // t̄ be worse than the configured-b cell's by more than the two CI95
 // half-widths together. And the default on the 10×-slower row must
 // read the same when run again.
+//
+// Beside them it times RouteSED, shortest expected delay on the links'
+// processor sharing, on every row at seeds 1, 2 and 3, and fails if
+// weighted or latency routing beats it there: fewer failed Gets, or a
+// t̄ lower by more than the two CI95 half-widths together.
 func TestRoutingDecision(t *testing.T) {
-	const def, conf = 0, 1 // the cells below
+	const def, conf, sed = 0, 1, 3 // the cells below
 	cells := []cell{
 		{name: "weighted (default)"},
 		{name: "Bandwidth = b", set: configured},
 		{name: "latency", uses: true, set: latency},
+		{name: "SED", set: shortest},
 	}
-	won, res := decide(t, slowRows, cells)
+	won, res := decide(t, slowRows, cells[:sed])
 	if len(won) == 0 {
 		t.Error("latency routing wins no row")
 	}
@@ -186,6 +195,23 @@ func TestRoutingDecision(t *testing.T) {
 	}
 	if again, err := slowRows[0].run.time(); err != nil || !reflect.DeepEqual(again, res[0][def]) {
 		t.Errorf("%s, default re-run: %+v (%v), first run %+v", slowRows[0].name, again, err, res[0][def])
+	}
+	var seeded []row
+	for seed := uint64(1); seed <= 3; seed++ {
+		for _, rw := range slowRows {
+			rw.run.seed = seed
+			seeded = append(seeded, row{name: fmt.Sprintf("%s, seed %d", rw.name, seed), run: rw.run})
+		}
+	}
+	_, res = decide(t, seeded, []cell{cells[def], {name: "latency", set: latency}, {name: "SED", uses: true, set: shortest}})
+	for i, rw := range seeded {
+		s := res[i][2]
+		for j, name := range []string{"weighted", "latency"} {
+			if o := res[i][j]; o.Failed < s.Failed || o.Failed == s.Failed && o.AccessTime < s.AccessTime-o.AccessTimeCI-s.AccessTimeCI {
+				t.Errorf("%s: %s routing beats SED: t̄ %.2f ± %.2f ms, %d failed, against %.2f ± %.2f ms, %d failed",
+					rw.name, name, 1e3*o.AccessTime, 1e3*o.AccessTimeCI, o.Failed, 1e3*s.AccessTime, 1e3*s.AccessTimeCI, s.Failed)
+			}
+		}
 	}
 }
 
@@ -205,9 +231,10 @@ func TestHedgingDecision(t *testing.T) {
 
 // TestBreakerDecision keeps the circuit breaker only while it wins a
 // row, with or without hedging beside it. Beside the dark spell it times
-// the burst on one of two links, which failover absorbs without it.
+// the burst on one of two links, which failover absorbs without it, and
+// the dark spell on a link of its own, where nothing can fail over.
 func TestBreakerDecision(t *testing.T) {
-	if won, _ := decide(t, append(append([]row(nil), darkRows...), burstTwoRows...), []cell{
+	if won, _ := decide(t, append(append(append([]row(nil), darkRows...), burstTwoRows...), darkOneRows...), []cell{
 		{name: "neither"},
 		{name: "hedging", set: hedged},
 		{name: "breaker", uses: true, set: broken},

@@ -80,6 +80,9 @@ type backendState struct {
 	link      *prefetch.Link
 	est       *estimator
 	seed      uint64 // rendezvous-hash seed derived from the name
+	// inflight counts the admitted attempts not yet settled: +1 in admit,
+	// −1 at the top of settle.
+	inflight atomic.Int64
 
 	// sent counts, per class, the ids dispatched (per attempt: hedges and
 	// retries included) and the batch round trips that carried some of
@@ -338,6 +341,15 @@ func (b *backendState) weight() float64 {
 
 // score returns backend b's routing score for id — lower is better.
 func (f *Fabric) score(b *backendState, id ID) float64 {
+	if f.routing == RouteSED {
+		w := b.weight()
+		for _, o := range f.backends {
+			if o.weight() <= 0 {
+				w = 1
+			}
+		}
+		return float64(b.inflight.Load()+1) / w
+	}
 	if f.routing == RouteLatency {
 		if lat := b.est.latency(); lat > 0 {
 			return lat
@@ -439,6 +451,7 @@ func (f *Fabric) admit(b *backendState, c class, n int, h how) (ticket, error) {
 	case hedge:
 		b.hedgesLaunched.Add(1)
 	}
+	b.inflight.Add(1)
 	t := ticket{b: b, class: c, how: h, probe: probe, start: f.nowf()}
 	if c == demand {
 		b.link.RecordDemand(t.start)
@@ -476,6 +489,7 @@ func (t ticket) ctx(ctx context.Context) (context.Context, context.CancelFunc) {
 //prefetch:hotpath
 func (f *Fabric) settle(t ticket, size float64, err error) {
 	b := t.b
+	b.inflight.Add(-1)
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
 			f.breakerCancelled(b, t.probe)

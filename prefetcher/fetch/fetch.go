@@ -139,6 +139,9 @@ const (
 	// loses with links of b 100 and 50 at 0.6 of Σb (t̄ 35.32 ms
 	// against RouteWeighted's 22.96 ms in virtual time).
 	RouteLatency
+	// RouteSED sends each fetch to the backend of shortest expected
+	// delay on a processor-sharing link: the least (in-flight + 1)/b.
+	RouteSED
 )
 
 // The circuit breaker's parameters (Config.Breaker): breakerThreshold

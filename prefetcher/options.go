@@ -260,7 +260,7 @@ func WithBackends(backends ...fetch.Backend) Option {
 // default, t̄ 35.32 ms against 22.96 ms in virtual time.
 func WithRouting(r fetch.Routing) Option {
 	return func(c *config) error {
-		if r != fetch.RouteWeighted && r != fetch.RouteLatency {
+		if r != fetch.RouteWeighted && r != fetch.RouteLatency && r != fetch.RouteSED {
 			return fmt.Errorf("prefetcher: unknown routing strategy %d", r)
 		}
 		c.routing = r
