@@ -1,10 +1,11 @@
 // Package repro_test hosts the benchmark harness: one testing.B
-// benchmark per paper figure and derived table (see DESIGN.md's
-// experiment index). Each benchmark regenerates its experiment from
+// benchmark per paper figure and derived table (`go run
+// ./cmd/prefetchbench -list` names them). Each benchmark regenerates its experiment from
 // scratch, so `go test -bench=. -benchmem` both times the harness and
 // re-validates that every artifact still generates without error.
 // Key scalar outcomes are attached via b.ReportMetric so bench output
-// doubles as a regression record (see EXPERIMENTS.md).
+// doubles as a regression record beside the tables `prefetchbench -run`
+// prints.
 package repro_test
 
 import (

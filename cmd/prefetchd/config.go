@@ -59,10 +59,10 @@ type BackendConfig struct {
 	MaxFileBytes int64  `json:"max_file_bytes,omitempty"`
 
 	// Fabric knobs, mapped onto fetch.Backend. Bandwidth is the link's
-	// b. Under the default routing each backend of a space is sent ids
-	// in proportion to its b: set, a link with a tenth of its peer's b
-	// gets a tenth of its peer's ids; left 0, the b measured online is
-	// the peak per-fetch goodput, which round trips dominate for small
+	// b. Each fetch goes to the backend of least (in-flight + 1)/b: set,
+	// a link with a tenth of its peer's b is sent a fetch while idle
+	// only once its peer has ten in flight; left 0, the b measured online
+	// is the peak per-fetch goodput, which round trips dominate for small
 	// objects, so set it where the split matters.
 	Bandwidth          float64  `json:"bandwidth,omitempty"`
 	DemandTimeout      Duration `json:"demand_timeout,omitempty"`
@@ -101,10 +101,9 @@ type SpaceConfig struct {
 	Shards    int     `json:"shards,omitempty"`
 	Bandwidth float64 `json:"bandwidth,omitempty"`
 
-	// Fabric knobs; Breaker turns on prefetcher.WithBreaker.
-	Routing string         `json:"routing,omitempty"`
+	// The fabric's one knob; it routes each fetch to the backend of
+	// shortest expected delay, which no key changes.
 	Hedging *HedgingConfig `json:"hedging,omitempty"`
-	Breaker bool           `json:"breaker,omitempty"`
 }
 
 // Config is prefetchd's whole configuration: the listen address and
@@ -123,7 +122,6 @@ const DefaultSpace = "default"
 var (
 	validBackendTypes = map[string]bool{"http": true, "fs": true}
 	validPolicies     = map[string]bool{"": true, "adaptive-a": true, "none": true}
-	validRoutings     = map[string]bool{"": true, "weighted": true, "latency": true}
 )
 
 // ParseConfig decodes and validates a JSON config. It is the fuzz
@@ -217,9 +215,6 @@ func (s *SpaceConfig) validate() error {
 	}
 	if !validPolicies[s.Policy] {
 		return fmt.Errorf("unknown policy %q (want adaptive-a or none)", s.Policy)
-	}
-	if !validRoutings[s.Routing] {
-		return fmt.Errorf("unknown routing %q", s.Routing)
 	}
 	if s.CacheBytes < 0 || s.SegmentBytes < 0 {
 		return fmt.Errorf("cache_bytes and segment_bytes must be >= 0")

@@ -26,9 +26,7 @@ const sampleConfig = `{
       "cache_capacity": 1024,
       "policy": "adaptive-a",
       "bandwidth": 1000000,
-      "routing": "latency",
-      "hedging": {"max_attempts": 2, "backoff": "10ms"},
-      "breaker": true
+      "hedging": {"max_attempts": 2, "backoff": "10ms"}
     },
     {
       "name": "cold",
@@ -55,9 +53,6 @@ func TestParseConfig(t *testing.T) {
 	}
 	if d.Hedging == nil || d.Hedging.MaxAttempts != 2 {
 		t.Fatalf("hedging = %+v", d.Hedging)
-	}
-	if !d.Breaker {
-		t.Fatal("breaker off")
 	}
 	// Duration round-trips through its string form.
 	out, err := json.Marshal(cfg.Spaces[0].Backends[0])
@@ -86,7 +81,6 @@ func TestParseConfigRejects(t *testing.T) {
 		"neg timeout":             `{"spaces":[{"name":"a","backends":[{"name":"o","type":"fs","root":"/","demand_timeout":-1}]}]}`,
 		"bad duration":            `{"spaces":[{"name":"a","backends":[{"name":"o","type":"fs","root":"/","demand_timeout":"fast"}]}]}`,
 		"bad policy":              `{"spaces":[{"name":"a","policy":"yolo","backends":[{"name":"o","type":"fs","root":"/"}]}]}`,
-		"bad routing":             `{"spaces":[{"name":"a","routing":"random","backends":[{"name":"o","type":"fs","root":"/"}]}]}`,
 		"adaptive sans bandwidth": `{"spaces":[{"name":"a","policy":"adaptive-a","backends":[{"name":"o","type":"fs","root":"/"}]}]}`,
 		"neg cache bytes":         `{"spaces":[{"name":"a","cache_bytes":-1,"backends":[{"name":"o","type":"fs","root":"/"}]}]}`,
 		"neg segment bytes":       `{"spaces":[{"name":"a","cache_bytes":1024,"segment_bytes":-1,"backends":[{"name":"o","type":"fs","root":"/"}]}]}`,
@@ -117,30 +111,32 @@ func TestParseConfigRejectsPredictorKnob(t *testing.T) {
 
 // TestParseConfigRejectsRetiredKnobs: the idle gate went when
 // internal/vlink's TestIdleGateSweep found no gated cell winning a row,
-// a hedge now always launches at the primary's p95, the breaker's
-// threshold and cooldown are fixed, a backend's routing weight is its
-// bandwidth, and a space's policy is adaptive-a or none, since
-// TestRuleSweep found no other rule beating adaptive-a at any load.
-// A config that still names the gate's watermark, a hedge delay, a
-// backend weight, a policy's argument or an engine knob nothing set
-// (workers, queue_depth, max_prefetch) is refused as an unknown field;
-// one that gives the breaker an object of settings is refused as the
-// wrong type, and one naming a retired policy as an unknown policy;
-// the same space without them boots.
+// a hedge now always launches at the primary's p95, a backend's routing
+// weight is its bandwidth, routing is shortest expected delay and the
+// circuit breaker is gone, since the virtual-time gates found neither
+// weighted nor latency routing beating it nor the breaker winning a row
+// beside it, and a space's policy is adaptive-a or none, since
+// TestRuleSweep found no other rule beating adaptive-a at any load. A
+// config that still names the gate's watermark, a hedge delay, a
+// backend weight, a routing mode, the breaker, a policy's argument or
+// an engine knob nothing set (workers, queue_depth, max_prefetch) is
+// refused as an unknown field, and one naming a retired policy as an
+// unknown policy; the same space without them boots.
 func TestParseConfigRejectsRetiredKnobs(t *testing.T) {
 	const space = `{"spaces":[{"name":"a",%s"hedging":{%s"max_attempts":2},"bandwidth":100,"backends":[{"name":"o","type":"fs",%s"root":"/"}]}]}`
 	for _, policy := range []string{`"policy":"none",`, `"policy":"adaptive-a",`, ""} {
-		if _, err := ParseConfig([]byte(fmt.Sprintf(space, `"breaker":true,`+policy, "", `"bandwidth":100,`))); err != nil {
+		if _, err := ParseConfig([]byte(fmt.Sprintf(space, policy, "", `"bandwidth":100,`))); err != nil {
 			t.Fatalf("the config without the keys, %s: %v", policy, err)
 		}
 	}
-	const notBool = "breaker of type bool"
 	for _, tc := range []struct{ name, space, hedging, backend, want string }{
 		{"idle_watermark", `"idle_watermark":0.8,`, "", "", `unknown field "idle_watermark"`},
 		{"delay", "", `"delay":"5ms",`, "", `unknown field "delay"`},
 		{"p95_multiple", "", `"p95_multiple":0.5,`, "", `unknown field "p95_multiple"`},
-		{"breaker.threshold", `"breaker":{"threshold":5},`, "", "", notBool},
-		{"breaker.cooldown", `"breaker":{"cooldown":"1s"},`, "", "", notBool},
+		{"breaker", `"breaker":true,`, "", "", `unknown field "breaker"`},
+		{"breaker.threshold", `"breaker":{"threshold":5},`, "", "", `unknown field "breaker"`},
+		{"routing latency", `"routing":"latency",`, "", "", `unknown field "routing"`},
+		{"routing weighted", `"routing":"weighted",`, "", "", `unknown field "routing"`},
 		{"weight", "", "", `"weight":2,`, `unknown field "weight"`},
 		{"policy static", `"policy":"static",`, "", "", `unknown policy "static"`},
 		{"policy topk", `"policy":"topk",`, "", "", `unknown policy "topk"`},
@@ -213,17 +209,17 @@ func FuzzParseConfig(f *testing.F) {
 }
 
 // TestFlagsRejectRetiredKnobs: -cache-policy went with cache_policy,
-// -predictor with predictor, -policy-arg with the policies that read it
-// and -workers with workers; each on the command line stops the boot
-// instead of being read past, and the flags that remain build the one
-// space on the one store.
+// -predictor with predictor, -policy-arg with the policies that read it,
+// -workers with workers and -breaker with the breaker; each on the
+// command line stops the boot instead of being read past, and the flags
+// that remain build the one space on the one store.
 func TestFlagsRejectRetiredKnobs(t *testing.T) {
 	newSet := func() *flag.FlagSet {
 		fs := flag.NewFlagSet("prefetchd", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
 		return fs
 	}
-	for _, args := range [][]string{{"-cache-policy", "lru"}, {"-cache-policy=slru", "-cache-bytes", "1024"}, {"-predictor", "markov"}, {"-idle-watermark", "0.8"}, {"-breaker-threshold", "5"}, {"-policy-arg", "0.5"}, {"-workers", "4"}} {
+	for _, args := range [][]string{{"-cache-policy", "lru"}, {"-cache-policy=slru", "-cache-bytes", "1024"}, {"-predictor", "markov"}, {"-idle-watermark", "0.8"}, {"-breaker-threshold", "5"}, {"-breaker"}, {"-policy-arg", "0.5"}, {"-workers", "4"}} {
 		_, err := configFromArgs(newSet(), append(args, "-origin", "http://origin:9000"))
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+strings.SplitN(args[0], "=", 2)[0]) {
 			t.Errorf("%v: err = %v, want flag provided but not defined", args, err)
@@ -255,7 +251,6 @@ func TestLoadConfigFlags(t *testing.T) {
 	f.origin = "http://origin:9000"
 	f.originBatch = "/batch"
 	f.hedgeMax = 2
-	f.breaker = true
 	f.demandTO = 2 * time.Second
 	cfg, err := loadConfig("", f)
 	if err != nil {
@@ -268,8 +263,8 @@ func TestLoadConfigFlags(t *testing.T) {
 	if sp.Backends[0].DemandTimeout != Duration(2*time.Second) {
 		t.Fatalf("demand timeout = %v", sp.Backends[0].DemandTimeout)
 	}
-	if sp.Hedging == nil || !sp.Breaker {
-		t.Fatalf("hedging/breaker = %+v/%v", sp.Hedging, sp.Breaker)
+	if sp.Hedging == nil || sp.Hedging.MaxAttempts != 2 {
+		t.Fatalf("hedging = %+v", sp.Hedging)
 	}
 	f2 := base
 	f2.fsRoot = t.TempDir()

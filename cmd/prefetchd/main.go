@@ -1,7 +1,7 @@
 // Command prefetchd is a runnable caching proxy built on the prefetch
 // engine: it serves GET /obj/{key} (and the batched GET /batch?ids=…)
-// out of a per-space engine whose speculative prefetches, hedged
-// retries and circuit breakers all run against real backends — HTTP
+// out of a per-space engine whose speculative prefetches, failover and
+// hedged retries all run against real backends — HTTP
 // origins via prefetcher/fetch/httpfetch and directory trees via
 // prefetcher/fetch/fsfetch.
 //
@@ -79,7 +79,6 @@ type flagConfig struct {
 	policy                              string
 	bandwidth                           float64
 	shards, hedgeMax                    int
-	breaker                             bool
 	demandTO, specTO, drainTO           time.Duration
 }
 
@@ -100,7 +99,6 @@ func configFromArgs(fs *flag.FlagSet, args []string) (*Config, error) {
 	fs.Float64Var(&f.bandwidth, "bandwidth", 1e6, "link capacity in payload-size units per second that /stats reports rho-prime and the threshold against; admission divides by the origin link's own b, measured")
 	fs.IntVar(&f.shards, "shards", 0, "engine shard count (0 = auto)")
 	fs.IntVar(&f.hedgeMax, "hedge-attempts", 0, "max demand attempts incl. hedges (0 = no hedging)")
-	fs.BoolVar(&f.breaker, "breaker", false, "open a backend's circuit breaker after 5 consecutive failures, probing it a second later")
 	fs.DurationVar(&f.demandTO, "demand-timeout", 0, "per-attempt demand timeout on the flag-built backend (0 = none)")
 	fs.DurationVar(&f.specTO, "speculative-timeout", 0, "per-attempt speculative timeout on the flag-built backend (0 = none)")
 	fs.DurationVar(&f.drainTO, "shutdown-timeout", 10*time.Second, "graceful shutdown budget")
@@ -161,7 +159,6 @@ func loadConfig(path string, f flagConfig) (*Config, error) {
 	if f.hedgeMax > 0 {
 		sp.Hedging = &HedgingConfig{MaxAttempts: f.hedgeMax}
 	}
-	sp.Breaker = f.breaker
 	cfg := &Config{
 		Listen:          f.listen,
 		ShutdownTimeout: Duration(f.drainTO),

@@ -109,9 +109,6 @@ func buildEngine(sc SpaceConfig) (*prefetcher.Engine, []io.Closer, error) {
 	}
 
 	opts := []prefetcher.Option{prefetcher.WithBackends(backends...)}
-	if sc.Routing == "latency" {
-		opts = append(opts, prefetcher.WithRouting(fetch.RouteLatency))
-	}
 	factory, err := bytestore.Factory(sc.store())
 	if err != nil {
 		return nil, nil, fmt.Errorf("cache: %w", err)
@@ -133,9 +130,6 @@ func buildEngine(sc SpaceConfig) (*prefetcher.Engine, []io.Closer, error) {
 			MaxAttempts: h.MaxAttempts,
 			Backoff:     time.Duration(h.Backoff),
 		}))
-	}
-	if sc.Breaker {
-		opts = append(opts, prefetcher.WithBreaker())
 	}
 	eng, err := prefetcher.New(nil, opts...)
 	return eng, fetchers, err

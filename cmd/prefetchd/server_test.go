@@ -491,17 +491,16 @@ func TestDaemonSpaces(t *testing.T) {
 	}
 }
 
-// A key the origin does not have is an answer, not a failure: a
-// -breaker space on an fs root answers five missing keys in a row — the
-// breaker's threshold — with 404, and its origin stays open, so a key
+// A key the origin does not have is an answer, not a failure: a space
+// on an fs root answers five missing keys in a row with 404, and a key
 // the root has is then served.
-func TestMissingKeysLeaveBreakerClosed(t *testing.T) {
+func TestMissingKeysAreAnswers(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "12"), []byte("twelve"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	fset := flag.NewFlagSet("prefetchd", flag.ContinueOnError)
-	cfg, err := configFromArgs(fset, []string{"-fs-root", dir, "-breaker", "-policy", "none"})
+	cfg, err := configFromArgs(fset, []string{"-fs-root", dir, "-policy", "none"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -715,8 +714,7 @@ func TestBuildEngineKnobs(t *testing.T) {
 	for _, sc := range []SpaceConfig{
 		{Name: "a", Policy: "adaptive-a", CacheCapacity: 64, CacheBytes: 1 << 20, SegmentBytes: 64 << 10,
 			Shards: 4, Bandwidth: 100,
-			Routing: "latency",
-			Hedging: &HedgingConfig{MaxAttempts: 2, Backoff: Duration(time.Millisecond)}, Breaker: true,
+			Hedging:  &HedgingConfig{MaxAttempts: 2, Backoff: Duration(time.Millisecond)},
 			Backends: []BackendConfig{{Name: "fs", Type: "fs", Root: dir}}},
 		{Name: "b", Policy: "", Bandwidth: 100,
 			Backends: []BackendConfig{{Name: "fs", Type: "fs", Root: dir}}},

@@ -19,9 +19,10 @@
 // fetches are hedged against the mirror when the origin's p95 stalls,
 // and speculative candidates coalesce into framed /batch requests. Each
 // link reports its own ρ̂′; candidates are admitted once, against their
-// mean weighted by each link's bandwidth, and routed after. The demo
-// routes by latency, which sends nearly all demand to the faster
-// origin; the default would split ids 2:1, as the links' bandwidths.
+// mean weighted by each link's bandwidth, and routed after: each fetch
+// goes to the link of least (in-flight + 1)/b, so the faster origin,
+// with twice the mirror's b, takes the mirror's share only while it has
+// fetches in flight.
 //
 // Run:
 //
@@ -179,7 +180,6 @@ func driveFabric() error {
 			fetch.Backend{Name: "mirror", Fetcher: mirrorC, Bandwidth: 20 * pageBytes,
 				DemandTimeout: 2 * time.Second, SpeculativeTimeout: 500 * time.Millisecond},
 		),
-		prefetcher.WithRouting(fetch.RouteLatency),
 		prefetcher.WithHedging(fetch.Hedging{}), // hedge at the origin's live p95
 		prefetcher.WithBandwidth(60*pageBytes),  // aggregate, for the global estimate
 		prefetcher.WithCache(prefetcher.NewLRUCache(80)),

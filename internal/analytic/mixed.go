@@ -100,7 +100,7 @@ func EvaluateMixed(m Model, par Params, classes []Class) (Eval, error) {
 // implements that corrected fixed-point rule; every class SelectClasses
 // picks, SelectClassesGreedy also picks (the local threshold only
 // falls), so the paper's rule never prefetches a harmful item — it may
-// just stop early. See EXPERIMENTS.md (T10).
+// just stop early. See table T10 (`go run ./cmd/prefetchbench -run T10`).
 func SelectClasses(m Model, par Params, classes []Class) ([]Class, error) {
 	pth, err := Threshold(m, par)
 	if err != nil {

@@ -184,10 +184,10 @@ func TestMixedGreedySelectionOptimal(t *testing.T) {
 	}
 }
 
-// Reproduction finding (documented in EXPERIMENTS.md): the paper's
-// fixed-threshold rule is safe but conservative on heterogeneous
-// candidates — its selection is a subset of the greedy one and its G is
-// never higher, yet always non-negative.
+// Reproduction finding (table T10, `go run ./cmd/prefetchbench -run
+// T10`): the paper's fixed-threshold rule is safe but conservative on
+// heterogeneous candidates — its selection is a subset of the greedy one
+// and its G is never higher, yet always non-negative.
 func TestMixedPaperRuleConservative(t *testing.T) {
 	par := paperParams(0.3)
 	classes := []Class{

@@ -16,7 +16,7 @@ import (
 // Options tune an experiment run.
 type Options struct {
 	// Quick shrinks simulation sizes for smoke tests and benchmarks;
-	// the full sizes are used for EXPERIMENTS.md numbers.
+	// the full sizes are what `prefetchbench -run` prints.
 	Quick bool
 	// Seed drives all simulation randomness (0 = default 1).
 	Seed uint64

@@ -161,7 +161,7 @@ func takeAbove(cands []predict.Prediction, cut float64) []predict.Prediction {
 // updating the projected operating point after each admission. The
 // first admission uses exactly the paper's p_th; subsequent ones see a
 // lower bar because each admitted prefetch relieves demand load. See
-// EXPERIMENTS.md (T10).
+// table T10 (`go run ./cmd/prefetchbench -run T10`).
 type Greedy struct {
 	// Model chooses the interaction model for the displacement term.
 	Model analytic.Model

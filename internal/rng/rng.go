@@ -3,8 +3,8 @@
 // discrete-event simulator.
 //
 // Reproducibility is a hard requirement for the experiment harness: every
-// figure and table in EXPERIMENTS.md must regenerate bit-identically from
-// a seed. The package therefore implements its own small, well-known
+// figure and table internal/experiments generates (`prefetchbench -list`)
+// must regenerate bit-identically from a seed. The package therefore implements its own small, well-known
 // generator (SplitMix64 for seeding, xoshiro256** for the stream) instead
 // of depending on the unspecified default source in math/rand, and it
 // derives independent named substreams from a root seed so that adding a

@@ -3,7 +3,8 @@
 // running moments (Welford), confidence intervals, batch-means analysis
 // for steady-state simulation output, time-weighted averages for
 // utilisation-style quantities, histograms, and plain-text / CSV table
-// rendering for EXPERIMENTS.md.
+// rendering for the experiment tables (internal/experiments, printed by
+// `prefetchbench -run`).
 package stats
 
 import (
@@ -295,8 +296,8 @@ func Quantiles(data []float64, qs ...float64) []float64 {
 }
 
 // RelErr returns |got-want|/|want|, or |got| when want == 0. The test
-// suite and EXPERIMENTS.md use it to compare simulation with the
-// closed-form model.
+// suite and the experiment tables (internal/experiments) use it to
+// compare simulation with the closed-form model.
 func RelErr(got, want float64) float64 {
 	if want == 0 {
 		return math.Abs(got)

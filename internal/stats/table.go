@@ -136,7 +136,7 @@ func (t *Table) CSV() string {
 }
 
 // Markdown renders the table as a GitHub-flavoured markdown table, for
-// pasting into EXPERIMENTS.md.
+// pasting into a document.
 func (t *Table) Markdown() string {
 	var b strings.Builder
 	if t.Title != "" {

@@ -200,7 +200,7 @@ type run struct {
 	ids func(*rng.Source) func() fetch.ID
 	// links are the backends; nil is one fault-free link of capacity b.
 	links []origin
-	// opts configure the fabric: routing, hedging, breaker.
+	// opts configure the fabric: hedging and its retry budget.
 	opts []prefetcher.Option
 }
 

@@ -134,22 +134,22 @@ func (p *fixedPredictor) Predict() []Prediction { return p.preds }
 // of the fabric's demand-only ρ̂′ on a ManualClock at a configured b: the
 // one just above is dispatched, the one just below is not. With two
 // backends the fabric's ρ̂′ is the bandwidth-weighted mean of two links
-// that read on either side of it, and each candidate is routed to the
-// link whose own ρ̂′ would have decided it the other way. A plan with
-// more candidates than maxPrefetch then keeps the two most probable,
-// across both links.
+// that read on either side of it, and the plan is routed, whole, to the
+// idle link of larger b, whose own ρ̂′ would have refused the candidate
+// just above. A plan with more candidates than maxPrefetch then keeps
+// the two most probable.
 func TestAdmissionEdgeAtFabricRhoPrime(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		backends []fetch.Backend
 	}{
 		{"one", []fetch.Backend{{Name: "origin", Fetcher: &okBackend{}, Bandwidth: 1000}}},
-		// 1:3 bandwidth routes 1:3, and heavy's items are four times the
-		// size: 200 misses/s read ρ̂′ ≈ 0.2 on heavy, ≈ 0.05 on light,
-		// ≈ 0.09 for the fabric.
+		// One miss at a time finds both links idle, and each goes to
+		// the one of larger b: 200 misses/s read ρ̂′ ≈ 0.067 on fast, 0
+		// on slow, 0.05 for the fabric.
 		{"two", []fetch.Backend{
-			{Name: "heavy", Fetcher: &okBackend{size: 4}, Bandwidth: 1000},
-			{Name: "light", Fetcher: &okBackend{}, Bandwidth: 3000},
+			{Name: "slow", Fetcher: &okBackend{}, Bandwidth: 1000},
+			{Name: "fast", Fetcher: &okBackend{}, Bandwidth: 3000},
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -199,18 +199,9 @@ func TestAdmissionEdgeAtFabricRhoPrime(t *testing.T) {
 			if rho < 0.01 {
 				t.Fatalf("fabric ρ̂′ %v: the warm-up left the rule nothing to decide", rho)
 			}
-			last := len(before.Backends) - 1
-			if len(before.Backends) > 1 && (before.Backends[0].RhoPrime <= rho+eps || before.Backends[last].RhoPrime >= rho-eps) {
-				t.Fatalf("links must read either side of the fabric's ρ̂′ %v: %+v", rho, before.Backends)
-			}
-			// fresh returns the next id past from that is resident nowhere
-			// and routed to backend b.
-			fresh := func(from ID, b int) ID {
-				for id := from; ; id++ {
-					if eng.fabric.Route(id) == b {
-						return id
-					}
-				}
+			route := eng.fabric.Route()
+			if last := len(before.Backends) - 1; last > 0 && (before.Backends[route].RhoPrime <= rho+eps || before.Backends[last-route].RhoPrime >= rho-eps) {
+				t.Fatalf("links must read either side of the fabric's ρ̂′ %v, the routed one (%d) above: %+v", rho, route, before.Backends)
 			}
 			// request serves a resident id with the predictor answering
 			// preds and returns the ids the pass issued and each backend's
@@ -241,26 +232,26 @@ func TestAdmissionEdgeAtFabricRhoPrime(t *testing.T) {
 				return append([]ID(nil), issued...), spec
 			}
 
-			// Just above on the most loaded link, just below on the least.
-			above, below := fresh(1_000_000, 0), fresh(2_000_000, last)
+			// Just above and just below, neither resident.
+			const above, below = 1_000_000, 2_000_000
 			got, spec := request(399, Prediction{ID: above, Prob: rho + eps}, Prediction{ID: below, Prob: rho - eps})
 			want := make([]int64, len(spec))
-			want[0]++
+			want[route]++
 			if len(got) != 1 || got[0] != above || !slices.Equal(spec, want) {
-				t.Fatalf("fabric ρ̂′ %v: issued %v (speculative per backend %v), want only %d (p just above) on backend 0, not %d (p just below)",
-					rho, got, spec, above, below)
+				t.Fatalf("fabric ρ̂′ %v: issued %v (speculative per backend %v), want only %d (p just above) on backend %d, not %d (p just below)",
+					rho, got, spec, above, route, below)
 			}
 
-			// Four candidates over the threshold, the likeliest two on
-			// different links: one pass keeps those two.
-			top := []ID{fresh(3_000_000, 0), fresh(4_000_000, last), fresh(5_000_000, 0), fresh(6_000_000, last)}
+			// Four candidates over the threshold: one pass keeps the
+			// likeliest two.
+			top := []ID{3_000_000, 4_000_000, 5_000_000, 6_000_000}
 			got, spec = request(398,
 				Prediction{ID: top[0], Prob: 0.9}, Prediction{ID: top[1], Prob: 0.8},
 				Prediction{ID: top[2], Prob: 0.7}, Prediction{ID: top[3], Prob: 0.6})
 			if len(got) != 2 || got[0] != top[0] || got[1] != top[1] {
 				t.Fatalf("issued %v, want the two most probable %v", got, top[:2])
 			}
-			want[last]++
+			want[route] = 2
 			if !slices.Equal(spec, want) {
 				t.Fatalf("speculative fetches per backend %v, want %v", spec, want)
 			}

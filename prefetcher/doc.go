@@ -153,10 +153,10 @@
 // BatchFetcher this package aliases): the backends named with
 // WithBackends, or New's single Fetcher as the one backend "origin" on
 // the WithBandwidth link — the two constructions are the same engine.
-// The fabric routes ids across named backends in proportion to each
-// link's bandwidth b, configured or measured (or, under RouteLatency,
-// to the backend with the lowest estimated latency), with failover and
-// hedged retries on the demand path (WithHedging
+// The fabric sends each fetch to the backend of shortest expected delay
+// on the paper's processor-sharing link, the least (in-flight + 1)/b
+// with b each link's bandwidth, configured or measured, with failover
+// and hedged retries on the demand path (WithHedging
 // — the next backend is raced once the preferred one overruns its
 // observed p95 latency, the loser cancelled via context), and batch
 // coalescing of adjacent speculative candidates for backends
@@ -171,11 +171,10 @@
 // internal/vlink's TestRuleSweep. Stats.Backends[i].RhoPrime are the numbers in
 // force, and what feeds them is written once: every backend call the
 // fabric makes, whatever its entry point, is admitted, counted and
-// recorded on its link by one function and settled by another.
-// WithBreaker trips persistently failing backends open — routing steers
-// around them, fetches already routed there fail fast, and a half-open probe
-// after the cooldown re-admits a healed backend. Per-backend counters,
-// link estimates and breaker state appear in Stats.Backends. Each
+// recorded on its link by one function and settled by another, and
+// the in-flight count routing reads rises in the one and falls in the
+// other. Per-backend counters and link estimates appear in
+// Stats.Backends. Each
 // fetch.Backend can additionally bound its attempts: DemandTimeout
 // caps every demand attempt (each hedge, retry and demand batch gets
 // its own budget under the caller's context, so a stuck connection
@@ -251,7 +250,7 @@
 //     8-aligned on 32-bit platforms too (TestTypedAtomicsOnly), whose
 //     copy go vet's copylocks refuses, and whose plain write beside an
 //     atomic one the race detector reports in the concurrent tests
-//     (TestConcurrentGets, TestBreakerConcurrentOutcomes among them).
+//     (TestConcurrentGets, TestFabricConcurrentUse among them).
 //     Fields a struct's mutex serialises are plain-only.
 //   - Pooled objects — flights, request scratch, speculative jobs —
 //     are returned to their pool on every path and never touched

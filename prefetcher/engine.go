@@ -346,11 +346,11 @@ func New(fetcher Fetcher, opts ...Option) (*Engine, error) {
 		// integer-divides, so the hit-path gates that run under -race
 		// (TestGetHitAllocFree and the byte-path ones) pass only while
 		// 3/4 truncates to 0: anything a hit needs besides those three
-		// is backed inline by the struct (gids0, gidx0), never by a
-		// fourth allocation.
+		// is backed inline by the struct (gids0, the plan's staging),
+		// never by a fourth allocation.
 		sc := &multiScratch{}
 		sc.cands = make([]predict.Prediction, 0, bufCap)
-		sc.gids, sc.gidx = sc.gids0[:0], sc.gidx0[:0]
+		sc.gids = sc.gids0[:0]
 		if e.planner.plugin != nil { // only plugins stage public predictions
 			sc.pub = make([]Prediction, 0, bufCap)
 		}

@@ -7,8 +7,8 @@ import (
 
 // This file wires the fetch fabric (package prefetcher/fetch) into the
 // engine: construction from the configured backends, speculative
-// planning (one admission pass against the fabric's ρ̂′, then routing)
-// and dispatch, the one path that registers, queues and, when the queue
+// planning (one admission pass against the fabric's ρ̂′, then one route
+// for the plan) and dispatch, the one path that registers, queues and, when the queue
 // refuses, fails a speculative fetch. The demand side is the read core's
 // two calls (multi.go): FetchDemandBatch for a request's owned misses,
 // Fetch for a key whose joined flight failed; both land through land
@@ -26,9 +26,7 @@ func (e *Engine) newFabric(fetcher Fetcher, cfg *config) (*fetch.Fabric, error) 
 	}
 	return fetch.New(fetch.Config{
 		Backends: backends,
-		Routing:  cfg.routing,
 		Hedging:  cfg.hedging,
-		Breaker:  cfg.breaker,
 		Now:      e.now,
 	})
 }
@@ -48,13 +46,12 @@ func (e *Engine) putJob(j *job) {
 
 // schedule filters a request's candidates through the policy and
 // dispatches the admitted ones. The policy runs once, against the
-// fabric's ρ̂′ (Fabric.RhoPrime); only then is each admitted id routed,
-// and each backend's share goes, in order, to dispatch. The cap needs
-// no code here: the planner hands over at most maxPrefetch candidates,
-// most probable first, and every policy admits a prefix of them, so the
-// pass keeps the maxPrefetch most probable across all backends. All
-// planning state lives in the request's own scratch, so the pass
-// allocates nothing in steady state. now is the time the link estimates
+// fabric's ρ̂′ (Fabric.RhoPrime); only then is the plan routed, once, to
+// the backend of least expected delay (Fabric.Route), and dispatched
+// there whole. The cap needs no code here: the planner hands over at
+// most maxPrefetch candidates, most probable first, and every policy
+// admits a prefix of them. All planning state lives in the request's
+// own scratch, so the pass allocates nothing in steady state. now is the time the link estimates
 // are read at: a hit passes its arrival reading (one clock read per
 // hit), a path that waited on a fetch reads the clock afresh.
 //
@@ -64,26 +61,12 @@ func (e *Engine) schedule(sc *multiScratch, cands []predict.Prediction, now floa
 		return
 	}
 	sel := e.policy.Select(cands, e.ctrl.StateWith(e.fabric.RhoPrime(now), e.occupancy()))
-	routes := sc.gidx[:0]
+	ids := sc.gids[:0]
 	for _, c := range sel {
-		routes = append(routes, e.fabric.Route(ID(c.Item)))
+		ids = append(ids, ID(c.Item))
 	}
-	sc.gidx = routes
-	for b := 0; b < e.fabric.NumBackends(); b++ {
-		// One staging buffer serves every backend in turn: dispatch
-		// consumes the ids synchronously (they are copied into the job)
-		// so the buffer is free again by the next iteration.
-		ids := sc.gids[:0]
-		for i, c := range sel {
-			if routes[i] == b {
-				ids = append(ids, ID(c.Item))
-			}
-		}
-		sc.gids = ids
-		if len(ids) > 0 {
-			e.dispatch(b, ids)
-		}
-	}
+	sc.gids = ids
+	e.dispatch(e.fabric.Route(), ids)
 }
 
 // dispatch is the one way a speculative fetch starts, for a request's

@@ -104,12 +104,6 @@ func TestWithBackendsValidation(t *testing.T) {
 	if _, err := New(nil, WithBackends(ok), WithHedging(fetch.Hedging{MaxAttempts: -1})); err == nil {
 		t.Fatal("negative hedging must error")
 	}
-	if _, err := New(nil, WithBackends(ok), WithRouting(fetch.Routing(99))); err == nil {
-		t.Fatal("unknown routing must error")
-	}
-	if _, err := New(fetcher, WithBandwidth(100), WithRouting(fetch.RouteLatency)); err == nil {
-		t.Fatal("WithRouting without a fetch fabric must error, not be silently dropped")
-	}
 	eng, err := New(nil, WithBackends(ok), WithBandwidth(100))
 	if err != nil {
 		t.Fatal(err)
@@ -374,18 +368,36 @@ func TestCloseCancelsSpeculativeFetchesAcrossBackends(t *testing.T) {
 	// exactly, with no slack, when the test ends.
 }
 
+// heldBackend serves items of its size at once, but holds a fetch of
+// any id from held up until the fetch's context ends.
+type heldBackend struct {
+	okBackend
+	held fetch.ID
+}
+
+func (b *heldBackend) Fetch(ctx context.Context, id fetch.ID) (fetch.Item, error) {
+	if id >= b.held {
+		<-ctx.Done()
+		return fetch.Item{}, ctx.Err()
+	}
+	return b.okBackend.Fetch(ctx, id)
+}
+
 // TestPerBackendRhoPrimeDistinct pins the tentpole estimate: each link
-// reports its own ρ̂′, reflecting the demand traffic routed to it.
+// reports its own ρ̂′, reflecting the demand traffic routed to it. Four
+// fetches held on heavy (b 4000) send the next 2,000 misses to light
+// (b 1000), (4 + 1)/4000 being more than 1/1000; released, heavy takes
+// the next 2,000. Its items are twice the size at four times the b, so
+// light reads twice heavy's ρ̂′.
 func TestPerBackendRhoPrimeDistinct(t *testing.T) {
+	const held = 1 << 40
 	clock := NewManualClock(time.Unix(0, 0))
 	eng, err := New(nil,
 		WithBandwidth(1e6),
 		WithClock(clock),
 		WithPolicy(NoPrefetch()),
 		WithBackends(
-			// 4:1 capacity routes 4:1, and heavy's items are twice the
-			// size: 1,000 misses/s read ρ̂′ ≈ 0.4 on heavy, ≈ 0.2 on light.
-			fetch.Backend{Name: "heavy", Fetcher: &okBackend{size: 2}, Bandwidth: 4000},
+			fetch.Backend{Name: "heavy", Fetcher: &heldBackend{okBackend: okBackend{size: 2}, held: held}, Bandwidth: 4000},
 			fetch.Backend{Name: "light", Fetcher: &okBackend{}, Bandwidth: 1000},
 		),
 	)
@@ -395,25 +407,43 @@ func TestPerBackendRhoPrimeDistinct(t *testing.T) {
 	defer eng.Close()
 
 	ctx := context.Background()
-	for i := 0; i < 2000; i++ {
-		clock.AdvanceSeconds(0.001)
-		if _, err := eng.Get(ctx, ID(i)); err != nil { // unique ids: all misses
-			t.Fatal(err)
+	hctx, release := context.WithCancel(ctx)
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func(id ID) {
+			defer wg.Done()
+			eng.Get(hctx, id) // fails once released
+		}(held + ID(i))
+	}
+	for eng.Stats().Backends[0].InFlight != 4 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	misses := func(from ID) {
+		for id := from; id < from+2000; id++ {
+			clock.AdvanceSeconds(0.001)
+			if _, err := eng.Get(ctx, id); err != nil { // unique ids: all misses
+				t.Fatal(err)
+			}
 		}
 	}
+	misses(0)
+	release()
+	wg.Wait()
+	misses(2000)
 	st := eng.Stats()
 	if len(st.Backends) != 2 {
 		t.Fatalf("backends = %+v", st.Backends)
 	}
 	heavy, light := st.Backends[0], st.Backends[1]
-	if heavy.Demand <= light.Demand {
-		t.Fatalf("routing by b: heavy=%d light=%d demand fetches", heavy.Demand, light.Demand)
+	if heavy.Demand != 2004 || light.Demand != 2000 {
+		t.Fatalf("routing by expected delay: heavy=%d light=%d demand fetches, want 2004 and 2000", heavy.Demand, light.Demand)
 	}
 	if heavy.RhoPrime <= 0 || light.RhoPrime <= 0 {
 		t.Fatalf("both links need a live ρ̂′: heavy=%v light=%v", heavy.RhoPrime, light.RhoPrime)
 	}
-	if heavy.RhoPrime <= light.RhoPrime {
-		t.Fatalf("ρ̂′ must differ with the load: heavy=%v light=%v", heavy.RhoPrime, light.RhoPrime)
+	if r := light.RhoPrime / heavy.RhoPrime; r < 1.9 || r > 2.1 {
+		t.Fatalf("ρ̂′ must differ with the load: heavy=%v light=%v, want light twice heavy", heavy.RhoPrime, light.RhoPrime)
 	}
 }
 
@@ -528,7 +558,6 @@ func TestFabricEngineLifecycleRace(t *testing.T) {
 		WithCacheFactory(func(i, n int) Cache { return NewLRUCache(64) }),
 		WithPolicy(StaticThreshold(0)),
 		WithHedging(fetch.Hedging{}),
-		WithRouting(fetch.RouteLatency),
 		WithBackends(
 			fetch.Backend{Name: "a", Fetcher: &okBackend{}, Bandwidth: 1e5},
 			fetch.Backend{Name: "b", Fetcher: &batchBackend{}, Bandwidth: 1e5},
@@ -566,6 +595,19 @@ func TestFabricEngineLifecycleRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkRecords(t, eng)
+	// A hedge loser settles after its winner returned: allow it a moment.
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		var n int64
+		for _, b := range eng.Stats().Backends {
+			n += b.InFlight
+		}
+		if n == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d attempts in flight at quiesce: %+v", n, eng.Stats().Backends)
+		}
+	}
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -575,72 +617,6 @@ func TestFabricEngineLifecycleRace(t *testing.T) {
 	}
 	if _, err := eng.Get(ctx, 1); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Get after Close = %v", err)
-	}
-}
-
-// TestEngineBreakerFailsFastAndRecovers wires WithBreaker around a
-// single failing origin: once the breaker trips, demand Gets fail fast
-// with fetch.ErrBreakerOpen instead of hammering the dead origin, the
-// state is visible in Stats.Backends, and a healed origin is re-admitted
-// by the half-open probe after the cooldown.
-func TestEngineBreakerFailsFastAndRecovers(t *testing.T) {
-	var broken atomic.Bool
-	var calls atomic.Int64
-	broken.Store(true)
-	origin := FetcherFunc(func(ctx context.Context, id ID) (Item, error) {
-		calls.Add(1)
-		if broken.Load() {
-			return Item{}, errors.New("origin down")
-		}
-		return Item{ID: id, Size: 1}, nil
-	})
-	clk := NewManualClock(time.Unix(0, 0))
-	eng, err := New(origin,
-		WithBandwidth(1e6),
-		WithShards(1),
-		WithClock(clk),
-		WithBreaker(),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	ctx := context.Background()
-
-	for i := 0; i < 5; i++ { // WithBreaker's threshold
-		if _, err := eng.Get(ctx, ID(i)); err == nil {
-			t.Fatalf("Get %d succeeded against a broken origin", i)
-		}
-	}
-	st := eng.Stats()
-	if len(st.Backends) != 1 || st.Backends[0].BreakerState != "open" {
-		t.Fatalf("breaker not open after threshold failures: %+v", st.Backends)
-	}
-	if st.Backends[0].BreakerOpens != 1 {
-		t.Fatalf("BreakerOpens = %d, want 1", st.Backends[0].BreakerOpens)
-	}
-
-	// Tripped: Gets fail fast without reaching the origin.
-	before := calls.Load()
-	if _, err := eng.Get(ctx, 100); !errors.Is(err, fetch.ErrBreakerOpen) {
-		t.Fatalf("Get while open = %v, want fetch.ErrBreakerOpen", err)
-	}
-	if calls.Load() != before {
-		t.Fatal("open breaker let a demand fetch reach the origin")
-	}
-
-	// Origin heals; after the cooldown the probe closes the breaker and
-	// traffic flows again.
-	broken.Store(false)
-	clk.Advance(2 * time.Second)
-	if _, err := eng.Get(ctx, 101); err != nil {
-		t.Fatalf("probe Get after heal: %v", err)
-	}
-	if st := eng.Stats(); st.Backends[0].BreakerState != "closed" {
-		t.Fatalf("breaker = %q after successful probe, want closed", st.Backends[0].BreakerState)
-	}
-	if _, err := eng.Get(ctx, 102); err != nil {
-		t.Fatal(err)
 	}
 }
 

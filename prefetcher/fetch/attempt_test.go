@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,10 +11,10 @@ import (
 )
 
 // This file characterizes the bracket the fabric puts around a backend
-// call — admitted by the breaker, counted under its class, recorded on
-// the link, bounded by the class's timeout, settled into breaker,
-// estimator and link — through every public entry point, and audits
-// the fabric's books at the end of every test in the package.
+// call — counted under its class and in flight, recorded on the link,
+// bounded by the class's timeout, settled into estimator and link —
+// through every public entry point, and audits the fabric's books at
+// the end of every test in the package.
 
 // --- the books -------------------------------------------------------------
 
@@ -35,8 +34,9 @@ func (c *tripCount) tripCounter() *atomic.Int64 { return &c.n }
 //	                                   − (DemandBatchedItems − DemandBatchCalls)
 //
 // summed over the backends (hedges and retries included: each is a round
-// trip). A hedge loser may still be on its way to its fake when the
-// winner returns, so the audit polls briefly before it fails.
+// trip), and every backend's in-flight count is back to 0: each admitted
+// attempt was settled. A hedge loser may still be on its way to its fake
+// when the winner returns, so the audit polls briefly before it fails.
 // newTestFabric, which every test in the package builds its fabrics
 // through, runs it when the test ends, before and after Close.
 func checkBooks(t testing.TB, f *Fabric) {
@@ -59,6 +59,9 @@ func auditBooks(f *Fabric) string {
 	fakes := make(map[*atomic.Int64]bool)
 	var sent, trips int64
 	for i, st := range f.Stats(0) {
+		if st.InFlight != 0 {
+			return fmt.Sprintf("backend %q has %d attempts in flight", st.Name, st.InFlight)
+		}
 		sent += st.Demand + st.Speculative - (st.BatchedItems - st.BatchCalls) - (st.DemandBatchedItems - st.DemandBatchCalls)
 		fake, ok := f.backends[i].cfg.Fetcher.(interface{ tripCounter() *atomic.Int64 })
 		if !ok {
@@ -199,25 +202,11 @@ func (e attemptEntry) String() string {
 	return [...]string{"Fetch", "FetchInto", "FetchDemandBatch", "FetchSpeculativeBatch(one id)", "FetchSpeculativeBatch"}[e]
 }
 
-type attemptBreaker int
-
-const (
-	brkOff attemptBreaker = iota
-	brkClosed
-	brkOpen  // tripped, cooldown running: refuses
-	brkProbe // tripped, cooldown over: the next attempt carries the probe
-)
-
-func (b attemptBreaker) String() string {
-	return [...]string{"breaker-off", "closed", "open", "half-open-probe"}[b]
-}
-
 type attemptRow struct {
 	entry   attemptEntry
 	n       int  // ids in the call
 	lent    bool // the caller lends dst
 	singles bool // the backend has no batch form
-	breaker attemptBreaker
 	script  attemptScript
 }
 
@@ -229,7 +218,7 @@ func (r attemptRow) name() string {
 	if r.singles {
 		shape = "singles-only"
 	}
-	return fmt.Sprintf("%v/%d-id/%s/%s/%v/%v", r.entry, r.n, own, shape, r.breaker, r.script)
+	return fmt.Sprintf("%v/%d-id/%s/%s/%v", r.entry, r.n, own, shape, r.script)
 }
 
 func attemptRows() []attemptRow {
@@ -249,15 +238,13 @@ func attemptRows() []attemptRow {
 		}
 	}
 	for _, shape := range shapes {
-		for brk := brkOff; brk <= brkProbe; brk++ {
-			for scr := scrOK; scr <= scrShrink; scr++ {
-				if scr == scrShrink && !shape.lent {
-					continue // reads as scrOK
-				}
-				row := shape
-				row.breaker, row.script = brk, scr
-				rows = append(rows, row)
+		for scr := scrOK; scr <= scrShrink; scr++ {
+			if scr == scrShrink && !shape.lent {
+				continue // reads as scrOK
 			}
+			row := shape
+			row.script = scr
+			rows = append(rows, row)
 		}
 	}
 	return rows
@@ -267,8 +254,7 @@ func attemptRows() []attemptRow {
 type attemptOutcome int
 
 const (
-	outRefused   attemptOutcome = iota // the breaker let nothing out
-	outServed                          // success
+	outServed    attemptOutcome = iota // success
 	outFailed                          // errScripted
 	outTimedOut                        // the attempt's own deadline
 	outCancelled                       // the caller gave up
@@ -284,21 +270,13 @@ type attemptModel struct {
 	row   attemptRow
 	stats BackendStats // the counter fields a row may move
 	trips int64
-	state attemptBreaker // the breaker as it stands
-	dead  bool           // the caller's context has been cancelled
+	dead  bool // the caller's context has been cancelled
 	// Whether the link's two flows saw a dispatch, and a size to go with it.
 	demandDispatch, totalDispatch, demandSize, totalSize bool
 	samples                                              int // successes: each is a latency sample
 }
 
 func (m *attemptModel) bracket(demandClass bool, n int) attemptOutcome {
-	probe := false
-	switch m.state {
-	case brkOpen:
-		return outRefused
-	case brkProbe:
-		probe = true
-	}
 	if demandClass {
 		m.stats.Demand += int64(n)
 		m.demandDispatch = true
@@ -339,20 +317,10 @@ func (m *attemptModel) bracket(demandClass bool, n int) attemptOutcome {
 		m.totalSize = true
 		m.demandSize = m.demandSize || demandClass
 		m.samples++
-		if probe {
-			m.state = brkClosed
-		}
-	case outCancelled: // neither a sample nor an error; a probe's slot goes back
+	case outCancelled: // neither a sample nor an error
 		m.dead = true
-		if probe {
-			m.state = brkOpen
-		}
 	default:
 		m.stats.Errors++
-		if probe {
-			m.state = brkOpen
-			m.stats.BreakerOpens++
-		}
 	}
 	return out
 }
@@ -375,7 +343,7 @@ func (m *attemptModel) run() []attemptOutcome {
 			}
 			return outs
 		}
-		for i := range outs { // refused or failed: key by key
+		for i := range outs { // failed: key by key
 			if m.dead {
 				outs[i] = outDeadCtx
 			} else {
@@ -399,7 +367,6 @@ func (m *attemptModel) run() []attemptOutcome {
 func checkAttemptErr(t *testing.T, what string, err error, want attemptOutcome) {
 	t.Helper()
 	sentinels := map[attemptOutcome]error{
-		outRefused:   ErrBreakerOpen,
 		outFailed:    errScripted,
 		outTimedOut:  context.DeadlineExceeded,
 		outCancelled: context.Canceled,
@@ -425,18 +392,17 @@ func checkAttemptErr(t *testing.T, what string, err error, want attemptOutcome) 
 	}
 }
 
-const attemptClockStart = 5000 // fabric seconds: past any cooldown counted from 0
-
 // TestAttemptBracket is the matrix: scripted backend × entry point ×
-// {1 id, 3 ids} × {owned, lent} × breaker state, each row held to the
-// exact BackendStats delta, the round trips the fake saw, what the
-// link's two flows recorded, the breaker's state afterwards, the error
-// per key and dst/lens/items as the entry point's contract says.
+// {1 id, 3 ids} × {owned, lent}, each row held to the exact BackendStats
+// delta, the round trips the fake saw, what the link's two flows
+// recorded, no attempt left in flight — a failed, timed-out, cancelled,
+// short or misordered one included — the error per key and
+// dst/lens/items as the entry point's contract says.
 func TestAttemptBracket(t *testing.T) {
 	for _, row := range attemptRows() {
 		row := row
 		t.Run(row.name(), func(t *testing.T) {
-			clk := &manualNow{now: attemptClockStart}
+			clk := &manualNow{}
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			fake := &scriptedFetcher{script: row.script, clk: clk, cancel: cancel}
@@ -445,25 +411,12 @@ func TestAttemptBracket(t *testing.T) {
 			if row.singles {
 				backend.Fetcher = scriptedSingles{fake}
 			}
-			cfg := Config{Backends: []Backend{backend}, Now: clk.Now}
-			if row.breaker != brkOff {
-				cfg.Breaker = true
-			}
-			f := newTestFabric(t, cfg)
+			f := newTestFabric(t, Config{Backends: []Backend{backend}, Now: clk.Now})
 			if !f.Lends() {
 				t.Fatal("the scripted backend has every lent form")
 			}
-			b := f.backends[0]
-			switch row.breaker {
-			case brkOpen:
-				b.brState.Store(breakerOpen)
-				b.brOpenedAt.Store(math.Float64bits(clk.Now()))
-			case brkProbe:
-				b.brState.Store(breakerOpen)
-				b.brOpenedAt.Store(math.Float64bits(0))
-			}
 
-			m := &attemptModel{row: row, state: row.breaker}
+			m := &attemptModel{row: row}
 			want := m.run()
 
 			ids := []ID{5, 6, 7}[:row.n]
@@ -524,8 +477,11 @@ func TestAttemptBracket(t *testing.T) {
 			// The books: every counter, and the round trips behind them.
 			clk.Advance(1)
 			st := f.Stats(clk.Now())[0]
+			if st.InFlight != 0 {
+				t.Errorf("%d attempts in flight once the call returned", st.InFlight)
+			}
 			counters := st
-			counters.Name, counters.BreakerState = "", ""
+			counters.Name = ""
 			counters.LatencySeconds, counters.LatencyP95Seconds = 0, 0
 			counters.Bandwidth, counters.Rho, counters.RhoPrime = 0, 0, 0
 			if counters != m.stats {
@@ -536,10 +492,6 @@ func TestAttemptBracket(t *testing.T) {
 			}
 			if (st.LatencySeconds > 0) != (m.samples > 0) || (st.LatencyP95Seconds > 0) != (m.samples > 0) {
 				t.Errorf("latency %v / p95 %v after %d successes", st.LatencySeconds, st.LatencyP95Seconds, m.samples)
-			}
-			wantState := map[attemptBreaker]string{brkOff: "", brkClosed: "closed", brkOpen: "open", brkProbe: "open"}[m.state]
-			if st.BreakerState != wantState {
-				t.Errorf("breaker %q afterwards, want %q", st.BreakerState, wantState)
 			}
 
 			// The link: a flow reads non-zero once it has a dispatch and
@@ -558,7 +510,7 @@ func TestAttemptBracket(t *testing.T) {
 }
 
 // Every entry point refuses a closed fabric key by key, touching no
-// backend, counter or buffer.
+// backend, counter — the in-flight count included — or buffer.
 func TestAttemptClosedFabric(t *testing.T) {
 	clk := &manualNow{}
 	fake := &scriptedFetcher{clk: clk}
@@ -648,8 +600,8 @@ func (f *timedFetcher) began() []time.Time {
 
 const always = 1 << 30 // a timedFetcher that never recovers
 
-// pinned gives two backends bandwidths that fix the route order: first,
-// then second, for every id.
+// pinned gives two backends bandwidths that fix the route order while
+// fewer than 10¹⁸ fetches are in flight: first, then second.
 func pinned(first, second Fetcher) []Backend {
 	return []Backend{
 		{Name: "first", Fetcher: first, Bandwidth: 1e9},
@@ -658,9 +610,8 @@ func pinned(first, second Fetcher) []Backend {
 }
 
 // Failover walks the route order — on the caller's goroutine without
-// hedging, through the race's launcher with it — skips, without
-// spending a round trip, a slot whose breaker refuses, and reports
-// ErrBreakerOpen only when nothing at all was attempted.
+// hedging, through the race's launcher with it — one attempt per
+// backend, the first no retry, and the last error wins.
 func TestFailoverOrder(t *testing.T) {
 	errFirst, errSecond := errors.New("first down"), errors.New("second down")
 	for _, mode := range []struct {
@@ -670,43 +621,22 @@ func TestFailoverOrder(t *testing.T) {
 		{"sequential", nil},
 		{"hedged", &Hedging{}}, // no p95 estimate, so no hedge launches
 	} {
-		for _, tc := range []struct {
-			name    string
-			tripped []int
-			wantErr error
-			trips   [2]int64
-			retries [2]int64
-		}{
-			{"one attempt per backend and the last error wins", nil, errSecond, [2]int64{1, 1}, [2]int64{0, 1}},
-			{"a refused slot is skipped and the first attempt made is no retry", []int{0}, errSecond, [2]int64{0, 1}, [2]int64{0, 0}},
-			{"nothing attempted", []int{0, 1}, ErrBreakerOpen, [2]int64{0, 0}, [2]int64{0, 0}},
-		} {
-			mode, tc := mode, tc
-			t.Run(mode.name+"/"+tc.name, func(t *testing.T) {
-				first := &timedFetcher{failures: always, err: errFirst}
-				second := &timedFetcher{failures: always, err: errSecond}
-				clk := &manualNow{}
-				f := newTestFabric(t, Config{
-					Backends: pinned(first, second),
-					Hedging:  mode.hedging,
-					Breaker:  true,
-					Now:      clk.Now,
-				})
-				for _, i := range tc.tripped {
-					f.backends[i].brState.Store(breakerOpen)
-				}
-				if _, err := f.Fetch(context.Background(), 1); !errors.Is(err, tc.wantErr) {
-					t.Fatalf("err = %v, want %v", err, tc.wantErr)
-				}
-				st := f.Stats(0)
-				for i, fake := range []*timedFetcher{first, second} {
-					if fake.n.Load() != tc.trips[i] || st[i].Demand != tc.trips[i] || st[i].Retries != tc.retries[i] {
-						t.Errorf("backend %d: %d round trips, Demand %d, Retries %d; want %d, %d, %d", i,
-							fake.n.Load(), st[i].Demand, st[i].Retries, tc.trips[i], tc.trips[i], tc.retries[i])
-					}
-				}
-			})
-		}
+		mode := mode
+		t.Run(mode.name, func(t *testing.T) {
+			first := &timedFetcher{failures: always, err: errFirst}
+			second := &timedFetcher{failures: always, err: errSecond}
+			f := newTestFabric(t, Config{Backends: pinned(first, second), Hedging: mode.hedging})
+			if _, err := f.Fetch(context.Background(), 1); !errors.Is(err, errSecond) {
+				t.Fatalf("err = %v, want %v", err, errSecond)
+			}
+			if a, b := first.began(), second.began(); len(a) != 1 || len(b) != 1 || b[0].Before(a[0]) {
+				t.Fatalf("attempts began at %v (first) and %v (second), want one each, first first", a, b)
+			}
+			st := f.Stats(0)
+			if st[0].Demand != 1 || st[0].Retries != 0 || st[1].Demand != 1 || st[1].Retries != 1 {
+				t.Errorf("Demand/Retries %d/%d and %d/%d, want 1/0 and 1/1", st[0].Demand, st[0].Retries, st[1].Demand, st[1].Retries)
+			}
+		})
 	}
 }
 

@@ -35,7 +35,7 @@ type estimator struct {
 	// sample (float64 bits): a fetch that had the link to itself reads
 	// its capacity, where bw also reads its load — and a link whose calls
 	// hang, holding its bw while its busier peer's falls, would draw most
-	// new ids if routing weighed bw.
+	// new fetches if routing weighed bw.
 	peak atomic.Uint64
 }
 

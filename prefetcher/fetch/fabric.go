@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io/fs"
 	"math"
 	"sync/atomic"
 	"time"
@@ -15,11 +14,6 @@ import (
 // ErrClosed is returned by fetches issued after Close.
 var ErrClosed = errors.New("fetch: fabric closed")
 
-// ErrBreakerOpen fails a fetch fast instead of dispatching it to a
-// backend whose circuit breaker is open (or, for demand fetches, when
-// every backend's breaker is open and none is due a half-open probe).
-var ErrBreakerOpen = errors.New("fetch: circuit breaker open")
-
 // errLentShrunk fails an IntoFetcher that broke the borrow rule.
 var errLentShrunk = errors.New("fetch: a backend's FetchInto returned less than it was lent")
 
@@ -27,22 +21,9 @@ var errLentShrunk = errors.New("fetch: a backend's FetchInto returned less than 
 type Config struct {
 	// Backends are the named links; at least one, names distinct.
 	Backends []Backend
-	// Routing selects the spread strategy (default RouteWeighted).
-	Routing Routing
 	// Hedging enables hedged retries on the demand path; nil disables
 	// hedging (failover on error still happens).
 	Hedging *Hedging
-	// Breaker enables per-backend circuit breaking. Each backend trips
-	// independently: 5 consecutive failures open its breaker (a success
-	// or an error matching fs.ErrNotExist ends the run), after which
-	// routing skips the backend and fetches dispatched to it fail fast
-	// with ErrBreakerOpen. A second later it half-opens: exactly one
-	// probe fetch is let through — a success closes the breaker, a
-	// failure re-opens it and restarts the cooldown. Demand traffic falls
-	// over to the remaining healthy backends; when every backend is open
-	// and none is due a probe, demand fails fast instead of queueing
-	// against known-dead origins.
-	Breaker bool
 	// Now supplies time in seconds for the link estimators. Defaults
 	// to the wall clock measured from construction. The engine injects
 	// its own clock so link estimates share the controller's timeline.
@@ -79,9 +60,8 @@ type backendState struct {
 	batchInto BatchIntoFetcher
 	link      *prefetch.Link
 	est       *estimator
-	seed      uint64 // rendezvous-hash seed derived from the name
-	// inflight counts the admitted attempts not yet settled: +1 in admit,
-	// −1 at the top of settle.
+	// inflight counts the attempts admitted and not yet settled: the n
+	// of the link's processor sharing that routing reads.
 	inflight atomic.Int64
 
 	// sent counts, per class, the ids dispatched (per attempt: hedges and
@@ -95,14 +75,6 @@ type backendState struct {
 	hedgesLaunched atomic.Int64
 	hedgesWon      atomic.Int64
 	retries        atomic.Int64
-
-	// Circuit-breaker state (unused while Config.Breaker is off):
-	// consecutive non-cancelled failures, the tri-state breaker, when it
-	// last opened (float64 bits, fabric time) and how often it tripped.
-	consecFails atomic.Int64
-	brState     atomic.Int32
-	brOpenedAt  atomic.Uint64
-	brOpens     atomic.Int64
 }
 
 // Fabric routes fetches across the configured backends. All methods
@@ -110,14 +82,10 @@ type backendState struct {
 // fetches nothing more.
 type Fabric struct {
 	backends []*backendState
-	routing  Routing
 	hedging  *Hedging
-	// breakerAt is the run of failures that opens a backend's circuit
-	// breaker (breakerThreshold); 0 when breaking is off.
-	breakerAt int64
-	nowf      func() float64
-	lends     bool // see Lends
-	closed    atomic.Bool
+	nowf     func() float64
+	lends    bool // see Lends
+	closed   atomic.Bool
 }
 
 // New validates cfg and assembles a Fabric.
@@ -133,10 +101,7 @@ func New(cfg Config) (*Fabric, error) {
 		epoch := time.Now()
 		nowf = func() float64 { return time.Since(epoch).Seconds() }
 	}
-	f := &Fabric{routing: cfg.Routing, hedging: cfg.Hedging, nowf: nowf}
-	if cfg.Breaker {
-		f.breakerAt = breakerThreshold
-	}
+	f := &Fabric{hedging: cfg.Hedging, nowf: nowf}
 	seen := make(map[string]bool, len(cfg.Backends))
 	f.lends = f.hedging == nil || len(cfg.Backends) == 1 || f.maxAttempts() == 1
 	for i, b := range cfg.Backends {
@@ -160,7 +125,6 @@ func New(cfg Config) (*Fabric, error) {
 			cfg:  b,
 			link: prefetch.NewLink(b.Bandwidth, 0),
 			est:  &estimator{},
-			seed: nameSeed(b.Name),
 		}
 		bs.batch, _ = b.Fetcher.(BatchFetcher)
 		bs.into, _ = b.Fetcher.(IntoFetcher)
@@ -205,133 +169,11 @@ func (f *Fabric) RhoPrime(now float64) float64 {
 	return load / bw
 }
 
-// --- circuit breaker -----------------------------------------------------
-
-// routable reports, without side effects, whether backend b should
-// receive new traffic: its breaker is closed, or open long enough that
-// a half-open probe is due. Routing and planning use this to steer
-// candidates away from tripped backends.
-func (f *Fabric) routable(b *backendState) bool {
-	if f.breakerAt == 0 {
-		return true
-	}
-	switch b.brState.Load() {
-	case breakerClosed:
-		return true
-	case breakerHalfOpen:
-		return false // the probe is out; wait for its verdict
-	default:
-		opened := math.Float64frombits(b.brOpenedAt.Load())
-		return f.nowf()-opened >= breakerCooldown
-	}
-}
-
-// acquire claims the right to dispatch one fetch to backend b: always
-// granted while the breaker is closed; when it is open and the cooldown
-// has elapsed, exactly one caller wins the transition to half-open and
-// carries the probe — probe reports that ownership, and the attempt's
-// outcome (not global state) decides the breaker's verdict in
-// breakerFailure/breakerCancelled. Callers that are refused skip the
-// backend.
-func (f *Fabric) acquire(b *backendState) (granted, probe bool) {
-	if f.breakerAt == 0 || b.brState.Load() == breakerClosed {
-		return true, false
-	}
-	if !f.routable(b) {
-		return false, false
-	}
-	won := b.brState.CompareAndSwap(breakerOpen, breakerHalfOpen)
-	return won, won
-}
-
-// breakerSuccess records a successful fetch: the failure run ends and,
-// when this attempt carried the half-open probe, the breaker closes.
-// A straggler's success (an attempt launched before the trip) must not
-// re-close an open breaker — recovery goes through the documented
-// cooldown-then-probe discipline, same as failures and cancellations.
-func (f *Fabric) breakerSuccess(b *backendState, probe bool) {
-	if f.breakerAt == 0 {
-		return
-	}
-	b.consecFails.Store(0)
-	if probe {
-		b.brState.CompareAndSwap(breakerHalfOpen, breakerClosed)
-	}
-}
-
-// breakerFailure records a failed fetch. A failed half-open probe
-// re-opens the breaker immediately (only the attempt that carries the
-// probe may do this — a straggler launched before the trip must not
-// decide the probe's verdict); otherwise a closed breaker opens once
-// the consecutive failure run reaches the threshold.
-func (f *Fabric) breakerFailure(b *backendState, probe bool) {
-	if f.breakerAt == 0 {
-		return
-	}
-	from := breakerHalfOpen
-	if n := b.consecFails.Add(1); !probe {
-		if n < f.breakerAt {
-			return
-		}
-		from = breakerClosed
-	}
-	if b.brState.CompareAndSwap(from, breakerOpen) {
-		b.brOpenedAt.Store(math.Float64bits(f.nowf()))
-		b.brOpens.Add(1)
-	}
-}
-
-// breakerCancelled handles an attempt that was cancelled (hedge loser,
-// caller gave up): it is neither success nor failure, but when it
-// carried the half-open probe the slot must not stay wedged — the
-// breaker returns to open with a fresh cooldown, and the next elapsed
-// cooldown grants a new probe.
-func (f *Fabric) breakerCancelled(b *backendState, probe bool) {
-	if f.breakerAt == 0 || !probe {
-		return
-	}
-	if b.brState.CompareAndSwap(breakerHalfOpen, breakerOpen) {
-		b.brOpenedAt.Store(math.Float64bits(f.nowf()))
-	}
-}
-
-// breakerNames names the breaker states for stats.
-var breakerNames = [...]string{breakerClosed: "closed", breakerOpen: "open", breakerHalfOpen: "half-open"}
-
-// breakerState names backend b's current breaker state for stats.
-func (f *Fabric) breakerState(b *backendState) string {
-	if f.breakerAt == 0 {
-		return ""
-	}
-	return breakerNames[b.brState.Load()]
-}
-
 // --- routing -------------------------------------------------------------
-
-// nameSeed hashes a backend name to a stable rendezvous seed (FNV-1a).
-func nameSeed(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
-// mix is a splitmix64 round — the per-(id, backend) hash behind
-// rendezvous routing.
-func mix(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
 
 // weight is backend b's link's b: its configured Bandwidth, or else its
 // peak per-fetch goodput (estimator.peak; 0 before its first success).
-// RhoPrime weighs each link's ρ̂′ by it, and weighted routing spreads ids
-// in proportion to it once every link has one — evenly until then, so
-// no link is starved of the samples that measure it.
+// RhoPrime weighs each link's ρ̂′ by it, and so does routing.
 func (b *backendState) weight() float64 {
 	if b.cfg.Bandwidth > 0 {
 		return b.cfg.Bandwidth
@@ -339,67 +181,54 @@ func (b *backendState) weight() float64 {
 	return b.est.peakBandwidth()
 }
 
-// score returns backend b's routing score for id — lower is better.
-func (f *Fabric) score(b *backendState, id ID) float64 {
-	if f.routing == RouteSED {
-		w := b.weight()
-		for _, o := range f.backends {
-			if o.weight() <= 0 {
-				w = 1
-			}
-		}
-		return float64(b.inflight.Load()+1) / w
-	}
-	if f.routing == RouteLatency {
-		if lat := b.est.latency(); lat > 0 {
-			return lat
-		}
-		return -1 // unmeasured: try it before any measured backend
-	}
-	// Weighted rendezvous: u uniform in (0,1), score −ln(u)/w is
-	// exponential with rate w; the minimum lands on backend i with
-	// probability w_i/Σw, stably per id while the weights hold.
-	w := b.weight()
-	for _, o := range f.backends {
-		if o.weight() <= 0 {
-			w = 1
+// weighed reports whether every link has a b. Until then routing weighs
+// each link 1, so no link is starved of the samples that measure it.
+func (f *Fabric) weighed() bool {
+	for _, b := range f.backends {
+		if b.weight() <= 0 {
+			return false
 		}
 	}
-	u := (float64(mix(uint64(id)^b.seed)>>11) + 1) / (1 << 53)
-	return -math.Log(u) / w
+	return true
 }
 
-// before is the one routing order: backend a is preferred to b for id
-// when it is routable and b's breaker is tripped, else by the lower
-// score; on a tie the earlier backend stays ahead.
-func (f *Fabric) before(a, b *backendState, id ID) bool {
-	if ra, rb := f.routable(a), f.routable(b); ra != rb {
-		return ra
+// delay is backend b's routing score, lower being better: the expected
+// delay of one more fetch on its processor-sharing link, where a
+// transfer of size s beside n in flight takes s(n + 1)/b — shortest
+// expected delay, with s the same on every link.
+func (b *backendState) delay(weighed bool) float64 {
+	w := 1.0
+	if weighed {
+		w = b.weight()
 	}
-	return f.score(a, id) < f.score(b, id)
+	return float64(b.inflight.Load()+1) / w
 }
 
-// Route returns the backend the fabric would dispatch id to right now,
-// the first of the routing order. With every breaker tripped the pure
-// score order decides, and the dispatch itself fails fast.
-func (f *Fabric) Route(id ID) int {
+// Route returns the backend the fabric would dispatch a fetch to right
+// now: the first of the routing order.
+//
+//prefetch:hotpath
+func (f *Fabric) Route() int {
 	best := 0
-	for i := 1; i < len(f.backends); i++ {
-		if f.before(f.backends[i], f.backends[best], id) {
-			best = i
+	if len(f.backends) > 1 {
+		weighed := f.weighed()
+		for i := 1; i < len(f.backends); i++ {
+			if f.backends[i].delay(weighed) < f.backends[best].delay(weighed) {
+				best = i
+			}
 		}
 	}
 	return best
 }
 
-// routeOrder returns all backends for id in the routing order — the
-// hedge/failover sequence: failover prefers healthy links but can
-// still reach a tripped one as the last resort.
-func (f *Fabric) routeOrder(id ID) []int {
+// routeOrder returns all backends by their delay now, the least first —
+// the hedge/failover sequence; on a tie the earlier backend stays ahead.
+func (f *Fabric) routeOrder() []int {
+	weighed := f.weighed()
 	order := make([]int, len(f.backends))
 	for i := range order { // insertion sort: the backend count is single digits
 		order[i] = i
-		for j := i; j > 0 && f.before(f.backends[order[j]], f.backends[order[j-1]], id); j-- {
+		for j := i; j > 0 && f.backends[order[j]].delay(weighed) < f.backends[order[j-1]].delay(weighed); j-- {
 			order[j], order[j-1] = order[j-1], order[j]
 		}
 	}
@@ -408,9 +237,10 @@ func (f *Fabric) routeOrder(id ID) []int {
 
 // --- the attempt bracket -------------------------------------------------
 //
-// Every backend call the fabric makes runs between admit (the breaker's
-// leave, the counters, the dispatch on the link) and settle (the
-// outcome into breaker, estimator and link), bounded by ticket.ctx. Two
+// Every backend call the fabric makes runs between admit (the counters,
+// the in-flight count, the dispatch on the link) and settle (the
+// in-flight count, the outcome into estimator and link), bounded by
+// ticket.ctx. Every admitted ticket is settled. Two
 // call shapes sit between them: batch, which admits for itself, and one,
 // handed its ticket by fetchSequential, fetchHedged's launcher (it admits
 // on the caller's goroutine and runs one on its own) or
@@ -421,24 +251,18 @@ type ticket struct {
 	b     *backendState
 	class class
 	how   how
-	probe bool    // the attempt carries the breaker's half-open probe
 	start float64 // dispatch time, fabric clock
 }
 
 // admit opens the bracket for one round trip carrying n ids of class c
-// to b, or says why nothing may go out: ErrClosed, or ErrBreakerOpen
-// from b's breaker. A hedge or a retry counts its id again, under its
-// label; n > 1 is a batch call and one link dispatch — the items travel
-// together, the point of coalescing.
+// to b, or refuses it with ErrClosed. A hedge or a retry counts its id
+// again, under its label; n > 1 is a batch call and one link dispatch —
+// the items travel together, the point of coalescing.
 //
 //prefetch:hotpath
 func (f *Fabric) admit(b *backendState, c class, n int, h how) (ticket, error) {
 	if f.closed.Load() {
 		return ticket{}, ErrClosed
-	}
-	granted, probe := f.acquire(b)
-	if !granted {
-		return ticket{}, ErrBreakerOpen
 	}
 	b.sent[c].ids.Add(int64(n))
 	if n > 1 {
@@ -452,7 +276,7 @@ func (f *Fabric) admit(b *backendState, c class, n int, h how) (ticket, error) {
 		b.hedgesLaunched.Add(1)
 	}
 	b.inflight.Add(1)
-	t := ticket{b: b, class: c, how: h, probe: probe, start: f.nowf()}
+	t := ticket{b: b, class: c, how: h, start: f.nowf()}
 	if c == demand {
 		b.link.RecordDemand(t.start)
 	} else {
@@ -465,8 +289,8 @@ func (f *Fabric) admit(b *backendState, c class, n int, h how) (ticket, error) {
 func nopCancel() {}
 
 // ctx layers the backend's timeout for the ticket's class under ctx: a
-// timed-out attempt reads as a failure — it feeds failover and the
-// breaker, unlike a caller cancellation. With none configured ctx passes
+// timed-out attempt reads as a failure — it feeds failover, unlike a
+// caller cancellation. With none configured ctx passes
 // through; the cancel releases the timer when the attempt finishes.
 func (t ticket) ctx(ctx context.Context) (context.Context, context.CancelFunc) {
 	d := t.b.cfg.DemandTimeout
@@ -479,31 +303,22 @@ func (t ticket) ctx(ctx context.Context) (context.Context, context.CancelFunc) {
 	return context.WithTimeout(ctx, d)
 }
 
-// settle closes the bracket: the breaker's verdict, by the attempt's own
-// outcome and probe ownership, and for a success a latency sample, the
-// goodput estimate behind an unconfigured bandwidth, and the size
-// delivered on the link. A cancelled attempt (hedge loser, caller gave
-// up) is neither sample nor error, but a cancelled probe frees its slot.
-// To the breaker, fs.ErrNotExist (the origin has no such key) is an answer.
+// settle closes the bracket: the attempt leaves the in-flight count and,
+// for a success, gives a latency sample, the goodput estimate behind an
+// unconfigured bandwidth, and the size delivered on the link. A
+// cancelled attempt (hedge loser, caller gave up) is neither sample nor
+// error.
 //
 //prefetch:hotpath
 func (f *Fabric) settle(t ticket, size float64, err error) {
 	b := t.b
 	b.inflight.Add(-1)
 	if err != nil {
-		if errors.Is(err, context.Canceled) {
-			f.breakerCancelled(b, t.probe)
-			return
-		}
-		b.errorsN.Add(1)
-		if errors.Is(err, fs.ErrNotExist) {
-			f.breakerSuccess(b, t.probe)
-		} else {
-			f.breakerFailure(b, t.probe)
+		if !errors.Is(err, context.Canceled) {
+			b.errorsN.Add(1)
 		}
 		return
 	}
-	f.breakerSuccess(b, t.probe)
 	if size <= 0 {
 		size = 1
 	}
@@ -627,8 +442,8 @@ func (f *Fabric) maxAttempts() int {
 	return len(f.backends)
 }
 
-// Fetch serves one demand fetch: the id is routed to its preferred
-// backend; if hedging is configured, a second backend is raced after
+// Fetch serves one demand fetch: the id goes to the backend of least
+// expected delay; if hedging is configured, a second backend is raced after
 // the primary's p95-derived hedge delay; a failed attempt fails over
 // to the next backend (with backoff) until the attempt budget is
 // spent. The first success wins and the losers are cancelled through
@@ -674,7 +489,7 @@ type attemptResult struct {
 // doubling per retry — unless one is already running; a success or the
 // hedge timer arriving meanwhile is served at once.
 func (f *Fabric) fetchHedged(ctx context.Context, id ID, attempts int) (Item, error) {
-	order := f.routeOrder(id)
+	order := f.routeOrder()
 
 	// One shared cancellable context covers every attempt: when Fetch
 	// returns, the deferred cancel reaps whichever losers still run.
@@ -684,23 +499,23 @@ func (f *Fabric) fetchHedged(ctx context.Context, id ID, attempts int) (Item, er
 	results := make(chan attemptResult, attempts) // buffered: losers never block
 	launched, outstanding := 0, 0
 	var refused error
-	// launch dispatches the next attempt slot admit lets out; slots on
-	// tripped backends are consumed and skipped.
+	// launch dispatches the next attempt slot while the budget lasts; a
+	// closed fabric refuses it.
 	launch := func(h how) {
-		for launched < attempts {
-			t, err := f.admit(f.backends[order[launched%len(order)]], demand, 1, h)
-			launched++
-			if err != nil {
-				refused = err
-				continue
-			}
-			outstanding++
-			go func() {
-				item, _, err := f.one(wctx, t, id, nil, false)
-				results <- attemptResult{item: item, err: err, t: t}
-			}()
+		if launched == attempts {
 			return
 		}
+		t, err := f.admit(f.backends[order[launched%len(order)]], demand, 1, h)
+		launched++
+		if err != nil {
+			refused = err
+			return
+		}
+		outstanding++
+		go func() {
+			item, _, err := f.one(wctx, t, id, nil, false)
+			results <- attemptResult{item: item, err: err, t: t}
+		}()
 	}
 
 	if launch(first); outstanding == 0 {
@@ -757,13 +572,13 @@ func (f *Fabric) fetchHedged(ctx context.Context, id ID, attempts int) (Item, er
 func (f *Fabric) fetchSequential(ctx context.Context, id ID, attempts int, dst []byte, lend bool) (Item, []byte, error) {
 	order := []int{0}
 	if len(f.backends) > 1 {
-		order = f.routeOrder(id)
+		order = f.routeOrder()
 	}
 	var backoff time.Duration
 	if f.hedging != nil {
 		backoff = f.hedging.Backoff
 	}
-	var lastErr, refused error
+	var lastErr error
 	for n := 0; n < attempts; n++ {
 		h := first
 		if lastErr != nil {
@@ -771,8 +586,7 @@ func (f *Fabric) fetchSequential(ctx context.Context, id ID, attempts int, dst [
 		}
 		t, err := f.admit(f.backends[order[n%len(order)]], demand, 1, h)
 		if err != nil {
-			refused = err
-			continue // breaker open: skip the slot, keep failing over
+			return Item{}, dst, err // closed
 		}
 		item, out, err := f.one(ctx, t, id, dst, lend)
 		if err == nil {
@@ -792,16 +606,13 @@ func (f *Fabric) fetchSequential(ctx context.Context, id ID, attempts int, dst [
 			}
 		}
 	}
-	if lastErr == nil {
-		lastErr = refused // nothing was attempted
-	}
 	return Item{}, dst, lastErr
 }
 
 // --- demand batch path ---------------------------------------------------
 
 // FetchDemandBatch dispatches one session's misses routed to a single
-// backend as one demand-priority FetchBatch call, filling the
+// backend (by Route, once per request) as one demand-priority FetchBatch call, filling the
 // caller-supplied out and errs slices (len(ids) each, index-aligned
 // with ids) so the engine's batched demand path allocates nothing. The
 // semantics are per-key: errs[i] reports key i's outcome, and one bad
@@ -816,17 +627,17 @@ func (f *Fabric) fetchSequential(ctx context.Context, id ID, attempts int, dst [
 // Unlike the speculative batch, a batch-level problem — the backend
 // erroring the whole call, or violating the FetchBatch contract with a
 // short or misordered reply — degrades to per-key fallback fetches
-// through the full demand path (failover, hedging, breaker), not to a
-// batch-wide error: demand keys have a caller waiting on each of them.
-// Backends without batch support, single-key batches and batches
-// refused by the breaker take the per-key path directly.
+// through the full demand path (failover, hedging), not to a batch-wide
+// error: demand keys have a caller waiting on each of them. Backends
+// without batch support and single-key batches take the per-key path
+// directly.
 func (f *Fabric) FetchDemandBatch(ctx context.Context, backend int, ids []ID, out []Item, errs []error, dst []byte, lens []int) []byte {
 	if b := f.backends[backend]; b.batch != nil && len(ids) >= 2 {
 		if grown, err := f.batch(ctx, b, demand, ids, out, dst, lens); err == nil {
 			clear(errs[:len(ids)])
 			return grown
 		}
-		// Refused, failed or in breach of the contract: one bad reply
+		// Failed or in breach of the contract: one bad reply
 		// cannot fail the session, so each key takes a singleton's path.
 	}
 	// Key by key through the full demand path, each key's own outcome
@@ -847,7 +658,7 @@ func (f *Fabric) FetchDemandBatch(ctx context.Context, backend int, ids []ID, ou
 // --- speculative path ----------------------------------------------------
 
 // FetchSpeculativeBatch dispatches speculative candidates to one
-// backend (already chosen by Route at planning time) as a single
+// backend (chosen by Route, once per plan) as a single
 // FetchBatch call when the backend supports it and there are several,
 // falling back to sequential single fetches otherwise, and fills
 // the caller-supplied out (len(ids)): on success exactly one Item per
@@ -867,9 +678,7 @@ func (f *Fabric) FetchSpeculativeBatch(ctx context.Context, backend int, ids []I
 	for i, id := range ids {
 		t, err := f.admit(b, speculative, 1, first)
 		if err != nil {
-			// The breaker tripped after this candidate was routed (or the
-			// fabric closed): fail fast, queue nothing against a dead origin.
-			return dst, err
+			return dst, err // closed
 		}
 		n := len(grown)
 		if out[i], grown, err = f.one(ctx, t, id, grown, lens != nil); err != nil {
@@ -902,13 +711,12 @@ func (f *Fabric) Stats(now float64) []BackendStats {
 			HedgesLaunched:     b.hedgesLaunched.Load(),
 			HedgesWon:          b.hedgesWon.Load(),
 			Retries:            b.retries.Load(),
+			InFlight:           b.inflight.Load(),
 			LatencySeconds:     b.est.latency(),
 			LatencyP95Seconds:  b.est.p95Latency(),
 			Bandwidth:          b.link.Bandwidth(),
 			Rho:                b.link.Rho(now),
 			RhoPrime:           b.link.RhoPrime(now),
-			BreakerState:       f.breakerState(b),
-			BreakerOpens:       b.brOpens.Load(),
 		}
 	}
 	return out

@@ -3,6 +3,7 @@ package fetch
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -113,24 +114,80 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func TestWeightedRoutingSplitsByConfiguredBandwidth(t *testing.T) {
-	f := newTestFabric(t, Config{Backends: []Backend{
-		{Name: "heavy", Fetcher: &instantFetcher{size: 1}, Bandwidth: 3},
-		{Name: "light", Fetcher: &instantFetcher{size: 1}, Bandwidth: 1},
-	}})
-	counts := [2]int{}
-	for id := ID(0); id < 4000; id++ {
-		counts[f.Route(id)]++
-	}
-	frac := float64(counts[0]) / 4000
-	if frac < 0.70 || frac > 0.80 {
-		t.Fatalf("heavy backend got %.3f of ids, want ≈ 0.75", frac)
-	}
-	// Affinity: the same id always routes the same way.
-	for id := ID(0); id < 100; id++ {
-		if f.Route(id) != f.Route(id) {
-			t.Fatalf("id %d route is unstable", id)
+// gateFetcher holds every id below 100 until release is closed and
+// serves the rest at once.
+type gateFetcher struct {
+	tripCount
+	release chan struct{}
+}
+
+func (f *gateFetcher) Fetch(ctx context.Context, id ID) (Item, error) {
+	f.trip()
+	if id < 100 {
+		select {
+		case <-f.release:
+		case <-ctx.Done():
+			return Item{}, ctx.Err()
 		}
+	}
+	return Item{ID: id, Size: 1}, nil
+}
+
+// Routing is shortest expected delay: with k fetches in flight on a
+// link of b and none on a link of b/2, the next fetch goes where
+// (in-flight + 1)/b is least — the fast link until k reaches 2, where
+// (2 + 1)/b passes 1/(b/2); a tie keeps the earlier backend. Route, the
+// route order and a demand Fetch agree, and the held fetches leave
+// nothing in flight once released.
+func TestRoutingIsShortestExpectedDelay(t *testing.T) {
+	const b = 2.0
+	for k := 0; k <= 3; k++ {
+		k := k
+		t.Run(fmt.Sprintf("%d in flight", k), func(t *testing.T) {
+			fast := &gateFetcher{release: make(chan struct{})}
+			slow := &gateFetcher{release: make(chan struct{})}
+			f := newTestFabric(t, Config{Backends: []Backend{
+				{Name: "fast", Fetcher: fast, Bandwidth: b},
+				{Name: "slow", Fetcher: slow, Bandwidth: b / 2},
+			}})
+			var wg sync.WaitGroup
+			for i := 0; i < k; i++ {
+				wg.Add(1)
+				go func(id ID) {
+					defer wg.Done()
+					if _, err := specBatch(f, context.Background(), 0, []ID{id}); err != nil {
+						t.Error(err)
+					}
+				}(ID(i))
+			}
+			for f.Stats(0)[0].InFlight != int64(k) {
+				time.Sleep(100 * time.Microsecond)
+			}
+			want := 0
+			if float64(k+1)/b > 1/(b/2) {
+				want = 1
+			}
+			if got := f.Route(); got != want {
+				t.Errorf("Route() = %d, want %d", got, want)
+			}
+			if order := f.routeOrder(); order[0] != want || order[1] != 1-want {
+				t.Errorf("route order %v, want backend %d first", order, want)
+			}
+			if _, err := f.Fetch(context.Background(), 100); err != nil {
+				t.Fatal(err)
+			}
+			if st := f.Stats(0); st[want].Demand != 1 || st[1-want].Demand != 0 {
+				t.Errorf("the demand fetch went to %v, want backend %d", []int64{st[0].Demand, st[1].Demand}, want)
+			}
+			close(fast.release)
+			close(slow.release)
+			wg.Wait()
+			for i, st := range f.Stats(0) {
+				if st.InFlight != 0 {
+					t.Errorf("backend %d: %d in flight once every fetch returned", i, st.InFlight)
+				}
+			}
+		})
 	}
 }
 
@@ -139,8 +196,9 @@ func TestWeightedRoutingSplitsByConfiguredBandwidth(t *testing.T) {
 // four and shares its link with three others otherwise, so its mean
 // falls to about 44/s while its peak stays above 85/s, near the 100/s
 // that "idle", silent after one fetch (as a link whose calls hang is),
-// keeps. They split ids about evenly, where the means would send "idle"
-// 70 % of them.
+// keeps. With one fetch in flight on "idle", the next goes to "busy":
+// 2/100 against 1/85, where the means would keep it on "idle", 2/100
+// against 1/44.
 func TestWeightIsPeakGoodput(t *testing.T) {
 	f := newTestFabric(t, Config{Backends: []Backend{
 		{Name: "idle", Fetcher: &instantFetcher{size: 1}},
@@ -161,44 +219,19 @@ func TestWeightIsPeakGoodput(t *testing.T) {
 	if w := busy.weight(); w < 80 || w > 100 {
 		t.Fatalf("busy link weighs %.1f, want its peak goodput, 80–100", w)
 	}
-	counts := [2]int{}
-	for id := ID(0); id < 4000; id++ {
-		counts[f.Route(id)]++
+	if got := f.Route(); got != 0 {
+		t.Fatalf("with both links idle Route() = %d, want the idle link, 0", got)
 	}
-	if frac := float64(counts[0]) / 4000; frac < 0.45 || frac > 0.6 {
-		t.Fatalf("the idle link got %.3f of ids, want ≈ 0.5–0.55", frac)
+	idle.inflight.Add(1)
+	got := f.Route()
+	idle.inflight.Add(-1)
+	if got != 1 {
+		t.Fatalf("with one fetch in flight on the idle link Route() = %d, want the busy link, 1", got)
 	}
 	configured := newTestFabric(t, Config{Backends: []Backend{{Name: "a", Fetcher: &instantFetcher{size: 1}, Bandwidth: 7}}})
 	configured.backends[0].est.observe(0.01, 1)
 	if w := configured.backends[0].weight(); w != 7 {
 		t.Fatalf("a link configured with Bandwidth 7 weighs %v", w)
-	}
-}
-
-func TestLatencyRoutingPrefersFastBackend(t *testing.T) {
-	fast := &slowFetcher{delay: 1 * time.Millisecond}
-	slow := &slowFetcher{delay: 20 * time.Millisecond}
-	f := newTestFabric(t, Config{
-		Routing: RouteLatency,
-		Backends: []Backend{
-			{Name: "slow", Fetcher: slow},
-			{Name: "fast", Fetcher: fast},
-		},
-	})
-	ctx := context.Background()
-	// Unmeasured backends are explored first; seed both with samples.
-	for i := 0; i < 4; i++ {
-		if _, err := specBatch(f, ctx, 0, []ID{ID(i)}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := specBatch(f, ctx, 1, []ID{ID(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for id := ID(100); id < 120; id++ {
-		if got := f.Route(id); got != 1 {
-			t.Fatalf("id %d routed to backend %d, want the fast backend", id, got)
-		}
 	}
 }
 
@@ -237,7 +270,7 @@ func TestHedgeRacesSecondBackendAndCancelsLoser(t *testing.T) {
 	f := newTestFabric(t, Config{
 		Hedging: &Hedging{},
 		Backends: []Backend{
-			{Name: "slow", Fetcher: slow, Bandwidth: 1e9}, // rendezvous pins the primary
+			{Name: "slow", Fetcher: slow, Bandwidth: 1e9}, // its b pins the primary
 			{Name: "fast", Fetcher: fast, Bandwidth: 1e-9},
 		},
 	})
@@ -280,7 +313,7 @@ func TestHedgeDelayDerivedFromP95(t *testing.T) {
 	f := newTestFabric(t, Config{
 		Hedging: &Hedging{},
 		Backends: []Backend{
-			{Name: "slow", Fetcher: slow, Bandwidth: 1e9}, // rendezvous pins the primary
+			{Name: "slow", Fetcher: slow, Bandwidth: 1e9}, // its b pins the primary
 			{Name: "fast", Fetcher: fast, Bandwidth: 1e-9},
 		},
 	})
@@ -505,14 +538,12 @@ func TestFabricConcurrentUse(t *testing.T) {
 						return
 					}
 				case 1:
-					b := f.Route(id)
-					if _, err := specBatch(f, ctx, b, []ID{id}); err != nil {
+					if _, err := specBatch(f, ctx, f.Route(), []ID{id}); err != nil {
 						t.Errorf("FetchSpeculativeBatch: %v", err)
 						return
 					}
 				case 2:
-					b := f.Route(id)
-					if _, err := specBatch(f, ctx, b, []ID{id, id + 1}); err != nil {
+					if _, err := specBatch(f, ctx, f.Route(), []ID{id, id + 1}); err != nil {
 						t.Errorf("FetchSpeculativeBatch: %v", err)
 						return
 					}
@@ -523,6 +554,9 @@ func TestFabricConcurrentUse(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	// Quiesced, every attempt is settled — a hedge loser, once it has
+	// heard its cancellation — and every backend's in-flight count is 0.
+	checkBooks(t, f)
 	var total int64
 	for i, st := range f.Stats(0) {
 		total += st.Demand + st.Speculative
@@ -620,8 +654,8 @@ func TestFetchDemandBatchSingleKeyAndNoBatchSupport(t *testing.T) {
 		t.Fatal("single-key demand batch must not call FetchBatch")
 	}
 	// A backend without batch support serves key by key.
-	// (Routing may fail the keys over to the batch backend's singleton
-	// path; only the per-key outcome is contractual.)
+	// (Each key is routed afresh and may go to the batch backend's
+	// singleton path; only the per-key outcome is contractual.)
 	ids := []ID{1, 2}
 	out, errs := demandBatch(f, 1, ids)
 	for i, id := range ids {

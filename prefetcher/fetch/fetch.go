@@ -1,10 +1,18 @@
 // Package fetch is the backend fetch fabric behind the prefetch
-// engine's Fetcher seam: it spreads demand and speculative fetches
-// across named backends in proportion to each link's bandwidth b,
-// coalesces adjacent prefetch candidates into batch calls, races hedged
-// retries against slow backends, and estimates each link's latency, b
-// and utilisation separately — so the paper's admission threshold can
-// be evaluated against the links' demand-only ρ̂′, weighted by the same b.
+// engine's Fetcher seam: it sends each demand and speculative fetch to
+// the backend of shortest expected delay, coalesces adjacent prefetch
+// candidates into batch calls, races hedged retries against slow
+// backends, and estimates each link's latency, bandwidth b and
+// utilisation separately — so the paper's admission threshold can be
+// evaluated against the links' demand-only ρ̂′, weighted by the same b.
+//
+// Routing reads the paper's processor-sharing link: a transfer of size
+// s beside n others in flight on a link of b takes about s(n + 1)/b, so
+// a fetch goes where (in-flight + 1)/b is least, every link weighing 1
+// until each has a b. The rule reads load, not the id: an id has no
+// backend of its own, so an origin-side cache sees ids from every
+// backend's traffic — nothing in this module measures what per-id
+// affinity would buy there.
 //
 // The package owns the fetch-side vocabulary: ID, Item, Fetcher,
 // FetcherFunc and BatchFetcher are defined here, below the engine in
@@ -13,8 +21,8 @@
 // an adapter written against either package serves both. Most users
 // never construct a Fabric directly — every prefetcher.Engine
 // assembles one, from WithBackends or from New's single fetcher — but
-// the type is usable standalone as a routing/hedging Fetcher for any
-// client.
+// the type is usable standalone as a load-routing, hedging Fetcher for
+// any client.
 package fetch
 
 import (
@@ -102,11 +110,13 @@ type Backend struct {
 	// dispatched as one FetchBatch call.
 	Fetcher Fetcher
 	// Bandwidth is the link's capacity b in size units per second, its
-	// weight in RhoPrime and RouteWeighted: a link with a tenth of its
-	// peer's b gets a tenth of its peer's ids. 0 means unknown: the link's
-	// ρ̂′ then reads its smoothed per-fetch goodput (size/latency) as b,
-	// and its weight that goodput's recent peak, which moves with every
-	// fetch and, where round trips dominate, reads nearer size over RTT.
+	// weight in RhoPrime and in routing: a fetch goes to the backend of
+	// least (in-flight + 1)/b, so a link with a tenth of its peer's b is
+	// sent a fetch while idle only once its peer has ten in flight. 0
+	// means unknown: the link's ρ̂′ then reads its smoothed per-fetch
+	// goodput (size/latency) as b, and its weight that goodput's recent
+	// peak, which moves with every fetch and, where round trips dominate,
+	// reads nearer size over RTT.
 	Bandwidth float64
 	// DemandTimeout bounds each demand attempt dispatched to this
 	// backend — every hedge, retry and demand batch gets its own
@@ -122,42 +132,6 @@ type Backend struct {
 	// unlimited (the engine's lifecycle context still applies).
 	SpeculativeTimeout time.Duration
 }
-
-// Routing selects how the fabric spreads ids across backends.
-type Routing int
-
-const (
-	// RouteWeighted spreads ids by weighted rendezvous hashing: each
-	// backend receives ids in proportion to its link's b
-	// (Backend.Bandwidth, configured or measured; evenly until every
-	// link has one), and an id keeps its backend while the weights hold
-	// — always, when every Bandwidth is configured. The default.
-	RouteWeighted Routing = iota
-	// RouteLatency prefers the backend with the lowest estimated
-	// latency, trying unmeasured ones first. It sends nearly all demand
-	// to the fastest link: it wins where one link is far slower, and
-	// loses with links of b 100 and 50 at 0.6 of Σb (t̄ 35.32 ms
-	// against RouteWeighted's 22.96 ms in virtual time).
-	RouteLatency
-	// RouteSED sends each fetch to the backend of shortest expected
-	// delay on a processor-sharing link: the least (in-flight + 1)/b.
-	RouteSED
-)
-
-// The circuit breaker's parameters (Config.Breaker): breakerThreshold
-// consecutive failures open a backend's breaker, and it half-opens
-// breakerCooldown seconds later.
-const (
-	breakerThreshold = 5
-	breakerCooldown  = 1.0
-)
-
-// Breaker states, reported in BackendStats.BreakerState.
-const (
-	breakerClosed   int32 = iota // normal operation
-	breakerOpen                  // tripped: skip until cooldown elapses
-	breakerHalfOpen              // one probe in flight; its outcome decides
-)
 
 // Hedging configures hedged retries on the demand path. Failover on
 // error happens regardless — hedging adds racing a second backend
@@ -198,6 +172,9 @@ type BackendStats struct {
 	HedgesLaunched, HedgesWon int64
 	// Retries counts failover attempts launched after an error.
 	Retries int64
+	// InFlight counts the attempts dispatched and not yet settled: the n
+	// of the link's processor sharing that routing reads.
+	InFlight int64
 	// LatencySeconds is the EWMA fetch latency; LatencyP95Seconds the
 	// ring-buffer p95 estimate hedge delays derive from.
 	LatencySeconds, LatencyP95Seconds float64
@@ -205,9 +182,4 @@ type BackendStats struct {
 	// size/latency estimate); Rho the link's total utilisation ρ̂ and
 	// RhoPrime its demand-only utilisation ρ̂′, both at snapshot time.
 	Bandwidth, Rho, RhoPrime float64
-	// BreakerState is "closed", "open" or "half-open" when circuit
-	// breaking is configured (empty otherwise); BreakerOpens counts how
-	// many times this backend's breaker tripped.
-	BreakerState string
-	BreakerOpens int64
 }

@@ -1,8 +1,7 @@
 // Package httpfetch is the real HTTP origin adapter behind the fetch
 // fabric: a Client implements fetch.Fetcher and fetch.BatchFetcher over
-// its own pooled HTTP/1.1 wire, so the engine's routing, hedging and
-// circuit breaking operate over actual network links instead of
-// simulated ones.
+// its own pooled HTTP/1.1 wire, so the engine's routing, failover and
+// hedging operate over actual network links instead of simulated ones.
 //
 // One Client wraps one origin (a base URL); a fabric mixes several
 // origins by giving each its own Client as a fetch.Backend. The
@@ -11,8 +10,8 @@
 // layers the per-attempt deadline onto the context it hands the
 // adapter, whose only obligation is to abandon the request promptly
 // when that context dies. That promptness is what keeps hedged losers
-// from holding connections and lets the breaker see a wedged origin as
-// fast failures rather than a pile-up.
+// from holding connections and turns a wedged origin into fast
+// failovers rather than a pile-up.
 //
 // Object fetches are plain GETs: id 42 becomes GET {BaseURL}/obj/42
 // (the path template is configurable). Response bodies are bounded by

@@ -62,10 +62,9 @@ func TestNegativeBackendTimeoutRejected(t *testing.T) {
 func TestDemandTimeoutFailsOver(t *testing.T) {
 	slow := &slowFetcher{delay: 5 * time.Second}
 	fast := &instantFetcher{size: 1}
-	// RouteLatency tries unmeasured backends in declaration order, so
-	// the slow backend is deterministically preferred first.
+	// Two idle links, neither weighed yet, tie, and a tie keeps the
+	// declaration order: the slow backend is tried first.
 	f := newTestFabric(t, Config{
-		Routing: RouteLatency,
 		Backends: []Backend{
 			{Name: "slow", Fetcher: slow, DemandTimeout: 20 * time.Millisecond},
 			{Name: "fast", Fetcher: fast},
@@ -115,7 +114,7 @@ func TestDemandTimeoutHedgedPath(t *testing.T) {
 	slow := &slowFetcher{delay: 5 * time.Second}
 	fast := &instantFetcher{size: 1}
 	f := newTestFabric(t, Config{
-		Routing: RouteLatency,
+		// Routing ties the two idle links and tries the slow one first.
 		// No p95 estimate yet, so no hedge: only the attempt budget may
 		// unblock the fetch.
 		Hedging: &Hedging{MaxAttempts: 2},

@@ -13,7 +13,7 @@ import (
 // Markov chain sees the same transitions), a shard gather classifies
 // every key hit/join/miss taking each shard lock once, the counters and
 // estimators are folded on atomics outside the locks, each backend's
-// share of the owned misses travels as one demand batch (a one-key
+// owned misses travel as one demand batch to one backend (a one-key
 // batch is the fabric's ordinary hedged Fetch), joined keys wait out
 // the flights they attached to, and the outcome is landed in the
 // caller's sink. A singleton Get is the fan-out-1 session: the views
@@ -78,11 +78,10 @@ const (
 
 // multiKey is one session key's classification and outcome.
 type multiKey struct {
-	sh      *shard
-	f       *flight
-	item    Item
-	err     error
-	backend int
+	sh   *shard
+	f    *flight
+	item Item
+	err  error
 	// Byte sinks: inBuf marks a payload already located at [off,
 	// off+blen) of the sink buffer — copied there (or, for the length
 	// sink, measured) by the cache's byte view under the shard lock, or
@@ -126,15 +125,14 @@ type sink struct {
 type multiScratch struct {
 	candBufs
 	states []multiKey
-	gids   []ID  // one backend's share of the misses, then of the admitted candidates
-	gidx   []int // indices into states, aligned with gids; then the admitted candidates' routes
+	gids   []ID  // the owned misses, then the admitted candidates
+	gidx   []int // indices into states, aligned with the owned misses
 	bout   []Item
 	berrs  []error
 	blens  []int // per staged miss, its payload's length in a lent buffer
-	// Inline first backings for gids and gidx: see multiPool.New for
-	// why a fresh scratch must not cost an allocation for them.
+	// Inline first backing for gids: see multiPool.New for why a fresh
+	// scratch must not cost an allocation for it.
 	gids0 [8]ID
-	gidx0 [8]int
 }
 
 // maxPooledKeys bounds the session size whose scratch is worth keeping:
@@ -164,7 +162,7 @@ func (e *Engine) putMulti(sc *multiScratch) {
 // GetMulti serves one session of correlated demand keys and returns
 // one Item per id, index-aligned with ids. Keys resident in cache are
 // served under a single pass over the shards; missing keys are
-// coalesced per backend into demand FetchBatch calls (joining any
+// coalesced into one demand FetchBatch call (joining any
 // in-flight fetches, so concurrent sessions and singleton Gets for the
 // same key share one origin call). Failures are per key: the returned
 // error is nil when every key was served, else a *MultiError listing
@@ -427,24 +425,15 @@ func (e *Engine) classifyResidentLocked(sh *shard, id ID, st *multiKey, mode uin
 	return true
 }
 
-// fetchMultiMisses serves the keys the gather could not: owned misses
-// travel to their routed backends as coalesced demand batches, then
-// every joined key awaits the flight it attached to.
+// fetchMultiMisses serves the keys the gather could not: the owned
+// misses travel together, as one coalesced demand batch to the backend
+// of least expected delay (Fabric.Route), then every joined key awaits
+// the flight it attached to.
 //
 //prefetch:hotpath
 func (e *Engine) fetchMultiMisses(ctx context.Context, ids []ID, sc *multiScratch, mode uint8, buf *[]byte) {
 	states := sc.states
-	nb := e.fabric.NumBackends()
-	if nb > 1 {
-		for i := range states {
-			if states[i].kind == mkOwner {
-				states[i].backend = e.fabric.Route(ids[i])
-			}
-		}
-	}
-	for b := 0; b < nb; b++ {
-		e.runDemandBatch(ctx, b, ids, sc, mode, buf)
-	}
+	e.runDemandBatch(ctx, e.fabric.Route(), ids, sc, mode, buf)
 	for i := range states {
 		if states[i].kind == mkJoin {
 			e.awaitJoined(ctx, ids[i], &states[i], mode, buf)
@@ -453,8 +442,8 @@ func (e *Engine) fetchMultiMisses(ctx context.Context, ids []ID, sc *multiScratc
 	}
 }
 
-// runDemandBatch fetches one backend's share of the request's owned
-// misses as a single demand batch, staged in the pooled scratch, and
+// runDemandBatch fetches the request's owned misses from backend b as
+// a single demand batch, staged in the pooled scratch, and
 // lands each key through land (cache fill, size and estimator folds,
 // flight resolution, per-key error). FetchDemandBatch owns the
 // reply checks and the per-key fallback — a one-key share, a batch
@@ -471,7 +460,7 @@ func (e *Engine) runDemandBatch(ctx context.Context, b int, ids []ID, sc *multiS
 	items, errs := sc.bout[:0], sc.berrs[:0]
 	lend, lens := e.lend && mode == sinkBytes, sc.blens[:0]
 	for i := range states {
-		if states[i].kind == mkOwner && states[i].backend == b {
+		if states[i].kind == mkOwner {
 			gids, gidx = append(gids, ids[i]), append(gidx, i)
 			items, errs, lens = append(items, Item{}), append(errs, nil), append(lens, 0)
 		}

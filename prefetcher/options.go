@@ -26,9 +26,7 @@ type config struct {
 
 	// Fetch fabric (no backends = New's fetcher is the one backend).
 	backends []fetch.Backend
-	routing  fetch.Routing
 	hedging  *fetch.Hedging
-	breaker  bool
 }
 
 // defaultCacheCapacity is the total capacity of the default cache, split
@@ -227,19 +225,18 @@ func WithEventHook(fn func(Event)) Option {
 
 // WithBackends names the fetch fabric's backends in place of New's
 // single origin fetcher — which is itself shorthand for one backend
-// "origin" with the WithBandwidth capacity. Demand and speculative
-// fetches are routed across the backends — under the default
-// fetch.RouteWeighted in proportion to each link's b, its
-// fetch.Backend.Bandwidth (a link configured with a tenth of its peer's
-// b gets a tenth of its peer's ids) or, left 0, the peak per-fetch
-// goodput the fabric measures (evenly until every link has a b); see
-// WithRouting for the other —
-// a failed demand fetch fails over to the next backend, speculative
-// candidates routed to one batch-capable backend are coalesced into a
-// single FetchBatch call, and each link's latency, bandwidth and
-// utilisation are estimated separately; a plan is admitted once,
-// against the links' demand-only ρ̂′ weighted by the same b, and only
-// the admitted candidates are routed.
+// "origin" with the WithBandwidth capacity. Each fetch goes to the
+// backend of shortest expected delay on the paper's processor-sharing
+// link: the least (in-flight + 1)/b, b being a link's
+// fetch.Backend.Bandwidth or, left 0, the peak per-fetch goodput the
+// fabric measures (every link weighs 1 until each has a b). A request's
+// owned misses go together, as one demand batch, and a plan is admitted
+// once, against the links' demand-only ρ̂′ weighted by the same b, and
+// routed once, whole. An id has no backend of its own: the rule reads
+// the links' load, not the id. A failed demand fetch fails over to the
+// next backend, speculative candidates routed to one batch-capable
+// backend are coalesced into a single FetchBatch call, and each link's
+// latency, bandwidth and utilisation are estimated separately.
 // Pass nil as New's fetcher when using backends (supplying both is a
 // construction error). Per-backend stats appear in Stats.Backends.
 func WithBackends(backends ...fetch.Backend) Option {
@@ -248,22 +245,6 @@ func WithBackends(backends ...fetch.Backend) Option {
 			return fmt.Errorf("prefetcher: WithBackends needs at least one backend")
 		}
 		c.backends = append([]fetch.Backend(nil), backends...)
-		return nil
-	}
-}
-
-// WithRouting selects how the fetch fabric spreads ids across backends
-// (default fetch.RouteWeighted). Requires WithBackends: a single origin
-// leaves nothing to route. fetch.RouteLatency sends nearly all demand to
-// the fastest link: it wins only where one link is far slower than the
-// rest, and with links of b 100 and 50 at 0.6 of Σb it loses to the
-// default, t̄ 35.32 ms against 22.96 ms in virtual time.
-func WithRouting(r fetch.Routing) Option {
-	return func(c *config) error {
-		if r != fetch.RouteWeighted && r != fetch.RouteLatency && r != fetch.RouteSED {
-			return fmt.Errorf("prefetcher: unknown routing strategy %d", r)
-		}
-		c.routing = r
 		return nil
 	}
 }
@@ -281,24 +262,6 @@ func WithHedging(h fetch.Hedging) Option {
 			return fmt.Errorf("prefetcher: negative hedging parameter %+v", h)
 		}
 		c.hedging = &h
-		return nil
-	}
-}
-
-// WithBreaker trips a per-backend circuit breaker on persistently
-// failing backends: 5 consecutive failures open the breaker, after
-// which routing steers new candidates away from the backend and fetches
-// already routed there fail fast; a second later the breaker half-opens
-// and exactly one probe fetch decides — success closes it, failure
-// re-opens it and restarts the cooldown. Demand traffic fails over to
-// the remaining healthy backends as usual, and only fails fast
-// (fetch.ErrBreakerOpen) when every backend's breaker is open — with a
-// single backend (New's fetcher included) that turns a dead origin into
-// immediate errors instead of pile-ups. Per-backend state appears in
-// Stats.Backends (BreakerState, BreakerOpens).
-func WithBreaker() Option {
-	return func(c *config) error {
-		c.breaker = true
 		return nil
 	}
 }
@@ -322,12 +285,6 @@ func (c *config) validate() error {
 	}
 	if c.cache != nil && c.shards > 1 {
 		return fmt.Errorf("prefetcher: WithCache supplies a single instance but WithShards(%d) needs one cache per shard; use WithCacheFactory or WithShards(1)", c.shards)
-	}
-	if c.routing != fetch.RouteWeighted && len(c.backends) == 0 {
-		// A single origin leaves nothing to route; dropping the option
-		// silently would let the caller believe latency routing is
-		// active.
-		return fmt.Errorf("prefetcher: WithRouting requires WithBackends")
 	}
 	if c.policy.adaptive && c.bandwidth == 0 {
 		return fmt.Errorf("prefetcher: policy %s adapts to load and requires WithBandwidth", c.policy.Name())

@@ -64,7 +64,7 @@ type Stats struct {
 	MultiGets, BatchedKeys int64
 	// Backends holds one entry per fetch-fabric backend — always at
 	// least one: the WithBackends links, or "origin" for New's fetcher
-	// — with its traffic counters, hedging and breaker outcomes and —
+	// — with its traffic counters, hedging outcomes, in-flight count and —
 	// the load-aware piece — that link's own ρ̂ and ρ̂′, which admission
 	// weighs by bandwidth into the fabric's ρ̂′.
 	Backends []fetch.BackendStats
