@@ -8,8 +8,8 @@ import (
 // This file wires the fetch fabric (package prefetcher/fetch) into the
 // engine: construction from the configured backends, speculative
 // planning (one admission pass against the fabric's ρ̂′, then one route
-// for the plan) and dispatch, the one path that registers, queues and, when the queue
-// refuses, fails a speculative fetch. The demand side is the read core's
+// for the plan) and dispatch, the one path that registers, queues and,
+// when the queue refuses, fails a speculative fetch. The demand side is the read core's
 // two calls (multi.go): FetchDemandBatch for a request's owned misses,
 // Fetch for a key whose joined flight failed; both land through land
 // (engine.go), as the workers' speculative fetches do.
@@ -51,9 +51,10 @@ func (e *Engine) putJob(j *job) {
 // there whole. The cap needs no code here: the planner hands over at
 // most maxPrefetch candidates, most probable first, and every policy
 // admits a prefix of them. All planning state lives in the request's
-// own scratch, so the pass allocates nothing in steady state. now is the time the link estimates
-// are read at: a hit passes its arrival reading (one clock read per
-// hit), a path that waited on a fetch reads the clock afresh.
+// own scratch, so the pass allocates nothing in steady state. now is
+// the time the link estimates are read at: a hit passes its arrival
+// reading (one clock read per hit), a path that waited on a fetch reads
+// the clock afresh.
 //
 //prefetch:hotpath
 func (e *Engine) schedule(sc *multiScratch, cands []predict.Prediction, now float64) {

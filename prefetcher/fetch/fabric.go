@@ -135,9 +135,6 @@ func New(cfg Config) (*Fabric, error) {
 	return f, nil
 }
 
-// NumBackends returns how many backends the fabric routes across.
-func (f *Fabric) NumBackends() int { return len(f.backends) }
-
 // BatchCapable reports whether backend i's fetcher supports FetchBatch.
 func (f *Fabric) BatchCapable(i int) bool { return f.backends[i].batch != nil }
 

@@ -446,7 +446,7 @@ func (e *Engine) fetchMultiMisses(ctx context.Context, ids []ID, sc *multiScratc
 // a single demand batch, staged in the pooled scratch, and
 // lands each key through land (cache fill, size and estimator folds,
 // flight resolution, per-key error). FetchDemandBatch owns the
-// reply checks and the per-key fallback — a one-key share, a batch
+// reply checks and the per-key fallback — a one-key batch, a batch
 // error, a short reply or a misordered reply degrades to the hedged,
 // failing-over Fetch per key, so one bad reply never fails the session.
 // A byte sink over copying caches lends the fetch the caller's buffer:
