@@ -202,12 +202,49 @@ func (e attemptEntry) String() string {
 	return [...]string{"Fetch", "FetchInto", "FetchDemandBatch", "FetchSpeculativeBatch(one id)", "FetchSpeculativeBatch"}[e]
 }
 
+// attemptNeighbour is what shares the fabric with the row's backend.
+// Beside another link the row's backend is the second configured, so
+// it gets the row's calls only by shortest expected delay — (in-flight
+// + 1)/b least, each link weighing 1 until both have a b — and never by
+// the tie that keeps the earlier backend.
+type attemptNeighbour int
+
+const (
+	nbrNone          attemptNeighbour = iota
+	nbrIdleHalfB                      // idle, half the row's b: 1/50 against 1/100
+	nbrBusySameB                      // one attempt held on the row's b: 2/100 against 1/100
+	nbrBusyDoubleB                    // two attempts held on twice the b: 3/200 against 1/100
+	nbrBusyUnweighed                  // one attempt held, no b: both weigh 1, 2 against 1
+)
+
+func (n attemptNeighbour) String() string {
+	return [...]string{"alone", "beside-idle-half-b", "beside-busy-same-b", "beside-busy-double-b", "beside-busy-unweighed"}[n]
+}
+
+// backend is the neighbour's configuration, and held the attempts it
+// has in flight while the row runs.
+func (n attemptNeighbour) backend(fetcher Fetcher) (b Backend, held int) {
+	b = Backend{Name: "neighbour", Fetcher: fetcher}
+	switch n {
+	case nbrIdleHalfB:
+		b.Bandwidth = 50
+	case nbrBusySameB:
+		b.Bandwidth, held = 100, 1
+	case nbrBusyDoubleB:
+		b.Bandwidth, held = 200, 2
+	case nbrBusyUnweighed:
+		held = 1
+	}
+	return b, held
+}
+
 type attemptRow struct {
-	entry   attemptEntry
-	n       int  // ids in the call
-	lent    bool // the caller lends dst
-	singles bool // the backend has no batch form
-	script  attemptScript
+	entry     attemptEntry
+	n         int  // ids in the call
+	lent      bool // the caller lends dst
+	singles   bool // the backend has no batch form
+	neighbour attemptNeighbour
+	script    attemptScript
 }
 
 func (r attemptRow) name() string {
@@ -218,7 +255,7 @@ func (r attemptRow) name() string {
 	if r.singles {
 		shape = "singles-only"
 	}
-	return fmt.Sprintf("%v/%d-id/%s/%s/%v", r.entry, r.n, own, shape, r.script)
+	return fmt.Sprintf("%v/%d-id/%s/%s/%v/%v", r.entry, r.n, own, shape, r.neighbour, r.script)
 }
 
 func attemptRows() []attemptRow {
@@ -238,13 +275,15 @@ func attemptRows() []attemptRow {
 		}
 	}
 	for _, shape := range shapes {
-		for scr := scrOK; scr <= scrShrink; scr++ {
-			if scr == scrShrink && !shape.lent {
-				continue // reads as scrOK
+		for nbr := nbrNone; nbr <= nbrBusyUnweighed; nbr++ {
+			for scr := scrOK; scr <= scrShrink; scr++ {
+				if scr == scrShrink && !shape.lent {
+					continue // reads as scrOK
+				}
+				row := shape
+				row.neighbour, row.script = nbr, scr
+				rows = append(rows, row)
 			}
-			row := shape
-			row.script = scr
-			rows = append(rows, row)
 		}
 	}
 	return rows
@@ -265,7 +304,8 @@ const (
 
 // attemptModel is the contract, written once: what one bracket counts,
 // records and settles, and how each entry point strings brackets
-// together over a single backend with no hedging.
+// together over the one backend its calls are routed to, one attempt a
+// fetch.
 type attemptModel struct {
 	row   attemptRow
 	stats BackendStats // the counter fields a row may move
@@ -393,11 +433,16 @@ func checkAttemptErr(t *testing.T, what string, err error, want attemptOutcome) 
 }
 
 // TestAttemptBracket is the matrix: scripted backend × entry point ×
-// {1 id, 3 ids} × {owned, lent}, each row held to the exact BackendStats
-// delta, the round trips the fake saw, what the link's two flows
-// recorded, no attempt left in flight — a failed, timed-out, cancelled,
-// short or misordered one included — the error per key and
-// dst/lens/items as the entry point's contract says.
+// {1 id, 3 ids} × {owned, lent} × neighbour, each row held to the exact
+// BackendStats delta, the round trips the fake saw, what the link's two
+// flows recorded, no attempt left in flight — a failed, timed-out,
+// cancelled, short or misordered one included — the error per key and
+// dst/lens/items as the entry point's contract says. Beside a
+// neighbour, Route picks the row's backend, the batch entry points are
+// handed it, as the engine hands them Route's pick, and the neighbour's
+// books end as the held attempts left them: one in flight each,
+// nothing else moved. The neighbour's fetch budget is one attempt, so
+// a failure does not fail over to it (TestFailoverOrder covers that).
 func TestAttemptBracket(t *testing.T) {
 	for _, row := range attemptRows() {
 		row := row
@@ -411,15 +456,45 @@ func TestAttemptBracket(t *testing.T) {
 			if row.singles {
 				backend.Fetcher = scriptedSingles{fake}
 			}
-			f := newTestFabric(t, Config{Backends: []Backend{backend}, Now: clk.Now})
+			cfg := Config{Backends: []Backend{backend}, Now: clk.Now}
+			neighbour := &gateFetcher{release: make(chan struct{})}
+			nb, held := row.neighbour.backend(neighbour)
+			if row.neighbour != nbrNone {
+				cfg.Backends = []Backend{nb, backend}
+				cfg.Hedging = &Hedging{MaxAttempts: 1}
+			}
+			at := len(cfg.Backends) - 1 // the row's backend
+			f := newTestFabric(t, cfg)
 			if !f.Lends() {
 				t.Fatal("the scripted backend has every lent form")
+			}
+			var wg sync.WaitGroup
+			t.Cleanup(func() { // before newTestFabric's audit
+				close(neighbour.release)
+				wg.Wait()
+			})
+			for i := 0; i < held; i++ {
+				wg.Add(1)
+				go func(id ID) {
+					defer wg.Done()
+					if _, err := specBatch(f, context.Background(), 0, []ID{id}); err != nil {
+						t.Error(err)
+					}
+				}(ID(i))
+			}
+			for f.Stats(0)[0].InFlight != int64(held) {
+				time.Sleep(100 * time.Microsecond)
+			}
+			if got := f.Route(); got != at {
+				t.Fatalf("Route() = %d, want the row's backend %d", got, at)
 			}
 
 			m := &attemptModel{row: row}
 			want := m.run()
 
-			ids := []ID{5, 6, 7}[:row.n]
+			// At 100 and up, so a neighbour handed one serves it at once,
+			// on its books, rather than holding it.
+			ids := []ID{105, 106, 107}[:row.n]
 			const head = "head"
 			dst := append(make([]byte, 0, 256), head...)
 			out, errs := make([]Item, row.n), make([]error, row.n)
@@ -435,12 +510,12 @@ func TestAttemptBracket(t *testing.T) {
 				out[0], got, errs[0] = f.FetchInto(ctx, ids[0], dst)
 				lens[0] = len(got) - len(dst)
 			case viaSpeculative:
-				_, errs[0] = f.FetchSpeculativeBatch(ctx, 0, ids[:1], out[:1], nil, nil)
+				_, errs[0] = f.FetchSpeculativeBatch(ctx, at, ids[:1], out[:1], nil, nil)
 			case viaDemandBatch:
-				got = f.FetchDemandBatch(ctx, 0, ids, out, errs, dst, lens)
+				got = f.FetchDemandBatch(ctx, at, ids, out, errs, dst, lens)
 			case viaSpeculativeBatch:
 				var err error
-				got, err = f.FetchSpeculativeBatch(ctx, 0, ids, out, dst, lens)
+				got, err = f.FetchSpeculativeBatch(ctx, at, ids, out, dst, lens)
 				for i := range errs {
 					errs[i] = err
 				}
@@ -476,7 +551,8 @@ func TestAttemptBracket(t *testing.T) {
 
 			// The books: every counter, and the round trips behind them.
 			clk.Advance(1)
-			st := f.Stats(clk.Now())[0]
+			all := f.Stats(clk.Now())
+			st := all[at]
 			if st.InFlight != 0 {
 				t.Errorf("%d attempts in flight once the call returned", st.InFlight)
 			}
@@ -500,10 +576,21 @@ func TestAttemptBracket(t *testing.T) {
 			if (st.Rho > 0) != m.totalSize || (st.RhoPrime > 0) != m.demandSize {
 				t.Errorf("ρ̂ %v ρ̂′ %v, want sized dispatches on total %v, on demand %v", st.Rho, st.RhoPrime, m.totalSize, m.demandSize)
 			}
-			link := f.backends[0].link
+			link := f.backends[at].link
 			link.RecordDemandSize(1)
 			if rho, rhoPrime := link.Rho(clk.Now()), link.RhoPrime(clk.Now()); (rho > 0) != m.totalDispatch || (rhoPrime > 0) != m.demandDispatch {
 				t.Errorf("with a size folded in ρ̂ %v ρ̂′ %v, want dispatches on total %v, on demand %v", rho, rhoPrime, m.totalDispatch, m.demandDispatch)
+			}
+
+			// The neighbour: its held attempts, and nothing of the row's.
+			if at > 0 {
+				nst := all[0]
+				nst.LatencySeconds, nst.LatencyP95Seconds = 0, 0
+				nst.Bandwidth, nst.Rho, nst.RhoPrime = 0, 0, 0
+				want := BackendStats{Name: "neighbour", Speculative: int64(held), InFlight: int64(held)}
+				if nst != want || neighbour.n.Load() != int64(held) {
+					t.Errorf("the neighbour's books read %+v after %d round trips, want %+v after %d", nst, neighbour.n.Load(), want, held)
+				}
 			}
 		})
 	}

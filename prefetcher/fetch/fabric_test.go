@@ -133,6 +133,14 @@ func (f *gateFetcher) Fetch(ctx context.Context, id ID) (Item, error) {
 	return Item{ID: id, Size: 1}, nil
 }
 
+// FetchInto lets a gateFetcher sit in a fabric that Lends.
+func (f *gateFetcher) FetchInto(ctx context.Context, id ID, dst []byte) ([]byte, error) {
+	if _, err := f.Fetch(ctx, id); err != nil {
+		return dst, err
+	}
+	return append(dst, intoPayload(id)...), nil
+}
+
 // Routing is shortest expected delay: with k fetches in flight on a
 // link of b and none on a link of b/2, the next fetch goes where
 // (in-flight + 1)/b is least — the fast link until k reaches 2, where
