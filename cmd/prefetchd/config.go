@@ -101,8 +101,8 @@ type SpaceConfig struct {
 	Shards    int     `json:"shards,omitempty"`
 	Bandwidth float64 `json:"bandwidth,omitempty"`
 
-	// The fabric's one knob; it routes each fetch to the backend of
-	// shortest expected delay, which no key changes.
+	// Hedging is the fabric's one knob; routing (shortest expected
+	// delay) has none.
 	Hedging *HedgingConfig `json:"hedging,omitempty"`
 }
 

@@ -144,6 +144,7 @@ func TestFaultSchedule(t *testing.T) {
 		at    []at
 	}{
 		{"none", fault{}, []at{{1, 0, pass}, {20, 55 * time.Second, pass}, {1000, 20 * time.Millisecond, pass}}},
+		{"every call", fault{every: 1}, []at{{1, 0, fail}, {2, 55 * time.Second, fail}}},
 		{"every 20th", fault{every: 20}, []at{{19, 0, pass}, {20, 0, fail}, {21, 0, pass}, {40, 55 * time.Second, fail}}},
 		{"dark spell", fault{dark: true}, []at{
 			{1, 49*time.Second + 999*time.Millisecond, pass}, {2, 50 * time.Second, hang},

@@ -5,6 +5,8 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/window"
 )
 
 // latRingSize is the sample window the p95 estimate is computed over.
@@ -18,10 +20,11 @@ const latRingSize = 64
 const latRecompute = 16
 
 // estimator tracks one backend's observed fetch latency (EWMA + ring
-// p95) and throughput (EWMA of size/latency, the bandwidth behind an
-// unconfigured link's ρ̂′, and its decaying peak, its routing weight).
-// Guarded by one short mutex: it is touched once per completed fetch,
-// never on a per-candidate hot path, where routing reads peak alone.
+// p95), throughput (EWMA of size/latency, the bandwidth behind an
+// unconfigured link's ρ̂′, and its decaying peak, its routing weight)
+// and failure share. Guarded by one short mutex: it is touched once per
+// settled attempt, never on a per-candidate hot path, where routing
+// reads peak and failure share alone.
 type estimator struct {
 	mu      sync.Mutex
 	ewma    float64 // smoothed latency, seconds; 0 = no sample
@@ -37,6 +40,9 @@ type estimator struct {
 	// hang, holding its bw while its busier peer's falls, would draw most
 	// new fetches if routing weighed bw.
 	peak atomic.Uint64
+	// fails is the EWMA (ewmaWeight) of attempts failed, failedAt the
+	// fabric time of the latest failure (float64 bits both).
+	fails, failedAt atomic.Uint64
 }
 
 // ewmaWeight is the weight a new sample gets in the latency and
@@ -61,6 +67,9 @@ func (e *estimator) observe(latency, size float64) (bw float64) {
 		e.bw = (1-ewmaWeight)*e.bw + ewmaWeight*thr
 	}
 	e.peak.Store(math.Float64bits(max(thr, (1-ewmaWeight)*e.peakBandwidth())))
+	if p := math.Float64frombits(e.fails.Load()); p > 0 {
+		e.fails.Store(math.Float64bits((1 - ewmaWeight) * p))
+	}
 	e.ring[e.ringPos] = latency
 	e.ringPos = (e.ringPos + 1) % latRingSize
 	if e.ringLen < latRingSize {
@@ -68,6 +77,25 @@ func (e *estimator) observe(latency, size float64) (bw float64) {
 	}
 	e.stale++
 	return e.bw
+}
+
+// fail folds one failed attempt, at fabric time now, into fails.
+func (e *estimator) fail(now float64) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.fails.Store(math.Float64bits((1-ewmaWeight)*math.Float64frombits(e.fails.Load()) + ewmaWeight))
+	e.failedAt.Store(math.Float64bits(now))
+}
+
+// failShare returns the share of late attempts that failed, as of time
+// now: 0 once the latest failure is a load window (window.DefaultSpan)
+// old, so a link that has failed is tried again.
+func (e *estimator) failShare(now float64) float64 {
+	p := math.Float64frombits(e.fails.Load())
+	if p == 0 || now-math.Float64frombits(e.failedAt.Load()) >= window.DefaultSpan {
+		return 0
+	}
+	return p
 }
 
 // latency returns the smoothed fetch latency in seconds (0 before any

@@ -146,8 +146,9 @@ func (f *Fabric) BatchCapable(i int) bool { return f.backends[i].batch != nil }
 func (f *Fabric) Lends() bool { return f.lends }
 
 // RhoPrime is the demand-only utilisation ρ̂′ a plan is admitted
-// against, at time now: the links' ρ̂′, each weighted by its link's b
-// (see weight) — on one link, that link's own, exactly.
+// against, at time now: the links' ρ̂′, each weighted by its b as
+// routing scales it (see delay), for a link that fails every call has
+// no capacity — on one link, that link's own, exactly.
 //
 //prefetch:hotpath
 func (f *Fabric) RhoPrime(now float64) float64 {
@@ -156,7 +157,7 @@ func (f *Fabric) RhoPrime(now float64) float64 {
 	}
 	var load, bw float64
 	for _, b := range f.backends {
-		w := b.weight()
+		w := b.weight() * (1 - b.est.failShare(now))
 		load += w * b.link.RhoPrime(now)
 		bw += w
 	}
@@ -178,27 +179,24 @@ func (b *backendState) weight() float64 {
 	return b.est.peakBandwidth()
 }
 
-// weighed reports whether every link has a b. Until then routing weighs
-// each link 1, so no link is starved of the samples that measure it.
-func (f *Fabric) weighed() bool {
-	for _, b := range f.backends {
-		if b.weight() <= 0 {
-			return false
-		}
+// delay is backend b's routing score at time now, lower being better:
+// the expected delay s(n + 1)/b of one more transfer of size s (the same
+// on every link) beside n in flight on its processor-sharing link, over
+// the share of its late attempts served — a failed one is made again
+// elsewhere, and a link that fails fast holds nothing in flight. A batch
+// counts as one transfer: under processor sharing it slows a shorter one
+// by no more than that one's size (not timed for multi-key traffic). A
+// link with no b takes one fetch at a time, first while it has none in
+// flight and no recent failure, so each link gets the samples that
+// measure it.
+func (b *backendState) delay(now float64) float64 {
+	n, w := b.inflight.Load(), b.weight()
+	if p := b.est.failShare(now); p > 0 {
+		w *= 1 - p
+	} else if n == 0 && w <= 0 {
+		return 0
 	}
-	return true
-}
-
-// delay is backend b's routing score, lower being better: the expected
-// delay of one more fetch on its processor-sharing link, where a
-// transfer of size s beside n in flight takes s(n + 1)/b — shortest
-// expected delay, with s the same on every link.
-func (b *backendState) delay(weighed bool) float64 {
-	w := 1.0
-	if weighed {
-		w = b.weight()
-	}
-	return float64(b.inflight.Load()+1) / w
+	return float64(n+1) / w // +Inf with no b
 }
 
 // Route returns the backend the fabric would dispatch a fetch to right
@@ -208,10 +206,11 @@ func (b *backendState) delay(weighed bool) float64 {
 func (f *Fabric) Route() int {
 	best := 0
 	if len(f.backends) > 1 {
-		weighed := f.weighed()
+		now := f.nowf()
+		least := f.backends[0].delay(now)
 		for i := 1; i < len(f.backends); i++ {
-			if f.backends[i].delay(weighed) < f.backends[best].delay(weighed) {
-				best = i
+			if d := f.backends[i].delay(now); d < least {
+				best, least = i, d
 			}
 		}
 	}
@@ -221,11 +220,11 @@ func (f *Fabric) Route() int {
 // routeOrder returns all backends by their delay now, the least first —
 // the hedge/failover sequence; on a tie the earlier backend stays ahead.
 func (f *Fabric) routeOrder() []int {
-	weighed := f.weighed()
+	now := f.nowf()
 	order := make([]int, len(f.backends))
 	for i := range order { // insertion sort: the backend count is single digits
 		order[i] = i
-		for j := i; j > 0 && f.backends[order[j]].delay(weighed) < f.backends[order[j-1]].delay(weighed); j-- {
+		for j := i; j > 0 && f.backends[order[j]].delay(now) < f.backends[order[j-1]].delay(now); j-- {
 			order[j], order[j-1] = order[j-1], order[j]
 		}
 	}
@@ -237,11 +236,11 @@ func (f *Fabric) routeOrder() []int {
 // Every backend call the fabric makes runs between admit (the counters,
 // the in-flight count, the dispatch on the link) and settle (the
 // in-flight count, the outcome into estimator and link), bounded by
-// ticket.ctx. Every admitted ticket is settled. Two
-// call shapes sit between them: batch, which admits for itself, and one,
-// handed its ticket by fetchSequential, fetchHedged's launcher (it admits
-// on the caller's goroutine and runs one on its own) or
-// FetchSpeculativeBatch. What a fetch costs the link is written here only.
+// ticket.ctx. Every admitted ticket is settled. Two call shapes sit
+// between them: batch, which admits for itself, and one, handed its
+// ticket by fetchSequential, fetchHedged's launcher (it admits on the
+// caller's goroutine and runs one on its own) or FetchSpeculativeBatch.
+// What a fetch costs the link is written here only.
 
 // ticket is one admitted attempt, from admit to settle.
 type ticket struct {
@@ -300,11 +299,12 @@ func (t ticket) ctx(ctx context.Context) (context.Context, context.CancelFunc) {
 	return context.WithTimeout(ctx, d)
 }
 
-// settle closes the bracket: the attempt leaves the in-flight count and,
-// for a success, gives a latency sample, the goodput estimate behind an
+// settle closes the bracket: the attempt leaves the in-flight count
+// and its outcome enters the link's failure share (see delay). A
+// success also gives a latency sample, the goodput estimate behind an
 // unconfigured bandwidth, and the size delivered on the link. A
 // cancelled attempt (hedge loser, caller gave up) is neither sample nor
-// error.
+// failure.
 //
 //prefetch:hotpath
 func (f *Fabric) settle(t ticket, size float64, err error) {
@@ -313,6 +313,7 @@ func (f *Fabric) settle(t ticket, size float64, err error) {
 	if err != nil {
 		if !errors.Is(err, context.Canceled) {
 			b.errorsN.Add(1)
+			b.est.fail(f.nowf())
 		}
 		return
 	}
@@ -421,11 +422,12 @@ func (b *backendState) callBatch(ctx context.Context, ids []ID, out []Item, dst 
 
 // --- demand path: hedged, failing-over fetch -----------------------------
 
-// hedgeTimer fires when fetchHedged should race a hedge against its
-// attempt on backend idx: once the attempt has run the backend's p95
-// latency — never, while there is no p95 estimate yet.
-func (f *Fabric) hedgeTimer(idx int) <-chan time.Time {
-	if p95 := f.backends[idx].est.p95Latency(); p95 > 0 {
+// hedgeTimer fires when fetchHedged should race a hedge on order[1]
+// against its attempt on order[0]: once the attempt has run that
+// backend's p95 latency — never while there is no p95 estimate yet, nor
+// while order[1] has failed of late (see delay): the hedge would fail.
+func (f *Fabric) hedgeTimer(order []int) <-chan time.Time {
+	if p95 := f.backends[order[0]].est.p95Latency(); p95 > 0 && f.backends[order[1]].est.failShare(f.nowf()) == 0 {
 		return time.After(time.Duration(p95 * float64(time.Second)))
 	}
 	return nil
@@ -518,7 +520,7 @@ func (f *Fabric) fetchHedged(ctx context.Context, id ID, attempts int) (Item, er
 	if launch(first); outstanding == 0 {
 		return Item{}, refused // nothing was attempted
 	}
-	hedgeC := f.hedgeTimer(order[0])
+	hedgeC := f.hedgeTimer(order)
 	var retryC <-chan time.Time // non-nil while a retry waits out its backoff
 	backoff := f.hedging.Backoff
 	var lastErr error
@@ -608,12 +610,11 @@ func (f *Fabric) fetchSequential(ctx context.Context, id ID, attempts int, dst [
 
 // --- demand batch path ---------------------------------------------------
 
-// FetchDemandBatch dispatches one session's misses routed to a single
-// backend (by Route, once per request) as one demand-priority FetchBatch call, filling the
-// caller-supplied out and errs slices (len(ids) each, index-aligned
-// with ids) so the engine's batched demand path allocates nothing. The
-// semantics are per-key: errs[i] reports key i's outcome, and one bad
-// key never fails the batch.
+// FetchDemandBatch dispatches one session's misses, routed to a single
+// backend by Route, as one demand-priority FetchBatch call, filling the
+// caller-supplied out and errs (len(ids) each, index-aligned with ids)
+// so the engine's batched demand path allocates nothing. Each key has
+// its own outcome in errs[i]: one bad key never fails the batch.
 //
 // On a fabric that Lends a non-nil lens (len(ids) too) lends dst to the
 // batch: every served key's payload is appended to dst — returned
@@ -655,17 +656,16 @@ func (f *Fabric) FetchDemandBatch(ctx context.Context, backend int, ids []ID, ou
 // --- speculative path ----------------------------------------------------
 
 // FetchSpeculativeBatch dispatches speculative candidates to one
-// backend (chosen by Route, once per plan) as a single
-// FetchBatch call when the backend supports it and there are several,
-// falling back to sequential single fetches otherwise, and fills
-// the caller-supplied out (len(ids)): on success exactly one Item per
-// id, in id order. An error — a short or misordered reply included —
-// fails the whole batch and is counted in the backend's Errors. dst and
-// lens lend a buffer exactly as FetchDemandBatch's do; on an error dst
-// is returned as it went. Speculative fetches are single-attempt — no
-// hedge, no failover: a lost prefetch costs nothing a demand fetch won't
-// recover later, and doubling speculative traffic is exactly what the
-// paper warns against.
+// backend (chosen by Route, once per plan) as a single FetchBatch call
+// when the backend supports it and there are several, else as single
+// fetches in turn, and fills the caller-supplied out (len(ids)): on
+// success exactly one Item per id, in id order. An error — a short or
+// misordered reply included — fails the whole batch and is counted in
+// the backend's Errors. dst and lens lend a buffer exactly as
+// FetchDemandBatch's do; on an error dst is returned as it went.
+// Speculative fetches are single-attempt — no hedge, no failover: a
+// lost prefetch costs nothing a demand fetch won't recover later, and
+// doubling speculative traffic is exactly what the paper warns against.
 func (f *Fabric) FetchSpeculativeBatch(ctx context.Context, backend int, ids []ID, out []Item, dst []byte, lens []int) ([]byte, error) {
 	b := f.backends[backend]
 	if b.batch != nil && len(ids) >= 2 {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/testutil"
+	"repro/internal/window"
 )
 
 // instantFetcher returns items immediately with the given size.
@@ -240,6 +241,106 @@ func TestWeightIsPeakGoodput(t *testing.T) {
 	configured.backends[0].est.observe(0.01, 1)
 	if w := configured.backends[0].weight(); w != 7 {
 		t.Fatalf("a link configured with Bandwidth 7 weighs %v", w)
+	}
+}
+
+// clockedFetcher takes rtt seconds of a manual clock a call, so a
+// success is a latency sample, and fails every call while down.
+type clockedFetcher struct {
+	tripCount
+	clk   *manualNow
+	rtt   float64
+	down  atomic.Bool
+	calls atomic.Int64
+}
+
+func (f *clockedFetcher) Fetch(ctx context.Context, id ID) (Item, error) {
+	f.trip()
+	f.calls.Add(1)
+	f.clk.Advance(f.rtt)
+	if f.down.Load() {
+		return Item{}, errors.New("connection refused")
+	}
+	return Item{ID: id, Size: 1}, nil
+}
+
+// A link that fails every call, and fast, holds nothing in flight: on
+// load alone its larger b would win it every fetch. Its score divides
+// by the share of its late attempts served instead, 0.95ᵏ after k
+// failures, so with twice its peer's b it is routed 14 fetches of 100 —
+// until 0.95ᵏ/200 falls below 1/100, a tie keeping the earlier backend —
+// and Fetch fails over to its peer each time. Once its latest failure is
+// a load window old it scores on its load again: the next fetch probes
+// it, a failed probe sends it back, and once it serves again it draws
+// what its b earns.
+func TestFailingLinkLosesItsShare(t *testing.T) {
+	clk := &manualNow{}
+	dead := &clockedFetcher{clk: clk, rtt: 0.001}
+	dead.down.Store(true)
+	live := &clockedFetcher{clk: clk, rtt: 0.01}
+	f := newTestFabric(t, Config{Now: clk.Now, Backends: []Backend{
+		{Name: "dead", Fetcher: dead, Bandwidth: 200},
+		{Name: "live", Fetcher: live, Bandwidth: 100},
+	}})
+	fetch := func() (routed int) {
+		routed = f.Route()
+		if _, err := f.Fetch(context.Background(), 1); err != nil {
+			t.Fatal(err)
+		}
+		return routed
+	}
+	picks := 0
+	for i := 0; i < 100; i++ {
+		if fetch() == 0 {
+			picks++
+		}
+	}
+	if picks != 14 || dead.calls.Load() != 14 {
+		t.Fatalf("the failing link was routed %d fetches of 100 and called %d times, want 14", picks, dead.calls.Load())
+	}
+	clk.Advance(window.DefaultSpan)
+	if fetch() != 0 || dead.calls.Load() != 15 {
+		t.Fatalf("a load window after its last failure the failing link was not probed (%d calls)", dead.calls.Load())
+	}
+	if got := f.Route(); got != 1 {
+		t.Fatalf("after a failed probe Route() = %d, want the live link", got)
+	}
+	dead.down.Store(false)
+	clk.Advance(window.DefaultSpan)
+	for i := 0; i < 3; i++ {
+		if got := fetch(); got != 0 {
+			t.Fatalf("fetch %d after the link recovered went to %d, want the recovered link's larger b", i, got)
+		}
+	}
+	if st := f.Stats(clk.Now()); st[1].Retries != 15 {
+		t.Errorf("the live link took %d failovers, want 15: the served probe needed none", st[1].Retries)
+	}
+}
+
+// Sequential fetches over links with no configured b: a link with no b
+// takes a fetch while it has none in flight, so both are measured, and
+// then the faster, backend 1, draws the rest — where weighing both 1
+// until each had a b kept every fetch on backend 0, a tie's winner.
+func TestUnmeasuredLinksAreProbed(t *testing.T) {
+	clk := &manualNow{}
+	slow := &clockedFetcher{clk: clk, rtt: 0.1}
+	fast := &clockedFetcher{clk: clk, rtt: 0.01}
+	f := newTestFabric(t, Config{Now: clk.Now, Backends: []Backend{
+		{Name: "slow", Fetcher: slow},
+		{Name: "fast", Fetcher: fast},
+	}})
+	for i := 0; i < 10; i++ {
+		if _, err := f.Fetch(context.Background(), ID(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, st := range f.Stats(clk.Now()) {
+		if st.Bandwidth <= 0 {
+			t.Fatalf("after 10 sequential fetches backend %d still has no b", i)
+		}
+	}
+	if slow.calls.Load() != 1 || fast.calls.Load() != 9 {
+		t.Fatalf("slow served %d fetches and fast %d, want 1 and 9", slow.calls.Load(), fast.calls.Load())
 	}
 }
 

@@ -8,11 +8,12 @@
 //
 // Routing reads the paper's processor-sharing link: a transfer of size
 // s beside n others in flight on a link of b takes about s(n + 1)/b, so
-// a fetch goes where (in-flight + 1)/b is least, every link weighing 1
-// until each has a b. The rule reads load, not the id: an id has no
-// backend of its own, so an origin-side cache sees ids from every
-// backend's traffic — nothing in this module measures what per-id
-// affinity would buy there.
+// a fetch goes where (in-flight + 1)/b is least, b scaled by the share
+// of the link's late attempts served (a link that fails fast holds
+// nothing in flight), and a link with no b yet takes one fetch at a
+// time. The rule reads load, not the id: an id has no backend of its
+// own, so an origin-side cache sees ids from every backend's traffic —
+// nothing in this module measures what per-id affinity would buy there.
 //
 // The package owns the fetch-side vocabulary: ID, Item, Fetcher,
 // FetcherFunc and BatchFetcher are defined here, below the engine in
@@ -116,7 +117,9 @@ type Backend struct {
 	// means unknown: the link's ρ̂′ then reads its smoothed per-fetch
 	// goodput (size/latency) as b, and its weight that goodput's recent
 	// peak, which moves with every fetch and, where round trips dominate,
-	// reads nearer size over RTT.
+	// reads nearer size over RTT; until it has one, the link takes one
+	// fetch at a time. Routing and RhoPrime scale either b by the share
+	// of the link's late attempts served.
 	Bandwidth float64
 	// DemandTimeout bounds each demand attempt dispatched to this
 	// backend — every hedge, retry and demand batch gets its own

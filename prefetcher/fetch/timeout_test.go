@@ -62,8 +62,8 @@ func TestNegativeBackendTimeoutRejected(t *testing.T) {
 func TestDemandTimeoutFailsOver(t *testing.T) {
 	slow := &slowFetcher{delay: 5 * time.Second}
 	fast := &instantFetcher{size: 1}
-	// Two idle links, neither weighed yet, tie, and a tie keeps the
-	// declaration order: the slow backend is tried first.
+	// Two idle links with no b yet tie, and a tie keeps the declaration
+	// order: the slow backend is tried first.
 	f := newTestFabric(t, Config{
 		Backends: []Backend{
 			{Name: "slow", Fetcher: slow, DemandTimeout: 20 * time.Millisecond},

@@ -229,7 +229,8 @@ func WithEventHook(fn func(Event)) Option {
 // backend of shortest expected delay on the paper's processor-sharing
 // link: the least (in-flight + 1)/b, b being a link's
 // fetch.Backend.Bandwidth or, left 0, the peak per-fetch goodput the
-// fabric measures (every link weighs 1 until each has a b). A request's
+// fabric measures (a link with none yet takes one fetch at a time),
+// scaled by the share of the link's late attempts served. A request's
 // owned misses go together, as one demand batch, and a plan is admitted
 // once, against the links' demand-only ρ̂′ weighted by the same b, and
 // routed once, whole. An id has no backend of its own: the rule reads
