@@ -319,8 +319,9 @@ func TestFailingLinkLosesItsShare(t *testing.T) {
 
 // Sequential fetches over links with no configured b: a link with no b
 // takes a fetch while it has none in flight, so both are measured, and
-// then the faster, backend 1, draws the rest — where weighing both 1
-// until each had a b kept every fetch on backend 0, a tie's winner.
+// then the faster, backend 1, draws the rest. Sequential fetches never
+// overlap, so without that first fetch backend 1, which loses every
+// tie, would never be tried.
 func TestUnmeasuredLinksAreProbed(t *testing.T) {
 	clk := &manualNow{}
 	slow := &clockedFetcher{clk: clk, rtt: 0.1}
