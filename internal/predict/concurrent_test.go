@@ -73,26 +73,73 @@ func capSuccessors(stream []cache.ID, max int) []cache.ID {
 	return out
 }
 
-// TestConcurrentSequentialEquivalence drives each concurrent model and
-// its sequential reference with the same stream from one goroutine: the
-// full distributions must agree exactly at several checkpoints, since a
-// single-threaded caller linearises the stream identically for both.
-// The stream keeps every state within markovSlots successors — the
-// Markov model's exactness contract.
+// TestConcurrentSequentialEquivalence drives the table and its
+// sequential reference, Markov1, with the same stream from one
+// goroutine, which linearises it identically for both. At several
+// checkpoints the table's counts and totals must equal the reference's,
+// and its distribution must be the reference's with each count adjusted
+// by Good–Turing's rule from the reference's own count-of-counts. The
+// stream keeps every state within markovSlots successors — the table's
+// exactness contract.
 func TestConcurrentSequentialEquivalence(t *testing.T) {
-	stream := capSuccessors(markovStream(4000, 31), markovSlots)
-	for _, pair := range concurrentPairs() {
-		t.Run(pair.name, func(t *testing.T) {
-			seq, conc := pair.seq(), pair.conc()
-			for i, id := range stream {
-				seq.Observe(id)
-				conc.Observe(id)
-				if i%997 == 0 || i == len(stream)-1 {
-					samePredictions(t, pair.name, conc.Predict(), seq.Predict())
-				}
+	t.Run("markov1", func(t *testing.T) {
+		stream := capSuccessors(markovStream(4000, 31), markovSlots)
+		seq, conc := NewMarkov1(), NewConcurrentMarkov1()
+		for i, id := range stream {
+			seq.Observe(id)
+			conc.Observe(id)
+			if i%997 == 0 || i == len(stream)-1 {
+				sameCounts(t, conc, seq)
+				samePredictions(t, "markov1", conc.Predict(), adjustedReference(seq))
 			}
-		})
+		}
+	})
+}
+
+// sameCounts holds every row of m to seq's count for each successor and
+// its total, and m to one row per state seq has counted from.
+func sameCounts(t *testing.T, m *ConcurrentMarkov1, seq *Markov1) {
+	t.Helper()
+	rows := 0
+	eachMarkovRow(m, func(r *markovRow) {
+		rows++
+		if int64(r.total) != seq.totals[r.key] || int(r.n) != len(seq.counts[r.key]) {
+			t.Errorf("state %d: total %d over %d successors, reference %d over %d",
+				r.key, r.total, r.n, seq.totals[r.key], len(seq.counts[r.key]))
+		}
+		for i, next := range r.succ[:r.n] {
+			if int64(r.cnt[i]) != seq.counts[r.key][next] {
+				t.Errorf("state %d → %d: count %d, reference %d", r.key, next, r.cnt[i], seq.counts[r.key][next])
+			}
+		}
+	})
+	if rows != len(seq.totals) {
+		t.Errorf("%d rows, reference counts from %d states", rows, len(seq.totals))
 	}
+}
+
+// adjustedReference is seq's distribution for its current state with
+// each count r ≤ 5 taken to min(r, (r+1)·N_{r+1}/N_r), N_r being how
+// many (state, successor) pairs of seq hold count r; where N_r or
+// N_{r+1} is 0 the count stays r.
+func adjustedReference(seq *Markov1) []Prediction {
+	var n [7]float64
+	for _, row := range seq.counts {
+		for _, c := range row {
+			if c < int64(len(n)) {
+				n[c]++
+			}
+		}
+	}
+	out := seq.Predict()
+	row, total := seq.counts[seq.cur], float64(seq.totals[seq.cur])
+	for i := range out {
+		if r := row[out[i].Item]; r <= 5 && n[r] > 0 && n[r+1] > 0 {
+			out[i].Prob = math.Min(float64(r), float64(r+1)*n[r+1]/n[r]) / total
+		}
+	}
+	sortPredictions(out)
+	return out
 }
 
 // TestConcurrentPredictTopPrefix checks the TopPredictor contract on

@@ -48,16 +48,30 @@ import (
 //   - A row that already holds markovSlots successors gives a new one
 //     the slot with the smallest count, space-saving style, and the
 //     newcomer starts again from one. total still counts every
-//     transition, kept or dropped, so p̂ = cnt/total stays on the
-//     paper's scale and is never an overestimate: a successor heavy
-//     enough to clear a threshold is not the smallest for long and
-//     keeps its exact count, the light tail is under-reported.
+//     transition, kept or dropped, so cnt/total stays on the paper's
+//     scale: a successor heavy enough to clear a threshold is not the
+//     smallest for long and keeps its exact count, the light tail is
+//     under-counted.
+//
+// The estimate. A raw share r/total is biased high for small r: every
+// row also collects one-off jumps that will not recur, and on a lightly
+// loaded link, where the threshold ρ′ is a few hundredths, p̂ alone
+// decides. So successors are ranked and offered at Good–Turing adjusted
+// counts (Good 1953; Katz 1987): a count r ≤ 5 becomes r* = min(r,
+// (r+1)·N_{r+1}/N_r), N_r being how many slots of the whole table (a
+// stripe holds a 64th of that evidence) hold count r, and p̂ = r*/total;
+// r stays r where N_r or N_{r+1} is empty (a cold table). The six N_r
+// are atomics on a line of their own; an observation nets its moves
+// first, so a trained chain's bumps and a scan's replaced once-seen
+// rows write nothing shared.
 //
 // Exactness regime (the contract the equivalence tests hold): while no
 // state has shown more than markovSlots distinct successors, no stripe
 // is at its ceiling and no once-seen row was displaced (which happens
-// only in a stripe less than a quarter trained), counts are exact and
-// Predict equals the sequential Markov1's for the same linearised stream.
+// only in a stripe less than a quarter trained), counts and totals
+// equal the sequential Markov1's for the same linearised stream, and
+// each p̂ is Markov1's count adjusted by the rule above from Markov1's
+// own count-of-counts. Markov1 stays the raw-count reference.
 
 const (
 	// predStripes is the number of lock stripes the table is spread
@@ -96,15 +110,17 @@ type markovRow struct {
 	cnt   [markovSlots]uint32
 }
 
-// count records one transition key → next.
-func (r *markovRow) count(next cache.ID) {
+// count records one transition key → next, and each slot count it
+// moves in d.
+func (r *markovRow) count(next cache.ID, d *countMoves) {
 	if r.total >= markovHalveAt {
-		r.halve()
+		r.halve(d)
 	}
 	r.total++
 	slot := 0
 	for i := 0; i < int(r.n); i++ {
 		if r.succ[i] == next {
+			d.move(r.cnt[i], r.cnt[i]+1)
 			r.cnt[i]++
 			return
 		}
@@ -116,43 +132,79 @@ func (r *markovRow) count(next cache.ID) {
 		slot = int(r.n)
 		r.n++
 	}
+	d.move(r.cnt[slot], 1)
 	r.succ[slot] = next
 	r.cnt[slot] = 1
 }
 
 // halve ages the row: the total and every count are halved, which
-// leaves each p̂ where it was. It runs only when total reaches
-// markovHalveAt, to keep the 32-bit counters from wrapping, and is the
-// only ageing a row ever gets. A count of one drops to zero: that slot
-// is no longer predicted and is the next to be replaced.
-func (r *markovRow) halve() {
+// leaves each raw count's share where it was. It runs only when total
+// reaches markovHalveAt, to keep the 32-bit counters from wrapping, and
+// is the only ageing a row ever gets. A count of one drops to zero:
+// that slot is no longer predicted and is the next to be replaced.
+func (r *markovRow) halve(d *countMoves) {
 	r.total /= 2
 	for i := 0; i < int(r.n); i++ {
+		d.move(r.cnt[i], r.cnt[i]/2)
 		r.cnt[i] /= 2
 	}
 }
 
-// offerCount feeds one counter into a top-k buffer as a clamped
-// probability.
-func offerCount(top *topPredictions, id cache.ID, v int64, ft float64) {
-	if v <= 0 {
-		return
-	}
-	p := float64(v) / ft
-	if p > 1 {
-		p = 1
-	}
-	top.offer(Prediction{Item: id, Prob: p})
-}
-
-// topInto appends the row's k most probable successors to dst.
-func (r *markovRow) topInto(dst []Prediction, k int) []Prediction {
-	ft := float64(r.total)
+// topInto appends the row's k most probable successors to dst, at their
+// counts adjusted against nr (nr[i] is N_{i+1}; see The estimate above).
+func (r *markovRow) topInto(dst []Prediction, k int, nr *[gtCounts]int64) []Prediction {
+	total := int64(r.total)
 	top := newTopPredictionsOn(dst, k)
 	for i := 0; i < int(r.n); i++ {
-		offerCount(&top, r.succ[i], int64(r.cnt[i]), ft)
+		c := int64(r.cnt[i])
+		if c == 0 {
+			continue
+		}
+		num, den := c, total
+		if c < gtCounts {
+			if n, next := nr[c-1], nr[c]; n > 0 && next > 0 && (c+1)*next < c*n {
+				num, den = (c+1)*next, n*total
+			}
+		}
+		top.offer(Prediction{Item: r.succ[i], Prob: float64(num) / float64(den)})
 	}
 	return top.buf
+}
+
+// gtCounts is how many count-of-counts the table keeps: N_1…N_6, which
+// is what adjusting the counts 1…5 needs.
+const gtCounts = 6
+
+// countOfCounts is the table-wide N_r: element r−1 is the number of
+// successor slots, over every row, that hold count r.
+type countOfCounts [gtCounts]atomic.Int64
+
+// add applies one observation's moves, writing only the counts that
+// changed.
+func (cc *countOfCounts) add(d *countMoves) {
+	for i, v := range d {
+		if v != 0 {
+			cc[i].Add(v)
+		}
+	}
+}
+
+// countMoves is one observation's net change to the count-of-counts,
+// gathered on the stack so that moves which cancel — a once-seen
+// victim's slot given to a new successor, a smallest slot of count one
+// replaced — write nothing shared.
+type countMoves [gtCounts]int64
+
+// move records one slot's count going from one value to another, 0
+// standing for no slot (a new one, or one taken away). A move between
+// counts above gtCounts records nothing.
+func (d *countMoves) move(from, to uint32) {
+	if from-1 < gtCounts { // from == 0 wraps past it
+		d[from-1]--
+	}
+	if to-1 < gtCounts {
+		d[to-1]++
+	}
 }
 
 // markovStripe is one lock's share of the table, padded to a cache line
@@ -192,9 +244,10 @@ func (s *markovStripe) find(key cache.ID, h uint64) *markovRow {
 
 // row returns key's row, claiming one if it has none: the first unused
 // row of its window, else — unless the stripe grows first (see Bounds)
-// — the row with the smallest total. A claimed row is zero but for its
-// key; the caller counts a transition into it before unlocking.
-func (s *markovStripe) row(key cache.ID, h uint64) *markovRow {
+// — the row with the smallest total, whose slots leave the histogram
+// through d. A claimed row is zero but for its key; the caller counts a
+// transition into it before unlocking.
+func (s *markovStripe) row(key cache.ID, h uint64, d *countMoves) *markovRow {
 	if len(s.rows) == 0 {
 		s.grow()
 	}
@@ -221,6 +274,9 @@ func (s *markovStripe) row(key cache.ID, h uint64) *markovRow {
 		}
 		if trained {
 			s.trained--
+		}
+		for _, c := range victim.cnt[:victim.n] {
+			d.move(c, 0)
 		}
 		*victim = markovRow{key: key}
 		return victim
@@ -285,10 +341,14 @@ const markovNoState = math.MinInt64
 // once the model is unreachable: it points at nothing on the heap, so it
 // is in no cycle and is its own holder. See the top of this file for the
 // layout, what is replaced at the bounds, and the regime in which it is
-// exact. The sequential Markov1 stays the unbounded reference.
+// exact, and for the Good–Turing estimate it serves. The sequential
+// Markov1 stays the unbounded, raw-count reference.
 type ConcurrentMarkov1 struct {
 	stripes [predStripes]markovStripe
 	cur     atomic.Int64
+	_       [56]byte // cc starts a cache line of its own
+	cc      countOfCounts
+	_       [64 - 8*gtCounts]byte
 }
 
 // NewConcurrentMarkov1 returns an empty concurrent first-order Markov
@@ -330,17 +390,20 @@ func (m *ConcurrentMarkov1) Observe(id cache.ID) {
 	prev := cache.ID(swapped)
 	h := hashID(prev)
 	s := &m.stripes[stripeOfHash(h)]
+	var d countMoves
 	s.mu.Lock()
-	r := s.row(prev, h)
-	r.count(id)
+	r := s.row(prev, h, &d)
+	r.count(id, &d)
 	if r.total == 2 {
 		s.trained++
 	}
 	s.mu.Unlock()
+	m.cc.add(&d)
 }
 
 // topOf appends the k most probable successors of state id to dst. The
-// row is copied out under the stripe lock and ranked outside it.
+// row is copied out under the stripe lock and ranked outside it, on one
+// load of the count-of-counts.
 func (m *ConcurrentMarkov1) topOf(id cache.ID, dst []Prediction, k int) []Prediction {
 	if k <= 0 || id == markovNoState {
 		return nil
@@ -355,7 +418,11 @@ func (m *ConcurrentMarkov1) topOf(id cache.ID, dst []Prediction, k int) []Predic
 	}
 	row := *r
 	s.mu.Unlock()
-	return row.topInto(dst, k)
+	var nr [gtCounts]int64
+	for i := range nr {
+		nr[i] = m.cc[i].Load()
+	}
+	return row.topInto(dst, k, &nr)
 }
 
 // Predict implements Predictor: every successor the current state's row
@@ -406,6 +473,7 @@ func (m *ConcurrentMarkov1) Name() string { return "markov1" }
 // PredictTop and PredictTopInto need no external locking. A reader that
 // overlaps writers sees some valid recent state (a row is copied out
 // under its stripe lock); once observers quiesce, Predict returns what
-// the sequential Markov1 would for the same observation stream, within
-// the exactness regime stated at the top of this file.
+// the sequential Markov1's counts would give, adjusted, for the same
+// observation stream, within the exactness regime stated at the top of
+// this file.
 func (m *ConcurrentMarkov1) ConcurrentSafe() {}

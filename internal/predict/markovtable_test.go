@@ -37,7 +37,8 @@ func eachMarkovRow(m *ConcurrentMarkov1, fn func(*markovRow)) {
 // checkMarkovTable audits every stripe of m under its lock: trained
 // counts exactly the rows with total >= 2, the used rows of each window
 // are a prefix of it and belong to keys that hash there, and the stripe
-// is within its ceiling.
+// is within its ceiling. Then, m being quiescent, each N_r of its
+// count-of-counts must equal a recount of the slots holding r.
 func checkMarkovTable(t testing.TB, m *ConcurrentMarkov1) {
 	t.Helper()
 	for i := range m.stripes {
@@ -47,6 +48,19 @@ func checkMarkovTable(t testing.TB, m *ConcurrentMarkov1) {
 		s.mu.Unlock()
 		if err != "" {
 			t.Fatalf("stripe %d: %s", i, err)
+		}
+	}
+	var recount [gtCounts]int64
+	eachMarkovRow(m, func(r *markovRow) {
+		for _, c := range r.cnt[:r.n] {
+			if c-1 < gtCounts {
+				recount[c-1]++
+			}
+		}
+	})
+	for i := range recount {
+		if got := m.cc[i].Load(); got != recount[i] {
+			t.Fatalf("N_%d = %d, but %d slots hold count %d", i+1, got, recount[i], i+1)
 		}
 	}
 }
@@ -80,22 +94,26 @@ func auditStripe(s *markovStripe) string {
 	return ""
 }
 
-// seedMarkovRow plants key's row with the given successor counts, so a
-// test can start from a state that would take 2³¹ calls to reach.
+// seedMarkovRow plants key's row, which must be new, with the given
+// successor counts, so a test can start from a state that would take
+// 2³¹ calls to reach.
 func seedMarkovRow(m *ConcurrentMarkov1, key cache.ID, succ []cache.ID, cnt []uint32) {
 	h := hashID(key)
 	s := &m.stripes[stripeOfHash(h)]
 	s.mu.Lock()
-	r := s.row(key, h)
+	var d countMoves
+	r := s.row(key, h, &d)
 	*r = markovRow{key: key, n: uint8(len(succ))}
 	for i := range succ {
 		r.succ[i], r.cnt[i] = succ[i], cnt[i]
 		r.total += cnt[i]
+		d.move(0, cnt[i])
 	}
 	if r.total >= 2 {
 		s.trained++
 	}
 	s.mu.Unlock()
+	m.cc.add(&d)
 }
 
 // hasPointers reports whether a value of type t holds anything the
@@ -134,10 +152,15 @@ func TestMarkovRowLayout(t *testing.T) {
 
 // TestMarkovStripeLayout pins the padding that keeps each stripe's mutex
 // on cache lines of its own, so neighbouring stripes locked from
-// different goroutines do not false-share.
+// different goroutines do not false-share, and the count-of-counts on
+// the table's last line, alone.
 func TestMarkovStripeLayout(t *testing.T) {
 	if size := unsafe.Sizeof(markovStripe{}); size%64 != 0 {
 		t.Fatalf("markovStripe is %d bytes, not a whole number of 64-byte cache lines: adjust its padding", size)
+	}
+	var m ConcurrentMarkov1
+	if at, size := unsafe.Offsetof(m.cc), unsafe.Sizeof(m); at%64 != 0 || size-at != 64 || at < unsafe.Offsetof(m.cur)+64 {
+		t.Fatalf("the count-of-counts sits at byte %d of %d, cur at %d: want it on a 64-byte line of its own", at, size, unsafe.Offsetof(m.cur))
 	}
 }
 
@@ -322,6 +345,138 @@ func TestMarkovRowHalving(t *testing.T) {
 		}
 	}
 	checkMarkovTable(t, m)
+}
+
+// TestCountOfCountsMatchesRecount runs the table through every event
+// that moves a slot's count — counting, a full row's smallest slot
+// replaced, a row taken as a victim, a row halved — and holds the
+// count-of-counts to a recount of every row's slots after each.
+func TestCountOfCountsMatchesRecount(t *testing.T) {
+	m := NewConcurrentMarkov1()
+	for _, id := range markovStream(5000, 41) {
+		m.Observe(id)
+	}
+	checkMarkovTable(t, m)
+
+	// One state followed by 15 successors, unevenly (the squares mod
+	// 29): its row keeps 8, so the smallest slot keeps being replaced.
+	const state = cache.ID(1 << 30)
+	for i := 0; i < 400; i++ {
+		m.Observe(state)
+		m.Observe(state + 1 + cache.ID(i*i%29))
+	}
+	var full markovRow
+	eachMarkovRow(m, func(r *markovRow) {
+		if r.key == state {
+			full = *r
+		}
+	})
+	var sum uint32
+	for _, c := range full.cnt {
+		sum += c
+	}
+	if full.n != markovSlots || sum == full.total {
+		t.Fatalf("the 15-successor state holds %d slots summing to %d of %d: no slot was replaced", full.n, sum, full.total)
+	}
+	checkMarkovTable(t, m)
+
+	// A row one transition short of halving, with counts that halve to
+	// 0, 1, 2 and 3.
+	const aged = cache.ID(1 << 31)
+	seedMarkovRow(m, aged, []cache.ID{1, 2, 3, 4, 5}, []uint32{markovHalveAt - 13, 1, 3, 5, 6})
+	m.Observe(aged)
+	m.Observe(1)
+	m.Observe(aged)
+	m.Observe(1)
+	checkMarkovTable(t, m)
+
+	// A scan: once-seen rows take each other's places.
+	rows := m.Rows()
+	const scan = 20_000
+	for i := 0; i < scan; i++ {
+		m.Observe(cache.ID(1<<32 + i))
+	}
+	used := 0
+	eachMarkovRow(m, func(*markovRow) { used++ })
+	if used >= scan {
+		t.Fatalf("%d rows in use after a scan of %d ids (%d rows allocated before it): no row was taken as a victim", used, scan, rows)
+	}
+	checkMarkovTable(t, m)
+}
+
+// TestAdjustedCountsPayOnTheRule scores the table's candidates on the
+// paper's objective: over 200,000 requests, Σ(p − θ) across the top-4
+// candidates the rule admits (p̂ > θ), p being the chain's true
+// transition probability. On chain-obj's chain (fanout 2, decay 0.15,
+// restart 0.03) and on a fanout-4 chain (decay 0.5, restart 0.1), at the
+// light loads θ = 0.01, 0.03 and 0.05 where p̂ alone decides, ranking
+// and admitting on the adjusted counts must score within 0.001 a
+// request of the raw counts of the same rows, or above; on chain-obj's,
+// whose restarts are one-off jumps, it must admit fewer. The 0.001 is
+// the pooled histogram's price: a count of one in a rarely visited row
+// is more often a true successor than a jump, and the table-wide N_1,
+// made mostly of jumps in trained rows, marks it down too. That costs
+// 0.0003 a request on chain-obj at θ 0.05 and 0.0004 on fanout 4 at θ
+// 0.01 (about 0.05 % of the score); chain-obj at θ 0.01 gains 0.0027.
+func TestAdjustedCountsPayOnTheRule(t *testing.T) {
+	thetas := []float64{0.01, 0.03, 0.05}
+	for _, chain := range []struct {
+		name  string
+		cfg   workload.MarkovConfig
+		fewer bool
+	}{
+		{"chain-obj", workload.MarkovConfig{N: 2000, Fanout: 2, Decay: 0.15, Restart: 0.03}, true},
+		{"fanout 4", workload.MarkovConfig{N: 2000, Fanout: 4, Decay: 0.5, Restart: 0.1}, false},
+	} {
+		wl := workload.NewMarkov(chain.cfg, rng.NewStream(1, chain.name))
+		m := NewConcurrentMarkov1()
+		var score [2][]float64 // [adjusted, raw][θ]
+		var admitted [2][]int
+		for i := range score {
+			score[i], admitted[i] = make([]float64, len(thetas)), make([]int, len(thetas))
+		}
+		adj, raw := make([]Prediction, 0, 4), make([]Prediction, 0, 4)
+		const requests = 200_000
+		for i := 0; i < requests; i++ {
+			id := wl.Next()
+			adj = m.ObserveAndPredictTopInto(id, 4, adj[:0])
+			raw = rawTop(m, id, 4, raw[:0])
+			for s, top := range [][]Prediction{adj, raw} {
+				for j, theta := range thetas {
+					for _, c := range top {
+						if c.Prob > theta {
+							score[s][j] += wl.TransitionProb(id, c.Item) - theta
+							admitted[s][j]++
+						}
+					}
+				}
+			}
+		}
+		for j, theta := range thetas {
+			a, r := score[0][j]/requests, score[1][j]/requests
+			na, nr := float64(admitted[0][j])/requests, float64(admitted[1][j])/requests
+			t.Logf("%-9s θ %.2f: Σ(p − θ) a request %.4f adjusted, %.4f raw; admitted a request %.3f adjusted, %.3f raw", chain.name, theta, a, r, na, nr)
+			if a < r-0.001 {
+				t.Errorf("%s, θ %.2f: adjusted counts score %.4f a request, raw counts %.4f: more than 0.001 lower", chain.name, theta, a, r)
+			}
+			if chain.fewer && na >= nr {
+				t.Errorf("%s, θ %.2f: adjusted counts admit %.3f a request, raw counts %.3f: want fewer", chain.name, theta, na, nr)
+			}
+		}
+	}
+}
+
+// rawTop appends id's k most probable successors by raw count to dst:
+// its row ranked against an empty histogram, which adjusts nothing.
+func rawTop(m *ConcurrentMarkov1, id cache.ID, k int, dst []Prediction) []Prediction {
+	h := hashID(id)
+	s := &m.stripes[stripeOfHash(h)]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if r := s.find(id, h); r != nil {
+		return r.topInto(dst, k, &[gtCounts]int64{})
+	}
+	return dst
 }
 
 // BenchmarkConcurrentMarkov1Scan is the table under ids that never

@@ -117,10 +117,3 @@ func (p *PPM) Predict() []Prediction {
 
 // Name implements Predictor.
 func (p *PPM) Name() string { return fmt.Sprintf("ppm(k=%d)", p.k) }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

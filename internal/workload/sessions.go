@@ -8,12 +8,13 @@ import (
 )
 
 // Sessions generates correlated multi-key request sessions: each
-// session is one "page load" — a Zipf-popular page fanning out to a
-// fixed set of N keys. Key 0 of a page is the page's own id; the
-// remaining keys are drawn once, at construction, from a shared object
-// catalog (scripts, images, fragments) under its own Zipf law, so
-// popular objects recur across many pages exactly as shared assets do
-// on the web. Because a page's key set is fixed, the stream has strong
+// session is one "page load" — a page drawn under Zipf(PageS) fanning
+// out to a fixed set of N keys. Key 0 of a page is the page's own id;
+// the remaining keys are drawn once, at construction, from a shared
+// object catalog (scripts, images, fragments) under Zipf(ObjectS), so
+// with a positive skew popular objects recur across many pages exactly
+// as shared assets do on the web. A skew of zero, which is what a config
+// that leaves it unset gets, makes that draw uniform. Because a page's key set is fixed, the stream has strong
 // first-order structure (requesting the page id makes its objects
 // near-certain followers) — which is what a batched demand path and
 // the Markov predictors can both exploit, and what bench/'s page-batch
@@ -38,10 +39,13 @@ type SessionConfig struct {
 	// keys are drawn from (default 4×Pages). Object ids start at Pages,
 	// so the total id space is [0, Pages+Objects).
 	Objects int
-	// PageS is the Zipf skew of page popularity (default 0.9).
+	// PageS is the Zipf skew of page popularity. Zero — the zero value —
+	// draws pages uniformly; only a negative value takes the default,
+	// 0.9.
 	PageS float64
 	// ObjectS is the Zipf skew of object popularity within the shared
-	// catalog (default 0.8).
+	// catalog. Zero draws objects uniformly; only a negative value takes
+	// the default, 0.8.
 	ObjectS float64
 }
 

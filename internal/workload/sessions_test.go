@@ -7,6 +7,44 @@ import (
 	"repro/internal/rng"
 )
 
+// TestZeroSkewIsUniform pins what a config that leaves a skew unset
+// gets: zero is a skew of zero, a uniform draw, and only a negative
+// value takes the documented default. Markov's restarts and Sessions'
+// pages draw under a Zipf of the configured skew; Sessions' objects are
+// drawn at construction, so their law shows in how many pages share
+// the most shared object: at seed 1, 7 of 400 when uniform over 1,600
+// objects, 126 under Zipf(0.8).
+func TestZeroSkewIsUniform(t *testing.T) {
+	for _, tc := range []struct {
+		skew, want float64
+	}{{0, 0}, {-1, 0.8}} {
+		if m := NewMarkov(MarkovConfig{N: 100, ZipfS: tc.skew}, rng.New(1)); m.zipf.S() != tc.want {
+			t.Errorf("MarkovConfig.ZipfS %v: restarts draw under Zipf(%v), want Zipf(%v)", tc.skew, m.zipf.S(), tc.want)
+		}
+	}
+	for _, tc := range []struct {
+		skew, wantPages float64
+		shared          [2]int // the most shared object's page count, bounds inclusive
+	}{{0, 0, [2]int{1, 20}}, {-1, 0.9, [2]int{100, 400}}} {
+		s := NewSessions(SessionConfig{Pages: 400, Fanout: 8, Objects: 1600, PageS: tc.skew, ObjectS: tc.skew}, rng.New(1))
+		if s.zipf.S() != tc.wantPages {
+			t.Errorf("SessionConfig.PageS %v: pages draw under Zipf(%v), want Zipf(%v)", tc.skew, s.zipf.S(), tc.wantPages)
+		}
+		pages := map[cache.ID]int{}
+		most := 0
+		for _, keys := range s.keys {
+			for _, k := range keys[1:] {
+				pages[k]++
+				most = max(most, pages[k])
+			}
+		}
+		t.Logf("skew %v: the most shared object is on %d of 400 pages", tc.skew, most)
+		if most < tc.shared[0] || most > tc.shared[1] {
+			t.Errorf("SessionConfig.ObjectS %v: the most shared object is on %d of 400 pages, want %d–%d", tc.skew, most, tc.shared[0], tc.shared[1])
+		}
+	}
+}
+
 func TestSessionsShape(t *testing.T) {
 	cfg := SessionConfig{Pages: 50, Fanout: 8, Objects: 200}
 	s := NewSessions(cfg, rng.New(1))

@@ -119,8 +119,10 @@ func (m *IRM) Prob(id cache.ID) float64 { return m.zipf.Prob(int(id)) }
 // item has Fanout successors chosen at random; transition weights decay
 // geometrically so one or two successors dominate (as link-following in
 // web navigation does). With probability Restart the next request
-// instead jumps to a Zipf-popular item, which keeps the chain ergodic
-// and mixes global popularity with sequential structure.
+// instead jumps to an item drawn under Zipf(ZipfS), which keeps the
+// chain ergodic and mixes global popularity with sequential structure;
+// a ZipfS of zero, which is what a config that leaves it unset gets,
+// makes that draw uniform.
 type Markov struct {
 	n       int
 	fanout  int
@@ -144,7 +146,9 @@ type MarkovConfig struct {
 	// Restart is the probability of abandoning the chain for a
 	// Zipf-popular jump (default 0.1).
 	Restart float64
-	// ZipfS is the popularity skew used for restarts (default 0.8).
+	// ZipfS is the popularity skew used for restarts. Zero — the zero
+	// value — draws restarts uniformly; only a negative value takes the
+	// default, 0.8.
 	ZipfS float64
 }
 

@@ -86,13 +86,13 @@ func publicPredictions(ps []predict.Prediction) []Prediction {
 // new state replaces the least-visited state that hashes beside it (a
 // once-seen scan id goes first, a trained state stays); in a state that
 // already holds 8 successors a new one takes over the slot with the
-// smallest count and counts again from one, so p̂ is never an
-// overestimate. Counts — and so p̂ — are exact while every state has at
-// most 8 distinct successors and no once-seen state has been displaced;
-// beyond that the successors heavy enough to clear a threshold keep
-// their p̂ and the light tail is approximate. It is the one built-in
-// model: any other (PPM, LZ78, a dependency graph, popularity, a learned
-// model) plugs in through the Predictor interface.
+// smallest count and counts again from one. Counts are exact while every
+// state has at most 8 distinct successors and no once-seen state has
+// been displaced. p̂ is a count over its state's total, counts ≤ 5
+// Good–Turing adjusted by the table-wide count-of-counts, so a one-off
+// jump is not offered at one count over a short total. It is the one
+// built-in model: any other (PPM, LZ78, a dependency graph, popularity,
+// a learned model) plugs in through the Predictor interface.
 func NewMarkovPredictor() Predictor {
 	return predictorAdapter{predict.NewConcurrentMarkov1(), &sync.Pool{New: func() any {
 		s := make([]predict.Prediction, 0, 16)

@@ -125,19 +125,19 @@
 // past 65 536 (about 7 MiB). A new state takes the least-visited row
 // beside it, and a full state's smallest count gives way to a new
 // successor — exact while states have at most 8 distinct successors and
-// no once-seen row has been displaced, approximate only in the light
-// tail beyond. Any other Predictor is a plugin, and its planner owns
-// everything the engine knows about plugins: it asks for the bounded
-// prefix the policies can actually admit through the best form the
-// plugin offers — TopIntoPredictor appending into the request's pooled
-// buffer, else TopPredictor, else the full sorted Predict, truncated —
-// converts the answer, and, unless the plugin carries the
-// ConcurrentPredictor marker, holds a compatibility mutex across the
-// request's observations and prediction, so a plain plugin sees every
-// request (a whole GetMulti session included) as one contiguous stretch
-// of one globally interleaved stream, and caps throughput however many
-// shards the engine has; Stats.PredictorLockFree reports which path is
-// active.
+// no once-seen row has been displaced; p̂ discounts counts ≤ 5 by
+// Good–Turing, so a one-off jump clears no low threshold. Any other
+// Predictor is a plugin, and its planner owns everything the engine
+// knows about plugins: it asks for the bounded prefix the policies can
+// actually admit through the best form the plugin offers —
+// TopIntoPredictor appending into the request's pooled buffer, else
+// TopPredictor, else the full sorted Predict, truncated — converts the
+// answer, and, unless the plugin carries the ConcurrentPredictor
+// marker, holds a compatibility mutex across the request's observations
+// and prediction, so a plain plugin sees every request (a whole
+// GetMulti session included) as one contiguous stretch of one globally
+// interleaved stream, and caps throughput however many shards the
+// engine has; Stats.PredictorLockFree reports which path is active.
 //
 // The demand hot path is allocation-free in steady state: prediction
 // candidates and per-key state live in one pooled scratch per request,
