@@ -1,6 +1,6 @@
-// Command prefetchvet runs the repo's three analyzers (hotpathalloc,
-// lockorder, lockscope — see internal/lint) over the module packages
-// matching its arguments, "./..." when there are none:
+// Command prefetchvet runs the repo's two analyzers (lockorder and
+// lockscope — see internal/lint) over the module packages matching its
+// arguments, "./..." when there are none:
 //
 //	go run ./cmd/prefetchvet ./...
 //
@@ -18,7 +18,6 @@ import (
 	"os"
 
 	"repro/internal/lint"
-	"repro/internal/lint/hotpathalloc"
 	"repro/internal/lint/lockorder"
 	"repro/internal/lint/lockscope"
 )
@@ -26,7 +25,6 @@ import (
 // analyzers is the fixed suite; the whole point is that the suite is
 // the contract, so none can be switched off.
 var analyzers = []*lint.Analyzer{
-	hotpathalloc.Analyzer,
 	lockorder.Analyzer,
 	lockscope.Analyzer,
 }

@@ -30,21 +30,27 @@ func TestTreeClean(t *testing.T) {
 }
 
 // TestCheckFindsViolation drives the driver end to end on a module with
-// one hot-path function holding two allocations: the unwaived one is the
-// only finding, and the waiver on the other suppresses it, so it is not
-// reported as stale either.
+// one function holding two returns with its mutex locked: the unwaived
+// one is the only finding, and the waiver on the other suppresses it, so
+// it is not reported as stale either.
 func TestCheckFindsViolation(t *testing.T) {
 	dir := t.TempDir()
 	files := map[string]string{
-		"go.mod": "module hot\n\ngo 1.22\n",
-		"hot.go": "package hot\n\n" +
-			"//prefetch:hotpath\n" +
-			"func Hot(n int) []byte {\n" +
+		"go.mod": "module scope\n\ngo 1.22\n",
+		"scope.go": "package scope\n\n" +
+			"import \"sync\"\n\n" +
+			"type S struct{ mu sync.Mutex }\n\n" +
+			"func (s *S) Get(n int) int {\n" +
+			"\ts.mu.Lock()\n" +
 			"\tif n < 0 {\n" +
-			"\t\t//lint:allow hotpathalloc cold branch\n" +
-			"\t\treturn new([1]byte)[:]\n" +
+			"\t\t//lint:allow lockscope cold branch\n" +
+			"\t\treturn 0\n" +
 			"\t}\n" +
-			"\treturn make([]byte, n)\n" +
+			"\tif n == 0 {\n" +
+			"\t\treturn 1\n" +
+			"\t}\n" +
+			"\ts.mu.Unlock()\n" +
+			"\treturn n\n" +
 			"}\n",
 	}
 	for name, src := range files {
@@ -60,8 +66,8 @@ func TestCheckFindsViolation(t *testing.T) {
 		t.Fatalf("got %d findings, want 1: %v", len(diags), diags)
 	}
 	d := diags[0]
-	if d.Analyzer != "hotpathalloc" || d.Pos.Line != 9 || !strings.HasPrefix(d.Message, "make in hot path Hot") {
-		t.Errorf("finding = %v, want hotpathalloc's make at line 9", d)
+	if d.Analyzer != "lockscope" || d.Pos.Line != 14 || !strings.HasPrefix(d.Message, "return while s.mu is still locked") {
+		t.Errorf("finding = %v, want lockscope's return at line 14", d)
 	}
 }
 
@@ -74,8 +80,8 @@ func TestWaiverNames(t *testing.T) {
 	files := map[string]string{
 		"go.mod": "module waivers\n\ngo 1.22\n",
 		"w.go": "package waivers\n\n" +
-			"//lint:allow hotpathalloc nothing here allocates\n\n" +
-			"//lint:allow hotpathaloc typo\n\n" +
+			"//lint:allow lockscope nothing here locks\n\n" +
+			"//lint:allow lockscop typo\n\n" +
 			"func F() {}\n",
 	}
 	for name, src := range files {
@@ -91,8 +97,8 @@ func TestWaiverNames(t *testing.T) {
 		line int
 		msg  string
 	}{
-		{3, "stale //lint:allow hotpathalloc"},
-		{5, "//lint:allow hotpathaloc names no analyzer in the suite"},
+		{3, "stale //lint:allow lockscope"},
+		{5, "//lint:allow lockscop names no analyzer in the suite"},
 	}
 	if len(diags) != len(want) {
 		t.Fatalf("got %d findings, want %d: %v", len(diags), len(want), diags)

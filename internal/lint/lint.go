@@ -3,16 +3,19 @@
 // (Analyzer, Pass, Diagnostic) plus the loading and waiver machinery the
 // prefetchvet analyzers share.
 //
-// The three analyzers under internal/lint/* encode the engine invariants
-// that no test observes — for each, a bug planted in its class passed
-// tier-1, go vet, the race detector and the alloc gates:
+// The two analyzers under internal/lint/* encode the engine's locking
+// invariants, which no test observes — for each, a bug planted in its
+// class passed tier-1, go vet, the race detector and the alloc gates:
 //
-//   - hotpathalloc: //prefetch:hotpath functions must not allocate
 //   - lockscope: no blocking operation under a mutex, and every Lock is
 //     paired with an Unlock on all exit paths
 //   - lockorder: the cross-function lock-acquisition graph must stay
 //     acyclic (cycles are potential deadlocks, reported with the
 //     witnessing call paths)
+//
+// Allocation is not checked here: the runtime alloc gates
+// (go test -run 'AllocFree|AllocCeiling' without -race) measure every
+// per-request path, which a syntactic check could only guess at.
 //
 // Deliberate exceptions are waived in source with
 //
@@ -83,28 +86,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // tests legitimately use ad-hoc locking and allocation-heavy helpers.
 func (p *Pass) InTestFile(pos token.Pos) bool {
 	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
-}
-
-// --- annotations ---------------------------------------------------------
-
-// HotpathDirective is the comment that opts a function into the
-// hotpathalloc check. It is a directive comment (no space after //), so
-// gofmt preserves it verbatim and go doc hides it.
-const HotpathDirective = "//prefetch:hotpath"
-
-// HasDirective reports whether the doc comment group carries the given
-// directive on a line of its own.
-func HasDirective(doc *ast.CommentGroup, directive string) bool {
-	if doc == nil {
-		return false
-	}
-	for _, c := range doc.List {
-		text := strings.TrimSpace(c.Text)
-		if text == directive || strings.HasPrefix(text, directive+" ") {
-			return true
-		}
-	}
-	return false
 }
 
 // --- //lint:allow waivers ------------------------------------------------

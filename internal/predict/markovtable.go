@@ -437,8 +437,6 @@ func (m *ConcurrentMarkov1) PredictTop(k int) []Prediction {
 }
 
 // PredictTopInto implements TopIntoPredictor.
-//
-//prefetch:hotpath
 func (m *ConcurrentMarkov1) PredictTopInto(dst []Prediction, k int) []Prediction {
 	return m.topOf(cache.ID(m.cur.Load()), dst, k)
 }
@@ -459,8 +457,6 @@ func (m *ConcurrentMarkov1) ObserveAndPredictTop(id cache.ID, k int) []Predictio
 // buffer passed as buf[:0]), so the per-request prediction allocates
 // nothing. ObserveAndPredictTop(id, k) ≡ ObserveAndPredictTopInto(id,
 // k, nil).
-//
-//prefetch:hotpath
 func (m *ConcurrentMarkov1) ObserveAndPredictTopInto(id cache.ID, k int, dst []Prediction) []Prediction {
 	m.Observe(id)
 	return m.topOf(id, dst, k)

@@ -223,6 +223,43 @@ func TestConcurrentMarkov1Bounded(t *testing.T) {
 	checkMarkovTable(t, m)
 }
 
+// TestMarkovUpkeepAllocFree gates the table's rare paths, which the
+// per-request gates pass through too seldom to see one allocation: a
+// row halving its counts (at a total of markovHalveAt), and a stripe
+// growing, its rows moved to a new mapping outside the Go heap and the
+// old one freed. Neither allocates on the Go heap (where rows are mapped
+// with mmap: not under -race, nor off unix).
+func TestMarkovUpkeepAllocFree(t *testing.T) {
+	var r markovRow
+	var d countMoves
+	halve := func() {
+		r.total, r.n = markovHalveAt, markovSlots
+		for i := range r.cnt {
+			r.cnt[i] = uint32(i + 1)
+		}
+		r.count(cache.ID(1), &d)
+	}
+	if allocs := testing.AllocsPerRun(100, halve); allocs != 0 {
+		t.Fatalf("halving a row allocated %v times; want 0", allocs)
+	}
+	if raceEnabled {
+		t.Skip("under -race internal/offheap maps rows with make, one allocation a grow")
+	}
+	var s markovStripe
+	s.grow()
+	s.row(cache.ID(1), hashID(cache.ID(1)), &d).count(cache.ID(2), &d)
+	if allocs := testing.AllocsPerRun(6, s.grow); allocs != 0 {
+		t.Fatalf("growing a stripe allocated %v times; want 0", allocs)
+	}
+	if got := len(s.rows); got != markovWays<<7 {
+		t.Fatalf("the stripe holds %d rows after 8 grows, want %d", got, markovWays<<7)
+	}
+	if s.find(cache.ID(1), hashID(cache.ID(1))) == nil {
+		t.Fatal("growing lost a row")
+	}
+	freeRows(s.rows)
+}
+
 // chainTop1 feeds n requests of wl through m and returns the share whose
 // id was the model's first candidate going in.
 func chainTop1(m *ConcurrentMarkov1, wl *workload.Markov, n int) float64 {

@@ -103,7 +103,6 @@ type topPredictions struct {
 }
 
 func newTopPredictions(k int) topPredictions {
-	//lint:allow hotpathalloc reached only when the caller passes no buffer (PredictTop compatibility); Into callers take the dst branch
 	return topPredictions{buf: make([]Prediction, 0, k), k: k}
 }
 

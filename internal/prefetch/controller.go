@@ -44,8 +44,6 @@ func (c *Controller) Estimator() *cache.Estimator { return c.est }
 // the request even when the origin later fails. size is the requested
 // item's size if already known; pass 0 (skipped by the size estimator)
 // when it is not, and report it via RecordSize once the fetch resolves.
-//
-//prefetch:hotpath
 func (c *Controller) RecordRequest(now, size float64) {
 	c.w.At(now)
 	c.w.Add(fRequests, 1)
@@ -58,8 +56,6 @@ func (c *Controller) RecordRequest(now, size float64) {
 // RecordSize counts one observed item size into ŝ̄ for a request whose
 // size was unknown at arrival time (demand fetches learn the size only
 // when the origin responds). Sizes <= 0 are ignored.
-//
-//prefetch:hotpath
 func (c *Controller) RecordSize(size float64) {
 	if size > 0 {
 		c.w.Add(fSized, 1)
@@ -69,8 +65,6 @@ func (c *Controller) RecordSize(size float64) {
 
 // RecordPrefetch notes that one item was prefetched as a consequence of
 // a request.
-//
-//prefetch:hotpath
 func (c *Controller) RecordPrefetch() { c.w.Add(fPrefetches, 1) }
 
 // State snapshots the current estimates for a Policy decision, read at

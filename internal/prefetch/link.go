@@ -55,29 +55,20 @@ func (l *Link) SetBandwidth(b float64) {
 func (l *Link) Bandwidth() float64 { return math.Float64frombits(l.bw.Load()) }
 
 // RecordDemand notes one demand (miss) fetch dispatched at time now.
-//
-//prefetch:hotpath
 func (l *Link) RecordDemand(now float64) { l.dispatched(now, true) }
 
 // RecordSpeculative notes one speculative fetch dispatched at time now:
 // it counts toward ρ̂ only, ρ̂′ being by definition the utilisation
 // prefetching would leave behind.
-//
-//prefetch:hotpath
 func (l *Link) RecordSpeculative(now float64) { l.dispatched(now, false) }
 
 // RecordDemandSize counts the size of a completed demand fetch.
-//
-//prefetch:hotpath
 func (l *Link) RecordDemandSize(size float64) { l.sized(size, true) }
 
 // RecordSpeculativeSize counts the size of a completed speculative
 // fetch.
-//
-//prefetch:hotpath
 func (l *Link) RecordSpeculativeSize(size float64) { l.sized(size, false) }
 
-//prefetch:hotpath
 func (l *Link) dispatched(now float64, demand bool) {
 	l.w.At(now)
 	l.w.Add(totalStream+streamCalls, 1)
@@ -86,7 +77,6 @@ func (l *Link) dispatched(now float64, demand bool) {
 	}
 }
 
-//prefetch:hotpath
 func (l *Link) sized(size float64, demand bool) {
 	if size <= 0 {
 		return

@@ -229,15 +229,12 @@ func (s *Store) Stats() Stats {
 // change that moves or shrinks the offset field must re-derive this.
 func pack(seg, off, n int) uint64 { return uint64(seg)<<48 | uint64(off)<<24 | uint64(n) }
 
-//prefetch:hotpath
 func unpack(ref uint64) (seg, off, n int) {
 	return int(ref >> 48), int(ref >> 24 & 0xFFFFFF), int(ref & 0xFFFFFF)
 }
 
 // slot hashes an id to its starting probe slot (Fibonacci hashing with
 // a high-bit fold, like the engine's shard selector).
-//
-//prefetch:hotpath
 func (s *Store) slot(id int64) uint64 {
 	h := uint64(id) * 0x9E3779B97F4A7C15
 	return (h ^ h>>32) & uint64(len(s.refs)-1)
@@ -245,8 +242,6 @@ func (s *Store) slot(id int64) uint64 {
 
 // findSlot locates id's index slot. Growth keeps the live entries under
 // half the table, so an empty slot always terminates the probe.
-//
-//prefetch:hotpath
 func (s *Store) findSlot(id int64) (int, bool) {
 	mask := uint64(len(s.refs) - 1)
 	for i := s.slot(id); s.refs[i] != refEmpty; i = (i + 1) & mask {
@@ -258,8 +253,6 @@ func (s *Store) findSlot(id int64) (int, bool) {
 }
 
 // link puts live slot i at the head of list l.
-//
-//prefetch:hotpath
 func (s *Store) link(i int32, l uint8) {
 	ls := &s.lists[l]
 	s.on[i], s.prev[i], s.next[i] = l, none, ls.head
@@ -273,8 +266,6 @@ func (s *Store) link(i int32, l uint8) {
 }
 
 // unlink takes slot i off its list.
-//
-//prefetch:hotpath
 func (s *Store) unlink(i int32) {
 	ls := &s.lists[s.on[i]]
 	p, n := s.prev[i], s.next[i]
@@ -294,8 +285,6 @@ func (s *Store) unlink(i int32) {
 // touch marks slot i used (see SetProtected): it moves to the head of
 // its list, or of the protected list under segmented LRU, demoting that
 // list's least recently used entry if it overflows.
-//
-//prefetch:hotpath
 func (s *Store) touch(i int) {
 	l := uint8(probation)
 	if s.protectedCap > 0 {
@@ -551,8 +540,6 @@ func (s *Store) compact(seg int) {
 // Get appends id's payload to dst, marks id most recently used and
 // reports whether it was present. dst is the caller's buffer (typically
 // pooled), so a hit allocates nothing once dst has grown to working size.
-//
-//prefetch:hotpath
 func (s *Store) Get(id int64, dst []byte) ([]byte, bool) {
 	i, ok := s.findSlot(id)
 	if !ok {
@@ -567,8 +554,6 @@ func (s *Store) Get(id int64, dst []byte) ([]byte, bool) {
 
 // BytesLen returns the stored payload length for id, marking it most
 // recently used like the Get it stands in for.
-//
-//prefetch:hotpath
 func (s *Store) BytesLen(id int64) (int, bool) {
 	i, ok := s.findSlot(id)
 	if !ok {
@@ -580,8 +565,6 @@ func (s *Store) BytesLen(id int64) (int, bool) {
 }
 
 // Has reports whether id is present without touching its recency.
-//
-//prefetch:hotpath
 func (s *Store) Has(id int64) bool {
 	_, ok := s.findSlot(id)
 	return ok

@@ -63,15 +63,11 @@ func (w *Window) Width() float64 { return w.width }
 // Add adds v ≥ 0 to field f, in the newest bucket: an event that
 // carries no time of its own (a size learned when a fetch completes)
 // needs no At.
-//
-//prefetch:hotpath
 func (w *Window) Add(f int, v float64) { w.totals[f].Add(int64(math.Round(v * scale))) }
 
 // At moves the ring forward if now has entered a new bucket, so the
 // Adds that follow count at time now. An event older than the newest
 // bucket counts in it.
-//
-//prefetch:hotpath
 func (w *Window) At(now float64) {
 	if e := int64(math.Floor(now / w.width)); e > w.head.Load() {
 		w.advance(e, now)

@@ -147,3 +147,22 @@ func BenchmarkSum(b *testing.B) {
 		_, _ = w.Sum(9.99)
 	}
 }
+
+// TestWindowAllocFree gates the window's per-request calls, At and Add,
+// also when each At enters a new bucket and advance moves the ring: the
+// per-request gates of the engine run inside one bucket, so they do not
+// see advance.
+func TestWindowAllocFree(t *testing.T) {
+	w := New(4)
+	now := 0.0
+	if allocs := testing.AllocsPerRun(100, func() {
+		now += w.Width()
+		w.At(now)
+		w.Add(0, 1)
+	}); allocs != 0 {
+		t.Fatalf("At and Add across a bucket boundary allocated %v times; want 0", allocs)
+	}
+	if sums, _ := w.Sum(now); sums[0] != K {
+		t.Fatalf("the window holds %v events, want %d (one a bucket)", sums[0], K)
+	}
+}

@@ -46,8 +46,6 @@ func (a predictorAdapter) PredictTop(k int) []Prediction {
 // PredictTopInto implements the public TopIntoPredictor: the top-k
 // candidates are appended to dst, converted out of a pooled staging
 // buffer, so the call is allocation-free in steady state.
-//
-//prefetch:hotpath
 func (a predictorAdapter) PredictTopInto(dst []Prediction, k int) []Prediction {
 	if k <= 0 {
 		return nil

@@ -2,6 +2,7 @@ package prefetcher
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -216,28 +217,57 @@ func TestFabricBatchDispatchAllocFree(t *testing.T) {
 	}
 }
 
-// TestPredictTopIntoAllocFree asserts the pooled prediction path of the
-// concurrent model the engine calls.
+// TestPredictTopIntoAllocFree holds the predictor's calls to the
+// allocations they make today: the engine's ObserveAndPredictTopInto,
+// PredictTopInto on the model and through the public adapter
+// (NewMarkovPredictor, which converts out of a pooled staging buffer),
+// each with rows of one successor and of more than k, allocate nothing;
+// PredictTop, handed no buffer, allocates its result.
 func TestPredictTopIntoAllocFree(t *testing.T) {
-	models := map[string]*predict.ConcurrentMarkov1{
-		"markov1": predict.NewConcurrentMarkov1(),
-	}
-	for name, m := range models {
-		t.Run(name, func(t *testing.T) {
-			const items = 64
-			for pass := 0; pass < 3; pass++ {
-				for i := 0; i < items; i++ {
-					m.ObserveAndPredictTop(cache.ID(i), 0)
-				}
+	const items = 64
+	for _, tc := range []struct {
+		name    string
+		call    string
+		step    int // id's successors are id+1 … id+step, in turn
+		ceiling float64
+	}{
+		{"ObserveAndPredictTopInto", "observe", 1, 0},
+		{"ObserveAndPredictTopInto, 4 successors", "observe", 4, 0},
+		{"PredictTopInto", "into", 1, 0},
+		{"PredictTopInto, 4 successors", "into", 4, 0},
+		{"public PredictTopInto", "public", 1, 0},
+		{"public PredictTopInto, 4 successors", "public", 4, 0},
+		{"PredictTop, no buffer", "top", 4, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if raceEnabled && tc.call == "public" {
+				t.Skip("race runtime drops sync.Pool Puts by design; the adapter's pooled staging is unreachable (CI runs this gate without -race)")
+			}
+			pub := NewMarkovPredictor()
+			m := pub.(predictorAdapter).m
+			id, n := 0, 0
+			next := func() {
+				id = (id + 1 + n%tc.step) % items
+				n++
+			}
+			for n < 3*items*tc.step {
+				m.ObserveAndPredictTop(cache.ID(id), 0)
+				next()
 			}
 			buf := make([]predict.Prediction, 0, 8)
-			i := 0
-			allocs := testing.AllocsPerRun(500, func() {
-				buf = m.ObserveAndPredictTopInto(cache.ID(i%items), 2, buf[:0])
-				i++
-			})
-			if allocs != 0 {
-				t.Fatalf("%s: ObserveAndPredictTopInto allocated %v times per call; want 0", name, allocs)
+			pbuf := make([]Prediction, 0, 8)
+			calls := map[string]func(){
+				"observe": func() { buf = m.ObserveAndPredictTopInto(cache.ID(id), 2, buf[:0]); next() },
+				"into":    func() { buf = m.PredictTopInto(buf[:0], 2) },
+				"public":  func() { pbuf = pub.(TopIntoPredictor).PredictTopInto(pbuf[:0], 2) },
+				"top":     func() { buf = m.PredictTop(2) },
+			}
+			allocs := testing.AllocsPerRun(500, calls[tc.call])
+			if allocs > tc.ceiling {
+				t.Fatalf("%s allocated %v times per call; ceiling %v", tc.name, allocs, tc.ceiling)
+			}
+			if got := len(buf) + len(pbuf); got != min(2, tc.step) {
+				t.Fatalf("%s predicted %d candidates, want %d", tc.name, got, min(2, tc.step))
 			}
 		})
 	}
@@ -404,4 +434,265 @@ func TestStatsWaitFreeMatchesEventLog(t *testing.T) {
 		t.Fatalf("in-flight = %d after quiesce", st.InFlight)
 	}
 	checkRecords(t, eng)
+}
+
+// TestEngineStatsAllocCeiling holds a Stats snapshot to its one
+// allocation: the fabric's per-backend slice (fetch's
+// TestStatsAllocCeiling); the rest is read from atomics into the
+// returned value.
+func TestEngineStatsAllocCeiling(t *testing.T) {
+	eng, _ := newHitEngine(t)
+	defer eng.Close()
+	var st Stats
+	allocs := testing.AllocsPerRun(100, func() { st = eng.Stats() })
+	if allocs > 1 {
+		t.Fatalf("Stats allocated %v times per call; ceiling 1 (Backends)", allocs)
+	}
+	if st.Requests == 0 || len(st.Backends) != 1 {
+		t.Fatalf("Stats read nothing: %+v", st)
+	}
+}
+
+// closingCache is a Cache whose Contains — the dedup check dispatch
+// makes under the shard lock — can flip the engine closed, as Close
+// winning the race between a candidate's registration and the push
+// does.
+type closingCache struct {
+	Cache
+	eng  *Engine
+	arm  bool
+	hits int
+}
+
+func (c *closingCache) Contains(id ID) bool {
+	if c.arm {
+		c.eng.closed.Store(true)
+		c.hits++
+	}
+	return c.Cache.Contains(id)
+}
+
+// TestDispatchClosedAllocFree gates dispatch's two closed arms, which a
+// request reaches only while Close races it, by calling dispatch on a
+// plan of two uncached ids with the engine closed before the first
+// candidate registers, and closed between a registration and the push
+// (the job is then failed with ErrClosed). Neither allocates.
+func TestDispatchClosedAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race runtime drops sync.Pool Puts by design; pooled steady state is unreachable (CI runs this gate without -race)")
+	}
+	cc := &closingCache{Cache: NewLRUCache(4 * 64)}
+	eng, _ := newHitEngine(t, WithCache(cc))
+	cc.eng = eng
+	defer eng.Close()
+	ids := make([]ID, 0, 2)
+	for _, tc := range []struct {
+		name        string
+		closed, arm bool
+	}{
+		{"closed before registering", true, false},
+		{"closed at the push", false, true},
+	} {
+		before := eng.Stats()
+		allocs := testing.AllocsPerRun(100, func() {
+			eng.closed.Store(tc.closed)
+			cc.arm = tc.arm
+			eng.dispatch(0, append(ids[:0], 1000, 1001))
+			cc.arm = false
+		})
+		eng.closed.Store(false)
+		if allocs != 0 {
+			t.Fatalf("%s: dispatch allocated %v times per call; want 0", tc.name, allocs)
+		}
+		if st := eng.Stats(); st.InFlight != 0 || st.PrefetchIssued != before.PrefetchIssued {
+			t.Fatalf("%s: a closed engine issued or kept a fetch: %+v", tc.name, st)
+		}
+	}
+	if cc.hits < 100 {
+		t.Fatalf("the push saw the engine closed %d times", cc.hits)
+	}
+}
+
+// flatLender is an allocation-free, batch-capable origin lending every
+// payload: 64 bytes of the id's low byte. Ids from 1<<20 up, the ones
+// freshIDs names, are refused when refuse is set, and held until a
+// value arrives on held (or the engine closes) when that is set.
+type flatLender struct {
+	batches atomic.Int64
+	held    chan struct{}
+	refuse  bool
+}
+
+var errLender = errors.New("flatLender: refused")
+
+func (o *flatLender) FetchInto(ctx context.Context, id ID, dst []byte) ([]byte, error) {
+	if id >= 1<<20 {
+		if o.refuse {
+			return dst, errLender
+		}
+		if o.held != nil {
+			select {
+			case <-o.held:
+			case <-ctx.Done():
+				return dst, ctx.Err()
+			}
+		}
+	}
+	for i := 0; i < 64; i++ {
+		dst = append(dst, byte(id))
+	}
+	return dst, nil
+}
+
+func (o *flatLender) Fetch(ctx context.Context, id ID) (Item, error) {
+	b, err := o.FetchInto(ctx, id, nil)
+	return Item{ID: id, Size: float64(len(b)), Data: b}, err
+}
+
+func (o *flatLender) FetchBatchInto(ctx context.Context, ids []ID, dst []byte, lens []int) ([]byte, []int, error) {
+	o.batches.Add(1)
+	for _, id := range ids {
+		n := len(dst)
+		var err error
+		if dst, err = o.FetchInto(ctx, id, dst); err != nil {
+			return dst[:n], lens, err
+		}
+		lens = append(lens, len(dst)-n)
+	}
+	return dst, lens, nil
+}
+
+func (o *flatLender) FetchBatch(ctx context.Context, ids []ID) ([]Item, error) {
+	panic("flatLender: FetchBatch on a lending engine")
+}
+
+// freshIDs names, after an id below 1<<20, n ids never named before —
+// with n = 2 on two shards of eng, when it has several — and nothing
+// after the ids it names.
+type freshIDs struct {
+	ringPredictor
+	n     int
+	eng   *Engine
+	named atomic.Int64 // the newest id named, less 1<<20
+}
+
+func (p *freshIDs) PredictTopInto(dst []Prediction, k int) []Prediction {
+	if p.last.Load() >= 1<<20 {
+		return dst
+	}
+	id := ID(1<<20 + p.named.Add(1))
+	dst = append(dst, Prediction{ID: id, Prob: 0.5})
+	if p.n == 2 {
+		next := id + 1
+		for len(p.eng.shards) > 1 && p.eng.shardFor(next) == p.eng.shardFor(id) {
+			next++
+		}
+		p.named.Store(int64(next - 1<<20))
+		dst = append(dst, Prediction{ID: next, Prob: 0.5})
+	}
+	return dst
+}
+
+// TestPlanAllocCeiling holds the speculative paths a hit can set off to
+// the allocations they make today. Each hit plans new ids (freshIDs)
+// over a lending origin. A shed: the one worker is held and the one-job
+// queue full, so each plan is registered and failed (failJob,
+// errDropped) — 0. A batch across shards: two ids on two shards go out
+// as one job, the second shard's issued count bumped after the push,
+// fetched in one lent batch and landed shard by shard — 1, the channel
+// Quiesce waits on. A failed prefetch: the origin refuses it and the
+// landing books the error — 1, Quiesce's. A join: a request for the
+// planned id joins its held flight (awaitJoined) and releases it from
+// the EventJoin hook; the landing clones the lent payload for its
+// joiner and boxes it, and the next flight replaces the done channel
+// the joiner consumed — 3.
+func TestPlanAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race runtime drops sync.Pool Puts by design; pooled steady state is unreachable (CI runs this gate without -race)")
+	}
+	for _, tc := range []struct {
+		name    string
+		origin  *flatLender
+		shards  int
+		n       int  // ids a plan names
+		queue   int  // speculative queue depth, when not the default
+		quiesce bool // wait out each step's prefetch
+		join    bool // request the planned id too
+		ceiling float64
+		moved   func(before, after Stats) int64 // must reach the runs
+	}{
+		{"shed", &flatLender{held: make(chan struct{})}, 1, 2, 1, false, false, 0,
+			func(b, a Stats) int64 { return a.PrefetchDropped - b.PrefetchDropped }},
+		{"batch across shards", &flatLender{}, 4, 2, 0, true, false, 1,
+			func(b, a Stats) int64 { return (a.PrefetchIssued - b.PrefetchIssued) / 2 }},
+		{"failed prefetch", &flatLender{refuse: true}, 1, 1, 0, true, false, 1,
+			func(b, a Stats) int64 { return a.PrefetchErrors - b.PrefetchErrors }},
+		{"join", &flatLender{held: make(chan struct{}, 1)}, 1, 1, 0, false, true, 3,
+			func(b, a Stats) int64 { return a.Joins - b.Joins }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pred := &freshIDs{n: tc.n}
+			opts := []Option{
+				WithBandwidth(1e9),
+				WithShards(tc.shards),
+				WithCacheFactory(func(i, n int) Cache { return NewLRUCache(256) }),
+				WithWorkers(1),
+				WithMaxPrefetch(tc.n),
+				WithPredictor(pred),
+				WithPolicy(StaticThreshold(0.1)),
+			}
+			if tc.queue > 0 {
+				opts = append(opts, WithQueueDepth(tc.queue))
+			}
+			if tc.join {
+				opts = append(opts, WithEventHook(func(ev Event) {
+					if ev.Type == EventJoin {
+						tc.origin.held <- struct{}{}
+					}
+				}))
+			}
+			eng, err := New(tc.origin, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pred.eng = eng
+			defer eng.Close()
+			ctx := context.Background()
+			buf := make([]byte, 0, 256)
+			i := 0
+			get := func(id ID) {
+				var err error
+				if buf, err = eng.GetBytes(ctx, id, buf[:0]); err != nil || len(buf) != 64 {
+					t.Fatalf("GetBytes(%d): %d bytes, err %v", id, len(buf), err)
+				}
+			}
+			step := func() {
+				get(ID(i % 64))
+				if tc.join {
+					get(ID(1<<20 + pred.named.Load()))
+				}
+				if tc.quiesce {
+					if err := eng.Quiesce(ctx); err != nil {
+						t.Fatal(err)
+					}
+				}
+				i++
+			}
+			for i < 4*64 {
+				step()
+			}
+			const runs = 200
+			before, batches := eng.Stats(), tc.origin.batches.Load()
+			if allocs := testing.AllocsPerRun(runs, step); allocs > tc.ceiling {
+				t.Fatalf("a step allocated %v times, ceiling %v", allocs, tc.ceiling)
+			}
+			after := eng.Stats()
+			if hits := after.Hits - before.Hits; hits < runs || tc.moved(before, after) < runs {
+				t.Fatalf("each measured step must hit and run the arm: %d hits, %d moved: %+v", hits, tc.moved(before, after), after)
+			}
+			if tc.shards > 1 && tc.origin.batches.Load()-batches < runs {
+				t.Fatalf("%d batches in %d steps", tc.origin.batches.Load()-batches, runs)
+			}
+		})
+	}
 }

@@ -54,8 +54,6 @@ type ByteRange struct {
 // through the same dedup'd fetch machinery. On error (including
 // ErrNotBytes for a non-[]byte payload, which stays cached and
 // Get-servable) dst is returned unchanged.
-//
-//prefetch:hotpath
 func (e *Engine) GetBytes(ctx context.Context, id ID, dst []byte) ([]byte, error) {
 	ids := [1]ID{id}
 	var one [1]ByteRange
@@ -71,8 +69,6 @@ func (e *Engine) GetBytes(ctx context.Context, id ID, dst []byte) ([]byte, error
 // accounting and speculative planning behave exactly as a Get hit; a
 // miss demand-fetches (the payload has to exist to have a length) and
 // reports the fetched length.
-//
-//prefetch:hotpath
 func (e *Engine) GetBytesLen(ctx context.Context, id ID) (int, error) {
 	ids := [1]ID{id}
 	var one [1]ByteRange
@@ -92,8 +88,6 @@ func (e *Engine) GetBytesLen(ctx context.Context, id ID) (int, error) {
 // while the rest of the session is served — exactly GetMulti's
 // semantics. Steady-state callers reusing buf and ranges keep the
 // all-hit session allocation-free.
-//
-//prefetch:hotpath
 func (e *Engine) GetMultiBytes(ctx context.Context, ids []ID, buf []byte, ranges []ByteRange) ([]byte, []ByteRange, error) {
 	out, buf, err := e.read(ctx, ids, sink{mode: sinkBytes, session: true, ranges: ranges[:0]}, buf[:0])
 	return buf, out.ranges, err

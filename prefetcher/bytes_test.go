@@ -296,26 +296,43 @@ func TestGetBytesClosedAndCancelled(t *testing.T) {
 	}
 }
 
-// TestGetBytesAllocFree extends the PR 5 gate to the byte path: a
-// boxed-cache hit through GetBytes — prediction, accounting, planning
-// and the payload append into a reused buffer — allocates nothing.
-// (The slab-backed equivalent is gated in prefetcher/bytestore.)
+// TestGetBytesAllocFree extends TestGetHitAllocFree to the byte path: a hit
+// on the default store through GetBytes — prediction, accounting,
+// planning and the payload append into a reused buffer — allocates
+// nothing, and neither does GetBytesLen, the HEAD probe, which reads
+// the length in place. (The bytestore-backed equivalent is gated in
+// prefetcher/bytestore.)
 func TestGetBytesAllocFree(t *testing.T) {
 	eng, ids := newByteHitEngine(t)
 	defer eng.Close()
 	ctx := context.Background()
 	dst := make([]byte, 0, 256)
 	i := 0
-	allocs := testing.AllocsPerRun(1000, func() {
-		var err error
-		dst, err = eng.GetBytes(ctx, ids[i%len(ids)], dst[:0])
-		if err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		call func(ID) (int, error)
+	}{
+		{"GetBytes", func(id ID) (int, error) {
+			var err error
+			dst, err = eng.GetBytes(ctx, id, dst[:0])
+			return len(dst), err
+		}},
+		{"GetBytesLen", func(id ID) (int, error) { return eng.GetBytesLen(ctx, id) }},
+	} {
+		before := eng.Stats()
+		allocs := testing.AllocsPerRun(1000, func() {
+			id := ids[i%len(ids)]
+			if n, err := tc.call(id); err != nil || n != 64+int(id)%64 {
+				t.Fatalf("%s(%d) = %d, %v", tc.name, id, n, err)
+			}
+			i++
+		})
+		if allocs != 0 {
+			t.Fatalf("cache-hit %s allocated %v times per call; want 0", tc.name, allocs)
 		}
-		i++
-	})
-	if allocs != 0 {
-		t.Fatalf("cache-hit GetBytes allocated %v times per call; want 0", allocs)
+		if st := eng.Stats(); st.Hits-before.Hits != st.Requests-before.Requests {
+			t.Fatalf("%s: the measured requests must all hit: %+v", tc.name, st)
+		}
 	}
 }
 

@@ -211,18 +211,37 @@
 // # Invariants
 //
 // The package keeps the concurrency and allocation invariants below.
-// Each names the gate that holds it: one of the repo's three static
+// Each names the gate that holds it: one of the repo's two static
 // analyzers (cmd/prefetchvet, built from internal/lint, run over the
 // module by its TestTreeClean), go vet, a -race test, a goroutine-leak
 // check, an alloc gate or a layout test.
 //
-//   - Hot-path functions are annotated //prefetch:hotpath and must not
-//     allocate — neither directly nor through any same-package callee.
-//     Buffers on these paths are caller-supplied or drawn from a
-//     sync.Pool; deliberate cold-branch allocations carry a
-//     //lint:allow hotpathalloc waiver with a reason (hotpathalloc; the
-//     AllocFree gates, run without -race, measure the hit, miss and
-//     speculative-landing paths they drive).
+//   - The per-request paths allocate nothing in steady state, or no more
+//     than a stated ceiling; buffers on them are caller-supplied or
+//     drawn from a sync.Pool. The alloc gates (AllocFree and
+//     AllocCeiling tests, run without -race) measure each path. A hit:
+//     TestGetHitAllocFree, TestGetBytesAllocFree,
+//     TestGetMultiAllocFree, TestGetMultiBytesAllocFree,
+//     TestPluginPredictorHitAllocFree and bytestore's
+//     TestSlabGetBytesAllocFree (0). A demand miss:
+//     TestGetBytesMissAllocFree (lent 0; owned 2, the origin's slice and
+//     its box; a lent payload larger than a segment 2, the store's
+//     clone and box; a two-key session, one demand batch, 0). A
+//     speculative landing: TestSpeculativeLandingAllocFree (1, the
+//     channel Quiesce waits on). What a hit's plan sets off,
+//     TestPlanAllocCeiling: a shed 0, a batch across shards 1
+//     (Quiesce's), a failed prefetch 1 (Quiesce's), a join 3; and for
+//     dispatch's closed arms TestDispatchClosedAllocFree (0). A batch
+//     dispatch that finds its plan resident:
+//     TestFabricBatchDispatchAllocFree (0). The HEAD probe:
+//     TestGetBytesAllocFree's GetBytesLen row (0). A failed demand fetch:
+//     TestGetBytesMissAllocFree's failed row (2, the session's error
+//     report). Stats: TestEngineStatsAllocCeiling (1, the Backends
+//     slice). The predictor: TestPredictTopIntoAllocFree (0; PredictTop
+//     with no buffer 1) and internal/predict's TestMarkovUpkeepAllocFree.
+//     The fabric's attempt bracket, arm by arm, is prefetcher/fetch's
+//     TestFabricAllocCeiling (0, but for a demand fetch over two links
+//     1, a hedged race 11 and a DemandTimeout 4).
 //   - No blocking operation runs while a shard mutex is held, and
 //     every shard-mutex Lock pairs with an Unlock on all exit paths;
 //     the queue push in dispatch — the one send on the job queue —

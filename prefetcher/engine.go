@@ -98,8 +98,6 @@ type planner struct {
 // intermediate ids extend the stream, only the last one predicts, and
 // chain conservation holds for a session exactly as it does per
 // singleton request.
-//
-//prefetch:hotpath
 func (p planner) plan(ids []ID, k int, bufs *candBufs) []predict.Prediction {
 	if p.builtin == nil {
 		return p.plugin.plan(ids, k, bufs)
@@ -137,7 +135,6 @@ func newPluginPlanner(p Predictor) *pluginPlanner {
 	return pp
 }
 
-//prefetch:hotpath
 func (p *pluginPlanner) plan(ids []ID, k int, bufs *candBufs) []predict.Prediction {
 	if p.mu == nil {
 		return p.planLocked(ids, k, bufs)
@@ -417,7 +414,7 @@ func (e *Engine) now() float64 { return e.clock.Now().Sub(e.epoch).Seconds() }
 func (e *Engine) newFlight() *flight {
 	f := e.flightPool.Get().(*flight)
 	if f.done == nil {
-		//lint:allow hotpathalloc replaces the done channel a joiner consumed; pure hit paths never reach a flight
+		// replaces the done channel a joiner consumed; pure hit paths never reach a flight
 		f.done = make(chan struct{})
 	}
 	return f
@@ -455,8 +452,6 @@ func (e *Engine) releaseFlight(f *flight) {
 // in pooled scratch, the critical section touches only the shard's
 // maps, and all counter bumps and estimator folds happen on atomics
 // outside it.
-//
-//prefetch:hotpath
 func (e *Engine) Get(ctx context.Context, id ID) (Item, error) {
 	ids := [1]ID{id}
 	var one [1]Item
@@ -670,8 +665,6 @@ func (e *Engine) Threshold() float64 {
 // the push for every shard but its anchor's, so Accuracy can
 // transiently overshoot there); after Quiesce (or any pause in traffic)
 // the counts are exact.
-//
-//prefetch:hotpath
 func (e *Engine) Stats() Stats {
 	st := e.ctrl.State(e.occupancy())
 	s := Stats{

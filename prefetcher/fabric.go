@@ -31,13 +31,10 @@ func (e *Engine) newFabric(fetcher Fetcher, cfg *config) (*fetch.Fabric, error) 
 	})
 }
 
-//prefetch:hotpath
 func (e *Engine) getJob() *job { return e.jobPool.Get().(*job) }
 
 // putJob resets a job and returns it to the pool; the flight pointers
 // are cleared so a pooled job does not pin resolved flights.
-//
-//prefetch:hotpath
 func (e *Engine) putJob(j *job) {
 	clear(j.fs)
 	j.ids, j.fs = j.ids[:0], j.fs[:0]
@@ -55,8 +52,6 @@ func (e *Engine) putJob(j *job) {
 // the time the link estimates are read at: a hit passes its arrival
 // reading (one clock read per hit), a path that waited on a fetch reads
 // the clock afresh.
-//
-//prefetch:hotpath
 func (e *Engine) schedule(sc *multiScratch, cands []predict.Prediction, now float64) {
 	if len(cands) == 0 {
 		return
@@ -98,8 +93,6 @@ func (e *Engine) schedule(sc *multiScratch, cands []predict.Prediction, now floa
 // prefetchUsed bump for them can never precede their issued bump. The
 // other shards of a multi-shard job are settled after the push — the
 // exception Stats documents.
-//
-//prefetch:hotpath
 func (e *Engine) dispatch(backend int, ids []ID) {
 	per := 1
 	if e.fabric.BatchCapable(backend) {

@@ -149,8 +149,6 @@ func (f *Fabric) Lends() bool { return f.lends }
 // against, at time now: the links' ρ̂′, each weighted by its b as
 // routing scales it (see delay), for a link that fails every call has
 // no capacity — on one link, that link's own, exactly.
-//
-//prefetch:hotpath
 func (f *Fabric) RhoPrime(now float64) float64 {
 	if len(f.backends) == 1 {
 		return f.backends[0].link.RhoPrime(now)
@@ -201,8 +199,6 @@ func (b *backendState) delay(now float64) float64 {
 
 // Route returns the backend the fabric would dispatch a fetch to right
 // now: the first of the routing order.
-//
-//prefetch:hotpath
 func (f *Fabric) Route() int {
 	best := 0
 	if len(f.backends) > 1 {
@@ -254,8 +250,6 @@ type ticket struct {
 // to b, or refuses it with ErrClosed. A hedge or a retry counts its id
 // again, under its label; n > 1 is a batch call and one link dispatch —
 // the items travel together, the point of coalescing.
-//
-//prefetch:hotpath
 func (f *Fabric) admit(b *backendState, c class, n int, h how) (ticket, error) {
 	if f.closed.Load() {
 		return ticket{}, ErrClosed
@@ -305,8 +299,6 @@ func (t ticket) ctx(ctx context.Context) (context.Context, context.CancelFunc) {
 // unconfigured bandwidth, and the size delivered on the link. A
 // cancelled attempt (hedge loser, caller gave up) is neither sample nor
 // failure.
-//
-//prefetch:hotpath
 func (f *Fabric) settle(t ticket, size float64, err error) {
 	b := t.b
 	b.inflight.Add(-1)
@@ -334,8 +326,6 @@ func (f *Fabric) settle(t ticket, size float64, err error) {
 // one runs an admitted single-id attempt to its settlement: Fetch or,
 // lending dst, FetchInto, as the fabric's FetchInto describes. On error
 // dst comes back as it went.
-//
-//prefetch:hotpath
 func (f *Fabric) one(ctx context.Context, t ticket, id ID, dst []byte, lend bool) (Item, []byte, error) {
 	actx, cancel := t.ctx(ctx)
 	var item Item

@@ -151,8 +151,6 @@ func (s *Store) Get(id fetch.ID) (any, bool) {
 // isBoxed reports whether id's arena record is only the placeholder of
 // a boxed value. The length guard keeps the byte path off the map while
 // nothing is boxed — the usual case.
-//
-//prefetch:hotpath
 func (s *Store) isBoxed(id fetch.ID) bool {
 	if len(s.overflow) == 0 {
 		return false
@@ -163,8 +161,6 @@ func (s *Store) isBoxed(id fetch.ID) bool {
 
 // GetBytes implements prefetcher.ByteCache: a slab hit is appended to
 // dst with no boxing and no allocation beyond dst's own growth.
-//
-//prefetch:hotpath
 func (s *Store) GetBytes(id fetch.ID, dst []byte) ([]byte, bool) {
 	if s.isBoxed(id) {
 		return dst, false
@@ -173,8 +169,6 @@ func (s *Store) GetBytes(id fetch.ID, dst []byte) ([]byte, bool) {
 }
 
 // BytesLen implements prefetcher.ByteCache.
-//
-//prefetch:hotpath
 func (s *Store) BytesLen(id fetch.ID) (int, bool) {
 	if s.isBoxed(id) {
 		return 0, false
@@ -216,11 +210,9 @@ func (s *Store) Put(id fetch.ID, value any) {
 // caller only borrowed. The arena copies what fits a segment, as it
 // does for Put; an oversized payload, which Put would keep by
 // reference in the overflow map, is cloned first.
-//
-//prefetch:hotpath
 func (s *Store) PutBytes(id fetch.ID, b []byte) {
 	if !s.slab.Fits(len(b)) {
-		//lint:allow hotpathalloc a payload larger than a segment lives boxed in the overflow map, which must not alias the lender's buffer
+		// a payload larger than a segment lives boxed in the overflow map, which must not alias the lender's buffer
 		s.Put(id, bytes.Clone(b))
 		return
 	}

@@ -730,8 +730,12 @@ func TestHedgedGetBytesOwnsPayloads(t *testing.T) {
 // larger than the 8-entry cache. It is warmed past the growth of its
 // maps, pools, model and arena.
 func newMissEngine(tb testing.TB, opts ...prefetcher.Option) (*prefetcher.Engine, func(i int) prefetcher.ID) {
+	return newMissEngineOver(tb, &byteOrigin{size: func(prefetcher.ID) int { return 16 << 10 }}, opts...)
+}
+
+// newMissEngineOver is newMissEngine over the given origin.
+func newMissEngineOver(tb testing.TB, origin prefetcher.Fetcher, opts ...prefetcher.Option) (*prefetcher.Engine, func(i int) prefetcher.ID) {
 	tb.Helper()
-	origin := &byteOrigin{size: func(prefetcher.ID) int { return 16 << 10 }}
 	eng, err := prefetcher.New(origin, append([]prefetcher.Option{
 		slabOption(tb, bytestore.Config{CapacityBytes: 256 << 10, MaxEntries: 8, SegmentBytes: 64 << 10}),
 		prefetcher.WithShards(1),
@@ -746,36 +750,77 @@ func newMissEngine(tb testing.TB, opts ...prefetcher.Option) (*prefetcher.Engine
 	return eng, func(i int) prefetcher.ID { return prefetcher.ID((i * 97) % space) }
 }
 
-// TestGetBytesMissAllocFree gates the demand miss: origin → the
-// caller's buffer → the arena, through engine, fabric and bytestore,
-// allocates nothing in steady state — no payload slice, no box, no
-// staging.
+// TestGetBytesMissAllocFree gates the demand miss through engine, fabric
+// and bytestore. Lent, origin → the caller's buffer → the arena, it
+// allocates nothing in steady state: no payload slice, no box, no
+// staging; nor does a two-key session, whose misses go out as one lent
+// demand batch. Owned (the fetcher's capability hidden), it allocates
+// the origin's payload slice and its box in Item.Data, and the landing
+// (putCache's Put) adds nothing. A lent payload larger than a segment
+// is cloned and boxed into the store's overflow map (2). A failed fetch
+// allocates the session's error report (buildMultiError's slice and
+// *MultiError), unwrapped by soleKeyError.
 func TestGetBytesMissAllocFree(t *testing.T) {
 	if prefetcher.RaceEnabled {
 		t.Skip("the miss path draws flights and scratch from sync.Pools, which the race runtime drops Puts from")
 	}
-	eng, missID := newMissEngine(t, prefetcher.WithPolicy(prefetcher.NoPrefetch()))
-	ctx := context.Background()
-	buf := make([]byte, 0, 32<<10)
-	i := 0
-	get := func() {
-		got, err := eng.GetBytes(ctx, missID(i), buf[:0])
-		if err != nil || len(got) != 16<<10 {
-			t.Fatalf("GetBytes: %d bytes, err %v", len(got), err)
-		}
-		i++
+	origin := func(size int) *byteOrigin {
+		return &byteOrigin{size: func(prefetcher.ID) int { return size }}
 	}
-	for i < 2*4096 {
-		get()
+	for _, tc := range []struct {
+		name    string
+		fetcher func() prefetcher.Fetcher
+		size    int
+		keys    int // a session of keys, through GetMultiBytes, when > 1
+		wantErr error
+		ceiling float64
+	}{
+		{"lent", func() prefetcher.Fetcher { return origin(16 << 10) }, 16 << 10, 1, nil, 0},
+		{"lent, two-key session", func() prefetcher.Fetcher { return origin(16 << 10) }, 16 << 10, 2, nil, 0},
+		{"owned", func() prefetcher.Fetcher { return ownedSingle{origin(16 << 10)} }, 16 << 10, 1, nil, 2},
+		{"lent, larger than a segment", func() prefetcher.Fetcher { return origin(80 << 10) }, 80 << 10, 1, nil, 2},
+		{"failed", func() prefetcher.Fetcher {
+			o := origin(16 << 10)
+			o.fail = func(prefetcher.ID) bool { return true }
+			return o
+		}, 16 << 10, 1, errOrigin, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, missID := newMissEngineOver(t, tc.fetcher(), prefetcher.WithPolicy(prefetcher.NoPrefetch()))
+			ctx := context.Background()
+			buf := make([]byte, 0, 2*tc.size)
+			ids := make([]prefetcher.ID, tc.keys)
+			ranges := make([]prefetcher.ByteRange, 0, tc.keys)
+			i := 0
+			get := func() {
+				var err error
+				got := buf[:0]
+				if tc.keys == 1 {
+					got, err = eng.GetBytes(ctx, missID(i), buf[:0])
+				} else {
+					for k := range ids {
+						ids[k] = missID(i + k*4096/tc.keys)
+					}
+					got, ranges, err = eng.GetMultiBytes(ctx, ids, buf[:0], ranges[:0])
+				}
+				if !errors.Is(err, tc.wantErr) || err == nil && len(got) != tc.keys*tc.size {
+					t.Fatalf("GetBytes: %d bytes, err %v, want %v", len(got), err, tc.wantErr)
+				}
+				i++
+			}
+			for i < 2*4096 {
+				get()
+			}
+			before := eng.Stats()
+			if allocs := testing.AllocsPerRun(200, get); allocs > tc.ceiling {
+				t.Fatalf("a GetBytes miss allocates %v times per call, ceiling %v", allocs, tc.ceiling)
+			}
+			if st := eng.Stats(); st.Misses-before.Misses != st.Requests-before.Requests || st.Hits != before.Hits {
+				t.Fatalf("the measured requests must all miss: %+v", st)
+			}
+			prefetcher.QuiesceAndCheck(t, eng)
+		})
 	}
-	before := eng.Stats()
-	if allocs := testing.AllocsPerRun(200, get); allocs != 0 {
-		t.Fatalf("a GetBytes miss allocates %v times per call, want 0", allocs)
-	}
-	if st := eng.Stats(); st.Misses-before.Misses != st.Requests-before.Requests || st.Hits != before.Hits {
-		t.Fatalf("the measured requests must all miss: %+v", st)
-	}
-	prefetcher.QuiesceAndCheck(t, eng)
 }
 
 // TestSpeculativeLandingAllocFree gates the speculative landing: a

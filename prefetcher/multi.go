@@ -141,7 +141,6 @@ type multiScratch struct {
 // process. Larger scratch is left to the garbage collector.
 const maxPooledKeys = 1024
 
-//prefetch:hotpath
 func (e *Engine) getMulti() *multiScratch { return e.multiPool.Get().(*multiScratch) }
 
 // putMulti zeroes the key states the request used and returns the
@@ -149,8 +148,6 @@ func (e *Engine) getMulti() *multiScratch { return e.multiPool.Get().(*multiScra
 // resolved flights, and gatherMulti claims states on the understanding
 // that the whole table is zero. (The batch staging is cleared where it
 // is used.)
-//
-//prefetch:hotpath
 func (e *Engine) putMulti(sc *multiScratch) {
 	if cap(sc.states) > maxPooledKeys {
 		return
@@ -181,8 +178,6 @@ func (e *Engine) GetMulti(ctx context.Context, ids []ID) ([]Item, error) {
 // (passed as dst[:0] semantics: dst is truncated and one Item per id
 // appended), so steady-state callers reusing their result slice keep
 // the all-hit session allocation-free.
-//
-//prefetch:hotpath
 func (e *Engine) GetMultiInto(ctx context.Context, ids []ID, dst []Item) ([]Item, error) {
 	out, _, err := e.read(ctx, ids, sink{session: true, items: dst[:0]}, nil)
 	return out.items, err
@@ -200,8 +195,6 @@ func (e *Engine) GetMultiInto(ctx context.Context, ids []ID, dst []Item) ([]Item
 // failed — or that failed altogether — adds no speculative load to the
 // origin that just failed it. A payload the byte sinks refuse
 // (ErrNotBytes) was served and cached all the same, so it still plans.
-//
-//prefetch:hotpath
 func (e *Engine) read(ctx context.Context, ids []ID, out sink, buf []byte) (sink, []byte, error) {
 	if err := ctx.Err(); err != nil {
 		return out, buf, err
@@ -284,15 +277,12 @@ func soleKeyError(err error) error {
 // reached when at least one key failed, so its allocations never touch
 // the all-hit path.
 func buildMultiError(ids []ID, states []multiKey, nerr int) error {
-	//lint:allow hotpathalloc error construction on the per-key failure path only
 	errs := make([]KeyError, 0, nerr)
 	for i := range ids {
 		if states[i].err != nil {
-			//lint:allow hotpathalloc error construction on the per-key failure path only
 			errs = append(errs, KeyError{Index: i, ID: ids[i], Err: states[i].err})
 		}
 	}
-	//lint:allow hotpathalloc error construction on the per-key failure path only
 	return &MultiError{Errors: errs}
 }
 
@@ -307,8 +297,6 @@ func buildMultiError(ids []ID, states []multiKey, nerr int) error {
 // estimator folds happen after the locks drop, on atomics, each key
 // bumping requests before its outcome counter. Reports whether any key
 // still needs the miss path.
-//
-//prefetch:hotpath
 func (e *Engine) gatherMulti(ids []ID, now float64, sc *multiScratch, mode uint8, buf *[]byte) bool {
 	// The pooled table is zero up to its capacity — putMulti clears what
 	// a request used — so a key's state is claimed by naming its shard,
@@ -398,8 +386,6 @@ func (e *Engine) gatherMulti(ids []ID, now float64, sc *multiScratch, mode uint8
 // caller owns the accounting: a gather hit and a joined key that finds
 // its item cached after a failed wait fold differently. Called with
 // sh.mu held.
-//
-//prefetch:hotpath
 func (e *Engine) classifyResidentLocked(sh *shard, id ID, st *multiKey, mode uint8, buf *[]byte) bool {
 	if sh.bcache != nil && mode != sinkItems {
 		if mode == sinkLen {
@@ -429,8 +415,6 @@ func (e *Engine) classifyResidentLocked(sh *shard, id ID, st *multiKey, mode uin
 // misses travel together, as one coalesced demand batch to the backend
 // of least expected delay (Fabric.Route), then every joined key awaits
 // the flight it attached to.
-//
-//prefetch:hotpath
 func (e *Engine) fetchMultiMisses(ctx context.Context, ids []ID, sc *multiScratch, mode uint8, buf *[]byte) {
 	states := sc.states
 	e.runDemandBatch(ctx, e.fabric.Route(), ids, sc, mode, buf)
@@ -452,8 +436,6 @@ func (e *Engine) fetchMultiMisses(ctx context.Context, ids []ID, sc *multiScratc
 // A byte sink over copying caches lends the fetch the caller's buffer:
 // payloads read straight into it are in the sink already (inBuf) and
 // land borrowed.
-//
-//prefetch:hotpath
 func (e *Engine) runDemandBatch(ctx context.Context, b int, ids []ID, sc *multiScratch, mode uint8, buf *[]byte) {
 	states := sc.states
 	gids, gidx := sc.gids[:0], sc.gidx[:0]

@@ -110,8 +110,6 @@ func newShard(c Cache) *shard {
 // never creates a record: a joiner served by its flight's own item may
 // arrive after eviction dropped the record, and nothing would ever
 // remove one planted then. Called with sh.mu held.
-//
-//prefetch:hotpath
 func (sh *shard) useLocked(id ID) (size float64, used bool) {
 	r, ok := sh.records[id]
 	if !ok {
@@ -145,8 +143,6 @@ func (sh *shard) resolveLocked(id ID, f *flight, err error) {
 // spaces produce; taking the top bits keeps the map uniform for any
 // power-of-two shard count. With one shard the shift is 64 and the index
 // is always 0.
-//
-//prefetch:hotpath
 func (e *Engine) shardFor(id ID) *shard {
 	h := uint64(id) * 0x9E3779B97F4A7C15
 	return e.shards[h>>e.shardShift]
@@ -181,8 +177,6 @@ func defaultShards() int {
 // by the shard's eviction callback (onEvict), so the counter stays
 // correct for any Cache that reports its evictions. Called with sh.mu
 // held.
-//
-//prefetch:hotpath
 func (e *Engine) putCache(sh *shard, id ID, data any, lent []byte, borrowed bool) {
 	fresh := !sh.cache.Contains(id)
 	if borrowed {
