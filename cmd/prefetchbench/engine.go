@@ -153,7 +153,6 @@ func newBenchEngine(mode string, fetch prefetcher.Fetcher, bandwidth float64, wo
 			}
 			return prefetcher.NewSLRUCache(per, (per+1)/2)
 		}),
-		prefetcher.WithPredictor(prefetcher.NewMarkovPredictor()),
 		prefetcher.WithWorkers(workers),
 		prefetcher.WithMaxPrefetch(2),
 	)
@@ -237,22 +236,16 @@ func runEngineBenchOnce(w io.Writer, cfg engineBenchConfig, shards int, text boo
 }
 
 // reportRun prints the per-run block shared by the -engine and -trace
-// modes: throughput, the online estimates, the prefetch accounting,
-// whether the predictor ran lock-free — a regression in that line (a
-// built-in predictor falling back to the mutex) is a scaling bug even
-// when a single-threaded run looks healthy — and one line per backend
-// with its link estimates (every engine runs on the fetch fabric, its
-// one backend named "origin").
+// modes: throughput, the access model, the online estimates, the
+// prefetch accounting and one line per backend with its link estimates
+// (every engine runs on the fetch fabric, its one backend named
+// "origin").
 func reportRun(w io.Writer, st prefetcher.Stats, rps float64, elapsed time.Duration, perf perfReport) {
-	path := "lock-free (ConcurrentPredictor)"
-	if !st.PredictorLockFree {
-		path = "compatibility mutex (serialised)"
-	}
 	fmt.Fprintf(w, "  wall time        %v\n", elapsed.Round(time.Millisecond))
 	fmt.Fprintf(w, "  throughput       %.0f requests/s\n", rps)
 	fmt.Fprintf(w, "  per request      %.0f ns/op, %.2f allocs/op, %.0f B/op (process-wide)\n",
 		perf.NsPerOp, perf.AllocsPerOp, perf.BytesPerOp)
-	fmt.Fprintf(w, "  predictor        %s via %s\n", st.Predictor, path)
+	fmt.Fprintf(w, "  predictor        %s\n", st.Predictor)
 	fmt.Fprintf(w, "  hit ratio        %.4f\n", st.HitRatio())
 	fmt.Fprintf(w, "  ĥ′ (Section 4)   %.4f\n", st.HPrime)
 	fmt.Fprintf(w, "  ρ̂′ online        %.4f\n", st.RhoPrime)

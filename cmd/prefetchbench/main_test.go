@@ -42,7 +42,7 @@ func TestParseShardList(t *testing.T) {
 // TestTraceBenchFixture replays the checked-in 1k-record trace (the CI
 // smoke fixture) through the live engine and checks the full report:
 // every record replayed, the Section-4 estimates present, and the
-// built-in predictor on the lock-free path.
+// built-in predictor named.
 func TestTraceBenchFixture(t *testing.T) {
 	var buf bytes.Buffer
 	err := runTraceBench(&buf, traceBenchConfig{
@@ -59,7 +59,7 @@ func TestTraceBenchFixture(t *testing.T) {
 	for _, want := range []string{
 		"1000 records, 4 users",
 		"replayed         1000/1000",
-		"lock-free (ConcurrentPredictor)",
+		"predictor        markov1\n",
 		"ĥ′ (Section 4)",
 		"prefetches",
 		"speedup",

@@ -60,25 +60,24 @@ type perfReport struct {
 
 // runReport is one engine run within the shard sweep.
 type runReport struct {
-	Shards            int             `json:"shards"`
-	BackendCount      int             `json:"backend_count,omitempty"`
-	ThroughputRPS     float64         `json:"throughput_rps"`
-	WallMS            float64         `json:"wall_ms"`
-	Perf              perfReport      `json:"perf"`
-	Completed         int             `json:"completed_requests"`
-	Requests          int64           `json:"requests"`
-	HitRatio          float64         `json:"hit_ratio"`
-	Joins             int64           `json:"joins"`
-	Lambda            float64         `json:"lambda"`
-	MeanSize          float64         `json:"mean_size"`
-	HPrime            float64         `json:"h_prime"`
-	RhoPrime          float64         `json:"rho_prime"`
-	Threshold         float64         `json:"threshold"`
-	NF                float64         `json:"n_f"`
-	Predictor         string          `json:"predictor"`
-	PredictorLockFree bool            `json:"predictor_lock_free"`
-	Prefetch          prefetchReport  `json:"prefetch"`
-	Backends          []backendReport `json:"backend_stats,omitempty"`
+	Shards        int             `json:"shards"`
+	BackendCount  int             `json:"backend_count,omitempty"`
+	ThroughputRPS float64         `json:"throughput_rps"`
+	WallMS        float64         `json:"wall_ms"`
+	Perf          perfReport      `json:"perf"`
+	Completed     int             `json:"completed_requests"`
+	Requests      int64           `json:"requests"`
+	HitRatio      float64         `json:"hit_ratio"`
+	Joins         int64           `json:"joins"`
+	Lambda        float64         `json:"lambda"`
+	MeanSize      float64         `json:"mean_size"`
+	HPrime        float64         `json:"h_prime"`
+	RhoPrime      float64         `json:"rho_prime"`
+	Threshold     float64         `json:"threshold"`
+	NF            float64         `json:"n_f"`
+	Predictor     string          `json:"predictor"`
+	Prefetch      prefetchReport  `json:"prefetch"`
+	Backends      []backendReport `json:"backend_stats,omitempty"`
 }
 
 type prefetchReport struct {
@@ -107,23 +106,22 @@ type backendReport struct {
 // newRunReport folds one finished run into the report shape.
 func newRunReport(st prefetcher.Stats, completed int, rps float64, elapsed time.Duration, perf perfReport) runReport {
 	r := runReport{
-		Shards:            st.Shards,
-		BackendCount:      len(st.Backends),
-		ThroughputRPS:     rps,
-		WallMS:            float64(elapsed.Microseconds()) / 1e3,
-		Perf:              perf,
-		Completed:         completed,
-		Requests:          st.Requests,
-		HitRatio:          st.HitRatio(),
-		Joins:             st.Joins,
-		Lambda:            st.Lambda,
-		MeanSize:          st.MeanSize,
-		HPrime:            st.HPrime,
-		RhoPrime:          st.RhoPrime,
-		Threshold:         st.Threshold,
-		NF:                st.NF,
-		Predictor:         st.Predictor,
-		PredictorLockFree: st.PredictorLockFree,
+		Shards:        st.Shards,
+		BackendCount:  len(st.Backends),
+		ThroughputRPS: rps,
+		WallMS:        float64(elapsed.Microseconds()) / 1e3,
+		Perf:          perf,
+		Completed:     completed,
+		Requests:      st.Requests,
+		HitRatio:      st.HitRatio(),
+		Joins:         st.Joins,
+		Lambda:        st.Lambda,
+		MeanSize:      st.MeanSize,
+		HPrime:        st.HPrime,
+		RhoPrime:      st.RhoPrime,
+		Threshold:     st.Threshold,
+		NF:            st.NF,
+		Predictor:     st.Predictor,
 		Prefetch: prefetchReport{
 			Issued:   st.PrefetchIssued,
 			Used:     st.PrefetchUsed,

@@ -236,7 +236,6 @@ func drive(pol prefetcher.Policy, lambda float64, requests int) (prefetcher.Stat
 	eng, err := prefetcher.New(fetch,
 		prefetcher.WithBandwidth(50),
 		prefetcher.WithCache(prefetcher.NewLRUCache(80)),
-		prefetcher.WithPredictor(prefetcher.NewMarkovPredictor()),
 		prefetcher.WithPolicy(pol),
 		prefetcher.WithClock(clock),
 		prefetcher.WithMaxPrefetch(2),

@@ -181,9 +181,11 @@ func TestEngineThresholdAgreesWithPlanner(t *testing.T) {
 // silentPredictor learns nothing and predicts nothing.
 type silentPredictor struct{}
 
-func (silentPredictor) Observe(prefetcher.ID)            {}
-func (silentPredictor) Predict() []prefetcher.Prediction { return nil }
-func (silentPredictor) Name() string                     { return "silent" }
+func (silentPredictor) Observe(prefetcher.ID) {}
+func (silentPredictor) Name() string          { return "silent" }
+func (silentPredictor) PredictTopInto(dst []prefetcher.Prediction, k int) []prefetcher.Prediction {
+	return dst
+}
 
 // TestModelBEstimatorCorrection validates the paper's Section-4 model-B
 // correction factor n̄(C)/(n̄(C)−n̄(F)) end to end: under model-B

@@ -330,7 +330,12 @@ const markovNoState = math.MinInt64
 // counts the transition from whatever it swapped out, so concurrent
 // observers each claim a unique predecessor and every observation
 // extends one global chain — the exact multiset of transitions a
-// sequential model would count for the same linearised stream.
+// sequential model would count for the same linearised stream. Every
+// method is safe for concurrent use without external locking: a reader
+// that overlaps writers sees some valid recent state (a row is copied
+// out under its stripe lock), and once observers quiesce Predict returns
+// what the sequential Markov1's counts would give, adjusted, for the
+// same observation stream.
 //
 // Its memory follows what it has learned: ids seen once leave it at 512
 // rows, and no stream takes it past 65 536 rows of 8 successors each,
@@ -464,12 +469,3 @@ func (m *ConcurrentMarkov1) ObserveAndPredictTopInto(id cache.ID, k int, dst []P
 
 // Name implements Predictor.
 func (m *ConcurrentMarkov1) Name() string { return "markov1" }
-
-// ConcurrentSafe marks the goroutine-safety contract: Observe, Predict,
-// PredictTop and PredictTopInto need no external locking. A reader that
-// overlaps writers sees some valid recent state (a row is copied out
-// under its stripe lock); once observers quiesce, Predict returns what
-// the sequential Markov1's counts would give, adjusted, for the same
-// observation stream, within the exactness regime stated at the top of
-// this file.
-func (m *ConcurrentMarkov1) ConcurrentSafe() {}

@@ -11,14 +11,12 @@ import (
 
 // --- Predictor adapter over internal/predict ----------------------------
 
-// predictorAdapter lifts the built-in model to the public interfaces —
-// Predictor, TopPredictor, TopIntoPredictor and the ConcurrentPredictor
-// marker. The public methods exist for callers that use the built-in
-// predictor outside an Engine; the engine itself unwraps m at New and
-// its planner calls the model directly, with no public-type conversion
-// per call. staging pools the internal-type buffer PredictTopInto
-// converts out of, so the public Into path honours its zero-allocation
-// contract.
+// predictorAdapter lifts the built-in model to the public Predictor.
+// Its methods exist for callers that use the built-in predictor outside
+// an Engine; the engine itself unwraps m at New and its planner calls
+// the model directly, with no public-type conversion per call. staging
+// pools the internal-type buffer PredictTopInto converts out of, so the
+// public path honours its zero-allocation contract.
 type predictorAdapter struct {
 	m       *predict.ConcurrentMarkov1
 	staging *sync.Pool // *[]predict.Prediction
@@ -27,21 +25,6 @@ type predictorAdapter struct {
 func (a predictorAdapter) Observe(id ID) { a.m.Observe(cache.ID(id)) }
 
 func (a predictorAdapter) Name() string { return a.m.Name() }
-
-// ConcurrentSafe implements ConcurrentPredictor.
-func (predictorAdapter) ConcurrentSafe() {}
-
-func (a predictorAdapter) Predict() []Prediction {
-	return publicPredictions(a.m.Predict())
-}
-
-// PredictTop implements the public TopPredictor.
-func (a predictorAdapter) PredictTop(k int) []Prediction {
-	if k <= 0 {
-		return nil
-	}
-	return publicPredictions(a.m.PredictTop(k))
-}
 
 // PredictTopInto implements the public TopIntoPredictor: the top-k
 // candidates are appended to dst, converted out of a pooled staging
@@ -59,23 +42,11 @@ func (a predictorAdapter) PredictTopInto(dst []Prediction, k int) []Prediction {
 	return out
 }
 
-// publicPredictions converts internal predictions to the public type.
-func publicPredictions(ps []predict.Prediction) []Prediction {
-	if len(ps) == 0 {
-		return nil
-	}
-	out := make([]Prediction, len(ps))
-	for i, p := range ps {
-		out[i] = Prediction{ID: ID(p.Item), Prob: p.Prob}
-	}
-	return out
-}
-
 // NewMarkovPredictor returns a first-order Markov access model (counts
-// of prev→next transitions) — the default predictor. It satisfies the
-// ConcurrentPredictor contract: the current state is an atomic swap
-// chain and the transition table is striped by key, one short mutex per
-// stripe, so the engine runs it without a lock of its own.
+// of prev→next transitions) — the default predictor. It is safe for
+// concurrent use, as every Predictor is: the current state is an atomic
+// swap chain and the transition table is striped by key, one short mutex
+// per stripe.
 //
 // Its memory follows what it has learned: a flat, pointer-free table of
 // states × 8 successors that grows only while its states are trained
@@ -90,7 +61,8 @@ func publicPredictions(ps []predict.Prediction) []Prediction {
 // Good–Turing adjusted by the table-wide count-of-counts, so a one-off
 // jump is not offered at one count over a short total. It is the one
 // built-in model: any other (PPM, LZ78, a dependency graph, popularity,
-// a learned model) plugs in through the Predictor interface.
+// a learned model) plugs in through the Predictor interface, a
+// sequential one behind a mutex of its own.
 func NewMarkovPredictor() Predictor {
 	return predictorAdapter{predict.NewConcurrentMarkov1(), &sync.Pool{New: func() any {
 		s := make([]predict.Prediction, 0, 16)

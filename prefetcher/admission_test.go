@@ -124,12 +124,18 @@ func TestChainAdmissionDigest(t *testing.T) {
 }
 
 // fixedPredictor answers every request with the candidates the test
-// set last, so that a test can place p exactly against the threshold.
+// set last, so that a test can place p exactly against the threshold —
+// all of them, however many the engine asks for, so a plan longer than
+// k exercises the engine's truncation. preds is written only between
+// requests, on the goroutine that makes them, so it needs no lock.
 type fixedPredictor struct{ preds []Prediction }
 
-func (p *fixedPredictor) Observe(ID)            {}
-func (p *fixedPredictor) Name() string          { return "fixed" }
-func (p *fixedPredictor) Predict() []Prediction { return p.preds }
+func (p *fixedPredictor) Observe(ID)   {}
+func (p *fixedPredictor) Name() string { return "fixed" }
+
+func (p *fixedPredictor) PredictTopInto(dst []Prediction, k int) []Prediction {
+	return append(dst, p.preds...)
+}
 
 // TestAdmissionEdgeAtFabricRhoPrime places candidates a hair either side
 // of the fabric's demand-only ρ̂′ on a ManualClock at a configured b: the

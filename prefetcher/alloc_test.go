@@ -31,16 +31,13 @@ func TestGetHitAllocFree(t *testing.T) {
 	}
 }
 
-// ringPredictor is an external TopIntoPredictor over newHitEngine's
-// catalog: after id it names the next ids of the ring. Goroutine-safe,
-// so it can also stand behind the ConcurrentPredictor marker.
+// ringPredictor is an external Predictor over newHitEngine's catalog:
+// after id it names the next ids of the ring. Its one word of state is
+// atomic, so it is safe for concurrent use without a lock.
 type ringPredictor struct{ last atomic.Int64 }
 
-func (p *ringPredictor) Observe(id ID)         { p.last.Store(int64(id)) }
-func (p *ringPredictor) Name() string          { return "ring" }
-func (p *ringPredictor) Predict() []Prediction { return p.PredictTopInto(nil, 3) }
-
-func (p *ringPredictor) PredictTop(k int) []Prediction { return p.PredictTopInto(nil, k) }
+func (p *ringPredictor) Observe(id ID) { p.last.Store(int64(id)) }
+func (p *ringPredictor) Name() string  { return "ring" }
 
 func (p *ringPredictor) PredictTopInto(dst []Prediction, k int) []Prediction {
 	last := p.last.Load()
@@ -50,34 +47,51 @@ func (p *ringPredictor) PredictTopInto(dst []Prediction, k int) []Prediction {
 	return dst
 }
 
-type concurrentRingPredictor struct{ ringPredictor }
+// lockedRingPredictor is ringPredictor written as a sequential model:
+// its state is a plain field, so it takes its own lock, as the contract
+// asks of a model that is not concurrent inside.
+type lockedRingPredictor struct {
+	mu   sync.Mutex
+	last int64
+}
 
-func (*concurrentRingPredictor) ConcurrentSafe() {}
+func (p *lockedRingPredictor) Observe(id ID) {
+	p.mu.Lock()
+	p.last = int64(id)
+	p.mu.Unlock()
+}
+
+func (p *lockedRingPredictor) Name() string { return "locked-ring" }
+
+func (p *lockedRingPredictor) PredictTopInto(dst []Prediction, k int) []Prediction {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for i := int64(1); i <= int64(k); i++ {
+		dst = append(dst, Prediction{ID: ID((p.last + i) % 64), Prob: 1 / float64(1+i)})
+	}
+	return dst
+}
 
 // TestPluginPredictorHitAllocFree holds the promise interfaces.go makes
-// to plugin authors: behind an external TopIntoPredictor — on the
-// compatibility mutex or, with the ConcurrentPredictor marker, off it —
-// a cache hit still allocates nothing, because the plugin's answer is
-// staged and converted in the request's own pooled scratch.
+// to plugin authors: behind an external Predictor — a plain sequential
+// model under its own lock, or one concurrent inside — a cache hit still
+// allocates nothing, because the plugin's answer is staged and converted
+// in the request's own pooled scratch.
 func TestPluginPredictorHitAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime drops sync.Pool Puts by design; pooled steady state is unreachable (CI runs this gate without -race)")
 	}
 	for _, tc := range []struct {
-		name     string
-		pred     Predictor
-		lockFree bool
+		name string
+		pred Predictor
 	}{
-		{"plain", &ringPredictor{}, false},
-		{"concurrent", &concurrentRingPredictor{}, true},
+		{"plain", &lockedRingPredictor{}},
+		{"concurrent", &ringPredictor{}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			eng, ids := newHitEngine(t, WithPredictor(tc.pred), WithPolicy(StaticThreshold(0.1)))
 			defer eng.Close()
 			warm := eng.Stats()
-			if warm.PredictorLockFree != tc.lockFree {
-				t.Fatalf("PredictorLockFree = %v, want %v", warm.PredictorLockFree, tc.lockFree)
-			}
 			ctx := context.Background()
 			i := 0
 			allocs := testing.AllocsPerRun(1000, func() {
@@ -273,34 +287,31 @@ func TestPredictTopIntoAllocFree(t *testing.T) {
 	}
 }
 
-// TestPredictTopIntoMatchesPredictTop pins the Into contract: for the
-// concurrent model, PredictTopInto appends exactly PredictTop(k) (which
-// the existing property tests tie to Predict()[:k]).
+// TestPredictTopIntoMatchesPredictTop pins the public Into contract:
+// NewMarkovPredictor's PredictTopInto appends exactly what its model's
+// PredictTop(k) returns (which internal/predict's property tests tie to
+// Predict()[:k]), converted to the public type.
 func TestPredictTopIntoMatchesPredictTop(t *testing.T) {
-	models := map[string]*predict.ConcurrentMarkov1{
-		"markov1": predict.NewConcurrentMarkov1(),
-	}
-	seq := []int{1, 2, 3, 1, 2, 4, 1, 3, 2, 2, 5, 1, 2, 3, 4, 5, 1, 2}
-	for name, m := range models {
-		t.Run(name, func(t *testing.T) {
-			buf := make([]predict.Prediction, 0, 8)
-			for _, id := range seq {
-				m.Observe(cache.ID(id))
-				for k := 1; k <= 4; k++ {
-					want := m.PredictTop(k)
-					got := m.PredictTopInto(buf[:0], k)
-					if len(got) != len(want) {
-						t.Fatalf("%s: PredictTopInto(k=%d) returned %d candidates, PredictTop %d", name, k, len(got), len(want))
-					}
-					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("%s: PredictTopInto(k=%d)[%d] = %+v, PredictTop = %+v", name, k, i, got[i], want[i])
-						}
+	t.Run("markov1", func(t *testing.T) {
+		pub := NewMarkovPredictor()
+		m := pub.(predictorAdapter).m
+		buf := make([]Prediction, 0, 8)
+		for _, id := range []ID{1, 2, 3, 1, 2, 4, 1, 3, 2, 2, 5, 1, 2, 3, 4, 5, 1, 2} {
+			pub.Observe(id)
+			for k := 1; k <= 4; k++ {
+				want := m.PredictTop(k)
+				got := pub.PredictTopInto(buf[:0], k)
+				if len(got) != len(want) {
+					t.Fatalf("PredictTopInto(k=%d) returned %d candidates, PredictTop %d", k, len(got), len(want))
+				}
+				for i, w := range want {
+					if got[i] != (Prediction{ID: ID(w.Item), Prob: w.Prob}) {
+						t.Fatalf("PredictTopInto(k=%d)[%d] = %+v, PredictTop = %+v", k, i, got[i], w)
 					}
 				}
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestStatsWaitFreeMatchesEventLog drives concurrent load while a

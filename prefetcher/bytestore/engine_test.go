@@ -293,9 +293,11 @@ func TestConcurrentSlabAccess(t *testing.T) {
 // in the live heap of both fills below and blur the count under test.
 type silentPredictor struct{}
 
-func (silentPredictor) Observe(prefetcher.ID)            {}
-func (silentPredictor) Predict() []prefetcher.Prediction { return nil }
-func (silentPredictor) Name() string                     { return "none" }
+func (silentPredictor) Observe(prefetcher.ID) {}
+func (silentPredictor) Name() string          { return "none" }
+func (silentPredictor) PredictTopInto(dst []prefetcher.Prediction, k int) []prefetcher.Prediction {
+	return dst
+}
 
 // boxedLRU is a map-and-list LRU that holds every payload by reference
 // — a node and a boxed value per entry, as the library's caches did

@@ -127,17 +127,12 @@
 // successor — exact while states have at most 8 distinct successors and
 // no once-seen row has been displaced; p̂ discounts counts ≤ 5 by
 // Good–Turing, so a one-off jump clears no low threshold. Any other
-// Predictor is a plugin, and its planner owns everything the engine
-// knows about plugins: it asks for the bounded prefix the policies can
-// actually admit through the best form the plugin offers —
-// TopIntoPredictor appending into the request's pooled buffer, else
-// TopPredictor, else the full sorted Predict, truncated — converts the
-// answer, and, unless the plugin carries the ConcurrentPredictor
-// marker, holds a compatibility mutex across the request's observations
-// and prediction, so a plain plugin sees every request (a whole
-// GetMulti session included) as one contiguous stretch of one globally
-// interleaved stream, and caps throughput however many shards the
-// engine has; Stats.PredictorLockFree reports which path is active.
+// Predictor is a plugin: it implements Observe, Name and PredictTopInto,
+// is called from all shards at once and takes its own lock if it needs
+// one. The engine observes the request's ids, asks for the bounded
+// prefix the policies can actually admit, appended into the request's
+// pooled buffer, drops whatever the answer holds beyond it and converts
+// the rest.
 //
 // The demand hot path is allocation-free in steady state: prediction
 // candidates and per-key state live in one pooled scratch per request,
@@ -240,18 +235,17 @@
 //     slice). The predictor: TestPredictTopIntoAllocFree (0; PredictTop
 //     with no buffer 1) and internal/predict's TestMarkovUpkeepAllocFree.
 //     The fabric's attempt bracket, arm by arm, is prefetcher/fetch's
-//     TestFabricAllocCeiling (0, but for a demand fetch over two links
-//     1, a hedged race 11 and a DemandTimeout 4).
+//     TestFabricAllocCeiling (0, but for a hedged race 11 and a
+//     DemandTimeout 4).
 //   - No blocking operation runs while a shard mutex is held, and
 //     every shard-mutex Lock pairs with an Unlock on all exit paths;
 //     the queue push in dispatch — the one send on the job queue —
 //     happens under a shard lock via non-blocking select precisely to
 //     respect this (lockscope).
 //   - Lock order is acyclic (lockorder). No path holds two locks at
-//     once: a shard mutex, the engine's quiesce lock, a plain plugin's
-//     compatibility mutex (held by its planner around the plugin's own
-//     calls only, before the gather takes any shard lock) and the
-//     fabric's backend and estimator locks are all leaves. If a nesting
+//     once: a shard mutex, the engine's quiesce lock and the fabric's
+//     backend and estimator locks are all leaves, and the planner calls
+//     a plugin before the gather takes any shard lock. If a nesting
 //     is ever needed, the one the design leaves room for is shard.mu →
 //     Engine.qmu, never the reverse. The Section-4 estimator's mutex
 //     is not reachable from the engine at all: the unused mark of a

@@ -67,27 +67,23 @@ type job struct {
 
 // candBufs is the prediction part of the per-request scratch (see
 // multiScratch): a plan's candidates land in cands, and pub is where a
-// plugin's TopIntoPredictor stages its public-type answer on the way
-// there. Pooling these is what makes the predict step of the hot path
-// allocation-free.
+// plugin stages its public-type answer on the way there. Pooling these
+// is what makes the predict step of the hot path allocation-free.
 type candBufs struct {
 	cands []predict.Prediction
 	pub   []Prediction
 }
 
 // planner is the engine's one contract with its access model, whatever
-// WithPredictor received: plan observes ids, in order, as one
-// uninterrupted stretch of the request stream and returns the top-k
-// candidates conditioned on the last id, staged in bufs (k <= 0
-// observes only). The contract is a session, not an id, because a plain
-// plugin must see a GetMulti session as one critical section. It has
-// two implementations and New picks one: builtin set, NewMarkovPredictor's
-// model unwrapped, or plugin. (A struct and a branch rather than an
-// interface: arguments to an interface call escape, which would move
-// Get's stack-backed [1]ID to the heap.)
+// WithPredictor received: plan observes ids, in order, and returns the
+// top-k candidates conditioned on the last, staged in bufs (k <= 0
+// observes only). It has two implementations and New picks one: builtin
+// set, NewMarkovPredictor's model unwrapped, or plugin. (A struct and a
+// branch rather than an interface: arguments to an interface call
+// escape, which would move Get's stack-backed [1]ID to the heap.)
 type planner struct {
 	builtin *predict.ConcurrentMarkov1
-	plugin  *pluginPlanner
+	plugin  Predictor
 }
 
 // plan on the built-in model calls it directly. The model predicts as
@@ -100,7 +96,7 @@ type planner struct {
 // singleton request.
 func (p planner) plan(ids []ID, k int, bufs *candBufs) []predict.Prediction {
 	if p.builtin == nil {
-		return p.plugin.plan(ids, k, bufs)
+		return planPlugin(p.plugin, ids, k, bufs)
 	}
 	last := len(ids) - 1
 	for _, id := range ids[:last] {
@@ -109,69 +105,25 @@ func (p planner) plan(ids []ID, k int, bufs *candBufs) []predict.Prediction {
 	return p.builtin.ObserveAndPredictTopInto(cache.ID(ids[last]), k, bufs.cands[:0])
 }
 
-// pluginPlanner plans on an external Predictor through the public
-// interfaces, and owns everything the engine knows about plugins: the
-// capability probe (made once, in newPluginPlanner), the truncation to
-// k, the conversion to internal predictions and the compatibility
-// mutex. mu is nil when the plugin carries the ConcurrentPredictor
-// marker; otherwise it is held across the whole session — observations,
-// prediction and the conversion out of whatever slice the plugin
-// returned — so a single-threaded model sees one globally interleaved
-// request stream with every session contiguous in it.
-type pluginPlanner struct {
-	p       Predictor
-	top     TopPredictor     // non-nil when p supports bounded top-k prediction
-	topInto TopIntoPredictor // its buffer-reusing form
-	mu      *sync.Mutex
-}
-
-func newPluginPlanner(p Predictor) *pluginPlanner {
-	pp := &pluginPlanner{p: p}
-	pp.top, _ = p.(TopPredictor)
-	pp.topInto, _ = p.(TopIntoPredictor)
-	if _, ok := p.(ConcurrentPredictor); !ok {
-		pp.mu = new(sync.Mutex)
-	}
-	return pp
-}
-
-func (p *pluginPlanner) plan(ids []ID, k int, bufs *candBufs) []predict.Prediction {
-	if p.mu == nil {
-		return p.planLocked(ids, k, bufs)
-	}
-	p.mu.Lock()
-	cands := p.planLocked(ids, k, bufs)
-	p.mu.Unlock()
-	return cands
-}
-
-// planLocked is plan with mu held, or with no mu to hold.
-func (p *pluginPlanner) planLocked(ids []ID, k int, bufs *candBufs) []predict.Prediction {
+// planPlugin plans on an external Predictor: it observes each id, asks
+// for the top k into the request's pooled buffer and converts the answer
+// to internal predictions. A plugin's answer is input the engine does
+// not control, so whatever it holds beyond k is dropped, which keeps the
+// conversion inside the pooled buffer's capacity.
+func planPlugin(p Predictor, ids []ID, k int, bufs *candBufs) []predict.Prediction {
 	for _, id := range ids {
-		p.p.Observe(id)
+		p.Observe(id)
 	}
 	cands := bufs.cands[:0]
-	if k > 0 {
-		// Every policy admits a prefix of the sorted candidates and the
-		// engine never dispatches more than k, so a predictor that can
-		// produce just its top k skips sorting its whole distribution —
-		// and whatever a plugin returns beyond k is dropped, which keeps
-		// the conversion inside the pooled buffer's capacity.
-		var preds []Prediction
-		switch {
-		case p.topInto != nil:
-			preds = p.topInto.PredictTopInto(bufs.pub[:0], k)
-		case p.top != nil:
-			preds = p.top.PredictTop(k)
-		default:
-			preds = p.p.Predict()
-		}
-		if len(preds) > k {
-			preds = preds[:k]
-		}
-		for _, c := range preds {
-			cands = append(cands, predict.Prediction{Item: cache.ID(c.ID), Prob: c.Prob})
-		}
+	if k <= 0 {
+		return cands
+	}
+	preds := p.PredictTopInto(bufs.pub[:0], k)
+	if len(preds) > k {
+		preds = preds[:k]
+	}
+	for _, c := range preds {
+		cands = append(cands, predict.Prediction{Item: cache.ID(c.ID), Prob: c.Prob})
 	}
 	return cands
 }
@@ -195,10 +147,9 @@ func (p *pluginPlanner) planLocked(ids []ID, k int, bufs *candBufs) []predict.Pr
 // globally consistent operating point the paper's rule needs regardless
 // of the shard count. The shared access model is global too, reached
 // through one planner normalised from WithPredictor's argument at New,
-// and not serialised: the built-in model or a ConcurrentPredictor plugin
-// plans lock-free from all shards at once, while a plain Predictor
-// plugin runs under a compatibility mutex its planner owns (see
-// Stats.PredictorLockFree).
+// and not serialised: the built-in model or a plugin plans from all
+// shards at once, with no lock of the engine's (a Predictor is safe for
+// concurrent use).
 type Engine struct {
 	// fabric is the fetch fabric every demand and speculative fetch
 	// goes through: the WithBackends links, or New's fetcher as the one
@@ -206,13 +157,8 @@ type Engine struct {
 	fabric *fetch.Fabric
 	// planner is the access model; read calls it once per request.
 	planner planner
-	// predName and predFree are captured at New for Stats alone — for
-	// the built-in model they are constants of it; Name() on a plain
-	// Predictor is only guaranteed safe under the planner's mutex, which
-	// Stats must not take, and predFree records that the planner has
-	// none.
+	// predName is captured at New for Stats.Predictor.
 	predName    string
-	predFree    bool
 	clock       Clock
 	policy      prefetch.Policy
 	model       analytic.Model
@@ -321,11 +267,10 @@ func New(fetcher Fetcher, opts ...Option) (*Engine, error) {
 	}
 	if builtin, ok := cfg.predictor.(predictorAdapter); ok {
 		e.planner.builtin = builtin.m
-		e.predName, e.predFree = builtin.m.Name(), true
 	} else {
-		e.planner.plugin = newPluginPlanner(cfg.predictor)
-		e.predName, e.predFree = cfg.predictor.Name(), e.planner.plugin.mu == nil
+		e.planner.plugin = cfg.predictor
 	}
+	e.predName = cfg.predictor.Name()
 	e.flightPool.New = func() any {
 		f := &flight{}
 		f.refs.Store(1)
@@ -647,8 +592,11 @@ func (e *Engine) emit(ev Event) {
 	}
 }
 
-// Threshold returns the current estimate of the paper's cutoff p̂_th
-// for the engine's interaction model.
+// Threshold returns the paper's cutoff p̂_th for the engine's
+// interaction model at the controller's global ρ̂′ = (1−ĥ′)λ̂ŝ̄/b, b
+// being WithBandwidth's — the same reading as Stats.Threshold. It is not
+// the threshold admission runs on: that substitutes the fabric's ρ̂′,
+// the bandwidth-weighted mean of the links' own (Stats.Backends[i].RhoPrime).
 func (e *Engine) Threshold() float64 {
 	return prefetch.ThresholdFor(e.model, e.ctrl.State(e.occupancy()))
 }
@@ -668,15 +616,14 @@ func (e *Engine) Threshold() float64 {
 func (e *Engine) Stats() Stats {
 	st := e.ctrl.State(e.occupancy())
 	s := Stats{
-		Lambda:            st.Lambda,
-		MeanSize:          st.MeanSize,
-		HPrime:            st.HPrime,
-		RhoPrime:          st.RhoPrime,
-		NF:                st.NF,
-		Threshold:         prefetch.ThresholdFor(e.model, st),
-		Shards:            len(e.shards),
-		Predictor:         e.predName,
-		PredictorLockFree: e.predFree,
+		Lambda:    st.Lambda,
+		MeanSize:  st.MeanSize,
+		HPrime:    st.HPrime,
+		RhoPrime:  st.RhoPrime,
+		NF:        st.NF,
+		Threshold: prefetch.ThresholdFor(e.model, st),
+		Shards:    len(e.shards),
+		Predictor: e.predName,
 	}
 	for _, sh := range e.shards {
 		// Read order mirrors bump order in reverse: a consequence

@@ -271,8 +271,8 @@ type freshPredictor struct{ last atomic.Int64 }
 
 func (p *freshPredictor) Observe(ID)   {}
 func (p *freshPredictor) Name() string { return "fresh" }
-func (p *freshPredictor) Predict() []Prediction {
-	return []Prediction{{ID: ID(1_000_000 + p.last.Add(1)), Prob: 1}}
+func (p *freshPredictor) PredictTopInto(dst []Prediction, k int) []Prediction {
+	return append(dst, Prediction{ID: ID(1_000_000 + p.last.Add(1)), Prob: 1})
 }
 
 // TestCloseCancelsSpeculativeFetchesAcrossBackends checks the lifecycle

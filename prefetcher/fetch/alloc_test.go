@@ -81,9 +81,9 @@ func (f *shrinkingFetcher) FetchInto(ctx context.Context, id ID, dst []byte) ([]
 
 // TestFabricAllocCeiling holds each arm of the attempt bracket (admit,
 // ticket.ctx, one, settle) and of the demand paths around it to the
-// allocations it makes today: none, but for a demand fetch over two
-// links (routeOrder's slice), the hedged race (its context, result
-// channel, closures, goroutines and timer) and a backend's
+// allocations it makes today: none — a demand fetch over two links
+// included, its failover order held on the stack — but for the hedged
+// race (its context, result channel, closures, goroutines and timer) and a backend's
 // DemandTimeout (context.WithTimeout and its timer). Each row is one
 // call, repeated; a row's name says the arm it drives, and countsOf, where
 // set, checks that it ran on every call.
@@ -178,7 +178,6 @@ func TestFabricAllocCeiling(t *testing.T) {
 			_, _, err := f.FetchInto(ctx, 7, buf[:0])
 			return err
 		},
-		ceiling: 1,
 	}, {
 		name: "two links, neither with a b",
 		cfg: func() Config {

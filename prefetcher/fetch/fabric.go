@@ -215,11 +215,12 @@ func (f *Fabric) Route() int {
 
 // routeOrder returns all backends by their delay now, the least first —
 // the hedge/failover sequence; on a tie the earlier backend stays ahead.
-func (f *Fabric) routeOrder() []int {
+// The order is built in order[:0], which a caller may back on its stack.
+func (f *Fabric) routeOrder(order []int) []int {
 	now := f.nowf()
-	order := make([]int, len(f.backends))
-	for i := range order { // insertion sort: the backend count is single digits
-		order[i] = i
+	order = order[:0]
+	for i := range f.backends { // insertion sort: the backend count is single digits
+		order = append(order, i)
 		for j := i; j > 0 && f.backends[order[j]].delay(now) < f.backends[order[j-1]].delay(now); j-- {
 			order[j], order[j-1] = order[j-1], order[j]
 		}
@@ -478,7 +479,7 @@ type attemptResult struct {
 // doubling per retry — unless one is already running; a success or the
 // hedge timer arriving meanwhile is served at once.
 func (f *Fabric) fetchHedged(ctx context.Context, id ID, attempts int) (Item, error) {
-	order := f.routeOrder()
+	order := f.routeOrder(make([]int, 0, len(f.backends)))
 
 	// One shared cancellable context covers every attempt: when Fetch
 	// returns, the deferred cancel reaps whichever losers still run.
@@ -561,7 +562,8 @@ func (f *Fabric) fetchHedged(ctx context.Context, id ID, attempts int) (Item, er
 func (f *Fabric) fetchSequential(ctx context.Context, id ID, attempts int, dst []byte, lend bool) (Item, []byte, error) {
 	order := []int{0}
 	if len(f.backends) > 1 {
-		order = f.routeOrder()
+		var stack [8]int // the backend count is single digits: no allocation
+		order = f.routeOrder(stack[:0])
 	}
 	var backoff time.Duration
 	if f.hedging != nil {

@@ -179,7 +179,7 @@ func TestRoutingIsShortestExpectedDelay(t *testing.T) {
 			if got := f.Route(); got != want {
 				t.Errorf("Route() = %d, want %d", got, want)
 			}
-			if order := f.routeOrder(); order[0] != want || order[1] != 1-want {
+			if order := f.routeOrder(nil); order[0] != want || order[1] != 1-want {
 				t.Errorf("route order %v, want backend %d first", order, want)
 			}
 			if _, err := f.Fetch(context.Background(), 100); err != nil {

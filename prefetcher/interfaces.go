@@ -50,71 +50,33 @@ type Prediction struct {
 }
 
 // Predictor is an online access model: it learns from each observed
-// request and can be queried for a probability-ranked candidate set.
-// The engine shares one predictor across all shards. A plain Predictor
-// need not be goroutine-safe: the engine wraps it, at New, in a planner
-// that holds a dedicated compatibility mutex across each request's
-// calls — the Observe of every id of the request, in order, then the
-// one prediction — so a request (a whole GetMulti session included) is
-// one critical section and its ids are adjacent in the stream the model
-// sees. A predictor that is internally concurrent should implement
-// ConcurrentPredictor instead — the planner then has no mutex at all,
-// which is what lets prediction scale with the shard count. Predict
-// must return candidates sorted by decreasing probability.
+// request and answers with its most probable candidates for the next.
+// The engine shares one predictor across all shards and calls it from
+// all of them at once, with no lock of its own, so a Predictor must be
+// safe for concurrent use: a model that is not must take its own lock.
+// Per request the engine observes each of the request's ids, in order —
+// the ids of a GetMulti session included, though other requests' ids
+// may fall between them — then asks PredictTopInto for at most
+// WithMaxPrefetch candidates. A racing request may observe between a
+// request's last Observe and its PredictTopInto, so a model whose
+// answer is conditioned on "the last observation" answers for whichever
+// observation came last. NewMarkovPredictor's model, the built-in, is
+// not reached through this interface inside an Engine: it predicts as
+// part of the observation, conditioned on the observed id itself.
 type Predictor interface {
 	Observe(id ID)
-	Predict() []Prediction
 	Name() string
+	TopIntoPredictor
 }
 
-// TopPredictor is optionally implemented by Predictors that can produce
-// just their k most probable candidates without materialising and
-// sorting the full distribution. The result must equal the first k
-// entries of Predict(). The engine only ever consumes a bounded prefix
-// of the candidate list (WithMaxPrefetch), so when a predictor
-// implements TopPredictor the hot path dispatches PredictTop instead of
-// Predict — with or without the compatibility mutex — and drops
-// whatever any of the three forms returns beyond that prefix.
-type TopPredictor interface {
-	PredictTop(k int) []Prediction
-}
-
-// TopIntoPredictor is optionally implemented by TopPredictors that can
-// append their k most probable candidates to a caller-supplied buffer
-// instead of allocating a fresh slice per call: PredictTopInto appends
-// to dst (the engine passes a pooled buffer as buf[:0]) and returns the
-// extended slice, whose contents must equal PredictTop(k). Implementing
-// it keeps the engine's per-request prediction allocation-free; the
-// built-in predictor does.
+// TopIntoPredictor is the prediction half of Predictor: PredictTopInto
+// appends the model's k most probable candidates to dst (the engine
+// passes a pooled buffer as buf[:0], which keeps its per-request
+// prediction allocation-free) and returns the extended slice, sorted by
+// decreasing probability and holding at most k entries. The engine
+// drops whatever an answer holds beyond k.
 type TopIntoPredictor interface {
 	PredictTopInto(dst []Prediction, k int) []Prediction
-}
-
-// ConcurrentPredictor marks a Predictor whose Observe, Predict,
-// PredictTop and PredictTopInto are all safe for concurrent use without
-// external locking. The engine detects the marker at construction and
-// builds the predictor's planner without the compatibility mutex: every
-// request calls the predictor directly, with no serialisation — the
-// predictor itself must linearise whatever stream state it keeps (see
-// internal/predict's concurrent Markov table for the reference
-// technique: an atomic-swap chain for the stream, a striped table with
-// one short mutex per stripe for the model). Note that a request's
-// Observe calls and its PredictTopInto/PredictTop/Predict then run back
-// to back without atomicity: a racing request may observe in between —
-// inside a GetMulti session too — so an external implementation whose
-// prediction context is "the last observation" should condition its
-// answers on state it derives from the id stream internally if that
-// matters to it (the built-in, which the engine calls through a
-// coupled observe-and-predict, conditions each prediction on the
-// observed id itself, so a racing observation cannot redirect a
-// request's candidates). NewMarkovPredictor returns a concurrent
-// predictor; Stats reports which path the engine chose in
-// PredictorLockFree.
-type ConcurrentPredictor interface {
-	Predictor
-	// ConcurrentSafe is a marker: implementing it asserts the
-	// goroutine-safety contract above.
-	ConcurrentSafe()
 }
 
 // Cache is the bounded client-side store the engine consults before

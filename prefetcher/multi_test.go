@@ -320,8 +320,8 @@ func TestGetMultiVsSingletonRace(t *testing.T) {
 	}
 }
 
-// recordingPredictor is a plain (mutex-path) predictor that records
-// the observation stream it sees.
+// recordingPredictor records the observation stream it sees, under a
+// lock of its own, and predicts nothing.
 type recordingPredictor struct {
 	mu  sync.Mutex
 	obs []ID
@@ -332,8 +332,10 @@ func (p *recordingPredictor) Observe(id ID) {
 	p.obs = append(p.obs, id)
 	p.mu.Unlock()
 }
-func (p *recordingPredictor) Predict() []Prediction { return nil }
-func (p *recordingPredictor) Name() string          { return "recording" }
+func (p *recordingPredictor) Name() string { return "recording" }
+func (p *recordingPredictor) PredictTopInto(dst []Prediction, k int) []Prediction {
+	return dst
+}
 func (p *recordingPredictor) stream() []ID {
 	p.mu.Lock()
 	defer p.mu.Unlock()

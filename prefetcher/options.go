@@ -48,14 +48,9 @@ func defaultConfig() *config {
 // reaches it through one call per request — observe the request's ids,
 // return the top WithMaxPrefetch candidates for the last. The built-in
 // model (NewMarkovPredictor's) is called directly; anything else is a
-// plugin: if
-// it implements ConcurrentPredictor it runs lock-free from all shards at
-// once, otherwise each request's observations and prediction are one
-// critical section of a compatibility mutex and prediction becomes the
-// throughput ceiling however many shards the engine has. A plugin
-// implementing TopIntoPredictor or TopPredictor is asked for only that
-// bounded prefix instead of the full sorted distribution.
-// Stats.PredictorLockFree reports which path was chosen.
+// plugin, called through the Predictor interface from every shard at
+// once with no lock of the engine's, so it must be safe for concurrent
+// use (see Predictor).
 func WithPredictor(p Predictor) Option {
 	return func(c *config) error {
 		if p == nil {
@@ -210,9 +205,8 @@ func WithMaxPrefetch(n int) Option {
 // WithEventHook registers a callback observing engine events (hits,
 // misses, prefetch dispatch/completion/drops). The hook is called
 // synchronously from the hot path after the engine's locks are released
-// — concurrently from however many goroutines drive Get, and never
-// under the predictor's compatibility mutex — so it must be fast,
-// goroutine-safe, and must not call back into the engine's Get.
+// — concurrently from however many goroutines drive Get — so it must be
+// fast, goroutine-safe, and must not call back into the engine's Get.
 func WithEventHook(fn func(Event)) Option {
 	return func(c *config) error {
 		if fn == nil {

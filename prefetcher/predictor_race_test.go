@@ -6,109 +6,132 @@ import (
 	"testing"
 )
 
-// seqPredictor is an external (non-built-in) Predictor with deliberately
-// unsynchronised state: a transition map and a current-state field with
-// no locking at all. The engine must serialise every call on its
-// compatibility mutex — under -race this test fails loudly if any
-// Observe/Predict pair ever overlaps.
-type seqPredictor struct {
-	counts map[ID]map[ID]int
-	cur    ID
-	seen   bool
-
-	observes int
-	predicts int
-}
-
-func newSeqPredictor() *seqPredictor {
-	return &seqPredictor{counts: make(map[ID]map[ID]int)}
-}
-
-func (p *seqPredictor) Observe(id ID) {
-	p.observes++
-	if p.seen {
-		row := p.counts[p.cur]
-		if row == nil {
-			row = make(map[ID]int)
-			p.counts[p.cur] = row
-		}
-		row[id]++
-	}
-	p.cur = id
-	p.seen = true
-}
-
-func (p *seqPredictor) Predict() []Prediction {
-	p.predicts++
-	row := p.counts[p.cur]
-	if len(row) == 0 {
-		return nil
-	}
-	total := 0
-	for _, c := range row {
-		total += c
-	}
-	best, bestC := ID(0), 0
-	for id, c := range row {
-		if c > bestC || (c == bestC && id < best) {
-			best, bestC = id, c
-		}
-	}
-	return []Prediction{{ID: best, Prob: float64(bestC) / float64(total)}}
-}
-
-func (p *seqPredictor) Name() string { return "external-seq" }
-
-// topPredictor extends seqPredictor with the public TopPredictor
-// interface and records which entry point the engine used.
-type topPredictor struct {
-	seqPredictor
-	topCalls int
-}
-
-func (p *topPredictor) PredictTop(k int) []Prediction {
-	p.topCalls++
-	ps := p.seqPredictor.Predict()
-	p.predicts-- // internal reuse, not an engine Predict dispatch
-	if k < len(ps) {
-		ps = ps[:k]
-	}
-	return ps
-}
-
-// concurrentProbe is an external ConcurrentPredictor: internally locked
-// (so genuinely safe) and recording that it was driven without the
-// engine's mutex is not directly observable — what is observable is
-// Stats.PredictorLockFree and a clean -race run.
+// concurrentProbe is an external Predictor that takes its own lock, as
+// the contract asks of a model that is not concurrent inside: it logs
+// every observation and, after each, names one id no request asks for,
+// fresh per call, with certainty — so every request plans a speculative
+// fetch. Stats.Predictor and a clean -race run show it was driven
+// through the plugin arm with no engine lock around it.
 type concurrentProbe struct {
-	mu  sync.Mutex
-	seq *seqPredictor
+	mu    sync.Mutex
+	obs   []ID
+	named int // ids named so far
 }
+
+// probeBase is where concurrentProbe's named ids start, above every id
+// the test requests.
+const probeBase = 1 << 20
 
 func (p *concurrentProbe) Observe(id ID) {
 	p.mu.Lock()
-	p.seq.Observe(id)
+	p.obs = append(p.obs, id)
 	p.mu.Unlock()
 }
 
-func (p *concurrentProbe) Predict() []Prediction {
+func (p *concurrentProbe) PredictTopInto(dst []Prediction, k int) []Prediction {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.seq.Predict()
+	p.named++
+	return append(dst, Prediction{ID: ID(probeBase + p.named), Prob: 1})
 }
 
 func (p *concurrentProbe) Name() string { return "external-concurrent" }
 
-func (p *concurrentProbe) ConcurrentSafe() {}
+// seqModel is a first-order model with deliberately unsynchronised
+// state, the shape a plugin written as a sequential model has: a
+// transition map and a current-state field, no locking at all. It
+// answers its most frequent successor and records the k of every ask.
+type seqModel struct {
+	counts map[ID]map[ID]int
+	cur    ID
+	seen   bool
 
-// driveEngine floods eng with overlapping demand traffic from several
-// goroutines and waits for speculation to drain.
-func driveEngine(t *testing.T, eng *Engine) {
-	t.Helper()
+	observes, predicts int
+	minK, maxK         int
+}
+
+func (m *seqModel) Observe(id ID) {
+	m.observes++
+	if m.seen {
+		row := m.counts[m.cur]
+		if row == nil {
+			row = make(map[ID]int)
+			m.counts[m.cur] = row
+		}
+		row[id]++
+	}
+	m.cur, m.seen = id, true
+}
+
+func (m *seqModel) PredictTopInto(dst []Prediction, k int) []Prediction {
+	m.predicts++
+	if m.predicts == 1 || k < m.minK {
+		m.minK = k
+	}
+	m.maxK = max(m.maxK, k)
+	row := m.counts[m.cur]
+	total, best, bestC := 0, ID(0), 0
+	for id, c := range row {
+		total += c
+		if c > bestC || (c == bestC && id < best) {
+			best, bestC = id, c
+		}
+	}
+	if total == 0 {
+		return dst
+	}
+	return append(dst, Prediction{ID: best, Prob: float64(bestC) / float64(total)})
+}
+
+// lockedSeq is how a sequential model meets the contract: its author
+// puts one lock around every call.
+type lockedSeq struct {
+	mu sync.Mutex
+	m  *seqModel
+}
+
+func (p *lockedSeq) Observe(id ID) {
+	p.mu.Lock()
+	p.m.Observe(id)
+	p.mu.Unlock()
+}
+
+func (p *lockedSeq) PredictTopInto(dst []Prediction, k int) []Prediction {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.m.PredictTopInto(dst, k)
+}
+
+func (p *lockedSeq) Name() string { return "external-seq" }
+
+// TestExternalPredictorCompatibilityPath is the round trip of a plugin
+// written as a sequential model and kept compatible by a lock of its
+// own, under -race: eight goroutines of overlapping Gets over four
+// shards, on 200 ids that the 4x16-entry cache cannot hold. The model
+// must see one observation per request, be asked for between 1 and
+// WithMaxPrefetch candidates each time, and its answers must become
+// prefetches.
+func TestExternalPredictorCompatibilityPath(t *testing.T) {
+	fetcher := FetcherFunc(func(ctx context.Context, id ID) (Item, error) {
+		return Item{ID: id, Size: 1}, nil
+	})
+	model := &seqModel{counts: make(map[ID]map[ID]int)}
+	eng, err := New(fetcher,
+		WithPredictor(&lockedSeq{m: model}),
+		WithPolicy(StaticThreshold(0.1)),
+		WithShards(4),
+		WithCacheFactory(func(i, n int) Cache { return NewLRUCache(16) }),
+		WithWorkers(4),
+		WithMaxPrefetch(2),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+
 	ctx := context.Background()
 	var wg sync.WaitGroup
-	const workers = 8
-	const iters = 400
+	const workers, iters = 8, 400
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -122,172 +145,64 @@ func driveEngine(t *testing.T, eng *Engine) {
 		}(w)
 	}
 	wg.Wait()
-	if err := eng.Quiesce(ctx); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestExternalPredictorCompatibilityPath exercises the public-Predictor
-// round trip under -race: a plain external predictor with no locking of
-// its own must be safe behind the engine's compatibility mutex, and the
-// engine must report it as not lock-free.
-func TestExternalPredictorCompatibilityPath(t *testing.T) {
-	fetcher := FetcherFunc(func(ctx context.Context, id ID) (Item, error) {
-		return Item{ID: id, Size: 1}, nil
-	})
-	pred := newSeqPredictor()
-	eng, err := New(fetcher,
-		WithPredictor(pred),
-		WithPolicy(StaticThreshold(0.1)),
-		WithCacheFactory(func(i, n int) Cache { return NewLRUCache(64) }),
-		WithWorkers(4),
-		WithMaxPrefetch(2),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-
-	driveEngine(t, eng)
+	quiesceAndCheck(t, eng)
 
 	st := eng.Stats()
-	if st.PredictorLockFree {
-		t.Fatal("external plain predictor must run on the mutex path")
-	}
 	if st.Predictor != "external-seq" {
 		t.Fatalf("Stats.Predictor = %q, want external-seq", st.Predictor)
 	}
-	if pred.observes != int(st.Requests) {
-		t.Fatalf("observes = %d, want one per request (%d)", pred.observes, st.Requests)
+	if model.observes != int(st.Requests) || st.Requests != workers*iters {
+		t.Fatalf("observes = %d, requests = %d; want one per request (%d)", model.observes, st.Requests, workers*iters)
 	}
-	if pred.predicts == 0 {
-		t.Fatal("Predict was never dispatched")
+	if model.predicts == 0 {
+		t.Fatal("PredictTopInto was never dispatched")
 	}
-	if st.PrefetchIssued == 0 {
-		t.Fatal("external predictions never produced a prefetch")
-	}
-}
-
-// TestExternalTopPredictorFastPath checks the bounded-prefix dispatch
-// for external predictors: when the plugin implements the public
-// TopPredictor, the hot path must call PredictTop (never the full
-// Predict), as the plugin planner's capability probe promises.
-func TestExternalTopPredictorFastPath(t *testing.T) {
-	fetcher := FetcherFunc(func(ctx context.Context, id ID) (Item, error) {
-		return Item{ID: id, Size: 1}, nil
-	})
-	pred := &topPredictor{seqPredictor: *newSeqPredictor()}
-	eng, err := New(fetcher,
-		WithPredictor(pred),
-		WithPolicy(StaticThreshold(0.1)),
-		WithCacheFactory(func(i, n int) Cache { return NewLRUCache(64) }),
-		WithWorkers(4),
-		WithMaxPrefetch(2),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-
-	driveEngine(t, eng)
-
-	st := eng.Stats()
-	if st.PredictorLockFree {
-		t.Fatal("a TopPredictor without the concurrency marker stays on the mutex path")
-	}
-	if pred.topCalls == 0 {
-		t.Fatal("PredictTop was never dispatched")
-	}
-	if pred.predicts != 0 {
-		t.Fatalf("full Predict dispatched %d times; the engine must prefer PredictTop", pred.predicts)
+	if model.minK < 1 || model.maxK > 2 {
+		t.Fatalf("asked for k in [%d, %d]; want within [1, 2] (WithMaxPrefetch)", model.minK, model.maxK)
 	}
 	if st.PrefetchIssued == 0 {
-		t.Fatal("top-k predictions never produced a prefetch")
+		t.Fatal("the model's predictions never produced a prefetch")
 	}
 }
 
-// TestExternalConcurrentPredictorLockFree: an external predictor
-// carrying the ConcurrentPredictor marker is driven with no engine
-// serialisation at all — the -race run checks the engine adds none, and
-// Stats must report the lock-free path.
-func TestExternalConcurrentPredictorLockFree(t *testing.T) {
+// TestPluginPredictorConcurrentSessions is the plugin arm's -race test.
+// Eight goroutines run GetMulti sessions of four consecutive ids over
+// four shards, every session on ids of its own, against a plugin the
+// engine calls with no lock of its own. Every id must be observed
+// exactly once, each session's ids in order (other sessions' ids may
+// fall between them), and the plugin's candidates must be dispatched and
+// land.
+func TestPluginPredictorConcurrentSessions(t *testing.T) {
 	fetcher := FetcherFunc(func(ctx context.Context, id ID) (Item, error) {
 		return Item{ID: id, Size: 1}, nil
 	})
-	pred := &concurrentProbe{seq: newSeqPredictor()}
-	eng, err := New(fetcher,
-		WithPredictor(pred),
-		WithPolicy(StaticThreshold(0.1)),
-		WithShards(8),
-		WithCacheFactory(func(i, n int) Cache { return NewLRUCache(32) }),
-		WithWorkers(4),
-		WithMaxPrefetch(2),
+	pred := &concurrentProbe{}
+	var (
+		mu           sync.Mutex
+		issued, done int
+		foreign      []ID // prefetched ids below probeBase, which no plugin answer holds
 	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-
-	driveEngine(t, eng)
-
-	st := eng.Stats()
-	if !st.PredictorLockFree {
-		t.Fatal("ConcurrentPredictor marker must select the lock-free path")
-	}
-	if pred.seq.observes != int(st.Requests) {
-		t.Fatalf("observes = %d, want %d", pred.seq.observes, st.Requests)
-	}
-}
-
-// TestBuiltinPredictorPaths pins that the built-in runs lock-free: the
-// constructor satisfies ConcurrentPredictor, and the adapter preserves
-// the marker for use outside an Engine too.
-func TestBuiltinPredictorPaths(t *testing.T) {
-	fetcher := FetcherFunc(func(ctx context.Context, id ID) (Item, error) {
-		return Item{ID: id, Size: 1}, nil
-	})
-	cases := []struct {
-		name     string
-		pred     Predictor
-		lockFree bool
-	}{
-		{"markov", NewMarkovPredictor(), true},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if _, ok := tc.pred.(ConcurrentPredictor); ok != tc.lockFree {
-				t.Fatalf("public marker = %v, want %v", ok, tc.lockFree)
-			}
-			eng, err := New(fetcher, WithBandwidth(100), WithPredictor(tc.pred))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer eng.Close()
-			if _, err := eng.Get(context.Background(), 1); err != nil {
-				t.Fatal(err)
-			}
-			if got := eng.Stats().PredictorLockFree; got != tc.lockFree {
-				t.Fatalf("PredictorLockFree = %v, want %v", got, tc.lockFree)
-			}
-		})
-	}
-}
-
-// TestPlainPredictorSeesSessionsWhole: a plain predictor sees a GetMulti
-// session as one critical section. Eight goroutines issue sessions of
-// four consecutive ids, every session on ids of its own; however the
-// sessions interleave, the observation log must be a sequence of whole
-// sessions, each in order.
-func TestPlainPredictorSeesSessionsWhole(t *testing.T) {
-	fetcher := FetcherFunc(func(ctx context.Context, id ID) (Item, error) {
-		return Item{ID: id, Size: 1}, nil
-	})
-	pred := &recordingPredictor{}
 	eng, err := New(fetcher,
 		WithBandwidth(1e6),
 		WithPredictor(pred),
 		WithShards(4),
 		WithCacheFactory(func(i, n int) Cache { return NewLRUCache(64) }),
+		WithWorkers(4),
+		WithMaxPrefetch(2),
+		WithEventHook(func(ev Event) {
+			if ev.Type != EventPrefetchIssued && ev.Type != EventPrefetchDone {
+				return
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if ev.ID < probeBase {
+				foreign = append(foreign, ev.ID)
+			} else if ev.Type == EventPrefetchIssued {
+				issued++
+			} else {
+				done++
+			}
+		}),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -313,15 +228,73 @@ func TestPlainPredictorSeesSessionsWhole(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	obs := pred.stream()
-	if len(obs) != workers*sessions*fanout {
-		t.Fatalf("observed %d ids, want %d", len(obs), workers*sessions*fanout)
+	quiesceAndCheck(t, eng)
+
+	if st := eng.Stats(); st.Predictor != "external-concurrent" {
+		t.Fatalf("Stats.Predictor = %q, want external-concurrent", st.Predictor)
 	}
-	for i := 0; i < len(obs); i += fanout {
-		for k := 0; k < fanout; k++ {
-			if obs[i]%fanout != 0 || obs[i+k] != obs[i]+ID(k) {
-				t.Fatalf("observations %d..%d = %v: not one whole session in order", i, i+fanout-1, obs[i:i+fanout])
-			}
+	pred.mu.Lock()
+	obs := append([]ID(nil), pred.obs...)
+	pred.mu.Unlock()
+	const n = workers * sessions * fanout
+	if len(obs) != n {
+		t.Fatalf("observed %d ids, want %d", len(obs), n)
+	}
+	pos := make([]int, n)
+	seen := make([]bool, n)
+	for i, id := range obs {
+		if id < 0 || int(id) >= n || seen[id] {
+			t.Fatalf("observation %d is id %d: out of range or observed twice", i, id)
 		}
+		pos[id], seen[id] = i, true
+	}
+	for id := 0; id < n; id++ {
+		if id%fanout != 0 && pos[id] < pos[id-1] {
+			t.Fatalf("id %d observed at %d, before id %d of its session at %d", id, pos[id], id-1, pos[id-1])
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(foreign) > 0 {
+		t.Fatalf("prefetched ids the plugin never named: %v", foreign)
+	}
+	if issued == 0 || done == 0 {
+		t.Fatalf("the plugin's candidates were issued %d times and landed %d times; want both > 0", issued, done)
+	}
+}
+
+// TestBuiltinPredictorPaths pins which arm of the planner New picks:
+// the built-in model, given by NewMarkovPredictor or left as the
+// default, is unwrapped and called directly; anything else is a plugin.
+func TestBuiltinPredictorPaths(t *testing.T) {
+	fetcher := FetcherFunc(func(ctx context.Context, id ID) (Item, error) {
+		return Item{ID: id, Size: 1}, nil
+	})
+	for _, tc := range []struct {
+		name    string
+		opts    []Option
+		builtin bool
+		want    string
+	}{
+		{"default", nil, true, "markov1"},
+		{"markov", []Option{WithPredictor(NewMarkovPredictor())}, true, "markov1"},
+		{"plugin", []Option{WithPredictor(&concurrentProbe{})}, false, "external-concurrent"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, err := New(fetcher, append([]Option{WithBandwidth(100)}, tc.opts...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			if _, err := eng.Get(context.Background(), 1); err != nil {
+				t.Fatal(err)
+			}
+			if got := eng.planner.builtin != nil; got != tc.builtin || got == (eng.planner.plugin != nil) {
+				t.Fatalf("planner %+v: built-in arm %v, want %v", eng.planner, got, tc.builtin)
+			}
+			if got := eng.Stats().Predictor; got != tc.want {
+				t.Fatalf("Stats.Predictor = %q, want %q", got, tc.want)
+			}
+		})
 	}
 }

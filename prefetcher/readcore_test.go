@@ -15,9 +15,9 @@ import (
 	"repro/prefetcher/bytestore"
 )
 
-// tracePredictor is a plain (mutex-path) predictor that records the
-// observation stream it sees and predicts from a script: after
-// observing k it names next[k] with probability 1. (An external test
+// tracePredictor records the observation stream it sees, under a lock
+// of its own, and predicts from a script: after observing k it names
+// next[k] with probability 1. (An external test
 // package — the only place prefetcher and bytestore can meet — cannot
 // reach the in-package recordingPredictor, which never predicts anyway.)
 type tracePredictor struct {
@@ -32,13 +32,13 @@ func (p *tracePredictor) Observe(id prefetcher.ID) {
 	p.mu.Unlock()
 }
 
-func (p *tracePredictor) Predict() []prefetcher.Prediction {
+func (p *tracePredictor) PredictTopInto(dst []prefetcher.Prediction, k int) []prefetcher.Prediction {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if n, ok := p.next[p.obs[len(p.obs)-1]]; ok {
-		return []prefetcher.Prediction{{ID: n, Prob: 1}}
+		return append(dst, prefetcher.Prediction{ID: n, Prob: 1})
 	}
-	return nil
+	return dst
 }
 
 func (p *tracePredictor) Name() string { return "trace" }

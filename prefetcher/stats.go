@@ -46,15 +46,8 @@ type Stats struct {
 	CacheLen, InFlight int
 	// Shards is the engine's shard count (see WithShards).
 	Shards int
-	// Predictor names the engine's access model; PredictorLockFree
-	// reports whether it runs without the predictor compatibility mutex
-	// (the built-in, or a plugin implementing the ConcurrentPredictor
-	// contract) — false means every request serialises on the mutex its
-	// plugin planner holds for the length of the request's observations
-	// and prediction, and prediction caps throughput regardless of the
-	// shard count.
-	Predictor         string
-	PredictorLockFree bool
+	// Predictor names the engine's access model (its Name).
+	Predictor string
 	// MultiGets counts GetMulti/GetMultiInto/GetMultiBytes sessions
 	// (the singleton views run the same read core but are not counted
 	// here); BatchedKeys the session misses dispatched through coalesced
