@@ -120,9 +120,10 @@ func oneSpaceConfig(originURL string) *Config {
 				SpeculativeTimeout: Duration(2 * time.Second),
 			}},
 			// A deliberately tiny cache: the end-to-end test cycles a
-			// keyset much larger than it, so every revisit is a miss
-			// unless the prefetcher got there first — cache hits then
-			// measure prefetching, not mere residency.
+			// keyset much larger than it, so a revisit is a miss unless
+			// the prefetcher got there first or the admission filter
+			// kept the key — cache hits then measure prefetching more
+			// than mere residency.
 			CacheCapacity: 8,
 			Shards:        1,
 			Policy:        "adaptive-a",
@@ -279,10 +280,12 @@ func TestDaemonPolicyNoneIssuesNoPrefetch(t *testing.T) {
 			st.PrefetchIssued, st.Backends[0].Speculative, st)
 	}
 	// A cyclic stream four times the cache, nothing prefetched: every
-	// request is a miss the origin answered singly.
-	if st.Misses != keys*laps || singles.Load() != keys*laps || batches.Load() != 0 {
-		t.Fatalf("misses = %d, origin singles/batches = %d/%d; want %d/%d/0",
-			st.Misses, singles.Load(), batches.Load(), keys*laps, keys*laps)
+	// miss is one the origin answered singly. Under plain LRU every
+	// request would miss; the store's admission filter keeps some of the
+	// loop resident, at most the cache's 8 keys a lap after the first.
+	if st.Misses < keys*laps-8*(laps-1) || singles.Load() != st.Misses || batches.Load() != 0 || st.Hits+st.Misses != st.Requests {
+		t.Fatalf("hits/misses = %d/%d, origin singles/batches = %d/%d; want at least %d misses, each a single fetch",
+			st.Hits, st.Misses, singles.Load(), batches.Load(), keys*laps-8*(laps-1))
 	}
 }
 

@@ -33,6 +33,14 @@
 // from the tail of the list, after any rotation it caused, never the
 // entry it placed. EvictOldest evicts the tail on demand.
 //
+// FilterAdmission puts a frequency filter (TinyLFU's; Sketch) in front
+// of the order: Count tallies each demand access, and a Put of a new id
+// that would displace a resident — through the entry bound or a
+// rotation — stores it only if the sketch counts it more often than the
+// resident the bound would take first. Otherwise Put stores nothing and
+// says so. PutAdmitted is Put for an entry the caller has already judged
+// worth its place: the filter is not consulted.
+//
 // A Store is not safe for concurrent use; in the prefetch engine each
 // shard owns one behind its shard mutex.
 package slab
@@ -106,6 +114,8 @@ type Stats struct {
 	RotateEvicted  int64 // live entries evicted by rotation
 	Compactions    int64 // segments reclaimed in place, nothing evicted
 	CompactedBytes int64 // live bytes compaction moved
+	Declined       int64 // Puts the admission filter turned away
+	SketchBytes    int   // the admission filter's sketch, 0 without one
 }
 
 // Store is the arena. The zero value is not usable; call New.
@@ -141,7 +151,9 @@ type Store struct {
 	rotateEvicted  int64
 	compactions    int64
 	compactedBytes int64
+	declined       int64
 
+	sketch  *Sketch // the admission filter; nil admits every Put
 	onEvict func(id int64)
 }
 
@@ -193,6 +205,19 @@ func (s *Store) SetMaxEntries(n int) {
 // holds nothing but the entry a Put placed. Call it on an empty Store.
 func (s *Store) SetProtected(p int) { s.protectedCap = max(0, p) }
 
+// FilterAdmission turns the admission filter on (see the package doc),
+// with a Sketch sized for the entry bound: call it after SetMaxEntries.
+func (s *Store) FilterAdmission() { s.sketch = NewSketch(s.maxEntries) }
+
+// Count counts one demand access of id, hit or miss, in the admission
+// filter's sketch (nothing without FilterAdmission). Get and BytesLen
+// do not count: the caller says which reads are demand accesses.
+func (s *Store) Count(id int64) {
+	if s.sketch != nil {
+		s.sketch.Add(id)
+	}
+}
+
 // OnEvict registers the callback that rotation, the entry bound and
 // EvictOldest invoke, synchronously from inside Put or EvictOldest, once
 // per live entry they displace. It must not call back into the Store.
@@ -219,7 +244,16 @@ func (s *Store) Stats() Stats {
 		RotateEvicted:  s.rotateEvicted,
 		Compactions:    s.compactions,
 		CompactedBytes: s.compactedBytes,
+		Declined:       s.declined,
+		SketchBytes:    s.sketchBytes(),
 	}
+}
+
+func (s *Store) sketchBytes() int {
+	if s.sketch == nil {
+		return 0
+	}
+	return s.sketch.Bytes()
 }
 
 // pack encodes (segment, payload offset, payload length) into one
@@ -416,12 +450,17 @@ func (s *Store) EvictOldest() {
 
 // Put stores a copy of v under id, overwriting any previous value, and
 // makes id the most recently used — an overwrite is a use (see
-// SetProtected). It returns false — storing nothing — only when the
-// payload can never fit a segment (see Fits). Rotation and then the
-// entry bound may evict other entries; never id itself (its stale copy
-// leaves the index before space is claimed, and the bound passes over
-// it).
-func (s *Store) Put(id int64, v []byte) bool {
+// SetProtected). It returns false — storing nothing — when the payload
+// can never fit a segment (see Fits), or when the admission filter turns
+// a new id away (see FilterAdmission). Rotation and then the entry
+// bound may evict other entries; never id itself (its stale copy leaves
+// the index before space is claimed, and the bound passes over it).
+func (s *Store) Put(id int64, v []byte) bool { return s.put(id, v, true) }
+
+// PutAdmitted is Put past the admission filter.
+func (s *Store) PutAdmitted(id int64, v []byte) bool { return s.put(id, v, false) }
+
+func (s *Store) put(id int64, v []byte, filter bool) bool {
 	need := headerBytes + len(v)
 	if len(v) > maxSegmentBytes || need > s.segBytes {
 		return false
@@ -429,6 +468,9 @@ func (s *Store) Put(id int64, v []byte) bool {
 	i, hit := s.findSlot(id)
 	if hit {
 		s.dropSlot(i)
+	} else if filter && s.sketch != nil && s.Displaces(len(v)) && !s.admits(id) {
+		s.declined++
+		return false
 	}
 	s.ensure(need)
 	seg, off := s.cur, s.fill[s.cur]
@@ -454,17 +496,47 @@ func (s *Store) Put(id int64, v []byte) bool {
 	return true
 }
 
-// ensure positions the write cursor on a segment with room for need
-// bytes: the current one while it has room, else the one with the fewest
-// live bytes, compacted if at most half of what was written there is live
-// and need fits behind the survivors (at most one byte moved per byte
-// reclaimed), else a fresh one under the ceiling, else the one the cursor
-// entered longest ago, rotated.
-func (s *Store) ensure(need int) {
-	if len(s.mem.segs) > 0 && s.fill[s.cur]+need <= s.segBytes {
-		return
+// Displaces reports whether a Put of an n-byte payload under an id not
+// resident would evict a resident: the entry bound is full, or the write
+// cursor would rotate a segment where an entry still lives.
+func (s *Store) Displaces(n int) bool {
+	if s.maxEntries > 0 && s.live >= s.maxEntries {
+		return true
 	}
-	seg, old := 0, 0 // fewest live bytes, entered longest ago
+	how, seg := s.pick(headerBytes + n)
+	return how == rotateSeg && s.liveSeg[seg] > 0
+}
+
+// admits reports whether the admission filter lets new id displace the
+// entry the bound takes first: probation's least recently used, or the
+// protected list's while probation is empty.
+func (s *Store) admits(id int64) bool {
+	j := s.lists[probation].tail
+	if j == none {
+		j = s.lists[protected].tail
+	}
+	return s.sketch.Estimate(id) > s.sketch.Estimate(s.keys[j])
+}
+
+// What ensure does to make room, as pick chooses it.
+const (
+	keepSeg = iota
+	compactSeg
+	growSeg
+	rotateSeg
+)
+
+// pick chooses where need bytes go: the current segment while it has
+// room, else the one with the fewest live bytes, compacted if at most
+// half of what was written there is live and need fits behind the
+// survivors (at most one byte moved per byte reclaimed), else a fresh
+// one under the ceiling, else the one the cursor entered longest ago,
+// rotated.
+func (s *Store) pick(need int) (how, seg int) {
+	if len(s.mem.segs) > 0 && s.fill[s.cur]+need <= s.segBytes {
+		return keepSeg, s.cur
+	}
+	old := 0 // seg: fewest live bytes; old: entered longest ago
 	for i, e := range s.entered {
 		if s.liveSeg[i] < s.liveSeg[seg] {
 			seg = i
@@ -475,15 +547,28 @@ func (s *Store) ensure(need int) {
 	}
 	switch {
 	case len(s.mem.segs) > 0 && 2*s.liveSeg[seg] <= s.fill[seg] && s.liveSeg[seg]+need <= s.segBytes:
-		s.compact(seg)
+		return compactSeg, seg
 	case len(s.mem.segs) < s.maxSegs:
-		seg = len(s.mem.segs)
+		return growSeg, len(s.mem.segs)
+	}
+	return rotateSeg, old
+}
+
+// ensure positions the write cursor on a segment with room for need
+// bytes, the one pick chooses.
+func (s *Store) ensure(need int) {
+	how, seg := s.pick(need)
+	switch how {
+	case keepSeg:
+		return
+	case compactSeg:
+		s.compact(seg)
+	case growSeg:
 		s.mem.segs = append(s.mem.segs, offheap.Alloc(s.segBytes))
 		s.fill = append(s.fill, 0)
 		s.liveSeg = append(s.liveSeg, 0)
 		s.entered = append(s.entered, 0)
-	default:
-		seg = old
+	case rotateSeg:
 		s.rotate(seg)
 	}
 	s.cur = seg

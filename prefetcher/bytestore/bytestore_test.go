@@ -58,7 +58,8 @@ func TestPutGetRoundTrip(t *testing.T) {
 
 // TestPolicyEvictionReported pins the count-bound stream: admitting
 // past MaxEntries must evict through the policy, drop the slab payload
-// and report each victim exactly once.
+// and report each victim exactly once. The landings are speculative, so
+// the admission filter lets every one in.
 func TestPolicyEvictionReported(t *testing.T) {
 	s, err := New(Config{CapacityBytes: 1 << 20, MaxEntries: 16})
 	if err != nil {
@@ -67,7 +68,7 @@ func TestPolicyEvictionReported(t *testing.T) {
 	evicted := map[prefetcher.ID]int{}
 	s.OnEvict(func(id prefetcher.ID) { evicted[id]++ })
 	for id := prefetcher.ID(0); id < 50; id++ {
-		s.Put(id, val(id, 32))
+		s.LandBytes(id, val(id, 32), true)
 	}
 	if s.Len() != 16 {
 		t.Fatalf("Len = %d, want 16", s.Len())
@@ -90,7 +91,8 @@ func TestPolicyEvictionReported(t *testing.T) {
 
 // TestRotationEvictionReported pins the byte-bound stream: a byte
 // budget far below the entry budget forces segment rotation, whose
-// victims must leave the policy layer and be reported.
+// victims must leave the policy layer and be reported. The landings are
+// speculative, past the admission filter.
 func TestRotationEvictionReported(t *testing.T) {
 	s, err := New(Config{CapacityBytes: 2048, SegmentBytes: 512, MaxEntries: 1 << 20})
 	if err != nil {
@@ -104,7 +106,7 @@ func TestRotationEvictionReported(t *testing.T) {
 		delete(live, id)
 	})
 	for id := prefetcher.ID(0); id < 200; id++ {
-		s.Put(id, val(id, 64))
+		s.LandBytes(id, val(id, 64), true)
 		live[id] = true
 	}
 	if s.SlabStats().Rotations == 0 {
@@ -345,9 +347,10 @@ func TestFactoryShardSplitNames(t *testing.T) {
 
 // TestSlabPutCompactionAllocFree gates the landing of a miss on a store
 // whose entry bound does the evicting (chain-obj's and page-batch's
-// shape: 1 KiB values, 512 entries, 8 MiB): never-repeating PutBytes
-// churn reclaims the arena by compacting segments in place, over and
-// over, and allocates nothing per Put while doing it.
+// shape: 1 KiB values, 512 entries, 8 MiB): never-repeating landings,
+// speculative so that the admission filter lets each in, reclaim the
+// arena by compacting segments in place, over and over, and allocate
+// nothing per landing while doing it.
 func TestSlabPutCompactionAllocFree(t *testing.T) {
 	s, err := New(Config{CapacityBytes: 8 << 20, MaxEntries: 512})
 	if err != nil {
@@ -356,11 +359,11 @@ func TestSlabPutCompactionAllocFree(t *testing.T) {
 	v := val(1, 1<<10)
 	id := prefetcher.ID(0)
 	for ; id < 4096; id++ { // both segments allocated, the index at its working size
-		s.PutBytes(id, v)
+		s.LandBytes(id, v, true)
 	}
 	before := s.SlabStats()
 	allocs := testing.AllocsPerRun(20_000, func() {
-		s.PutBytes(id, v)
+		s.LandBytes(id, v, true)
 		id++
 	})
 	st := s.SlabStats()

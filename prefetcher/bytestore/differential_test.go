@@ -18,7 +18,11 @@ import (
 // a slab with no entry bound of its own, a boxed overflow map, and the
 // two eviction callbacks that keep the layers in step — policy victims
 // leave the slab, rotation victims leave the policy layer, and each is
-// reported once.
+// reported once — and, in front of it all, the admission filter as
+// store.New runs it: a sketch counts every Get, and every GetBytes and
+// BytesLen of an id not boxed; a demand landing of a new id that the
+// entry bound or a rotation would make room for is stored only if the
+// sketch counts it more often than the policy's victim.
 type reference struct {
 	policy        *slru
 	store         *cache.Store
@@ -27,6 +31,8 @@ type reference struct {
 	overflowBytes int
 	capacityBytes int
 	onEvict       func(prefetcher.ID)
+	sketch        *slab.Sketch
+	declined      int64
 }
 
 // boxed is one entry of the reference's overflow map, as the Store
@@ -93,6 +99,7 @@ func newReference(cfg Config, p int) *reference {
 		slab:          slab.New(cfg.CapacityBytes, cfg.SegmentBytes),
 		overflow:      make(map[prefetcher.ID]boxed),
 		capacityBytes: cfg.CapacityBytes,
+		sketch:        slab.NewSketch(cfg.MaxEntries),
 	}
 	r.store = cache.NewStore(cfg.MaxEntries, r.policy)
 	r.store.OnEvict(r.policyEvicted)
@@ -118,7 +125,17 @@ func (r *reference) dropOverflow(id prefetcher.ID) {
 	}
 }
 
+// count counts a demand access of id in the sketch.
+func (r *reference) count(id prefetcher.ID) { r.sketch.Add(int64(id)) }
+
+// boxedID reports whether id's value lives in the overflow map.
+func (r *reference) boxedID(id prefetcher.ID) bool {
+	_, ok := r.overflow[id]
+	return ok
+}
+
 func (r *reference) Get(id prefetcher.ID) (any, bool) {
+	r.count(id)
 	if !r.store.Access(cache.ID(id)) {
 		return nil, false
 	}
@@ -130,6 +147,9 @@ func (r *reference) Get(id prefetcher.ID) (any, bool) {
 }
 
 func (r *reference) GetBytes(id prefetcher.ID, dst []byte) ([]byte, bool) {
+	if !r.boxedID(id) {
+		r.count(id)
+	}
 	out, ok := r.slab.Get(int64(id), dst)
 	if !ok {
 		return dst, false
@@ -139,6 +159,9 @@ func (r *reference) GetBytes(id prefetcher.ID, dst []byte) ([]byte, bool) {
 }
 
 func (r *reference) BytesLen(id prefetcher.ID) (int, bool) {
+	if !r.boxedID(id) {
+		r.count(id)
+	}
 	n, ok := r.slab.BytesLen(int64(id))
 	if !ok {
 		return 0, false
@@ -147,11 +170,10 @@ func (r *reference) BytesLen(id prefetcher.ID) (int, bool) {
 	return n, true
 }
 
-func (r *reference) Put(id prefetcher.ID, value any) {
+func (r *reference) Put(id prefetcher.ID, value any) bool {
 	b, isBytes := value.([]byte)
 	if isBytes && r.slab.Fits(len(b)) {
-		r.PutBytes(id, b)
-		return
+		return r.PutBytes(id, b, false)
 	}
 	size := 0
 	if isBytes {
@@ -172,16 +194,24 @@ func (r *reference) Put(id prefetcher.ID, value any) {
 	if resident { // an overwrite is a use, whatever the payload's shape
 		r.store.Access(cache.ID(id))
 	}
+	return true
 }
 
-func (r *reference) PutBytes(id prefetcher.ID, b []byte) {
+// PutBytes is the Store's LandBytes.
+func (r *reference) PutBytes(id prefetcher.ID, b []byte, speculative bool) bool {
 	if !r.slab.Fits(len(b)) {
-		r.Put(id, bytes.Clone(b))
-		return
+		return r.Put(id, bytes.Clone(b))
 	}
 	r.dropOverflow(id)
+	if !speculative && !r.store.Contains(cache.ID(id)) &&
+		(r.store.Len() >= r.store.Capacity() || r.slab.Displaces(len(b))) &&
+		r.sketch.Estimate(int64(id)) <= r.sketch.Estimate(int64(r.policy.Victim())) {
+		r.declined++
+		return false
+	}
 	r.slab.Put(int64(id), b)
 	r.store.Admit(cache.ID(id))
+	return true
 }
 
 func (r *reference) Contains(id prefetcher.ID) bool { return r.store.Contains(cache.ID(id)) }
@@ -237,10 +267,12 @@ var boxedStrings = []string{"", "a", "not bytes", "still not bytes"}
 
 // TestStoreMatchesReferenceComposition drives a Store and the reference
 // composition with the same seeded stream of PutBytes, Put (fitting,
-// oversized, non-[]byte), Get, GetBytes, BytesLen and Contains —
-// overwrites and shape changes included — and demands the same answer
-// from every call, the same victims in the same order from every call,
-// the same Len, and a Footprint inside its own ceilings, op by op.
+// oversized, non-[]byte), speculative LandBytes, Get, GetBytes, BytesLen
+// and Contains — overwrites and shape changes included — and demands the
+// same answer from every call, whether each landing was stored, the same
+// victims in the same order from every call, the same Len, and a
+// Footprint inside its own ceilings, op by op; and at the end as many
+// landings declined on each side, some wherever the store fills.
 func TestStoreMatchesReferenceComposition(t *testing.T) {
 	// Five seeds a regime: seeds 0–19 take the first four regimes in
 	// turn, 20–24 the fifth.
@@ -293,14 +325,23 @@ func runDifferential(t *testing.T, rg diffRegime, seed int64, ops int) {
 			default:
 				v = val(id, rnd.Intn(rg.maxFit+1))
 			}
-			if b, ok := v.([]byte); ok && rnd.Intn(2) == 0 {
-				call = "PutBytes"
-				st.PutBytes(id, b)
-				ref.PutBytes(id, b)
-			} else {
-				call = "Put"
-				st.Put(id, v)
-				ref.Put(id, v)
+			var stored, want bool
+			switch b, ok := v.([]byte); {
+			case ok && rnd.Intn(4) == 0:
+				call = "LandBytes(speculative)"
+				stored, want = st.LandBytes(id, b, true), ref.PutBytes(id, b, true)
+			case ok && rnd.Intn(2) == 0:
+				call = "LandBytes"
+				stored, want = st.LandBytes(id, b, false), ref.PutBytes(id, b, false)
+			default:
+				call = "Land"
+				stored, want = st.Land(id, v, false), ref.Put(id, v)
+			}
+			if stored != want {
+				t.Fatalf("op %d %s(%d) stored %t; reference %t", op, call, id, stored, want)
+			}
+			if !stored {
+				break
 			}
 			model[id] = v
 		case k < 60:
@@ -361,6 +402,11 @@ func runDifferential(t *testing.T, rg diffRegime, seed int64, ops int) {
 	}
 	if evicted == 0 {
 		t.Fatal("the run evicted nothing")
+	}
+	// Only where the entry bound or the arena fills can a landing displace.
+	full := rg.cfg.MaxEntries < rg.ids || rg.wantRotation
+	if got := st.SlabStats().Declined; got != ref.declined || full != (got > 0) {
+		t.Fatalf("the Store declined %d landings, the reference %d; want the same, and some iff the store fills (%t)", got, ref.declined, full)
 	}
 	if ss := st.SlabStats(); (ss.Rotations > 0) != rg.wantRotation || rg.wantCompaction && ss.Compactions == 0 {
 		t.Fatalf("the regime's premise does not hold: %d rotations, %d compactions; want rotation %t, compaction %t",

@@ -17,6 +17,7 @@ import (
 	"repro/internal/predict"
 	"repro/internal/prefetch"
 	"repro/prefetcher/fetch"
+	"repro/prefetcher/internal/store"
 )
 
 // ErrClosed is returned by Get after Close.
@@ -216,8 +217,9 @@ type Engine struct {
 // New assembles an Engine around the given origin fetcher, which
 // becomes the fetch fabric's one backend "origin" on the WithBandwidth
 // link (pass nil with WithBackends to name the backends yourself).
-// With no options it uses a Markov-1 predictor, NewSLRUCache's store of
-// 1024 entries (half of each shard protected) across GOMAXPROCS-derived
+// With no options it uses a Markov-1 predictor, the slab store of 1024
+// entries in segmented-LRU order (half of each shard protected) behind
+// the admission filter prefetchd's store runs, across GOMAXPROCS-derived
 // shards, the wall clock and the paper's adaptive threshold policy under
 // interaction model A — which requires WithBandwidth, the one parameter with no sensible default.
 func New(fetcher Fetcher, opts ...Option) (*Engine, error) {
@@ -323,11 +325,7 @@ func New(fetcher Fetcher, opts ...Option) (*Engine, error) {
 				}
 			}
 		default:
-			if per := defaultCacheCapacity / cfg.shards; per < 2 {
-				c = NewLRUCache(1)
-			} else {
-				c = NewSLRUCache(per, per/2)
-			}
+			c = store.NewFiltered(max(defaultCacheCapacity/cfg.shards, 1))
 		}
 		sh := newShard(c)
 		c.OnEvict(e.onEvict(sh))
@@ -445,8 +443,10 @@ func (e *Engine) awaitFlight(ctx context.Context, f *flight) (Item, error, bool)
 // way an item enters the cache. Under one hold of the shard lock the
 // item is cached and its record written (after putCache: a Put may
 // report evictions, id's previous incarnation included, and onEvict
-// would drop a record written first), or nothing is; either way the
-// flight is deregistered and resolved. The books are told outside the
+// would drop a record written first), or nothing is — a failed fetch,
+// or a demand landing the store's admission filter turned away, which
+// the flight still serves; either way the flight is deregistered and
+// resolved. The books are told outside the
 // lock, and only there do the two classes of fetch differ: a
 // speculative landing leaves its record unused — the Section-4 tag is
 // withheld until a demand request consumes it — and counts toward n̄(F)
@@ -470,8 +470,9 @@ func (e *Engine) land(sh *shard, id ID, f *flight, item Item, lent []byte, borro
 	}
 	sh.mu.Lock()
 	if err == nil {
-		e.putCache(sh, id, item.Data, lent, borrowed)
-		sh.records[id] = resident{size: item.Size, unused: speculative}
+		if e.putCache(sh, id, item.Data, lent, borrowed, speculative) {
+			sh.records[id] = resident{size: item.Size, unused: speculative}
+		}
 		f.item = item
 		if borrowed && f.waiters > 0 {
 			f.item.Data = bytes.Clone(lent)

@@ -16,6 +16,15 @@
 // drops the victim's boxed value and forwards the id to the engine's
 // OnEvict. Get, GetBytes, BytesLen and every Put touch; Contains peeks.
 //
+// New's stores and NewFiltered's filter admission (slab.Store's
+// FilterAdmission, TinyLFU's rule): Get, GetBytes and BytesLen each
+// count one demand access, hit or miss, and a demand Put of a new id
+// that would displace a resident stores it only if its key is counted
+// more often than the resident that would go first — else nothing is
+// stored. A speculative landing (Land) bypasses the filter: the
+// threshold rule already judged it worth its bytes. NewLRU and NewSLRU
+// keep the pure order their names promise.
+//
 // A []byte that fits a segment is copied in, so Get hands back an equal
 // copy. Any other value — a larger []byte, non-[]byte Data — is boxed in
 // an overflow map, held by reference, and keeps its place in the arena
@@ -81,8 +90,10 @@ type boxed struct {
 }
 
 // New builds one Store from cfg, bounded by bytes and entries, in
-// segmented-LRU order with MaxEntries/2 protected (1 entry: plain LRU):
-// one-shot keys and unused prefetches go before a key read twice.
+// segmented-LRU order with MaxEntries/2 protected (1 entry: plain LRU)
+// behind the admission filter: one-shot keys and unused prefetches go
+// before a key read twice, and a demand miss displaces a resident only
+// if its key is seen more often.
 func New(cfg Config) (*Store, error) {
 	if cfg.CapacityBytes <= 0 {
 		return nil, errors.New("bytestore: CapacityBytes must be > 0")
@@ -91,7 +102,17 @@ func New(cfg Config) (*Store, error) {
 	if maxEntries <= 0 {
 		maxEntries = max(cfg.CapacityBytes/64, 16)
 	}
-	return newStore(cfg.CapacityBytes, cfg.SegmentBytes, maxEntries, maxEntries/2), nil
+	return newStore(cfg.CapacityBytes, cfg.SegmentBytes, maxEntries, maxEntries/2, true), nil
+}
+
+// NewFiltered returns New's order — n entries, n/2 of them protected,
+// behind the admission filter — with NewLRU's entry-only bound: the
+// engine's default cache. It panics if n < 1.
+func NewFiltered(n int) *Store {
+	if n < 1 {
+		panic(fmt.Sprintf("store: capacity %d must be >= 1", n))
+	}
+	return newStore(math.MaxInt, entrySegmentBytes, n, n/2, true)
 }
 
 // NewLRU returns a Store holding at most n entries, least recently used
@@ -100,7 +121,7 @@ func NewLRU(n int) *Store {
 	if n < 1 {
 		panic(fmt.Sprintf("store: capacity %d must be >= 1", n))
 	}
-	return newStore(math.MaxInt, entrySegmentBytes, n, 0)
+	return newStore(math.MaxInt, entrySegmentBytes, n, 0, false)
 }
 
 // NewSLRU returns a Store holding at most n entries in segmented-LRU
@@ -110,11 +131,11 @@ func NewSLRU(n, p int) *Store {
 	if n < 1 || p < 1 {
 		panic(fmt.Sprintf("store: capacity %d and SLRU protected capacity %d must be >= 1", n, p))
 	}
-	return newStore(math.MaxInt, entrySegmentBytes, n, p)
+	return newStore(math.MaxInt, entrySegmentBytes, n, p, false)
 }
 
 // newStore is every constructor's: protected 0 is plain LRU.
-func newStore(capacityBytes, segmentBytes, maxEntries, protected int) *Store {
+func newStore(capacityBytes, segmentBytes, maxEntries, protected int, filtered bool) *Store {
 	s := &Store{
 		slab:          slab.New(capacityBytes, segmentBytes),
 		overflow:      make(map[fetch.ID]boxed),
@@ -122,6 +143,9 @@ func newStore(capacityBytes, segmentBytes, maxEntries, protected int) *Store {
 	}
 	s.slab.SetMaxEntries(maxEntries)
 	s.slab.SetProtected(protected)
+	if filtered {
+		s.slab.FilterAdmission()
+	}
 	// The one eviction stream: rotation, the entry bound and the overflow
 	// budget loop all report here, from inside Put.
 	s.slab.OnEvict(func(id int64) {
@@ -137,6 +161,7 @@ func newStore(capacityBytes, segmentBytes, maxEntries, protected int) *Store {
 // a fresh slice — the boxing path, an allocation per hit; the engine's
 // GetBytes and GetMultiBytes call GetBytes instead.
 func (s *Store) Get(id fetch.ID) (any, bool) {
+	s.slab.Count(int64(id))
 	if e, ok := s.overflow[id]; ok {
 		s.slab.BytesLen(int64(id)) // a hit: refresh the placeholder's recency
 		return e.val, true
@@ -163,8 +188,9 @@ func (s *Store) isBoxed(id fetch.ID) bool {
 // dst with no boxing and no allocation beyond dst's own growth.
 func (s *Store) GetBytes(id fetch.ID, dst []byte) ([]byte, bool) {
 	if s.isBoxed(id) {
-		return dst, false
+		return dst, false // the Get the engine falls back to counts the access
 	}
+	s.slab.Count(int64(id))
 	return s.slab.Get(int64(id), dst)
 }
 
@@ -173,21 +199,30 @@ func (s *Store) BytesLen(id fetch.ID) (int, bool) {
 	if s.isBoxed(id) {
 		return 0, false
 	}
+	s.slab.Count(int64(id))
 	return s.slab.BytesLen(int64(id))
 }
 
-// Put implements prefetcher.Cache. []byte payloads that fit a segment
-// go to the arena; everything else goes to the boxed overflow map with
-// an empty arena record in its place, so an admitted entry is always
-// resident whatever its payload shape. Overflow bytes bypass the arena's
-// budget, so they are charged against CapacityBytes here: residents are
-// evicted, probation's tail first, until the incoming payload fits (see
-// Config.CapacityBytes for the worst-case bound).
-func (s *Store) Put(id fetch.ID, value any) {
+// Put implements prefetcher.Cache: a demand landing of value (Land).
+func (s *Store) Put(id fetch.ID, value any) { s.Land(id, value, false) }
+
+// PutBytes implements prefetcher.BytesPutter: Put for a payload the
+// caller only borrowed (LandBytes).
+func (s *Store) PutBytes(id fetch.ID, b []byte) { s.LandBytes(id, b, false) }
+
+// Land stores a fetched value under id and reports whether it was
+// stored. A []byte that fits a segment is copied into the arena
+// (LandBytes). Everything else goes to the boxed overflow map, with an
+// empty arena record in its place, so an admitted entry is always
+// resident whatever its payload shape. Overflow bytes bypass the
+// arena's budget, so they are charged against CapacityBytes here:
+// residents are evicted, probation's tail first, until the incoming
+// payload fits (see Config.CapacityBytes for the worst-case bound). A
+// boxed value is not filtered.
+func (s *Store) Land(id fetch.ID, value any, speculative bool) bool {
 	b, isBytes := value.([]byte)
 	if isBytes && s.slab.Fits(len(b)) {
-		s.PutBytes(id, b)
-		return
+		return s.LandBytes(id, b, speculative)
 	}
 	// Clear id's previous incarnation before making room (Delete reports
 	// nothing — an overwrite is not an eviction), so the budget loop can
@@ -200,24 +235,27 @@ func (s *Store) Put(id fetch.ID, value any) {
 	}
 	s.overflow[id] = boxed{val: value, size: len(b)}
 	s.overflowBytes += len(b)
-	s.slab.Put(int64(id), nil)
+	s.slab.PutAdmitted(int64(id), nil)
 	if resident {
 		s.slab.BytesLen(int64(id)) // an overwrite is a use, as slab.Put makes it
 	}
+	return true
 }
 
-// PutBytes implements prefetcher.BytesPutter: Put for a payload the
-// caller only borrowed. The arena copies what fits a segment, as it
-// does for Put; an oversized payload, which Put would keep by
-// reference in the overflow map, is cloned first.
-func (s *Store) PutBytes(id fetch.ID, b []byte) {
+// LandBytes is Land for a payload the caller only borrowed: nothing the
+// store keeps aliases b once it returns. The arena copies what fits a
+// segment — a new id there passes the admission filter first, unless
+// the landing is speculative; an oversized payload, which Land would
+// keep by reference in the overflow map, is cloned first.
+func (s *Store) LandBytes(id fetch.ID, b []byte, speculative bool) bool {
 	if !s.slab.Fits(len(b)) {
-		// a payload larger than a segment lives boxed in the overflow map, which must not alias the lender's buffer
-		s.Put(id, bytes.Clone(b))
-		return
+		return s.Land(id, bytes.Clone(b), speculative)
 	}
 	s.dropOverflow(id) // shape change: previous value may be boxed
-	s.slab.Put(int64(id), b)
+	if speculative {
+		return s.slab.PutAdmitted(int64(id), b)
+	}
+	return s.slab.Put(int64(id), b)
 }
 
 // dropOverflow removes id's boxed entry, if any, debiting its charge

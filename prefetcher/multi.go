@@ -397,7 +397,12 @@ func (e *Engine) classifyResidentLocked(sh *shard, id ID, st *multiKey, mode uin
 		}
 		// A byte-view miss is not a cache miss: the entry may be resident
 		// in the store's boxed overflow (an oversized []byte, or a
-		// non-[]byte payload) — the boxed lookup below decides.
+		// non-[]byte payload) — the boxed lookup below decides. A peek
+		// first keeps a plain miss to one read, which the store's
+		// admission filter counts as one access.
+		if !st.inBuf && !sh.cache.Contains(id) {
+			return false
+		}
 	}
 	if !st.inBuf {
 		v, ok := sh.cache.Get(id)

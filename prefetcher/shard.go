@@ -47,6 +47,9 @@ type shard struct {
 	// pcache is cache when it can store a borrowed payload by copy
 	// (BytesPutter), nil otherwise; probed once, like bcache.
 	pcache BytesPutter
+	// lcache is cache when it takes the landing bit (lander: the
+	// built-in store does), nil otherwise; probed once, like bcache.
+	lcache lander
 	// inflight holds pointers and is bounded by concurrent fetches; it
 	// stays its own map so that records, which grows with the cache, is
 	// one the collector never scans.
@@ -92,10 +95,12 @@ const shardMapHint = 64
 func newShard(c Cache) *shard {
 	bc, _ := c.(ByteCache)
 	pc, _ := c.(BytesPutter)
+	lc, _ := c.(lander)
 	return &shard{
 		cache:    c,
 		bcache:   bc,
 		pcache:   pc,
+		lcache:   lc,
 		inflight: make(map[ID]*flight, shardMapHint),
 		records:  make(map[ID]resident, shardMapHint),
 	}
@@ -170,23 +175,41 @@ func defaultShards() int {
 	return nextPow2(n)
 }
 
+// lander is the landing bit's way into a cache: Land stores a landing
+// as Put would, LandBytes as PutBytes would, each told whether the
+// landing is speculative, and each reports whether it stored it. The
+// built-in store implements it: its admission filter may turn a demand
+// landing away, never a speculative one, which the threshold rule
+// already admitted.
+type lander interface {
+	Land(id ID, value any, speculative bool) bool
+	LandBytes(id ID, b []byte, speculative bool) bool
+}
+
 // putCache inserts a payload under id in the shard's cache — data, or
-// by copy the borrowed bytes lent — and keeps the engine's live resident
-// count in step: +1 when the id is newly admitted, and every eviction —
-// whether triggered by this Put or by any other cache call — is debited
-// by the shard's eviction callback (onEvict), so the counter stays
-// correct for any Cache that reports its evictions. Called with sh.mu
-// held.
-func (e *Engine) putCache(sh *shard, id ID, data any, lent []byte, borrowed bool) {
-	fresh := !sh.cache.Contains(id)
-	if borrowed {
+// by copy the borrowed bytes lent — and reports whether the cache
+// stored it (a cache without the landing bit always does). It keeps the
+// engine's live resident count in step: +1 when the id is newly stored,
+// and every eviction — whether triggered by this Put or by any other
+// cache call — is debited by the shard's eviction callback (onEvict), so
+// the counter stays correct for any Cache that reports its evictions.
+// Called with sh.mu held.
+func (e *Engine) putCache(sh *shard, id ID, data any, lent []byte, borrowed, speculative bool) bool {
+	fresh, stored := !sh.cache.Contains(id), true
+	switch {
+	case sh.lcache != nil && borrowed:
+		stored = sh.lcache.LandBytes(id, lent, speculative)
+	case sh.lcache != nil:
+		stored = sh.lcache.Land(id, data, speculative)
+	case borrowed:
 		sh.pcache.PutBytes(id, lent)
-	} else {
+	default:
 		sh.cache.Put(id, data)
 	}
-	if fresh {
+	if fresh && stored {
 		e.residents.Add(1)
 	}
+	return stored
 }
 
 // onEvict wires one shard's cache eviction stream into the engine: the
