@@ -30,6 +30,7 @@ type space struct {
 	cfg      SpaceConfig
 	engine   *prefetcher.Engine
 	fetchers []io.Closer
+	stores   []*bytestore.Store // one a shard, for /stats' admission block
 }
 
 // Server is the caching proxy: one engine per configured key space
@@ -65,12 +66,12 @@ func NewServer(cfg *Config, logf func(format string, args ...any)) (*Server, err
 		logf:    logf,
 	}
 	for _, sc := range cfg.Spaces {
-		eng, fetchers, err := buildEngine(sc)
+		sp, err := buildEngine(sc)
 		if err != nil {
 			s.closeEngines(context.Background())
 			return nil, fmt.Errorf("space %q: %w", sc.Name, err)
 		}
-		s.spaces[sc.Name] = &space{cfg: sc, engine: eng, fetchers: fetchers}
+		s.spaces[sc.Name] = sp
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/obj/", s.handleCore)
@@ -85,16 +86,17 @@ func NewServer(cfg *Config, logf func(format string, args ...any)) (*Server, err
 // Handler returns the server's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// buildEngine assembles one space's engine from its config, returning
-// with it the fetchers to close once the engine is closed. (On an error
-// none has fetched yet, so none holds a connection.)
-func buildEngine(sc SpaceConfig) (*prefetcher.Engine, []io.Closer, error) {
+// buildEngine assembles one space's engine from its config, with the
+// fetchers to close once the engine is closed and the stores it mounts.
+// (On an error none has fetched yet, so none holds a connection.)
+func buildEngine(sc SpaceConfig) (*space, error) {
+	sp := &space{cfg: sc}
 	var fetchers []io.Closer
 	backends := make([]fetch.Backend, 0, len(sc.Backends))
 	for _, bc := range sc.Backends {
 		f, err := buildFetcher(bc)
 		if err != nil {
-			return nil, nil, fmt.Errorf("backend %q: %w", bc.Name, err)
+			return nil, fmt.Errorf("backend %q: %w", bc.Name, err)
 		}
 		if c, ok := f.(io.Closer); ok {
 			fetchers = append(fetchers, c)
@@ -111,9 +113,13 @@ func buildEngine(sc SpaceConfig) (*prefetcher.Engine, []io.Closer, error) {
 	opts := []prefetcher.Option{prefetcher.WithBackends(backends...)}
 	factory, err := bytestore.Factory(sc.store())
 	if err != nil {
-		return nil, nil, fmt.Errorf("cache: %w", err)
+		return nil, fmt.Errorf("cache: %w", err)
 	}
-	opts = append(opts, prefetcher.WithCacheFactory(factory))
+	opts = append(opts, prefetcher.WithCacheFactory(func(shard, shards int) prefetcher.Cache {
+		st := factory(shard, shards).(*bytestore.Store)
+		sp.stores = append(sp.stores, st)
+		return st
+	}))
 	policy := prefetcher.AdaptiveThreshold(prefetcher.ModelA())
 	if sc.Policy == "none" {
 		policy = prefetcher.NoPrefetch()
@@ -131,8 +137,11 @@ func buildEngine(sc SpaceConfig) (*prefetcher.Engine, []io.Closer, error) {
 			Backoff:     time.Duration(h.Backoff),
 		}))
 	}
-	eng, err := prefetcher.New(nil, opts...)
-	return eng, fetchers, err
+	sp.fetchers = fetchers
+	if sp.engine, err = prefetcher.New(nil, opts...); err != nil {
+		return nil, err
+	}
+	return sp, nil
 }
 
 // defaultCacheBytes is a space's byte budget when its config names none.
@@ -375,7 +384,16 @@ func (s *Server) handleCore(w http.ResponseWriter, r *http.Request) {
 type statsReply struct {
 	UptimeSeconds float64                     `json:"uptime_seconds"`
 	Memory        memoryStats                 `json:"memory"`
+	Admission     map[string]admissionStats   `json:"admission"`
 	Spaces        map[string]prefetcher.Stats `json:"spaces"`
+}
+
+// admissionStats is one space's admission filter, summed over its
+// shards' stores: the demand landings it turned away, and the bytes its
+// count-min sketches take on the Go heap (8 per entry of the bound).
+type admissionStats struct {
+	DeclinedLandings int64 `json:"declined_landings"`
+	SketchBytes      int   `json:"sketch_bytes"`
 }
 
 // memoryStats splits the process's memory without a debugger: the cache
@@ -406,10 +424,18 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	reply := statsReply{
 		UptimeSeconds: time.Since(s.started).Seconds(),
 		Memory:        readMemory(),
+		Admission:     make(map[string]admissionStats, len(s.spaces)),
 		Spaces:        make(map[string]prefetcher.Stats, len(s.spaces)),
 	}
 	for name, sp := range s.spaces {
 		reply.Spaces[name] = sp.engine.Stats()
+		var a admissionStats
+		for _, st := range sp.stores {
+			declined, sketch := st.Admission()
+			a.DeclinedLandings += declined
+			a.SketchBytes += sketch
+		}
+		reply.Admission[name] = a
 	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)

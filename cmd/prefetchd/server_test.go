@@ -279,6 +279,11 @@ func TestDaemonPolicyNoneIssuesNoPrefetch(t *testing.T) {
 		t.Fatalf("policy none issued %d prefetches, %d speculative fetches at the backend; want 0 (stats %+v)",
 			st.PrefetchIssued, st.Backends[0].Speculative, st)
 	}
+	// The admission block: an 8-entry space's sketch is 64 bytes, and a
+	// loop four times its size has its landings turned away.
+	if a := stats.Admission[DefaultSpace]; a.SketchBytes != 64 || a.DeclinedLandings == 0 {
+		t.Fatalf("admission %+v; want a 64-byte sketch and declined landings", a)
+	}
 	// A cyclic stream four times the cache, nothing prefetched: every
 	// miss is one the origin answered singly. Under plain LRU every
 	// request would miss; the store's admission filter keeps some of the
@@ -724,10 +729,11 @@ func TestBuildEngineKnobs(t *testing.T) {
 		{Name: "c", Policy: "none",
 			Backends: []BackendConfig{{Name: "fs", Type: "fs", Root: dir}}},
 	} {
-		eng, _, err := buildEngine(sc)
+		sp, err := buildEngine(sc)
 		if err != nil {
 			t.Fatalf("space %q: %v", sc.Name, err)
 		}
+		eng := sp.engine
 		if _, err := eng.Get(context.Background(), prefetcher.ID(404)); err == nil {
 			t.Fatalf("space %q: fetch of a missing file succeeded", sc.Name)
 		}

@@ -228,7 +228,8 @@ func TestConcurrentMarkov1Bounded(t *testing.T) {
 // row halving its counts (at a total of markovHalveAt), and a stripe
 // growing, its rows moved to a new mapping outside the Go heap and the
 // old one freed. Neither allocates on the Go heap (where rows are mapped
-// with mmap: not under -race, nor off unix).
+// with mmap: not under -race, nor off unix): every allocation of 100
+// halvings and of 6 grows is counted, not their integer mean.
 func TestMarkovUpkeepAllocFree(t *testing.T) {
 	var r markovRow
 	var d countMoves
@@ -239,18 +240,22 @@ func TestMarkovUpkeepAllocFree(t *testing.T) {
 		}
 		r.count(cache.ID(1), &d)
 	}
-	if allocs := testing.AllocsPerRun(100, halve); allocs != 0 {
-		t.Fatalf("halving a row allocated %v times; want 0", allocs)
-	}
+	testutil.AllocsInPhase(t, 0, "halving a row 100 times", halve, func() {
+		for i := 0; i < 100; i++ {
+			halve()
+		}
+	})
 	if raceEnabled {
 		t.Skip("under -race internal/offheap maps rows with make, one allocation a grow")
 	}
 	var s markovStripe
 	s.grow()
 	s.row(cache.ID(1), hashID(cache.ID(1)), &d).count(cache.ID(2), &d)
-	if allocs := testing.AllocsPerRun(6, s.grow); allocs != 0 {
-		t.Fatalf("growing a stripe allocated %v times; want 0", allocs)
-	}
+	testutil.AllocsInPhase(t, 0, "growing a stripe 6 times", s.grow, func() {
+		for i := 0; i < 6; i++ {
+			s.grow()
+		}
+	})
 	if got := len(s.rows); got != markovWays<<7 {
 		t.Fatalf("the stripe holds %d rows after 8 grows, want %d", got, markovWays<<7)
 	}

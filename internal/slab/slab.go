@@ -48,6 +48,7 @@ package slab
 import (
 	"encoding/binary"
 	"runtime"
+	"sync/atomic"
 
 	"repro/internal/offheap"
 )
@@ -151,7 +152,7 @@ type Store struct {
 	rotateEvicted  int64
 	compactions    int64
 	compactedBytes int64
-	declined       int64
+	declined       atomic.Int64 // read by Declined from any goroutine
 
 	sketch  *Sketch // the admission filter; nil admits every Put
 	onEvict func(id int64)
@@ -244,12 +245,18 @@ func (s *Store) Stats() Stats {
 		RotateEvicted:  s.rotateEvicted,
 		Compactions:    s.compactions,
 		CompactedBytes: s.compactedBytes,
-		Declined:       s.declined,
-		SketchBytes:    s.sketchBytes(),
+		Declined:       s.declined.Load(),
+		SketchBytes:    s.SketchBytes(),
 	}
 }
 
-func (s *Store) sketchBytes() int {
+// Declined returns Stats().Declined. Unlike the rest of the Store it is
+// safe to call from any goroutine, as is SketchBytes once the filter is
+// on.
+func (s *Store) Declined() int64 { return s.declined.Load() }
+
+// SketchBytes returns Stats().SketchBytes.
+func (s *Store) SketchBytes() int {
 	if s.sketch == nil {
 		return 0
 	}
@@ -469,7 +476,7 @@ func (s *Store) put(id int64, v []byte, filter bool) bool {
 	if hit {
 		s.dropSlot(i)
 	} else if filter && s.sketch != nil && s.Displaces(len(v)) && !s.admits(id) {
-		s.declined++
+		s.declined.Add(1)
 		return false
 	}
 	s.ensure(need)

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/testutil"
 )
 
 func TestSumCoversTheSpan(t *testing.T) {
@@ -151,17 +153,21 @@ func BenchmarkSum(b *testing.B) {
 // TestWindowAllocFree gates the window's per-request calls, At and Add,
 // also when each At enters a new bucket and advance moves the ring: the
 // per-request gates of the engine run inside one bucket, so they do not
-// see advance.
+// see advance. It counts every allocation of 100 boundary crossings, not
+// their integer mean.
 func TestWindowAllocFree(t *testing.T) {
 	w := New(4)
 	now := 0.0
-	if allocs := testing.AllocsPerRun(100, func() {
+	step := func() {
 		now += w.Width()
 		w.At(now)
 		w.Add(0, 1)
-	}); allocs != 0 {
-		t.Fatalf("At and Add across a bucket boundary allocated %v times; want 0", allocs)
 	}
+	testutil.AllocsInPhase(t, 0, "At and Add across 100 bucket boundaries", step, func() {
+		for i := 0; i < 100; i++ {
+			step()
+		}
+	})
 	if sums, _ := w.Sum(now); sums[0] != K {
 		t.Fatalf("the window holds %v events, want %d (one a bucket)", sums[0], K)
 	}

@@ -294,5 +294,12 @@ func (s *Store) Footprint() (arena, arenaMax, overflow, overflowMax int64) {
 	return st.LiveBytes, int64(st.SegmentBytes) * int64(s.slab.MaxSegments()), int64(s.overflowBytes), overflowMax
 }
 
+// Admission reports the admission filter's books, and unlike the rest
+// of the Store may be read from any goroutine: the demand landings it
+// declined and its sketch's size (0 and 0 for NewLRU and NewSLRU).
+func (s *Store) Admission() (declined int64, sketchBytes int) {
+	return s.slab.Declined(), s.slab.SketchBytes()
+}
+
 // SlabStats exposes the arena's occupancy/churn counters.
 func (s *Store) SlabStats() slab.Stats { return s.slab.Stats() }

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/testutil"
 	"repro/prefetcher"
 	"repro/prefetcher/bytestore"
 	"repro/prefetcher/fetch"
@@ -821,6 +822,72 @@ func TestGetBytesMissAllocFree(t *testing.T) {
 			prefetcher.QuiesceAndCheck(t, eng)
 		})
 	}
+}
+
+// TestGetBytesPhaseAllocFree counts every allocation of a phase of
+// GetBytes hits and misses through the filtered slab store, long enough
+// for the admission sketch to halve its counters at least ten times: a
+// halving comes once in 10 × the entry bound counted accesses, an arm
+// testing.AllocsPerRun's integer mean would round away. Half the
+// requests read four hot keys, half never repeat; every request counts
+// one access, so 4,000 of them over an entry bound of 8 halve the
+// sketch 50 times, and the never-repeating misses are mostly declined.
+func TestGetBytesPhaseAllocFree(t *testing.T) {
+	if prefetcher.RaceEnabled {
+		t.Skip("the miss path draws flights and scratch from sync.Pools, which the race runtime drops Puts from")
+	}
+	const bound, requests, size = 8, 4000, 1 << 10
+	if requests < 10*10*bound {
+		t.Fatal("the phase must span at least 10 halvings")
+	}
+	var st *bytestore.Store
+	eng, err := prefetcher.New(&byteOrigin{size: func(prefetcher.ID) int { return size }},
+		prefetcher.WithCacheFactory(func(int, int) prefetcher.Cache {
+			st, _ = bytestore.New(bytestore.Config{CapacityBytes: 256 << 10, MaxEntries: bound, SegmentBytes: 64 << 10})
+			return st
+		}),
+		prefetcher.WithShards(1),
+		prefetcher.WithBandwidth(1e9),
+		prefetcher.WithPolicy(prefetcher.NoPrefetch()),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	ctx := context.Background()
+	buf := make([]byte, 0, size)
+	i := 0
+	get := func() {
+		id := prefetcher.ID(i % 4)
+		if i%2 == 1 {
+			id = prefetcher.ID(100 + i)
+		}
+		if got, err := eng.GetBytes(ctx, id, buf[:0]); err != nil || len(got) != size {
+			t.Fatalf("GetBytes(%d): %d bytes, %v", id, len(got), err)
+		}
+		i++
+	}
+	phase := func(n int) func() {
+		return func() {
+			for k := 0; k < n; k++ {
+				get()
+			}
+		}
+	}
+	var before prefetcher.Stats
+	var declined int64
+	testutil.AllocsInPhase(t, 0, fmt.Sprintf("%d GetBytes hits and misses", requests), func() {
+		phase(2 * requests)()
+		before, declined = eng.Stats(), st.SlabStats().Declined
+	}, phase(requests))
+	after := eng.Stats()
+	if hits, misses := after.Hits-before.Hits, after.Misses-before.Misses; hits < requests/4 || misses < requests/4 {
+		t.Fatalf("the phase served %d hits and %d misses; want at least %d of each", hits, misses, requests/4)
+	}
+	if d := st.SlabStats().Declined - declined; d < requests/4 {
+		t.Fatalf("the filter declined %d of the phase's landings; want at least %d", d, requests/4)
+	}
+	prefetcher.QuiesceAndCheck(t, eng)
 }
 
 // TestSpeculativeLandingAllocFree gates the speculative landing: a

@@ -1,9 +1,11 @@
 package prefetcher
 
 import (
+	"bytes"
 	"context"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/prefetcher/fetch"
 	"repro/prefetcher/internal/store"
@@ -241,5 +243,103 @@ func TestDispatchOwnsNothingAfterPush(t *testing.T) {
 				t.Fatalf("the run must prefetch, and shed when its queue holds one job: %+v", st)
 			}
 		})
+	}
+}
+
+// TestDeclinedLandingKeepsTheBooks drives a demand landing that the
+// built-in store's admission filter turns away while a joiner waits on
+// its flight (ROADMAP item 6(a)). A 4-entry filtered store holds four
+// keys each read three times; a fresh key, read by its owner and one
+// joiner, is counted twice, so its landing would displace a key counted
+// more often and is declined. Both readers still get the payload — the
+// joiner its own clone of the lent bytes, intact after the lender's
+// buffer has been reused — no record is written, the resident count
+// matches the store's, and the books balance. On a second engine that
+// prefetches, a speculative landing of a key the sketch has counted once
+// into the full store is never declined, so Issued = Used + Wasted +
+// Errors + resident-unused still conserves.
+func TestDeclinedLandingKeepsTheBooks(t *testing.T) {
+	const n = 4
+	ctx := context.Background()
+	// newFull returns an engine over a filtered store of n entries, each
+	// holding a key read three times.
+	newFull := func(origin Fetcher, p Policy) (*Engine, *store.Store, func(ID) []byte) {
+		var st *store.Store
+		eng, err := New(origin, WithBandwidth(1e9), WithShards(1), WithPolicy(p),
+			WithCacheFactory(func(int, int) Cache { st = store.NewFiltered(n); return st }))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { eng.Close() })
+		get := func(id ID) []byte {
+			b, err := eng.GetBytes(ctx, id, nil)
+			if err != nil {
+				t.Error(err)
+			}
+			return b
+		}
+		for pass := 0; pass < 3; pass++ {
+			for id := ID(0); id < n; id++ {
+				get(id)
+			}
+		}
+		if err := eng.Quiesce(ctx); err != nil {
+			t.Fatal(err)
+		}
+		return eng, st, get
+	}
+
+	origin := &flatLender{held: make(chan struct{})}
+	eng, st, get := newFull(origin, NoPrefetch())
+	fresh := ID(1 << 20)
+	var wg sync.WaitGroup
+	var got [2][]byte
+	wg.Add(1)
+	go func() { defer wg.Done(); got[0] = get(fresh) }()
+	sh := eng.shards[0]
+	waiters := func() int {
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		if f := sh.inflight[fresh]; f != nil {
+			return f.waiters
+		}
+		return -1
+	}
+	for waiters() < 0 {
+		time.Sleep(time.Millisecond)
+	}
+	wg.Add(1)
+	go func() { defer wg.Done(); got[1] = get(fresh) }()
+	for waiters() < 1 {
+		time.Sleep(time.Millisecond)
+	}
+	close(origin.held)
+	wg.Wait()
+	sh.mu.Lock()
+	_, recorded := sh.records[fresh]
+	sh.mu.Unlock()
+	if st.Contains(fresh) || recorded || st.SlabStats().Declined != 1 || eng.Stats().Joins != 1 {
+		t.Fatalf("fresh key: resident %t, record %t, %d declined, %d joins; want false, false, 1, 1",
+			st.Contains(fresh), recorded, st.SlabStats().Declined, eng.Stats().Joins)
+	}
+	get(fresh + 1) // the lender's buffer, reused
+	for i, b := range got {
+		if !bytes.Equal(b, bytes.Repeat([]byte{byte(fresh)}, 64)) {
+			t.Fatalf("reader %d of the declined landing holds %v", i, b)
+		}
+	}
+	quiesceAndCheck(t, eng)
+
+	// Teach the model 1 → spec, then read 1 again: of its two
+	// candidates 2 is resident, and spec, a key the sketch has counted
+	// once, lands speculative into the full store, and stays.
+	eng, st, get = newFull(&flatLender{}, TopK(2))
+	spec := fresh + 2
+	get(1)
+	get(spec)
+	get(1)
+	quiesceAndCheck(t, eng)
+	if s := eng.Stats(); s.PrefetchIssued != 1 || !st.Contains(spec) || st.Len() != n {
+		t.Fatalf("the speculative landing: %d issued, resident %t, %d entries; want 1, true, %d", s.PrefetchIssued, st.Contains(spec), st.Len(), n)
 	}
 }
