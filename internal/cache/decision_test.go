@@ -1,6 +1,7 @@
 package cache_test
 
 import (
+	"fmt"
 	"os"
 	"slices"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/rng"
 	"repro/internal/workload"
 	"repro/prefetcher"
+	"repro/prefetcher/bytestore"
 )
 
 // decisionStreams are the key streams the replacement-order decision
@@ -81,8 +83,8 @@ type decisionStream struct {
 	rho      float64 // the link's ρ̂′: the daemon admits a candidate of p̂ above it
 }
 
-// replayer is what missRatio drives: policyStore, slruStore or
-// filteredSLRU. Admit carries the landing bit: speculative is true for
+// replayer is what missRatio drives: policyStore, slruStore,
+// landingStore or filteredSLRU. Admit carries the landing bit: speculative is true for
 // a prefetch the threshold rule admitted, false for a demand miss.
 type replayer interface {
 	Access(id cache.ID) bool
@@ -108,6 +110,31 @@ func (s slruStore) Access(id cache.ID) bool {
 func (s slruStore) Admit(id cache.ID, _ bool) { s.c.Put(prefetcher.ID(id), []byte(nil)) }
 
 func (s slruStore) Contains(id cache.ID) bool { return s.c.Contains(prefetcher.ID(id)) }
+
+// landingStore drives the store prefetchd mounts (bytestore.New, at
+// capacity entries and a byte budget that never binds) the way the
+// engine does: a demand read through GetBytes, which the admission
+// filter counts, and each landing with its landing bit.
+type landingStore struct{ s *bytestore.Store }
+
+func newLandingStore(capacity int) landingStore {
+	s, err := bytestore.New(bytestore.Config{CapacityBytes: 64 << 20, MaxEntries: capacity})
+	if err != nil {
+		panic(err)
+	}
+	return landingStore{s}
+}
+
+func (s landingStore) Access(id cache.ID) bool {
+	_, ok := s.s.GetBytes(prefetcher.ID(id), nil)
+	return ok
+}
+
+func (s landingStore) Admit(id cache.ID, speculative bool) {
+	s.s.LandBytes(prefetcher.ID(id), nil, speculative)
+}
+
+func (s landingStore) Contains(id cache.ID) bool { return s.s.Contains(prefetcher.ID(id)) }
 
 // filteredSLRU is the reference model of a frequency-filtered segmented
 // LRU (TinyLFU's admission in front of SLRU), written with plain slices,
@@ -281,53 +308,47 @@ func missRatio(ids []cache.ID, store replayer, session, k int, rho float64) floa
 // TestShippedOrderHasLeastRegret keeps the byte store's replacement
 // order reproducible: prefetchd's store (bytestore, through store.New)
 // and the library's default cache ship the order that, on the traffic
-// the daemon serves, strays least far from the best one on any stream.
-// It replays each stream through every policy in this package, through
-// NewSLRUCache at ½, ⅔ and ⅘ of the entries protected and through
-// filteredSLRU at ½, and logs four columns per row: per-key top 2,
-// per-key top 4, demand-only, and the daemon's own shape — top 4 per
-// /obj request, and for page-batch top 4 once per 8-key /batch session
-// from its last id — each planning column admitting only candidates
-// above the stream's link load and landing them speculative. An order's
-// excess on a stream is its daemon-shaped miss_ratio minus the best
-// shippable order's there. The test fails unless the shipped order has
-// the smallest worst-case excess over the six streams among the orders
-// a store can ship — a forecast row, a reference model no store runs
-// yet, is logged beside them, and reads below 0 where it would beat
-// them all — and unless it misses at least 0.02 less than
-// LRU on page-batch's sessions, where the replacement order, not
-// prefetching, sets both of the paper's axes.
+// the daemon serves, strays least far from the best one on any stream —
+// segmented LRU with half the entries protected, behind TinyLFU's
+// frequency filter. It replays each stream through every policy in this
+// package, through NewSLRUCache at ½, ⅔ and ⅘ of the entries protected
+// and through the shipped store, and logs four columns per row: per-key
+// top 2, per-key top 4, demand-only, and the daemon's own shape — top 4
+// per /obj request, and for page-batch top 4 once per 8-key /batch
+// session from its last id — each planning column admitting only
+// candidates above the stream's link load and landing them speculative.
+// An order's excess on a stream is its daemon-shaped miss_ratio minus
+// the best order's there. The test fails unless the shipped order has
+// the smallest worst-case excess over the six streams, and unless it
+// misses at least 0.02 less than LRU on page-batch's sessions, where
+// the replacement order, not prefetching, sets both of the paper's axes.
 func TestShippedOrderHasLeastRegret(t *testing.T) {
 	type order struct {
-		name     string
-		mk       func(capacity int) replayer
-		forecast bool // a reference model no store ships yet: logged, not gated
+		name string
+		mk   func(capacity int) replayer
 	}
 	policy := func(name string, p func() cache.Policy) order {
-		return order{name, func(capacity int) replayer { return policyStore{cache.NewStore(capacity, p())} }, false}
+		return order{name, func(capacity int) replayer { return policyStore{cache.NewStore(capacity, p())} }}
 	}
 	slru := func(name string, num, den int) order {
 		return order{name, func(capacity int) replayer {
 			return slruStore{prefetcher.NewSLRUCache(capacity, capacity*num/den)}
-		}, false}
+		}}
 	}
-	// lru first: the page-batch gate reads it by index.
+	// lru first and the shipped store second: the gates read both by index.
 	const shipped = 1
 	orders := []order{
 		policy("lru", func() cache.Policy { return cache.NewLRU() }),
+		{"tlfu½", func(capacity int) replayer { return newLandingStore(capacity) }},
 		slru("slru½", 1, 2),
 		slru("slru⅔", 2, 3),
 		slru("slru⅘", 4, 5),
-		{"tlfu½", func(capacity int) replayer { return newFilteredSLRU(capacity, capacity/2) }, true},
 		policy("fifo", func() cache.Policy { return cache.NewFIFO() }),
 		policy("lfu", func() cache.Policy { return cache.NewLFU() }),
 		policy("clock", func() cache.Policy { return cache.NewClock() }),
 		policy("random", func() cache.Policy { return cache.NewRandomPolicy(rng.NewStream(1, "random-policy")) }),
 	}
 	worst := make([]float64, len(orders)) // worst-case excess, per order
-	for i := range worst {
-		worst[i] = -1
-	}
 	for _, st := range decisionStreams(t) {
 		daemon := make([]float64, len(orders))
 		for i, o := range orders {
@@ -341,12 +362,7 @@ func TestShippedOrderHasLeastRegret(t *testing.T) {
 			t.Logf("%-15s ρ̂′ %.2f %-6s miss_ratio %.4f per-key top 2, %.4f top 4, %.4f demand-only, %.4f as the daemon plans",
 				st.name, st.rho, o.name, top2, top4, off, daemon[i])
 		}
-		best := 1.0 // over the orders a store ships
-		for i, m := range daemon {
-			if !orders[i].forecast {
-				best = min(best, m)
-			}
-		}
+		best := slices.Min(daemon)
 		for i, m := range daemon {
 			worst[i] = max(worst[i], m-best)
 		}
@@ -356,16 +372,69 @@ func TestShippedOrderHasLeastRegret(t *testing.T) {
 		}
 	}
 	for i, w := range worst {
-		note := ""
-		if orders[i].forecast {
-			note = " (forecast: no store ships it)"
-		}
-		t.Logf("worst-case excess miss_ratio as the daemon plans: %-6s %.4f%s", orders[i].name, w, note)
+		t.Logf("worst-case excess miss_ratio as the daemon plans: %-6s %.4f", orders[i].name, w)
 	}
 	for i, w := range worst {
-		if !orders[i].forecast && w < worst[shipped] {
+		if w < worst[shipped] {
 			t.Errorf("%s strays at most %.4f from the best order on any stream, %s %.4f — the shipped order (store.New, the engine's default cache) is not the one of least regret",
 				orders[i].name, w, orders[shipped].name, worst[shipped])
+		}
+	}
+}
+
+// lockstep drives a store and its reference model with the same calls
+// and fails at the first answer, or residency after a landing, on which
+// they differ.
+type lockstep struct {
+	t          *testing.T
+	got, want  replayer
+	what       string
+	ops, admit int
+}
+
+func (l *lockstep) Access(id cache.ID) bool {
+	l.ops++
+	got, want := l.got.Access(id), l.want.Access(id)
+	if got != want {
+		l.t.Fatalf("%s op %d: Access(%d) = %t; reference %t", l.what, l.ops, id, got, want)
+	}
+	return got
+}
+
+func (l *lockstep) Admit(id cache.ID, speculative bool) {
+	l.ops++
+	l.admit++
+	l.got.Admit(id, speculative)
+	l.want.Admit(id, speculative)
+	if got, want := l.got.Contains(id), l.want.Contains(id); got != want {
+		l.t.Fatalf("%s op %d: Admit(%d, speculative %t) left it resident %t; reference %t", l.what, l.ops, id, speculative, got, want)
+	}
+}
+
+func (l *lockstep) Contains(id cache.ID) bool {
+	l.ops++
+	got, want := l.got.Contains(id), l.want.Contains(id)
+	if got != want {
+		l.t.Fatalf("%s op %d: Contains(%d) = %t; reference %t", l.what, l.ops, id, got, want)
+	}
+	return got
+}
+
+// TestShippedStoreMatchesReference holds the store prefetchd mounts to
+// filteredSLRU, the reference model of segmented LRU ½ behind TinyLFU's
+// filter, op for op — every Access's hit or miss, every landing's
+// residency, and as many demand landings declined — on each decision
+// stream, demand-only and as the daemon plans.
+func TestShippedStoreMatchesReference(t *testing.T) {
+	for _, st := range decisionStreams(t) {
+		for _, k := range []int{0, 4} {
+			store, ref := newLandingStore(st.capacity), newFilteredSLRU(st.capacity, st.capacity/2)
+			l := &lockstep{t: t, got: store, want: ref, what: fmt.Sprintf("%s top %d", st.name, k)}
+			missRatio(st.ids, l, st.session, k, st.rho)
+			if got := store.s.SlabStats().Declined; got != int64(ref.declined) {
+				t.Fatalf("%s: the store declined %d landings, the reference %d", l.what, got, ref.declined)
+			}
+			t.Logf("%-15s top %d: %d ops in lockstep, %d landings, %d declined", st.name, k, l.ops, l.admit, ref.declined)
 		}
 	}
 }
