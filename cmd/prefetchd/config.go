@@ -87,8 +87,9 @@ type SpaceConfig struct {
 	// payloads live in pointer-free segments the GC never scans, bounded
 	// by CacheBytes (0 = 64 MiB), probation's tail out first;
 	// CacheCapacity bounds the entry count (0 = CacheBytes/64), half of
-	// it protected (segmented LRU), and
-	// SegmentBytes sizes the arena segments (0 = 1 MiB).
+	// it protected (segmented LRU), behind a frequency filter that lets
+	// a demand miss displace a resident only if its key is read more
+	// often; SegmentBytes sizes the arena segments (0 = 1 MiB).
 	CacheCapacity int `json:"cache_capacity,omitempty"`
 	CacheBytes    int `json:"cache_bytes,omitempty"`
 	SegmentBytes  int `json:"segment_bytes,omitempty"`

@@ -1,5 +1,47 @@
 package slab
 
+// FilterAdmission turns the admission filter on, with a Sketch sized for
+// the entry bound: call it after SetMaxEntries. Count then tallies each
+// demand access, and a Put of an id not resident that would displace a
+// resident — through the entry bound or a rotation (Displaces) — stores
+// it only if the sketch counts it more often than the resident the bound
+// would take first: probation's least recently used, or the protected
+// list's while probation is empty. Otherwise Put stores nothing, counts
+// a decline and returns false. PutAdmitted is Put for an entry the
+// caller has already judged worth its place: the filter is not asked.
+func (s *Store) FilterAdmission() { s.sketch = NewSketch(s.maxEntries) }
+
+// Count counts one demand access of id, hit or miss, in the admission
+// filter's sketch (nothing without FilterAdmission). Get and BytesLen
+// do not count: the caller says which reads are demand accesses.
+func (s *Store) Count(id int64) {
+	if s.sketch != nil {
+		s.sketch.Add(id)
+	}
+}
+
+// admits reports whether the admission filter lets new id displace the
+// entry the bound takes first.
+func (s *Store) admits(id int64) bool {
+	j := s.lists[probation].tail
+	if j == none {
+		j = s.lists[protected].tail
+	}
+	return s.sketch.Estimate(id) > s.sketch.Estimate(s.keys[j])
+}
+
+// Declined returns Stats().Declined. Unlike the rest of the Store it is
+// safe to call from any goroutine, as is SketchBytes.
+func (s *Store) Declined() int64 { return s.declined.Load() }
+
+// SketchBytes is the admission filter's sketch size, 0 without one.
+func (s *Store) SketchBytes() int {
+	if s.sketch == nil {
+		return 0
+	}
+	return s.sketch.Bytes()
+}
+
 // Sketch is a count-min sketch of how often keys are accessed: the
 // frequency half of TinyLFU (Einziger, Friedman & Manes, ACM TOS 2017),
 // which Store.FilterAdmission puts in front of the recency order. It

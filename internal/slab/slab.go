@@ -33,13 +33,9 @@
 // from the tail of the list, after any rotation it caused, never the
 // entry it placed. EvictOldest evicts the tail on demand.
 //
-// FilterAdmission puts a frequency filter (TinyLFU's; Sketch) in front
-// of the order: Count tallies each demand access, and a Put of a new id
-// that would displace a resident — through the entry bound or a
-// rotation — stores it only if the sketch counts it more often than the
-// resident the bound would take first. Otherwise Put stores nothing and
-// says so. PutAdmitted is Put for an entry the caller has already judged
-// worth its place: the filter is not consulted.
+// FilterAdmission puts TinyLFU's frequency filter in front of the order
+// (sketch.go): a Put of a new id that would displace a resident stores
+// nothing unless its key is counted more often; PutAdmitted skips it.
 //
 // A Store is not safe for concurrent use; in the prefetch engine each
 // shard owns one behind its shard mutex.
@@ -116,7 +112,6 @@ type Stats struct {
 	Compactions    int64 // segments reclaimed in place, nothing evicted
 	CompactedBytes int64 // live bytes compaction moved
 	Declined       int64 // Puts the admission filter turned away
-	SketchBytes    int   // the admission filter's sketch, 0 without one
 }
 
 // Store is the arena. The zero value is not usable; call New.
@@ -206,19 +201,6 @@ func (s *Store) SetMaxEntries(n int) {
 // holds nothing but the entry a Put placed. Call it on an empty Store.
 func (s *Store) SetProtected(p int) { s.protectedCap = max(0, p) }
 
-// FilterAdmission turns the admission filter on (see the package doc),
-// with a Sketch sized for the entry bound: call it after SetMaxEntries.
-func (s *Store) FilterAdmission() { s.sketch = NewSketch(s.maxEntries) }
-
-// Count counts one demand access of id, hit or miss, in the admission
-// filter's sketch (nothing without FilterAdmission). Get and BytesLen
-// do not count: the caller says which reads are demand accesses.
-func (s *Store) Count(id int64) {
-	if s.sketch != nil {
-		s.sketch.Add(id)
-	}
-}
-
 // OnEvict registers the callback that rotation, the entry bound and
 // EvictOldest invoke, synchronously from inside Put or EvictOldest, once
 // per live entry they displace. It must not call back into the Store.
@@ -246,21 +228,7 @@ func (s *Store) Stats() Stats {
 		Compactions:    s.compactions,
 		CompactedBytes: s.compactedBytes,
 		Declined:       s.declined.Load(),
-		SketchBytes:    s.SketchBytes(),
 	}
-}
-
-// Declined returns Stats().Declined. Unlike the rest of the Store it is
-// safe to call from any goroutine, as is SketchBytes once the filter is
-// on.
-func (s *Store) Declined() int64 { return s.declined.Load() }
-
-// SketchBytes returns Stats().SketchBytes.
-func (s *Store) SketchBytes() int {
-	if s.sketch == nil {
-		return 0
-	}
-	return s.sketch.Bytes()
 }
 
 // pack encodes (segment, payload offset, payload length) into one
@@ -512,17 +480,6 @@ func (s *Store) Displaces(n int) bool {
 	}
 	how, seg := s.pick(headerBytes + n)
 	return how == rotateSeg && s.liveSeg[seg] > 0
-}
-
-// admits reports whether the admission filter lets new id displace the
-// entry the bound takes first: probation's least recently used, or the
-// protected list's while probation is empty.
-func (s *Store) admits(id int64) bool {
-	j := s.lists[probation].tail
-	if j == none {
-		j = s.lists[protected].tail
-	}
-	return s.sketch.Estimate(id) > s.sketch.Estimate(s.keys[j])
 }
 
 // What ensure does to make room, as pick chooses it.

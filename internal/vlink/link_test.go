@@ -116,12 +116,17 @@ func (l *link) run() {
 	}
 }
 
+// payload is every item's Data: an empty []byte, which a store copies
+// into its arena (and its admission filter, where it has one, judges)
+// rather than boxing, at no allocation.
+var payload = []byte{}
+
 // Fetch sends one item of size 1.
 func (l *link) Fetch(ctx context.Context, id fetch.ID) (fetch.Item, error) {
 	if err := l.transfer(ctx, 1); err != nil {
 		return fetch.Item{}, err
 	}
-	return fetch.Item{ID: id, Size: 1}, nil
+	return fetch.Item{ID: id, Size: 1, Data: payload}, nil
 }
 
 // FetchBatch sends the items as one transfer.
@@ -131,7 +136,7 @@ func (l *link) FetchBatch(ctx context.Context, ids []fetch.ID) ([]fetch.Item, er
 	}
 	items := make([]fetch.Item, len(ids))
 	for i, id := range ids {
-		items[i] = fetch.Item{ID: id, Size: 1}
+		items[i] = fetch.Item{ID: id, Size: 1, Data: payload}
 	}
 	return items, nil
 }
@@ -202,6 +207,8 @@ type run struct {
 	links []origin
 	// opts configure the fabric: hedging and its retry budget.
 	opts []prefetcher.Option
+	// cache builds the store; nil is NewSLRUCache's of cacheEntries.
+	cache func() prefetcher.Cache
 }
 
 // origins returns r's backends.
@@ -258,11 +265,15 @@ func (r run) bubble() (res result, err error) {
 		backends[i] = fetch.Backend{Name: fmt.Sprintf("vlink%d", i), Fetcher: links[i], Bandwidth: o.bandwidth,
 			DemandTimeout: o.timeout, SpeculativeTimeout: o.timeout}
 	}
+	c := prefetcher.NewSLRUCache(cacheEntries, cacheEntries/2)
+	if r.cache != nil {
+		c = r.cache()
+	}
 	eng, err := prefetcher.New(nil, append([]prefetcher.Option{
 		prefetcher.WithBackends(backends...),
 		prefetcher.WithPolicy(r.policy),
 		prefetcher.WithBandwidth(r.b),
-		prefetcher.WithCache(prefetcher.NewSLRUCache(cacheEntries, cacheEntries/2))}, r.opts...)...)
+		prefetcher.WithCache(c)}, r.opts...)...)
 	if err != nil {
 		return res, err
 	}

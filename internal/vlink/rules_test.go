@@ -10,6 +10,7 @@ import (
 	"repro/internal/queue"
 	"repro/internal/rng"
 	"repro/prefetcher"
+	"repro/prefetcher/bytestore"
 	"repro/prefetcher/fetch"
 )
 
@@ -103,7 +104,10 @@ func chain(src *rng.Source) func() fetch.ID {
 // threshold (adaptive-b), the static cutoffs and top-k won nowhere, and
 // the test fails if one comes to. The table also logs the controller's
 // and the link's ρ̂′ (admission reads the link's), and ĥ′ against the
-// no-prefetch run's hit ratio on the same trace.
+// no-prefetch run's hit ratio on the same trace. At the three upper
+// loads it logs one more cell, not gated: adaptive-a on the store
+// prefetchd mounts (bytestore.New, 20 entries), its SLRU ½ behind the
+// admission filter.
 func TestRuleSweep(t *testing.T) {
 	const b = 100
 	policies := []struct {
@@ -136,6 +140,21 @@ func TestRuleSweep(t *testing.T) {
 		}
 		a, none := res["adaptive-a"], res["none"]
 		t.Logf("λ %2.0f: ρ′ %.3f; adaptive-a against none %+.1f %%", lambda, none.DemandUtilisation, 100*(a.AccessTime/none.AccessTime-1))
+		if lambda != 5 {
+			// The store prefetchd mounts, with its admission filter:
+			// logged beside the SLRU ½ cells, not gated.
+			r := run{policy: prefetcher.AdaptiveThreshold(prefetcher.ModelA()), lambda: lambda, b: b, n: 30000, warm: 10000, seed: 1, ids: chain,
+				cache: func() prefetcher.Cache {
+					s, err := bytestore.New(bytestore.Config{CapacityBytes: 1 << 20, MaxEntries: cacheEntries})
+					if err != nil {
+						t.Fatal(err)
+					}
+					return s
+				}}.measure(t)
+			t.Logf("λ %2.0f %-10s t̄ %6.2f ± %4.2f ms  h %.3f  issued/req %.3f  demand util %.3f  util %.3f  (adaptive-a, the filtered store of %d; against SLRU ½ %+.1f %%)",
+				lambda, "tlfu½", 1e3*r.AccessTime, 1e3*r.AccessTimeCI, r.HitRatio, r.NFObserved, r.DemandUtilisation, r.Utilisation,
+				cacheEntries, 100*(r.AccessTime/a.AccessTime-1))
+		}
 		for _, name := range retired {
 			if x := res[name]; x.AccessTime < a.AccessTime-(a.AccessTimeCI+x.AccessTimeCI) {
 				t.Errorf("λ %.0f: %s t̄ %.2f ms wins over adaptive-a's %.2f ms (CI95 %.2f + %.2f)",

@@ -86,7 +86,9 @@ func NewLRUCache(capacity int) Cache { return store.NewLRU(capacity) }
 // protectedCap entries on re-reference (a Get, or a Put of a resident
 // id); victims come from probation first, so prefetches never used churn
 // through it without displacing the protected working set (capacity/2
-// is a reasonable protectedCap). It panics if either bound is < 1.
+// is a reasonable protectedCap). Unlike New's default and bytestore's
+// store it admits every Put: no frequency filter. It panics if either
+// bound is < 1.
 func NewSLRUCache(capacity, protectedCap int) Cache { return store.NewSLRU(capacity, protectedCap) }
 
 // --- Clocks -------------------------------------------------------------

@@ -1,8 +1,8 @@
 // Package bytestore mounts the library's one cache store
 // (repro/prefetcher/internal/store, which NewLRUCache and NewSLRUCache
-// also return) bounded by bytes as well as entries, one per engine shard
-// (Factory, for prefetcher.WithCacheFactory): what prefetchd runs, in
-// segmented-LRU order with half of each shard's entries protected.
+// also return) bounded by bytes and entries, one per engine shard
+// (Factory): what prefetchd runs — segmented LRU, half of each shard's
+// entries protected, behind TinyLFU's filter on demand landings.
 package bytestore
 
 import (

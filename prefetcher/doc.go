@@ -98,7 +98,10 @@
 // nor a policy node per entry; any other payload is held by reference
 // beside it. The byte budget evicts by segment rotation and the entry
 // bound from probation's tail first, both through one per-id callback
-// that keeps the engine's size and waste accounting exact.
+// that keeps the engine's size and waste accounting exact. bytestore's
+// store and the default put TinyLFU's frequency filter in front: a
+// demand miss displaces a resident only if its key is read more often,
+// and a landing the filter turns away leaves no record.
 //
 // Internally the keyed state — cache, in-flight dedup, size and
 // used/wasted accounting — is partitioned across power-of-two shards
@@ -218,7 +221,9 @@
 //     TestGetHitAllocFree, TestGetBytesAllocFree,
 //     TestGetMultiAllocFree, TestGetMultiBytesAllocFree,
 //     TestPluginPredictorHitAllocFree and bytestore's
-//     TestSlabGetBytesAllocFree (0). A demand miss:
+//     TestSlabGetBytesAllocFree (0). Hits and misses over 50 of the
+//     admission sketch's halvings, every allocation of the phase
+//     counted: TestGetBytesPhaseAllocFree (0). A demand miss:
 //     TestGetBytesMissAllocFree (lent 0; owned 2, the origin's slice and
 //     its box; a lent payload larger than a segment 2, the store's
 //     clone and box; a two-key session, one demand batch, 0). A

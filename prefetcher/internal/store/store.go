@@ -16,14 +16,13 @@
 // drops the victim's boxed value and forwards the id to the engine's
 // OnEvict. Get, GetBytes, BytesLen and every Put touch; Contains peeks.
 //
-// New's stores and NewFiltered's filter admission (slab.Store's
-// FilterAdmission, TinyLFU's rule): Get, GetBytes and BytesLen each
-// count one demand access, hit or miss, and a demand Put of a new id
-// that would displace a resident stores it only if its key is counted
-// more often than the resident that would go first — else nothing is
-// stored. A speculative landing (Land) bypasses the filter: the
-// threshold rule already judged it worth its bytes. NewLRU and NewSLRU
-// keep the pure order their names promise.
+// New's and NewFiltered's stores filter admission (TinyLFU's rule,
+// slab.Store.FilterAdmission): Get, GetBytes and BytesLen each count a
+// demand access, and a demand landing of a new id that would displace a
+// resident is stored only if its key is counted more often than the
+// resident that would go first. A speculative landing (Land, LandBytes)
+// bypasses the filter: the threshold rule already judged it worth its
+// bytes. NewLRU and NewSLRU keep the pure order their names promise.
 //
 // A []byte that fits a segment is copied in, so Get hands back an equal
 // copy. Any other value — a larger []byte, non-[]byte Data — is boxed in
@@ -210,15 +209,15 @@ func (s *Store) Put(id fetch.ID, value any) { s.Land(id, value, false) }
 // caller only borrowed (LandBytes).
 func (s *Store) PutBytes(id fetch.ID, b []byte) { s.LandBytes(id, b, false) }
 
-// Land stores a fetched value under id and reports whether it was
-// stored. A []byte that fits a segment is copied into the arena
-// (LandBytes). Everything else goes to the boxed overflow map, with an
-// empty arena record in its place, so an admitted entry is always
-// resident whatever its payload shape. Overflow bytes bypass the
-// arena's budget, so they are charged against CapacityBytes here:
-// residents are evicted, probation's tail first, until the incoming
-// payload fits (see Config.CapacityBytes for the worst-case bound). A
-// boxed value is not filtered.
+// Land stores a fetched value under id, told whether the landing is
+// speculative, and reports whether it was stored. A []byte that fits a
+// segment is copied into the arena (LandBytes). Everything else goes,
+// unfiltered, to the boxed overflow map, with an empty arena record in
+// its place, so an admitted entry is always resident whatever its
+// payload shape. Overflow bytes bypass the arena's budget, so they are
+// charged against CapacityBytes here: residents are evicted,
+// probation's tail first, until the incoming payload fits (see
+// Config.CapacityBytes for the worst-case bound).
 func (s *Store) Land(id fetch.ID, value any, speculative bool) bool {
 	b, isBytes := value.([]byte)
 	if isBytes && s.slab.Fits(len(b)) {

@@ -61,8 +61,9 @@ func WithPredictor(p Predictor) Option {
 	}
 }
 
-// WithCache sets the client-side store (default: NewSLRUCache's store,
-// 1024 entries split across shards, half of each shard protected). A single Cache instance can only serve a single-shard
+// WithCache sets the client-side store (default: NewSLRUCache's order,
+// 1024 entries split across shards, half of each shard protected,
+// behind bytestore's admission filter). A single Cache instance can only serve a single-shard
 // engine: combining WithCache with WithShards(n > 1) is a construction
 // error, and without WithShards a supplied cache pins the shard count to
 // one. Sharded engines wanting a custom cache use WithCacheFactory. A
