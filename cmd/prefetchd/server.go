@@ -91,7 +91,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // (On an error none has fetched yet, so none holds a connection.)
 func buildEngine(sc SpaceConfig) (*space, error) {
 	sp := &space{cfg: sc}
-	var fetchers []io.Closer
 	backends := make([]fetch.Backend, 0, len(sc.Backends))
 	for _, bc := range sc.Backends {
 		f, err := buildFetcher(bc)
@@ -99,7 +98,7 @@ func buildEngine(sc SpaceConfig) (*space, error) {
 			return nil, fmt.Errorf("backend %q: %w", bc.Name, err)
 		}
 		if c, ok := f.(io.Closer); ok {
-			fetchers = append(fetchers, c)
+			sp.fetchers = append(sp.fetchers, c)
 		}
 		backends = append(backends, fetch.Backend{
 			Name:               bc.Name,
@@ -137,7 +136,6 @@ func buildEngine(sc SpaceConfig) (*space, error) {
 			Backoff:     time.Duration(h.Backoff),
 		}))
 	}
-	sp.fetchers = fetchers
 	if sp.engine, err = prefetcher.New(nil, opts...); err != nil {
 		return nil, err
 	}
