@@ -3,12 +3,15 @@ package cache_test
 import (
 	"fmt"
 	"os"
+	"runtime"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/cache"
 	"repro/internal/predict"
 	"repro/internal/rng"
+	"repro/internal/testutil"
 	"repro/internal/workload"
 	"repro/prefetcher"
 	"repro/prefetcher/bytestore"
@@ -19,7 +22,10 @@ import (
 // entry counts their daemons run (scan-miss at what its byte budget
 // holds: 8 MiB of 16 KiB payloads), and one pass of the recorded trace1k
 // fixture at two cache sizes. page-batch is read the daemon's way, as
-// /batch sessions of 8 keys; every other stream one /obj per key. Each
+// /batch sessions of 8 keys, and at the daemon's steady state: 400,000
+// keys, scored after the first 16,000 (a benchmark run serves about
+// 400,000 in its 20 s); every other stream is 20,000 keys, one /obj
+// per key, all scored. Each
 // stream carries the link load its daemon measured (fetch.rho_prime in
 // bench's --trace 1 report): chain-obj ≈0.03, page-batch ≈0.82, hot-obj
 // ≈0.03 and scan-miss ≈0.37. The trace has no daemon; it is replayed
@@ -47,7 +53,7 @@ func decisionStreams(t *testing.T) []decisionStream {
 	var pages []cache.ID
 	sessions := workload.NewSessions(workload.SessionConfig{Pages: 400, Fanout: 8, Objects: 1600},
 		rng.NewStream(1, "page-batch"))
-	for len(pages) < n {
+	for len(pages) < pageKeys {
 		pages = sessions.NextInto(pages)
 	}
 	scan := make([]cache.ID, n)
@@ -70,10 +76,13 @@ func decisionStreams(t *testing.T) []decisionStream {
 		trace[i] = r.Item
 	}
 	return []decisionStream{
-		{"hot-obj/4096", hot, 4096, 1, 0.03}, {"chain-obj/512", chain, 512, 1, 0.03}, {"page-batch/512", pages, 512, 8, 0.82},
-		{"scan-miss/511", scan, 511, 1, 0.37}, {"trace1k/32", trace, 32, 1, 0}, {"trace1k/8", trace, 8, 1, 0},
+		{"hot-obj/4096", hot, 4096, 1, 0.03, 0}, {"chain-obj/512", chain, 512, 1, 0.03, 0}, {"page-batch/512", pages, 512, 8, 0.82, pageWarm},
+		{"scan-miss/511", scan, 511, 1, 0.37, 0}, {"trace1k/32", trace, 32, 1, 0, 0}, {"trace1k/8", trace, 8, 1, 0, 0},
 	}
 }
+
+// page-batch's replay: its length and the keys replayed before scoring.
+const pageKeys, pageWarm = 400_000, 16_000
 
 type decisionStream struct {
 	name     string
@@ -81,10 +90,11 @@ type decisionStream struct {
 	capacity int
 	session  int     // keys per request the daemon serves: 8 for a /batch, 1 for an /obj
 	rho      float64 // the link's ρ̂′: the daemon admits a candidate of p̂ above it
+	warm     int     // keys replayed before the miss ratio counts
 }
 
 // replayer is what missRatio drives: policyStore, slruStore,
-// landingStore or filteredSLRU. Admit carries the landing bit: speculative is true for
+// landingStore or modelStore. Admit carries the landing bit: speculative is true for
 // a prefetch the threshold rule admitted, false for a demand miss.
 type replayer interface {
 	Access(id cache.ID) bool
@@ -136,151 +146,47 @@ func (s landingStore) Admit(id cache.ID, speculative bool) {
 
 func (s landingStore) Contains(id cache.ID) bool { return s.s.Contains(prefetcher.ID(id)) }
 
-// filteredSLRU is the reference model of a frequency-filtered segmented
-// LRU (TinyLFU's admission in front of SLRU), written with plain slices,
-// least recently used first, and a count-min sketch of its own. Every
-// Access counts its key in the sketch, hit or miss; Contains and Admit
-// do not. A demand Admit that finds the n entries full stores its key
-// only if the sketch counts it more often than the victim — probation's
-// least recent entry, or protected's while probation is empty — and
-// otherwise stores nothing; a speculative Admit is never filtered. A hit
-// on probation moves the entry to the protected list of at most p, whose
-// least recent entry goes back to probation.
-type filteredSLRU struct {
-	n, p     int
-	lists    [2][]cache.ID
-	sketch   *cmSketch
-	declined int
+// modelStore is testutil's slice-and-sketch reference model of a
+// filtered store, as a replayer.
+type modelStore struct{ *testutil.StoreModel }
+
+func newModelStore(cfg testutil.TinyLFU, capacity int) modelStore {
+	return modelStore{testutil.NewStoreModel(cfg, capacity)}
 }
 
-func newFilteredSLRU(n, p int) *filteredSLRU {
-	return &filteredSLRU{n: n, p: p, sketch: newCMSketch(n)}
-}
+func (m modelStore) Access(id cache.ID) bool { return m.StoreModel.Access(int64(id)) }
 
-func (m *filteredSLRU) Access(id cache.ID) bool {
-	m.sketch.add(id)
-	l, i := m.find(id)
-	if i < 0 {
-		return false
-	}
-	m.lists[l] = slices.Delete(m.lists[l], i, i+1)
-	m.lists[1] = append(m.lists[1], id)
-	if len(m.lists[1]) > m.p {
-		m.lists[0] = append(m.lists[0], m.lists[1][0])
-		m.lists[1] = m.lists[1][1:]
-	}
-	return true
-}
+func (m modelStore) Admit(id cache.ID, speculative bool) { m.StoreModel.Admit(int64(id), speculative) }
 
-func (m *filteredSLRU) Admit(id cache.ID, speculative bool) {
-	if m.Contains(id) {
-		return
-	}
-	if len(m.lists[0])+len(m.lists[1]) == m.n {
-		l := 0
-		if len(m.lists[0]) == 0 {
-			l = 1
-		}
-		if !speculative && m.sketch.estimate(id) <= m.sketch.estimate(m.lists[l][0]) {
-			m.declined++
-			return
-		}
-		m.lists[l] = m.lists[l][1:]
-	}
-	m.lists[0] = append(m.lists[0], id)
-}
+func (m modelStore) Contains(id cache.ID) bool { return m.StoreModel.Contains(int64(id)) }
 
-func (m *filteredSLRU) Contains(id cache.ID) bool {
-	_, i := m.find(id)
-	return i >= 0
-}
-
-func (m *filteredSLRU) find(id cache.ID) (l, i int) {
-	for l := range m.lists {
-		if i := slices.Index(m.lists[l], id); i >= 0 {
-			return l, i
-		}
-	}
-	return 0, -1
-}
-
-// cmSketch is a count-min sketch of 4 rows of 4-bit saturating counters,
-// each row 4× the entry bound wide, rounded up to a power of two; every
-// counter is halved after 10× the bound increments. A key's counter in
-// row r is the top bits of its mixed hash times row r's odd multiplier.
-type cmSketch struct {
-	table        []uint64 // rows of 16 counters a word
-	words        int      // words a row
-	shift        uint     // 64 − log₂ width
-	adds, period int
-}
-
-var cmRows = [4]uint64{0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9, 0xD6E8FEB86659FD93}
-
-func newCMSketch(bound int) *cmSketch {
-	width, bits := 16, uint(4)
-	for width < 4*bound {
-		width, bits = width*2, bits+1
-	}
-	return &cmSketch{table: make([]uint64, 4*width/16), words: width / 16, shift: 64 - bits, period: 10 * bound}
-}
-
-// counter returns the word and bit shift of id's counter in row r.
-func (s *cmSketch) counter(id cache.ID, r int) (int, uint) {
-	h := uint64(id)
-	h ^= h >> 30
-	h *= 0xBF58476D1CE4E5B9
-	h ^= h >> 27
-	h *= 0x94D049BB133111EB
-	h ^= h >> 31
-	i := h * cmRows[r] >> s.shift
-	return r*s.words + int(i>>4), uint(i&15) * 4
-}
-
-func (s *cmSketch) add(id cache.ID) {
-	for r := range cmRows {
-		w, sh := s.counter(id, r)
-		if s.table[w]>>sh&15 < 15 {
-			s.table[w] += 1 << sh
-		}
-	}
-	if s.adds++; s.adds == s.period {
-		s.adds = 0
-		for i, w := range s.table {
-			s.table[i] = w >> 1 & 0x7777777777777777
-		}
-	}
-}
-
-func (s *cmSketch) estimate(id cache.ID) uint64 {
-	est := uint64(15)
-	for r := range cmRows {
-		w, sh := s.counter(id, r)
-		est = min(est, s.table[w]>>sh&15)
-	}
-	return est
-}
-
-// missRatio replays ids through store in requests of session keys
+// missRatio replays st's ids through store in requests of session keys
 // each (the last request may be shorter). A request gathers its hits,
 // then admits its misses. With k > 0 it then plans as the engine does:
 // the bounded Markov table observes the request's ids in order,
 // predicting only from the last, and of its top k successors those not
-// resident whose p̂ exceeds rho — the threshold rule's p_th = ρ′ — land
-// as speculative admissions. session = 1, k = 4 is an /obj stream (4 is
-// WithMaxPrefetch's default); session = 8, k = 4 is page-batch's
-// /batch, which plans once per session.
-func missRatio(ids []cache.ID, store replayer, session, k int, rho float64) float64 {
+// resident whose p̂ exceeds st's link load — the threshold rule's
+// p_th = ρ′ — land as speculative admissions. session = 1, k = 4 is an
+// /obj stream (4 is WithMaxPrefetch's default); session = 8, k = 4 is
+// page-batch's /batch, which plans once per session. Only the keys of
+// requests that start st.warm keys in or later are scored.
+func missRatio(st decisionStream, store replayer, session, k int) float64 {
+	ids, rho, warm := st.ids, st.rho, st.warm
 	model := predict.NewConcurrentMarkov1()
 	buf := make([]predict.Prediction, 0, k)
 	missed := make([]cache.ID, 0, session)
-	hits := 0
+	hits, scored := 0, 0
 	for start := 0; start < len(ids); start += session {
 		req := ids[start:min(start+session, len(ids))]
 		missed = missed[:0]
+		if start >= warm {
+			scored += len(req)
+		}
 		for _, id := range req {
 			if store.Access(id) {
-				hits++
+				if start >= warm {
+					hits++
+				}
 			} else {
 				missed = append(missed, id)
 			}
@@ -302,26 +208,30 @@ func missRatio(ids []cache.ID, store replayer, session, k int, rho float64) floa
 			}
 		}
 	}
-	return 1 - float64(hits)/float64(len(ids))
+	return 1 - float64(hits)/float64(scored)
 }
 
 // TestShippedOrderHasLeastRegret keeps the byte store's replacement
-// order reproducible: prefetchd's store (bytestore, through store.New)
-// and the library's default cache ship the order that, on the traffic
-// the daemon serves, strays least far from the best one on any stream —
-// segmented LRU with half the entries protected, behind TinyLFU's
-// frequency filter. It replays each stream through every policy in this
-// package, through NewSLRUCache at ½, ⅔ and ⅘ of the entries protected
-// and through the shipped store, and logs four columns per row: per-key
-// top 2, per-key top 4, demand-only, and the daemon's own shape — top 4
-// per /obj request, and for page-batch top 4 once per 8-key /batch
-// session from its last id — each planning column admitting only
-// candidates above the stream's link load and landing them speculative.
-// An order's excess on a stream is its daemon-shaped miss_ratio minus
-// the best order's there. The test fails unless the shipped order has
-// the smallest worst-case excess over the six streams, and unless it
-// misses at least 0.02 less than LRU on page-batch's sessions, where
-// the replacement order, not prefetching, sets both of the paper's axes.
+// order reproducible and holds the filtered stores to the miss-ratio
+// half of the store decision. It replays each stream through every
+// policy in this package, through NewSLRUCache at ½, ⅔ and ⅘ of the
+// entries protected, through the shipped store (bytestore, through
+// store.New: prefetchd's store and the library's default cache) and
+// through the reference model of each of testutil.StoreCandidates, and
+// logs four columns per row: per-key top 2, per-key top 4, demand-only,
+// and the daemon's own shape — top 4 per /obj request, and for
+// page-batch top 4 once per 8-key /batch session from its last id —
+// each planning column admitting only candidates above the stream's
+// link load and landing them speculative. An order's excess on a stream
+// is its daemon-shaped miss_ratio minus the best order's there. The test
+// fails unless the shipped store has a smaller worst-case excess over
+// the six streams than every unfiltered order; unless it and every
+// candidate stray at most half as far as SLRU ½ on any stream — the
+// store decision's eligibility, on which internal/vlink's
+// TestStoreDecision relies when it chooses among the candidates on t̄;
+// and unless the shipped store misses at least 0.02 less than LRU on
+// page-batch's sessions, where the replacement order, not prefetching,
+// sets both of the paper's axes.
 func TestShippedOrderHasLeastRegret(t *testing.T) {
 	type order struct {
 		name string
@@ -335,11 +245,12 @@ func TestShippedOrderHasLeastRegret(t *testing.T) {
 			return slruStore{prefetcher.NewSLRUCache(capacity, capacity*num/den)}
 		}}
 	}
-	// lru first and the shipped store second: the gates read both by index.
-	const shipped = 1
+	// lru, the shipped store and slru½ first: the gates read them by
+	// index. The candidates' models come last, from filtered on.
+	const shipped, slruHalf = 1, 2
 	orders := []order{
 		policy("lru", func() cache.Policy { return cache.NewLRU() }),
-		{"tlfu½", func(capacity int) replayer { return newLandingStore(capacity) }},
+		{"shipped", func(capacity int) replayer { return newLandingStore(capacity) }},
 		slru("slru½", 1, 2),
 		slru("slru⅔", 2, 3),
 		slru("slru⅘", 4, 5),
@@ -348,19 +259,35 @@ func TestShippedOrderHasLeastRegret(t *testing.T) {
 		policy("clock", func() cache.Policy { return cache.NewClock() }),
 		policy("random", func() cache.Policy { return cache.NewRandomPolicy(rng.NewStream(1, "random-policy")) }),
 	}
+	filtered := len(orders)
+	for _, c := range testutil.StoreCandidates {
+		c := c
+		orders = append(orders, order{c.Name, func(capacity int) replayer { return newModelStore(c, capacity) }})
+	}
 	worst := make([]float64, len(orders)) // worst-case excess, per order
 	for _, st := range decisionStreams(t) {
+		// Each order's four replays, on GOMAXPROCS goroutines: top 2, top
+		// 4 and demand-only per key, and as the daemon plans.
+		cols := make([][4]float64, len(orders))
+		sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+		var wg sync.WaitGroup
+		for i, o := range orders {
+			for j, shape := range [4][2]int{{1, 2}, {1, 4}, {1, 0}, {st.session, 4}} {
+				wg.Add(1)
+				go func(out *float64, mk func(int) replayer, st decisionStream, session, k int) {
+					defer wg.Done()
+					sem <- struct{}{}
+					*out = missRatio(st, mk(st.capacity), session, k)
+					<-sem
+				}(&cols[i][j], o.mk, st, shape[0], shape[1])
+			}
+		}
+		wg.Wait()
 		daemon := make([]float64, len(orders))
 		for i, o := range orders {
-			top2 := missRatio(st.ids, o.mk(st.capacity), 1, 2, st.rho)
-			top4 := missRatio(st.ids, o.mk(st.capacity), 1, 4, st.rho)
-			off := missRatio(st.ids, o.mk(st.capacity), 1, 0, st.rho)
-			daemon[i] = top4
-			if st.session > 1 {
-				daemon[i] = missRatio(st.ids, o.mk(st.capacity), st.session, 4, st.rho)
-			}
-			t.Logf("%-15s ρ̂′ %.2f %-6s miss_ratio %.4f per-key top 2, %.4f top 4, %.4f demand-only, %.4f as the daemon plans",
-				st.name, st.rho, o.name, top2, top4, off, daemon[i])
+			daemon[i] = cols[i][3]
+			t.Logf("%-15s ρ̂′ %.2f %-13s miss_ratio %.4f per-key top 2, %.4f top 4, %.4f demand-only, %.4f as the daemon plans",
+				st.name, st.rho, o.name, cols[i][0], cols[i][1], cols[i][2], daemon[i])
 		}
 		best := slices.Min(daemon)
 		for i, m := range daemon {
@@ -372,12 +299,20 @@ func TestShippedOrderHasLeastRegret(t *testing.T) {
 		}
 	}
 	for i, w := range worst {
-		t.Logf("worst-case excess miss_ratio as the daemon plans: %-6s %.4f", orders[i].name, w)
+		t.Logf("worst-case excess miss_ratio as the daemon plans: %-13s %.4f", orders[i].name, w)
 	}
-	for i, w := range worst {
-		if w < worst[shipped] {
-			t.Errorf("%s strays at most %.4f from the best order on any stream, %s %.4f — the shipped order (store.New, the engine's default cache) is not the one of least regret",
+	for i, w := range worst[:filtered] {
+		if i != shipped && w < worst[shipped] {
+			t.Errorf("%s strays at most %.4f from the best order on any stream, %s %.4f — the shipped store (store.New, the engine's default cache) no longer has less regret than every unfiltered order",
 				orders[i].name, w, orders[shipped].name, worst[shipped])
+		}
+	}
+	// The store decision's eligibility: a filtered store strays at most
+	// half as far from the best as segmented LRU ½ does.
+	for i, w := range worst {
+		if (i == shipped || i >= filtered) && w > worst[slruHalf]/2 {
+			t.Errorf("%s strays %.4f from the best order on some stream, past half of slru½'s %.4f: it is not eligible for the store decision",
+				orders[i].name, w, worst[slruHalf])
 		}
 	}
 }
@@ -421,20 +356,75 @@ func (l *lockstep) Contains(id cache.ID) bool {
 }
 
 // TestShippedStoreMatchesReference holds the store prefetchd mounts to
-// filteredSLRU, the reference model of segmented LRU ½ behind TinyLFU's
-// filter, op for op — every Access's hit or miss, every landing's
-// residency, and as many demand landings declined — on each decision
-// stream, demand-only and as the daemon plans.
+// testutil's reference model of the candidate it ships
+// (testutil.StoreCandidates[testutil.ShippedCandidate]) op for op —
+// every Access's hit or miss, every landing's residency, and as many
+// demand landings declined — on each decision stream, demand-only and
+// as the daemon plans.
 func TestShippedStoreMatchesReference(t *testing.T) {
+	shape := testutil.StoreCandidates[testutil.ShippedCandidate]
 	for _, st := range decisionStreams(t) {
 		for _, k := range []int{0, 4} {
-			store, ref := newLandingStore(st.capacity), newFilteredSLRU(st.capacity, st.capacity/2)
+			store, ref := newLandingStore(st.capacity), newModelStore(shape, st.capacity)
 			l := &lockstep{t: t, got: store, want: ref, what: fmt.Sprintf("%s top %d", st.name, k)}
-			missRatio(st.ids, l, st.session, k, st.rho)
-			if got := store.s.SlabStats().Declined; got != int64(ref.declined) {
-				t.Fatalf("%s: the store declined %d landings, the reference %d", l.what, got, ref.declined)
+			missRatio(st, l, st.session, k)
+			if got := store.s.SlabStats().Declined; got != int64(ref.Declined) {
+				t.Fatalf("%s: the store declined %d landings, the reference %d", l.what, got, ref.Declined)
 			}
-			t.Logf("%-15s top %d: %d ops in lockstep, %d landings, %d declined", st.name, k, l.ops, l.admit, ref.declined)
+			t.Logf("%-15s top %d: %d ops in lockstep against %s, %d landings, %d declined", st.name, k, l.ops, shape.Name, l.admit, ref.Declined)
+		}
+	}
+}
+
+// TestFilterMakesWayAfterDrift moves the hot set of a stationary stream
+// once: Zipf(0.9) draws over 4,096 keys for ten of the sketch's halving
+// periods (40× the bound of 512, 20,480 keys each), then over 4,096 keys
+// never seen before for ten more, replayed demand-only through the
+// shipped store and the reference model of each candidate, and scored
+// per period. A frequency filter is slowest to make way here: the old
+// hot keys keep their counts until the halvings wear them down. A count
+// halves once a period, so from the 8-bit ceiling of 255 it falls below
+// 2, where a new key counted twice out-counts it, within 8. The test
+// fails unless the shipped store's miss ratio comes back within 0.02 of
+// its steady one — the mean over the five periods before the move —
+// within 8 periods of it.
+func TestFilterMakesWayAfterDrift(t *testing.T) {
+	const bound, keys, periods, within = 512, 4096, 10, 8
+	period := 40 * bound
+	zipf, src := rng.NewZipf(keys, 0.9), rng.NewStream(1, "drift")
+	ids := make([]cache.ID, 2*periods*period)
+	for i := range ids {
+		ids[i] = cache.ID(zipf.Sample(src))
+		if i >= periods*period {
+			ids[i] += keys
+		}
+	}
+	stores := []struct {
+		name string
+		r    replayer
+	}{{"shipped", newLandingStore(bound)}}
+	for _, c := range testutil.StoreCandidates {
+		stores = append(stores, struct {
+			name string
+			r    replayer
+		}{c.Name, newModelStore(c, bound)})
+	}
+	for i, s := range stores {
+		miss := make([]float64, 2*periods)
+		for p := range miss {
+			st := decisionStream{ids: ids[p*period : (p+1)*period]}
+			miss[p] = missRatio(st, s.r, 1, 0)
+		}
+		steady := 0.0
+		for _, m := range miss[periods-5 : periods] {
+			steady += m / 5
+		}
+		back := slices.IndexFunc(miss[periods:], func(m float64) bool { return m <= steady+0.02 })
+		t.Logf("%-13s steady miss_ratio %.4f; by period after the move %.4f; back within 0.02 in period %d",
+			s.name, steady, miss[periods:], back+1)
+		if i == 0 && (back < 0 || back >= within) {
+			t.Errorf("the shipped store's miss ratio is not back within 0.02 of its steady %.4f within %d halving periods of the move: %.4f",
+				steady, within, miss[periods:])
 		}
 	}
 }

@@ -16,7 +16,8 @@ import (
 // same name: it re-runs the real one in a child go test with the
 // experiment on (under -race when this binary has it) and passes its
 // log through. The child builds the standard library once for the
-// experiment; later runs take it from the build cache.
+// experiment; later runs take it from the build cache. The child runs
+// with -short, which keeps TestStoreDecision to one seed.
 
 func TestVirtualLinkMatchesPS(t *testing.T) { inBubble(t) }
 
@@ -30,9 +31,11 @@ func TestMaxAttemptsDecision(t *testing.T) { inBubble(t) }
 
 func TestBackoffDecision(t *testing.T) { inBubble(t) }
 
+func TestStoreDecision(t *testing.T) { inBubble(t) }
+
 func inBubble(t *testing.T) {
 	readSources(t)
-	args := []string{"test", "-count=1", "-v", "-run", "^" + t.Name() + "$"}
+	args := []string{"test", "-count=1", "-short", "-v", "-run", "^" + t.Name() + "$"}
 	if raceEnabled {
 		args = append(args, "-race")
 	}
