@@ -387,11 +387,13 @@ type statsReply struct {
 }
 
 // admissionStats is one space's admission filter, summed over its
-// shards' stores: the demand landings it turned away, and the bytes its
-// count-min sketches take on the Go heap (8 per entry of the bound).
+// shards' stores: the demand landings it turned away, the bytes its
+// count-min sketches take on the Go heap (16 per entry of the bound),
+// and the entries of their recency windows.
 type admissionStats struct {
 	DeclinedLandings int64 `json:"declined_landings"`
 	SketchBytes      int   `json:"sketch_bytes"`
+	WindowEntries    int   `json:"window_entries"`
 }
 
 // memoryStats splits the process's memory without a debugger: the cache
@@ -429,9 +431,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		reply.Spaces[name] = sp.engine.Stats()
 		var a admissionStats
 		for _, st := range sp.stores {
-			declined, sketch := st.Admission()
+			declined, sketch, window := st.Admission()
 			a.DeclinedLandings += declined
 			a.SketchBytes += sketch
+			a.WindowEntries += window
 		}
 		reply.Admission[name] = a
 	}

@@ -279,10 +279,11 @@ func TestDaemonPolicyNoneIssuesNoPrefetch(t *testing.T) {
 		t.Fatalf("policy none issued %d prefetches, %d speculative fetches at the backend; want 0 (stats %+v)",
 			st.PrefetchIssued, st.Backends[0].Speculative, st)
 	}
-	// The admission block: an 8-entry space's sketch is 64 bytes, and a
-	// loop four times its size has its landings turned away.
-	if a := stats.Admission[DefaultSpace]; a.SketchBytes != 64 || a.DeclinedLandings == 0 {
-		t.Fatalf("admission %+v; want a 64-byte sketch and declined landings", a)
+	// The admission block: an 8-entry space's sketch is 128 bytes and
+	// its window 2 entries, and a loop four times its size has landings
+	// turned away (its first lap, before the sketch has seen a key).
+	if a := stats.Admission[DefaultSpace]; a.SketchBytes != 128 || a.WindowEntries != 2 || a.DeclinedLandings == 0 {
+		t.Fatalf("admission %+v; want a 128-byte sketch, a 2-entry window and declined landings", a)
 	}
 	// A cyclic stream four times the cache, nothing prefetched: every
 	// miss is one the origin answered singly. Under plain LRU every
@@ -900,10 +901,12 @@ func TestDaemonSlabSpace(t *testing.T) {
 }
 
 // TestDaemonStoreKeepsReReadKey holds the order a space's store evicts
-// in: segmented LRU, half the entry bound protected. A key read twice is
-// protected, so a burst of one-shot keys as long as the whole 8-entry
-// bound churns through probation and leaves it resident. Under plain
-// LRU the burst evicts it, and its next read goes to the origin.
+// in: W-TinyLFU, a two-entry window in front of segmented LRU. A key
+// read twice leaves the window for probation as one-shot keys fill the
+// 8-entry bound, and once it is full a key counted once never displaces
+// a resident, so a burst of one-shot keys as long as the whole bound
+// leaves it resident. Under plain LRU the burst evicts it, and its next
+// read goes to the origin.
 func TestDaemonStoreKeepsReReadKey(t *testing.T) {
 	defer testutil.ExpectNoLeaks(t)
 	var singles, batches atomic.Int64
@@ -943,7 +946,7 @@ func TestDaemonStoreKeepsReReadKey(t *testing.T) {
 
 	const a = 1
 	get(a)
-	get(a) // a use: a moves to the protected list
+	get(a) // a use, counted: a stays at the window's head
 	for k := int64(100); k < 108; k++ {
 		get(k)
 	}

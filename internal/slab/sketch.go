@@ -1,15 +1,27 @@
 package slab
 
-// FilterAdmission turns the admission filter on, with a Sketch sized for
-// the entry bound: call it after SetMaxEntries. Count then tallies each
-// demand access, and a Put of an id not resident that would displace a
-// resident — through the entry bound or a rotation (Displaces) — stores
-// it only if the sketch counts it more often than the resident the bound
-// would take first: probation's least recently used, or the protected
-// list's while probation is empty. Otherwise Put stores nothing, counts
-// a decline and returns false. PutAdmitted is Put for an entry the
-// caller has already judged worth its place: the filter is not asked.
-func (s *Store) FilterAdmission() { s.sketch = NewSketch(s.maxEntries) }
+// FilterAdmission puts W-TinyLFU's admission in front of the recency
+// order (Einziger, Friedman & Manes, ACM TOS 2017), with a Sketch sized
+// for the entry bound and a recency window of window entries: call it
+// after SetMaxEntries, with window at most half the bound. Count then
+// tallies each demand access. A Put of an id not resident that would
+// displace a resident — through the entry bound or a rotation
+// (Displaces) — stores nothing, counts a decline and returns false if
+// the sketch counts the id at most once (a key on its first sighting
+// never displaces a resident; Maggs & Sitaraman's "cache on second hit")
+// or, with no window, no more often than the entry the bound takes
+// first. Otherwise a new id enters the window's head, and once the
+// window holds more than window entries its least recently used entry
+// moves on to probation's head. If the move leaves the store over its
+// entry bound, it must first out-count the resident the bound takes
+// first — probation's least recently used, or the protected list's while
+// probation is empty — and the loser is evicted. A use keeps a window
+// entry in the window, at its head. PutAdmitted is Put for an entry the
+// caller has already judged worth its place: the filter is not asked,
+// and a new id goes straight to probation.
+func (s *Store) FilterAdmission(window int) {
+	s.sketch, s.windowCap = NewSketch(s.maxEntries), max(0, window)
+}
 
 // Count counts one demand access of id, hit or miss, in the admission
 // filter's sketch (nothing without FilterAdmission). Get and BytesLen
@@ -20,18 +32,45 @@ func (s *Store) Count(id int64) {
 	}
 }
 
-// admits reports whether the admission filter lets new id displace the
-// entry the bound takes first.
+// admits reports whether the admission filter lets new id displace a
+// resident: seen before, and with no window, seen more often than main's
+// first victim.
 func (s *Store) admits(id int64) bool {
-	j := s.lists[probation].tail
-	if j == none {
-		j = s.lists[protected].tail
+	est := s.sketch.Estimate(id)
+	return est > 1 && (s.windowCap > 0 || est > s.sketch.Estimate(s.keys[s.first()]))
+}
+
+// first is main's first victim: probation's least recently used entry,
+// or the protected list's while probation is empty (none if both are).
+func (s *Store) first() int32 {
+	if j := s.lists[probation].tail; j != none {
+		return j
 	}
-	return s.sketch.Estimate(id) > s.sketch.Estimate(s.keys[j])
+	return s.lists[protected].tail
+}
+
+// spill moves the window's least recently used entry on to probation's
+// head. If that leaves the store over its entry bound, the entry must
+// out-count main's first victim, which is then evicted; otherwise the
+// window's entry is.
+func (s *Store) spill() {
+	c := s.lists[window].tail
+	if id := s.keys[c]; s.maxEntries > 0 && s.live > s.maxEntries {
+		v := s.first()
+		if v == none || s.sketch.Estimate(id) <= s.sketch.Estimate(s.keys[v]) {
+			s.evict(int(c))
+			return
+		}
+		s.evict(int(v))
+		i, _ := s.findSlot(id) // the eviction may have shifted it back along its probe run
+		c = int32(i)
+	}
+	s.unlink(c)
+	s.link(c, probation)
 }
 
 // Declined returns Stats().Declined. Unlike the rest of the Store it is
-// safe to call from any goroutine, as is SketchBytes.
+// safe to call from any goroutine, as are SketchBytes and WindowEntries.
 func (s *Store) Declined() int64 { return s.declined.Load() }
 
 // SketchBytes is the admission filter's sketch size, 0 without one.
@@ -42,15 +81,20 @@ func (s *Store) SketchBytes() int {
 	return s.sketch.Bytes()
 }
 
+// WindowEntries is the admission filter's recency window size, 0
+// without one.
+func (s *Store) WindowEntries() int { return s.windowCap }
+
 // Sketch is a count-min sketch of how often keys are accessed: the
 // frequency half of TinyLFU (Einziger, Friedman & Manes, ACM TOS 2017),
 // which Store.FilterAdmission puts in front of the recency order. It
-// has 4 rows of 4-bit saturating counters, each row 4× the entry bound
-// wide rounded up to a power of two, 16 counters to a word of one flat,
-// pointer-free []uint64: 8 bytes per bound entry. A key's estimate is
+// has 4 rows of 8-bit saturating counters, each row 4× the entry bound
+// wide rounded up to a power of two, 8 counters to a word of one flat,
+// pointer-free []uint64: 16 bytes per bound entry. A key's estimate is
 // the least of its 4 counters, so it over-counts by collision, never
-// under. Every counter is halved after 10× the bound increments, so the
-// counts age and a key once hot makes way.
+// under. Every counter is halved after 40× the bound increments, so the
+// counts age and a key once hot makes way; a count of 255 is worn below
+// 2 in 8 halvings.
 type Sketch struct {
 	table        []uint64 // the rows, each words long
 	words        int      // words a row
@@ -65,11 +109,11 @@ var sketchRows = [4]uint64{0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3
 // NewSketch sizes a Sketch for an entry bound of bound (at least 1).
 func NewSketch(bound int) *Sketch {
 	bound = max(bound, 1)
-	width, bits := 16, uint(4)
+	width, bits := 8, uint(3)
 	for width < 4*bound {
 		width, bits = width*2, bits+1
 	}
-	return &Sketch{table: make([]uint64, len(sketchRows)*width/16), words: width / 16, shift: 64 - bits, period: 10 * bound}
+	return &Sketch{table: make([]uint64, len(sketchRows)*width/8), words: width / 8, shift: 64 - bits, period: 40 * bound}
 }
 
 // counter returns the word and bit offset of id's counter in row r.
@@ -81,31 +125,31 @@ func (s *Sketch) counter(id int64, r int) (int, uint) {
 	h *= 0x94D049BB133111EB
 	h ^= h >> 31
 	i := h * sketchRows[r] >> s.shift
-	return r*s.words + int(i>>4), uint(i&15) * 4
+	return r*s.words + int(i>>3), uint(i&7) * 8
 }
 
 // Add counts one access of id, and halves every counter once the
-// increments since the last halving reach 10× the bound.
+// increments since the last halving reach 40× the bound.
 func (s *Sketch) Add(id int64) {
 	for r := range sketchRows {
-		if w, sh := s.counter(id, r); s.table[w]>>sh&15 < 15 {
+		if w, sh := s.counter(id, r); s.table[w]>>sh&0xFF < 0xFF {
 			s.table[w] += 1 << sh
 		}
 	}
 	if s.adds++; s.adds == s.period {
 		s.adds = 0
 		for i, w := range s.table {
-			s.table[i] = w >> 1 & 0x7777777777777777
+			s.table[i] = w >> 1 & 0x7F7F7F7F7F7F7F7F
 		}
 	}
 }
 
-// Estimate returns how often id has been counted since the halvings, at most 15.
+// Estimate returns how often id has been counted since the halvings, at most 255.
 func (s *Sketch) Estimate(id int64) int {
-	est := uint64(15)
+	est := uint64(0xFF)
 	for r := range sketchRows {
 		w, sh := s.counter(id, r)
-		est = min(est, s.table[w]>>sh&15)
+		est = min(est, s.table[w]>>sh&0xFF)
 	}
 	return int(est)
 }

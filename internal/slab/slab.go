@@ -14,7 +14,8 @@
 // second residency table and no per-entry node to keep in step.
 // SetProtected makes the order segmented LRU: the same two columns then
 // carry two lists, probation and protected, and one more byte per slot
-// says which list a slot is on.
+// says which list a slot is on — or the admission filter's window, the
+// third list those columns carry.
 //
 // Every entry that leaves without the caller naming it (Delete) is
 // reported through the one OnEvict callback. Put appends at a write
@@ -33,9 +34,13 @@
 // from the tail of the list, after any rotation it caused, never the
 // entry it placed. EvictOldest evicts the tail on demand.
 //
-// FilterAdmission puts TinyLFU's frequency filter in front of the order
-// (sketch.go): a Put of a new id that would displace a resident stores
-// nothing unless its key is counted more often; PutAdmitted skips it.
+// FilterAdmission puts W-TinyLFU's admission in front of the order
+// (sketch.go): a count-min sketch of demand accesses, and a recency
+// window as a third list in the same columns. A Put of a new id that
+// would displace a resident stores nothing unless its key has been
+// counted before; otherwise it enters the window, whose least recently
+// used entry moves on to probation only if it out-counts the entry the
+// bound would take. PutAdmitted goes straight to probation.
 //
 // A Store is not safe for concurrent use; in the prefetch engine each
 // shard owns one behind its shard mutex.
@@ -86,9 +91,11 @@ const (
 	none = -1
 
 	// The recency lists: every entry of a plain LRU order is on
-	// probation; segmented LRU adds the protected list.
+	// probation; segmented LRU adds the protected list, and the
+	// admission filter's recency window the third.
 	probation = 0
 	protected = 1
+	window    = 2
 )
 
 // recency is one recency list: its most and least recently used slots
@@ -99,7 +106,7 @@ type recency struct {
 }
 
 // noLists is an empty store's recency lists.
-var noLists = [2]recency{{none, none, 0}, {none, none, 0}}
+var noLists = [3]recency{{none, none, 0}, {none, none, 0}, {none, none, 0}}
 
 // Stats is a point-in-time snapshot of a Store's occupancy and churn.
 type Stats struct {
@@ -138,8 +145,9 @@ type Store struct {
 	// takes its links with it (move).
 	prev, next   []int32
 	on           []uint8
-	lists        [2]recency
+	lists        [3]recency
 	protectedCap int // 0 = plain LRU: nothing is ever protected
+	windowCap    int // the admission filter's recency window
 	maxEntries   int // 0 = bounded by bytes alone
 
 	liveBytes      int64
@@ -292,11 +300,12 @@ func (s *Store) unlink(i int32) {
 }
 
 // touch marks slot i used (see SetProtected): it moves to the head of
-// its list, or of the protected list under segmented LRU, demoting that
-// list's least recently used entry if it overflows.
+// its list, or from probation to the head of the protected list under
+// segmented LRU, demoting that list's least recently used entry if it
+// overflows.
 func (s *Store) touch(i int) {
-	l := uint8(probation)
-	if s.protectedCap > 0 {
+	l := s.on[i]
+	if l == probation && s.protectedCap > 0 {
 		l = protected
 	}
 	if s.lists[l].head != int32(i) {
@@ -311,13 +320,14 @@ func (s *Store) touch(i int) {
 }
 
 // insert adds a reference for an id that is NOT currently indexed
-// (callers drop any existing entry first). The index doubles once live
-// entries would fill half of it, which keeps probe runs short on a hit.
-func (s *Store) insert(id int64, ref uint64) {
+// (callers drop any existing entry first) at the head of list l. The
+// index doubles once live entries would fill half of it, which keeps
+// probe runs short on a hit.
+func (s *Store) insert(id int64, ref uint64, l uint8) {
 	if (s.live+1)*2 >= len(s.refs) {
 		s.resize(2 * len(s.refs))
 	}
-	s.place(id, ref, probation)
+	s.place(id, ref, l)
 	s.live++
 }
 
@@ -413,7 +423,8 @@ func (s *Store) Delete(id int64) bool {
 }
 
 // EvictOldest evicts the least recently used entry, if any, via OnEvict:
-// probation's, or the protected list's while probation is empty.
+// probation's, or the protected list's while probation is empty, or the
+// window's while both are.
 func (s *Store) EvictOldest() {
 	for _, l := range s.lists {
 		if l.tail != none {
@@ -440,12 +451,19 @@ func (s *Store) put(id int64, v []byte, filter bool) bool {
 	if len(v) > maxSegmentBytes || need > s.segBytes {
 		return false
 	}
+	l := uint8(probation) // where id goes: the window is kept across an overwrite
 	i, hit := s.findSlot(id)
 	if hit {
+		if s.on[i] == window {
+			l = window
+		}
 		s.dropSlot(i)
-	} else if filter && s.sketch != nil && s.Displaces(len(v)) && !s.admits(id) {
-		s.declined.Add(1)
-		return false
+	} else if filter && s.sketch != nil {
+		if s.Displaces(len(v)) && !s.admits(id) {
+			s.declined.Add(1)
+			return false
+		}
+		l = window
 	}
 	s.ensure(need)
 	seg, off := s.cur, s.fill[s.cur]
@@ -454,21 +472,33 @@ func (s *Store) put(id int64, v []byte, filter bool) bool {
 	binary.LittleEndian.PutUint32(buf[off+8:], uint32(len(v)))
 	copy(buf[off+headerBytes:], v)
 	s.fill[seg] = off + need
-	s.insert(id, pack(seg, off+headerBytes, len(v)))
+	s.insert(id, pack(seg, off+headerBytes, len(v)), l)
 	s.liveSeg[seg] += need
 	s.liveBytes += int64(need)
-	for s.maxEntries > 0 && s.live > s.maxEntries {
-		j := s.lists[probation].tail
-		if s.keys[j] == id { // probation holds nothing else
-			j = s.lists[protected].tail
-		}
-		s.evict(int(j))
+	if s.lists[window].len > s.windowCap {
+		s.spill()
 	}
-	if hit && s.protectedCap > 0 { // under plain LRU id is already the head
+	for s.maxEntries > 0 && s.live > s.maxEntries {
+		s.evict(s.victim(id))
+	}
+	if hit && l == probation && s.protectedCap > 0 { // in the window or under plain LRU id is already the head
 		i, _ = s.findSlot(id)
 		s.touch(i)
 	}
 	return true
+}
+
+// victim is the slot the entry bound takes first, never id's:
+// probation's least recently used entry, or the protected list's while
+// probation holds nothing else, or the window's while neither does. A
+// new entry is each list's head, so it is a tail only alone.
+func (s *Store) victim(id int64) int {
+	for _, l := range s.lists {
+		if l.tail != none && s.keys[l.tail] != id {
+			return int(l.tail)
+		}
+	}
+	panic("slab: no entry but the one placed to evict")
 }
 
 // Displaces reports whether a Put of an n-byte payload under an id not

@@ -502,41 +502,65 @@ func fuzzSeeds() [][]byte {
 		rotate = append(rotate, 0, i, 199, 2, i-3, 0) // one value a segment: the ninth Put wraps
 		bound = append(bound, 7, 5, 0, 0, i, 9, 4, i-2, 0, 6, 0, 0, 5, i, 0)
 	}
+	// Behind the filter (protected bound 8, window 2, entry bound 6):
+	// six Puts fill the store, 14 is read three times in the window,
+	// then 20 and 21, each read twice, push the window's oldest out: 15,
+	// never read, loses to probation's oldest, and 14 out-counts it. 30,
+	// never read, is declined.
+	window := []byte{7, 2, 6}
+	for id := byte(10); id < 16; id++ {
+		window = append(window, 0, id, 5)
+	}
+	window = append(window, 2, 14, 0, 2, 14, 0, 2, 14, 0, 2, 20, 0, 2, 20, 0, 0, 20, 5, 2, 21, 0, 2, 21, 0, 0, 21, 5, 0, 30, 5)
 	return [][]byte{
 		{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11},
 		{1, 200, 1, 2, 200, 0, 0, 31, 255, 6, 0, 0, 2, 31, 0},
-		grow, tombs, rotate, bound, compact,
+		grow, tombs, rotate, bound, compact, window,
 	}
 }
 
 // FuzzSlabStore interleaves Put, Get, Delete, BytesLen, Has,
 // EvictOldest and SetMaxEntries against a reference model — a map for
-// the payloads and two slices, least recently used first, for the
-// probation and protected lists — on an arena small enough that
-// compaction and rotation fire constantly. Each input runs twice: under
-// plain LRU, and under segmented LRU with a protected bound of 1–8 taken
-// from its first byte. After every op the store and the model agree on
-// the answer, on every victim (a rotation victim may be any live id; a
-// bound or EvictOldest victim must be the model's oldest; compaction has
-// none), on the length, and — auditLinks — on both lists, link by link.
+// the payloads and three slices, least recently used first, for the
+// probation, protected and window lists — on an arena small enough that
+// compaction and rotation fire constantly. Each input runs three times:
+// under plain LRU, under segmented LRU with a protected bound of 1–8
+// taken from its first byte, and with that bound behind the admission
+// filter and a window of 0–2 entries taken from its second, where Get
+// and BytesLen count their id first, as the byte store does. After every
+// op the store and the model agree on the answer, on whether a Put was
+// declined, on every victim (a rotation victim may be any live id; a
+// window's least recently used entry and main's first victim compete on
+// the store's own sketch; a bound or EvictOldest victim must be the
+// model's oldest; compaction has none), on the length, and — auditLinks
+// — on all three lists, link by link.
 func FuzzSlabStore(f *testing.F) {
 	for _, seed := range fuzzSeeds() {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, p := range fuzzProtected(data) {
-			fuzzOps(t, data, p)
+		for _, m := range fuzzModes(data) {
+			fuzzOps(t, data, m)
 		}
 	})
 }
 
-// fuzzProtected is the protected bounds an input runs under: 0 (plain
-// LRU), then one from its first byte.
-func fuzzProtected(data []byte) []int {
-	if len(data) == 0 {
-		return []int{0}
+// fuzzMode is one order an input runs under: a protected bound, and
+// whether the admission filter runs, with a window of w.
+type fuzzMode struct {
+	p, w   int
+	filter bool
+}
+
+// fuzzModes is the orders an input runs under: plain LRU, then
+// segmented LRU with a protected bound from its first byte, then that
+// behind the filter with a window from its second.
+func fuzzModes(data []byte) []fuzzMode {
+	if len(data) < 2 {
+		return []fuzzMode{{}}
 	}
-	return []int{0, 1 + int(data[0])%8}
+	p := 1 + int(data[0])%8
+	return []fuzzMode{{}, {p: p}, {p: p, w: int(data[1]) % 3, filter: true}}
 }
 
 // TestFuzzSeedsDirect runs the seed corpus through the fuzz body so a
@@ -544,14 +568,16 @@ func fuzzProtected(data []byte) []int {
 // the seeds reach what they are there to force.
 func TestFuzzSeedsDirect(t *testing.T) {
 	var grew, rotated, moved, full bool
+	var spilled, won, lost, declined int
 	for i, seed := range fuzzSeeds() {
-		for _, p := range fuzzProtected(seed) {
-			t.Run(fmt.Sprint(i, "/p=", p), func(t *testing.T) {
-				s, demoted := fuzzOps(t, seed, p)
+		for _, m := range fuzzModes(seed) {
+			t.Run(fmt.Sprintf("%d/%+v", i, m), func(t *testing.T) {
+				s, c := fuzzOps(t, seed, m)
 				grew = grew || len(s.refs) > minIndexSlots
 				rotated = rotated || s.rotateEvicted > 0
 				moved = moved || s.compactedBytes > 0
-				full = full || demoted > 0
+				full = full || c.demoted > 0
+				spilled, won, lost, declined = spilled+c.spilled, won+c.won, lost+c.lost, declined+int(s.Declined())
 			})
 		}
 	}
@@ -559,16 +585,29 @@ func TestFuzzSeedsDirect(t *testing.T) {
 		t.Fatalf("the seeds forced a growing rehash: %t, a rotation that evicts: %t, a compaction that moves: %t, a demotion from the protected list: %t; want all four",
 			grew, rotated, moved, full)
 	}
+	if spilled == 0 || won == 0 || lost == 0 || declined == 0 {
+		t.Fatalf("the seeds moved %d window entries to probation freely, %d by out-counting main's victim and evicted %d that did not, and declined %d landings; want some of each",
+			spilled, won, lost, declined)
+	}
 }
 
-// fuzzOps runs data's ops on a Store under protected bound p and
-// returns it with the number of demotions from the protected list.
-func fuzzOps(t *testing.T, data []byte, p int) (*Store, int) {
+// fuzzCounts is what a run of fuzzOps passed through: demotions from
+// the protected list, and window entries that moved to probation with
+// room to spare, that won a place there, and that lost it.
+type fuzzCounts struct{ demoted, spilled, won, lost int }
+
+// fuzzOps runs data's ops on a Store in mode m and returns it with what
+// the run passed through.
+func fuzzOps(t *testing.T, data []byte, m fuzzMode) (*Store, fuzzCounts) {
 	s := New(2048, 256) // tiny: rotation fires constantly
-	s.SetProtected(p)
+	s.SetProtected(m.p)
+	if m.filter {
+		s.FilterAdmission(m.w)
+	}
+	p := m.p
 	vals := map[int64][]byte{}
-	var lists [2][]int64 // probation, protected; least recently used first
-	demoted := 0
+	var lists [3][]int64 // probation, protected, window; least recently used first
+	var c fuzzCounts
 	find := func(id int64) (int, int) {
 		for l := range lists {
 			if i := slices.Index(lists[l], id); i >= 0 {
@@ -577,12 +616,16 @@ func fuzzOps(t *testing.T, data []byte, p int) (*Store, int) {
 		}
 		return 0, -1
 	}
-	forget := func(id int64) {
+	take := func(id int64) int {
 		l, i := find(id)
 		if i < 0 {
 			t.Fatalf("id %d left the store but was not in the model", id)
 		}
 		lists[l] = slices.Delete(lists[l], i, i+1)
+		return l
+	}
+	forget := func(id int64) {
+		take(id)
 		delete(vals, id)
 	}
 	use := func(id int64) {
@@ -591,24 +634,36 @@ func fuzzOps(t *testing.T, data []byte, p int) (*Store, int) {
 			return
 		}
 		lists[l] = slices.Delete(lists[l], i, i+1)
-		if p > 0 {
+		if l == probation && p > 0 {
 			l = protected
 		}
 		lists[l] = append(lists[l], id)
 		for len(lists[protected]) > p {
 			lists[probation] = append(lists[probation], lists[protected][0])
 			lists[protected] = lists[protected][1:]
-			demoted++
+			c.demoted++
 		}
 	}
-	oldest := func() (int64, bool) {
+	// oldest is the entry the bound or EvictOldest takes: the least
+	// recently used of probation, then protected, then the window,
+	// never skip.
+	oldest := func(skip int64) (int64, bool) {
 		for _, l := range lists {
+			if len(l) > 0 && l[0] != skip {
+				return l[0], true
+			}
+		}
+		return 0, false
+	}
+	first := func() (int64, bool) { // main's first victim
+		for _, l := range lists[:window] {
 			if len(l) > 0 {
 				return l[0], true
 			}
 		}
 		return 0, false
 	}
+	est := func(id int64) int { return s.sketch.Estimate(id) }
 	var victims []int64
 	s.OnEvict(func(id int64) { victims = append(victims, id) })
 	bound := 0
@@ -617,16 +672,34 @@ func fuzzOps(t *testing.T, data []byte, p int) (*Store, int) {
 		op, id, arg := data[i]%8, int64(data[i+1]%61), data[i+2]
 		rotatedBefore := s.rotateEvicted
 		_, hit := vals[id]
+		list := probation // where a Put places id; -1 if it is declined
 		switch op {
 		case 0, 1:
 			v := payload(id, int(arg)%200) // always under the segment size
 			if hit {
-				forget(id) // neither bound can pick the id being written; it is re-entered below
+				if take(id) == window {
+					list = window
+				}
+				delete(vals, id) // neither bound can pick the id being written; it is re-entered below
 			}
-			if !s.Put(id, v) {
-				t.Fatalf("Put(%d, %dB) refused", id, len(v))
+			declines := false
+			if !hit && m.filter {
+				list = window
+				if s.Displaces(len(v)) {
+					v, ok := first()
+					declines = est(id) <= 1 || m.w == 0 && ok && est(id) <= est(v)
+				}
+			}
+			if s.Put(id, v) == declines {
+				t.Fatalf("Put(%d, %dB) stored %t; the filter should decline it: %t", id, len(v), !declines, declines)
+			}
+			if declines {
+				list = -1
 			}
 		case 2:
+			if m.filter {
+				s.Count(id)
+			}
 			got, ok := s.Get(id, nil)
 			if want := vals[id]; ok != hit || !bytes.Equal(got, want) {
 				t.Fatalf("Get(%d) = %x,%t; model %x,%t", id, got, ok, want, hit)
@@ -640,6 +713,9 @@ func fuzzOps(t *testing.T, data []byte, p int) (*Store, int) {
 				forget(id)
 			}
 		case 4:
+			if m.filter {
+				s.Count(id)
+			}
 			n, ok := s.BytesLen(id)
 			if want := vals[id]; ok != hit || n != len(want) {
 				t.Fatalf("BytesLen(%d) = %d,%t; model %d,%t", id, n, ok, len(want), hit)
@@ -658,19 +734,54 @@ func fuzzOps(t *testing.T, data []byte, p int) (*Store, int) {
 			bound = int(arg % 8) // 0 lifts it; it bites at the next Put
 			s.SetMaxEntries(bound)
 		}
-		// Victims arrive rotation's first, then the recency lists'.
+		// Victims arrive rotation's first, then the window's competition's,
+		// then the entry bound's.
 		rotated := int(s.rotateEvicted - rotatedBefore)
-		for k, v := range victims {
-			if want, ok := oldest(); k >= rotated && (!ok || v != want) {
-				t.Fatalf("op %d evicted %d (victims %v) while the model, oldest first, held %v", op, v, victims, lists)
+		k := 0
+		for ; k < rotated; k++ {
+			forget(victims[k])
+		}
+		if op <= 1 && list >= 0 {
+			vals[id] = payload(id, int(arg)%200)
+			lists[list] = append(lists[list], id)
+			if len(lists[window]) > m.w && !hit {
+				w := lists[window][0]
+				lists[window] = lists[window][1:]
+				if v, ok := first(); bound > 0 && len(vals) > bound {
+					loser := w
+					if ok && est(w) > est(v) {
+						loser = v
+						take(v)
+						lists[probation] = append(lists[probation], w)
+						c.won++
+					} else {
+						c.lost++
+					}
+					if k == len(victims) || victims[k] != loser {
+						t.Fatalf("Put(%d) evicted %v after %d rotation victims; the window's %d against main's %d (%t) should lose %d (model %v)",
+							id, victims, rotated, w, v, ok, loser, lists)
+					}
+					delete(vals, loser)
+					k++
+				} else {
+					lists[probation] = append(lists[probation], w)
+					c.spilled++
+				}
 			}
-			forget(v)
+		}
+		skip := int64(-1) // a Put's bound passes over the id it placed
+		if op <= 1 {
+			skip = id
+		}
+		for ; k < len(victims); k++ {
+			if want, ok := oldest(skip); !ok || victims[k] != want {
+				t.Fatalf("op %d evicted %d (victims %v) while the model, oldest first, held %v", op, victims[k], victims, lists)
+			}
+			forget(victims[k])
 		}
 		victims = victims[:0]
-		if op <= 1 {
-			vals[id] = payload(id, int(arg)%200)
-			lists[probation] = append(lists[probation], id)
-			if hit {
+		if op <= 1 && list >= 0 {
+			if hit && list == probation {
 				use(id) // an overwrite is a use
 			}
 			if bound > 0 && len(vals) > bound {
@@ -687,17 +798,18 @@ func fuzzOps(t *testing.T, data []byte, p int) (*Store, int) {
 			t.Fatalf("final check id %d: %x,%t want %x", id, got, ok, want)
 		}
 	}
-	return s, demoted
+	return s, c
 }
 
-// auditLinks walks both recency lists head to tail: each must visit
+// auditLinks walks the three recency lists head to tail: each must visit
 // slots marked as on it, each holding a live reference that a probe from
 // its id's home slot reaches, in its model list's order reversed; prev
 // must invert next; the ends must be none on both sides and the length
 // the walk's. Together the walks must cover every live slot of the
 // index — so each live slot is on exactly one list — and the protected
 // list must hold at most p.
-func auditLinks(t *testing.T, s *Store, lists [2][]int64, p int) {
+func auditLinks(t *testing.T, s *Store, lists [3][]int64, p int) {
+
 	t.Helper()
 	total := 0
 	for l, order := range lists {

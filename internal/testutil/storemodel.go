@@ -241,4 +241,4 @@ var StoreCandidates = []TinyLFU{
 
 // ShippedCandidate is the index in StoreCandidates of the shape
 // store.New builds.
-const ShippedCandidate = 0
+const ShippedCandidate = 4

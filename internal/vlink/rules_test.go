@@ -106,8 +106,9 @@ func chain(src *rng.Source) func() fetch.ID {
 // and the link's ρ̂′ (admission reads the link's), and ĥ′ against the
 // no-prefetch run's hit ratio on the same trace. At the three upper
 // loads it logs one more cell, not gated: adaptive-a on the store
-// prefetchd mounts (bytestore.New, 20 entries), its SLRU ½ behind the
-// admission filter.
+// prefetchd mounts (bytestore.New, 20 entries), W-TinyLFU — a two-entry
+// window in front of SLRU over the rest, behind the admission filter —
+// which TestStoreDecision times on three seeds.
 func TestRuleSweep(t *testing.T) {
 	const b = 100
 	policies := []struct {
@@ -141,8 +142,8 @@ func TestRuleSweep(t *testing.T) {
 		a, none := res["adaptive-a"], res["none"]
 		t.Logf("λ %2.0f: ρ′ %.3f; adaptive-a against none %+.1f %%", lambda, none.DemandUtilisation, 100*(a.AccessTime/none.AccessTime-1))
 		if lambda != 5 {
-			// The store prefetchd mounts, with its admission filter:
-			// logged beside the SLRU ½ cells, not gated.
+			// The store prefetchd mounts, W-TinyLFU: logged beside the
+			// SLRU ½ cells, not gated.
 			r := run{policy: prefetcher.AdaptiveThreshold(prefetcher.ModelA()), lambda: lambda, b: b, n: 30000, warm: 10000, seed: 1, ids: chain,
 				cache: func() prefetcher.Cache {
 					s, err := bytestore.New(bytestore.Config{CapacityBytes: 1 << 20, MaxEntries: cacheEntries})
@@ -151,8 +152,8 @@ func TestRuleSweep(t *testing.T) {
 					}
 					return s
 				}}.measure(t)
-			t.Logf("λ %2.0f %-10s t̄ %6.2f ± %4.2f ms  h %.3f  issued/req %.3f  demand util %.3f  util %.3f  (adaptive-a, the filtered store of %d; against SLRU ½ %+.1f %%)",
-				lambda, "tlfu½", 1e3*r.AccessTime, 1e3*r.AccessTimeCI, r.HitRatio, r.NFObserved, r.DemandUtilisation, r.Utilisation,
+			t.Logf("λ %2.0f %-10s t̄ %6.2f ± %4.2f ms  h %.3f  issued/req %.3f  demand util %.3f  util %.3f  (adaptive-a, the W-TinyLFU store of %d; against SLRU ½ %+.1f %%)",
+				lambda, "w-tinylfu", 1e3*r.AccessTime, 1e3*r.AccessTimeCI, r.HitRatio, r.NFObserved, r.DemandUtilisation, r.Utilisation,
 				cacheEntries, 100*(r.AccessTime/a.AccessTime-1))
 		}
 		for _, name := range retired {

@@ -82,7 +82,8 @@ const storeLevel = 0.005
 // goes first — on a scan it then copies nothing into the window, which
 // the paper's metric does not see and scan-miss's CPU a request does —
 // then the lower score. The test fails unless the shipped store reads
-// its model's digits in every cell.
+// its model's digits in every cell, and unless its model is the
+// candidate the rule picks.
 func TestStoreDecision(t *testing.T) {
 	seeds := []uint64{1, 2, 3}
 	if testing.Short() {
@@ -138,6 +139,10 @@ func TestStoreDecision(t *testing.T) {
 	pick := storePick(score[first:])
 	t.Logf("the rule picks %s; the shipped store is %s", testutil.StoreCandidates[pick].Name,
 		testutil.StoreCandidates[testutil.ShippedCandidate].Name)
+	if pick != testutil.ShippedCandidate {
+		t.Errorf("the rule picks %s, but store.New ships %s", testutil.StoreCandidates[pick].Name,
+			testutil.StoreCandidates[testutil.ShippedCandidate].Name)
+	}
 }
 
 // storePick applies TestStoreDecision's rule to the candidates' scores:

@@ -21,10 +21,11 @@ import (
 // reported once — and, in front of it all, the admission filter as
 // store.New runs it: a sketch counts every Get, and every GetBytes and
 // BytesLen of an id not boxed; a demand landing of a new id that the
-// entry bound or a rotation would make room for is stored only if the
-// sketch counts it more often than the policy's victim.
+// entry bound or a rotation would make room for is declined if the
+// sketch counts it at most once (or, with no window, no more often than
+// main's first victim), and otherwise enters the policy's window.
 type reference struct {
-	policy        *slru
+	policy        *tlfu
 	store         *cache.Store
 	slab          *slab.Store
 	overflow      map[prefetcher.ID]boxed
@@ -42,25 +43,49 @@ type boxed struct {
 	size int
 }
 
-// slru is segmented LRU as a cache.Policy, written with plain slices,
-// least recently used first (prefetcher's listModel, as a policy). A new
-// entry starts on probation (lists[0]). A use moves a probationer to the
-// most recent end of the protected list (lists[1]), whose least recent
-// entry goes back to the most recent end of probation once the list
-// holds more than p; a protected entry it refreshes there. The victim is
-// probation's least recent entry, or protected's while probation is
-// empty. With p == 0 nothing is protected: plain LRU.
-type slru struct {
-	p     int
-	lists [2][]cache.ID
+// tlfu is W-TinyLFU's order as a cache.Policy, written with plain
+// slices, least recently used first (prefetcher's listModel, as a
+// policy, with a window): an LRU window of at most w (lists[2]), then
+// segmented LRU. A demand landing (demand set before its Inserted)
+// enters the window, whose least recent entry then moves to the most
+// recent end of probation (lists[0]) once the window holds more than w;
+// any other new entry starts on probation. A use refreshes a window
+// entry there, and moves a probationer to the most recent end of the
+// protected list (lists[1]), whose least recent entry goes back to the
+// most recent end of probation once the list holds more than p; a
+// protected entry it refreshes there. With p == 0 nothing is protected.
+// The victim is main's first — probation's least recent entry, or
+// protected's while probation is empty — then the window's; but when a
+// demand landing is about to push the window's least recent entry out,
+// that entry and main's first compete on the sketch, and the loser is
+// the victim: the window's entry, unless it is counted more often.
+type tlfu struct {
+	p, w   int
+	lists  [3][]cache.ID
+	sketch *slab.Sketch
+	demand bool
 }
 
-func (q *slru) Name() string { return fmt.Sprintf("slru(p=%d)", q.p) }
+func (q *tlfu) Name() string { return fmt.Sprintf("tlfu(p=%d, w=%d)", q.p, q.w) }
 
-func (q *slru) Inserted(id cache.ID) { q.lists[0] = append(q.lists[0], id) }
+func (q *tlfu) Inserted(id cache.ID) {
+	if !q.demand {
+		q.lists[0] = append(q.lists[0], id)
+		return
+	}
+	q.lists[2] = append(q.lists[2], id)
+	if len(q.lists[2]) > q.w {
+		q.lists[0] = append(q.lists[0], q.lists[2][0])
+		q.lists[2] = q.lists[2][1:]
+	}
+}
 
-func (q *slru) Accessed(id cache.ID) {
-	if q.take(id) == 0 && q.p == 0 {
+func (q *tlfu) Accessed(id cache.ID) {
+	switch l := q.take(id); {
+	case l == 2:
+		q.lists[2] = append(q.lists[2], id)
+		return
+	case l == 0 && q.p == 0:
 		q.lists[0] = append(q.lists[0], id)
 		return
 	}
@@ -71,17 +96,33 @@ func (q *slru) Accessed(id cache.ID) {
 	}
 }
 
-func (q *slru) Victim() cache.ID {
-	if len(q.lists[0]) == 0 {
-		return q.lists[1][0]
+// first is main's first victim, if main holds any.
+func (q *tlfu) first() (cache.ID, bool) {
+	for _, l := range q.lists[:2] {
+		if len(l) > 0 {
+			return l[0], true
+		}
 	}
-	return q.lists[0][0]
+	return 0, false
 }
 
-func (q *slru) Removed(id cache.ID) { q.take(id) }
+func (q *tlfu) Victim() cache.ID {
+	v, ok := q.first()
+	if q.demand && q.w > 0 && len(q.lists[2]) == q.w {
+		if c := q.lists[2][0]; !ok || q.sketch.Estimate(int64(c)) <= q.sketch.Estimate(int64(v)) {
+			return c
+		}
+	}
+	if !ok {
+		return q.lists[2][0]
+	}
+	return v
+}
+
+func (q *tlfu) Removed(id cache.ID) { q.take(id) }
 
 // take removes id from whichever list holds it and reports which.
-func (q *slru) take(id cache.ID) int {
+func (q *tlfu) take(id cache.ID) int {
 	for l := range q.lists {
 		if i := slices.Index(q.lists[l], id); i >= 0 {
 			q.lists[l] = slices.Delete(q.lists[l], i, i+1)
@@ -91,16 +132,17 @@ func (q *slru) take(id cache.ID) int {
 	panic(fmt.Sprintf("id %d is on no list", id))
 }
 
-// newReference builds the composition for cfg with at most p entries
-// protected.
-func newReference(cfg Config, p int) *reference {
+// newReference builds the composition for cfg with a window of w
+// entries and at most p protected.
+func newReference(cfg Config, p, w int) *reference {
 	r := &reference{
-		policy:        &slru{p: p},
+		policy:        &tlfu{p: p, w: w},
 		slab:          slab.New(cfg.CapacityBytes, cfg.SegmentBytes),
 		overflow:      make(map[prefetcher.ID]boxed),
 		capacityBytes: cfg.CapacityBytes,
 		sketch:        slab.NewSketch(cfg.MaxEntries),
 	}
+	r.policy.sketch = r.sketch
 	r.store = cache.NewStore(cfg.MaxEntries, r.policy)
 	r.store.OnEvict(r.policyEvicted)
 	r.slab.OnEvict(func(id int64) {
@@ -179,6 +221,7 @@ func (r *reference) Put(id prefetcher.ID, value any) bool {
 	if isBytes {
 		size = len(b)
 	}
+	r.policy.demand = false // boxed values pass the filter and the window
 	resident := r.store.Remove(cache.ID(id))
 	r.slab.Delete(int64(id))
 	r.dropOverflow(id)
@@ -203,11 +246,13 @@ func (r *reference) PutBytes(id prefetcher.ID, b []byte, speculative bool) bool 
 		return r.Put(id, bytes.Clone(b))
 	}
 	r.dropOverflow(id)
-	if !speculative && !r.store.Contains(cache.ID(id)) &&
-		(r.store.Len() >= r.store.Capacity() || r.slab.Displaces(len(b))) &&
-		r.sketch.Estimate(int64(id)) <= r.sketch.Estimate(int64(r.policy.Victim())) {
-		r.declined++
-		return false
+	r.policy.demand = !speculative && !r.store.Contains(cache.ID(id))
+	if r.policy.demand && (r.store.Len() >= r.store.Capacity() || r.slab.Displaces(len(b))) {
+		est := r.sketch.Estimate(int64(id))
+		if v, _ := r.policy.first(); est <= 1 || r.policy.w == 0 && est <= r.sketch.Estimate(int64(v)) {
+			r.declined++
+			return false
+		}
 	}
 	r.slab.Put(int64(id), b)
 	r.store.Admit(cache.ID(id))
@@ -293,7 +338,8 @@ func runDifferential(t *testing.T, rg diffRegime, seed int64, ops int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := newReference(rg.cfg, rg.cfg.MaxEntries/2)
+	w := min(2, rg.cfg.MaxEntries/2)
+	ref := newReference(rg.cfg, (rg.cfg.MaxEntries-w)/2, w)
 	var gotEv, wantEv []prefetcher.ID
 	st.OnEvict(func(id prefetcher.ID) { gotEv = append(gotEv, id) })
 	ref.onEvict = func(id prefetcher.ID) { wantEv = append(wantEv, id) }

@@ -78,7 +78,9 @@ type candBufs struct {
 // planner is the engine's one contract with its access model, whatever
 // WithPredictor received: plan observes ids, in order, and returns the
 // top-k candidates conditioned on the last, staged in bufs (k <= 0
-// observes only). It has two implementations and New picks one: builtin
+// observes only), never that last id: it is resident or in flight
+// unless the store just turned it away, and a prefetch would overrule
+// the store. It has two implementations and New picks one: builtin
 // set, NewMarkovPredictor's model unwrapped, or plugin. (A struct and a
 // branch rather than an interface: arguments to an interface call
 // escape, which would move Get's stack-backed [1]ID to the heap.)
@@ -96,14 +98,17 @@ type planner struct {
 // chain conservation holds for a session exactly as it does per
 // singleton request.
 func (p planner) plan(ids []ID, k int, bufs *candBufs) []predict.Prediction {
+	last := cache.ID(ids[len(ids)-1])
+	cands := bufs.cands[:0]
 	if p.builtin == nil {
-		return planPlugin(p.plugin, ids, k, bufs)
+		cands = planPlugin(p.plugin, ids, k, bufs)
+	} else {
+		for _, id := range ids[:len(ids)-1] {
+			p.builtin.Observe(cache.ID(id))
+		}
+		cands = p.builtin.ObserveAndPredictTopInto(last, k, cands)
 	}
-	last := len(ids) - 1
-	for _, id := range ids[:last] {
-		p.builtin.Observe(cache.ID(id))
-	}
-	return p.builtin.ObserveAndPredictTopInto(cache.ID(ids[last]), k, bufs.cands[:0])
+	return slices.DeleteFunc(cands, func(c predict.Prediction) bool { return c.Item == last })
 }
 
 // planPlugin plans on an external Predictor: it observes each id, asks

@@ -16,13 +16,15 @@
 // drops the victim's boxed value and forwards the id to the engine's
 // OnEvict. Get, GetBytes, BytesLen and every Put touch; Contains peeks.
 //
-// New's and NewFiltered's stores filter admission (TinyLFU's rule,
-// slab.Store.FilterAdmission): Get, GetBytes and BytesLen each count a
-// demand access, and a demand landing of a new id that would displace a
-// resident is stored only if its key is counted more often than the
-// resident that would go first. A speculative landing (Land, LandBytes)
-// bypasses the filter: the threshold rule already judged it worth its
-// bytes. NewLRU and NewSLRU keep the pure order their names promise.
+// New's and NewFiltered's stores are W-TinyLFU (slab.Store.FilterAdmission):
+// Get, GetBytes and BytesLen each count a demand access; a demand
+// landing of a new id that would displace a resident is declined unless
+// its key was counted before, and otherwise enters a recency window,
+// whose least recently used entry joins segmented LRU only by
+// out-counting the resident that would go first. A speculative landing
+// (Land, LandBytes) goes straight to probation: the threshold rule
+// already judged it. NewLRU and NewSLRU keep the pure order their names
+// promise.
 //
 // A []byte that fits a segment is copied in, so Get hands back an equal
 // copy. Any other value — a larger []byte, non-[]byte Data — is boxed in
@@ -50,6 +52,10 @@ import (
 // stores: a []byte up to 64 KiB, less its 12-byte header, is copied in.
 const entrySegmentBytes = 64 << 10
 
+// windowEntries is a filtered store's recency window, at most half its
+// entry bound: internal/vlink's TestStoreDecision chose it on t̄.
+const windowEntries = 2
+
 // Config sizes one byte-bounded Store (per shard — bytestore.Factory
 // splits a global budget).
 type Config struct {
@@ -63,9 +69,10 @@ type Config struct {
 	// (Put never drops the entry being inserted). Non-[]byte overflow
 	// values have no measurable size and are bounded only by MaxEntries.
 	CapacityBytes int
-	// MaxEntries bounds the resident count, half of it protected; past
-	// it a resident goes, probation's tail first. Defaults to
-	// CapacityBytes/64, at least 16, clamped to 2²⁸ (slab.Store.SetMaxEntries).
+	// MaxEntries bounds the resident count, a window of two and half
+	// the rest protected; past it a resident goes, probation's tail
+	// first. Defaults to CapacityBytes/64, at least 16, clamped to 2²⁸
+	// (slab.Store.SetMaxEntries).
 	MaxEntries int
 	// SegmentBytes is the arena segment size; 0 means the slab's 1 MiB.
 	SegmentBytes int
@@ -88,11 +95,11 @@ type boxed struct {
 	size int
 }
 
-// New builds one Store from cfg, bounded by bytes and entries, in
-// segmented-LRU order with MaxEntries/2 protected (1 entry: plain LRU)
-// behind the admission filter: one-shot keys and unused prefetches go
-// before a key read twice, and a demand miss displaces a resident only
-// if its key is seen more often.
+// New builds one Store from cfg, bounded by bytes and entries:
+// W-TinyLFU, a window of windowEntries in front of segmented LRU with
+// half the rest protected (1 entry: plain LRU). A key seen once never
+// displaces a resident, and one-shot keys and unused prefetches go
+// before a key read twice.
 func New(cfg Config) (*Store, error) {
 	if cfg.CapacityBytes <= 0 {
 		return nil, errors.New("bytestore: CapacityBytes must be > 0")
@@ -101,17 +108,17 @@ func New(cfg Config) (*Store, error) {
 	if maxEntries <= 0 {
 		maxEntries = max(cfg.CapacityBytes/64, 16)
 	}
-	return newStore(cfg.CapacityBytes, cfg.SegmentBytes, maxEntries, maxEntries/2, true), nil
+	return newStore(cfg.CapacityBytes, cfg.SegmentBytes, maxEntries, 0, true), nil
 }
 
-// NewFiltered returns New's order — n entries, n/2 of them protected,
-// behind the admission filter — with NewLRU's entry-only bound: the
-// engine's default cache. It panics if n < 1.
+// NewFiltered returns New's order behind its admission filter with
+// NewLRU's entry-only bound of n: the engine's default cache. It panics
+// if n < 1.
 func NewFiltered(n int) *Store {
 	if n < 1 {
 		panic(fmt.Sprintf("store: capacity %d must be >= 1", n))
 	}
-	return newStore(math.MaxInt, entrySegmentBytes, n, n/2, true)
+	return newStore(math.MaxInt, entrySegmentBytes, n, 0, true)
 }
 
 // NewLRU returns a Store holding at most n entries, least recently used
@@ -133,7 +140,8 @@ func NewSLRU(n, p int) *Store {
 	return newStore(math.MaxInt, entrySegmentBytes, n, p, false)
 }
 
-// newStore is every constructor's: protected 0 is plain LRU.
+// newStore is every constructor's: protected 0 is plain LRU; a filtered
+// store protects half of what its window leaves.
 func newStore(capacityBytes, segmentBytes, maxEntries, protected int, filtered bool) *Store {
 	s := &Store{
 		slab:          slab.New(capacityBytes, segmentBytes),
@@ -141,10 +149,12 @@ func newStore(capacityBytes, segmentBytes, maxEntries, protected int, filtered b
 		capacityBytes: capacityBytes,
 	}
 	s.slab.SetMaxEntries(maxEntries)
-	s.slab.SetProtected(protected)
 	if filtered {
-		s.slab.FilterAdmission()
+		w := min(windowEntries, maxEntries/2)
+		s.slab.FilterAdmission(w)
+		protected = (maxEntries - w) / 2
 	}
+	s.slab.SetProtected(protected)
 	// The one eviction stream: rotation, the entry bound and the overflow
 	// budget loop all report here, from inside Put.
 	s.slab.OnEvict(func(id int64) {
@@ -295,9 +305,9 @@ func (s *Store) Footprint() (arena, arenaMax, overflow, overflowMax int64) {
 
 // Admission reports the admission filter's books, and unlike the rest
 // of the Store may be read from any goroutine: the demand landings it
-// declined and its sketch's size (0 and 0 for NewLRU and NewSLRU).
-func (s *Store) Admission() (declined int64, sketchBytes int) {
-	return s.slab.Declined(), s.slab.SketchBytes()
+// declined, its sketch's size and its window (0 for NewLRU and NewSLRU).
+func (s *Store) Admission() (declined int64, sketchBytes, windowEntries int) {
+	return s.slab.Declined(), s.slab.SketchBytes(), s.slab.WindowEntries()
 }
 
 // SlabStats exposes the arena's occupancy/churn counters.

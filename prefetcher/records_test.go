@@ -246,27 +246,58 @@ func TestDispatchOwnsNothingAfterPush(t *testing.T) {
 	}
 }
 
+// decliningStore is an LRU store of n entries that, once full, declines
+// every demand landing of a key not resident — a filtered store's answer
+// to a key it has not counted often enough, whatever the key's history.
+// (The built-in store admits a key read by an owner and a joiner into
+// its window: its sketch has counted the key twice.)
+type decliningStore struct {
+	*store.Store
+	n        int
+	declined int
+}
+
+func newDecliningStore(n int) *decliningStore { return &decliningStore{Store: store.NewLRU(n), n: n} }
+
+func (s *decliningStore) Land(id ID, v any, speculative bool) bool {
+	return !s.declines(id, speculative) && s.Store.Land(id, v, speculative)
+}
+
+func (s *decliningStore) LandBytes(id ID, b []byte, speculative bool) bool {
+	return !s.declines(id, speculative) && s.Store.LandBytes(id, b, speculative)
+}
+
+func (s *decliningStore) declines(id ID, speculative bool) bool {
+	if speculative || s.Contains(id) || s.Len() < s.n {
+		return false
+	}
+	s.declined++
+	return true
+}
+
 // TestDeclinedLandingKeepsTheBooks drives a demand landing that the
-// built-in store's admission filter turns away while a joiner waits on
-// its flight (ROADMAP item 6(a)). A 4-entry filtered store holds four
-// keys each read three times; a fresh key, read by its owner and one
-// joiner, is counted twice, so its landing would displace a key counted
-// more often and is declined. Both readers still get the payload — the
-// joiner its own clone of the lent bytes, intact after the lender's
-// buffer has been reused — no record is written, the resident count
-// matches the store's, and the books balance. On a second engine that
-// prefetches, a speculative landing of a key the sketch has counted once
-// into the full store is never declined, so Issued = Used + Wasted +
-// Errors + resident-unused still conserves.
+// store turns away while a joiner waits on its flight (ROADMAP item
+// 6(a)). A full 4-entry store that declines a demand landing of a new
+// key holds four keys each read three times; a fresh key is read by its
+// owner and one joiner, and its landing is declined. Both readers still
+// get the payload — the joiner its own clone of the lent bytes, intact
+// after the lender's buffer has been reused — no record is written, the
+// resident count matches the store's, and the books balance. With
+// TopK(1), both readers observe the key, so the Markov table counts the
+// self-transition fresh → fresh; the plan conditioned on the key must
+// not offer the key itself, or a worker would fetch again the bytes the
+// store just turned away (ROADMAP item 29). On an engine over the
+// built-in filtered store that prefetches, a speculative landing of a key
+// the sketch has counted once into the full store is never declined, so
+// Issued = Used + Wasted + Errors + resident-unused still conserves.
 func TestDeclinedLandingKeepsTheBooks(t *testing.T) {
 	const n = 4
 	ctx := context.Background()
-	// newFull returns an engine over a filtered store of n entries, each
-	// holding a key read three times.
-	newFull := func(origin Fetcher, p Policy) (*Engine, *store.Store, func(ID) []byte) {
-		var st *store.Store
+	// newFull returns an engine over the store c makes, of n entries,
+	// each holding a key read three times.
+	newFull := func(origin Fetcher, p Policy, c func() Cache) (*Engine, func(ID) []byte) {
 		eng, err := New(origin, WithBandwidth(1e9), WithShards(1), WithPolicy(p),
-			WithCacheFactory(func(int, int) Cache { st = store.NewFiltered(n); return st }))
+			WithCacheFactory(func(int, int) Cache { return c() }))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -286,55 +317,68 @@ func TestDeclinedLandingKeepsTheBooks(t *testing.T) {
 		if err := eng.Quiesce(ctx); err != nil {
 			t.Fatal(err)
 		}
-		return eng, st, get
+		return eng, get
 	}
 
-	origin := &flatLender{held: make(chan struct{})}
-	eng, st, get := newFull(origin, NoPrefetch())
-	fresh := ID(1 << 20)
-	var wg sync.WaitGroup
-	var got [2][]byte
-	wg.Add(1)
-	go func() { defer wg.Done(); got[0] = get(fresh) }()
-	sh := eng.shards[0]
-	waiters := func() int {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		if f := sh.inflight[fresh]; f != nil {
-			return f.waiters
-		}
-		return -1
+	for _, p := range []struct {
+		name string
+		p    Policy
+	}{{"no prefetching", NoPrefetch()}, {"TopK(1)", TopK(1)}} {
+		t.Run(p.name, func(t *testing.T) {
+			origin := &flatLender{held: make(chan struct{})}
+			st := newDecliningStore(n)
+			eng, get := newFull(origin, p.p, func() Cache { return st })
+			fresh := ID(1 << 20)
+			var wg sync.WaitGroup
+			var got [2][]byte
+			wg.Add(1)
+			go func() { defer wg.Done(); got[0] = get(fresh) }()
+			sh := eng.shards[0]
+			waiters := func() int {
+				sh.mu.Lock()
+				defer sh.mu.Unlock()
+				if f := sh.inflight[fresh]; f != nil {
+					return f.waiters
+				}
+				return -1
+			}
+			for waiters() < 0 {
+				time.Sleep(time.Millisecond)
+			}
+			wg.Add(1)
+			go func() { defer wg.Done(); got[1] = get(fresh) }()
+			for waiters() < 1 {
+				time.Sleep(time.Millisecond)
+			}
+			close(origin.held)
+			wg.Wait()
+			if err := eng.Quiesce(ctx); err != nil {
+				t.Fatal(err)
+			}
+			sh.mu.Lock()
+			_, recorded := sh.records[fresh]
+			sh.mu.Unlock()
+			s := eng.Stats()
+			if st.Contains(fresh) || recorded || st.declined != 1 || s.Joins != 1 || s.PrefetchIssued != 0 {
+				t.Fatalf("fresh key: resident %t, record %t, %d declined, %d joins, %d prefetches issued; want false, false, 1, 1, 0",
+					st.Contains(fresh), recorded, st.declined, s.Joins, s.PrefetchIssued)
+			}
+			get(fresh + 1) // the lender's buffer, reused
+			for i, b := range got {
+				if !bytes.Equal(b, bytes.Repeat([]byte{byte(fresh)}, 64)) {
+					t.Fatalf("reader %d of the declined landing holds %v", i, b)
+				}
+			}
+			quiesceAndCheck(t, eng)
+		})
 	}
-	for waiters() < 0 {
-		time.Sleep(time.Millisecond)
-	}
-	wg.Add(1)
-	go func() { defer wg.Done(); got[1] = get(fresh) }()
-	for waiters() < 1 {
-		time.Sleep(time.Millisecond)
-	}
-	close(origin.held)
-	wg.Wait()
-	sh.mu.Lock()
-	_, recorded := sh.records[fresh]
-	sh.mu.Unlock()
-	if st.Contains(fresh) || recorded || st.SlabStats().Declined != 1 || eng.Stats().Joins != 1 {
-		t.Fatalf("fresh key: resident %t, record %t, %d declined, %d joins; want false, false, 1, 1",
-			st.Contains(fresh), recorded, st.SlabStats().Declined, eng.Stats().Joins)
-	}
-	get(fresh + 1) // the lender's buffer, reused
-	for i, b := range got {
-		if !bytes.Equal(b, bytes.Repeat([]byte{byte(fresh)}, 64)) {
-			t.Fatalf("reader %d of the declined landing holds %v", i, b)
-		}
-	}
-	quiesceAndCheck(t, eng)
 
 	// Teach the model 1 → spec, then read 1 again: of its two
 	// candidates 2 is resident, and spec, a key the sketch has counted
 	// once, lands speculative into the full store, and stays.
-	eng, st, get = newFull(&flatLender{}, TopK(2))
-	spec := fresh + 2
+	var st *store.Store
+	eng, get := newFull(&flatLender{}, TopK(2), func() Cache { st = store.NewFiltered(n); return st })
+	spec := ID(1<<20 + 2)
 	get(1)
 	get(spec)
 	get(1)
