@@ -86,10 +86,10 @@ type SpaceConfig struct {
 	// The cache is the slab-backed byte store (prefetcher/bytestore):
 	// payloads live in pointer-free segments the GC never scans, bounded
 	// by CacheBytes (0 = 64 MiB), probation's tail out first;
-	// CacheCapacity bounds the entry count (0 = CacheBytes/64), half of
-	// it protected (segmented LRU), behind a frequency filter that lets
-	// a demand miss displace a resident only if its key is read more
-	// often; SegmentBytes sizes the arena segments (0 = 1 MiB).
+	// CacheCapacity bounds the entry count (0 = CacheBytes/64):
+	// W-TinyLFU, a two-entry window, then half the rest protected, behind
+	// a frequency filter that declines a demand miss on its key's first
+	// sighting; SegmentBytes sizes the arena segments (0 = 1 MiB).
 	CacheCapacity int `json:"cache_capacity,omitempty"`
 	CacheBytes    int `json:"cache_bytes,omitempty"`
 	SegmentBytes  int `json:"segment_bytes,omitempty"`

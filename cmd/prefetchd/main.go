@@ -16,13 +16,15 @@
 // never past about 7 MiB), and caches in one store, the slab byte
 // store bounded by -cache-bytes (64 MiB unless set) and -cache entries,
 // so the daemon's memory is its cache budgets plus that table and
-// nothing grows with the key space. The store evicts in segmented-LRU
-// order: a key read twice moves to a protected list of half the
-// entries, and a one-shot miss or an unused prefetch waits on probation
-// and goes first. A frequency filter admits: a demand miss that would
-// displace a resident is stored only if a count-min sketch of reads
-// (8 bytes per entry of -cache) has seen its key more often than that
-// resident's; a prefetch the rule admitted is always stored. A space's policy is adaptive-a, the paper's rule under
+// nothing grows with the key space. The store is W-TinyLFU: a count-min
+// sketch of reads (16 bytes per entry of -cache) filters admission, a
+// demand miss that would displace a resident is declined on its key's
+// first sighting and otherwise enters a two-entry recency window, whose
+// oldest entry joins segmented LRU — probation, then a protected list of
+// half the rest — only if its key is read more often than the resident
+// it would displace; a one-shot miss or an unused prefetch goes first,
+// and a prefetch the rule admitted is always stored, on probation. A
+// space's policy is adaptive-a, the paper's rule under
 // model A and the default, or none, the one way to run a space without
 // speculation; model B's threshold, the greedy rule, the static cutoffs
 // and top-k went when the virtual-time sweep in internal/vlink found
@@ -31,7 +33,8 @@
 // that splits the process's RSS: the store's segments and the Markov rows
 // live off the Go heap (offheap_bytes), beside the heap's live bytes, its
 // goal and the GC cycles run; and beside it an admission block, each
-// space's declined demand landings and sketch bytes; /healthz is a liveness probe. On
+// space's declined demand landings, sketch bytes and window entries;
+// /healthz is a liveness probe. On
 // SIGINT/SIGTERM the daemon stops accepting connections, drains
 // in-flight requests, quiesces each engine's speculative work, closes it
 // and then its backends' idle connections.
@@ -96,7 +99,7 @@ func configFromArgs(fs *flag.FlagSet, args []string) (*Config, error) {
 	fs.StringVar(&f.origin, "origin", "", "HTTP origin base URL for the flag-built space")
 	fs.StringVar(&f.originBatch, "origin-batch-path", "", "origin batch endpoint speaking the httpfetch wire (e.g. /batch)")
 	fs.StringVar(&f.fsRoot, "fs-root", "", "filesystem backend root for the flag-built space")
-	fs.IntVar(&f.cacheCap, "cache", 4096, "cache capacity in items, half of them protected: a key read twice outlives one-shot keys, and a miss displaces a resident only if its key is read more often")
+	fs.IntVar(&f.cacheCap, "cache", 4096, "cache capacity in items: a two-item window, then half the rest protected; a key read twice outlives one-shot keys, and a miss displaces a resident only if its key is read more often")
 	fs.IntVar(&f.cacheBytes, "cache-bytes", 0, "cache byte budget (0 = 64 MiB), a ceiling: the arena holds at most about twice the peak live bytes; payloads live in segments mapped off the Go heap")
 	fs.IntVar(&f.segBytes, "segment-bytes", 0, "cache segment size in bytes (0 = 1 MiB)")
 	fs.StringVar(&f.policy, "policy", "adaptive-a", "prefetch policy: adaptive-a (the paper's rule, model A) or none (no speculation); the access model is always the Markov table, which grows only with states seen twice and never past about 7 MiB")

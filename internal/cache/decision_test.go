@@ -384,10 +384,10 @@ func TestShippedStoreMatchesReference(t *testing.T) {
 // per period. A frequency filter is slowest to make way here: the old
 // hot keys keep their counts until the halvings wear them down. A count
 // halves once a period, so from the 8-bit ceiling of 255 it falls below
-// 2, where a new key counted twice out-counts it, within 8. The test
-// fails unless the shipped store's miss ratio comes back within 0.02 of
-// its steady one — the mean over the five periods before the move —
-// within 8 periods of it.
+// 2, where a new key counted twice out-counts it, in 7; a period more
+// lets the new hot keys count up. The test fails unless the shipped
+// store's miss ratio comes back within 0.02 of its steady one — the mean
+// over the five periods before the move — within 8 periods of it.
 func TestFilterMakesWayAfterDrift(t *testing.T) {
 	const bound, keys, periods, within = 512, 4096, 10, 8
 	period := 40 * bound

@@ -93,8 +93,8 @@ func (s *Store) WindowEntries() int { return s.windowCap }
 // pointer-free []uint64: 16 bytes per bound entry. A key's estimate is
 // the least of its 4 counters, so it over-counts by collision, never
 // under. Every counter is halved after 40× the bound increments, so the
-// counts age and a key once hot makes way; a count of 255 is worn below
-// 2 in 8 halvings.
+// counts age and a key once hot makes way; a count of 255 falls below
+// 2 in 7 halvings.
 type Sketch struct {
 	table        []uint64 // the rows, each words long
 	words        int      // words a row

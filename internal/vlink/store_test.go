@@ -79,9 +79,9 @@ const storeLevel = 0.005
 // best order as SLRU ½ does. A candidate's score is its mean t̄ ratio
 // against SLRU ½ over the cells. Those within storeLevel of the lowest
 // score are level on t̄; of them, one that declines a key counted once
-// goes first — on a scan it then copies nothing into the window, which
-// the paper's metric does not see and scan-miss's CPU a request does —
-// then the lower score. The test fails unless the shipped store reads
+// goes first — it keeps a first sighting out of the window, a copy the
+// paper's metric does not see and scan-miss's CPU a request does — then
+// the lower score. The test fails unless the shipped store reads
 // its model's digits in every cell, and unless its model is the
 // candidate the rule picks.
 func TestStoreDecision(t *testing.T) {

@@ -1,8 +1,8 @@
 // Package bytestore mounts the library's one cache store
 // (repro/prefetcher/internal/store, which NewLRUCache and NewSLRUCache
 // also return) bounded by bytes and entries, one per engine shard
-// (Factory): what prefetchd runs — segmented LRU, half of each shard's
-// entries protected, behind TinyLFU's filter on demand landings.
+// (Factory): what prefetchd runs — W-TinyLFU, a two-entry window in
+// front of segmented LRU, behind a frequency filter on demand landings.
 package bytestore
 
 import (

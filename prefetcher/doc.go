@@ -99,9 +99,9 @@
 // beside it. The byte budget evicts by segment rotation and the entry
 // bound from probation's tail first, both through one per-id callback
 // that keeps the engine's size and waste accounting exact. bytestore's
-// store and the default put TinyLFU's frequency filter in front: a
-// demand miss displaces a resident only if its key is read more often,
-// and a landing the filter turns away leaves no record.
+// store and the default are W-TinyLFU: a demand miss displaces a
+// resident only once its key has been read before, through a recency
+// window, and a landing the filter turns away leaves no record.
 //
 // Internally the keyed state — cache, in-flight dedup, size and
 // used/wasted accounting — is partitioned across power-of-two shards

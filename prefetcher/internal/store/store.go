@@ -306,7 +306,7 @@ func (s *Store) Footprint() (arena, arenaMax, overflow, overflowMax int64) {
 // Admission reports the admission filter's books, and unlike the rest
 // of the Store may be read from any goroutine: the demand landings it
 // declined, its sketch's size and its window (0 for NewLRU and NewSLRU).
-func (s *Store) Admission() (declined int64, sketchBytes, windowEntries int) {
+func (s *Store) Admission() (declined int64, sketchBytes, window int) {
 	return s.slab.Declined(), s.slab.SketchBytes(), s.slab.WindowEntries()
 }
 
