@@ -279,11 +279,11 @@ func TestDaemonPolicyNoneIssuesNoPrefetch(t *testing.T) {
 		t.Fatalf("policy none issued %d prefetches, %d speculative fetches at the backend; want 0 (stats %+v)",
 			st.PrefetchIssued, st.Backends[0].Speculative, st)
 	}
-	// The admission block: an 8-entry space's sketch is 128 bytes and
+	// The admission block: an 8-entry space's sketch is 192 bytes and
 	// its window 2 entries, and a loop four times its size has landings
 	// turned away (its first lap, before the sketch has seen a key).
-	if a := stats.Admission[DefaultSpace]; a.SketchBytes != 128 || a.WindowEntries != 2 || a.DeclinedLandings == 0 {
-		t.Fatalf("admission %+v; want a 128-byte sketch, a 2-entry window and declined landings", a)
+	if a := stats.Admission[DefaultSpace]; a.SketchBytes != 192 || a.WindowEntries != 2 || a.DeclinedLandings == 0 {
+		t.Fatalf("admission %+v; want a 192-byte sketch, a 2-entry window and declined landings", a)
 	}
 	// A cyclic stream four times the cache, nothing prefetched: every
 	// miss is one the origin answered singly. Under plain LRU every

@@ -2,25 +2,24 @@ package slab
 
 // FilterAdmission puts W-TinyLFU's admission in front of the recency
 // order (Einziger, Friedman & Manes, ACM TOS 2017), with a Sketch sized
-// for the entry bound and a recency window of window entries: call it
-// after SetMaxEntries, with window at most half the bound. Count then
-// tallies each demand access. A Put of an id not resident that would
-// displace a resident — through the entry bound or a rotation
-// (Displaces) — stores nothing, counts a decline and returns false if
-// the sketch counts the id at most once (a key on its first sighting
-// never displaces a resident; Maggs & Sitaraman's "cache on second hit")
-// or, with no window, no more often than the entry the bound takes
-// first. Otherwise a new id enters the window's head, and once the
-// window holds more than window entries its least recently used entry
-// moves on to probation's head. If the move leaves the store over its
-// entry bound, it must first out-count the resident the bound takes
+// for the entry bound and a recency window of window entries, at least
+// one: call it after SetMaxEntries, with window at most half the bound.
+// Count then tallies each demand access. A Put of an id not resident
+// that would displace a resident — through the entry bound or a
+// rotation (Displaces) — stores nothing, counts a decline and returns
+// false if the sketch counts the id at most once: a key on its first
+// sighting never displaces a resident (Maggs & Sitaraman's "cache on
+// second hit"). Otherwise a new id enters the window's head, and once
+// the window holds more than window entries its least recently used
+// entry moves on to probation's head. If the move leaves the store over
+// its entry bound, it must first out-count the resident the bound takes
 // first — probation's least recently used, or the protected list's while
 // probation is empty — and the loser is evicted. A use keeps a window
 // entry in the window, at its head. PutAdmitted is Put for an entry the
 // caller has already judged worth its place: the filter is not asked,
 // and a new id goes straight to probation.
 func (s *Store) FilterAdmission(window int) {
-	s.sketch, s.windowCap = NewSketch(s.maxEntries), max(0, window)
+	s.sketch, s.windowCap = NewSketch(s.maxEntries), max(1, window)
 }
 
 // Count counts one demand access of id, hit or miss, in the admission
@@ -33,12 +32,8 @@ func (s *Store) Count(id int64) {
 }
 
 // admits reports whether the admission filter lets new id displace a
-// resident: seen before, and with no window, seen more often than main's
-// first victim.
-func (s *Store) admits(id int64) bool {
-	est := s.sketch.Estimate(id)
-	return est > 1 && (s.windowCap > 0 || est > s.sketch.Estimate(s.keys[s.first()]))
-}
+// resident: it was seen before this sighting.
+func (s *Store) admits(id int64) bool { return s.sketch.Estimate(id) > 1 }
 
 // first is main's first victim: probation's least recently used entry,
 // or the protected list's while probation is empty (none if both are).
@@ -85,26 +80,36 @@ func (s *Store) SketchBytes() int {
 // without one.
 func (s *Store) WindowEntries() int { return s.windowCap }
 
-// Sketch is a count-min sketch of how often keys are accessed: the
-// frequency half of TinyLFU (Einziger, Friedman & Manes, ACM TOS 2017),
-// which Store.FilterAdmission puts in front of the recency order. It
-// has 4 rows of 8-bit saturating counters, each row 4× the entry bound
-// wide rounded up to a power of two, 8 counters to a word of one flat,
-// pointer-free []uint64: 16 bytes per bound entry. A key's estimate is
-// the least of its 4 counters, so it over-counts by collision, never
-// under. Every counter is halved after 40× the bound increments, so the
-// counts age and a key once hot makes way; a count of 255 falls below
-// 2 in 7 halvings.
+// Sketch is a count-min sketch of how often keys are accessed behind a
+// doorkeeper, the frequency half of TinyLFU (Einziger, Friedman & Manes,
+// ACM TOS 2017) that Store.FilterAdmission puts in front of the recency
+// order: 4 rows of 8-bit saturating counters, each row 4× the entry
+// bound wide rounded up to a power of two, 8 counters to a word of one
+// flat, pointer-free []uint64, and a doorkeeper of a quarter of a row's
+// width in words — 64 bits a bound entry; 24 bytes an entry in all. A
+// key's access sets its two doorkeeper bits if they are not both set,
+// and otherwise counts in the rows. Its estimate is the least of its 4
+// counters, plus one for its doorkeeper bits, so it over-counts by
+// collision, never under. The doorkeeper is cleared every 10× the bound
+// accesses and every counter halved every 40×, so the counts age and a
+// key once hot makes way (255 falls below 2 in 7 halvings); a key that
+// never repeats, as in a scan, reaches the rows only by a doorkeeper
+// collision, so a first sighting mostly reads 1.
 type Sketch struct {
-	table        []uint64 // the rows, each words long
-	words        int      // words a row
-	shift        uint     // 64 − log₂ of a row's width
-	adds, period int      // increments since the last halving, and the span between two
+	table, door []uint64 // the rows, each words long; the doorkeeper
+	words       int      // words a row
+	shift       uint     // 64 − log₂ of a row's width, 2 more for the doorkeeper's words
+	adds, span  int      // increments since the doorkeeper was cleared, and the span between two clears
+	spans       int      // clears since the last halving
 }
 
 // sketchRows are the rows' odd multipliers: a key's counter in row r is
-// the top bits of its mixed hash times sketchRows[r].
+// the top bits of its mixed hash times sketchRows[r]. The doorkeeper's
+// word is picked the same way by doorMul, its two bits by the low 12
+// bits of that product.
 var sketchRows = [4]uint64{0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9, 0xD6E8FEB86659FD93}
+
+const doorMul = 0xA0761D6478BD642F
 
 // NewSketch sizes a Sketch for an entry bound of bound (at least 1).
 func NewSketch(bound int) *Sketch {
@@ -113,46 +118,74 @@ func NewSketch(bound int) *Sketch {
 	for width < 4*bound {
 		width, bits = width*2, bits+1
 	}
-	return &Sketch{table: make([]uint64, len(sketchRows)*width/8), words: width / 8, shift: 64 - bits, period: 40 * bound}
+	return &Sketch{table: make([]uint64, len(sketchRows)*width/8), door: make([]uint64, width/4),
+		words: width / 8, shift: 64 - bits, span: 10 * bound}
 }
 
-// counter returns the word and bit offset of id's counter in row r.
-func (s *Sketch) counter(id int64, r int) (int, uint) {
-	h := uint64(id) // splitmix64's finalizer
+// mix is splitmix64's finalizer.
+func mix(id int64) uint64 {
+	h := uint64(id)
 	h ^= h >> 30
 	h *= 0xBF58476D1CE4E5B9
 	h ^= h >> 27
 	h *= 0x94D049BB133111EB
 	h ^= h >> 31
+	return h
+}
+
+// counter returns the word and bit offset of counter h's in row r.
+func (s *Sketch) counter(h uint64, r int) (int, uint) {
 	i := h * sketchRows[r] >> s.shift
 	return r*s.words + int(i>>3), uint(i&7) * 8
 }
 
-// Add counts one access of id, and halves every counter once the
-// increments since the last halving reach 40× the bound.
+// doorkeeper returns the word of hash h's doorkeeper bits and their mask.
+func (s *Sketch) doorkeeper(h uint64) (int, uint64) {
+	d := h * doorMul
+	return int(d >> (s.shift + 2)), 1<<(d&63) | 1<<(d>>6&63)
+}
+
+// Add counts one access of id: in the doorkeeper if its bits are not
+// all set yet, else in the rows. It clears the doorkeeper once the
+// increments since the last clear reach 10× the bound, and at every
+// fourth clear halves every counter.
 func (s *Sketch) Add(id int64) {
-	for r := range sketchRows {
-		if w, sh := s.counter(id, r); s.table[w]>>sh&0xFF < 0xFF {
-			s.table[w] += 1 << sh
+	h := mix(id)
+	if w, b := s.doorkeeper(h); s.door[w]&b != b {
+		s.door[w] |= b
+	} else {
+		for r := range sketchRows {
+			if w, sh := s.counter(h, r); s.table[w]>>sh&0xFF < 0xFF {
+				s.table[w] += 1 << sh
+			}
 		}
 	}
-	if s.adds++; s.adds == s.period {
-		s.adds = 0
+	if s.adds++; s.adds < s.span {
+		return
+	}
+	s.adds = 0
+	clear(s.door)
+	if s.spans++; s.spans == 4 {
+		s.spans = 0
 		for i, w := range s.table {
 			s.table[i] = w >> 1 & 0x7F7F7F7F7F7F7F7F
 		}
 	}
 }
 
-// Estimate returns how often id has been counted since the halvings, at most 255.
+// Estimate returns how often id has been counted since the halvings, at most 256.
 func (s *Sketch) Estimate(id int64) int {
+	h := mix(id)
 	est := uint64(0xFF)
 	for r := range sketchRows {
-		w, sh := s.counter(id, r)
+		w, sh := s.counter(h, r)
 		est = min(est, s.table[w]>>sh&0xFF)
+	}
+	if w, b := s.doorkeeper(h); s.door[w]&b == b {
+		est++
 	}
 	return int(est)
 }
 
-// Bytes is the sketch's size.
-func (s *Sketch) Bytes() int { return 8 * len(s.table) }
+// Bytes is the sketch's size, its doorkeeper's included.
+func (s *Sketch) Bytes() int { return 8 * (len(s.table) + len(s.door)) }

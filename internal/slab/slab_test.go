@@ -507,7 +507,7 @@ func fuzzSeeds() [][]byte {
 	// then 20 and 21, each read twice, push the window's oldest out: 15,
 	// never read, loses to probation's oldest, and 14 out-counts it. 30,
 	// never read, is declined.
-	window := []byte{7, 2, 6}
+	window := []byte{7, 1, 6}
 	for id := byte(10); id < 16; id++ {
 		window = append(window, 0, id, 5)
 	}
@@ -526,7 +526,7 @@ func fuzzSeeds() [][]byte {
 // compaction and rotation fire constantly. Each input runs three times:
 // under plain LRU, under segmented LRU with a protected bound of 1–8
 // taken from its first byte, and with that bound behind the admission
-// filter and a window of 0–2 entries taken from its second, where Get
+// filter and a window of 1–2 entries taken from its second, where Get
 // and BytesLen count their id first, as the byte store does. After every
 // op the store and the model agree on the answer, on whether a Put was
 // declined, on every victim (a rotation victim may be any live id; a
@@ -560,7 +560,7 @@ func fuzzModes(data []byte) []fuzzMode {
 		return []fuzzMode{{}}
 	}
 	p := 1 + int(data[0])%8
-	return []fuzzMode{{}, {p: p}, {p: p, w: int(data[1]) % 3, filter: true}}
+	return []fuzzMode{{}, {p: p}, {p: p, w: 1 + int(data[1])%2, filter: true}}
 }
 
 // TestFuzzSeedsDirect runs the seed corpus through the fuzz body so a
@@ -685,10 +685,7 @@ func fuzzOps(t *testing.T, data []byte, m fuzzMode) (*Store, fuzzCounts) {
 			declines := false
 			if !hit && m.filter {
 				list = window
-				if s.Displaces(len(v)) {
-					v, ok := first()
-					declines = est(id) <= 1 || m.w == 0 && ok && est(id) <= est(v)
-				}
+				declines = s.Displaces(len(v)) && est(id) <= 1
 			}
 			if s.Put(id, v) == declines {
 				t.Fatalf("Put(%d, %dB) stored %t; the filter should decline it: %t", id, len(v), !declines, declines)

@@ -58,13 +58,9 @@ func (c *modelCache) OnEvict(fn func(fetch.ID)) {
 	}
 }
 
-// storeLevel is how far, in points of the mean t̄ ratio against SLRU ½,
-// a candidate may sit above the lowest and still count as level with it.
-const storeLevel = 0.005
-
 // TestStoreDecision is the store decision's axis in virtual time, the
 // paper's metric t̄ (the replay's miss ratio is the other: internal/cache's
-// TestShippedOrderHasLeastRegret). It runs adaptive-a on TestRuleSweep's
+// TestFilteredStoreEligibility). It runs adaptive-a on TestRuleSweep's
 // chain through a store of cacheEntries entries at ρ′ ≈ 0.256, 0.451 and
 // 0.594 (λ 30, 53 and 70; b = 100; 30,000 requests a cell, the first
 // 10,000 warm-up; 12,000 and 4,000 under the race detector) on seeds 1,
@@ -74,15 +70,11 @@ const storeLevel = 0.005
 // testutil.StoreCandidates, and logs each cell's t̄ against SLRU ½'s on
 // the same seed and load.
 //
-// The rule, stated before it was first run: every candidate is eligible,
-// since the replay fails unless each strays at most half as far from the
-// best order as SLRU ½ does. A candidate's score is its mean t̄ ratio
-// against SLRU ½ over the cells. Those within storeLevel of the lowest
-// score are level on t̄; of them, one that declines a key counted once
-// goes first — it keeps a first sighting out of the window, a copy the
-// paper's metric does not see and scan-miss's CPU a request does — then
-// the lower score. The test fails unless the shipped store reads
-// its model's digits in every cell, and unless its model is the
+// The rule: every candidate is eligible, since the replay fails unless
+// each strays at most half as far from the best order as SLRU ½ does. A
+// candidate's score is its mean t̄ ratio against SLRU ½ over the cells,
+// and the lowest score ships. The test fails unless the shipped store
+// reads its model's digits in every cell, and unless its model is the
 // candidate the rule picks.
 func TestStoreDecision(t *testing.T) {
 	seeds := []uint64{1, 2, 3}
@@ -123,7 +115,7 @@ func TestStoreDecision(t *testing.T) {
 			r := res[i][j]
 			ratio := r.AccessTime / base.AccessTime
 			score[j] += ratio / float64(len(rows))
-			t.Logf("%-12s %-14s t̄ %6.2f ± %4.2f ms  h %.3f  issued/req %.3f  demand util %.3f  against slru½ %+.1f %%",
+			t.Logf("%-12s %-16s t̄ %6.2f ± %4.2f ms  h %.3f  issued/req %.3f  demand util %.3f  against slru½ %+.1f %%",
 				rw.name, c.name, 1e3*r.AccessTime, 1e3*r.AccessTimeCI, r.HitRatio, r.NFObserved, r.DemandUtilisation, 100*(ratio-1))
 		}
 		model := res[i][first+testutil.ShippedCandidate]
@@ -134,31 +126,13 @@ func TestStoreDecision(t *testing.T) {
 		}
 	}
 	for j, c := range cells {
-		t.Logf("%-14s mean t̄ against slru½ over %d cells %+.2f %%", c.name, len(rows), 100*(score[j]-1))
+		t.Logf("%-16s mean t̄ against slru½ over %d cells %+.2f %%", c.name, len(rows), 100*(score[j]-1))
 	}
-	pick := storePick(score[first:])
+	pick := slices.Index(score[first:], slices.Min(score[first:]))
 	t.Logf("the rule picks %s; the shipped store is %s", testutil.StoreCandidates[pick].Name,
 		testutil.StoreCandidates[testutil.ShippedCandidate].Name)
 	if pick != testutil.ShippedCandidate {
 		t.Errorf("the rule picks %s, but store.New ships %s", testutil.StoreCandidates[pick].Name,
 			testutil.StoreCandidates[testutil.ShippedCandidate].Name)
 	}
-}
-
-// storePick applies TestStoreDecision's rule to the candidates' scores:
-// of those within storeLevel of the lowest, one with the second-sighting
-// rule first, then the lower score.
-func storePick(score []float64) int {
-	low := slices.Min(score)
-	pick := -1
-	for i, c := range testutil.StoreCandidates {
-		if score[i] > low+storeLevel {
-			continue
-		}
-		if pick < 0 || c.SecondSighting && !testutil.StoreCandidates[pick].SecondSighting ||
-			c.SecondSighting == testutil.StoreCandidates[pick].SecondSighting && score[i] < score[pick] {
-			pick = i
-		}
-	}
-	return pick
 }

@@ -22,8 +22,7 @@ import (
 // store.New runs it: a sketch counts every Get, and every GetBytes and
 // BytesLen of an id not boxed; a demand landing of a new id that the
 // entry bound or a rotation would make room for is declined if the
-// sketch counts it at most once (or, with no window, no more often than
-// main's first victim), and otherwise enters the policy's window.
+// sketch counts it at most once, and otherwise enters the policy's window.
 type reference struct {
 	policy        *tlfu
 	store         *cache.Store
@@ -108,7 +107,7 @@ func (q *tlfu) first() (cache.ID, bool) {
 
 func (q *tlfu) Victim() cache.ID {
 	v, ok := q.first()
-	if q.demand && q.w > 0 && len(q.lists[2]) == q.w {
+	if q.demand && len(q.lists[2]) == q.w {
 		if c := q.lists[2][0]; !ok || q.sketch.Estimate(int64(c)) <= q.sketch.Estimate(int64(v)) {
 			return c
 		}
@@ -248,8 +247,7 @@ func (r *reference) PutBytes(id prefetcher.ID, b []byte, speculative bool) bool 
 	r.dropOverflow(id)
 	r.policy.demand = !speculative && !r.store.Contains(cache.ID(id))
 	if r.policy.demand && (r.store.Len() >= r.store.Capacity() || r.slab.Displaces(len(b))) {
-		est := r.sketch.Estimate(int64(id))
-		if v, _ := r.policy.first(); est <= 1 || r.policy.w == 0 && est <= r.sketch.Estimate(int64(v)) {
+		if r.sketch.Estimate(int64(id)) <= 1 {
 			r.declined++
 			return false
 		}
@@ -338,7 +336,7 @@ func runDifferential(t *testing.T, rg diffRegime, seed int64, ops int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := min(2, rg.cfg.MaxEntries/2)
+	w := min(2, max(1, rg.cfg.MaxEntries/2))
 	ref := newReference(rg.cfg, (rg.cfg.MaxEntries-w)/2, w)
 	var gotEv, wantEv []prefetcher.ID
 	st.OnEvict(func(id prefetcher.ID) { gotEv = append(gotEv, id) })

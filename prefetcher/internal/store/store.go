@@ -150,9 +150,8 @@ func newStore(capacityBytes, segmentBytes, maxEntries, protected int, filtered b
 	}
 	s.slab.SetMaxEntries(maxEntries)
 	if filtered {
-		w := min(windowEntries, maxEntries/2)
-		s.slab.FilterAdmission(w)
-		protected = (maxEntries - w) / 2
+		s.slab.FilterAdmission(min(windowEntries, maxEntries/2))
+		protected = (maxEntries - s.slab.WindowEntries()) / 2
 	}
 	s.slab.SetProtected(protected)
 	// The one eviction stream: rotation, the entry bound and the overflow

@@ -831,9 +831,9 @@ func TestGetBytesMissAllocFree(t *testing.T) {
 // testing.AllocsPerRun's integer mean would round away. Half the
 // requests read two hot keys, half never repeat; every request counts
 // one access, so 16,000 of them over an entry bound of 8 halve the
-// sketch 50 times. The hot keys outlast the phase, so each
-// never-repeating miss was declined, or entered the window and left it
-// again, losing to the entry the bound takes first.
+// sketch 50 times. The never-repeating misses are mostly declined — the
+// sketch's doorkeeper holds each one's only sighting — and the hot keys
+// outlast the phase.
 func TestGetBytesPhaseAllocFree(t *testing.T) {
 	if prefetcher.RaceEnabled {
 		t.Skip("the miss path draws flights and scratch from sync.Pools, which the race runtime drops Puts from")
@@ -877,13 +877,17 @@ func TestGetBytesPhaseAllocFree(t *testing.T) {
 		}
 	}
 	var before prefetcher.Stats
+	var declined int64
 	testutil.AllocsInPhase(t, 0, fmt.Sprintf("%d GetBytes hits and misses", requests), func() {
 		phase(2 * requests)()
-		before = eng.Stats()
+		before, declined = eng.Stats(), st.SlabStats().Declined
 	}, phase(requests))
 	after := eng.Stats()
 	if hits, misses := after.Hits-before.Hits, after.Misses-before.Misses; hits < requests/4 || misses < requests/4 {
 		t.Fatalf("the phase served %d hits and %d misses; want at least %d of each", hits, misses, requests/4)
+	}
+	if d := st.SlabStats().Declined - declined; d < requests/4 {
+		t.Fatalf("the filter declined %d of the phase's landings; want at least %d", d, requests/4)
 	}
 	for _, id := range []prefetcher.ID{0, 2} {
 		if !st.Contains(id) {
