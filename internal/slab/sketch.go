@@ -5,11 +5,11 @@ package slab
 // for the entry bound and a recency window of window entries, at least
 // one: call it after SetMaxEntries, with window at most half the bound.
 // Count then tallies each demand access. A Put of an id not resident
-// that would displace a resident — through the entry bound or a
-// rotation (Displaces) — stores nothing, counts a decline and returns
-// false if the sketch counts the id at most once: a key on its first
-// sighting never displaces a resident (Maggs & Sitaraman's "cache on
-// second hit"). Otherwise a new id enters the window's head, and once
+// into a full store — at its entry bound, or its arena rotated once
+// (Full) — stores nothing, counts a decline and returns false if
+// the sketch counts the id at most once: a key on its first sighting
+// never displaces a resident (Maggs & Sitaraman's "cache on second
+// hit"), not even by bringing the next rotation nearer. Otherwise a new id enters the window's head, and once
 // the window holds more than window entries its least recently used
 // entry moves on to probation's head. If the move leaves the store over
 // its entry bound, it must first out-count the resident the bound takes

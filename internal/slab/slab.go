@@ -36,9 +36,9 @@
 //
 // FilterAdmission puts W-TinyLFU's admission in front of the order
 // (sketch.go): a count-min sketch of demand accesses, and a recency
-// window as a third list in the same columns. A Put of a new id that
-// would displace a resident stores nothing unless its key has been
-// counted before; otherwise it enters the window, whose least recently
+// window as a third list in the same columns. A Put of a new id into a
+// full store (Full) stores nothing unless its key has been counted
+// before; otherwise it enters the window, whose least recently
 // used entry moves on to probation only if it out-counts the entry the
 // bound would take. PutAdmitted goes straight to probation.
 //
@@ -459,7 +459,7 @@ func (s *Store) put(id int64, v []byte, filter bool) bool {
 		}
 		s.dropSlot(i)
 	} else if filter && s.sketch != nil {
-		if s.Displaces(len(v)) && !s.admits(id) {
+		if s.Full() && !s.admits(id) {
 			s.declined.Add(1)
 			return false
 		}
@@ -501,15 +501,12 @@ func (s *Store) victim(id int64) int {
 	panic("slab: no entry but the one placed to evict")
 }
 
-// Displaces reports whether a Put of an n-byte payload under an id not
-// resident would evict a resident: the entry bound is full, or the write
-// cursor would rotate a segment where an entry still lives.
-func (s *Store) Displaces(n int) bool {
-	if s.maxEntries > 0 && s.live >= s.maxEntries {
-		return true
-	}
-	how, seg := s.pick(headerBytes + n)
-	return how == rotateSeg && s.liveSeg[seg] > 0
+// Full reports whether a Put of an id not resident displaces a
+// resident, now or at a later rotation: the entry bound is reached, or
+// the arena has rotated — it stays at its segment ceiling, and every
+// byte written brings the next rotation nearer.
+func (s *Store) Full() bool {
+	return s.maxEntries > 0 && s.live >= s.maxEntries || s.rotations > 0
 }
 
 // What ensure does to make room, as pick chooses it.

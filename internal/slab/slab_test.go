@@ -685,7 +685,7 @@ func fuzzOps(t *testing.T, data []byte, m fuzzMode) (*Store, fuzzCounts) {
 			declines := false
 			if !hit && m.filter {
 				list = window
-				declines = s.Displaces(len(v)) && est(id) <= 1
+				declines = s.Full() && est(id) <= 1
 			}
 			if s.Put(id, v) == declines {
 				t.Fatalf("Put(%d, %dB) stored %t; the filter should decline it: %t", id, len(v), !declines, declines)

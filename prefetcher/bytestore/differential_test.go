@@ -246,7 +246,7 @@ func (r *reference) PutBytes(id prefetcher.ID, b []byte, speculative bool) bool 
 	}
 	r.dropOverflow(id)
 	r.policy.demand = !speculative && !r.store.Contains(cache.ID(id))
-	if r.policy.demand && (r.store.Len() >= r.store.Capacity() || r.slab.Displaces(len(b))) {
+	if r.policy.demand && (r.store.Len() >= r.store.Capacity() || r.slab.Full()) {
 		if r.sketch.Estimate(int64(id)) <= 1 {
 			r.declined++
 			return false
