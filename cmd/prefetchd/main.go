@@ -17,7 +17,7 @@
 // store bounded by -cache-bytes (64 MiB unless set) and -cache entries,
 // so the daemon's memory is its cache budgets plus that table and
 // nothing grows with the key space. The store is W-TinyLFU: a count-min
-// sketch of reads (16 bytes per entry of -cache) filters admission, a
+// sketch of reads (24 bytes per entry of -cache) filters admission, a
 // demand miss that would displace a resident is declined on its key's
 // first sighting and otherwise enters a two-entry recency window, whose
 // oldest entry joins segmented LRU — probation, then a protected list of

@@ -388,8 +388,8 @@ type statsReply struct {
 
 // admissionStats is one space's admission filter, summed over its
 // shards' stores: the demand landings it turned away, the bytes its
-// count-min sketches take on the Go heap (16 per entry of the bound),
-// and the entries of their recency windows.
+// count-min sketches and their doorkeepers take on the Go heap (24 per
+// entry of the bound), and the entries of their recency windows.
 type admissionStats struct {
 	DeclinedLandings int64 `json:"declined_landings"`
 	SketchBytes      int   `json:"sketch_bytes"`

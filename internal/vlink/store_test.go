@@ -72,10 +72,13 @@ func (c *modelCache) OnEvict(fn func(fetch.ID)) {
 //
 // The rule: every candidate is eligible, since the replay fails unless
 // each strays at most half as far from the best order as SLRU ½ does. A
-// candidate's score is its mean t̄ ratio against SLRU ½ over the cells,
-// and the lowest score ships. The test fails unless the shipped store
-// reads its model's digits in every cell, and unless its model is the
-// candidate the rule picks.
+// candidate's score is its mean t̄ ratio against SLRU ½ over the cells.
+// Those within storeLevel of the lowest score are level on t̄; of them,
+// one that declines a key on its first sighting — the second-sighting
+// rule behind a doorkeeper; without one a warm sketch lifts a new key's
+// estimate above 1 — goes first, then the lower score. The test fails
+// unless the shipped store reads its model's digits in every cell, and
+// unless its model is the candidate the rule picks.
 func TestStoreDecision(t *testing.T) {
 	seeds := []uint64{1, 2, 3}
 	if testing.Short() {
@@ -128,11 +131,37 @@ func TestStoreDecision(t *testing.T) {
 	for j, c := range cells {
 		t.Logf("%-16s mean t̄ against slru½ over %d cells %+.2f %%", c.name, len(rows), 100*(score[j]-1))
 	}
-	pick := slices.Index(score[first:], slices.Min(score[first:]))
+	pick := storePick(score[first:])
 	t.Logf("the rule picks %s; the shipped store is %s", testutil.StoreCandidates[pick].Name,
 		testutil.StoreCandidates[testutil.ShippedCandidate].Name)
 	if pick != testutil.ShippedCandidate {
 		t.Errorf("the rule picks %s, but store.New ships %s", testutil.StoreCandidates[pick].Name,
 			testutil.StoreCandidates[testutil.ShippedCandidate].Name)
 	}
+}
+
+// storeLevel is how far, in points of the mean t̄ ratio against SLRU ½,
+// a candidate may sit above the lowest and still count as level with it:
+// the race detector's shortened cells of seed 1 and the full ones order
+// the two-entry-window candidates oppositely by up to 0.6 points, so a
+// smaller gap is sampling noise at these run lengths.
+const storeLevel = 0.01
+
+// storePick applies TestStoreDecision's rule to the candidates' scores:
+// of those within storeLevel of the lowest, one that declines first
+// sightings first, then the lower score.
+func storePick(score []float64) int {
+	low := slices.Min(score)
+	declines := func(c testutil.TinyLFU) bool { return c.SecondSighting && c.Doorkeeper }
+	pick := -1
+	for i, c := range testutil.StoreCandidates {
+		if score[i] > low+storeLevel {
+			continue
+		}
+		if p := testutil.StoreCandidates[max(pick, 0)]; pick < 0 || declines(c) && !declines(p) ||
+			declines(c) == declines(p) && score[i] < score[pick] {
+			pick = i
+		}
+	}
+	return pick
 }
