@@ -6,18 +6,18 @@ package slab
 // one: call it after SetMaxEntries, with window at most half the bound.
 // Count then tallies each demand access. A Put of an id not resident
 // into a full store — at its entry bound, or its arena rotated once
-// (Full) — stores nothing, counts a decline and returns false if
-// the sketch counts the id at most once: a key on its first sighting
-// never displaces a resident (Maggs & Sitaraman's "cache on second
-// hit"), not even by bringing the next rotation nearer. Otherwise a new id enters the window's head, and once
-// the window holds more than window entries its least recently used
-// entry moves on to probation's head. If the move leaves the store over
-// its entry bound, it must first out-count the resident the bound takes
-// first — probation's least recently used, or the protected list's while
-// probation is empty — and the loser is evicted. A use keeps a window
-// entry in the window, at its head. PutAdmitted is Put for an entry the
-// caller has already judged worth its place: the filter is not asked,
-// and a new id goes straight to probation.
+// (Full) — stores nothing, counts a decline and returns false if the
+// sketch counts the id at most once: a key on its first sighting never
+// displaces a resident (Maggs & Sitaraman's "cache on second hit"), not
+// even by bringing the next rotation nearer. Otherwise a new id enters
+// the window's head, and once the window holds more than window entries
+// its least recently used entry moves on to probation's head. If the
+// move leaves the store over its entry bound, it must first out-count
+// the resident the bound takes first — probation's least recently used,
+// or the protected list's while probation is empty — and the loser is
+// evicted. A use keeps a window entry in the window, at its head.
+// PutAdmitted, for an entry the caller has already judged worth its
+// place, skips the filter and puts a new id straight on probation.
 func (s *Store) FilterAdmission(window int) {
 	s.sketch, s.windowCap = NewSketch(s.maxEntries), max(1, window)
 }
