@@ -14,12 +14,14 @@ import (
 
 // TestGetHitAllocFree pins the PR's headline property as a regression
 // test: a cache hit — including its prediction, accounting and dedup'd
-// speculative planning — allocates nothing.
+// speculative planning — allocates nothing. Every candidate is
+// resident, so the plan queues nothing and dispatch does not yield.
 func TestGetHitAllocFree(t *testing.T) {
 	eng, ids := newHitEngine(t)
 	defer eng.Close()
 	ctx := context.Background()
 	i := 0
+	before := eng.Stats()
 	allocs := testing.AllocsPerRun(1000, func() {
 		if _, err := eng.Get(ctx, ids[i%len(ids)]); err != nil {
 			t.Fatal(err)
@@ -28,6 +30,9 @@ func TestGetHitAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("cache-hit Get allocated %v times per call; want 0", allocs)
+	}
+	if st := eng.Stats(); st.PrefetchIssued != before.PrefetchIssued {
+		t.Fatalf("the measured hits must queue nothing, so dispatch never yields: %d issued", st.PrefetchIssued-before.PrefetchIssued)
 	}
 }
 

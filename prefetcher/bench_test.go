@@ -238,9 +238,10 @@ func BenchmarkGetMiss(b *testing.B) {
 // BenchmarkGetHit (every candidate resident) and BenchmarkGetMiss
 // (NoPrefetch) leave untimed: a 64-id cycle over an 8-entry cache, so
 // each request is served by the prefetch the previous one issued and
-// issues the next; Quiesce per iteration keeps the two in step (and is
-// the one allocation, the channel it waits on). single runs a plain
-// origin, batch a batch-capable one.
+// issues the next; Quiesce per iteration keeps the two in step (and
+// allocates the channel it waits on when the prefetch is still in
+// flight: rarely, since dispatch yields to the worker). single runs a
+// plain origin, batch a batch-capable one.
 func BenchmarkGetPrefetching(b *testing.B) {
 	plain := FetcherFunc(func(ctx context.Context, id ID) (Item, error) {
 		return Item{ID: id, Size: 1}, nil

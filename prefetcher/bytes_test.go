@@ -300,7 +300,8 @@ func TestGetBytesClosedAndCancelled(t *testing.T) {
 // on the default store through GetBytes — prediction, accounting,
 // planning and the payload append into a reused buffer — allocates
 // nothing, and neither does GetBytesLen, the HEAD probe, which reads
-// the length in place. (The bytestore-backed equivalent is gated in
+// the length in place; the plans queue nothing, so dispatch does not
+// yield. (The bytestore-backed equivalent is gated in
 // prefetcher/bytestore.)
 func TestGetBytesAllocFree(t *testing.T) {
 	eng, ids := newByteHitEngine(t)
@@ -330,8 +331,8 @@ func TestGetBytesAllocFree(t *testing.T) {
 		if allocs != 0 {
 			t.Fatalf("cache-hit %s allocated %v times per call; want 0", tc.name, allocs)
 		}
-		if st := eng.Stats(); st.Hits-before.Hits != st.Requests-before.Requests {
-			t.Fatalf("%s: the measured requests must all hit: %+v", tc.name, st)
+		if st := eng.Stats(); st.Hits-before.Hits != st.Requests-before.Requests || st.PrefetchIssued != before.PrefetchIssued {
+			t.Fatalf("%s: the measured requests must all hit and queue nothing, so dispatch never yields: %+v", tc.name, st)
 		}
 	}
 }

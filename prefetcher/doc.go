@@ -59,6 +59,12 @@
 // failed it. Stats.MultiGets and Stats.BatchedKeys account for the
 // session views.
 //
+// A plan that queues a fetch starts it before the read returns:
+// dispatch yields the P once, so the worker runs before, not after, a
+// server's reply. The caller then waits on the global run queue behind
+// every runnable goroutine, and a fetcher that never parks runs its
+// whole fetch inside the yield.
+//
 // # Byte views and buffer ownership
 //
 // Payload-oriented callers use the byte path: GetBytes appends the

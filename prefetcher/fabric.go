@@ -1,6 +1,8 @@
 package prefetcher
 
 import (
+	"runtime"
+
 	"repro/internal/predict"
 	"repro/prefetcher/fetch"
 )
@@ -93,11 +95,19 @@ func (e *Engine) schedule(sc *multiScratch, cands []predict.Prediction, now floa
 // prefetchUsed bump for them can never precede their issued bump. The
 // other shards of a multi-shard job are settled after the push — the
 // exception Stats documents.
+//
+// A dispatch that pushed a job yields the P once, after the loop, so a
+// worker starts the fetch before the demand call returns; on one P it
+// ran only once the caller blocked, for a server after its reply. The
+// costs: the caller waits on the global run queue behind every other
+// runnable goroutine, and a fetcher that never parks (a file read) runs
+// its whole fetch inside the yield.
 func (e *Engine) dispatch(backend int, ids []ID) {
 	per := 1
 	if e.fabric.BatchCapable(backend) {
 		per = len(ids)
 	}
+	queued := false
 	for ; len(ids) > 0; ids = ids[per:] {
 		var j *job
 		reg := ids[:0]
@@ -146,6 +156,7 @@ func (e *Engine) dispatch(backend int, ids []ID) {
 		anchor.mu.Unlock()
 		switch {
 		case pushed:
+			queued = true
 			for _, id := range reg {
 				if sh := e.shardFor(id); sh != anchor {
 					sh.prefetchIssued.Add(1)
@@ -158,6 +169,9 @@ func (e *Engine) dispatch(backend int, ids []ID) {
 		default:
 			e.failJob(j, errDropped)
 		}
+	}
+	if queued {
+		runtime.Gosched()
 	}
 }
 

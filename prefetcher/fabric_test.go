@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -726,5 +727,89 @@ func TestDispatchOnClosedEngineReleasesShardLocks(t *testing.T) {
 				sh.mu.Unlock()
 			}
 		})
+	}
+}
+
+// startLog is flatLender recording each speculative fetch — an id
+// freshIDs names, from 1<<20 up — as it starts, singly or batched.
+type startLog struct {
+	flatLender
+	started atomic.Int64
+}
+
+func (o *startLog) FetchInto(ctx context.Context, id ID, dst []byte) ([]byte, error) {
+	if id >= 1<<20 {
+		o.started.Add(1)
+	}
+	return o.flatLender.FetchInto(ctx, id, dst)
+}
+
+func (o *startLog) FetchBatchInto(ctx context.Context, ids []ID, dst []byte, lens []int) ([]byte, []int, error) {
+	if ids[0] >= 1<<20 {
+		o.started.Add(1)
+	}
+	return o.flatLender.FetchBatchInto(ctx, ids, dst, lens)
+}
+
+// TestSpeculativeFetchStartsBeforeDemandReturns: on one P, a hit whose
+// plan queues a prefetch returns only after the worker has started that
+// prefetch's origin call — dispatch yields the processor once it has
+// pushed a job — so the origin sees the speculative request before the
+// caller can reply to its client. Without the yield the worker ran only
+// once the caller blocked, after GetBytes returned, and no step saw its
+// prefetch started. The scheduler takes the global run queue first on
+// one pick in 61, handing the caller back before the worker, so the
+// test asks for nine steps in ten. A hit whose plan queues nothing does
+// not yield: TestGetHitAllocFree and TestGetBytesAllocFree hold such
+// hits to 0 allocs and 0 issued.
+func TestSpeculativeFetchStartsBeforeDemandReturns(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	origin := &startLog{}
+	pred := &freshIDs{n: 1}
+	eng, err := New(origin,
+		WithBandwidth(1e9),
+		WithShards(1),
+		WithCache(NewLRUCache(256)),
+		WithWorkers(1),
+		WithMaxPrefetch(1),
+		WithPredictor(pred),
+		WithPolicy(StaticThreshold(0.1)),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	ctx := context.Background()
+	buf := make([]byte, 0, 64)
+	get := func(id ID) {
+		if buf, err = eng.GetBytes(ctx, id, buf[:0]); err != nil || len(buf) != 64 {
+			t.Fatalf("GetBytes(%d): %d bytes, err %v", id, len(buf), err)
+		}
+	}
+	for id := ID(0); id < 64; id++ {
+		get(id)
+		if err := eng.Quiesce(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const steps = 200
+	before, early := eng.Stats(), 0
+	for i := 0; i < steps; i++ {
+		n := origin.started.Load()
+		get(ID(i % 64))
+		if origin.started.Load() > n {
+			early++
+		}
+		if err := eng.Quiesce(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := eng.Stats()
+	if hits, issued := st.Hits-before.Hits, st.PrefetchIssued-before.PrefetchIssued; hits != steps || issued != steps {
+		t.Fatalf("%d steps: %d hits, %d prefetches issued; want one each", steps, hits, issued)
+	}
+	t.Logf("%d of %d hits returned after their prefetch started", early, steps)
+	if early < steps*9/10 {
+		t.Fatalf("%d of %d hits returned before their prefetch started; want at most a tenth", steps-early, steps)
 	}
 }
