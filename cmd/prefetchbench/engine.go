@@ -67,19 +67,14 @@ func parseShardList(s string) ([]int, error) {
 	return out, nil
 }
 
-// engineRun is one finished benchmark run.
-type engineRun struct {
-	rps    float64
-	shards int
-	rep    runReport
-}
-
 // runEngineBench hammers one shared prefetcher.Engine with concurrent
 // demand traffic — the public-API counterpart of the DES experiments:
 // it measures what the facade itself sustains (lock contention, worker
-// pool, in-flight dedup) rather than simulated network time. It repeats
-// the run once per requested shard count and reports throughput per
-// count.
+// pool, in-flight dedup) rather than simulated network time, on a
+// zero-latency in-process origin. Each client walks its own Markov
+// browsing session over a shared catalog, as in the full-system
+// simulator. It repeats the run once per requested shard count and
+// reports throughput per count.
 func runEngineBench(w io.Writer, cfg engineBenchConfig) error {
 	if cfg.Clients < 1 || cfg.Requests < 1 {
 		return fmt.Errorf("engine mode: -clients %d and -requests %d must be >= 1", cfg.Clients, cfg.Requests)
@@ -90,35 +85,80 @@ func runEngineBench(w io.Writer, cfg engineBenchConfig) error {
 	if cfg.Items < 1 {
 		return fmt.Errorf("engine mode: -items %d must be >= 1", cfg.Items)
 	}
-	if len(cfg.Shards) == 0 {
-		cfg.Shards = []int{1}
-	}
-	text := !cfg.JSON
-	report := newBenchReport("engine", benchConfig{
-		Clients: cfg.Clients, Requests: cfg.Requests, Bandwidth: cfg.Bandwidth,
-		Workers: cfg.Workers, CacheCap: cfg.CacheCap, Items: cfg.Items,
-		Seed: cfg.Seed,
-	})
-	if text {
+	if !cfg.JSON {
 		fmt.Fprintf(w, "live engine benchmark: %d clients × %d requests, %d workers, b=%g\n",
 			cfg.Clients, cfg.Requests, cfg.Workers, cfg.Bandwidth)
 	}
+	return benchSweep{
+		mode: "engine",
+		origin: prefetcher.FetcherFunc(func(ctx context.Context, id prefetcher.ID) (prefetcher.Item, error) {
+			return prefetcher.Item{ID: id, Size: 1}, nil
+		}),
+		clients: func() []benchClient {
+			cs := make([]benchClient, cfg.Clients)
+			for c := range cs {
+				site := workload.NewMarkov(workload.MarkovConfig{
+					N: cfg.Items, Fanout: 2, Decay: 0.15, Restart: 0.03,
+				}, rng.New(cfg.Seed+uint64(c)*1315423911))
+				left := cfg.Requests
+				cs[c] = benchClient{fmt.Sprintf("client %d", c), func() (prefetcher.ID, bool) {
+					if left == 0 {
+						return 0, false
+					}
+					left--
+					return prefetcher.ID(site.Next()), true
+				}}
+			}
+			return cs
+		},
+		bandwidth: cfg.Bandwidth, workers: cfg.Workers, cacheCap: cfg.CacheCap,
+	}.run(w, cfg.Shards, newBenchReport("engine", benchConfig{
+		Clients: cfg.Clients, Requests: cfg.Requests, Bandwidth: cfg.Bandwidth,
+		Workers: cfg.Workers, CacheCap: cfg.CacheCap, Items: cfg.Items,
+		Seed: cfg.Seed,
+	}), cfg.JSON)
+}
 
+// benchClient is one concurrent client of a bench run: its name in an
+// error, and the ids it requests in order until next reports false.
+type benchClient struct {
+	name string
+	next func() (prefetcher.ID, bool)
+}
+
+// benchSweep is one bench mode's shard sweep: the origin its engines
+// fetch from and its clients, built afresh (or rewound) for each run.
+// Both modes measure through run, so their numbers stay comparable.
+type benchSweep struct {
+	mode      string // "engine" or "trace", in errors
+	origin    prefetcher.Fetcher
+	clients   func() []benchClient
+	replay    int // the records each -trace run replays, printed per run
+	bandwidth float64
+	workers   int
+	cacheCap  int
+}
+
+// run measures the sweep once per shard count and prints each run and
+// its speedup over the first, or emits report as JSON.
+func (s benchSweep) run(w io.Writer, shardList []int, report *benchReport, json bool) error {
+	if len(shardList) == 0 {
+		shardList = []int{1}
+	}
 	var baseline float64
 	var baselineShards int
-	for _, shards := range cfg.Shards {
-		res, err := runEngineBenchOnce(w, cfg, shards, text)
+	for _, shards := range shardList {
+		rps, shards, err := s.once(w, shards, report, !json)
 		if err != nil {
 			return err
 		}
-		report.Runs = append(report.Runs, res.rep)
 		if baseline == 0 {
-			baseline, baselineShards = res.rps, res.shards
-		} else if text {
-			fmt.Fprintf(w, "  speedup          %.2fx vs %d-shard run\n", res.rps/baseline, baselineShards)
+			baseline, baselineShards = rps, shards
+		} else if !json {
+			fmt.Fprintf(w, "  speedup          %.2fx vs %d-shard run\n", rps/baseline, baselineShards)
 		}
 	}
-	if cfg.JSON {
+	if json {
 		return report.emit(w)
 	}
 	return nil
@@ -162,20 +202,19 @@ func newBenchEngine(mode string, fetch prefetcher.Fetcher, bandwidth float64, wo
 	return eng, shards, nil
 }
 
-// runEngineBenchOnce measures one engine configuration on a
-// zero-latency in-process origin: shards is the requested shard count
-// (rounded up to a power of two).
-func runEngineBenchOnce(w io.Writer, cfg engineBenchConfig, shards int, text bool) (engineRun, error) {
-	direct := prefetcher.FetcherFunc(func(ctx context.Context, id prefetcher.ID) (prefetcher.Item, error) {
-		return prefetcher.Item{ID: id, Size: 1}, nil
-	})
-	eng, shards, err := newBenchEngine("engine", direct, cfg.Bandwidth, cfg.Workers, cfg.CacheCap, shards)
+// once measures one engine of the requested shard count (rounded up
+// to a power of two): every client on its own goroutine until its ids
+// run out, then a quiesce. It appends the run to report, prints it when
+// text, and returns its throughput and effective shard count.
+func (s benchSweep) once(w io.Writer, shards int, report *benchReport, text bool) (float64, int, error) {
+	eng, shards, err := newBenchEngine(s.mode, s.origin, s.bandwidth, s.workers, s.cacheCap, shards)
 	if err != nil {
-		return engineRun{}, err
+		return 0, 0, err
 	}
 	defer eng.Close()
 
 	ctx := context.Background()
+	clients := s.clients()
 	var (
 		wg        sync.WaitGroup
 		mu        sync.Mutex
@@ -185,21 +224,15 @@ func runEngineBenchOnce(w io.Writer, cfg engineBenchConfig, shards int, text boo
 	var msBefore, msAfter runtime.MemStats
 	runtime.ReadMemStats(&msBefore)
 	start := time.Now()
-	for c := 0; c < cfg.Clients; c++ {
+	for _, c := range clients {
 		wg.Add(1)
-		go func(c int) {
+		go func(c benchClient) {
 			defer wg.Done()
-			// Per-client Markov browsing sessions over a shared catalog,
-			// as in the full-system simulator.
-			src := rng.New(cfg.Seed + uint64(c)*1315423911)
-			site := workload.NewMarkov(workload.MarkovConfig{
-				N: cfg.Items, Fanout: 2, Decay: 0.15, Restart: 0.03,
-			}, src)
 			n := 0
 			var clientErr error
-			for i := 0; i < cfg.Requests; i++ {
-				if _, err := eng.Get(ctx, prefetcher.ID(site.Next())); err != nil {
-					clientErr = fmt.Errorf("client %d after %d requests: %w", c, n, err)
+			for id, ok := c.next(); ok; id, ok = c.next() {
+				if _, err := eng.Get(ctx, id); err != nil {
+					clientErr = fmt.Errorf("%s after %d requests: %w", c.name, n, err)
 					break
 				}
 				n++
@@ -216,23 +249,27 @@ func runEngineBenchOnce(w io.Writer, cfg engineBenchConfig, shards int, text boo
 	elapsed := time.Since(start)
 	runtime.ReadMemStats(&msAfter)
 	if firstErr != nil {
-		return engineRun{}, firstErr
+		return 0, 0, firstErr
 	}
 	perf := measurePerf(&msBefore, &msAfter, completed, elapsed)
 	qctx, cancel := context.WithTimeout(ctx, 30*time.Second)
 	err = eng.Quiesce(qctx)
 	cancel()
 	if err != nil {
-		return engineRun{}, fmt.Errorf("engine mode: quiesce: %w", err)
+		return 0, 0, fmt.Errorf("%s mode: quiesce: %w", s.mode, err)
 	}
 
 	st := eng.Stats()
 	rps := float64(completed) / elapsed.Seconds()
 	if text {
 		fmt.Fprintf(w, "shards=%d\n", st.Shards)
+		if s.replay > 0 {
+			fmt.Fprintf(w, "  replayed         %d/%d trace requests\n", completed, s.replay)
+		}
 		reportRun(w, st, rps, elapsed, perf)
 	}
-	return engineRun{rps: rps, shards: shards, rep: newRunReport(st, completed, rps, elapsed, perf)}, nil
+	report.Runs = append(report.Runs, newRunReport(st, completed, rps, elapsed, perf))
+	return rps, shards, nil
 }
 
 // reportRun prints the per-run block shared by the -engine and -trace

@@ -5,10 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"sort"
-	"sync"
-	"time"
 
 	"repro/internal/workload"
 	"repro/prefetcher"
@@ -52,9 +49,6 @@ func runTraceBench(w io.Writer, cfg traceBenchConfig) error {
 	if cfg.CacheCap < 2 {
 		return fmt.Errorf("trace mode: -cache %d must be >= 2 (SLRU needs a protected segment)", cfg.CacheCap)
 	}
-	if len(cfg.Shards) == 0 {
-		cfg.Shards = []int{1}
-	}
 
 	// The fetch path serves the sizes the trace recorded.
 	sizes := make(map[prefetcher.ID]float64, len(records))
@@ -81,106 +75,37 @@ func runTraceBench(w io.Writer, cfg traceBenchConfig) error {
 		replays[i] = r
 	}
 
-	text := !cfg.JSON
-	if text {
+	if !cfg.JSON {
 		fmt.Fprintf(w, "trace replay: %s — %d records, %d users (one client each), %d workers, b=%g\n",
 			cfg.Path, len(records), len(users), cfg.Workers, cfg.Bandwidth)
 	}
-	report := newBenchReport("trace", benchConfig{
+	return benchSweep{
+		mode: "trace",
+		origin: prefetcher.FetcherFunc(func(ctx context.Context, id prefetcher.ID) (prefetcher.Item, error) {
+			size, ok := sizes[id]
+			if !ok {
+				size = 1 // speculative fetch of an item the trace never requests
+			}
+			return prefetcher.Item{ID: id, Size: size}, nil
+		}),
+		clients: func() []benchClient {
+			cs := make([]benchClient, len(replays))
+			for i, r := range replays {
+				r := r
+				r.Rewind()
+				cs[i] = benchClient{fmt.Sprintf("user %d", users[i]), func() (prefetcher.ID, bool) {
+					if r.Exhausted() {
+						return 0, false
+					}
+					return prefetcher.ID(r.Next()), true
+				}}
+			}
+			return cs
+		},
+		replay:    len(records),
+		bandwidth: cfg.Bandwidth, workers: cfg.Workers, cacheCap: cfg.CacheCap,
+	}.run(w, cfg.Shards, newBenchReport("trace", benchConfig{
 		Trace: cfg.Path, Bandwidth: cfg.Bandwidth, Workers: cfg.Workers,
 		CacheCap: cfg.CacheCap,
-	})
-
-	var baseline float64
-	var baselineShards int
-	for _, shards := range cfg.Shards {
-		res, err := runTraceBenchOnce(w, cfg, len(records), users, sizes, replays, shards, text)
-		if err != nil {
-			return err
-		}
-		report.Runs = append(report.Runs, res.rep)
-		if baseline == 0 {
-			baseline, baselineShards = res.rps, res.shards
-		} else if text {
-			fmt.Fprintf(w, "  speedup          %.2fx vs %d-shard run\n", res.rps/baseline, baselineShards)
-		}
-	}
-	if cfg.JSON {
-		return report.emit(w)
-	}
-	return nil
-}
-
-// runTraceBenchOnce replays the whole trace once through a fresh engine
-// with the given shard count, rewinding the shared per-user replays.
-func runTraceBenchOnce(w io.Writer, cfg traceBenchConfig, records int,
-	users []int, sizes map[prefetcher.ID]float64, replays []*workload.Replay, shards int, text bool) (engineRun, error) {
-	direct := prefetcher.FetcherFunc(func(ctx context.Context, id prefetcher.ID) (prefetcher.Item, error) {
-		size, ok := sizes[id]
-		if !ok {
-			size = 1 // speculative fetch of an item the trace never requests
-		}
-		return prefetcher.Item{ID: id, Size: size}, nil
-	})
-	eng, shards, err := newBenchEngine("trace", direct, cfg.Bandwidth, cfg.Workers, cfg.CacheCap, shards)
-	if err != nil {
-		return engineRun{}, err
-	}
-	defer eng.Close()
-
-	for _, r := range replays {
-		r.Rewind()
-	}
-
-	ctx := context.Background()
-	var (
-		wg        sync.WaitGroup
-		mu        sync.Mutex
-		firstErr  error
-		completed int
-	)
-	var msBefore, msAfter runtime.MemStats
-	runtime.ReadMemStats(&msBefore)
-	start := time.Now()
-	for i, u := range users {
-		wg.Add(1)
-		go func(u int, rep *workload.Replay) {
-			defer wg.Done()
-			n := 0
-			var clientErr error
-			for !rep.Exhausted() {
-				id := rep.Next()
-				if _, err := eng.Get(ctx, prefetcher.ID(id)); err != nil {
-					clientErr = fmt.Errorf("user %d after %d requests: %w", u, n, err)
-					break
-				}
-				n++
-			}
-			mu.Lock()
-			completed += n
-			if clientErr != nil && firstErr == nil {
-				firstErr = clientErr
-			}
-			mu.Unlock()
-		}(u, replays[i])
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&msAfter)
-	if firstErr != nil {
-		return engineRun{}, firstErr
-	}
-	perf := measurePerf(&msBefore, &msAfter, completed, elapsed)
-	if err := eng.Quiesce(ctx); err != nil {
-		return engineRun{}, err
-	}
-
-	st := eng.Stats()
-	rps := float64(completed) / elapsed.Seconds()
-	if text {
-		fmt.Fprintf(w, "shards=%d\n", st.Shards)
-		fmt.Fprintf(w, "  replayed         %d/%d trace requests\n", completed, records)
-		reportRun(w, st, rps, elapsed, perf)
-	}
-	return engineRun{rps: rps, shards: shards, rep: newRunReport(st, completed, rps, elapsed, perf)}, nil
+	}), cfg.JSON)
 }

@@ -74,7 +74,7 @@ func TestGenerateReplayRoundTrip(t *testing.T) {
 	}
 
 	// The all-users selection replays the full interleaved sequence.
-	all, err := workload.NewReplayReader(bytes.NewReader(buf.Bytes()), -1, false)
+	all, err := workload.NewReplay(records, -1, false)
 	if err != nil {
 		t.Fatal(err)
 	}

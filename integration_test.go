@@ -98,14 +98,15 @@ func TestPipelineTraceToSimulation(t *testing.T) {
 // matches the offline Planner's for the same (known) parameters, under
 // each interaction model; then the request rate halves and the
 // threshold must follow the planner to the new operating point. It
-// checks the engine's global controller — Engine.Threshold, from the
-// engine-wide λ̂, ŝ̄ and ĥ′. Admission runs against each backend link's
-// own ρ̂′ instead, which this test does not look at.
+// checks the engine's global controller — Stats.Threshold, from the
+// engine-wide λ̂, ŝ̄ and ĥ′, and under model B the live resident count
+// n̄(C). Admission runs against each backend link's own ρ̂′ instead,
+// which this test does not look at.
 func TestEngineThresholdAgreesWithPlanner(t *testing.T) {
 	const (
 		bandwidth = 50.0
 		hTrue     = 0.4
-		nc        = 2.0 // pinned n̄(C): B sits 0.2 above A
+		nc        = 2.0 // the cache's bound, so n̄(C): B sits 0.2 above A
 	)
 	for _, tc := range []struct {
 		name  string
@@ -123,8 +124,7 @@ func TestEngineThresholdAgreesWithPlanner(t *testing.T) {
 				prefetcher.WithClock(clock),
 				prefetcher.WithBandwidth(bandwidth),
 				prefetcher.WithPolicy(prefetcher.AdaptiveThreshold(tc.model)),
-				prefetcher.WithCacheOccupancy(nc),
-				prefetcher.WithCache(prefetcher.NewLRUCache(1<<15)),
+				prefetcher.WithCache(prefetcher.NewLRUCache(int(nc))),
 				// Nothing is ever predicted, so nothing is prefetched
 				// and ĥ′ is the stream's real hit ratio.
 				prefetcher.WithPredictor(silentPredictor{}),
@@ -137,21 +137,26 @@ func TestEngineThresholdAgreesWithPlanner(t *testing.T) {
 			srcArr := rng.NewStream(77, "arr")
 			ctx := context.Background()
 			nextID := prefetcher.ID(0)
+			var lru [2]prefetcher.ID // the cache's order, most recent first
 			for _, phase := range []struct {
 				lambda   float64
 				requests int
 			}{{30, 15000}, {15, 3000}} {
 				// Poisson arrivals of size-1 items: with probability
-				// hTrue a request re-reads a resident id, otherwise it
-				// fetches a fresh one.
+				// hTrue a request re-reads one of the two resident ids,
+				// otherwise it fetches a fresh one, which evicts the
+				// older. The cache stays full, so n̄(C) = nc.
 				inter := rng.Exponential{Rate: phase.lambda}
 				for i := 0; i < phase.requests; i++ {
 					clock.AdvanceSeconds(inter.Sample(srcArr))
 					id := nextID
-					if nextID > 10 && rng.Bernoulli(srcHit, hTrue) {
-						id = prefetcher.ID(srcHit.Intn(int(nextID)))
+					if nextID >= 2 && rng.Bernoulli(srcHit, hTrue) {
+						id = lru[srcHit.Intn(2)]
 					} else {
 						nextID++
+					}
+					if id != lru[0] {
+						lru[0], lru[1] = id, lru[0]
 					}
 					if _, err := eng.Get(ctx, id); err != nil {
 						t.Fatal(err)
@@ -170,7 +175,7 @@ func TestEngineThresholdAgreesWithPlanner(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got := eng.Threshold(); math.Abs(got-want) > 0.05 {
+				if got := eng.Stats().Threshold; math.Abs(got-want) > 0.05 {
 					t.Errorf("λ = %v: engine threshold %v, planner %v", phase.lambda, got, want)
 				}
 			}

@@ -130,21 +130,18 @@ func (s *Simulator) Cancel(e *Event) {
 	e.cancelled = true
 }
 
-// Stop ends the run: the current Run/RunUntil call returns after the
-// in-flight handler finishes.
+// Stop ends the run: the current Run call returns after the in-flight
+// handler finishes.
 func (s *Simulator) Stop() { s.stopped = true }
 
 // step fires the earliest pending non-cancelled event. It reports
 // whether an event fired.
-func (s *Simulator) step(limit float64) bool {
+func (s *Simulator) step() bool {
 	for len(s.queue) > 0 {
 		head := s.queue[0]
 		if head.cancelled {
 			heap.Pop(&s.queue)
 			continue
-		}
-		if head.time > limit {
-			return false
 		}
 		heap.Pop(&s.queue)
 		s.now = head.time
@@ -158,17 +155,6 @@ func (s *Simulator) step(limit float64) bool {
 // Run executes events until the calendar is empty or Stop is called.
 func (s *Simulator) Run() {
 	s.stopped = false
-	for !s.stopped && s.step(math.Inf(1)) {
-	}
-}
-
-// RunUntil executes events with time <= end, then advances the clock to
-// end. Events scheduled beyond end remain pending.
-func (s *Simulator) RunUntil(end float64) {
-	s.stopped = false
-	for !s.stopped && s.step(end) {
-	}
-	if !s.stopped && end > s.now {
-		s.now = end
+	for !s.stopped && s.step() {
 	}
 }

@@ -111,36 +111,6 @@ func TestStopHaltsRun(t *testing.T) {
 	}
 }
 
-func TestRunUntil(t *testing.T) {
-	s := New()
-	var fired []float64
-	for _, ti := range []float64{1, 2, 3, 4} {
-		ti := ti
-		s.Schedule(ti, func() { fired = append(fired, ti) })
-	}
-	s.RunUntil(2.5)
-	if len(fired) != 2 {
-		t.Errorf("RunUntil(2.5) fired %d events, want 2", len(fired))
-	}
-	if s.Now() != 2.5 {
-		t.Errorf("Now = %v after RunUntil(2.5)", s.Now())
-	}
-	s.RunUntil(10)
-	if len(fired) != 4 {
-		t.Errorf("continuation fired %d total, want 4", len(fired))
-	}
-}
-
-func TestRunUntilEventExactlyAtEnd(t *testing.T) {
-	s := New()
-	ran := false
-	s.Schedule(5, func() { ran = true })
-	s.RunUntil(5)
-	if !ran {
-		t.Error("event at exactly the horizon should fire")
-	}
-}
-
 func TestSchedulePastPanics(t *testing.T) {
 	s := New()
 	s.Schedule(5, func() {})

@@ -142,8 +142,8 @@ func adjustedReference(seq *Markov1) []Prediction {
 	return out
 }
 
-// TestConcurrentPredictTopPrefix checks the TopPredictor contract on
-// the concurrent models: PredictTop(k) must equal Predict()[:k] for
+// TestConcurrentPredictTopPrefix checks the top-k contract on the
+// concurrent models: PredictTopInto(nil, k) must equal Predict()[:k] for
 // every k, including ties (resolved by ascending id) and k beyond the
 // candidate count.
 func TestConcurrentPredictTopPrefix(t *testing.T) {
@@ -151,8 +151,8 @@ func TestConcurrentPredictTopPrefix(t *testing.T) {
 	for _, pair := range concurrentPairs() {
 		t.Run(pair.name, func(t *testing.T) {
 			conc := pair.conc()
-			if got := conc.PredictTop(3); got != nil {
-				t.Fatalf("empty model PredictTop = %v, want nil", got)
+			if got := conc.PredictTopInto(nil, 3); got != nil {
+				t.Fatalf("empty model PredictTopInto = %v, want nil", got)
 			}
 			for _, id := range stream {
 				conc.Observe(id)
@@ -162,7 +162,7 @@ func TestConcurrentPredictTopPrefix(t *testing.T) {
 				t.Fatal("trained model predicted nothing")
 			}
 			for k := 0; k <= len(full)+2; k++ {
-				got := conc.PredictTop(k)
+				got := conc.PredictTopInto(nil, k)
 				want := full
 				if k < len(full) {
 					want = full[:k]
@@ -171,11 +171,11 @@ func TestConcurrentPredictTopPrefix(t *testing.T) {
 					want = nil
 				}
 				if len(got) != len(want) {
-					t.Fatalf("PredictTop(%d) len = %d, want %d", k, len(got), len(want))
+					t.Fatalf("PredictTopInto(nil, %d) len = %d, want %d", k, len(got), len(want))
 				}
 				for i := range want {
 					if got[i].Item != want[i].Item || math.Abs(got[i].Prob-want[i].Prob) > 1e-12 {
-						t.Fatalf("PredictTop(%d)[%d] = %+v, want %+v", k, i, got[i], want[i])
+						t.Fatalf("PredictTopInto(nil, %d)[%d] = %+v, want %+v", k, i, got[i], want[i])
 					}
 				}
 			}
@@ -184,8 +184,8 @@ func TestConcurrentPredictTopPrefix(t *testing.T) {
 }
 
 // TestCoupledObservePredictEquivalence: driven sequentially, the
-// coupled ObserveAndPredictTop(id, k) must return exactly what
-// Observe(id) followed by PredictTop(k) would — the engine's lock-free
+// coupled ObserveAndPredictTopInto(id, k, nil) must return exactly what
+// Observe(id) followed by PredictTopInto(nil, k) would — the engine's lock-free
 // path substitutes the former for the latter, and the substitution must
 // be invisible absent concurrency.
 func TestCoupledObservePredictEquivalence(t *testing.T) {
@@ -195,9 +195,9 @@ func TestCoupledObservePredictEquivalence(t *testing.T) {
 			coupled := pair.conc()
 			split := pair.conc()
 			for _, id := range stream {
-				got := coupled.ObserveAndPredictTop(id, 4)
+				got := coupled.ObserveAndPredictTopInto(id, 4, nil)
 				split.Observe(id)
-				samePredictions(t, pair.name, got, split.PredictTop(4))
+				samePredictions(t, pair.name, got, split.PredictTopInto(nil, 4))
 			}
 		})
 	}
@@ -220,7 +220,7 @@ func hammer(p *ConcurrentMarkov1, stream []cache.ID, workers int) {
 				}
 				p.Observe(stream[i])
 				if i%37 == 0 {
-					_ = p.PredictTop(4)
+					_ = p.PredictTopInto(nil, 4)
 				}
 				if i%113 == 0 {
 					_ = p.Predict()
@@ -233,7 +233,7 @@ func hammer(p *ConcurrentMarkov1, stream []cache.ID, workers int) {
 
 // TestConcurrentObserveUnderRace hammers every concurrent model from
 // many goroutines and then checks the quiescent state: the distribution
-// must be a valid probability ranking and PredictTop must still be an
+// must be a valid probability ranking and PredictTopInto must still be an
 // exact prefix of Predict. Under -race this is also the data-race probe
 // for the striped table.
 func TestConcurrentObserveUnderRace(t *testing.T) {
@@ -260,7 +260,7 @@ func TestConcurrentObserveUnderRace(t *testing.T) {
 			if sum > 1+1e-6 {
 				t.Fatalf("probabilities sum to %v > 1", sum)
 			}
-			top := conc.PredictTop(5)
+			top := conc.PredictTopInto(nil, 5)
 			want := full
 			if len(want) > 5 {
 				want = want[:5]

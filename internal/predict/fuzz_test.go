@@ -21,13 +21,13 @@ func idPairs(ids ...uint16) []byte {
 	return b
 }
 
-// FuzzPredictorObserve drives Observe/Predict/PredictTop on the
+// FuzzPredictorObserve drives Observe/Predict/PredictTopInto on the
 // concurrent Markov table with an arbitrary request stream of 16-bit
 // ids, one per byte pair: enough distinct ids that windows fill and a
 // once-seen row is replaced below the ceiling. The contract under fuzz:
 // no panic on any stream (including empty ones and pathological
-// repetition), PredictTop returns at most k entries, top-k ⊆ the full
-// prediction set — PredictTop is a view of Predict, never an
+// repetition), PredictTopInto returns at most k entries, top-k ⊆ the full
+// prediction set — PredictTopInto is a view of Predict, never an
 // independent model — and the table passes checkMarkovTable.
 func FuzzPredictorObserve(f *testing.F) {
 	f.Add([]byte{})
@@ -67,9 +67,9 @@ func FuzzPredictorObserve(f *testing.F) {
 			}
 		}
 		k := 1 + len(stream)%8
-		top := m.PredictTop(k)
+		top := m.PredictTopInto(nil, k)
 		if len(top) > k {
-			t.Fatalf("PredictTop(%d) returned %d entries", k, len(top))
+			t.Fatalf("PredictTopInto(nil, %d) returned %d entries", k, len(top))
 		}
 		full := m.Predict()
 		inFull := make(map[cache.ID]bool, len(full))
@@ -78,7 +78,7 @@ func FuzzPredictorObserve(f *testing.F) {
 		}
 		for _, pr := range top {
 			if !inFull[pr.Item] {
-				t.Fatalf("PredictTop(%d) item %d not in the full prediction set (%d entries)",
+				t.Fatalf("PredictTopInto(nil, %d) item %d not in the full prediction set (%d entries)",
 					k, pr.Item, len(full))
 			}
 		}

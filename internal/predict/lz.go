@@ -83,7 +83,7 @@ func (l *LZ78) Name() string { return "lz78" }
 // classic cheap hedge. All members observe every request.
 type Ensemble struct {
 	members []Predictor
-	weights []float64
+	weight  float64 // each member's, 1/len(members)
 }
 
 // NewEnsemble creates a uniformly weighted ensemble. It panics when no
@@ -92,35 +92,7 @@ func NewEnsemble(members ...Predictor) *Ensemble {
 	if len(members) == 0 {
 		panic("predict: ensemble needs at least one member")
 	}
-	w := make([]float64, len(members))
-	for i := range w {
-		w[i] = 1 / float64(len(members))
-	}
-	return &Ensemble{members: members, weights: w}
-}
-
-// NewWeightedEnsemble creates an ensemble with explicit weights, which
-// are normalised to sum to 1. It panics on length mismatch or
-// non-positive total weight.
-func NewWeightedEnsemble(members []Predictor, weights []float64) *Ensemble {
-	if len(members) == 0 || len(members) != len(weights) {
-		panic("predict: ensemble members/weights mismatch")
-	}
-	total := 0.0
-	for _, w := range weights {
-		if w < 0 {
-			panic("predict: negative ensemble weight")
-		}
-		total += w
-	}
-	if total <= 0 {
-		panic("predict: ensemble weights sum to zero")
-	}
-	norm := make([]float64, len(weights))
-	for i, w := range weights {
-		norm[i] = w / total
-	}
-	return &Ensemble{members: members, weights: norm}
+	return &Ensemble{members: members, weight: 1 / float64(len(members))}
 }
 
 // Observe implements Predictor.
@@ -130,16 +102,13 @@ func (e *Ensemble) Observe(id cache.ID) {
 	}
 }
 
-// Predict implements Predictor: the weighted average of member
-// probabilities (members that are silent on an item contribute zero).
+// Predict implements Predictor: the average of member probabilities
+// (members that are silent on an item contribute zero).
 func (e *Ensemble) Predict() []Prediction {
 	mix := make(map[cache.ID]float64)
-	for i, m := range e.members {
-		if e.weights[i] == 0 {
-			continue // contributes nothing; don't inject zero-mass items
-		}
+	for _, m := range e.members {
 		for _, p := range m.Predict() {
-			mix[p.Item] += e.weights[i] * p.Prob
+			mix[p.Item] += e.weight * p.Prob
 		}
 	}
 	if len(mix) == 0 {

@@ -126,34 +126,9 @@ func TestEnsembleAveragesProbabilities(t *testing.T) {
 	}
 }
 
-func TestWeightedEnsemble(t *testing.T) {
-	// Weight 1 on markov1, 0 on popularity: behaves exactly like
-	// markov1 alone.
-	m := NewMarkov1()
-	p := NewPopularity(0)
-	e := NewWeightedEnsemble([]Predictor{m, p}, []float64{3, 0})
-	ref := NewMarkov1()
-	for _, id := range []cache.ID{1, 2, 1, 2, 1} {
-		e.Observe(id)
-		ref.Observe(id)
-	}
-	got, want := e.Predict(), ref.Predict()
-	if len(got) != len(want) {
-		t.Fatalf("lengths differ: %d vs %d", len(got), len(want))
-	}
-	for i := range got {
-		if math.Abs(got[i].Prob-want[i].Prob) > 1e-12 {
-			t.Errorf("weighted ensemble drifted: %+v vs %+v", got[i], want[i])
-		}
-	}
-}
-
 func TestEnsemblePanics(t *testing.T) {
 	cases := []func(){
 		func() { NewEnsemble() },
-		func() { NewWeightedEnsemble([]Predictor{NewMarkov1()}, []float64{1, 2}) },
-		func() { NewWeightedEnsemble([]Predictor{NewMarkov1()}, []float64{-1}) },
-		func() { NewWeightedEnsemble([]Predictor{NewMarkov1()}, []float64{0}) },
 	}
 	for i, f := range cases {
 		func() {

@@ -12,7 +12,7 @@ import (
 )
 
 // This file holds the one internally concurrent access model, the
-// engine's: Observe and PredictTop may be called from many goroutines
+// engine's: Observe and PredictTopInto may be called from many goroutines
 // at once, which is what lets the prefetch engine run without a
 // predictor mutex. The sequential implementations in predict.go, ppm.go
 // and lz.go stay the reference semantics (and the evaluation harness
@@ -436,32 +436,22 @@ func (m *ConcurrentMarkov1) Predict() []Prediction {
 	return m.topOf(cache.ID(m.cur.Load()), nil, markovSlots)
 }
 
-// PredictTop implements TopPredictor.
-func (m *ConcurrentMarkov1) PredictTop(k int) []Prediction {
-	return m.PredictTopInto(nil, k)
-}
-
-// PredictTopInto implements TopIntoPredictor.
+// PredictTopInto appends the current state's k most probable successors
+// to dst (a pooled buffer passed as buf[:0], or nil for a fresh one) and
+// returns the extended slice: the first k of Predict.
 func (m *ConcurrentMarkov1) PredictTopInto(dst []Prediction, k int) []Prediction {
 	return m.topOf(cache.ID(m.cur.Load()), dst, k)
 }
 
-// ObserveAndPredictTop observes id and returns the top-k candidates
-// conditioned on id being the request just served (k <= 0 observes
-// only). With separate Observe/PredictTop calls a racing observer can
-// move cur between the two, so a lock-free caller would sometimes plan
-// from another request's context; here the candidates are id's own
-// successors, which restores exactly the conditioning a global
-// observe+predict critical section would give.
-func (m *ConcurrentMarkov1) ObserveAndPredictTop(id cache.ID, k int) []Prediction {
-	return m.ObserveAndPredictTopInto(id, k, nil)
-}
-
-// ObserveAndPredictTopInto is the engine's hot-path form of
-// ObserveAndPredictTop: the candidates are appended to dst (a pooled
-// buffer passed as buf[:0]), so the per-request prediction allocates
-// nothing. ObserveAndPredictTop(id, k) ≡ ObserveAndPredictTopInto(id,
-// k, nil).
+// ObserveAndPredictTopInto observes id and appends the top-k candidates
+// conditioned on id being the request just served to dst (k <= 0
+// observes only). With separate Observe/PredictTopInto calls a racing
+// observer can move cur between the two, so a lock-free caller would
+// sometimes plan from another request's context; here the candidates
+// are id's own successors, which restores exactly the conditioning a
+// global observe+predict critical section would give. With dst a pooled
+// buffer passed as buf[:0] the engine's per-request prediction
+// allocates nothing.
 func (m *ConcurrentMarkov1) ObserveAndPredictTopInto(id cache.ID, k int, dst []Prediction) []Prediction {
 	m.Observe(id)
 	return m.topOf(id, dst, k)

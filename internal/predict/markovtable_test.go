@@ -332,7 +332,7 @@ func TestConcurrentMarkov1HeavyHitter(t *testing.T) {
 			// The first few hundred counts are too few for any estimator
 			// to rank reliably.
 			if i >= 400 {
-				got := m.PredictTop(1)
+				got := m.PredictTopInto(nil, 1)
 				if len(got) != 1 || got[0].Item != hitter {
 					t.Fatalf("share %.2f among %d others: after %d transitions the first candidate is %+v, want item %d",
 						tc.share, tc.others, i, got, hitter)
@@ -549,17 +549,12 @@ type top1Scorer struct {
 	observe func(id cache.ID) (cache.ID, bool)
 }
 
-// referenceScorer scores a sequential reference the way the engine would
-// drive it as a plugin: Observe, then the best form of top-1 it offers.
+// referenceScorer scores a sequential reference: Observe, then the
+// first of its full prediction.
 func referenceScorer(p Predictor) top1Scorer {
 	return top1Scorer{p.Name(), func(id cache.ID) (cache.ID, bool) {
 		p.Observe(id)
-		var top []Prediction
-		if tp, ok := p.(TopPredictor); ok {
-			top = tp.PredictTop(1)
-		} else {
-			top = p.Predict()
-		}
+		top := p.Predict()
 		if len(top) == 0 {
 			return 0, false
 		}

@@ -46,11 +46,10 @@ type Predictor interface {
 }
 
 // sortPredictions orders by the prediction order better defines —
-// decreasing probability, ties by ascending id — so Predict and
-// PredictTop share one source of truth for the ordering the
-// TopPredictor contract depends on. slices.SortFunc rather than
-// sort.Slice: this runs on the engine's per-request hot path, where the
-// reflection swapper dominated CPU profiles.
+// decreasing probability, ties by ascending id — so a full Predict and
+// topPredictions' k best share one source of truth for the ordering.
+// slices.SortFunc rather than sort.Slice, whose reflection swapper
+// dominated CPU profiles when this ran on every request.
 func sortPredictions(ps []Prediction) {
 	slices.SortFunc(ps, func(a, b Prediction) int {
 		switch {
@@ -61,27 +60,6 @@ func sortPredictions(ps []Prediction) {
 		}
 		return 0
 	})
-}
-
-// TopPredictor is implemented by predictors that can produce just their
-// k most probable candidates without materialising and sorting the full
-// distribution. The result must equal the first k entries of Predict().
-// The prefetch engine only ever consumes a bounded prefix of the
-// candidate list (every threshold policy admits a prefix, truncated to
-// the per-request prefetch cap), so this is its hot-path interface;
-// Predict remains the evaluation-facing full distribution.
-type TopPredictor interface {
-	PredictTop(k int) []Prediction
-}
-
-// TopIntoPredictor is the allocation-free variant of TopPredictor:
-// PredictTopInto appends the k most probable candidates to dst
-// (typically a pooled buffer passed as buf[:0]) and returns the
-// extended slice, which may share dst's backing array. The appended
-// candidates must equal PredictTop(k). The prefetch engine feeds this
-// from per-request pooled buffers so a cache hit allocates nothing.
-type TopIntoPredictor interface {
-	PredictTopInto(dst []Prediction, k int) []Prediction
 }
 
 // better reports whether a precedes b in prediction order (decreasing
@@ -102,17 +80,14 @@ type topPredictions struct {
 	k   int
 }
 
-func newTopPredictions(k int) topPredictions {
-	return topPredictions{buf: make([]Prediction, 0, k), k: k}
-}
-
-// newTopPredictionsOn is newTopPredictions over a caller-supplied
-// buffer: candidates accumulate in dst[:0] (growing its backing array
-// only when cap(dst) < k), which is what lets the PredictTopInto paths
-// run without allocating. dst's previous contents are discarded.
+// newTopPredictionsOn keeps the k best in a caller-supplied buffer:
+// candidates accumulate in dst[:0] (growing its backing array only when
+// cap(dst) < k), which is what lets the PredictTopInto paths run without
+// allocating; a nil dst gets a buffer of k. dst's previous contents are
+// discarded.
 func newTopPredictionsOn(dst []Prediction, k int) topPredictions {
 	if dst == nil {
-		return newTopPredictions(k)
+		dst = make([]Prediction, 0, k)
 	}
 	return topPredictions{buf: dst[:0], k: k}
 }
@@ -181,23 +156,6 @@ func (m *Markov1) Predict() []Prediction {
 	}
 	sortPredictions(out)
 	return out
-}
-
-// PredictTop implements TopPredictor: the k most probable successors of
-// the current state, without sorting the whole row.
-func (m *Markov1) PredictTop(k int) []Prediction {
-	if !m.seen || k <= 0 {
-		return nil
-	}
-	total := m.totals[m.cur]
-	if total == 0 {
-		return nil
-	}
-	top := newTopPredictions(k)
-	for id, c := range m.counts[m.cur] {
-		top.offer(Prediction{Item: id, Prob: float64(c) / float64(total)})
-	}
-	return top.buf
 }
 
 // Name implements Predictor.

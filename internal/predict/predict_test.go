@@ -2,6 +2,7 @@ package predict
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/cache"
@@ -350,10 +351,11 @@ func BenchmarkPPMObservePredict(b *testing.B) {
 	}
 }
 
-// TestMarkov1PredictTopMatchesPredict checks the TopPredictor contract:
-// PredictTop(k) must equal the first k entries of the fully sorted
+// TestTopPredictionsMatchesPredict checks topPredictions, the k-best
+// buffer the Markov table ranks with, against the full sort: offered a
+// row in any order, it must keep the first k entries of Markov1's sorted
 // Predict, for every k, including ties resolved by ascending id.
-func TestMarkov1PredictTopMatchesPredict(t *testing.T) {
+func TestTopPredictionsMatchesPredict(t *testing.T) {
 	m := NewMarkov1()
 	// Build a row with repeats and probability ties: successors of 0.
 	seq := []cache.ID{0, 5, 0, 3, 0, 5, 0, 9, 0, 1, 0, 7, 0, 7, 0, 2, 0}
@@ -364,26 +366,18 @@ func TestMarkov1PredictTopMatchesPredict(t *testing.T) {
 	if len(full) == 0 {
 		t.Fatal("no predictions")
 	}
-	for k := 0; k <= len(full)+2; k++ {
-		got := m.PredictTop(k)
-		want := full
-		if k < len(full) {
-			want = full[:k]
-		}
-		if k == 0 {
-			want = nil
-		}
-		if len(got) != len(want) {
-			t.Fatalf("PredictTop(%d) len = %d, want %d", k, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("PredictTop(%d)[%d] = %+v, want %+v (full %+v)", k, i, got[i], want[i], full)
+	rev := slices.Clone(full)
+	slices.Reverse(rev)
+	for k := 1; k <= len(full)+2; k++ {
+		for _, order := range [][]Prediction{full, rev} {
+			top := newTopPredictionsOn(nil, k)
+			for _, p := range order {
+				top.offer(p)
+			}
+			want := full[:min(k, len(full))]
+			if !slices.Equal(top.buf, want) {
+				t.Fatalf("k = %d: top %+v, want %+v (full %+v)", k, top.buf, want, full)
 			}
 		}
-	}
-	// Fresh predictor: no candidates at any k.
-	if got := NewMarkov1().PredictTop(3); got != nil {
-		t.Fatalf("empty model PredictTop = %v, want nil", got)
 	}
 }

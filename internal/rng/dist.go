@@ -38,12 +38,6 @@ type Exponential struct {
 	Rate float64
 }
 
-// NewExponentialMean returns an exponential distribution with the given
-// mean (rate 1/mean).
-func NewExponentialMean(mean float64) Exponential {
-	return Exponential{Rate: 1 / mean}
-}
-
 // Sample implements Dist.
 func (d Exponential) Sample(r *Source) float64 {
 	// -log(1-U)/λ; 1-U avoids log(0) since Float64 ∈ [0,1).
@@ -194,19 +188,6 @@ func (z *Zipf) String() string { return fmt.Sprintf("zipf(n=%d,s=%g)", z.n, z.s)
 
 // Bernoulli returns true with probability p.
 func Bernoulli(r *Source, p float64) bool { return r.Float64() < p }
-
-// Geometric draws the number of failures before the first success in
-// Bernoulli(p) trials (support {0, 1, 2, ...}). It panics if p is not in
-// (0, 1].
-func Geometric(r *Source, p float64) int {
-	if p <= 0 || p > 1 {
-		panic("rng: Geometric needs p in (0,1]")
-	}
-	if p == 1 {
-		return 0
-	}
-	return int(math.Floor(math.Log(1-r.Float64()) / math.Log(1-p)))
-}
 
 // Empirical is a discrete distribution over arbitrary weights.
 type Empirical struct {

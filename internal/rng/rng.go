@@ -11,8 +11,6 @@
 // new consumer of randomness does not perturb existing ones.
 package rng
 
-import "math"
-
 // splitMix64 advances the SplitMix64 state and returns the next value.
 // It is used to expand seeds into full generator state (the construction
 // recommended by the xoshiro authors).
@@ -120,39 +118,4 @@ func mul64(a, b uint64) (hi, lo uint64) {
 	hi = aHi*bHi + w2 + w1>>32
 	lo = a * b
 	return hi, lo
-}
-
-// Perm returns a uniformly random permutation of [0, n).
-func (r *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// Shuffle randomises the order of n elements using the provided swap
-// function (Fisher–Yates).
-func (r *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
-// NormFloat64 returns a standard normal variate using the
-// Marsaglia polar method.
-func (r *Source) NormFloat64() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
-		}
-	}
 }

@@ -2,7 +2,7 @@
 // used by the simulator and the experiment harness: numerically stable
 // running moments (Welford), confidence intervals, batch-means analysis
 // for steady-state simulation output, time-weighted averages for
-// utilisation-style quantities, histograms, and plain-text / CSV table
+// utilisation-style quantities, exact quantiles, and plain-text / CSV table
 // rendering for the experiment tables (internal/experiments, printed by
 // `prefetchbench -run`).
 package stats
@@ -40,13 +40,6 @@ func (r *Running) Add(x float64) {
 	delta := x - r.mean
 	r.mean += delta / float64(r.n)
 	r.m2 += delta * (x - r.mean)
-}
-
-// AddN incorporates the same observation n times.
-func (r *Running) AddN(x float64, n int64) {
-	for i := int64(0); i < n; i++ {
-		r.Add(x)
-	}
 }
 
 // N returns the number of observations.
@@ -88,29 +81,6 @@ func (r *Running) Max() float64 { return r.max }
 // for the mean, using the normal critical value 1.96. For the sample
 // sizes the harness uses (thousands), the t-correction is negligible.
 func (r *Running) CI95() float64 { return 1.96 * r.StdErr() }
-
-// Merge combines another accumulator into r (parallel Welford merge).
-func (r *Running) Merge(o *Running) {
-	if o.n == 0 {
-		return
-	}
-	if r.n == 0 {
-		*r = *o
-		return
-	}
-	n1, n2 := float64(r.n), float64(o.n)
-	delta := o.mean - r.mean
-	tot := n1 + n2
-	r.mean += delta * n2 / tot
-	r.m2 += o.m2 + delta*delta*n1*n2/tot
-	r.n += o.n
-	if o.min < r.min {
-		r.min = o.min
-	}
-	if o.max > r.max {
-		r.max = o.max
-	}
-}
 
 // String summarises the accumulator.
 func (r *Running) String() string {
@@ -183,89 +153,11 @@ func (b *BatchMeans) Add(x float64) {
 	}
 }
 
-// Batches returns the number of completed batches.
-func (b *BatchMeans) Batches() int64 { return b.batches.N() }
-
 // Mean returns the grand mean over completed batches.
 func (b *BatchMeans) Mean() float64 { return b.batches.Mean() }
 
 // CI95 returns the 95% half-width computed over batch means.
 func (b *BatchMeans) CI95() float64 { return b.batches.CI95() }
-
-// Histogram counts observations into fixed-width bins over [Low, High);
-// out-of-range values go to under/overflow counters.
-type Histogram struct {
-	Low, High float64
-	bins      []int64
-	under     int64
-	over      int64
-	total     int64
-}
-
-// NewHistogram creates a histogram with n bins spanning [low, high).
-// It panics if n <= 0 or high <= low.
-func NewHistogram(low, high float64, n int) *Histogram {
-	if n <= 0 || high <= low {
-		panic("stats: invalid histogram bounds")
-	}
-	return &Histogram{Low: low, High: high, bins: make([]int64, n)}
-}
-
-// Add counts one observation.
-func (h *Histogram) Add(x float64) {
-	h.total++
-	switch {
-	case x < h.Low:
-		h.under++
-	case x >= h.High:
-		h.over++
-	default:
-		i := int((x - h.Low) / (h.High - h.Low) * float64(len(h.bins)))
-		if i == len(h.bins) { // guard against rounding at the top edge
-			i--
-		}
-		h.bins[i]++
-	}
-}
-
-// Bin returns the count of bin i.
-func (h *Histogram) Bin(i int) int64 { return h.bins[i] }
-
-// NumBins returns the number of bins.
-func (h *Histogram) NumBins() int { return len(h.bins) }
-
-// Total returns the number of observations, including out-of-range ones.
-func (h *Histogram) Total() int64 { return h.total }
-
-// Underflow returns the count of observations below Low.
-func (h *Histogram) Underflow() int64 { return h.under }
-
-// Overflow returns the count of observations at or above High.
-func (h *Histogram) Overflow() int64 { return h.over }
-
-// Quantile returns an estimate of the q-quantile (0 <= q <= 1) by linear
-// interpolation within bins. Out-of-range mass is attributed to the
-// boundary values.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	target := q * float64(h.total)
-	cum := float64(h.under)
-	if target <= cum {
-		return h.Low
-	}
-	width := (h.High - h.Low) / float64(len(h.bins))
-	for i, c := range h.bins {
-		next := cum + float64(c)
-		if target <= next && c > 0 {
-			frac := (target - cum) / float64(c)
-			return h.Low + (float64(i)+frac)*width
-		}
-		cum = next
-	}
-	return h.High
-}
 
 // Quantiles computes an exact set of quantiles from raw data (sorted
 // copy; O(n log n)). Use for modest n when exactness matters more than

@@ -4,7 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestRunningBasic(t *testing.T) {
@@ -47,17 +46,6 @@ func TestRunningSingle(t *testing.T) {
 	}
 }
 
-func TestRunningAddN(t *testing.T) {
-	var a, b Running
-	a.AddN(2.5, 4)
-	for i := 0; i < 4; i++ {
-		b.Add(2.5)
-	}
-	if a.N() != b.N() || a.Mean() != b.Mean() {
-		t.Error("AddN should match repeated Add")
-	}
-}
-
 func TestRunningNumericalStability(t *testing.T) {
 	// Large offset + small variance: naive sum of squares would lose
 	// all precision here.
@@ -68,82 +56,6 @@ func TestRunningNumericalStability(t *testing.T) {
 	}
 	if math.Abs(r.Var()-0.25025) > 1e-3 {
 		t.Errorf("Var = %v, want ~0.2503", r.Var())
-	}
-}
-
-func TestRunningMerge(t *testing.T) {
-	var a, b, whole Running
-	xs := []float64{3, 1, 4, 1, 5, 9, 2, 6, 5, 3}
-	for i, x := range xs {
-		if i < 4 {
-			a.Add(x)
-		} else {
-			b.Add(x)
-		}
-		whole.Add(x)
-	}
-	a.Merge(&b)
-	if a.N() != whole.N() {
-		t.Fatalf("merged N = %d, want %d", a.N(), whole.N())
-	}
-	if math.Abs(a.Mean()-whole.Mean()) > 1e-12 {
-		t.Errorf("merged mean %v, want %v", a.Mean(), whole.Mean())
-	}
-	if math.Abs(a.Var()-whole.Var()) > 1e-12 {
-		t.Errorf("merged var %v, want %v", a.Var(), whole.Var())
-	}
-	if a.Min() != whole.Min() || a.Max() != whole.Max() {
-		t.Error("merged min/max wrong")
-	}
-}
-
-func TestRunningMergeEmpty(t *testing.T) {
-	var a, b Running
-	a.Add(1)
-	a.Merge(&b) // merging empty should be a no-op
-	if a.N() != 1 {
-		t.Error("merge with empty changed N")
-	}
-	var c Running
-	c.Merge(&a) // merging into empty should copy
-	if c.N() != 1 || c.Mean() != 1 {
-		t.Error("merge into empty failed")
-	}
-}
-
-// Property: merging any split of a sequence equals processing it whole.
-func TestQuickMergeEquivalence(t *testing.T) {
-	f := func(xs []float64, cut uint8) bool {
-		for _, x := range xs {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				return true // skip non-finite inputs
-			}
-			if math.Abs(x) > 1e100 {
-				return true
-			}
-		}
-		if len(xs) == 0 {
-			return true
-		}
-		k := int(cut) % (len(xs) + 1)
-		var a, b, whole Running
-		for i, x := range xs {
-			if i < k {
-				a.Add(x)
-			} else {
-				b.Add(x)
-			}
-			whole.Add(x)
-		}
-		a.Merge(&b)
-		if a.N() != whole.N() {
-			return false
-		}
-		scale := math.Max(1, math.Abs(whole.Mean()))
-		return math.Abs(a.Mean()-whole.Mean()) < 1e-9*scale
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -183,8 +95,8 @@ func TestBatchMeans(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		b.Add(float64(i % 10)) // every batch has mean 4.5
 	}
-	if b.Batches() != 10 {
-		t.Errorf("Batches = %d, want 10", b.Batches())
+	for i := 0; i < 9; i++ {
+		b.Add(100) // an incomplete batch counts for nothing yet
 	}
 	if math.Abs(b.Mean()-4.5) > 1e-12 {
 		t.Errorf("Mean = %v, want 4.5", b.Mean())
@@ -201,64 +113,6 @@ func TestBatchMeansPanics(t *testing.T) {
 		}
 	}()
 	NewBatchMeans(0)
-}
-
-func TestHistogramBasics(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	h.Add(-1)
-	h.Add(11)
-	if h.Total() != 12 {
-		t.Errorf("Total = %d, want 12", h.Total())
-	}
-	if h.Underflow() != 1 || h.Overflow() != 1 {
-		t.Error("under/overflow wrong")
-	}
-	for i := 0; i < h.NumBins(); i++ {
-		if h.Bin(i) != 1 {
-			t.Errorf("bin %d = %d, want 1", i, h.Bin(i))
-		}
-	}
-}
-
-func TestHistogramTopEdge(t *testing.T) {
-	h := NewHistogram(0, 1, 4)
-	h.Add(math.Nextafter(1, 0)) // just below the top edge
-	if h.Bin(3) != 1 {
-		t.Error("value just below High should land in the last bin")
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram(0, 100, 100)
-	for i := 0; i < 100; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	med := h.Quantile(0.5)
-	if math.Abs(med-50) > 1.5 {
-		t.Errorf("median estimate = %v, want ~50", med)
-	}
-	if h.Quantile(0) < 0 {
-		t.Error("0-quantile below range")
-	}
-}
-
-func TestHistogramInvalid(t *testing.T) {
-	for _, c := range []struct {
-		lo, hi float64
-		n      int
-	}{{0, 1, 0}, {1, 1, 5}, {2, 1, 5}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewHistogram(%v,%v,%d) should panic", c.lo, c.hi, c.n)
-				}
-			}()
-			NewHistogram(c.lo, c.hi, c.n)
-		}()
-	}
 }
 
 func TestQuantilesExact(t *testing.T) {

@@ -81,8 +81,8 @@ func table(t *testing.T, rows []row, cells []cell) [][]result {
 // logRun logs one run as a line of its row's table.
 func logRun(t *testing.T, row, cell string, r result) {
 	t.Helper()
-	t.Logf("%-26s %-28s t̄ %8.2f ± %6.2f ms  p99 %8.2f ms  failed %4d  h %.3f  issued/req %.3f  util %.3f",
-		row, cell, 1e3*r.AccessTime, 1e3*r.AccessTimeCI, 1e3*r.P99, r.Failed, r.HitRatio, r.NFObserved, r.Utilisation)
+	t.Logf("%-26s %-28s t̄ %8.2f ± %6.2f ms  p99 %8.2f ms  failed %4d  h %.3f  issued/req %.3f  shed %d  util %.3f",
+		row, cell, 1e3*r.AccessTime, 1e3*r.AccessTimeCI, 1e3*r.P99, r.Failed, r.HitRatio, r.NFObserved, r.Final.PrefetchDropped, r.Utilisation)
 }
 
 // decide times every cell on every row, logs the table, and returns the

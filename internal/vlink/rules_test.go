@@ -102,7 +102,9 @@ func chain(src *rng.Source) func() fetch.ID {
 // them would earn its place only by winning somewhere: its t̄ below
 // adaptive-a's by more than the two CI95 half-widths together. Model B's
 // threshold (adaptive-b), the static cutoffs and top-k won nowhere, and
-// the test fails if one comes to. The table also logs the controller's
+// the test fails if one comes to. It fails too if a cell sheds a
+// prefetch, as the engine's speculative queue is a constant 64 jobs
+// that no program sizes. The table also logs the controller's
 // and the link's ρ̂′ (admission reads the link's), and ĥ′ against the
 // no-prefetch run's hit ratio on the same trace. At the three upper
 // loads it logs one more cell, not gated: adaptive-a on the store
@@ -135,9 +137,14 @@ func TestRuleSweep(t *testing.T) {
 		for _, p := range policies {
 			r := cell(lambda, p.p)
 			res[p.name] = r
-			t.Logf("λ %2.0f %-10s t̄ %6.2f ± %4.2f ms  h %.3f  issued/req %.3f  demand util %.3f  util %.3f  ctrl ρ̂′ %.3f  link ρ̂′ %.3f  ĥ′ − h′ %+.3f",
-				lambda, p.name, 1e3*r.AccessTime, 1e3*r.AccessTimeCI, r.HitRatio, r.NFObserved, r.DemandUtilisation, r.Utilisation,
+			t.Logf("λ %2.0f %-10s t̄ %6.2f ± %4.2f ms  h %.3f  issued/req %.3f  shed %d  demand util %.3f  util %.3f  ctrl ρ̂′ %.3f  link ρ̂′ %.3f  ĥ′ − h′ %+.3f",
+				lambda, p.name, 1e3*r.AccessTime, 1e3*r.AccessTimeCI, r.HitRatio, r.NFObserved, r.Final.PrefetchDropped, r.DemandUtilisation, r.Utilisation,
 				r.RhoPrimeEstimate, r.LinkRhoPrime, r.HPrimeEstimate-res["none"].HPrimeEstimate)
+			// The speculative queue is a constant 64 jobs: a cell that
+			// sheds has outgrown it, and its t̄ is no longer the rule's.
+			if r.Final.PrefetchDropped > 0 {
+				t.Errorf("λ %.0f %s: %d prefetches shed at the queue's 64 jobs", lambda, p.name, r.Final.PrefetchDropped)
+			}
 		}
 		a, none := res["adaptive-a"], res["none"]
 		t.Logf("λ %2.0f: ρ′ %.3f; adaptive-a against none %+.1f %%", lambda, none.DemandUtilisation, 100*(a.AccessTime/none.AccessTime-1))

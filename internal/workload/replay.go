@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/cache"
 )
@@ -40,15 +39,6 @@ func NewReplay(records []Record, user int, loop bool) (*Replay, error) {
 		loop:  loop,
 		name:  fmt.Sprintf("replay(user=%d,n=%d,loop=%t)", user, len(items), loop),
 	}, nil
-}
-
-// NewReplayReader reads a full trace and builds a replay source.
-func NewReplayReader(r io.Reader, user int, loop bool) (*Replay, error) {
-	records, err := NewTraceReader(r).ReadAll()
-	if err != nil {
-		return nil, err
-	}
-	return NewReplay(records, user, loop)
 }
 
 // Len returns the number of replayable requests in one pass.

@@ -104,7 +104,11 @@ func TestReplayFromReader(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewReplayReader(&buf, 0, true)
+	records, err := NewTraceReader(&buf).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewReplay(records, 0, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +121,7 @@ func TestReplayFromReader(t *testing.T) {
 }
 
 func TestReplayFromReaderMalformed(t *testing.T) {
-	if _, err := NewReplayReader(strings.NewReader("junk\n"), -1, true); err == nil {
+	if _, err := NewTraceReader(strings.NewReader("junk\n")).ReadAll(); err == nil {
 		t.Error("malformed trace should error")
 	}
 }

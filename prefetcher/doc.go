@@ -24,10 +24,12 @@
 // The hot path is Get: it records the request with the online
 // estimator, serves the item from cache or fetches it on demand, then
 // dispatches speculative fetches for every above-threshold prediction
-// through a bounded worker pool. A demand Get for an item whose
-// speculative fetch is already in flight joins that fetch instead of
-// refetching. Stats returns a snapshot of the live estimates (ĥ′,
-// ρ̂′, p̂_th) and the prefetch hit/waste counters.
+// through a bounded worker pool (WithWorkers) fed by a queue of a
+// constant 64 jobs: a plan that finds it full is shed and counted
+// (Stats.PrefetchDropped), never blocking demand. A demand Get for an
+// item whose speculative fetch is already in flight joins that fetch
+// instead of refetching. Stats returns a snapshot of the live estimates
+// (ĥ′, ρ̂′, p̂_th) and the prefetch hit/waste counters.
 //
 // There is one read path. Get, GetBytes, GetBytesLen, GetMulti /
 // GetMultiInto and GetMultiBytes are five views over one core (read, in
@@ -115,9 +117,8 @@
 // so concurrent Gets on disjoint keys do not contend. The adaptive
 // policy's estimates stay global: one shared controller reads λ̂, ŝ̄
 // and n̄(F) as rates over the last 10 s of the engine's clock, from
-// atomic counters, and ĥ′ from the tagged-cache counts, so
-// Threshold and Stats report one globally consistent operating point
-// at any shard count.
+// atomic counters, and ĥ′ from the tagged-cache counts, so Stats
+// reports one globally consistent operating point at any shard count.
 //
 // The access model is shared across shards but is not a serialisation
 // point. Whatever WithPredictor received is normalised once, at New,
@@ -170,7 +171,7 @@
 // demand-only ρ̂′, weighted by the same b (Fabric.RhoPrime; on one link,
 // its own), before the admitted candidates are routed. An unconfigured
 // link divides by its measured goodput, which falls with load, so it reads
-// above the global (1−ĥ′)λ̂ŝ̄/b of Stats.RhoPrime and Threshold on a
+// above the global (1−ĥ′)λ̂ŝ̄/b of Stats.RhoPrime and Stats.Threshold on a
 // loaded link and below it on an idle one; truer readings won no load on
 // internal/vlink's TestRuleSweep. Stats.Backends[i].RhoPrime are the numbers in
 // force, and what feeds them is written once: every backend call the
@@ -233,18 +234,19 @@
 //     TestGetBytesMissAllocFree (lent 0; owned 2, the origin's slice and
 //     its box; a lent payload larger than a segment 2, the store's
 //     clone and box; a two-key session, one demand batch, 0). A
-//     speculative landing: TestSpeculativeLandingAllocFree (1, the
-//     channel Quiesce waits on). What a hit's plan sets off,
-//     TestPlanAllocCeiling: a shed 0, a batch across shards 1
-//     (Quiesce's), a failed prefetch 1 (Quiesce's), a join 3; and for
+//     speculative landing: TestSpeculativeLandingAllocFree (50 in all
+//     over 200 requests, counted whole: the channel Quiesce waits on,
+//     made only when the prefetch is still out). What a hit's plan sets
+//     off, TestPlanAllocCeiling: a shed 0, a batch across shards and a
+//     failed prefetch 50 in all over 200 steps (Quiesce's, likewise), a
+//     join 3; and for
 //     dispatch's closed arms TestDispatchClosedAllocFree (0). A batch
 //     dispatch that finds its plan resident:
 //     TestFabricBatchDispatchAllocFree (0). The HEAD probe:
 //     TestGetBytesAllocFree's GetBytesLen row (0). A failed demand fetch:
 //     TestGetBytesMissAllocFree's failed row (2, the session's error
 //     report). Stats: TestEngineStatsAllocCeiling (1, the Backends
-//     slice). The predictor: TestPredictTopIntoAllocFree (0; PredictTop
-//     with no buffer 1) and internal/predict's TestMarkovUpkeepAllocFree.
+//     slice). The predictor: TestPredictTopIntoAllocFree (0) and internal/predict's TestMarkovUpkeepAllocFree.
 //     The fabric's attempt bracket, arm by arm, is prefetcher/fetch's
 //     TestFabricAllocCeiling (0, but for a hedged race 11 and a
 //     DemandTimeout 4).

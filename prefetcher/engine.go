@@ -149,8 +149,8 @@ func planPlugin(p Predictor, ids []ID, k int, bufs *candBufs) []predict.Predicti
 // lets Stats snapshot the engine without taking a single lock. The
 // adaptive policy's estimates stay global: one shared
 // prefetch.Controller built on atomic counters aggregates λ̂, ŝ̄, ĥ′
-// and n̄(F) across shards, so Threshold and Stats report the same
-// globally consistent operating point the paper's rule needs regardless
+// and n̄(F) across shards, so Stats reports the same globally
+// consistent operating point the paper's rule needs regardless
 // of the shard count. The shared access model is global too, reached
 // through one planner normalised from WithPredictor's argument at New,
 // and not serialised: the built-in model or a plugin plans from all
@@ -169,7 +169,6 @@ type Engine struct {
 	policy      prefetch.Policy
 	model       analytic.Model
 	ctrl        *prefetch.Controller
-	nc          float64
 	maxPrefetch int
 	hook        func(Event)
 
@@ -262,7 +261,6 @@ func New(fetcher Fetcher, opts ...Option) (*Engine, error) {
 		policy:      cfg.policy.p,
 		model:       cfg.policy.model.analytic(),
 		ctrl:        prefetch.NewController(cfg.bandwidth, 0),
-		nc:          cfg.nc,
 		maxPrefetch: maxPrefetch,
 		hook:        cfg.hook,
 		epoch:       cfg.clock.Now(),
@@ -582,12 +580,9 @@ func (e *Engine) specDone() {
 	e.qmu.Unlock()
 }
 
-// occupancy returns n̄(C): the configured value if set, else the live
-// resident count aggregated across shards.
+// occupancy returns n̄(C): the live resident count aggregated across
+// shards.
 func (e *Engine) occupancy() float64 {
-	if e.nc > 0 {
-		return e.nc
-	}
 	return float64(e.residents.Load())
 }
 
@@ -596,15 +591,6 @@ func (e *Engine) emit(ev Event) {
 	if e.hook != nil {
 		e.hook(ev)
 	}
-}
-
-// Threshold returns the paper's cutoff p̂_th for the engine's
-// interaction model at the controller's global ρ̂′ = (1−ĥ′)λ̂ŝ̄/b, b
-// being WithBandwidth's — the same reading as Stats.Threshold. It is not
-// the threshold admission runs on: that substitutes the fabric's ρ̂′,
-// the bandwidth-weighted mean of the links' own (Stats.Backends[i].RhoPrime).
-func (e *Engine) Threshold() float64 {
-	return prefetch.ThresholdFor(e.model, e.ctrl.State(e.occupancy()))
 }
 
 // Stats snapshots the engine's counters and online estimates. The

@@ -49,6 +49,15 @@ func (m *memFetcher) count(id ID) int {
 	return m.fetches[id]
 }
 
+// withQueueDepth sets the speculative-fetch queue's bound in place of
+// its 64 jobs, for the tests that need a shed early or room for a burst.
+func withQueueDepth(n int) Option {
+	return func(c *config) error {
+		c.queueDepth = n
+		return nil
+	}
+}
+
 func TestOptionValidation(t *testing.T) {
 	fetcher := newMemFetcher()
 	tests := []struct {
@@ -62,20 +71,17 @@ func TestOptionValidation(t *testing.T) {
 		{"negative bandwidth", fetcher, []Option{WithBandwidth(-1)}, "must be positive"},
 		{"zero workers", fetcher, []Option{WithBandwidth(50), WithWorkers(0)}, ">= 1"},
 		{"negative max prefetch", fetcher, []Option{WithBandwidth(50), WithMaxPrefetch(-1)}, ">= 0"},
-		{"zero queue", fetcher, []Option{WithBandwidth(50), WithQueueDepth(0)}, ">= 1"},
 		{"nil predictor", fetcher, []Option{WithBandwidth(50), WithPredictor(nil)}, "nil predictor"},
 		{"nil cache", fetcher, []Option{WithBandwidth(50), WithCache(nil)}, "nil cache"},
 		{"nil clock", fetcher, []Option{WithBandwidth(50), WithClock(nil)}, "nil clock"},
 		{"zero policy", fetcher, []Option{WithBandwidth(50), WithPolicy(Policy{})}, "zero Policy"},
-		{"negative occupancy", fetcher, []Option{WithBandwidth(50), WithCacheOccupancy(-3)}, "non-negative"},
 		{"nil hook", fetcher, []Option{WithBandwidth(50), WithEventHook(nil)}, "nil event hook"},
 		{"ok default", fetcher, []Option{WithBandwidth(50)}, ""},
 		{"ok static without bandwidth", fetcher, []Option{WithPolicy(StaticThreshold(0.5))}, ""},
 		{"ok full", fetcher, []Option{
 			WithBandwidth(50), WithWorkers(2), WithMaxPrefetch(3),
 			WithCache(NewSLRUCache(64, 32)), WithPredictor(NewMarkovPredictor()),
-			WithPolicy(AdaptiveThreshold(ModelB())), WithCacheOccupancy(64),
-			WithQueueDepth(8),
+			WithPolicy(AdaptiveThreshold(ModelB())),
 			WithClock(NewManualClock(time.Unix(0, 0))),
 		}, ""},
 	}

@@ -33,7 +33,7 @@ func TestEstimatesTrackTruth(t *testing.T) {
 				WithClock(clock),
 				WithBandwidth(bandwidth),
 				WithCache(NewLRUCache(16)),
-				WithQueueDepth(256),
+				withQueueDepth(256),
 			)
 			if err != nil {
 				t.Fatal(err)

@@ -900,7 +900,11 @@ func TestGetBytesPhaseAllocFree(t *testing.T) {
 // TestSpeculativeLandingAllocFree gates the speculative landing: a
 // request that dispatches a prefetch, the worker's fetch into its own
 // scratch, the landing and the hit that uses it allocate nothing but
-// the channel Quiesce waits on.
+// the channel Quiesce waits on when the prefetch is still out, which
+// the yield in dispatch leaves to the odd scheduler pick. The 200
+// requests are counted whole (testutil.AllocsInPhase) against 50 in all
+// (3–12 on a 2-vCPU guest): an allocation on the path reads 200 more,
+// which a per-request mean of 1 would let through.
 func TestSpeculativeLandingAllocFree(t *testing.T) {
 	if prefetcher.RaceEnabled {
 		t.Skip("the speculative path draws flights and jobs from sync.Pools, which the race runtime drops Puts from")
@@ -931,9 +935,11 @@ func TestSpeculativeLandingAllocFree(t *testing.T) {
 				step()
 			}
 			before := eng.Stats()
-			if allocs := testing.AllocsPerRun(200, step); allocs > 1 {
-				t.Fatalf("a request with a speculative landing allocates %v times, want at most Quiesce's channel", allocs)
-			}
+			testutil.AllocsInPhase(t, 50, "200 requests with a speculative landing", func() {}, func() {
+				for k := 0; k < 200; k++ {
+					step()
+				}
+			})
 			st := eng.Stats()
 			const want = 200 - 2*(200/64+1) // two a lap
 			if issued, used := st.PrefetchIssued-before.PrefetchIssued, st.PrefetchUsed-before.PrefetchUsed; issued < want || used < want {

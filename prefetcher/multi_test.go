@@ -265,7 +265,7 @@ func TestGetMultiPartialFailure(t *testing.T) {
 func TestGetMultiVsSingletonRace(t *testing.T) {
 	testutil.ExpectNoLeaks(t)
 	cf := newCountingFetcher(true)
-	eng := newMultiEngine(t, cf, WithQueueDepth(256))
+	eng := newMultiEngine(t, cf, withQueueDepth(256))
 	defer eng.Close()
 	ctx := context.Background()
 

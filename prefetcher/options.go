@@ -17,10 +17,9 @@ type config struct {
 	clock        Clock
 	policy       Policy
 	bandwidth    float64
-	nc           float64
 	shards       int // 0 = derive from GOMAXPROCS (or 1 with WithCache)
 	workers      int
-	queueDepth   int
+	queueDepth   int // speculative jobs queued at most; a full queue sheds (PrefetchDropped)
 	maxPrefetch  int
 	hook         func(Event)
 
@@ -138,7 +137,7 @@ func WithPolicy(p Policy) Option {
 
 // WithBandwidth sets the link bandwidth b, in the same units per second
 // as item sizes. It anchors the global utilisation estimate
-// ρ̂′ = (1−ĥ′)λ̂ŝ̄/b that Stats and Threshold report, is the capacity of
+// ρ̂′ = (1−ĥ′)λ̂ŝ̄/b that Stats reports, is the capacity of
 // the "origin" link when New is given a fetcher, and is required by the
 // adaptive policy (AdaptiveThreshold).
 func WithBandwidth(b float64) Option {
@@ -147,19 +146,6 @@ func WithBandwidth(b float64) Option {
 			return fmt.Errorf("prefetcher: bandwidth %v must be positive and finite", b)
 		}
 		c.bandwidth = b
-		return nil
-	}
-}
-
-// WithCacheOccupancy fixes the steady-state cache occupancy n̄(C) used
-// by the model-B displacement term. By default the engine uses the live
-// resident count, which is correct once the cache has warmed up.
-func WithCacheOccupancy(nc float64) Option {
-	return func(c *config) error {
-		if nc < 0 || math.IsNaN(nc) {
-			return fmt.Errorf("prefetcher: cache occupancy %v must be non-negative", nc)
-		}
-		c.nc = nc
 		return nil
 	}
 }
@@ -173,19 +159,6 @@ func WithWorkers(n int) Option {
 			return fmt.Errorf("prefetcher: worker count %d must be >= 1", n)
 		}
 		c.workers = n
-		return nil
-	}
-}
-
-// WithQueueDepth bounds the speculative-fetch queue (default 64). When
-// the queue is full further prefetches are dropped — and counted — so a
-// slow origin cannot pile up unbounded speculative work.
-func WithQueueDepth(n int) Option {
-	return func(c *config) error {
-		if n < 1 {
-			return fmt.Errorf("prefetcher: queue depth %d must be >= 1", n)
-		}
-		c.queueDepth = n
 		return nil
 	}
 }

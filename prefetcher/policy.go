@@ -66,8 +66,8 @@ func StaticThreshold(theta float64) Policy {
 func TopK(k int) Policy { return Policy{p: prefetch.TopK{K: k}} }
 
 // NoPrefetch never prefetches — the demand-fetch baseline. The engine
-// still runs its online estimators, so Stats and Threshold keep
-// reporting what the paper's rule *would* decide.
+// still runs its online estimators, so Stats.Threshold keeps reporting
+// what the paper's rule *would* decide.
 func NoPrefetch() Policy { return Policy{p: prefetch.None{}} }
 
 // Name identifies the policy in reports.

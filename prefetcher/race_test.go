@@ -30,7 +30,7 @@ func TestConcurrentGets(t *testing.T) {
 		WithPredictor(NewMarkovPredictor()),
 		WithPolicy(AdaptiveThreshold(ModelB())),
 		WithWorkers(8),
-		WithQueueDepth(32),
+		withQueueDepth(32),
 		WithMaxPrefetch(3),
 		WithEventHook(func(ev Event) {
 			v, _ := events.LoadOrStore(ev.Type, new(int))
@@ -63,8 +63,7 @@ func TestConcurrentGets(t *testing.T) {
 				_, err := eng.Get(cctx, id)
 				_ = err // errors (hiccups, timeouts, ErrClosed) are expected
 				if i%31 == 0 {
-					_ = eng.Stats()
-					_ = eng.Threshold()
+					_ = eng.Stats().Threshold
 				}
 			}
 		}(w)
@@ -175,7 +174,7 @@ func TestConcurrentShardedLifecycle(t *testing.T) {
 		WithCacheFactory(func(i, n int) Cache { return NewSLRUCache(64, 32) }),
 		WithPolicy(AdaptiveThreshold(ModelB())),
 		WithWorkers(4),
-		WithQueueDepth(32),
+		withQueueDepth(32),
 		WithMaxPrefetch(3),
 	)
 	if err != nil {
@@ -200,8 +199,7 @@ func TestConcurrentShardedLifecycle(t *testing.T) {
 				_, err := eng.Get(ctx, id)
 				_ = err // hiccups and ErrClosed are expected
 				if i%23 == 0 {
-					_ = eng.Stats()
-					_ = eng.Threshold()
+					_ = eng.Stats().Threshold
 				}
 			}
 		}(w)

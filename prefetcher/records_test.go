@@ -177,7 +177,7 @@ func TestDispatchOwnsNothingAfterPush(t *testing.T) {
 				WithPolicy(TopK(4)),
 				WithMaxPrefetch(4),
 				WithWorkers(8),
-				WithQueueDepth(tc.depth),
+				withQueueDepth(tc.depth),
 				WithEventHook(func(ev Event) {
 					switch ev.Type {
 					case EventPrefetchIssued, EventPrefetchDone, EventPrefetchError:
