@@ -278,3 +278,26 @@ func BenchmarkLRUStoreChurn(b *testing.B) {
 		}
 	}
 }
+
+// TestPolicyNames checks the names reports and experiment tables label
+// each replacement policy with, as a Store reports them.
+func TestPolicyNames(t *testing.T) {
+	for _, c := range []struct {
+		p    Policy
+		want string
+	}{
+		{NewLRU(), "lru"},
+		{NewFIFO(), "fifo"},
+		{NewLFU(), "lfu"},
+		{NewClock(), "clock"},
+		{NewRandomPolicy(rng.New(1)), "random"},
+	} {
+		s := NewStore(8, c.p)
+		if got := s.PolicyName(); got != c.want {
+			t.Errorf("PolicyName() = %q, want %q", got, c.want)
+		}
+		if s.Capacity() != 8 {
+			t.Errorf("%s: Capacity() = %d, want 8", c.want, s.Capacity())
+		}
+	}
+}

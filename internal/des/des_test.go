@@ -266,3 +266,39 @@ func BenchmarkScheduleAndRun(b *testing.B) {
 		s.Run()
 	}
 }
+
+// TestRunResumesAfterStop checks that a Stop scheduled as an event ends
+// the run at that time, with the later events still on the calendar,
+// and that the next Run carries on from there.
+func TestRunResumesAfterStop(t *testing.T) {
+	s := New()
+	var fired []float64
+	for _, ti := range []float64{1, 2, 3, 4} {
+		ti := ti
+		s.Schedule(ti, func() { fired = append(fired, ti) })
+	}
+	s.Schedule(2.5, s.Stop)
+	s.Run()
+	if len(fired) != 2 || s.Now() != 2.5 || s.Pending() != 2 {
+		t.Fatalf("after Stop at 2.5: fired %v, Now %v, Pending %d; want 2 fired, 2.5, 2",
+			fired, s.Now(), s.Pending())
+	}
+	s.Run()
+	if len(fired) != 4 || s.Now() != 4 {
+		t.Errorf("resumed run fired %v, Now %v; want all 4 by 4", fired, s.Now())
+	}
+}
+
+func TestEventTime(t *testing.T) {
+	s := New()
+	s.Schedule(2, func() {})
+	s.Run()
+	e := s.After(1.5, func() {})
+	if e.Time() != 3.5 {
+		t.Errorf("After(1.5) at t=2: Time = %v, want 3.5", e.Time())
+	}
+	s.Cancel(e)
+	if e.Time() != 3.5 || !e.Cancelled() {
+		t.Errorf("cancelled event: Time %v, Cancelled %v; want 3.5, true", e.Time(), e.Cancelled())
+	}
+}

@@ -448,3 +448,27 @@ func TestThresholdAdaptsToLoad(t *testing.T) {
 		t.Fatalf("at ρ′≈0.7 a p=0.5 item must not be prefetched (ρ̂′=%v)", c.State(0).RhoPrime)
 	}
 }
+
+// TestControllerRecordSize checks the late size report of a demand
+// fetch: requests recorded with an unknown size (0) count into λ̂ but
+// not ŝ̄, RecordSize adds the size when it is learnt, and sizes <= 0
+// are ignored.
+func TestControllerRecordSize(t *testing.T) {
+	c := NewController(50, 0)
+	now := 0.0
+	for i := 0; i < 200; i++ {
+		now += 1.0 / 30
+		c.RecordRequest(now, 0)
+	}
+	if st := c.State(0); st.MeanSize != 0 || math.Abs(st.Lambda-30)/30 > 0.01 {
+		t.Fatalf("before any size: ŝ̄ = %v, λ̂ = %v; want 0, ~30", st.MeanSize, st.Lambda)
+	}
+	for i := 0; i < 100; i++ {
+		c.RecordSize(float64(1 + i%2)) // sizes 1 and 2 alternate
+	}
+	c.RecordSize(0)
+	c.RecordSize(-5)
+	if st := c.State(0); math.Abs(st.MeanSize-1.5) > 1e-9 || math.Abs(st.Lambda-30)/30 > 0.01 {
+		t.Errorf("after RecordSize: ŝ̄ = %v, λ̂ = %v; want 1.5, ~30", st.MeanSize, st.Lambda)
+	}
+}

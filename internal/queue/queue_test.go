@@ -400,3 +400,63 @@ func BenchmarkPSServer(b *testing.B) {
 		sim.Run()
 	}
 }
+
+// TestPSServerBusyTimeAndCounts checks PSServer's bookkeeping: busy
+// time covers only the spans with a job present, Load counts the jobs
+// sharing the server, and Served counts completions.
+func TestPSServerBusyTimeAndCounts(t *testing.T) {
+	sim := des.New()
+	srv := NewPSServer(sim, 2)
+	if srv.Capacity() != 2 {
+		t.Fatalf("Capacity = %v, want 2", srv.Capacity())
+	}
+	// Two jobs of 1 share the server from t=0 and both finish at t=1; a
+	// job of 2 arrives at t=5 and runs alone until t=6.
+	srv.Submit(&Job{Size: 1})
+	srv.Submit(&Job{Size: 1})
+	var loadShared, loadIdle int
+	sim.Schedule(0.5, func() { loadShared = srv.Load() })
+	sim.Schedule(3, func() { loadIdle = srv.Load() })
+	sim.Schedule(5, func() { srv.Submit(&Job{Size: 2}) })
+	sim.Run()
+	if loadShared != 2 || loadIdle != 0 {
+		t.Errorf("Load = %d while shared, %d while idle; want 2, 0", loadShared, loadIdle)
+	}
+	if srv.Served() != 3 || srv.Load() != 0 {
+		t.Errorf("Served %d, Load %d at the end; want 3, 0", srv.Served(), srv.Load())
+	}
+	if math.Abs(srv.BusyTime()-2) > 1e-9 {
+		t.Errorf("BusyTime = %v, want 2 (the idle span 1..5 excluded)", srv.BusyTime())
+	}
+	if math.Abs(sim.Now()-6) > 1e-9 {
+		t.Errorf("last completion at %v, want 6", sim.Now())
+	}
+}
+
+// TestFCFSServerServesInOrder checks that FCFS runs jobs one at a time
+// in arrival order: Load counts the job in service with those waiting,
+// and each job's response includes the work queued ahead of it.
+func TestFCFSServerServesInOrder(t *testing.T) {
+	sim := des.New()
+	srv := NewFCFSServer(sim, 1)
+	var resp []float64
+	for i := 0; i < 3; i++ {
+		srv.Submit(&Job{Size: 1, Done: func(r float64) { resp = append(resp, r) }})
+	}
+	if srv.Load() != 3 {
+		t.Fatalf("Load with 1 in service and 2 waiting = %d, want 3", srv.Load())
+	}
+	var loadLater int
+	sim.Schedule(1.5, func() { loadLater = srv.Load() })
+	sim.Run()
+	if loadLater != 2 {
+		t.Errorf("Load at t=1.5 = %d, want 2", loadLater)
+	}
+	if len(resp) != 3 || resp[0] != 1 || resp[1] != 2 || resp[2] != 3 {
+		t.Errorf("responses %v, want [1 2 3]", resp)
+	}
+	if srv.Served() != 3 || srv.Load() != 0 || srv.Response.Mean() != 2 {
+		t.Errorf("Served %d, Load %d, mean response %v; want 3, 0, 2",
+			srv.Served(), srv.Load(), srv.Response.Mean())
+	}
+}

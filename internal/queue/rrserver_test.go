@@ -166,3 +166,19 @@ func BenchmarkRRServer(b *testing.B) {
 		runRR(1, 0.6, 0.1, 2000)
 	}
 }
+
+// TestRRServerBusyTime checks that RRServer's busy time sums the quanta
+// it served and leaves out the idle span between jobs.
+func TestRRServerBusyTime(t *testing.T) {
+	sim := des.New()
+	srv := NewRRServer(sim, 2, 0.5)
+	srv.Submit(&Job{Size: 1})
+	sim.Schedule(3, func() { srv.Submit(&Job{Size: 2}) })
+	sim.Run()
+	if math.Abs(srv.BusyTime()-1.5) > 1e-9 {
+		t.Errorf("BusyTime = %v, want 1.5 (0.5 + 1.0, idle 0.5..3 excluded)", srv.BusyTime())
+	}
+	if math.Abs(sim.Now()-4) > 1e-9 || srv.Served() != 2 {
+		t.Errorf("ended at %v with %d served; want 4, 2", sim.Now(), srv.Served())
+	}
+}

@@ -1,6 +1,7 @@
 package rng
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -386,5 +387,45 @@ func BenchmarkZipfSample(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = z.Sample(r)
+	}
+}
+
+func TestDistStrings(t *testing.T) {
+	for _, c := range []struct {
+		d    fmt.Stringer
+		want string
+	}{
+		{Deterministic{Value: 3.5}, "det(3.5)"},
+		{Exponential{Rate: 2}, "exp(rate=2)"},
+		{Uniform{Low: 2, High: 6}, "uniform[2,6)"},
+		{Pareto{Xm: 1, Alpha: 2.5}, "pareto(xm=1,α=2.5)"},
+		{BoundedPareto{L: 1, H: 100, Alpha: 1.2}, "bpareto[1,100](α=1.2)"},
+		{NewZipf(50, 0.8), "zipf(n=50,s=0.8)"},
+	} {
+		if got := c.d.String(); got != c.want {
+			t.Errorf("String() = %q, want %q", got, c.want)
+		}
+	}
+}
+
+// TestDistMeansMatchSamples checks each continuous Dist's exact Mean
+// against a sample mean, the figure the queueing analysis takes on trust.
+func TestDistMeansMatchSamples(t *testing.T) {
+	r := New(21)
+	for _, d := range []Dist{
+		Deterministic{Value: 3.5},
+		Exponential{Rate: 2},
+		Uniform{Low: 2, High: 6},
+		BoundedPareto{L: 1, H: 100, Alpha: 1.5},
+		BoundedPareto{L: 1, H: 10, Alpha: 1},
+	} {
+		const n = 200000
+		sum := 0.0
+		for i := 0; i < n; i++ {
+			sum += d.Sample(r)
+		}
+		if got, want := sum/n, d.Mean(); math.Abs(got-want)/want > 0.02 {
+			t.Errorf("%v: sample mean %v, Mean() %v", d, got, want)
+		}
 	}
 }

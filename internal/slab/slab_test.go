@@ -852,3 +852,51 @@ func auditLinks(t *testing.T, s *Store, lists [3][]int64, p int) {
 		t.Fatalf("protected list holds %d, past its bound of %d", s.lists[protected].len, p)
 	}
 }
+
+// TestPutAdmittedBypassesFilter checks that a full filtered store turns
+// a never-seen id away on Put but stores it on PutAdmitted, evicting to
+// its entry bound as Put would.
+func TestPutAdmittedBypassesFilter(t *testing.T) {
+	s := New(1<<20, 0)
+	s.SetMaxEntries(4)
+	s.FilterAdmission(1)
+	v := []byte("payload")
+	for id := int64(1); id <= 4; id++ {
+		if !s.Put(id, v) {
+			t.Fatalf("Put(%d) into a store with room declined", id)
+		}
+	}
+	if s.Put(100, v) || s.Has(100) || s.Declined() != 1 {
+		t.Fatalf("Put of a never-seen id into a full store: Has %v, Declined %d; want false, 1",
+			s.Has(100), s.Declined())
+	}
+	if !s.PutAdmitted(101, v) || !s.Has(101) {
+		t.Fatal("PutAdmitted did not store a never-seen id")
+	}
+	if s.Len() != 4 || s.Declined() != 1 {
+		t.Errorf("after PutAdmitted: Len %d, Declined %d; want 4, 1", s.Len(), s.Declined())
+	}
+}
+
+// TestFilterSizes checks the admission filter's reported sizes: none
+// without the filter, the window asked for (at least 1) and 24 bytes of
+// sketch a bound entry with it.
+func TestFilterSizes(t *testing.T) {
+	s := New(1<<20, 0)
+	if s.SketchBytes() != 0 || s.WindowEntries() != 0 {
+		t.Fatalf("unfiltered store: SketchBytes %d, WindowEntries %d; want 0, 0",
+			s.SketchBytes(), s.WindowEntries())
+	}
+	s.SetMaxEntries(1024)
+	s.FilterAdmission(0)
+	if s.WindowEntries() != 1 {
+		t.Errorf("FilterAdmission(0): WindowEntries %d, want 1", s.WindowEntries())
+	}
+	if got := s.SketchBytes(); got != 24*1024 {
+		t.Errorf("SketchBytes at 1024 entries = %d, want %d", got, 24*1024)
+	}
+	s.FilterAdmission(8)
+	if s.WindowEntries() != 8 {
+		t.Errorf("FilterAdmission(8): WindowEntries %d, want 8", s.WindowEntries())
+	}
+}

@@ -193,3 +193,14 @@ func TestTableMarkdown(t *testing.T) {
 		t.Errorf("markdown output wrong:\n%s", out)
 	}
 }
+
+func TestRunningString(t *testing.T) {
+	var r Running
+	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
+		r.Add(x)
+	}
+	want := "n=8 mean=5 sd=2.13809 min=2 max=9"
+	if got := r.String(); got != want {
+		t.Errorf("String() = %q, want %q", got, want)
+	}
+}

@@ -151,3 +151,32 @@ func TestReplayMatchesGeneration(t *testing.T) {
 		}
 	}
 }
+
+// TestReplayRewind checks that Rewind restarts a replay from its head,
+// also once a non-looping replay is exhausted, so one Replay can serve
+// every run of a sweep with the same sequence.
+func TestReplayRewind(t *testing.T) {
+	r, err := NewReplay(replayRecords(), 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Next()
+	r.Rewind()
+	if got := r.Next(); got != 10 {
+		t.Fatalf("first request after a mid-run Rewind = %d, want 10", got)
+	}
+	for !r.Exhausted() {
+		r.Next()
+	}
+	r.Rewind()
+	if r.Exhausted() {
+		t.Fatal("rewound replay still exhausted")
+	}
+	var seq []cache.ID
+	for !r.Exhausted() {
+		seq = append(seq, r.Next())
+	}
+	if want := []cache.ID{10, 11, 12}; len(seq) != len(want) || seq[0] != want[0] || seq[2] != want[2] {
+		t.Errorf("second pass %v, want %v", seq, want)
+	}
+}

@@ -137,3 +137,37 @@ func TestEntryStorePayloads(t *testing.T) {
 		t.Fatalf("%+v; want %d-byte segments and no rotation", st, entrySegmentBytes)
 	}
 }
+
+// TestNewConfig checks New's sizing: CapacityBytes is required, the
+// entry bound defaults to one entry per 64 bytes (at least 16), and the
+// admission filter is sized to that bound.
+func TestNewConfig(t *testing.T) {
+	if _, err := New(Config{}); err == nil {
+		t.Error("New without CapacityBytes succeeded")
+	}
+	for _, c := range []struct {
+		cfg     Config
+		entries int
+	}{
+		{Config{CapacityBytes: 64 << 10}, 1024},
+		{Config{CapacityBytes: 100}, 16},
+		{Config{CapacityBytes: 64 << 10, MaxEntries: 32}, 32},
+	} {
+		s, err := New(c.cfg)
+		if err != nil {
+			t.Fatalf("New(%+v): %v", c.cfg, err)
+		}
+		declined, sketchBytes, window := s.Admission()
+		if declined != 0 || sketchBytes != 24*c.entries || window != min(windowEntries, c.entries/2) {
+			t.Errorf("New(%+v): Admission = %d, %d, %d; want 0, %d, %d", c.cfg,
+				declined, sketchBytes, window, 24*c.entries, min(windowEntries, c.entries/2))
+		}
+		for id := fetch.ID(0); id < fetch.ID(2*c.entries); id++ {
+			s.Put(id, []byte{1})
+		}
+		if s.Len() != c.entries {
+			t.Errorf("New(%+v): %d resident after %d puts, want the bound %d",
+				c.cfg, s.Len(), 2*c.entries, c.entries)
+		}
+	}
+}
