@@ -106,7 +106,7 @@ func runEngineBench(w io.Writer, cfg engineBenchConfig) error {
 						return 0, false
 					}
 					left--
-					return prefetcher.ID(site.Next()), true
+					return site.Next(), true
 				}}
 			}
 			return cs

@@ -54,7 +54,7 @@ func runTraceBench(w io.Writer, cfg traceBenchConfig) error {
 	sizes := make(map[prefetcher.ID]float64, len(records))
 	userSet := make(map[int]bool)
 	for _, r := range records {
-		sizes[prefetcher.ID(r.Item)] = r.Size
+		sizes[r.Item] = r.Size
 		userSet[r.User] = true
 	}
 	users := make([]int, 0, len(userSet))
@@ -97,7 +97,7 @@ func runTraceBench(w io.Writer, cfg traceBenchConfig) error {
 					if r.Exhausted() {
 						return 0, false
 					}
-					return prefetcher.ID(r.Next()), true
+					return r.Next(), true
 				}}
 			}
 			return cs

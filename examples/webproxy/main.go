@@ -201,7 +201,7 @@ func driveFabric() error {
 	ctx := context.Background()
 	for burst := 0; burst < 6; burst++ {
 		for i := 0; i < 300; i++ {
-			if _, err := eng.Get(ctx, prefetcher.ID(site.Next())); err != nil {
+			if _, err := eng.Get(ctx, site.Next()); err != nil {
 				return err
 			}
 		}
@@ -255,7 +255,7 @@ func drive(pol prefetcher.Policy, lambda float64, requests int) (prefetcher.Stat
 	ctx := context.Background()
 	for i := 0; i < requests; i++ {
 		clock.AdvanceSeconds(inter.Sample(src))
-		if _, err := eng.Get(ctx, prefetcher.ID(site.Next())); err != nil {
+		if _, err := eng.Get(ctx, site.Next()); err != nil {
 			return prefetcher.Stats{}, err
 		}
 		// Drain speculation each step so every policy gets the same

@@ -223,10 +223,7 @@ func TestModelBEstimatorCorrection(t *testing.T) {
 	base := mk(nil, sim.InteractionB)
 	pf := mk(prefetch.Threshold{Model: analytic.ModelA{}}, sim.InteractionB)
 
-	raw := pf.HPrimeEstimate
-	nC := pf.MeanOccupancy
-	nF := pf.NFObserved
-	corrected := raw * nC / (nC - nF)
+	raw, corrected := pf.HPrimeEstimate, pf.HPrimeEstimateB
 	trueH := base.HitRatio
 
 	rawErr := math.Abs(raw - trueH)

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/cache"
 	"repro/internal/des"
@@ -142,6 +143,10 @@ type SystemResult struct {
 	// HPrimeEstimate is the controller's Section-4 estimate ĥ′ at the
 	// end of the run (model-A form).
 	HPrimeEstimate float64
+	// HPrimeEstimateB is the Section-4 model-B estimate: HPrimeEstimate
+	// times n̄(C)/(n̄(C)−n̄(F)), taken at MeanOccupancy and NFObserved
+	// (Estimator.EstimateB); NaN where the correction is undefined.
+	HPrimeEstimateB float64
 	// RhoPrimeEstimate is the controller's ρ̂′ at the end of the run.
 	RhoPrimeEstimate float64
 	// MeanOccupancy is the time-averaged per-client cache occupancy
@@ -507,5 +512,9 @@ func RunSystem(cfg SystemConfig) (SystemResult, error) {
 	st := ctrl.State(0)
 	res.HPrimeEstimate, res.RhoPrimeEstimate = st.HPrime, st.RhoPrime
 	res.MeanOccupancy = occupancy.Mean()
+	var err error
+	if res.HPrimeEstimateB, err = est.EstimateB(res.MeanOccupancy, res.NFObserved); err != nil {
+		res.HPrimeEstimateB = math.NaN()
+	}
 	return res, nil
 }

@@ -33,6 +33,10 @@ func (c *modelCache) Get(id fetch.ID) (any, bool) {
 	return c.vals[id], true
 }
 
+// The byte view answers false: the engine reads every entry boxed.
+func (c *modelCache) GetBytes(_ fetch.ID, dst []byte) ([]byte, bool) { return dst, false }
+func (c *modelCache) BytesLen(fetch.ID) (int, bool)                  { return 0, false }
+
 func (c *modelCache) Put(id fetch.ID, v any) { c.Land(id, v, false) }
 
 func (c *modelCache) Land(id fetch.ID, v any, speculative bool) bool {

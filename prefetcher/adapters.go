@@ -4,7 +4,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/predict"
 	"repro/prefetcher/internal/store"
 )
@@ -22,7 +21,7 @@ type predictorAdapter struct {
 	staging *sync.Pool // *[]predict.Prediction
 }
 
-func (a predictorAdapter) Observe(id ID) { a.m.Observe(cache.ID(id)) }
+func (a predictorAdapter) Observe(id ID) { a.m.Observe(id) }
 
 func (a predictorAdapter) Name() string { return a.m.Name() }
 
@@ -36,7 +35,7 @@ func (a predictorAdapter) PredictTopInto(dst []Prediction, k int) []Prediction {
 	buf := a.staging.Get().(*[]predict.Prediction)
 	out := dst[:0]
 	for _, p := range a.m.PredictTopInto((*buf)[:0], k) {
-		out = append(out, Prediction{ID: ID(p.Item), Prob: p.Prob})
+		out = append(out, Prediction{ID: p.Item, Prob: p.Prob})
 	}
 	a.staging.Put(buf)
 	return out

@@ -8,32 +8,32 @@ import (
 // This file is the byte payload views of the read core (multi.go):
 // GetBytes, GetBytesLen and GetMultiBytes serve []byte payloads by
 // appending into caller-owned buffers instead of boxing them through
-// Item.Data — the same read as Get/GetMulti landed in a byte sink. On a
-// cache backed by a ByteCache (every built-in cache is one) a hit copies
-// straight from the pointer-free arena into the caller's buffer while
-// the shard lock protects the slab view — no interface boxing, no
-// per-hit allocation once the buffer has grown to working size (gated
-// by TestGetBytesAllocFree/TestGetMultiBytesAllocFree). A Cache of your
-// own that is not one works too: a resident []byte is appended once the
-// read lands.
+// Item.Data — the same read as Get/GetMulti landed in a byte sink. A hit
+// goes through the cache's byte view, which the built-in store serves by
+// copying straight from its pointer-free arena under the shard lock: no
+// boxing, no per-hit allocation once the buffer has grown to working
+// size (gated by TestGetBytesAllocFree/TestGetMultiBytesAllocFree). A
+// cache that answers false there is read boxed, and a resident []byte is
+// appended once the read lands.
 //
 // Ownership contract: the engine never retains the caller's buffer,
 // and the caller gets back an extension of exactly the buffer it
 // passed — pooling it is safe. The payload is always a copy; no result
 // aliases cache or slab memory.
 //
-// A miss borrows that buffer when it can. If every shard's cache stores
-// by copy (BytesPutter) and the fabric lends (fetch.Fabric.Lends: every
-// backend an IntoFetcher, no hedged race), the fetch a GetBytes or
-// GetMultiBytes owns reads the origin's bytes straight in behind what
-// the buffer already holds — no payload slice, no box — and land copies
-// them once into the cache before the call returns; joiners of that
-// flight get a clone of their own. After the call nothing in the engine
-// points into the buffer. A fetch that fails after writing into it
-// leaves its length alone: on error dst comes back unchanged, and what
-// lies past len is never sent. Without either capability — and for Get,
-// GetMulti and GetBytesLen, which have no buffer to lend — the payload
-// arrives owned in Item.Data and is appended once the read lands.
+// A miss borrows that buffer when it can. If every shard's cache has
+// the landing bit (LandBytes stores by copy) and the fabric lends
+// (fetch.Fabric.Lends: every backend an IntoFetcher, no hedged race),
+// the fetch a GetBytes or GetMultiBytes owns reads the origin's bytes
+// straight in behind what the buffer already holds — no payload slice,
+// no box — and land copies them once into the cache before the call
+// returns; joiners of that flight get a clone of their own. After the
+// call nothing in the engine points into the buffer. A fetch that fails
+// after writing into it leaves its length alone: on error dst comes
+// back unchanged, and what lies past len is never sent. Otherwise — and
+// for Get, GetMulti and GetBytesLen, which have no buffer to lend — the
+// payload arrives owned in Item.Data and is appended once the read
+// lands.
 
 // ErrNotBytes reports that a requested item is (or was fetched as) a
 // non-[]byte payload, which the byte path cannot serve. The item

@@ -14,7 +14,7 @@ func BenchmarkStoreGetBytesHit(b *testing.B) {
 		b.Fatal(err)
 	}
 	for id := prefetcher.ID(0); id < 512; id++ {
-		s.PutBytes(id, val(id, 1024))
+		s.LandBytes(id, val(id, 1024), false)
 	}
 	dst := make([]byte, 0, 1024)
 	b.ReportAllocs()
@@ -27,11 +27,11 @@ func BenchmarkStoreGetBytesHit(b *testing.B) {
 	}
 }
 
-// BenchmarkStorePutBytesChurn is the store's share of a miss landing:
+// BenchmarkStoreLandBytesChurn is the store's share of a miss landing:
 // never-repeating ids through a full store, so every Put evicts — at
 // 1 KiB through the 512-entry bound (chain-obj's and page-batch's
 // shape), at 16 KiB through segment rotation (scan-miss's).
-func BenchmarkStorePutBytesChurn(b *testing.B) {
+func BenchmarkStoreLandBytesChurn(b *testing.B) {
 	for _, bc := range []struct {
 		name string
 		size int
@@ -45,12 +45,12 @@ func BenchmarkStorePutBytesChurn(b *testing.B) {
 			s.OnEvict(func(prefetcher.ID) { evicted++ })
 			v := val(1, bc.size)
 			for id := prefetcher.ID(0); id < 1024; id++ {
-				s.PutBytes(id, v)
+				s.LandBytes(id, v, false)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s.PutBytes(prefetcher.ID(1024+i), v)
+				s.LandBytes(prefetcher.ID(1024+i), v, false)
 			}
 			if b.N > 1024 && evicted < b.N {
 				b.Fatalf("%d Puts evicted %d", b.N, evicted)

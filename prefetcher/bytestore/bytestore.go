@@ -13,11 +13,8 @@ import (
 // Config sizes one Store (per shard — Factory splits a global budget).
 type Config = store.Config
 
-// Store is the slab-backed cache. Construct with New or Factory.
+// Store is the slab-backed prefetcher.Cache. Construct with New or Factory.
 type Store = store.Store
-
-var _ prefetcher.ByteCache = (*Store)(nil) // a prefetcher.Cache too
-var _ prefetcher.BytesPutter = (*Store)(nil)
 
 // New builds one Store from cfg.
 func New(cfg Config) (*Store, error) { return store.New(cfg) }

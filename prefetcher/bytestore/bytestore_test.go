@@ -368,7 +368,7 @@ func TestSlabPutCompactionAllocFree(t *testing.T) {
 	})
 	st := s.SlabStats()
 	if allocs != 0 {
-		t.Fatalf("PutBytes through the entry bound allocated %v times per call; want 0", allocs)
+		t.Fatalf("LandBytes through the entry bound allocated %v times per call; want 0", allocs)
 	}
 	if st.Compactions-before.Compactions < 10 || st.Segments > 2 || st.Rotations != 0 {
 		t.Fatalf("the churn compacted %d times over %d segments with %d rotations; want ≥ 10, ≤ 2 and 0",
@@ -376,12 +376,12 @@ func TestSlabPutCompactionAllocFree(t *testing.T) {
 	}
 }
 
-// TestPutBytesCopies pins the BytesPutter contract the engine's borrowed
+// TestLandBytesCopies pins the LandBytes contract the engine's borrowed
 // landings rely on: whatever its size, nothing the store keeps aliases
 // the slice it was handed — a payload that fits a segment is copied into
 // the arena, one that does not is cloned into the overflow map — and
 // residency, evictions and the byte budget are Put's.
-func TestPutBytesCopies(t *testing.T) {
+func TestLandBytesCopies(t *testing.T) {
 	const capacity = 8 << 10
 	s, err := New(Config{CapacityBytes: capacity, MaxEntries: 64, SegmentBytes: 1 << 10})
 	if err != nil {
@@ -390,7 +390,7 @@ func TestPutBytesCopies(t *testing.T) {
 	for _, size := range []int{0, 100, 1000, 2 << 10, 3 << 10} {
 		id := prefetcher.ID(size)
 		lent := val(id, size)
-		s.PutBytes(id, lent)
+		s.LandBytes(id, lent, false)
 		for i := range lent {
 			lent[i] = 0xEE // the lender reuses its buffer
 		}
@@ -409,14 +409,14 @@ func TestPutBytesCopies(t *testing.T) {
 	if overflow != 5<<10 || overflowMax != capacity || arena < 1100 || arena > arenaMax || arenaMax != capacity {
 		t.Fatalf("Footprint = %d/%d arena, %d/%d overflow", arena, arenaMax, overflow, overflowMax)
 	}
-	// A shape change through PutBytes moves the payload, as Put's does.
-	s.PutBytes(2<<10, val(7, 64))
+	// A shape change through LandBytes moves the payload, as Put's does.
+	s.LandBytes(2<<10, val(7, 64), false)
 	if got, ok := s.GetBytes(2<<10, nil); !ok || !bytes.Equal(got, val(7, 64)) || overflowBytes(s) != 3<<10 {
-		t.Fatalf("oversized → arena through PutBytes: served %v, %d overflow bytes left", ok, overflowBytes(s))
+		t.Fatalf("oversized → arena through LandBytes: served %v, %d overflow bytes left", ok, overflowBytes(s))
 	}
 	// The one payload allowed past the whole budget raises the ceiling it
 	// is held to, until the next overflow Put reclaims it.
-	s.PutBytes(999, val(999, 2*capacity))
+	s.LandBytes(999, val(999, 2*capacity), false)
 	if _, _, overflow, overflowMax = s.Footprint(); overflow != 2*capacity || overflowMax != overflow || s.Len() != 1 {
 		t.Fatalf("over-budget payload: %d/%d overflow bytes, %d resident", overflow, overflowMax, s.Len())
 	}

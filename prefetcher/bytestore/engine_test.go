@@ -338,6 +338,10 @@ func (c *boxedLRU) Put(id prefetcher.ID, v any) {
 	c.at[id] = c.order.PushFront(&boxedEntry{id, v})
 }
 
+// The byte view answers false: the engine reads every entry boxed.
+func (c *boxedLRU) GetBytes(_ prefetcher.ID, dst []byte) ([]byte, bool) { return dst, false }
+func (c *boxedLRU) BytesLen(prefetcher.ID) (int, bool)                  { return 0, false }
+
 func (c *boxedLRU) Contains(id prefetcher.ID) bool    { _, ok := c.at[id]; return ok }
 func (c *boxedLRU) Len() int                          { return c.order.Len() }
 func (c *boxedLRU) OnEvict(fn func(id prefetcher.ID)) { c.onEvict = fn }

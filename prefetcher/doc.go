@@ -79,10 +79,10 @@
 //     GetBytes returns is the caller's buffer, safe to reuse, pool, or
 //     mutate freely — the copy happened under the shard lock, so the
 //     bytes cannot be torn by a concurrent eviction or overwrite. A
-//     miss may borrow dst for the length of the call: over a copying
-//     cache and lending backends (see bytes.go) the origin's bytes are
-//     read straight into it and copied once into the cache, and a
-//     fetch that fails leaves dst's length alone.
+//     miss may borrow dst for the length of the call: over caches
+//     with the landing bit and lending backends (see bytes.go) the
+//     origin's bytes are read straight into it and copied once into the
+//     cache, and a fetch that fails leaves dst's length alone.
 //   - The caller, in turn, never receives a view into the engine's
 //     storage. There is no zero-copy read through the public API —
 //     internal arena views (slab.View) die inside the shard critical
@@ -95,7 +95,8 @@
 // other payload type fails with ErrNotBytes after full hit accounting
 // (use Get for mixed-type workloads). With a pooled dst the whole path
 // — hit classification, copy, accounting, speculative planning — is
-// allocation-free in steady state, gated by TestGetBytesAllocFree.
+// allocation-free in steady state, gated by TestGetBytesAllocFree. A
+// Cache of your own may answer false from its byte view: see Cache.
 //
 // Every cache the package builds is one store: NewLRUCache, NewSLRUCache
 // and the default are bounded by entries, repro/prefetcher/bytestore's

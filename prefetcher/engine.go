@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/analytic"
-	"repro/internal/cache"
 	"repro/internal/predict"
 	"repro/internal/prefetch"
 	"repro/prefetcher/fetch"
@@ -98,13 +97,13 @@ type planner struct {
 // chain conservation holds for a session exactly as it does per
 // singleton request.
 func (p planner) plan(ids []ID, k int, bufs *candBufs) []predict.Prediction {
-	last := cache.ID(ids[len(ids)-1])
+	last := ids[len(ids)-1]
 	cands := bufs.cands[:0]
 	if p.builtin == nil {
 		cands = planPlugin(p.plugin, ids, k, bufs)
 	} else {
 		for _, id := range ids[:len(ids)-1] {
-			p.builtin.Observe(cache.ID(id))
+			p.builtin.Observe(id)
 		}
 		cands = p.builtin.ObserveAndPredictTopInto(last, k, cands)
 	}
@@ -129,7 +128,7 @@ func planPlugin(p Predictor, ids []ID, k int, bufs *candBufs) []predict.Predicti
 		preds = preds[:k]
 	}
 	for _, c := range preds {
-		cands = append(cands, predict.Prediction{Item: cache.ID(c.ID), Prob: c.Prob})
+		cands = append(cands, predict.Prediction{Item: c.ID, Prob: c.Prob})
 	}
 	return cands
 }
@@ -176,10 +175,11 @@ type Engine struct {
 
 	shards     []*shard
 	shardShift uint
-	// lend records that every shard's cache stores a payload by copy
-	// (BytesPutter) and the fabric Lends: fetches are then handed a buffer
-	// to read into — the caller's own on the byte views, a worker's
-	// scratch for speculative fetches — and land borrowed (see land).
+	// lend records that every shard's cache takes the landing bit (whose
+	// LandBytes stores by copy) and the fabric Lends: fetches are then
+	// handed a buffer to read into — the caller's own on the byte views,
+	// a worker's scratch for speculative fetches — and land borrowed (see
+	// land).
 	lend bool
 	// residents tracks Σ cache.Len() across shards so the hot path's
 	// occupancy estimate n̄(C) — and Stats.CacheLen — need no shard
@@ -343,7 +343,7 @@ func New(fetcher Fetcher, opts ...Option) (*Engine, error) {
 		cancel()
 		return nil, err
 	}
-	e.lend = e.fabric.Lends() && !slices.ContainsFunc(e.shards, func(sh *shard) bool { return sh.pcache == nil })
+	e.lend = e.fabric.Lends() && !slices.ContainsFunc(e.shards, func(sh *shard) bool { return sh.landing == nil })
 	for i := 0; i < cfg.workers; i++ {
 		e.wg.Add(1)
 		go e.worker()
@@ -459,7 +459,7 @@ func (e *Engine) awaitFlight(ctx context.Context, f *flight) (Item, error, bool)
 //
 // A borrowed payload is lent: bytes in a buffer that is its lender's
 // again when land returns, item.Data nil. Nothing the engine keeps may
-// point into it: the cache copies it (BytesPutter), and the flight's
+// point into it: the cache copies it (LandBytes), and the flight's
 // joiners — waiters is final under the lock that takes the flight off
 // the table — get a clone, made only when there are any.
 func (e *Engine) land(sh *shard, id ID, f *flight, item Item, lent []byte, borrowed bool, err error, speculative bool) (Item, error) {

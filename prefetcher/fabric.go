@@ -61,7 +61,7 @@ func (e *Engine) schedule(sc *multiScratch, cands []predict.Prediction, now floa
 	sel := e.policy.Select(cands, e.ctrl.StateWith(e.fabric.RhoPrime(now), e.occupancy()))
 	ids := sc.gids[:0]
 	for _, c := range sel {
-		ids = append(ids, ID(c.Item))
+		ids = append(ids, c.Item)
 	}
 	sc.gids = ids
 	e.dispatch(e.fabric.Route(), ids)

@@ -29,10 +29,13 @@ package fetch
 import (
 	"context"
 	"time"
+
+	"repro/internal/cache"
 )
 
-// ID identifies a fetchable item (prefetcher.ID is this type).
-type ID int64
+// ID identifies a fetchable item: internal/cache's ID, as prefetcher.ID
+// is this one, so one id type crosses every seam unconverted.
+type ID = cache.ID
 
 // Item is a fetched object: its id, its size in the same units per
 // second the link bandwidths are expressed in (0 is treated as 1),

@@ -9,8 +9,8 @@ import (
 // ID identifies a fetchable item. Applications with string keys should
 // intern them to dense integer ids; the predictors and caches all work
 // on integers. Like Item, Fetcher, FetcherFunc and BatchFetcher below it
-// is package fetch's type under a second name, so ids, items and
-// fetchers cross the engine/fabric seam without conversion.
+// is package fetch's type under a second name (and fetch.ID the access
+// model's), so ids cross every seam without conversion.
 type ID = fetch.ID
 
 // Item is a fetched object: its id, its size in whatever unit the
@@ -85,10 +85,26 @@ type TopIntoPredictor interface {
 // implementations need not be goroutine-safe — but instances must never
 // be shared between shards (WithCacheFactory must return a fresh Cache
 // per call).
+//
+// A cache that keeps no bytes answers false from the byte view
+// (GetBytes, BytesLen) and is read boxed, through Get. The landing bit
+// is found by method set: a cache with Land(id, v, speculative) bool and
+// LandBytes(id, b, speculative) bool, as the built-in store has, may turn
+// a demand landing away and takes fetched bytes by copy, so it is lent
+// buffers (see bytes.go).
 type Cache interface {
 	// Get returns the cached payload and whether the item was resident,
 	// refreshing recency metadata on a hit.
 	Get(id ID) (value any, ok bool)
+	// GetBytes appends id's payload to dst and returns the extended
+	// slice, refreshing recency metadata exactly as Get would. ok is
+	// false when id cannot be served as bytes — absent, or kept boxed
+	// (the engine tells the two apart with Contains); dst is then
+	// returned unchanged.
+	GetBytes(id ID, dst []byte) ([]byte, bool)
+	// BytesLen reports the stored payload length without copying it,
+	// refreshing recency metadata like a hit. ok follows GetBytes.
+	BytesLen(id ID) (int, bool)
 	// Put inserts the payload under id, evicting as needed.
 	Put(id ID, value any)
 	// Contains reports residency without touching metadata or counters.
@@ -105,35 +121,9 @@ type Cache interface {
 	OnEvict(fn func(id ID))
 }
 
-// ByteCache is optionally implemented by a Cache whose payloads are
-// raw bytes servable without boxing through the any-typed Get — the
-// seam Engine.GetBytes/GetMultiBytes use to stay allocation-free on
-// hits (the built-in store implements it). Like every Cache method,
-// both extensions are called only under the owning shard's lock.
-type ByteCache interface {
-	Cache
-	// GetBytes appends id's payload to dst and returns the extended
-	// slice, refreshing recency metadata exactly as Get would. ok is
-	// false when id cannot be served as bytes — absent, or resident
-	// with a non-[]byte payload (the caller distinguishes the two with
-	// Contains); dst is then returned unchanged.
-	GetBytes(id ID, dst []byte) ([]byte, bool)
-	// BytesLen reports the stored payload length without copying it,
-	// refreshing recency metadata like a hit. ok follows GetBytes.
-	BytesLen(id ID) (int, bool)
-}
-
-// BytesPutter is optionally implemented by a Cache that can take a byte
-// payload by copy: PutBytes stores b under id exactly as Put(id, b)
-// would — same residency, same evictions reported — except that nothing
-// the cache keeps may alias b once it returns. It is what lets the
-// engine land a fetch read into a buffer it only borrowed (see bytes.go):
-// when every shard's cache has it, misses and prefetches are lent one;
-// otherwise payloads arrive owned and go through Put. The built-in
-// store implements it. Called only under the owning shard's lock.
-type BytesPutter interface {
-	PutBytes(id ID, b []byte)
-}
+// ByteCache is Cache's former name, kept only because bench/trace.go
+// asserts it; it goes when that file next changes.
+type ByteCache = Cache
 
 // Clock supplies the engine's notion of time. The default is the wall
 // clock; simulations and tests inject a ManualClock.

@@ -6,8 +6,8 @@
 // it is resident, and — through the recency links it carries, LRU or
 // segmented LRU (slab.Store.SetProtected) — which resident goes next.
 // The collector scans neither a pointer per value nor a node per key,
-// and GetBytes (prefetcher.ByteCache) copies a hit straight from the
-// arena into the caller's buffer, allocating nothing.
+// and GetBytes (prefetcher.Cache's byte view) copies a hit straight
+// from the arena into the caller's buffer, allocating nothing.
 //
 // There is one eviction stream: every entry the slab displaces — by
 // rotating its oldest segment (the byte bound), from the tail of the
@@ -192,7 +192,7 @@ func (s *Store) isBoxed(id fetch.ID) bool {
 	return ok
 }
 
-// GetBytes implements prefetcher.ByteCache: a slab hit is appended to
+// GetBytes implements prefetcher.Cache: a slab hit is appended to
 // dst with no boxing and no allocation beyond dst's own growth.
 func (s *Store) GetBytes(id fetch.ID, dst []byte) ([]byte, bool) {
 	if s.isBoxed(id) {
@@ -202,7 +202,7 @@ func (s *Store) GetBytes(id fetch.ID, dst []byte) ([]byte, bool) {
 	return s.slab.Get(int64(id), dst)
 }
 
-// BytesLen implements prefetcher.ByteCache.
+// BytesLen implements prefetcher.Cache.
 func (s *Store) BytesLen(id fetch.ID) (int, bool) {
 	if s.isBoxed(id) {
 		return 0, false
@@ -213,10 +213,6 @@ func (s *Store) BytesLen(id fetch.ID) (int, bool) {
 
 // Put implements prefetcher.Cache: a demand landing of value (Land).
 func (s *Store) Put(id fetch.ID, value any) { s.Land(id, value, false) }
-
-// PutBytes implements prefetcher.BytesPutter: Put for a payload the
-// caller only borrowed (LandBytes).
-func (s *Store) PutBytes(id fetch.ID, b []byte) { s.LandBytes(id, b, false) }
 
 // Land stores a fetched value under id, told whether the landing is
 // speculative, and reports whether it was stored. A []byte that fits a

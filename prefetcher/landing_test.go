@@ -760,34 +760,54 @@ func newMissEngineOver(tb testing.TB, origin prefetcher.Fetcher, opts ...prefetc
 // (putCache's Put) adds nothing. A lent payload larger than a segment
 // is cloned and boxed into the store's overflow map (2). A failed fetch
 // allocates the session's error report (buildMultiError's slice and
-// *MultiError), unwrapped by soleKeyError.
+// *MultiError), unwrapped by soleKeyError. A plug-in cache is lent the
+// buffer by its method set alone: one that keeps no bytes never is, so
+// its payloads arrive owned (2); one with the landing bit always is (0).
 func TestGetBytesMissAllocFree(t *testing.T) {
 	if prefetcher.RaceEnabled {
 		t.Skip("the miss path draws flights and scratch from sync.Pools, which the race runtime drops Puts from")
 	}
-	origin := func(size int) *byteOrigin {
-		return &byteOrigin{size: func(prefetcher.ID) int { return size }}
+	boxed := func(int, int) prefetcher.Cache { return boxedPlugin{prefetcher.NewLRUCache(8)} }
+	landing := func(int, int) prefetcher.Cache {
+		s, err := bytestore.New(bytestore.Config{CapacityBytes: 256 << 10, MaxEntries: 8, SegmentBytes: 64 << 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return landingPlugin{s}
 	}
 	for _, tc := range []struct {
 		name    string
-		fetcher func() prefetcher.Fetcher
+		owned   bool                            // hide the origin's lent-buffer forms
+		cache   func(int, int) prefetcher.Cache // a plug-in in place of the slab store
 		size    int
-		keys    int // a session of keys, through GetMultiBytes, when > 1
-		wantErr error
+		keys    int  // a session of keys, through GetMultiBytes, when > 1
+		fail    bool // the origin refuses every id
+		lent    bool // the origin must be lent the caller's buffer
 		ceiling float64
 	}{
-		{"lent", func() prefetcher.Fetcher { return origin(16 << 10) }, 16 << 10, 1, nil, 0},
-		{"lent, two-key session", func() prefetcher.Fetcher { return origin(16 << 10) }, 16 << 10, 2, nil, 0},
-		{"owned", func() prefetcher.Fetcher { return ownedSingle{origin(16 << 10)} }, 16 << 10, 1, nil, 2},
-		{"lent, larger than a segment", func() prefetcher.Fetcher { return origin(80 << 10) }, 80 << 10, 1, nil, 2},
-		{"failed", func() prefetcher.Fetcher {
-			o := origin(16 << 10)
-			o.fail = func(prefetcher.ID) bool { return true }
-			return o
-		}, 16 << 10, 1, errOrigin, 2},
+		{"lent", false, nil, 16 << 10, 1, false, true, 0},
+		{"lent, two-key session", false, nil, 16 << 10, 2, false, true, 0},
+		{"owned", true, nil, 16 << 10, 1, false, false, 2},
+		{"lent, larger than a segment", false, nil, 80 << 10, 1, false, true, 2},
+		{"failed", false, nil, 16 << 10, 1, true, true, 2},
+		{"plug-in keeping no bytes", false, boxed, 16 << 10, 1, false, false, 2},
+		{"plug-in with the landing bit", false, landing, 16 << 10, 1, false, true, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			eng, missID := newMissEngineOver(t, tc.fetcher(), prefetcher.WithPolicy(prefetcher.NoPrefetch()))
+			origin := &byteOrigin{size: func(prefetcher.ID) int { return tc.size }}
+			var fetcher prefetcher.Fetcher = origin
+			if tc.owned {
+				fetcher = ownedSingle{origin}
+			}
+			var wantErr error
+			if tc.fail {
+				origin.fail, wantErr = func(prefetcher.ID) bool { return true }, errOrigin
+			}
+			opts := []prefetcher.Option{prefetcher.WithPolicy(prefetcher.NoPrefetch())}
+			if tc.cache != nil {
+				opts = append(opts, prefetcher.WithCacheFactory(tc.cache))
+			}
+			eng, missID := newMissEngineOver(t, fetcher, opts...)
 			ctx := context.Background()
 			buf := make([]byte, 0, 2*tc.size)
 			ids := make([]prefetcher.ID, tc.keys)
@@ -804,8 +824,8 @@ func TestGetBytesMissAllocFree(t *testing.T) {
 					}
 					got, ranges, err = eng.GetMultiBytes(ctx, ids, buf[:0], ranges[:0])
 				}
-				if !errors.Is(err, tc.wantErr) || err == nil && len(got) != tc.keys*tc.size {
-					t.Fatalf("GetBytes: %d bytes, err %v, want %v", len(got), err, tc.wantErr)
+				if !errors.Is(err, wantErr) || err == nil && len(got) != tc.keys*tc.size {
+					t.Fatalf("GetBytes: %d bytes, err %v, want %v", len(got), err, wantErr)
 				}
 				i++
 			}
@@ -818,6 +838,9 @@ func TestGetBytesMissAllocFree(t *testing.T) {
 			}
 			if st := eng.Stats(); st.Misses-before.Misses != st.Requests-before.Requests || st.Hits != before.Hits {
 				t.Fatalf("the measured requests must all miss: %+v", st)
+			}
+			if lent := origin.lent.Load(); (lent > 0) != tc.lent {
+				t.Fatalf("the origin was lent a buffer %d times of %d; want lent %v", lent, origin.calls.Load(), tc.lent)
 			}
 			prefetcher.QuiesceAndCheck(t, eng)
 		})

@@ -105,7 +105,7 @@ const (
 // in. read appends one entry per id to items (sinkItems) or ranges
 // (byte modes) and hands the sink back; it travels by value, and the
 // byte buffer the ranges index travels beside it, not in it, because
-// the buffer crosses the ByteCache interface: a sink reached through a
+// the buffer crosses the Cache interface: a sink reached through a
 // pointer, or holding a field that escapes, would drag the singleton
 // views' stack-backed items/ranges to the heap with it.
 type sink struct {
@@ -380,26 +380,26 @@ func (e *Engine) gatherMulti(ids []ID, now float64, sc *multiScratch, mode uint8
 // classifyResidentLocked is the one place a request is served from cache:
 // it reports whether id is resident and, if so, records the payload,
 // the recorded size and the prefetched-unused consumption in st. The
-// byte sinks read a ByteCache through its byte view — the copy (or the
+// byte sinks read the cache through its byte view — the copy (or the
 // length probe) happens here because the slab view is only stable under
 // the shard lock — and every other payload is handed on boxed. The
 // caller owns the accounting: a gather hit and a joined key that finds
 // its item cached after a failed wait fold differently. Called with
 // sh.mu held.
 func (e *Engine) classifyResidentLocked(sh *shard, id ID, st *multiKey, mode uint8, buf *[]byte) bool {
-	if sh.bcache != nil && mode != sinkItems {
+	if mode != sinkItems {
 		if mode == sinkLen {
-			st.blen, st.inBuf = sh.bcache.BytesLen(id)
+			st.blen, st.inBuf = sh.cache.BytesLen(id)
 		} else {
 			st.off = len(*buf)
-			*buf, st.inBuf = sh.bcache.GetBytes(id, *buf)
+			*buf, st.inBuf = sh.cache.GetBytes(id, *buf)
 			st.blen = len(*buf) - st.off
 		}
 		// A byte-view miss is not a cache miss: the entry may be resident
-		// in the store's boxed overflow (an oversized []byte, or a
-		// non-[]byte payload) — the boxed lookup below decides. A peek
-		// first keeps a plain miss to one read, which the store's
-		// admission filter counts as one access.
+		// boxed (the store's overflow, or a cache that keeps no bytes) —
+		// the boxed lookup below decides. A peek first keeps a plain miss
+		// to one read, which the store's admission filter counts as one
+		// access.
 		if !st.inBuf && !sh.cache.Contains(id) {
 			return false
 		}
@@ -438,9 +438,9 @@ func (e *Engine) fetchMultiMisses(ctx context.Context, ids []ID, sc *multiScratc
 // reply checks and the per-key fallback — a one-key batch, a batch
 // error, a short reply or a misordered reply degrades to the hedged,
 // failing-over Fetch per key, so one bad reply never fails the session.
-// A byte sink over copying caches lends the fetch the caller's buffer:
-// payloads read straight into it are in the sink already (inBuf) and
-// land borrowed.
+// A byte sink lends the fetch the caller's buffer when the engine lends
+// (Engine.lend): payloads read straight into it are in the sink already
+// (inBuf) and land borrowed.
 func (e *Engine) runDemandBatch(ctx context.Context, b int, ids []ID, sc *multiScratch, mode uint8, buf *[]byte) {
 	states := sc.states
 	gids, gidx := sc.gids[:0], sc.gidx[:0]

@@ -46,13 +46,15 @@ func (p *tracePredictor) Name() string { return "trace" }
 // TestReadCoreFanout1Equivalence replays one trace — hits, misses, a
 // prefetch that is used, a demand request joining a speculative flight,
 // a failing key, a non-[]byte payload missed and then hit — through
-// each of the five public views at fan-out 1, on a boxed and on a slab
-// cache, and requires them to be indistinguishable to everything the
-// threshold rule feeds on: the same Stats (MultiGets/BatchedKeys, which
-// count sessions, masked), the same event log, the same predictor
-// observation stream, and the same error at every step — except that
-// the byte views answer ErrNotBytes where the item views serve the
-// non-[]byte payload.
+// each of the five public views at fan-out 1, on NewLRUCache's store,
+// on bytestore's and on a plug-in that keeps no bytes, and requires
+// them to be indistinguishable to everything the threshold rule feeds
+// on: the same Stats (MultiGets/BatchedKeys, which count sessions,
+// masked), the same event log, the same predictor observation stream,
+// and the same error at every step — except that the byte views answer
+// ErrNotBytes where the item views serve the non-[]byte payload. The
+// plug-in, read through the boxed fallback, must also keep the books of
+// the store it wraps: one hit per read, as on the store read as bytes.
 func TestReadCoreFanout1Equivalence(t *testing.T) {
 	type view struct {
 		name    string
@@ -83,18 +85,22 @@ func TestReadCoreFanout1Equivalence(t *testing.T) {
 		}},
 	}
 	caches := []struct {
-		name string
-		opt  func(t *testing.T) prefetcher.Option
+		name  string
+		books string // a row whose Stats and events this one's must equal
+		opt   func(t *testing.T) prefetcher.Option
 	}{
-		{"boxed", func(*testing.T) prefetcher.Option {
+		{"boxed", "", func(*testing.T) prefetcher.Option {
 			return prefetcher.WithCache(prefetcher.NewLRUCache(6))
 		}},
-		{"bytestore", func(t *testing.T) prefetcher.Option {
+		{"bytestore", "", func(t *testing.T) prefetcher.Option {
 			factory, err := bytestore.Factory(bytestore.Config{CapacityBytes: 1 << 16, MaxEntries: 6})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return prefetcher.WithCacheFactory(factory)
+		}},
+		{"plug-in keeping no bytes", "boxed", func(*testing.T) prefetcher.Option {
+			return prefetcher.WithCache(boxedPlugin{prefetcher.NewLRUCache(6)})
 		}},
 	}
 
@@ -202,6 +208,7 @@ func TestReadCoreFanout1Equivalence(t *testing.T) {
 		return out
 	}
 
+	refs := map[string]outcome{}
 	for _, c := range caches {
 		t.Run(c.name, func(t *testing.T) {
 			var ref outcome
@@ -237,6 +244,10 @@ func TestReadCoreFanout1Equivalence(t *testing.T) {
 					t.Errorf("%s and %s feed the predictor different streams:\n %s: %v\n %s: %v", v.name, views[0].name, v.name, got.obs, views[0].name, ref.obs)
 				}
 			}
+			refs[c.name] = ref
+			if want, ok := refs[c.books]; ok && (!reflect.DeepEqual(ref.stats, want.stats) || !reflect.DeepEqual(ref.events, want.events)) {
+				t.Errorf("%s keeps other books than %s:\n %+v\n %+v", c.name, c.books, ref.stats, want.stats)
+			}
 		})
 	}
 }
@@ -250,6 +261,21 @@ func singleton(err error) error {
 	}
 	return err
 }
+
+// boxedPlugin is a plug-in Cache that keeps no bytes: its byte view
+// answers false, so the engine reads every entry boxed, through Get,
+// and never lends it a buffer. Embedding the interface hides the landing
+// bit of the store beneath, which must then admit every Put, as
+// NewLRUCache's does.
+type boxedPlugin struct{ prefetcher.Cache }
+
+func (boxedPlugin) GetBytes(_ prefetcher.ID, dst []byte) ([]byte, bool) { return dst, false }
+func (boxedPlugin) BytesLen(prefetcher.ID) (int, bool)                  { return 0, false }
+
+// landingPlugin is a plug-in Cache with the landing bit: bytestore's
+// store under a type of its own, whose Land and LandBytes the engine
+// finds by method set.
+type landingPlugin struct{ *bytestore.Store }
 
 // evictTap is a Cache that reports each eviction to a second listener
 // before the engine's own.

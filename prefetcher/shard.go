@@ -40,16 +40,9 @@ type shard struct {
 	mu sync.Mutex
 
 	cache Cache
-	// bcache is cache when it additionally implements ByteCache (the
-	// slab-backed byte store does), nil otherwise; the GetBytes fast
-	// path type-asserts once at construction instead of per request.
-	bcache ByteCache
-	// pcache is cache when it can store a borrowed payload by copy
-	// (BytesPutter), nil otherwise; probed once, like bcache.
-	pcache BytesPutter
-	// lcache is cache when it takes the landing bit (lander: the
-	// built-in store does), nil otherwise; probed once, like bcache.
-	lcache lander
+	// landing is cache when it takes the landing bit (lander), nil
+	// otherwise: the one probe, made once instead of per landing.
+	landing lander
 	// inflight holds pointers and is bounded by concurrent fetches; it
 	// stays its own map so that records, which grows with the cache, is
 	// one the collector never scans.
@@ -93,14 +86,10 @@ type resident struct {
 const shardMapHint = 64
 
 func newShard(c Cache) *shard {
-	bc, _ := c.(ByteCache)
-	pc, _ := c.(BytesPutter)
-	lc, _ := c.(lander)
+	l, _ := c.(lander)
 	return &shard{
 		cache:    c,
-		bcache:   bc,
-		pcache:   pc,
-		lcache:   lc,
+		landing:  l,
 		inflight: make(map[ID]*flight, shardMapHint),
 		records:  make(map[ID]resident, shardMapHint),
 	}
@@ -176,35 +165,35 @@ func defaultShards() int {
 }
 
 // lander is the landing bit's way into a cache: Land stores a landing
-// as Put would, LandBytes as PutBytes would, each told whether the
-// landing is speculative, and each reports whether it stored it. The
-// built-in store implements it: its admission filter may turn a demand
-// landing away, never a speculative one, which the threshold rule
-// already admitted.
+// as Put would, LandBytes a borrowed payload by copy, each told whether
+// the landing is speculative, and each reports whether it stored it.
+// The built-in store implements it: its admission filter may turn a
+// demand landing away, never a speculative one, which the threshold
+// rule already admitted. It is probed, not part of Cache, only because
+// bench/trace.go's traced cache lacks it; it joins Cache when that
+// file next changes.
 type lander interface {
 	Land(id ID, value any, speculative bool) bool
 	LandBytes(id ID, b []byte, speculative bool) bool
 }
 
 // putCache inserts a payload under id in the shard's cache — data, or
-// by copy the borrowed bytes lent — and reports whether the cache
-// stored it (a cache without the landing bit always does). It keeps the
-// engine's live resident count in step: +1 when the id is newly stored,
-// and every eviction — whether triggered by this Put or by any other
-// cache call — is debited by the shard's eviction callback (onEvict), so
-// the counter stays correct for any Cache that reports its evictions.
-// Called with sh.mu held.
+// by copy the borrowed bytes lent (only a lander is lent) — and reports
+// whether the cache stored it (a cache without the landing bit always
+// does). It keeps the engine's live resident count in step: +1 when the
+// id is newly stored, and every eviction — whether triggered by this
+// Put or by any other cache call — is debited by the shard's eviction
+// callback (onEvict), so the counter stays correct for any Cache that
+// reports its evictions. Called with sh.mu held.
 func (e *Engine) putCache(sh *shard, id ID, data any, lent []byte, borrowed, speculative bool) bool {
 	fresh, stored := !sh.cache.Contains(id), true
 	switch {
-	case sh.lcache != nil && borrowed:
-		stored = sh.lcache.LandBytes(id, lent, speculative)
-	case sh.lcache != nil:
-		stored = sh.lcache.Land(id, data, speculative)
-	case borrowed:
-		sh.pcache.PutBytes(id, lent)
-	default:
+	case sh.landing == nil:
 		sh.cache.Put(id, data)
+	case borrowed:
+		stored = sh.landing.LandBytes(id, lent, speculative)
+	default:
+		stored = sh.landing.Land(id, data, speculative)
 	}
 	if fresh && stored {
 		e.residents.Add(1)
