@@ -226,9 +226,12 @@ func TestModelBEstimatorCorrection(t *testing.T) {
 	raw, corrected := pf.HPrimeEstimate, pf.HPrimeEstimateB
 	trueH := base.HitRatio
 
+	if math.IsNaN(corrected) || math.IsInf(corrected, 0) {
+		t.Fatalf("model-B estimate undefined: %v (n̄(C) %v, n̄(F) %v)", corrected, pf.MeanOccupancy, pf.NFObserved)
+	}
 	rawErr := math.Abs(raw - trueH)
 	corrErr := math.Abs(corrected - trueH)
-	if corrErr >= rawErr {
+	if !(corrErr < rawErr) {
 		t.Errorf("model-B correction did not help: raw %v (err %v) vs corrected %v (err %v), true %v",
 			raw, rawErr, corrected, corrErr, trueH)
 	}

@@ -142,7 +142,7 @@ func runTableEstimator(o Options) ([]*stats.Table, error) {
 		tb.AddRowValues(inter.String(), "paper-threshold",
 			base.HitRatio, est, math.Abs(est-base.HitRatio), pf.HitRatio, pf.NFObserved)
 	}
-	tb.AddNote("the estimator recovers the hypothetical no-prefetch hit ratio while prefetching runs; prefetching itself raises the realised h above h′")
+	tb.AddNote("under A the estimator recovers the hypothetical no-prefetch hit ratio while prefetching runs; under B the Section-4 correction, with n̄(F) taken as prefetches per request, closes only part of the gap; prefetching itself raises the realised h above h′")
 	return []*stats.Table{tb}, nil
 }
 

@@ -33,9 +33,19 @@ func (c *modelCache) Get(id fetch.ID) (any, bool) {
 	return c.vals[id], true
 }
 
-// The byte view answers false: the engine reads every entry boxed.
-func (c *modelCache) GetBytes(_ fetch.ID, dst []byte) ([]byte, bool) { return dst, false }
-func (c *modelCache) BytesLen(fetch.ID) (int, bool)                  { return 0, false }
+// The byte view answers false: the engine reads every entry boxed. A
+// miss is counted here, through Get, as prefetcher.Cache asks.
+func (c *modelCache) GetBytes(id fetch.ID, dst []byte) ([]byte, bool) {
+	if !c.Contains(id) {
+		c.Get(id)
+	}
+	return dst, false
+}
+
+func (c *modelCache) BytesLen(id fetch.ID) (int, bool) {
+	_, ok := c.GetBytes(id, nil)
+	return 0, ok
+}
 
 func (c *modelCache) Put(id fetch.ID, v any) { c.Land(id, v, false) }
 

@@ -338,7 +338,8 @@ func (c *boxedLRU) Put(id prefetcher.ID, v any) {
 	c.at[id] = c.order.PushFront(&boxedEntry{id, v})
 }
 
-// The byte view answers false: the engine reads every entry boxed.
+// The byte view answers false: the engine reads every entry boxed. A
+// miss here leaves nothing to count, as Get's does.
 func (c *boxedLRU) GetBytes(_ prefetcher.ID, dst []byte) ([]byte, bool) { return dst, false }
 func (c *boxedLRU) BytesLen(prefetcher.ID) (int, bool)                  { return 0, false }
 

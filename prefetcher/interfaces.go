@@ -98,9 +98,9 @@ type Cache interface {
 	Get(id ID) (value any, ok bool)
 	// GetBytes appends id's payload to dst and returns the extended
 	// slice, refreshing recency metadata exactly as Get would. ok is
-	// false when id cannot be served as bytes — absent, or kept boxed
-	// (the engine tells the two apart with Contains); dst is then
-	// returned unchanged.
+	// false when id is kept boxed (the engine then reads Get) or absent,
+	// which GetBytes counts as Get counts a miss (a cache keeping no
+	// bytes: if !Contains(id) { Get(id) }); dst is then returned unchanged.
 	GetBytes(id ID, dst []byte) ([]byte, bool)
 	// BytesLen reports the stored payload length without copying it,
 	// refreshing recency metadata like a hit. ok follows GetBytes.

@@ -54,7 +54,9 @@ func (p *tracePredictor) Name() string { return "trace" }
 // and the same error at every step — except that the byte views answer
 // ErrNotBytes where the item views serve the non-[]byte payload. The
 // plug-in, read through the boxed fallback, must also keep the books of
-// the store it wraps: one hit per read, as on the store read as bytes.
+// the store it wraps — one hit per read, as on the store read as bytes —
+// and log the same Get calls under every view, a byte-view miss counted
+// once, as an admission sketch behind Get would count it.
 func TestReadCoreFanout1Equivalence(t *testing.T) {
 	type view struct {
 		name    string
@@ -87,20 +89,22 @@ func TestReadCoreFanout1Equivalence(t *testing.T) {
 	caches := []struct {
 		name  string
 		books string // a row whose Stats and events this one's must equal
-		opt   func(t *testing.T) prefetcher.Option
+		// opt builds the row's cache; one that logs its reads into reads
+		// must log the same stream under every view.
+		opt func(t *testing.T, reads *[]prefetcher.ID) prefetcher.Option
 	}{
-		{"boxed", "", func(*testing.T) prefetcher.Option {
+		{"boxed", "", func(*testing.T, *[]prefetcher.ID) prefetcher.Option {
 			return prefetcher.WithCache(prefetcher.NewLRUCache(6))
 		}},
-		{"bytestore", "", func(t *testing.T) prefetcher.Option {
+		{"bytestore", "", func(t *testing.T, _ *[]prefetcher.ID) prefetcher.Option {
 			factory, err := bytestore.Factory(bytestore.Config{CapacityBytes: 1 << 16, MaxEntries: 6})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return prefetcher.WithCacheFactory(factory)
 		}},
-		{"plug-in keeping no bytes", "boxed", func(*testing.T) prefetcher.Option {
-			return prefetcher.WithCache(boxedPlugin{prefetcher.NewLRUCache(6)})
+		{"plug-in keeping no bytes", "boxed", func(_ *testing.T, reads *[]prefetcher.ID) prefetcher.Option {
+			return prefetcher.WithCache(boxedPlugin{readLog{prefetcher.NewLRUCache(6), reads}})
 		}},
 	}
 
@@ -131,10 +135,12 @@ func TestReadCoreFanout1Equivalence(t *testing.T) {
 		events []string
 		obs    []prefetcher.ID
 		errs   []error
+		reads  []prefetcher.ID // the cache's read log, where it keeps one
 	}
-	run := func(t *testing.T, v view, cacheOpt prefetcher.Option) outcome {
+	run := func(t *testing.T, v view, mkCache func(*testing.T, *[]prefetcher.ID) prefetcher.Option) outcome {
 		t.Helper()
 		var out outcome
+		cacheOpt := mkCache(t, &out.reads)
 		var mu sync.Mutex
 		gate := make(chan struct{})
 		var open sync.Once
@@ -213,7 +219,7 @@ func TestReadCoreFanout1Equivalence(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			var ref outcome
 			for i, v := range views {
-				got := run(t, v, c.opt(t))
+				got := run(t, v, c.opt)
 				for s, step := range trace {
 					var want error
 					switch {
@@ -243,6 +249,9 @@ func TestReadCoreFanout1Equivalence(t *testing.T) {
 				if !reflect.DeepEqual(got.obs, ref.obs) {
 					t.Errorf("%s and %s feed the predictor different streams:\n %s: %v\n %s: %v", v.name, views[0].name, v.name, got.obs, views[0].name, ref.obs)
 				}
+				if !reflect.DeepEqual(got.reads, ref.reads) {
+					t.Errorf("%s and %s read the cache differently:\n %s: %v\n %s: %v", v.name, views[0].name, v.name, got.reads, views[0].name, ref.reads)
+				}
 			}
 			refs[c.name] = ref
 			if want, ok := refs[c.books]; ok && (!reflect.DeepEqual(ref.stats, want.stats) || !reflect.DeepEqual(ref.events, want.events)) {
@@ -264,13 +273,35 @@ func singleton(err error) error {
 
 // boxedPlugin is a plug-in Cache that keeps no bytes: its byte view
 // answers false, so the engine reads every entry boxed, through Get,
-// and never lends it a buffer. Embedding the interface hides the landing
-// bit of the store beneath, which must then admit every Put, as
+// and never lends it a buffer; for an absent id the byte view counts the
+// read through Get, as Cache asks. Embedding the interface hides the
+// landing bit of the store beneath, which must then admit every Put, as
 // NewLRUCache's does.
 type boxedPlugin struct{ prefetcher.Cache }
 
-func (boxedPlugin) GetBytes(_ prefetcher.ID, dst []byte) ([]byte, bool) { return dst, false }
-func (boxedPlugin) BytesLen(prefetcher.ID) (int, bool)                  { return 0, false }
+func (p boxedPlugin) GetBytes(id prefetcher.ID, dst []byte) ([]byte, bool) {
+	if !p.Contains(id) {
+		p.Get(id)
+	}
+	return dst, false
+}
+
+func (p boxedPlugin) BytesLen(id prefetcher.ID) (int, bool) {
+	_, ok := p.GetBytes(id, nil)
+	return 0, ok
+}
+
+// readLog is a Cache that logs every Get, hit or miss — each read an
+// admission sketch would count.
+type readLog struct {
+	prefetcher.Cache
+	reads *[]prefetcher.ID
+}
+
+func (c readLog) Get(id prefetcher.ID) (any, bool) {
+	*c.reads = append(*c.reads, id)
+	return c.Cache.Get(id)
+}
 
 // landingPlugin is a plug-in Cache with the landing bit: bytestore's
 // store under a type of its own, whose Land and LandBytes the engine
